@@ -2,8 +2,9 @@
 
 Layers, each validated against the one below:
 
-- expr / jets / fd: scalar engine (expression DSL, exact truncated
-  derivatives, finite-difference oracle)
+- expr / jets: scalar engine (expression DSL, exact truncated
+  derivatives), validated in the tests against a finite-difference
+  oracle
 - riemann: Riemannian metric calculus on chart expressions
 - generic: definition-level Finsler pipeline (spray, curvature,
   S-curvature, volume densities) for any admissible metric function

@@ -21,6 +21,7 @@ configured tolerance only.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -29,25 +30,25 @@ import numpy as np
 
 from .expr import ExprAst, parse_expr
 from .forms import (
+    AbInvariants,
     KropinaSpace,
+    _require_unit_wind,
     ab_fields,
-    ab_invariants,
     finsler_evaluator,
     isotropy_fit,
     kropina_ricci_closed,
+    nav_point,
     s_closed,
     s_dot_closed,
     volume_density,
 )
-from .generic import ricci_generic, s_curvature_generic, sdot_generic
+from .generic import curvature_sample
 from .riemann import (
-    FieldPoint,
     MetricPoint,
     NotPositiveDefiniteError,
     RiemannianMetric,
     _extract,
     eval_component_jets,
-    hess_h,
     w_invariants_from_point,
 )
 
@@ -201,9 +202,39 @@ def _space_with_cfg(space: KropinaSpace, cfg: WeightConfig) -> KropinaSpace:
 
 
 # -- the curvature family ------------------------------------------------------
+#
+# These take the drift bundle of one chart point (forms.ab_fields), built
+# on the space that carries the weight: resolve a configured weight with
+# _space_with_cfg before building the bundle.
 
 
-def ric_ac(space: KropinaSpace, cfg: WeightConfig, x, y, route="closed"):
+def _require_bundle_weight(fields, cfg: WeightConfig):
+    if cfg.f is not None and cfg.f != fields.space.weight:
+        raise ValueError(
+            "the configured weight is not the one the drift bundle was "
+            "built with; build the bundle on _space_with_cfg(space, cfg)"
+        )
+
+
+def _generic_ric_ac(sample, cfg: WeightConfig):
+    """Ric + a*Sdot - c*S^2 from one generic curvature sample."""
+    a, c = float(cfg.a), float(cfg.c)
+    val = sample.ricci
+    if a != 0.0:
+        val += a * sample.sdot
+    if c != 0.0:
+        val -= c * sample.s ** 2
+    return val
+
+
+def _generic_sample(fields, y):
+    """The generic curvature sample at (x, y) against the weighted density."""
+    space = fields.space
+    return curvature_sample(finsler_evaluator(space, "ab"),
+                            volume_density(space), fields.x, y)
+
+
+def ric_ac(fields, cfg: WeightConfig, y, route="closed"):
     """Weighted Ricci curvature Ric + a*Sdot - c*S^2 at (x, y).
 
     route selects the code path: "closed" uses the drift-invariant
@@ -211,37 +242,29 @@ def ric_ac(space: KropinaSpace, cfg: WeightConfig, x, y, route="closed"):
     directly.  The two paths share no curvature code and agree to the
     cross-validation tolerance.
     """
-    space = _space_with_cfg(space, cfg)
+    _require_bundle_weight(fields, cfg)
     a, c = float(cfg.a), float(cfg.c)
-    n = space.dim
+    n = fields.n
     if route == "closed":
-        val = kropina_ricci_closed(space, x, y)
+        val = kropina_ricci_closed(fields, y)
         if a != 0.0:
-            val += a * (n + 1) * s_dot_closed(space, x, y)
+            val += a * (n + 1) * s_dot_closed(fields, y)
         if c != 0.0:
-            val -= c * s_closed(space, x, y) ** 2
+            val -= c * s_closed(fields, y) ** 2
         return val
     if route == "generic":
-        ev = finsler_evaluator(space, "ab")
-        dens = volume_density(space)
-        val = ricci_generic(ev, x, y)
-        if a != 0.0:
-            val += a * sdot_generic(ev, dens, x, y)
-        if c != 0.0:
-            val -= c * s_curvature_generic(ev, dens, x, y) ** 2
-        return val
+        return _generic_ric_ac(_generic_sample(fields, y), cfg)
     raise ValueError(f"unknown route {route!r}")
 
 
-def pric(space: KropinaSpace, x, y, route="closed"):
+def pric(fields, y, route="closed"):
     """Projective Ricci curvature: ric_ac at the constants where both
     derived constants vanish."""
-    a, c = pric_constants(space.dim)
-    return ric_ac(space, WeightConfig(a, c, space.dim), x, y, route=route)
+    a, c = pric_constants(fields.n)
+    return ric_ac(fields, WeightConfig(a, c, fields.n), y, route=route)
 
 
-def ric_ac_via_projective(space: KropinaSpace, cfg: WeightConfig, x, y,
-                          route="closed"):
+def ric_ac_via_projective(fields, cfg: WeightConfig, y, route="closed"):
     """ric_ac reassembled around the projective Ricci curvature:
 
         ric_ac = pric - kappa/(n+1) * (Sdot + 4 S^2/(n+1))
@@ -249,18 +272,16 @@ def ric_ac_via_projective(space: KropinaSpace, cfg: WeightConfig, x, y,
 
     Independent evaluation path for the identity tests.
     """
-    space = _space_with_cfg(space, cfg)
-    n = space.dim
+    _require_bundle_weight(fields, cfg)
+    n = fields.n
     kappa, nu = cfg.kappa, cfg.nu
     if route == "closed":
-        sdot = (n + 1) * s_dot_closed(space, x, y)
-        s = s_closed(space, x, y)
+        sdot = (n + 1) * s_dot_closed(fields, y)
+        s = s_closed(fields, y)
     else:
-        ev = finsler_evaluator(space, "ab")
-        dens = volume_density(space)
-        sdot = sdot_generic(ev, dens, x, y)
-        s = s_curvature_generic(ev, dens, x, y)
-    base = pric(space, x, y, route=route)
+        sample = _generic_sample(fields, y)
+        sdot, s = sample.sdot, sample.s
+    base = pric(fields, y, route=route)
     return (base - kappa / (n + 1) * (sdot + 4 * s**2 / (n + 1))
             + nu * s**2 / (n + 1) ** 2)
 
@@ -297,27 +318,24 @@ class EinsteinAnsatz:
         return 3.0 * th * F + self.sigma * F * F
 
 
-def einstein_residual(space: KropinaSpace, cfg: WeightConfig,
-                      ansatz: EinsteinAnsatz, x, y, route="closed"):
+def einstein_residual(fields, cfg: WeightConfig, ansatz: EinsteinAnsatz, y,
+                      route="closed"):
     """ric_ac(y) - (n-1) (3 theta(y) F + sigma F^2) at one (x, y)."""
-    space = _space_with_cfg(space, cfg)
-    n = space.dim
-    inv = ab_invariants(space, x, y)
-    return ric_ac(space, cfg, x, y, route=route) - (n - 1) * ansatz.model(inv.F, y)
+    inv = AbInvariants(fields, y)
+    return (ric_ac(fields, cfg, y, route=route)
+            - (fields.n - 1) * ansatz.model(inv.F, y))
 
 
-def fit_theta_sigma(space: KropinaSpace, cfg: WeightConfig, x, directions,
-                    route="closed"):
+def fit_theta_sigma(fields, cfg: WeightConfig, directions, route="closed"):
     """Least-squares (theta_1..theta_n, sigma) minimizing the Einstein
-    residual over the given directions at x.
+    residual over the given directions at the bundle's chart point.
 
     Needs at least n+2 admissible directions spanning the tangent
     space; a rank-deficient direction set raises ValueError.  The
     returned ansatz carries the root-mean-square fit residual relative
     to the curvature scale.
     """
-    space = _space_with_cfg(space, cfg)
-    n = space.dim
+    n = fields.n
     directions = [np.asarray(y, dtype=float) for y in directions]
     if len(directions) < n + 2:
         raise ValueError(
@@ -326,12 +344,12 @@ def fit_theta_sigma(space: KropinaSpace, cfg: WeightConfig, x, directions,
         )
     rows, target = [], []
     for y in directions:
-        inv = ab_invariants(space, x, y)
+        inv = AbInvariants(fields, y)
         rows.append(
             [3.0 * (n - 1) * inv.F * y[i] for i in range(n)]
             + [(n - 1) * inv.F**2]
         )
-        target.append(ric_ac(space, cfg, x, y, route=route))
+        target.append(ric_ac(fields, cfg, y, route=route))
     A = np.array(rows)
     t = np.array(target)
     if np.linalg.matrix_rank(A) < n + 1:
@@ -383,33 +401,30 @@ def weighted_ricci_tensor(h: RiemannianMetric, f, cfg: WeightConfig, x):
     """Ric^h + a(n+1) Hess_h f - c(n+1)^2 df (x) df at x; the bilinear
     form whose proportionality to h characterizes the nu != 0 regime in
     navigation data."""
-    n = h.dim
     if isinstance(f, str):
-        f = parse_expr(f, n)
-    a, c = float(cfg.a), float(cfg.c)
+        f = parse_expr(f, h.dim)
     mp = MetricPoint.from_exprs(h, list(x), order=2)
+    return _weighted_ricci(mp, f, cfg, *_weight_derivs(f, mp, x))
+
+
+def _weighted_ricci(mp: MetricPoint, f, cfg: WeightConfig, fg, hf):
+    n = mp.n
+    a, c = float(cfg.a), float(cfg.c)
     T = mp.ricci.copy()
     if f is not None:
-        T = T + a * (n + 1) * hess_h(f, h, list(x))
-        fg = _weight_gradient(f, n, x)
+        T = T + a * (n + 1) * hf
         T = T - c * (n + 1) ** 2 * np.outer(fg, fg)
     return T
 
 
-def _weight_gradient(f: ExprAst, n, x):
-    jets = eval_component_jets(f, list(x), 1)
-    _, grad = _extract(jets, n, 1)
-    return np.asarray(grad, dtype=float)
-
-
-def _f_data(space: KropinaSpace, x):
-    """(gradient, covariant Hessian) of the weight at x against the
-    drift metric of the space; zeros when no weight is set."""
-    n = space.dim
-    if space.weight is None:
+def _weight_derivs(f: Optional[ExprAst], mp: MetricPoint, x):
+    """(gradient, covariant Hessian) of the weight f at x against the
+    metric point mp; zeros when no weight is set."""
+    n = mp.n
+    if f is None:
         return np.zeros(n), np.zeros((n, n))
-    return (_weight_gradient(space.weight, n, x),
-            hess_h(space.weight, space.a, list(x)))
+    _, df, d2f = _extract(eval_component_jets(f, list(x), 2), n, 2)
+    return df, mp.covariant_hessian(df, d2f)
 
 
 # -- polynomial divisibility ----------------------------------------------------
@@ -570,33 +585,47 @@ def _jsonable(obj):
 
 
 class _Residuals:
-    """Accumulates the worst residual per condition name."""
+    """Accumulates the worst residual per condition name.
+
+    A non-finite residual fails its condition: it stays the worst value
+    and the note names its row.  Rows count the residuals added under
+    one name in sampling order, one per chart point or one per (point,
+    direction) pair, from 0.
+    """
 
     def __init__(self, tol):
         self.tol = tol
         self._worst = {}
         self._kind = {}
-        self._order = []
+        self._rows = {}
+        self._bad_row = {}
 
     def add(self, name, residual, kind="condition"):
         residual = abs(float(residual))
-        if name not in self._worst:
-            self._order.append(name)
-            self._worst[name] = residual
+        row = self._rows.get(name, 0)
+        self._rows[name] = row + 1
+        if row == 0:
             self._kind[name] = kind
-        else:
-            self._worst[name] = max(self._worst[name], residual)
+        if name in self._bad_row:
+            return
+        if not math.isfinite(residual):
+            self._bad_row[name] = row
+            self._worst[name] = residual
+        elif row == 0 or residual > self._worst[name]:
+            self._worst[name] = residual
 
     def conditions(self):
         out = []
-        for name in self._order:
+        for name, kind in self._kind.items():
             r = self._worst[name]
+            bad = self._bad_row.get(name)
             out.append(ConditionResult(
                 name=name,
                 residual=r,
                 tol=self.tol,
-                passed=bool(r <= self.tol),
-                kind=self._kind[name],
+                passed=bool(bad is None and r <= self.tol),
+                kind=kind,
+                note="" if bad is None else f"non-finite residual at row {bad}",
             ))
         return tuple(out)
 
@@ -635,20 +664,15 @@ def _require_regime(cfg, want, theorem):
         )
 
 
-def _end_to_end(space, cfg, ev, dens, x, ys, variants, res):
+def _end_to_end(fld, cfg, ev, dens, ys, variants, res):
     """Generic-pipeline Einstein residuals for each named ansatz; the
     report's bottom line never reuses the closed formulas."""
-    n = space.dim
-    a, c = float(cfg.a), float(cfg.c)
+    n = fld.n
     for y in ys:
-        inv = ab_invariants(space, x, y)
-        val = ricci_generic(ev, x, y)
-        if a != 0.0:
-            val += a * sdot_generic(ev, dens, x, y)
-        if c != 0.0:
-            val -= c * s_curvature_generic(ev, dens, x, y) ** 2
+        F = AbInvariants(fld, y).F
+        val = _generic_ric_ac(curvature_sample(ev, dens, fld.x, y), cfg)
         for label, ansatz in variants:
-            model = (n - 1) * ansatz.model(inv.F, y)
+            model = (n - 1) * ansatz.model(F, y)
             res.add(label, _rel(val - model, val, model))
 
 
@@ -684,32 +708,27 @@ def _sym_outer(u, v):
 # -- checkers -------------------------------------------------------------------
 
 
-def thm41_check(h: RiemannianMetric, w, f, cfg: WeightConfig, samples,
-                tol=1e-6):
+def thm41_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6):
     """Navigation-data checker for the nu != 0 regime.
 
+    Reads the navigation view (h, W) of the space and its weight f.
     Conditions: the wind is Killing (symmetrized covariant derivative
     vanishes); the weighted Ricci bilinear form of (h, f) is
     proportional to h; the two closed expressions for sigma agree; the
     closed-form (theta, sigma) agrees with the least-squares fit; and
     the weakly-Einstein equation itself holds end-to-end through the
     generic pipeline, once with the closed-form pair and once with the
-    fitted pair.
+    fitted pair.  The fit and the end-to-end residuals are F-level, so
+    the gauge of the space does not enter them.
 
     Raises DispatchError outside the regime and ValueError when the
     wind is not h-unit at a sample point.
     """
     _require_regime(cfg, "nu!=0", "41")
-    n = h.dim
+    space = _space_with_cfg(space, cfg)
+    n = space.dim
     a, c = float(cfg.a), float(cfg.c)
-    if f is None:
-        f = cfg.f
-    if isinstance(f, str):
-        f = parse_expr(f, n)
-    space = KropinaSpace.from_nav(h, w, weight=f)
-    # the space carries the resolved weight; keep the config neutral so
-    # downstream fits cannot swap in a different one
-    cfg = WeightConfig(cfg.a, cfg.c, cfg.n)
+    f = space.weight
     samples, total = _normalize_samples(samples)
 
     ev = finsler_evaluator(space, "ab")
@@ -721,30 +740,21 @@ def thm41_check(h: RiemannianMetric, w, f, cfg: WeightConfig, samples,
     }
 
     for x, ys in samples:
-        mp = MetricPoint.from_exprs(h, list(x), order=2)
-        fp = FieldPoint.from_exprs(mp, list(space.w), list(x), order=1)
-        wdev = abs(float(fp.w_low @ fp.w) - 1.0)
-        scal["wind_norm_dev"].append(wdev)
-        if wdev > 1e-8:
-            raise ValueError(
-                f"wind field is not h-unit at {list(x)}: "
-                f"||W||_h^2 deviates by {wdev:.3g}"
-            )
+        fp = nav_point(space.h, space.w, x)
+        mp = fp.mp
+        norm2 = float(fp.w_low @ fp.w)
+        scal["wind_norm_dev"].append(abs(norm2 - 1.0))
+        _require_unit_wind(norm2, f"at {list(x)}")
         wi = w_invariants_from_point(mp, fp)
         cov_scale = max(1.0, float(np.abs(fp.cov1).max()))
         res.add("wind-killing", float(np.abs(wi.r_ij).max()) / cov_scale)
 
-        T = weighted_ricci_tensor(h, f, cfg, x)
-        mu, tres = tensor_einstein_check(T, mp.g)
+        fg, hf = _weight_derivs(f, mp, x)
+        mu, tres = tensor_einstein_check(_weighted_ricci(mp, f, cfg, fg, hf),
+                                         mp.g)
         res.add("einstein-tensor", tres)
         scal["mu"].append(mu)
 
-        if f is not None:
-            fg = _weight_gradient(f, n, x)
-            hf = hess_h(f, h, list(x))
-        else:
-            fg = np.zeros(n)
-            hf = np.zeros((n, n))
         ric_ww = float(fp.w @ mp.ricci @ fp.w)
         ss = float(np.einsum("ij,ji->", wi.s_up, wi.s_up))
         hess_ww = float(fp.w @ hf @ fp.w)
@@ -766,7 +776,8 @@ def thm41_check(h: RiemannianMetric, w, f, cfg: WeightConfig, samples,
         res.add("sigma-consistency",
                 abs(sigma_formula - sigma_proof) / max(1.0, abs(sigma_formula)))
 
-        fitted = fit_theta_sigma(space, cfg, x, ys)
+        fld = ab_fields(space, x)
+        fitted = fit_theta_sigma(fld, cfg, ys)
         scal["sigma_fitted"].append(fitted.sigma)
         scal["theta_fitted"].append(list(fitted.theta))
         agree = max(
@@ -776,7 +787,7 @@ def thm41_check(h: RiemannianMetric, w, f, cfg: WeightConfig, samples,
         res.add("theta-sigma-fit-agreement", agree / max(1.0, abs(fitted.sigma)))
 
         formula = EinsteinAnsatz(tuple(theta_formula), sigma_formula)
-        _end_to_end(space, cfg, ev, dens, x, ys,
+        _end_to_end(fld, cfg, ev, dens, ys,
                     [("einstein-residual-formula", formula),
                      ("einstein-residual-fitted", fitted)], res)
 
@@ -811,17 +822,17 @@ def thm44_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6):
     }
 
     for x, ys in samples:
-        fit = isotropy_fit(space, x, rel_tol=tol)
+        fld = ab_fields(space, x)
+        fit = isotropy_fit(fld, rel_tol=tol)
         iso = fit.residual / max(1.0, fit.scale)
         res.add("isotropy", iso, kind="precondition")
         scal["eta"].append(fit.eta)
         scal["isotropy_residual"].append(iso)
 
-        fld = ab_fields(space, x)
         b2 = fld.b2
         eta = fit.eta
         eta_k = fld.eta_grad
-        fitted = fit_theta_sigma(space, cfg, x, ys)
+        fitted = fit_theta_sigma(fld, cfg, ys)
         theta = np.array(fitted.theta)
         theta_b = float(theta @ fld.bu)
         sksk, ss, _ = _drift_scalars(fld)
@@ -839,9 +850,9 @@ def thm44_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6):
         res.add("sigma-agreement",
                 abs(sigma_formula - fitted.sigma) / max(1.0, abs(fitted.sigma)))
 
-        fg, hess_a = _f_data(space, x)
+        _, hess_a = _weight_derivs(space.weight, fld.mp, x)
         for y in ys:
-            inv = ab_invariants(space, x, y)
+            inv = AbInvariants(fld, y)
             ric_a = float(y @ fld.ric @ y)
             hf_y = float(y @ hess_a @ y)
             lhs = (
@@ -877,7 +888,7 @@ def thm44_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6):
                          3 * (n - 1) * b2**2 * float(theta @ y)))
 
         formula = EinsteinAnsatz(tuple(theta), sigma_formula)
-        _end_to_end(space, cfg, ev, dens, x, ys,
+        _end_to_end(fld, cfg, ev, dens, ys,
                     [("einstein-residual-formula", formula),
                      ("einstein-residual-fitted", fitted)], res)
 
@@ -991,7 +1002,7 @@ def thm51_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6):
         scal["zeta"].append(list(zeta))
         scal["divisibility_residual"].append(div_res)
 
-        fitted = fit_theta_sigma(space, cfg, x, ys)
+        fitted = fit_theta_sigma(fld, cfg, ys)
         theta = np.array(fitted.theta)
         theta_b = float(theta @ fld.bu)
         sksk, ss, sr = _drift_scalars(fld)
@@ -1009,7 +1020,7 @@ def thm51_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6):
         res.add("sigma-agreement",
                 abs(sigma_formula - fitted.sigma) / max(1.0, abs(fitted.sigma)))
 
-        _, hess_a = _f_data(space, x)
+        _, hess_a = _weight_derivs(space.weight, fld.mp, x)
         quad = _sym_outer(fld.bl, zeta) \
             + _quadratic_drift_tensor(fld, cfg, hess_a)
         dev = quad - u * fld.mp.g
@@ -1024,7 +1035,7 @@ def thm51_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6):
                       b2**2 * float(np.abs(fld.div_s_up).max())))
 
         formula = EinsteinAnsatz(tuple(theta), sigma_formula)
-        _end_to_end(space, cfg, ev, dens, x, ys,
+        _end_to_end(fld, cfg, ev, dens, ys,
                     [("einstein-residual-formula", formula),
                      ("einstein-residual-fitted", fitted)], res)
 
@@ -1061,24 +1072,24 @@ def thm61_check(space: KropinaSpace, samples, tol=1e-6, cfg=None):
     }
 
     for x, ys in samples:
-        fit = isotropy_fit(space, x, rel_tol=tol)
+        fld = ab_fields(space, x)
+        fit = isotropy_fit(fld, rel_tol=tol)
         iso = fit.residual / max(1.0, fit.scale)
         res.add("drift-isotropy", iso, kind="precondition")
         scal["eta"].append(fit.eta)
         scal["isotropy_residual"].append(iso)
 
-        fld = ab_fields(space, x)
         b2 = fld.b2
         eta = fit.eta
         eta_k = fld.eta_grad
-        fg, hess_a = _f_data(space, x)
+        fg, hess_a = _weight_derivs(space.weight, fld.mp, x)
 
         cubic = -2 * (n - 1) * b2 * _sym_rv(fld.r, fg)
         zeta, div_res = poly_divisible_by_alpha2(cubic, fld.mp.g)
         res.add("cubic-divisibility", div_res)
         scal["zeta"].append(list(zeta))
 
-        fitted = fit_theta_sigma(space, cfg, x, ys)
+        fitted = fit_theta_sigma(fld, cfg, ys)
         theta = np.array(fitted.theta)
         theta_b = float(theta @ fld.bu)
         sksk, ss, _ = _drift_scalars(fld)
@@ -1114,7 +1125,7 @@ def thm61_check(space: KropinaSpace, samples, tol=1e-6, cfg=None):
                       b2**2 * float(np.abs(fld.div_s_up).max())))
 
         formula = EinsteinAnsatz(tuple(theta), sigma_formula)
-        _end_to_end(space, cfg, ev, dens, x, ys,
+        _end_to_end(fld, cfg, ev, dens, ys,
                     [("einstein-residual-formula", formula),
                      ("einstein-residual-fitted", fitted)], res)
 

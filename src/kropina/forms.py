@@ -53,7 +53,6 @@ from .riemann import (
     eval_component_jets,
     w_invariants_from_point,
 )
-from .fd import fd_partial
 
 
 class GaugeError(ValueError):
@@ -158,8 +157,12 @@ class KropinaSpace:
         """
         n = h.dim
         w = _coerce_vector(w, n, "wind")
-        if check_at is not None:
-            _require_unit_wind(h, w, check_at)
+        for k, x in enumerate(check_at or ()):
+            env = [float(v) for v in x]
+            h_val = _matrix_values(h, env)
+            w_val = np.array([eval_expr(e, env) for e in w], dtype=float)
+            _require_unit_wind(float(w_val @ h_val @ w_val),
+                               f"at sample point {k}")
         g = _coerce_scalar(2.0 if gauge is None else gauge, n, "gauge")
         quarter = e_div(e_pow(g.root, 2), e_const(4.0))
         half = e_div(e_pow(g.root, 2), e_const(2.0))
@@ -240,7 +243,7 @@ class KropinaSpace:
     def with_weight(self, weight):
         return replace(self, weight=_coerce_scalar(weight, self.dim, "weight"))
 
-    def validate(self, xs, ys=None, tol_norm=1e-8, tol_view=1e-10):
+    def validate(self, xs, ys=None, tol_view=1e-10):
         """Check the linking identities at sample points; raise on failure.
 
         xs is an iterable of chart points.  ys, when given, pairs with
@@ -250,12 +253,7 @@ class KropinaSpace:
             env = [float(v) for v in x]
             h_val = _matrix_values(self.h, env)
             w_val = np.array([eval_expr(e, env) for e in self.w], dtype=float)
-            norm = float(w_val @ h_val @ w_val)
-            if abs(norm - 1.0) > tol_norm:
-                raise ValueError(
-                    f"wind norm ||W||_h = {math.sqrt(max(norm, 0.0)):.12g} "
-                    f"differs from 1 at point {k}"
-                )
+            _require_unit_wind(float(w_val @ h_val @ w_val), f"at point {k}")
             rho_v = float(eval_expr(self.rho, env))
             e2 = math.exp(-2.0 * rho_v)
             a_val = _matrix_values(self.a, env)
@@ -289,7 +287,9 @@ class KropinaSpace:
                     )
 
 
-def _matrix_values(metric: RiemannianMetric, env) -> np.ndarray:
+def _matrix_values(metric: RiemannianMetric, x) -> np.ndarray:
+    """Float values of a metric's component matrix at the chart point x."""
+    env = [float(v) for v in x]
     n = metric.dim
     out = np.empty((n, n))
     for i in range(n):
@@ -298,17 +298,13 @@ def _matrix_values(metric: RiemannianMetric, env) -> np.ndarray:
     return out
 
 
-def _require_unit_wind(h, w, xs, tol=1e-8):
-    for k, x in enumerate(xs):
-        env = [float(v) for v in x]
-        h_val = _matrix_values(h, env)
-        w_val = np.array([eval_expr(e, env) for e in w], dtype=float)
-        norm = float(w_val @ h_val @ w_val)
-        if abs(norm - 1.0) > tol:
-            raise ValueError(
-                f"wind field is not h-unit at sample point {k}: "
-                f"||W||_h^2 = {norm:.12g}"
-            )
+def _require_unit_wind(norm2, where):
+    """The h-unit wind check: raise ValueError unless ||W||_h^2 = norm2
+    is 1 to 1e-8; where names the point in the message."""
+    if abs(norm2 - 1.0) > 1e-8:
+        raise ValueError(
+            f"wind field is not h-unit {where}: ||W||_h^2 = {norm2:.12g}"
+        )
 
 
 def _f_ab(space, env, y):
@@ -489,15 +485,9 @@ class AbFields:
 
     @cached_property
     def eta_grad(self):
-        space, x = self.space, self.x
-
-        def eta_at(p):
-            return _eta_hat(space, p)
-
-        return np.array([
-            fd_partial(eta_at, x, tuple(int(w == k) for w in range(self.n)))
-            for k in range(self.n)
-        ])
+        """eta_{;k} = a^{ij} r_{ij;k} / n, exact because eta is a scalar
+        and a_ij is covariantly constant."""
+        return np.einsum("ij,ijk->k", self.ainv, self.dr) / self.n
 
     @cached_property
     def _weight_jets(self):
@@ -521,17 +511,8 @@ class AbFields:
         return self._weight_jets[2]
 
 
-def _eta_hat(space: KropinaSpace, x):
-    mp = MetricPoint.from_exprs(space.a, [float(v) for v in x], order=1)
-    fp = FieldPoint.from_exprs(
-        mp, list(space.b_up), [float(v) for v in x], order=1
-    )
-    c = fp.cov1
-    r = 0.5 * (c + c.T)
-    return float(np.trace(mp.ginv @ r)) / space.dim
-
-
 def ab_fields(space: KropinaSpace, x) -> AbFields:
+    """The drift bundle at x; every pointwise closed form reads one."""
     return AbFields(space, x)
 
 
@@ -633,15 +614,16 @@ class AbInvariants:
         return float(self.fields.eta_grad @ self.y)
 
 
-def ab_invariants(space: KropinaSpace, x, y) -> AbInvariants:
-    """Every drift-derivative contraction the curvature formulas use."""
-    return AbInvariants(AbFields(space, x), y)
-
-
 # -- closed forms -------------------------------------------------------------
+#
+# Each closed form reads the drift bundle of one chart point, so a caller
+# that visits many directions at x builds the bundle once.
 
 
-def _spray_closed(f: AbFields, y: np.ndarray) -> np.ndarray:
+def kropina_spray_closed(fields: AbFields, y) -> np.ndarray:
+    """Geodesic coefficients G^i from the drift-derivative tensors."""
+    f = fields
+    y = np.asarray(y, dtype=float)
     a2 = float(y @ f.mp.g @ y)
     beta = float(f.bl @ y)
     if beta <= 0.0:
@@ -659,14 +641,9 @@ def _spray_closed(f: AbFields, y: np.ndarray) -> np.ndarray:
     return g_a + correction
 
 
-def kropina_spray_closed(space: KropinaSpace, x, y) -> np.ndarray:
-    """Geodesic coefficients G^i from the drift-derivative tensors."""
-    return _spray_closed(AbFields(space, x), np.asarray(y, dtype=float))
-
-
-def kropina_ricci_closed(space: KropinaSpace, x, y) -> float:
+def kropina_ricci_closed(fields: AbFields, y) -> float:
     """Ricci curvature as the base Ricci plus drift correction terms."""
-    f = AbFields(space, x)
+    f = fields
     y = np.asarray(y, dtype=float)
     inv = AbInvariants(f, y)
     n = f.n
@@ -702,31 +679,26 @@ def kropina_ricci_closed(space: KropinaSpace, x, y) -> float:
     return ric_a + t
 
 
-def s_bh_closed(space: KropinaSpace, x, y) -> float:
+def s_bh_closed(fields: AbFields, y) -> float:
     """S-curvature for the unit-ball volume normalisation."""
-    f = AbFields(space, x)
-    y = np.asarray(y, dtype=float)
-    inv = AbInvariants(f, y)
-    return (f.n + 1) / f.b2 * (inv.r_0 - inv.r_00 / inv.F)
+    inv = AbInvariants(fields, y)
+    return (fields.n + 1) / fields.b2 * (inv.r_0 - inv.r_00 / inv.F)
 
 
-def s_closed(space: KropinaSpace, x, y) -> float:
+def s_closed(fields: AbFields, y) -> float:
     """S-curvature for the weighted density e^{-(n+1) f} sigma."""
-    f = AbFields(space, x)
-    y = np.asarray(y, dtype=float)
-    inv = AbInvariants(f, y)
-    base = (f.n + 1) / f.b2 * (inv.r_0 - inv.r_00 / inv.F)
-    return base + (f.n + 1) * inv.f_0
+    inv = AbInvariants(fields, y)
+    base = (fields.n + 1) / fields.b2 * (inv.r_0 - inv.r_00 / inv.F)
+    return base + (fields.n + 1) * inv.f_0
 
 
-def s_dot_closed(space: KropinaSpace, x, y) -> float:
+def s_dot_closed(fields: AbFields, y) -> float:
     """Horizontal derivative of the weighted S-curvature, per unit (n+1).
 
     Returns S-dot / (n+1); multiply by n+1 to compare with the generic
     pipeline's sdot value.
     """
-    f = AbFields(space, x)
-    y = np.asarray(y, dtype=float)
+    f = fields
     inv = AbInvariants(f, y)
     b2 = f.b2
     b4 = b2 * b2
@@ -744,19 +716,16 @@ def s_dot_closed(space: KropinaSpace, x, y) -> float:
         + 2.0 * inv.r_0 * (inv.s_0 - inv.r_0)
         - 4.0 * (beta / a2) ** 2 * inv.r_00 ** 2
     ) / b4
-    return first + second + _hess_weight(f, y)
+    return first + second + hess_f_closed(f, inv.y)
 
 
-def _hess_weight(f: AbFields, y: np.ndarray) -> float:
-    if f.space.weight is None:
-        return 0.0
-    g = _spray_closed(f, y)
-    return float(y @ f.f_hess @ y - 2.0 * f.f_grad @ g)
-
-
-def hess_f_closed(space: KropinaSpace, x, y) -> float:
+def hess_f_closed(fields: AbFields, y) -> float:
     """Geodesic Hessian form of the weight along the closed-form spray."""
-    return _hess_weight(AbFields(space, x), np.asarray(y, dtype=float))
+    if fields.space.weight is None:
+        return 0.0
+    y = np.asarray(y, dtype=float)
+    g = kropina_spray_closed(fields, y)
+    return float(y @ fields.f_hess @ y - 2.0 * fields.f_grad @ g)
 
 
 # -- isotropy decision ---------------------------------------------------------
@@ -772,14 +741,15 @@ class IsotropyFit:
     isotropic: bool
 
 
-def isotropy_fit(space: KropinaSpace, x, rel_tol=1e-8) -> IsotropyFit:
-    """Decide numerically whether r_ij is proportional to a_ij at x.
+def isotropy_fit(fields: AbFields, rel_tol=1e-8) -> IsotropyFit:
+    """Decide numerically whether r_ij is proportional to a_ij at the
+    bundle's chart point.
 
     Solves for the proportionality factor over n(n+1)/2 independent
     directions and reports the fit residual; isotropy holds when the
     residual is below rel_tol times the size of r itself.
     """
-    f = AbFields(space, x)
+    f = fields
     n = f.n
     dirs = []
     for i in range(n):
@@ -805,25 +775,38 @@ def isotropy_fit(space: KropinaSpace, x, rel_tol=1e-8) -> IsotropyFit:
 # -- navigation-side curvature --------------------------------------------------
 
 
-def nav_spray(h: RiemannianMetric, w, x, y) -> np.ndarray:
-    """Geodesic coefficients straight from navigation data.
-
-    G^i = G^i_h - F S^i_0 - (R_00 + 2 F S_0) / (2F) (y^i - F W^i),
-    with R and S the symmetrised and skew covariant derivatives of the
-    lowered wind.
-    """
+def nav_point(h: RiemannianMetric, w, x) -> FieldPoint:
+    """The wind W over the metric h at x: the navigation closed forms'
+    pointwise data (metric to second order, wind to first, so .mp holds
+    the curvature of h)."""
     w = _coerce_vector(w, h.dim, "wind")
-    mp = MetricPoint.from_exprs(h, [float(v) for v in x], order=1)
-    fp = FieldPoint.from_exprs(mp, list(w), [float(v) for v in x], order=1)
-    wi = w_invariants_from_point(mp, fp)
+    xs = [float(v) for v in x]
+    mp = MetricPoint.from_exprs(h, xs, order=2)
+    return FieldPoint.from_exprs(mp, list(w), xs, order=1)
+
+
+def _nav_frame(fp: FieldPoint, y):
+    """(y, W_0, F) at one direction; raises outside the conic domain."""
     y = np.asarray(y, dtype=float)
     w0 = float(fp.w_low @ y)
     if w0 <= 0.0:
         raise ConicDomainError("W_0 must be positive in the conic domain")
-    h2 = float(y @ mp.g @ y)
+    h2 = float(y @ fp.mp.g @ y)
     if h2 <= 0.0:
         raise ValueError("y must be nonzero")
-    F = h2 / (2.0 * w0)
+    return y, w0, h2 / (2.0 * w0)
+
+
+def nav_spray(fp: FieldPoint, y) -> np.ndarray:
+    """Geodesic coefficients straight from navigation data.
+
+    G^i = G^i_h - F S^i_0 - (R_00 + 2 F S_0) / (2F) (y^i - F W^i),
+    with R and S the symmetrised and skew covariant derivatives of the
+    lowered wind; fp is a nav_point.
+    """
+    mp = fp.mp
+    wi = w_invariants_from_point(mp, fp)
+    y, _, F = _nav_frame(fp, y)
     g_h = 0.5 * np.einsum("kij,i,j->k", mp.christoffel, y, y)
     s_i0 = wi.s_up @ y
     s_0 = float(wi.s_vec @ y)
@@ -831,14 +814,14 @@ def nav_spray(h: RiemannianMetric, w, x, y) -> np.ndarray:
     return g_h - F * s_i0 - (r_00 + 2.0 * F * s_0) / (2.0 * F) * (y - F * fp.w)
 
 
-def _nav_hypothesis(mp: MetricPoint, fp: FieldPoint, tol: float):
+def _nav_hypothesis(fp: FieldPoint, tol: float):
     """Gate for the isotropic-drift curvature formulas.
 
     They are only valid when the wind is Killing (symmetrised covariant
     derivative zero) and the skew contraction S_j vanishes; refuse to
     evaluate otherwise rather than return an unproven number.
     """
-    wi = w_invariants_from_point(mp, fp)
+    wi = w_invariants_from_point(fp.mp, fp)
     scale = max(1.0, float(np.linalg.norm(fp.cov1)))
     r_norm = float(np.linalg.norm(wi.r_ij))
     s_norm = float(np.linalg.norm(wi.s_vec))
@@ -854,24 +837,16 @@ def _nav_hypothesis(mp: MetricPoint, fp: FieldPoint, tol: float):
     return wi
 
 
-def nav_riemann_isotropic(h: RiemannianMetric, w, x, y, tol=1e-8) -> np.ndarray:
+def nav_riemann_isotropic(fp: FieldPoint, y, tol=1e-8) -> np.ndarray:
     """Riemann curvature R^i_k from navigation data, Killing wind only.
 
     Index convention for the base curvature riem[p, i, k, q] =
     R_p^i_{kq}: the pure-metric spray curvature is riem contracted
     with y in slots p and q, which the generic pipeline confirms.
     """
-    w = _coerce_vector(w, h.dim, "wind")
-    xs = [float(v) for v in x]
-    mp = MetricPoint.from_exprs(h, xs, order=2)
-    fp = FieldPoint.from_exprs(mp, list(w), xs, order=1)
-    wi = _nav_hypothesis(mp, fp, tol)
-    y = np.asarray(y, dtype=float)
-    w0 = float(fp.w_low @ y)
-    if w0 <= 0.0:
-        raise ConicDomainError("W_0 must be positive in the conic domain")
-    h2 = float(y @ mp.g @ y)
-    F = h2 / (2.0 * w0)
+    wi = _nav_hypothesis(fp, tol)
+    y, w0, F = _nav_frame(fp, y)
+    mp = fp.mp
     wv = fp.w
     riem = mp.riemann
     xi_low = mp.g @ (y - F * wv)
@@ -887,20 +862,11 @@ def nav_riemann_isotropic(h: RiemannianMetric, w, x, y, tol=1e-8) -> np.ndarray:
     return t1 + t2 + t3 + t4 + t5 + t6
 
 
-def nav_ricci_isotropic(h: RiemannianMetric, w, x, y, tol=1e-8) -> float:
+def nav_ricci_isotropic(fp: FieldPoint, y, tol=1e-8) -> float:
     """Ricci curvature from navigation data, Killing wind only."""
-    w = _coerce_vector(w, h.dim, "wind")
-    xs = [float(v) for v in x]
-    mp = MetricPoint.from_exprs(h, xs, order=2)
-    fp = FieldPoint.from_exprs(mp, list(w), xs, order=1)
-    wi = _nav_hypothesis(mp, fp, tol)
-    y = np.asarray(y, dtype=float)
-    w0 = float(fp.w_low @ y)
-    if w0 <= 0.0:
-        raise ConicDomainError("W_0 must be positive in the conic domain")
-    h2 = float(y @ mp.g @ y)
-    F = h2 / (2.0 * w0)
-    ric = mp.ricci
+    wi = _nav_hypothesis(fp, tol)
+    y, _, F = _nav_frame(fp, y)
+    ric = fp.mp.ricci
     s_up = wi.s_up
     return float(
         y @ ric @ y

@@ -137,18 +137,6 @@ def _metric_jets(f2: Jet, n: int):
     return rows
 
 
-def fundamental_tensor(F: FinslerEvaluator, x, y) -> np.ndarray:
-    _check_domain(F, x, y)
-    n = F.dim
-    f2 = _f2_jet(F, x, y, 2)
-    g = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            g[i, j] = g[j, i] = 0.5 * f2.partial(_unit2(2 * n, n + i, n + j))
-    _check_invertible(g)
-    return g
-
-
 def spray_generic(F: FinslerEvaluator, x, y) -> np.ndarray:
     """Geodesic coefficients G^i = (1/4) g^{il} ([F^2]_{x^k y^l} y^k - [F^2]_{x^l})."""
     _check_domain(F, x, y)
@@ -170,21 +158,19 @@ def spray_generic(F: FinslerEvaluator, x, y) -> np.ndarray:
         raise SingularMetricError(str(e)) from e
 
 
-def _spray_jets(F: FinslerEvaluator, x, y, order: int, f2: Optional[Jet] = None):
-    """G^i as jets of the requested order over the 2n variables."""
+def _spray_jets(F: FinslerEvaluator, y, f2: Jet):
+    """G^i as jets over the 2n variables, two orders below f2."""
     n = F.dim
-    if f2 is None:
-        f2 = _f2_jet(F, x, y, order + 2)
-    f2t = f2.truncate(order + 2)
-    g = _metric_jets(f2t, n)
+    order = f2.space.order - 2
+    g = _metric_jets(f2, n)
     space_lo = jet_space(2 * n, order)
     yj = [space_lo.variable(n + k, y[k]) for k in range(n)]
     rhs = []
     for l in range(n):
         acc = space_lo.constant(0.0)
         for k in range(n):
-            acc = acc + f2t.deriv(k).deriv(n + l) * yj[k]
-        rhs.append(acc - f2t.deriv(l).truncate(order))
+            acc = acc + f2.deriv(k).deriv(n + l) * yj[k]
+        rhs.append(acc - f2.deriv(l).truncate(order))
     try:
         w = jet_solve(g, rhs)
     except JetDomainError as e:
@@ -216,16 +202,6 @@ def _riemann_from_spray_jets(Gj, y, n: int) -> np.ndarray:
     )
 
 
-def riemann_generic(F: FinslerEvaluator, x, y) -> np.ndarray:
-    """Riemann curvature R^i_k of the spray, from second jets of G^i."""
-    _check_domain(F, x, y)
-    return _riemann_from_spray_jets(_spray_jets(F, x, y, 2), y, F.dim)
-
-
-def ricci_generic(F: FinslerEvaluator, x, y) -> float:
-    return float(np.trace(riemann_generic(F, x, y)))
-
-
 def _sigma_jet(sigma: VolumeDensity, x, n: int, order: int) -> Jet:
     space = jet_space(2 * n, order)
     xj = [space.variable(i, x[i]) for i in range(n)]
@@ -235,66 +211,17 @@ def _sigma_jet(sigma: VolumeDensity, x, n: int, order: int) -> Jet:
     return s
 
 
-def _tau_jet(F, sigma, x, y, order: int, f2: Optional[Jet] = None) -> Jet:
+def _tau_jet(F, sigma, x, f2: Jet) -> Jet:
+    """tau = ln(sqrt(det g_ij) / sigma) as a jet two orders below f2."""
     n = F.dim
-    if f2 is None:
-        f2 = _f2_jet(F, x, y, order + 2)
-    g = _metric_jets(f2.truncate(order + 2), n)
-    det = jet_det(g)
+    order = f2.space.order - 2
+    det = jet_det(_metric_jets(f2, n))
     if det.value <= 0.0:
         raise SingularMetricError("nonpositive fundamental determinant")
     sj = _sigma_jet(sigma, x, n, order)
     if sj.value <= 0.0:
         raise ValueError("volume density must be positive")
     return det.log() * 0.5 - sj.log()
-
-
-def distortion(F: FinslerEvaluator, sigma: VolumeDensity, x, y) -> float:
-    """tau = ln(sqrt(det g_ij) / sigma) at one tangent vector."""
-    _check_domain(F, x, y)
-    g = fundamental_tensor(F, x, y)
-    det = float(np.linalg.det(g))
-    if det <= 0.0:
-        raise SingularMetricError("nonpositive fundamental determinant")
-    sv = sigma.func([float(v) for v in x])
-    sv = sv.value if isinstance(sv, Jet) else float(sv)
-    if sv <= 0.0:
-        raise ValueError("volume density must be positive")
-    return 0.5 * math.log(det) - math.log(sv)
-
-
-def s_curvature_generic(F: FinslerEvaluator, sigma: VolumeDensity, x, y) -> float:
-    """S = y^m dtau/dx^m - 2 G^j dtau/dy^j (horizontal derivative of tau)."""
-    _check_domain(F, x, y)
-    n = F.dim
-    tau = _tau_jet(F, sigma, x, y, 1)
-    G = spray_generic(F, x, y)
-    grad = tau.gradient()
-    return float(np.dot(y, grad[:n]) - 2.0 * np.dot(G, grad[n:]))
-
-
-def _s_jet(F, sigma, x, y, f2: Jet) -> Jet:
-    """S as a first-order jet over the 2n variables."""
-    n = F.dim
-    tau = _tau_jet(F, sigma, x, y, 2, f2=f2)
-    Gj = _spray_jets(F, x, y, 1, f2=f2)
-    space1 = jet_space(2 * n, 1)
-    s = space1.constant(0.0)
-    for m in range(n):
-        ym = space1.variable(n + m, y[m])
-        s = s + ym * tau.deriv(m) - Gj[m] * tau.deriv(n + m) * 2.0
-    return s
-
-
-def sdot_generic(F: FinslerEvaluator, sigma: VolumeDensity, x, y) -> float:
-    """The horizontal derivative of S itself, along the same spray."""
-    _check_domain(F, x, y)
-    n = F.dim
-    f2 = _f2_jet(F, x, y, 4)
-    s = _s_jet(F, sigma, x, y, f2)
-    Gv = np.array([G.value for G in _spray_jets(F, x, y, 1, f2=f2)])
-    grad = s.gradient()
-    return float(np.dot(y, grad[:n]) - 2.0 * np.dot(Gv, grad[n:]))
 
 
 def hess_form(f, x, y, G, n: int) -> float:
@@ -311,16 +238,17 @@ def hess_form(f, x, y, G, n: int) -> float:
     return float(acc - 2.0 * np.dot(fj.gradient(), G))
 
 
-def hess_F(f, F: FinslerEvaluator, x, y) -> float:
-    """Geodesic Hessian form of a scalar f(x): f_{x^i x^j} y^i y^j - 2 f_{x^i} G^i."""
-    _check_domain(F, x, y)
-    return hess_form(f, x, y, spray_generic(F, x, y), F.dim)
-
-
 def curvature_sample(
     F: FinslerEvaluator, sigma: VolumeDensity, x, y, f=None
 ) -> CurvatureSample:
-    """Full curvature bundle at (x, y), sharing one order-4 jet of F^2."""
+    """Full curvature bundle at (x, y): the generic pipeline's one entry.
+
+    One order-4 jet of F^2 feeds everything.  The spray jets (order 2)
+    give G, N and the Riemann curvature; the distortion jet (order 2)
+    and the same spray jets give S as a first-order jet, whose
+    horizontal derivative is Sdot.  S, tau and Sdot refer to sigma;
+    f, when given, adds the geodesic Hessian form of that weight.
+    """
     _check_domain(F, x, y)
     n = F.dim
     f4 = _f2_jet(F, x, y, 4)
@@ -329,12 +257,18 @@ def curvature_sample(
         for j in range(i, n):
             g[i, j] = g[j, i] = 0.5 * f4.partial(_unit2(2 * n, n + i, n + j))
     _check_invertible(g)
-    Gj = _spray_jets(F, x, y, 2, f2=f4)
+    Gj = _spray_jets(F, y, f4)
     Gv = np.array([G.value for G in Gj])
     N = np.array([G.gradient()[n:] for G in Gj])
     R = _riemann_from_spray_jets(Gj, y, n)
-    tau = _tau_jet(F, sigma, x, y, 2, f2=f4)
-    s_jet = _s_jet(F, sigma, x, y, f4)
+    tau = _tau_jet(F, sigma, x, f4)
+    # S = y^m tau_{x^m} - 2 G^m tau_{y^m}, kept as a first-order jet
+    space1 = jet_space(2 * n, 1)
+    s_jet = space1.constant(0.0)
+    for m in range(n):
+        ym = space1.variable(n + m, y[m])
+        s_jet = (s_jet + ym * tau.deriv(m)
+                 - Gj[m].truncate(1) * tau.deriv(n + m) * 2.0)
     grad = s_jet.gradient()
     sdot = float(np.dot(y, grad[:n]) - 2.0 * np.dot(Gv, grad[n:]))
     hess = hess_form(f, x, y, Gv, n) if f is not None else None

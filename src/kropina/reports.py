@@ -10,12 +10,11 @@ own block so callers can strip them.
 import csv
 import io
 import json
-import subprocess
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import metadata
-from pathlib import Path
 from typing import Optional
 
 REPORT_SCHEMA_ID = "report/1"
@@ -29,30 +28,26 @@ _TOOL_VERSION = None
 
 
 def tool_version():
-    """Package version, suffixed with the short commit when available."""
+    """The package version; report bytes do not depend on the checkout."""
     global _TOOL_VERSION
     if _TOOL_VERSION is None:
         try:
-            ver = metadata.version("kropina")
+            _TOOL_VERSION = metadata.version("kropina")
         except metadata.PackageNotFoundError:
-            ver = "0.1.0"
-        head = _git_head()
-        _TOOL_VERSION = f"{ver}+g{head}" if head else ver
+            _TOOL_VERSION = "0.1.0"
     return _TOOL_VERSION
 
 
-def _git_head():
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=Path(__file__).resolve().parent,
-            capture_output=True,
-            text=True,
-            timeout=5,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return ""
-    return out.stdout.strip() if out.returncode == 0 else ""
+def _strict(obj):
+    """The report tree with each non-finite float written as the string
+    "nan", "inf" or "-inf", so the JSON stays strict."""
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
+    return obj
 
 
 def merge_verdicts(*verdicts):
@@ -97,6 +92,7 @@ class ReportDocument:
         self.exit_code = exit_code_for(self.verdict)
 
     def as_dict(self, timings=True):
+        """The report as plain data; non-finite floats become strings."""
         doc = {
             "schema": REPORT_SCHEMA_ID,
             "kind": self.kind,
@@ -112,10 +108,11 @@ class ReportDocument:
             doc["emitted"] = self.emitted
         if timings:
             doc["timings_ms"] = self.timings_ms
-        return doc
+        return _strict(doc)
 
     def to_json(self, timings=True):
-        return json.dumps(self.as_dict(timings), sort_keys=True, indent=2) + "\n"
+        return json.dumps(self.as_dict(timings), sort_keys=True, indent=2,
+                          allow_nan=False) + "\n"
 
     def to_csv(self):
         """Flatten every table row into one CSV (a `table` column keys them)."""

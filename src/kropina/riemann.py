@@ -209,6 +209,10 @@ class MetricPoint:
         """R_kmij = g_mp R_k^p_ij."""
         return np.einsum("mp,kpij->kmij", self.g, self.riemann)
 
+    def covariant_hessian(self, df, d2f):
+        """f_{i|j} = d_i d_j f - Gamma^m_ij d_m f from plain partials."""
+        return d2f - np.einsum("mij,m->ij", self.christoffel, df)
+
 
 def christoffel(metric: RiemannianMetric, x):
     return MetricPoint.from_exprs(metric, x, order=1).christoffel
@@ -227,7 +231,7 @@ def hess_h(f: ExprAst, metric: RiemannianMetric, x):
     mp = MetricPoint.from_exprs(metric, x, order=1)
     fj = eval_component_jets(f, x, 2)
     _, df, d2f = _extract(fj, len(x), 2)
-    return d2f - np.einsum("mij,m->ij", mp.christoffel, df)
+    return mp.covariant_hessian(df, d2f)
 
 
 class FieldPoint:

@@ -25,7 +25,7 @@ from jsonschema.exceptions import best_match
 
 from .einstein import WeightConfig, weight_preset
 from .expr import ExprError, eval_expr, parse_expr
-from .forms import KropinaSpace
+from .forms import KropinaSpace, _matrix_values
 from .riemann import metric_from_strings
 
 SCENARIO_SCHEMA_ID = "scenario/1"
@@ -321,16 +321,6 @@ def load_scenario(source):
 # -- sampling -------------------------------------------------------------
 
 
-def _matrix_at(space, x):
-    env = [float(v) for v in x]
-    n = space.dim
-    h = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            h[i, j] = eval_expr(space.h.exprs[i][j], env)
-    return h
-
-
 def _wind_at(space, x):
     env = [float(v) for v in x]
     return np.array([eval_expr(e, env) for e in space.w], dtype=float)
@@ -353,7 +343,7 @@ def admissibility_rate(space, box, seed, points=3, draws=64):
     for x in pts:
         total += draws
         try:
-            h = _matrix_at(space, x)
+            h = _matrix_values(space.h, x)
             w_low = h @ _wind_at(space, x)
         except (ExprError, ArithmeticError):
             continue
@@ -365,7 +355,7 @@ def admissibility_rate(space, box, seed, points=3, draws=64):
 def sample_directions(space, x, count, rng, cutoff=DEFAULT_CUTOFF):
     """Admissible directions at x: uniform on the h-unit sphere with the
     degenerate cone boundary rejected (W_0 above the cutoff)."""
-    h = _matrix_at(space, x)
+    h = _matrix_values(space.h, x)
     w_low = h @ _wind_at(space, x)
     out = []
     tries = 0

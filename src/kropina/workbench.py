@@ -8,6 +8,8 @@ precondition failure.  Usage and input problems raise instead; the CLI
 maps those to exit 1.
 """
 
+import math
+
 import numpy as np
 
 from .einstein import (
@@ -21,28 +23,23 @@ from .expr import ExprError, eval_expr, parse_expr, print_expr
 from .forms import (
     GaugeError,
     HypothesisNotMetError,
+    ab_fields,
     bh_volume_density,
     finsler_evaluator,
     hess_f_closed,
     kropina_ricci_closed,
     kropina_spray_closed,
+    nav_point,
     nav_ricci_isotropic,
     nav_spray,
+    nav_to_ab,
     s_bh_closed,
     s_closed,
     s_dot_closed,
     sigma_bh,
     volume_density,
 )
-from .generic import (
-    ConicDomainError,
-    bh_density,
-    hess_F,
-    ricci_generic,
-    s_curvature_generic,
-    sdot_generic,
-    spray_generic,
-)
+from .generic import ConicDomainError, bh_density, curvature_sample
 from .reports import ReportDocument, exit_code_for, merge_verdicts
 from .scenarios import (
     COMPARISON_CUTOFF,
@@ -83,7 +80,7 @@ def _listed(v):
 
 def _dispatch_checker(theorem, space, cfg, samples, tol):
     if theorem == "41":
-        return thm41_check(space.h, space.w, space.weight, cfg, samples, tol=tol)
+        return thm41_check(space, cfg, samples, tol=tol)
     if theorem == "44":
         return thm44_check(space, cfg, samples, tol=tol)
     if theorem == "51":
@@ -158,37 +155,49 @@ def run_check(scenario, theorem="auto", seed=None, tol=None):
 # -- verify -------------------------------------------------------------------
 
 
-def _pair_rows(samples, fn, skip=()):
-    """Evaluate one closed/generic pair over the sample grid.
+def _table(name, tol, rows, key):
+    """A judged table: the worst deviation (rows[k][key]) over its rows
+    against tol.
 
-    fn(x, y) -> (closed, generic); exceptions whose types are listed in
-    skip mark the row as skipped instead of failing the run.
+    Skipped rows do not count.  A non-finite deviation fails the table;
+    the first one becomes max_rel_dev and non_finite_rows lists the
+    indices of every such row.
     """
-    rows = []
-    worst = 0.0
-    skipped = 0
-    for x, ys in samples:
-        for y in ys:
-            row = {"x": _listed(x), "y": _listed(y)}
-            try:
-                closed, generic = fn(x, y)
-            except skip as e:  # type: ignore[misc]
-                skipped += 1
-                row["skipped"] = True
-                row["reason"] = str(e)
-                rows.append(row)
-                continue
-            dev = _rel(closed, generic)
-            worst = max(worst, dev)
-            row["closed"] = (
-                _listed(closed) if np.ndim(closed) else float(closed)
-            )
-            row["generic"] = (
-                _listed(generic) if np.ndim(generic) else float(generic)
-            )
-            row["rel_dev"] = dev
-            rows.append(row)
-    return rows, worst, skipped
+    devs = [(k, row[key]) for k, row in enumerate(rows)
+            if not row.get("skipped")]
+    bad = [k for k, d in devs if not math.isfinite(d)]
+    if bad:
+        worst = rows[bad[0]][key]
+    else:
+        worst = max((d for _, d in devs), default=0.0)
+    table = {
+        "name": name,
+        "tol": tol,
+        "max_rel_dev": worst,
+        "samples": len(devs),
+        "skipped": len(rows) - len(devs),
+        "passed": not bad and worst <= tol,
+        "rows": rows,
+    }
+    if bad:
+        table["non_finite_rows"] = bad
+    return table
+
+
+def _pair_row(x, y, closed, generic):
+    """One closed/generic comparison; closed() is evaluated here so that
+    a formula whose hypothesis fails at x marks the row as skipped."""
+    row = {"x": _listed(x), "y": _listed(y)}
+    try:
+        value = closed()
+    except HypothesisNotMetError as e:
+        row["skipped"] = True
+        row["reason"] = str(e)
+        return row
+    row["closed"] = _listed(value) if np.ndim(value) else float(value)
+    row["generic"] = _listed(generic) if np.ndim(generic) else float(generic)
+    row["rel_dev"] = _rel(value, generic)
+    return row
 
 
 def run_verify(scenario, points=None, dirs=None, seed=None, mc_samples=20000):
@@ -196,14 +205,18 @@ def run_verify(scenario, points=None, dirs=None, seed=None, mc_samples=20000):
 
     One table per formula pair, each with the worst relative deviation
     over the sample grid and its ladder tolerance.  Exit code 0 exactly
-    when every pair stays within tolerance.
+    when every pair stays within tolerance.  Each chart point gets one
+    drift bundle and one navigation point; each (x, y) gets one generic
+    curvature sample per volume density (the weighted one, plus the
+    unit-ball one for the S-curvature pair when a weight is set).
     """
     scenario = load_scenario(scenario)
     space = scenario.space()
     n1 = space.dim + 1
+    weighted = space.weight is not None
     ev = finsler_evaluator(space, "ab")
-    bh_dens = bh_volume_density(space)
-    weighted_dens = volume_density(space)
+    dens = volume_density(space)
+    bh_dens = bh_volume_density(space) if weighted else dens
 
     doc = ReportDocument(kind="verify", scenario=scenario.as_dict())
     with doc.timed("sampling"):
@@ -216,94 +229,62 @@ def run_verify(scenario, points=None, dirs=None, seed=None, mc_samples=20000):
             cutoff=COMPARISON_CUTOFF,
         )
 
-    pairs = [
-        ("spray",
-         lambda x, y: (kropina_spray_closed(space, x, y),
-                       spray_generic(ev, x, y)),
-         ()),
-        ("nav-spray",
-         lambda x, y: (nav_spray(space.h, space.w, x, y),
-                       spray_generic(ev, x, y)),
-         ()),
-        ("ricci",
-         lambda x, y: (kropina_ricci_closed(space, x, y),
-                       ricci_generic(ev, x, y)),
-         ()),
-        ("s-curvature",
-         lambda x, y: (s_bh_closed(space, x, y),
-                       s_curvature_generic(ev, bh_dens, x, y)),
-         ()),
-        ("s-dot",
-         lambda x, y: (n1 * s_dot_closed(space, x, y),
-                       sdot_generic(ev, weighted_dens, x, y)),
-         ()),
-        ("nav-ricci",
-         lambda x, y: (nav_ricci_isotropic(space.h, space.w, x, y),
-                       ricci_generic(ev, x, y)),
-         (HypothesisNotMetError,)),
-    ]
-    if space.weight is not None:
-        pairs.insert(5, (
-            "s-weighted",
-            lambda x, y: (s_closed(space, x, y),
-                          s_curvature_generic(ev, weighted_dens, x, y)),
-            (),
-        ))
-        pairs.append((
-            "weight-hessian",
-            lambda x, y: (hess_f_closed(space, x, y),
-                          hess_F(space.weight, ev, x, y)),
-            (),
-        ))
+    names = ["spray", "nav-spray", "ricci", "s-curvature", "s-dot"]
+    if weighted:
+        names.append("s-weighted")
+    names.append("nav-ricci")
+    if weighted:
+        names.append("weight-hessian")
+    rows = {name: [] for name in names}
+    with doc.timed("pairs"):
+        for x, ys in samples:
+            fld = ab_fields(space, x)
+            nav = nav_point(space.h, space.w, x)
+            for y in ys:
+                cs = curvature_sample(ev, dens, x, y, f=space.weight)
+                cs_bh = curvature_sample(ev, bh_dens, x, y) if weighted else cs
+                pairs = {
+                    "spray": (lambda: kropina_spray_closed(fld, y), cs.spray),
+                    "nav-spray": (lambda: nav_spray(nav, y), cs.spray),
+                    "ricci": (lambda: kropina_ricci_closed(fld, y), cs.ricci),
+                    "s-curvature": (lambda: s_bh_closed(fld, y), cs_bh.s),
+                    "s-dot": (lambda: n1 * s_dot_closed(fld, y), cs.sdot),
+                    "s-weighted": (lambda: s_closed(fld, y), cs.s),
+                    "nav-ricci": (lambda: nav_ricci_isotropic(nav, y),
+                                  cs.ricci),
+                    "weight-hessian": (lambda: hess_f_closed(fld, y),
+                                       cs.hess_f),
+                }
+                for name in names:
+                    rows[name].append(_pair_row(x, y, *pairs[name]))
 
     verdicts = []
-    for name, fn, skip in pairs:
+    for name in names:
         tol = scenario.tolerance(name, VERIFY_TOLS[name])
-        with doc.timed(name):
-            rows, worst, skipped = _pair_rows(samples, fn, skip)
-        passed = worst <= tol
-        doc.tables.append({
-            "name": name,
-            "tol": tol,
-            "max_rel_dev": worst,
-            "samples": len(rows) - skipped,
-            "skipped": skipped,
-            "passed": passed,
-            "rows": rows,
-        })
-        verdicts.append("PASS" if passed else "FAIL")
+        table = _table(name, tol, rows[name], "rel_dev")
+        doc.tables.append(table)
+        verdicts.append("PASS" if table["passed"] else "FAIL")
 
     # volume density: Monte-Carlo estimate against the closed form, one
     # row per chart point, judged in standard-error units
     tol_se = scenario.tolerance("bh-density", VERIFY_TOLS["bh-density"])
     rows = []
-    worst = 0.0
     with doc.timed("bh-density"):
         for k, (x, _) in enumerate(samples):
             est = bh_density(ev, x, mc_samples=mc_samples,
                              seed=scenario.seed + 7919 * k)
             closed = sigma_bh(space, x)
-            dev_se = abs(est.value - closed) / est.stderr
-            worst = max(worst, dev_se)
             rows.append({
                 "x": _listed(x),
                 "closed": closed,
                 "estimate": est.value,
                 "stderr": est.stderr,
-                "dev_se": dev_se,
+                "dev_se": abs(est.value - closed) / est.stderr,
                 "mc_samples": est.samples,
             })
-    passed = worst <= tol_se
-    doc.tables.append({
-        "name": "bh-density",
-        "tol": tol_se,
-        "max_rel_dev": worst,
-        "samples": len(rows),
-        "skipped": 0,
-        "passed": passed,
-        "rows": rows,
-    })
-    verdicts.append("PASS" if passed else "FAIL")
+    table = _table("bh-density", tol_se, rows, "dev_se")
+    doc.tables.append(table)
+    verdicts.append("PASS" if table["passed"] else "FAIL")
 
     doc.settle(*verdicts)
     return doc
@@ -362,8 +343,6 @@ def run_convert(scenario, to, gauge=None, seed=None):
             emitted["vector"] = [print_expr(c) for c in w]
             emitted["gauge"] = gauge_text
         else:
-            from .forms import nav_to_ab
-
             a, b = nav_to_ab(space.h, space.w, gauge=gauge_text)
             emitted["metric"] = [
                 [print_expr(a.exprs[i][j]) for j in range(space.dim)]
@@ -379,32 +358,21 @@ def run_convert(scenario, to, gauge=None, seed=None):
     src_f = finsler_evaluator(space, "ab")
     dst_f = finsler_evaluator(conv_space, "ab")
     rows = []
-    worst = 0.0
     with doc.timed("evidence"):
         samples = scenario_samples(scenario, space=space, seed=seed)
         for x, ys in samples:
             for y in ys:
                 f_src = float(src_f.func(list(x), list(y)))
                 f_dst = float(dst_f.func(list(x), list(y)))
-                dev = _rel(f_src, f_dst)
-                worst = max(worst, dev)
                 rows.append({
                     "x": _listed(x),
                     "y": _listed(y),
                     "f_source": f_src,
                     "f_converted": f_dst,
-                    "rel_dev": dev,
+                    "rel_dev": _rel(f_src, f_dst),
                 })
-    passed = worst <= tol
-    doc.tables.append({
-        "name": "f-agreement",
-        "tol": tol,
-        "max_rel_dev": worst,
-        "samples": len(rows),
-        "skipped": 0,
-        "passed": passed,
-        "rows": rows,
-    })
+    table = _table("f-agreement", tol, rows, "rel_dev")
+    doc.tables.append(table)
     doc.emitted = emitted
-    doc.settle("PASS" if passed else "FAIL")
+    doc.settle("PASS" if table["passed"] else "FAIL")
     return doc

@@ -14,7 +14,7 @@ from kropina.einstein import (
     ric_ac,
     weight_preset,
 )
-from kropina.fd import fd_partial
+from fd import fd_partial
 from kropina.forms import (
     ab_fields,
     bh_volume_density,
@@ -22,6 +22,7 @@ from kropina.forms import (
     isotropy_fit,
     kropina_ricci_closed,
     kropina_spray_closed,
+    nav_point,
     nav_ricci_isotropic,
     nav_spray,
     s_bh_closed,
@@ -32,9 +33,7 @@ from kropina.forms import (
 )
 from kropina.generic import (
     bh_density,
-    ricci_generic,
-    s_curvature_generic,
-    sdot_generic,
+    curvature_sample,
     spray_generic,
 )
 from kropina.jets import Jet, jet_space
@@ -97,10 +96,12 @@ def test_criterion_01_spray_cross_validation(grid):
     for name, (sc, space, samples) in grid.items():
         ev = finsler_evaluator(space, "ab")
         for x, ys in samples:
+            fld = ab_fields(space, x)
+            nav = nav_point(space.h, space.w, x)
             for y in ys:
                 g = spray_generic(ev, x, y)
-                worst = max(worst, rel(kropina_spray_closed(space, x, y), g))
-                worst = max(worst, rel(nav_spray(space.h, space.w, x, y), g))
+                worst = max(worst, rel(kropina_spray_closed(fld, y), g))
+                worst = max(worst, rel(nav_spray(nav, y), g))
                 count += 1
     announce(
         1,
@@ -114,20 +115,24 @@ def test_criterion_02_ricci_cross_validation(grid):
     worst = 0.0
     for name, (sc, space, samples) in grid.items():
         ev = finsler_evaluator(space, "ab")
+        dens = volume_density(space)
         for x, ys in samples:
+            fld = ab_fields(space, x)
             for y in ys:
-                worst = max(worst, rel(kropina_ricci_closed(space, x, y),
-                                       ricci_generic(ev, x, y)))
+                worst = max(worst, rel(kropina_ricci_closed(fld, y),
+                                       curvature_sample(ev, dens, x, y).ricci))
     worst_nav = 0.0
     for name in ("euclid_parallel", "s3_hopf"):
         sc, space, samples = grid[name]
         ev = finsler_evaluator(space, "ab")
+        dens = volume_density(space)
         for x, ys in samples:
+            nav = nav_point(space.h, space.w, x)
             for y in ys:
                 worst_nav = max(
                     worst_nav,
-                    rel(nav_ricci_isotropic(space.h, space.w, x, y),
-                        ricci_generic(ev, x, y)),
+                    rel(nav_ricci_isotropic(nav, y),
+                        curvature_sample(ev, dens, x, y).ricci),
                 )
     announce(
         2,
@@ -144,9 +149,10 @@ def test_criterion_03_s_curvature_and_density(grid):
         ev = finsler_evaluator(space, "ab")
         dens = bh_volume_density(space)
         for x, ys in samples:
+            fld = ab_fields(space, x)
             for y in ys:
-                worst = max(worst, rel(s_bh_closed(space, x, y),
-                                       s_curvature_generic(ev, dens, x, y)))
+                worst = max(worst, rel(s_bh_closed(fld, y),
+                                       curvature_sample(ev, dens, x, y).s))
     worst_se = 0.0
     for name, (sc, space, samples) in grid.items():
         ev = finsler_evaluator(space, "ab")
@@ -171,9 +177,10 @@ def test_criterion_04_s_dot_cross_validation(grid):
         dens = volume_density(space)
         n1 = space.dim + 1
         for x, ys in samples:
+            fld = ab_fields(space, x)
             for y in ys:
-                dev = rel(n1 * s_dot_closed(space, x, y),
-                          sdot_generic(ev, dens, x, y))
+                dev = rel(n1 * s_dot_closed(fld, y),
+                          curvature_sample(ev, dens, x, y).sdot)
                 worst = max(worst, dev)
                 if space.weight is not None:
                     worst_weighted = max(worst_weighted, dev)
@@ -195,16 +202,16 @@ def test_criterion_05_equivalence_suite(grid):
         p_killing = True
         p_conformal = True
         for x, ys in samples:
-            fit = isotropy_fit(space, list(x))
+            fld = ab_fields(space, list(x))
+            fit = isotropy_fit(fld)
             p_fit &= fit.residual <= tol * max(1.0, fit.scale)
 
             for y in ys:
-                p_s_zero &= abs(s_bh_closed(space, x, y)) <= tol
+                p_s_zero &= abs(s_bh_closed(fld, y)) <= tol
 
             inv = w_invariants(space.h, space.w, list(x))
             p_killing &= float(np.max(np.abs(inv.r_ij))) <= tol
 
-            fld = ab_fields(space, list(x))
             dev = fld.r - fld.eta * fld.mp.g
             scale = max(1.0, float(np.max(np.abs(fld.r))))
             p_conformal &= float(np.max(np.abs(dev))) <= tol * scale
@@ -326,12 +333,13 @@ def test_criterion_09_weighted_ricci_identity(grid):
             kap = cfg.kappa
             nu = cfg.nu
             for x, ys in samples[:2]:
+                fld = ab_fields(space, x)
                 for y in ys[:3]:
-                    s_val = s_closed(space, x, y)
-                    sdot_full = n1 * s_dot_closed(space, x, y)
-                    lhs = ric_ac(space, cfg, x, y, route="closed")
+                    s_val = s_closed(fld, y)
+                    sdot_full = n1 * s_dot_closed(fld, y)
+                    lhs = ric_ac(fld, cfg, y, route="closed")
                     rhs = (
-                        pric(space, x, y, route="closed")
+                        pric(fld, y, route="closed")
                         - kap / n1 * (sdot_full + 4.0 * s_val**2 / n1)
                         + nu * s_val**2 / n1**2
                     )

@@ -8,9 +8,9 @@ import pytest
 
 from kropina.expr import eval_expr, parse_expr
 from kropina.forms import (
+    AbInvariants,
     KropinaSpace,
     ab_fields,
-    ab_invariants,
     kropina_ricci_closed,
 )
 from kropina.einstein import (
@@ -203,9 +203,10 @@ def test_ric_ac_plain_is_unweighted_ricci():
     cfg = weight_preset("plain", 3)
     rng = np.random.default_rng(7)
     x = np.array([0.2, 0.4, -0.3])
+    fld = ab_fields(space, x)
     for y in admissible_directions(space, x, rng, 4):
-        assert ric_ac(space, cfg, x, y) == pytest.approx(
-            kropina_ricci_closed(space, x, y), rel=1e-12, abs=1e-12
+        assert ric_ac(fld, cfg, y) == pytest.approx(
+            kropina_ricci_closed(fld, y), rel=1e-12, abs=1e-12
         )
 
 
@@ -215,27 +216,29 @@ def test_ric_ac_routes_agree():
     for cfg in (CFG_INF, weight_preset("ricN:5", 3), CFG_PRIC):
         for shift in ((0.0, 0.0, 0.0), (0.3, -0.2, 0.1)):
             x = np.asarray(shift) + 0.1 * rng.uniform(-1, 1, 3)
+            fld = ab_fields(space, x)
             for y in admissible_directions(space, x, rng, 5):
-                closed = ric_ac(space, cfg, x, y, route="closed")
-                generic = ric_ac(space, cfg, x, y, route="generic")
+                closed = ric_ac(fld, cfg, y, route="closed")
+                generic = ric_ac(fld, cfg, y, route="generic")
                 assert closed == pytest.approx(
                     generic, rel=1e-5, abs=1e-5 * max(1.0, abs(closed))
                 )
     with pytest.raises(ValueError):
-        ric_ac(space, CFG_INF, x, y, route="sideways")
+        ric_ac(fld, CFG_INF, y, route="sideways")
 
 
 def test_gwric2_identity_random_constants():
     space = wavy_space()
     rng = np.random.default_rng(9)
     x = np.array([0.2, 0.4, -0.3])
+    fld = ab_fields(space, x)
     ys = admissible_directions(space, x, rng, 3)
     for _ in range(10):
         cfg = WeightConfig(float(rng.uniform(-1.5, 1.5)),
                            float(rng.uniform(-1.5, 1.5)), 3)
         for y in ys:
-            direct = ric_ac(space, cfg, x, y)
-            via = ric_ac_via_projective(space, cfg, x, y)
+            direct = ric_ac(fld, cfg, y)
+            via = ric_ac_via_projective(fld, cfg, y)
             assert direct == pytest.approx(
                 via, rel=1e-8, abs=1e-8 * max(1.0, abs(direct))
             )
@@ -245,9 +248,10 @@ def test_pric_matches_ric_ac_at_projective_constants():
     rng = np.random.default_rng(10)
     for space, shift in ((hopf_space(), HOPF_SHIFT), (wavy_space(), (0, 0, 0))):
         x = np.asarray(shift, dtype=float)
+        fld = ab_fields(space, x)
         for y in admissible_directions(space, x, rng, 4):
-            assert pric(space, x, y) == pytest.approx(
-                ric_ac(space, CFG_PRIC, x, y), rel=1e-8, abs=1e-12
+            assert pric(fld, y) == pytest.approx(
+                ric_ac(fld, CFG_PRIC, y), rel=1e-8, abs=1e-12
             )
 
 
@@ -256,12 +260,13 @@ def test_hopf_ric_ac_weight_independent():
     space = hopf_space()
     rng = np.random.default_rng(12)
     x = np.array(HOPF_SHIFT)
+    fld = ab_fields(space, x)
     for y in admissible_directions(space, x, rng, 3):
-        base = kropina_ricci_closed(space, x, y)
-        inv = ab_invariants(space, x, y)
+        base = kropina_ricci_closed(fld, y)
+        inv = AbInvariants(fld, y)
         assert base == pytest.approx(2.0 * inv.F**2, rel=1e-9)
         for cfg in (CFG_INF, CFG_51, CFG_PRIC):
-            assert ric_ac(space, cfg, x, y) == pytest.approx(base, rel=1e-10)
+            assert ric_ac(fld, cfg, y) == pytest.approx(base, rel=1e-10)
 
 
 # -- einstein residual and fit --------------------------------------------------
@@ -271,22 +276,24 @@ def test_einstein_residual_known_pair_on_hopf():
     space = hopf_space()
     rng = np.random.default_rng(13)
     x = np.array(HOPF_SHIFT)
+    fld = ab_fields(space, x)
     ansatz = EinsteinAnsatz((0.0, 0.0, 0.0), 1.0)
     for y in admissible_directions(space, x, rng, 4):
-        assert abs(einstein_residual(space, CFG_INF, ansatz, x, y)) < 1e-9
+        assert abs(einstein_residual(fld, CFG_INF, ansatz, y)) < 1e-9
 
 
 def test_einstein_residual_sigma_perturbation():
     space = hopf_space()
     rng = np.random.default_rng(14)
     x = np.array(HOPF_SHIFT)
+    fld = ab_fields(space, x)
     delta = 0.37
     base = EinsteinAnsatz((0.0, 0.0, 0.0), 1.0)
     bumped = EinsteinAnsatz((0.0, 0.0, 0.0), 1.0 + delta)
     for y in admissible_directions(space, x, rng, 4):
-        inv = ab_invariants(space, x, y)
-        r0 = einstein_residual(space, CFG_INF, base, x, y)
-        r1 = einstein_residual(space, CFG_INF, bumped, x, y)
+        inv = AbInvariants(fld, y)
+        r0 = einstein_residual(fld, CFG_INF, base, y)
+        r1 = einstein_residual(fld, CFG_INF, bumped, y)
         assert r1 - r0 == pytest.approx(-(3 - 1) * delta * inv.F**2, rel=1e-9)
 
 
@@ -294,7 +301,8 @@ def test_fit_recovers_hopf_pair():
     space = hopf_space()
     rng = np.random.default_rng(15)
     x = np.array(HOPF_SHIFT)
-    fit = fit_theta_sigma(space, CFG_INF, x, admissible_directions(space, x, rng, 9))
+    fld = ab_fields(space, x)
+    fit = fit_theta_sigma(fld, CFG_INF, admissible_directions(space, x, rng, 9))
     assert fit.provenance == "fitted"
     assert fit.residual < 1e-9
     assert np.abs(np.array(fit.theta)).max() < 1e-7
@@ -305,7 +313,8 @@ def test_fit_recovers_gaussian_pair():
     space = gauss_space()
     rng = np.random.default_rng(16)
     x = np.array([0.3, -0.2, 0.5])
-    fit = fit_theta_sigma(space, CFG_INF, x, admissible_directions(space, x, rng, 9))
+    fld = ab_fields(space, x)
+    fit = fit_theta_sigma(fld, CFG_INF, admissible_directions(space, x, rng, 9))
     assert fit.theta[0] == pytest.approx(2 * 4 * 0.2 / (3 * 2), abs=1e-7)
     assert abs(fit.theta[1]) < 1e-7 and abs(fit.theta[2]) < 1e-7
     assert abs(fit.sigma) < 1e-7
@@ -316,7 +325,8 @@ def test_fit_flat_is_zero():
     space = parallel_space()
     rng = np.random.default_rng(17)
     x = np.array([0.1, 0.2, 0.3])
-    fit = fit_theta_sigma(space, CFG_INF, x, admissible_directions(space, x, rng, 8))
+    fld = ab_fields(space, x)
+    fit = fit_theta_sigma(fld, CFG_INF, admissible_directions(space, x, rng, 8))
     assert np.abs(np.array(fit.theta)).max() < 1e-12
     assert abs(fit.sigma) < 1e-12
 
@@ -325,12 +335,13 @@ def test_fit_errors():
     space = hopf_space()
     rng = np.random.default_rng(18)
     x = np.array(HOPF_SHIFT)
+    fld = ab_fields(space, x)
     ys = admissible_directions(space, x, rng, 4)
     with pytest.raises(ValueError, match="at least"):
-        fit_theta_sigma(space, CFG_INF, x, ys)
+        fit_theta_sigma(fld, CFG_INF, ys)
     dup = [ys[0]] * 7
     with pytest.raises(ValueError, match="rank"):
-        fit_theta_sigma(space, CFG_INF, x, dup)
+        fit_theta_sigma(fld, CFG_INF, dup)
 
 
 def test_ansatz_provenance_rules():
@@ -428,7 +439,7 @@ def test_thm41_hopf_passes():
     rng = np.random.default_rng(21)
     space = hopf_space()
     samples = checker_samples(space, rng, shift=HOPF_SHIFT)
-    rep = thm41_check(SPHERE3, HOPF_W, None, CFG_INF, samples)
+    rep = thm41_check(space, CFG_INF, samples)
     assert rep.verdict == "PASS"
     assert rep.passed
     for mu in rep.scalars["mu"]:
@@ -444,7 +455,7 @@ def test_thm41_gaussian_passes_with_nonzero_theta():
     rng = np.random.default_rng(22)
     space = gauss_space()
     samples = checker_samples(space, rng, shift=(0.2, -0.1, 0.3))
-    rep = thm41_check(EUCLID3, ("1", "0", "0"), GAUSS_F, CFG_INF, samples)
+    rep = thm41_check(space, CFG_INF, samples)
     assert rep.verdict == "PASS"
     assert rep.condition("einstein-residual-fitted").residual < 1e-6
     assert rep.condition("einstein-residual-formula").residual < 1e-6
@@ -463,7 +474,7 @@ def test_thm41_flat_all_zero():
     rng = np.random.default_rng(23)
     space = parallel_space()
     samples = checker_samples(space, rng)
-    rep = thm41_check(EUCLID3, ("1", "0", "0"), None, CFG_INF, samples)
+    rep = thm41_check(space, CFG_INF, samples)
     assert rep.verdict == "PASS"
     assert all(abs(m) < 1e-12 for m in rep.scalars["mu"])
     assert all(abs(s) < 1e-12 for s in rep.scalars["sigma_formula"])
@@ -473,7 +484,7 @@ def test_thm41_twist_fails_on_wind_killing():
     rng = np.random.default_rng(24)
     space = twist_space()
     samples = checker_samples(space, rng)
-    rep = thm41_check(EUCLID3, TWIST_W, None, CFG_INF, samples)
+    rep = thm41_check(space, CFG_INF, samples)
     assert rep.verdict == "FAIL"
     assert not rep.condition("wind-killing").passed
     # the disagreement between formula and fit is surfaced, not averaged
@@ -485,7 +496,7 @@ def test_thm41_dispatch_error_outside_regime():
     space = hopf_space()
     samples = checker_samples(space, rng, points=1, shift=HOPF_SHIFT)
     with pytest.raises(DispatchError):
-        thm41_check(SPHERE3, HOPF_W, None, CFG_PRIC, samples)
+        thm41_check(space, CFG_PRIC, samples)
 
 
 def test_thm41_rejects_non_unit_wind():
@@ -493,7 +504,34 @@ def test_thm41_rejects_non_unit_wind():
     space = parallel_space()
     samples = checker_samples(space, rng, points=1)
     with pytest.raises(ValueError, match="h-unit"):
-        thm41_check(EUCLID3, ("2", "0", "0"), None, CFG_INF, samples)
+        thm41_check(KropinaSpace.from_nav(EUCLID3, ("2", "0", "0")),
+                    CFG_INF, samples)
+
+
+def test_thm41_unchanged_by_rebuilding_the_space_from_nav_data():
+    # F-level quantities do not depend on the gauge, so rebuilding the
+    # space from its (h, W) in the canonical gauge changes nothing
+    from kropina.scenarios import (
+        COMPARISON_CUTOFF, load_scenario, scenario_samples,
+    )
+
+    sc = load_scenario("torus_wind")
+    space = sc.space()
+    cfg = sc.config()
+    samples = scenario_samples(sc, space=space, points=1, directions=5,
+                               cutoff=COMPARISON_CUTOFF)
+    own = thm41_check(space, cfg, samples)
+    rebuilt = thm41_check(
+        KropinaSpace.from_nav(space.h, space.w, weight=space.weight),
+        cfg, samples,
+    )
+    assert own.verdict == rebuilt.verdict
+    assert [c.name for c in own.conditions] == [
+        c.name for c in rebuilt.conditions
+    ]
+    for mine, theirs in zip(own.conditions, rebuilt.conditions):
+        assert mine.passed == theirs.passed, mine.name
+        assert abs(mine.residual - theirs.residual) <= 1e-10, mine.name
 
 
 # -- thm44 ----------------------------------------------------------------------
@@ -651,10 +689,11 @@ def test_isotropy_follows_from_small_einstein_residual():
     checked = 0
     for space, shift in cases:
         x = np.asarray(shift) + 0.1 * rng.uniform(-1, 1, 3)
-        fit = fit_theta_sigma(space, CFG_INF, x,
+        fld = ab_fields(space, x)
+        fit = fit_theta_sigma(fld, CFG_INF,
                               admissible_directions(space, x, rng, 9))
         if fit.residual < 1e-6:
-            iso = isotropy_fit(space, x)
+            iso = isotropy_fit(fld)
             assert iso.residual / max(1.0, iso.scale) < 1e-6
             checked += 1
     assert checked >= 2  # hopf and gaussian actually exercise the property

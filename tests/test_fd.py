@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from kropina.fd import fd_partial
+from fd import fd_partial
 
 
 def test_first_derivative_sin():

@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from fd import fd_partial
 from kropina.expr import eval_expr, parse_expr
 from kropina.forms import (
+    AbInvariants,
     GaugeError,
     HypothesisNotMetError,
     KropinaSpace,
-    ab_invariants,
     ab_fields,
     ab_to_nav,
     bh_volume_density,
@@ -18,6 +19,7 @@ from kropina.forms import (
     isotropy_fit,
     kropina_ricci_closed,
     kropina_spray_closed,
+    nav_point,
     nav_ricci_isotropic,
     nav_riemann_isotropic,
     nav_spray,
@@ -32,11 +34,7 @@ from kropina.forms import (
 from kropina.generic import (
     ConicDomainError,
     bh_density,
-    hess_F,
-    ricci_generic,
-    riemann_generic,
-    s_curvature_generic,
-    sdot_generic,
+    curvature_sample,
     spray_generic,
 )
 from kropina.riemann import (
@@ -45,6 +43,7 @@ from kropina.riemann import (
     metric_from_strings,
     w_invariants,
 )
+from kropina.scenarios import load_scenario
 
 EUCLID3 = metric_from_strings([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
 SPHERE3 = metric_from_strings(
@@ -206,7 +205,8 @@ def test_validate_catches_broken_views():
 
 def test_parallel_drift_all_zero():
     space = parallel_space()
-    inv = ab_invariants(space, [0.2, 0.4, -0.1], [1.0, 0.3, 0.2])
+    fld = ab_fields(space, [0.2, 0.4, -0.1])
+    inv = AbInvariants(fld, [1.0, 0.3, 0.2])
     assert np.allclose(inv.r_ij, 0.0, atol=1e-15)
     assert np.allclose(inv.s_ij, 0.0, atol=1e-15)
     for name in ("r_00", "r_0", "s_0", "r00_0", "s0_0", "div_s0", "div_s",
@@ -218,10 +218,10 @@ def test_parallel_drift_all_zero():
 def test_conformal_drift_fits_eta():
     space = conformal_space()
     x = [0.6, 0.2, -0.3]
-    fit = isotropy_fit(space, x)
+    fit = isotropy_fit(ab_fields(space, x))
     assert fit.isotropic
     assert fit.eta == pytest.approx(0.4, abs=1e-9)
-    inv = ab_invariants(space, x, [0.5, 1.0, 0.2])
+    inv = AbInvariants(ab_fields(space, x), [0.5, 1.0, 0.2])
     assert inv.r_00 == pytest.approx(0.4 * inv.alpha2, rel=1e-12)
     assert np.allclose(inv.s_ij, 0.0, atol=1e-14)
 
@@ -239,7 +239,7 @@ def test_symmetry_antisymmetry_and_s00():
             a, (f"1 + {c[4]!r}*x2", f"{c[5]!r}*x1", "0.1")
         )
         x, y = admissible_samples(space, rng, 1)[0]
-        inv = ab_invariants(space, x, y)
+        inv = AbInvariants(ab_fields(space, x), y)
         assert np.allclose(inv.s_ij, -inv.s_ij.T, atol=1e-13)
         assert np.allclose(inv.r_ij, inv.r_ij.T, atol=1e-13)
         assert float(y @ inv.s_ij @ y) == pytest.approx(0.0, abs=1e-13)
@@ -247,8 +247,9 @@ def test_symmetry_antisymmetry_and_s00():
 
 def test_invariants_require_positive_beta():
     space = wavy_space()
+    fld = ab_fields(space, [0.1, 0.0, 0.0])
     with pytest.raises(ConicDomainError):
-        ab_invariants(space, [0.1, 0.0, 0.0], [-1.0, 0.0, 0.0])
+        AbInvariants(fld, [-1.0, 0.0, 0.0])
 
 
 def test_eta_gradient_matches_analytic():
@@ -263,8 +264,23 @@ def test_eta_gradient_matches_analytic():
     assert flds.eta_grad[1] == pytest.approx(deta_exact, rel=1e-7)
     assert flds.eta_grad[0] == pytest.approx(0.0, abs=1e-8)
     assert flds.eta_grad[2] == pytest.approx(0.0, abs=1e-8)
-    fit = isotropy_fit(space, x)
+    fit = isotropy_fit(flds)
     assert fit.isotropic and fit.eta == pytest.approx(eta_exact, rel=1e-10)
+
+    # eta is not constant on these scenarios; the exact gradient
+    # a^{ij} r_{ij;k} / n must match differencing eta itself
+    for name in ("euclid_twist", "torus_wind", "random:3"):
+        sc = load_scenario(name)
+        space = sc.space()
+        x = sc.probe_points()[1]
+        fd = [
+            fd_partial(lambda p: ab_fields(space, p).eta, x,
+                       tuple(int(w == k) for w in range(space.dim)))
+            for k in range(space.dim)
+        ]
+        assert np.max(np.abs(fd)) > 1e-6, name
+        assert np.allclose(ab_fields(space, x).eta_grad, fd,
+                           rtol=0.0, atol=1e-9), name
 
 
 # -- closed spray --------------------------------------------------------------
@@ -272,7 +288,8 @@ def test_eta_gradient_matches_analytic():
 
 def test_spray_closed_parallel_zero():
     space = parallel_space()
-    g = kropina_spray_closed(space, [0.1, 0.2, 0.3], [1.0, 0.4, -0.2])
+    fld = ab_fields(space, [0.1, 0.2, 0.3])
+    g = kropina_spray_closed(fld, [1.0, 0.4, -0.2])
     assert np.allclose(g, 0.0, atol=1e-14)
 
 
@@ -286,7 +303,7 @@ def test_spray_closed_matches_generic(builder, shift):
     fev = finsler_evaluator(space, "ab")
     rng = np.random.default_rng(16)
     for x, y in admissible_samples(space, rng, 30, shift=shift, scale=0.25):
-        closed = kropina_spray_closed(space, x, y)
+        closed = kropina_spray_closed(ab_fields(space, x), y)
         generic = spray_generic(fev, list(x), list(y))
         scale = max(1.0, float(np.max(np.abs(generic))))
         assert np.max(np.abs(closed - generic)) < 1e-8 * scale
@@ -295,8 +312,8 @@ def test_spray_closed_matches_generic(builder, shift):
 def test_spray_closed_homogeneous():
     space = wavy_space()
     x, y = [0.3, -0.2, 0.4], np.array([1.0, 0.3, -0.2])
-    g1 = kropina_spray_closed(space, x, y)
-    g2 = kropina_spray_closed(space, x, 1.7 * y)
+    g1 = kropina_spray_closed(ab_fields(space, x), y)
+    g2 = kropina_spray_closed(ab_fields(space, x), 1.7 * y)
     assert np.allclose(g2, 1.7**2 * g1, rtol=1e-12)
 
 
@@ -311,16 +328,18 @@ def test_spray_closed_homogeneous():
 def test_ricci_closed_matches_generic(builder, shift):
     space = builder()
     fev = finsler_evaluator(space, "ab")
+    dens = volume_density(space)
     rng = np.random.default_rng(17)
     for x, y in admissible_samples(space, rng, 30, shift=shift, scale=0.25):
-        closed = kropina_ricci_closed(space, x, y)
-        generic = ricci_generic(fev, list(x), list(y))
+        closed = kropina_ricci_closed(ab_fields(space, x), y)
+        generic = curvature_sample(fev, dens, list(x), list(y)).ricci
         assert closed == pytest.approx(generic, rel=1e-7, abs=1e-9)
 
 
 def test_ricci_closed_flat_wind_zero():
     space = parallel_space()
-    assert kropina_ricci_closed(space, [0.4, 0.1, 0.0], [1.0, 0.2, 0.3]) == (
+    fld = ab_fields(space, [0.4, 0.1, 0.0])
+    assert kropina_ricci_closed(fld, [1.0, 0.2, 0.3]) == (
         pytest.approx(0.0, abs=1e-12)
     )
 
@@ -333,7 +352,7 @@ def test_ricci_closed_hopf_value():
     fev = finsler_evaluator(space, "ab")
     for x, y in admissible_samples(space, rng, 10, shift=HOPF_SHIFT, scale=0.3):
         f_val = fev(list(x), list(y))
-        assert kropina_ricci_closed(space, x, y) == pytest.approx(
+        assert kropina_ricci_closed(ab_fields(space, x), y) == pytest.approx(
             2.0 * f_val**2, rel=1e-10
         )
 
@@ -341,8 +360,8 @@ def test_ricci_closed_hopf_value():
 def test_ricci_closed_homogeneous():
     space = wavy_space()
     x, y = [0.3, -0.2, 0.4], np.array([1.0, 0.3, -0.2])
-    r1 = kropina_ricci_closed(space, x, y)
-    r2 = kropina_ricci_closed(space, x, 2.3 * y)
+    r1 = kropina_ricci_closed(ab_fields(space, x), y)
+    r2 = kropina_ricci_closed(ab_fields(space, x), 2.3 * y)
     assert r2 == pytest.approx(2.3**2 * r1, rel=1e-12)
 
 
@@ -353,7 +372,7 @@ def test_s_bh_conformal_vanishes():
     space = conformal_space()
     rng = np.random.default_rng(19)
     for x, y in admissible_samples(space, rng, 20, shift=(0.5, 0.1, -0.2)):
-        assert s_bh_closed(space, x, y) == pytest.approx(0.0, abs=1e-12)
+        assert s_bh_closed(ab_fields(space, x), y) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_s_bh_matches_generic():
@@ -362,16 +381,16 @@ def test_s_bh_matches_generic():
     dens = bh_volume_density(space)
     rng = np.random.default_rng(20)
     for x, y in admissible_samples(space, rng, 15):
-        closed = s_bh_closed(space, x, y)
-        generic = s_curvature_generic(fev, dens, list(x), list(y))
+        closed = s_bh_closed(ab_fields(space, x), y)
+        generic = curvature_sample(fev, dens, list(x), list(y)).s
         assert closed == pytest.approx(generic, rel=1e-8, abs=1e-10)
 
 
 def test_s_bh_positively_homogeneous():
     space = wavy_space()
     x, y = [0.3, -0.2, 0.4], np.array([1.0, 0.3, -0.2])
-    assert s_bh_closed(space, x, 3.0 * y) == pytest.approx(
-        3.0 * s_bh_closed(space, x, y), rel=1e-12
+    assert s_bh_closed(ab_fields(space, x), 3.0 * y) == pytest.approx(
+        3.0 * s_bh_closed(ab_fields(space, x), y), rel=1e-12
     )
 
 
@@ -381,8 +400,8 @@ def test_s_closed_weighted_matches_generic():
     dens = volume_density(space)
     rng = np.random.default_rng(21)
     for x, y in admissible_samples(space, rng, 10):
-        closed = s_closed(space, x, y)
-        generic = s_curvature_generic(fev, dens, list(x), list(y))
+        closed = s_closed(ab_fields(space, x), y)
+        generic = curvature_sample(fev, dens, list(x), list(y)).s
         assert closed == pytest.approx(generic, rel=1e-8, abs=1e-10)
 
 
@@ -392,16 +411,17 @@ def test_s_dot_matches_generic_weighted():
     dens = volume_density(space)
     rng = np.random.default_rng(22)
     for x, y in admissible_samples(space, rng, 10):
-        closed = s_dot_closed(space, x, y)
-        generic = sdot_generic(fev, dens, list(x), list(y)) / (space.dim + 1)
+        closed = s_dot_closed(ab_fields(space, x), y)
+        generic = curvature_sample(fev, dens, list(x), list(y)).sdot / (
+            space.dim + 1
+        )
         assert closed == pytest.approx(generic, rel=1e-8, abs=1e-10)
 
 
 def test_s_dot_flat_wind_zero():
     space = parallel_space()
-    assert s_dot_closed(space, [0.1, 0.2, 0.3], [1.0, 0.1, 0.2]) == (
-        pytest.approx(0.0, abs=1e-14)
-    )
+    fld = ab_fields(space, [0.1, 0.2, 0.3])
+    assert s_dot_closed(fld, [1.0, 0.1, 0.2]) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_s_dot_quadratic_weight_is_plain_hessian():
@@ -410,17 +430,19 @@ def test_s_dot_quadratic_weight_is_plain_hessian():
     lam = 0.2
     space = parallel_space().with_weight("0.1*(x1^2 + x2^2 + x3^2)")
     y = np.array([1.0, 0.4, -0.3])
-    val = s_dot_closed(space, [0.3, -0.2, 0.5], y)
+    val = s_dot_closed(ab_fields(space, [0.3, -0.2, 0.5]), y)
     assert val == pytest.approx(lam * float(y @ y), rel=1e-12)
 
 
 def test_hess_f_closed_matches_generic():
     space = wavy_space(weight="0.1*(x1^2 + x2*x3)")
     fev = finsler_evaluator(space, "ab")
+    dens = volume_density(space)
     rng = np.random.default_rng(23)
     for x, y in admissible_samples(space, rng, 10):
-        closed = hess_f_closed(space, x, y)
-        generic = hess_F(space.weight, fev, list(x), list(y))
+        closed = hess_f_closed(ab_fields(space, x), y)
+        generic = curvature_sample(fev, dens, list(x), list(y),
+                                   f=space.weight).hess_f
         assert closed == pytest.approx(generic, rel=1e-9, abs=1e-11)
 
 
@@ -480,7 +502,7 @@ def test_rs_from_RS_matches_ab_invariants(gauged):
         space = space.with_gauge("2 + 0.3*x1")
     rng = np.random.default_rng(25)
     for x, y in admissible_samples(space, rng, 30):
-        inv = ab_invariants(space, x, y)
+        inv = AbInvariants(ab_fields(space, x), y)
         r_00, s_i0, s_0 = rs_from_RS(space, x, y)
         assert r_00 == pytest.approx(inv.r_00, rel=1e-9, abs=1e-12)
         assert np.max(np.abs(s_i0 - inv.s_i0)) < 1e-9
@@ -506,7 +528,7 @@ def test_rs_killing_gauged_reduction():
     h2 = float(np.asarray(y) @ h_val @ np.asarray(y))
     r_00, _, _ = rs_from_RS(space, x, y)
     assert r_00 == pytest.approx(-2.0 * e2 * w_rho * h2, rel=1e-10)
-    fit = isotropy_fit(space, x)
+    fit = isotropy_fit(ab_fields(space, x))
     assert fit.eta == pytest.approx(-2.0 * w_rho, rel=1e-10)
 
 
@@ -518,7 +540,7 @@ def test_rs_constant_gauge_collapse():
     y = [0.2, 1.0, 0.4]
     wi = w_invariants(SPHERE3, HOPF_W_AST, x)
     e2 = (1.3 / 2.0) ** 2
-    inv = ab_invariants(space, x, y)
+    inv = AbInvariants(ab_fields(space, x), y)
     expected = 2.0 * e2 * float(np.asarray(y) @ wi.r_ij @ np.asarray(y))
     assert inv.r_00 == pytest.approx(expected, abs=1e-12)
     r_00, _, _ = rs_from_RS(space, x, y)
@@ -533,7 +555,7 @@ def test_nav_spray_matches_generic():
     fev = finsler_evaluator(space, "nav")
     rng = np.random.default_rng(26)
     for x, y in admissible_samples(space, rng, 30, shift=HOPF_SHIFT, scale=0.25):
-        closed = nav_spray(SPHERE3, TORUS_W, x, y)
+        closed = nav_spray(nav_point(SPHERE3, TORUS_W, x), y)
         generic = spray_generic(fev, list(x), list(y))
         scale = max(1.0, float(np.max(np.abs(generic))))
         assert np.max(np.abs(closed - generic)) < 1e-8 * scale
@@ -550,49 +572,53 @@ def test_nav_spray_killing_reduction():
     f_val = float(y @ mp.g @ y) / (2.0 * w0)
     g_h = 0.5 * np.einsum("kij,i,j->k", mp.christoffel, y, y)
     expected = g_h - f_val * (wi.s_up @ y)
-    assert np.allclose(nav_spray(SPHERE3, HOPF_W, x, y), expected, atol=1e-12)
+    nav = nav_point(SPHERE3, HOPF_W, x)
+    assert np.allclose(nav_spray(nav, y), expected, atol=1e-12)
 
 
 def test_nav_spray_flat_zero():
-    g = nav_spray(EUCLID3, ("1", "0", "0"), [0.1, 0.2, 0.3], [1.0, 0.4, -0.2])
+    nav = nav_point(EUCLID3, ("1", "0", "0"), [0.1, 0.2, 0.3])
+    g = nav_spray(nav, [1.0, 0.4, -0.2])
     assert np.allclose(g, 0.0, atol=1e-15)
 
 
 def test_nav_spray_rejects_bad_cone():
+    nav = nav_point(EUCLID3, ("1", "0", "0"), [0.0, 0.0, 0.0])
     with pytest.raises(ConicDomainError):
-        nav_spray(EUCLID3, ("1", "0", "0"), [0.0, 0.0, 0.0], [-1.0, 0.2, 0.0])
+        nav_spray(nav, [-1.0, 0.2, 0.0])
 
 
 def test_nav_curvature_flat_zero():
-    x, y = [0.1, 0.2, 0.3], [1.0, 0.4, -0.2]
-    assert np.allclose(
-        nav_riemann_isotropic(EUCLID3, ("1", "0", "0"), x, y), 0.0, atol=1e-15
-    )
-    assert nav_ricci_isotropic(EUCLID3, ("1", "0", "0"), x, y) == 0.0
+    nav = nav_point(EUCLID3, ("1", "0", "0"), [0.1, 0.2, 0.3])
+    y = [1.0, 0.4, -0.2]
+    assert np.allclose(nav_riemann_isotropic(nav, y), 0.0, atol=1e-15)
+    assert nav_ricci_isotropic(nav, y) == 0.0
 
 
 def test_nav_ricci_matches_generic_on_hopf():
     space = hopf_space()
     fev = finsler_evaluator(space, "nav")
+    dens = volume_density(space)
     rng = np.random.default_rng(27)
     for x, y in admissible_samples(space, rng, 30, shift=HOPF_SHIFT, scale=0.3):
-        closed = nav_ricci_isotropic(SPHERE3, HOPF_W, x, y)
-        generic = ricci_generic(fev, list(x), list(y))
+        closed = nav_ricci_isotropic(nav_point(SPHERE3, HOPF_W, x), y)
+        generic = curvature_sample(fev, dens, list(x), list(y)).ricci
         assert closed == pytest.approx(generic, rel=1e-7)
 
 
 def test_nav_riemann_matches_generic_and_trace():
     space = hopf_space()
     fev = finsler_evaluator(space, "nav")
+    dens = volume_density(space)
     rng = np.random.default_rng(28)
     for x, y in admissible_samples(space, rng, 10, shift=HOPF_SHIFT, scale=0.3):
-        closed = nav_riemann_isotropic(SPHERE3, HOPF_W, x, y)
-        generic = riemann_generic(fev, list(x), list(y))
+        closed = nav_riemann_isotropic(nav_point(SPHERE3, HOPF_W, x), y)
+        generic = curvature_sample(fev, dens, list(x), list(y)).riemann
         assert np.max(np.abs(closed - generic)) < 1e-8 * max(
             1.0, float(np.max(np.abs(generic)))
         )
         assert float(np.trace(closed)) == pytest.approx(
-            nav_ricci_isotropic(SPHERE3, HOPF_W, x, y), rel=1e-12
+            nav_ricci_isotropic(nav_point(SPHERE3, HOPF_W, x), y), rel=1e-12
         )
 
 
@@ -602,9 +628,9 @@ def test_nav_curvature_gating_refuses_twist():
     twist = ("cos(x2)", "sin(x2)", "0")
     x, y = [0.1, 0.2, 0.3], [1.0, 0.1, 0.0]
     with pytest.raises(HypothesisNotMetError, match="Killing"):
-        nav_riemann_isotropic(EUCLID3, twist, x, y)
+        nav_riemann_isotropic(nav_point(EUCLID3, twist, x), y)
     with pytest.raises(HypothesisNotMetError):
-        nav_ricci_isotropic(EUCLID3, twist, x, y)
+        nav_ricci_isotropic(nav_point(EUCLID3, twist, x), y)
 
 
 # -- isotropy equivalence chain -----------------------------------------------------
@@ -616,10 +642,10 @@ def test_isotropic_chain_forward():
     space = conformal_space()
     rng = np.random.default_rng(29)
     pairs = admissible_samples(space, rng, 15, shift=(0.5, 0.1, -0.2))
-    fit = isotropy_fit(space, pairs[0][0])
+    fit = isotropy_fit(ab_fields(space, pairs[0][0]))
     assert fit.isotropic
     for x, y in pairs:
-        assert abs(s_bh_closed(space, x, y)) < 1e-9
+        assert abs(s_bh_closed(ab_fields(space, x), y)) < 1e-9
     h, w = ab_to_nav(space)
     for x, _ in pairs[:5]:
         mp = MetricPoint.from_exprs(h, list(x), order=1)
@@ -633,9 +659,9 @@ def test_isotropic_chain_reverse():
     # the navigation-side symmetric derivative is visibly nonzero.
     space = wavy_space()
     x = [0.3, -0.2, 0.4]
-    fit = isotropy_fit(space, x)
+    fit = isotropy_fit(ab_fields(space, x))
     assert not fit.isotropic
-    assert abs(s_bh_closed(space, x, [1.0, 0.3, -0.2])) > 1e-6
+    assert abs(s_bh_closed(ab_fields(space, x), [1.0, 0.3, -0.2])) > 1e-6
     h, w = ab_to_nav(space)
     mp = MetricPoint.from_exprs(h, x, order=1)
     fp = FieldPoint.from_exprs(mp, list(w), x, order=1)

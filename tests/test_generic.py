@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kropina.expr import eval_expr, parse_expr
-from kropina.fd import fd_partial
+from fd import fd_partial
 from kropina.generic import (
     BHDensityEstimate,
     ConicDomainError,
@@ -13,14 +13,8 @@ from kropina.generic import (
     VolumeDensity,
     bh_density,
     curvature_sample,
-    distortion,
-    fundamental_tensor,
     geodesic_flow,
-    hess_F,
-    ricci_generic,
-    riemann_generic,
-    s_curvature_generic,
-    sdot_generic,
+    hess_form,
     spray_generic,
     unit_ball_volume,
 )
@@ -125,6 +119,11 @@ def wavy_kropina():
 CONST_DENSITY = VolumeDensity(lambda x: 1.0, kind="Busemann-Hausdorff")
 
 
+def sample(F, x, y, sigma=CONST_DENSITY, f=None):
+    """curvature_sample with the constant density unless one is given."""
+    return curvature_sample(F, sigma, x, y, f=f)
+
+
 def weighted_density(f_ast, n, base=None):
     def func(x):
         f = eval_expr(f_ast, list(x))
@@ -143,9 +142,9 @@ YS = [1.0, 0.3, -0.2]
 
 
 def test_fundamental_tensor_riemannian():
-    g = fundamental_tensor(euclid_evaluator(3), XS, YS)
+    g = sample(euclid_evaluator(3), XS, YS).g
     assert np.allclose(g, np.eye(3), atol=1e-10)
-    g3 = fundamental_tensor(sphere3_evaluator(), [0.7, 0.1, 0.2], YS)
+    g3 = sample(sphere3_evaluator(), [0.7, 0.1, 0.2], YS).g
     mp = MetricPoint.from_exprs(SPHERE3, [0.7, 0.1, 0.2])
     assert np.allclose(g3, mp.g, atol=1e-10)
 
@@ -156,7 +155,7 @@ def test_euler_identity():
     for _ in range(10):
         x = list(rng.uniform(-0.5, 0.5, 3))
         y = [1.0 + rng.uniform(0, 0.5), rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4)]
-        g = fundamental_tensor(F, x, y)
+        g = sample(F, x, y).g
         f = float(F.func(x, y))
         quad = float(np.asarray(y) @ g @ np.asarray(y))
         assert abs(quad - f * f) <= 1e-10 * max(1.0, f * f)
@@ -165,7 +164,7 @@ def test_euler_identity():
 def test_conic_domain_error():
     F = flat_kropina()
     with pytest.raises(ConicDomainError):
-        fundamental_tensor(F, XS, [-1.0, 0.2, 0.1])
+        sample(F, XS, [-1.0, 0.2, 0.1])
     with pytest.raises(ConicDomainError):
         spray_generic(F, XS, [0.0, 1.0, 0.0])
 
@@ -191,14 +190,15 @@ def test_homogeneity_suite():
     y = [1.2, 0.4, -0.1]
     f0 = float(F.func(x, y))
     G0 = spray_generic(F, x, y)
-    R0 = riemann_generic(F, x, y)
-    ric0 = ricci_generic(F, x, y)
+    cs0 = sample(F, x, y)
+    R0, ric0 = cs0.riemann, cs0.ricci
     for lam in (0.5, 2.0, 3.0):
         ys = [lam * v for v in y]
+        cs = sample(F, x, ys)
         assert abs(float(F.func(x, ys)) - lam * f0) < 1e-9 * max(1, abs(f0))
         assert np.allclose(spray_generic(F, x, ys), lam**2 * G0, rtol=1e-9, atol=1e-11)
-        assert np.allclose(riemann_generic(F, x, ys), lam**2 * R0, rtol=1e-9, atol=1e-9)
-        assert abs(ricci_generic(F, x, ys) - lam**2 * ric0) < 1e-9 * max(1, abs(ric0))
+        assert np.allclose(cs.riemann, lam**2 * R0, rtol=1e-9, atol=1e-9)
+        assert abs(cs.ricci - lam**2 * ric0) < 1e-9 * max(1, abs(ric0))
 
 
 def test_riemann_matches_riemannian_curvature():
@@ -206,11 +206,11 @@ def test_riemann_matches_riemannian_curvature():
     x = [0.7, 0.1, 0.2]
     y = [0.4, 1.1, -0.3]
     mp = MetricPoint.from_exprs(SPHERE3, x)
-    R = riemann_generic(sphere3_evaluator(), x, y)
+    cs = sample(sphere3_evaluator(), x, y)
     want = np.einsum("pikq,p,q->ik", mp.riemann, y, y)
-    assert np.allclose(R, want, atol=1e-8)
+    assert np.allclose(cs.riemann, want, atol=1e-8)
     hyy = float(np.asarray(y) @ mp.g @ np.asarray(y))
-    assert abs(ricci_generic(sphere3_evaluator(), x, y) - 2.0 * hyy) < 1e-8
+    assert abs(cs.ricci - 2.0 * hyy) < 1e-8
 
 
 def test_flat_kropina_ricci_zero():
@@ -218,16 +218,15 @@ def test_flat_kropina_ricci_zero():
     rng = np.random.default_rng(4)
     for _ in range(5):
         y = [1.0 + rng.uniform(0, 1), rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)]
-        assert abs(ricci_generic(F, XS, y)) < 1e-8
+        assert abs(sample(F, XS, y).ricci) < 1e-8
 
 
 def test_trace_consistency():
     F = wavy_kropina()
     x = [0.2, 0.1, -0.3]
     y = [1.2, 0.4, -0.1]
-    assert ricci_generic(F, x, y) == pytest.approx(
-        float(np.trace(riemann_generic(F, x, y))), abs=1e-12
-    )
+    cs = sample(F, x, y)
+    assert cs.ricci == pytest.approx(float(np.trace(cs.riemann)), abs=1e-12)
 
 
 def test_distortion_riemannian_zero():
@@ -236,7 +235,7 @@ def test_distortion_riemannian_zero():
         kind="Busemann-Hausdorff",
     )
     x = [0.7, 0.1, 0.2]
-    tau = distortion(sphere3_evaluator(), sig, x, YS)
+    tau = sample(sphere3_evaluator(), x, YS, sigma=sig).tau
     assert abs(tau) < 1e-12
 
 
@@ -244,8 +243,8 @@ def test_distortion_scale_invariance():
     F = wavy_kropina()
     x = [0.2, 0.1, -0.3]
     y = [1.2, 0.4, -0.1]
-    t1 = distortion(F, CONST_DENSITY, x, y)
-    t2 = distortion(F, CONST_DENSITY, x, [3.0 * v for v in y])
+    t1 = sample(F, x, y).tau
+    t2 = sample(F, x, [3.0 * v for v in y]).tau
     assert abs(t1 - t2) < 1e-10
 
 
@@ -254,8 +253,8 @@ def test_distortion_log_law():
     f_ast = parse_expr("0.3*x1 + 0.1*x2^2", 3)
     x = [0.2, 0.1, -0.3]
     y = [1.2, 0.4, -0.1]
-    t0 = distortion(F, CONST_DENSITY, x, y)
-    tw = distortion(F, weighted_density(f_ast, 3), x, y)
+    t0 = sample(F, x, y).tau
+    tw = sample(F, x, y, sigma=weighted_density(f_ast, 3)).tau
     fx = eval_expr(f_ast, x)
     assert abs(tw - t0 - 4.0 * fx) < 1e-12
 
@@ -265,7 +264,7 @@ def test_s_flat_kropina_zero():
     rng = np.random.default_rng(6)
     for _ in range(5):
         y = [1.0 + rng.uniform(0, 1), rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)]
-        assert abs(s_curvature_generic(F, CONST_DENSITY, XS, y)) < 1e-8
+        assert abs(sample(F, XS, y).s) < 1e-8
 
 
 def test_s_weighted_shift():
@@ -273,8 +272,8 @@ def test_s_weighted_shift():
     F = flat_kropina()
     f_ast = parse_expr("0.3*x1 + 0.1*x2^2", 3)
     y = [1.3, 0.2, -0.4]
-    s0 = s_curvature_generic(F, CONST_DENSITY, XS, y)
-    sw = s_curvature_generic(F, weighted_density(f_ast, 3), XS, y)
+    s0 = sample(F, XS, y).s
+    sw = sample(F, XS, y, sigma=weighted_density(f_ast, 3)).s
     df = [0.3, 0.2 * XS[1], 0.0]
     f0 = sum(d * v for d, v in zip(df, y))
     assert abs(sw - s0 - 4.0 * f0) < 1e-10
@@ -285,8 +284,9 @@ def _flow_samples(F, sig, x, y, h, k):
     path = geodesic_flow(F, x, y, t_end=h * k, steps=k)
     taus, esses = [], []
     for p, v in zip(path.pos, path.vel):
-        taus.append(distortion(F, sig, list(p), list(v)))
-        esses.append(s_curvature_generic(F, sig, list(p), list(v)))
+        cs = sample(F, list(p), list(v), sigma=sig)
+        taus.append(cs.tau)
+        esses.append(cs.s)
     return taus, esses
 
 
@@ -300,8 +300,8 @@ def test_s_and_sdot_match_geodesic_oracle():
     # one-sided second-order first derivative at t = 0
     dtau = (-3.0 * taus[0] + 4.0 * taus[1] - taus[2]) / (2.0 * h)
     ds = (-3.0 * esses[0] + 4.0 * esses[1] - esses[2]) / (2.0 * h)
-    s = s_curvature_generic(F, sig, x, y)
-    sdot = sdot_generic(F, sig, x, y)
+    cs = sample(F, x, y, sigma=sig)
+    s, sdot = cs.s, cs.sdot
     assert abs(dtau - s) < 1e-5 * max(1.0, abs(s))
     assert abs(ds - sdot) < 1e-5 * max(1.0, abs(sdot))
 
@@ -309,14 +309,14 @@ def test_s_and_sdot_match_geodesic_oracle():
 def test_hess_linear_flat():
     F = flat_kropina()
     f = parse_expr("2*x1 + x2", 3)
-    assert abs(hess_F(f, F, XS, [1.1, 0.3, 0.2])) < 1e-12
+    assert abs(sample(F, XS, [1.1, 0.3, 0.2], f=f).hess_f) < 1e-12
 
 
 def test_hess_riemannian_reduction():
     f = parse_expr("x1^2 + 0.5*x2*x3", 3)
     x = [0.7, 0.1, 0.2]
     y = [0.4, 1.1, -0.3]
-    got = hess_F(f, sphere3_evaluator(), x, y)
+    got = sample(sphere3_evaluator(), x, y, f=f).hess_f
     H = hess_h(f, SPHERE3, x)
     assert abs(got - float(np.asarray(y) @ H @ np.asarray(y))) < 1e-9
 
@@ -331,7 +331,7 @@ def test_hess_matches_geodesic_oracle():
     vals = [eval_expr(f, list(p)) for p in path.pos]
     # one-sided second derivative, O(h^2)
     d2 = (2 * vals[0] - 5 * vals[1] + 4 * vals[2] - vals[3]) / h**2
-    want = hess_F(f, F, x, y)
+    want = sample(F, x, y, f=f).hess_f
     assert abs(d2 - want) < 1e-5 * max(1.0, abs(want))
 
 
@@ -438,10 +438,10 @@ def test_jet_derivatives_match_fd():
     sig = weighted_density(parse_expr("0.3*x1 + 0.1*x2^2", 3), 3)
     x = [0.2, 0.1, -0.3]
     y = [1.2, 0.4, -0.1]
-    from kropina.generic import _spray_jets, _tau_jet
+    from kropina.generic import _f2_jet, _spray_jets, _tau_jet
 
-    Gj = _spray_jets(F, x, y, 1)
-    tau = _tau_jet(F, sig, x, y, 1)
+    Gj = _spray_jets(F, y, _f2_jet(F, x, y, 3))
+    tau = _tau_jet(F, sig, x, _f2_jet(F, x, y, 3))
     checks = 0
     for k in range(3):
         idx = tuple(1 if v == k else 0 for v in range(3))
@@ -453,12 +453,57 @@ def test_jet_derivatives_match_fd():
             assert abs(fx - gx) < 1e-5 * max(1.0, abs(gx))
             assert abs(fy - gy) < 1e-5 * max(1.0, abs(gy))
             checks += 2
-        tx = fd_partial(lambda p: distortion(F, sig, list(p), y), x, idx)
-        ty = fd_partial(lambda q: distortion(F, sig, x, list(q)), y, idx)
+        tx = fd_partial(lambda p: sample(F, list(p), y, sigma=sig).tau, x, idx)
+        ty = fd_partial(lambda q: sample(F, x, list(q), sigma=sig).tau, y, idx)
         assert abs(tx - tau.gradient()[k]) < 1e-5 * max(1.0, abs(tx))
         assert abs(ty - tau.gradient()[3 + k]) < 1e-5 * max(1.0, abs(ty))
         checks += 2
     assert checks == 24
+
+
+def _separate_routes(F, sig, x, y, f):
+    """The bundle's quantities, each from its own jet of F^2 of the
+    lowest order that carries it, as separate per-quantity routes would
+    compute them."""
+    from kropina.generic import (
+        _f2_jet,
+        _metric_jets,
+        _riemann_from_spray_jets,
+        _spray_jets,
+        _tau_jet,
+    )
+    from kropina.jets import jet_space
+
+    n = F.dim
+    yv = np.asarray(y)
+    g = np.array([[m.value for m in row]
+                  for row in _metric_jets(_f2_jet(F, x, y, 2), n)])
+    G = spray_generic(F, x, y)
+    R = _riemann_from_spray_jets(_spray_jets(F, y, _f2_jet(F, x, y, 4)), y, n)
+    tau = 0.5 * math.log(np.linalg.det(g)) - math.log(sig.func(list(x)))
+    grad = _tau_jet(F, sig, x, _f2_jet(F, x, y, 3)).gradient()
+    s = float(yv @ grad[:n] - 2.0 * G @ grad[n:])
+    # S as a first-order jet from the order-4 F^2 jet, then its
+    # horizontal derivative along first-order spray jets
+    f4 = _f2_jet(F, x, y, 4)
+    tau2 = _tau_jet(F, sig, x, f4)
+    Gj = _spray_jets(F, y, f4.truncate(3))
+    space1 = jet_space(2 * n, 1)
+    s_jet = space1.constant(0.0)
+    for m in range(n):
+        ym = space1.variable(n + m, y[m])
+        s_jet = s_jet + ym * tau2.deriv(m) - Gj[m] * tau2.deriv(n + m) * 2.0
+    Gv = np.array([Gm.value for Gm in Gj])
+    sgrad = s_jet.gradient()
+    return {
+        "g": g,
+        "riemann": R,
+        "ricci": float(np.trace(R)),
+        "tau": tau,
+        "s": s,
+        "sdot": float(yv @ sgrad[:n] - 2.0 * Gv @ sgrad[n:]),
+        "hess_f": hess_form(f, x, y, G, n),
+    }
 
 
 def test_curvature_sample_bundle():
@@ -468,14 +513,15 @@ def test_curvature_sample_bundle():
     x = [0.2, 0.1, -0.3]
     y = [1.2, 0.4, -0.1]
     cs = curvature_sample(F, sig, x, y, f=f)
-    assert np.allclose(cs.g, fundamental_tensor(F, x, y), atol=1e-12)
+    sep = _separate_routes(F, sig, x, y, f)
+    assert np.allclose(cs.g, sep["g"], atol=1e-12)
     assert np.allclose(cs.spray, spray_generic(F, x, y), atol=1e-12)
-    assert np.allclose(cs.riemann, riemann_generic(F, x, y), atol=1e-10)
-    assert cs.ricci == pytest.approx(ricci_generic(F, x, y), abs=1e-10)
-    assert cs.tau == pytest.approx(distortion(F, sig, x, y), abs=1e-12)
-    assert cs.s == pytest.approx(s_curvature_generic(F, sig, x, y), abs=1e-12)
-    assert cs.sdot == pytest.approx(sdot_generic(F, sig, x, y), abs=1e-10)
-    assert cs.hess_f == pytest.approx(hess_F(f, F, x, y), abs=1e-12)
+    assert np.allclose(cs.riemann, sep["riemann"], atol=1e-10)
+    assert cs.ricci == pytest.approx(sep["ricci"], abs=1e-10)
+    assert cs.tau == pytest.approx(sep["tau"], abs=1e-12)
+    assert cs.s == pytest.approx(sep["s"], abs=1e-12)
+    assert cs.sdot == pytest.approx(sep["sdot"], abs=1e-10)
+    assert cs.hess_f == pytest.approx(sep["hess_f"], abs=1e-12)
     # Euler identities for the bundle itself
     f2 = float(F.func(x, y)) ** 2
     assert abs(np.asarray(y) @ cs.g @ np.asarray(y) - f2) < 1e-10 * max(1, f2)
@@ -496,4 +542,4 @@ def test_degenerate_metric_reported():
         dim=2, func=func, domain=lambda x, y: np.asarray(y[0]) > 0, name="rank1"
     )
     with pytest.raises(SingularMetricError):
-        fundamental_tensor(F, [0.0, 0.0], [1.0, 0.3])
+        sample(F, [0.0, 0.0], [1.0, 0.3])

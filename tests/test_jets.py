@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kropina.expr import eval_expr, parse_expr
-from kropina.fd import fd_partial
+from fd import fd_partial
 from kropina.jets import (
     Jet,
     JetDomainError,

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from kropina.expr import parse_expr
-from kropina.fd import fd_partial
+from fd import fd_partial
 from kropina.riemann import (
     FieldPoint,
     MetricPoint,

@@ -322,3 +322,148 @@ def test_convert_report_deterministic():
     b = run_convert("s3_hopf", to="ab", seed=4)
     assert a.to_json(timings=False) == b.to_json(timings=False)
     report_validator().validate(a.as_dict())
+
+
+# -- non-finite values ---------------------------------------------------------
+
+
+def _reject_constant(name):
+    raise ValueError(f"report JSON holds the non-standard constant {name}")
+
+
+def _every_third_non_finite(monkeypatch, module, name, period=1):
+    """Patch module.name so that calls come in blocks of `period`: the
+    first block keeps the real value, the next returns NaN, the next
+    Inf, and the cycle repeats."""
+    real = getattr(module, name)
+    calls = []
+
+    def patched(*args):
+        value = real(*args)
+        block = (len(calls) // period) % 3
+        calls.append(block)
+        return (value, float("nan"), float("inf"))[block]
+
+    monkeypatch.setattr(module, name, patched)
+
+
+def test_verify_non_finite_closed_values_fail(monkeypatch):
+    import kropina.workbench as workbench
+
+    _every_third_non_finite(monkeypatch, workbench, "kropina_ricci_closed")
+    doc = run_verify("s3_hopf")
+    ricci = next(t for t in doc.tables if t["name"] == "ricci")
+    assert not ricci["passed"]
+    assert doc.verdict == "FAIL" and doc.exit_code == 2
+    bad = [k for k in range(len(ricci["rows"])) if k % 3]
+    assert ricci["non_finite_rows"] == bad
+    other = next(t for t in doc.tables if t["name"] == "spray")
+    assert other["passed"] and "non_finite_rows" not in other
+
+    parsed = json.loads(doc.to_json(timings=False),
+                        parse_constant=_reject_constant)
+    rows = next(t for t in parsed["tables"] if t["name"] == "ricci")["rows"]
+    assert rows[1]["closed"] == "nan" and rows[1]["rel_dev"] == "nan"
+    assert rows[2]["closed"] == "inf" and rows[2]["rel_dev"] == "nan"
+    assert isinstance(rows[0]["rel_dev"], float)
+    report_validator().validate(parsed)
+
+
+def test_check_non_finite_residuals_fail(monkeypatch):
+    import kropina.einstein as einstein
+
+    # s3_hopf samples 10 directions per chart point and checker 41 runs
+    # first: its fit sees NaN at point 1 and Inf at point 2
+    _every_third_non_finite(monkeypatch, einstein, "kropina_ricci_closed",
+                            period=10)
+    doc = run_check("s3_hopf")
+    assert doc.verdict == "FAIL" and doc.exit_code == 2
+    thm41 = next(c for c in doc.checks if c["theorem"] == "41")
+    assert thm41["verdict"] == "FAIL"
+    conds = {c["name"]: c for c in thm41["conditions"]}
+    agree = conds["theta-sigma-fit-agreement"]
+    assert not agree["passed"]
+    assert agree["note"] == "non-finite residual at row 1"
+    fitted = conds["einstein-residual-fitted"]
+    assert not fitted["passed"]
+    assert fitted["note"] == "non-finite residual at row 10"
+    assert conds["einstein-tensor"]["passed"]
+
+    parsed = json.loads(doc.to_json(timings=False),
+                        parse_constant=_reject_constant)
+    thm41 = next(c for c in parsed["checks"] if c["theorem"] == "41")
+    residuals = {c["name"]: c["residual"] for c in thm41["conditions"]}
+    assert residuals["theta-sigma-fit-agreement"] == "nan"
+
+
+def test_report_json_is_strict():
+    doc = ReportDocument(kind="verify", scenario={"name": "x"})
+    doc.tables.append({"name": "t", "rows": [
+        {"rel_dev": float("nan"), "closed": [1.0, float("-inf")]},
+    ]})
+    text = doc.to_json(timings=False)
+    parsed = json.loads(text, parse_constant=_reject_constant)
+    assert parsed["tables"][0]["rows"][0] == {
+        "rel_dev": "nan", "closed": [1.0, "-inf"],
+    }
+
+
+# -- work per point ------------------------------------------------------------
+
+
+def _count_work(monkeypatch):
+    """Record every drift-bundle build (its chart point) and every
+    generic curvature sample (its point, direction and density kind)."""
+    import kropina.einstein as einstein
+    import kropina.forms as forms
+    import kropina.workbench as workbench
+
+    bundles, samples = [], []
+    real_init = forms.AbFields.__init__
+
+    def init(self, space, x):
+        bundles.append(tuple(float(v) for v in x))
+        real_init(self, space, x)
+
+    real_sample = einstein.curvature_sample
+
+    def sample(F, sigma, x, y, f=None):
+        samples.append((tuple(float(v) for v in x),
+                        tuple(float(v) for v in y), sigma.kind))
+        return real_sample(F, sigma, x, y, f=f)
+
+    monkeypatch.setattr(forms.AbFields, "__init__", init)
+    monkeypatch.setattr(einstein, "curvature_sample", sample)
+    monkeypatch.setattr(workbench, "curvature_sample", sample)
+    return bundles, samples
+
+
+def test_verify_builds_once_per_point(monkeypatch):
+    bundles, samples = _count_work(monkeypatch)
+    sc = load_scenario("s3_hopf")
+    run_verify(sc)
+    assert len(bundles) == sc.points == len(set(bundles))
+    assert len(samples) == sc.points * sc.directions == len(set(samples))
+
+    # a weight adds the unit-ball density for the S-curvature pair
+    bundles.clear()
+    samples.clear()
+    sc = load_scenario("euclid_gaussian")
+    run_verify(sc)
+    assert len(bundles) == sc.points == len(set(bundles))
+    assert len(samples) == 2 * sc.points * sc.directions == len(set(samples))
+    assert {kind for *_, kind in samples} == {"weighted", "Busemann-Hausdorff"}
+
+
+def test_check_builds_once_per_point_per_checker(monkeypatch):
+    bundles, samples = _count_work(monkeypatch)
+    sc = load_scenario("s3_hopf")
+    doc = run_check(sc)
+    checkers = len(doc.checks)
+    assert checkers == 2
+    points = set(bundles)
+    assert len(points) == sc.points
+    assert all(bundles.count(x) == checkers for x in points)
+    pairs = {(x, y) for x, y, _ in samples}
+    assert len(pairs) == sc.points * sc.directions
+    assert len(samples) == checkers * len(pairs)
