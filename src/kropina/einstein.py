@@ -49,7 +49,6 @@ from .riemann import (
     RiemannianMetric,
     _extract,
     eval_component_jets,
-    w_invariants_from_point,
 )
 
 
@@ -262,28 +261,6 @@ def pric(fields, y, route="closed"):
     derived constants vanish."""
     a, c = pric_constants(fields.n)
     return ric_ac(fields, WeightConfig(a, c, fields.n), y, route=route)
-
-
-def ric_ac_via_projective(fields, cfg: WeightConfig, y, route="closed"):
-    """ric_ac reassembled around the projective Ricci curvature:
-
-        ric_ac = pric - kappa/(n+1) * (Sdot + 4 S^2/(n+1))
-                      + nu * S^2/(n+1)^2.
-
-    Independent evaluation path for the identity tests.
-    """
-    _require_bundle_weight(fields, cfg)
-    n = fields.n
-    kappa, nu = cfg.kappa, cfg.nu
-    if route == "closed":
-        sdot = (n + 1) * s_dot_closed(fields, y)
-        s = s_closed(fields, y)
-    else:
-        sample = _generic_sample(fields, y)
-        sdot, s = sample.sdot, sample.s
-    base = pric(fields, y, route=route)
-    return (base - kappa / (n + 1) * (sdot + 4 * s**2 / (n + 1))
-            + nu * s**2 / (n + 1) ** 2)
 
 
 # -- the Einstein ansatz and its fit -------------------------------------------
@@ -639,7 +616,8 @@ def _verdict(conditions):
     return "FAIL"
 
 
-def _rel(value, *scales):
+def _scaled_residual(value, *scales):
+    """|value| over max(1, |scale|, ...)."""
     s = max([1.0] + [abs(float(v)) for v in scales])
     return abs(float(value)) / s
 
@@ -673,7 +651,7 @@ def _end_to_end(fld, cfg, ev, dens, ys, variants, res):
         val = _generic_ric_ac(curvature_sample(ev, dens, fld.x, y), cfg)
         for label, ansatz in variants:
             model = (n - 1) * ansatz.model(F, y)
-            res.add(label, _rel(val - model, val, model))
+            res.add(label, _scaled_residual(val - model, val, model))
 
 
 def _drift_scalars(fld):
@@ -745,7 +723,7 @@ def thm41_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6):
         norm2 = float(fp.w_low @ fp.w)
         scal["wind_norm_dev"].append(abs(norm2 - 1.0))
         _require_unit_wind(norm2, f"at {list(x)}")
-        wi = w_invariants_from_point(mp, fp)
+        wi = fp.invariants
         cov_scale = max(1.0, float(np.abs(fp.cov1).max()))
         res.add("wind-killing", float(np.abs(wi.r_ij).max()) / cov_scale)
 
@@ -867,8 +845,8 @@ def thm44_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6):
                 + (-kappa + n - 1) * b2**2 * hf_y
             )
             res.add("ricci-reduction",
-                    _rel(lhs - lam * inv.alpha2,
-                         ric_a * b2**2, lam * inv.alpha2))
+                    _scaled_residual(lhs - lam * inv.alpha2,
+                                     ric_a * b2**2, lam * inv.alpha2))
             odd = (
                 inv.beta * (
                     (n - 2) * sksk + 3 * (n - 1) * b2 * theta_b
@@ -883,9 +861,10 @@ def thm44_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6):
                 )
             )
             res.add("one-form-reduction",
-                    _rel(odd, inv.beta * b2 * (fld.div_s + ss),
-                         b2 * inv.s0_b, b2**2 * inv.div_s0,
-                         3 * (n - 1) * b2**2 * float(theta @ y)))
+                    _scaled_residual(
+                        odd, inv.beta * b2 * (fld.div_s + ss),
+                        b2 * inv.s0_b, b2**2 * inv.div_s0,
+                        3 * (n - 1) * b2**2 * float(theta @ y)))
 
         formula = EinsteinAnsatz(tuple(theta), sigma_formula)
         _end_to_end(fld, cfg, ev, dens, ys,

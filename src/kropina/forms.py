@@ -43,12 +43,18 @@ from .expr import (
     eval_expr,
     parse_expr,
 )
-from .generic import ConicDomainError, FinslerEvaluator, VolumeDensity
+from .generic import (
+    ConicDomainError,
+    FinslerEvaluator,
+    VolumeDensity,
+    _check_domain,
+)
 from .jets import Jet, jet_det
 from .riemann import (
     FieldPoint,
     MetricPoint,
     RiemannianMetric,
+    WInvariants,
     _extract,
     eval_component_jets,
     w_invariants_from_point,
@@ -233,12 +239,10 @@ class KropinaSpace:
             name=name,
         )
 
-    def with_gauge(self, gauge, check_at=None):
+    def with_gauge(self, gauge):
         """The same metric re-expressed in a different gauge b(x)."""
-        return KropinaSpace.from_nav(
-            self.h, self.w, gauge=gauge, weight=self.weight,
-            name=self.name, check_at=check_at,
-        )
+        return KropinaSpace.from_nav(self.h, self.w, gauge=gauge,
+                                     weight=self.weight, name=self.name)
 
     def with_weight(self, weight):
         return replace(self, weight=_coerce_scalar(weight, self.dim, "weight"))
@@ -247,8 +251,10 @@ class KropinaSpace:
         """Check the linking identities at sample points; raise on failure.
 
         xs is an iterable of chart points.  ys, when given, pairs with
-        xs and additionally checks that both views produce the same F.
+        xs and additionally checks that both views produce the same F;
+        a direction outside the conic domain raises ConicDomainError.
         """
+        views = [finsler_evaluator(self, v) for v in ("ab", "nav")]
         for k, x in enumerate(xs):
             env = [float(v) for v in x]
             h_val = _matrix_values(self.h, env)
@@ -278,8 +284,9 @@ class KropinaSpace:
                     )
             if ys is not None:
                 y = [float(v) for v in ys[k]]
-                f_ab = _f_ab(self, env, y)
-                f_nav = _f_nav(self, env, y)
+                for ev in views:
+                    _check_domain(ev, env, y)
+                f_ab, f_nav = (float(ev.func(env, y)) for ev in views)
                 if abs(f_ab - f_nav) > tol_view * max(1.0, abs(f_ab)):
                     raise ValueError(
                         f"F disagrees between views at point {k}: "
@@ -307,42 +314,16 @@ def _require_unit_wind(norm2, where):
         )
 
 
-def _f_ab(space, env, y):
-    a_val = _matrix_values(space.a, env)
-    b_val = np.array([eval_expr(e, env) for e in space.b], dtype=float)
-    yv = np.asarray(y, dtype=float)
-    beta = float(b_val @ yv)
-    if beta <= 0.0:
-        raise ConicDomainError("beta must be positive for F = alpha^2/beta")
-    return float(yv @ a_val @ yv) / beta
-
-
-def _f_nav(space, env, y):
-    h_val = _matrix_values(space.h, env)
-    w_val = np.array([eval_expr(e, env) for e in space.w], dtype=float)
-    yv = np.asarray(y, dtype=float)
-    w0 = float((h_val @ w_val) @ yv)
-    if w0 <= 0.0:
-        raise ConicDomainError("W_0 must be positive for F = h^2/(2 W_0)")
-    return float(yv @ h_val @ yv) / (2.0 * w0)
-
-
 # -- conversions --------------------------------------------------------------
 
 
-def ab_to_nav(space: KropinaSpace):
-    """Navigation data (h, W) of the space; W is a tuple of ExprAst."""
-    return space.h, space.w
-
-
-def nav_to_ab(h, w, gauge=None, check_at=None):
+def nav_to_ab(h, w, gauge=None):
     """(alpha, beta) data for navigation input, in the requested gauge.
 
     Returns (a, b): the view metric and the drift 1-form components.
-    gauge defaults to the constant 2.  check_at points, when given,
-    gate on ||W||_h = 1 to 1e-8 and raise ValueError otherwise.
+    gauge defaults to the constant 2.
     """
-    space = KropinaSpace.from_nav(h, w, gauge=gauge, check_at=check_at)
+    space = KropinaSpace.from_nav(h, w, gauge=gauge)
     return space.a, space.b
 
 
@@ -775,17 +756,34 @@ def isotropy_fit(fields: AbFields, rel_tol=1e-8) -> IsotropyFit:
 # -- navigation-side curvature --------------------------------------------------
 
 
-def nav_point(h: RiemannianMetric, w, x) -> FieldPoint:
-    """The wind W over the metric h at x: the navigation closed forms'
-    pointwise data (metric to second order, wind to first, so .mp holds
-    the curvature of h)."""
+class NavPoint(FieldPoint):
+    """The wind W over the metric h at one chart point: the navigation
+    closed forms' pointwise data (metric to second order, wind to first,
+    so .mp holds the curvature of h), with the W-invariants and the
+    Killing/S_j defects computed once for all directions."""
+
+    @cached_property
+    def invariants(self) -> WInvariants:
+        return w_invariants_from_point(self.mp, self)
+
+    @cached_property
+    def killing_defects(self):
+        """(scale, ||sym cov W||, ||S_j||), read by _nav_hypothesis."""
+        wi = self.invariants
+        return (max(1.0, float(np.linalg.norm(self.cov1))),
+                float(np.linalg.norm(wi.r_ij)),
+                float(np.linalg.norm(wi.s_vec)))
+
+
+def nav_point(h: RiemannianMetric, w, x) -> NavPoint:
+    """The NavPoint of the wind W over the metric h at x."""
     w = _coerce_vector(w, h.dim, "wind")
     xs = [float(v) for v in x]
     mp = MetricPoint.from_exprs(h, xs, order=2)
-    return FieldPoint.from_exprs(mp, list(w), xs, order=1)
+    return NavPoint.from_exprs(mp, list(w), xs, order=1)
 
 
-def _nav_frame(fp: FieldPoint, y):
+def _nav_frame(fp: NavPoint, y):
     """(y, W_0, F) at one direction; raises outside the conic domain."""
     y = np.asarray(y, dtype=float)
     w0 = float(fp.w_low @ y)
@@ -797,7 +795,7 @@ def _nav_frame(fp: FieldPoint, y):
     return y, w0, h2 / (2.0 * w0)
 
 
-def nav_spray(fp: FieldPoint, y) -> np.ndarray:
+def nav_spray(fp: NavPoint, y) -> np.ndarray:
     """Geodesic coefficients straight from navigation data.
 
     G^i = G^i_h - F S^i_0 - (R_00 + 2 F S_0) / (2F) (y^i - F W^i),
@@ -805,7 +803,7 @@ def nav_spray(fp: FieldPoint, y) -> np.ndarray:
     lowered wind; fp is a nav_point.
     """
     mp = fp.mp
-    wi = w_invariants_from_point(mp, fp)
+    wi = fp.invariants
     y, _, F = _nav_frame(fp, y)
     g_h = 0.5 * np.einsum("kij,i,j->k", mp.christoffel, y, y)
     s_i0 = wi.s_up @ y
@@ -814,17 +812,14 @@ def nav_spray(fp: FieldPoint, y) -> np.ndarray:
     return g_h - F * s_i0 - (r_00 + 2.0 * F * s_0) / (2.0 * F) * (y - F * fp.w)
 
 
-def _nav_hypothesis(fp: FieldPoint, tol: float):
+def _nav_hypothesis(fp: NavPoint, tol: float):
     """Gate for the isotropic-drift curvature formulas.
 
     They are only valid when the wind is Killing (symmetrised covariant
     derivative zero) and the skew contraction S_j vanishes; refuse to
     evaluate otherwise rather than return an unproven number.
     """
-    wi = w_invariants_from_point(fp.mp, fp)
-    scale = max(1.0, float(np.linalg.norm(fp.cov1)))
-    r_norm = float(np.linalg.norm(wi.r_ij))
-    s_norm = float(np.linalg.norm(wi.s_vec))
+    scale, r_norm, s_norm = fp.killing_defects
     if r_norm > tol * scale:
         raise HypothesisNotMetError(
             f"wind is not Killing here: ||sym cov W|| = {r_norm:.3e} "
@@ -834,10 +829,10 @@ def _nav_hypothesis(fp: FieldPoint, tol: float):
         raise HypothesisNotMetError(
             f"skew contraction S_j does not vanish: ||S_j|| = {s_norm:.3e}"
         )
-    return wi
+    return fp.invariants
 
 
-def nav_riemann_isotropic(fp: FieldPoint, y, tol=1e-8) -> np.ndarray:
+def nav_riemann_isotropic(fp: NavPoint, y, tol=1e-8) -> np.ndarray:
     """Riemann curvature R^i_k from navigation data, Killing wind only.
 
     Index convention for the base curvature riem[p, i, k, q] =
@@ -862,7 +857,7 @@ def nav_riemann_isotropic(fp: FieldPoint, y, tol=1e-8) -> np.ndarray:
     return t1 + t2 + t3 + t4 + t5 + t6
 
 
-def nav_ricci_isotropic(fp: FieldPoint, y, tol=1e-8) -> float:
+def nav_ricci_isotropic(fp: NavPoint, y, tol=1e-8) -> float:
     """Ricci curvature from navigation data, Killing wind only."""
     wi = _nav_hypothesis(fp, tol)
     y, _, F = _nav_frame(fp, y)
@@ -873,35 +868,6 @@ def nav_ricci_isotropic(fp: FieldPoint, y, tol=1e-8) -> float:
         - 2.0 * F * (y @ ric @ fp.w)
         - F * F * np.einsum("ij,ji->", s_up, s_up)
     )
-
-
-def rs_from_RS(space: KropinaSpace, x, y):
-    """(r_00, s^i_0, s_0) of the view metric from navigation-side data.
-
-    Computes the drift-derivative contractions from the wind's
-    covariant derivatives and the gauge's log-gradient instead of from
-    the view metric directly; must agree with ab_invariants.
-    """
-    xs = [float(v) for v in x]
-    mp = MetricPoint.from_exprs(space.h, xs, order=1)
-    fp = FieldPoint.from_exprs(mp, list(space.w), xs, order=1)
-    wi = w_invariants_from_point(mp, fp)
-    rj = eval_component_jets(space.rho, xs, 1)
-    rho_grad = np.asarray(rj.gradient())
-    e2 = math.exp(-2.0 * rj.value)
-    y = np.asarray(y, dtype=float)
-    h2 = float(y @ mp.g @ y)
-    w0 = float(fp.w_low @ y)
-    w_rho = float(fp.w @ rho_grad)
-    rho_0 = float(rho_grad @ y)
-    rho_up = mp.ginv @ rho_grad
-    big_r00 = float(y @ wi.r_ij @ y)
-    big_si0 = wi.s_up @ y
-    big_s0 = float(wi.s_vec @ y)
-    r_00 = 2.0 * e2 * (big_r00 - w_rho * h2)
-    s_i0 = 2.0 * (big_si0 + rho_up * w0 - rho_0 * fp.w)
-    s_0 = 4.0 * e2 * (big_s0 + w_rho * w0 - rho_0)
-    return r_00, s_i0, s_0
 
 
 # -- volume densities and evaluators --------------------------------------------
@@ -984,61 +950,40 @@ def finsler_evaluator(space: KropinaSpace, view="ab") -> FinslerEvaluator:
     """
     n = space.dim
     if view == "ab":
-        a_exprs = space.a.exprs
-        b_exprs = space.b
+        quad = space.a.exprs
 
-        def func(x, y):
-            env = list(x)
-            num = _quadratic_eval(a_exprs, env, y, n)
-            den = None
+        def den(env, y):
+            """beta = b_i y^i."""
+            acc = None
             for i in range(n):
-                t = eval_expr(b_exprs[i], env) * y[i]
-                den = t if den is None else den + t
-            return num / den
-
-        def domain(x, y):
-            env = list(x)
-            den = None
-            for i in range(n):
-                t = eval_expr(b_exprs[i], env) * y[i]
-                den = t if den is None else den + t
-            return den > 0
+                t = eval_expr(space.b[i], env) * y[i]
+                acc = t if acc is None else acc + t
+            return acc
 
     elif view == "nav":
-        h_exprs = space.h.exprs
-        w_exprs = space.w
+        quad = space.h.exprs
 
-        def func(x, y):
-            env = list(x)
-            num = _quadratic_eval(h_exprs, env, y, n)
-            den = None
+        def den(env, y):
+            """2 W_0 = 2 h_ij W^j y^i."""
+            acc = None
             for i in range(n):
                 wl = None
                 for j in range(n):
-                    t = eval_expr(h_exprs[i][j], env) * eval_expr(
-                        w_exprs[j], env
-                    )
+                    t = eval_expr(quad[i][j], env) * eval_expr(space.w[j], env)
                     wl = t if wl is None else wl + t
                 t = wl * y[i]
-                den = t if den is None else den + t
-            return num / (2.0 * den)
-
-        def domain(x, y):
-            env = list(x)
-            den = None
-            for i in range(n):
-                wl = None
-                for j in range(n):
-                    t = eval_expr(h_exprs[i][j], env) * eval_expr(
-                        w_exprs[j], env
-                    )
-                    wl = t if wl is None else wl + t
-                t = wl * y[i]
-                den = t if den is None else den + t
-            return den > 0
+                acc = t if acc is None else acc + t
+            return 2.0 * acc
 
     else:
         raise ValueError(f"view must be 'ab' or 'nav', got {view!r}")
+
+    def func(x, y):
+        env = list(x)
+        return _quadratic_eval(quad, env, y, n) / den(env, y)
+
+    def domain(x, y):
+        return den(list(x), y) > 0
 
     def box_hint(x):
         env = [float(v) for v in x]

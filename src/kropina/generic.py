@@ -137,27 +137,6 @@ def _metric_jets(f2: Jet, n: int):
     return rows
 
 
-def spray_generic(F: FinslerEvaluator, x, y) -> np.ndarray:
-    """Geodesic coefficients G^i = (1/4) g^{il} ([F^2]_{x^k y^l} y^k - [F^2]_{x^l})."""
-    _check_domain(F, x, y)
-    n = F.dim
-    f2 = _f2_jet(F, x, y, 2)
-    g = np.empty((n, n))
-    rhs = np.empty(n)
-    for l in range(n):
-        for i in range(l, n):
-            g[l, i] = g[i, l] = 0.5 * f2.partial(_unit2(2 * n, n + l, n + i))
-        acc = 0.0
-        for k in range(n):
-            acc += f2.partial(_unit2(2 * n, k, n + l)) * y[k]
-        rhs[l] = acc - f2.partial(_unit2(2 * n, l))
-    _check_invertible(g)
-    try:
-        return 0.25 * np.linalg.solve(g, rhs)
-    except np.linalg.LinAlgError as e:
-        raise SingularMetricError(str(e)) from e
-
-
 def _spray_jets(F: FinslerEvaluator, y, f2: Jet):
     """G^i as jets over the 2n variables, two orders below f2."""
     n = F.dim
@@ -285,46 +264,6 @@ def curvature_sample(
         sdot=sdot,
         hess_f=hess,
     )
-
-
-@dataclass(frozen=True)
-class GeodesicPath:
-    t: np.ndarray
-    pos: np.ndarray  # (steps + 1, n)
-    vel: np.ndarray  # (steps + 1, n)
-
-
-def geodesic_flow(F: FinslerEvaluator, x, y, t_end: float, steps: int) -> GeodesicPath:
-    """Integrate the geodesic equation xddot = -2 G(x, xdot) with classical RK4."""
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
-    h = t_end / steps
-    if not (h > 0.0 and math.isfinite(h)):
-        raise ValueError("step underflow: t_end/steps must be positive and finite")
-    n = F.dim
-
-    def rhs(xv, yv):
-        return yv, -2.0 * spray_generic(F, list(xv), list(yv))
-
-    pos = np.empty((steps + 1, n))
-    vel = np.empty((steps + 1, n))
-    xv = np.asarray(x, dtype=float).copy()
-    yv = np.asarray(y, dtype=float).copy()
-    pos[0], vel[0] = xv, yv
-    for k in range(steps):
-        try:
-            k1x, k1y = rhs(xv, yv)
-            k2x, k2y = rhs(xv + 0.5 * h * k1x, yv + 0.5 * h * k1y)
-            k3x, k3y = rhs(xv + 0.5 * h * k2x, yv + 0.5 * h * k2y)
-            k4x, k4y = rhs(xv + h * k3x, yv + h * k3y)
-        except ConicDomainError as e:
-            raise ConicDomainError(
-                f"geodesic left the conic domain near t={k * h:.6g}"
-            ) from e
-        xv = xv + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        yv = yv + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        pos[k + 1], vel[k + 1] = xv, yv
-    return GeodesicPath(np.linspace(0.0, t_end, steps + 1), pos, vel)
 
 
 @dataclass(frozen=True)

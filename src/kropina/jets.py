@@ -368,14 +368,3 @@ def jet_solve(A, rhs):
                 M[r][c] = M[r][c] - factor * M[col][c]
             b[r] = b[r] - factor * b[col]
     return [b[i] * M[i][i].reciprocal() for i in range(n)]
-
-
-def jet_inverse(A):
-    """Columns of A^-1 via jet_solve against unit vectors."""
-    n = len(A)
-    space = A[0][0].space
-    cols = []
-    for j in range(n):
-        e = [space.constant(1.0 if i == j else 0.0) for i in range(n)]
-        cols.append(jet_solve(A, e))
-    return [[cols[j][i] for j in range(n)] for i in range(n)]

@@ -16,6 +16,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from jsonschema.exceptions import best_match
 from .einstein import WeightConfig, weight_preset
 from .expr import ExprError, eval_expr, parse_expr
 from .forms import KropinaSpace, _matrix_values
-from .riemann import metric_from_strings
+from .riemann import RiemannianMetric
 
 SCENARIO_SCHEMA_ID = "scenario/1"
 
@@ -101,16 +102,9 @@ def _coeff(value, pointer):
         ) from None
 
 
-def _parse_checked(text, dim, pointer):
-    try:
-        return parse_expr(text, dim)
-    except ExprError as e:
-        raise ScenarioError(str(e), pointer) from None
-
-
 @dataclass(frozen=True)
 class Scenario:
-    """One validated scenario document, ready to build spaces and samples."""
+    """One validated scenario document and its space, ready to sample."""
 
     name: str
     dimension: int
@@ -127,32 +121,58 @@ class Scenario:
     tolerances: dict
     description: str = ""
 
-    def space(self, check=False):
-        rows = [list(r) for r in self.metric]
-        m = metric_from_strings(rows, self.dimension)
+    def space(self):
+        """The scenario's one KropinaSpace, built and probe-checked on
+        first use (at load, for a loaded scenario) and shared after."""
+        return self._space
+
+    @cached_property
+    def _space(self):
+        """The space of the source strings.
+
+        Each distinct string is parsed once, with the JSON pointer of its
+        first use, so a mirrored metric entry shares the upper entry's
+        tree.  A navigation space is checked for an h-unit wind at the
+        probe points.
+        """
+        n = self.dimension
+        asts = {}
+
+        def parse(text, pointer):
+            if text not in asts:
+                try:
+                    asts[text] = parse_expr(text, n)
+                except ExprError as e:
+                    raise ScenarioError(str(e), pointer) from None
+            return asts[text]
+
+        rows = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = parse(self.metric[i][j],
+                                                f"/metric/{i}/{j}")
+        metric = RiemannianMetric(n, tuple(tuple(row) for row in rows))
+        vector = [parse(e, f"/vector/{i}") for i, e in enumerate(self.vector)]
+        weight = None if self.weight is None else parse(self.weight, "/weight")
         if self.representation == "nav":
-            check_at = self.probe_points() if check else None
+            gauge = None if self.gauge is None else parse(self.gauge, "/gauge")
             return KropinaSpace.from_nav(
-                m,
-                list(self.vector),
-                gauge=self.gauge,
-                weight=self.weight,
-                name=self.name,
-                check_at=check_at,
+                metric, vector, gauge=gauge, weight=weight, name=self.name,
+                check_at=self.probe_points(),
             )
-        return KropinaSpace.from_ab(
-            m, list(self.vector), weight=self.weight, name=self.name
-        )
+        return KropinaSpace.from_ab(metric, vector, weight=weight,
+                                    name=self.name)
 
     def config(self):
         c = self.constants
+        f = self.space().weight
         if "preset" in c:
-            return weight_preset(c["preset"], self.dimension, f=self.weight)
+            return weight_preset(c["preset"], self.dimension, f=f)
         return WeightConfig(
             _coeff(c["a"], "/constants/a"),
             _coeff(c["c"], "/constants/c"),
             self.dimension,
-            f=self.weight,
+            f=f,
         )
 
     def tolerance(self, key, default):
@@ -160,12 +180,7 @@ class Scenario:
 
     def probe_points(self, count=3):
         """Deterministic chart points used for load-time validation."""
-        box = np.asarray(self.box, dtype=float)
-        rng = np.random.default_rng([self.seed, 0xAD0B17])
-        pts = [0.5 * (box[:, 0] + box[:, 1])]
-        for _ in range(max(0, count - 1)):
-            pts.append(rng.uniform(box[:, 0], box[:, 1]))
-        return [list(map(float, p)) for p in pts]
+        return _probe_plan(self.box, self.seed, count)[0]
 
     def as_dict(self):
         doc = {
@@ -192,6 +207,17 @@ class Scenario:
         return doc
 
 
+def _probe_plan(box, seed, count):
+    """The load-time probe points (the box centre, then seeded uniform
+    draws) and the generator that drew them."""
+    box = np.asarray(box, dtype=float)
+    rng = np.random.default_rng([int(seed), 0xAD0B17])
+    pts = [0.5 * (box[:, 0] + box[:, 1])]
+    for _ in range(max(0, count - 1)):
+        pts.append(rng.uniform(box[:, 0], box[:, 1]))
+    return [list(map(float, p)) for p in pts], rng
+
+
 def _from_dict(doc, origin):
     _schema_check(doc)
     n = int(doc["dimension"])
@@ -199,9 +225,6 @@ def _from_dict(doc, origin):
     metric = doc["metric"]
     if len(metric) != n or any(len(row) != n for row in metric):
         raise ScenarioError(f"metric must be {n} x {n}", "/metric")
-    for i, row in enumerate(metric):
-        for j, entry in enumerate(row):
-            _parse_checked(entry, n, f"/metric/{i}/{j}")
     for i in range(n):
         for j in range(i + 1, n):
             if metric[i][j] != metric[j][i]:
@@ -213,21 +236,13 @@ def _from_dict(doc, origin):
     vector = doc["vector"]
     if len(vector) != n:
         raise ScenarioError(f"vector needs {n} components", "/vector")
-    for i, entry in enumerate(vector):
-        _parse_checked(entry, n, f"/vector/{i}")
 
     gauge = doc.get("gauge")
-    if gauge is not None:
-        if doc["representation"] == "ab":
-            raise ScenarioError(
-                "the ab representation derives its gauge from the drift",
-                "/gauge",
-            )
-        _parse_checked(gauge, n, "/gauge")
-
-    weight = doc.get("weight")
-    if weight is not None:
-        _parse_checked(weight, n, "/weight")
+    if gauge is not None and doc["representation"] == "ab":
+        raise ScenarioError(
+            "the ab representation derives its gauge from the drift",
+            "/gauge",
+        )
 
     constants = dict(doc.get("constants", {"preset": "plain"}))
     box = doc.get("box", [[-0.5, 0.5]] * n)
@@ -246,7 +261,7 @@ def _from_dict(doc, origin):
         metric=tuple(tuple(row) for row in metric),
         vector=tuple(vector),
         gauge=gauge,
-        weight=weight,
+        weight=doc.get("weight"),
         constants=constants,
         box=tuple((float(lo), float(hi)) for lo, hi in box),
         points=int(doc.get("points", 4)),
@@ -256,6 +271,16 @@ def _from_dict(doc, origin):
         description=doc.get("description", ""),
     )
 
+    try:
+        space = scenario.space()
+    except ScenarioError:
+        raise
+    except ExprError as e:
+        raise ScenarioError(str(e), "/metric") from None
+    except ValueError as e:
+        # from_nav's unit-wind check, or a shape problem deeper down
+        raise ScenarioError(f"{origin}: {e}", "/vector") from None
+
     # Resolve constants now so a bad preset fails at load, not mid-run.
     try:
         scenario.config()
@@ -264,16 +289,6 @@ def _from_dict(doc, origin):
     except ValueError as e:
         pointer = "/constants/preset" if "preset" in constants else "/constants"
         raise ScenarioError(str(e), pointer) from None
-
-    try:
-        space = scenario.space(check=True)
-    except ScenarioError:
-        raise
-    except ExprError as e:
-        raise ScenarioError(str(e), "/metric") from None
-    except ValueError as e:
-        # from_nav's unit-wind check, or a shape problem deeper down
-        raise ScenarioError(f"{origin}: {e}", "/vector") from None
 
     rate = admissibility_rate(space, scenario.box, scenario.seed)
     if rate <= _ADMISSIBILITY_FLOOR:
@@ -321,42 +336,34 @@ def load_scenario(source):
 # -- sampling -------------------------------------------------------------
 
 
-def _wind_at(space, x):
-    env = [float(v) for v in x]
-    return np.array([eval_expr(e, env) for e in space.w], dtype=float)
-
-
 def admissibility_rate(space, box, seed, points=3, draws=64):
-    """Fraction of isotropic random directions with positive drift pairing.
+    """Fraction of isotropic random directions with beta = b_i y^i > 0.
 
-    Evaluation failures at a probe point count the whole point as
-    inadmissible; a metric that cannot be evaluated on its own box is
-    as unusable as an empty cone.
+    beta > 0 is the conic domain in both views (b_i = 2 e^{-2 rho} W_i),
+    so the rate reads the (alpha, beta) view at the probe points.
+    Evaluation failures of a_ij or b_i at a probe point count the whole
+    point as inadmissible; a metric that cannot be evaluated on its own
+    box is as unusable as an empty cone.
     """
-    box = np.asarray(box, dtype=float)
-    rng = np.random.default_rng([int(seed), 0xAD0B17])
-    pts = [0.5 * (box[:, 0] + box[:, 1])]
-    for _ in range(points - 1):
-        pts.append(rng.uniform(box[:, 0], box[:, 1]))
-    total = 0
+    pts, rng = _probe_plan(box, seed, points)
     hits = 0
     for x in pts:
-        total += draws
         try:
-            h = _matrix_values(space.h, x)
-            w_low = h @ _wind_at(space, x)
+            _matrix_values(space.a, x)
+            b_low = np.array([eval_expr(e, x) for e in space.b], dtype=float)
         except (ExprError, ArithmeticError):
             continue
         ys = rng.standard_normal((draws, space.dim))
-        hits += int(np.sum(ys @ w_low > 0.0))
-    return hits / total
+        hits += int(np.sum(ys @ b_low > 0.0))
+    return hits / (draws * len(pts))
 
 
 def sample_directions(space, x, count, rng, cutoff=DEFAULT_CUTOFF):
     """Admissible directions at x: uniform on the h-unit sphere with the
     degenerate cone boundary rejected (W_0 above the cutoff)."""
-    h = _matrix_values(space.h, x)
-    w_low = h @ _wind_at(space, x)
+    env = [float(v) for v in x]
+    h = _matrix_values(space.h, env)
+    w_low = h @ np.array([eval_expr(e, env) for e in space.w], dtype=float)
     out = []
     tries = 0
     limit = 400 * count + 400
@@ -384,19 +391,18 @@ def box_points(scenario, count, rng):
 
 def scenario_samples(
     scenario,
-    space=None,
     points=None,
     directions=None,
     seed=None,
     cutoff=DEFAULT_CUTOFF,
 ):
-    """The seeded sampling plan: [(x, [y, ...]), ...].
+    """The seeded sampling plan over the scenario's space:
+    [(x, [y, ...]), ...].
 
     Deterministic for a fixed (scenario, seed); the scenario's own seed
     applies unless an override is given.
     """
-    if space is None:
-        space = scenario.space()
+    space = scenario.space()
     rng = np.random.default_rng(scenario.seed if seed is None else int(seed))
     n_pts = scenario.points if points is None else int(points)
     n_dirs = scenario.directions if directions is None else int(directions)

@@ -63,7 +63,8 @@ VERIFY_TOLS = {
 }
 
 
-def _rel(a, b):
+def _rel_dev(a, b):
+    """Largest absolute difference of a and b over max(1, |a|, |b|)."""
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
@@ -119,9 +120,8 @@ def run_check(scenario, theorem="auto", seed=None, tol=None):
         # checker conditions compare formula routes through the generic
         # pipeline, whose high-order jets degrade near the cone boundary;
         # sample with the comparison margin, not the bare domain cutoff
-        samples = scenario_samples(
-            scenario, space=space, seed=seed, cutoff=COMPARISON_CUTOFF
-        )
+        samples = scenario_samples(scenario, seed=seed,
+                                   cutoff=COMPARISON_CUTOFF)
 
     for t in ids:
         with doc.timed(f"thm{t}"):
@@ -196,7 +196,7 @@ def _pair_row(x, y, closed, generic):
         return row
     row["closed"] = _listed(value) if np.ndim(value) else float(value)
     row["generic"] = _listed(generic) if np.ndim(generic) else float(generic)
-    row["rel_dev"] = _rel(value, generic)
+    row["rel_dev"] = _rel_dev(value, generic)
     return row
 
 
@@ -222,7 +222,6 @@ def run_verify(scenario, points=None, dirs=None, seed=None, mc_samples=20000):
     with doc.timed("sampling"):
         samples = scenario_samples(
             scenario,
-            space=space,
             points=points,
             directions=dirs,
             seed=seed,
@@ -293,14 +292,10 @@ def run_verify(scenario, points=None, dirs=None, seed=None, mc_samples=20000):
 # -- convert ------------------------------------------------------------------
 
 
-def _check_gauge_positive(gauge_text, scenario):
-    try:
-        ast = parse_expr(gauge_text, scenario.dimension)
-    except ExprError as e:
-        raise GaugeError(f"gauge does not parse: {e}") from None
+def _check_gauge_positive(gauge, scenario):
     for x in scenario.probe_points():
         try:
-            value = float(eval_expr(ast, list(x)))
+            value = float(eval_expr(gauge, list(x)))
         except (ExprError, ArithmeticError) as e:
             raise GaugeError(
                 f"gauge cannot be evaluated at {x}: {e}"
@@ -309,7 +304,6 @@ def _check_gauge_positive(gauge_text, scenario):
             raise GaugeError(
                 f"gauge must be positive on the chart; got {value:g} at {x}"
             )
-    return ast
 
 
 def run_convert(scenario, to, gauge=None, seed=None):
@@ -317,15 +311,23 @@ def run_convert(scenario, to, gauge=None, seed=None):
 
     The emitted document is validated through the ordinary loader, and
     the report carries numeric evidence: F evaluated through source and
-    converted expressions at the scenario's own sample plan.
+    converted expressions at the scenario's own sample plan, all
+    directions of a chart point in one evaluation over numpy columns.
+    Without a gauge text the space's own gauge is used.
     """
     scenario = load_scenario(scenario)
     if to not in ("nav", "ab"):
         raise ValueError(f"unknown representation {to!r}; expected nav or ab")
     space = scenario.space()
 
-    gauge_text = gauge if gauge is not None else print_expr(space.gauge)
-    _check_gauge_positive(gauge_text, scenario)
+    if gauge is None:
+        gauge_ast = space.gauge
+    else:
+        try:
+            gauge_ast = parse_expr(gauge, scenario.dimension)
+        except ExprError as e:
+            raise GaugeError(f"gauge does not parse: {e}") from None
+    _check_gauge_positive(gauge_ast, scenario)
 
     doc = ReportDocument(kind="convert", scenario=scenario.as_dict())
     emitted = scenario.as_dict()
@@ -335,41 +337,37 @@ def run_convert(scenario, to, gauge=None, seed=None):
 
     with doc.timed("rewrite"):
         if to == "nav":
-            h, w = space.h, space.w
-            emitted["metric"] = [
-                [print_expr(h.exprs[i][j]) for j in range(space.dim)]
-                for i in range(space.dim)
-            ]
-            emitted["vector"] = [print_expr(c) for c in w]
-            emitted["gauge"] = gauge_text
+            metric, vector = space.h, space.w
+            emitted["gauge"] = (gauge if gauge is not None
+                                else print_expr(gauge_ast))
+        elif gauge is None and scenario.representation == "nav":
+            # a navigation space already holds (a, b) in its own gauge
+            metric, vector = space.a, space.b
         else:
-            a, b = nav_to_ab(space.h, space.w, gauge=gauge_text)
-            emitted["metric"] = [
-                [print_expr(a.exprs[i][j]) for j in range(space.dim)]
-                for i in range(space.dim)
-            ]
-            emitted["vector"] = [print_expr(c) for c in b]
+            metric, vector = nav_to_ab(space.h, space.w, gauge=gauge_ast)
+        emitted["metric"] = [[print_expr(e) for e in row]
+                             for row in metric.exprs]
+        emitted["vector"] = [print_expr(c) for c in vector]
 
     with doc.timed("validate"):
-        converted = load_scenario(emitted)
-        conv_space = converted.space()
+        conv_space = load_scenario(emitted).space()
 
     tol = scenario.tolerance("convert", 1e-10)
     src_f = finsler_evaluator(space, "ab")
     dst_f = finsler_evaluator(conv_space, "ab")
     rows = []
     with doc.timed("evidence"):
-        samples = scenario_samples(scenario, space=space, seed=seed)
-        for x, ys in samples:
-            for y in ys:
-                f_src = float(src_f.func(list(x), list(y)))
-                f_dst = float(dst_f.func(list(x), list(y)))
+        for x, ys in scenario_samples(scenario, seed=seed):
+            cols = list(np.transpose(ys))
+            f_src = src_f.func(list(x), cols)
+            f_dst = dst_f.func(list(x), cols)
+            for k, y in enumerate(ys):
                 rows.append({
                     "x": _listed(x),
                     "y": _listed(y),
-                    "f_source": f_src,
-                    "f_converted": f_dst,
-                    "rel_dev": _rel(f_src, f_dst),
+                    "f_source": float(f_src[k]),
+                    "f_converted": float(f_dst[k]),
+                    "rel_dev": _rel_dev(f_src[k], f_dst[k]),
                 })
     table = _table("f-agreement", tol, rows, "rel_dev")
     doc.tables.append(table)

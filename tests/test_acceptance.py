@@ -34,7 +34,6 @@ from kropina.forms import (
 from kropina.generic import (
     bh_density,
     curvature_sample,
-    spray_generic,
 )
 from kropina.jets import Jet, jet_space
 from kropina.riemann import (
@@ -49,6 +48,7 @@ from kropina.scenarios import (
     scenario_samples,
 )
 from kropina.workbench import run_check
+from oracles import spray_generic
 
 SCENARIO_NAMES = (
     "euclid_parallel",
@@ -83,7 +83,7 @@ def grid():
         sc = load_scenario(name)
         space = sc.space()
         samples = scenario_samples(
-            sc, space=space, points=3, directions=10,
+            sc, points=3, directions=10,
             cutoff=COMPARISON_CUTOFF,
         )
         out[name] = (sc, space, samples)

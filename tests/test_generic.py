@@ -13,9 +13,7 @@ from kropina.generic import (
     VolumeDensity,
     bh_density,
     curvature_sample,
-    geodesic_flow,
     hess_form,
-    spray_generic,
     unit_ball_volume,
 )
 from kropina.jets import Jet
@@ -26,6 +24,7 @@ from kropina.riemann import (
     hess_h,
     metric_from_strings,
 )
+from oracles import geodesic_flow, spray_generic
 
 SPHERE3 = metric_from_strings(
     [["1", "0", "0"], ["0", "sin(x1)^2", "0"], ["0", "0", "cos(x1)^2"]]

@@ -248,7 +248,7 @@ def test_admissibility_rate_for_healthy_scenario():
 def test_scenario_samples_shape_and_admissibility():
     sc = load_scenario("s3_hopf")
     space = sc.space()
-    samples = scenario_samples(sc, space=space)
+    samples = scenario_samples(sc)
     assert len(samples) == sc.points
     box = np.asarray(sc.box)
     for x, ys in samples:
@@ -335,3 +335,69 @@ def test_random_scenario_dimensions():
 def test_random_prefix_wants_integer():
     with pytest.raises(ScenarioError, match="integer seed"):
         load_scenario("random:x")
+
+
+# -- load once -----------------------------------------------------------------
+
+
+def test_load_parses_each_distinct_string_once(monkeypatch):
+    import kropina.scenarios as scenarios
+
+    parsed = []
+    real = scenarios.parse_expr
+
+    def counting(text, dim):
+        parsed.append(text)
+        return real(text, dim)
+
+    monkeypatch.setattr(scenarios, "parse_expr", counting)
+    for source in ("torus_wind", "s3_hopf", "random:3"):
+        parsed.clear()
+        sc = load_scenario(source)
+        strings = {e for row in sc.metric for e in row} | set(sc.vector)
+        strings |= {s for s in (sc.gauge, sc.weight) if s is not None}
+        assert sorted(parsed) == sorted(strings)
+        space = sc.space()
+        if sc.representation == "ab":
+            assert space.a.exprs[0][1] is space.a.exprs[1][0]
+        else:
+            assert space.h.exprs[0][1] is space.h.exprs[1][0]
+    assert len(set(parsed)) == len(parsed)
+
+
+def test_space_is_built_once_and_replaced_scenarios_build_their_own():
+    from dataclasses import replace
+
+    sc = load_scenario("torus_wind")
+    assert sc.space() is sc.space()
+    assert sc.config().f is sc.space().weight
+    fewer = replace(sc, points=1)
+    assert fewer.space() is not sc.space()
+    assert fewer.space() is fewer.space()
+
+
+def test_admissibility_reads_the_ab_view_only(monkeypatch):
+    """On an ab document the rate evaluates a_ij and b_i, never the
+    adjugate-derived h_ij or W^i."""
+    import kropina.forms as forms
+    import kropina.scenarios as scenarios
+
+    sc = load_scenario("torus_wind")
+    space = sc.space()
+    seen = []
+    real = scenarios.eval_expr
+
+    def recording(ast, env):
+        seen.append(id(ast))
+        return real(ast, env)
+
+    monkeypatch.setattr(scenarios, "eval_expr", recording)
+    monkeypatch.setattr(forms, "eval_expr", recording)
+    rate = admissibility_rate(space, sc.box, sc.seed)
+    assert 0.3 < rate < 0.7
+    derived = {id(e) for row in space.h.exprs for e in row}
+    derived |= {id(e) for e in space.w}
+    source = {id(e) for row in space.a.exprs for e in row}
+    source |= {id(e) for e in space.b}
+    assert seen and not derived & set(seen)
+    assert set(seen) == source

@@ -1,5 +1,6 @@
 """Run drivers: check/verify/convert reports, verdict folding, round trips."""
 import json
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -467,3 +468,108 @@ def test_check_builds_once_per_point_per_checker(monkeypatch):
     pairs = {(x, y) for x, y, _ in samples}
     assert len(pairs) == sc.points * sc.directions
     assert len(samples) == checkers * len(pairs)
+
+
+# -- load once: the scenario's space serves every driver ------------------------
+
+
+def _record_space_builds(monkeypatch):
+    """Record the name of every space built through from_ab / from_nav."""
+    import kropina.forms as forms
+
+    built = []
+    for name in ("from_ab", "from_nav"):
+        real = forms.KropinaSpace.__dict__[name].__func__
+
+        def build(cls, *args, _real=real, **kwargs):
+            space = _real(cls, *args, **kwargs)
+            built.append(space.name)
+            return space
+
+        monkeypatch.setattr(forms.KropinaSpace, name, classmethod(build))
+    return built
+
+
+def _record_parses(monkeypatch):
+    import kropina.einstein as einstein
+    import kropina.expr as expr
+    import kropina.forms as forms
+    import kropina.scenarios as scenarios
+    import kropina.workbench as workbench
+
+    parsed = []
+    real = expr.parse_expr
+
+    def parse(text, dim):
+        parsed.append(text)
+        return real(text, dim)
+
+    for module in (expr, einstein, forms, scenarios, workbench):
+        monkeypatch.setattr(module, "parse_expr", parse)
+    return parsed
+
+
+def test_check_and_verify_reuse_the_loaded_space(monkeypatch):
+    for name in ("torus_wind", "euclid_gaussian"):
+        sc = load_scenario(name)
+        built = _record_space_builds(monkeypatch)
+        parsed = _record_parses(monkeypatch)
+        run_check(sc)
+        run_verify(sc, points=1, dirs=2, mc_samples=500)
+        assert built == [] and parsed == []
+        monkeypatch.undo()
+
+
+def test_convert_builds_only_the_emitted_space(monkeypatch):
+    for name, to in (("s3_hopf", "ab"), ("torus_wind", "nav")):
+        sc = load_scenario(name)
+        built = _record_space_builds(monkeypatch)
+        doc = run_convert(sc, to)
+        assert doc.verdict == "PASS"
+        assert built == [f"{name}_{to}"]
+        monkeypatch.undo()
+
+
+def test_convert_evidence_evaluates_f_once_per_point(monkeypatch):
+    """F is evaluated once per chart point and view, over numpy columns
+    holding every sampled direction of that point."""
+    import kropina.workbench as workbench
+
+    calls = []
+    real = workbench.finsler_evaluator
+
+    def counted(space, view="ab"):
+        ev = real(space, view)
+
+        def func(x, y):
+            calls.append(len(y[0]))
+            return ev.func(x, y)
+
+        return replace(ev, func=func)
+
+    monkeypatch.setattr(workbench, "finsler_evaluator", counted)
+    sc = load_scenario("torus_wind")
+    doc = run_convert(sc, "nav")
+    assert doc.verdict == "PASS"
+    assert calls == [sc.directions] * (2 * sc.points)
+    assert len(doc.tables[0]["rows"]) == sc.points * sc.directions
+
+
+def test_verify_builds_one_w_invariants_per_point(monkeypatch):
+    import kropina.forms as forms
+
+    points = []
+    real = forms.w_invariants_from_point
+
+    def counted(mp, fp):
+        points.append(id(fp))
+        return real(mp, fp)
+
+    monkeypatch.setattr(forms, "w_invariants_from_point", counted)
+    for name in ("s3_hopf", "torus_wind"):
+        points.clear()
+        sc = load_scenario(name)
+        doc = run_verify(sc, mc_samples=500)
+        assert len(points) == len(set(points)) == sc.points
+    nav_ricci = next(t for t in doc.tables if t["name"] == "nav-ricci")
+    assert nav_ricci["skipped"] == sc.points * sc.directions
