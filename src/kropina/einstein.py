@@ -42,7 +42,7 @@ from .forms import (
     s_dot_closed,
     volume_density,
 )
-from .generic import curvature_sample
+from .generic import curvature_sample, generic_point
 from .riemann import (
     MetricPoint,
     NotPositiveDefiniteError,
@@ -195,7 +195,7 @@ def weight_preset(name, n, f=None):
 
 
 def _space_with_cfg(space: KropinaSpace, cfg: WeightConfig) -> KropinaSpace:
-    if cfg.f is None:
+    if cfg.f is None or cfg.f is space.weight:
         return space
     return space.with_weight(cfg.f)
 
@@ -229,8 +229,44 @@ def _generic_ric_ac(sample, cfg: WeightConfig):
 def _generic_sample(fields, y):
     """The generic curvature sample at (x, y) against the weighted density."""
     space = fields.space
-    return curvature_sample(finsler_evaluator(space, "ab"),
-                            volume_density(space), fields.x, y)
+    point = generic_point(finsler_evaluator(space, "ab"),
+                          volume_density(space), fields.x)
+    return curvature_sample(point, y)
+
+
+class GenericSamples:
+    """Generic curvature samples of one space against its weighted
+    density, each chart point staged once and each (x, y) sampled once.
+
+    The checkers of one run share one, so conditions that several
+    checkers evaluate at the same sample reuse it.
+    """
+
+    def __init__(self, space: KropinaSpace):
+        self.space = space
+        self._ev = finsler_evaluator(space, "ab")
+        self._dens = volume_density(space)
+        self._points = {}
+        self._samples = {}
+
+    def sample(self, x, y):
+        xkey = np.asarray(x, dtype=float).tobytes()
+        key = (xkey, np.asarray(y, dtype=float).tobytes())
+        cs = self._samples.get(key)
+        if cs is None:
+            point = self._points.get(xkey)
+            if point is None:
+                point = generic_point(self._ev, self._dens, x)
+                self._points[xkey] = point
+            cs = self._samples[key] = curvature_sample(point, y)
+        return cs
+
+
+def _generic_samples(space: KropinaSpace, generic) -> GenericSamples:
+    """The given sample store if it samples this space, else a new one."""
+    if generic is not None and generic.space is space:
+        return generic
+    return GenericSamples(space)
 
 
 def ric_ac(fields, cfg: WeightConfig, y, route="closed"):
@@ -642,13 +678,13 @@ def _require_regime(cfg, want, theorem):
         )
 
 
-def _end_to_end(fld, cfg, ev, dens, ys, variants, res):
+def _end_to_end(fld, cfg, generic, ys, variants, res):
     """Generic-pipeline Einstein residuals for each named ansatz; the
     report's bottom line never reuses the closed formulas."""
     n = fld.n
     for y in ys:
         F = AbInvariants(fld, y).F
-        val = _generic_ric_ac(curvature_sample(ev, dens, fld.x, y), cfg)
+        val = _generic_ric_ac(generic.sample(fld.x, y), cfg)
         for label, ansatz in variants:
             model = (n - 1) * ansatz.model(F, y)
             res.add(label, _scaled_residual(val - model, val, model))
@@ -684,9 +720,14 @@ def _sym_outer(u, v):
 
 
 # -- checkers -------------------------------------------------------------------
+#
+# Each checker takes an optional GenericSamples; when it samples the
+# checker's resolved space, the end-to-end residuals read their generic
+# curvature samples from it, so the checkers of one run share them.
 
 
-def thm41_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6):
+def thm41_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6,
+                generic=None):
     """Navigation-data checker for the nu != 0 regime.
 
     Reads the navigation view (h, W) of the space and its weight f.
@@ -709,8 +750,7 @@ def thm41_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6):
     f = space.weight
     samples, total = _normalize_samples(samples)
 
-    ev = finsler_evaluator(space, "ab")
-    dens = volume_density(space)
+    generic = _generic_samples(space, generic)
     res = _Residuals(tol)
     scal = {
         "mu": [], "sigma_formula": [], "sigma_proof": [], "sigma_fitted": [],
@@ -765,7 +805,7 @@ def thm41_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6):
         res.add("theta-sigma-fit-agreement", agree / max(1.0, abs(fitted.sigma)))
 
         formula = EinsteinAnsatz(tuple(theta_formula), sigma_formula)
-        _end_to_end(fld, cfg, ev, dens, ys,
+        _end_to_end(fld, cfg, generic, ys,
                     [("einstein-residual-formula", formula),
                      ("einstein-residual-fitted", fitted)], res)
 
@@ -774,7 +814,8 @@ def thm41_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6):
                          len(samples), total)
 
 
-def thm44_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6):
+def thm44_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6,
+                generic=None):
     """Metric-form checker for the nu != 0 regime.
 
     Precondition: the symmetrized drift derivative is conformal to the
@@ -791,8 +832,7 @@ def thm44_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6):
     kappa, nu = cfg.kappa, cfg.nu
     samples, total = _normalize_samples(samples)
 
-    ev = finsler_evaluator(space, "ab")
-    dens = volume_density(space)
+    generic = _generic_samples(space, generic)
     res = _Residuals(tol)
     scal = {
         "eta": [], "isotropy_residual": [], "lambda": [],
@@ -867,7 +907,7 @@ def thm44_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6):
                         3 * (n - 1) * b2**2 * float(theta @ y)))
 
         formula = EinsteinAnsatz(tuple(theta), sigma_formula)
-        _end_to_end(fld, cfg, ev, dens, ys,
+        _end_to_end(fld, cfg, generic, ys,
                     [("einstein-residual-formula", formula),
                      ("einstein-residual-fitted", fitted)], res)
 
@@ -948,7 +988,8 @@ def _linear_drift_vector(fld, u, theta, kappa, eta=None):
     return lin
 
 
-def thm51_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6):
+def thm51_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6,
+                generic=None):
     """Checker for the nu = 0, kappa != 0 regime.
 
     The curvature polynomial splits by degree in y.  Precondition: the
@@ -964,8 +1005,7 @@ def thm51_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6):
     kappa = cfg.kappa
     samples, total = _normalize_samples(samples)
 
-    ev = finsler_evaluator(space, "ab")
-    dens = volume_density(space)
+    generic = _generic_samples(space, generic)
     res = _Residuals(tol)
     scal = {
         "zeta": [], "u": [], "sigma_formula": [], "sigma_fitted": [],
@@ -1014,7 +1054,7 @@ def thm51_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6):
                       b2**2 * float(np.abs(fld.div_s_up).max())))
 
         formula = EinsteinAnsatz(tuple(theta), sigma_formula)
-        _end_to_end(fld, cfg, ev, dens, ys,
+        _end_to_end(fld, cfg, generic, ys,
                     [("einstein-residual-formula", formula),
                      ("einstein-residual-fitted", fitted)], res)
 
@@ -1023,7 +1063,8 @@ def thm51_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6):
                          len(samples), total)
 
 
-def thm61_check(space: KropinaSpace, samples, tol=1e-6, cfg=None):
+def thm61_check(space: KropinaSpace, samples, tol=1e-6, cfg=None,
+                generic=None):
     """Checker for the projective regime (kappa = nu = 0).
 
     Precondition: the symmetrized drift derivative is conformal,
@@ -1042,8 +1083,7 @@ def thm61_check(space: KropinaSpace, samples, tol=1e-6, cfg=None):
     space = _space_with_cfg(space, cfg)
     samples, total = _normalize_samples(samples)
 
-    ev = finsler_evaluator(space, "ab")
-    dens = volume_density(space)
+    generic = _generic_samples(space, generic)
     res = _Residuals(tol)
     scal = {
         "eta": [], "isotropy_residual": [], "zeta": [], "u": [],
@@ -1104,7 +1144,7 @@ def thm61_check(space: KropinaSpace, samples, tol=1e-6, cfg=None):
                       b2**2 * float(np.abs(fld.div_s_up).max())))
 
         formula = EinsteinAnsatz(tuple(theta), sigma_formula)
-        _end_to_end(fld, cfg, ev, dens, ys,
+        _end_to_end(fld, cfg, generic, ys,
                     [("einstein-residual-formula", formula),
                      ("einstein-residual-fitted", fitted)], res)
 

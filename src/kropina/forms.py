@@ -285,7 +285,7 @@ class KropinaSpace:
             if ys is not None:
                 y = [float(v) for v in ys[k]]
                 for ev in views:
-                    _check_domain(ev, env, y)
+                    _check_domain(ev.domain_at(env), y, ev.name)
                 f_ab, f_nav = (float(ev.func(env, y)) for ev in views)
                 if abs(f_ab - f_nav) > tol_view * max(1.0, abs(f_ab)):
                     raise ValueError(
@@ -946,44 +946,40 @@ def finsler_evaluator(space: KropinaSpace, view="ab") -> FinslerEvaluator:
 
     Both views describe the same metric, so their evaluators must agree
     everywhere; the choice only affects which expression trees do the
-    work.  The box hint brackets the unit-ball ellipsoid exactly.
+    work.  The x-stages evaluate each coefficient tree once per chart
+    point; the direction stages then only combine those values with y.
+    The box hint brackets the unit-ball ellipsoid exactly.
     """
     n = space.dim
     if view == "ab":
         quad = space.a.exprs
 
-        def den(env, y):
-            """beta = b_i y^i."""
-            acc = None
-            for i in range(n):
-                t = eval_expr(space.b[i], env) * y[i]
-                acc = t if acc is None else acc + t
-            return acc
+        def den_stage(env):
+            """y -> beta = b_i y^i."""
+            bv = [eval_expr(e, env) for e in space.b]
+            return lambda y: _linear(bv, y)
 
     elif view == "nav":
         quad = space.h.exprs
 
-        def den(env, y):
-            """2 W_0 = 2 h_ij W^j y^i."""
-            acc = None
-            for i in range(n):
-                wl = None
-                for j in range(n):
-                    t = eval_expr(quad[i][j], env) * eval_expr(space.w[j], env)
-                    wl = t if wl is None else wl + t
-                t = wl * y[i]
-                acc = t if acc is None else acc + t
-            return 2.0 * acc
+        def den_stage(env):
+            """y -> 2 W_0 = 2 h_ij W^j y^i."""
+            wv = [eval_expr(e, env) for e in space.w]
+            wl = [_linear([eval_expr(e, env) for e in row], wv) for row in quad]
+            return lambda y: 2.0 * _linear(wl, y)
 
     else:
         raise ValueError(f"view must be 'ab' or 'nav', got {view!r}")
 
-    def func(x, y):
+    def stage(x):
         env = list(x)
-        return _quadratic_eval(quad, env, y, n) / den(env, y)
+        qv = _entry_values(quad, env)
+        den = den_stage(env)
+        return lambda y: _quadratic(qv, y) / den(y)
 
-    def domain(x, y):
-        return den(list(x), y) > 0
+    def domain_stage(x):
+        den = den_stage(list(x))
+        return lambda y: den(y) > 0
 
     def box_hint(x):
         env = [float(v) for v in x]
@@ -1000,18 +996,42 @@ def finsler_evaluator(space: KropinaSpace, view="ab") -> FinslerEvaluator:
 
     return FinslerEvaluator(
         dim=n,
-        func=func,
-        domain=domain,
+        func=lambda x, y: stage(x)(y),
+        domain=lambda x, y: domain_stage(x)(y),
         name=f"{space.name}:{view}",
         box_hint=box_hint,
         bh_closed=bh_closed,
+        stage=stage,
+        domain_stage=domain_stage,
     )
 
 
-def _quadratic_eval(exprs, env, y, n):
+def _entry_values(exprs, env):
+    """Values of a matrix of trees at env, each distinct tree evaluated
+    once (a mirrored entry shares its tree with the upper one)."""
+    values = {}
+    for row in exprs:
+        for e in row:
+            if id(e) not in values:
+                values[id(e)] = eval_expr(e, env)
+    return [[values[id(e)] for e in row] for row in exprs]
+
+
+def _linear(coeffs, y):
+    """sum_i coeffs[i] * y[i], accumulated in index order."""
+    acc = None
+    for c, yi in zip(coeffs, y):
+        t = c * yi
+        acc = t if acc is None else acc + t
+    return acc
+
+
+def _quadratic(values, y):
+    """sum_ij values[i][j] * y[i] * y[j], accumulated in index order."""
+    n = len(values)
     acc = None
     for i in range(n):
         for j in range(n):
-            t = eval_expr(exprs[i][j], env) * y[i] * y[j]
+            t = values[i][j] * y[i] * y[j]
             acc = t if acc is None else acc + t
     return acc

@@ -12,6 +12,7 @@ full pipeline works with jets of total order four.
 """
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,6 +39,12 @@ class FinslerEvaluator:
     the unit sublevel set {y : F(x, y) < 1} for Monte-Carlo volume
     estimation, and bh_closed(x) optionally supplies a closed-form
     unit-ball density when one is known for the metric class.
+
+    stage(x) and domain_stage(x), when given, return y -> F(x, y) and
+    y -> domain(x, y) with the work that depends on x alone done once;
+    they must compute exactly what func and domain compute, in the same
+    floating-point order.  at(x) and domain_at(x) give these x-stages,
+    falling back to func and domain when an evaluator has none.
     """
 
     dim: int
@@ -46,9 +53,23 @@ class FinslerEvaluator:
     name: str = "finsler"
     box_hint: Optional[Callable] = None
     bh_closed: Optional[Callable] = None
+    stage: Optional[Callable] = None
+    domain_stage: Optional[Callable] = None
 
     def __call__(self, x, y):
         return self.func(x, y)
+
+    def at(self, x) -> Callable:
+        """y -> F(x, y)."""
+        if self.stage is None:
+            return partial(self.func, x)
+        return self.stage(x)
+
+    def domain_at(self, x) -> Callable:
+        """y -> domain(x, y)."""
+        if self.domain_stage is None:
+            return partial(self.domain, x)
+        return self.domain_stage(x)
 
 
 @dataclass(frozen=True)
@@ -87,13 +108,15 @@ class CurvatureSample:
     s: float                 # S-curvature
     sdot: float              # horizontal derivative of S
     hess_f: Optional[float]  # Hessian form of the weight function, if given
+    s_bh: Optional[float] = None  # S against the unit-ball density, if given
 
 
-def _check_domain(F: FinslerEvaluator, x, y):
-    ok = F.domain(list(x), list(y))
-    if not bool(ok):
+def _check_domain(domain_at_x, y, name: str):
+    """Raise ConicDomainError unless y lies in the conic domain, given
+    the domain's x-stage y -> bool."""
+    if not bool(domain_at_x(list(y))):
         raise ConicDomainError(
-            f"(x, y) outside the conic domain of metric {F.name!r}"
+            f"(x, y) outside the conic domain of metric {name!r}"
         )
 
 
@@ -102,25 +125,6 @@ def _check_invertible(g: np.ndarray, what="fundamental tensor"):
         raise SingularMetricError(f"{what} has non-finite entries")
     if np.linalg.cond(g) > 1e13:
         raise SingularMetricError(f"{what} is numerically singular")
-
-
-def _f2_jet(F: FinslerEvaluator, x, y, order: int) -> Jet:
-    """F^2 as a jet in the 2n variables (x, y), seeded at the base point."""
-    n = F.dim
-    space = jet_space(2 * n, order)
-    seeds = space.seed(list(x) + list(y))
-    f = F.func(seeds[:n], seeds[n:])
-    if not isinstance(f, Jet):
-        f = space.constant(float(f))
-    return f * f
-
-
-def _unit2(n2: int, a: int, b: Optional[int] = None) -> tuple:
-    idx = [0] * n2
-    idx[a] += 1
-    if b is not None:
-        idx[b] += 1
-    return tuple(idx)
 
 
 def _metric_jets(f2: Jet, n: int):
@@ -137,11 +141,11 @@ def _metric_jets(f2: Jet, n: int):
     return rows
 
 
-def _spray_jets(F: FinslerEvaluator, y, f2: Jet):
-    """G^i as jets over the 2n variables, two orders below f2."""
-    n = F.dim
+def _spray_jets(g, f2: Jet, y):
+    """G^i as jets over the 2n variables, two orders below f2, from the
+    metric jets g of the same f2."""
+    n = len(g)
     order = f2.space.order - 2
-    g = _metric_jets(f2, n)
     space_lo = jet_space(2 * n, order)
     yj = [space_lo.variable(n + k, y[k]) for k in range(n)]
     rhs = []
@@ -158,20 +162,21 @@ def _spray_jets(F: FinslerEvaluator, y, f2: Jet):
 
 
 def _riemann_from_spray_jets(Gj, y, n: int) -> np.ndarray:
-    n2 = 2 * n
+    """R^i_k = 2 G^i_{x^k} - y^m G^i_{x^m y^k} + 2 G^m G^i_{y^m y^k}
+    - G^i_{y^m} G^m_{y^k}, with the second partials of all G^i gathered
+    through the jet space's table."""
     Gv = np.array([G.value for G in Gj])
     dGx = np.empty((n, n))
     dGy = np.empty((n, n))
-    d2xy = np.empty((n, n, n))
-    d2yy = np.empty((n, n, n))
     for i in range(n):
         grad = Gj[i].gradient()
         dGx[i] = grad[:n]
         dGy[i] = grad[n:]
-        for m in range(n):
-            for k in range(n):
-                d2xy[i, m, k] = Gj[i].partial(_unit2(n2, m, n + k))
-                d2yy[i, m, k] = Gj[i].partial(_unit2(n2, n + m, n + k))
+    sp = Gj[0].space
+    coef = np.array([G.coef for G in Gj])
+    pos = sp.hessian_positions
+    d2xy = coef[:, pos[:n, n:]] * sp.factorial[pos[:n, n:]]
+    d2yy = coef[:, pos[n:, n:]] * sp.factorial[pos[n:, n:]]
     yv = np.asarray(y, dtype=float)
     return (
         2.0 * dGx
@@ -190,69 +195,132 @@ def _sigma_jet(sigma: VolumeDensity, x, n: int, order: int) -> Jet:
     return s
 
 
-def _tau_jet(F, sigma, x, f2: Jet) -> Jet:
-    """tau = ln(sqrt(det g_ij) / sigma) as a jet two orders below f2."""
-    n = F.dim
-    order = f2.space.order - 2
-    det = jet_det(_metric_jets(f2, n))
-    if det.value <= 0.0:
-        raise SingularMetricError("nonpositive fundamental determinant")
-    sj = _sigma_jet(sigma, x, n, order)
-    if sj.value <= 0.0:
-        raise ValueError("volume density must be positive")
-    return det.log() * 0.5 - sj.log()
-
-
-def hess_form(f, x, y, G, n: int) -> float:
-    """f_{x^i x^j} y^i y^j - 2 f_{x^i} G^i for a given spray value G."""
-    space = jet_space(n, 2)
-    seeds = space.seed(list(x))
-    fj = eval_expr(f, seeds) if isinstance(f, ExprAst) else f(seeds)
-    if not isinstance(fj, Jet):
-        fj = space.constant(float(fj))
-    acc = 0.0
-    for i in range(n):
-        for j in range(n):
-            acc += fj.partial(_unit2(n, i, j)) * y[i] * y[j]
-    return float(acc - 2.0 * np.dot(fj.gradient(), G))
-
-
-def curvature_sample(
-    F: FinslerEvaluator, sigma: VolumeDensity, x, y, f=None
-) -> CurvatureSample:
-    """Full curvature bundle at (x, y): the generic pipeline's one entry.
-
-    One order-4 jet of F^2 feeds everything.  The spray jets (order 2)
-    give G, N and the Riemann curvature; the distortion jet (order 2)
-    and the same spray jets give S as a first-order jet, whose
-    horizontal derivative is Sdot.  S, tau and Sdot refer to sigma;
-    f, when given, adds the geodesic Hessian form of that weight.
-    """
-    _check_domain(F, x, y)
-    n = F.dim
-    f4 = _f2_jet(F, x, y, 4)
-    g = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            g[i, j] = g[j, i] = 0.5 * f4.partial(_unit2(2 * n, n + i, n + j))
-    _check_invertible(g)
-    Gj = _spray_jets(F, y, f4)
-    Gv = np.array([G.value for G in Gj])
-    N = np.array([G.gradient()[n:] for G in Gj])
-    R = _riemann_from_spray_jets(Gj, y, n)
-    tau = _tau_jet(F, sigma, x, f4)
-    # S = y^m tau_{x^m} - 2 G^m tau_{y^m}, kept as a first-order jet
+def _s_jet(tau: Jet, Gj, y, n: int) -> Jet:
+    """S = y^m tau_{x^m} - 2 G^m tau_{y^m} as a first-order jet."""
     space1 = jet_space(2 * n, 1)
     s_jet = space1.constant(0.0)
     for m in range(n):
         ym = space1.variable(n + m, y[m])
         s_jet = (s_jet + ym * tau.deriv(m)
                  - Gj[m].truncate(1) * tau.deriv(n + m) * 2.0)
+    return s_jet
+
+
+@dataclass(frozen=True)
+class GenericPoint:
+    """Everything the generic pipeline needs at one chart point x,
+    whatever the direction: built by generic_point, read by
+    curvature_sample."""
+
+    F: FinslerEvaluator
+    x: np.ndarray
+    f_at: Callable           # y jets -> F(x, y), F.at of the order-4 x seeds
+    domain: Callable         # float y -> in the conic domain, F.domain_at(x)
+    log_sigma: Optional[Jet]     # ln sigma as an order-2 jet, None if sigma <= 0
+    log_sigma_bh: Optional[Jet]  # likewise for the unit-ball density, if given
+    weight_hess: Optional[np.ndarray]  # f_{x^i x^j}, if a weight is given
+    weight_grad: Optional[np.ndarray]  # f_{x^i}, if a weight is given
+
+
+def _log_density(sigma: VolumeDensity, x, n: int) -> Optional[Jet]:
+    sj = _sigma_jet(sigma, x, n, 2)
+    return sj.log() if sj.value > 0.0 else None
+
+
+def generic_point(
+    F: FinslerEvaluator, sigma: VolumeDensity, x, f=None, bh=None
+) -> GenericPoint:
+    """The x-only stage of the generic pipeline at the chart point x.
+
+    Seeds the order-4 x jets and runs F's x-stage on them, takes the
+    density's order-2 jet (and bh's, the unit-ball density, when
+    given), the weight f's order-2 jet for its Hessian form, and F's
+    float domain stage, all once.  curvature_sample(point, y) then does
+    only the work that depends on y.
+    """
+    n = F.dim
+    space = jet_space(2 * n, 4)
+    seeds = [space.variable(i, x[i]) for i in range(n)]
+    weight_hess = weight_grad = None
+    if f is not None:
+        space_f = jet_space(n, 2)
+        fj = space_f.seed(list(x))
+        fj = eval_expr(f, fj) if isinstance(f, ExprAst) else f(fj)
+        if not isinstance(fj, Jet):
+            fj = space_f.constant(float(fj))
+        pos = space_f.hessian_positions
+        weight_hess = fj.coef[pos] * space_f.factorial[pos]
+        weight_grad = fj.gradient()
+    return GenericPoint(
+        F=F,
+        x=np.asarray(x, dtype=float),
+        f_at=F.at(seeds),
+        domain=F.domain_at(list(x)),
+        log_sigma=_log_density(sigma, x, n),
+        log_sigma_bh=None if bh is None else _log_density(bh, x, n),
+        weight_hess=weight_hess,
+        weight_grad=weight_grad,
+    )
+
+
+def _hess_form(point: GenericPoint, y, G) -> float:
+    """f_{x^i x^j} y^i y^j - 2 f_{x^i} G^i for a given spray value G."""
+    n = len(y)
+    acc = 0.0
+    for i in range(n):
+        for j in range(n):
+            acc += point.weight_hess[i, j] * y[i] * y[j]
+    return float(acc - 2.0 * np.dot(point.weight_grad, G))
+
+
+def _tau(half_log_det: Jet, log_sigma: Optional[Jet]) -> Jet:
+    """tau = ln(sqrt(det g_ij) / sigma) as an order-2 jet."""
+    if log_sigma is None:
+        raise ValueError("volume density must be positive")
+    return half_log_det - log_sigma
+
+
+def curvature_sample(point: GenericPoint, y) -> CurvatureSample:
+    """Full curvature bundle at (x, y): the generic pipeline's one entry.
+
+    One order-4 jet of F^2 feeds everything.  Its metric jets (order 2)
+    serve both the spray and the distortion; the spray jets give G, N
+    and the Riemann curvature; the distortion jet and the same spray
+    jets give S as a first-order jet, whose horizontal derivative is
+    Sdot.  S, tau and Sdot refer to the point's density; s_bh is S
+    from its own tau_BH = ln sqrt(det g) - ln sigma_BH when the point
+    carries the unit-ball density, and hess_f the geodesic Hessian form
+    of the point's weight.
+    """
+    F = point.F
+    _check_domain(point.domain, y, F.name)
+    n = F.dim
+    space = jet_space(2 * n, 4)
+    f = point.f_at([space.variable(n + k, y[k]) for k in range(n)])
+    if not isinstance(f, Jet):
+        f = space.constant(float(f))
+    f4 = f * f
+    gj = _metric_jets(f4, n)
+    g = np.array([[m.value for m in row] for row in gj])
+    _check_invertible(g)
+    Gj = _spray_jets(gj, f4, y)
+    Gv = np.array([G.value for G in Gj])
+    N = np.array([G.gradient()[n:] for G in Gj])
+    R = _riemann_from_spray_jets(Gj, y, n)
+    det = jet_det(gj)
+    if det.value <= 0.0:
+        raise SingularMetricError("nonpositive fundamental determinant")
+    half_log_det = det.log() * 0.5
+    tau = _tau(half_log_det, point.log_sigma)
+    s_jet = _s_jet(tau, Gj, y, n)
     grad = s_jet.gradient()
     sdot = float(np.dot(y, grad[:n]) - 2.0 * np.dot(Gv, grad[n:]))
-    hess = hess_form(f, x, y, Gv, n) if f is not None else None
+    s_bh = None
+    if point.log_sigma_bh is not None:
+        s_bh = _s_jet(_tau(half_log_det, point.log_sigma_bh), Gj, y, n).value
+    hess = _hess_form(point, y, Gv) if point.weight_hess is not None else None
     return CurvatureSample(
-        x=np.asarray(x, dtype=float),
+        x=point.x,
         y=np.asarray(y, dtype=float),
         g=g,
         spray=Gv,
@@ -263,6 +331,7 @@ def curvature_sample(
         s=s_jet.value,
         sdot=sdot,
         hess_f=hess,
+        s_bh=s_bh,
     )
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -101,6 +101,21 @@ class JetSpace:
                 scale[t] = gamma[v] + 1.0
             self._deriv_src.append(src)
             self._deriv_scale.append(scale)
+
+    @cached_property
+    def hessian_positions(self) -> np.ndarray:
+        """pos[a, b]: coefficient position of the multi-index e_a + e_b,
+        a gather table for all second partials at once (order >= 2)."""
+        if self.order < 2:
+            raise JetOrderError("second partials need a jet of order 2 or more")
+        pos = np.empty((self.nvars, self.nvars), dtype=np.intp)
+        for a in range(self.nvars):
+            for b in range(self.nvars):
+                idx = [0] * self.nvars
+                idx[a] += 1
+                idx[b] += 1
+                pos[a, b] = self.position[tuple(idx)]
+        return pos
 
     def constant(self, value: float) -> "Jet":
         coef = np.zeros(self.ncoef)
@@ -352,6 +367,7 @@ def jet_solve(A, rhs):
     n = len(A)
     M = [row[:] for row in A]
     b = rhs[:]
+    inv_pivs = []
     for col in range(n):
         piv = max(range(col, n), key=lambda r: abs(M[r][col].value))
         if M[piv][col].value == 0.0:
@@ -360,6 +376,7 @@ def jet_solve(A, rhs):
             M[col], M[piv] = M[piv], M[col]
             b[col], b[piv] = b[piv], b[col]
         inv_piv = M[col][col].reciprocal()
+        inv_pivs.append(inv_piv)
         for r in range(n):
             if r == col:
                 continue
@@ -367,4 +384,6 @@ def jet_solve(A, rhs):
             for c in range(col, n):
                 M[r][c] = M[r][c] - factor * M[col][c]
             b[r] = b[r] - factor * b[col]
-    return [b[i] * M[i][i].reciprocal() for i in range(n)]
+    # row col is final once its column is eliminated, so inv_pivs[i] is
+    # the reciprocal of the final M[i][i]
+    return [b[i] * inv_pivs[i] for i in range(n)]

@@ -14,6 +14,7 @@ import numpy as np
 
 from .einstein import (
     DispatchError,
+    GenericSamples,
     thm41_check,
     thm44_check,
     thm51_check,
@@ -39,7 +40,12 @@ from .forms import (
     sigma_bh,
     volume_density,
 )
-from .generic import ConicDomainError, bh_density, curvature_sample
+from .generic import (
+    ConicDomainError,
+    bh_density,
+    curvature_sample,
+    generic_point,
+)
 from .reports import ReportDocument, exit_code_for, merge_verdicts
 from .scenarios import (
     COMPARISON_CUTOFF,
@@ -79,15 +85,15 @@ def _listed(v):
 # -- check ------------------------------------------------------------------
 
 
-def _dispatch_checker(theorem, space, cfg, samples, tol):
+def _dispatch_checker(theorem, space, cfg, samples, tol, generic):
     if theorem == "41":
-        return thm41_check(space, cfg, samples, tol=tol)
+        return thm41_check(space, cfg, samples, tol=tol, generic=generic)
     if theorem == "44":
-        return thm44_check(space, cfg, samples, tol=tol)
+        return thm44_check(space, cfg, samples, tol=tol, generic=generic)
     if theorem == "51":
-        return thm51_check(space, cfg, samples, tol=tol)
+        return thm51_check(space, cfg, samples, tol=tol, generic=generic)
     if theorem == "61":
-        return thm61_check(space, samples, tol=tol, cfg=cfg)
+        return thm61_check(space, samples, tol=tol, cfg=cfg, generic=generic)
     raise ValueError(
         f"unknown theorem id {theorem!r}; expected auto, 41, 44, 51 or 61"
     )
@@ -99,7 +105,9 @@ def run_check(scenario, theorem="auto", seed=None, tol=None):
     theorem 'auto' dispatches on the weight-constant regime; an explicit
     id runs that checker alone (a regime mismatch is reported as a
     precondition failure, since the theorem's hypotheses exclude the
-    configuration before any geometry is computed).
+    configuration before any geometry is computed).  The checkers share
+    one store of generic curvature samples, so each (x, y) is sampled
+    once per run.
     """
     scenario = load_scenario(scenario)
     space = scenario.space()
@@ -123,10 +131,11 @@ def run_check(scenario, theorem="auto", seed=None, tol=None):
         samples = scenario_samples(scenario, seed=seed,
                                    cutoff=COMPARISON_CUTOFF)
 
+    generic = GenericSamples(space)
     for t in ids:
         with doc.timed(f"thm{t}"):
             try:
-                report = _dispatch_checker(t, space, cfg, samples, tol)
+                report = _dispatch_checker(t, space, cfg, samples, tol, generic)
             except DispatchError as e:
                 doc.checks.append(
                     {"theorem": t, "verdict": "PRECONDITION", "error": str(e)}
@@ -206,9 +215,10 @@ def run_verify(scenario, points=None, dirs=None, seed=None, mc_samples=20000):
     One table per formula pair, each with the worst relative deviation
     over the sample grid and its ladder tolerance.  Exit code 0 exactly
     when every pair stays within tolerance.  Each chart point gets one
-    drift bundle and one navigation point; each (x, y) gets one generic
-    curvature sample per volume density (the weighted one, plus the
-    unit-ball one for the S-curvature pair when a weight is set).
+    drift bundle, one navigation point and one generic point; each
+    (x, y) gets one generic curvature sample, which also carries S
+    against the unit-ball density for the S-curvature pair when a
+    weight is set.
     """
     scenario = load_scenario(scenario)
     space = scenario.space()
@@ -216,7 +226,7 @@ def run_verify(scenario, points=None, dirs=None, seed=None, mc_samples=20000):
     weighted = space.weight is not None
     ev = finsler_evaluator(space, "ab")
     dens = volume_density(space)
-    bh_dens = bh_volume_density(space) if weighted else dens
+    bh_dens = bh_volume_density(space) if weighted else None
 
     doc = ReportDocument(kind="verify", scenario=scenario.as_dict())
     with doc.timed("sampling"):
@@ -239,14 +249,15 @@ def run_verify(scenario, points=None, dirs=None, seed=None, mc_samples=20000):
         for x, ys in samples:
             fld = ab_fields(space, x)
             nav = nav_point(space.h, space.w, x)
+            point = generic_point(ev, dens, x, f=space.weight, bh=bh_dens)
             for y in ys:
-                cs = curvature_sample(ev, dens, x, y, f=space.weight)
-                cs_bh = curvature_sample(ev, bh_dens, x, y) if weighted else cs
+                cs = curvature_sample(point, y)
+                s_bh = cs.s_bh if weighted else cs.s
                 pairs = {
                     "spray": (lambda: kropina_spray_closed(fld, y), cs.spray),
                     "nav-spray": (lambda: nav_spray(nav, y), cs.spray),
                     "ricci": (lambda: kropina_ricci_closed(fld, y), cs.ricci),
-                    "s-curvature": (lambda: s_bh_closed(fld, y), cs_bh.s),
+                    "s-curvature": (lambda: s_bh_closed(fld, y), s_bh),
                     "s-dot": (lambda: n1 * s_dot_closed(fld, y), cs.sdot),
                     "s-weighted": (lambda: s_closed(fld, y), cs.s),
                     "nav-ricci": (lambda: nav_ricci_isotropic(nav, y),
@@ -340,8 +351,9 @@ def run_convert(scenario, to, gauge=None, seed=None):
             metric, vector = space.h, space.w
             emitted["gauge"] = (gauge if gauge is not None
                                 else print_expr(gauge_ast))
-        elif gauge is None and scenario.representation == "nav":
-            # a navigation space already holds (a, b) in its own gauge
+        elif gauge is None:
+            # the space already holds (a, b) in its own gauge: the
+            # source's own for an ab scenario
             metric, vector = space.a, space.b
         else:
             metric, vector = nav_to_ab(space.h, space.w, gauge=gauge_ast)

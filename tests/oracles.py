@@ -5,7 +5,14 @@ a test can hold the package's route against it:
 
 - spray_generic: the order-2 spray by a dense linear solve, against
   curvature_sample's jet-solved spray; geodesic_flow integrates it;
+- curvature_sample_oracle: the whole curvature bundle at one (x, y)
+  computed from scratch, x-only work included, with second partials
+  read one Jet.partial at a time; the staged generic_point +
+  curvature_sample route must equal it bit for bit;
 - jet_inverse: a jet matrix inverse through jet_solve;
+- jet_solve_reference: jet_solve dividing by a fresh reciprocal of
+  each final pivot, against jet_solve's reuse of the pivot
+  reciprocals;
 - rs_from_RS: drift contractions from navigation data, against the
   drift bundle of the (alpha, beta) view;
 - ric_ac_via_projective: the weighted Ricci curvature reassembled
@@ -23,15 +30,17 @@ from kropina.einstein import (
     pric,
 )
 from kropina.forms import KropinaSpace, s_closed, s_dot_closed
+from kropina.expr import ExprAst, eval_expr
 from kropina.generic import (
     ConicDomainError,
+    CurvatureSample,
     FinslerEvaluator,
-    _check_domain,
+    VolumeDensity,
     _check_invertible,
-    _f2_jet,
-    _unit2,
+    _metric_jets,
+    _sigma_jet,
 )
-from kropina.jets import jet_solve
+from kropina.jets import Jet, JetDomainError, jet_det, jet_solve, jet_space
 from kropina.riemann import (
     FieldPoint,
     MetricPoint,
@@ -41,11 +50,155 @@ from kropina.riemann import (
 )
 
 
+def _check_domain(F: FinslerEvaluator, x, y):
+    if not bool(F.domain(list(x), list(y))):
+        raise ConicDomainError(
+            f"(x, y) outside the conic domain of metric {F.name!r}"
+        )
+
+
+def _unit2(n2: int, a: int, b=None) -> tuple:
+    idx = [0] * n2
+    idx[a] += 1
+    if b is not None:
+        idx[b] += 1
+    return tuple(idx)
+
+
+def f2_jet(F: FinslerEvaluator, x, y, order: int) -> Jet:
+    """F^2 as a jet in the 2n variables (x, y), seeded at the base point."""
+    n = F.dim
+    space = jet_space(2 * n, order)
+    seeds = space.seed(list(x) + list(y))
+    f = F.func(seeds[:n], seeds[n:])
+    if not isinstance(f, Jet):
+        f = space.constant(float(f))
+    return f * f
+
+
+def spray_jets(F: FinslerEvaluator, y, f2: Jet):
+    """G^i as jets over the 2n variables, two orders below f2."""
+    n = F.dim
+    order = f2.space.order - 2
+    g = _metric_jets(f2, n)
+    space_lo = jet_space(2 * n, order)
+    yj = [space_lo.variable(n + k, y[k]) for k in range(n)]
+    rhs = []
+    for l in range(n):
+        acc = space_lo.constant(0.0)
+        for k in range(n):
+            acc = acc + f2.deriv(k).deriv(n + l) * yj[k]
+        rhs.append(acc - f2.deriv(l).truncate(order))
+    try:
+        w = jet_solve(g, rhs)
+    except JetDomainError as e:
+        raise SingularMetricError(str(e)) from e
+    return [wi * 0.25 for wi in w]
+
+
+def riemann_from_spray_jets(Gj, y, n: int) -> np.ndarray:
+    n2 = 2 * n
+    Gv = np.array([G.value for G in Gj])
+    dGx = np.empty((n, n))
+    dGy = np.empty((n, n))
+    d2xy = np.empty((n, n, n))
+    d2yy = np.empty((n, n, n))
+    for i in range(n):
+        grad = Gj[i].gradient()
+        dGx[i] = grad[:n]
+        dGy[i] = grad[n:]
+        for m in range(n):
+            for k in range(n):
+                d2xy[i, m, k] = Gj[i].partial(_unit2(n2, m, n + k))
+                d2yy[i, m, k] = Gj[i].partial(_unit2(n2, n + m, n + k))
+    yv = np.asarray(y, dtype=float)
+    return (
+        2.0 * dGx
+        - np.einsum("m,imk->ik", yv, d2xy)
+        + 2.0 * np.einsum("m,imk->ik", Gv, d2yy)
+        - np.einsum("im,mk->ik", dGy, dGy)
+    )
+
+
+def tau_jet(F, sigma, x, f2: Jet) -> Jet:
+    """tau = ln(sqrt(det g_ij) / sigma) as a jet two orders below f2."""
+    n = F.dim
+    order = f2.space.order - 2
+    det = jet_det(_metric_jets(f2, n))
+    if det.value <= 0.0:
+        raise SingularMetricError("nonpositive fundamental determinant")
+    sj = _sigma_jet(sigma, x, n, order)
+    if sj.value <= 0.0:
+        raise ValueError("volume density must be positive")
+    return det.log() * 0.5 - sj.log()
+
+
+def hess_form(f, x, y, G, n: int) -> float:
+    """f_{x^i x^j} y^i y^j - 2 f_{x^i} G^i for a given spray value G."""
+    space = jet_space(n, 2)
+    seeds = space.seed(list(x))
+    fj = eval_expr(f, seeds) if isinstance(f, ExprAst) else f(seeds)
+    if not isinstance(fj, Jet):
+        fj = space.constant(float(fj))
+    acc = 0.0
+    for i in range(n):
+        for j in range(n):
+            acc += fj.partial(_unit2(n, i, j)) * y[i] * y[j]
+    return float(acc - 2.0 * np.dot(fj.gradient(), G))
+
+
+def curvature_sample_oracle(
+    F: FinslerEvaluator, sigma: VolumeDensity, x, y, f=None, bh=None
+) -> CurvatureSample:
+    """The curvature bundle at (x, y), every stage computed for this
+    direction alone; s_bh is the S of a second sample against bh."""
+    _check_domain(F, x, y)
+    n = F.dim
+    f4 = f2_jet(F, x, y, 4)
+    g = np.empty((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            g[i, j] = g[j, i] = 0.5 * f4.partial(_unit2(2 * n, n + i, n + j))
+    _check_invertible(g)
+    Gj = spray_jets(F, y, f4)
+    Gv = np.array([G.value for G in Gj])
+    N = np.array([G.gradient()[n:] for G in Gj])
+    R = riemann_from_spray_jets(Gj, y, n)
+    tau = tau_jet(F, sigma, x, f4)
+    # S = y^m tau_{x^m} - 2 G^m tau_{y^m}, kept as a first-order jet
+    space1 = jet_space(2 * n, 1)
+    s_jet = space1.constant(0.0)
+    for m in range(n):
+        ym = space1.variable(n + m, y[m])
+        s_jet = (s_jet + ym * tau.deriv(m)
+                 - Gj[m].truncate(1) * tau.deriv(n + m) * 2.0)
+    grad = s_jet.gradient()
+    sdot = float(np.dot(y, grad[:n]) - 2.0 * np.dot(Gv, grad[n:]))
+    hess = hess_form(f, x, y, Gv, n) if f is not None else None
+    s_bh = None
+    if bh is not None:
+        s_bh = curvature_sample_oracle(F, bh, x, y).s
+    return CurvatureSample(
+        x=np.asarray(x, dtype=float),
+        y=np.asarray(y, dtype=float),
+        g=g,
+        spray=Gv,
+        connection=N,
+        riemann=R,
+        ricci=float(np.trace(R)),
+        tau=tau.value,
+        s=s_jet.value,
+        sdot=sdot,
+        hess_f=hess,
+        s_bh=s_bh,
+    )
+
+
 def spray_generic(F: FinslerEvaluator, x, y) -> np.ndarray:
     """Geodesic coefficients G^i = (1/4) g^{il} ([F^2]_{x^k y^l} y^k - [F^2]_{x^l})."""
     _check_domain(F, x, y)
     n = F.dim
-    f2 = _f2_jet(F, x, y, 2)
+    f2 = f2_jet(F, x, y, 2)
     g = np.empty((n, n))
     rhs = np.empty(n)
     for l in range(n):
@@ -100,6 +253,30 @@ def geodesic_flow(F: FinslerEvaluator, x, y, t_end: float, steps: int) -> Geodes
         yv = yv + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
         pos[k + 1], vel[k + 1] = xv, yv
     return GeodesicPath(np.linspace(0.0, t_end, steps + 1), pos, vel)
+
+
+def jet_solve_reference(A, rhs):
+    """jet_solve as it divided before reusing its pivot reciprocals:
+    the same elimination, then b[i] times a new reciprocal of M[i][i]."""
+    n = len(A)
+    M = [row[:] for row in A]
+    b = rhs[:]
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(M[r][col].value))
+        if M[piv][col].value == 0.0:
+            raise JetDomainError("singular jet matrix (zero pivot base value)")
+        if piv != col:
+            M[col], M[piv] = M[piv], M[col]
+            b[col], b[piv] = b[piv], b[col]
+        inv_piv = M[col][col].reciprocal()
+        for r in range(n):
+            if r == col:
+                continue
+            factor = M[r][col] * inv_piv
+            for c in range(col, n):
+                M[r][c] = M[r][c] - factor * M[col][c]
+            b[r] = b[r] - factor * b[col]
+    return [b[i] * M[i][i].reciprocal() for i in range(n)]
 
 
 def jet_inverse(A):

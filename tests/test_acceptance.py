@@ -34,6 +34,7 @@ from kropina.forms import (
 from kropina.generic import (
     bh_density,
     curvature_sample,
+    generic_point,
 )
 from kropina.jets import Jet, jet_space
 from kropina.riemann import (
@@ -118,9 +119,10 @@ def test_criterion_02_ricci_cross_validation(grid):
         dens = volume_density(space)
         for x, ys in samples:
             fld = ab_fields(space, x)
+            point = generic_point(ev, dens, x)
             for y in ys:
                 worst = max(worst, rel(kropina_ricci_closed(fld, y),
-                                       curvature_sample(ev, dens, x, y).ricci))
+                                       curvature_sample(point, y).ricci))
     worst_nav = 0.0
     for name in ("euclid_parallel", "s3_hopf"):
         sc, space, samples = grid[name]
@@ -128,11 +130,12 @@ def test_criterion_02_ricci_cross_validation(grid):
         dens = volume_density(space)
         for x, ys in samples:
             nav = nav_point(space.h, space.w, x)
+            point = generic_point(ev, dens, x)
             for y in ys:
                 worst_nav = max(
                     worst_nav,
                     rel(nav_ricci_isotropic(nav, y),
-                        curvature_sample(ev, dens, x, y).ricci),
+                        curvature_sample(point, y).ricci),
                 )
     announce(
         2,
@@ -150,9 +153,10 @@ def test_criterion_03_s_curvature_and_density(grid):
         dens = bh_volume_density(space)
         for x, ys in samples:
             fld = ab_fields(space, x)
+            point = generic_point(ev, dens, x)
             for y in ys:
                 worst = max(worst, rel(s_bh_closed(fld, y),
-                                       curvature_sample(ev, dens, x, y).s))
+                                       curvature_sample(point, y).s))
     worst_se = 0.0
     for name, (sc, space, samples) in grid.items():
         ev = finsler_evaluator(space, "ab")
@@ -178,9 +182,10 @@ def test_criterion_04_s_dot_cross_validation(grid):
         n1 = space.dim + 1
         for x, ys in samples:
             fld = ab_fields(space, x)
+            point = generic_point(ev, dens, x)
             for y in ys:
                 dev = rel(n1 * s_dot_closed(fld, y),
-                          curvature_sample(ev, dens, x, y).sdot)
+                          curvature_sample(point, y).sdot)
                 worst = max(worst, dev)
                 if space.weight is not None:
                     worst_weighted = max(worst_weighted, dev)

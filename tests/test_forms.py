@@ -33,6 +33,7 @@ from kropina.generic import (
     ConicDomainError,
     bh_density,
     curvature_sample,
+    generic_point,
 )
 from kropina.riemann import (
     FieldPoint,
@@ -330,7 +331,8 @@ def test_ricci_closed_matches_generic(builder, shift):
     rng = np.random.default_rng(17)
     for x, y in admissible_samples(space, rng, 30, shift=shift, scale=0.25):
         closed = kropina_ricci_closed(ab_fields(space, x), y)
-        generic = curvature_sample(fev, dens, list(x), list(y)).ricci
+        point = generic_point(fev, dens, list(x))
+        generic = curvature_sample(point, list(y)).ricci
         assert closed == pytest.approx(generic, rel=1e-7, abs=1e-9)
 
 
@@ -380,7 +382,8 @@ def test_s_bh_matches_generic():
     rng = np.random.default_rng(20)
     for x, y in admissible_samples(space, rng, 15):
         closed = s_bh_closed(ab_fields(space, x), y)
-        generic = curvature_sample(fev, dens, list(x), list(y)).s
+        point = generic_point(fev, dens, list(x))
+        generic = curvature_sample(point, list(y)).s
         assert closed == pytest.approx(generic, rel=1e-8, abs=1e-10)
 
 
@@ -399,7 +402,8 @@ def test_s_closed_weighted_matches_generic():
     rng = np.random.default_rng(21)
     for x, y in admissible_samples(space, rng, 10):
         closed = s_closed(ab_fields(space, x), y)
-        generic = curvature_sample(fev, dens, list(x), list(y)).s
+        point = generic_point(fev, dens, list(x))
+        generic = curvature_sample(point, list(y)).s
         assert closed == pytest.approx(generic, rel=1e-8, abs=1e-10)
 
 
@@ -410,7 +414,8 @@ def test_s_dot_matches_generic_weighted():
     rng = np.random.default_rng(22)
     for x, y in admissible_samples(space, rng, 10):
         closed = s_dot_closed(ab_fields(space, x), y)
-        generic = curvature_sample(fev, dens, list(x), list(y)).sdot / (
+        point = generic_point(fev, dens, list(x))
+        generic = curvature_sample(point, list(y)).sdot / (
             space.dim + 1
         )
         assert closed == pytest.approx(generic, rel=1e-8, abs=1e-10)
@@ -439,8 +444,8 @@ def test_hess_f_closed_matches_generic():
     rng = np.random.default_rng(23)
     for x, y in admissible_samples(space, rng, 10):
         closed = hess_f_closed(ab_fields(space, x), y)
-        generic = curvature_sample(fev, dens, list(x), list(y),
-                                   f=space.weight).hess_f
+        point = generic_point(fev, dens, list(x), f=space.weight)
+        generic = curvature_sample(point, list(y)).hess_f
         assert closed == pytest.approx(generic, rel=1e-9, abs=1e-11)
 
 
@@ -600,7 +605,8 @@ def test_nav_ricci_matches_generic_on_hopf():
     rng = np.random.default_rng(27)
     for x, y in admissible_samples(space, rng, 30, shift=HOPF_SHIFT, scale=0.3):
         closed = nav_ricci_isotropic(nav_point(SPHERE3, HOPF_W, x), y)
-        generic = curvature_sample(fev, dens, list(x), list(y)).ricci
+        point = generic_point(fev, dens, list(x))
+        generic = curvature_sample(point, list(y)).ricci
         assert closed == pytest.approx(generic, rel=1e-7)
 
 
@@ -611,7 +617,8 @@ def test_nav_riemann_matches_generic_and_trace():
     rng = np.random.default_rng(28)
     for x, y in admissible_samples(space, rng, 10, shift=HOPF_SHIFT, scale=0.3):
         closed = nav_riemann_isotropic(nav_point(SPHERE3, HOPF_W, x), y)
-        generic = curvature_sample(fev, dens, list(x), list(y)).riemann
+        point = generic_point(fev, dens, list(x))
+        generic = curvature_sample(point, list(y)).riemann
         assert np.max(np.abs(closed - generic)) < 1e-8 * max(
             1.0, float(np.max(np.abs(generic)))
         )

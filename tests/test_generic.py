@@ -13,9 +13,10 @@ from kropina.generic import (
     VolumeDensity,
     bh_density,
     curvature_sample,
-    hess_form,
+    generic_point,
     unit_ball_volume,
 )
+from kropina.forms import bh_volume_density, finsler_evaluator, volume_density
 from kropina.jets import Jet
 from kropina.riemann import (
     MetricPoint,
@@ -24,7 +25,16 @@ from kropina.riemann import (
     hess_h,
     metric_from_strings,
 )
-from oracles import geodesic_flow, spray_generic
+from kropina.scenarios import COMPARISON_CUTOFF, load_scenario, scenario_samples
+from oracles import (
+    curvature_sample_oracle,
+    f2_jet,
+    geodesic_flow,
+    hess_form,
+    spray_generic,
+    spray_jets,
+    tau_jet,
+)
 
 SPHERE3 = metric_from_strings(
     [["1", "0", "0"], ["0", "sin(x1)^2", "0"], ["0", "0", "cos(x1)^2"]]
@@ -120,7 +130,7 @@ CONST_DENSITY = VolumeDensity(lambda x: 1.0, kind="Busemann-Hausdorff")
 
 def sample(F, x, y, sigma=CONST_DENSITY, f=None):
     """curvature_sample with the constant density unless one is given."""
-    return curvature_sample(F, sigma, x, y, f=f)
+    return curvature_sample(generic_point(F, sigma, x, f=f), y)
 
 
 def weighted_density(f_ast, n, base=None):
@@ -437,10 +447,8 @@ def test_jet_derivatives_match_fd():
     sig = weighted_density(parse_expr("0.3*x1 + 0.1*x2^2", 3), 3)
     x = [0.2, 0.1, -0.3]
     y = [1.2, 0.4, -0.1]
-    from kropina.generic import _f2_jet, _spray_jets, _tau_jet
-
-    Gj = _spray_jets(F, y, _f2_jet(F, x, y, 3))
-    tau = _tau_jet(F, sig, x, _f2_jet(F, x, y, 3))
+    Gj = spray_jets(F, y, f2_jet(F, x, y, 3))
+    tau = tau_jet(F, sig, x, f2_jet(F, x, y, 3))
     checks = 0
     for k in range(3):
         idx = tuple(1 if v == k else 0 for v in range(3))
@@ -464,29 +472,23 @@ def _separate_routes(F, sig, x, y, f):
     """The bundle's quantities, each from its own jet of F^2 of the
     lowest order that carries it, as separate per-quantity routes would
     compute them."""
-    from kropina.generic import (
-        _f2_jet,
-        _metric_jets,
-        _riemann_from_spray_jets,
-        _spray_jets,
-        _tau_jet,
-    )
+    from kropina.generic import _metric_jets, _riemann_from_spray_jets
     from kropina.jets import jet_space
 
     n = F.dim
     yv = np.asarray(y)
     g = np.array([[m.value for m in row]
-                  for row in _metric_jets(_f2_jet(F, x, y, 2), n)])
+                  for row in _metric_jets(f2_jet(F, x, y, 2), n)])
     G = spray_generic(F, x, y)
-    R = _riemann_from_spray_jets(_spray_jets(F, y, _f2_jet(F, x, y, 4)), y, n)
+    R = _riemann_from_spray_jets(spray_jets(F, y, f2_jet(F, x, y, 4)), y, n)
     tau = 0.5 * math.log(np.linalg.det(g)) - math.log(sig.func(list(x)))
-    grad = _tau_jet(F, sig, x, _f2_jet(F, x, y, 3)).gradient()
+    grad = tau_jet(F, sig, x, f2_jet(F, x, y, 3)).gradient()
     s = float(yv @ grad[:n] - 2.0 * G @ grad[n:])
     # S as a first-order jet from the order-4 F^2 jet, then its
     # horizontal derivative along first-order spray jets
-    f4 = _f2_jet(F, x, y, 4)
-    tau2 = _tau_jet(F, sig, x, f4)
-    Gj = _spray_jets(F, y, f4.truncate(3))
+    f4 = f2_jet(F, x, y, 4)
+    tau2 = tau_jet(F, sig, x, f4)
+    Gj = spray_jets(F, y, f4.truncate(3))
     space1 = jet_space(2 * n, 1)
     s_jet = space1.constant(0.0)
     for m in range(n):
@@ -511,7 +513,7 @@ def test_curvature_sample_bundle():
     f = parse_expr("0.3*x1 + 0.1*x2^2", 3)
     x = [0.2, 0.1, -0.3]
     y = [1.2, 0.4, -0.1]
-    cs = curvature_sample(F, sig, x, y, f=f)
+    cs = sample(F, x, y, sigma=sig, f=f)
     sep = _separate_routes(F, sig, x, y, f)
     assert np.allclose(cs.g, sep["g"], atol=1e-12)
     assert np.allclose(cs.spray, spray_generic(F, x, y), atol=1e-12)
@@ -525,6 +527,77 @@ def test_curvature_sample_bundle():
     f2 = float(F.func(x, y)) ** 2
     assert abs(np.asarray(y) @ cs.g @ np.asarray(y) - f2) < 1e-10 * max(1, f2)
     assert np.allclose(cs.connection @ np.asarray(y), 2.0 * cs.spray, atol=1e-10)
+
+
+def _flat_wind(n):
+    """Flat n-space with a constant unit wind, as a scenario document."""
+    vector = ["0.6", "0.8"] + ["0"] * (n - 2)
+    return {
+        "schema": "scenario/1",
+        "name": f"flat{n}_wind",
+        "dimension": n,
+        "representation": "nav",
+        "metric": [["1" if i == j else "0" for j in range(n)]
+                   for i in range(n)],
+        "vector": vector,
+        "constants": {"a": 0, "c": 0},
+        "box": [[-0.5, 0.5]] * n,
+        "points": 2,
+        "directions": 3,
+        "seed": 5,
+    }
+
+
+def _same_bits(a, b):
+    if a is None or b is None:
+        return a is b
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_same_sample(staged, oracle):
+    for name in ("x", "y", "g", "spray", "connection", "riemann", "ricci",
+                 "tau", "s", "sdot", "hess_f", "s_bh"):
+        assert _same_bits(getattr(staged, name), getattr(oracle, name)), name
+
+
+@pytest.mark.parametrize("source", [
+    _flat_wind(2), _flat_wind(4), "s3_hopf", "euclid_gaussian",
+])
+def test_staged_sample_equals_oracle_bit_for_bit(source):
+    """generic_point + curvature_sample compute what the per-direction
+    oracle computes, bit for bit, weight and unit-ball S included."""
+    sc = load_scenario(source)
+    space = sc.space()
+    ev = finsler_evaluator(space, "ab")
+    dens = volume_density(space)
+    bh = bh_volume_density(space) if space.weight is not None else None
+    checked = 0
+    for x, ys in scenario_samples(sc, cutoff=COMPARISON_CUTOFF)[:2]:
+        point = generic_point(ev, dens, x, f=space.weight, bh=bh)
+        for y in ys[:3]:
+            _assert_same_sample(
+                curvature_sample(point, y),
+                curvature_sample_oracle(ev, dens, x, y, f=space.weight, bh=bh),
+            )
+            checked += 1
+    assert checked == 6
+    assert (space.weight is not None) == (source == "euclid_gaussian")
+
+
+def test_staged_sample_equals_oracle_without_a_stage():
+    """An evaluator without an x-stage falls back to func and domain."""
+    F = wavy_kropina()
+    assert F.stage is None and F.domain_stage is None
+    sig = weighted_density(parse_expr("0.3*x1 + 0.1*x2^2", 3), 3)
+    f = parse_expr("x1^2 + 0.5*x2*x3", 3)
+    x = [0.2, 0.1, -0.3]
+    point = generic_point(F, sig, x, f=f, bh=CONST_DENSITY)
+    for y in ([1.2, 0.4, -0.1], [0.9, -0.3, 0.2]):
+        _assert_same_sample(
+            curvature_sample(point, y),
+            curvature_sample_oracle(F, sig, x, y, f=f, bh=CONST_DENSITY),
+        )
 
 
 def test_volume_kind_validation():

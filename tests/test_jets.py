@@ -16,7 +16,7 @@ from kropina.jets import (
     jet_solve,
     jet_space,
 )
-from oracles import jet_inverse
+from oracles import jet_inverse, jet_solve_reference
 
 
 def test_square_partial():
@@ -167,6 +167,31 @@ def test_jet_solve_and_det_against_numpy():
         inv = jet_inverse(A)
         got = np.array([[inv[i][j].value for j in range(3)] for i in range(3)])
         assert np.allclose(got, np.linalg.inv(base), rtol=1e-11, atol=1e-12)
+
+
+def test_jet_solve_reuses_pivot_reciprocals_exactly():
+    """jet_solve multiplies by the pivot reciprocals of its elimination;
+    a fresh reciprocal of each final pivot gives the same bits."""
+    rng = np.random.default_rng(12)
+    for n in (2, 3, 4):
+        s = jet_space(n, 2)
+        for _ in range(4):
+            # diagonally dominant, then rows permuted so pivoting swaps
+            base = rng.normal(size=(n, n)) + 4.0 * np.eye(n)
+            base = base[rng.permutation(n)]
+            A = []
+            for i in range(n):
+                row = []
+                for j in range(n):
+                    coef = 0.1 * rng.normal(size=s.ncoef)
+                    coef[0] = base[i, j]
+                    row.append(Jet(s, coef))
+                A.append(row)
+            rhs = [Jet(s, rng.normal(size=s.ncoef)) for _ in range(n)]
+            got = jet_solve(A, rhs)
+            want = jet_solve_reference(A, rhs)
+            for u, v in zip(got, want):
+                assert u.coef.tobytes() == v.coef.tobytes()
 
 
 def _random_tame_expr(rng, dim):

@@ -8,6 +8,7 @@ import pytest
 from jsonschema import Draft202012Validator
 
 from kropina.forms import GaugeError, finsler_evaluator
+from kropina.jets import Jet
 from kropina.reports import (
     ReportDocument,
     exit_code_for,
@@ -414,7 +415,8 @@ def test_report_json_is_strict():
 
 def _count_work(monkeypatch):
     """Record every drift-bundle build (its chart point) and every
-    generic curvature sample (its point, direction and density kind)."""
+    generic curvature sample (its point, direction and whether it also
+    carries S against the unit-ball density)."""
     import kropina.einstein as einstein
     import kropina.forms as forms
     import kropina.workbench as workbench
@@ -428,10 +430,11 @@ def _count_work(monkeypatch):
 
     real_sample = einstein.curvature_sample
 
-    def sample(F, sigma, x, y, f=None):
-        samples.append((tuple(float(v) for v in x),
-                        tuple(float(v) for v in y), sigma.kind))
-        return real_sample(F, sigma, x, y, f=f)
+    def sample(point, y):
+        cs = real_sample(point, y)
+        samples.append((tuple(float(v) for v in point.x),
+                        tuple(float(v) for v in y), cs.s_bh is not None))
+        return cs
 
     monkeypatch.setattr(forms.AbFields, "__init__", init)
     monkeypatch.setattr(einstein, "curvature_sample", sample)
@@ -445,15 +448,17 @@ def test_verify_builds_once_per_point(monkeypatch):
     run_verify(sc)
     assert len(bundles) == sc.points == len(set(bundles))
     assert len(samples) == sc.points * sc.directions == len(set(samples))
+    assert not any(has_bh for *_, has_bh in samples)
 
-    # a weight adds the unit-ball density for the S-curvature pair
+    # with a weight, the same sample also carries S against the
+    # unit-ball density for the S-curvature pair
     bundles.clear()
     samples.clear()
     sc = load_scenario("euclid_gaussian")
     run_verify(sc)
     assert len(bundles) == sc.points == len(set(bundles))
-    assert len(samples) == 2 * sc.points * sc.directions == len(set(samples))
-    assert {kind for *_, kind in samples} == {"weighted", "Busemann-Hausdorff"}
+    assert len(samples) == sc.points * sc.directions == len(set(samples))
+    assert all(has_bh for *_, has_bh in samples)
 
 
 def test_check_builds_once_per_point_per_checker(monkeypatch):
@@ -465,9 +470,33 @@ def test_check_builds_once_per_point_per_checker(monkeypatch):
     points = set(bundles)
     assert len(points) == sc.points
     assert all(bundles.count(x) == checkers for x in points)
+    # the checkers share one sample per (x, y)
     pairs = {(x, y) for x, y, _ in samples}
     assert len(pairs) == sc.points * sc.directions
-    assert len(samples) == checkers * len(pairs)
+    assert len(samples) == len(pairs)
+
+
+def test_f_x_stage_runs_once_per_point_per_run(monkeypatch):
+    """The jet x-stage of F (a_ij(x), b_i(x) over order-4 seeds) runs
+    once per chart point in a run, however many directions and
+    checkers use it."""
+    import kropina.generic as generic
+
+    staged = []
+    real_at = generic.FinslerEvaluator.at
+
+    def at(self, x):
+        if isinstance(x[0], Jet):
+            staged.append(tuple(v.value for v in x))
+        return real_at(self, x)
+
+    monkeypatch.setattr(generic.FinslerEvaluator, "at", at)
+    for name in ("s3_hopf", "euclid_gaussian"):
+        sc = load_scenario(name)
+        for run in (lambda: run_check(sc), lambda: run_verify(sc, mc_samples=500)):
+            staged.clear()
+            run()
+            assert len(staged) == len(set(staged)) == sc.points
 
 
 # -- load once: the scenario's space serves every driver ------------------------
@@ -528,6 +557,21 @@ def test_convert_builds_only_the_emitted_space(monkeypatch):
         assert doc.verdict == "PASS"
         assert built == [f"{name}_{to}"]
         monkeypatch.undo()
+
+
+def test_convert_to_own_representation_emits_the_source_view():
+    """An ab scenario converted to ab without a gauge emits its own
+    (a, b), not trees re-derived through the navigation view."""
+    sc = load_scenario("random:3")
+    doc = run_convert(sc, "ab")
+    assert doc.verdict == "PASS"
+    # compact JSON; the parent's re-derived trees made it 157 KB
+    assert len(json.dumps(doc.as_dict(timings=False))) < 10_000
+    assert doc.tables[0]["name"] == "f-agreement"
+    assert doc.tables[0]["max_rel_dev"] == 0.0
+    again = run_convert(doc.emitted, "ab")
+    assert again.emitted["metric"] == doc.emitted["metric"]
+    assert again.emitted["vector"] == doc.emitted["vector"]
 
 
 def test_convert_evidence_evaluates_f_once_per_point(monkeypatch):

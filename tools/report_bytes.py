@@ -7,14 +7,18 @@ serialised as ``to_json(timings=False)`` would, with ``tool.version``
 dropped, so two checkouts that behave the same write the same bytes.
 
     python3 tools/report_bytes.py [--src DIR] > OUT.json
+    python3 tools/report_bytes.py [--src DIR] --against OUT.json
 
 --src names the source tree to import kropina from (default: this
 checkout's src/), so an older checkout without this script can be
-measured too.  The JSON goes to stdout.  To compare two checkouts in one
-command:
+measured too.  The JSON goes to stdout.  With --against FILE the reports
+are compared with FILE's instead: one line per label, "identical" or
+"differs at" its first differing JSON pointer, and the exit status is 1
+when any label differs or is missing on either side.  The byte gate
+between two checkouts is then:
 
-    diff <(python3 tools/report_bytes.py --src ../other/src) \\
-         <(python3 tools/report_bytes.py)
+    python3 tools/report_bytes.py --src ../other/src > before.json
+    python3 tools/report_bytes.py --against before.json
 
 Uses only the standard library and kropina; it is not part of the test
 suite.
@@ -54,16 +58,72 @@ def reports():
     return out
 
 
+def first_difference(a, b, path=""):
+    """JSON pointer of the first place where a and b differ, or None."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(set(a) | set(b)):
+            where = f"{path}/{key.replace('~', '~0').replace('/', '~1')}"
+            if key not in a or key not in b:
+                return where
+            found = first_difference(a[key], b[key], where)
+            if found is not None:
+                return found
+        return None
+    if isinstance(a, list) and isinstance(b, list):
+        for k, (u, v) in enumerate(zip(a, b)):
+            found = first_difference(u, v, f"{path}/{k}")
+            if found is not None:
+                return found
+        if len(a) != len(b):
+            return f"{path}/{min(len(a), len(b))}"
+        return None
+    # leaves compare as their JSON text, so -0.0 and 0.0 differ
+    if json.dumps(a) != json.dumps(b):
+        return path or "/"
+    return None
+
+
+def compare(current, reference):
+    """One line per label and whether every label is identical."""
+    lines, same = [], True
+    for label in sorted(set(current) | set(reference)):
+        if label not in reference or label not in current:
+            side = "reference" if label not in reference else "this run"
+            lines.append(f"{label}: missing from {side}")
+            same = False
+            continue
+        where = first_difference(reference[label], current[label])
+        if where is None:
+            lines.append(f"{label}: identical")
+        else:
+            lines.append(f"{label}: differs at {where}")
+            same = False
+    return lines, same
+
+
 def main(argv=None):
     here = Path(__file__).resolve().parent.parent
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(here / "src"),
                         help="source tree holding the kropina package")
+    parser.add_argument("--against", metavar="FILE",
+                        help="compare with the reports this script wrote "
+                             "to FILE; exit 1 on any difference")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(Path(args.src).resolve()))
-    sys.stdout.write(json.dumps(reports(), sort_keys=True, indent=1,
-                                allow_nan=False) + "\n")
+    # a round trip through JSON, so both sides compare as parsed text
+    current = json.loads(json.dumps(reports(), sort_keys=True,
+                                    allow_nan=False))
+    if args.against is None:
+        sys.stdout.write(json.dumps(current, sort_keys=True, indent=1,
+                                    allow_nan=False) + "\n")
+        return 0
+    with open(args.against) as fh:
+        reference = json.load(fh)
+    lines, same = compare(current, reference)
+    sys.stdout.write("\n".join(lines) + "\n")
+    return 0 if same else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
