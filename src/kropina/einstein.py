@@ -23,6 +23,7 @@ configured tolerance only.
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -226,14 +227,6 @@ def _generic_ric_ac(sample, cfg: WeightConfig):
     return val
 
 
-def _generic_sample(fields, y):
-    """The generic curvature sample at (x, y) against the weighted density."""
-    space = fields.space
-    point = generic_point(finsler_evaluator(space, "ab"),
-                          volume_density(space), fields.x)
-    return curvature_sample(point, y)
-
-
 class GenericSamples:
     """Generic curvature samples of one space against its weighted
     density, each chart point staged once and each (x, y) sampled once.
@@ -262,41 +255,26 @@ class GenericSamples:
         return cs
 
 
-def _generic_samples(space: KropinaSpace, generic) -> GenericSamples:
-    """The given sample store if it samples this space, else a new one."""
-    if generic is not None and generic.space is space:
-        return generic
-    return GenericSamples(space)
-
-
-def ric_ac(fields, cfg: WeightConfig, y, route="closed"):
-    """Weighted Ricci curvature Ric + a*Sdot - c*S^2 at (x, y).
-
-    route selects the code path: "closed" uses the drift-invariant
-    formulas, "generic" differentiates F and the weighted density
-    directly.  The two paths share no curvature code and agree to the
-    cross-validation tolerance.
-    """
+def ric_ac(fields, cfg: WeightConfig, y):
+    """Weighted Ricci curvature Ric + a*Sdot - c*S^2 at (x, y), from the
+    drift-invariant closed forms; _generic_ric_ac is the generic
+    pipeline's counterpart."""
     _require_bundle_weight(fields, cfg)
     a, c = float(cfg.a), float(cfg.c)
     n = fields.n
-    if route == "closed":
-        val = kropina_ricci_closed(fields, y)
-        if a != 0.0:
-            val += a * (n + 1) * s_dot_closed(fields, y)
-        if c != 0.0:
-            val -= c * s_closed(fields, y) ** 2
-        return val
-    if route == "generic":
-        return _generic_ric_ac(_generic_sample(fields, y), cfg)
-    raise ValueError(f"unknown route {route!r}")
+    val = kropina_ricci_closed(fields, y)
+    if a != 0.0:
+        val += a * (n + 1) * s_dot_closed(fields, y)
+    if c != 0.0:
+        val -= c * s_closed(fields, y) ** 2
+    return val
 
 
-def pric(fields, y, route="closed"):
+def pric(fields, y):
     """Projective Ricci curvature: ric_ac at the constants where both
     derived constants vanish."""
     a, c = pric_constants(fields.n)
-    return ric_ac(fields, WeightConfig(a, c, fields.n), y, route=route)
+    return ric_ac(fields, WeightConfig(a, c, fields.n), y)
 
 
 # -- the Einstein ansatz and its fit -------------------------------------------
@@ -331,15 +309,13 @@ class EinsteinAnsatz:
         return 3.0 * th * F + self.sigma * F * F
 
 
-def einstein_residual(fields, cfg: WeightConfig, ansatz: EinsteinAnsatz, y,
-                      route="closed"):
+def einstein_residual(fields, cfg: WeightConfig, ansatz: EinsteinAnsatz, y):
     """ric_ac(y) - (n-1) (3 theta(y) F + sigma F^2) at one (x, y)."""
     inv = AbInvariants(fields, y)
-    return (ric_ac(fields, cfg, y, route=route)
-            - (fields.n - 1) * ansatz.model(inv.F, y))
+    return ric_ac(fields, cfg, y) - (fields.n - 1) * ansatz.model(inv.F, y)
 
 
-def fit_theta_sigma(fields, cfg: WeightConfig, directions, route="closed"):
+def fit_theta_sigma(fields, cfg: WeightConfig, directions):
     """Least-squares (theta_1..theta_n, sigma) minimizing the Einstein
     residual over the given directions at the bundle's chart point.
 
@@ -362,7 +338,7 @@ def fit_theta_sigma(fields, cfg: WeightConfig, directions, route="closed"):
             [3.0 * (n - 1) * inv.F * y[i] for i in range(n)]
             + [(n - 1) * inv.F**2]
         )
-        target.append(ric_ac(fields, cfg, y, route=route))
+        target.append(ric_ac(fields, cfg, y))
     A = np.array(rows)
     t = np.array(target)
     if np.linalg.matrix_rank(A) < n + 1:
@@ -417,7 +393,10 @@ def weighted_ricci_tensor(h: RiemannianMetric, f, cfg: WeightConfig, x):
     if isinstance(f, str):
         f = parse_expr(f, h.dim)
     mp = MetricPoint.from_exprs(h, list(x), order=2)
-    return _weighted_ricci(mp, f, cfg, *_weight_derivs(f, mp, x))
+    if f is None:
+        return _weighted_ricci(mp, f, cfg, None, None)
+    _, df, d2f = _extract(eval_component_jets(f, list(x), 2), h.dim, 2)
+    return _weighted_ricci(mp, f, cfg, df, mp.covariant_hessian(df, d2f))
 
 
 def _weighted_ricci(mp: MetricPoint, f, cfg: WeightConfig, fg, hf):
@@ -428,16 +407,6 @@ def _weighted_ricci(mp: MetricPoint, f, cfg: WeightConfig, fg, hf):
         T = T + a * (n + 1) * hf
         T = T - c * (n + 1) ** 2 * np.outer(fg, fg)
     return T
-
-
-def _weight_derivs(f: Optional[ExprAst], mp: MetricPoint, x):
-    """(gradient, covariant Hessian) of the weight f at x against the
-    metric point mp; zeros when no weight is set."""
-    n = mp.n
-    if f is None:
-        return np.zeros(n), np.zeros((n, n))
-    _, df, d2f = _extract(eval_component_jets(f, list(x), 2), n, 2)
-    return df, mp.covariant_hessian(df, d2f)
 
 
 # -- polynomial divisibility ----------------------------------------------------
@@ -658,52 +627,12 @@ def _scaled_residual(value, *scales):
     return abs(float(value)) / s
 
 
-def _normalize_samples(samples):
-    out = []
-    total = 0
-    for x, ys in samples:
-        ys = [np.asarray(y, dtype=float) for y in ys]
-        out.append((np.asarray(x, dtype=float), ys))
-        total += len(ys)
-    if not out:
-        raise ValueError("checker needs at least one sample point")
-    return out, total
-
-
-def _require_regime(cfg, want, theorem):
-    if cfg.regime != want:
-        raise DispatchError(
-            f"checker {theorem} applies in regime {want}, got {cfg.regime} "
-            f"(kappa={cfg.kappa:.6g}, nu={cfg.nu:.6g})"
-        )
-
-
-def _end_to_end(fld, cfg, generic, ys, variants, res):
-    """Generic-pipeline Einstein residuals for each named ansatz; the
-    report's bottom line never reuses the closed formulas."""
-    n = fld.n
-    for y in ys:
-        F = AbInvariants(fld, y).F
-        val = _generic_ric_ac(generic.sample(fld.x, y), cfg)
-        for label, ansatz in variants:
-            model = (n - 1) * ansatz.model(F, y)
-            res.add(label, _scaled_residual(val - model, val, model))
-
-
 def _drift_scalars(fld):
     """(s^i s_i, s^j_k s^k_j, s^j_k r^k_j) contractions of the drift."""
     sksk = float(fld.s_vec @ fld.ainv @ fld.s_vec)
     ss = float(np.einsum("ij,ji->", fld.s_up, fld.s_up))
     sr = float(np.einsum("ij,ji->", fld.s_up, fld.r_up))
     return sksk, ss, sr
-
-
-def _sigma_from_drift(fld):
-    """The sigma forced by the drift data alone:
-    -(s^k s_k / 2 + b^2 s^j_k s^k_j / 4) / ((n - 1) b^2)."""
-    n = fld.n
-    sksk, ss, _ = _drift_scalars(fld)
-    return -(0.5 * sksk + 0.25 * fld.b2 * ss) / ((n - 1) * fld.b2)
 
 
 def _sym_rv(r, v):
@@ -721,9 +650,129 @@ def _sym_outer(u, v):
 
 # -- checkers -------------------------------------------------------------------
 #
-# Each checker takes an optional GenericSamples; when it samples the
-# checker's resolved space, the end-to-end residuals read their generic
-# curvature samples from it, so the checkers of one run share them.
+# One driver, _check, runs the loop the four regime theorems share: the
+# regime gate, the weight, the generic sample store, one drift bundle and
+# one (theta, sigma) fit per chart point, and the end-to-end Einstein
+# residuals.  Each checker adds only its theorem's own conditions.  The
+# optional GenericSamples serves the end-to-end residuals when it samples
+# the checker's resolved space, so the checkers of one run share it.
+
+
+class _ChartPoint:
+    """One chart point of a checker run: its directions, drift bundle
+    and least-squares (theta, sigma) fit, each built on first use."""
+
+    def __init__(self, space: KropinaSpace, cfg: WeightConfig, x, ys):
+        self.space = space
+        self.cfg = cfg
+        self.n = space.dim
+        self.x = np.asarray(x, dtype=float)
+        self.ys = [np.asarray(y, dtype=float) for y in ys]
+
+    @cached_property
+    def fld(self):
+        return ab_fields(self.space, self.x)
+
+    @cached_property
+    def fitted(self) -> EinsteinAnsatz:
+        return fit_theta_sigma(self.fld, self.cfg, self.ys)
+
+    @cached_property
+    def weight_hess(self):
+        """Covariant Hessian f_{i|j} of the weight against a_ij (zero
+        without a weight)."""
+        fld = self.fld
+        return fld.mp.covariant_hessian(fld.f_grad, fld.f_hess)
+
+
+def _check(theorem, regime, keys, conditions, space, cfg, samples, tol,
+           generic):
+    """Run one regime theorem over the samples.
+
+    conditions(point, res, scal) adds the theorem's own conditions at
+    one _ChartPoint to res and its scalars to scal, whose lists keys
+    names in report order, and returns the closed-form EinsteinAnsatz.
+    The generic pipeline then judges that ansatz and the fitted one: the
+    report's bottom line never reuses the closed formulas.
+    """
+    if cfg.regime != regime:
+        raise DispatchError(
+            f"checker {theorem} applies in regime {regime}, got {cfg.regime} "
+            f"(kappa={cfg.kappa:.6g}, nu={cfg.nu:.6g})"
+        )
+    space = _space_with_cfg(space, cfg)
+    if generic is None or generic.space is not space:
+        generic = GenericSamples(space)
+    res = _Residuals(tol)
+    scal = {key: [] for key in keys}
+    points = directions = 0
+    for x, ys in samples:
+        pt = _ChartPoint(space, cfg, x, ys)
+        points += 1
+        directions += len(pt.ys)
+        formula = conditions(pt, res, scal)
+        fitted = pt.fitted
+        scal["sigma_formula"].append(formula.sigma)
+        scal["sigma_fitted"].append(fitted.sigma)
+        scal["theta_fitted"].append(list(fitted.theta))
+        for y in pt.ys:
+            F = AbInvariants(pt.fld, y).F
+            val = _generic_ric_ac(generic.sample(pt.x, y), cfg)
+            for label, ansatz in (("einstein-residual-formula", formula),
+                                  ("einstein-residual-fitted", fitted)):
+                model = (pt.n - 1) * ansatz.model(F, y)
+                res.add(label, _scaled_residual(val - model, val, model))
+    if not points:
+        raise ValueError("checker needs at least one sample point")
+    found = res.conditions()
+    return TheoremReport(theorem, _verdict(found), found, scal, points,
+                         directions)
+
+
+def _isotropy(pt, name, res, scal):
+    """The precondition r_00 = eta alpha^2, under the given condition
+    name; returns eta."""
+    fit = isotropy_fit(pt.fld, rel_tol=res.tol)
+    iso = fit.residual / max(1.0, fit.scale)
+    res.add(name, iso, kind="precondition")
+    scal["eta"].append(fit.eta)
+    scal["isotropy_residual"].append(iso)
+    return fit.eta
+
+
+def _sigma_agreement(pt, res):
+    """The sigma forced by the drift data alone,
+    -(s^k s_k / 2 + b^2 s^j_k s^k_j / 4) / ((n - 1) b^2), against the
+    fitted sigma; returns it."""
+    fld = pt.fld
+    sksk, ss, _ = _drift_scalars(fld)
+    sigma = -(0.5 * sksk + 0.25 * fld.b2 * ss) / ((pt.n - 1) * fld.b2)
+    fitted = pt.fitted.sigma
+    res.add("sigma-agreement", abs(sigma - fitted) / max(1.0, abs(fitted)))
+    return sigma
+
+
+def _reductions(pt, res, quad_dev, u, theta, lin_extra):
+    """The quadratic and linear slots of the curvature polynomial in a
+    nu = 0 regime.  quad_dev is the quadratic slot plus beta*zeta minus
+    u alpha^2; the linear slot is the covector below plus the regime's
+    own r-couplings lin_extra.  Both must vanish."""
+    fld, n = pt.fld, pt.n
+    b2 = fld.b2
+    res.add("quadratic-reduction",
+            float(np.abs(quad_dev).max())
+            / max(1.0, b2**2 * float(np.abs(fld.ric).max()), abs(u)))
+    lin = (
+        u * fld.bl
+        + b2 * (fld.dsv @ fld.bu)
+        - b2**2 * fld.div_s_up
+        + (n - 1) * b2 * np.einsum("k,kj->j", fld.s_vec, fld.s_up)
+        - 3 * (n - 1) * b2**2 * theta
+    ) + lin_extra
+    res.add("linear-reduction",
+            float(np.abs(lin).max())
+            / max(1.0, abs(u) * float(np.abs(fld.bl).max()),
+                  b2**2 * float(np.abs(fld.div_s_up).max())))
 
 
 def thm41_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6,
@@ -743,22 +792,12 @@ def thm41_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6,
     Raises DispatchError outside the regime and ValueError when the
     wind is not h-unit at a sample point.
     """
-    _require_regime(cfg, "nu!=0", "41")
-    space = _space_with_cfg(space, cfg)
     n = space.dim
     a, c = float(cfg.a), float(cfg.c)
-    f = space.weight
-    samples, total = _normalize_samples(samples)
 
-    generic = _generic_samples(space, generic)
-    res = _Residuals(tol)
-    scal = {
-        "mu": [], "sigma_formula": [], "sigma_proof": [], "sigma_fitted": [],
-        "theta_formula": [], "theta_fitted": [], "wind_norm_dev": [],
-    }
-
-    for x, ys in samples:
-        fp = nav_point(space.h, space.w, x)
+    def conditions(pt, res, scal):
+        x, f = pt.x, pt.space.weight
+        fp = nav_point(pt.space.h, pt.space.w, x)
         mp = fp.mp
         norm2 = float(fp.w_low @ fp.w)
         scal["wind_norm_dev"].append(abs(norm2 - 1.0))
@@ -767,7 +806,8 @@ def thm41_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6,
         cov_scale = max(1.0, float(np.abs(fp.cov1).max()))
         res.add("wind-killing", float(np.abs(wi.r_ij).max()) / cov_scale)
 
-        fg, hf = _weight_derivs(f, mp, x)
+        fg = pt.fld.f_grad
+        hf = mp.covariant_hessian(fg, pt.fld.f_hess)
         mu, tres = tensor_einstein_check(_weighted_ricci(mp, f, cfg, fg, hf),
                                          mp.g)
         res.add("einstein-tensor", tres)
@@ -788,30 +828,23 @@ def thm41_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6,
         sigma_proof = mu - 3 * theta_w - (
             ric_ww + ss - a * (n + 1) * hess_ww + c * (n + 1) ** 2 * f_w**2
         ) / (n - 1)
-        scal["sigma_formula"].append(sigma_formula)
         scal["sigma_proof"].append(sigma_proof)
         scal["theta_formula"].append(list(theta_formula))
         res.add("sigma-consistency",
                 abs(sigma_formula - sigma_proof) / max(1.0, abs(sigma_formula)))
 
-        fld = ab_fields(space, x)
-        fitted = fit_theta_sigma(fld, cfg, ys)
-        scal["sigma_fitted"].append(fitted.sigma)
-        scal["theta_fitted"].append(list(fitted.theta))
+        fitted = pt.fitted
         agree = max(
             abs(sigma_formula - fitted.sigma),
             float(np.abs(theta_formula - np.array(fitted.theta)).max()),
         )
         res.add("theta-sigma-fit-agreement", agree / max(1.0, abs(fitted.sigma)))
+        return EinsteinAnsatz(tuple(theta_formula), sigma_formula)
 
-        formula = EinsteinAnsatz(tuple(theta_formula), sigma_formula)
-        _end_to_end(fld, cfg, generic, ys,
-                    [("einstein-residual-formula", formula),
-                     ("einstein-residual-fitted", fitted)], res)
-
-    conditions = res.conditions()
-    return TheoremReport("41", _verdict(conditions), conditions, scal,
-                         len(samples), total)
+    return _check("41", "nu!=0",
+                  ("mu", "sigma_formula", "sigma_proof", "sigma_fitted",
+                   "theta_formula", "theta_fitted", "wind_norm_dev"),
+                  conditions, space, cfg, samples, tol, generic)
 
 
 def thm44_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6,
@@ -825,33 +858,16 @@ def thm44_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6,
     the fitted one; and the end-to-end Einstein equation through the
     generic pipeline.
     """
-    _require_regime(cfg, "nu!=0", "44")
-    space = _space_with_cfg(space, cfg)
     n = space.dim
     a = float(cfg.a)
     kappa, nu = cfg.kappa, cfg.nu
-    samples, total = _normalize_samples(samples)
 
-    generic = _generic_samples(space, generic)
-    res = _Residuals(tol)
-    scal = {
-        "eta": [], "isotropy_residual": [], "lambda": [],
-        "sigma_formula": [], "sigma_fitted": [], "theta_fitted": [],
-    }
-
-    for x, ys in samples:
-        fld = ab_fields(space, x)
-        fit = isotropy_fit(fld, rel_tol=tol)
-        iso = fit.residual / max(1.0, fit.scale)
-        res.add("isotropy", iso, kind="precondition")
-        scal["eta"].append(fit.eta)
-        scal["isotropy_residual"].append(iso)
-
+    def conditions(pt, res, scal):
+        fld = pt.fld
+        eta = _isotropy(pt, "isotropy", res, scal)
         b2 = fld.b2
-        eta = fit.eta
         eta_k = fld.eta_grad
-        fitted = fit_theta_sigma(fld, cfg, ys)
-        theta = np.array(fitted.theta)
+        theta = np.array(pt.fitted.theta)
         theta_b = float(theta @ fld.bu)
         sksk, ss, _ = _drift_scalars(fld)
         lam = (
@@ -861,18 +877,12 @@ def thm44_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6,
             - b2 * (fld.div_s + ss)
         )
         scal["lambda"].append(lam)
-        sigma_formula = _sigma_from_drift(fld)
-        scal["sigma_formula"].append(sigma_formula)
-        scal["sigma_fitted"].append(fitted.sigma)
-        scal["theta_fitted"].append(list(fitted.theta))
-        res.add("sigma-agreement",
-                abs(sigma_formula - fitted.sigma) / max(1.0, abs(fitted.sigma)))
+        sigma_formula = _sigma_agreement(pt, res)
 
-        _, hess_a = _weight_derivs(space.weight, fld.mp, x)
-        for y in ys:
+        for y in pt.ys:
             inv = AbInvariants(fld, y)
             ric_a = float(y @ fld.ric @ y)
-            hf_y = float(y @ hess_a @ y)
+            hf_y = float(y @ pt.weight_hess @ y)
             lhs = (
                 ric_a * b2**2
                 + (n - 2) * (
@@ -905,15 +915,12 @@ def thm44_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6,
                         odd, inv.beta * b2 * (fld.div_s + ss),
                         b2 * inv.s0_b, b2**2 * inv.div_s0,
                         3 * (n - 1) * b2**2 * float(theta @ y)))
+        return EinsteinAnsatz(tuple(theta), sigma_formula)
 
-        formula = EinsteinAnsatz(tuple(theta), sigma_formula)
-        _end_to_end(fld, cfg, generic, ys,
-                    [("einstein-residual-formula", formula),
-                     ("einstein-residual-fitted", fitted)], res)
-
-    conditions = res.conditions()
-    return TheoremReport("44", _verdict(conditions), conditions, scal,
-                         len(samples), total)
+    return _check("44", "nu!=0",
+                  ("eta", "isotropy_residual", "lambda", "sigma_formula",
+                   "sigma_fitted", "theta_fitted"),
+                  conditions, space, cfg, samples, tol, generic)
 
 
 def _cubic_drift_tensor(fld, cfg):
@@ -959,35 +966,6 @@ def _quadratic_drift_tensor(fld, cfg, hess_a):
     )
 
 
-def _linear_drift_vector(fld, u, theta, kappa, eta=None):
-    """Linear slot of the curvature polynomial as a covector.
-
-    With eta supplied (conformal factor of an isotropic drift) the
-    collapsed kappa = 0 coefficients are used; otherwise the generic
-    nu = 0 coefficients, which keep the full r-couplings.
-    """
-    n = fld.n
-    b2 = fld.b2
-    lin = (
-        u * fld.bl
-        + b2 * (fld.dsv @ fld.bu)
-        - b2**2 * fld.div_s_up
-        + (n - 1) * b2 * np.einsum("k,kj->j", fld.s_vec, fld.s_up)
-        - 3 * (n - 1) * b2**2 * theta
-    )
-    if eta is None:
-        s_up_vec = fld.ainv @ fld.s_vec
-        lin = lin + (
-            (kappa - n) * fld.r_scalar * fld.s_vec
-            + b2 * fld.trace_r_up * fld.s_vec
-            + (n - kappa - 2) * b2 * np.einsum("k,kj->j", fld.r_vec, fld.s_up)
-            - b2 * (fld.r @ s_up_vec)
-        )
-    else:
-        lin = lin + (n - 3) * b2 * eta * fld.s_vec
-    return lin
-
-
 def thm51_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6,
                 generic=None):
     """Checker for the nu = 0, kappa != 0 regime.
@@ -999,71 +977,48 @@ def thm51_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6,
     drift-forced sigma agrees with the fit; and the Einstein equation
     holds end-to-end through the generic pipeline.
     """
-    _require_regime(cfg, "nu=0,kappa!=0", "51")
-    space = _space_with_cfg(space, cfg)
     n = space.dim
     kappa = cfg.kappa
-    samples, total = _normalize_samples(samples)
 
-    generic = _generic_samples(space, generic)
-    res = _Residuals(tol)
-    scal = {
-        "zeta": [], "u": [], "sigma_formula": [], "sigma_fitted": [],
-        "theta_fitted": [], "divisibility_residual": [],
-    }
-
-    for x, ys in samples:
-        fld = ab_fields(space, x)
+    def conditions(pt, res, scal):
+        fld = pt.fld
         b2 = fld.b2
-        cubic = _cubic_drift_tensor(fld, cfg)
-        zeta, div_res = poly_divisible_by_alpha2(cubic, fld.mp.g)
+        zeta, div_res = poly_divisible_by_alpha2(_cubic_drift_tensor(fld, cfg),
+                                                 fld.mp.g)
         res.add("cubic-divisibility", div_res, kind="precondition")
         scal["zeta"].append(list(zeta))
         scal["divisibility_residual"].append(div_res)
 
-        fitted = fit_theta_sigma(fld, cfg, ys)
-        theta = np.array(fitted.theta)
+        theta = np.array(pt.fitted.theta)
         theta_b = float(theta @ fld.bu)
         sksk, ss, sr = _drift_scalars(fld)
+        s_up_vec = fld.ainv @ fld.s_vec
         u = (
-            (n - kappa) * float(fld.r_vec @ (fld.ainv @ fld.s_vec))
+            (n - kappa) * float(fld.r_vec @ s_up_vec)
             + (n - 2) * sksk
             + 3 * (n - 1) * b2 * theta_b
             - b2 * (fld.div_s + ss + sr)
         )
         scal["u"].append(u)
-        sigma_formula = _sigma_from_drift(fld)
-        scal["sigma_formula"].append(sigma_formula)
-        scal["sigma_fitted"].append(fitted.sigma)
-        scal["theta_fitted"].append(list(fitted.theta))
-        res.add("sigma-agreement",
-                abs(sigma_formula - fitted.sigma) / max(1.0, abs(fitted.sigma)))
+        sigma_formula = _sigma_agreement(pt, res)
 
-        _, hess_a = _weight_derivs(space.weight, fld.mp, x)
         quad = _sym_outer(fld.bl, zeta) \
-            + _quadratic_drift_tensor(fld, cfg, hess_a)
-        dev = quad - u * fld.mp.g
-        res.add("quadratic-reduction",
-                float(np.abs(dev).max())
-                / max(1.0, b2**2 * float(np.abs(fld.ric).max()), abs(u)))
+            + _quadratic_drift_tensor(fld, cfg, pt.weight_hess)
+        _reductions(pt, res, quad - u * fld.mp.g, u, theta, (
+            (kappa - n) * fld.r_scalar * fld.s_vec
+            + b2 * fld.trace_r_up * fld.s_vec
+            + (n - kappa - 2) * b2 * np.einsum("k,kj->j", fld.r_vec, fld.s_up)
+            - b2 * (fld.r @ s_up_vec)
+        ))
+        return EinsteinAnsatz(tuple(theta), sigma_formula)
 
-        lin = _linear_drift_vector(fld, u, theta, kappa)
-        res.add("linear-reduction",
-                float(np.abs(lin).max())
-                / max(1.0, abs(u) * float(np.abs(fld.bl).max()),
-                      b2**2 * float(np.abs(fld.div_s_up).max())))
-
-        formula = EinsteinAnsatz(tuple(theta), sigma_formula)
-        _end_to_end(fld, cfg, generic, ys,
-                    [("einstein-residual-formula", formula),
-                     ("einstein-residual-fitted", fitted)], res)
-
-    conditions = res.conditions()
-    return TheoremReport("51", _verdict(conditions), conditions, scal,
-                         len(samples), total)
+    return _check("51", "nu=0,kappa!=0",
+                  ("zeta", "u", "sigma_formula", "sigma_fitted",
+                   "theta_fitted", "divisibility_residual"),
+                  conditions, space, cfg, samples, tol, generic)
 
 
-def thm61_check(space: KropinaSpace, samples, tol=1e-6, cfg=None,
+def thm61_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6,
                 generic=None):
     """Checker for the projective regime (kappa = nu = 0).
 
@@ -1073,53 +1028,28 @@ def thm61_check(space: KropinaSpace, samples, tol=1e-6, cfg=None,
     reduces with u from its closed form; the linear slot vanishes; the
     drift-forced sigma agrees with the fit; and the projective Ricci
     curvature satisfies the Einstein equation end-to-end through the
-    generic pipeline.
+    generic pipeline.  pric_constants(n) gives the regime's (a, c).
     """
     n = space.dim
-    if cfg is None:
-        a, c = pric_constants(n)
-        cfg = WeightConfig(a, c, n)
-    _require_regime(cfg, "nu=0,kappa=0", "61")
-    space = _space_with_cfg(space, cfg)
-    samples, total = _normalize_samples(samples)
 
-    generic = _generic_samples(space, generic)
-    res = _Residuals(tol)
-    scal = {
-        "eta": [], "isotropy_residual": [], "zeta": [], "u": [],
-        "sigma_formula": [], "sigma_fitted": [], "theta_fitted": [],
-    }
-
-    for x, ys in samples:
-        fld = ab_fields(space, x)
-        fit = isotropy_fit(fld, rel_tol=tol)
-        iso = fit.residual / max(1.0, fit.scale)
-        res.add("drift-isotropy", iso, kind="precondition")
-        scal["eta"].append(fit.eta)
-        scal["isotropy_residual"].append(iso)
-
+    def conditions(pt, res, scal):
+        fld = pt.fld
+        eta = _isotropy(pt, "drift-isotropy", res, scal)
         b2 = fld.b2
-        eta = fit.eta
         eta_k = fld.eta_grad
-        fg, hess_a = _weight_derivs(space.weight, fld.mp, x)
+        fg = fld.f_grad
 
-        cubic = -2 * (n - 1) * b2 * _sym_rv(fld.r, fg)
-        zeta, div_res = poly_divisible_by_alpha2(cubic, fld.mp.g)
+        zeta, div_res = poly_divisible_by_alpha2(
+            -2 * (n - 1) * b2 * _sym_rv(fld.r, fg), fld.mp.g)
         res.add("cubic-divisibility", div_res)
         scal["zeta"].append(list(zeta))
 
-        fitted = fit_theta_sigma(fld, cfg, ys)
-        theta = np.array(fitted.theta)
+        theta = np.array(pt.fitted.theta)
         theta_b = float(theta @ fld.bu)
         sksk, ss, _ = _drift_scalars(fld)
         u = (n - 2) * sksk + 3 * (n - 1) * b2 * theta_b - b2 * (fld.div_s + ss)
         scal["u"].append(u)
-        sigma_formula = _sigma_from_drift(fld)
-        scal["sigma_formula"].append(sigma_formula)
-        scal["sigma_fitted"].append(fitted.sigma)
-        scal["theta_fitted"].append(list(fitted.theta))
-        res.add("sigma-agreement",
-                abs(sigma_formula - fitted.sigma) / max(1.0, abs(fitted.sigma)))
+        sigma_formula = _sigma_agreement(pt, res)
 
         dsv_s = 0.5 * (fld.dsv + fld.dsv.T)
         quad = (
@@ -1131,23 +1061,12 @@ def thm61_check(space: KropinaSpace, samples, tol=1e-6, cfg=None,
             - 2 * (n - 2) * eta * _sym_outer(fld.s_vec, fld.bl)
             + 2 * (n - 1) * b2 * eta * _sym_outer(fg, fld.bl)
             + (n - 2) * (b2 * dsv_s - np.outer(fld.s_vec, fld.s_vec))
-            + (n - 1) * b2**2 * (hess_a + np.outer(fg, fg))
+            + (n - 1) * b2**2 * (pt.weight_hess + np.outer(fg, fg))
         )
-        res.add("quadratic-reduction",
-                float(np.abs(quad).max())
-                / max(1.0, b2**2 * float(np.abs(fld.ric).max()), abs(u)))
+        _reductions(pt, res, quad, u, theta, (n - 3) * b2 * eta * fld.s_vec)
+        return EinsteinAnsatz(tuple(theta), sigma_formula)
 
-        lin = _linear_drift_vector(fld, u, theta, 0.0, eta=eta)
-        res.add("linear-reduction",
-                float(np.abs(lin).max())
-                / max(1.0, abs(u) * float(np.abs(fld.bl).max()),
-                      b2**2 * float(np.abs(fld.div_s_up).max())))
-
-        formula = EinsteinAnsatz(tuple(theta), sigma_formula)
-        _end_to_end(fld, cfg, generic, ys,
-                    [("einstein-residual-formula", formula),
-                     ("einstein-residual-fitted", fitted)], res)
-
-    conditions = res.conditions()
-    return TheoremReport("61", _verdict(conditions), conditions, scal,
-                         len(samples), total)
+    return _check("61", "nu=0,kappa=0",
+                  ("eta", "isotropy_residual", "zeta", "u", "sigma_formula",
+                   "sigma_fitted", "theta_fitted"),
+                  conditions, space, cfg, samples, tol, generic)

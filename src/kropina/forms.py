@@ -286,7 +286,7 @@ class KropinaSpace:
                 y = [float(v) for v in ys[k]]
                 for ev in views:
                     _check_domain(ev.domain_at(env), y, ev.name)
-                f_ab, f_nav = (float(ev.func(env, y)) for ev in views)
+                f_ab, f_nav = (float(ev(env, y)) for ev in views)
                 if abs(f_ab - f_nav) > tol_view * max(1.0, abs(f_ab)):
                     raise ValueError(
                         f"F disagrees between views at point {k}: "
@@ -370,42 +370,20 @@ class AbFields:
         return v
 
     @cached_property
-    def r(self):
-        c = self.fp.cov1
-        return 0.5 * (c + c.T)
+    def _w(self) -> WInvariants:
+        """r_ij, s_ij and their contractions, as for any field over a."""
+        return w_invariants_from_point(self.mp, self.fp)
 
-    @cached_property
-    def s(self):
-        c = self.fp.cov1
-        return 0.5 * (c - c.T)
-
-    @cached_property
-    def s_up(self):
-        return self.ainv @ self.s
+    r = property(lambda self: self._w.r_ij)
+    s = property(lambda self: self._w.s_ij)
+    s_up = property(lambda self: self._w.s_up)
+    s_vec = property(lambda self: self._w.s_vec)
+    r_vec = property(lambda self: self._w.r_vec)
+    r_scalar = property(lambda self: self._w.r_scalar)
 
     @cached_property
     def r_up(self):
         return self.ainv @ self.r
-
-    @cached_property
-    def s_vec(self):
-        return self.bu @ self.s
-
-    @cached_property
-    def r_vec(self):
-        return self.bu @ self.r
-
-    @cached_property
-    def r_scalar(self):
-        return float(self.r_vec @ self.bu)
-
-    @cached_property
-    def e_ij(self):
-        return (
-            self.r
-            + np.outer(self.bl, self.s_vec)
-            + np.outer(self.s_vec, self.bl)
-        )
 
     @cached_property
     def dr(self):
@@ -473,23 +451,18 @@ class AbFields:
     @cached_property
     def _weight_jets(self):
         if self.space.weight is None:
-            return 0.0, np.zeros(self.n), np.zeros((self.n, self.n))
+            return np.zeros(self.n), np.zeros((self.n, self.n))
         jets = eval_component_jets(self.space.weight, list(self.x), 2)
-        val, grad, hess = _extract(jets, self.n, 2)
-        return float(val), grad, hess
-
-    @property
-    def f_val(self):
-        return self._weight_jets[0]
+        return _extract(jets, self.n, 2)[1:]
 
     @property
     def f_grad(self):
-        return self._weight_jets[1]
+        return self._weight_jets[0]
 
     @property
     def f_hess(self):
         """Plain coordinate second partials of the weight, not covariant."""
-        return self._weight_jets[2]
+        return self._weight_jets[1]
 
 
 def ab_fields(space: KropinaSpace, x) -> AbFields:
@@ -553,46 +526,6 @@ class AbInvariants:
     @property
     def s_ij(self):
         return self.fields.s
-
-    @property
-    def r_up(self):
-        return self.fields.r_up
-
-    @property
-    def s_up(self):
-        return self.fields.s_up
-
-    @property
-    def r_j(self):
-        return self.fields.r_vec
-
-    @property
-    def s_j(self):
-        return self.fields.s_vec
-
-    @property
-    def r_up_j(self):
-        return self.fields.ainv @ self.fields.r_vec
-
-    @property
-    def s_up_j(self):
-        return self.fields.ainv @ self.fields.s_vec
-
-    @property
-    def e_ij(self):
-        return self.fields.e_ij
-
-    @property
-    def eta(self):
-        return self.fields.eta
-
-    @property
-    def eta_k(self):
-        return self.fields.eta_grad
-
-    @property
-    def eta_0(self):
-        return float(self.fields.eta_grad @ self.y)
 
 
 # -- closed forms -------------------------------------------------------------
@@ -971,13 +904,13 @@ def finsler_evaluator(space: KropinaSpace, view="ab") -> FinslerEvaluator:
     else:
         raise ValueError(f"view must be 'ab' or 'nav', got {view!r}")
 
-    def stage(x):
+    def at(x):
         env = list(x)
         qv = _entry_values(quad, env)
         den = den_stage(env)
         return lambda y: _quadratic(qv, y) / den(y)
 
-    def domain_stage(x):
+    def domain_at(x):
         den = den_stage(list(x))
         return lambda y: den(y) > 0
 
@@ -996,13 +929,11 @@ def finsler_evaluator(space: KropinaSpace, view="ab") -> FinslerEvaluator:
 
     return FinslerEvaluator(
         dim=n,
-        func=lambda x, y: stage(x)(y),
-        domain=lambda x, y: domain_stage(x)(y),
+        at=at,
+        domain_at=domain_at,
         name=f"{space.name}:{view}",
         box_hint=box_hint,
         bh_closed=bh_closed,
-        stage=stage,
-        domain_stage=domain_stage,
     )
 
 

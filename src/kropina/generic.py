@@ -12,7 +12,6 @@ full pipeline works with jets of total order four.
 """
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -32,44 +31,26 @@ class ConicDomainError(ValueError):
 class FinslerEvaluator:
     """A Finsler metric F(x, y) usable over floats, jets and numpy arrays.
 
-    func(x, y) evaluates F for sequences of scalar-like entries (plain
-    floats, Jet instances, or numpy arrays for vectorized sweeps), and
-    domain(x, y) must return True (or a boolean mask) exactly where F
-    is defined and positive.  box_hint(x) -> (lo, hi) optionally bounds
-    the unit sublevel set {y : F(x, y) < 1} for Monte-Carlo volume
-    estimation, and bh_closed(x) optionally supplies a closed-form
-    unit-ball density when one is known for the metric class.
-
-    stage(x) and domain_stage(x), when given, return y -> F(x, y) and
-    y -> domain(x, y) with the work that depends on x alone done once;
-    they must compute exactly what func and domain compute, in the same
-    floating-point order.  at(x) and domain_at(x) give these x-stages,
-    falling back to func and domain when an evaluator has none.
+    at(x) returns y -> F(x, y) and domain_at(x) returns y -> True (or a
+    boolean mask) exactly where F(x, y) is defined and positive, each
+    with the work that depends on x alone done when it is called.  x and
+    y are sequences of scalar-like entries: plain floats, Jet instances,
+    or numpy arrays for vectorized sweeps.  box_hint(x) -> (lo, hi)
+    optionally bounds the unit sublevel set {y : F(x, y) < 1} for
+    Monte-Carlo volume estimation, and bh_closed(x) optionally supplies
+    a closed-form unit-ball density when one is known for the metric
+    class.
     """
 
     dim: int
-    func: Callable
-    domain: Callable
+    at: Callable
+    domain_at: Callable
     name: str = "finsler"
     box_hint: Optional[Callable] = None
     bh_closed: Optional[Callable] = None
-    stage: Optional[Callable] = None
-    domain_stage: Optional[Callable] = None
 
     def __call__(self, x, y):
-        return self.func(x, y)
-
-    def at(self, x) -> Callable:
-        """y -> F(x, y)."""
-        if self.stage is None:
-            return partial(self.func, x)
-        return self.stage(x)
-
-    def domain_at(self, x) -> Callable:
-        """y -> domain(x, y)."""
-        if self.domain_stage is None:
-            return partial(self.domain, x)
-        return self.domain_stage(x)
+        return self.at(x)(y)
 
 
 @dataclass(frozen=True)
@@ -365,11 +346,12 @@ def _probe_box(F: FinslerEvaluator, x, probes: int = 256):
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     dirs = np.vstack([dirs, np.eye(n), -np.eye(n)])
     xs = [float(v) for v in x]
+    f_at, in_domain = F.at(xs), F.domain_at(xs)
     r = 0.0
     for u in dirs:
-        if not bool(F.domain(xs, list(u))):
+        if not bool(in_domain(list(u))):
             continue
-        val = F.func(xs, list(u))
+        val = f_at(list(u))
         val = val.value if isinstance(val, Jet) else float(val)
         if math.isfinite(val) and val > 0.0:
             r = max(r, 1.0 / val)
@@ -383,21 +365,22 @@ def _indicator(F: FinslerEvaluator, xs, samples: np.ndarray) -> np.ndarray:
     """Boolean mask of rows with F(x, row) < 1, vectorized when possible."""
     m = samples.shape[0]
     cols = [samples[:, i] for i in range(F.dim)]
+    f_at, in_domain = F.at(xs), F.domain_at(xs)
     try:
         with np.errstate(all="ignore"):
-            mask = np.asarray(F.domain(xs, cols))
+            mask = np.asarray(in_domain(cols))
             if mask.shape != (m,):
                 raise TypeError("domain predicate is not vectorized")
-            vals = np.asarray(F.func(xs, cols), dtype=float)
+            vals = np.asarray(f_at(cols), dtype=float)
         return mask & np.isfinite(vals) & (vals > 0.0) & (vals < 1.0)
     except (TypeError, ValueError, AttributeError):
         out = np.zeros(m, dtype=bool)
         for k in range(m):
             row = list(samples[k])
             try:
-                if not bool(F.domain(xs, row)):
+                if not bool(in_domain(row)):
                     continue
-                v = float(F.func(xs, row))
+                v = float(f_at(row))
             except (ArithmeticError, ValueError):
                 continue
             out[k] = math.isfinite(v) and 0.0 < v < 1.0

@@ -82,55 +82,23 @@ def eval_component_jets(exprs, x, order):
 
 
 def _extract(jets, n, order):
-    """Pull value/first/second derivative arrays out of a jet structure."""
-    if isinstance(jets, Jet):
-        jets = [[jets]]
-        shape = ()
-    elif isinstance(jets[0], list):
-        shape = (len(jets), len(jets[0]))
-    else:
-        jets = [jets]
-        shape = (len(jets[0]),)
-
-    rows, cols = len(jets), len(jets[0])
-    val = np.empty((rows, cols))
-    d1 = np.empty((rows, cols, n)) if order >= 1 else None
-    d2 = np.empty((rows, cols, n, n)) if order >= 2 else None
-    for i in range(rows):
-        for j in range(cols):
-            jv = jets[i][j]
-            val[i, j] = jv.value
-            if order >= 1:
-                for k in range(n):
-                    idx = tuple(1 if w == k else 0 for w in range(n))
-                    d1[i, j, k] = jv.partial(idx)
-            if order >= 2:
-                for k in range(n):
-                    for l in range(k, n):
-                        idx = tuple(
-                            (1 if w == k else 0) + (1 if w == l else 0)
-                            for w in range(n)
-                        )
-                        d2[i, j, k, l] = d2[i, j, l, k] = jv.partial(idx)
-    if shape == ():
-        res = [val[0, 0]]
-        if order >= 1:
-            res.append(d1[0, 0])
-        if order >= 2:
-            res.append(d2[0, 0])
-        return res
-    if len(shape) == 1:
-        res = [val[0]]
-        if order >= 1:
-            res.append(d1[0])
-        if order >= 2:
-            res.append(d2[0])
-        return res
-    res = [val]
+    """Value, first and (order >= 2) second partial arrays of a jet, a
+    list of jets or a matrix of jets over n variables, each shaped like
+    the structure with the derivative axes last.  One gather of the
+    stacked coefficients fills each array; all three are C-contiguous."""
+    shape, flat = (), [jets]
+    while not isinstance(flat[0], Jet):
+        shape += (len(flat[0]),)
+        flat = [j for part in flat for j in part]
+    coef = np.array([j.coef for j in flat])
+    res = [coef[:, 0].copy().reshape(shape)]
     if order >= 1:
-        res.append(d1)
+        res.append(coef[:, 1:1 + n].copy().reshape(shape + (n,)))
     if order >= 2:
-        res.append(d2)
+        sp = flat[0].space
+        pos = sp.hessian_positions
+        d2 = coef[:, pos] * sp.factorial[pos]
+        res.append(np.ascontiguousarray(d2.reshape(shape + (n, n))))
     return res
 
 

@@ -53,8 +53,6 @@ from .scenarios import (
     scenario_samples,
 )
 
-THEOREM_IDS = ("41", "44", "51", "61")
-
 # formula pair -> ladder tolerance; scenario files may override per name
 VERIFY_TOLS = {
     "spray": 1e-8,
@@ -85,20 +83,6 @@ def _listed(v):
 # -- check ------------------------------------------------------------------
 
 
-def _dispatch_checker(theorem, space, cfg, samples, tol, generic):
-    if theorem == "41":
-        return thm41_check(space, cfg, samples, tol=tol, generic=generic)
-    if theorem == "44":
-        return thm44_check(space, cfg, samples, tol=tol, generic=generic)
-    if theorem == "51":
-        return thm51_check(space, cfg, samples, tol=tol, generic=generic)
-    if theorem == "61":
-        return thm61_check(space, samples, tol=tol, cfg=cfg, generic=generic)
-    raise ValueError(
-        f"unknown theorem id {theorem!r}; expected auto, 41, 44, 51 or 61"
-    )
-
-
 def run_check(scenario, theorem="auto", seed=None, tol=None):
     """Run the Einstein characterisation checkers on a scenario.
 
@@ -114,9 +98,11 @@ def run_check(scenario, theorem="auto", seed=None, tol=None):
     cfg = scenario.config()
     tol = scenario.tolerance("check", 1e-6) if tol is None else float(tol)
 
+    checkers = {"41": thm41_check, "44": thm44_check, "51": thm51_check,
+                "61": thm61_check}
     if theorem == "auto":
         ids = cfg.checkers
-    elif theorem in THEOREM_IDS:
+    elif theorem in checkers:
         ids = (theorem,)
     else:
         raise ValueError(
@@ -135,7 +121,8 @@ def run_check(scenario, theorem="auto", seed=None, tol=None):
     for t in ids:
         with doc.timed(f"thm{t}"):
             try:
-                report = _dispatch_checker(t, space, cfg, samples, tol, generic)
+                report = checkers[t](space, cfg, samples, tol=tol,
+                                     generic=generic)
             except DispatchError as e:
                 doc.checks.append(
                     {"theorem": t, "verdict": "PRECONDITION", "error": str(e)}
@@ -371,8 +358,8 @@ def run_convert(scenario, to, gauge=None, seed=None):
     with doc.timed("evidence"):
         for x, ys in scenario_samples(scenario, seed=seed):
             cols = list(np.transpose(ys))
-            f_src = src_f.func(list(x), cols)
-            f_dst = dst_f.func(list(x), cols)
+            f_src = src_f(list(x), cols)
+            f_dst = dst_f(list(x), cols)
             for k, y in enumerate(ys):
                 rows.append({
                     "x": _listed(x),

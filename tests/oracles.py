@@ -23,12 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kropina.einstein import (
-    WeightConfig,
-    _generic_sample,
-    _require_bundle_weight,
-    pric,
-)
+from kropina.einstein import WeightConfig, _require_bundle_weight, pric
 from kropina.forms import KropinaSpace, s_closed, s_dot_closed
 from kropina.expr import ExprAst, eval_expr
 from kropina.generic import (
@@ -51,7 +46,7 @@ from kropina.riemann import (
 
 
 def _check_domain(F: FinslerEvaluator, x, y):
-    if not bool(F.domain(list(x), list(y))):
+    if not bool(F.domain_at(list(x))(list(y))):
         raise ConicDomainError(
             f"(x, y) outside the conic domain of metric {F.name!r}"
         )
@@ -70,7 +65,7 @@ def f2_jet(F: FinslerEvaluator, x, y, order: int) -> Jet:
     n = F.dim
     space = jet_space(2 * n, order)
     seeds = space.seed(list(x) + list(y))
-    f = F.func(seeds[:n], seeds[n:])
+    f = F(seeds[:n], seeds[n:])
     if not isinstance(f, Jet):
         f = space.constant(float(f))
     return f * f
@@ -319,7 +314,7 @@ def rs_from_RS(space: KropinaSpace, x, y):
     return r_00, s_i0, s_0
 
 
-def ric_ac_via_projective(fields, cfg: WeightConfig, y, route="closed"):
+def ric_ac_via_projective(fields, cfg: WeightConfig, y):
     """ric_ac reassembled around the projective Ricci curvature:
 
         ric_ac = pric - kappa/(n+1) * (Sdot + 4 S^2/(n+1))
@@ -330,12 +325,7 @@ def ric_ac_via_projective(fields, cfg: WeightConfig, y, route="closed"):
     _require_bundle_weight(fields, cfg)
     n = fields.n
     kappa, nu = cfg.kappa, cfg.nu
-    if route == "closed":
-        sdot = (n + 1) * s_dot_closed(fields, y)
-        s = s_closed(fields, y)
-    else:
-        sample = _generic_sample(fields, y)
-        sdot, s = sample.sdot, sample.s
-    base = pric(fields, y, route=route)
-    return (base - kappa / (n + 1) * (sdot + 4 * s**2 / (n + 1))
+    sdot = (n + 1) * s_dot_closed(fields, y)
+    s = s_closed(fields, y)
+    return (pric(fields, y) - kappa / (n + 1) * (sdot + 4 * s**2 / (n + 1))
             + nu * s**2 / (n + 1) ** 2)

@@ -342,9 +342,9 @@ def test_criterion_09_weighted_ricci_identity(grid):
                 for y in ys[:3]:
                     s_val = s_closed(fld, y)
                     sdot_full = n1 * s_dot_closed(fld, y)
-                    lhs = ric_ac(fld, cfg, y, route="closed")
+                    lhs = ric_ac(fld, cfg, y)
                     rhs = (
-                        pric(fld, y, route="closed")
+                        pric(fld, y)
                         - kap / n1 * (sdot_full + 4.0 * s_val**2 / n1)
                         + nu * s_val**2 / n1**2
                     )
@@ -393,13 +393,13 @@ def test_criterion_10_ad_integrity(grid):
         idx = tuple(idx)
 
         if kind == "F-x":
-            fn = lambda p: float(ev.func(list(p), y))
+            fn = lambda p: float(ev(list(p), y))
             seeds = jet_space(n, deg).seed(x)
-            jet_val = _jet_partial(ev.func(seeds, y), idx)
+            jet_val = _jet_partial(ev(seeds, y), idx)
         elif kind == "F-y":
-            fn = lambda p: float(ev.func(x, list(p)))
+            fn = lambda p: float(ev(x, list(p)))
             seeds = jet_space(n, deg).seed(y)
-            jet_val = _jet_partial(ev.func(x, seeds), idx)
+            jet_val = _jet_partial(ev(x, seeds), idx)
         else:
             dens = volume_density(space)
             fn = lambda p: float(dens.func(list(p)))

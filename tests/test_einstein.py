@@ -17,8 +17,10 @@ from kropina.einstein import (
     ConditionResult,
     DispatchError,
     EinsteinAnsatz,
+    GenericSamples,
     TheoremReport,
     WeightConfig,
+    _generic_ric_ac,
     einstein_residual,
     fit_theta_sigma,
     poly_divisible_by_alpha2,
@@ -218,13 +220,12 @@ def test_ric_ac_routes_agree():
             x = np.asarray(shift) + 0.1 * rng.uniform(-1, 1, 3)
             fld = ab_fields(space, x)
             for y in admissible_directions(space, x, rng, 5):
-                closed = ric_ac(fld, cfg, y, route="closed")
-                generic = ric_ac(fld, cfg, y, route="generic")
+                closed = ric_ac(fld, cfg, y)
+                generic = _generic_ric_ac(GenericSamples(space).sample(x, y),
+                                          cfg)
                 assert closed == pytest.approx(
                     generic, rel=1e-5, abs=1e-5 * max(1.0, abs(closed))
                 )
-    with pytest.raises(ValueError):
-        ric_ac(fld, CFG_INF, y, route="sideways")
 
 
 def test_gwric2_identity_random_constants():
@@ -641,7 +642,7 @@ def test_thm61_hopf_passes_u32():
     rng = np.random.default_rng(36)
     space = hopf_space()
     samples = checker_samples(space, rng, shift=HOPF_SHIFT)
-    rep = thm61_check(space, samples)
+    rep = thm61_check(space, CFG_PRIC, samples)
     assert rep.verdict == "PASS"
     for u in rep.scalars["u"]:
         assert u == pytest.approx(32.0, rel=1e-9)
@@ -651,7 +652,7 @@ def test_thm61_flat_passes():
     rng = np.random.default_rng(37)
     space = parallel_space()
     samples = checker_samples(space, rng)
-    rep = thm61_check(space, samples)
+    rep = thm61_check(space, CFG_PRIC, samples)
     assert rep.verdict == "PASS"
 
 
@@ -659,7 +660,7 @@ def test_thm61_constant_weight_zeta_zero():
     rng = np.random.default_rng(38)
     space = hopf_space(weight="0.5")
     samples = checker_samples(space, rng, points=1, shift=HOPF_SHIFT)
-    rep = thm61_check(space, samples)
+    rep = thm61_check(space, CFG_PRIC, samples)
     assert rep.verdict == "PASS"
     assert np.abs(rep.scalars["zeta"][0]).max() < 1e-14
 
@@ -669,7 +670,7 @@ def test_thm61_dispatch():
     space = hopf_space()
     samples = checker_samples(space, rng, points=1, shift=HOPF_SHIFT)
     with pytest.raises(DispatchError):
-        thm61_check(space, samples, cfg=CFG_INF)
+        thm61_check(space, CFG_INF, samples)
 
 
 # -- cross-cutting properties ---------------------------------------------------
@@ -711,6 +712,52 @@ def test_report_round_trips_through_json():
     assert "isotropy" in names and "ricci-reduction" in names
     assert doc["points"] == 1
     assert doc["directions"] == 7
+
+
+# (checker, cfg, preconditions, condition names, scalar keys), in report order
+REPORT_LAYOUTS = {
+    "41": (thm41_check, CFG_INF, [],
+           ["wind-killing", "einstein-tensor", "sigma-consistency",
+            "theta-sigma-fit-agreement", "einstein-residual-formula",
+            "einstein-residual-fitted"],
+           ["mu", "sigma_formula", "sigma_proof", "sigma_fitted",
+            "theta_formula", "theta_fitted", "wind_norm_dev"]),
+    "44": (thm44_check, CFG_INF, ["isotropy"],
+           ["isotropy", "sigma-agreement", "ricci-reduction",
+            "one-form-reduction", "einstein-residual-formula",
+            "einstein-residual-fitted"],
+           ["eta", "isotropy_residual", "lambda", "sigma_formula",
+            "sigma_fitted", "theta_fitted"]),
+    "51": (thm51_check, CFG_51, ["cubic-divisibility"],
+           ["cubic-divisibility", "sigma-agreement", "quadratic-reduction",
+            "linear-reduction", "einstein-residual-formula",
+            "einstein-residual-fitted"],
+           ["zeta", "u", "sigma_formula", "sigma_fitted", "theta_fitted",
+            "divisibility_residual"]),
+    "61": (thm61_check, CFG_PRIC, ["drift-isotropy"],
+           ["drift-isotropy", "cubic-divisibility", "sigma-agreement",
+            "quadratic-reduction", "linear-reduction",
+            "einstein-residual-formula", "einstein-residual-fitted"],
+           ["eta", "isotropy_residual", "zeta", "u", "sigma_formula",
+            "sigma_fitted", "theta_fitted"]),
+}
+
+
+@pytest.mark.parametrize("theorem", sorted(REPORT_LAYOUTS))
+def test_report_layout_per_regime(theorem):
+    """Each theorem's conditions and scalars keep their names and order,
+    one scalar entry per chart point, on a passing Hopf run."""
+    checker, cfg, pre, names, keys = REPORT_LAYOUTS[theorem]
+    rng = np.random.default_rng(43)
+    space = hopf_space()
+    samples = checker_samples(space, rng, points=2, shift=HOPF_SHIFT)
+    rep = checker(space, cfg, samples)
+    assert rep.theorem == theorem and rep.verdict == "PASS"
+    assert [c.name for c in rep.conditions] == names
+    assert [c.name for c in rep.conditions if c.kind == "precondition"] == pre
+    assert list(rep.scalars) == keys
+    assert list(rep.as_dict()["scalars"]) == keys
+    assert all(len(v) == rep.points == 2 for v in rep.scalars.values())
 
 
 def test_reports_are_deterministic():

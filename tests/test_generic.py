@@ -1,5 +1,6 @@
 """Generic pipeline: homogeneity, Riemannian reduction, ODE and MC oracles."""
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -41,6 +42,14 @@ SPHERE3 = metric_from_strings(
 )
 
 
+def plain_evaluator(n, func, domain, name, **hints):
+    """A FinslerEvaluator from func(x, y) and domain(x, y) that does no
+    work at x alone."""
+    return FinslerEvaluator(dim=n, at=lambda x: partial(func, x),
+                            domain_at=lambda x: partial(domain, x),
+                            name=name, **hints)
+
+
 def expr_evaluator(f2_text, beta_text, n, name="expr"):
     """Finsler metric whose square and cone inequality are expressions.
 
@@ -56,7 +65,7 @@ def expr_evaluator(f2_text, beta_text, n, name="expr"):
     def domain(x, y):
         return eval_expr(b_ast, list(x) + list(y)) > 0
 
-    return FinslerEvaluator(dim=n, func=func, domain=domain, name=name)
+    return plain_evaluator(n, func, domain, name)
 
 
 def euclid_evaluator(n):
@@ -67,7 +76,7 @@ def euclid_evaluator(n):
     def domain(x, y):
         return sum(np.asarray(yi) ** 2 for yi in y) > 0
 
-    return FinslerEvaluator(dim=n, func=func, domain=domain, name="euclid")
+    return plain_evaluator(n, func, domain, "euclid")
 
 
 def sphere3_evaluator():
@@ -93,14 +102,8 @@ def flat_kropina(n=3):
         hi[0] = 2.0
         return lo, hi
 
-    return FinslerEvaluator(
-        dim=n,
-        func=func,
-        domain=domain,
-        name="flat-kropina",
-        box_hint=box_hint,
-        bh_closed=lambda x: 1.0,
-    )
+    return plain_evaluator(n, func, domain, "flat-kropina",
+                           box_hint=box_hint, bh_closed=lambda x: 1.0)
 
 
 def wavy_kropina():
@@ -122,7 +125,7 @@ def wavy_kropina():
     def domain(x, y):
         return eval_expr(b_ast, list(x) + list(y)) > 0
 
-    return FinslerEvaluator(dim=3, func=func, domain=domain, name="wavy-kropina")
+    return plain_evaluator(3, func, domain, "wavy-kropina")
 
 
 CONST_DENSITY = VolumeDensity(lambda x: 1.0, kind="Busemann-Hausdorff")
@@ -165,7 +168,7 @@ def test_euler_identity():
         x = list(rng.uniform(-0.5, 0.5, 3))
         y = [1.0 + rng.uniform(0, 0.5), rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4)]
         g = sample(F, x, y).g
-        f = float(F.func(x, y))
+        f = float(F(x, y))
         quad = float(np.asarray(y) @ g @ np.asarray(y))
         assert abs(quad - f * f) <= 1e-10 * max(1.0, f * f)
 
@@ -197,14 +200,14 @@ def test_homogeneity_suite():
     F = wavy_kropina()
     x = [0.2, 0.1, -0.3]
     y = [1.2, 0.4, -0.1]
-    f0 = float(F.func(x, y))
+    f0 = float(F(x, y))
     G0 = spray_generic(F, x, y)
     cs0 = sample(F, x, y)
     R0, ric0 = cs0.riemann, cs0.ricci
     for lam in (0.5, 2.0, 3.0):
         ys = [lam * v for v in y]
         cs = sample(F, x, ys)
-        assert abs(float(F.func(x, ys)) - lam * f0) < 1e-9 * max(1, abs(f0))
+        assert abs(float(F(x, ys)) - lam * f0) < 1e-9 * max(1, abs(f0))
         assert np.allclose(spray_generic(F, x, ys), lam**2 * G0, rtol=1e-9, atol=1e-11)
         assert np.allclose(cs.riemann, lam**2 * R0, rtol=1e-9, atol=1e-9)
         assert abs(cs.ricci - lam**2 * ric0) < 1e-9 * max(1, abs(ric0))
@@ -357,9 +360,9 @@ def test_geodesic_conserves_f():
     x = [0.2, 0.1, -0.3]
     y = [1.2, 0.4, -0.1]
     path = geodesic_flow(F, x, y, t_end=0.5, steps=200)
-    f0 = float(F.func(x, y))
+    f0 = float(F(x, y))
     drift = max(
-        abs(float(F.func(list(p), list(v))) - f0)
+        abs(float(F(list(p), list(v))) - f0)
         for p, v in zip(path.pos, path.vel)
     )
     assert drift < 1e-7 * f0
@@ -385,12 +388,7 @@ def test_geodesic_exits_domain():
         q = sum(yi * yi for yi in y)
         return q.sqrt() if isinstance(q, Jet) else np.sqrt(q)
 
-    F = FinslerEvaluator(
-        dim=3,
-        func=func,
-        domain=lambda x, y: x[0] < 0.5,
-        name="bounded-chart",
-    )
+    F = plain_evaluator(3, func, lambda x, y: x[0] < 0.5, "bounded-chart")
     with pytest.raises(ConicDomainError):
         geodesic_flow(F, [0.4, 0.0, 0.0], [1.0, 0.0, 0.0], t_end=0.5, steps=50)
 
@@ -424,12 +422,9 @@ def test_bh_kropina_closed_vs_mc():
 def test_bh_scaling():
     F = flat_kropina()
 
-    def func2(x, y):
-        return 2.0 * F.func(x, y)
-
-    F2 = FinslerEvaluator(
-        dim=3, func=func2, domain=F.domain, name="scaled", box_hint=F.box_hint
-    )
+    F2 = FinslerEvaluator(dim=3, at=lambda x: lambda y: 2.0 * F(x, y),
+                          domain_at=F.domain_at, name="scaled",
+                          box_hint=F.box_hint)
     e1 = bh_density(F, XS, mc_samples=100_000, seed=3)
     e2 = bh_density(F2, XS, mc_samples=100_000, seed=3)
     assert abs(e2.sublevel_volume / e1.sublevel_volume - 0.125) < 0.01
@@ -524,7 +519,7 @@ def test_curvature_sample_bundle():
     assert cs.sdot == pytest.approx(sep["sdot"], abs=1e-10)
     assert cs.hess_f == pytest.approx(sep["hess_f"], abs=1e-12)
     # Euler identities for the bundle itself
-    f2 = float(F.func(x, y)) ** 2
+    f2 = float(F(x, y)) ** 2
     assert abs(np.asarray(y) @ cs.g @ np.asarray(y) - f2) < 1e-10 * max(1, f2)
     assert np.allclose(cs.connection @ np.asarray(y), 2.0 * cs.spray, atol=1e-10)
 
@@ -586,9 +581,9 @@ def test_staged_sample_equals_oracle_bit_for_bit(source):
 
 
 def test_staged_sample_equals_oracle_without_a_stage():
-    """An evaluator without an x-stage falls back to func and domain."""
+    """An evaluator whose at(x) does no work at x alone gives the
+    oracle's sample too."""
     F = wavy_kropina()
-    assert F.stage is None and F.domain_stage is None
     sig = weighted_density(parse_expr("0.3*x1 + 0.1*x2^2", 3), 3)
     f = parse_expr("x1^2 + 0.5*x2*x3", 3)
     x = [0.2, 0.1, -0.3]
@@ -610,8 +605,6 @@ def test_degenerate_metric_reported():
         q = y[0] * y[0]
         return q.sqrt() if isinstance(q, Jet) else np.sqrt(q)
 
-    F = FinslerEvaluator(
-        dim=2, func=func, domain=lambda x, y: np.asarray(y[0]) > 0, name="rank1"
-    )
+    F = plain_evaluator(2, func, lambda x, y: np.asarray(y[0]) > 0, "rank1")
     with pytest.raises(SingularMetricError):
         sample(F, [0.0, 0.0], [1.0, 0.3])
