@@ -48,8 +48,6 @@ from .riemann import (
     MetricPoint,
     NotPositiveDefiniteError,
     RiemannianMetric,
-    _extract,
-    eval_component_jets,
 )
 
 
@@ -67,15 +65,6 @@ def _frac(v):
     if isinstance(v, Fraction):
         return v
     return Fraction(v)
-
-
-def weight_constants(a, c, n):
-    """The derived constants (kappa, nu) for weight constants (a, c)."""
-    if n < 2:
-        raise ValueError("weight constants need dimension n >= 2")
-    kappa = (n - 1) - a * (n + 1)
-    nu = 3 * (n - 1) - 4 * a * (n + 1) - c * (n + 1) ** 2
-    return float(kappa), float(nu)
 
 
 def pric_constants(n):
@@ -309,12 +298,6 @@ class EinsteinAnsatz:
         return 3.0 * th * F + self.sigma * F * F
 
 
-def einstein_residual(fields, cfg: WeightConfig, ansatz: EinsteinAnsatz, y):
-    """ric_ac(y) - (n-1) (3 theta(y) F + sigma F^2) at one (x, y)."""
-    inv = AbInvariants(fields, y)
-    return ric_ac(fields, cfg, y) - (fields.n - 1) * ansatz.model(inv.F, y)
-
-
 def fit_theta_sigma(fields, cfg: WeightConfig, directions):
     """Least-squares (theta_1..theta_n, sigma) minimizing the Einstein
     residual over the given directions at the bundle's chart point.
@@ -384,19 +367,6 @@ def tensor_einstein_check(T, h, x=None):
     white = Li @ dev @ Li.T
     resid = float(np.abs(np.linalg.eigvalsh(0.5 * (white + white.T))).max())
     return mu, resid
-
-
-def weighted_ricci_tensor(h: RiemannianMetric, f, cfg: WeightConfig, x):
-    """Ric^h + a(n+1) Hess_h f - c(n+1)^2 df (x) df at x; the bilinear
-    form whose proportionality to h characterizes the nu != 0 regime in
-    navigation data."""
-    if isinstance(f, str):
-        f = parse_expr(f, h.dim)
-    mp = MetricPoint.from_exprs(h, list(x), order=2)
-    if f is None:
-        return _weighted_ricci(mp, f, cfg, None, None)
-    _, df, d2f = _extract(eval_component_jets(f, list(x), 2), h.dim, 2)
-    return _weighted_ricci(mp, f, cfg, df, mp.covariant_hessian(df, d2f))
 
 
 def _weighted_ricci(mp: MetricPoint, f, cfg: WeightConfig, fg, hf):

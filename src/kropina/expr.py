@@ -17,15 +17,20 @@ which bind tighter than "+" and "-".  Exponents are integer literals, so
 an exponent chain folds right-associatively into a single integer at parse
 time.
 
-Evaluation works over three scalar kinds through one tree walk: plain
-floats, Jet values (exact truncated derivatives), and numpy arrays (used
-for vectorised Monte Carlo; array evaluation skips domain checks and lets
-non-finite values flow, callers mask them).
+Nodes are interned where they are built (the parser and the e_*
+constructors): equal subtrees are one object, so an expression is a DAG
+whose size is its count of distinct subexpressions, however long its
+printed text.  Evaluation works over three scalar kinds through one walk
+of that DAG, each distinct node once per call: plain floats, Jet values
+(exact truncated derivatives), and numpy arrays (used for vectorised
+Monte Carlo; array evaluation skips domain checks and lets non-finite
+values flow, callers mask them).
 """
 from __future__ import annotations
 
 import math
 import re
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,6 +138,32 @@ class ExprAst:
         return print_node(self.root)
 
 
+_INTERNED = weakref.WeakValueDictionary()
+
+
+def _node(cls, *fields):
+    """cls(*fields), shared with every equal node built through here.
+
+    Children key by identity, which is structural because they were
+    interned too; a constant keys by its hex text, so 0.0 and -0.0
+    differ.
+    """
+    if cls is Const:
+        key = (cls, fields[0].hex())
+    elif cls is Var:
+        key = (cls, fields[0])
+    elif cls is Pow:
+        key = (cls, id(fields[0]), fields[1])
+    elif cls is Call:
+        key = (cls, fields[0], id(fields[1]))
+    else:
+        key = (cls, *map(id, fields))
+    node = _INTERNED.get(key)
+    if node is None:
+        node = _INTERNED[key] = cls(*fields)
+    return node
+
+
 # -- tokenizer --------------------------------------------------------------
 
 _NUM_RE = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
@@ -213,7 +244,7 @@ class _Parser:
             if tok[0] == "OP" and tok[1] in "+-":
                 self.advance()
                 rhs = self.term()
-                node = Add(node, rhs) if tok[1] == "+" else Sub(node, rhs)
+                node = _node(Add if tok[1] == "+" else Sub, node, rhs)
             else:
                 return node
 
@@ -224,7 +255,7 @@ class _Parser:
             if tok[0] == "OP" and tok[1] in "*/":
                 self.advance()
                 rhs = self.unary()
-                node = Mul(node, rhs) if tok[1] == "*" else Div(node, rhs)
+                node = _node(Mul if tok[1] == "*" else Div, node, rhs)
             else:
                 return node
 
@@ -232,14 +263,14 @@ class _Parser:
         tok = self.peek()
         if tok[0] == "OP" and tok[1] == "-":
             self.advance()
-            return Neg(self.unary())
+            return _node(Neg, self.unary())
         return self.power()
 
     def power(self):
         base = self.atom()
         if self.peek()[0] == "OP" and self.peek()[1] == "^":
             self.advance()
-            return Pow(base, self.exponent_chain())
+            return _node(Pow, base, self.exponent_chain())
         return base
 
     def exponent_chain(self) -> int:
@@ -278,7 +309,7 @@ class _Parser:
     def atom(self):
         tok = self.advance()
         if tok[0] == "NUM":
-            return Const(float(tok[1]))
+            return _node(Const, float(tok[1]))
         if tok[0] == "IDENT":
             name, off = tok[1], tok[2]
             m = re.fullmatch(r"x(\d+)", name)
@@ -286,12 +317,12 @@ class _Parser:
                 index = int(m.group(1))
                 if not 1 <= index <= self.dim:
                     raise ExprIndexError(index, self.dim, off)
-                return Var(index)
+                return _node(Var, index)
             if name in FUNCTIONS:
                 self.expect("LPAREN", f"'(' after {name}")
                 arg = self.expression()
                 self.expect("RPAREN", "')'")
-                return Call(name, arg)
+                return _node(Call, name, arg)
             raise ExprNameError(name, off)
         if tok[0] == "LPAREN":
             node = self.expression()
@@ -357,26 +388,6 @@ def print_expr(ast: ExprAst) -> str:
     return print_node(ast.root)
 
 
-def free_vars(ast: ExprAst) -> set[int]:
-    out: set[int] = set()
-
-    def walk(node):
-        if isinstance(node, Var):
-            out.add(node.index)
-        elif isinstance(node, (Add, Sub, Mul, Div)):
-            walk(node.lhs)
-            walk(node.rhs)
-        elif isinstance(node, Pow):
-            walk(node.base)
-        elif isinstance(node, Neg):
-            walk(node.operand)
-        elif isinstance(node, Call):
-            walk(node.arg)
-
-    walk(ast.root)
-    return out
-
-
 # -- evaluation --------------------------------------------------------------
 
 
@@ -410,107 +421,119 @@ _ARRAY_FUNCS = {
 }
 
 
-def _ev(node, env):
+def _ev(node, env, memo):
+    """node's value at env.  memo maps id(n) to the value of each operator
+    node n this call has evaluated, so a shared node runs once."""
     if isinstance(node, Const):
         return node.value
     if isinstance(node, Var):
         return env[node.index - 1]
+    if id(node) in memo:
+        return memo[id(node)]
     if isinstance(node, Neg):
-        return -_ev(node.operand, env)
-    if isinstance(node, Add):
-        return _ev(node.lhs, env) + _ev(node.rhs, env)
-    if isinstance(node, Sub):
-        return _ev(node.lhs, env) - _ev(node.rhs, env)
-    if isinstance(node, Mul):
-        return _ev(node.lhs, env) * _ev(node.rhs, env)
-    if isinstance(node, Div):
-        num = _ev(node.lhs, env)
-        den = _ev(node.rhs, env)
+        value = -_ev(node.operand, env, memo)
+    elif isinstance(node, Add):
+        value = _ev(node.lhs, env, memo) + _ev(node.rhs, env, memo)
+    elif isinstance(node, Sub):
+        value = _ev(node.lhs, env, memo) - _ev(node.rhs, env, memo)
+    elif isinstance(node, Mul):
+        value = _ev(node.lhs, env, memo) * _ev(node.rhs, env, memo)
+    elif isinstance(node, Div):
+        num = _ev(node.lhs, env, memo)
+        den = _ev(node.rhs, env, memo)
         if isinstance(den, np.ndarray):
             with np.errstate(divide="ignore", invalid="ignore"):
-                return num / den
-        try:
-            return num / den
-        except (ZeroDivisionError, JetDomainError):
-            raise ExprDomainError("division by zero", node) from None
-    if isinstance(node, Pow):
-        base = _ev(node.base, env)
+                value = num / den
+        else:
+            try:
+                value = num / den
+            except (ZeroDivisionError, JetDomainError):
+                raise ExprDomainError("division by zero", node) from None
+    elif isinstance(node, Pow):
+        base = _ev(node.base, env, memo)
         if isinstance(base, np.ndarray):
             with np.errstate(divide="ignore", invalid="ignore"):
-                return np.power(base, float(node.exponent))
-        try:
-            return base**node.exponent
-        except (ZeroDivisionError, JetDomainError):
-            raise ExprDomainError("zero base with negative exponent", node) from None
-    if isinstance(node, Call):
-        v = _ev(node.arg, env)
-        if isinstance(v, Jet):
+                value = np.power(base, float(node.exponent))
+        else:
             try:
-                if node.fn == "ln":
-                    return v.log()
-                return getattr(v, node.fn)()
-            except JetDomainError as exc:
-                raise ExprDomainError(str(exc), node) from None
-        if isinstance(v, np.ndarray):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return _ARRAY_FUNCS[node.fn](v)
-        return _call_float(node.fn, v, node)
-    raise TypeError(f"not an expression node: {node!r}")
+                value = base**node.exponent
+            except (ZeroDivisionError, JetDomainError):
+                raise ExprDomainError(
+                    "zero base with negative exponent", node) from None
+    elif isinstance(node, Call):
+        value = _call(node, _ev(node.arg, env, memo))
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    memo[id(node)] = value
+    return value
 
 
-def eval_expr(ast: ExprAst, env):
-    """Evaluate over an environment of floats, jets, or numpy arrays.
+def _call(node, v):
+    if isinstance(v, Jet):
+        try:
+            if node.fn == "ln":
+                return v.log()
+            return getattr(v, node.fn)()
+        except JetDomainError as exc:
+            raise ExprDomainError(str(exc), node) from None
+    if isinstance(v, np.ndarray):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _ARRAY_FUNCS[node.fn](v)
+    return _call_float(node.fn, v, node)
+
+
+def eval_expr(exprs, env):
+    """Evaluate one ExprAst, or a flat sequence of them (giving a list),
+    over an environment of floats, jets, or numpy arrays.
 
     env[i] supplies the value for x(i+1).  Its length must equal the
     declared dimension.  Constant expressions return plain floats even
     under jet environments; callers that need a jet must lift the result.
+    Each distinct node is evaluated once per call, so expressions that
+    share a subtree share its value object: never change a result in
+    place.
     """
-    if len(env) != ast.dim:
-        raise ValueError(
-            f"environment length {len(env)} does not match dimension {ast.dim}"
-        )
-    return _ev(ast.root, env)
+    asts = [exprs] if isinstance(exprs, ExprAst) else exprs
+    for ast in asts:
+        if len(env) != ast.dim:
+            raise ValueError(f"environment length {len(env)} does not "
+                             f"match dimension {ast.dim}")
+    memo = {}
+    values = [_ev(ast.root, env, memo) for ast in asts]
+    return values[0] if isinstance(exprs, ExprAst) else values
 
 
 # -- programmatic construction helpers ---------------------------------------
 
 
 def e_const(v) -> Const:
-    return Const(float(v))
-
-
-def e_var(i: int) -> Var:
-    return Var(i)
+    return _node(Const, float(v))
 
 
 def e_add(a, b):
-    return Add(a, b)
-
-
-def e_sub(a, b):
-    return Sub(a, b)
+    return _node(Add, a, b)
 
 
 def e_mul(a, b):
-    return Mul(a, b)
+    return _node(Mul, a, b)
 
 
 def e_div(a, b):
-    return Div(a, b)
+    return _node(Div, a, b)
 
 
 def e_neg(a):
-    return Neg(a)
+    return _node(Neg, a)
 
 
 def e_pow(base, p: int):
-    return Pow(base, int(p))
+    return _node(Pow, base, int(p))
 
 
 def e_call(fn: str, arg):
     if fn not in FUNCTIONS:
         raise ValueError(f"unknown function '{fn}'")
-    return Call(fn, arg)
+    return _node(Call, fn, arg)
 
 
 def as_ast(node, dim: int) -> ExprAst:

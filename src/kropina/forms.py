@@ -164,9 +164,7 @@ class KropinaSpace:
         n = h.dim
         w = _coerce_vector(w, n, "wind")
         for k, x in enumerate(check_at or ()):
-            env = [float(v) for v in x]
-            h_val = _matrix_values(h, env)
-            w_val = np.array([eval_expr(e, env) for e in w], dtype=float)
+            h_val, w_val = _values(x, h, w)
             _require_unit_wind(float(w_val @ h_val @ w_val),
                                f"at sample point {k}")
         g = _coerce_scalar(2.0 if gauge is None else gauge, n, "gauge")
@@ -257,14 +255,10 @@ class KropinaSpace:
         views = [finsler_evaluator(self, v) for v in ("ab", "nav")]
         for k, x in enumerate(xs):
             env = [float(v) for v in x]
-            h_val = _matrix_values(self.h, env)
-            w_val = np.array([eval_expr(e, env) for e in self.w], dtype=float)
+            h_val, w_val, a_val, b_val, (rho_v, g_val) = _values(
+                env, self.h, self.w, self.a, self.b, (self.rho, self.gauge))
             _require_unit_wind(float(w_val @ h_val @ w_val), f"at point {k}")
-            rho_v = float(eval_expr(self.rho, env))
             e2 = math.exp(-2.0 * rho_v)
-            a_val = _matrix_values(self.a, env)
-            b_val = np.array([eval_expr(e, env) for e in self.b], dtype=float)
-            g_val = float(eval_expr(self.gauge, env))
             if g_val <= 0.0:
                 raise GaugeError(f"gauge b = {g_val:.6g} at point {k}")
             checks = (
@@ -294,14 +288,24 @@ class KropinaSpace:
                     )
 
 
-def _matrix_values(metric: RiemannianMetric, x) -> np.ndarray:
-    """Float values of a metric's component matrix at the chart point x."""
-    env = [float(v) for v in x]
-    n = metric.dim
-    out = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = eval_expr(metric.exprs[i][j], env)
+def _values(x, *parts):
+    """Float values at the chart point x of each part, from one
+    evaluation: a metric gives its component matrix, a sequence of
+    expressions its vector."""
+    flat, shapes = [], []
+    for part in parts:
+        if isinstance(part, RiemannianMetric):
+            flat += [e for row in part.exprs for e in row]
+            shapes.append((part.dim, part.dim))
+        else:
+            flat += part
+            shapes.append((len(part),))
+    vals = np.array(eval_expr(flat, [float(v) for v in x]), dtype=float)
+    out, at = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        out.append(vals[at:at + size].reshape(shape))
+        at += size
     return out
 
 
@@ -765,31 +769,6 @@ def _nav_hypothesis(fp: NavPoint, tol: float):
     return fp.invariants
 
 
-def nav_riemann_isotropic(fp: NavPoint, y, tol=1e-8) -> np.ndarray:
-    """Riemann curvature R^i_k from navigation data, Killing wind only.
-
-    Index convention for the base curvature riem[p, i, k, q] =
-    R_p^i_{kq}: the pure-metric spray curvature is riem contracted
-    with y in slots p and q, which the generic pipeline confirms.
-    """
-    wi = _nav_hypothesis(fp, tol)
-    y, w0, F = _nav_frame(fp, y)
-    mp = fp.mp
-    wv = fp.w
-    riem = mp.riemann
-    xi_low = mp.g @ (y - F * wv)
-    s_up = wi.s_up
-
-    t1 = np.einsum("pikq,p,q->ik", riem, y, y)
-    t2 = -2.0 * F * np.einsum("pikq,p,q->ik", riem, y, wv)
-    v3 = np.einsum("pimq,p,m,q->i", riem, y, wv, y)
-    t3 = -np.outer(v3, xi_low) / w0
-    t4 = F * np.einsum("kimq,m,q->ik", riem, y, wv)
-    t5 = -F * F * (s_up @ s_up)
-    t6 = (F / w0) * np.outer(s_up @ (s_up @ y), xi_low)
-    return t1 + t2 + t3 + t4 + t5 + t6
-
-
 def nav_ricci_isotropic(fp: NavPoint, y, tol=1e-8) -> float:
     """Ricci curvature from navigation data, Killing wind only."""
     wi = _nav_hypothesis(fp, tol)
@@ -809,11 +788,9 @@ def nav_ricci_isotropic(fp: NavPoint, y, tol=1e-8) -> float:
 def _sigma_bh_value(space: KropinaSpace, env):
     """(2/b)^n sqrt(det a) over a float or jet environment."""
     n = space.dim
-    rows = [
-        [eval_expr(space.a.exprs[i][j], env) for j in range(n)]
-        for i in range(n)
-    ]
-    b = eval_expr(space.gauge, env)
+    *vals, b = eval_expr(
+        [e for row in space.a.exprs for e in row] + [space.gauge], env)
+    rows = [vals[i * n:(i + 1) * n] for i in range(n)]
     jet = next(
         (e for row in rows for e in row if isinstance(e, Jet)),
         b if isinstance(b, Jet) else None,
@@ -885,39 +862,38 @@ def finsler_evaluator(space: KropinaSpace, view="ab") -> FinslerEvaluator:
     """
     n = space.dim
     if view == "ab":
-        quad = space.a.exprs
+        quad = [e for row in space.a.exprs for e in row]
+        den_exprs = list(space.b)
 
-        def den_stage(env):
+        def den_stage(bv):
             """y -> beta = b_i y^i."""
-            bv = [eval_expr(e, env) for e in space.b]
             return lambda y: _linear(bv, y)
 
     elif view == "nav":
-        quad = space.h.exprs
+        quad = [e for row in space.h.exprs for e in row]
+        den_exprs = quad + list(space.w)  # at() evaluates h_ij once
 
-        def den_stage(env):
+        def den_stage(vals):
             """y -> 2 W_0 = 2 h_ij W^j y^i."""
-            wv = [eval_expr(e, env) for e in space.w]
-            wl = [_linear([eval_expr(e, env) for e in row], wv) for row in quad]
+            wv = vals[n * n:]
+            wl = [_linear(vals[i * n:(i + 1) * n], wv) for i in range(n)]
             return lambda y: 2.0 * _linear(wl, y)
 
     else:
         raise ValueError(f"view must be 'ab' or 'nav', got {view!r}")
 
     def at(x):
-        env = list(x)
-        qv = _entry_values(quad, env)
-        den = den_stage(env)
+        vals = eval_expr(quad + den_exprs, list(x))
+        qv = [vals[i * n:(i + 1) * n] for i in range(n)]
+        den = den_stage(vals[n * n:])
         return lambda y: _quadratic(qv, y) / den(y)
 
     def domain_at(x):
-        den = den_stage(list(x))
+        den = den_stage(eval_expr(den_exprs, list(x)))
         return lambda y: den(y) > 0
 
     def box_hint(x):
-        env = [float(v) for v in x]
-        a_val = _matrix_values(space.a, env)
-        b_val = np.array([eval_expr(e, env) for e in space.b], dtype=float)
+        a_val, b_val = _values(x, space.a, space.b)
         ainv = np.linalg.inv(a_val)
         centre = ainv @ b_val / 2.0
         b_norm = math.sqrt(float(b_val @ ainv @ b_val))
@@ -935,17 +911,6 @@ def finsler_evaluator(space: KropinaSpace, view="ab") -> FinslerEvaluator:
         box_hint=box_hint,
         bh_closed=bh_closed,
     )
-
-
-def _entry_values(exprs, env):
-    """Values of a matrix of trees at env, each distinct tree evaluated
-    once (a mirrored entry shares its tree with the upper one)."""
-    values = {}
-    for row in exprs:
-        for e in row:
-            if id(e) not in values:
-                values[id(e)] = eval_expr(e, env)
-    return [[values[id(e)] for e in row] for row in exprs]
 
 
 def _linear(coeffs, y):

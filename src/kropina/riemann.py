@@ -5,13 +5,13 @@ expressions: the metric and any field are evaluated once as jets over x,
 the raw partials are extracted into numpy arrays, and the tensor algebra
 proceeds by einsum.
 
-Index conventions, fixed operationally by the convention self-test in the
-test suite:
+Index conventions of MetricPoint, fixed operationally by the convention
+self-test in the test suite:
 
-- christoffel()[k, i, j] = Gamma^k_ij
-- riemann_h()[k, m, i, j] = R_k^m_ij, the array satisfying the Ricci
+- christoffel[k, i, j] = Gamma^k_ij
+- riemann[k, m, i, j] = R_k^m_ij, the array satisfying the Ricci
   identity  W_{k|i|j} - W_{k|j|i} = W_m R_k^m_ij  for covariant fields
-- ricci_h()[k, j] = sum_m R_k^m_mj, positive for round spheres
+- ricci[k, j] = sum_m R_k^m_mj, positive for round spheres
 """
 from __future__ import annotations
 
@@ -52,33 +52,23 @@ class RiemannianMetric:
                     )
 
 
-def metric_from_strings(rows, dim=None):
-    from .expr import parse_expr
-
-    n = dim or len(rows)
-    return RiemannianMetric(
-        n, tuple(tuple(parse_expr(e, n) for e in row) for row in rows)
-    )
-
-
 def eval_component_jets(exprs, x, order):
-    """Evaluate a nested structure of ExprAst over x-jets.
+    """Evaluate a nested structure of ExprAst over x-jets, in one call.
 
     Returns a matching nested list of jets.  Constant expressions come
     back as floats from eval_expr and are lifted to constant jets here.
     """
     space = jet_space(len(x), order)
-    env = space.seed(x)
-
-    def ev(e):
-        v = eval_expr(e, env)
-        return v if isinstance(v, Jet) else space.constant(v)
-
     if isinstance(exprs, ExprAst):
-        return ev(exprs)
-    if isinstance(exprs[0], (list, tuple)):
-        return [[ev(e) for e in row] for row in exprs]
-    return [ev(e) for e in exprs]
+        return eval_component_jets([exprs], x, order)[0]
+    nested = isinstance(exprs[0], (list, tuple))
+    flat = [e for row in exprs for e in row] if nested else exprs
+    jets = [v if isinstance(v, Jet) else space.constant(v)
+            for v in eval_expr(flat, space.seed(x))]
+    if not nested:
+        return jets
+    m = len(exprs[0])
+    return [jets[i:i + m] for i in range(0, len(jets), m)]
 
 
 def _extract(jets, n, order):
@@ -186,22 +176,6 @@ def christoffel(metric: RiemannianMetric, x):
     return MetricPoint.from_exprs(metric, x, order=1).christoffel
 
 
-def riemann_h(metric: RiemannianMetric, x):
-    return MetricPoint.from_exprs(metric, x, order=2).riemann
-
-
-def ricci_h(metric: RiemannianMetric, x):
-    return MetricPoint.from_exprs(metric, x, order=2).ricci
-
-
-def hess_h(f: ExprAst, metric: RiemannianMetric, x):
-    """Covariant Hessian f_{i|j} = d_i d_j f - Gamma^m_ij d_m f."""
-    mp = MetricPoint.from_exprs(metric, x, order=1)
-    fj = eval_component_jets(f, x, 2)
-    _, df, d2f = _extract(fj, len(x), 2)
-    return mp.covariant_hessian(df, d2f)
-
-
 class FieldPoint:
     """A vector field W^i at a point, with covariant derivative data."""
 
@@ -273,12 +247,6 @@ class WInvariants:
     r_scalar: float  # R_j W^j
 
 
-def w_invariants(metric: RiemannianMetric, w_exprs, x) -> WInvariants:
-    mp = MetricPoint.from_exprs(metric, x, order=2)
-    fp = FieldPoint.from_exprs(mp, w_exprs, x, order=1)
-    return w_invariants_from_point(mp, fp)
-
-
 def w_invariants_from_point(mp: MetricPoint, fp: FieldPoint) -> WInvariants:
     c = fp.cov1
     r = 0.5 * (c + c.T)
@@ -287,10 +255,3 @@ def w_invariants_from_point(mp: MetricPoint, fp: FieldPoint) -> WInvariants:
     s_vec = fp.w @ s
     r_vec = fp.w @ r
     return WInvariants(r, s, s_up, s_vec, r_vec, float(r_vec @ fp.w))
-
-
-def second_cov_w(metric: RiemannianMetric, w_exprs, x):
-    """W_{k|i|j} as a (k, i, j)-indexed array."""
-    mp = MetricPoint.from_exprs(metric, x, order=2)
-    fp = FieldPoint.from_exprs(mp, w_exprs, x, order=2)
-    return fp.cov2

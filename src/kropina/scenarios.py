@@ -25,8 +25,8 @@ from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
 
 from .einstein import WeightConfig, weight_preset
-from .expr import ExprError, eval_expr, parse_expr
-from .forms import KropinaSpace, _matrix_values
+from .expr import ExprError, parse_expr
+from .forms import KropinaSpace, _values
 from .riemann import RiemannianMetric
 
 SCENARIO_SCHEMA_ID = "scenario/1"
@@ -349,8 +349,7 @@ def admissibility_rate(space, box, seed, points=3, draws=64):
     hits = 0
     for x in pts:
         try:
-            _matrix_values(space.a, x)
-            b_low = np.array([eval_expr(e, x) for e in space.b], dtype=float)
+            _, b_low = _values(x, space.a, space.b)
         except (ExprError, ArithmeticError):
             continue
         ys = rng.standard_normal((draws, space.dim))
@@ -361,9 +360,8 @@ def admissibility_rate(space, box, seed, points=3, draws=64):
 def sample_directions(space, x, count, rng, cutoff=DEFAULT_CUTOFF):
     """Admissible directions at x: uniform on the h-unit sphere with the
     degenerate cone boundary rejected (W_0 above the cutoff)."""
-    env = [float(v) for v in x]
-    h = _matrix_values(space.h, env)
-    w_low = h @ np.array([eval_expr(e, env) for e in space.w], dtype=float)
+    h, w = _values(x, space.h, space.w)
+    w_low = h @ w
     out = []
     tries = 0
     limit = 400 * count + 400

@@ -17,15 +17,38 @@ a test can hold the package's route against it:
   drift bundle of the (alpha, beta) view;
 - ric_ac_via_projective: the weighted Ricci curvature reassembled
   around the projective Ricci curvature.
+
+Below them sit the pointwise helpers the tests build their cases with,
+each a thin route through the package's own point bundles:
+metric_from_strings, riemann_h, ricci_h, hess_h, w_invariants and
+second_cov_w (over MetricPoint and FieldPoint); weight_constants,
+einstein_residual and weighted_ricci_tensor (the Einstein side); and
+nav_riemann_isotropic, the navigation closed form of the Riemann
+curvature, held against the generic pipeline.
 """
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from kropina.einstein import WeightConfig, _require_bundle_weight, pric
-from kropina.forms import KropinaSpace, s_closed, s_dot_closed
-from kropina.expr import ExprAst, eval_expr
+from kropina.einstein import (
+    EinsteinAnsatz,
+    WeightConfig,
+    _require_bundle_weight,
+    _weighted_ricci,
+    pric,
+    ric_ac,
+)
+from kropina.forms import (
+    AbInvariants,
+    KropinaSpace,
+    NavPoint,
+    _nav_frame,
+    _nav_hypothesis,
+    s_closed,
+    s_dot_closed,
+)
+from kropina.expr import ExprAst, eval_expr, parse_expr
 from kropina.generic import (
     ConicDomainError,
     CurvatureSample,
@@ -39,7 +62,10 @@ from kropina.jets import Jet, JetDomainError, jet_det, jet_solve, jet_space
 from kropina.riemann import (
     FieldPoint,
     MetricPoint,
+    RiemannianMetric,
     SingularMetricError,
+    WInvariants,
+    _extract,
     eval_component_jets,
     w_invariants_from_point,
 )
@@ -329,3 +355,92 @@ def ric_ac_via_projective(fields, cfg: WeightConfig, y):
     s = s_closed(fields, y)
     return (pric(fields, y) - kappa / (n + 1) * (sdot + 4 * s**2 / (n + 1))
             + nu * s**2 / (n + 1) ** 2)
+
+
+def metric_from_strings(rows, dim=None):
+    n = dim or len(rows)
+    return RiemannianMetric(
+        n, tuple(tuple(parse_expr(e, n) for e in row) for row in rows)
+    )
+
+
+def riemann_h(metric: RiemannianMetric, x):
+    return MetricPoint.from_exprs(metric, x, order=2).riemann
+
+
+def ricci_h(metric: RiemannianMetric, x):
+    return MetricPoint.from_exprs(metric, x, order=2).ricci
+
+
+def hess_h(f: ExprAst, metric: RiemannianMetric, x):
+    """Covariant Hessian f_{i|j} = d_i d_j f - Gamma^m_ij d_m f."""
+    mp = MetricPoint.from_exprs(metric, x, order=1)
+    fj = eval_component_jets(f, x, 2)
+    _, df, d2f = _extract(fj, len(x), 2)
+    return mp.covariant_hessian(df, d2f)
+
+
+def w_invariants(metric: RiemannianMetric, w_exprs, x) -> WInvariants:
+    mp = MetricPoint.from_exprs(metric, x, order=2)
+    fp = FieldPoint.from_exprs(mp, w_exprs, x, order=1)
+    return w_invariants_from_point(mp, fp)
+
+
+def second_cov_w(metric: RiemannianMetric, w_exprs, x):
+    """W_{k|i|j} as a (k, i, j)-indexed array."""
+    mp = MetricPoint.from_exprs(metric, x, order=2)
+    fp = FieldPoint.from_exprs(mp, w_exprs, x, order=2)
+    return fp.cov2
+
+
+def weight_constants(a, c, n):
+    """The derived constants (kappa, nu) for weight constants (a, c)."""
+    if n < 2:
+        raise ValueError("weight constants need dimension n >= 2")
+    kappa = (n - 1) - a * (n + 1)
+    nu = 3 * (n - 1) - 4 * a * (n + 1) - c * (n + 1) ** 2
+    return float(kappa), float(nu)
+
+
+def einstein_residual(fields, cfg: WeightConfig, ansatz: EinsteinAnsatz, y):
+    """ric_ac(y) - (n-1) (3 theta(y) F + sigma F^2) at one (x, y)."""
+    inv = AbInvariants(fields, y)
+    return ric_ac(fields, cfg, y) - (fields.n - 1) * ansatz.model(inv.F, y)
+
+
+def weighted_ricci_tensor(h: RiemannianMetric, f, cfg: WeightConfig, x):
+    """Ric^h + a(n+1) Hess_h f - c(n+1)^2 df (x) df at x; the bilinear
+    form whose proportionality to h characterizes the nu != 0 regime in
+    navigation data."""
+    if isinstance(f, str):
+        f = parse_expr(f, h.dim)
+    mp = MetricPoint.from_exprs(h, list(x), order=2)
+    if f is None:
+        return _weighted_ricci(mp, f, cfg, None, None)
+    _, df, d2f = _extract(eval_component_jets(f, list(x), 2), h.dim, 2)
+    return _weighted_ricci(mp, f, cfg, df, mp.covariant_hessian(df, d2f))
+
+
+def nav_riemann_isotropic(fp: NavPoint, y, tol=1e-8) -> np.ndarray:
+    """Riemann curvature R^i_k from navigation data, Killing wind only.
+
+    Index convention for the base curvature riem[p, i, k, q] =
+    R_p^i_{kq}: the pure-metric spray curvature is riem contracted
+    with y in slots p and q, which the generic pipeline confirms.
+    """
+    wi = _nav_hypothesis(fp, tol)
+    y, w0, F = _nav_frame(fp, y)
+    mp = fp.mp
+    wv = fp.w
+    riem = mp.riemann
+    xi_low = mp.g @ (y - F * wv)
+    s_up = wi.s_up
+
+    t1 = np.einsum("pikq,p,q->ik", riem, y, y)
+    t2 = -2.0 * F * np.einsum("pikq,p,q->ik", riem, y, wv)
+    v3 = np.einsum("pimq,p,m,q->i", riem, y, wv, y)
+    t3 = -np.outer(v3, xi_low) / w0
+    t4 = F * np.einsum("kimq,m,q->ik", riem, y, wv)
+    t5 = -F * F * (s_up @ s_up)
+    t6 = (F / w0) * np.outer(s_up @ (s_up @ y), xi_low)
+    return t1 + t2 + t3 + t4 + t5 + t6

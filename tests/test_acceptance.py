@@ -40,8 +40,6 @@ from kropina.jets import Jet, jet_space
 from kropina.riemann import (
     MetricPoint,
     FieldPoint,
-    second_cov_w,
-    w_invariants,
 )
 from kropina.scenarios import (
     COMPARISON_CUTOFF,
@@ -49,7 +47,7 @@ from kropina.scenarios import (
     scenario_samples,
 )
 from kropina.workbench import run_check
-from oracles import spray_generic
+from oracles import second_cov_w, spray_generic, w_invariants
 
 SCENARIO_NAMES = (
     "euclid_parallel",

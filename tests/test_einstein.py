@@ -21,7 +21,6 @@ from kropina.einstein import (
     TheoremReport,
     WeightConfig,
     _generic_ric_ac,
-    einstein_residual,
     fit_theta_sigma,
     poly_divisible_by_alpha2,
     pric,
@@ -32,16 +31,17 @@ from kropina.einstein import (
     thm44_check,
     thm51_check,
     thm61_check,
-    weight_constants,
     weight_preset,
+)
+from kropina.riemann import NotPositiveDefiniteError
+from oracles import (
+    einstein_residual,
+    metric_from_strings,
+    ric_ac_via_projective,
+    ricci_h,
+    weight_constants,
     weighted_ricci_tensor,
 )
-from kropina.riemann import (
-    NotPositiveDefiniteError,
-    metric_from_strings,
-    ricci_h,
-)
-from oracles import ric_ac_via_projective
 
 EUCLID3 = metric_from_strings([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
 SPHERE3 = metric_from_strings(

@@ -21,12 +21,39 @@ from kropina.expr import (
     Sub,
     Var,
     as_ast,
+    e_add,
+    e_call,
+    e_const,
+    e_div,
+    e_mul,
+    e_neg,
+    e_pow,
     eval_expr,
-    free_vars,
     parse_expr,
     print_expr,
 )
 from kropina.jets import jet_space
+
+
+def free_vars(ast) -> set[int]:
+    """1-based indices of the variables an expression reads."""
+    out: set[int] = set()
+
+    def walk(node):
+        if isinstance(node, Var):
+            out.add(node.index)
+        elif isinstance(node, (Add, Sub, Mul, Div)):
+            walk(node.lhs)
+            walk(node.rhs)
+        elif isinstance(node, Pow):
+            walk(node.base)
+        elif isinstance(node, Neg):
+            walk(node.operand)
+        elif isinstance(node, Call):
+            walk(node.arg)
+
+    walk(ast.root)
+    return out
 
 
 def test_parse_product_structure():
@@ -169,3 +196,63 @@ def test_roundtrip_negative_constant():
     text = print_expr(ast)
     reparsed = parse_expr(text, 1)
     assert eval_expr(ast, [3.0]) == eval_expr(reparsed, [3.0])
+
+
+# -- shared nodes ----------------------------------------------------------------
+
+
+def test_equal_nodes_are_one_object():
+    text = "sin(x1)*x2 - 2.5/(x1 + 1)^3 + ln(x2)"
+    assert parse_expr(text, 2).root is parse_expr(text, 2).root
+    a = parse_expr("x1 + x2", 2).root
+    assert e_mul(a, e_const(2)) is e_mul(a, e_const(2.0))
+    assert e_add(a, a) is e_add(a, a)
+    assert e_div(a, a) is e_div(a, a)
+    assert e_neg(a) is e_neg(a)
+    assert e_pow(a, 3) is e_pow(a, 3)
+    assert e_call("cos", a) is e_call("cos", a)
+    # the same subtree inside two texts is one node too
+    assert parse_expr("cos(x1 + x2) * 3", 2).root.lhs.arg is a
+
+
+def test_signed_zero_constants_stay_distinct():
+    pos, neg = e_const(0.0), e_const(-0.0)
+    assert pos is e_const(0) and neg is e_const(-0.0)
+    assert pos is not neg
+    assert print_expr(as_ast(pos, 1)) == "0.0"
+    assert print_expr(as_ast(neg, 1)) == "-0.0"
+    assert math.copysign(1.0, eval_expr(as_ast(neg, 1), [1.0])) == -1.0
+
+
+def test_sequence_evaluates_each_shared_node_once(monkeypatch):
+    from kropina.jets import Jet
+
+    calls = []
+    real = Jet.sin
+    monkeypatch.setattr(Jet, "sin", lambda j: calls.append(1) or real(j))
+    exprs = [parse_expr("sin(x1*x2) + 1", 2), parse_expr("2*sin(x1*x2)", 2)]
+    env = jet_space(2, 2).seed([0.3, 0.7])
+    first, second = eval_expr(exprs, env)
+    assert len(calls) == 1
+    assert first.value == math.sin(0.21) + 1
+    assert second.value == 2 * math.sin(0.21)
+    assert eval_expr(exprs, [0.3, 0.7]) == [eval_expr(e, [0.3, 0.7]) for e in exprs]
+
+
+def test_domain_error_in_shared_subtree_keeps_its_message():
+    """The first failing node, in walk order, names the error, as when
+    each component is evaluated on its own."""
+    exprs = [parse_expr("x2 + 2*ln(x1 - 1)", 2), parse_expr("ln(x1 - 1)/x2", 2)]
+    message = "ln of nonpositive value -0.5 in 'ln(x1 - 1.0)'"
+    for each in exprs:
+        with pytest.raises(ExprDomainError) as alone:
+            eval_expr(each, [0.5, 1.0])
+        assert str(alone.value) == message
+    with pytest.raises(ExprDomainError) as err:
+        eval_expr(exprs, [0.5, 1.0])
+    assert str(err.value) == message
+    assert err.value.node is exprs[1].root.lhs
+    # an earlier failure in walk order still wins
+    with pytest.raises(ExprDomainError) as err:
+        eval_expr([parse_expr("1/(x2 - 1)", 2), *exprs], [0.5, 1.0])
+    assert str(err.value) == "division by zero in '1.0 / (x2 - 1.0)'"

@@ -20,7 +20,6 @@ from kropina.forms import (
     kropina_spray_closed,
     nav_point,
     nav_ricci_isotropic,
-    nav_riemann_isotropic,
     nav_spray,
     nav_to_ab,
     s_bh_closed,
@@ -35,14 +34,15 @@ from kropina.generic import (
     curvature_sample,
     generic_point,
 )
-from kropina.riemann import (
-    FieldPoint,
-    MetricPoint,
+from kropina.riemann import FieldPoint, MetricPoint
+from kropina.scenarios import load_scenario
+from oracles import (
     metric_from_strings,
+    nav_riemann_isotropic,
+    rs_from_RS,
+    spray_generic,
     w_invariants,
 )
-from kropina.scenarios import load_scenario
-from oracles import rs_from_RS, spray_generic
 
 EUCLID3 = metric_from_strings([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
 SPHERE3 = metric_from_strings(

@@ -23,8 +23,6 @@ from kropina.riemann import (
     MetricPoint,
     SingularMetricError,
     christoffel,
-    hess_h,
-    metric_from_strings,
 )
 from kropina.scenarios import COMPARISON_CUTOFF, load_scenario, scenario_samples
 from oracles import (
@@ -32,6 +30,8 @@ from oracles import (
     f2_jet,
     geodesic_flow,
     hess_form,
+    hess_h,
+    metric_from_strings,
     spray_generic,
     spray_jets,
     tau_jet,

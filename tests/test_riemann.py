@@ -17,6 +17,8 @@ from kropina.riemann import (
     NotPositiveDefiniteError,
     RiemannianMetric,
     christoffel,
+)
+from oracles import (
     hess_h,
     metric_from_strings,
     ricci_h,

@@ -631,3 +631,40 @@ def test_verify_builds_one_w_invariants_per_point(monkeypatch):
         assert len(points) == len(set(points)) == sc.points
     nav_ricci = next(t for t in doc.tables if t["name"] == "nav-ricci")
     assert nav_ricci["skipped"] == sc.points * sc.directions
+
+
+def test_round_tripped_document_evaluates_each_cos_node_once(monkeypatch):
+    """The nav -> ab round trip of torus_wind prints h and W as long
+    texts of few distinct subexpressions; one evaluation of the view
+    runs Jet.cos at most once per distinct cos node."""
+    from dataclasses import is_dataclass
+
+    from kropina.expr import Call, eval_expr
+    from kropina.jets import jet_space
+
+    there = run_convert("torus_wind", "nav")
+    back = run_convert(there.emitted, "ab")
+    space = load_scenario(back.emitted).space()
+    exprs = [e for row in space.h.exprs for e in row] + list(space.w)
+
+    canon = {}   # id(node) -> structural key
+    cos_keys = set()
+
+    def key(node):
+        if id(node) not in canon:
+            parts = [type(node).__name__]
+            for value in vars(node).values():
+                parts.append(key(value) if is_dataclass(value) else value)
+            canon[id(node)] = k = tuple(parts)
+            if isinstance(node, Call) and node.fn == "cos":
+                cos_keys.add(k)
+        return canon[id(node)]
+
+    for e in exprs:
+        key(e.root)
+    calls = []
+    real = Jet.cos
+    monkeypatch.setattr(Jet, "cos", lambda j: calls.append(1) or real(j))
+    values = eval_expr(exprs, jet_space(space.dim, 2).seed([0.1, -0.2, 0.3]))
+    assert all(np.isfinite(v.value) for v in values)
+    assert 0 < len(calls) <= len(cos_keys)
