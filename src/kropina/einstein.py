@@ -31,7 +31,6 @@ import numpy as np
 
 from .expr import ExprAst, parse_expr
 from .forms import (
-    AbInvariants,
     KropinaSpace,
     _require_unit_wind,
     ab_fields,
@@ -316,7 +315,7 @@ def fit_theta_sigma(fields, cfg: WeightConfig, directions):
         )
     rows, target = [], []
     for y in directions:
-        inv = AbInvariants(fields, y)
+        inv = fields.invariants(y)
         rows.append(
             [3.0 * (n - 1) * inv.F * y[i] for i in range(n)]
             + [(n - 1) * inv.F**2]
@@ -686,7 +685,7 @@ def _check(theorem, regime, keys, conditions, space, cfg, samples, tol,
         scal["sigma_fitted"].append(fitted.sigma)
         scal["theta_fitted"].append(list(fitted.theta))
         for y in pt.ys:
-            F = AbInvariants(pt.fld, y).F
+            F = pt.fld.invariants(y).F
             val = _generic_ric_ac(generic.sample(pt.x, y), cfg)
             for label, ansatz in (("einstein-residual-formula", formula),
                                   ("einstein-residual-fitted", fitted)):
@@ -850,7 +849,7 @@ def thm44_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6,
         sigma_formula = _sigma_agreement(pt, res)
 
         for y in pt.ys:
-            inv = AbInvariants(fld, y)
+            inv = fld.invariants(y)
             ric_a = float(y @ fld.ric @ y)
             hf_y = float(y @ pt.weight_hess @ y)
             lhs = (

@@ -25,6 +25,16 @@ of that DAG, each distinct node once per call: plain floats, Jet values
 (exact truncated derivatives), and numpy arrays (used for vectorised
 Monte Carlo; array evaluation skips domain checks and lets non-finite
 values flow, callers mask them).
+
+Text costs follow the DAG too.  The printer prints each distinct node
+once per call and splices its text wherever the node recurs.  The parser
+pairs each "(" with its ")" once per text and scans tokens only as it
+parses: a parenthesized group (a call's argument included) parses to
+the same node wherever it stands, so each distinct group text is parsed
+once per group memo (parse_expr's groups, one per document) and skipped
+to its ")" where it recurs.  Errors are those of scanning the whole text
+first: when a parse fails, the text is scanned to its end, and the first
+bad character, if any, is the one reported.
 """
 from __future__ import annotations
 
@@ -164,64 +174,87 @@ def _node(cls, *fields):
     return node
 
 
-# -- tokenizer --------------------------------------------------------------
+# -- scanner ----------------------------------------------------------------
 
 _NUM_RE = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# the usual token after optional whitespace; any other text goes through
+# the character rules of _scan.  \s is str.isspace and \d str.isdecimal
+# (a subset of str.isdigit), so both routes cut the same tokens.
+_TOKEN_RE = re.compile(
+    rf"\s*(?:({_NUM_RE.pattern})|({_IDENT_RE.pattern})|([-+*/^])|(\()|(\)))"
+)
+_KINDS = (None, "NUM", "IDENT", "OP", "LPAREN", "RPAREN")
+_PAREN_RE = re.compile(r"[()]")
 
 
-def _tokenize(text: str):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit() or ch == ".":
-            m = _NUM_RE.match(text, i)
-            if not m:
-                raise ExprSyntaxError("malformed number", i)
-            tokens.append(("NUM", m.group(), i))
-            i = m.end()
-            continue
-        if ch.isalpha() or ch == "_":
-            m = _IDENT_RE.match(text, i)
-            tokens.append(("IDENT", m.group(), i))
-            i = m.end()
-            continue
-        if ch in "+-*/^":
-            tokens.append(("OP", ch, i))
-            i += 1
-            continue
-        if ch == "(":
-            tokens.append(("LPAREN", ch, i))
-            i += 1
-            continue
-        if ch == ")":
-            tokens.append(("RPAREN", ch, i))
-            i += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character '{ch}'", i)
-    tokens.append(("END", "", n))
-    return tokens
+def _scan(text: str, i: int):
+    """The token at or after offset i, as (kind, text, offset), and the
+    offset just past it.  Past the last token the kind is END."""
+    m = _TOKEN_RE.match(text, i)
+    if m:
+        k = m.lastindex
+        return (_KINDS[k], m.group(k), m.start(k)), m.end()
+    n = len(text)
+    while i < n and text[i].isspace():
+        i += 1
+    if i == n:
+        return ("END", "", n), n
+    ch = text[i]
+    if ch.isdigit() or ch == ".":
+        raise ExprSyntaxError("malformed number", i)
+    raise ExprSyntaxError(f"unexpected character '{ch}'", i)
+
+
+def _scan_all(text: str):
+    """Scan text to its end: raises the first scanning error in it."""
+    i = 0
+    while True:
+        tok, i = _scan(text, i)
+        if tok[0] == "END":
+            return
+
+
+def _pair_parens(text: str) -> dict:
+    """{offset of each '(': offset of its ')'}; unbalanced ones are left
+    out, for the parser to report where it meets them."""
+    close, open_ = {}, []
+    for m in _PAREN_RE.finditer(text):
+        if m.group() == "(":
+            open_.append(m.start())
+        elif open_:
+            close[open_.pop()] = m.start()
+    return close
 
 
 # -- parser -----------------------------------------------------------------
 
 
 class _Parser:
-    def __init__(self, tokens, dim):
-        self.tokens = tokens
-        self.pos = 0
+    """Recursive descent, scanning one token ahead.
+
+    A parenthesized group (a call's argument included) parses the same
+    wherever it stands, and its nodes are interned, so groups maps each
+    group text already parsed to its node: a repeated group is looked up
+    and skipped to its ')' without being scanned again.
+    """
+
+    def __init__(self, text, dim, groups):
+        self.text = text
         self.dim = dim
+        self.groups = groups
+        self.close = _pair_parens(text)
+        self.seek(0)
+
+    def seek(self, i):
+        self.tok, self.end = _scan(self.text, i)
 
     def peek(self):
-        return self.tokens[self.pos]
+        return self.tok
 
     def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
+        tok = self.tok
+        self.seek(self.end)
         return tok
 
     def expect(self, kind, what):
@@ -235,6 +268,22 @@ class _Parser:
         tok = self.peek()
         if tok[0] != "END":
             raise ExprSyntaxError(f"unexpected token '{tok[1]}'", tok[2])
+        return node
+
+    def group(self, lparen):
+        """The expression after the '(' token lparen, through its ')'."""
+        close = self.close.get(lparen[2])
+        if close is not None:
+            key = self.text[lparen[2] + 1:close]
+            node = self.groups.get(key)
+            if node is not None:
+                self.seek(close + 1)
+                return node
+        node = self.expression()
+        self.expect("RPAREN", "')'")
+        if close is not None:
+            # a ')' that closes the group is the one paired with its '('
+            self.groups[key] = node
         return node
 
     def expression(self):
@@ -319,23 +368,35 @@ class _Parser:
                     raise ExprIndexError(index, self.dim, off)
                 return _node(Var, index)
             if name in FUNCTIONS:
-                self.expect("LPAREN", f"'(' after {name}")
-                arg = self.expression()
-                self.expect("RPAREN", "')'")
-                return _node(Call, name, arg)
+                lparen = self.expect("LPAREN", f"'(' after {name}")
+                return _node(Call, name, self.group(lparen))
             raise ExprNameError(name, off)
         if tok[0] == "LPAREN":
-            node = self.expression()
-            self.expect("RPAREN", "')'")
-            return node
+            return self.group(tok)
         raise ExprSyntaxError(f"unexpected token '{tok[1] or 'end of input'}'", tok[2])
 
 
-def parse_expr(text: str, dim: int) -> ExprAst:
-    """Parse the DSL string into an AST declared over x1..x<dim>."""
+def parse_expr(text: str, dim: int, groups=None) -> ExprAst:
+    """Parse the DSL string into an AST declared over x1..x<dim>.
+
+    groups, when given, is a dict that carries parsed parenthesized
+    groups from one call to the next, so the strings of one document
+    parse each distinct group once; give each document its own.
+    """
     if dim < 1:
         raise ValueError("dimension must be at least 1")
-    return ExprAst(_Parser(_tokenize(text), dim).parse(), dim)
+    memo = {} if groups is None else groups.setdefault(dim, {})
+    try:
+        root = _Parser(text, dim, memo).parse()
+    except (ValueError, RecursionError):
+        # the text was scanned only as far as it was parsed; a scanning
+        # error anywhere in it is the one to report, as if scanned first
+        try:
+            _scan_all(text)
+        except ExprSyntaxError as first:
+            raise first from None
+        raise
+    return ExprAst(root, dim)
 
 
 # -- printer ----------------------------------------------------------------
@@ -350,38 +411,52 @@ def _prec(node) -> int:
 
 
 def print_node(node) -> str:
+    """The DSL text of node; each distinct node is printed once."""
+    return _print(node, {})
+
+
+def _print(node, memo):
+    """node's text; memo maps id(n) to the text of each node n this
+    call has printed.  A node's text does not depend on its parent,
+    which adds any parentheses around it."""
+    text = memo.get(id(node))
+    if text is not None:
+        return text
     if isinstance(node, Const):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return f"x{node.index}"
-    if isinstance(node, Neg):
-        inner = print_node(node.operand)
+        text = repr(node.value)
+    elif isinstance(node, Var):
+        text = f"x{node.index}"
+    elif isinstance(node, Neg):
+        inner = _print(node.operand, memo)
         if _prec(node.operand) < _PREC[Neg]:
             inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, Pow):
-        base = print_node(node.base)
+        text = f"-{inner}"
+    elif isinstance(node, Pow):
+        base = _print(node.base, memo)
         # a Pow base also needs parens: "x^2^3" would reparse as a
         # folded exponent chain rather than a nested power
         if _prec(node.base) <= _PREC[Pow]:
             base = f"({base})"
-        return f"{base}^{node.exponent}"
-    if isinstance(node, Call):
-        return f"{node.fn}({print_node(node.arg)})"
-    if isinstance(node, (Add, Sub, Mul, Div)):
+        text = f"{base}^{node.exponent}"
+    elif isinstance(node, Call):
+        text = f"{node.fn}({_print(node.arg, memo)})"
+    elif isinstance(node, (Add, Sub, Mul, Div)):
         op = {Add: "+", Sub: "-", Mul: "*", Div: "/"}[type(node)]
         prec = _PREC[type(node)]
-        left = print_node(node.lhs)
+        left = _print(node.lhs, memo)
         if _prec(node.lhs) < prec:
             left = f"({left})"
-        right = print_node(node.rhs)
+        right = _print(node.rhs, memo)
         # left-associative: equal precedence on the right needs parens
         if _prec(node.rhs) <= prec and isinstance(node.rhs, (Add, Sub, Mul, Div)):
             right = f"({right})"
         elif _prec(node.rhs) < prec:
             right = f"({right})"
-        return f"{left} {op} {right}"
-    raise TypeError(f"not an expression node: {node!r}")
+        text = f"{left} {op} {right}"
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    memo[id(node)] = text
+    return text
 
 
 def print_expr(ast: ExprAst) -> str:

@@ -32,6 +32,7 @@ import numpy as np
 
 from .expr import (
     ExprAst,
+    ExprError,
     as_ast,
     e_add,
     e_call,
@@ -346,11 +347,31 @@ class AbFields:
     def __init__(self, space: KropinaSpace, x):
         self.space = space
         self.x = np.asarray(x, dtype=float)
-        self.n = space.dim
-        self.mp = MetricPoint.from_exprs(space.a, list(self.x), order=2)
-        self.fp = FieldPoint.from_exprs(
-            self.mp, list(space.b_up), list(self.x), order=2
-        )
+        self.n = n = space.dim
+        x = list(self.x)
+        # one evaluation for a_ij and b^i, whose adjugate trees hold the
+        # a_ij nodes, so each shared node runs once per bundle
+        try:
+            jets = eval_component_jets(
+                [e for row in space.a.exprs for e in row] + list(space.b_up),
+                x, 2)
+        except ExprError:
+            # a metric that is not positive definite is reported first
+            MetricPoint.from_exprs(space.a, x, order=2)
+            raise
+        rows = [jets[i * n:(i + 1) * n] for i in range(n)]
+        self.mp = MetricPoint(*_extract(rows, n, 2))
+        self.fp = FieldPoint(self.mp, *_extract(jets[n * n:], n, 2))
+        self._invariants = {}
+
+    def invariants(self, y) -> "AbInvariants":
+        """The AbInvariants of direction y, built once per y."""
+        y = np.array(y, dtype=float)
+        key = y.tobytes()
+        inv = self._invariants.get(key)
+        if inv is None:
+            inv = self._invariants[key] = AbInvariants(self, y)
+        return inv
 
     @cached_property
     def ainv(self):
@@ -478,7 +499,7 @@ class AbInvariants:
     """Scalar contractions of the drift derivatives at one (x, y).
 
     Tensor-level data stays on .fields; everything y-contracted is a
-    plain float attribute here.  Notation: a trailing 0 is contraction
+    plain float attribute here.  AbFields.invariants builds one per y.  Notation: a trailing 0 is contraction
     with y, a ';' in the docstrings below marks the covariant
     derivative taken before that contraction.
     """
@@ -563,7 +584,7 @@ def kropina_ricci_closed(fields: AbFields, y) -> float:
     """Ricci curvature as the base Ricci plus drift correction terms."""
     f = fields
     y = np.asarray(y, dtype=float)
-    inv = AbInvariants(f, y)
+    inv = f.invariants(y)
     n = f.n
     F = inv.F
     b2 = f.b2
@@ -599,13 +620,13 @@ def kropina_ricci_closed(fields: AbFields, y) -> float:
 
 def s_bh_closed(fields: AbFields, y) -> float:
     """S-curvature for the unit-ball volume normalisation."""
-    inv = AbInvariants(fields, y)
+    inv = fields.invariants(y)
     return (fields.n + 1) / fields.b2 * (inv.r_0 - inv.r_00 / inv.F)
 
 
 def s_closed(fields: AbFields, y) -> float:
     """S-curvature for the weighted density e^{-(n+1) f} sigma."""
-    inv = AbInvariants(fields, y)
+    inv = fields.invariants(y)
     base = (fields.n + 1) / fields.b2 * (inv.r_0 - inv.r_00 / inv.F)
     return base + (fields.n + 1) * inv.f_0
 
@@ -617,7 +638,7 @@ def s_dot_closed(fields: AbFields, y) -> float:
     pipeline's sdot value.
     """
     f = fields
-    inv = AbInvariants(f, y)
+    inv = f.invariants(y)
     b2 = f.b2
     b4 = b2 * b2
     a2 = inv.alpha2

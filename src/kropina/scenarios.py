@@ -132,16 +132,17 @@ class Scenario:
 
         Each distinct string is parsed once, with the JSON pointer of its
         first use, so a mirrored metric entry shares the upper entry's
-        tree.  A navigation space is checked for an h-unit wind at the
-        probe points.
+        tree, and each distinct parenthesized group once for the whole
+        document.  A navigation space is checked for an h-unit wind at
+        the probe points.
         """
         n = self.dimension
-        asts = {}
+        asts, groups = {}, {}
 
         def parse(text, pointer):
             if text not in asts:
                 try:
-                    asts[text] = parse_expr(text, n)
+                    asts[text] = parse_expr(text, n, groups)
                 except ExprError as e:
                     raise ScenarioError(str(e), pointer) from None
             return asts[text]

@@ -25,8 +25,15 @@ second_cov_w (over MetricPoint and FieldPoint); weight_constants,
 einstein_residual and weighted_ricci_tensor (the Einstein side); and
 nav_riemann_isotropic, the navigation closed form of the Riemann
 curvature, held against the generic pipeline.
+
+Last come the expression-text routes: parse_expr_oracle tokenizes a
+whole text up front and parses every parenthesized group where it
+stands, and print_node_oracle prints every occurrence of a shared node
+anew.  parse_expr and print_expr must match them byte for byte, error
+for error, while doing work in proportion to distinct subexpressions.
 """
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +55,26 @@ from kropina.forms import (
     s_closed,
     s_dot_closed,
 )
-from kropina.expr import ExprAst, eval_expr, parse_expr
+from kropina.expr import (
+    FUNCTIONS,
+    _MAX_EXPONENT,
+    Add,
+    Call,
+    Const,
+    Div,
+    ExprAst,
+    ExprIndexError,
+    ExprNameError,
+    ExprSyntaxError,
+    Mul,
+    Neg,
+    Pow,
+    Sub,
+    Var,
+    _node,
+    eval_expr,
+    parse_expr,
+)
 from kropina.generic import (
     ConicDomainError,
     CurvatureSample,
@@ -444,3 +470,226 @@ def nav_riemann_isotropic(fp: NavPoint, y, tol=1e-8) -> np.ndarray:
     t5 = -F * F * (s_up @ s_up)
     t6 = (F / w0) * np.outer(s_up @ (s_up @ y), xi_low)
     return t1 + t2 + t3 + t4 + t5 + t6
+
+
+# -- expression text: the tree-walking printer and the eager parser ----------
+
+_NUM_RE = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def tokenize_oracle(text: str):
+    """Every token of text up front, as (kind, text, offset) triples
+    ending in an END token; the first bad character raises."""
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdigit() or ch == ".":
+            m = _NUM_RE.match(text, i)
+            if not m:
+                raise ExprSyntaxError("malformed number", i)
+            tokens.append(("NUM", m.group(), i))
+            i = m.end()
+            continue
+        if ch.isalpha() or ch == "_":
+            m = _IDENT_RE.match(text, i)
+            if not m:
+                # a non-ASCII letter
+                raise ExprSyntaxError(f"unexpected character '{ch}'", i)
+            tokens.append(("IDENT", m.group(), i))
+            i = m.end()
+            continue
+        if ch in "+-*/^":
+            tokens.append(("OP", ch, i))
+            i += 1
+            continue
+        if ch == "(":
+            tokens.append(("LPAREN", ch, i))
+            i += 1
+            continue
+        if ch == ")":
+            tokens.append(("RPAREN", ch, i))
+            i += 1
+            continue
+        raise ExprSyntaxError(f"unexpected character '{ch}'", i)
+    tokens.append(("END", "", n))
+    return tokens
+
+
+class _EagerParser:
+    """Recursive descent over the whole token list, every group parsed
+    where it stands."""
+
+    def __init__(self, tokens, dim):
+        self.tokens = tokens
+        self.pos = 0
+        self.dim = dim
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind, what):
+        tok = self.advance()
+        if tok[0] != kind:
+            raise ExprSyntaxError(f"expected {what}", tok[2])
+        return tok
+
+    def parse(self):
+        node = self.expression()
+        tok = self.peek()
+        if tok[0] != "END":
+            raise ExprSyntaxError(f"unexpected token '{tok[1]}'", tok[2])
+        return node
+
+    def expression(self):
+        node = self.term()
+        while True:
+            tok = self.peek()
+            if tok[0] == "OP" and tok[1] in "+-":
+                self.advance()
+                rhs = self.term()
+                node = _node(Add if tok[1] == "+" else Sub, node, rhs)
+            else:
+                return node
+
+    def term(self):
+        node = self.unary()
+        while True:
+            tok = self.peek()
+            if tok[0] == "OP" and tok[1] in "*/":
+                self.advance()
+                rhs = self.unary()
+                node = _node(Mul if tok[1] == "*" else Div, node, rhs)
+            else:
+                return node
+
+    def unary(self):
+        tok = self.peek()
+        if tok[0] == "OP" and tok[1] == "-":
+            self.advance()
+            return _node(Neg, self.unary())
+        return self.power()
+
+    def power(self):
+        base = self.atom()
+        if self.peek()[0] == "OP" and self.peek()[1] == "^":
+            self.advance()
+            return _node(Pow, base, self.exponent_chain())
+        return base
+
+    def exponent_chain(self) -> int:
+        exps = [self.signed_int()]
+        while self.peek()[0] == "OP" and self.peek()[1] == "^":
+            self.advance()
+            exps.append(self.signed_int())
+        acc = exps[-1]
+        for e in reversed(exps[:-1]):
+            if acc < 0:
+                raise ExprSyntaxError(
+                    "negative exponent inside an exponent chain", self.peek()[2]
+                )
+            acc = e**acc
+            if abs(acc) > _MAX_EXPONENT:
+                raise ExprSyntaxError("exponent too large", self.peek()[2])
+        return acc
+
+    def signed_int(self) -> int:
+        sign = 1
+        tok = self.peek()
+        if tok[0] == "OP" and tok[1] == "-":
+            self.advance()
+            sign = -1
+            tok = self.peek()
+        if tok[0] != "NUM":
+            raise ExprSyntaxError("expected integer exponent", tok[2])
+        self.advance()
+        if any(c in tok[1] for c in ".eE"):
+            raise ExprSyntaxError("exponent must be an integer literal", tok[2])
+        val = sign * int(tok[1])
+        if abs(val) > _MAX_EXPONENT:
+            raise ExprSyntaxError("exponent too large", tok[2])
+        return val
+
+    def atom(self):
+        tok = self.advance()
+        if tok[0] == "NUM":
+            return _node(Const, float(tok[1]))
+        if tok[0] == "IDENT":
+            name, off = tok[1], tok[2]
+            m = re.fullmatch(r"x(\d+)", name)
+            if m:
+                index = int(m.group(1))
+                if not 1 <= index <= self.dim:
+                    raise ExprIndexError(index, self.dim, off)
+                return _node(Var, index)
+            if name in FUNCTIONS:
+                self.expect("LPAREN", f"'(' after {name}")
+                arg = self.expression()
+                self.expect("RPAREN", "')'")
+                return _node(Call, name, arg)
+            raise ExprNameError(name, off)
+        if tok[0] == "LPAREN":
+            node = self.expression()
+            self.expect("RPAREN", "')'")
+            return node
+        raise ExprSyntaxError(f"unexpected token '{tok[1] or 'end of input'}'", tok[2])
+
+
+def parse_expr_oracle(text: str, dim: int) -> ExprAst:
+    """parse_expr by tokenizing all of text first and parsing every
+    group where it stands; nodes are interned as the package's are."""
+    if dim < 1:
+        raise ValueError("dimension must be at least 1")
+    return ExprAst(_EagerParser(tokenize_oracle(text), dim).parse(), dim)
+
+
+_PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, Pow: 4}
+
+
+def _prec(node) -> int:
+    if isinstance(node, Const) and node.value < 0:
+        return 0
+    return _PREC.get(type(node), 9)
+
+
+def print_node_oracle(node) -> str:
+    """The DSL text of node, printing every occurrence of a shared node
+    anew, as a tree walk does."""
+    if isinstance(node, Const):
+        return repr(node.value)
+    if isinstance(node, Var):
+        return f"x{node.index}"
+    if isinstance(node, Neg):
+        inner = print_node_oracle(node.operand)
+        if _prec(node.operand) < _PREC[Neg]:
+            inner = f"({inner})"
+        return f"-{inner}"
+    if isinstance(node, Pow):
+        base = print_node_oracle(node.base)
+        if _prec(node.base) <= _PREC[Pow]:
+            base = f"({base})"
+        return f"{base}^{node.exponent}"
+    if isinstance(node, Call):
+        return f"{node.fn}({print_node_oracle(node.arg)})"
+    if isinstance(node, (Add, Sub, Mul, Div)):
+        op = {Add: "+", Sub: "-", Mul: "*", Div: "/"}[type(node)]
+        prec = _PREC[type(node)]
+        left = print_node_oracle(node.lhs)
+        if _prec(node.lhs) < prec:
+            left = f"({left})"
+        right = print_node_oracle(node.rhs)
+        if _prec(node.rhs) <= prec and isinstance(node.rhs, (Add, Sub, Mul, Div)):
+            right = f"({right})"
+        elif _prec(node.rhs) < prec:
+            right = f"({right})"
+        return f"{left} {op} {right}"
+    raise TypeError(f"not an expression node: {node!r}")

@@ -58,6 +58,15 @@ def test_exit_2_on_verdict_failure(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_exit_1_on_a_non_ascii_letter(tmp_path, capsys):
+    doc = dict(CONFORMAL, metric=[["1", "0", "0"], ["0", "1 + é", "0"],
+                                  ["0", "0", "1"]])
+    path = write_scenario(tmp_path, doc)
+    assert main(["check", "--scenario", path]) == 1
+    assert ("unexpected character 'é' (offset 4) (at /metric/1/1)"
+            in capsys.readouterr().err)
+
+
 def test_exit_3_on_precondition(capsys):
     assert main(["check", "--scenario", "euclid_twist"]) == 3
     out = capsys.readouterr().out

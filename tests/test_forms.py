@@ -251,6 +251,60 @@ def test_invariants_require_positive_beta():
         AbInvariants(fld, [-1.0, 0.0, 0.0])
 
 
+def test_ab_fields_evaluate_both_views_in_one_call(monkeypatch):
+    """a_ij and b^i go through one eval_expr call, so the a_ij nodes
+    inside b^i's adjugate trees are evaluated once per bundle."""
+    import kropina.riemann as riemann
+
+    calls = []
+    real = riemann.eval_expr
+    monkeypatch.setattr(riemann, "eval_expr",
+                        lambda exprs, env: calls.append(1) or real(exprs, env))
+    x = [0.3, 0.2, -0.1]
+    space = wavy_space()
+    fld = ab_fields(space, x)
+    assert len(calls) == 1
+    mp = MetricPoint.from_exprs(space.a, x, order=2)
+    fp = FieldPoint.from_exprs(mp, space.b_up, x, order=2)
+    for name in ("g", "dg", "d2g"):
+        assert np.array_equal(getattr(fld.mp, name), getattr(mp, name))
+    for name in ("w", "dw", "d2w"):
+        assert np.array_equal(getattr(fld.fp, name), getattr(fp, name))
+
+
+def test_ab_fields_report_an_indefinite_metric_first():
+    """Where a is not positive definite and b^i fails to evaluate, the
+    metric is the error, as when a was evaluated on its own."""
+    from kropina.riemann import NotPositiveDefiniteError
+
+    a = metric_from_strings([["1", "0", "0"], ["0", "x1", "0"],
+                             ["0", "0", "1"]])
+    space = KropinaSpace.from_ab(a, ("1", "ln(x1)", "0"))
+    with pytest.raises(NotPositiveDefiniteError):
+        ab_fields(space, [-0.5, 0.1, 0.1])
+
+
+def test_invariants_built_once_per_direction(monkeypatch):
+    import kropina.forms as forms
+
+    built = []
+    real = forms.AbInvariants.__init__
+
+    def init(self, fields, y):
+        built.append(tuple(y))
+        real(self, fields, y)
+
+    monkeypatch.setattr(forms.AbInvariants, "__init__", init)
+    fld = ab_fields(wavy_space(weight="0.1*x1"), [0.3, 0.2, -0.1])
+    y = np.array([1.0, 0.3, 0.2])
+    for form in (kropina_ricci_closed, s_bh_closed, s_closed, s_dot_closed):
+        form(fld, y)
+    assert fld.invariants(list(y)) is fld.invariants(y.copy())
+    assert built == [tuple(y)]
+    fld.invariants([1.0, 0.3, 0.25])
+    assert len(built) == 2
+
+
 def test_eta_gradient_matches_analytic():
     # Killing wind with gauge 2 + 0.3 x2 makes r_ij = eta a_ij exactly,
     # with eta = 0.6 / (2 + 0.3 x2).

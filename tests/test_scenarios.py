@@ -346,9 +346,9 @@ def test_load_parses_each_distinct_string_once(monkeypatch):
     parsed = []
     real = scenarios.parse_expr
 
-    def counting(text, dim):
+    def counting(text, dim, groups=None):
         parsed.append(text)
-        return real(text, dim)
+        return real(text, dim, groups)
 
     monkeypatch.setattr(scenarios, "parse_expr", counting)
     for source in ("torus_wind", "s3_hopf", "random:3"):
