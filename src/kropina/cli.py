@@ -31,7 +31,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(sub):
     sub.add_argument("--scenario", required=True,
-                     help="builtin name, scenario file path, or random:<seed>")
+                     help="builtin name, scenario file path, or "
+                          "random:<seed>[:<dim>]")
     sub.add_argument("--seed", type=int, default=None,
                      help="override the scenario's sampling seed")
     sub.add_argument("--json-out", metavar="PATH",
@@ -122,7 +123,8 @@ def _cmd_scenarios(args):
     for name, dim, rep, desc in builtin_summaries():
         sys.stdout.write(f"{name:<18} {dim}d  {rep:<4} {desc}\n")
     sys.stdout.write(
-        "random:<seed>      3d  ab   seeded polynomial-coefficient scenario\n"
+        "random:<seed>[:<dim>]  ab   seeded polynomial-coefficient scenario,"
+        " dimension 2..4 (default 3)\n"
     )
     return 0
 

@@ -50,7 +50,7 @@ from .generic import (
     VolumeDensity,
     _check_domain,
 )
-from .jets import Jet, jet_det
+from .jets import Jet, JetDomainError, jet_solve
 from .riemann import (
     FieldPoint,
     MetricPoint,
@@ -828,7 +828,10 @@ def _sigma_bh_value(space: KropinaSpace, env):
     ]
     if not isinstance(b, Jet):
         b = sp.constant(float(b))
-    det = jet_det(rows)
+    try:
+        det = jet_solve(rows, [])[1]
+    except JetDomainError:
+        raise GaugeError("degenerate view metric or gauge") from None
     if det.value <= 0.0 or b.value <= 0.0:
         raise GaugeError("degenerate view metric or gauge")
     return det.sqrt() * (b.reciprocal() * 2.0) ** n

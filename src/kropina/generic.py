@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .expr import ExprAst, eval_expr
-from .jets import Jet, JetDomainError, jet_det, jet_space, jet_solve
+from .jets import Jet, JetDomainError, jet_space, jet_solve
 from .riemann import SingularMetricError
 
 VOLUME_KINDS = ("Busemann-Hausdorff", "weighted", "custom")
@@ -123,8 +123,9 @@ def _metric_jets(f2: Jet, n: int):
 
 
 def _spray_jets(g, f2: Jet, y):
-    """G^i as jets over the 2n variables, two orders below f2, from the
-    metric jets g of the same f2."""
+    """(G^i, det g): the spray as jets over the 2n variables, two orders
+    below f2, from the metric jets g of the same f2, and the determinant
+    of g from the same elimination."""
     n = len(g)
     order = f2.space.order - 2
     space_lo = jet_space(2 * n, order)
@@ -136,10 +137,10 @@ def _spray_jets(g, f2: Jet, y):
             acc = acc + f2.deriv(k).deriv(n + l) * yj[k]
         rhs.append(acc - f2.deriv(l).truncate(order))
     try:
-        w = jet_solve(g, rhs)
+        w, det = jet_solve(g, rhs)
     except JetDomainError as e:
         raise SingularMetricError(str(e)) from e
-    return [wi * 0.25 for wi in w]
+    return [wi * 0.25 for wi in w], det
 
 
 def _riemann_from_spray_jets(Gj, y, n: int) -> np.ndarray:
@@ -264,9 +265,10 @@ def _tau(half_log_det: Jet, log_sigma: Optional[Jet]) -> Jet:
 def curvature_sample(point: GenericPoint, y) -> CurvatureSample:
     """Full curvature bundle at (x, y): the generic pipeline's one entry.
 
-    One order-4 jet of F^2 feeds everything.  Its metric jets (order 2)
-    serve both the spray and the distortion; the spray jets give G, N
-    and the Riemann curvature; the distortion jet and the same spray
+    One order-4 jet of F^2 feeds everything.  One elimination of its
+    metric jets (order 2) gives the spray jets and det g, which feeds
+    the distortion; the spray jets give G, N and the Riemann
+    curvature; the distortion jet and the same spray
     jets give S as a first-order jet, whose horizontal derivative is
     Sdot.  S, tau and Sdot refer to the point's density; s_bh is S
     from its own tau_BH = ln sqrt(det g) - ln sigma_BH when the point
@@ -284,11 +286,10 @@ def curvature_sample(point: GenericPoint, y) -> CurvatureSample:
     gj = _metric_jets(f4, n)
     g = np.array([[m.value for m in row] for row in gj])
     _check_invertible(g)
-    Gj = _spray_jets(gj, f4, y)
+    Gj, det = _spray_jets(gj, f4, y)
     Gv = np.array([G.value for G in Gj])
     N = np.array([G.gradient()[n:] for G in Gj])
     R = _riemann_from_spray_jets(Gj, y, n)
-    det = jet_det(gj)
     if det.value <= 0.0:
         raise SingularMetricError("nonpositive fundamental determinant")
     half_log_det = det.log() * 0.5

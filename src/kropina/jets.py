@@ -11,6 +11,11 @@ Multiplication uses a precomputed triple table (i, j, k) with
 idx[i] + idx[j] = idx[k] and a single ``np.bincount`` per product, which
 keeps the n = 4, K = 4 case (495 coefficients) in the tens of
 microseconds.
+
+Jet matrices are eliminated in one place, ``jet_solve``: Gauss-Jordan
+with pivots chosen by base value.  It returns the determinant with the
+solution, as the signed product of its pivots, so a matrix that needs
+both is eliminated once.
 """
 from __future__ import annotations
 
@@ -338,43 +343,29 @@ class Jet:
 # -- small dense linear algebra over the jet ring -------------------------
 
 
-def jet_det(A) -> Jet:
-    """Determinant of a small square matrix of jets (Leibniz expansion)."""
-    n = len(A)
-    space = A[0][0].space
-    total = space.constant(0.0)
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        seen = list(perm)
-        # parity by counting inversions
-        inv = sum(
-            1 for i in range(n) for j in range(i + 1, n) if seen[i] > seen[j]
-        )
-        sign = -1 if inv % 2 else 1
-        term = A[0][perm[0]]
-        for i in range(1, n):
-            term = term * A[i][perm[i]]
-        total = total + term * float(sign)
-    return total
-
-
 def jet_solve(A, rhs):
-    """Solve A u = rhs over the jet ring by Gaussian elimination.
+    """Solve A u = rhs over the jet ring by Gauss-Jordan elimination.
 
-    A is an n x n nested list of jets, rhs a length-n list of jets.  Pivots
-    are chosen by largest base value; a zero pivot raises JetDomainError.
+    A is an n x n nested list of jets, rhs a length-n list of jets, or
+    empty to ask for the determinant alone.  Pivots are chosen by largest
+    base value; a zero pivot raises JetDomainError.  Returns (u, det A),
+    det A being the product of the final pivots, negated once per row
+    swap.
     """
     n = len(A)
     M = [row[:] for row in A]
     b = rhs[:]
     inv_pivs = []
+    sign = 1.0
     for col in range(n):
         piv = max(range(col, n), key=lambda r: abs(M[r][col].value))
         if M[piv][col].value == 0.0:
             raise JetDomainError("singular jet matrix (zero pivot base value)")
         if piv != col:
             M[col], M[piv] = M[piv], M[col]
-            b[col], b[piv] = b[piv], b[col]
+            sign = -sign
+            if b:
+                b[col], b[piv] = b[piv], b[col]
         inv_piv = M[col][col].reciprocal()
         inv_pivs.append(inv_piv)
         for r in range(n):
@@ -383,7 +374,11 @@ def jet_solve(A, rhs):
             factor = M[r][col] * inv_piv
             for c in range(col, n):
                 M[r][c] = M[r][c] - factor * M[col][c]
-            b[r] = b[r] - factor * b[col]
-    # row col is final once its column is eliminated, so inv_pivs[i] is
-    # the reciprocal of the final M[i][i]
-    return [b[i] * inv_pivs[i] for i in range(n)]
+            if b:
+                b[r] = b[r] - factor * b[col]
+    # row col is final once its column is eliminated, so M[i][i] is the
+    # final pivot of row i and inv_pivs[i] its reciprocal
+    det = M[0][0]
+    for i in range(1, n):
+        det = det * M[i][i]
+    return [b[i] * inv_pivs[i] for i in range(len(b))], det * sign

@@ -302,7 +302,8 @@ def _from_dict(doc, origin):
 
 
 def load_scenario(source):
-    """Scenario from a builtin name, 'random:<seed>', a path, or a dict."""
+    """Scenario from a builtin name, 'random:<seed>[:<dim>]', a path, or
+    a dict."""
     if isinstance(source, Scenario):
         return source
     if isinstance(source, dict):
@@ -311,14 +312,22 @@ def load_scenario(source):
     if text in _BUILTINS:
         return _from_dict(json.loads(json.dumps(_BUILTINS[text])), origin=text)
     if text.startswith("random:"):
-        tail = text[len("random:"):]
+        tail, colon, dim = text[len("random:"):].partition(":")
         try:
             seed = int(tail)
+            if seed < 0:
+                raise ValueError(seed)
         except ValueError:
             raise ScenarioError(
-                f"random scenario wants an integer seed, got {tail!r}"
+                f"random scenario wants a non-negative integer seed, "
+                f"got {tail!r}"
             ) from None
-        return _from_dict(random_scenario(seed), origin=text)
+        if colon and dim not in ("2", "3", "4"):
+            raise ScenarioError(
+                f"random scenario wants a dimension in 2..4, got {dim!r}"
+            )
+        return _from_dict(random_scenario(seed, int(dim) if colon else 3),
+                          origin=text)
     path = Path(text)
     if not path.exists():
         raise ScenarioError(
@@ -449,6 +458,26 @@ _BUILTINS = {
         "directions": 10,
         "seed": 11,
     },
+    "s5_hopf": {
+        "schema": SCENARIO_SCHEMA_ID,
+        "name": "s5_hopf",
+        "description": "unit Hopf wind on the round 5-sphere",
+        "dimension": 5,
+        "representation": "nav",
+        "metric": [
+            ["1", "0", "0", "0", "0"],
+            ["0", "sin(x1)^2", "0", "0", "0"],
+            ["0", "0", "cos(x1)^2", "0", "0"],
+            ["0", "0", "0", "sin(x1)^2*cos(x2)^2", "0"],
+            ["0", "0", "0", "0", "sin(x1)^2*sin(x2)^2"],
+        ],
+        "vector": ["0", "0", "1", "1", "1"],
+        "constants": {"a": 1, "c": 0},
+        "box": [[0.5, 0.9], [0.4, 0.8], [0.1, 0.5], [0.3, 0.7], [0.2, 0.6]],
+        "points": 3,
+        "directions": 10,
+        "seed": 23,
+    },
     "euclid_gaussian": {
         "schema": SCENARIO_SCHEMA_ID,
         "name": "euclid_gaussian",
@@ -550,7 +579,7 @@ def random_scenario(seed, dimension=3):
 
     return {
         "schema": SCENARIO_SCHEMA_ID,
-        "name": f"random_{int(seed)}",
+        "name": f"random_{int(seed)}" + (f"_{n}d" if n != 3 else ""),
         "description": "seeded polynomial-coefficient scenario",
         "dimension": n,
         "representation": "ab",

@@ -9,6 +9,8 @@ a test can hold the package's route against it:
   computed from scratch, x-only work included, with second partials
   read one Jet.partial at a time; the staged generic_point +
   curvature_sample route must equal it bit for bit;
+- jet_det: a jet matrix determinant by the n!-term Leibniz sum,
+  against the signed pivot product jet_solve returns;
 - jet_inverse: a jet matrix inverse through jet_solve;
 - jet_solve_reference: jet_solve dividing by a fresh reciprocal of
   each final pivot, against jet_solve's reuse of the pivot
@@ -32,6 +34,7 @@ stands, and print_node_oracle prints every occurrence of a shared node
 anew.  parse_expr and print_expr must match them byte for byte, error
 for error, while doing work in proportion to distinct subexpressions.
 """
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -84,7 +87,7 @@ from kropina.generic import (
     _metric_jets,
     _sigma_jet,
 )
-from kropina.jets import Jet, JetDomainError, jet_det, jet_solve, jet_space
+from kropina.jets import Jet, JetDomainError, jet_solve, jet_space
 from kropina.riemann import (
     FieldPoint,
     MetricPoint,
@@ -137,7 +140,7 @@ def spray_jets(F: FinslerEvaluator, y, f2: Jet):
             acc = acc + f2.deriv(k).deriv(n + l) * yj[k]
         rhs.append(acc - f2.deriv(l).truncate(order))
     try:
-        w = jet_solve(g, rhs)
+        w, _ = jet_solve(g, rhs)
     except JetDomainError as e:
         raise SingularMetricError(str(e)) from e
     return [wi * 0.25 for wi in w]
@@ -171,7 +174,7 @@ def tau_jet(F, sigma, x, f2: Jet) -> Jet:
     """tau = ln(sqrt(det g_ij) / sigma) as a jet two orders below f2."""
     n = F.dim
     order = f2.space.order - 2
-    det = jet_det(_metric_jets(f2, n))
+    det = jet_solve(_metric_jets(f2, n), [])[1]
     if det.value <= 0.0:
         raise SingularMetricError("nonpositive fundamental determinant")
     sj = _sigma_jet(sigma, x, n, order)
@@ -326,6 +329,26 @@ def jet_solve_reference(A, rhs):
     return [b[i] * M[i][i].reciprocal() for i in range(n)]
 
 
+def jet_det(A) -> Jet:
+    """Determinant of a small square matrix of jets (Leibniz expansion)."""
+    n = len(A)
+    space = A[0][0].space
+    total = space.constant(0.0)
+    for perm in itertools.permutations(range(n)):
+        sign = 1
+        seen = list(perm)
+        # parity by counting inversions
+        inv = sum(
+            1 for i in range(n) for j in range(i + 1, n) if seen[i] > seen[j]
+        )
+        sign = -1 if inv % 2 else 1
+        term = A[0][perm[0]]
+        for i in range(1, n):
+            term = term * A[i][perm[i]]
+        total = total + term * float(sign)
+    return total
+
+
 def jet_inverse(A):
     """Columns of A^-1 via jet_solve against unit vectors."""
     n = len(A)
@@ -333,7 +356,7 @@ def jet_inverse(A):
     cols = []
     for j in range(n):
         e = [space.constant(1.0 if i == j else 0.0) for i in range(n)]
-        cols.append(jet_solve(A, e))
+        cols.append(jet_solve(A, e)[0])
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 

@@ -52,6 +52,14 @@ def test_exit_1_on_missing_scenario(capsys):
     assert "no builtin scenario" in capsys.readouterr().err
 
 
+def test_exit_1_on_a_negative_random_seed(capsys):
+    assert main(["check", "--scenario", "random:-1"]) == 1
+    assert capsys.readouterr().err == (
+        "kropina: random scenario wants a non-negative integer seed, "
+        "got '-1'\n"
+    )
+
+
 def test_exit_2_on_verdict_failure(tmp_path, capsys):
     path = write_scenario(tmp_path, CONFORMAL)
     assert main(["check", "--scenario", path]) == 2

@@ -12,11 +12,10 @@ from kropina.jets import (
     Jet,
     JetDomainError,
     JetOrderError,
-    jet_det,
     jet_solve,
     jet_space,
 )
-from oracles import jet_inverse, jet_solve_reference
+from oracles import jet_det, jet_inverse, jet_solve_reference
 
 
 def test_square_partial():
@@ -160,7 +159,7 @@ def test_jet_solve_and_det_against_numpy():
         A = [[s.constant(base[i, j]) for j in range(3)] for i in range(3)]
         rhs_v = rng.normal(size=3)
         rhs = [s.constant(v) for v in rhs_v]
-        sol = jet_solve(A, rhs)
+        sol, _ = jet_solve(A, rhs)
         expect = np.linalg.solve(base, rhs_v)
         assert np.allclose([u.value for u in sol], expect, rtol=1e-12)
         assert abs(jet_det(A).value - np.linalg.det(base)) < 1e-10
@@ -188,10 +187,78 @@ def test_jet_solve_reuses_pivot_reciprocals_exactly():
                     row.append(Jet(s, coef))
                 A.append(row)
             rhs = [Jet(s, rng.normal(size=s.ncoef)) for _ in range(n)]
-            got = jet_solve(A, rhs)
+            got, _ = jet_solve(A, rhs)
             want = jet_solve_reference(A, rhs)
             for u, v in zip(got, want):
                 assert u.coef.tobytes() == v.coef.tobytes()
+
+
+def _jet_matrix(rng, s, base):
+    """Jets with the given base values and small random higher
+    coefficients."""
+    n = len(base)
+    A = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            coef = 0.1 * rng.normal(size=s.ncoef)
+            coef[0] = base[i, j]
+            row.append(Jet(s, coef))
+        A.append(row)
+    return A
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_jet_solve_det_matches_numpy_and_leibniz(n):
+    """det from jet_solve is the signed product of its pivots: against
+    numpy on the value and the first partials (Jacobi's formula), and
+    against the Leibniz sum on every coefficient.  The rows of a
+    strongly diagonally dominant matrix are permuted, so pivoting undoes
+    the permutation with swaps of the same parity; an odd permutation
+    or a negated row gives a negative determinant."""
+    rng = np.random.default_rng(40 + n)
+    s = jet_space(2, 3)
+    cycle = list(range(1, n)) + [0]
+    swap_ends = [n - 1] + list(range(1, n - 1)) + [0] if n > 1 else [0]
+    signs = []
+    for perm in (list(range(n)), swap_ends, cycle, list(rng.permutation(n))):
+        for flip in (1.0, -1.0):
+            base = rng.normal(size=(n, n)) * 0.3 + 5.0 * np.eye(n)
+            base[0] *= flip
+            base = base[perm]
+            A = _jet_matrix(rng, s, base)
+            rhs = [Jet(s, rng.normal(size=s.ncoef)) for _ in range(n)]
+            _, det = jet_solve(A, rhs)
+            none, det_only = jet_solve(A, [])
+            assert none == []
+            assert det_only.coef.tobytes() == det.coef.tobytes()
+            want = np.linalg.det(base)
+            assert abs(det.value - want) <= 1e-12 * abs(want)
+            parity = np.linalg.det(np.eye(n)[perm])
+            assert np.sign(det.value) == flip * parity
+            inv = np.linalg.inv(base)
+            for v in range(s.nvars):
+                dA = np.array([[A[i][j].coef[1 + v] for j in range(n)]
+                               for i in range(n)])
+                jacobi = want * np.trace(inv @ dA)
+                assert abs(det.coef[1 + v] - jacobi) <= 1e-11 * abs(want)
+            leibniz = jet_det(A)
+            scale = np.max(np.abs(leibniz.coef))
+            assert np.allclose(det.coef, leibniz.coef, rtol=0,
+                               atol=1e-12 * scale)
+            signs.append(np.sign(det.value))
+    assert -1.0 in signs and 1.0 in signs
+
+
+def test_jet_solve_zero_pivot_raises():
+    s = jet_space(2, 2)
+    rng = np.random.default_rng(5)
+    base = np.array([[0.0, 1.0, 2.0], [0.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
+    A = _jet_matrix(rng, s, base)
+    rhs = [s.constant(1.0) for _ in range(3)]
+    for b in (rhs, []):
+        with pytest.raises(JetDomainError, match="zero pivot"):
+            jet_solve(A, b)
 
 
 def _random_tame_expr(rng, dim):

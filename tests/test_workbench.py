@@ -114,6 +114,25 @@ def test_check_hopf_both_checkers_pass():
     assert all(abs(s - 1.0) < 1e-8 for s in scalars["sigma_formula"])
 
 
+def test_check_s5_hopf_passes():
+    doc = run_check("s5_hopf")
+    assert doc.verdict == "PASS"
+    assert [(c["theorem"], c["verdict"]) for c in doc.checks] == [
+        ("41", "PASS"), ("44", "PASS"),
+    ]
+
+
+@pytest.mark.parametrize("seed", [6, 7, 8])
+def test_verify_s5_hopf_within_ladder(seed):
+    """The round 5-sphere with its unit Hopf wind: det g and the spray
+    come from one elimination, so S and Sdot keep their accuracy at
+    n = 5 (a Leibniz determinant missed the s-dot tolerance here)."""
+    doc = run_verify("s5_hopf", points=4, dirs=10, seed=seed)
+    assert doc.verdict == "PASS"
+    for t in doc.tables:
+        assert t["max_rel_dev"] <= t["tol"], t["name"]
+
+
 def test_check_twist_precondition_exit_3():
     doc = run_check("euclid_twist")
     assert doc.verdict == "PRECONDITION"
@@ -201,6 +220,12 @@ def test_verify_unweighted_scenario_skips_weight_tables():
 
 def test_verify_random_scenario_within_ladder():
     doc = run_verify("random:11", points=2, dirs=5)
+    assert doc.verdict == "PASS"
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_verify_random_scenario_of_other_dimensions(dim):
+    doc = run_verify(f"random:3:{dim}", points=2, dirs=5)
     assert doc.verdict == "PASS"
 
 

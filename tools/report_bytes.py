@@ -14,7 +14,9 @@ dropped, so two checkouts that behave the same write the same bytes.
 checkout's src/), so an older checkout without this script can be
 measured too.  The JSON goes to stdout.  With --against FILE the reports
 are compared with FILE's instead: one line per label, "identical" or
-"differs at" its first differing JSON pointer, and the exit status is 1
+"differs at" its first differing JSON pointer with the number of moved
+leaves and the largest relative move among moved floats, then one
+indented line per moved leaf that is not a float.  The exit status is 1
 when any label differs or is missing on either side.  The byte gate
 between two checkouts is then:
 
@@ -67,33 +69,44 @@ def reports():
     return out
 
 
-def first_difference(a, b, path=""):
-    """JSON pointer of the first place where a and b differ, or None."""
+def moved_leaves(a, b, path=""):
+    """(JSON pointer, old, new) of every place where a and b differ, in
+    document order; a key or list entry on one side only is a leaf
+    whose missing side is None."""
     if isinstance(a, dict) and isinstance(b, dict):
         for key in sorted(set(a) | set(b)):
             where = f"{path}/{key.replace('~', '~0').replace('/', '~1')}"
-            if key not in a or key not in b:
-                return where
-            found = first_difference(a[key], b[key], where)
-            if found is not None:
-                return found
-        return None
+            if key in a and key in b:
+                yield from moved_leaves(a[key], b[key], where)
+            else:
+                yield where, a.get(key), b.get(key)
+        return
     if isinstance(a, list) and isinstance(b, list):
         for k, (u, v) in enumerate(zip(a, b)):
-            found = first_difference(u, v, f"{path}/{k}")
-            if found is not None:
-                return found
-        if len(a) != len(b):
-            return f"{path}/{min(len(a), len(b))}"
-        return None
+            yield from moved_leaves(u, v, f"{path}/{k}")
+        for k in range(min(len(a), len(b)), max(len(a), len(b))):
+            yield (f"{path}/{k}", a[k] if k < len(a) else None,
+                   b[k] if k < len(b) else None)
+        return
     # leaves compare as their JSON text, so -0.0 and 0.0 differ
     if json.dumps(a) != json.dumps(b):
-        return path or "/"
-    return None
+        yield path or "/", a, b
+
+
+def _relative_move(old, new):
+    scale = max(abs(old), abs(new))
+    return abs(new - old) / scale if scale else 0.0
 
 
 def compare(current, reference):
-    """One line per label and whether every label is identical."""
+    """Lines per label and whether every label is identical.
+
+    A differing label names its first moved leaf, counts its moved
+    leaves, gives the largest relative move |new - old| / max(|old|,
+    |new|) among moved floats, and lists every moved leaf that is not
+    a float on both sides (a verdict, a flag, a count, a string, a
+    key or entry present on one side only).
+    """
     lines, same = [], True
     for label in sorted(set(current) | set(reference)):
         if label not in reference or label not in current:
@@ -101,12 +114,26 @@ def compare(current, reference):
             lines.append(f"{label}: missing from {side}")
             same = False
             continue
-        where = first_difference(reference[label], current[label])
-        if where is None:
+        moved = list(moved_leaves(reference[label], current[label]))
+        if not moved:
             lines.append(f"{label}: identical")
-        else:
-            lines.append(f"{label}: differs at {where}")
-            same = False
+            continue
+        same = False
+        floats, others = [], []
+        for m in moved:
+            both = isinstance(m[1], float) and isinstance(m[2], float)
+            (floats if both else others).append(m)
+        line = (f"{label}: differs at {moved[0][0]}; "
+                f"{len(moved)} leaves moved")
+        if floats:
+            where, old, new = max(floats, key=lambda m: _relative_move(*m[1:]))
+            line += (f", largest relative move "
+                     f"{_relative_move(old, new):.3g} at {where} "
+                     f"({old!r} -> {new!r})")
+        lines.append(line)
+        lines += [f"  not a float: {where}: {json.dumps(old)} -> "
+                  f"{json.dumps(new)}"
+                  for where, old, new in others]
     return lines, same
 
 
