@@ -31,8 +31,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(sub):
     sub.add_argument("--scenario", required=True,
-                     help="builtin name, scenario file path, or "
-                          "random:<seed>[:<dim>]")
+                     help="builtin name, scenario file path, or random:<seed>")
     sub.add_argument("--seed", type=int, default=None,
                      help="override the scenario's sampling seed")
     sub.add_argument("--json-out", metavar="PATH",
@@ -123,8 +122,7 @@ def _cmd_scenarios(args):
     for name, dim, rep, desc in builtin_summaries():
         sys.stdout.write(f"{name:<18} {dim}d  {rep:<4} {desc}\n")
     sys.stdout.write(
-        "random:<seed>[:<dim>]  ab   seeded polynomial-coefficient scenario,"
-        " dimension 2..4 (default 3)\n"
+        "random:<seed>      3d  ab   seeded polynomial-coefficient scenario\n"
     )
     return 0
 

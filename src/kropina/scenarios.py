@@ -302,8 +302,7 @@ def _from_dict(doc, origin):
 
 
 def load_scenario(source):
-    """Scenario from a builtin name, 'random:<seed>[:<dim>]', a path, or
-    a dict."""
+    """Scenario from a builtin name, 'random:<seed>', a path, or a dict."""
     if isinstance(source, Scenario):
         return source
     if isinstance(source, dict):
@@ -312,7 +311,7 @@ def load_scenario(source):
     if text in _BUILTINS:
         return _from_dict(json.loads(json.dumps(_BUILTINS[text])), origin=text)
     if text.startswith("random:"):
-        tail, colon, dim = text[len("random:"):].partition(":")
+        tail = text[len("random:"):]
         try:
             seed = int(tail)
             if seed < 0:
@@ -322,12 +321,7 @@ def load_scenario(source):
                 f"random scenario wants a non-negative integer seed, "
                 f"got {tail!r}"
             ) from None
-        if colon and dim not in ("2", "3", "4"):
-            raise ScenarioError(
-                f"random scenario wants a dimension in 2..4, got {dim!r}"
-            )
-        return _from_dict(random_scenario(seed, int(dim) if colon else 3),
-                          origin=text)
+        return _from_dict(random_scenario(seed), origin=text)
     path = Path(text)
     if not path.exists():
         raise ScenarioError(
@@ -579,7 +573,7 @@ def random_scenario(seed, dimension=3):
 
     return {
         "schema": SCENARIO_SCHEMA_ID,
-        "name": f"random_{int(seed)}" + (f"_{n}d" if n != 3 else ""),
+        "name": f"random_{int(seed)}",
         "description": "seeded polynomial-coefficient scenario",
         "dimension": n,
         "representation": "ab",

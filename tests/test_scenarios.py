@@ -345,18 +345,6 @@ def test_random_prefix_rejects_a_negative_seed():
     )
 
 
-def test_random_prefix_takes_an_optional_dimension():
-    assert load_scenario("random:3").as_dict() == random_scenario(3)
-    for n in (2, 3, 4):
-        sc = load_scenario(f"random:3:{n}")
-        assert sc.as_dict() == random_scenario(3, dimension=n)
-        assert sc.name == ("random_3" if n == 3 else f"random_3_{n}d")
-    for dim in ("1", "5", "", "x", "3:3"):
-        with pytest.raises(ScenarioError, match="dimension in 2..4") as err:
-            load_scenario(f"random:3:{dim}")
-        assert repr(dim) in str(err.value)
-
-
 # -- load once -----------------------------------------------------------------
 
 

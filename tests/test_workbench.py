@@ -15,7 +15,7 @@ from kropina.reports import (
     merge_verdicts,
     tool_version,
 )
-from kropina.scenarios import load_scenario
+from kropina.scenarios import load_scenario, random_scenario
 from kropina.workbench import VERIFY_TOLS, run_check, run_convert, run_verify
 
 CONFORMAL = {
@@ -133,6 +133,13 @@ def test_verify_s5_hopf_within_ladder(seed):
         assert t["max_rel_dev"] <= t["tol"], t["name"]
 
 
+def test_verify_s5_hopf_at_its_defaults():
+    doc = run_verify("s5_hopf")
+    assert doc.verdict == "PASS"
+    for t in doc.tables:
+        assert t["max_rel_dev"] <= t["tol"], t["name"]
+
+
 def test_check_twist_precondition_exit_3():
     doc = run_check("euclid_twist")
     assert doc.verdict == "PRECONDITION"
@@ -225,7 +232,7 @@ def test_verify_random_scenario_within_ladder():
 
 @pytest.mark.parametrize("dim", [2, 4])
 def test_verify_random_scenario_of_other_dimensions(dim):
-    doc = run_verify(f"random:3:{dim}", points=2, dirs=5)
+    doc = run_verify(random_scenario(3, dimension=dim), points=2, dirs=5)
     assert doc.verdict == "PASS"
 
 

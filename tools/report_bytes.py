@@ -1,7 +1,8 @@
-"""Canonical --no-timings reports of the builtins and random:3, as one JSON.
+"""Canonical --no-timings reports of the scenarios in SCENARIOS, as one JSON.
 
-Runs check, verify, and convert to nav and to ab on every builtin scenario
-and on random:3, converts the document emitted in the other
+Runs check, verify, and convert to nav and to ab on each scenario in
+SCENARIOS (the 3-dimensional builtins and random:3; s5_hopf is not among
+them), converts the document emitted in the other
 representation back to the source one, and runs check and verify on that
 round-tripped document: 42 reports.  Every report is
 serialised as ``to_json(timings=False)`` would, with ``tool.version``
