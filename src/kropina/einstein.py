@@ -29,7 +29,6 @@ from typing import Optional
 
 import numpy as np
 
-from .expr import ExprAst, parse_expr
 from .forms import (
     KropinaSpace,
     _require_unit_wind,
@@ -43,11 +42,7 @@ from .forms import (
     volume_density,
 )
 from .generic import curvature_sample, generic_point
-from .riemann import (
-    MetricPoint,
-    NotPositiveDefiniteError,
-    RiemannianMetric,
-)
+from .riemann import MetricPoint, NotPositiveDefiniteError
 
 
 class DispatchError(ValueError):
@@ -74,8 +69,8 @@ def pric_constants(n):
 
 @dataclass(frozen=True)
 class WeightConfig:
-    """Weight constants (a, c) in dimension n, plus an optional weight
-    function overriding the one carried by the space under test.
+    """Weight constants (a, c) in dimension n.  The weight function f
+    belongs to the space under test, not to the configuration.
 
     kappa and nu are recomputed on access (never stored), in exact
     rational arithmetic so the regime classification is stable; pass a
@@ -85,13 +80,10 @@ class WeightConfig:
     a: object
     c: object
     n: int
-    f: Optional[ExprAst] = None
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("weight config needs dimension n >= 2")
-        if isinstance(self.f, str):
-            object.__setattr__(self, "f", parse_expr(self.f, self.n))
 
     @property
     def kappa_exact(self):
@@ -148,13 +140,8 @@ class WeightConfig:
             "nu=0,kappa=0": ("61",),
         }[self.regime]
 
-    def with_weight(self, f):
-        if isinstance(f, str):
-            f = parse_expr(f, self.n)
-        return WeightConfig(self.a, self.c, self.n, f)
 
-
-def weight_preset(name, n, f=None):
+def weight_preset(name, n):
     """Resolve a named weight-constant preset to a WeightConfig.
 
     plain      a = 0, c = 0 (unweighted Ricci curvature)
@@ -180,28 +167,13 @@ def weight_preset(name, n, f=None):
         a, c = pric_constants(n)
     else:
         raise ValueError(f"unknown weight preset {name!r}")
-    return WeightConfig(a, c, n, f)
-
-
-def _space_with_cfg(space: KropinaSpace, cfg: WeightConfig) -> KropinaSpace:
-    if cfg.f is None or cfg.f is space.weight:
-        return space
-    return space.with_weight(cfg.f)
+    return WeightConfig(a, c, n)
 
 
 # -- the curvature family ------------------------------------------------------
 #
-# These take the drift bundle of one chart point (forms.ab_fields), built
-# on the space that carries the weight: resolve a configured weight with
-# _space_with_cfg before building the bundle.
-
-
-def _require_bundle_weight(fields, cfg: WeightConfig):
-    if cfg.f is not None and cfg.f != fields.space.weight:
-        raise ValueError(
-            "the configured weight is not the one the drift bundle was "
-            "built with; build the bundle on _space_with_cfg(space, cfg)"
-        )
+# These take the drift bundle of one chart point (forms.ab_fields); the
+# weight is the one of the bundle's space.
 
 
 def _generic_ric_ac(sample, cfg: WeightConfig):
@@ -225,7 +197,7 @@ class GenericSamples:
 
     def __init__(self, space: KropinaSpace):
         self.space = space
-        self._ev = finsler_evaluator(space, "ab")
+        self._ev = finsler_evaluator(space)
         self._dens = volume_density(space)
         self._points = {}
         self._samples = {}
@@ -247,7 +219,6 @@ def ric_ac(fields, cfg: WeightConfig, y):
     """Weighted Ricci curvature Ric + a*Sdot - c*S^2 at (x, y), from the
     drift-invariant closed forms; _generic_ric_ac is the generic
     pipeline's counterpart."""
-    _require_bundle_weight(fields, cfg)
     a, c = float(cfg.a), float(cfg.c)
     n = fields.n
     val = kropina_ricci_closed(fields, y)
@@ -256,13 +227,6 @@ def ric_ac(fields, cfg: WeightConfig, y):
     if c != 0.0:
         val -= c * s_closed(fields, y) ** 2
     return val
-
-
-def pric(fields, y):
-    """Projective Ricci curvature: ric_ac at the constants where both
-    derived constants vanish."""
-    a, c = pric_constants(fields.n)
-    return ric_ac(fields, WeightConfig(a, c, fields.n), y)
 
 
 # -- the Einstein ansatz and its fit -------------------------------------------
@@ -334,25 +298,16 @@ def fit_theta_sigma(fields, cfg: WeightConfig, directions):
 # -- pointwise tensor test ------------------------------------------------------
 
 
-def _values_at(obj, x, what):
-    if isinstance(obj, np.ndarray):
-        return obj
-    if isinstance(obj, RiemannianMetric):
-        return MetricPoint.from_exprs(obj, list(x), order=0).g
-    if callable(obj):
-        return np.asarray(obj(x), dtype=float)
-    raise TypeError(f"{what} must be an array, metric, or callable")
-
-
-def tensor_einstein_check(T, h, x=None):
-    """Proportionality test T = (n-1) mu h for a symmetric bilinear form.
+def tensor_einstein_check(T, h):
+    """Proportionality test T = (n-1) mu h for a symmetric bilinear form,
+    both given as value matrices.
 
     Returns (mu, residual) with mu = trace_h(T) / (n (n-1)) and the
     residual measured in the h-operator norm (largest absolute
     eigenvalue of the h-whitened deviation T - (n-1) mu h).
     """
-    Tv = _values_at(T, x, "bilinear form")
-    hv = _values_at(h, x, "metric")
+    Tv = np.asarray(T, dtype=float)
+    hv = np.asarray(h, dtype=float)
     n = hv.shape[0]
     try:
         L = np.linalg.cholesky(hv)
@@ -418,18 +373,18 @@ def _sym_mat_metric(q, a):
     ) / 6.0
 
 
-def poly_divisible_by_alpha2(coeffs, alpha, x=None):
+def poly_divisible_by_alpha2(coeffs, alpha):
     """Least-squares division of a homogeneous polynomial by the metric
     quadratic alpha^2.
 
     coeffs is the coefficient tensor of a degree-2, 3 or 4 polynomial
     (symmetrized here if it is not already); alpha is the metric as a
-    value matrix, or an expression metric together with the point x.
-    Returns (quotient coefficients, relative residual); the residual
-    decides divisibility at the caller's tolerance.  The quotient is a
-    scalar, covector or symmetric matrix according to the degree.
+    value matrix.  Returns (quotient coefficients, relative residual);
+    the residual decides divisibility at the caller's tolerance.  The
+    quotient is a scalar, covector or symmetric matrix according to the
+    degree.
     """
-    a = _values_at(alpha, x, "metric")
+    a = np.asarray(alpha, dtype=float)
     C = np.asarray(coeffs, dtype=float)
     d = C.ndim
     n = a.shape[0]
@@ -620,11 +575,11 @@ def _sym_outer(u, v):
 # -- checkers -------------------------------------------------------------------
 #
 # One driver, _check, runs the loop the four regime theorems share: the
-# regime gate, the weight, the generic sample store, one drift bundle and
-# one (theta, sigma) fit per chart point, and the end-to-end Einstein
+# regime gate, the generic sample store, one drift bundle and one
+# (theta, sigma) fit per chart point, and the end-to-end Einstein
 # residuals.  Each checker adds only its theorem's own conditions.  The
 # optional GenericSamples serves the end-to-end residuals when it samples
-# the checker's resolved space, so the checkers of one run share it.
+# the checker's space, so the checkers of one run share it.
 
 
 class _ChartPoint:
@@ -669,7 +624,6 @@ def _check(theorem, regime, keys, conditions, space, cfg, samples, tol,
             f"checker {theorem} applies in regime {regime}, got {cfg.regime} "
             f"(kappa={cfg.kappa:.6g}, nu={cfg.nu:.6g})"
         )
-    space = _space_with_cfg(space, cfg)
     if generic is None or generic.space is not space:
         generic = GenericSamples(space)
     res = _Residuals(tol)

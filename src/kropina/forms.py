@@ -24,7 +24,7 @@ suite, never trusted on its own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -44,12 +44,7 @@ from .expr import (
     eval_expr,
     parse_expr,
 )
-from .generic import (
-    ConicDomainError,
-    FinslerEvaluator,
-    VolumeDensity,
-    _check_domain,
-)
+from .generic import ConicDomainError, FinslerEvaluator
 from .jets import Jet, JetDomainError, jet_solve
 from .riemann import (
     FieldPoint,
@@ -237,56 +232,6 @@ class KropinaSpace:
             weight=_coerce_scalar(weight, n, "weight"),
             name=name,
         )
-
-    def with_gauge(self, gauge):
-        """The same metric re-expressed in a different gauge b(x)."""
-        return KropinaSpace.from_nav(self.h, self.w, gauge=gauge,
-                                     weight=self.weight, name=self.name)
-
-    def with_weight(self, weight):
-        return replace(self, weight=_coerce_scalar(weight, self.dim, "weight"))
-
-    def validate(self, xs, ys=None, tol_view=1e-10):
-        """Check the linking identities at sample points; raise on failure.
-
-        xs is an iterable of chart points.  ys, when given, pairs with
-        xs and additionally checks that both views produce the same F;
-        a direction outside the conic domain raises ConicDomainError.
-        """
-        views = [finsler_evaluator(self, v) for v in ("ab", "nav")]
-        for k, x in enumerate(xs):
-            env = [float(v) for v in x]
-            h_val, w_val, a_val, b_val, (rho_v, g_val) = _values(
-                env, self.h, self.w, self.a, self.b, (self.rho, self.gauge))
-            _require_unit_wind(float(w_val @ h_val @ w_val), f"at point {k}")
-            e2 = math.exp(-2.0 * rho_v)
-            if g_val <= 0.0:
-                raise GaugeError(f"gauge b = {g_val:.6g} at point {k}")
-            checks = (
-                ("a_ij vs e^(-2 rho) h_ij",
-                 np.max(np.abs(a_val - e2 * h_val)), np.max(np.abs(a_val))),
-                ("b_i vs 2 e^(-2 rho) W_i",
-                 np.max(np.abs(b_val - 2.0 * e2 * (h_val @ w_val))),
-                 np.max(np.abs(b_val))),
-                ("b^2 vs 4 e^(-2 rho)",
-                 abs(g_val * g_val - 4.0 * e2), 4.0 * e2),
-            )
-            for label, err, scale in checks:
-                if err > tol_view * max(1.0, scale):
-                    raise ValueError(
-                        f"view consistency failed ({label}) at point {k}: "
-                        f"max error {err:.3e}"
-                    )
-            if ys is not None:
-                y = [float(v) for v in ys[k]]
-                for ev in views:
-                    _check_domain(ev.domain_at(env), y, ev.name)
-                f_ab, f_nav = (float(ev(env, y)) for ev in views)
-                if abs(f_ab - f_nav) > tol_view * max(1.0, abs(f_ab)):
-                    raise ValueError(
-                        f"F disagrees between views at point {k}: "
-                        f"{f_ab!r} vs {f_nav!r}"
-                    )
 
 
 def _values(x, *parts):
@@ -848,15 +793,13 @@ def sigma_bh(space: KropinaSpace, x) -> float:
     return float(_sigma_bh_value(space, [float(v) for v in x]))
 
 
-def bh_volume_density(space: KropinaSpace) -> VolumeDensity:
-    def func(xs):
-        return _sigma_bh_value(space, list(xs))
-
-    return VolumeDensity(func, kind="Busemann-Hausdorff")
+def bh_volume_density(space: KropinaSpace):
+    """x -> sigma_BH(x), over float or jet entries."""
+    return lambda xs: _sigma_bh_value(space, list(xs))
 
 
-def volume_density(space: KropinaSpace) -> VolumeDensity:
-    """The measure the S-curvature formulas refer to.
+def volume_density(space: KropinaSpace):
+    """The measure the S-curvature formulas refer to, as x -> sigma(x).
 
     Without a weight this is the unit-ball density; with a weight f it
     is e^{-(n+1) f} times that density.
@@ -865,56 +808,36 @@ def volume_density(space: KropinaSpace) -> VolumeDensity:
         return bh_volume_density(space)
     n1 = space.dim + 1
 
-    def func(xs):
+    def sigma(xs):
         base = _sigma_bh_value(space, list(xs))
         fv = eval_expr(space.weight, list(xs))
         arg = -float(n1) * fv
         damp = arg.exp() if isinstance(arg, Jet) else math.exp(arg)
         return damp * base
 
-    return VolumeDensity(func, kind="weighted")
+    return sigma
 
 
-def finsler_evaluator(space: KropinaSpace, view="ab") -> FinslerEvaluator:
-    """Package one view of the space for the generic pipeline.
+def finsler_evaluator(space: KropinaSpace) -> FinslerEvaluator:
+    """Package the (alpha, beta) view of the space for the generic
+    pipeline, F = a_ij y^i y^j / (b_i y^i).
 
-    Both views describe the same metric, so their evaluators must agree
-    everywhere; the choice only affects which expression trees do the
-    work.  The x-stages evaluate each coefficient tree once per chart
-    point; the direction stages then only combine those values with y.
-    The box hint brackets the unit-ball ellipsoid exactly.
+    The x-stages evaluate each coefficient tree once per chart point;
+    the direction stages then only combine those values with y.  The
+    box hint brackets the unit-ball ellipsoid exactly.
     """
     n = space.dim
-    if view == "ab":
-        quad = [e for row in space.a.exprs for e in row]
-        den_exprs = list(space.b)
-
-        def den_stage(bv):
-            """y -> beta = b_i y^i."""
-            return lambda y: _linear(bv, y)
-
-    elif view == "nav":
-        quad = [e for row in space.h.exprs for e in row]
-        den_exprs = quad + list(space.w)  # at() evaluates h_ij once
-
-        def den_stage(vals):
-            """y -> 2 W_0 = 2 h_ij W^j y^i."""
-            wv = vals[n * n:]
-            wl = [_linear(vals[i * n:(i + 1) * n], wv) for i in range(n)]
-            return lambda y: 2.0 * _linear(wl, y)
-
-    else:
-        raise ValueError(f"view must be 'ab' or 'nav', got {view!r}")
+    quad = [e for row in space.a.exprs for e in row]
 
     def at(x):
-        vals = eval_expr(quad + den_exprs, list(x))
+        vals = eval_expr(quad + list(space.b), list(x))
         qv = [vals[i * n:(i + 1) * n] for i in range(n)]
-        den = den_stage(vals[n * n:])
-        return lambda y: _quadratic(qv, y) / den(y)
+        bv = vals[n * n:]
+        return lambda y: _quadratic(qv, y) / _linear(bv, y)
 
     def domain_at(x):
-        den = den_stage(eval_expr(den_exprs, list(x)))
-        return lambda y: den(y) > 0
+        bv = eval_expr(list(space.b), list(x))
+        return lambda y: _linear(bv, y) > 0
 
     def box_hint(x):
         a_val, b_val = _values(x, space.a, space.b)
@@ -924,16 +847,12 @@ def finsler_evaluator(space: KropinaSpace, view="ab") -> FinslerEvaluator:
         half = 0.5 * b_norm * np.sqrt(np.diag(ainv))
         return centre - half, centre + half
 
-    def bh_closed(x):
-        return sigma_bh(space, x)
-
     return FinslerEvaluator(
         dim=n,
         at=at,
         domain_at=domain_at,
-        name=f"{space.name}:{view}",
+        name=f"{space.name}:ab",
         box_hint=box_hint,
-        bh_closed=bh_closed,
     )
 
 

@@ -16,11 +16,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .expr import ExprAst, eval_expr
 from .jets import Jet, JetDomainError, jet_space, jet_solve
-from .riemann import SingularMetricError
-
-VOLUME_KINDS = ("Busemann-Hausdorff", "weighted", "custom")
+from .riemann import SingularMetricError, _extract, eval_component_jets
 
 
 class ConicDomainError(ValueError):
@@ -37,9 +34,10 @@ class FinslerEvaluator:
     y are sequences of scalar-like entries: plain floats, Jet instances,
     or numpy arrays for vectorized sweeps.  box_hint(x) -> (lo, hi)
     optionally bounds the unit sublevel set {y : F(x, y) < 1} for
-    Monte-Carlo volume estimation, and bh_closed(x) optionally supplies
-    a closed-form unit-ball density when one is known for the metric
-    class.
+    Monte-Carlo volume estimation.
+
+    A coordinate volume density, as in dV = sigma(x) dx, is a plain
+    function sigma(x) accepting floats and Jet instances.
     """
 
     dim: int
@@ -47,31 +45,9 @@ class FinslerEvaluator:
     domain_at: Callable
     name: str = "finsler"
     box_hint: Optional[Callable] = None
-    bh_closed: Optional[Callable] = None
 
     def __call__(self, x, y):
         return self.at(x)(y)
-
-
-@dataclass(frozen=True)
-class VolumeDensity:
-    """Coordinate volume density sigma(x), as in dV = sigma(x) dx.
-
-    func(x) must accept floats and Jet instances.  kind records where
-    the density came from; it has no effect on the numerics.
-    """
-
-    func: Callable
-    kind: str = "custom"
-
-    def __post_init__(self):
-        if self.kind not in VOLUME_KINDS:
-            raise ValueError(
-                f"volume kind must be one of {VOLUME_KINDS}, got {self.kind!r}"
-            )
-
-    def __call__(self, x):
-        return self.func(x)
 
 
 @dataclass(frozen=True)
@@ -168,10 +144,12 @@ def _riemann_from_spray_jets(Gj, y, n: int) -> np.ndarray:
     )
 
 
-def _sigma_jet(sigma: VolumeDensity, x, n: int, order: int) -> Jet:
+def _sigma_jet(sigma: Callable, x, n: int, order: int) -> Jet:
+    """The density sigma as a jet of the given order over the 2n
+    variables, from sigma called on the x seeds."""
     space = jet_space(2 * n, order)
     xj = [space.variable(i, x[i]) for i in range(n)]
-    s = sigma.func(xj)
+    s = sigma(xj)
     if not isinstance(s, Jet):
         s = space.constant(float(s))
     return s
@@ -204,35 +182,29 @@ class GenericPoint:
     weight_grad: Optional[np.ndarray]  # f_{x^i}, if a weight is given
 
 
-def _log_density(sigma: VolumeDensity, x, n: int) -> Optional[Jet]:
+def _log_density(sigma: Callable, x, n: int) -> Optional[Jet]:
     sj = _sigma_jet(sigma, x, n, 2)
     return sj.log() if sj.value > 0.0 else None
 
 
 def generic_point(
-    F: FinslerEvaluator, sigma: VolumeDensity, x, f=None, bh=None
+    F: FinslerEvaluator, sigma: Callable, x, f=None, bh=None
 ) -> GenericPoint:
     """The x-only stage of the generic pipeline at the chart point x.
 
     Seeds the order-4 x jets and runs F's x-stage on them, takes the
     density's order-2 jet (and bh's, the unit-ball density, when
-    given), the weight f's order-2 jet for its Hessian form, and F's
-    float domain stage, all once.  curvature_sample(point, y) then does
-    only the work that depends on y.
+    given), the order-2 jet of the weight expression f for its Hessian
+    form, and F's float domain stage, all once.  curvature_sample(point,
+    y) then does only the work that depends on y.
     """
     n = F.dim
     space = jet_space(2 * n, 4)
     seeds = [space.variable(i, x[i]) for i in range(n)]
     weight_hess = weight_grad = None
     if f is not None:
-        space_f = jet_space(n, 2)
-        fj = space_f.seed(list(x))
-        fj = eval_expr(f, fj) if isinstance(f, ExprAst) else f(fj)
-        if not isinstance(fj, Jet):
-            fj = space_f.constant(float(fj))
-        pos = space_f.hessian_positions
-        weight_hess = fj.coef[pos] * space_f.factorial[pos]
-        weight_grad = fj.gradient()
+        _, weight_grad, weight_hess = _extract(
+            eval_component_jets(f, list(x), 2), n, 2)
     return GenericPoint(
         F=F,
         x=np.asarray(x, dtype=float),
@@ -324,7 +296,6 @@ class BHDensityEstimate:
     sublevel_volume: float
     samples: int
     hits: int
-    closed: Optional[float]  # closed-form density if the metric supplies one
 
 
 def unit_ball_volume(n: int) -> float:
@@ -413,14 +384,10 @@ def bh_density(
     sublevel = p * box_volume
     value = unit_ball_volume(n) / sublevel
     rel = math.sqrt(p * (1.0 - p) / mc_samples) / p
-    closed = None
-    if F.bh_closed is not None:
-        closed = float(F.bh_closed(x))
     return BHDensityEstimate(
         value=value,
         stderr=value * rel,
         sublevel_volume=sublevel,
         samples=mc_samples,
         hits=hits,
-        closed=closed,
     )

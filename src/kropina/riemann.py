@@ -162,18 +162,9 @@ class MetricPoint:
     def ricci(self):
         return np.einsum("kmmj->kj", self.riemann)
 
-    @cached_property
-    def lowered_riemann(self):
-        """R_kmij = g_mp R_k^p_ij."""
-        return np.einsum("mp,kpij->kmij", self.g, self.riemann)
-
     def covariant_hessian(self, df, d2f):
         """f_{i|j} = d_i d_j f - Gamma^m_ij d_m f from plain partials."""
         return d2f - np.einsum("mij,m->ij", self.christoffel, df)
-
-
-def christoffel(metric: RiemannianMetric, x):
-    return MetricPoint.from_exprs(metric, x, order=1).christoffel
 
 
 class FieldPoint:

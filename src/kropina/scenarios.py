@@ -166,14 +166,12 @@ class Scenario:
 
     def config(self):
         c = self.constants
-        f = self.space().weight
         if "preset" in c:
-            return weight_preset(c["preset"], self.dimension, f=f)
+            return weight_preset(c["preset"], self.dimension)
         return WeightConfig(
             _coeff(c["a"], "/constants/a"),
             _coeff(c["c"], "/constants/c"),
             self.dimension,
-            f=f,
         )
 
     def tolerance(self, key, default):
@@ -391,6 +389,20 @@ def box_points(scenario, count, rng):
     return rng.uniform(box[:, 0], box[:, 1], size=(count, scenario.dimension))
 
 
+def _sampling(scenario, key, override):
+    """The scenario's points, directions or seed, or the override held
+    to the schema's own subschema for that key."""
+    if override is None:
+        return getattr(scenario, key)
+    override = int(override)
+    validator = _scenario_validator()
+    sub = validator.evolve(schema=validator.schema["properties"][key])
+    err = best_match(sub.iter_errors(override))
+    if err is not None:
+        raise ScenarioError(f"{key} override: {err.message}", f"/{key}")
+    return override
+
+
 def scenario_samples(
     scenario,
     points=None,
@@ -401,13 +413,14 @@ def scenario_samples(
     """The seeded sampling plan over the scenario's space:
     [(x, [y, ...]), ...].
 
-    Deterministic for a fixed (scenario, seed); the scenario's own seed
-    applies unless an override is given.
+    Deterministic for a fixed (scenario, seed); the scenario's own
+    values apply unless an override is given, and an override outside
+    the schema's bounds for that key raises ScenarioError.
     """
     space = scenario.space()
-    rng = np.random.default_rng(scenario.seed if seed is None else int(seed))
-    n_pts = scenario.points if points is None else int(points)
-    n_dirs = scenario.directions if directions is None else int(directions)
+    rng = np.random.default_rng(_sampling(scenario, "seed", seed))
+    n_pts = _sampling(scenario, "points", points)
+    n_dirs = _sampling(scenario, "directions", directions)
     xs = box_points(scenario, n_pts, rng)
     return [
         (x, sample_directions(space, x, n_dirs, rng, cutoff=cutoff))

@@ -211,7 +211,7 @@ def run_verify(scenario, points=None, dirs=None, seed=None, mc_samples=20000):
     space = scenario.space()
     n1 = space.dim + 1
     weighted = space.weight is not None
-    ev = finsler_evaluator(space, "ab")
+    ev = finsler_evaluator(space)
     dens = volume_density(space)
     bh_dens = bh_volume_density(space) if weighted else None
 
@@ -352,8 +352,8 @@ def run_convert(scenario, to, gauge=None, seed=None):
         conv_space = load_scenario(emitted).space()
 
     tol = scenario.tolerance("convert", 1e-10)
-    src_f = finsler_evaluator(space, "ab")
-    dst_f = finsler_evaluator(conv_space, "ab")
+    src_f = finsler_evaluator(space)
+    dst_f = finsler_evaluator(conv_space)
     rows = []
     with doc.timed("evidence"):
         for x, ys in scenario_samples(scenario, seed=seed):

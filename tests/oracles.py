@@ -17,16 +17,21 @@ a test can hold the package's route against it:
   reciprocals;
 - rs_from_RS: drift contractions from navigation data, against the
   drift bundle of the (alpha, beta) view;
+- nav_evaluator: F from the navigation view (h, W), the twin of the
+  package's (alpha, beta) finsler_evaluator; validate_views checks the
+  linking identities of the two views and that both give the same F;
 - ric_ac_via_projective: the weighted Ricci curvature reassembled
-  around the projective Ricci curvature.
+  around the projective Ricci curvature pric.
 
-Below them sit the pointwise helpers the tests build their cases with,
-each a thin route through the package's own point bundles:
-metric_from_strings, riemann_h, ricci_h, hess_h, w_invariants and
-second_cov_w (over MetricPoint and FieldPoint); weight_constants,
-einstein_residual and weighted_ricci_tensor (the Einstein side); and
-nav_riemann_isotropic, the navigation closed form of the Riemann
-curvature, held against the generic pipeline.
+Below them sit the helpers the tests build their cases with, each a
+thin route through the package's own objects: with_gauge and
+with_weight (a space re-expressed in another gauge, or carrying another
+weight); metric_from_strings, christoffel, lowered_riemann, riemann_h,
+ricci_h, hess_h, w_invariants and second_cov_w (over MetricPoint and
+FieldPoint); weight_constants, einstein_residual and
+weighted_ricci_tensor (the Einstein side); and nav_riemann_isotropic,
+the navigation closed form of the Riemann curvature, held against the
+generic pipeline.
 
 Last come the expression-text routes: parse_expr_oracle tokenizes a
 whole text up front and parses every parenthesized group where it
@@ -37,24 +42,30 @@ for error, while doing work in proportion to distinct subexpressions.
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from kropina.einstein import (
     EinsteinAnsatz,
     WeightConfig,
-    _require_bundle_weight,
     _weighted_ricci,
-    pric,
+    pric_constants,
     ric_ac,
 )
 from kropina.forms import (
     AbInvariants,
+    GaugeError,
     KropinaSpace,
     NavPoint,
+    _coerce_scalar,
+    _linear,
     _nav_frame,
     _nav_hypothesis,
+    _quadratic,
+    _require_unit_wind,
+    _values,
+    finsler_evaluator,
     s_closed,
     s_dot_closed,
 )
@@ -82,7 +93,6 @@ from kropina.generic import (
     ConicDomainError,
     CurvatureSample,
     FinslerEvaluator,
-    VolumeDensity,
     _check_invertible,
     _metric_jets,
     _sigma_jet,
@@ -198,7 +208,7 @@ def hess_form(f, x, y, G, n: int) -> float:
 
 
 def curvature_sample_oracle(
-    F: FinslerEvaluator, sigma: VolumeDensity, x, y, f=None, bh=None
+    F: FinslerEvaluator, sigma, x, y, f=None, bh=None
 ) -> CurvatureSample:
     """The curvature bundle at (x, y), every stage computed for this
     direction alone; s_bh is the S of a second sample against bh."""
@@ -389,6 +399,101 @@ def rs_from_RS(space: KropinaSpace, x, y):
     return r_00, s_i0, s_0
 
 
+def nav_evaluator(space: KropinaSpace) -> FinslerEvaluator:
+    """The navigation view F = h_ij y^i y^j / (2 W_0) as an evaluator:
+    the independent twin of finsler_evaluator's (alpha, beta) view,
+    which it must match everywhere.  h_ij and W^i are evaluated once
+    per chart point; the box hint is the (alpha, beta) view's."""
+    n = space.dim
+    h_and_w = [e for row in space.h.exprs for e in row] + list(space.w)
+
+    def den_stage(vals):
+        """y -> 2 W_0 = 2 h_ij W^j y^i, from the values of h_ij and W^i."""
+        wv = vals[n * n:]
+        wl = [_linear(vals[i * n:(i + 1) * n], wv) for i in range(n)]
+        return lambda y: 2.0 * _linear(wl, y)
+
+    def at(x):
+        vals = eval_expr(h_and_w, list(x))
+        qv = [vals[i * n:(i + 1) * n] for i in range(n)]
+        den = den_stage(vals)
+        return lambda y: _quadratic(qv, y) / den(y)
+
+    def domain_at(x):
+        den = den_stage(eval_expr(h_and_w, list(x)))
+        return lambda y: den(y) > 0
+
+    return FinslerEvaluator(
+        dim=n,
+        at=at,
+        domain_at=domain_at,
+        name=f"{space.name}:nav",
+        box_hint=finsler_evaluator(space).box_hint,
+    )
+
+
+def validate_views(space: KropinaSpace, xs, ys=None, tol_view=1e-10):
+    """Check the linking identities of the two views at sample points;
+    raise on failure.
+
+    xs is an iterable of chart points.  ys, when given, pairs with xs
+    and additionally checks that both views produce the same F; a
+    direction outside the conic domain raises ConicDomainError.
+    """
+    views = [finsler_evaluator(space), nav_evaluator(space)]
+    for k, x in enumerate(xs):
+        env = [float(v) for v in x]
+        h_val, w_val, a_val, b_val, (rho_v, g_val) = _values(
+            env, space.h, space.w, space.a, space.b, (space.rho, space.gauge))
+        _require_unit_wind(float(w_val @ h_val @ w_val), f"at point {k}")
+        e2 = math.exp(-2.0 * rho_v)
+        if g_val <= 0.0:
+            raise GaugeError(f"gauge b = {g_val:.6g} at point {k}")
+        checks = (
+            ("a_ij vs e^(-2 rho) h_ij",
+             np.max(np.abs(a_val - e2 * h_val)), np.max(np.abs(a_val))),
+            ("b_i vs 2 e^(-2 rho) W_i",
+             np.max(np.abs(b_val - 2.0 * e2 * (h_val @ w_val))),
+             np.max(np.abs(b_val))),
+            ("b^2 vs 4 e^(-2 rho)",
+             abs(g_val * g_val - 4.0 * e2), 4.0 * e2),
+        )
+        for label, err, scale in checks:
+            if err > tol_view * max(1.0, scale):
+                raise ValueError(
+                    f"view consistency failed ({label}) at point {k}: "
+                    f"max error {err:.3e}"
+                )
+        if ys is not None:
+            y = [float(v) for v in ys[k]]
+            for ev in views:
+                _check_domain(ev, env, y)
+            f_ab, f_nav = (float(ev(env, y)) for ev in views)
+            if abs(f_ab - f_nav) > tol_view * max(1.0, abs(f_ab)):
+                raise ValueError(
+                    f"F disagrees between views at point {k}: "
+                    f"{f_ab!r} vs {f_nav!r}"
+                )
+
+
+def with_gauge(space: KropinaSpace, gauge) -> KropinaSpace:
+    """The same metric re-expressed in a different gauge b(x)."""
+    return KropinaSpace.from_nav(space.h, space.w, gauge=gauge,
+                                 weight=space.weight, name=space.name)
+
+
+def with_weight(space: KropinaSpace, weight) -> KropinaSpace:
+    """The same metric carrying another weight function."""
+    return replace(space, weight=_coerce_scalar(weight, space.dim, "weight"))
+
+
+def pric(fields, y):
+    """Projective Ricci curvature: ric_ac at the constants where both
+    derived constants vanish."""
+    a, c = pric_constants(fields.n)
+    return ric_ac(fields, WeightConfig(a, c, fields.n), y)
+
+
 def ric_ac_via_projective(fields, cfg: WeightConfig, y):
     """ric_ac reassembled around the projective Ricci curvature:
 
@@ -397,7 +502,6 @@ def ric_ac_via_projective(fields, cfg: WeightConfig, y):
 
     Independent evaluation path for the identity tests.
     """
-    _require_bundle_weight(fields, cfg)
     n = fields.n
     kappa, nu = cfg.kappa, cfg.nu
     sdot = (n + 1) * s_dot_closed(fields, y)
@@ -411,6 +515,16 @@ def metric_from_strings(rows, dim=None):
     return RiemannianMetric(
         n, tuple(tuple(parse_expr(e, n) for e in row) for row in rows)
     )
+
+
+def christoffel(metric: RiemannianMetric, x):
+    """Gamma[k, i, j] = Gamma^k_ij of the metric at x."""
+    return MetricPoint.from_exprs(metric, x, order=1).christoffel
+
+
+def lowered_riemann(mp: MetricPoint):
+    """R_kmij = g_mp R_k^p_ij."""
+    return np.einsum("mp,kpij->kmij", mp.g, mp.riemann)
 
 
 def riemann_h(metric: RiemannianMetric, x):

@@ -8,12 +8,7 @@ can be read off a terminal run.
 import numpy as np
 import pytest
 
-from kropina.einstein import (
-    WeightConfig,
-    pric,
-    ric_ac,
-    weight_preset,
-)
+from kropina.einstein import WeightConfig, ric_ac, weight_preset
 from fd import fd_partial
 from kropina.forms import (
     ab_fields,
@@ -47,7 +42,7 @@ from kropina.scenarios import (
     scenario_samples,
 )
 from kropina.workbench import run_check
-from oracles import second_cov_w, spray_generic, w_invariants
+from oracles import pric, second_cov_w, spray_generic, w_invariants
 
 SCENARIO_NAMES = (
     "euclid_parallel",
@@ -93,7 +88,7 @@ def test_criterion_01_spray_cross_validation(grid):
     worst = 0.0
     count = 0
     for name, (sc, space, samples) in grid.items():
-        ev = finsler_evaluator(space, "ab")
+        ev = finsler_evaluator(space)
         for x, ys in samples:
             fld = ab_fields(space, x)
             nav = nav_point(space.h, space.w, x)
@@ -113,7 +108,7 @@ def test_criterion_01_spray_cross_validation(grid):
 def test_criterion_02_ricci_cross_validation(grid):
     worst = 0.0
     for name, (sc, space, samples) in grid.items():
-        ev = finsler_evaluator(space, "ab")
+        ev = finsler_evaluator(space)
         dens = volume_density(space)
         for x, ys in samples:
             fld = ab_fields(space, x)
@@ -124,7 +119,7 @@ def test_criterion_02_ricci_cross_validation(grid):
     worst_nav = 0.0
     for name in ("euclid_parallel", "s3_hopf"):
         sc, space, samples = grid[name]
-        ev = finsler_evaluator(space, "ab")
+        ev = finsler_evaluator(space)
         dens = volume_density(space)
         for x, ys in samples:
             nav = nav_point(space.h, space.w, x)
@@ -147,7 +142,7 @@ def test_criterion_02_ricci_cross_validation(grid):
 def test_criterion_03_s_curvature_and_density(grid):
     worst = 0.0
     for name, (sc, space, samples) in grid.items():
-        ev = finsler_evaluator(space, "ab")
+        ev = finsler_evaluator(space)
         dens = bh_volume_density(space)
         for x, ys in samples:
             fld = ab_fields(space, x)
@@ -157,7 +152,7 @@ def test_criterion_03_s_curvature_and_density(grid):
                                        curvature_sample(point, y).s))
     worst_se = 0.0
     for name, (sc, space, samples) in grid.items():
-        ev = finsler_evaluator(space, "ab")
+        ev = finsler_evaluator(space)
         for k, (x, _) in enumerate(samples[:2]):
             est = bh_density(ev, x, mc_samples=100_000, seed=1000 + k)
             dev = abs(est.value - sigma_bh(space, x)) / est.stderr
@@ -175,7 +170,7 @@ def test_criterion_04_s_dot_cross_validation(grid):
     worst = 0.0
     worst_weighted = 0.0
     for name, (sc, space, samples) in grid.items():
-        ev = finsler_evaluator(space, "ab")
+        ev = finsler_evaluator(space)
         dens = volume_density(space)
         n1 = space.dim + 1
         for x, ys in samples:
@@ -381,7 +376,7 @@ def test_criterion_10_ad_integrity(grid):
         x = [float(v) for v in x]
         y = [float(v) for v in y]
         n = space.dim
-        ev = finsler_evaluator(space, "ab")
+        ev = finsler_evaluator(space)
 
         kind = ("F-x", "F-y", "density-x")[int(rng.integers(3))]
         deg = int(rng.integers(1, 3))
@@ -400,9 +395,9 @@ def test_criterion_10_ad_integrity(grid):
             jet_val = _jet_partial(ev(x, seeds), idx)
         else:
             dens = volume_density(space)
-            fn = lambda p: float(dens.func(list(p)))
+            fn = lambda p: float(dens(list(p)))
             seeds = jet_space(n, deg).seed(x)
-            jet_val = _jet_partial(dens.func(seeds), idx)
+            jet_val = _jet_partial(dens(seeds), idx)
 
         fd_val = fd_partial(fn, x if kind != "F-y" else y, idx)
         worst = max(worst, rel(jet_val, fd_val))

@@ -60,6 +60,28 @@ def test_exit_1_on_a_negative_random_seed(capsys):
     )
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--points", "0"],
+     "points override: 0 is less than the minimum of 1 (at /points)"),
+    (["verify", "--points", "100000"],
+     "points override: 100000 is greater than the maximum of 200 "
+     "(at /points)"),
+    (["verify", "--dirs", "-2"],
+     "directions override: -2 is less than the minimum of 1 "
+     "(at /directions)"),
+    (["check", "--seed", "-1"],
+     "seed override: -1 is less than the minimum of 0 (at /seed)"),
+    (["convert", "--to", "ab", "--seed", "-1"],
+     "seed override: -1 is less than the minimum of 0 (at /seed)"),
+])
+def test_exit_1_on_a_sampling_override_outside_the_schema(
+        argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--scenario", "euclid_parallel"]) == 1
+    assert capsys.readouterr().err == f"kropina: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_exit_2_on_verdict_failure(tmp_path, capsys):
     path = write_scenario(tmp_path, CONFORMAL)
     assert main(["check", "--scenario", path]) == 2

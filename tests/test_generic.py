@@ -11,7 +11,6 @@ from kropina.generic import (
     BHDensityEstimate,
     ConicDomainError,
     FinslerEvaluator,
-    VolumeDensity,
     bh_density,
     curvature_sample,
     generic_point,
@@ -19,13 +18,10 @@ from kropina.generic import (
 )
 from kropina.forms import bh_volume_density, finsler_evaluator, volume_density
 from kropina.jets import Jet
-from kropina.riemann import (
-    MetricPoint,
-    SingularMetricError,
-    christoffel,
-)
+from kropina.riemann import MetricPoint, SingularMetricError
 from kropina.scenarios import COMPARISON_CUTOFF, load_scenario, scenario_samples
 from oracles import (
+    christoffel,
     curvature_sample_oracle,
     f2_jet,
     geodesic_flow,
@@ -103,7 +99,7 @@ def flat_kropina(n=3):
         return lo, hi
 
     return plain_evaluator(n, func, domain, "flat-kropina",
-                           box_hint=box_hint, bh_closed=lambda x: 1.0)
+                           box_hint=box_hint)
 
 
 def wavy_kropina():
@@ -128,10 +124,11 @@ def wavy_kropina():
     return plain_evaluator(3, func, domain, "wavy-kropina")
 
 
-CONST_DENSITY = VolumeDensity(lambda x: 1.0, kind="Busemann-Hausdorff")
+def const_density(x):
+    return 1.0
 
 
-def sample(F, x, y, sigma=CONST_DENSITY, f=None):
+def sample(F, x, y, sigma=const_density, f=None):
     """curvature_sample with the constant density unless one is given."""
     return curvature_sample(generic_point(F, sigma, x, f=f), y)
 
@@ -146,7 +143,7 @@ def weighted_density(f_ast, n, base=None):
         )
         b = base(x) if base is not None else 1.0
         return scale * b
-    return VolumeDensity(func, kind="weighted")
+    return func
 
 
 XS = [0.3, -0.2, 0.4]
@@ -242,10 +239,9 @@ def test_trace_consistency():
 
 
 def test_distortion_riemannian_zero():
-    sig = VolumeDensity(
-        lambda x: eval_expr(parse_expr("sin(x1)*cos(x1)", 3), list(x)),
-        kind="Busemann-Hausdorff",
-    )
+    def sig(x):
+        return eval_expr(parse_expr("sin(x1)*cos(x1)", 3), list(x))
+
     x = [0.7, 0.1, 0.2]
     tau = sample(sphere3_evaluator(), x, YS, sigma=sig).tau
     assert abs(tau) < 1e-12
@@ -404,7 +400,6 @@ def test_geodesic_step_validation():
 def test_bh_euclid_n2():
     est = bh_density(euclid_evaluator(2), [0.0, 0.0], mc_samples=40_000, seed=7)
     assert isinstance(est, BHDensityEstimate)
-    assert est.closed is None
     assert abs(est.value - 1.0) < 3.0 * est.stderr
     assert est.stderr < 0.02
 
@@ -413,8 +408,8 @@ def test_bh_kropina_closed_vs_mc():
     """MC volume of {quadratic < linear} confirms the ellipsoid closed form."""
     F = flat_kropina()
     est = bh_density(F, XS, mc_samples=150_000, seed=11)
-    assert est.closed == 1.0
-    assert abs(est.value - est.closed) < 3.0 * est.stderr
+    # the unit ball of the flat Kropina metric has density 1
+    assert abs(est.value - 1.0) < 3.0 * est.stderr
     # ball of radius 1 inside the hint box of volume 8
     assert abs(est.sublevel_volume - 4.0 * math.pi / 3.0) < 0.05
 
@@ -476,7 +471,7 @@ def _separate_routes(F, sig, x, y, f):
                   for row in _metric_jets(f2_jet(F, x, y, 2), n)])
     G = spray_generic(F, x, y)
     R = _riemann_from_spray_jets(spray_jets(F, y, f2_jet(F, x, y, 4)), y, n)
-    tau = 0.5 * math.log(np.linalg.det(g)) - math.log(sig.func(list(x)))
+    tau = 0.5 * math.log(np.linalg.det(g)) - math.log(sig(list(x)))
     grad = tau_jet(F, sig, x, f2_jet(F, x, y, 3)).gradient()
     s = float(yv @ grad[:n] - 2.0 * G @ grad[n:])
     # S as a first-order jet from the order-4 F^2 jet, then its
@@ -564,7 +559,7 @@ def test_staged_sample_equals_oracle_bit_for_bit(source):
     oracle computes, bit for bit, weight and unit-ball S included."""
     sc = load_scenario(source)
     space = sc.space()
-    ev = finsler_evaluator(space, "ab")
+    ev = finsler_evaluator(space)
     dens = volume_density(space)
     bh = bh_volume_density(space) if space.weight is not None else None
     checked = 0
@@ -587,17 +582,12 @@ def test_staged_sample_equals_oracle_without_a_stage():
     sig = weighted_density(parse_expr("0.3*x1 + 0.1*x2^2", 3), 3)
     f = parse_expr("x1^2 + 0.5*x2*x3", 3)
     x = [0.2, 0.1, -0.3]
-    point = generic_point(F, sig, x, f=f, bh=CONST_DENSITY)
+    point = generic_point(F, sig, x, f=f, bh=const_density)
     for y in ([1.2, 0.4, -0.1], [0.9, -0.3, 0.2]):
         _assert_same_sample(
             curvature_sample(point, y),
-            curvature_sample_oracle(F, sig, x, y, f=f, bh=CONST_DENSITY),
+            curvature_sample_oracle(F, sig, x, y, f=f, bh=const_density),
         )
-
-
-def test_volume_kind_validation():
-    with pytest.raises(ValueError):
-        VolumeDensity(lambda x: 1.0, kind="bogus")
 
 
 def test_degenerate_metric_reported():

@@ -1,0 +1,69 @@
+"""The package holds no definition that only the tests use.
+
+An AST scan of src/kropina: every top-level function and class must be
+used by name, and every method of a top-level class by name or as an
+attribute, somewhere in src/ outside its own body.  An import alone is
+not a use.  Dunder methods run through Python's protocols and are not
+scanned.  Oracles that only the tests call belong in tests/oracles.py.
+"""
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "kropina"
+
+# kept although nothing in src/ names them, each for its reason
+ALLOWED = {
+    "cli._Parser.error": "argparse calls it on a usage error",
+    "jets.Jet.partial": "read accessor for one Taylor coefficient",
+    "einstein.TheoremReport.condition": "read accessor for one condition",
+}
+
+
+def _uses(node, attributes):
+    """Every name used under node as a Name, and with attributes also
+    every attribute name."""
+    out = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.append(sub.id)
+        elif attributes and isinstance(sub, ast.Attribute):
+            out.append(sub.attr)
+    return out
+
+
+def _definitions(tree, module):
+    """(qualified name, name, node, is_method) of each scanned
+    definition."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if not isinstance(node, defs):
+            continue
+        yield f"{module}.{node.name}", node.name, node, False
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if (isinstance(member, defs[:2])
+                        and not (member.name.startswith("__")
+                                 and member.name.endswith("__"))):
+                    yield (f"{module}.{node.name}.{member.name}",
+                           member.name, member, True)
+
+
+def unreferenced(src=SRC):
+    """Qualified names of the definitions under src that nothing in src
+    uses apart from their own bodies."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+    uses = {False: Counter(), True: Counter()}
+    for tree in trees.values():
+        for attributes in uses:
+            uses[attributes].update(_uses(tree, attributes))
+    found = []
+    for module, tree in trees.items():
+        for qualname, name, node, is_method in _definitions(tree, module):
+            if uses[is_method][name] == _uses(node, is_method).count(name):
+                found.append(qualname)
+    return sorted(found)
+
+
+def test_every_definition_in_the_package_has_a_caller_in_the_package():
+    assert unreferenced() == sorted(ALLOWED)

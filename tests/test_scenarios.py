@@ -221,6 +221,37 @@ def test_tolerance_overrides():
     assert sc.tolerance("spray", 1e-8) == 1e-8
 
 
+def test_tolerance_keys_are_the_run_tolerances():
+    from importlib import resources
+
+    from kropina.workbench import VERIFY_TOLS
+
+    schema = json.loads(resources.files("kropina").joinpath(
+        "schemas/scenario-1.schema.json").read_text())
+    tolerances = schema["properties"]["tolerances"]
+    assert tolerances["additionalProperties"] is False
+    assert set(tolerances["properties"]) == {"check", "convert"} | set(VERIFY_TOLS)
+
+
+def test_misspelled_tolerance_key_rejected():
+    doc = doc_for("s3_hopf")
+    doc["tolerances"] = {"chek": 1e-30}
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(doc)
+    assert err.value.pointer == "/tolerances"
+
+
+def test_sampling_overrides_take_the_schema_bounds_inclusive():
+    sc = load_scenario("euclid_parallel")
+    plan = scenario_samples(sc, points=200, directions=1, seed=0)
+    assert len(plan) == 200 and all(len(ys) == 1 for _, ys in plan)
+    for kwargs, pointer in (({"points": 201}, "/points"),
+                            ({"directions": 501}, "/directions")):
+        with pytest.raises(ScenarioError) as err:
+            scenario_samples(sc, **kwargs)
+        assert err.value.pointer == pointer
+
+
 def test_admissibility_guard_triggers():
     """A drift whose square root leaves the chart kills every probe point."""
     doc = {
@@ -378,7 +409,6 @@ def test_space_is_built_once_and_replaced_scenarios_build_their_own():
 
     sc = load_scenario("torus_wind")
     assert sc.space() is sc.space()
-    assert sc.config().f is sc.space().weight
     fewer = replace(sc, points=1)
     assert fewer.space() is not sc.space()
     assert fewer.space() is fewer.space()

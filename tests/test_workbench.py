@@ -15,7 +15,7 @@ from kropina.reports import (
     merge_verdicts,
     tool_version,
 )
-from kropina.scenarios import load_scenario, random_scenario
+from kropina.scenarios import ScenarioError, load_scenario, random_scenario
 from kropina.workbench import VERIFY_TOLS, run_check, run_convert, run_verify
 
 CONFORMAL = {
@@ -271,6 +271,21 @@ def test_verify_tolerance_override_fails_run():
     assert out.exit_code == 2
 
 
+@pytest.mark.parametrize("run, pointer", [
+    (lambda: run_verify("euclid_parallel", points=0), "/points"),
+    (lambda: run_verify("euclid_parallel", points=100000), "/points"),
+    (lambda: run_verify("euclid_parallel", dirs=0), "/directions"),
+    (lambda: run_verify("euclid_parallel", dirs=-2), "/directions"),
+    (lambda: run_verify("euclid_parallel", seed=-1), "/seed"),
+    (lambda: run_check("euclid_parallel", seed=-1), "/seed"),
+    (lambda: run_convert("euclid_parallel", to="ab", seed=-1), "/seed"),
+])
+def test_sampling_overrides_outside_the_schema_bounds_raise(run, pointer):
+    with pytest.raises(ScenarioError) as err:
+        run()
+    assert err.value.pointer == pointer
+
+
 def test_verify_tols_cover_every_table():
     doc = run_verify("euclid_gaussian", points=1, dirs=3)
     for t in doc.tables:
@@ -324,8 +339,8 @@ def test_convert_with_custom_gauge_agrees():
     # same F through different gauges at a shared sample
     sa = load_scenario(a.emitted).space()
     sb = load_scenario(b.emitted).space()
-    fa = finsler_evaluator(sa, "ab")
-    fb = finsler_evaluator(sb, "ab")
+    fa = finsler_evaluator(sa)
+    fb = finsler_evaluator(sb)
     x, y = [0.2, -0.1, 0.3], [1.0, 0.4, -0.2]
     assert abs(fa(x, y) - fb(x, y)) < 1e-10
 
@@ -518,8 +533,8 @@ def test_f_x_stage_runs_once_per_point_per_run(monkeypatch):
     staged = []
     real = workbench.finsler_evaluator
 
-    def counted(space, view="ab"):
-        ev = real(space, view)
+    def counted(space):
+        ev = real(space)
 
         def at(x):
             if isinstance(x[0], Jet):
@@ -559,7 +574,6 @@ def _record_space_builds(monkeypatch):
 
 
 def _record_parses(monkeypatch):
-    import kropina.einstein as einstein
     import kropina.expr as expr
     import kropina.forms as forms
     import kropina.scenarios as scenarios
@@ -572,7 +586,7 @@ def _record_parses(monkeypatch):
         parsed.append(text)
         return real(text, dim)
 
-    for module in (expr, einstein, forms, scenarios, workbench):
+    for module in (expr, forms, scenarios, workbench):
         monkeypatch.setattr(module, "parse_expr", parse)
     return parsed
 
@@ -621,8 +635,8 @@ def test_convert_evidence_evaluates_f_once_per_point(monkeypatch):
     calls = []
     real = workbench.finsler_evaluator
 
-    def counted(space, view="ab"):
-        ev = real(space, view)
+    def counted(space):
+        ev = real(space)
 
         def at(x):
             f_at = ev.at(x)
