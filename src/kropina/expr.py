@@ -26,19 +26,32 @@ of that DAG, each distinct node once per call: plain floats, Jet values
 Monte Carlo; array evaluation skips domain checks and lets non-finite
 values flow, callers mask them).
 
+The e_* constructors, which build the trees conversions derive, also
+fold trivial identities: an operation on two constants becomes its
+constant when the float result is finite and nothing raises (no folding
+of "/0"); 0*e and e*0 become 0.0; 1*e, e*1, e+0, 0+e and e/1 become e;
+0/e becomes 0.0 when e is not a constant; -(-e) becomes e; a negated or
+powered constant becomes a constant.  Two corners are not exact: a
+folded 0*e (or 0/e) drops an e that would be non-finite or raise, and
+a folded 0*e, 0/e or e+0 can flip the sign of a zero.  The parser does
+not fold, so text means what it says: "0*ln(x1)" still raises where
+x1 <= 0.
+
 Text costs follow the DAG too.  The printer prints each distinct node
 once per call and splices its text wherever the node recurs.  The parser
-pairs each "(" with its ")" once per text and scans tokens only as it
-parses: a parenthesized group (a call's argument included) parses to
-the same node wherever it stands, so each distinct group text is parsed
-once per group memo (parse_expr's groups, one per document) and skipped
-to its ")" where it recurs.  Errors are those of scanning the whole text
-first: when a parse fails, the text is scanned to its end, and the first
-bad character, if any, is the one reported.
+pairs each "(" with its ")" once per text, in one numpy pass over its
+parentheses, and scans tokens only as it parses: a parenthesized group
+(a call's argument included) parses to the same node wherever it
+stands, so each distinct group text is parsed once per group memo
+(parse_expr's groups, one per document) and skipped to its ")" where
+it recurs.  Errors are those of scanning the whole text first: when a
+parse fails, the text is scanned to its end, and the first bad
+character, if any, is the one reported.
 """
 from __future__ import annotations
 
 import math
+import operator
 import re
 import weakref
 from dataclasses import dataclass
@@ -217,7 +230,26 @@ def _scan_all(text: str):
 
 def _pair_parens(text: str) -> dict:
     """{offset of each '(': offset of its ')'}; unbalanced ones are left
-    out, for the parser to report where it meets them."""
+    out, for the parser to report where it meets them.
+
+    An ASCII text with no stray ')' is paired in one numpy pass: with
+    the depth counted over its parentheses, each ')' closes the '(' just
+    before it among the parentheses of its level (the depth after a '(',
+    before a ')'), because a level holds an open-close alternation with
+    at most one unclosed '(' at its end.  Other texts take the stack.
+    """
+    if "(" not in text:
+        return {}
+    if text.isascii():
+        codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+        at = np.flatnonzero((codes == 40) | (codes == 41))  # "(" and ")"
+        opens = codes[at] == 40
+        depth = np.cumsum(np.where(opens, 1, -1))
+        if depth.min() >= 0:
+            order = np.argsort(depth + ~opens, kind="stable")
+            at = at[order]
+            shut = np.flatnonzero(~opens[order])
+            return dict(zip(at[shut - 1].tolist(), at[shut].tolist()))
     close, open_ = {}, []
     for m in _PAREN_RE.finditer(text):
         if m.group() == "(":
@@ -585,23 +617,71 @@ def e_const(v) -> Const:
     return _node(Const, float(v))
 
 
+def _folded(op, a, b):
+    """Const(op(a, b)), or None where op raises or gives a non-finite
+    value."""
+    try:
+        value = op(a, b)
+    except ArithmeticError:
+        return None
+    return _node(Const, value) if math.isfinite(value) else None
+
+
+def _is(node, value) -> bool:
+    return isinstance(node, Const) and node.value == value
+
+
 def e_add(a, b):
+    if isinstance(a, Const) and isinstance(b, Const):
+        folded = _folded(operator.add, a.value, b.value)
+        if folded is not None:
+            return folded
+    if _is(b, 0.0):
+        return a
+    if _is(a, 0.0):
+        return b
     return _node(Add, a, b)
 
 
 def e_mul(a, b):
+    if isinstance(a, Const) and isinstance(b, Const):
+        folded = _folded(operator.mul, a.value, b.value)
+        if folded is not None:
+            return folded
+    if _is(a, 0.0) or _is(b, 0.0):
+        return _node(Const, 0.0)
+    if _is(b, 1.0):
+        return a
+    if _is(a, 1.0):
+        return b
     return _node(Mul, a, b)
 
 
 def e_div(a, b):
+    if isinstance(a, Const) and isinstance(b, Const):
+        folded = _folded(operator.truediv, a.value, b.value)
+        if folded is not None:
+            return folded
+    if _is(b, 1.0):
+        return a
+    if _is(a, 0.0) and not isinstance(b, Const):
+        return _node(Const, 0.0)
     return _node(Div, a, b)
 
 
 def e_neg(a):
+    if isinstance(a, Neg):
+        return a.operand
+    if isinstance(a, Const):
+        return _node(Const, -a.value)
     return _node(Neg, a)
 
 
 def e_pow(base, p: int):
+    if isinstance(base, Const):
+        folded = _folded(operator.pow, base.value, int(p))
+        if folded is not None:
+            return folded
     return _node(Pow, base, int(p))
 
 

@@ -10,7 +10,8 @@ truncation-order error.
 Multiplication uses a precomputed triple table (i, j, k) with
 idx[i] + idx[j] = idx[k] and a single ``np.bincount`` per product, which
 keeps the n = 4, K = 4 case (495 coefficients) in the tens of
-microseconds.
+microseconds.  A product with a coordinate seed (``JetSpace.variable``)
+is a scaled copy plus a shift instead, with the same bits.
 
 Jet matrices are eliminated in one place, ``jet_solve``: Gauss-Jordan
 with pivots chosen by base value.  It returns the determinant with the
@@ -136,7 +137,7 @@ class JetSpace:
         if self.order >= 1:
             unit = tuple(1 if w == v else 0 for w in range(self.nvars))
             coef[self.position[unit]] = 1.0
-        return Jet(self, coef)
+        return _Seed(self, coef, v)
 
     def seed(self, values) -> list["Jet"]:
         return [self.variable(v, val) for v, val in enumerate(values)]
@@ -241,11 +242,28 @@ class Jet:
             return NotImplemented
         if o is None:
             return Jet(self.space, self.coef * other)
+        if isinstance(o, _Seed):
+            return self._times_seed(o)
+        if isinstance(self, _Seed):
+            return o._times_seed(self)
         s = self.space
         prod = self.coef[s._mi] * o.coef[s._mj]
         return Jet(s, np.bincount(s._mk, weights=prod, minlength=s.ncoef))
 
     __rmul__ = __mul__
+
+    def _times_seed(self, seed: "_Seed") -> "Jet":
+        """self * seed: self scaled by the seed's value, plus self shifted
+        up by the seed's variable.  Bit for bit the bincount product of
+        finite jets: a coefficient is a sum of at most two nonzero terms,
+        which rounds the same in either order, and the + 0.0 turns a -0.0
+        into the +0.0 that bincount's sum starts from."""
+        s = self.space
+        coef = self.coef * seed.coef[0] + 0.0
+        if s.order:
+            src = s._deriv_src[seed.var]
+            coef[src] += self.coef[: len(src)]
+        return Jet(s, coef)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -338,6 +356,17 @@ class Jet:
 
     def __repr__(self):
         return f"Jet(nvars={self.space.nvars}, order={self.space.order}, value={self.value})"
+
+
+class _Seed(Jet):
+    """The coordinate jet x_var at a value, as JetSpace.variable seeds
+    it: a product with it is a shift, not a bincount."""
+
+    __slots__ = ("var",)
+
+    def __init__(self, space: JetSpace, coef: np.ndarray, var: int):
+        super().__init__(space, coef)
+        self.var = var
 
 
 # -- small dense linear algebra over the jet ring -------------------------

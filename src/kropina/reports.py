@@ -14,8 +14,9 @@ import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from importlib import metadata
 from typing import Optional
+
+from . import __version__
 
 REPORT_SCHEMA_ID = "report/1"
 
@@ -24,18 +25,10 @@ _EXIT_FOR = {"PASS": 0, "FAIL": 2, "ERROR": 2, "PRECONDITION": 3}
 # a plain failure (the run never reached the theorem's hypotheses)
 _RANK = {"PASS": 0, "FAIL": 1, "ERROR": 1, "PRECONDITION": 2}
 
-_TOOL_VERSION = None
-
 
 def tool_version():
     """The package version; report bytes do not depend on the checkout."""
-    global _TOOL_VERSION
-    if _TOOL_VERSION is None:
-        try:
-            _TOOL_VERSION = metadata.version("kropina")
-        except metadata.PackageNotFoundError:
-            _TOOL_VERSION = "0.1.0"
-    return _TOOL_VERSION
+    return __version__
 
 
 def _strict(obj):

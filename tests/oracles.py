@@ -38,6 +38,8 @@ whole text up front and parses every parenthesized group where it
 stands, and print_node_oracle prints every occurrence of a shared node
 anew.  parse_expr and print_expr must match them byte for byte, error
 for error, while doing work in proportion to distinct subexpressions.
+pair_parens_oracle pairs parentheses with a stack, one character at a
+time, against the vectorised pairing of expr._pair_parens.
 """
 import itertools
 import math
@@ -830,3 +832,15 @@ def print_node_oracle(node) -> str:
             right = f"({right})"
         return f"{left} {op} {right}"
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def pair_parens_oracle(text: str) -> dict:
+    """{offset of each '(': offset of its ')'} by a stack walk; a stray
+    ')' and an unclosed '(' are left out."""
+    close, opened = {}, []
+    for k, ch in enumerate(text):
+        if ch == "(":
+            opened.append(k)
+        elif ch == ")" and opened:
+            close[opened.pop()] = k
+    return close

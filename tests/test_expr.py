@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kropina.expr import (
+    FUNCTIONS,
     Add,
     Call,
     Const,
@@ -20,6 +21,7 @@ from kropina.expr import (
     Pow,
     Sub,
     Var,
+    _node as intern,
     as_ast,
     e_add,
     e_call,
@@ -32,7 +34,7 @@ from kropina.expr import (
     parse_expr,
     print_expr,
 )
-from kropina.jets import jet_space
+from kropina.jets import Jet, jet_space
 
 
 def free_vars(ast) -> set[int]:
@@ -256,3 +258,138 @@ def test_domain_error_in_shared_subtree_keeps_its_message():
     with pytest.raises(ExprDomainError) as err:
         eval_expr([parse_expr("1/(x2 - 1)", 2), *exprs], [0.5, 1.0])
     assert str(err.value) == "division by zero in '1.0 / (x2 - 1.0)'"
+
+
+# -- folding in the constructors -------------------------------------------------
+
+
+def test_constructors_fold_trivial_identities():
+    x = parse_expr("x1 + x2", 2).root
+    zero, one = e_const(0.0), e_const(1.0)
+    assert e_add(e_const(1.5), e_const(2.0)) is e_const(3.5)
+    assert e_mul(zero, x) is zero and e_mul(x, e_const(-0.0)) is zero
+    assert e_mul(one, x) is x and e_mul(x, one) is x
+    assert e_add(x, zero) is x and e_add(e_const(-0.0), x) is x
+    assert e_div(x, one) is x and e_div(zero, x) is zero
+    assert e_neg(e_neg(x)) is x and e_neg(e_const(2.0)) is e_const(-2.0)
+    assert e_pow(e_const(2.0), 3) is e_const(8.0)
+    # the fold leaves what raises or is not finite to evaluation
+    assert isinstance(e_div(one, zero), Div)
+    assert isinstance(e_div(zero, zero), Div)
+    assert isinstance(e_pow(zero, -1), Pow)
+    assert isinstance(e_pow(e_const(1e200), 2), Pow)
+    assert isinstance(e_add(e_const(1e308), e_const(1e308)), Add)
+    # the inexact corner: a folded 0*e drops an e that would raise
+    ln = e_call("ln", x)
+    assert e_mul(zero, ln) is zero
+
+
+@pytest.mark.parametrize("text, cls", [
+    ("0*x1", Mul), ("x1*1", Mul), ("x1 + 0", Add), ("0 + x1", Add),
+    ("x1/1", Div), ("0/x1", Div), ("-(-x1)", Neg), ("-2", Neg),
+    ("2^3", Pow), ("1 + 2", Add), ("2*3", Mul), ("1/0", Div),
+])
+def test_parse_never_folds(text, cls):
+    assert type(parse_expr(text, 1).root) is cls
+
+
+def test_parsed_zero_product_still_raises():
+    with pytest.raises(ExprDomainError):
+        eval_expr(parse_expr("0*ln(x1)", 1), [-1.0])
+
+
+_fold_leaf = st.one_of(
+    st.integers(1, 2).map(lambda i: ("var", i)),
+    st.sampled_from([0.0, -0.0, 1.0]).map(lambda v: ("const", v)),
+    st.floats(-3.0, 3.0).map(lambda v: ("const", round(v, 2))),
+)
+
+
+def _fold_combine(children):
+    a, b = children
+    return st.one_of(
+        st.sampled_from(["add", "sub", "mul", "div"]).map(
+            lambda op: (op, a, b)),
+        st.just(("neg", a)),
+        st.integers(-2, 3).map(lambda p: ("pow", a, p)),
+        st.sampled_from(FUNCTIONS).map(lambda fn: ("call", fn, a)),
+    )
+
+
+_fold_recipe = st.recursive(
+    _fold_leaf, lambda inner: st.tuples(inner, inner).flatmap(_fold_combine),
+    max_leaves=10)
+
+_BINARY = {"add": (e_add, Add), "mul": (e_mul, Mul), "div": (e_div, Div)}
+
+
+def _build(recipe, fold):
+    """The tree of recipe, through the folding e_* constructors or
+    through raw interning."""
+    kind = recipe[0]
+    if kind == "var":
+        return intern(Var, recipe[1])
+    if kind == "const":
+        return e_const(recipe[1])
+    if kind == "neg":
+        operand = _build(recipe[1], fold)
+        return e_neg(operand) if fold else intern(Neg, operand)
+    if kind == "pow":
+        base = _build(recipe[1], fold)
+        return e_pow(base, recipe[2]) if fold else intern(Pow, base, recipe[2])
+    if kind == "call":
+        return e_call(recipe[1], _build(recipe[2], fold))
+    lhs, rhs = _build(recipe[1], fold), _build(recipe[2], fold)
+    if kind == "sub":
+        return intern(Sub, lhs, rhs)
+    make, cls = _BINARY[kind]
+    return make(lhs, rhs) if fold else intern(cls, lhs, rhs)
+
+
+def _coefs(value, like):
+    """value as an array shaped like the unfolded value like: a jet's
+    coefficients, an array, or a float lifted to either."""
+    if isinstance(like, Jet):
+        if isinstance(value, Jet):
+            return value.coef
+        out = np.zeros_like(like.coef)
+        out[0] = value
+        return out
+    return np.broadcast_to(np.asarray(value, dtype=float), np.shape(like))
+
+
+X1, X2, LN_X1 = ("var", 1), ("var", 2), ("call", "ln", ("var", 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fold_recipe, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+@example(("add", ("const", 1.5), ("const", -0.25)), 0.5, 0.3)
+@example(("mul", ("const", 0.0), LN_X1), 0.5, 0.3)
+@example(("mul", X2, ("const", -0.0)), -0.5, -0.3)
+@example(("mul", ("const", 1.0), X1), 0.5, 0.3)
+@example(("mul", X1, ("const", 1.0)), 0.5, 0.3)
+@example(("add", X2, ("const", -0.0)), 0.5, -0.0)
+@example(("add", ("const", 0.0), LN_X1), 0.5, 0.3)
+@example(("div", X1, ("const", 1.0)), 0.5, 0.3)
+@example(("div", ("const", 0.0), ("sub", X1, X2)), 0.5, 0.3)
+@example(("neg", ("neg", X1)), 0.5, 0.3)
+@example(("neg", ("const", 1.0)), 0.5, 0.3)
+@example(("pow", ("const", 0.5), -2), 0.5, 0.3)
+def test_folded_trees_evaluate_as_unfolded(recipe, x1, x2):
+    raw, folded = _build(recipe, False), _build(recipe, True)
+    envs = [
+        [x1, x2],
+        jet_space(2, 2).seed([x1, x2]),
+        [np.array([x1, 0.0, -1.0, 0.5]), np.array([x2, 1.0, 0.0, -0.5])],
+    ]
+    for env in envs:
+        with np.errstate(all="ignore"):
+            try:
+                want = eval_expr(as_ast(raw, 2), env)
+            except (ExprDomainError, ArithmeticError):
+                continue
+            want_coefs = _coefs(want, want)
+            if not np.all(np.isfinite(want_coefs)):
+                continue
+            got = eval_expr(as_ast(folded, 2), env)
+        assert np.array_equal(_coefs(got, want), want_coefs)

@@ -6,16 +6,19 @@ node printed once per call, each distinct parenthesized group parsed
 once per document.  The run plan is tools/report_bytes.py's.
 """
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import kropina.expr as expr
 import kropina.scenarios as scenarios
 from kropina.expr import ExprError, parse_expr, print_expr
 from kropina.scenarios import load_scenario
 from kropina.workbench import run_convert
-from oracles import parse_expr_oracle, print_node_oracle
+from oracles import pair_parens_oracle, parse_expr_oracle, print_node_oracle
 
 _spec = importlib.util.spec_from_file_location(
     "report_bytes",
@@ -44,13 +47,7 @@ def strings(doc):
 
 def group_texts(text):
     """The text inside each balanced pair of parentheses of text."""
-    out, opened = set(), []
-    for k, ch in enumerate(text):
-        if ch == "(":
-            opened.append(k)
-        elif ch == ")" and opened:
-            out.add(text[opened.pop() + 1:k])
-    return out
+    return {text[o + 1:c] for o, c in pair_parens_oracle(text).items()}
 
 
 def dag_size(root):
@@ -166,6 +163,35 @@ def test_printer_prints_each_distinct_node_once(run_plan, monkeypatch):
         assert len(set(visits)) == nodes
         assert len(visits) == 1 + edges
         assert text == print_node_oracle(e.root)
+
+
+def test_folded_round_trips_stay_small(run_plan):
+    """Conversions fold trivial identities as they build, so converting
+    there and back emits text near the size of what was written."""
+    docs = run_plan[1]
+    assert len(json.dumps(docs["torus_wind to nav and back"])) <= 20_000
+    assert len(json.dumps(docs["s3_hopf to ab and back"])) <= 2_000
+
+
+# -- parenthesis pairing ------------------------------------------------------
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="(()) x+1é", max_size=80))
+@example("")
+@example(")(")
+@example("((x1) + (")
+@example("(x1)) + (x2)")
+@example("(é) + ((x1)")
+@example("(" * 300 + "x1" + ")" * 299)
+def test_pairing_matches_the_stack(text):
+    assert expr._pair_parens(text) == pair_parens_oracle(text)
+
+
+def test_pairing_matches_the_stack_on_emitted_text(run_plan):
+    for doc in run_plan[1].values():
+        for text in strings(doc):
+            assert expr._pair_parens(text) == pair_parens_oracle(text)
 
 
 # -- errors -------------------------------------------------------------------

@@ -151,6 +151,30 @@ def test_commutativity_exact(a, b):
     assert np.array_equal((a * b).coef, (b * a).coef)
 
 
+@pytest.mark.parametrize("nvars, order", [(6, 4), (8, 4), (6, 2), (6, 1)])
+def test_seed_product_is_the_bincount_product_bit_for_bit(nvars, order):
+    """A product with a coordinate seed is a shift; it must give the
+    bits of the bincount product of the same coefficients, signed
+    zeros included."""
+    s = jet_space(nvars, order)
+    rng = np.random.default_rng(10 * nvars + order)
+    for trial in range(24):
+        coef = rng.normal(size=s.ncoef) * 10.0 ** rng.integers(-3, 4, s.ncoef)
+        coef[rng.random(s.ncoef) < 0.2] = 0.0
+        coef[rng.random(s.ncoef) < 0.1] = -0.0
+        a = Jet(s, coef)
+        v = trial % nvars
+        seed = s.variable(v, [rng.normal(), 0.0, -0.0, 1.0][trial % 4])
+        other = s.variable((v + 1) % nvars, rng.normal())
+        assert seed.var == v
+        plain = Jet(s, seed.coef.copy())
+        plain_other = Jet(s, other.coef.copy())
+        for got, want in ((a * seed, a * plain), (seed * a, plain * a),
+                          (other * seed, plain_other * plain)):
+            assert type(got) is Jet
+            assert got.coef.tobytes() == want.coef.tobytes()
+
+
 def test_jet_solve_and_det_against_numpy():
     rng = np.random.default_rng(11)
     s = jet_space(2, 2)
