@@ -13,9 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .expr import ExprError
-from .forms import GaugeError
-from .scenarios import ScenarioError, builtin_summaries
+from .scenarios import builtin_summaries
 from .workbench import run_check, run_convert, run_verify
 
 
@@ -147,13 +145,8 @@ def main(argv=None):
         return 0 if e.code in (0, None) else 1
     try:
         return _HANDLERS[args.command](args)
-    except (ScenarioError, GaugeError, ExprError) as e:
-        print(f"kropina: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
-        print(f"kropina: {e}", file=sys.stderr)
-        return 1
-    except ValueError as e:
+    except (OSError, ValueError) as e:
+        # ScenarioError, GaugeError and ExprError are ValueErrors
         print(f"kropina: {e}", file=sys.stderr)
         return 1
 

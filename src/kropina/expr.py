@@ -7,9 +7,10 @@ Grammar (EBNF, also reproduced in the README):
     unary       = "-" unary | power ;
     power       = atom [ "^" exponent ] ;
     exponent    = [ "-" ] integer { "^" [ "-" ] integer } ;   (* right-assoc *)
-    atom        = number | variable | function "(" expression ")"
-                | "(" expression ")" ;
+    atom        = number | variable | ref
+                | function "(" expression ")" | "(" expression ")" ;
     variable    = "x" integer ;                               (* 1-based *)
+    ref         = "$" integer ;               (* 0-based index into defs *)
     function    = "sin" | "cos" | "exp" | "ln" | "sqrt" ;
 
 Power binds tighter than unary minus, which binds tighter than "*" and "/",
@@ -37,16 +38,12 @@ a folded 0*e, 0/e or e+0 can flip the sign of a zero.  The parser does
 not fold, so text means what it says: "0*ln(x1)" still raises where
 x1 <= 0.
 
-Text costs follow the DAG too.  The printer prints each distinct node
-once per call and splices its text wherever the node recurs.  The parser
-pairs each "(" with its ")" once per text, in one numpy pass over its
-parentheses, and scans tokens only as it parses: a parenthesized group
-(a call's argument included) parses to the same node wherever it
-stands, so each distinct group text is parsed once per group memo
-(parse_expr's groups, one per document) and skipped to its ")" where
-it recurs.  Errors are those of scanning the whole text first: when a
-parse fails, the text is scanned to its end, and the first bad
-character, if any, is the one reported.
+Text follows the DAG too.  A document names each shared subexpression
+once, as a def, and its texts refer to def k as "$k"; a reference
+parses to the def's node itself.  print_expr writes a document's texts
+and defs in one pass over its distinct nodes, and the parser tokenizes
+a whole text before parsing it, so the first bad character in a text is
+the error it reports.
 """
 from __future__ import annotations
 
@@ -195,105 +192,58 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # the character rules of _scan.  \s is str.isspace and \d str.isdecimal
 # (a subset of str.isdigit), so both routes cut the same tokens.
 _TOKEN_RE = re.compile(
-    rf"\s*(?:({_NUM_RE.pattern})|({_IDENT_RE.pattern})|([-+*/^])|(\()|(\)))"
+    rf"\s*(?:({_NUM_RE.pattern})|({_IDENT_RE.pattern})|([-+*/^])|(\()|(\))"
+    r"|(\$\d+))"
 )
-_KINDS = (None, "NUM", "IDENT", "OP", "LPAREN", "RPAREN")
-_PAREN_RE = re.compile(r"[()]")
+_KINDS = (None, "NUM", "IDENT", "OP", "LPAREN", "RPAREN", "REF")
+_BINARY = {"+": Add, "-": Sub, "*": Mul, "/": Div}
 
 
-def _scan(text: str, i: int):
-    """The token at or after offset i, as (kind, text, offset), and the
-    offset just past it.  Past the last token the kind is END."""
-    m = _TOKEN_RE.match(text, i)
-    if m:
-        k = m.lastindex
-        return (_KINDS[k], m.group(k), m.start(k)), m.end()
-    n = len(text)
-    while i < n and text[i].isspace():
-        i += 1
-    if i == n:
-        return ("END", "", n), n
-    ch = text[i]
-    if ch.isdigit() or ch == ".":
-        raise ExprSyntaxError("malformed number", i)
-    raise ExprSyntaxError(f"unexpected character '{ch}'", i)
-
-
-def _scan_all(text: str):
-    """Scan text to its end: raises the first scanning error in it."""
-    i = 0
+def _scan(text: str) -> list:
+    """Every token of text as (kind, text, offset), ending in an END
+    token; the first bad character raises."""
+    tokens, i, n = [], 0, len(text)
     while True:
-        tok, i = _scan(text, i)
-        if tok[0] == "END":
-            return
-
-
-def _pair_parens(text: str) -> dict:
-    """{offset of each '(': offset of its ')'}; unbalanced ones are left
-    out, for the parser to report where it meets them.
-
-    An ASCII text with no stray ')' is paired in one numpy pass: with
-    the depth counted over its parentheses, each ')' closes the '(' just
-    before it among the parentheses of its level (the depth after a '(',
-    before a ')'), because a level holds an open-close alternation with
-    at most one unclosed '(' at its end.  Other texts take the stack.
-    """
-    if "(" not in text:
-        return {}
-    if text.isascii():
-        codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-        at = np.flatnonzero((codes == 40) | (codes == 41))  # "(" and ")"
-        opens = codes[at] == 40
-        depth = np.cumsum(np.where(opens, 1, -1))
-        if depth.min() >= 0:
-            order = np.argsort(depth + ~opens, kind="stable")
-            at = at[order]
-            shut = np.flatnonzero(~opens[order])
-            return dict(zip(at[shut - 1].tolist(), at[shut].tolist()))
-    close, open_ = {}, []
-    for m in _PAREN_RE.finditer(text):
-        if m.group() == "(":
-            open_.append(m.start())
-        elif open_:
-            close[open_.pop()] = m.start()
-    return close
+        m = _TOKEN_RE.match(text, i)
+        if m:
+            k = m.lastindex
+            tokens.append((_KINDS[k], m.group(k), m.start(k)))
+            i = m.end()
+            continue
+        while i < n and text[i].isspace():
+            i += 1
+        if i == n:
+            return tokens + [("END", "", n)]
+        ch = text[i]
+        if ch.isdigit() or ch == ".":
+            raise ExprSyntaxError("malformed number", i)
+        raise ExprSyntaxError(f"unexpected character '{ch}'", i)
 
 
 # -- parser -----------------------------------------------------------------
 
 
 class _Parser:
-    """Recursive descent, scanning one token ahead.
+    """Recursive descent over a text's tokens."""
 
-    A parenthesized group (a call's argument included) parses the same
-    wherever it stands, and its nodes are interned, so groups maps each
-    group text already parsed to its node: a repeated group is looked up
-    and skipped to its ')' without being scanned again.
-    """
-
-    def __init__(self, text, dim, groups):
-        self.text = text
+    def __init__(self, tokens, dim, refs):
+        self.tokens = tokens
+        self.pos = 0
         self.dim = dim
-        self.groups = groups
-        self.close = _pair_parens(text)
-        self.seek(0)
-
-    def seek(self, i):
-        self.tok, self.end = _scan(self.text, i)
+        self.refs = refs
 
     def peek(self):
-        return self.tok
+        return self.tokens[self.pos]
 
     def advance(self):
-        tok = self.tok
-        self.seek(self.end)
+        tok = self.tokens[self.pos]
+        self.pos += 1
         return tok
 
     def expect(self, kind, what):
         tok = self.advance()
         if tok[0] != kind:
             raise ExprSyntaxError(f"expected {what}", tok[2])
-        return tok
 
     def parse(self):
         node = self.expression()
@@ -302,43 +252,19 @@ class _Parser:
             raise ExprSyntaxError(f"unexpected token '{tok[1]}'", tok[2])
         return node
 
-    def group(self, lparen):
-        """The expression after the '(' token lparen, through its ')'."""
-        close = self.close.get(lparen[2])
-        if close is not None:
-            key = self.text[lparen[2] + 1:close]
-            node = self.groups.get(key)
-            if node is not None:
-                self.seek(close + 1)
-                return node
-        node = self.expression()
-        self.expect("RPAREN", "')'")
-        if close is not None:
-            # a ')' that closes the group is the one paired with its '('
-            self.groups[key] = node
+    def binary(self, ops, operand):
+        """A left-associative chain of operand() joined by ops."""
+        node = operand()
+        while self.peek()[0] == "OP" and self.peek()[1] in ops:
+            op = self.advance()[1]
+            node = _node(_BINARY[op], node, operand())
         return node
 
     def expression(self):
-        node = self.term()
-        while True:
-            tok = self.peek()
-            if tok[0] == "OP" and tok[1] in "+-":
-                self.advance()
-                rhs = self.term()
-                node = _node(Add if tok[1] == "+" else Sub, node, rhs)
-            else:
-                return node
+        return self.binary("+-", self.term)
 
     def term(self):
-        node = self.unary()
-        while True:
-            tok = self.peek()
-            if tok[0] == "OP" and tok[1] in "*/":
-                self.advance()
-                rhs = self.unary()
-                node = _node(Mul if tok[1] == "*" else Div, node, rhs)
-            else:
-                return node
+        return self.binary("*/", self.unary)
 
     def unary(self):
         tok = self.peek()
@@ -391,6 +317,13 @@ class _Parser:
         tok = self.advance()
         if tok[0] == "NUM":
             return _node(Const, float(tok[1]))
+        if tok[0] == "REF":
+            k = int(tok[1][1:])
+            if k >= len(self.refs):
+                raise ExprSyntaxError(
+                    f"reference '{tok[1]}' names none of {len(self.refs)} defs",
+                    tok[2])
+            return self.refs[k]
         if tok[0] == "IDENT":
             name, off = tok[1], tok[2]
             m = re.fullmatch(r"x(\d+)", name)
@@ -400,40 +333,32 @@ class _Parser:
                     raise ExprIndexError(index, self.dim, off)
                 return _node(Var, index)
             if name in FUNCTIONS:
-                lparen = self.expect("LPAREN", f"'(' after {name}")
-                return _node(Call, name, self.group(lparen))
+                self.expect("LPAREN", f"'(' after {name}")
+                arg = self.expression()
+                self.expect("RPAREN", "')'")
+                return _node(Call, name, arg)
             raise ExprNameError(name, off)
         if tok[0] == "LPAREN":
-            return self.group(tok)
+            node = self.expression()
+            self.expect("RPAREN", "')'")
+            return node
         raise ExprSyntaxError(f"unexpected token '{tok[1] or 'end of input'}'", tok[2])
 
 
-def parse_expr(text: str, dim: int, groups=None) -> ExprAst:
+def parse_expr(text: str, dim: int, refs=()) -> ExprAst:
     """Parse the DSL string into an AST declared over x1..x<dim>.
 
-    groups, when given, is a dict that carries parsed parenthesized
-    groups from one call to the next, so the strings of one document
-    parse each distinct group once; give each document its own.
+    refs holds the nodes of a document's defs: "$k" is refs[k] itself.
     """
     if dim < 1:
         raise ValueError("dimension must be at least 1")
-    memo = {} if groups is None else groups.setdefault(dim, {})
-    try:
-        root = _Parser(text, dim, memo).parse()
-    except (ValueError, RecursionError):
-        # the text was scanned only as far as it was parsed; a scanning
-        # error anywhere in it is the one to report, as if scanned first
-        try:
-            _scan_all(text)
-        except ExprSyntaxError as first:
-            raise first from None
-        raise
-    return ExprAst(root, dim)
+    return ExprAst(_Parser(_scan(text), dim, refs).parse(), dim)
 
 
 # -- printer ----------------------------------------------------------------
 
 _PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, Pow: 4}
+_OPS = {cls: op for op, cls in _BINARY.items()}
 
 
 def _prec(node) -> int:
@@ -442,83 +367,114 @@ def _prec(node) -> int:
     return _PREC.get(type(node), 9)
 
 
-def print_node(node) -> str:
-    """The DSL text of node; each distinct node is printed once."""
-    return _print(node, {})
+def _children(node) -> list:
+    """node's operands, in order; a Const or Var has none."""
+    return [v for v in vars(node).values()
+            if not isinstance(v, (int, float, str))]
 
 
-def _print(node, memo):
-    """node's text; memo maps id(n) to the text of each node n this
-    call has printed.  A node's text does not depend on its parent,
-    which adds any parentheses around it."""
-    text = memo.get(id(node))
-    if text is not None:
+class _Printer:
+    """Prints each distinct node once and splices its text wherever the
+    node recurs.  An operator node with two or more referrers becomes a
+    def when its text is longer than its "$k"; its referrers then splice
+    "$k", an atom."""
+
+    def __init__(self, referrers):
+        self.referrers = referrers  # id(n) -> the count of n's referrers
+        self.texts = {}  # id(n) -> the text a referrer of n splices
+        self.refs = set()  # ids of the nodes spliced as "$k"
+        self.defs = []
+
+    def prec(self, node) -> int:
+        return 9 if id(node) in self.refs else _prec(node)
+
+    def text(self, node) -> str:
+        """node's text; it does not depend on the parent, which adds any
+        parentheses around it."""
+        text = self.texts.get(id(node))
+        if text is not None:
+            return text
+        if isinstance(node, Const):
+            text = repr(node.value)
+        elif isinstance(node, Var):
+            text = f"x{node.index}"
+        elif isinstance(node, Neg):
+            inner = self.text(node.operand)
+            if self.prec(node.operand) < _PREC[Neg]:
+                inner = f"({inner})"
+            text = f"-{inner}"
+        elif isinstance(node, Pow):
+            base = self.text(node.base)
+            # a Pow base also needs parens: "x^2^3" would reparse as a
+            # folded exponent chain rather than a nested power
+            if self.prec(node.base) <= _PREC[Pow]:
+                base = f"({base})"
+            text = f"{base}^{node.exponent}"
+        elif isinstance(node, Call):
+            text = f"{node.fn}({self.text(node.arg)})"
+        elif isinstance(node, (Add, Sub, Mul, Div)):
+            prec = _PREC[type(node)]
+            left = self.text(node.lhs)
+            if self.prec(node.lhs) < prec:
+                left = f"({left})"
+            right = self.text(node.rhs)
+            # left-associative: equal precedence on the right needs parens
+            if self.prec(node.rhs) <= prec:
+                right = f"({right})"
+            text = f"{left} {_OPS[type(node)]} {right}"
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        ref = f"${len(self.defs)}"
+        if (self.referrers.get(id(node), 0) > 1
+                and not isinstance(node, (Const, Var)) and len(text) > len(ref)):
+            self.defs.append(text)
+            self.refs.add(id(node))
+            text = ref
+        self.texts[id(node)] = text
         return text
-    if isinstance(node, Const):
-        text = repr(node.value)
-    elif isinstance(node, Var):
-        text = f"x{node.index}"
-    elif isinstance(node, Neg):
-        inner = _print(node.operand, memo)
-        if _prec(node.operand) < _PREC[Neg]:
-            inner = f"({inner})"
-        text = f"-{inner}"
-    elif isinstance(node, Pow):
-        base = _print(node.base, memo)
-        # a Pow base also needs parens: "x^2^3" would reparse as a
-        # folded exponent chain rather than a nested power
-        if _prec(node.base) <= _PREC[Pow]:
-            base = f"({base})"
-        text = f"{base}^{node.exponent}"
-    elif isinstance(node, Call):
-        text = f"{node.fn}({_print(node.arg, memo)})"
-    elif isinstance(node, (Add, Sub, Mul, Div)):
-        op = {Add: "+", Sub: "-", Mul: "*", Div: "/"}[type(node)]
-        prec = _PREC[type(node)]
-        left = _print(node.lhs, memo)
-        if _prec(node.lhs) < prec:
-            left = f"({left})"
-        right = _print(node.rhs, memo)
-        # left-associative: equal precedence on the right needs parens
-        if _prec(node.rhs) <= prec and isinstance(node.rhs, (Add, Sub, Mul, Div)):
-            right = f"({right})"
-        elif _prec(node.rhs) < prec:
-            right = f"({right})"
-        text = f"{left} {op} {right}"
-    else:
-        raise TypeError(f"not an expression node: {node!r}")
-    memo[id(node)] = text
-    return text
 
 
-def print_expr(ast: ExprAst) -> str:
-    return print_node(ast.root)
+def print_node(node) -> str:
+    """The DSL text of node, with no defs."""
+    return _Printer({}).text(node)
+
+
+def print_expr(exprs):
+    """(texts, defs): the text of each ExprAst of exprs, and the defs
+    that the texts name as "$k".
+
+    A node's referrers are its distinct parents, plus one when it is a
+    root.  A def is an operator node with two or more referrers
+    whose text is longer than its "$k".  Children are printed before
+    parents, so a def names only earlier defs.
+    """
+    referrers = {}
+
+    def count(node):
+        if id(node) in referrers:
+            return
+        referrers[id(node)] = 0
+        for child in {id(c): c for c in _children(node)}.values():
+            count(child)
+            referrers[id(child)] += 1
+
+    for root in {id(e.root): e.root for e in exprs}.values():
+        count(root)
+        referrers[id(root)] += 1
+    printer = _Printer(referrers)
+    return [printer.text(e.root) for e in exprs], printer.defs
 
 
 # -- evaluation --------------------------------------------------------------
 
 
-def _call_float(fn, v, node):
-    try:
-        if fn == "sin":
-            return math.sin(v)
-        if fn == "cos":
-            return math.cos(v)
-        if fn == "exp":
-            return math.exp(v)
-        if fn == "ln":
-            if v <= 0.0:
-                raise ExprDomainError(f"ln of nonpositive value {v}", node)
-            return math.log(v)
-        if fn == "sqrt":
-            if v < 0.0:
-                raise ExprDomainError(f"sqrt of negative value {v}", node)
-            return math.sqrt(v)
-    except OverflowError:
-        raise ExprDomainError("range overflow", node) from None
-    raise ExprNameError(fn, 0)
-
-
+_FLOAT_FUNCS = {
+    "sin": math.sin,
+    "cos": math.cos,
+    "exp": math.exp,
+    "ln": math.log,
+    "sqrt": math.sqrt,
+}
 _ARRAY_FUNCS = {
     "sin": np.sin,
     "cos": np.cos,
@@ -526,6 +482,17 @@ _ARRAY_FUNCS = {
     "ln": np.log,
     "sqrt": np.sqrt,
 }
+
+
+def _call_float(fn, v, node):
+    if fn == "ln" and v <= 0.0:
+        raise ExprDomainError(f"ln of nonpositive value {v}", node)
+    if fn == "sqrt" and v < 0.0:
+        raise ExprDomainError(f"sqrt of negative value {v}", node)
+    try:
+        return _FLOAT_FUNCS[fn](v)
+    except OverflowError:
+        raise ExprDomainError("range overflow", node) from None
 
 
 def _ev(node, env, memo):

@@ -572,8 +572,7 @@ def s_bh_closed(fields: AbFields, y) -> float:
 def s_closed(fields: AbFields, y) -> float:
     """S-curvature for the weighted density e^{-(n+1) f} sigma."""
     inv = fields.invariants(y)
-    base = (fields.n + 1) / fields.b2 * (inv.r_0 - inv.r_00 / inv.F)
-    return base + (fields.n + 1) * inv.f_0
+    return s_bh_closed(fields, y) + (fields.n + 1) * inv.f_0
 
 
 def s_dot_closed(fields: AbFields, y) -> float:

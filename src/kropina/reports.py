@@ -147,7 +147,9 @@ class ReportDocument:
                 )
         for table in self.tables:
             if "max_rel_dev" in table:
-                mark = "pass" if table.get("passed", True) else "FAIL"
+                passed = table.get("passed", True)
+                mark = ("skipped" if passed is None
+                        else "pass" if passed else "FAIL")
                 skipped = table.get("skipped", 0)
                 note = f"  ({skipped} skipped)" if skipped else ""
                 lines.append(

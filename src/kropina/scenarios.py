@@ -25,7 +25,7 @@ from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
 
 from .einstein import WeightConfig, weight_preset
-from .expr import ExprError, parse_expr
+from .expr import ExprError, _children, parse_expr
 from .forms import KropinaSpace, _values
 from .riemann import RiemannianMetric
 
@@ -39,6 +39,10 @@ DEFAULT_CUTOFF = 1e-3
 COMPARISON_CUTOFF = 0.05
 
 _ADMISSIBILITY_FLOOR = 0.10
+
+# Deepest expression DAG a scenario may hold: evaluation, printing and
+# the spaces derived from a scenario recurse once per level.
+MAX_DEPTH = 200
 
 
 class ScenarioError(ValueError):
@@ -120,6 +124,7 @@ class Scenario:
     seed: int
     tolerances: dict
     description: str = ""
+    defs: tuple = ()  # the subexpressions "$k" names, as source strings
 
     def space(self):
         """The scenario's one KropinaSpace, built and probe-checked on
@@ -130,23 +135,32 @@ class Scenario:
     def _space(self):
         """The space of the source strings.
 
-        Each distinct string is parsed once, with the JSON pointer of its
-        first use, so a mirrored metric entry shares the upper entry's
-        tree, and each distinct parenthesized group once for the whole
-        document.  A navigation space is checked for an h-unit wind at
-        the probe points.
+        The defs are parsed first, in order, so def k names only defs
+        below k; then each distinct field string is parsed once, with the
+        JSON pointer of its first use, so a mirrored metric entry shares
+        the upper entry's tree.  A navigation space is checked for an
+        h-unit wind at the probe points.
         """
         n = self.dimension
-        asts, groups = {}, {}
+        refs, asts, depths = [], {}, {}
 
         def parse(text, pointer):
             if text not in asts:
                 try:
-                    asts[text] = parse_expr(text, n, groups)
+                    ast = parse_expr(text, n, refs)
                 except ExprError as e:
                     raise ScenarioError(str(e), pointer) from None
+                except RecursionError:
+                    ast = None
+                if ast is None or _depth(ast.root, depths) > MAX_DEPTH:
+                    raise ScenarioError(
+                        f"expression nested deeper than {MAX_DEPTH} levels",
+                        pointer)
+                asts[text] = ast
             return asts[text]
 
+        for k, text in enumerate(self.defs):
+            refs.append(parse(text, f"/defs/{k}").root)
         rows = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
@@ -195,6 +209,8 @@ class Scenario:
             "directions": self.directions,
             "seed": self.seed,
         }
+        if self.defs:
+            doc["defs"] = list(self.defs)
         if self.gauge is not None:
             doc["gauge"] = self.gauge
         if self.weight is not None:
@@ -204,6 +220,16 @@ class Scenario:
         if self.description:
             doc["description"] = self.description
         return doc
+
+
+def _depth(node, memo):
+    """The levels of node's DAG; memo maps id(m) to the depth of each
+    node m measured so far."""
+    depth = memo.get(id(node))
+    if depth is None:
+        depth = memo[id(node)] = 1 + max(
+            (_depth(c, memo) for c in _children(node)), default=0)
+    return depth
 
 
 def _probe_plan(box, seed, count):
@@ -268,6 +294,7 @@ def _from_dict(doc, origin):
         seed=int(doc.get("seed", 0)),
         tolerances=dict(doc.get("tolerances", {})),
         description=doc.get("description", ""),
+        defs=tuple(doc.get("defs", ())),
     )
 
     try:

@@ -155,9 +155,10 @@ def _table(name, tol, rows, key):
     """A judged table: the worst deviation (rows[k][key]) over its rows
     against tol.
 
-    Skipped rows do not count.  A non-finite deviation fails the table;
-    the first one becomes max_rel_dev and non_finite_rows lists the
-    indices of every such row.
+    Skipped rows do not count, and a table whose rows were all skipped
+    compared nothing: its passed is None, with the reason.  A non-finite
+    deviation fails the table; the first one becomes max_rel_dev and
+    non_finite_rows lists the indices of every such row.
     """
     devs = [(k, row[key]) for k, row in enumerate(rows)
             if not row.get("skipped")]
@@ -172,11 +173,13 @@ def _table(name, tol, rows, key):
         "max_rel_dev": worst,
         "samples": len(devs),
         "skipped": len(rows) - len(devs),
-        "passed": not bad and worst <= tol,
+        "passed": (not bad and worst <= tol) if devs else None,
         "rows": rows,
     }
     if bad:
         table["non_finite_rows"] = bad
+    if not devs:
+        table["reason"] = f"no row compared: all {len(rows)} rows were skipped"
     return table
 
 
@@ -260,7 +263,8 @@ def run_verify(scenario, points=None, dirs=None, seed=None, mc_samples=20000):
         tol = scenario.tolerance(name, VERIFY_TOLS[name])
         table = _table(name, tol, rows[name], "rel_dev")
         doc.tables.append(table)
-        verdicts.append("PASS" if table["passed"] else "FAIL")
+        if table["passed"] is not None:
+            verdicts.append("PASS" if table["passed"] else "FAIL")
 
     # volume density: Monte-Carlo estimate against the closed form, one
     # row per chart point, judged in standard-error units
@@ -331,22 +335,29 @@ def run_convert(scenario, to, gauge=None, seed=None):
     emitted = scenario.as_dict()
     emitted["name"] = f"{scenario.name}_{to}"
     emitted["representation"] = to
-    emitted.pop("gauge", None)
+    for key in ("defs", "gauge", "weight"):
+        emitted.pop(key, None)
 
     with doc.timed("rewrite"):
         if to == "nav":
             metric, vector = space.h, space.w
-            emitted["gauge"] = (gauge if gauge is not None
-                                else print_expr(gauge_ast))
         elif gauge is None:
             # the space already holds (a, b) in its own gauge: the
             # source's own for an ab scenario
             metric, vector = space.a, space.b
         else:
             metric, vector = nav_to_ab(space.h, space.w, gauge=gauge_ast)
-        emitted["metric"] = [[print_expr(e) for e in row]
-                             for row in metric.exprs]
-        emitted["vector"] = [print_expr(c) for c in vector]
+        named = {"gauge": gauge_ast if to == "nav" else None,
+                 "weight": space.weight}
+        named = {k: e for k, e in named.items() if e is not None}
+        n = scenario.dimension
+        texts, defs = print_expr([*(e for row in metric.exprs for e in row),
+                                  *vector, *named.values()])
+        emitted["metric"] = [texts[i * n:i * n + n] for i in range(n)]
+        emitted["vector"] = texts[n * n:n * n + n]
+        emitted.update(zip(named, texts[n * n + n:]))
+        if defs:
+            emitted["defs"] = defs
 
     with doc.timed("validate"):
         conv_space = load_scenario(emitted).space()

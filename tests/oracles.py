@@ -34,12 +34,10 @@ the navigation closed form of the Riemann curvature, held against the
 generic pipeline.
 
 Last come the expression-text routes: parse_expr_oracle tokenizes a
-whole text up front and parses every parenthesized group where it
-stands, and print_node_oracle prints every occurrence of a shared node
-anew.  parse_expr and print_expr must match them byte for byte, error
-for error, while doing work in proportion to distinct subexpressions.
-pair_parens_oracle pairs parentheses with a stack, one character at a
-time, against the vectorised pairing of expr._pair_parens.
+whole text one character at a time and parses it by a recursive descent
+of its own, and print_node_oracle prints every occurrence of a shared
+node anew.  parse_expr and print_node must match them byte for byte,
+error for error.
 """
 import itertools
 import math
@@ -642,6 +640,13 @@ def tokenize_oracle(text: str):
             tokens.append(("IDENT", m.group(), i))
             i = m.end()
             continue
+        if ch == "$" and text[i + 1:i + 2].isdecimal():
+            j = i + 1
+            while j < n and text[j].isdecimal():
+                j += 1
+            tokens.append(("REF", text[i:j], i))
+            i = j
+            continue
         if ch in "+-*/^":
             tokens.append(("OP", ch, i))
             i += 1
@@ -663,10 +668,11 @@ class _EagerParser:
     """Recursive descent over the whole token list, every group parsed
     where it stands."""
 
-    def __init__(self, tokens, dim):
+    def __init__(self, tokens, dim, refs):
         self.tokens = tokens
         self.pos = 0
         self.dim = dim
+        self.refs = refs
 
     def peek(self):
         return self.tokens[self.pos]
@@ -762,6 +768,13 @@ class _EagerParser:
         tok = self.advance()
         if tok[0] == "NUM":
             return _node(Const, float(tok[1]))
+        if tok[0] == "REF":
+            k = int(tok[1][1:])
+            if k < len(self.refs):
+                return self.refs[k]
+            raise ExprSyntaxError(
+                f"reference '{tok[1]}' names none of {len(self.refs)} defs",
+                tok[2])
         if tok[0] == "IDENT":
             name, off = tok[1], tok[2]
             m = re.fullmatch(r"x(\d+)", name)
@@ -783,12 +796,12 @@ class _EagerParser:
         raise ExprSyntaxError(f"unexpected token '{tok[1] or 'end of input'}'", tok[2])
 
 
-def parse_expr_oracle(text: str, dim: int) -> ExprAst:
-    """parse_expr by tokenizing all of text first and parsing every
-    group where it stands; nodes are interned as the package's are."""
+def parse_expr_oracle(text: str, dim: int, refs=()) -> ExprAst:
+    """parse_expr by tokenizing all of text first, one character at a
+    time; nodes are interned as the package's are, and "$k" is refs[k]."""
     if dim < 1:
         raise ValueError("dimension must be at least 1")
-    return ExprAst(_EagerParser(tokenize_oracle(text), dim).parse(), dim)
+    return ExprAst(_EagerParser(tokenize_oracle(text), dim, refs).parse(), dim)
 
 
 _PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, Pow: 4}
@@ -832,15 +845,3 @@ def print_node_oracle(node) -> str:
             right = f"({right})"
         return f"{left} {op} {right}"
     raise TypeError(f"not an expression node: {node!r}")
-
-
-def pair_parens_oracle(text: str) -> dict:
-    """{offset of each '(': offset of its ')'} by a stack walk; a stray
-    ')' and an unclosed '(' are left out."""
-    close, opened = {}, []
-    for k, ch in enumerate(text):
-        if ch == "(":
-            opened.append(k)
-        elif ch == ")" and opened:
-            close[opened.pop()] = k
-    return close

@@ -97,6 +97,20 @@ def test_exit_1_on_a_non_ascii_letter(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("defs, entry, pointer", [
+    ([], "(" * 3000 + "1" + ")" * 3000, "/metric/0/0"),
+    (["x1"] + [f"${k} + 1" for k in range(3000)], "1 + 0*$3000", "/defs/"),
+])
+def test_exit_1_on_nesting_too_deep(tmp_path, capsys, defs, entry, pointer):
+    metric = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    metric[0][0] = entry
+    path = write_scenario(tmp_path, dict(CONFORMAL, defs=defs, metric=metric))
+    assert main(["check", "--scenario", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("kropina: expression nested deeper than")
+    assert f"(at {pointer}" in err and err.count("\n") == 1
+
+
 def test_exit_3_on_precondition(capsys):
     assert main(["check", "--scenario", "euclid_twist"]) == 3
     out = capsys.readouterr().out

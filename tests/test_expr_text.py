@@ -1,9 +1,9 @@
 """Printing and parsing held against the tree-walking oracles.
 
-parse_expr and print_expr must give the oracles' bytes, nodes and errors
-while doing work in proportion to distinct subexpressions: each distinct
-node printed once per call, each distinct parenthesized group parsed
-once per document.  The run plan is tools/report_bytes.py's.
+print_node and parse_expr must give the oracles' bytes, nodes and
+errors; print_expr must write a document's texts and defs so that
+loading them gives back the very nodes printed, each distinct node
+printed once.  The run plan is tools/report_bytes.py's.
 """
 import importlib.util
 import json
@@ -14,11 +14,27 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kropina.expr as expr
-import kropina.scenarios as scenarios
-from kropina.expr import ExprError, parse_expr, print_expr
+from kropina.expr import (
+    FUNCTIONS,
+    Add,
+    Call,
+    Const,
+    Div,
+    ExprError,
+    Mul,
+    Neg,
+    Pow,
+    Sub,
+    Var,
+    _node,
+    as_ast,
+    parse_expr,
+    print_expr,
+    print_node,
+)
 from kropina.scenarios import load_scenario
 from kropina.workbench import run_convert
-from oracles import pair_parens_oracle, parse_expr_oracle, print_node_oracle
+from oracles import parse_expr_oracle, print_node_oracle
 
 _spec = importlib.util.spec_from_file_location(
     "report_bytes",
@@ -37,21 +53,30 @@ def views(space):
     return out
 
 
-def strings(doc):
-    """The distinct expression strings a loader parses from doc."""
+def fields(doc):
+    """{JSON pointer: text} of the expression fields a loader reads
+    from doc, defs aside: the metric's upper triangle, the vector, and
+    the gauge and weight when present."""
     n = doc["dimension"]
-    out = {doc["metric"][i][j] for i in range(n) for j in range(i, n)}
-    out |= set(doc["vector"])
-    return out | {doc[k] for k in ("gauge", "weight") if doc.get(k)}
+    out = {f"/metric/{i}/{j}": doc["metric"][i][j]
+           for i in range(n) for j in range(i, n)}
+    out.update((f"/vector/{i}", e) for i, e in enumerate(doc["vector"]))
+    out.update((f"/{k}", doc[k]) for k in ("gauge", "weight") if k in doc)
+    return out
 
 
-def group_texts(text):
-    """The text inside each balanced pair of parentheses of text."""
-    return {text[o + 1:c] for o, c in pair_parens_oracle(text).items()}
+def oracle_roots(doc):
+    """{pointer: node} of doc's fields, its defs parsed in order, all
+    through the eager oracle."""
+    n, refs = doc["dimension"], []
+    for text in doc.get("defs", ()):
+        refs.append(parse_expr_oracle(text, n, refs).root)
+    return {p: parse_expr_oracle(t, n, refs).root
+            for p, t in fields(doc).items()}
 
 
-def dag_size(root):
-    """(distinct nodes, edges between them) of the DAG under root."""
+def dag_size(roots):
+    """(distinct nodes, edges between them) of the DAG under roots."""
     seen, edges = set(), 0
 
     def walk(node):
@@ -59,12 +84,12 @@ def dag_size(root):
         if id(node) in seen:
             return
         seen.add(id(node))
-        for value in vars(node).values():
-            if not isinstance(value, (int, float, str)):
-                edges += 1
-                walk(value)
+        for child in expr._children(node):
+            edges += 1
+            walk(child)
 
-    walk(root)
+    for root in roots:
+        walk(root)
     return len(seen), edges
 
 
@@ -89,109 +114,167 @@ def test_printer_matches_the_tree_walk(run_plan):
     spaces, docs = run_plan
     for space in spaces.values():
         for e in views(space):
-            assert print_expr(e) == print_node_oracle(e.root)
+            assert print_node(e.root) == print_node_oracle(e.root)
     for doc in docs.values():
-        # metric and vector are printed; a weight is copied as written
-        printed = {e for row in doc["metric"] for e in row}
-        printed |= set(doc["vector"])
-        for text in strings(doc):
-            ast = parse_expr_oracle(text, doc["dimension"])
-            assert print_expr(ast) == print_node_oracle(ast.root)
-            assert text not in printed or print_expr(ast) == text
+        # printing the loaded fields again gives the document back
+        roots = oracle_roots(doc)
+        texts, defs = print_expr([as_ast(r, doc["dimension"])
+                                  for r in roots.values()])
+        assert dict(zip(roots, texts)) == fields(doc)
+        assert defs == doc.get("defs", [])
 
 
 def test_reparse_gives_the_same_node(run_plan):
     spaces, docs = run_plan
     for space in spaces.values():
         for e in views(space):
-            assert parse_expr(print_expr(e), e.dim).root is e.root
+            assert parse_expr(print_node(e.root), e.dim).root is e.root
     for doc in docs.values():
-        groups = {}
-        for text in sorted(strings(doc)):
-            n = doc["dimension"]
-            assert (parse_expr(text, n, groups).root
-                    is parse_expr_oracle(text, n).root)
+        n, refs = doc["dimension"], []
+        for text in doc.get("defs", ()):
+            refs.append(parse_expr(text, n, refs).root)
+        expected = oracle_roots(doc)
+        for pointer, text in fields(doc).items():
+            assert parse_expr(text, n, refs).root is expected[pointer]
 
 
-def test_load_parses_each_distinct_group_once(run_plan, monkeypatch):
-    """Loading the nav -> ab round trip of torus_wind parses each
-    distinct string once and each distinct group text once, all
-    through one group memo."""
-    doc = run_plan[1]["torus_wind to nav and back"]
-    memos, calls = [], []
-    real_parse = scenarios.parse_expr
-    real_expression = expr._Parser.expression
-
-    def parse(text, dim, groups=None):
-        memos.append(groups)
-        return real_parse(text, dim, groups)
-
-    def expression(self):
-        calls.append(1)
-        return real_expression(self)
-
-    monkeypatch.setattr(scenarios, "parse_expr", parse)
-    monkeypatch.setattr(expr._Parser, "expression", expression)
-    load_scenario(doc)
-    texts = strings(doc)
-    assert len(memos) == len(texts)
-    assert all(m is memos[0] for m in memos)
-    parsed = memos[0][doc["dimension"]]
-    assert set(parsed) == set().union(*map(group_texts, texts))
-    # one expression() per distinct string and per distinct group
-    assert len(calls) == len(texts) + len(parsed)
-    assert len(parsed) < sum(t.count("(") for t in texts) / 10
+def test_tree_text_loads_as_its_defs(run_plan):
+    """A document without defs, each field printed whole as print_node
+    writes it, loads to the same nodes as the document with defs."""
+    for doc in run_plan[1].values():
+        tree = {k: v for k, v in doc.items() if k != "defs"}
+        n = doc["dimension"]
+        text = {p: print_node(r) for p, r in oracle_roots(doc).items()}
+        tree["metric"] = [[text[f"/metric/{min(i, j)}/{max(i, j)}"]
+                           for j in range(n)] for i in range(n)]
+        tree["vector"] = [text[f"/vector/{i}"] for i in range(n)]
+        tree.update((k, text[f"/{k}"]) for k in ("gauge", "weight")
+                    if k in doc)
+        shared, whole = (load_scenario(d).space() for d in (doc, tree))
+        assert all(a.root is b.root
+                   for a, b in zip(views(shared), views(whole)))
 
 
 def test_printer_prints_each_distinct_node_once(run_plan, monkeypatch):
     doc = run_plan[1]["torus_wind to nav and back"]
     space = load_scenario(doc).space()
     visits = []
-    real = expr._print
+    real = expr._Printer.text
 
-    def counting(node, memo):
+    def counting(self, node):
         visits.append(id(node))
-        return real(node, memo)
+        return real(self, node)
 
-    monkeypatch.setattr(expr, "_print", counting)
-    for e in [e for row in space.a.exprs for e in row] + list(space.b):
+    monkeypatch.setattr(expr._Printer, "text", counting)
+    exprs = [e for row in space.h.exprs for e in row] + list(space.w)
+    for e in exprs:
         visits.clear()
-        text = print_expr(e)
-        nodes, edges = dag_size(e.root)
+        text = print_node(e.root)
+        nodes, edges = dag_size([e.root])
         # the root, then each child of each distinct node: a node met
         # again is looked up, not walked
         assert len(set(visits)) == nodes
         assert len(visits) == 1 + edges
         assert text == print_node_oracle(e.root)
+    visits.clear()
+    print_expr(exprs)
+    nodes, edges = dag_size([e.root for e in exprs])
+    assert len(set(visits)) == nodes
+    assert len(visits) == len(exprs) + edges
 
 
 def test_folded_round_trips_stay_small(run_plan):
-    """Conversions fold trivial identities as they build, so converting
-    there and back emits text near the size of what was written."""
+    """Conversions fold trivial identities as they build and name each
+    shared subexpression once, so converting there and back emits text
+    near the size of what was written."""
     docs = run_plan[1]
-    assert len(json.dumps(docs["torus_wind to nav and back"])) <= 20_000
-    assert len(json.dumps(docs["s3_hopf to ab and back"])) <= 2_000
+    assert len(json.dumps(docs["torus_wind to nav and back"])) <= 1_000
+    assert len(json.dumps(docs["s3_hopf to ab and back"])) <= 600
 
 
-# -- parenthesis pairing ------------------------------------------------------
+def test_repeated_conversion_reaches_a_plateau():
+    """random:3 to nav, to ab and to nav again: the third document is
+    at most twice the first and under 4 KB."""
+    sizes, doc = [], "random:3"
+    for to in ("nav", "ab", "nav"):
+        doc = run_convert(doc, to).emitted
+        sizes.append(len(json.dumps(doc)))
+    assert sizes[2] <= 2 * sizes[0]
+    assert sizes[2] <= 4_000
 
 
-@settings(max_examples=500, deadline=None)
-@given(st.text(alphabet="(()) x+1é", max_size=80))
-@example("")
-@example(")(")
-@example("((x1) + (")
-@example("(x1)) + (x2)")
-@example("(é) + ((x1)")
-@example("(" * 300 + "x1" + ")" * 299)
-def test_pairing_matches_the_stack(text):
-    assert expr._pair_parens(text) == pair_parens_oracle(text)
+# -- documents with defs ------------------------------------------------------
+
+_X1, _X2 = _node(Var, 1), _node(Var, 2)
+# sin(x1) + cos(x2) over two shared calls prints "$0 + $1": a text that
+# starts with "$" but is no reference, so a parent must parenthesize it
+_SIN, _COS = _node(Call, "sin", _X1), _node(Call, "cos", _X2)
+_SUM = _node(Add, _SIN, _COS)
 
 
-def test_pairing_matches_the_stack_on_emitted_text(run_plan):
-    for doc in run_plan[1].values():
-        for text in strings(doc):
-            assert expr._pair_parens(text) == pair_parens_oracle(text)
+@st.composite
+def dags(draw):
+    """Roots over a DAG built by combining earlier nodes, so nodes are
+    shared; constants are non-negative, as the parser builds them."""
+    pool = [_X1, _X2, _node(Const, 0.5), _node(Const, 2.0)]
+
+    def pick():
+        return pool[draw(st.integers(0, len(pool) - 1))]
+
+    for _ in range(draw(st.integers(1, 14))):
+        cls = draw(st.sampled_from([Add, Sub, Mul, Div, Neg, Pow, Call]))
+        if cls is Neg:
+            node = _node(Neg, pick())
+        elif cls is Pow:
+            node = _node(Pow, pick(), draw(st.sampled_from([-2, 2, 3])))
+        elif cls is Call:
+            node = _node(Call, draw(st.sampled_from(FUNCTIONS)), pick())
+        else:
+            node = _node(cls, pick(), pick())
+        pool.append(node)
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dags())
+@example([_node(Mul, _SUM, _X1), _SIN, _COS])
+@example([_node(Mul, _SUM, _X1), _node(Pow, _SUM, 2), _SIN, _COS])
+@example([_node(Sub, _X1, _SUM), _node(Div, _X2, _SUM), _SIN, _COS])
+def test_defs_load_back_to_the_printed_roots(roots):
+    texts, defs = print_expr([as_ast(r, 2) for r in roots])
+    refs = []
+    for text in defs:
+        # a def names only earlier defs
+        refs.append(parse_expr(text, 2, refs).root)
+    assert all(parse_expr(t, 2, refs).root is r for t, r in zip(texts, roots))
+    assert len(set(map(id, refs))) == len(refs)
+
+
+def test_a_text_opening_with_a_reference_is_parenthesized():
+    texts, defs = print_expr([as_ast(r, 2)
+                              for r in (_node(Mul, _SUM, _X1), _SIN, _COS)])
+    assert defs == ["sin(x1)", "cos(x2)"]
+    assert texts == ["($0 + $1) * x1", "$0", "$1"]
+    texts, defs = print_expr([as_ast(r, 2) for r in
+                              (_node(Mul, _SUM, _X1), _SUM, _SIN, _COS)])
+    assert defs == ["sin(x1)", "cos(x2)", "$0 + $1"]
+    assert texts == ["$2 * x1", "$2", "$0", "$1"]
+
+
+def test_short_and_leaf_nodes_stay_inline():
+    # ten shared calls take $0..$9, so "-x1" is no longer than its "$10";
+    # a node used only as a root, however often, is no def either
+    calls = [_node(Call, fn, x) for x in (_X1, _X2) for fn in FUNCTIONS]
+    neg, c = _node(Neg, _X1), _node(Const, 2.5)
+    roots = [_node(cls, f, _X1) for f in calls for cls in (Add, Sub)]
+    twice = _node(Mul, _X1, _X2)
+    roots += [_node(Add, neg, c), _node(Mul, neg, _X1), _node(Mul, _X2, c),
+              neg, twice, twice]
+    texts, defs = print_expr([as_ast(r, 2) for r in roots])
+    assert defs == [print_node(r) for r in calls]
+    assert texts[:2] == ["$0 + x1", "$0 - x1"]
+    assert texts[20:] == ["-x1 + 2.5", "-x1 * x1", "x2 * 2.5", "-x1",
+                          "x1 * x2", "x1 * x2"]
 
 
 # -- errors -------------------------------------------------------------------
@@ -219,17 +302,17 @@ MALFORMED = [
     "(x1 + x2) * (x1 + x2) * (x1 + x2", "((x1)) + ((x1)) )",
     # a failure that is no expression error, then a bad character
     "x1^" + "9" * 5000 + " $", "(" * 3000 + "x1" + ")" * 3000 + " $",
+    # references, with two defs to name
+    "$", "$ 0", "$x1", "x1 + $2", "$9 * x1", "$0 $1", "$0^$1", "$1.5",
+    "$-1", "sin($7) + é", "$0 + ($1", "$٣",
 ]
 
-# well-formed texts holding the groups of MALFORMED, parsed first into a
-# shared memo so that the malformed ones meet repeated groups
-WARM = ["(x1 + x2) * sin(x1) + (x1 + 1)^2 + (x1) + cos(x2 * (x1 + 1))",
-        "((x1)) * (x1 + (x2 * x3)) + (2)"]
+REFS = (parse_expr("x1 + x2", 3).root, parse_expr("sin(x3)", 3).root)
 
 
-def outcome(parse, text, *memo):
+def outcome(parse, text):
     try:
-        root = parse(text, 3, *memo).root
+        root = parse(text, 3, REFS).root
     except (ExprError, ValueError) as exc:
         return type(exc), str(exc), getattr(exc, "offset", None)
     return root
@@ -240,10 +323,12 @@ def test_errors_match_the_eager_parser(text):
     expected = outcome(parse_expr_oracle, text)
     assert isinstance(expected, tuple)
     assert outcome(parse_expr, text) == expected
-    groups = {}
-    for good in WARM:
-        parse_expr(good, 3, groups)
-    assert outcome(parse_expr, text, groups) == expected
+
+
+def test_references_parse_as_the_eager_parser_does():
+    for text in ("$0", "$1 * $0", "-$0^2", "sin($1) / ($0 + $1)", "$01"):
+        assert outcome(parse_expr, text) is outcome(parse_expr_oracle, text)
+    assert parse_expr("$1", 3, REFS).root is REFS[1]
 
 
 def test_unusual_characters_parse_as_the_eager_parser_does():
@@ -257,3 +342,9 @@ def test_non_ascii_letter_is_an_unexpected_character():
         parse_expr("x1 + é", 2)
     assert str(err.value) == "unexpected character 'é' (offset 5)"
     assert err.value.offset == 5
+
+
+def test_a_bare_dollar_is_an_unexpected_character():
+    with pytest.raises(expr.ExprSyntaxError) as err:
+        parse_expr("x1 + $", 2, REFS)
+    assert str(err.value) == "unexpected character '$' (offset 5)"

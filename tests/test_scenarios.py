@@ -9,6 +9,7 @@ from kropina.scenarios import (
     COMPARISON_CUTOFF,
     DEFAULT_CUTOFF,
     Scenario,
+    MAX_DEPTH,
     ScenarioError,
     admissibility_rate,
     builtin_names,
@@ -153,6 +154,91 @@ def test_metric_must_be_symmetric_textually():
     with pytest.raises(ScenarioError, match="diagonal") as err:
         load_scenario(doc)
     assert err.value.pointer == "/metric/0/1"
+
+
+# -- defs ---------------------------------------------------------------------
+
+
+def test_a_reference_is_the_def_node():
+    doc = doc_for("torus_wind")
+    plain = load_scenario(doc).space()
+    doc["defs"] = ["cos(x3)", "0.1*$0"]
+    doc["metric"][0][1] = doc["metric"][1][0] = "$1"
+    doc["weight"] = "0.1*sin(x1 + x2) + 0*$0"
+    sc = load_scenario(doc)
+    assert sc.as_dict()["defs"] == doc["defs"]
+    assert sc.space().a.exprs[0][1].root is plain.a.exprs[0][1].root
+    assert sc.space().weight.root.lhs is plain.weight.root
+
+
+@pytest.mark.parametrize("defs, pointer", [
+    (["x1", "$1 + 1"], "/defs/1"),  # a def naming itself
+    (["$1 * 2", "x1"], "/defs/0"),  # a def naming a later one
+])
+def test_a_def_names_only_earlier_defs(defs, pointer):
+    doc = doc_for("torus_wind")
+    doc["defs"] = defs
+    with pytest.raises(ScenarioError, match="names none of") as err:
+        load_scenario(doc)
+    assert err.value.pointer == pointer
+
+
+def test_an_out_of_range_reference_carries_offset_and_pointer():
+    doc = doc_for("torus_wind")
+    doc["defs"] = ["cos(x3)"]
+    doc["metric"][0][1] = doc["metric"][1][0] = "0.1*$1"
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(doc)
+    assert str(err.value) == ("reference '$1' names none of 1 defs "
+                              "(offset 4) (at /metric/0/1)")
+    assert err.value.pointer == "/metric/0/1"
+
+
+def test_a_bare_dollar_is_an_unexpected_character():
+    doc = doc_for("torus_wind")
+    doc["defs"] = ["cos(x3)"]
+    doc["metric"][2][2] = "1 + $"
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(doc)
+    assert str(err.value) == (
+        "unexpected character '$' (offset 4) (at /metric/2/2)")
+
+
+def test_defs_must_be_non_empty_strings():
+    doc = doc_for("torus_wind")
+    doc["defs"] = ["x1", ""]
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(doc)
+    assert err.value.pointer == "/defs/1"
+
+
+def test_nesting_too_deep_to_parse_is_rejected_at_load():
+    doc = doc_for("euclid_parallel")
+    doc["metric"][0][0] = "(" * 3000 + "1" + ")" * 3000
+    with pytest.raises(ScenarioError, match="nested deeper") as err:
+        load_scenario(doc)
+    assert err.value.pointer == "/metric/0/0"
+
+
+def test_a_chain_of_defs_too_deep_is_rejected_at_load():
+    doc = doc_for("euclid_parallel")
+    # def k is k + 1 levels deep
+    doc["defs"] = ["x1"] + [f"${k} + 1" for k in range(3000)]
+    doc["metric"][0][0] = "1 + 0*$3000"
+    with pytest.raises(ScenarioError, match="nested deeper") as err:
+        load_scenario(doc)
+    assert err.value.pointer == f"/defs/{MAX_DEPTH}"
+
+
+def test_a_chain_of_defs_at_the_depth_bound_runs():
+    from kropina.workbench import run_check, run_verify
+
+    doc = doc_for("torus_wind")
+    doc["defs"] = ["x1"] + [f"${k} + 1" for k in range(MAX_DEPTH - 4)]
+    doc["metric"][2][2] = f"1 + 0.1*cos(x2) + 0*${MAX_DEPTH - 4}"
+    sc = load_scenario(doc)
+    assert run_check(sc).verdict == run_check("torus_wind").verdict
+    assert run_verify(sc, points=1, dirs=2, mc_samples=200).verdict == "PASS"
 
 
 def test_gauge_rejected_in_ab_representation():
@@ -385,9 +471,9 @@ def test_load_parses_each_distinct_string_once(monkeypatch):
     parsed = []
     real = scenarios.parse_expr
 
-    def counting(text, dim, groups=None):
+    def counting(text, dim, refs=()):
         parsed.append(text)
-        return real(text, dim, groups)
+        return real(text, dim, refs)
 
     monkeypatch.setattr(scenarios, "parse_expr", counting)
     for source in ("torus_wind", "s3_hopf", "random:3"):

@@ -24,10 +24,6 @@ between two checkouts is then:
     python3 tools/report_bytes.py --src ../other/src > before.json
     python3 tools/report_bytes.py --against before.json
 
-The round-tripped documents of the ab scenarios (torus_wind, random:3)
-hold large derived trees; a kropina that does not share equal subtrees
-needs minutes to check and verify them.
-
 Uses only the standard library and kropina; it is not part of the test
 suite.
 """
