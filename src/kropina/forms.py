@@ -45,7 +45,7 @@ from .expr import (
     parse_expr,
 )
 from .generic import ConicDomainError, FinslerEvaluator
-from .jets import Jet, JetDomainError, jet_solve
+from .jets import Jet, JetDomainError, graded_solve
 from .riemann import (
     FieldPoint,
     MetricPoint,
@@ -766,19 +766,21 @@ def _sigma_bh_value(space: KropinaSpace, env):
             raise GaugeError("degenerate view metric or gauge")
         return math.sqrt(det) * (2.0 / float(b)) ** n
     sp = jet.space
-    rows = [
-        [e if isinstance(e, Jet) else sp.constant(float(e)) for e in row]
-        for row in rows
-    ]
+    A = np.zeros((n * n, sp.ncoef))
+    for k, e in enumerate(vals):
+        if isinstance(e, Jet):
+            A[k] = e.coef
+        else:
+            A[k, 0] = float(e)
     if not isinstance(b, Jet):
         b = sp.constant(float(b))
     try:
-        det = jet_solve(rows, [])[1]
+        _, log_det = graded_solve(sp, A.reshape(n, n, -1))
     except JetDomainError:
         raise GaugeError("degenerate view metric or gauge") from None
-    if det.value <= 0.0 or b.value <= 0.0:
+    if b.value <= 0.0:
         raise GaugeError("degenerate view metric or gauge")
-    return det.sqrt() * (b.reciprocal() * 2.0) ** n
+    return Jet(sp, log_det * 0.5).exp() * (b.reciprocal() * 2.0) ** n
 
 
 def sigma_bh(space: KropinaSpace, x) -> float:

@@ -8,7 +8,11 @@ cross-check for closed-form implementations.
 
 The curvature of the spray needs second derivatives of the geodesic
 coefficients, which themselves hold second derivatives of F^2, so the
-full pipeline works with jets of total order four.
+full pipeline works with jets of total order four.  Only F and F^2 are
+Jet expressions.  Below them the pipeline works on stacked coefficient
+arrays: the metric jets and the spray's right-hand side are gathers of
+the F^2 jet, one graded_solve gives the spray and log det g, and the
+Riemann curvature and S are array expressions over those.
 """
 import math
 from dataclasses import dataclass
@@ -16,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .jets import Jet, JetDomainError, jet_space, jet_solve
+from .jets import Jet, JetDomainError, graded_solve, jet_space
 from .riemann import SingularMetricError, _extract, eval_component_jets
 
 
@@ -84,57 +88,43 @@ def _check_invertible(g: np.ndarray, what="fundamental tensor"):
         raise SingularMetricError(f"{what} is numerically singular")
 
 
-def _metric_jets(f2: Jet, n: int):
-    """g_ij = (1/2) [F^2]_{y^i y^j} as jets two orders below f2."""
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if j < i:
-                row.append(rows[j][i])
-            else:
-                row.append(f2.deriv(n + i).deriv(n + j) * 0.5)
-        rows.append(row)
-    return rows
+def _spray_system(f4: Jet, y, n: int):
+    """(g, rhs): the metric jets g_ij = (1/2) [F^2]_{y^i y^j} and the
+    spray's right-hand side [F^2]_{x^k y^l} y^k - [F^2]_{x^l}, as
+    coefficient arrays over the 2n variables two orders below the F^2
+    jet f4, so that g (4 G) = rhs.
+
+    g, [F^2]_{x^k y^l} and [F^2]_{x^l} are each one gather from f4.  The
+    products with the y seeds round as Jet's do, a value term plus a
+    shift, and the sum over k runs in order, so rhs has the bits of the
+    jet expression.
+    """
+    space = f4.space
+    lo = jet_space(2 * n, space.order - 2)
+    src, scale1, scale2 = space.second_partials
+    d2 = f4.coef[src[:, n:]] * scale1[:, n:] * scale2[:, n:]
+    dxy = d2[:n]
+    c1 = lo._deriv_src.shape[1]
+    terms = dxy * np.asarray(y, dtype=float)[:, None, None] + 0.0
+    terms[np.arange(n)[:, None, None], np.arange(n)[None, :, None],
+          lo._deriv_src[n:, None, :]] += dxy[:, :, :c1]
+    dx = (f4.coef[space._deriv_src[:n, :lo.ncoef]]
+          * space._deriv_scale[:n, :lo.ncoef])
+    return d2[n:] * 0.5, np.add.reduce(terms, axis=0) - dx
 
 
-def _spray_jets(g, f2: Jet, y):
-    """(G^i, det g): the spray as jets over the 2n variables, two orders
-    below f2, from the metric jets g of the same f2, and the determinant
-    of g from the same elimination."""
-    n = len(g)
-    order = f2.space.order - 2
-    space_lo = jet_space(2 * n, order)
-    yj = [space_lo.variable(n + k, y[k]) for k in range(n)]
-    rhs = []
-    for l in range(n):
-        acc = space_lo.constant(0.0)
-        for k in range(n):
-            acc = acc + f2.deriv(k).deriv(n + l) * yj[k]
-        rhs.append(acc - f2.deriv(l).truncate(order))
-    try:
-        w, det = jet_solve(g, rhs)
-    except JetDomainError as e:
-        raise SingularMetricError(str(e)) from e
-    return [wi * 0.25 for wi in w], det
-
-
-def _riemann_from_spray_jets(Gj, y, n: int) -> np.ndarray:
+def _riemann_from_spray(G: np.ndarray, y, n: int) -> np.ndarray:
     """R^i_k = 2 G^i_{x^k} - y^m G^i_{x^m y^k} + 2 G^m G^i_{y^m y^k}
-    - G^i_{y^m} G^m_{y^k}, with the second partials of all G^i gathered
-    through the jet space's table."""
-    Gv = np.array([G.value for G in Gj])
-    dGx = np.empty((n, n))
-    dGy = np.empty((n, n))
-    for i in range(n):
-        grad = Gj[i].gradient()
-        dGx[i] = grad[:n]
-        dGy[i] = grad[n:]
-    sp = Gj[0].space
-    coef = np.array([G.coef for G in Gj])
+    - G^i_{y^m} G^m_{y^k}, from the spray's (n, ncoef) coefficient array
+    over the 2n variables, second partials gathered through the jet
+    space's table."""
+    Gv = G[:, 0]
+    dGx = G[:, 1:1 + n]
+    dGy = G[:, 1 + n:1 + 2 * n]
+    sp = jet_space(2 * n, 2)
     pos = sp.hessian_positions
-    d2xy = coef[:, pos[:n, n:]] * sp.factorial[pos[:n, n:]]
-    d2yy = coef[:, pos[n:, n:]] * sp.factorial[pos[n:, n:]]
+    d2xy = G[:, pos[:n, n:]] * sp.factorial[pos[:n, n:]]
+    d2yy = G[:, pos[n:, n:]] * sp.factorial[pos[n:, n:]]
     yv = np.asarray(y, dtype=float)
     return (
         2.0 * dGx
@@ -155,15 +145,28 @@ def _sigma_jet(sigma: Callable, x, n: int, order: int) -> Jet:
     return s
 
 
-def _s_jet(tau: Jet, Gj, y, n: int) -> Jet:
-    """S = y^m tau_{x^m} - 2 G^m tau_{y^m} as a first-order jet."""
-    space1 = jet_space(2 * n, 1)
-    s_jet = space1.constant(0.0)
-    for m in range(n):
-        ym = space1.variable(n + m, y[m])
-        s_jet = (s_jet + ym * tau.deriv(m)
-                 - Gj[m].truncate(1) * tau.deriv(n + m) * 2.0)
-    return s_jet
+def _s_jet(tau: np.ndarray, G: np.ndarray, y, n: int) -> np.ndarray:
+    """S = y^m tau_{x^m} - 2 G^m tau_{y^m} as a first-order coefficient
+    array, from the order-2 arrays of tau and the spray.
+
+    Each product rounds as Jet's does, a seed product as a value term
+    plus a shift and G^m tau_{y^m} as the triple table's bincount, and
+    the 2n terms are summed in the order of the jet expression.
+    """
+    sp = jet_space(2 * n, 2)
+    c1 = 1 + 2 * n
+    d = tau[sp._deriv_src] * sp._deriv_scale
+    tx, ty = d[:n], d[n:]
+    m = np.arange(n)
+    seeded = tx * np.asarray(y, dtype=float)[:, None] + 0.0
+    seeded[m, 1 + n + m] += tx[:, 0]
+    g1 = G[:, :c1]
+    drift = 0.0 + g1[:, :1] * ty
+    drift[:, 1:] += g1[:, 1:] * ty[:, :1]
+    terms = np.empty((2 * n, c1))
+    terms[0::2] = seeded
+    terms[1::2] = -(drift * 2.0)
+    return np.add.reduce(terms, axis=0)
 
 
 @dataclass(frozen=True)
@@ -219,33 +222,29 @@ def generic_point(
 
 def _hess_form(point: GenericPoint, y, G) -> float:
     """f_{x^i x^j} y^i y^j - 2 f_{x^i} G^i for a given spray value G."""
-    n = len(y)
-    acc = 0.0
-    for i in range(n):
-        for j in range(n):
-            acc += point.weight_hess[i, j] * y[i] * y[j]
-    return float(acc - 2.0 * np.dot(point.weight_grad, G))
+    yv = np.asarray(y, dtype=float)
+    return float(yv @ point.weight_hess @ yv
+                 - 2.0 * np.dot(point.weight_grad, G))
 
 
-def _tau(half_log_det: Jet, log_sigma: Optional[Jet]) -> Jet:
-    """tau = ln(sqrt(det g_ij) / sigma) as an order-2 jet."""
+def _tau(half_log_det: np.ndarray, log_sigma: Optional[Jet]) -> np.ndarray:
+    """tau = ln(sqrt(det g_ij) / sigma) as an order-2 coefficient array."""
     if log_sigma is None:
         raise ValueError("volume density must be positive")
-    return half_log_det - log_sigma
+    return half_log_det - log_sigma.coef
 
 
 def curvature_sample(point: GenericPoint, y) -> CurvatureSample:
     """Full curvature bundle at (x, y): the generic pipeline's one entry.
 
-    One order-4 jet of F^2 feeds everything.  One elimination of its
-    metric jets (order 2) gives the spray jets and det g, which feeds
-    the distortion; the spray jets give G, N and the Riemann
-    curvature; the distortion jet and the same spray
-    jets give S as a first-order jet, whose horizontal derivative is
-    Sdot.  S, tau and Sdot refer to the point's density; s_bh is S
-    from its own tau_BH = ln sqrt(det g) - ln sigma_BH when the point
-    carries the unit-ball density, and hess_f the geodesic Hessian form
-    of the point's weight.
+    One order-4 jet of F^2 feeds everything.  One graded solve of its
+    metric jets (order 2) gives the spray and log det g, which feeds
+    the distortion; the spray gives G, N and the Riemann curvature; the
+    distortion and the same spray give S as a first-order jet, whose
+    horizontal derivative is Sdot.  S, tau and Sdot refer to the
+    point's density; s_bh is S from its own tau_BH = ln sqrt(det g) -
+    ln sigma_BH when the point carries the unit-ball density, and hess_f
+    the geodesic Hessian form of the point's weight.
     """
     F = point.F
     _check_domain(point.domain, y, F.name)
@@ -255,23 +254,27 @@ def curvature_sample(point: GenericPoint, y) -> CurvatureSample:
     if not isinstance(f, Jet):
         f = space.constant(float(f))
     f4 = f * f
-    gj = _metric_jets(f4, n)
-    g = np.array([[m.value for m in row] for row in gj])
+    gj, rhs = _spray_system(f4, y, n)
+    g = gj[:, :, 0].copy()
     _check_invertible(g)
-    Gj, det = _spray_jets(gj, f4, y)
-    Gv = np.array([G.value for G in Gj])
-    N = np.array([G.gradient()[n:] for G in Gj])
-    R = _riemann_from_spray_jets(Gj, y, n)
-    if det.value <= 0.0:
-        raise SingularMetricError("nonpositive fundamental determinant")
-    half_log_det = det.log() * 0.5
+    try:
+        w, log_det = graded_solve(jet_space(2 * n, 2), gj, rhs)
+    except JetDomainError:
+        raise SingularMetricError(
+            "nonpositive fundamental determinant") from None
+    G = w * 0.25
+    Gv = G[:, 0].copy()
+    N = G[:, 1 + n:1 + 2 * n].copy()
+    R = _riemann_from_spray(G, y, n)
+    half_log_det = log_det * 0.5
     tau = _tau(half_log_det, point.log_sigma)
-    s_jet = _s_jet(tau, Gj, y, n)
-    grad = s_jet.gradient()
+    s_jet = _s_jet(tau, G, y, n)
+    grad = s_jet[1:1 + 2 * n]
     sdot = float(np.dot(y, grad[:n]) - 2.0 * np.dot(Gv, grad[n:]))
     s_bh = None
     if point.log_sigma_bh is not None:
-        s_bh = _s_jet(_tau(half_log_det, point.log_sigma_bh), Gj, y, n).value
+        tau_bh = _tau(half_log_det, point.log_sigma_bh)
+        s_bh = float(_s_jet(tau_bh, G, y, n)[0])
     hess = _hess_form(point, y, Gv) if point.weight_hess is not None else None
     return CurvatureSample(
         x=point.x,
@@ -281,8 +284,8 @@ def curvature_sample(point: GenericPoint, y) -> CurvatureSample:
         connection=N,
         riemann=R,
         ricci=float(np.trace(R)),
-        tau=tau.value,
-        s=s_jet.value,
+        tau=float(tau[0]),
+        s=float(s_jet[0]),
         sdot=sdot,
         hess_f=hess,
         s_bh=s_bh,

@@ -13,10 +13,13 @@ keeps the n = 4, K = 4 case (495 coefficients) in the tens of
 microseconds.  A product with a coordinate seed (``JetSpace.variable``)
 is a scaled copy plus a shift instead, with the same bits.
 
-Jet matrices are eliminated in one place, ``jet_solve``: Gauss-Jordan
-with pivots chosen by base value.  It returns the determinant with the
-solution, as the signed product of its pivots, so a matrix that needs
-both is eliminated once.
+Jet matrices are eliminated in one place, ``graded_solve``, on stacked
+coefficient arrays rather than entry by entry: one inverse of the
+matrix's base value, then a truncated Neumann series for the solution
+and a truncated log series for log det, each term one einsum over the
+triple table.  ``JetSpace.second_partials`` gathers all second-partial
+jets of a jet at once, so the callers build their matrices without a
+loop of jet operations.
 """
 from __future__ import annotations
 
@@ -84,29 +87,30 @@ class JetSpace:
                 ii.append(i)
                 jj.append(j)
                 kk.append(self.position[gamma])
-        self._mi = np.array(ii, dtype=np.intp)
-        self._mj = np.array(jj, dtype=np.intp)
-        self._mk = np.array(kk, dtype=np.intp)
+        # grouped by k, keeping the (i, j) order within each group, so a
+        # bincount sums in the same order and np.add.reduceat can sum
+        # the groups from their starts
+        by_k = np.argsort(kk, kind="stable")
+        self._mi = np.array(ii, dtype=np.intp)[by_k]
+        self._mj = np.array(jj, dtype=np.intp)[by_k]
+        self._mk = np.array(kk, dtype=np.intp)[by_k]
+        self._k_starts = np.searchsorted(self._mk, np.arange(self.ncoef))
 
     def _build_deriv_maps(self):
         # deriv along v maps this space onto jet_space(nvars, order - 1):
+        # coef'[t] = coef[_deriv_src[v, t]] * _deriv_scale[v, t], that is
         # coef'[pos(g)] = coef[pos(g + e_v)] * (g_v + 1)
-        self._deriv_src = []
-        self._deriv_scale = []
-        if self.order == 0:
-            return
-        lower = _graded_indices(self.nvars, self.order - 1)
+        lower = (_graded_indices(self.nvars, self.order - 1)
+                 if self.order else [])
+        self._deriv_src = np.empty((self.nvars, len(lower)), dtype=np.intp)
+        self._deriv_scale = np.empty((self.nvars, len(lower)))
         for v in range(self.nvars):
-            src = np.empty(len(lower), dtype=np.intp)
-            scale = np.empty(len(lower), dtype=float)
             for t, gamma in enumerate(lower):
                 bumped = tuple(
                     e + 1 if w == v else e for w, e in enumerate(gamma)
                 )
-                src[t] = self.position[bumped]
-                scale[t] = gamma[v] + 1.0
-            self._deriv_src.append(src)
-            self._deriv_scale.append(scale)
+                self._deriv_src[v, t] = self.position[bumped]
+                self._deriv_scale[v, t] = gamma[v] + 1.0
 
     @cached_property
     def hessian_positions(self) -> np.ndarray:
@@ -122,6 +126,23 @@ class JetSpace:
                 idx[b] += 1
                 pos[a, b] = self.position[tuple(idx)]
         return pos
+
+    @cached_property
+    def second_partials(self) -> tuple:
+        """(src, scale1, scale2), each (nvars, nvars, ncoef two orders
+        lower): coef[src[v, w]] * scale1[v, w] * scale2[v, w] is the
+        coefficient array of the second partial along v and w, the
+        derivative along min(v, w) taken first and rounded first, so
+        all second-partial jets of a jet are one gather."""
+        if self.order < 2:
+            raise JetOrderError("second partials need a jet of order 2 or more")
+        lower = jet_space(self.nvars, self.order - 1)
+        v, w = np.indices((self.nvars, self.nvars))
+        first, then = np.minimum(v, w), np.maximum(v, w)
+        inner = lower._deriv_src[then]
+        src = self._deriv_src[first[..., None], inner]
+        scale1 = self._deriv_scale[first[..., None], inner]
+        return src, scale1, lower._deriv_scale[then]
 
     def constant(self, value: float) -> "Jet":
         coef = np.zeros(self.ncoef)
@@ -174,28 +195,6 @@ class Jet:
             )
         p = self.space.position[idx]
         return float(self.coef[p] * self.space.factorial[p])
-
-    def gradient(self) -> np.ndarray:
-        """All first partials as a vector."""
-        if self.space.order < 1:
-            raise JetOrderError("order-0 jet has no first derivatives")
-        return self.coef[1 : 1 + self.space.nvars].copy()
-
-    def deriv(self, v: int) -> "Jet":
-        """The partial derivative along variable v, as a jet one order lower."""
-        if self.space.order == 0:
-            raise JetOrderError("cannot differentiate an order-0 jet")
-        lower = jet_space(self.space.nvars, self.space.order - 1)
-        coef = self.coef[self.space._deriv_src[v]] * self.space._deriv_scale[v]
-        return Jet(lower, coef)
-
-    def truncate(self, order: int) -> "Jet":
-        if order > self.space.order:
-            raise JetOrderError("cannot truncate upward")
-        if order == self.space.order:
-            return self
-        lower = jet_space(self.space.nvars, order)
-        return Jet(lower, self.coef[: lower.ncoef].copy())
 
     # -- ring operations -------------------------------------------------
 
@@ -372,42 +371,57 @@ class _Seed(Jet):
 # -- small dense linear algebra over the jet ring -------------------------
 
 
-def jet_solve(A, rhs):
-    """Solve A u = rhs over the jet ring by Gauss-Jordan elimination.
+def _scatter(space: JetSpace, prod: np.ndarray) -> np.ndarray:
+    """Sum products (..., T) over the triple table into coefficient
+    arrays (..., ncoef): every coefficient has a triple (0, k), so each
+    group of the k-sorted table is one non-empty reduceat segment."""
+    return np.add.reduceat(prod, space._k_starts, axis=-1)
 
-    A is an n x n nested list of jets, rhs a length-n list of jets, or
-    empty to ask for the determinant alone.  Pivots are chosen by largest
-    base value; a zero pivot raises JetDomainError.  Returns (u, det A),
-    det A being the product of the final pivots, negated once per row
-    swap.
+
+def graded_solve(space: JetSpace, A: np.ndarray, rhs=None):
+    """Solve A X = rhs over the jet ring and take log det A.
+
+    A is an (n, n, ncoef) array of coefficient arrays of the space, rhs
+    an (n, ncoef) array or None.  With A0 the float matrix of base
+    values and E = A0^-1 (A - A0), E has no constant term, so E^k
+    vanishes for k > K, the space's order, and in truncated arithmetic
+    exactly
+
+        A^-1 = sum_{k=0..K} (-E)^k A0^-1,
+        log det A = log det A0 + sum_{k=1..K} (-1)^(k+1) tr(E^k) / k.
+
+    One inverse of A0 gives E and X0 = A0^-1 rhs as separate products,
+    so log det A has the same bits with or without rhs.  The solution is
+    X0 - E(X0 - E(X0 - ...)), K jet mat-vecs, each one einsum over the
+    triple table and one scatter; tr(E^k) needs only the trace of the
+    last product.  Returns (X, log det A), X None without rhs.  A base
+    determinant that is not positive and finite raises JetDomainError.
     """
-    n = len(A)
-    M = [row[:] for row in A]
-    b = rhs[:]
-    inv_pivs = []
-    sign = 1.0
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(M[r][col].value))
-        if M[piv][col].value == 0.0:
-            raise JetDomainError("singular jet matrix (zero pivot base value)")
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            sign = -sign
-            if b:
-                b[col], b[piv] = b[piv], b[col]
-        inv_piv = M[col][col].reciprocal()
-        inv_pivs.append(inv_piv)
-        for r in range(n):
-            if r == col:
-                continue
-            factor = M[r][col] * inv_piv
-            for c in range(col, n):
-                M[r][c] = M[r][c] - factor * M[col][c]
-            if b:
-                b[r] = b[r] - factor * b[col]
-    # row col is final once its column is eliminated, so M[i][i] is the
-    # final pivot of row i and inv_pivs[i] its reciprocal
-    det = M[0][0]
-    for i in range(1, n):
-        det = det * M[i][i]
-    return [b[i] * inv_pivs[i] for i in range(len(b))], det * sign
+    n = A.shape[0]
+    A0 = A[:, :, 0]
+    sign, log_det0 = np.linalg.slogdet(A0)
+    if not (sign > 0.0 and math.isfinite(log_det0)):
+        raise JetDomainError(
+            "jet matrix whose base value has no positive finite determinant")
+    inv = np.linalg.inv(A0)
+    rest = A.copy()
+    rest[:, :, 0] = 0.0
+    E = (inv @ rest.reshape(n, -1)).reshape(A.shape)
+    Ei, Ej = E[:, :, space._mi], E[:, :, space._mj]
+    log_det = np.einsum("iit->t", E)
+    log_det[0] = log_det0
+    power_i = Ei  # E^(k-1), gathered along the triple table's first index
+    for k in range(2, space.order + 1):
+        # tr(E^k) = sum_ij (E^(k-1))_ij E_ji, without forming E^k
+        trace = _scatter(space, np.einsum("ijt,jit->t", power_i, Ej))
+        log_det += trace * ((-1.0) ** (k + 1) / k)
+        if k < space.order:
+            power = _scatter(space, np.einsum("ijt,jlt->ilt", power_i, Ej))
+            power_i = power[:, :, space._mi]
+    if rhs is None:
+        return None, log_det
+    X0 = inv @ rhs
+    X = X0
+    for _ in range(space.order):
+        X = X0 - _scatter(space, np.einsum("ijt,jt->it", Ei, X[:, space._mj]))
+    return X, log_det

@@ -51,6 +51,7 @@ class ScenarioError(ValueError):
     def __init__(self, message, pointer=""):
         suffix = f" (at {pointer})" if pointer else ""
         super().__init__(f"{message}{suffix}")
+        self.reason = message
         self.pointer = pointer
 
 
@@ -586,8 +587,8 @@ def random_scenario(seed, dimension=3):
     every generated scenario is admissible; the same seed reproduces the
     same document byte for byte.
     """
-    if dimension not in (2, 3, 4):
-        raise ScenarioError("random scenarios support dimensions 2..4")
+    if dimension not in (2, 3, 4, 5, 6):
+        raise ScenarioError("random scenarios support dimensions 2..6")
     n = dimension
     rng = np.random.default_rng([int(seed), 0x5EED])
 

@@ -49,6 +49,7 @@ from .generic import (
 from .reports import ReportDocument, exit_code_for, merge_verdicts
 from .scenarios import (
     COMPARISON_CUTOFF,
+    ScenarioError,
     load_scenario,
     scenario_samples,
 )
@@ -360,7 +361,16 @@ def run_convert(scenario, to, gauge=None, seed=None):
             emitted["defs"] = defs
 
     with doc.timed("validate"):
-        conv_space = load_scenario(emitted).space()
+        try:
+            conv_space = load_scenario(emitted).space()
+        except ScenarioError as e:
+            # the pointer is into the emitted document, which the caller
+            # has not seen: say so instead of passing it on as theirs
+            where = (f" (at {e.pointer} of the emitted document)"
+                     if e.pointer else "")
+            raise ScenarioError(
+                f"converted document {emitted['name']!r} does not load: "
+                f"{e.reason}{where}") from None
 
     tol = scenario.tolerance("convert", 1e-10)
     src_f = finsler_evaluator(space)

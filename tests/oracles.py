@@ -6,15 +6,22 @@ a test can hold the package's route against it:
 - spray_generic: the order-2 spray by a dense linear solve, against
   curvature_sample's jet-solved spray; geodesic_flow integrates it;
 - curvature_sample_oracle: the whole curvature bundle at one (x, y)
-  computed from scratch, x-only work included, with second partials
-  read one Jet.partial at a time; the staged generic_point +
-  curvature_sample route must equal it bit for bit;
-- jet_det: a jet matrix determinant by the n!-term Leibniz sum,
-  against the signed pivot product jet_solve returns;
+  computed from scratch with jets, x-only work included, with second
+  partials read one Jet.partial at a time.  With eliminate_graded (the
+  package's graded_solve on the stacked jets) the staged generic_point
+  + curvature_sample route must equal it bit for bit; with
+  eliminate_gauss_jordan it is the Gauss-Jordan route the package's
+  sample must agree with;
+- jet_solve: Gauss-Jordan elimination over the jet ring, returning the
+  determinant as the signed pivot product, against graded_solve;
+- jet_det: a jet matrix determinant by the n!-term Leibniz sum;
 - jet_inverse: a jet matrix inverse through jet_solve;
 - jet_solve_reference: jet_solve dividing by a fresh reciprocal of
   each final pivot, against jet_solve's reuse of the pivot
   reciprocals;
+- deriv, gradient and truncate: a jet's partial derivative along one
+  variable, its first partials and its lower-order part, which the
+  jet routes above are built from;
 - rs_from_RS: drift contractions from navigation data, against the
   drift bundle of the (alpha, beta) view;
 - nav_evaluator: F from the navigation view (h, W), the twin of the
@@ -94,10 +101,15 @@ from kropina.generic import (
     CurvatureSample,
     FinslerEvaluator,
     _check_invertible,
-    _metric_jets,
     _sigma_jet,
 )
-from kropina.jets import Jet, JetDomainError, jet_solve, jet_space
+from kropina.jets import (
+    Jet,
+    JetDomainError,
+    JetOrderError,
+    graded_solve,
+    jet_space,
+)
 from kropina.riemann import (
     FieldPoint,
     MetricPoint,
@@ -125,6 +137,32 @@ def _unit2(n2: int, a: int, b=None) -> tuple:
     return tuple(idx)
 
 
+def gradient(jet: Jet) -> np.ndarray:
+    """All first partials of a jet as a vector."""
+    if jet.space.order < 1:
+        raise JetOrderError("order-0 jet has no first derivatives")
+    return jet.coef[1:1 + jet.space.nvars].copy()
+
+
+def deriv(jet: Jet, v: int) -> Jet:
+    """The partial derivative along variable v, as a jet one order lower."""
+    space = jet.space
+    if space.order == 0:
+        raise JetOrderError("cannot differentiate an order-0 jet")
+    lower = jet_space(space.nvars, space.order - 1)
+    return Jet(lower, jet.coef[space._deriv_src[v]] * space._deriv_scale[v])
+
+
+def truncate(jet: Jet, order: int) -> Jet:
+    """The jet with its coefficients above the given order dropped."""
+    if order > jet.space.order:
+        raise JetOrderError("cannot truncate upward")
+    if order == jet.space.order:
+        return jet
+    lower = jet_space(jet.space.nvars, order)
+    return Jet(lower, jet.coef[:lower.ncoef].copy())
+
+
 def f2_jet(F: FinslerEvaluator, x, y, order: int) -> Jet:
     """F^2 as a jet in the 2n variables (x, y), seeded at the base point."""
     n = F.dim
@@ -136,21 +174,58 @@ def f2_jet(F: FinslerEvaluator, x, y, order: int) -> Jet:
     return f * f
 
 
-def spray_jets(F: FinslerEvaluator, y, f2: Jet):
+def metric_jets(f2: Jet, n: int):
+    """g_ij = (1/2) [F^2]_{y^i y^j} as a nested list of jets two orders
+    below f2, each a deriv of a deriv."""
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            if j < i:
+                row.append(rows[j][i])
+            else:
+                row.append(deriv(deriv(f2, n + i), n + j) * 0.5)
+        rows.append(row)
+    return rows
+
+
+def eliminate_graded(A, rhs):
+    """(A^-1 rhs, log det A) for a nested list of jets A and a list of
+    jets rhs (empty for log det alone), through the package's
+    graded_solve on their stacked coefficients."""
+    space = A[0][0].space
+    X, log_det = graded_solve(
+        space, np.array([[e.coef for e in row] for row in A]),
+        np.array([r.coef for r in rhs]) if rhs else None)
+    return [Jet(space, row) for row in ([] if X is None else X)], Jet(
+        space, log_det)
+
+
+def eliminate_gauss_jordan(A, rhs):
+    """eliminate_graded's pair by jet_solve's Gauss-Jordan elimination,
+    log det A the log of its signed pivot product."""
+    u, det = jet_solve(A, rhs)
+    if det.value <= 0.0:
+        raise JetDomainError(
+            "jet matrix whose base value has no positive finite determinant")
+    return u, det.log()
+
+
+def spray_jets(F: FinslerEvaluator, y, f2: Jet, eliminate=eliminate_graded):
     """G^i as jets over the 2n variables, two orders below f2."""
     n = F.dim
     order = f2.space.order - 2
-    g = _metric_jets(f2, n)
+    g = metric_jets(f2, n)
     space_lo = jet_space(2 * n, order)
     yj = [space_lo.variable(n + k, y[k]) for k in range(n)]
     rhs = []
     for l in range(n):
         acc = space_lo.constant(0.0)
         for k in range(n):
-            acc = acc + f2.deriv(k).deriv(n + l) * yj[k]
-        rhs.append(acc - f2.deriv(l).truncate(order))
+            acc = acc + deriv(deriv(f2, k), n + l) * yj[k]
+        rhs.append(acc - truncate(deriv(f2, l), order))
     try:
-        w, _ = jet_solve(g, rhs)
+        w, _ = eliminate(g, rhs)
     except JetDomainError as e:
         raise SingularMetricError(str(e)) from e
     return [wi * 0.25 for wi in w]
@@ -164,7 +239,7 @@ def riemann_from_spray_jets(Gj, y, n: int) -> np.ndarray:
     d2xy = np.empty((n, n, n))
     d2yy = np.empty((n, n, n))
     for i in range(n):
-        grad = Gj[i].gradient()
+        grad = gradient(Gj[i])
         dGx[i] = grad[:n]
         dGy[i] = grad[n:]
         for m in range(n):
@@ -180,38 +255,42 @@ def riemann_from_spray_jets(Gj, y, n: int) -> np.ndarray:
     )
 
 
-def tau_jet(F, sigma, x, f2: Jet) -> Jet:
+def tau_jet(F, sigma, x, f2: Jet, eliminate=eliminate_graded) -> Jet:
     """tau = ln(sqrt(det g_ij) / sigma) as a jet two orders below f2."""
     n = F.dim
     order = f2.space.order - 2
-    det = jet_solve(_metric_jets(f2, n), [])[1]
-    if det.value <= 0.0:
-        raise SingularMetricError("nonpositive fundamental determinant")
+    try:
+        _, log_det = eliminate(metric_jets(f2, n), [])
+    except JetDomainError:
+        raise SingularMetricError(
+            "nonpositive fundamental determinant") from None
     sj = _sigma_jet(sigma, x, n, order)
     if sj.value <= 0.0:
         raise ValueError("volume density must be positive")
-    return det.log() * 0.5 - sj.log()
+    return log_det * 0.5 - sj.log()
 
 
 def hess_form(f, x, y, G, n: int) -> float:
-    """f_{x^i x^j} y^i y^j - 2 f_{x^i} G^i for a given spray value G."""
+    """f_{x^i x^j} y^i y^j - 2 f_{x^i} G^i for a given spray value G,
+    the Hessian read one Jet.partial at a time."""
     space = jet_space(n, 2)
     seeds = space.seed(list(x))
     fj = eval_expr(f, seeds) if isinstance(f, ExprAst) else f(seeds)
     if not isinstance(fj, Jet):
         fj = space.constant(float(fj))
-    acc = 0.0
-    for i in range(n):
-        for j in range(n):
-            acc += fj.partial(_unit2(n, i, j)) * y[i] * y[j]
-    return float(acc - 2.0 * np.dot(fj.gradient(), G))
+    hess = np.array([[fj.partial(_unit2(n, i, j)) for j in range(n)]
+                     for i in range(n)])
+    yv = np.asarray(y, dtype=float)
+    return float(yv @ hess @ yv - 2.0 * np.dot(gradient(fj), G))
 
 
 def curvature_sample_oracle(
-    F: FinslerEvaluator, sigma, x, y, f=None, bh=None
+    F: FinslerEvaluator, sigma, x, y, f=None, bh=None,
+    eliminate=eliminate_graded,
 ) -> CurvatureSample:
     """The curvature bundle at (x, y), every stage computed for this
-    direction alone; s_bh is the S of a second sample against bh."""
+    direction alone, with jets; s_bh is the S of a second sample against
+    bh.  The jet matrix g is eliminated by eliminate."""
     _check_domain(F, x, y)
     n = F.dim
     f4 = f2_jet(F, x, y, 4)
@@ -220,24 +299,24 @@ def curvature_sample_oracle(
         for j in range(i, n):
             g[i, j] = g[j, i] = 0.5 * f4.partial(_unit2(2 * n, n + i, n + j))
     _check_invertible(g)
-    Gj = spray_jets(F, y, f4)
+    Gj = spray_jets(F, y, f4, eliminate)
     Gv = np.array([G.value for G in Gj])
-    N = np.array([G.gradient()[n:] for G in Gj])
+    N = np.array([gradient(G)[n:] for G in Gj])
     R = riemann_from_spray_jets(Gj, y, n)
-    tau = tau_jet(F, sigma, x, f4)
+    tau = tau_jet(F, sigma, x, f4, eliminate)
     # S = y^m tau_{x^m} - 2 G^m tau_{y^m}, kept as a first-order jet
     space1 = jet_space(2 * n, 1)
     s_jet = space1.constant(0.0)
     for m in range(n):
         ym = space1.variable(n + m, y[m])
-        s_jet = (s_jet + ym * tau.deriv(m)
-                 - Gj[m].truncate(1) * tau.deriv(n + m) * 2.0)
-    grad = s_jet.gradient()
+        s_jet = (s_jet + ym * deriv(tau, m)
+                 - truncate(Gj[m], 1) * deriv(tau, n + m) * 2.0)
+    grad = gradient(s_jet)
     sdot = float(np.dot(y, grad[:n]) - 2.0 * np.dot(Gv, grad[n:]))
     hess = hess_form(f, x, y, Gv, n) if f is not None else None
     s_bh = None
     if bh is not None:
-        s_bh = curvature_sample_oracle(F, bh, x, y).s
+        s_bh = curvature_sample_oracle(F, bh, x, y, eliminate=eliminate).s
     return CurvatureSample(
         x=np.asarray(x, dtype=float),
         y=np.asarray(y, dtype=float),
@@ -315,6 +394,47 @@ def geodesic_flow(F: FinslerEvaluator, x, y, t_end: float, steps: int) -> Geodes
     return GeodesicPath(np.linspace(0.0, t_end, steps + 1), pos, vel)
 
 
+def jet_solve(A, rhs):
+    """Solve A u = rhs over the jet ring by Gauss-Jordan elimination.
+
+    A is an n x n nested list of jets, rhs a length-n list of jets, or
+    empty to ask for the determinant alone.  Pivots are chosen by largest
+    base value; a zero pivot raises JetDomainError.  Returns (u, det A),
+    det A being the product of the final pivots, negated once per row
+    swap.
+    """
+    n = len(A)
+    M = [row[:] for row in A]
+    b = rhs[:]
+    inv_pivs = []
+    sign = 1.0
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(M[r][col].value))
+        if M[piv][col].value == 0.0:
+            raise JetDomainError("singular jet matrix (zero pivot base value)")
+        if piv != col:
+            M[col], M[piv] = M[piv], M[col]
+            sign = -sign
+            if b:
+                b[col], b[piv] = b[piv], b[col]
+        inv_piv = M[col][col].reciprocal()
+        inv_pivs.append(inv_piv)
+        for r in range(n):
+            if r == col:
+                continue
+            factor = M[r][col] * inv_piv
+            for c in range(col, n):
+                M[r][c] = M[r][c] - factor * M[col][c]
+            if b:
+                b[r] = b[r] - factor * b[col]
+    # row col is final once its column is eliminated, so M[i][i] is the
+    # final pivot of row i and inv_pivs[i] its reciprocal
+    det = M[0][0]
+    for i in range(1, n):
+        det = det * M[i][i]
+    return [b[i] * inv_pivs[i] for i in range(len(b))], det * sign
+
+
 def jet_solve_reference(A, rhs):
     """jet_solve as it divided before reusing its pivot reciprocals:
     the same elimination, then b[i] times a new reciprocal of M[i][i]."""
@@ -382,7 +502,7 @@ def rs_from_RS(space: KropinaSpace, x, y):
     fp = FieldPoint.from_exprs(mp, list(space.w), xs, order=1)
     wi = w_invariants_from_point(mp, fp)
     rj = eval_component_jets(space.rho, xs, 1)
-    rho_grad = np.asarray(rj.gradient())
+    rho_grad = np.asarray(gradient(rj))
     e2 = math.exp(-2.0 * rj.value)
     y = np.asarray(y, dtype=float)
     h2 = float(y @ mp.g @ y)

@@ -111,6 +111,25 @@ def test_exit_1_on_nesting_too_deep(tmp_path, capsys, defs, entry, pointer):
     assert f"(at {pointer}" in err and err.count("\n") == 1
 
 
+def test_exit_1_on_a_converted_document_nested_too_deep(tmp_path, capsys):
+    """A source within MAX_DEPTH (a 193-level def chain in metric/0/0)
+    whose conversion nests deeper: the one error line names the
+    converted document, and its pointer is marked as one into the
+    emitted document."""
+    doc = load_scenario("torus_wind").as_dict()
+    doc["defs"] = ["x1"] + [f"${k} + 1" for k in range(190)]
+    doc["metric"][0][0] = "1 + 0*$190"
+    path = write_scenario(tmp_path, doc)
+    load_scenario(path).space()
+    assert main(["convert", "--scenario", path, "--to", "nav"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "kropina: converted document 'torus_wind_nav' does not load: "
+        "expression nested deeper than 200 levels (at /defs/")
+    assert err.endswith(" of the emitted document)\n")
+    assert err.count("\n") == 1
+
+
 def test_exit_3_on_precondition(capsys):
     assert main(["check", "--scenario", "euclid_twist"]) == 3
     out = capsys.readouterr().out

@@ -441,12 +441,13 @@ def test_random_scenario_loads_and_samples():
 
 
 def test_random_scenario_dimensions():
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5, 6):
         sc = load_scenario(random_scenario(9, dimension=n))
         assert sc.dimension == n
         assert sc.space().dim == n
-    with pytest.raises(ScenarioError):
-        random_scenario(9, dimension=5)
+    for n in (1, 7):
+        with pytest.raises(ScenarioError):
+            random_scenario(9, dimension=n)
 
 
 def test_random_prefix_wants_integer():

@@ -241,9 +241,12 @@ def test_verify_random_scenario_within_ladder():
     assert doc.verdict == "PASS"
 
 
-@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("dim", [2, 4, 5, 6])
 def test_verify_random_scenario_of_other_dimensions(dim):
-    doc = run_verify(random_scenario(3, dimension=dim), points=2, dirs=5)
+    # order-4 jets in 2n variables: n = 6 takes about 1 s at 1 x 3
+    points, dirs = (2, 5) if dim <= 4 else (1, 3)
+    doc = run_verify(random_scenario(3, dimension=dim), points=points,
+                     dirs=dirs)
     assert doc.verdict == "PASS"
 
 
