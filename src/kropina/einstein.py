@@ -33,6 +33,7 @@ from .forms import (
     KropinaSpace,
     _require_unit_wind,
     ab_fields,
+    bh_volume_density,
     finsler_evaluator,
     isotropy_fit,
     kropina_ricci_closed,
@@ -187,34 +188,6 @@ def _generic_ric_ac(sample, cfg: WeightConfig):
     return val
 
 
-class GenericSamples:
-    """Generic curvature samples of one space against its weighted
-    density, each chart point staged once and each (x, y) sampled once.
-
-    The checkers of one run share one, so conditions that several
-    checkers evaluate at the same sample reuse it.
-    """
-
-    def __init__(self, space: KropinaSpace):
-        self.space = space
-        self._ev = finsler_evaluator(space)
-        self._dens = volume_density(space)
-        self._points = {}
-        self._samples = {}
-
-    def sample(self, x, y):
-        xkey = np.asarray(x, dtype=float).tobytes()
-        key = (xkey, np.asarray(y, dtype=float).tobytes())
-        cs = self._samples.get(key)
-        if cs is None:
-            point = self._points.get(xkey)
-            if point is None:
-                point = generic_point(self._ev, self._dens, x)
-                self._points[xkey] = point
-            cs = self._samples[key] = curvature_sample(point, y)
-        return cs
-
-
 def ric_ac(fields, cfg: WeightConfig, y):
     """Weighted Ricci curvature Ric + a*Sdot - c*S^2 at (x, y), from the
     drift-invariant closed forms; _generic_ric_ac is the generic
@@ -336,91 +309,43 @@ def _weighted_ricci(mp: MetricPoint, f, cfg: WeightConfig, fg, hf):
 # -- polynomial divisibility ----------------------------------------------------
 
 
-def _sym3(t):
-    out = np.zeros_like(t)
-    for p in itertools.permutations(range(3)):
-        out = out + t.transpose(p)
-    return out / 6.0
-
-
-def _sym4(t):
-    out = np.zeros_like(t)
-    for p in itertools.permutations(range(4)):
-        out = out + t.transpose(p)
-    return out / 24.0
-
-
-def _sym_vec_metric(v, a):
-    """Coefficient tensor of (v_i y^i)(a_jk y^j y^k), a symmetric."""
-    return (
-        np.einsum("i,jk->ijk", v, a)
-        + np.einsum("j,ik->ijk", v, a)
-        + np.einsum("k,ij->ijk", v, a)
-    ) / 3.0
-
-
-def _sym_mat_metric(q, a):
-    """Fully symmetric coefficient tensor of (q_ij y^i y^j)
-    (a_kl y^k y^l), both symmetric: all six ways to give q a slot
-    pair."""
-    return (
-        np.einsum("ij,kl->ijkl", q, a)
-        + np.einsum("ik,jl->ijkl", q, a)
-        + np.einsum("il,jk->ijkl", q, a)
-        + np.einsum("kl,ij->ijkl", q, a)
-        + np.einsum("jl,ik->ijkl", q, a)
-        + np.einsum("jk,il->ijkl", q, a)
-    ) / 6.0
+def _sym(t):
+    """The average of t over every permutation of its axes."""
+    perms = list(itertools.permutations(range(t.ndim)))
+    return sum(t.transpose(p) for p in perms) / len(perms)
 
 
 def poly_divisible_by_alpha2(coeffs, alpha):
     """Least-squares division of a homogeneous polynomial by the metric
     quadratic alpha^2.
 
-    coeffs is the coefficient tensor of a degree-2, 3 or 4 polynomial
-    (symmetrized here if it is not already); alpha is the metric as a
-    value matrix.  Returns (quotient coefficients, relative residual);
-    the residual decides divisibility at the caller's tolerance.  The
-    quotient is a scalar, covector or symmetric matrix according to the
-    degree.
+    coeffs is the coefficient tensor of a polynomial of degree d = 2, 3
+    or 4 (symmetrized here if it is not already); alpha is the metric as
+    a value matrix.  The quotient is the symmetric (d-2)-tensor q whose
+    product with alpha^2 fits best, over the basis of symmetric unit
+    tensors: a scalar, covector or symmetric matrix according to the
+    degree.  Returns (quotient, relative residual); the residual decides
+    divisibility at the caller's tolerance.
     """
     a = np.asarray(alpha, dtype=float)
     C = np.asarray(coeffs, dtype=float)
-    d = C.ndim
-    n = a.shape[0]
-    if d == 2:
-        C = 0.5 * (C + C.T)
-        col = a.ravel()
-        q = float(C.ravel() @ col) / float(col @ col)
-        fit = q * a
-        quotient = q
-    elif d == 3:
-        C = _sym3(C)
-        A = np.array([
-            _sym_vec_metric(np.eye(n)[i], a).ravel() for i in range(n)
-        ]).T
-        sol, *_ = np.linalg.lstsq(A, C.ravel(), rcond=None)
-        fit = (A @ sol).reshape(C.shape)
-        quotient = sol
-    elif d == 4:
-        C = _sym4(C)
-        pairs = [(i, j) for i in range(n) for j in range(i, n)]
-        basis = []
-        for i, j in pairs:
-            E = np.zeros((n, n))
-            E[i, j] = E[j, i] = 1.0
-            basis.append(_sym_mat_metric(E, a).ravel())
-        A = np.array(basis).T
-        sol, *_ = np.linalg.lstsq(A, C.ravel(), rcond=None)
-        fit = (A @ sol).reshape(C.shape)
-        quotient = np.zeros((n, n))
-        for (i, j), v in zip(pairs, sol):
-            quotient[i, j] = quotient[j, i] = v
-    else:
+    d, n = C.ndim, a.shape[0]
+    if not 2 <= d <= 4:
         raise ValueError("divisibility test covers degrees 2, 3 and 4 only")
+    C = _sym(C)
+    basis = []
+    for slots in itertools.combinations_with_replacement(range(n), d - 2):
+        E = np.zeros((n,) * (d - 2))
+        for p in itertools.permutations(slots):
+            E[p] = 1.0
+        basis.append(E)
+    A = np.array([_sym(np.multiply.outer(E, a)).ravel() for E in basis]).T
+    sol, *_ = np.linalg.lstsq(A, C.ravel(), rcond=None)
+    fit = (A @ sol).reshape(C.shape)
+    quotient = np.tensordot(sol, basis, axes=1)
     scale = max(1.0, float(np.abs(C).max()))
     resid = float(np.abs(fit - C).max()) / scale
-    return quotient, resid
+    return (float(quotient) if d == 2 else quotient), resid
 
 
 # -- reports --------------------------------------------------------------------
@@ -559,97 +484,121 @@ def _drift_scalars(fld):
     return sksk, ss, sr
 
 
-def _sym_rv(r, v):
-    """Cubic coefficient tensor of r_00 * (v_i y^i), r symmetric."""
-    return (
-        np.einsum("ij,k->ijk", r, v)
-        + np.einsum("ik,j->ijk", r, v)
-        + np.einsum("jk,i->ijk", r, v)
-    ) / 3.0
-
-
-def _sym_outer(u, v):
-    return 0.5 * (np.outer(u, v) + np.outer(v, u))
-
-
 # -- checkers -------------------------------------------------------------------
 #
-# One driver, _check, runs the loop the four regime theorems share: the
-# regime gate, the generic sample store, one drift bundle and one
-# (theta, sigma) fit per chart point, and the end-to-end Einstein
-# residuals.  Each checker adds only its theorem's own conditions.  The
-# optional GenericSamples serves the end-to-end residuals when it samples
-# the checker's space, so the checkers of one run share it.
+# A run samples its space at chart points; each ChartPoint builds the
+# pointwise bundles read there once, so the checkers of one run, and
+# verify, share them.  One driver, _check, runs the loop the four regime
+# theorems share: the dimension and regime gates, the closed-form and
+# fitted (theta, sigma) pairs of each chart point, and the end-to-end
+# Einstein residuals through the point's generic samples.  Each checker
+# adds only its theorem's own conditions.
 
 
-class _ChartPoint:
-    """One chart point of a checker run: its directions, drift bundle
-    and least-squares (theta, sigma) fit, each built on first use."""
+class ChartPoint:
+    """One sampled chart point x of a space and its directions ys, with
+    every pointwise bundle a run reads there, each built on first use:
+    the drift bundle fld, the navigation point nav, the generic point
+    and one curvature sample per direction, and one least-squares
+    (theta, sigma) fit per weight configuration.
 
-    def __init__(self, space: KropinaSpace, cfg: WeightConfig, x, ys):
+    The points of one run share the space's Finsler evaluator and
+    densities (chart_points builds them).  Given the unit-ball density,
+    the generic point carries it too, so every sample has its s_bh.
+    """
+
+    def __init__(self, space: KropinaSpace, x, ys, evaluator, density,
+                 bh_density=None):
         self.space = space
-        self.cfg = cfg
         self.n = space.dim
         self.x = np.asarray(x, dtype=float)
         self.ys = [np.asarray(y, dtype=float) for y in ys]
+        self.evaluator = evaluator
+        self._density = density
+        self._bh_density = bh_density
+        self._samples = {}
+        self._fits = {}
 
     @cached_property
     def fld(self):
         return ab_fields(self.space, self.x)
 
     @cached_property
-    def fitted(self) -> EinsteinAnsatz:
-        return fit_theta_sigma(self.fld, self.cfg, self.ys)
+    def nav(self):
+        return nav_point(self.space.h, self.space.w, self.x)
 
     @cached_property
-    def weight_hess(self):
-        """Covariant Hessian f_{i|j} of the weight against a_ij (zero
-        without a weight)."""
-        fld = self.fld
-        return fld.mp.covariant_hessian(fld.f_grad, fld.f_hess)
+    def generic(self):
+        return generic_point(self.evaluator, self._density, self.x,
+                             f=self.space.weight, bh=self._bh_density)
+
+    def sample(self, y):
+        """The generic curvature sample of direction y, taken once per y."""
+        y = np.asarray(y, dtype=float)
+        key = y.tobytes()
+        cs = self._samples.get(key)
+        if cs is None:
+            cs = self._samples[key] = curvature_sample(self.generic, y)
+        return cs
+
+    def fitted(self, cfg: WeightConfig) -> EinsteinAnsatz:
+        """The (theta, sigma) fit of cfg over ys, fitted once per cfg."""
+        fit = self._fits.get(cfg)
+        if fit is None:
+            fit = self._fits[cfg] = fit_theta_sigma(self.fld, cfg, self.ys)
+        return fit
 
 
-def _check(theorem, regime, keys, conditions, space, cfg, samples, tol,
-           generic):
-    """Run one regime theorem over the samples.
+def chart_points(space: KropinaSpace, samples, unit_ball=False):
+    """One ChartPoint per (x, directions) pair of samples, all sharing
+    the space's Finsler evaluator and weighted density; with unit_ball
+    every generic point also carries the unit-ball density."""
+    ev = finsler_evaluator(space)
+    dens = volume_density(space)
+    bh = bh_volume_density(space) if unit_ball else None
+    return [ChartPoint(space, x, ys, ev, dens, bh) for x, ys in samples]
+
+
+def _check(theorem, regime, keys, conditions, points, cfg, tol):
+    """Run one regime theorem over the chart points.
 
     conditions(point, res, scal) adds the theorem's own conditions at
-    one _ChartPoint to res and its scalars to scal, whose lists keys
+    one ChartPoint to res and its scalars to scal, whose lists keys
     names in report order, and returns the closed-form EinsteinAnsatz.
     The generic pipeline then judges that ansatz and the fitted one: the
     report's bottom line never reuses the closed formulas.
     """
+    dims = sorted({pt.n for pt in points} - {cfg.n})
+    if dims:
+        raise ValueError(
+            f"checker {theorem} got a weight config for n = {cfg.n} and "
+            f"chart points of dimension {dims[0]}"
+        )
     if cfg.regime != regime:
         raise DispatchError(
             f"checker {theorem} applies in regime {regime}, got {cfg.regime} "
             f"(kappa={cfg.kappa:.6g}, nu={cfg.nu:.6g})"
         )
-    if generic is None or generic.space is not space:
-        generic = GenericSamples(space)
+    if not points:
+        raise ValueError("checker needs at least one sample point")
     res = _Residuals(tol)
     scal = {key: [] for key in keys}
-    points = directions = 0
-    for x, ys in samples:
-        pt = _ChartPoint(space, cfg, x, ys)
-        points += 1
-        directions += len(pt.ys)
+    for pt in points:
         formula = conditions(pt, res, scal)
-        fitted = pt.fitted
+        fitted = pt.fitted(cfg)
         scal["sigma_formula"].append(formula.sigma)
         scal["sigma_fitted"].append(fitted.sigma)
         scal["theta_fitted"].append(list(fitted.theta))
         for y in pt.ys:
             F = pt.fld.invariants(y).F
-            val = _generic_ric_ac(generic.sample(pt.x, y), cfg)
+            val = _generic_ric_ac(pt.sample(y), cfg)
             for label, ansatz in (("einstein-residual-formula", formula),
                                   ("einstein-residual-fitted", fitted)):
-                model = (pt.n - 1) * ansatz.model(F, y)
+                model = (cfg.n - 1) * ansatz.model(F, y)
                 res.add(label, _scaled_residual(val - model, val, model))
-    if not points:
-        raise ValueError("checker needs at least one sample point")
     found = res.conditions()
-    return TheoremReport(theorem, _verdict(found), found, scal, points,
-                         directions)
+    return TheoremReport(theorem, _verdict(found), found, scal, len(points),
+                         sum(len(pt.ys) for pt in points))
 
 
 def _isotropy(pt, name, res, scal):
@@ -663,14 +612,12 @@ def _isotropy(pt, name, res, scal):
     return fit.eta
 
 
-def _sigma_agreement(pt, res):
+def _sigma_agreement(fld, fitted, res):
     """The sigma forced by the drift data alone,
     -(s^k s_k / 2 + b^2 s^j_k s^k_j / 4) / ((n - 1) b^2), against the
     fitted sigma; returns it."""
-    fld = pt.fld
     sksk, ss, _ = _drift_scalars(fld)
-    sigma = -(0.5 * sksk + 0.25 * fld.b2 * ss) / ((pt.n - 1) * fld.b2)
-    fitted = pt.fitted.sigma
+    sigma = -(0.5 * sksk + 0.25 * fld.b2 * ss) / ((fld.n - 1) * fld.b2)
     res.add("sigma-agreement", abs(sigma - fitted) / max(1.0, abs(fitted)))
     return sigma
 
@@ -698,8 +645,7 @@ def _reductions(pt, res, quad_dev, u, theta, lin_extra):
                   b2**2 * float(np.abs(fld.div_s_up).max())))
 
 
-def thm41_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6,
-                generic=None):
+def thm41_check(points, cfg: WeightConfig, tol=1e-6):
     """Navigation-data checker for the nu != 0 regime.
 
     Reads the navigation view (h, W) of the space and its weight f.
@@ -715,36 +661,34 @@ def thm41_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6,
     Raises DispatchError outside the regime and ValueError when the
     wind is not h-unit at a sample point.
     """
-    n = space.dim
+    n = cfg.n
     a, c = float(cfg.a), float(cfg.c)
 
     def conditions(pt, res, scal):
-        x, f = pt.x, pt.space.weight
-        fp = nav_point(pt.space.h, pt.space.w, x)
+        fp = pt.nav
         mp = fp.mp
         norm2 = float(fp.w_low @ fp.w)
         scal["wind_norm_dev"].append(abs(norm2 - 1.0))
-        _require_unit_wind(norm2, f"at {list(x)}")
-        wi = fp.invariants
+        _require_unit_wind(norm2, f"at {list(pt.x)}")
         cov_scale = max(1.0, float(np.abs(fp.cov1).max()))
-        res.add("wind-killing", float(np.abs(wi.r_ij).max()) / cov_scale)
+        res.add("wind-killing", float(np.abs(fp.r).max()) / cov_scale)
 
         fg = pt.fld.f_grad
         hf = mp.covariant_hessian(fg, pt.fld.f_hess)
-        mu, tres = tensor_einstein_check(_weighted_ricci(mp, f, cfg, fg, hf),
-                                         mp.g)
+        mu, tres = tensor_einstein_check(
+            _weighted_ricci(mp, pt.space.weight, cfg, fg, hf), mp.g)
         res.add("einstein-tensor", tres)
         scal["mu"].append(mu)
 
         ric_ww = float(fp.w @ mp.ricci @ fp.w)
-        ss = float(np.einsum("ij,ji->", wi.s_up, wi.s_up))
+        ss = float(np.einsum("ij,ji->", fp.s_up, fp.s_up))
         hess_ww = float(fp.w @ hf @ fp.w)
         f_w = float(fg @ fp.w)
         sigma_formula = mu - (
             ric_ww + ss + a * (n + 1) * hess_ww - c * (n + 1) ** 2 * f_w**2
         ) / (n - 1)
         theta_formula = (
-            2 * a * (n + 1) * (hf @ fp.w + np.einsum("p,pi->i", fg, wi.s_up))
+            2 * a * (n + 1) * (hf @ fp.w + np.einsum("p,pi->i", fg, fp.s_up))
             - 2 * c * (n + 1) ** 2 * fg * f_w
         ) / (3 * (n - 1))
         theta_w = float(theta_formula @ fp.w)
@@ -756,7 +700,7 @@ def thm41_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6,
         res.add("sigma-consistency",
                 abs(sigma_formula - sigma_proof) / max(1.0, abs(sigma_formula)))
 
-        fitted = pt.fitted
+        fitted = pt.fitted(cfg)
         agree = max(
             abs(sigma_formula - fitted.sigma),
             float(np.abs(theta_formula - np.array(fitted.theta)).max()),
@@ -767,11 +711,10 @@ def thm41_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6,
     return _check("41", "nu!=0",
                   ("mu", "sigma_formula", "sigma_proof", "sigma_fitted",
                    "theta_formula", "theta_fitted", "wind_norm_dev"),
-                  conditions, space, cfg, samples, tol, generic)
+                  conditions, points, cfg, tol)
 
 
-def thm44_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6,
-                generic=None):
+def thm44_check(points, cfg: WeightConfig, tol=1e-6):
     """Metric-form checker for the nu != 0 regime.
 
     Precondition: the symmetrized drift derivative is conformal to the
@@ -781,7 +724,7 @@ def thm44_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6,
     the fitted one; and the end-to-end Einstein equation through the
     generic pipeline.
     """
-    n = space.dim
+    n = cfg.n
     a = float(cfg.a)
     kappa, nu = cfg.kappa, cfg.nu
 
@@ -790,7 +733,7 @@ def thm44_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6,
         eta = _isotropy(pt, "isotropy", res, scal)
         b2 = fld.b2
         eta_k = fld.eta_grad
-        theta = np.array(pt.fitted.theta)
+        theta = np.array(pt.fitted(cfg).theta)
         theta_b = float(theta @ fld.bu)
         sksk, ss, _ = _drift_scalars(fld)
         lam = (
@@ -800,12 +743,12 @@ def thm44_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6,
             - b2 * (fld.div_s + ss)
         )
         scal["lambda"].append(lam)
-        sigma_formula = _sigma_agreement(pt, res)
+        sigma_formula = _sigma_agreement(fld, pt.fitted(cfg).sigma, res)
 
         for y in pt.ys:
             inv = fld.invariants(y)
             ric_a = float(y @ fld.ric @ y)
-            hf_y = float(y @ pt.weight_hess @ y)
+            hf_y = float(y @ fld.weight_hess @ y)
             lhs = (
                 ric_a * b2**2
                 + (n - 2) * (
@@ -843,7 +786,7 @@ def thm44_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6,
     return _check("44", "nu!=0",
                   ("eta", "isotropy_residual", "lambda", "sigma_formula",
                    "sigma_fitted", "theta_fitted"),
-                  conditions, space, cfg, samples, tol, generic)
+                  conditions, points, cfg, tol)
 
 
 def _cubic_drift_tensor(fld, cfg):
@@ -853,11 +796,12 @@ def _cubic_drift_tensor(fld, cfg):
     a = float(cfg.a)
     kappa = cfg.kappa
     t = kappa * (
-        fld.b2 * _sym3(fld.dr)
-        + 2 * _sym_rv(fld.r, fld.r_vec)
-        + 2 * _sym_rv(fld.r, fld.s_vec)
+        fld.b2 * _sym(fld.dr)
+        + 2 * _sym(np.multiply.outer(fld.r, fld.r_vec))
+        + 2 * _sym(np.multiply.outer(fld.r, fld.s_vec))
     )
-    return t + 2 * (3 * kappa - a * (n + 1)) * fld.b2 * _sym_rv(fld.r, fld.f_grad)
+    return t + 2 * (3 * kappa - a * (n + 1)) * fld.b2 * _sym(
+        np.multiply.outer(fld.r, fld.f_grad))
 
 
 def _quadratic_drift_tensor(fld, cfg, hess_a):
@@ -867,30 +811,26 @@ def _quadratic_drift_tensor(fld, cfg, hess_a):
     a = float(cfg.a)
     kap = cfg.kappa
     b2 = fld.b2
-    dsv_s = 0.5 * (fld.dsv + fld.dsv.T)
-    drv_s = 0.5 * (fld.drv + fld.drv.T)
-    rs = fld.r @ fld.s_up
     return (
         b2**2 * fld.ric
         + b2 * np.einsum("ijk,k->ij", fld.dr, fld.bu)
-        + (n - 2) * b2 * dsv_s
+        + (n - 2) * b2 * _sym(fld.dsv)
         + b2 * fld.trace_r_up * fld.r
         - (n - 2) * np.outer(fld.s_vec, fld.s_vec)
-        + (-kap + n - 2) * b2 * drv_s
+        + (-kap + n - 2) * b2 * _sym(fld.drv)
         + (kap - n) * fld.r_scalar * fld.r
-        + (-2 * kap + 4 - 2 * n) * _sym_outer(fld.r_vec, fld.s_vec)
-        + 2 * (kap + 1) * b2 * 0.5 * (rs + rs.T)
+        + (-2 * kap + 4 - 2 * n) * _sym(np.outer(fld.r_vec, fld.s_vec))
+        + 2 * (kap + 1) * b2 * _sym(fld.r @ fld.s_up)
         + (-2 * kap + 2 - n) * np.outer(fld.r_vec, fld.r_vec)
         + (-kap + n - 1) * b2**2 * hess_a
         - (3 * kap - a * (n + 1)) * (
-            2 * b2 * _sym_outer(fld.r_vec, fld.f_grad)
+            2 * b2 * _sym(np.outer(fld.r_vec, fld.f_grad))
             + b2**2 * np.outer(fld.f_grad, fld.f_grad)
         )
     )
 
 
-def thm51_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6,
-                generic=None):
+def thm51_check(points, cfg: WeightConfig, tol=1e-6):
     """Checker for the nu = 0, kappa != 0 regime.
 
     The curvature polynomial splits by degree in y.  Precondition: the
@@ -900,7 +840,7 @@ def thm51_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6,
     drift-forced sigma agrees with the fit; and the Einstein equation
     holds end-to-end through the generic pipeline.
     """
-    n = space.dim
+    n = cfg.n
     kappa = cfg.kappa
 
     def conditions(pt, res, scal):
@@ -912,7 +852,7 @@ def thm51_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6,
         scal["zeta"].append(list(zeta))
         scal["divisibility_residual"].append(div_res)
 
-        theta = np.array(pt.fitted.theta)
+        theta = np.array(pt.fitted(cfg).theta)
         theta_b = float(theta @ fld.bu)
         sksk, ss, sr = _drift_scalars(fld)
         s_up_vec = fld.ainv @ fld.s_vec
@@ -923,10 +863,10 @@ def thm51_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6,
             - b2 * (fld.div_s + ss + sr)
         )
         scal["u"].append(u)
-        sigma_formula = _sigma_agreement(pt, res)
+        sigma_formula = _sigma_agreement(fld, pt.fitted(cfg).sigma, res)
 
-        quad = _sym_outer(fld.bl, zeta) \
-            + _quadratic_drift_tensor(fld, cfg, pt.weight_hess)
+        quad = _sym(np.outer(fld.bl, zeta)) \
+            + _quadratic_drift_tensor(fld, cfg, fld.weight_hess)
         _reductions(pt, res, quad - u * fld.mp.g, u, theta, (
             (kappa - n) * fld.r_scalar * fld.s_vec
             + b2 * fld.trace_r_up * fld.s_vec
@@ -938,11 +878,10 @@ def thm51_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6,
     return _check("51", "nu=0,kappa!=0",
                   ("zeta", "u", "sigma_formula", "sigma_fitted",
                    "theta_fitted", "divisibility_residual"),
-                  conditions, space, cfg, samples, tol, generic)
+                  conditions, points, cfg, tol)
 
 
-def thm61_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6,
-                generic=None):
+def thm61_check(points, cfg: WeightConfig, tol=1e-6):
     """Checker for the projective regime (kappa = nu = 0).
 
     Precondition: the symmetrized drift derivative is conformal,
@@ -953,7 +892,7 @@ def thm61_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6,
     curvature satisfies the Einstein equation end-to-end through the
     generic pipeline.  pric_constants(n) gives the regime's (a, c).
     """
-    n = space.dim
+    n = cfg.n
 
     def conditions(pt, res, scal):
         fld = pt.fld
@@ -963,28 +902,27 @@ def thm61_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6,
         fg = fld.f_grad
 
         zeta, div_res = poly_divisible_by_alpha2(
-            -2 * (n - 1) * b2 * _sym_rv(fld.r, fg), fld.mp.g)
+            -2 * (n - 1) * b2 * _sym(np.multiply.outer(fld.r, fg)), fld.mp.g)
         res.add("cubic-divisibility", div_res)
         scal["zeta"].append(list(zeta))
 
-        theta = np.array(pt.fitted.theta)
+        theta = np.array(pt.fitted(cfg).theta)
         theta_b = float(theta @ fld.bu)
         sksk, ss, _ = _drift_scalars(fld)
         u = (n - 2) * sksk + 3 * (n - 1) * b2 * theta_b - b2 * (fld.div_s + ss)
         scal["u"].append(u)
-        sigma_formula = _sigma_agreement(pt, res)
+        sigma_formula = _sigma_agreement(fld, pt.fitted(cfg).sigma, res)
 
-        dsv_s = 0.5 * (fld.dsv + fld.dsv.T)
         quad = (
-            _sym_outer(fld.bl, zeta)
+            _sym(np.outer(fld.bl, zeta))
             + b2**2 * fld.ric
             + ((float(fld.bu @ eta_k) + (n - 2) * eta**2) * b2 - u) * fld.mp.g
             - (n - 2) * eta**2 * np.outer(fld.bl, fld.bl)
-            + (n - 2) * b2 * _sym_outer(eta_k, fld.bl)
-            - 2 * (n - 2) * eta * _sym_outer(fld.s_vec, fld.bl)
-            + 2 * (n - 1) * b2 * eta * _sym_outer(fg, fld.bl)
-            + (n - 2) * (b2 * dsv_s - np.outer(fld.s_vec, fld.s_vec))
-            + (n - 1) * b2**2 * (pt.weight_hess + np.outer(fg, fg))
+            + (n - 2) * b2 * _sym(np.outer(eta_k, fld.bl))
+            - 2 * (n - 2) * eta * _sym(np.outer(fld.s_vec, fld.bl))
+            + 2 * (n - 1) * b2 * eta * _sym(np.outer(fg, fld.bl))
+            + (n - 2) * (b2 * _sym(fld.dsv) - np.outer(fld.s_vec, fld.s_vec))
+            + (n - 1) * b2**2 * (fld.weight_hess + np.outer(fg, fg))
         )
         _reductions(pt, res, quad, u, theta, (n - 3) * b2 * eta * fld.s_vec)
         return EinsteinAnsatz(tuple(theta), sigma_formula)
@@ -992,4 +930,4 @@ def thm61_check(space: KropinaSpace, cfg: WeightConfig, samples, tol=1e-6,
     return _check("61", "nu=0,kappa=0",
                   ("eta", "isotropy_residual", "zeta", "u", "sigma_formula",
                    "sigma_fitted", "theta_fitted"),
-                  conditions, space, cfg, samples, tol, generic)
+                  conditions, points, cfg, tol)

@@ -50,10 +50,8 @@ from .riemann import (
     FieldPoint,
     MetricPoint,
     RiemannianMetric,
-    WInvariants,
     _extract,
     eval_component_jets,
-    w_invariants_from_point,
 )
 
 
@@ -280,8 +278,10 @@ def nav_to_ab(h, w, gauge=None):
 # -- pointwise field bundle ----------------------------------------------------
 
 
-class AbFields:
-    """All x-level tensors of the (alpha, beta) view at one chart point.
+class AbFields(FieldPoint):
+    """All x-level tensors of the (alpha, beta) view at one chart point:
+    the FieldPoint of the raised drift b^i over a_ij, so r, s and their
+    contractions are the drift's.
 
     Derivative conventions: cov1[i, k] = b_{i;k} and cov2[k, i, j] =
     b_{k;i;j} with the Levi-Civita connection of a_ij; dr[i, j, k] =
@@ -305,8 +305,8 @@ class AbFields:
             MetricPoint.from_exprs(space.a, x, order=2)
             raise
         rows = [jets[i * n:(i + 1) * n] for i in range(n)]
-        self.mp = MetricPoint(*_extract(rows, n, 2))
-        self.fp = FieldPoint(self.mp, *_extract(jets[n * n:], n, 2))
+        super().__init__(MetricPoint(*_extract(rows, n, 2)),
+                         *_extract(jets[n * n:], n, 2))
         self._invariants = {}
 
     def invariants(self, y) -> "AbInvariants":
@@ -325,12 +325,12 @@ class AbFields:
     @cached_property
     def bl(self):
         """Drift form values b_i."""
-        return self.fp.w_low
+        return self.w_low
 
     @cached_property
     def bu(self):
         """Raised drift values b^i."""
-        return self.fp.w
+        return self.w
 
     @cached_property
     def b2(self):
@@ -340,35 +340,23 @@ class AbFields:
         return v
 
     @cached_property
-    def _w(self) -> WInvariants:
-        """r_ij, s_ij and their contractions, as for any field over a."""
-        return w_invariants_from_point(self.mp, self.fp)
-
-    r = property(lambda self: self._w.r_ij)
-    s = property(lambda self: self._w.s_ij)
-    s_up = property(lambda self: self._w.s_up)
-    s_vec = property(lambda self: self._w.s_vec)
-    r_vec = property(lambda self: self._w.r_vec)
-    r_scalar = property(lambda self: self._w.r_scalar)
-
-    @cached_property
     def r_up(self):
         return self.ainv @ self.r
 
     @cached_property
     def dr(self):
-        c2 = self.fp.cov2
+        c2 = self.cov2
         return 0.5 * (c2 + c2.transpose(1, 0, 2))
 
     @cached_property
     def ds(self):
-        c2 = self.fp.cov2
+        c2 = self.cov2
         return 0.5 * (c2 - c2.transpose(1, 0, 2))
 
     @cached_property
     def dbu(self):
         """b^i_{;k}, raised with the (covariantly constant) metric."""
-        return self.ainv @ self.fp.cov1
+        return self.ainv @ self.cov1
 
     @cached_property
     def dsv(self):
@@ -434,6 +422,12 @@ class AbFields:
         """Plain coordinate second partials of the weight, not covariant."""
         return self._weight_jets[1]
 
+    @cached_property
+    def weight_hess(self):
+        """Covariant Hessian f_{i;j} of the weight against a_ij (zero
+        without a weight)."""
+        return self.mp.covariant_hessian(self.f_grad, self.f_hess)
+
 
 def ab_fields(space: KropinaSpace, x) -> AbFields:
     """The drift bundle at x; every pointwise closed form reads one."""
@@ -444,9 +438,10 @@ class AbInvariants:
     """Scalar contractions of the drift derivatives at one (x, y).
 
     Tensor-level data stays on .fields; everything y-contracted is a
-    plain float attribute here.  AbFields.invariants builds one per y.  Notation: a trailing 0 is contraction
-    with y, a ';' in the docstrings below marks the covariant
-    derivative taken before that contraction.
+    plain float attribute here.  AbFields.invariants builds one per y.
+    Notation: a trailing 0 is contraction with y, a ';' in the
+    docstrings below marks the covariant derivative taken before that
+    contraction.
     """
 
     def __init__(self, fields: AbFields, y):
@@ -486,16 +481,6 @@ class AbInvariants:
         self.r0k_sk0 = float(self.r_0i @ self.s_i0)       # r_{0k} s^k_0
 
         self.f_0 = float(f.f_grad @ y)
-
-    # tensor passthroughs, so callers need not reach into .fields
-
-    @property
-    def r_ij(self):
-        return self.fields.r
-
-    @property
-    def s_ij(self):
-        return self.fields.s
 
 
 # -- closed forms -------------------------------------------------------------
@@ -661,20 +646,16 @@ def isotropy_fit(fields: AbFields, rel_tol=1e-8) -> IsotropyFit:
 class NavPoint(FieldPoint):
     """The wind W over the metric h at one chart point: the navigation
     closed forms' pointwise data (metric to second order, wind to first,
-    so .mp holds the curvature of h), with the W-invariants and the
-    Killing/S_j defects computed once for all directions."""
-
-    @cached_property
-    def invariants(self) -> WInvariants:
-        return w_invariants_from_point(self.mp, self)
+    so .mp holds the curvature of h), with the FieldPoint's R_ij, S_ij
+    and contractions and the Killing/S_j defects computed once for all
+    directions."""
 
     @cached_property
     def killing_defects(self):
         """(scale, ||sym cov W||, ||S_j||), read by _nav_hypothesis."""
-        wi = self.invariants
         return (max(1.0, float(np.linalg.norm(self.cov1))),
-                float(np.linalg.norm(wi.r_ij)),
-                float(np.linalg.norm(wi.s_vec)))
+                float(np.linalg.norm(self.r)),
+                float(np.linalg.norm(self.s_vec)))
 
 
 def nav_point(h: RiemannianMetric, w, x) -> NavPoint:
@@ -704,13 +685,11 @@ def nav_spray(fp: NavPoint, y) -> np.ndarray:
     with R and S the symmetrised and skew covariant derivatives of the
     lowered wind; fp is a nav_point.
     """
-    mp = fp.mp
-    wi = fp.invariants
     y, _, F = _nav_frame(fp, y)
-    g_h = 0.5 * np.einsum("kij,i,j->k", mp.christoffel, y, y)
-    s_i0 = wi.s_up @ y
-    s_0 = float(wi.s_vec @ y)
-    r_00 = float(y @ wi.r_ij @ y)
+    g_h = 0.5 * np.einsum("kij,i,j->k", fp.mp.christoffel, y, y)
+    s_i0 = fp.s_up @ y
+    s_0 = float(fp.s_vec @ y)
+    r_00 = float(y @ fp.r @ y)
     return g_h - F * s_i0 - (r_00 + 2.0 * F * s_0) / (2.0 * F) * (y - F * fp.w)
 
 
@@ -731,15 +710,14 @@ def _nav_hypothesis(fp: NavPoint, tol: float):
         raise HypothesisNotMetError(
             f"skew contraction S_j does not vanish: ||S_j|| = {s_norm:.3e}"
         )
-    return fp.invariants
 
 
 def nav_ricci_isotropic(fp: NavPoint, y, tol=1e-8) -> float:
     """Ricci curvature from navigation data, Killing wind only."""
-    wi = _nav_hypothesis(fp, tol)
+    _nav_hypothesis(fp, tol)
     y, _, F = _nav_frame(fp, y)
     ric = fp.mp.ricci
-    s_up = wi.s_up
+    s_up = fp.s_up
     return float(
         y @ ric @ y
         - 2.0 * F * (y @ ric @ fp.w)

@@ -38,7 +38,8 @@ class FinslerEvaluator:
     y are sequences of scalar-like entries: plain floats, Jet instances,
     or numpy arrays for vectorized sweeps.  box_hint(x) -> (lo, hi)
     optionally bounds the unit sublevel set {y : F(x, y) < 1} for
-    Monte-Carlo volume estimation.
+    Monte-Carlo volume estimation.  bh_density calls at(x) and
+    domain_at(x) on numpy columns, so both stages must accept arrays.
 
     A coordinate volume density, as in dV = sigma(x) dx, is a plain
     function sigma(x) accepting floats and Jet instances.
@@ -337,29 +338,22 @@ def _probe_box(F: FinslerEvaluator, x, probes: int = 256):
 
 
 def _indicator(F: FinslerEvaluator, xs, samples: np.ndarray) -> np.ndarray:
-    """Boolean mask of rows with F(x, row) < 1, vectorized when possible."""
+    """Boolean mask of rows with F(x, row) < 1, from one call of each of
+    F's stages on the sample columns."""
     m = samples.shape[0]
     cols = [samples[:, i] for i in range(F.dim)]
     f_at, in_domain = F.at(xs), F.domain_at(xs)
+    refusal = (f"metric {F.name!r}: bh_density needs domain and F stages "
+               "that take numpy columns and return one value per row")
     try:
         with np.errstate(all="ignore"):
             mask = np.asarray(in_domain(cols))
-            if mask.shape != (m,):
-                raise TypeError("domain predicate is not vectorized")
             vals = np.asarray(f_at(cols), dtype=float)
-        return mask & np.isfinite(vals) & (vals > 0.0) & (vals < 1.0)
-    except (TypeError, ValueError, AttributeError):
-        out = np.zeros(m, dtype=bool)
-        for k in range(m):
-            row = list(samples[k])
-            try:
-                if not bool(in_domain(row)):
-                    continue
-                v = float(f_at(row))
-            except (ArithmeticError, ValueError):
-                continue
-            out[k] = math.isfinite(v) and 0.0 < v < 1.0
-        return out
+    except (TypeError, ValueError) as e:
+        raise TypeError(refusal) from e
+    if mask.shape != (m,) or vals.shape != (m,):
+        raise TypeError(refusal)
+    return mask & np.isfinite(vals) & (vals > 0.0) & (vals < 1.0)
 
 
 def bh_density(

@@ -77,23 +77,28 @@ class JetSpace:
         self._build_deriv_maps()
 
     def _build_mul_table(self):
-        ii, jj, kk = [], [], []
-        for i, mu in enumerate(self.indices):
-            dmu = sum(mu)
-            for j, nu in enumerate(self.indices):
-                if dmu + sum(nu) > self.order:
-                    continue
-                gamma = tuple(a + b for a, b in zip(mu, nu))
-                ii.append(i)
-                jj.append(j)
-                kk.append(self.position[gamma])
+        # every pair (i, j) with deg mu_i + deg mu_j <= order, in the
+        # order of a double loop over i then j: the degrees do not
+        # decrease along the graded basis, so the partners of i are the
+        # first count[i] indices.  Each multi-index is one integer in
+        # radix order + 1, so the sum of two codes (no digit carries) is
+        # the code of gamma = mu_i + mu_j, found by searchsorted.
+        idx = np.array(self.indices, dtype=np.int64).reshape(self.ncoef, -1)
+        deg = idx.sum(axis=1)
+        count = np.searchsorted(deg, self.order - deg, side="right")
+        ii = np.repeat(np.arange(self.ncoef), count)
+        jj = np.arange(ii.size) - np.repeat(np.cumsum(count) - count, count)
+        digits = np.array([(self.order + 1) ** v for v in range(self.nvars)],
+                          dtype=np.int64)
+        code = idx @ digits
+        by_code = np.argsort(code)
+        kk = by_code[np.searchsorted(code, code[ii] + code[jj],
+                                     sorter=by_code)]
         # grouped by k, keeping the (i, j) order within each group, so a
         # bincount sums in the same order and np.add.reduceat can sum
         # the groups from their starts
         by_k = np.argsort(kk, kind="stable")
-        self._mi = np.array(ii, dtype=np.intp)[by_k]
-        self._mj = np.array(jj, dtype=np.intp)[by_k]
-        self._mk = np.array(kk, dtype=np.intp)[by_k]
+        self._mi, self._mj, self._mk = ii[by_k], jj[by_k], kk[by_k]
         self._k_starts = np.searchsorted(self._mk, np.arange(self.ncoef))
 
     def _build_deriv_maps(self):

@@ -225,24 +225,35 @@ class FieldPoint:
             - np.einsum("mij,km->kij", G, self.cov1)
         )
 
+    # the symmetrised and antisymmetrised covariant derivatives of the
+    # lowered field and their contractions, as for any field over g
 
-@dataclass(frozen=True)
-class WInvariants:
-    """Symmetrised / antisymmetrised covariant derivatives of a field."""
+    @cached_property
+    def r(self):
+        """r_ij = 1/2 (W_{i|j} + W_{j|i})."""
+        return 0.5 * (self.cov1 + self.cov1.T)
 
-    r_ij: np.ndarray  # 1/2 (W_{i|j} + W_{j|i})
-    s_ij: np.ndarray  # 1/2 (W_{i|j} - W_{j|i})
-    s_up: np.ndarray  # S^i_j = g^ik S_kj
-    s_vec: np.ndarray  # S_j = W^i S_ij
-    r_vec: np.ndarray  # R_j = W^i R_ij
-    r_scalar: float  # R_j W^j
+    @cached_property
+    def s(self):
+        """s_ij = 1/2 (W_{i|j} - W_{j|i})."""
+        return 0.5 * (self.cov1 - self.cov1.T)
 
+    @cached_property
+    def s_up(self):
+        """s^i_j = g^ik s_kj."""
+        return self.mp.ginv @ self.s
 
-def w_invariants_from_point(mp: MetricPoint, fp: FieldPoint) -> WInvariants:
-    c = fp.cov1
-    r = 0.5 * (c + c.T)
-    s = 0.5 * (c - c.T)
-    s_up = mp.ginv @ s
-    s_vec = fp.w @ s
-    r_vec = fp.w @ r
-    return WInvariants(r, s, s_up, s_vec, r_vec, float(r_vec @ fp.w))
+    @cached_property
+    def s_vec(self):
+        """s_j = W^i s_ij."""
+        return self.w @ self.s
+
+    @cached_property
+    def r_vec(self):
+        """r_j = W^i r_ij."""
+        return self.w @ self.r
+
+    @cached_property
+    def r_scalar(self):
+        """r_j W^j."""
+        return float(self.r_vec @ self.w)

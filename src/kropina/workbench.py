@@ -14,7 +14,7 @@ import numpy as np
 
 from .einstein import (
     DispatchError,
-    GenericSamples,
+    chart_points,
     thm41_check,
     thm44_check,
     thm51_check,
@@ -24,13 +24,10 @@ from .expr import ExprError, eval_expr, parse_expr, print_expr
 from .forms import (
     GaugeError,
     HypothesisNotMetError,
-    ab_fields,
-    bh_volume_density,
     finsler_evaluator,
     hess_f_closed,
     kropina_ricci_closed,
     kropina_spray_closed,
-    nav_point,
     nav_ricci_isotropic,
     nav_spray,
     nav_to_ab,
@@ -38,14 +35,8 @@ from .forms import (
     s_closed,
     s_dot_closed,
     sigma_bh,
-    volume_density,
 )
-from .generic import (
-    ConicDomainError,
-    bh_density,
-    curvature_sample,
-    generic_point,
-)
+from .generic import ConicDomainError, bh_density
 from .reports import ReportDocument, exit_code_for, merge_verdicts
 from .scenarios import (
     COMPARISON_CUTOFF,
@@ -91,8 +82,8 @@ def run_check(scenario, theorem="auto", seed=None, tol=None):
     id runs that checker alone (a regime mismatch is reported as a
     precondition failure, since the theorem's hypotheses exclude the
     configuration before any geometry is computed).  The checkers share
-    one store of generic curvature samples, so each (x, y) is sampled
-    once per run.
+    one ChartPoint per sampled x, so each chart point's bundles and
+    (theta, sigma) fit are built, and each (x, y) sampled, once per run.
     """
     scenario = load_scenario(scenario)
     space = scenario.space()
@@ -118,12 +109,11 @@ def run_check(scenario, theorem="auto", seed=None, tol=None):
         samples = scenario_samples(scenario, seed=seed,
                                    cutoff=COMPARISON_CUTOFF)
 
-    generic = GenericSamples(space)
+    points = chart_points(space, samples)
     for t in ids:
         with doc.timed(f"thm{t}"):
             try:
-                report = checkers[t](space, cfg, samples, tol=tol,
-                                     generic=generic)
+                report = checkers[t](points, cfg, tol=tol)
             except DispatchError as e:
                 doc.checks.append(
                     {"theorem": t, "verdict": "PRECONDITION", "error": str(e)}
@@ -205,19 +195,16 @@ def run_verify(scenario, points=None, dirs=None, seed=None, mc_samples=20000):
 
     One table per formula pair, each with the worst relative deviation
     over the sample grid and its ladder tolerance.  Exit code 0 exactly
-    when every pair stays within tolerance.  Each chart point gets one
-    drift bundle, one navigation point and one generic point; each
-    (x, y) gets one generic curvature sample, which also carries S
-    against the unit-ball density for the S-curvature pair when a
-    weight is set.
+    when every pair stays within tolerance.  Each sampled x is one
+    ChartPoint, whose drift bundle, navigation point and generic point
+    serve every direction; each (x, y) gets one generic curvature
+    sample, which also carries S against the unit-ball density for the
+    S-curvature pair when a weight is set.
     """
     scenario = load_scenario(scenario)
     space = scenario.space()
     n1 = space.dim + 1
     weighted = space.weight is not None
-    ev = finsler_evaluator(space)
-    dens = volume_density(space)
-    bh_dens = bh_volume_density(space) if weighted else None
 
     doc = ReportDocument(kind="verify", scenario=scenario.as_dict())
     with doc.timed("sampling"):
@@ -236,13 +223,12 @@ def run_verify(scenario, points=None, dirs=None, seed=None, mc_samples=20000):
     if weighted:
         names.append("weight-hessian")
     rows = {name: [] for name in names}
+    chart = chart_points(space, samples, unit_ball=weighted)
     with doc.timed("pairs"):
-        for x, ys in samples:
-            fld = ab_fields(space, x)
-            nav = nav_point(space.h, space.w, x)
-            point = generic_point(ev, dens, x, f=space.weight, bh=bh_dens)
-            for y in ys:
-                cs = curvature_sample(point, y)
+        for pt in chart:
+            fld, nav, x = pt.fld, pt.nav, pt.x
+            for y in pt.ys:
+                cs = pt.sample(y)
                 s_bh = cs.s_bh if weighted else cs.s
                 pairs = {
                     "spray": (lambda: kropina_spray_closed(fld, y), cs.spray),
@@ -272,12 +258,12 @@ def run_verify(scenario, points=None, dirs=None, seed=None, mc_samples=20000):
     tol_se = scenario.tolerance("bh-density", VERIFY_TOLS["bh-density"])
     rows = []
     with doc.timed("bh-density"):
-        for k, (x, _) in enumerate(samples):
-            est = bh_density(ev, x, mc_samples=mc_samples,
+        for k, pt in enumerate(chart):
+            est = bh_density(pt.evaluator, pt.x, mc_samples=mc_samples,
                              seed=scenario.seed + 7919 * k)
-            closed = sigma_bh(space, x)
+            closed = sigma_bh(space, pt.x)
             rows.append({
-                "x": _listed(x),
+                "x": _listed(pt.x),
                 "closed": closed,
                 "estimate": est.value,
                 "stderr": est.stderr,

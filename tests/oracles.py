@@ -15,6 +15,8 @@ a test can hold the package's route against it:
 - jet_solve: Gauss-Jordan elimination over the jet ring, returning the
   determinant as the signed pivot product, against graded_solve;
 - jet_det: a jet matrix determinant by the n!-term Leibniz sum;
+- mul_table: a jet space's multiplication triples by a double loop
+  over its multi-indices, against the table JetSpace builds in numpy;
 - jet_inverse: a jet matrix inverse through jet_solve;
 - jet_solve_reference: jet_solve dividing by a fresh reciprocal of
   each final pivot, against jet_solve's reuse of the pivot
@@ -34,8 +36,10 @@ Below them sit the helpers the tests build their cases with, each a
 thin route through the package's own objects: with_gauge and
 with_weight (a space re-expressed in another gauge, or carrying another
 weight); metric_from_strings, christoffel, lowered_riemann, riemann_h,
-ricci_h, hess_h, w_invariants and second_cov_w (over MetricPoint and
-FieldPoint); weight_constants, einstein_residual and
+ricci_h, hess_h, w_invariants (with WInvariants and
+w_invariants_from_point, the field invariants computed from scratch, as
+a frozen record, against FieldPoint's cached ones) and second_cov_w
+(over MetricPoint and FieldPoint); weight_constants, einstein_residual and
 weighted_ricci_tensor (the Einstein side); and nav_riemann_isotropic,
 the navigation closed form of the Riemann curvature, held against the
 generic pipeline.
@@ -115,10 +119,8 @@ from kropina.riemann import (
     MetricPoint,
     RiemannianMetric,
     SingularMetricError,
-    WInvariants,
     _extract,
     eval_component_jets,
-    w_invariants_from_point,
 )
 
 
@@ -479,6 +481,24 @@ def jet_det(A) -> Jet:
     return total
 
 
+def mul_table(space):
+    """(i, j, k) index arrays of every product mu_i + nu_j = gamma_k
+    within the space's order, grouped by k stably, as JetSpace keeps
+    them."""
+    ii, jj, kk = [], [], []
+    for i, mu in enumerate(space.indices):
+        dmu = sum(mu)
+        for j, nu in enumerate(space.indices):
+            if dmu + sum(nu) > space.order:
+                continue
+            gamma = tuple(a + b for a, b in zip(mu, nu))
+            ii.append(i)
+            jj.append(j)
+            kk.append(space.position[gamma])
+    by_k = np.argsort(kk, kind="stable")
+    return tuple(np.array(t, dtype=np.intp)[by_k] for t in (ii, jj, kk))
+
+
 def jet_inverse(A):
     """Columns of A^-1 via jet_solve against unit vectors."""
     n = len(A)
@@ -663,6 +683,28 @@ def hess_h(f: ExprAst, metric: RiemannianMetric, x):
     return mp.covariant_hessian(df, d2f)
 
 
+@dataclass(frozen=True)
+class WInvariants:
+    """Symmetrised / antisymmetrised covariant derivatives of a field."""
+
+    r_ij: np.ndarray  # 1/2 (W_{i|j} + W_{j|i})
+    s_ij: np.ndarray  # 1/2 (W_{i|j} - W_{j|i})
+    s_up: np.ndarray  # S^i_j = g^ik S_kj
+    s_vec: np.ndarray  # S_j = W^i S_ij
+    r_vec: np.ndarray  # R_j = W^i R_ij
+    r_scalar: float  # R_j W^j
+
+
+def w_invariants_from_point(mp: MetricPoint, fp: FieldPoint) -> WInvariants:
+    c = fp.cov1
+    r = 0.5 * (c + c.T)
+    s = 0.5 * (c - c.T)
+    s_up = mp.ginv @ s
+    s_vec = fp.w @ s
+    r_vec = fp.w @ r
+    return WInvariants(r, s, s_up, s_vec, r_vec, float(r_vec @ fp.w))
+
+
 def w_invariants(metric: RiemannianMetric, w_exprs, x) -> WInvariants:
     mp = MetricPoint.from_exprs(metric, x, order=2)
     fp = FieldPoint.from_exprs(mp, w_exprs, x, order=1)
@@ -711,13 +753,13 @@ def nav_riemann_isotropic(fp: NavPoint, y, tol=1e-8) -> np.ndarray:
     R_p^i_{kq}: the pure-metric spray curvature is riem contracted
     with y in slots p and q, which the generic pipeline confirms.
     """
-    wi = _nav_hypothesis(fp, tol)
+    _nav_hypothesis(fp, tol)
     y, w0, F = _nav_frame(fp, y)
     mp = fp.mp
     wv = fp.w
     riem = mp.riemann
     xi_low = mp.g @ (y - F * wv)
-    s_up = wi.s_up
+    s_up = fp.s_up
 
     t1 = np.einsum("pikq,p,q->ik", riem, y, y)
     t2 = -2.0 * F * np.einsum("pikq,p,q->ik", riem, y, wv)

@@ -1,0 +1,38 @@
+"""The benchmark's tracer still finds every name it wraps in the package.
+
+perfbench/tracer.py wraps the layer functions and a few bundle methods
+of kropina by name, and refuses a run in which a package function stays
+out of its reach (held in a module-level container or as a default
+argument).  Here it is compiled from its file and installed, so a
+refactor of src/ that drops a wrapped name or hides a function from it
+fails this suite, not only a traced benchmark run.  Nothing is written
+under perfbench/.
+"""
+import types
+from pathlib import Path
+
+from kropina.workbench import run_check
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def _tracer_module():
+    mod = types.ModuleType("perfbench_tracer")
+    mod.__file__ = str(TRACER)
+    exec(compile(TRACER.read_text(), str(TRACER), "exec"), mod.__dict__)
+    return mod
+
+
+def test_tracer_installs_with_no_bypass():
+    tracer = _tracer_module().Tracer()
+    try:
+        tracer.install()
+        assert tracer.bypasses() == []
+        # the bundle counters read one drift bundle per chart point
+        doc = run_check("s3_hopf")
+        assert doc.verdict == "PASS"
+        metrics = tracer.metrics()
+        assert metrics["forms.ab_fields.builds"] == 3
+        assert metrics["einstein.thm41.calls"] == 1
+    finally:
+        tracer.uninstall()

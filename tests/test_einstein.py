@@ -13,13 +13,14 @@ from kropina.forms import (
     kropina_ricci_closed,
 )
 from kropina.einstein import (
+    ChartPoint,
     ConditionResult,
     DispatchError,
     EinsteinAnsatz,
-    GenericSamples,
     TheoremReport,
     WeightConfig,
     _generic_ric_ac,
+    chart_points,
     fit_theta_sigma,
     poly_divisible_by_alpha2,
     pric_constants,
@@ -111,6 +112,11 @@ def checker_samples(space, rng, points=2, dirs=7, shift=(0.0, 0.0, 0.0),
         x = shift + scale * rng.uniform(-1.0, 1.0, space.dim)
         samples.append((x, admissible_directions(space, x, rng, dirs)))
     return samples
+
+
+def check(checker, space, cfg, samples, **kw):
+    """A checker's report on the chart points of samples over space."""
+    return checker(chart_points(space, samples), cfg, **kw)
 
 
 CFG_INF = weight_preset("ricInf", 3)
@@ -212,8 +218,8 @@ def test_ric_ac_routes_agree():
             fld = ab_fields(space, x)
             for y in admissible_directions(space, x, rng, 5):
                 closed = ric_ac(fld, cfg, y)
-                generic = _generic_ric_ac(GenericSamples(space).sample(x, y),
-                                          cfg)
+                generic = _generic_ric_ac(
+                    chart_points(space, [(x, [y])])[0].sample(y), cfg)
                 assert closed == pytest.approx(
                     generic, rel=1e-5, abs=1e-5 * max(1.0, abs(closed))
                 )
@@ -433,7 +439,7 @@ def test_thm41_hopf_passes():
     rng = np.random.default_rng(21)
     space = hopf_space()
     samples = checker_samples(space, rng, shift=HOPF_SHIFT)
-    rep = thm41_check(space, CFG_INF, samples)
+    rep = check(thm41_check, space, CFG_INF, samples)
     assert rep.verdict == "PASS"
     assert rep.passed
     for mu in rep.scalars["mu"]:
@@ -449,7 +455,7 @@ def test_thm41_gaussian_passes_with_nonzero_theta():
     rng = np.random.default_rng(22)
     space = gauss_space()
     samples = checker_samples(space, rng, shift=(0.2, -0.1, 0.3))
-    rep = thm41_check(space, CFG_INF, samples)
+    rep = check(thm41_check, space, CFG_INF, samples)
     assert rep.verdict == "PASS"
     assert rep.condition("einstein-residual-fitted").residual < 1e-6
     assert rep.condition("einstein-residual-formula").residual < 1e-6
@@ -468,7 +474,7 @@ def test_thm41_flat_all_zero():
     rng = np.random.default_rng(23)
     space = parallel_space()
     samples = checker_samples(space, rng)
-    rep = thm41_check(space, CFG_INF, samples)
+    rep = check(thm41_check, space, CFG_INF, samples)
     assert rep.verdict == "PASS"
     assert all(abs(m) < 1e-12 for m in rep.scalars["mu"])
     assert all(abs(s) < 1e-12 for s in rep.scalars["sigma_formula"])
@@ -478,7 +484,7 @@ def test_thm41_twist_fails_on_wind_killing():
     rng = np.random.default_rng(24)
     space = twist_space()
     samples = checker_samples(space, rng)
-    rep = thm41_check(space, CFG_INF, samples)
+    rep = check(thm41_check, space, CFG_INF, samples)
     assert rep.verdict == "FAIL"
     assert not rep.condition("wind-killing").passed
     # the disagreement between formula and fit is surfaced, not averaged
@@ -490,7 +496,7 @@ def test_thm41_dispatch_error_outside_regime():
     space = hopf_space()
     samples = checker_samples(space, rng, points=1, shift=HOPF_SHIFT)
     with pytest.raises(DispatchError):
-        thm41_check(space, CFG_PRIC, samples)
+        check(thm41_check, space, CFG_PRIC, samples)
 
 
 def test_thm41_rejects_non_unit_wind():
@@ -498,8 +504,8 @@ def test_thm41_rejects_non_unit_wind():
     space = parallel_space()
     samples = checker_samples(space, rng, points=1)
     with pytest.raises(ValueError, match="h-unit"):
-        thm41_check(KropinaSpace.from_nav(EUCLID3, ("2", "0", "0")),
-                    CFG_INF, samples)
+        check(thm41_check, KropinaSpace.from_nav(EUCLID3, ("2", "0", "0")),
+              CFG_INF, samples)
 
 
 def test_thm41_unchanged_by_rebuilding_the_space_from_nav_data():
@@ -514,8 +520,9 @@ def test_thm41_unchanged_by_rebuilding_the_space_from_nav_data():
     cfg = sc.config()
     samples = scenario_samples(sc, points=1, directions=5,
                                cutoff=COMPARISON_CUTOFF)
-    own = thm41_check(space, cfg, samples)
-    rebuilt = thm41_check(
+    own = check(thm41_check, space, cfg, samples)
+    rebuilt = check(
+        thm41_check,
         KropinaSpace.from_nav(space.h, space.w, weight=space.weight),
         cfg, samples,
     )
@@ -535,7 +542,7 @@ def test_thm44_hopf_passes_lambda32():
     rng = np.random.default_rng(27)
     space = hopf_space()
     samples = checker_samples(space, rng, shift=HOPF_SHIFT)
-    rep = thm44_check(space, CFG_INF, samples)
+    rep = check(thm44_check, space, CFG_INF, samples)
     assert rep.verdict == "PASS"
     for lam in rep.scalars["lambda"]:
         assert lam == pytest.approx(32.0, rel=1e-9)
@@ -547,7 +554,7 @@ def test_thm44_gaussian_passes():
     rng = np.random.default_rng(28)
     space = gauss_space()
     samples = checker_samples(space, rng, shift=(0.1, 0.2, -0.2))
-    rep = thm44_check(space, CFG_INF, samples)
+    rep = check(thm44_check, space, CFG_INF, samples)
     assert rep.verdict == "PASS"
     for lam in rep.scalars["lambda"]:
         assert lam == pytest.approx(16 * 4 * 0.2, rel=1e-8)
@@ -557,7 +564,7 @@ def test_thm44_twist_precondition_verdict():
     rng = np.random.default_rng(29)
     space = twist_space()
     samples = checker_samples(space, rng)
-    rep = thm44_check(space, CFG_INF, samples)
+    rep = check(thm44_check, space, CFG_INF, samples)
     assert rep.verdict == "PRECONDITION"
     iso = rep.condition("isotropy")
     assert iso.kind == "precondition"
@@ -569,7 +576,7 @@ def test_thm44_dispatch():
     space = hopf_space()
     samples = checker_samples(space, rng, points=1, shift=HOPF_SHIFT)
     with pytest.raises(DispatchError):
-        thm44_check(space, CFG_51, samples)
+        check(thm44_check, space, CFG_51, samples)
 
 
 # -- thm51 ----------------------------------------------------------------------
@@ -579,7 +586,7 @@ def test_thm51_hopf_passes_u32():
     rng = np.random.default_rng(32)
     space = hopf_space()
     samples = checker_samples(space, rng, shift=HOPF_SHIFT)
-    rep = thm51_check(space, CFG_51, samples)
+    rep = check(thm51_check, space, CFG_51, samples)
     assert rep.verdict == "PASS"
     for u in rep.scalars["u"]:
         assert u == pytest.approx(32.0, rel=1e-9)
@@ -591,7 +598,7 @@ def test_thm51_flat_passes():
     rng = np.random.default_rng(33)
     space = parallel_space()
     samples = checker_samples(space, rng)
-    rep = thm51_check(space, CFG_51, samples)
+    rep = check(thm51_check, space, CFG_51, samples)
     assert rep.verdict == "PASS"
 
 
@@ -603,7 +610,7 @@ def test_thm51_conformal_zeta_matches_closed_form():
     space = conformal_space()
     x = np.array([0.4, -0.3, 0.6])
     samples = [(x, admissible_directions(space, x, rng, 7))]
-    rep = thm51_check(space, CFG_51, samples)
+    rep = check(thm51_check, space, CFG_51, samples)
     div = rep.condition("cubic-divisibility")
     assert div.kind == "precondition"
     assert div.passed
@@ -625,7 +632,7 @@ def test_thm51_dispatch():
     space = hopf_space()
     samples = checker_samples(space, rng, points=1, shift=HOPF_SHIFT)
     with pytest.raises(DispatchError):
-        thm51_check(space, CFG_INF, samples)
+        check(thm51_check, space, CFG_INF, samples)
 
 
 # -- thm61 ----------------------------------------------------------------------
@@ -635,7 +642,7 @@ def test_thm61_hopf_passes_u32():
     rng = np.random.default_rng(36)
     space = hopf_space()
     samples = checker_samples(space, rng, shift=HOPF_SHIFT)
-    rep = thm61_check(space, CFG_PRIC, samples)
+    rep = check(thm61_check, space, CFG_PRIC, samples)
     assert rep.verdict == "PASS"
     for u in rep.scalars["u"]:
         assert u == pytest.approx(32.0, rel=1e-9)
@@ -645,7 +652,7 @@ def test_thm61_flat_passes():
     rng = np.random.default_rng(37)
     space = parallel_space()
     samples = checker_samples(space, rng)
-    rep = thm61_check(space, CFG_PRIC, samples)
+    rep = check(thm61_check, space, CFG_PRIC, samples)
     assert rep.verdict == "PASS"
 
 
@@ -653,7 +660,7 @@ def test_thm61_constant_weight_zeta_zero():
     rng = np.random.default_rng(38)
     space = hopf_space(weight="0.5")
     samples = checker_samples(space, rng, points=1, shift=HOPF_SHIFT)
-    rep = thm61_check(space, CFG_PRIC, samples)
+    rep = check(thm61_check, space, CFG_PRIC, samples)
     assert rep.verdict == "PASS"
     assert np.abs(rep.scalars["zeta"][0]).max() < 1e-14
 
@@ -663,7 +670,44 @@ def test_thm61_dispatch():
     space = hopf_space()
     samples = checker_samples(space, rng, points=1, shift=HOPF_SHIFT)
     with pytest.raises(DispatchError):
-        thm61_check(space, CFG_INF, samples)
+        check(thm61_check, space, CFG_INF, samples)
+
+
+# -- chart points ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("checker", [thm41_check, thm44_check, thm51_check,
+                                     thm61_check])
+def test_checkers_reject_a_config_of_another_dimension(checker):
+    """The regime of a config is classified at its own n, so a config
+    for another dimension than the points' cannot be judged."""
+    rng = np.random.default_rng(44)
+    space = hopf_space()
+    points = chart_points(space, checker_samples(space, rng, points=1,
+                                                 shift=HOPF_SHIFT))
+    for cfg in (WeightConfig(1, 0, 7), weight_preset("pric", 4),
+                WeightConfig(0, Fraction(3, 4), 2)):
+        with pytest.raises(ValueError, match="dimension 3"):
+            checker(points, cfg)
+
+
+def test_chart_point_builds_each_bundle_once():
+    rng = np.random.default_rng(45)
+    space = gauss_space()
+    [(x, ys)] = checker_samples(space, rng, points=1, shift=(0.2, -0.1, 0.3))
+    [pt] = chart_points(space, [(x, ys)])
+    assert isinstance(pt, ChartPoint)
+    assert pt.fld is pt.fld and pt.nav is pt.nav and pt.generic is pt.generic
+    assert pt.sample(list(ys[0])) is pt.sample(ys[0].copy())
+    assert pt.fitted(CFG_INF) is pt.fitted(weight_preset("ricInf", 3))
+    assert pt.fitted(CFG_INF) is not pt.fitted(CFG_PRIC)
+    # without the unit-ball density a sample has no s_bh; with it, S
+    # against sigma_BH differs from the weighted S by (n + 1) f_0
+    assert pt.sample(ys[0]).s_bh is None
+    [bh] = chart_points(space, [(x, ys)], unit_ball=True)
+    cs = bh.sample(ys[0])
+    f_0 = float(bh.fld.f_grad @ ys[0])
+    assert cs.s - cs.s_bh == pytest.approx(4 * f_0, rel=1e-8)
 
 
 # -- cross-cutting properties ---------------------------------------------------
@@ -697,7 +741,7 @@ def test_report_round_trips_through_json():
     rng = np.random.default_rng(41)
     space = hopf_space()
     samples = checker_samples(space, rng, points=1, shift=HOPF_SHIFT)
-    rep = thm44_check(space, CFG_INF, samples)
+    rep = check(thm44_check, space, CFG_INF, samples)
     doc = json.loads(json.dumps(rep.as_dict()))
     assert doc["theorem"] == "44"
     assert doc["verdict"] == "PASS"
@@ -744,7 +788,7 @@ def test_report_layout_per_regime(theorem):
     rng = np.random.default_rng(43)
     space = hopf_space()
     samples = checker_samples(space, rng, points=2, shift=HOPF_SHIFT)
-    rep = checker(space, cfg, samples)
+    rep = check(checker, space, cfg, samples)
     assert rep.theorem == theorem and rep.verdict == "PASS"
     assert [c.name for c in rep.conditions] == names
     assert [c.name for c in rep.conditions if c.kind == "precondition"] == pre
@@ -758,7 +802,7 @@ def test_reports_are_deterministic():
         rng = np.random.default_rng(42)
         space = hopf_space()
         samples = checker_samples(space, rng, points=1, shift=HOPF_SHIFT)
-        return thm44_check(space, CFG_INF, samples).as_dict()
+        return check(thm44_check, space, CFG_INF, samples).as_dict()
 
     a, b = run(), run()
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)

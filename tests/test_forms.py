@@ -210,8 +210,8 @@ def test_parallel_drift_all_zero():
     space = parallel_space()
     fld = ab_fields(space, [0.2, 0.4, -0.1])
     inv = AbInvariants(fld, [1.0, 0.3, 0.2])
-    assert np.allclose(inv.r_ij, 0.0, atol=1e-15)
-    assert np.allclose(inv.s_ij, 0.0, atol=1e-15)
+    assert np.allclose(fld.r, 0.0, atol=1e-15)
+    assert np.allclose(fld.s, 0.0, atol=1e-15)
     for name in ("r_00", "r_0", "s_0", "r00_0", "s0_0", "div_s0", "div_s",
                  "r0_0", "sk_sk0", "sksk", "ss", "rk_sk0", "r0k_sk0"):
         assert getattr(inv, name) == pytest.approx(0.0, abs=1e-15), name
@@ -226,7 +226,7 @@ def test_conformal_drift_fits_eta():
     assert fit.eta == pytest.approx(0.4, abs=1e-9)
     inv = AbInvariants(ab_fields(space, x), [0.5, 1.0, 0.2])
     assert inv.r_00 == pytest.approx(0.4 * inv.alpha2, rel=1e-12)
-    assert np.allclose(inv.s_ij, 0.0, atol=1e-14)
+    assert np.allclose(inv.fields.s, 0.0, atol=1e-14)
 
 
 def test_symmetry_antisymmetry_and_s00():
@@ -242,10 +242,10 @@ def test_symmetry_antisymmetry_and_s00():
             a, (f"1 + {c[4]!r}*x2", f"{c[5]!r}*x1", "0.1")
         )
         x, y = admissible_samples(space, rng, 1)[0]
-        inv = AbInvariants(ab_fields(space, x), y)
-        assert np.allclose(inv.s_ij, -inv.s_ij.T, atol=1e-13)
-        assert np.allclose(inv.r_ij, inv.r_ij.T, atol=1e-13)
-        assert float(y @ inv.s_ij @ y) == pytest.approx(0.0, abs=1e-13)
+        fld = ab_fields(space, x)
+        assert np.allclose(fld.s, -fld.s.T, atol=1e-13)
+        assert np.allclose(fld.r, fld.r.T, atol=1e-13)
+        assert float(y @ fld.s @ y) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_invariants_require_positive_beta():
@@ -273,7 +273,7 @@ def test_ab_fields_evaluate_both_views_in_one_call(monkeypatch):
     for name in ("g", "dg", "d2g"):
         assert np.array_equal(getattr(fld.mp, name), getattr(mp, name))
     for name in ("w", "dw", "d2w"):
-        assert np.array_equal(getattr(fld.fp, name), getattr(fp, name))
+        assert np.array_equal(getattr(fld, name), getattr(fp, name))
 
 
 def test_ab_fields_report_an_indefinite_metric_first():

@@ -1,5 +1,6 @@
 """Generic pipeline: homogeneity, Riemannian reduction, ODE and MC oracles."""
 import math
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -433,6 +434,28 @@ def test_bh_scaling():
     e1 = bh_density(F, XS, mc_samples=100_000, seed=3)
     e2 = bh_density(F2, XS, mc_samples=100_000, seed=3)
     assert abs(e2.sublevel_volume / e1.sublevel_volume - 0.125) < 0.01
+
+
+def test_bh_density_refuses_stages_that_take_no_arrays():
+    """The Monte-Carlo indicator calls each stage once on numpy columns;
+    a stage written for one float direction is refused by name."""
+    F = flat_kropina()
+
+    def scalar_f(x, y):
+        return math.fsum(v * v for v in y) / (2.0 * float(y[0]))
+
+    def scalar_domain(x, y):
+        return bool(y[0] > 0)
+
+    stages = [
+        replace(F, name="scalar-F", at=lambda x: partial(scalar_f, x)),
+        replace(F, name="scalar-domain",
+                domain_at=lambda x: partial(scalar_domain, x)),
+        replace(F, name="constant-F", at=lambda x: lambda y: 0.5),
+    ]
+    for bad in stages:
+        with pytest.raises(TypeError, match=bad.name):
+            bh_density(bad, XS, mc_samples=100, seed=1)
 
 
 def test_unit_ball_volume_values():

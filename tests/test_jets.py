@@ -21,6 +21,7 @@ from oracles import (
     jet_inverse,
     jet_solve,
     jet_solve_reference,
+    mul_table,
     truncate,
 )
 
@@ -180,6 +181,20 @@ def test_seed_product_is_the_bincount_product_bit_for_bit(nvars, order):
                           (other * seed, plain_other * plain)):
             assert type(got) is Jet
             assert got.coef.tobytes() == want.coef.tobytes()
+
+
+@pytest.mark.parametrize("nvars, order", [
+    (1, 0), (1, 4), (2, 3), (3, 1), (4, 4), (6, 2), (6, 4), (8, 4),
+])
+def test_mul_table_matches_the_double_loop(nvars, order):
+    """The numpy-built triple table is the double loop's, array for
+    array: same pairs, same order within each k, same dtype."""
+    from kropina.jets import JetSpace
+
+    sp = JetSpace(nvars, order)
+    for got, want in zip((sp._mi, sp._mj, sp._mk), mul_table(sp)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 def test_jet_solve_and_det_against_numpy():

@@ -26,6 +26,7 @@ from oracles import (
     riemann_h,
     second_cov_w,
     w_invariants,
+    w_invariants_from_point,
 )
 
 EUCLID3 = metric_from_strings(
@@ -209,6 +210,22 @@ def test_w_invariants_parallel_field():
     assert np.allclose(inv.r_ij, 0.0)
     assert np.allclose(inv.s_ij, 0.0)
     assert inv.r_scalar == 0.0
+
+
+def test_field_point_invariants_match_the_oracle():
+    """FieldPoint's cached r, s and their contractions equal the
+    from-scratch record bit for bit."""
+    x = [0.7, 0.4, 0.9]
+    w = [parse_expr(e, 3) for e in ("cos(x2)", "sin(x2)*x3", "0.3*x1")]
+    mp = MetricPoint.from_exprs(SPHERE3, x, order=2)
+    fp = FieldPoint.from_exprs(mp, w, x, order=1)
+    ref = w_invariants_from_point(mp, fp)
+    for mine, theirs in (("r", "r_ij"), ("s", "s_ij"), ("s_up", "s_up"),
+                         ("s_vec", "s_vec"), ("r_vec", "r_vec"),
+                         ("r_scalar", "r_scalar")):
+        assert np.array_equal(getattr(fp, mine), getattr(ref, theirs)), mine
+    assert fp.r is fp.r
+    assert not np.allclose(fp.r, 0.0) and not np.allclose(fp.s, 0.0)
 
 
 def _lie_derivative_fd(metric, w_exprs, x):

@@ -481,19 +481,25 @@ def test_report_json_is_strict():
 
 
 def _count_work(monkeypatch):
-    """Record every drift-bundle build (its chart point) and every
-    generic curvature sample (its point, direction and whether it also
-    carries S against the unit-ball density)."""
+    """Record every drift-bundle build and every (theta, sigma) fit (its
+    chart point) and every generic curvature sample (its point,
+    direction and whether it also carries S against the unit-ball
+    density)."""
     import kropina.einstein as einstein
     import kropina.forms as forms
-    import kropina.workbench as workbench
 
-    bundles, samples = [], []
+    bundles, fits, samples = [], [], []
     real_init = forms.AbFields.__init__
 
     def init(self, space, x):
         bundles.append(tuple(float(v) for v in x))
         real_init(self, space, x)
+
+    real_fit = einstein.fit_theta_sigma
+
+    def fit(fields, cfg, directions):
+        fits.append(tuple(float(v) for v in fields.x))
+        return real_fit(fields, cfg, directions)
 
     real_sample = einstein.curvature_sample
 
@@ -504,18 +510,19 @@ def _count_work(monkeypatch):
         return cs
 
     monkeypatch.setattr(forms.AbFields, "__init__", init)
+    monkeypatch.setattr(einstein, "fit_theta_sigma", fit)
     monkeypatch.setattr(einstein, "curvature_sample", sample)
-    monkeypatch.setattr(workbench, "curvature_sample", sample)
-    return bundles, samples
+    return bundles, fits, samples
 
 
 def test_verify_builds_once_per_point(monkeypatch):
-    bundles, samples = _count_work(monkeypatch)
+    bundles, fits, samples = _count_work(monkeypatch)
     sc = load_scenario("s3_hopf")
     run_verify(sc)
     assert len(bundles) == sc.points == len(set(bundles))
     assert len(samples) == sc.points * sc.directions == len(set(samples))
     assert not any(has_bh for *_, has_bh in samples)
+    assert fits == []
 
     # with a weight, the same sample also carries S against the
     # unit-ball density for the S-curvature pair
@@ -528,19 +535,22 @@ def test_verify_builds_once_per_point(monkeypatch):
     assert all(has_bh for *_, has_bh in samples)
 
 
-def test_check_builds_once_per_point_per_checker(monkeypatch):
-    bundles, samples = _count_work(monkeypatch)
-    sc = load_scenario("s3_hopf")
-    doc = run_check(sc)
-    checkers = len(doc.checks)
-    assert checkers == 2
-    points = set(bundles)
-    assert len(points) == sc.points
-    assert all(bundles.count(x) == checkers for x in points)
-    # the checkers share one sample per (x, y)
-    pairs = {(x, y) for x, y, _ in samples}
-    assert len(pairs) == sc.points * sc.directions
-    assert len(samples) == len(pairs)
+def test_check_builds_once_per_point_per_run(monkeypatch):
+    """Checkers 41 and 44 share each chart point's drift bundle, its
+    (theta, sigma) fit and one generic sample per (x, y)."""
+    bundles, fits, samples = _count_work(monkeypatch)
+    for name in ("s3_hopf", "torus_wind"):
+        for work in (bundles, fits, samples):
+            work.clear()
+        sc = load_scenario(name)
+        doc = run_check(sc)
+        assert [c["theorem"] for c in doc.checks] == ["41", "44"]
+        assert len(bundles) == sc.points == len(set(bundles))
+        assert len(fits) == sc.points == len(set(fits))
+        assert set(fits) == set(bundles)
+        pairs = {(x, y) for x, y, _ in samples}
+        assert len(pairs) == sc.points * sc.directions
+        assert len(samples) == len(pairs)
 
 
 def test_f_x_stage_runs_once_per_point_per_run(monkeypatch):
@@ -678,18 +688,25 @@ def test_convert_evidence_evaluates_f_once_per_point(monkeypatch):
 
 
 def test_verify_builds_one_w_invariants_per_point(monkeypatch):
+    """R_ij and its siblings are cached on the navigation point, and
+    verify builds one navigation point per chart point."""
+    from functools import cached_property
+
     import kropina.forms as forms
+    from kropina.riemann import FieldPoint
 
     points = []
-    real = forms.w_invariants_from_point
+    real = FieldPoint.r.func
 
-    def counted(mp, fp):
-        # drift bundles of the (alpha, beta) view call it too
+    def counted(fp):
+        # drift bundles of the (alpha, beta) view are FieldPoints too
         if isinstance(fp, forms.NavPoint):
             points.append(id(fp))
-        return real(mp, fp)
+        return real(fp)
 
-    monkeypatch.setattr(forms, "w_invariants_from_point", counted)
+    traced = cached_property(counted)
+    traced.__set_name__(FieldPoint, "r")
+    monkeypatch.setattr(FieldPoint, "r", traced)
     for name in ("s3_hopf", "torus_wind"):
         points.clear()
         sc = load_scenario(name)
