@@ -29,21 +29,26 @@ from typing import Optional
 
 import numpy as np
 
+from .expr import ExprError
 from .forms import (
+    AbFields,
     KropinaSpace,
+    NavPoint,
     _require_unit_wind,
-    ab_fields,
-    bh_volume_density,
     finsler_evaluator,
     isotropy_fit,
     kropina_ricci_closed,
-    nav_point,
+    log_densities,
     s_closed,
     s_dot_closed,
-    volume_density,
 )
 from .generic import curvature_sample, generic_point
-from .riemann import MetricPoint, NotPositiveDefiniteError
+from .riemann import (
+    MetricPoint,
+    NotPositiveDefiniteError,
+    _extract,
+    eval_component_jets,
+)
 
 
 class DispatchError(ValueError):
@@ -173,7 +178,7 @@ def weight_preset(name, n):
 
 # -- the curvature family ------------------------------------------------------
 #
-# These take the drift bundle of one chart point (forms.ab_fields); the
+# These take the drift bundle of one chart point (ChartPoint.fld); the
 # weight is the one of the bundle's space.
 
 
@@ -478,7 +483,7 @@ def _scaled_residual(value, *scales):
 
 def _drift_scalars(fld):
     """(s^i s_i, s^j_k s^k_j, s^j_k r^k_j) contractions of the drift."""
-    sksk = float(fld.s_vec @ fld.ainv @ fld.s_vec)
+    sksk = float(fld.s_vec @ fld.mp.ginv @ fld.s_vec)
     ss = float(np.einsum("ij,ji->", fld.s_up, fld.s_up))
     sr = float(np.einsum("ij,ji->", fld.s_up, fld.r_up))
     return sksk, ss, sr
@@ -498,39 +503,80 @@ def _drift_scalars(fld):
 class ChartPoint:
     """One sampled chart point x of a space and its directions ys, with
     every pointwise bundle a run reads there, each built on first use:
-    the drift bundle fld, the navigation point nav, the generic point
-    and one curvature sample per direction, and one least-squares
-    (theta, sigma) fit per weight configuration.
+    the drift bundle fld, the navigation point nav, the log densities,
+    the generic point and one curvature sample per direction, and one
+    least-squares (theta, sigma) fit per weight configuration.
 
-    The points of one run share the space's Finsler evaluator and
-    densities (chart_points builds them).  Given the unit-ball density,
-    the generic point carries it too, so every sample has its s_bh.
+    The bundles, the densities and the weight's partials all read one
+    evaluation of the space's trees over the n chart variables to order
+    2.  The points of one run share the space's Finsler evaluator
+    (chart_points builds it).
     """
 
-    def __init__(self, space: KropinaSpace, x, ys, evaluator, density,
-                 bh_density=None):
+    def __init__(self, space: KropinaSpace, x, ys, evaluator):
         self.space = space
         self.n = space.dim
         self.x = np.asarray(x, dtype=float)
         self.ys = [np.asarray(y, dtype=float) for y in ys]
         self.evaluator = evaluator
-        self._density = density
-        self._bh_density = bh_density
         self._samples = {}
         self._fits = {}
 
     @cached_property
+    def _jets(self):
+        """The order-2 x-jets of every tree the point reads, from one
+        evaluation: a_ij, b^i, h_ij, W^i, the gauge and the weight, row by
+        row and in that order, so each node the trees share runs once."""
+        sp = self.space
+        trees = [e for row in sp.a.exprs for e in row] + list(sp.b_up)
+        trees += [e for row in sp.h.exprs for e in row] + list(sp.w)
+        trees += [sp.gauge] + ([] if sp.weight is None else [sp.weight])
+        x = list(self.x)
+        try:
+            return eval_component_jets(trees, x, 2)
+        except ExprError:
+            # a metric that is not positive definite is reported first
+            MetricPoint.from_exprs(sp.a, x, order=2)
+            raise
+
+    @cached_property
+    def _partials(self):
+        return _extract(self._jets, self.n, 2)
+
+    def _take(self, at, shape):
+        """Value, first and second partials of the trees from position
+        at on, shaped like one tree of the given shape."""
+        end = at + math.prod(shape)
+        return [p[at:end].reshape(shape + p.shape[1:]) for p in self._partials]
+
+    @cached_property
     def fld(self):
-        return ab_fields(self.space, self.x)
+        n = self.n
+        if self.space.weight is None:
+            weight = np.zeros(n), np.zeros((n, n))
+        else:
+            weight = self._take(2 * n * n + 2 * n + 1, ())[1:]
+        return AbFields(self.space, self.x, MetricPoint(*self._take(0, (n, n))),
+                        self._take(n * n, (n,)), weight)
 
     @cached_property
     def nav(self):
-        return nav_point(self.space.h, self.space.w, self.x)
+        n = self.n
+        return NavPoint(MetricPoint(*self._take(n * n + n, (n, n))),
+                        *self._take(2 * n * n + n, (n,)))
+
+    @cached_property
+    def log_densities(self):
+        """(ln sigma, ln sigma_BH or None) as order-2 x-jets, as
+        forms.log_densities gives them."""
+        n, jets = self.n, self._jets
+        a = np.array([j.coef for j in jets[:n * n]]).reshape(n, n, -1)
+        at = 2 * n * n + 2 * n
+        return log_densities(a, *jets[at:])
 
     @cached_property
     def generic(self):
-        return generic_point(self.evaluator, self._density, self.x,
-                             f=self.space.weight, bh=self._bh_density)
+        return generic_point(self.evaluator, self.x, *self.log_densities)
 
     def sample(self, y):
         """The generic curvature sample of direction y, taken once per y."""
@@ -549,14 +595,11 @@ class ChartPoint:
         return fit
 
 
-def chart_points(space: KropinaSpace, samples, unit_ball=False):
+def chart_points(space: KropinaSpace, samples):
     """One ChartPoint per (x, directions) pair of samples, all sharing
-    the space's Finsler evaluator and weighted density; with unit_ball
-    every generic point also carries the unit-ball density."""
+    the space's Finsler evaluator."""
     ev = finsler_evaluator(space)
-    dens = volume_density(space)
-    bh = bh_volume_density(space) if unit_ball else None
-    return [ChartPoint(space, x, ys, ev, dens, bh) for x, ys in samples]
+    return [ChartPoint(space, x, ys, ev) for x, ys in samples]
 
 
 def _check(theorem, regime, keys, conditions, points, cfg, tol):
@@ -631,7 +674,7 @@ def _reductions(pt, res, quad_dev, u, theta, lin_extra):
     b2 = fld.b2
     res.add("quadratic-reduction",
             float(np.abs(quad_dev).max())
-            / max(1.0, b2**2 * float(np.abs(fld.ric).max()), abs(u)))
+            / max(1.0, b2**2 * float(np.abs(fld.mp.ricci).max()), abs(u)))
     lin = (
         u * fld.bl
         + b2 * (fld.dsv @ fld.bu)
@@ -747,7 +790,7 @@ def thm44_check(points, cfg: WeightConfig, tol=1e-6):
 
         for y in pt.ys:
             inv = fld.invariants(y)
-            ric_a = float(y @ fld.ric @ y)
+            ric_a = float(y @ fld.mp.ricci @ y)
             hf_y = float(y @ fld.weight_hess @ y)
             lhs = (
                 ric_a * b2**2
@@ -812,7 +855,7 @@ def _quadratic_drift_tensor(fld, cfg, hess_a):
     kap = cfg.kappa
     b2 = fld.b2
     return (
-        b2**2 * fld.ric
+        b2**2 * fld.mp.ricci
         + b2 * np.einsum("ijk,k->ij", fld.dr, fld.bu)
         + (n - 2) * b2 * _sym(fld.dsv)
         + b2 * fld.trace_r_up * fld.r
@@ -855,7 +898,7 @@ def thm51_check(points, cfg: WeightConfig, tol=1e-6):
         theta = np.array(pt.fitted(cfg).theta)
         theta_b = float(theta @ fld.bu)
         sksk, ss, sr = _drift_scalars(fld)
-        s_up_vec = fld.ainv @ fld.s_vec
+        s_up_vec = fld.mp.ginv @ fld.s_vec
         u = (
             (n - kappa) * float(fld.r_vec @ s_up_vec)
             + (n - 2) * sksk
@@ -915,7 +958,7 @@ def thm61_check(points, cfg: WeightConfig, tol=1e-6):
 
         quad = (
             _sym(np.outer(fld.bl, zeta))
-            + b2**2 * fld.ric
+            + b2**2 * fld.mp.ricci
             + ((float(fld.bu @ eta_k) + (n - 2) * eta**2) * b2 - u) * fld.mp.g
             - (n - 2) * eta**2 * np.outer(fld.bl, fld.bl)
             + (n - 2) * b2 * _sym(np.outer(eta_k, fld.bl))

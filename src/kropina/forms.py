@@ -32,7 +32,6 @@ import numpy as np
 
 from .expr import (
     ExprAst,
-    ExprError,
     as_ast,
     e_add,
     e_call,
@@ -46,13 +45,7 @@ from .expr import (
 )
 from .generic import ConicDomainError, FinslerEvaluator
 from .jets import Jet, JetDomainError, graded_solve
-from .riemann import (
-    FieldPoint,
-    MetricPoint,
-    RiemannianMetric,
-    _extract,
-    eval_component_jets,
-)
+from .riemann import FieldPoint, MetricPoint, RiemannianMetric
 
 
 class GaugeError(ValueError):
@@ -262,19 +255,6 @@ def _require_unit_wind(norm2, where):
         )
 
 
-# -- conversions --------------------------------------------------------------
-
-
-def nav_to_ab(h, w, gauge=None):
-    """(alpha, beta) data for navigation input, in the requested gauge.
-
-    Returns (a, b): the view metric and the drift 1-form components.
-    gauge defaults to the constant 2.
-    """
-    space = KropinaSpace.from_nav(h, w, gauge=gauge)
-    return space.a, space.b
-
-
 # -- pointwise field bundle ----------------------------------------------------
 
 
@@ -287,26 +267,20 @@ class AbFields(FieldPoint):
     b_{k;i;j} with the Levi-Civita connection of a_ij; dr[i, j, k] =
     r_{ij;k} and dsv[j, k] = s_{j;k} differentiate the full tensors
     (the contracted forms s_j = b^i s_ij pick up a b^i_{;k} term).
+    f_grad and f_hess are the weight's plain coordinate first and
+    second partials, not covariant ones (zero without a weight).
     """
 
-    def __init__(self, space: KropinaSpace, x):
+    def __init__(self, space: KropinaSpace, x, mp: MetricPoint, b_up,
+                 weight):
+        """The bundle at x from a chart point's arrays: mp holds a_ij to
+        second order, b_up is the value, first and second partials of
+        b^i, and weight the pair (f_grad, f_hess)."""
         self.space = space
         self.x = np.asarray(x, dtype=float)
-        self.n = n = space.dim
-        x = list(self.x)
-        # one evaluation for a_ij and b^i, whose adjugate trees hold the
-        # a_ij nodes, so each shared node runs once per bundle
-        try:
-            jets = eval_component_jets(
-                [e for row in space.a.exprs for e in row] + list(space.b_up),
-                x, 2)
-        except ExprError:
-            # a metric that is not positive definite is reported first
-            MetricPoint.from_exprs(space.a, x, order=2)
-            raise
-        rows = [jets[i * n:(i + 1) * n] for i in range(n)]
-        super().__init__(MetricPoint(*_extract(rows, n, 2)),
-                         *_extract(jets[n * n:], n, 2))
+        self.n = space.dim
+        super().__init__(mp, *b_up)
+        self.f_grad, self.f_hess = weight
         self._invariants = {}
 
     def invariants(self, y) -> "AbInvariants":
@@ -317,10 +291,6 @@ class AbFields(FieldPoint):
         if inv is None:
             inv = self._invariants[key] = AbInvariants(self, y)
         return inv
-
-    @cached_property
-    def ainv(self):
-        return self.mp.ginv
 
     @cached_property
     def bl(self):
@@ -341,7 +311,7 @@ class AbFields(FieldPoint):
 
     @cached_property
     def r_up(self):
-        return self.ainv @ self.r
+        return self.mp.ginv @ self.r
 
     @cached_property
     def dr(self):
@@ -356,7 +326,7 @@ class AbFields(FieldPoint):
     @cached_property
     def dbu(self):
         """b^i_{;k}, raised with the (covariantly constant) metric."""
-        return self.ainv @ self.cov1
+        return self.mp.ginv @ self.cov1
 
     @cached_property
     def dsv(self):
@@ -374,20 +344,12 @@ class AbFields(FieldPoint):
     @cached_property
     def div_s_up(self):
         """s^k_{j;k} as a covector in j."""
-        return np.einsum("kl,ljk->j", self.ainv, self.ds)
+        return np.einsum("kl,ljk->j", self.mp.ginv, self.ds)
 
     @cached_property
     def div_s(self):
         """s^k_{;k} for the raised contracted vector s^k = a^{kj} s_j."""
-        return float(np.einsum("kj,jk->", self.ainv, self.dsv))
-
-    @cached_property
-    def ric(self):
-        return self.mp.ricci
-
-    @cached_property
-    def gamma(self):
-        return self.mp.christoffel
+        return float(np.einsum("kj,jk->", self.mp.ginv, self.dsv))
 
     @cached_property
     def trace_r_up(self):
@@ -404,34 +366,13 @@ class AbFields(FieldPoint):
     def eta_grad(self):
         """eta_{;k} = a^{ij} r_{ij;k} / n, exact because eta is a scalar
         and a_ij is covariantly constant."""
-        return np.einsum("ij,ijk->k", self.ainv, self.dr) / self.n
-
-    @cached_property
-    def _weight_jets(self):
-        if self.space.weight is None:
-            return np.zeros(self.n), np.zeros((self.n, self.n))
-        jets = eval_component_jets(self.space.weight, list(self.x), 2)
-        return _extract(jets, self.n, 2)[1:]
-
-    @property
-    def f_grad(self):
-        return self._weight_jets[0]
-
-    @property
-    def f_hess(self):
-        """Plain coordinate second partials of the weight, not covariant."""
-        return self._weight_jets[1]
+        return np.einsum("ij,ijk->k", self.mp.ginv, self.dr) / self.n
 
     @cached_property
     def weight_hess(self):
         """Covariant Hessian f_{i;j} of the weight against a_ij (zero
         without a weight)."""
         return self.mp.covariant_hessian(self.f_grad, self.f_hess)
-
-
-def ab_fields(space: KropinaSpace, x) -> AbFields:
-    """The drift bundle at x; every pointwise closed form reads one."""
-    return AbFields(space, x)
 
 
 class AbInvariants:
@@ -474,10 +415,10 @@ class AbInvariants:
         self.div_s = f.div_s                 # s^k_{;k}
 
         self.sk_sk0 = float(f.s_vec @ self.s_i0)          # s_k s^k_0
-        self.sksk = float(f.s_vec @ f.ainv @ f.s_vec)     # s^k s_k
+        self.sksk = float(f.s_vec @ f.mp.ginv @ f.s_vec)  # s^k s_k
         self.ss = float(np.einsum("ij,ji->", f.s_up, f.s_up))  # s^j_k s^k_j
         self.rk_sk0 = float(f.r_vec @ self.s_i0)          # r_k s^k_0
-        self.r0k_sk = float(self.r_0i @ (f.ainv @ f.s_vec))  # r_{0k} s^k
+        self.r0k_sk = float(self.r_0i @ (f.mp.ginv @ f.s_vec))  # r_{0k} s^k
         self.r0k_sk0 = float(self.r_0i @ self.s_i0)       # r_{0k} s^k_0
 
         self.f_0 = float(f.f_grad @ y)
@@ -492,20 +433,13 @@ class AbInvariants:
 def kropina_spray_closed(fields: AbFields, y) -> np.ndarray:
     """Geodesic coefficients G^i from the drift-derivative tensors."""
     f = fields
-    y = np.asarray(y, dtype=float)
-    a2 = float(y @ f.mp.g @ y)
-    beta = float(f.bl @ y)
-    if beta <= 0.0:
-        raise ConicDomainError("beta must be positive in the conic domain")
-    b2 = f.b2
-    g_a = 0.5 * np.einsum("kij,i,j->k", f.gamma, y, y)
-    s_i0 = f.s_up @ y
-    s_0 = float(f.s_vec @ y)
-    r_00 = float(y @ f.r @ y)
+    inv = f.invariants(y)
+    y, a2, beta, b2 = inv.y, inv.alpha2, inv.beta, f.b2
+    g_a = 0.5 * np.einsum("kij,i,j->k", f.mp.christoffel, y, y)
     correction = (
-        -(a2 / (2.0 * beta)) * s_i0
-        + ((a2 / beta) * s_0 + r_00) / (2.0 * b2) * f.bu
-        - (s_0 + (beta / a2) * r_00) / b2 * y
+        -(a2 / (2.0 * beta)) * inv.s_i0
+        + ((a2 / beta) * inv.s_0 + inv.r_00) / (2.0 * b2) * f.bu
+        - (inv.s_0 + (beta / a2) * inv.r_00) / b2 * y
     )
     return g_a + correction
 
@@ -519,7 +453,7 @@ def kropina_ricci_closed(fields: AbFields, y) -> float:
     F = inv.F
     b2 = f.b2
     b4 = b2 * b2
-    ric_a = float(y @ f.ric @ y)
+    ric_a = float(y @ f.mp.ricci @ y)
     t = (
         3.0 * (n - 1) / (b4 * F * F) * inv.r_00 ** 2
         + (n - 1) / (F * b4) * (
@@ -587,13 +521,18 @@ def s_dot_closed(fields: AbFields, y) -> float:
     return first + second + hess_f_closed(f, inv.y)
 
 
+def hess_form(fields: AbFields, y, G) -> float:
+    """f_{x^i x^j} y^i y^j - 2 f_{x^i} G^i, the geodesic Hessian form of
+    the weight along a spray whose value at (x, y) is G."""
+    y = np.asarray(y, dtype=float)
+    return float(y @ fields.f_hess @ y - 2.0 * fields.f_grad @ G)
+
+
 def hess_f_closed(fields: AbFields, y) -> float:
     """Geodesic Hessian form of the weight along the closed-form spray."""
     if fields.space.weight is None:
         return 0.0
-    y = np.asarray(y, dtype=float)
-    g = kropina_spray_closed(fields, y)
-    return float(y @ fields.f_hess @ y - 2.0 * fields.f_grad @ g)
+    return hess_form(fields, y, kropina_spray_closed(fields, y))
 
 
 # -- isotropy decision ---------------------------------------------------------
@@ -645,9 +584,9 @@ def isotropy_fit(fields: AbFields, rel_tol=1e-8) -> IsotropyFit:
 
 class NavPoint(FieldPoint):
     """The wind W over the metric h at one chart point: the navigation
-    closed forms' pointwise data (metric to second order, wind to first,
-    so .mp holds the curvature of h), with the FieldPoint's R_ij, S_ij
-    and contractions and the Killing/S_j defects computed once for all
+    closed forms' pointwise data (the metric to second order, so .mp
+    holds the curvature of h), with the FieldPoint's R_ij, S_ij and
+    contractions and the Killing/S_j defects computed once for all
     directions."""
 
     @cached_property
@@ -656,14 +595,6 @@ class NavPoint(FieldPoint):
         return (max(1.0, float(np.linalg.norm(self.cov1))),
                 float(np.linalg.norm(self.r)),
                 float(np.linalg.norm(self.s_vec)))
-
-
-def nav_point(h: RiemannianMetric, w, x) -> NavPoint:
-    """The NavPoint of the wind W over the metric h at x."""
-    w = _coerce_vector(w, h.dim, "wind")
-    xs = [float(v) for v in x]
-    mp = MetricPoint.from_exprs(h, xs, order=2)
-    return NavPoint.from_exprs(mp, list(w), xs, order=1)
 
 
 def _nav_frame(fp: NavPoint, y):
@@ -683,7 +614,7 @@ def nav_spray(fp: NavPoint, y) -> np.ndarray:
 
     G^i = G^i_h - F S^i_0 - (R_00 + 2 F S_0) / (2F) (y^i - F W^i),
     with R and S the symmetrised and skew covariant derivatives of the
-    lowered wind; fp is a nav_point.
+    lowered wind; fp is a NavPoint (ChartPoint.nav).
     """
     y, _, F = _nav_frame(fp, y)
     g_h = 0.5 * np.einsum("kij,i,j->k", fp.mp.christoffel, y, y)
@@ -728,39 +659,6 @@ def nav_ricci_isotropic(fp: NavPoint, y, tol=1e-8) -> float:
 # -- volume densities and evaluators --------------------------------------------
 
 
-def _sigma_bh_value(space: KropinaSpace, env):
-    """(2/b)^n sqrt(det a) over a float or jet environment."""
-    n = space.dim
-    *vals, b = eval_expr(
-        [e for row in space.a.exprs for e in row] + [space.gauge], env)
-    rows = [vals[i * n:(i + 1) * n] for i in range(n)]
-    jet = next(
-        (e for row in rows for e in row if isinstance(e, Jet)),
-        b if isinstance(b, Jet) else None,
-    )
-    if jet is None:
-        det = float(np.linalg.det(np.asarray(rows, dtype=float)))
-        if det <= 0.0 or float(b) <= 0.0:
-            raise GaugeError("degenerate view metric or gauge")
-        return math.sqrt(det) * (2.0 / float(b)) ** n
-    sp = jet.space
-    A = np.zeros((n * n, sp.ncoef))
-    for k, e in enumerate(vals):
-        if isinstance(e, Jet):
-            A[k] = e.coef
-        else:
-            A[k, 0] = float(e)
-    if not isinstance(b, Jet):
-        b = sp.constant(float(b))
-    try:
-        _, log_det = graded_solve(sp, A.reshape(n, n, -1))
-    except JetDomainError:
-        raise GaugeError("degenerate view metric or gauge") from None
-    if b.value <= 0.0:
-        raise GaugeError("degenerate view metric or gauge")
-    return Jet(sp, log_det * 0.5).exp() * (b.reciprocal() * 2.0) ** n
-
-
 def sigma_bh(space: KropinaSpace, x) -> float:
     """Unit-ball volume density of the Kropina metric at x.
 
@@ -769,32 +667,37 @@ def sigma_bh(space: KropinaSpace, x) -> float:
     form (2/b)^n sqrt(det a); validated against Monte-Carlo estimates
     in the test suite.
     """
-    return float(_sigma_bh_value(space, [float(v) for v in x]))
+    n = space.dim
+    *vals, b = eval_expr([e for row in space.a.exprs for e in row]
+                         + [space.gauge], [float(v) for v in x])
+    det = float(np.linalg.det(np.asarray(vals, dtype=float).reshape(n, n)))
+    if det <= 0.0 or float(b) <= 0.0:
+        raise GaugeError("degenerate view metric or gauge")
+    return math.sqrt(det) * (2.0 / float(b)) ** n
 
 
-def bh_volume_density(space: KropinaSpace):
-    """x -> sigma_BH(x), over float or jet entries."""
-    return lambda xs: _sigma_bh_value(space, list(xs))
+def log_densities(a, b: Jet, f: Optional[Jet] = None):
+    """(ln sigma, ln sigma_BH) as jets, from the jets of the view metric
+    a_ij (stacked coefficient arrays, n x n x ncoef), the gauge b and
+    the weight f.
 
-
-def volume_density(space: KropinaSpace):
-    """The measure the S-curvature formulas refer to, as x -> sigma(x).
-
-    Without a weight this is the unit-ball density; with a weight f it
-    is e^{-(n+1) f} times that density.
+    sigma_BH = (2/b)^n sqrt(det a) is the unit-ball density, whose log
+    det a comes from one graded solve, and sigma = e^{-(n+1) f} sigma_BH
+    the density the S-curvature formulas refer to.  Without a weight
+    the two are one density, and ln sigma_BH is None.
     """
-    if space.weight is None:
-        return bh_volume_density(space)
-    n1 = space.dim + 1
-
-    def sigma(xs):
-        base = _sigma_bh_value(space, list(xs))
-        fv = eval_expr(space.weight, list(xs))
-        arg = -float(n1) * fv
-        damp = arg.exp() if isinstance(arg, Jet) else math.exp(arg)
-        return damp * base
-
-    return sigma
+    n = a.shape[0]
+    sp = b.space
+    try:
+        _, log_det = graded_solve(sp, a)
+    except JetDomainError:
+        raise GaugeError("degenerate view metric or gauge") from None
+    if b.value <= 0.0:
+        raise GaugeError("degenerate view metric or gauge")
+    bh = Jet(sp, log_det * 0.5).exp() * (b.reciprocal() * 2.0) ** n
+    if f is None:
+        return bh.log(), None
+    return ((-float(n + 1) * f).exp() * bh).log(), bh.log()
 
 
 def finsler_evaluator(space: KropinaSpace) -> FinslerEvaluator:

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .jets import Jet, JetDomainError, graded_solve, jet_space
-from .riemann import SingularMetricError, _extract, eval_component_jets
+from .riemann import SingularMetricError
 
 
 class ConicDomainError(ValueError):
@@ -41,8 +41,9 @@ class FinslerEvaluator:
     Monte-Carlo volume estimation.  bh_density calls at(x) and
     domain_at(x) on numpy columns, so both stages must accept arrays.
 
-    A coordinate volume density, as in dV = sigma(x) dx, is a plain
-    function sigma(x) accepting floats and Jet instances.
+    The pipeline takes a coordinate volume density, as in dV = sigma(x)
+    dx, as ln sigma: an order-2 jet over the n chart variables at the
+    chart point (see generic_point).
     """
 
     dim: int
@@ -69,8 +70,7 @@ class CurvatureSample:
     tau: float               # distortion
     s: float                 # S-curvature
     sdot: float              # horizontal derivative of S
-    hess_f: Optional[float]  # Hessian form of the weight function, if given
-    s_bh: Optional[float] = None  # S against the unit-ball density, if given
+    s_bh: float              # S against the unit-ball density
 
 
 def _check_domain(domain_at_x, y, name: str):
@@ -135,17 +135,6 @@ def _riemann_from_spray(G: np.ndarray, y, n: int) -> np.ndarray:
     )
 
 
-def _sigma_jet(sigma: Callable, x, n: int, order: int) -> Jet:
-    """The density sigma as a jet of the given order over the 2n
-    variables, from sigma called on the x seeds."""
-    space = jet_space(2 * n, order)
-    xj = [space.variable(i, x[i]) for i in range(n)]
-    s = sigma(xj)
-    if not isinstance(s, Jet):
-        s = space.constant(float(s))
-    return s
-
-
 def _s_jet(tau: np.ndarray, G: np.ndarray, y, n: int) -> np.ndarray:
     """S = y^m tau_{x^m} - 2 G^m tau_{y^m} as a first-order coefficient
     array, from the order-2 arrays of tau and the spray.
@@ -180,59 +169,44 @@ class GenericPoint:
     x: np.ndarray
     f_at: Callable           # y jets -> F(x, y), F.at of the order-4 x seeds
     domain: Callable         # float y -> in the conic domain, F.domain_at(x)
-    log_sigma: Optional[Jet]     # ln sigma as an order-2 jet, None if sigma <= 0
-    log_sigma_bh: Optional[Jet]  # likewise for the unit-ball density, if given
-    weight_hess: Optional[np.ndarray]  # f_{x^i x^j}, if a weight is given
-    weight_grad: Optional[np.ndarray]  # f_{x^i}, if a weight is given
+    log_sigma: Jet           # ln sigma, order 2 over the 2n variables
+    log_sigma_bh: Optional[Jet]  # likewise ln sigma_BH, None if it is ln sigma
 
 
-def _log_density(sigma: Callable, x, n: int) -> Optional[Jet]:
-    sj = _sigma_jet(sigma, x, n, 2)
-    return sj.log() if sj.value > 0.0 else None
+def _embed(jet: Jet) -> Jet:
+    """A jet over the n chart variables as the jet of the same order and
+    function over the 2n variables (x, y)."""
+    sp = jet.space
+    pad = (0,) * sp.nvars
+    space = jet_space(2 * sp.nvars, sp.order)
+    coef = np.zeros(space.ncoef)
+    coef[[space.position[idx + pad] for idx in sp.indices]] = jet.coef
+    return Jet(space, coef)
 
 
-def generic_point(
-    F: FinslerEvaluator, sigma: Callable, x, f=None, bh=None
-) -> GenericPoint:
+def generic_point(F: FinslerEvaluator, x, log_sigma: Jet,
+                  log_sigma_bh: Optional[Jet] = None) -> GenericPoint:
     """The x-only stage of the generic pipeline at the chart point x.
 
-    Seeds the order-4 x jets and runs F's x-stage on them, takes the
-    density's order-2 jet (and bh's, the unit-ball density, when
-    given), the order-2 jet of the weight expression f for its Hessian
-    form, and F's float domain stage, all once.  curvature_sample(point,
-    y) then does only the work that depends on y.
+    Seeds the order-4 x jets and runs F's x-stage on them, and F's float
+    domain stage, once.  log_sigma is ln sigma, the log of the volume
+    density, as an order-2 jet over the n chart variables at x, and
+    log_sigma_bh likewise the log of the unit-ball density when that is
+    another density; both are embedded over the 2n variables here.
+    curvature_sample(point, y) then does only the work that depends on
+    y.
     """
     n = F.dim
     space = jet_space(2 * n, 4)
     seeds = [space.variable(i, x[i]) for i in range(n)]
-    weight_hess = weight_grad = None
-    if f is not None:
-        _, weight_grad, weight_hess = _extract(
-            eval_component_jets(f, list(x), 2), n, 2)
     return GenericPoint(
         F=F,
         x=np.asarray(x, dtype=float),
         f_at=F.at(seeds),
         domain=F.domain_at(list(x)),
-        log_sigma=_log_density(sigma, x, n),
-        log_sigma_bh=None if bh is None else _log_density(bh, x, n),
-        weight_hess=weight_hess,
-        weight_grad=weight_grad,
+        log_sigma=_embed(log_sigma),
+        log_sigma_bh=None if log_sigma_bh is None else _embed(log_sigma_bh),
     )
-
-
-def _hess_form(point: GenericPoint, y, G) -> float:
-    """f_{x^i x^j} y^i y^j - 2 f_{x^i} G^i for a given spray value G."""
-    yv = np.asarray(y, dtype=float)
-    return float(yv @ point.weight_hess @ yv
-                 - 2.0 * np.dot(point.weight_grad, G))
-
-
-def _tau(half_log_det: np.ndarray, log_sigma: Optional[Jet]) -> np.ndarray:
-    """tau = ln(sqrt(det g_ij) / sigma) as an order-2 coefficient array."""
-    if log_sigma is None:
-        raise ValueError("volume density must be positive")
-    return half_log_det - log_sigma.coef
 
 
 def curvature_sample(point: GenericPoint, y) -> CurvatureSample:
@@ -244,8 +218,8 @@ def curvature_sample(point: GenericPoint, y) -> CurvatureSample:
     distortion and the same spray give S as a first-order jet, whose
     horizontal derivative is Sdot.  S, tau and Sdot refer to the
     point's density; s_bh is S from its own tau_BH = ln sqrt(det g) -
-    ln sigma_BH when the point carries the unit-ball density, and hess_f
-    the geodesic Hessian form of the point's weight.
+    ln sigma_BH when the point carries a unit-ball density apart from
+    it, and S itself when not.
     """
     F = point.F
     _check_domain(point.domain, y, F.name)
@@ -268,15 +242,16 @@ def curvature_sample(point: GenericPoint, y) -> CurvatureSample:
     N = G[:, 1 + n:1 + 2 * n].copy()
     R = _riemann_from_spray(G, y, n)
     half_log_det = log_det * 0.5
-    tau = _tau(half_log_det, point.log_sigma)
+    tau = half_log_det - point.log_sigma.coef
     s_jet = _s_jet(tau, G, y, n)
     grad = s_jet[1:1 + 2 * n]
     sdot = float(np.dot(y, grad[:n]) - 2.0 * np.dot(Gv, grad[n:]))
-    s_bh = None
+    s = float(s_jet[0])
     if point.log_sigma_bh is not None:
-        tau_bh = _tau(half_log_det, point.log_sigma_bh)
-        s_bh = float(_s_jet(tau_bh, G, y, n)[0])
-    hess = _hess_form(point, y, Gv) if point.weight_hess is not None else None
+        s_bh = float(_s_jet(half_log_det - point.log_sigma_bh.coef,
+                            G, y, n)[0])
+    else:
+        s_bh = s
     return CurvatureSample(
         x=point.x,
         y=np.asarray(y, dtype=float),
@@ -286,9 +261,8 @@ def curvature_sample(point: GenericPoint, y) -> CurvatureSample:
         riemann=R,
         ricci=float(np.trace(R)),
         tau=float(tau[0]),
-        s=float(s_jet[0]),
+        s=s,
         sdot=sdot,
-        hess_f=hess,
         s_bh=s_bh,
     )
 

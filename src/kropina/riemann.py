@@ -176,12 +176,6 @@ class FieldPoint:
         self.dw = dw
         self.d2w = d2w
 
-    @classmethod
-    def from_exprs(cls, mp: MetricPoint, w_exprs, x, order=2):
-        jets = eval_component_jets(list(w_exprs), x, order)
-        parts = _extract(jets, len(x), order)
-        return cls(mp, *parts)
-
     @cached_property
     def w_low(self):
         return self.mp.g @ self.w

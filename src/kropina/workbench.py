@@ -24,13 +24,14 @@ from .expr import ExprError, eval_expr, parse_expr, print_expr
 from .forms import (
     GaugeError,
     HypothesisNotMetError,
+    KropinaSpace,
     finsler_evaluator,
     hess_f_closed,
+    hess_form,
     kropina_ricci_closed,
     kropina_spray_closed,
     nav_ricci_isotropic,
     nav_spray,
-    nav_to_ab,
     s_bh_closed,
     s_closed,
     s_dot_closed,
@@ -198,8 +199,8 @@ def run_verify(scenario, points=None, dirs=None, seed=None, mc_samples=20000):
     when every pair stays within tolerance.  Each sampled x is one
     ChartPoint, whose drift bundle, navigation point and generic point
     serve every direction; each (x, y) gets one generic curvature
-    sample, which also carries S against the unit-ball density for the
-    S-curvature pair when a weight is set.
+    sample, whose S against the unit-ball density is the S-curvature
+    pair's generic side.
     """
     scenario = load_scenario(scenario)
     space = scenario.space()
@@ -223,24 +224,23 @@ def run_verify(scenario, points=None, dirs=None, seed=None, mc_samples=20000):
     if weighted:
         names.append("weight-hessian")
     rows = {name: [] for name in names}
-    chart = chart_points(space, samples, unit_ball=weighted)
+    chart = chart_points(space, samples)
     with doc.timed("pairs"):
         for pt in chart:
             fld, nav, x = pt.fld, pt.nav, pt.x
             for y in pt.ys:
                 cs = pt.sample(y)
-                s_bh = cs.s_bh if weighted else cs.s
                 pairs = {
                     "spray": (lambda: kropina_spray_closed(fld, y), cs.spray),
                     "nav-spray": (lambda: nav_spray(nav, y), cs.spray),
                     "ricci": (lambda: kropina_ricci_closed(fld, y), cs.ricci),
-                    "s-curvature": (lambda: s_bh_closed(fld, y), s_bh),
+                    "s-curvature": (lambda: s_bh_closed(fld, y), cs.s_bh),
                     "s-dot": (lambda: n1 * s_dot_closed(fld, y), cs.sdot),
                     "s-weighted": (lambda: s_closed(fld, y), cs.s),
                     "nav-ricci": (lambda: nav_ricci_isotropic(nav, y),
                                   cs.ricci),
                     "weight-hessian": (lambda: hess_f_closed(fld, y),
-                                       cs.hess_f),
+                                       hess_form(fld, y, cs.spray)),
                 }
                 for name in names:
                     rows[name].append(_pair_row(x, y, *pairs[name]))
@@ -333,7 +333,8 @@ def run_convert(scenario, to, gauge=None, seed=None):
             # source's own for an ab scenario
             metric, vector = space.a, space.b
         else:
-            metric, vector = nav_to_ab(space.h, space.w, gauge=gauge_ast)
+            ab = KropinaSpace.from_nav(space.h, space.w, gauge=gauge_ast)
+            metric, vector = ab.a, ab.b
         named = {"gauge": gauge_ast if to == "nav" else None,
                  "weight": space.weight}
         named = {k: e for k, e in named.items() if e is not None}

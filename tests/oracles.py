@@ -7,11 +7,16 @@ a test can hold the package's route against it:
   curvature_sample's jet-solved spray; geodesic_flow integrates it;
 - curvature_sample_oracle: the whole curvature bundle at one (x, y)
   computed from scratch with jets, x-only work included, with second
-  partials read one Jet.partial at a time.  With eliminate_graded (the
+  partials read one Jet.partial at a time and the densities taken as
+  callables over the 2n variables.  With eliminate_graded (the
   package's graded_solve on the stacked jets) the staged generic_point
   + curvature_sample route must equal it bit for bit; with
   eliminate_gauss_jordan it is the Gauss-Jordan route the package's
   sample must agree with;
+- volume_density and bh_volume_density: a space's weighted and
+  unit-ball densities as callables x -> sigma(x) over floats and jets,
+  against the log densities a ChartPoint takes from its one jet
+  evaluation;
 - jet_solve: Gauss-Jordan elimination over the jet ring, returning the
   determinant as the signed pivot product, against graded_solve;
 - jet_det: a jet matrix determinant by the n!-term Leibniz sum;
@@ -33,7 +38,11 @@ a test can hold the package's route against it:
   around the projective Ricci curvature pric.
 
 Below them sit the helpers the tests build their cases with, each a
-thin route through the package's own objects: with_gauge and
+thin route through the package's own objects: chart_point, ab_fields
+and nav_point (one chart point's bundles, or the navigation point of
+any (h, W)), field_point and log_density (a FieldPoint of component
+expressions, and ln sigma of a density callable as the x-jet
+generic_point takes); with_gauge and
 with_weight (a space re-expressed in another gauge, or carrying another
 weight); metric_from_strings, christoffel, lowered_riemann, riemann_h,
 ricci_h, hess_h, w_invariants (with WInvariants and
@@ -58,6 +67,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from kropina.einstein import (
+    ChartPoint,
     EinsteinAnsatz,
     WeightConfig,
     _weighted_ricci,
@@ -70,6 +80,7 @@ from kropina.forms import (
     KropinaSpace,
     NavPoint,
     _coerce_scalar,
+    _coerce_vector,
     _linear,
     _nav_frame,
     _nav_hypothesis,
@@ -105,7 +116,6 @@ from kropina.generic import (
     CurvatureSample,
     FinslerEvaluator,
     _check_invertible,
-    _sigma_jet,
 )
 from kropina.jets import (
     Jet,
@@ -257,6 +267,17 @@ def riemann_from_spray_jets(Gj, y, n: int) -> np.ndarray:
     )
 
 
+def _sigma_jet(sigma, x, n: int, order: int) -> Jet:
+    """The density sigma as a jet of the given order over the 2n
+    variables, from sigma called on the x seeds."""
+    space = jet_space(2 * n, order)
+    xj = [space.variable(i, x[i]) for i in range(n)]
+    s = sigma(xj)
+    if not isinstance(s, Jet):
+        s = space.constant(float(s))
+    return s
+
+
 def tau_jet(F, sigma, x, f2: Jet, eliminate=eliminate_graded) -> Jet:
     """tau = ln(sqrt(det g_ij) / sigma) as a jet two orders below f2."""
     n = F.dim
@@ -287,12 +308,12 @@ def hess_form(f, x, y, G, n: int) -> float:
 
 
 def curvature_sample_oracle(
-    F: FinslerEvaluator, sigma, x, y, f=None, bh=None,
-    eliminate=eliminate_graded,
+    F: FinslerEvaluator, sigma, x, y, bh=None, eliminate=eliminate_graded,
 ) -> CurvatureSample:
     """The curvature bundle at (x, y), every stage computed for this
     direction alone, with jets; s_bh is the S of a second sample against
-    bh.  The jet matrix g is eliminated by eliminate."""
+    bh, or S itself without bh.  The jet matrix g is eliminated by
+    eliminate."""
     _check_domain(F, x, y)
     n = F.dim
     f4 = f2_jet(F, x, y, 4)
@@ -315,8 +336,7 @@ def curvature_sample_oracle(
                  - truncate(Gj[m], 1) * deriv(tau, n + m) * 2.0)
     grad = gradient(s_jet)
     sdot = float(np.dot(y, grad[:n]) - 2.0 * np.dot(Gv, grad[n:]))
-    hess = hess_form(f, x, y, Gv, n) if f is not None else None
-    s_bh = None
+    s_bh = s_jet.value
     if bh is not None:
         s_bh = curvature_sample_oracle(F, bh, x, y, eliminate=eliminate).s
     return CurvatureSample(
@@ -330,7 +350,6 @@ def curvature_sample_oracle(
         tau=tau.value,
         s=s_jet.value,
         sdot=sdot,
-        hess_f=hess,
         s_bh=s_bh,
     )
 
@@ -510,6 +529,61 @@ def jet_inverse(A):
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
+def _sigma_bh_value(space: KropinaSpace, env):
+    """(2/b)^n sqrt(det a) over a float or jet environment."""
+    n = space.dim
+    *vals, b = eval_expr(
+        [e for row in space.a.exprs for e in row] + [space.gauge], env)
+    rows = [vals[i * n:(i + 1) * n] for i in range(n)]
+    jet = next(
+        (e for row in rows for e in row if isinstance(e, Jet)),
+        b if isinstance(b, Jet) else None,
+    )
+    if jet is None:
+        det = float(np.linalg.det(np.asarray(rows, dtype=float)))
+        if det <= 0.0 or float(b) <= 0.0:
+            raise GaugeError("degenerate view metric or gauge")
+        return math.sqrt(det) * (2.0 / float(b)) ** n
+    sp = jet.space
+    A = np.zeros((n * n, sp.ncoef))
+    for k, e in enumerate(vals):
+        if isinstance(e, Jet):
+            A[k] = e.coef
+        else:
+            A[k, 0] = float(e)
+    if not isinstance(b, Jet):
+        b = sp.constant(float(b))
+    try:
+        _, log_det = graded_solve(sp, A.reshape(n, n, -1))
+    except JetDomainError:
+        raise GaugeError("degenerate view metric or gauge") from None
+    if b.value <= 0.0:
+        raise GaugeError("degenerate view metric or gauge")
+    return Jet(sp, log_det * 0.5).exp() * (b.reciprocal() * 2.0) ** n
+
+
+def bh_volume_density(space: KropinaSpace):
+    """x -> sigma_BH(x), over float or jet entries."""
+    return lambda xs: _sigma_bh_value(space, list(xs))
+
+
+def volume_density(space: KropinaSpace):
+    """The measure the S-curvature formulas refer to, as x -> sigma(x):
+    the unit-ball density, times e^{-(n+1) f} with a weight f."""
+    if space.weight is None:
+        return bh_volume_density(space)
+    n1 = space.dim + 1
+
+    def sigma(xs):
+        base = _sigma_bh_value(space, list(xs))
+        fv = eval_expr(space.weight, list(xs))
+        arg = -float(n1) * fv
+        damp = arg.exp() if isinstance(arg, Jet) else math.exp(arg)
+        return damp * base
+
+    return sigma
+
+
 def rs_from_RS(space: KropinaSpace, x, y):
     """(r_00, s^i_0, s_0) of the view metric from navigation-side data.
 
@@ -519,7 +593,7 @@ def rs_from_RS(space: KropinaSpace, x, y):
     """
     xs = [float(v) for v in x]
     mp = MetricPoint.from_exprs(space.h, xs, order=1)
-    fp = FieldPoint.from_exprs(mp, list(space.w), xs, order=1)
+    fp = field_point(mp, space.w, xs, order=1)
     wi = w_invariants_from_point(mp, fp)
     rj = eval_component_jets(space.rho, xs, 1)
     rho_grad = np.asarray(gradient(rj))
@@ -616,6 +690,41 @@ def validate_views(space: KropinaSpace, xs, ys=None, tol_view=1e-10):
                 )
 
 
+def chart_point(space: KropinaSpace, x, ys=()) -> ChartPoint:
+    """The ChartPoint of x (and directions ys) over its own evaluator."""
+    return ChartPoint(space, x, ys, finsler_evaluator(space))
+
+
+def ab_fields(space: KropinaSpace, x):
+    """The drift bundle of the space at x."""
+    return chart_point(space, x).fld
+
+
+def field_point(mp: MetricPoint, w_exprs, x, order=2) -> FieldPoint:
+    """The FieldPoint of component expressions over mp at x."""
+    jets = eval_component_jets(list(w_exprs), list(x), order)
+    return FieldPoint(mp, *_extract(jets, len(x), order))
+
+
+def nav_point(h: RiemannianMetric, w, x) -> NavPoint:
+    """The NavPoint of any wind W over any metric h at x."""
+    w = _coerce_vector(w, h.dim, "wind")
+    xs = [float(v) for v in x]
+    jets = eval_component_jets(list(w), xs, 1)
+    return NavPoint(MetricPoint.from_exprs(h, xs, order=2),
+                    *_extract(jets, len(xs), 1))
+
+
+def log_density(sigma, x) -> Jet:
+    """ln sigma as the order-2 jet over the n chart variables at x that
+    generic_point takes, from the density callable sigma on the seeds."""
+    space = jet_space(len(x), 2)
+    s = sigma(space.seed([float(v) for v in x]))
+    if not isinstance(s, Jet):
+        s = space.constant(float(s))
+    return s.log()
+
+
 def with_gauge(space: KropinaSpace, gauge) -> KropinaSpace:
     """The same metric re-expressed in a different gauge b(x)."""
     return KropinaSpace.from_nav(space.h, space.w, gauge=gauge,
@@ -707,15 +816,14 @@ def w_invariants_from_point(mp: MetricPoint, fp: FieldPoint) -> WInvariants:
 
 def w_invariants(metric: RiemannianMetric, w_exprs, x) -> WInvariants:
     mp = MetricPoint.from_exprs(metric, x, order=2)
-    fp = FieldPoint.from_exprs(mp, w_exprs, x, order=1)
+    fp = field_point(mp, w_exprs, x, order=1)
     return w_invariants_from_point(mp, fp)
 
 
 def second_cov_w(metric: RiemannianMetric, w_exprs, x):
     """W_{k|i|j} as a (k, i, j)-indexed array."""
     mp = MetricPoint.from_exprs(metric, x, order=2)
-    fp = FieldPoint.from_exprs(mp, w_exprs, x, order=2)
-    return fp.cov2
+    return field_point(mp, w_exprs, x, order=2).cov2
 
 
 def weight_constants(a, c, n):

@@ -11,38 +11,35 @@ import pytest
 from kropina.einstein import WeightConfig, ric_ac, weight_preset
 from fd import fd_partial
 from kropina.forms import (
-    ab_fields,
-    bh_volume_density,
     finsler_evaluator,
     isotropy_fit,
     kropina_ricci_closed,
     kropina_spray_closed,
-    nav_point,
     nav_ricci_isotropic,
     nav_spray,
     s_bh_closed,
     s_closed,
     s_dot_closed,
     sigma_bh,
-    volume_density,
 )
-from kropina.generic import (
-    bh_density,
-    curvature_sample,
-    generic_point,
-)
+from kropina.generic import bh_density
 from kropina.jets import Jet, jet_space
-from kropina.riemann import (
-    MetricPoint,
-    FieldPoint,
-)
+from kropina.riemann import MetricPoint
 from kropina.scenarios import (
     COMPARISON_CUTOFF,
     load_scenario,
     scenario_samples,
 )
 from kropina.workbench import run_check
-from oracles import pric, second_cov_w, spray_generic, w_invariants
+from oracles import (
+    ab_fields,
+    chart_point,
+    field_point,
+    pric,
+    second_cov_w,
+    spray_generic,
+    w_invariants,
+)
 
 SCENARIO_NAMES = (
     "euclid_parallel",
@@ -90,12 +87,11 @@ def test_criterion_01_spray_cross_validation(grid):
     for name, (sc, space, samples) in grid.items():
         ev = finsler_evaluator(space)
         for x, ys in samples:
-            fld = ab_fields(space, x)
-            nav = nav_point(space.h, space.w, x)
+            pt = chart_point(space, x)
             for y in ys:
                 g = spray_generic(ev, x, y)
-                worst = max(worst, rel(kropina_spray_closed(fld, y), g))
-                worst = max(worst, rel(nav_spray(nav, y), g))
+                worst = max(worst, rel(kropina_spray_closed(pt.fld, y), g))
+                worst = max(worst, rel(nav_spray(pt.nav, y), g))
                 count += 1
     announce(
         1,
@@ -108,27 +104,20 @@ def test_criterion_01_spray_cross_validation(grid):
 def test_criterion_02_ricci_cross_validation(grid):
     worst = 0.0
     for name, (sc, space, samples) in grid.items():
-        ev = finsler_evaluator(space)
-        dens = volume_density(space)
         for x, ys in samples:
-            fld = ab_fields(space, x)
-            point = generic_point(ev, dens, x)
+            pt = chart_point(space, x)
             for y in ys:
-                worst = max(worst, rel(kropina_ricci_closed(fld, y),
-                                       curvature_sample(point, y).ricci))
+                worst = max(worst, rel(kropina_ricci_closed(pt.fld, y),
+                                       pt.sample(y).ricci))
     worst_nav = 0.0
     for name in ("euclid_parallel", "s3_hopf"):
         sc, space, samples = grid[name]
-        ev = finsler_evaluator(space)
-        dens = volume_density(space)
         for x, ys in samples:
-            nav = nav_point(space.h, space.w, x)
-            point = generic_point(ev, dens, x)
+            pt = chart_point(space, x)
             for y in ys:
                 worst_nav = max(
                     worst_nav,
-                    rel(nav_ricci_isotropic(nav, y),
-                        curvature_sample(point, y).ricci),
+                    rel(nav_ricci_isotropic(pt.nav, y), pt.sample(y).ricci),
                 )
     announce(
         2,
@@ -142,14 +131,11 @@ def test_criterion_02_ricci_cross_validation(grid):
 def test_criterion_03_s_curvature_and_density(grid):
     worst = 0.0
     for name, (sc, space, samples) in grid.items():
-        ev = finsler_evaluator(space)
-        dens = bh_volume_density(space)
         for x, ys in samples:
-            fld = ab_fields(space, x)
-            point = generic_point(ev, dens, x)
+            pt = chart_point(space, x)
             for y in ys:
-                worst = max(worst, rel(s_bh_closed(fld, y),
-                                       curvature_sample(point, y).s))
+                worst = max(worst, rel(s_bh_closed(pt.fld, y),
+                                       pt.sample(y).s_bh))
     worst_se = 0.0
     for name, (sc, space, samples) in grid.items():
         ev = finsler_evaluator(space)
@@ -170,15 +156,11 @@ def test_criterion_04_s_dot_cross_validation(grid):
     worst = 0.0
     worst_weighted = 0.0
     for name, (sc, space, samples) in grid.items():
-        ev = finsler_evaluator(space)
-        dens = volume_density(space)
         n1 = space.dim + 1
         for x, ys in samples:
-            fld = ab_fields(space, x)
-            point = generic_point(ev, dens, x)
+            pt = chart_point(space, x)
             for y in ys:
-                dev = rel(n1 * s_dot_closed(fld, y),
-                          curvature_sample(point, y).sdot)
+                dev = rel(n1 * s_dot_closed(pt.fld, y), pt.sample(y).sdot)
                 worst = max(worst, dev)
                 if space.weight is not None:
                     worst_weighted = max(worst_weighted, dev)
@@ -240,7 +222,7 @@ def test_criterion_06_killing_transport_identity(grid):
         x = list(map(float, x))
         cov2 = second_cov_w(space.h, space.w, x)
         mp = MetricPoint.from_exprs(space.h, x, order=2)
-        fp = FieldPoint.from_exprs(mp, space.w, x, order=1)
+        fp = field_point(mp, space.w, x, order=1)
         rhs = -np.einsum("m,jmki->kij", fp.w_low, mp.riemann)
         worst = max(worst, float(np.max(np.abs(cov2 - rhs))))
     announce(
@@ -394,17 +376,16 @@ def test_criterion_10_ad_integrity(grid):
             seeds = jet_space(n, deg).seed(y)
             jet_val = _jet_partial(ev(x, seeds), idx)
         else:
-            dens = volume_density(space)
-            fn = lambda p: float(dens(list(p)))
-            seeds = jet_space(n, deg).seed(x)
-            jet_val = _jet_partial(dens(seeds), idx)
+            # ln sigma, as a chart point takes it from its one jet pass
+            fn = lambda p: chart_point(space, p).log_densities[0].value
+            jet_val = chart_point(space, x).log_densities[0].partial(idx)
 
         fd_val = fd_partial(fn, x if kind != "F-y" else y, idx)
         worst = max(worst, rel(jet_val, fd_val))
         checks += 1
     announce(
         10,
-        f"jet derivatives of the metric function and volume densities "
+        f"jet derivatives of the metric function and log volume densities "
         f"match finite differences to 1e-5 over 30 seeded spot checks "
         f"(worst {worst:.2e})",
         worst < 1e-5 and checks == 30,

@@ -9,7 +9,6 @@ import pytest
 from kropina.forms import (
     AbInvariants,
     KropinaSpace,
-    ab_fields,
     kropina_ricci_closed,
 )
 from kropina.einstein import (
@@ -34,6 +33,7 @@ from kropina.einstein import (
 )
 from kropina.riemann import MetricPoint, NotPositiveDefiniteError
 from oracles import (
+    ab_fields,
     einstein_residual,
     metric_from_strings,
     pric,
@@ -701,13 +701,16 @@ def test_chart_point_builds_each_bundle_once():
     assert pt.sample(list(ys[0])) is pt.sample(ys[0].copy())
     assert pt.fitted(CFG_INF) is pt.fitted(weight_preset("ricInf", 3))
     assert pt.fitted(CFG_INF) is not pt.fitted(CFG_PRIC)
-    # without the unit-ball density a sample has no s_bh; with it, S
-    # against sigma_BH differs from the weighted S by (n + 1) f_0
-    assert pt.sample(ys[0]).s_bh is None
-    [bh] = chart_points(space, [(x, ys)], unit_ball=True)
-    cs = bh.sample(ys[0])
-    f_0 = float(bh.fld.f_grad @ ys[0])
+    assert pt.log_densities is pt.log_densities
+    # with a weight, S against sigma_BH differs from the weighted S by
+    # (n + 1) f_0; without one the sample's s_bh is its s
+    cs = pt.sample(ys[0])
+    f_0 = float(pt.fld.f_grad @ ys[0])
     assert cs.s - cs.s_bh == pytest.approx(4 * f_0, rel=1e-8)
+    [plain] = chart_points(hopf_space(), [(x, ys)])
+    assert plain.log_densities[1] is None
+    cs = plain.sample(ys[0])
+    assert cs.s_bh == cs.s
 
 
 # -- cross-cutting properties ---------------------------------------------------

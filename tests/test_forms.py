@@ -11,22 +11,18 @@ from kropina.forms import (
     GaugeError,
     HypothesisNotMetError,
     KropinaSpace,
-    ab_fields,
-    bh_volume_density,
     finsler_evaluator,
     hess_f_closed,
+    hess_form,
     isotropy_fit,
     kropina_ricci_closed,
     kropina_spray_closed,
-    nav_point,
     nav_ricci_isotropic,
     nav_spray,
-    nav_to_ab,
     s_bh_closed,
     s_closed,
     s_dot_closed,
     sigma_bh,
-    volume_density,
 )
 from kropina.generic import (
     ConicDomainError,
@@ -34,15 +30,22 @@ from kropina.generic import (
     curvature_sample,
     generic_point,
 )
-from kropina.riemann import FieldPoint, MetricPoint
+from kropina.riemann import MetricPoint, _extract, eval_component_jets
 from kropina.scenarios import load_scenario
 from oracles import (
+    ab_fields,
+    bh_volume_density,
+    chart_point,
+    field_point,
+    log_density,
     metric_from_strings,
+    nav_point,
     nav_evaluator,
     nav_riemann_isotropic,
     rs_from_RS,
     spray_generic,
     validate_views,
+    volume_density,
     w_invariants,
     with_gauge,
     with_weight,
@@ -158,7 +161,8 @@ def test_canonical_gauge_collapses_views():
 def test_roundtrip_ab_nav_ab():
     space = wavy_space()
     h, w = space.h, space.w
-    a2, b2 = nav_to_ab(h, w, gauge=space.gauge)
+    back = KropinaSpace.from_nav(h, w, gauge=space.gauge)
+    a2, b2 = back.a, back.b
     rng = np.random.default_rng(13)
     for x, _ in admissible_samples(space, rng, 10):
         env = [float(v) for v in x]
@@ -256,8 +260,11 @@ def test_invariants_require_positive_beta():
 
 
 def test_ab_fields_evaluate_both_views_in_one_call(monkeypatch):
-    """a_ij and b^i go through one eval_expr call, so the a_ij nodes
-    inside b^i's adjugate trees are evaluated once per bundle."""
+    """a_ij, b^i, h_ij, W^i, the gauge and the weight of a chart point go
+    through one eval_expr call, so the a_ij nodes inside b^i's adjugate
+    trees are evaluated once per point; the drift bundle, the
+    navigation point and the weight's partials are those of each
+    view's own evaluation, bit for bit."""
     import kropina.riemann as riemann
 
     calls = []
@@ -265,15 +272,21 @@ def test_ab_fields_evaluate_both_views_in_one_call(monkeypatch):
     monkeypatch.setattr(riemann, "eval_expr",
                         lambda exprs, env: calls.append(1) or real(exprs, env))
     x = [0.3, 0.2, -0.1]
-    space = wavy_space()
-    fld = ab_fields(space, x)
+    space = wavy_space(weight="0.1*(x1^2 + x2*x3)")
+    pt = chart_point(space, x)
+    fld, nav, _ = pt.fld, pt.nav, pt.log_densities
     assert len(calls) == 1
-    mp = MetricPoint.from_exprs(space.a, x, order=2)
-    fp = FieldPoint.from_exprs(mp, space.b_up, x, order=2)
-    for name in ("g", "dg", "d2g"):
-        assert np.array_equal(getattr(fld.mp, name), getattr(mp, name))
-    for name in ("w", "dw", "d2w"):
-        assert np.array_equal(getattr(fld, name), getattr(fp, name))
+    monkeypatch.undo()
+    for got, metric, field in ((fld, space.a, space.b_up),
+                               (nav, space.h, space.w)):
+        mp = MetricPoint.from_exprs(metric, x, order=2)
+        fp = field_point(mp, field, x, order=2)
+        for name in ("g", "dg", "d2g"):
+            assert np.array_equal(getattr(got.mp, name), getattr(mp, name))
+        for name in ("w", "dw", "d2w"):
+            assert np.array_equal(getattr(got, name), getattr(fp, name))
+    _, df, d2f = _extract(eval_component_jets(space.weight, x, 2), 3, 2)
+    assert np.array_equal(fld.f_grad, df) and np.array_equal(fld.f_hess, d2f)
 
 
 def test_ab_fields_report_an_indefinite_metric_first():
@@ -384,13 +397,11 @@ def test_spray_closed_homogeneous():
 ])
 def test_ricci_closed_matches_generic(builder, shift):
     space = builder()
-    fev = finsler_evaluator(space)
-    dens = volume_density(space)
     rng = np.random.default_rng(17)
     for x, y in admissible_samples(space, rng, 30, shift=shift, scale=0.25):
-        closed = kropina_ricci_closed(ab_fields(space, x), y)
-        point = generic_point(fev, dens, list(x))
-        generic = curvature_sample(point, list(y)).ricci
+        pt = chart_point(space, x)
+        closed = kropina_ricci_closed(pt.fld, y)
+        generic = pt.sample(y).ricci
         assert closed == pytest.approx(generic, rel=1e-7, abs=1e-9)
 
 
@@ -435,13 +446,11 @@ def test_s_bh_conformal_vanishes():
 
 def test_s_bh_matches_generic():
     space = wavy_space()
-    fev = finsler_evaluator(space)
-    dens = bh_volume_density(space)
     rng = np.random.default_rng(20)
     for x, y in admissible_samples(space, rng, 15):
-        closed = s_bh_closed(ab_fields(space, x), y)
-        point = generic_point(fev, dens, list(x))
-        generic = curvature_sample(point, list(y)).s
+        pt = chart_point(space, x)
+        closed = s_bh_closed(pt.fld, y)
+        generic = pt.sample(y).s_bh
         assert closed == pytest.approx(generic, rel=1e-8, abs=1e-10)
 
 
@@ -455,27 +464,21 @@ def test_s_bh_positively_homogeneous():
 
 def test_s_closed_weighted_matches_generic():
     space = wavy_space(weight="0.1*(x1^2 + x2*x3)")
-    fev = finsler_evaluator(space)
-    dens = volume_density(space)
     rng = np.random.default_rng(21)
     for x, y in admissible_samples(space, rng, 10):
-        closed = s_closed(ab_fields(space, x), y)
-        point = generic_point(fev, dens, list(x))
-        generic = curvature_sample(point, list(y)).s
+        pt = chart_point(space, x)
+        closed = s_closed(pt.fld, y)
+        generic = pt.sample(y).s
         assert closed == pytest.approx(generic, rel=1e-8, abs=1e-10)
 
 
 def test_s_dot_matches_generic_weighted():
     space = wavy_space(weight="0.1*(x1^2 + x2*x3)")
-    fev = finsler_evaluator(space)
-    dens = volume_density(space)
     rng = np.random.default_rng(22)
     for x, y in admissible_samples(space, rng, 10):
-        closed = s_dot_closed(ab_fields(space, x), y)
-        point = generic_point(fev, dens, list(x))
-        generic = curvature_sample(point, list(y)).sdot / (
-            space.dim + 1
-        )
+        pt = chart_point(space, x)
+        closed = s_dot_closed(pt.fld, y)
+        generic = pt.sample(y).sdot / (space.dim + 1)
         assert closed == pytest.approx(generic, rel=1e-8, abs=1e-10)
 
 
@@ -496,14 +499,14 @@ def test_s_dot_quadratic_weight_is_plain_hessian():
 
 
 def test_hess_f_closed_matches_generic():
+    """The weight's Hessian form along the closed spray against the same
+    form along the generic sample's spray."""
     space = wavy_space(weight="0.1*(x1^2 + x2*x3)")
-    fev = finsler_evaluator(space)
-    dens = volume_density(space)
     rng = np.random.default_rng(23)
     for x, y in admissible_samples(space, rng, 10):
-        closed = hess_f_closed(ab_fields(space, x), y)
-        point = generic_point(fev, dens, list(x), f=space.weight)
-        generic = curvature_sample(point, list(y)).hess_f
+        pt = chart_point(space, x)
+        closed = hess_f_closed(pt.fld, y)
+        generic = hess_form(pt.fld, y, pt.sample(y).spray)
         assert closed == pytest.approx(generic, rel=1e-9, abs=1e-11)
 
 
@@ -527,6 +530,17 @@ def test_volume_density_kinds_and_weighting():
     weighted = volume_density(with_weight(space, "0.1*x1"))
     expected = math.exp(-4 * 0.1 * x[0]) * plain(x)
     assert weighted(x) == pytest.approx(expected, rel=1e-13)
+    # a chart point's log densities, from its one jet evaluation, are
+    # the logs of these callables' jets, bit for bit
+    for sp in (space, with_weight(space, "0.1*x1")):
+        log_sigma, log_bh = chart_point(sp, x).log_densities
+        want = log_density(volume_density(sp), x)
+        assert log_sigma.coef.tobytes() == want.coef.tobytes()
+        if sp.weight is None:
+            assert log_bh is None
+        else:
+            want = log_density(bh_volume_density(sp), x)
+            assert log_bh.coef.tobytes() == want.coef.tobytes()
 
 
 def test_sigma_bh_degenerate_drift_raises():
@@ -661,7 +675,7 @@ def test_nav_ricci_matches_generic_on_hopf():
     rng = np.random.default_rng(27)
     for x, y in admissible_samples(space, rng, 30, shift=HOPF_SHIFT, scale=0.3):
         closed = nav_ricci_isotropic(nav_point(SPHERE3, HOPF_W, x), y)
-        point = generic_point(fev, dens, list(x))
+        point = generic_point(fev, list(x), log_density(dens, x))
         generic = curvature_sample(point, list(y)).ricci
         assert closed == pytest.approx(generic, rel=1e-7)
 
@@ -673,7 +687,7 @@ def test_nav_riemann_matches_generic_and_trace():
     rng = np.random.default_rng(28)
     for x, y in admissible_samples(space, rng, 10, shift=HOPF_SHIFT, scale=0.3):
         closed = nav_riemann_isotropic(nav_point(SPHERE3, HOPF_W, x), y)
-        point = generic_point(fev, dens, list(x))
+        point = generic_point(fev, list(x), log_density(dens, x))
         generic = curvature_sample(point, list(y)).riemann
         assert np.max(np.abs(closed - generic)) < 1e-8 * max(
             1.0, float(np.max(np.abs(generic)))
@@ -710,7 +724,7 @@ def test_isotropic_chain_forward():
     h, w = space.h, space.w
     for x, _ in pairs[:5]:
         mp = MetricPoint.from_exprs(h, list(x), order=1)
-        fp = FieldPoint.from_exprs(mp, list(w), list(x), order=1)
+        fp = field_point(mp, w, x, order=1)
         c = fp.cov1
         assert np.linalg.norm(0.5 * (c + c.T)) < 1e-9
 
@@ -725,7 +739,7 @@ def test_isotropic_chain_reverse():
     assert abs(s_bh_closed(ab_fields(space, x), [1.0, 0.3, -0.2])) > 1e-6
     h, w = space.h, space.w
     mp = MetricPoint.from_exprs(h, x, order=1)
-    fp = FieldPoint.from_exprs(mp, list(w), x, order=1)
+    fp = field_point(mp, w, x, order=1)
     c = fp.cov1
     assert np.linalg.norm(0.5 * (c + c.T)) > 1e-6
 
@@ -735,7 +749,7 @@ def test_isotropic_chain_reverse():
 
 def killing_setup(x):
     mp = MetricPoint.from_exprs(SPHERE3, x, order=2)
-    fp = FieldPoint.from_exprs(mp, HOPF_W_AST, x, order=2)
+    fp = field_point(mp, HOPF_W_AST, x, order=2)
     c = fp.cov1
     s_low = 0.5 * (c - c.T)
     ds = 0.5 * (fp.cov2 - fp.cov2.transpose(1, 0, 2))

@@ -1,5 +1,6 @@
 """Run drivers: check/verify/convert reports, verdict folding, round trips."""
 import json
+from collections import Counter
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -483,17 +484,17 @@ def test_report_json_is_strict():
 def _count_work(monkeypatch):
     """Record every drift-bundle build and every (theta, sigma) fit (its
     chart point) and every generic curvature sample (its point,
-    direction and whether it also carries S against the unit-ball
-    density)."""
+    direction and whether its S against the unit-ball density has a
+    density of its own, not the sample's)."""
     import kropina.einstein as einstein
     import kropina.forms as forms
 
     bundles, fits, samples = [], [], []
     real_init = forms.AbFields.__init__
 
-    def init(self, space, x):
+    def init(self, space, x, *arrays):
         bundles.append(tuple(float(v) for v in x))
-        real_init(self, space, x)
+        real_init(self, space, x, *arrays)
 
     real_fit = einstein.fit_theta_sigma
 
@@ -506,7 +507,8 @@ def _count_work(monkeypatch):
     def sample(point, y):
         cs = real_sample(point, y)
         samples.append((tuple(float(v) for v in point.x),
-                        tuple(float(v) for v in y), cs.s_bh is not None))
+                        tuple(float(v) for v in y),
+                        point.log_sigma_bh is not None))
         return cs
 
     monkeypatch.setattr(forms.AbFields, "__init__", init)
@@ -524,8 +526,8 @@ def test_verify_builds_once_per_point(monkeypatch):
     assert not any(has_bh for *_, has_bh in samples)
     assert fits == []
 
-    # with a weight, the same sample also carries S against the
-    # unit-ball density for the S-curvature pair
+    # with a weight, the same sample also takes S against the unit-ball
+    # density, apart from the weighted one, for the S-curvature pair
     bundles.clear()
     samples.clear()
     sc = load_scenario("euclid_gaussian")
@@ -581,6 +583,32 @@ def test_f_x_stage_runs_once_per_point_per_run(monkeypatch):
             staged.clear()
             run()
             assert len(staged) == len(set(staged)) == sc.points
+
+
+def test_one_jet_evaluation_per_signature_per_point(monkeypatch):
+    """A chart point walks the space's trees once, over its n chart
+    variables to order 2, and F's x-stage once, over the 2n variables
+    to order 4: check and verify on torus_wind make exactly these jet
+    evaluations per point, and none at (n, 1) or (2n, 2)."""
+    import kropina.forms as forms
+    import kropina.riemann as riemann
+
+    counts = Counter()
+    real = riemann.eval_expr
+
+    def counted(exprs, env):
+        if len(env) and isinstance(env[0], Jet):
+            counts[(env[0].space.nvars, env[0].space.order)] += 1
+        return real(exprs, env)
+
+    for module in (forms, riemann):
+        monkeypatch.setattr(module, "eval_expr", counted)
+    sc = load_scenario("torus_wind")
+    n = sc.dimension
+    for run in (lambda: run_check(sc), lambda: run_verify(sc, mc_samples=500)):
+        counts.clear()
+        run()
+        assert counts == {(n, 2): sc.points, (2 * n, 4): sc.points}
 
 
 # -- load once: the scenario's space serves every driver ------------------------

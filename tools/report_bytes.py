@@ -1,10 +1,11 @@
 """Canonical --no-timings reports of the scenarios in SCENARIOS, as one JSON.
 
 Runs check, verify, and convert to nav and to ab on each scenario in
-SCENARIOS (the 3-dimensional builtins and random:3; s5_hopf is not among
-them), converts the document emitted in the other
-representation back to the source one, and runs check and verify on that
-round-tripped document: 42 reports.  Every report is
+SCENARIOS (the 3-dimensional builtins and random:3), converts the
+document emitted in the other representation back to the source one,
+and runs check and verify on that round-tripped document: 42 reports.
+Then check with the constants of CONSTANTS, which reach checkers 51 and
+61, and check and verify on s5_hopf: 47 reports.  Every report is
 serialised as ``to_json(timings=False)`` would, with ``tool.version``
 dropped, so two checkouts that behave the same write the same bytes.
 
@@ -35,6 +36,11 @@ from pathlib import Path
 
 SCENARIOS = ("euclid_gaussian", "euclid_parallel", "euclid_twist", "s3_hopf",
              "torus_wind", "random:3")
+# (scenario, weight constants) checked besides the scenario's own: the
+# nu = 0, kappa != 0 regime (checker 51) and the projective one (61)
+CONSTANTS = (("s3_hopf", {"a": 0, "c": "3/8"}),
+             ("s3_hopf", {"preset": "pric"}),
+             ("euclid_gaussian", {"preset": "pric"}))
 
 
 def _canonical(doc):
@@ -63,6 +69,14 @@ def reports():
                 trip = load_scenario(back.emitted)
                 out[f"check {label}"] = _canonical(run_check(trip))
                 out[f"verify {label}"] = _canonical(run_verify(trip))
+    for name, constants in CONSTANTS:
+        doc = dict(load_scenario(name).as_dict(), constants=constants)
+        label = ", ".join(f"{k} = {v}" for k, v in constants.items())
+        out[f"check {name} at {label}"] = _canonical(
+            run_check(load_scenario(doc)))
+    sc = load_scenario("s5_hopf")
+    out["check s5_hopf"] = _canonical(run_check(sc))
+    out["verify s5_hopf"] = _canonical(run_verify(sc))
     return out
 
 
