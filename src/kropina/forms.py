@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -44,7 +44,7 @@ from .expr import (
     parse_expr,
 )
 from .generic import ConicDomainError, FinslerEvaluator
-from .jets import Jet, JetDomainError, graded_solve
+from .jets import Jet, JetDomainError, _Seed, graded_solve
 from .riemann import FieldPoint, MetricPoint, RiemannianMetric
 
 
@@ -704,22 +704,33 @@ def finsler_evaluator(space: KropinaSpace) -> FinslerEvaluator:
     """Package the (alpha, beta) view of the space for the generic
     pipeline, F = a_ij y^i y^j / (b_i y^i).
 
-    The x-stages evaluate each coefficient tree once per chart point;
-    the direction stages then only combine those values with y.  The
-    box hint brackets the unit-ball ellipsoid exactly.
+    The x-stages evaluate each coefficient tree once per chart point
+    and stack the values, a_ij as an (n, n, C) array and b_i as (n, C):
+    C = 1 for floats, or the coefficient arrays of jets.  The direction
+    stages combine those arrays with y in a few numpy calls, with the
+    bits of the loop a_ij y^i y^j / (b_i y^i) over the same values (see
+    _quadratic).  y is floats, numpy columns or coordinate seeds
+    (JetSpace.variable) of variables the chart point's seeds are not
+    on; any other jet direction raises TypeError.  The box hint
+    brackets the unit-ball ellipsoid exactly.
     """
     n = space.dim
     quad = [e for row in space.a.exprs for e in row]
 
     def at(x):
-        vals = eval_expr(quad + list(space.b), list(x))
-        qv = [vals[i * n:(i + 1) * n] for i in range(n)]
-        bv = vals[n * n:]
-        return lambda y: _quadratic(qv, y) / _linear(bv, y)
+        coef, sp, reads = _stacked(eval_expr(quad + list(space.b), list(x)),
+                                   x)
+        a, b = coef[:n * n].reshape(n, n, -1), coef[n * n:]
+
+        def f(y):
+            dirs = _directions(y, sp, reads)
+            return _quadratic(a, *dirs) / _linear(b, *dirs)
+
+        return f
 
     def domain_at(x):
-        bv = eval_expr(list(space.b), list(x))
-        return lambda y: _linear(bv, y) > 0
+        coef, sp, reads = _stacked(eval_expr(list(space.b), list(x)), x)
+        return lambda y: _linear(coef, *_directions(y, sp, reads)) > 0
 
     def box_hint(x):
         a_val, b_val = _values(x, space.a, space.b)
@@ -738,21 +749,185 @@ def finsler_evaluator(space: KropinaSpace) -> FinslerEvaluator:
     )
 
 
-def _linear(coeffs, y):
-    """sum_i coeffs[i] * y[i], accumulated in index order."""
-    acc = None
-    for c, yi in zip(coeffs, y):
-        t = c * yi
-        acc = t if acc is None else acc + t
-    return acc
+# -- the direction stage of F over stacked coefficients ----------------------
 
 
-def _quadratic(values, y):
-    """sum_ij values[i][j] * y[i] * y[j], accumulated in index order."""
-    n = len(values)
-    acc = None
-    for i in range(n):
-        for j in range(n):
-            t = values[i][j] * y[i] * y[j]
-            acc = t if acc is None else acc + t
-    return acc
+def _stacked(values, x):
+    """(coef, space, reads): the x-stage values of coefficient trees
+    stacked as coef (len(values), C), with their jet space and the
+    variables the chart point x reads.
+
+    Floats stack with C = 1 and no space, jets as their coefficient
+    arrays, a float among jets as a constant row.  x reads the
+    variables of its seeds, and every variable of its space when an
+    entry is a jet but not a seed.
+    """
+    space = next((v.space for v in values if isinstance(v, Jet)), None)
+    if space is None:
+        coef = np.array(values, dtype=float)[:, None]
+    else:
+        coef = np.zeros((len(values), space.ncoef))
+        for row, v in zip(coef, values):
+            if isinstance(v, Jet):
+                row[:] = v.coef
+            else:
+                row[0] = v
+    reads = set()
+    for v in x:
+        if isinstance(v, _Seed):
+            reads.add(v.var)
+        elif isinstance(v, Jet):
+            reads.update(range(v.space.nvars))
+    return coef, space, frozenset(reads)
+
+
+def _directions(y, space, reads):
+    """(v, blocks, space, shape): the directions y as values v (n, W),
+    the seed blocks when y is seeds (else None), the jet space of the
+    forms' values (None for floats) and the shape of a float value.
+
+    Floats give W = 1 and shape (), numpy columns of length m give
+    W = m and shape (m,).  Seeds give their base values (W = 1) and
+    the blocks of their variables; a jet that is not a seed, a seed of
+    a variable the chart point reads, or two seeds of one variable
+    raise TypeError.
+    """
+    if not any(isinstance(t, Jet) for t in y):
+        v = np.asarray(y, dtype=float)
+        if space is not None and v.ndim > 1:
+            raise TypeError("a jet chart point takes float or seed directions")
+        return v.reshape(len(y), -1), None, space, v.shape[1:]
+    if not all(isinstance(t, _Seed) for t in y):
+        raise TypeError("a jet direction must be coordinate seeds "
+                        "(JetSpace.variable)")
+    seed_space = y[0].space
+    if (any(t.space is not seed_space for t in y)
+            or space not in (None, seed_space)):
+        raise ValueError("jets from different spaces cannot be combined")
+    yvars = tuple(t.var for t in y)
+    if len(set(yvars)) < len(yvars) or reads.intersection(yvars):
+        raise TypeError("direction seeds must be distinct variables that "
+                        "the chart point does not read")
+    v = np.array([[t.coef[0]] for t in y])
+    return v, _seed_blocks(seed_space, yvars), seed_space, ()
+
+
+def _row_sum(terms):
+    """terms (N, ...) summed over the first axis in row order, as a
+    loop of additions would, flattened.  np.add.reduce adds the rows in
+    order when they are C-contiguous with two or more entries each; a
+    single column it sums pairwise, so that one is accumulated."""
+    rows = np.ascontiguousarray(terms).reshape(len(terms), -1)
+    if rows.shape[1] == 1:
+        return np.add.accumulate(rows[:, 0])[-1:]
+    return np.add.reduce(rows, axis=0)
+
+
+def _value(r, space, shape):
+    """A form's value from its flat array r: a jet over space, a numpy
+    column of the given shape, or a float."""
+    if space is not None:
+        return Jet(space, r)
+    return r.reshape(shape) if shape else float(r[0])
+
+
+def _quadratic(a, v, blocks, space, shape):
+    """sum_ij a_ij y^i y^j over a (n, n, C) and the directions of
+    _directions, bit for bit the loop that adds (a_ij y^i) y^j in (i, j)
+    order (with seed products as Jet rounds them), up to the sign of
+    zero coefficients.
+
+    Over seeds y^i = v_i + t_i, with the a_ij free of the t variables,
+    the term (a_ij y^i) y^j holds (a v_i) v_j at each x-index alpha,
+    a v_j at alpha + e_i, a v_i at alpha + e_j (2 a v_i when i = j) and
+    a at alpha + e_i + e_j, up to the order; the blocks gather each
+    kind and scatter the sums, each in the loop's order.
+    """
+    n = len(a)
+    ax = a if blocks is None else blocks.x_part(a)
+    terms = ax * v[:, None]
+    terms *= v[None, :]
+    q0 = _row_sum(terms.reshape(n * n, -1))
+    if blocks is None:
+        return _value(q0, space, shape)
+    a1 = ax[:, :, :blocks.n1].reshape(n * n, -1)
+    t1 = a1[blocks.lex_terms] * v[blocks.lex_other]
+    t1[blocks.lex_diag, blocks.each] *= 2.0
+    a2 = ax[:, :, :blocks.n2].reshape(n * n, -1)
+    q = np.zeros(blocks.ncoef)
+    q[blocks.q_targets] = np.concatenate((
+        q0, _row_sum(t1), (a2[blocks.pair_kl] + a2[blocks.pair_lk]).ravel(),
+        a2[blocks.diag].ravel()))
+    return Jet(space, q)
+
+
+def _linear(b, v, blocks, space, shape):
+    """sum_i b_i y^i over b (n, C), as _quadratic its quadratic form:
+    over seeds the term b_i y^i holds b v_i at alpha and b at alpha +
+    e_i."""
+    bx = b if blocks is None else blocks.x_part(b)
+    l0 = _row_sum(bx * v)
+    if blocks is None:
+        return _value(l0, space, shape)
+    out = np.zeros(blocks.ncoef)
+    out[blocks.l_targets] = np.concatenate((l0, bx[:, :blocks.n1].ravel()))
+    return Jet(space, out)
+
+
+class _SeedBlocks:
+    """Gather and scatter tables of the forms for direction seeds on the
+    variables yvars of a jet space.
+
+    x: the positions free of the seed variables, in graded order, so
+    that those of degree below the order (n1 of them) and below the
+    order minus one (n2) are prefixes.  lex_terms[r, k] is the flat
+    index i n + j of the r-th term (i, j) holding k in (i, j) order,
+    lex_other[r, k] the index of its v factor, lex_diag[k] the row of
+    (k, k); pair_kl, pair_lk and diag index the terms of e_k + e_l, k
+    < l, and of 2 e_k.  q_targets and l_targets are where the
+    quadratic and the linear form put their gathered sums.
+    """
+
+    def __init__(self, space, yvars):
+        n, order = len(yvars), space.order
+        idx = np.array(space.indices).reshape(space.ncoef, -1)
+        self.ncoef = space.ncoef
+        self.x = np.flatnonzero(idx[:, list(yvars)].sum(axis=1) == 0)
+        deg = idx[self.x].sum(axis=1)
+        self.n1 = int(np.count_nonzero(deg < order))
+        self.n2 = int(np.count_nonzero(deg < order - 1))
+        src = space._deriv_src[list(yvars)]
+        terms = [[(i, k) for i in range(k)] + [(k, j) for j in range(n)]
+                 + [(i, k) for i in range(k + 1, n)] for k in range(n)]
+        self.lex_terms = np.array([[i * n + j for i, j in col]
+                                   for col in terms]).T
+        self.lex_other = np.array([[i + j - k for i, j in col]
+                                   for k, col in enumerate(terms)]).T
+        self.each = np.arange(n)
+        self.lex_diag = 2 * self.each
+        pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
+        self.pair_kl = np.array([k * n + l for k, l in pairs], dtype=np.intp)
+        self.pair_lk = np.array([l * n + k for k, l in pairs], dtype=np.intp)
+        self.diag = self.each * (n + 1)
+        x1, x2 = self.x[:self.n1], self.x[:self.n2]
+        shifted = src[:, x1].ravel()
+        self.l_targets = np.concatenate((self.x, shifted))
+        self.q_targets = np.concatenate(
+            (self.x, shifted)
+            + tuple(src[l][src[k][x2]] for k, l in pairs)
+            + tuple(src[k][src[k][x2]] for k in range(n)))
+
+    def x_part(self, coef):
+        """The coefficients of coef (..., C) at x: gathered from
+        coefficient arrays of the space, or, for floats (C = 1), the
+        constant rows they stand for."""
+        if coef.shape[-1] == self.ncoef:
+            return coef[..., self.x]
+        out = np.zeros(coef.shape[:-1] + self.x.shape)
+        out[..., 0] = coef[..., 0]
+        return out
+
+
+@lru_cache(maxsize=None)
+def _seed_blocks(space, yvars) -> _SeedBlocks:
+    return _SeedBlocks(space, yvars)

@@ -39,7 +39,12 @@ class FinslerEvaluator:
     or numpy arrays for vectorized sweeps.  box_hint(x) -> (lo, hi)
     optionally bounds the unit sublevel set {y : F(x, y) < 1} for
     Monte-Carlo volume estimation.  bh_density calls at(x) and
-    domain_at(x) on numpy columns, so both stages must accept arrays.
+    domain_at(x) once and their direction stages on numpy columns, a
+    block of rows at a time, so both stages must accept arrays.
+    generic_point runs at(x) on order-4 coordinate seeds of the chart
+    variables and curvature_sample its stage on seeds of the direction
+    variables, so a stage that takes jets must take those; forms'
+    finsler_evaluator takes no other jet direction (TypeError).
 
     The pipeline takes a coordinate volume density, as in dV = sigma(x)
     dx, as ln sigma: an order-2 jet over the n chart variables at the
@@ -83,9 +88,14 @@ def _check_domain(domain_at_x, y, name: str):
 
 
 def _check_invertible(g: np.ndarray, what="fundamental tensor"):
-    if not np.all(np.isfinite(g)):
+    """Raise SingularMetricError unless the symmetric g is finite with a
+    2-norm condition number of at most 1e13: max|lambda| / min|lambda|
+    over its eigenvalues, the singular values of a symmetric matrix."""
+    if not np.isfinite(g).all():
         raise SingularMetricError(f"{what} has non-finite entries")
-    if np.linalg.cond(g) > 1e13:
+    mags = [abs(v) for v in np.linalg.eigvalsh(g).tolist()]
+    low = min(mags)
+    if not low > 0.0 or max(mags) / low > 1e13:
         raise SingularMetricError(f"{what} is numerically singular")
 
 
@@ -311,23 +321,34 @@ def _probe_box(F: FinslerEvaluator, x, probes: int = 256):
     return -r * np.ones(n), r * np.ones(n)
 
 
+# rows per call of an evaluator's direction stages in _indicator: a
+# stage may stack n^2 terms per row (forms' quadratic form does), and
+# 4096 rows keep those arrays at n^2 x 32 KB
+_INDICATOR_ROWS = 4096
+
+
 def _indicator(F: FinslerEvaluator, xs, samples: np.ndarray) -> np.ndarray:
     """Boolean mask of rows with F(x, row) < 1, from one call of each of
-    F's stages on the sample columns."""
-    m = samples.shape[0]
-    cols = [samples[:, i] for i in range(F.dim)]
+    F's x-stages and calls of their direction stages on the sample
+    columns, _INDICATOR_ROWS rows at a time."""
     f_at, in_domain = F.at(xs), F.domain_at(xs)
     refusal = (f"metric {F.name!r}: bh_density needs domain and F stages "
                "that take numpy columns and return one value per row")
-    try:
-        with np.errstate(all="ignore"):
-            mask = np.asarray(in_domain(cols))
-            vals = np.asarray(f_at(cols), dtype=float)
-    except (TypeError, ValueError) as e:
-        raise TypeError(refusal) from e
-    if mask.shape != (m,) or vals.shape != (m,):
-        raise TypeError(refusal)
-    return mask & np.isfinite(vals) & (vals > 0.0) & (vals < 1.0)
+    masks = []
+    for start in range(0, samples.shape[0], _INDICATOR_ROWS):
+        block = samples[start:start + _INDICATOR_ROWS]
+        m = block.shape[0]
+        cols = [block[:, i] for i in range(F.dim)]
+        try:
+            with np.errstate(all="ignore"):
+                mask = np.asarray(in_domain(cols))
+                vals = np.asarray(f_at(cols), dtype=float)
+        except (TypeError, ValueError) as e:
+            raise TypeError(refusal) from e
+        if mask.shape != (m,) or vals.shape != (m,):
+            raise TypeError(refusal)
+        masks.append(mask & np.isfinite(vals) & (vals > 0.0) & (vals < 1.0))
+    return np.concatenate(masks)
 
 
 def bh_density(

@@ -11,7 +11,11 @@ Multiplication uses a precomputed triple table (i, j, k) with
 idx[i] + idx[j] = idx[k] and a single ``np.bincount`` per product, which
 keeps the n = 4, K = 4 case (495 coefficients) in the tens of
 microseconds.  A product with a coordinate seed (``JetSpace.variable``)
-is a scaled copy plus a shift instead, with the same bits.
+is a scaled copy plus a shift instead, with the same bits.  The analytic
+functions (reciprocal, log, exp, sqrt, sin, cos) sum their power series
+in the jet's non-constant part by Horner, each step multiplying only up
+to the degree that the remaining steps keep (truncated Taylor
+arithmetic; Griewank and Walther, Evaluating Derivatives, 2008, ch. 13).
 
 Jet matrices are eliminated in one place, ``graded_solve``, on stacked
 coefficient arrays rather than entry by entry: one inverse of the
@@ -100,6 +104,11 @@ class JetSpace:
         by_k = np.argsort(kk, kind="stable")
         self._mi, self._mj, self._mk = ii[by_k], jj[by_k], kk[by_k]
         self._k_starts = np.searchsorted(self._mk, np.arange(self.ncoef))
+        # the outputs of degree <= d are a prefix of the graded basis, so
+        # their triples are a prefix of the k-sorted table
+        degree_ends = np.searchsorted(deg, np.arange(self.order + 1),
+                                      side="right")
+        self._triple_ends = np.searchsorted(self._mk, degree_ends).tolist()
 
     def _build_deriv_maps(self):
         # deriv along v maps this space onto jet_space(nvars, order - 1):
@@ -161,8 +170,7 @@ class JetSpace:
         coef = np.zeros(self.ncoef)
         coef[0] = float(value)
         if self.order >= 1:
-            unit = tuple(1 if w == v else 0 for w in range(self.nvars))
-            coef[self.position[unit]] = 1.0
+            coef[1 + v] = 1.0  # the degree-1 block is e_0, e_1, ... in order
         return _Seed(self, coef, v)
 
     def seed(self, values) -> list["Jet"]:
@@ -302,13 +310,31 @@ class Jet:
     # -- analytic functions ----------------------------------------------
 
     def _compose(self, dcoefs) -> "Jet":
-        """Evaluate sum_k dcoefs[k] * (self - value)^k by Horner."""
-        e = Jet(self.space, self.coef.copy())
-        e.coef[0] = 0.0
-        r = self.space.constant(dcoefs[-1])
-        for k in range(len(dcoefs) - 2, -1, -1):
-            r = r * e + dcoefs[k]
-        return r
+        """Evaluate sum_k dcoefs[k] * (self - value)^k, k = 0..K, by
+        Horner, K the order of the space.
+
+        e = self - value has no constant term, so the Horner step that
+        adds dcoefs[k] feeds only the output degrees <= K - k: each step
+        multiplies over the prefix of the triple table that reaches
+        those degrees.  The first step, a constant times e, is a scalar
+        multiply.  For finite jets the bits are those of the full
+        products: a dropped term only ever met the zero constant
+        coefficient of e.
+        """
+        s = self.space
+        K = s.order
+        if not K:
+            return s.constant(dcoefs[0])
+        e = self.coef.copy()
+        e[0] = 0.0
+        r = dcoefs[K] * e + 0.0
+        r[0] += dcoefs[K - 1]
+        for k in range(K - 2, -1, -1):
+            t = s._triple_ends[K - k]
+            prod = r[s._mi[:t]] * e[s._mj[:t]]
+            r = np.bincount(s._mk[:t], weights=prod, minlength=s.ncoef)
+            r[0] += dcoefs[k]
+        return Jet(s, r)
 
     def reciprocal(self) -> "Jet":
         u0 = self.value

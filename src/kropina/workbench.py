@@ -38,7 +38,7 @@ from .forms import (
     sigma_bh,
 )
 from .generic import ConicDomainError, bh_density
-from .reports import ReportDocument, exit_code_for, merge_verdicts
+from .reports import ReportDocument
 from .scenarios import (
     COMPARISON_CUTOFF,
     ScenarioError,
@@ -62,6 +62,9 @@ VERIFY_TOLS = {
 
 def _rel_dev(a, b):
     """Largest absolute difference of a and b over max(1, |a|, |b|)."""
+    if isinstance(a, float) and isinstance(b, float):
+        a, b = float(a), float(b)
+        return abs(a - b) / max(1.0, abs(a), abs(b))
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
@@ -69,8 +72,7 @@ def _rel_dev(a, b):
 
 
 def _listed(v):
-    arr = np.atleast_1d(np.asarray(v, dtype=float))
-    return [float(t) for t in arr]
+    return np.atleast_1d(np.asarray(v, dtype=float)).tolist()
 
 
 # -- check ------------------------------------------------------------------

@@ -22,6 +22,8 @@ a test can hold the package's route against it:
 - jet_det: a jet matrix determinant by the n!-term Leibniz sum;
 - mul_table: a jet space's multiplication triples by a double loop
   over its multi-indices, against the table JetSpace builds in numpy;
+- horner_compose: a power series of a jet by Horner over full jet
+  products, against Jet._compose's degree-truncated steps;
 - jet_inverse: a jet matrix inverse through jet_solve;
 - jet_solve_reference: jet_solve dividing by a fresh reciprocal of
   each final pivot, against jet_solve's reuse of the pivot
@@ -31,6 +33,10 @@ a test can hold the package's route against it:
   jet routes above are built from;
 - rs_from_RS: drift contractions from navigation data, against the
   drift bundle of the (alpha, beta) view;
+- loop_evaluator: finsler_evaluator's (alpha, beta) view with the
+  direction stage as a loop of Jet, float or column operations
+  (linear_form and quadratic_form), against the package's stacked
+  direction stage;
 - nav_evaluator: F from the navigation view (h, W), the twin of the
   package's (alpha, beta) finsler_evaluator; validate_views checks the
   linking identities of the two views and that both give the same F;
@@ -81,10 +87,8 @@ from kropina.forms import (
     NavPoint,
     _coerce_scalar,
     _coerce_vector,
-    _linear,
     _nav_frame,
     _nav_hypothesis,
-    _quadratic,
     _require_unit_wind,
     _values,
     finsler_evaluator,
@@ -518,6 +522,18 @@ def mul_table(space):
     return tuple(np.array(t, dtype=np.intp)[by_k] for t in (ii, jj, kk))
 
 
+def horner_compose(jet, dcoefs):
+    """sum_k dcoefs[k] (jet - value)^k by Horner over full jet products,
+    as Jet._compose evaluated before it dropped the degrees that later
+    steps truncate."""
+    e = Jet(jet.space, jet.coef.copy())
+    e.coef[0] = 0.0
+    r = jet.space.constant(dcoefs[-1])
+    for k in range(len(dcoefs) - 2, -1, -1):
+        r = r * e + dcoefs[k]
+    return r
+
+
 def jet_inverse(A):
     """Columns of A^-1 via jet_solve against unit vectors."""
     n = len(A)
@@ -613,6 +629,48 @@ def rs_from_RS(space: KropinaSpace, x, y):
     return r_00, s_i0, s_0
 
 
+def linear_form(coeffs, y):
+    """sum_i coeffs[i] * y[i], accumulated in index order."""
+    acc = None
+    for c, yi in zip(coeffs, y):
+        t = c * yi
+        acc = t if acc is None else acc + t
+    return acc
+
+
+def quadratic_form(values, y):
+    """sum_ij values[i][j] * y[i] * y[j], accumulated in index order."""
+    n = len(values)
+    acc = None
+    for i in range(n):
+        for j in range(n):
+            t = values[i][j] * y[i] * y[j]
+            acc = t if acc is None else acc + t
+    return acc
+
+
+def loop_evaluator(space: KropinaSpace) -> FinslerEvaluator:
+    """finsler_evaluator's (alpha, beta) view with its direction stages
+    as loops of Jet (or float, or column) operations over the values of
+    a_ij and b_i: the reference whose bits the package's stacked
+    direction stages must reproduce."""
+    n = space.dim
+    quad = [e for row in space.a.exprs for e in row]
+
+    def at(x):
+        vals = eval_expr(quad + list(space.b), list(x))
+        qv = [vals[i * n:(i + 1) * n] for i in range(n)]
+        bv = vals[n * n:]
+        return lambda y: quadratic_form(qv, y) / linear_form(bv, y)
+
+    def domain_at(x):
+        bv = eval_expr(list(space.b), list(x))
+        return lambda y: linear_form(bv, y) > 0
+
+    return FinslerEvaluator(dim=n, at=at, domain_at=domain_at,
+                            name=f"{space.name}:ab-loop")
+
+
 def nav_evaluator(space: KropinaSpace) -> FinslerEvaluator:
     """The navigation view F = h_ij y^i y^j / (2 W_0) as an evaluator:
     the independent twin of finsler_evaluator's (alpha, beta) view,
@@ -624,14 +682,14 @@ def nav_evaluator(space: KropinaSpace) -> FinslerEvaluator:
     def den_stage(vals):
         """y -> 2 W_0 = 2 h_ij W^j y^i, from the values of h_ij and W^i."""
         wv = vals[n * n:]
-        wl = [_linear(vals[i * n:(i + 1) * n], wv) for i in range(n)]
-        return lambda y: 2.0 * _linear(wl, y)
+        wl = [linear_form(vals[i * n:(i + 1) * n], wv) for i in range(n)]
+        return lambda y: 2.0 * linear_form(wl, y)
 
     def at(x):
         vals = eval_expr(h_and_w, list(x))
         qv = [vals[i * n:(i + 1) * n] for i in range(n)]
         den = den_stage(vals)
-        return lambda y: _quadratic(qv, y) / den(y)
+        return lambda y: quadratic_form(qv, y) / den(y)
 
     def domain_at(x):
         den = den_stage(eval_expr(h_and_w, list(x)))

@@ -1,5 +1,6 @@
 """Generic pipeline: homogeneity, Riemannian reduction, ODE and MC oracles."""
 import math
+from collections import Counter
 from dataclasses import replace
 from functools import partial
 
@@ -12,13 +13,14 @@ from kropina.generic import (
     BHDensityEstimate,
     ConicDomainError,
     FinslerEvaluator,
+    _check_invertible,
     bh_density,
     curvature_sample,
     generic_point,
     unit_ball_volume,
 )
 from kropina.forms import finsler_evaluator
-from kropina.jets import Jet
+from kropina.jets import Jet, jet_space
 from kropina.riemann import MetricPoint, SingularMetricError
 from kropina.scenarios import (
     COMPARISON_CUTOFF,
@@ -39,6 +41,7 @@ from oracles import (
     hess_form,
     hess_h,
     log_density,
+    loop_evaluator,
     metric_from_strings,
     metric_jets,
     spray_generic,
@@ -714,3 +717,134 @@ def test_degenerate_metric_reported():
     F = plain_evaluator(2, func, lambda x, y: np.asarray(y[0]) > 0, "rank1")
     with pytest.raises(SingularMetricError):
         sample(F, [0.0, 0.0], [1.0, 0.3])
+
+
+# -- the stacked direction stage of the (alpha, beta) view ------------------
+
+
+def _bits(v):
+    """A value's kind and bytes: a jet's coefficients, a column's, or a
+    float's (a Python or a numpy one)."""
+    if isinstance(v, Jet):
+        return Jet, v.space, v.coef.tobytes()
+    if isinstance(v, float):
+        return float, np.float64(v).tobytes()
+    return type(v), v.shape, v.tobytes()
+
+
+@pytest.mark.parametrize("source", [
+    "s3_hopf", "torus_wind", _flat_wind(4), "s5_hopf",
+    *(random_scenario(3, n) for n in range(2, 7)),
+], ids=lambda s: s if isinstance(s, str) else s["name"]
+       + f"_{s['dimension']}")
+def test_direction_stage_equals_the_jet_loop_bit_for_bit(source):
+    """finsler_evaluator's stacked direction stage gives the bits of the
+    loop of Jet, float and column operations (oracles.loop_evaluator):
+    F over seed directions at the seeded x of the generic pipeline and
+    at a float x, over float directions at both, over numpy columns,
+    and the domain stage over floats and columns."""
+    sc = load_scenario(source)
+    space = sc.space()
+    n = space.dim
+    ev, ref = finsler_evaluator(space), loop_evaluator(space)
+    sp = jet_space(2 * n, 4)
+    compared = 0
+    for x, ys in scenario_samples(sc, points=2, directions=3, seed=4):
+        xf = [float(v) for v in x]
+        xj = [sp.variable(i, v) for i, v in enumerate(xf)]
+        cols = [np.array([y[i] for y in ys]) for i in range(n)]
+        for at in (xf, xj):
+            f, g = ev.at(at), ref.at(at)
+            for y in ys:
+                seeds = [sp.variable(n + k, v) for k, v in enumerate(y)]
+                for d in (seeds, [float(v) for v in y]):
+                    assert _bits(f(d)) == _bits(g(d))
+                    compared += 1
+        assert _bits(ev.at(xf)(cols)) == _bits(ref.at(xf)(cols))
+        dom, dom_ref = ev.domain_at(xf), ref.domain_at(xf)
+        assert _bits(dom(cols)) == _bits(dom_ref(cols))
+        for y in ys:
+            assert dom(list(y)) == dom_ref(list(y))
+    assert compared == 2 * 3 * 4
+
+
+def test_direction_stage_refuses_jets_it_cannot_stack():
+    """A jet direction must be coordinate seeds of distinct variables
+    that the chart point's seeds are not on."""
+    space = load_scenario("s3_hopf").space()
+    ev = finsler_evaluator(space)
+    sp = jet_space(6, 2)
+    x = [0.1, -0.2, 0.3]
+    f = ev.at([sp.variable(i, v) for i, v in enumerate(x)])
+    y = [1.0, 0.5, -0.2]
+    seeds = [sp.variable(3 + k, v) for k, v in enumerate(y)]
+    assert isinstance(f(seeds), Jet)
+    refused = (
+        [seeds[0] * 2.0, seeds[1], seeds[2]],            # not a seed
+        [sp.variable(0, y[0]), seeds[1], seeds[2]],      # x reads x1
+        [seeds[0], seeds[0], seeds[2]],                  # one variable twice
+        [seeds[0], y[1], seeds[2]],                      # a float among seeds
+    )
+    for d in refused:
+        with pytest.raises(TypeError):
+            f(d)
+    other = jet_space(6, 4)
+    with pytest.raises(ValueError):
+        f([other.variable(3 + k, v) for k, v in enumerate(y)])
+
+
+def test_curvature_sample_makes_two_jet_products(monkeypatch):
+    """One curvature sample multiplies two pairs of jets, Q times 1/L
+    and F times F, and takes no product with a seed: the direction
+    stage works on stacked arrays and the series of 1/L on coefficient
+    arrays.  (The Jet loop made 27 products, 13 of them with a seed, on
+    s3_hopf.)"""
+    counts = Counter()
+    real_mul, real_seed = Jet.__mul__, Jet._times_seed
+
+    def mul(a, b):
+        counts["mul"] += 1
+        return real_mul(a, b)
+
+    def times_seed(a, seed):
+        counts["seed"] += 1
+        return real_seed(a, seed)
+
+    for source in ("s3_hopf", _flat_wind(4)):
+        sc = load_scenario(source)
+        x, ys = scenario_samples(sc)[0]
+        point = chart_point(sc.space(), x).generic
+        monkeypatch.setattr(Jet, "__mul__", mul)
+        monkeypatch.setattr(Jet, "__rmul__", mul)
+        monkeypatch.setattr(Jet, "_times_seed", times_seed)
+        counts.clear()
+        curvature_sample(point, ys[0])
+        assert counts == {"mul": 2}
+        monkeypatch.undo()
+
+
+def test_check_invertible_decides_as_the_condition_number():
+    """The eigenvalue test of a symmetric g refuses exactly the matrices
+    whose np.linalg.cond exceeds 1e13, across the bound: definite and
+    indefinite, sizes 2 to 8, condition numbers from 1e11 to 1e15, and
+    the singular and zero matrices."""
+    rng = np.random.default_rng(13)
+    cases = [np.zeros((3, 3)), np.diag([1.0, 0.0, 2.0])]
+    for n in (2, 3, 4, 6, 8):
+        for log_cond in (11.0, 12.0, 12.5, 12.9, 13.1, 13.5, 14.0, 15.0):
+            q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            lam = np.logspace(0.0, -log_cond, n) * rng.choice([-1.0, 1.0], n)
+            g = (q * lam) @ q.T * 10.0 ** rng.uniform(-3, 3)
+            cases.append((g + g.T) / 2.0)
+    refused = []
+    for g in cases:
+        try:
+            _check_invertible(g)
+            refused.append(False)
+        except SingularMetricError:
+            refused.append(True)
+    with np.errstate(all="ignore"):
+        assert refused == [bool(np.linalg.cond(g) > 1e13) for g in cases]
+    assert 0 < sum(refused) < len(cases)
+    with pytest.raises(SingularMetricError, match="non-finite"):
+        _check_invertible(np.diag([1.0, np.nan]))

@@ -5,6 +5,8 @@ used by name, and every method of a top-level class by name or as an
 attribute, somewhere in src/ outside its own body.  An import alone is
 not a use.  Dunder methods run through Python's protocols and are not
 scanned.  Oracles that only the tests call belong in tests/oracles.py.
+A second scan holds every module (but __init__.py) to using each name it
+imports.
 """
 import ast
 from collections import Counter
@@ -67,3 +69,28 @@ def unreferenced(src=SRC):
 
 def test_every_definition_in_the_package_has_a_caller_in_the_package():
     assert unreferenced() == sorted(ALLOWED)
+
+
+def unused_imports(src=SRC):
+    """module.name of every name a module of src imports and never uses
+    as a Name: `from __future__` imports and the package's __init__.py,
+    whose imports are its exports, are not scanned."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = set(_uses(tree, attributes=False))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        found.append(f"{path.stem}.{name}")
+    return sorted(found)
+
+
+def test_every_import_in_the_package_is_used():
+    assert unused_imports() == []

@@ -5,9 +5,12 @@ SCENARIOS (the 3-dimensional builtins and random:3), converts the
 document emitted in the other representation back to the source one,
 and runs check and verify on that round-tripped document: 42 reports.
 Then check with the constants of CONSTANTS, which reach checkers 51 and
-61, and check and verify on s5_hopf: 47 reports.  Every report is
-serialised as ``to_json(timings=False)`` would, with ``tool.version``
-dropped, so two checkouts that behave the same write the same bytes.
+61, check and verify on s5_hopf, and verify at 1 x 3 on the
+random_scenario(3, n) documents of RANDOM_DIMENSIONS, so that every
+dimension the scenario schema accepts (2..6) is covered: 50 reports.
+Every report is serialised as ``to_json(timings=False)`` would, with
+``tool.version`` dropped, so two checkouts that behave the same write
+the same bytes.
 
     python3 tools/report_bytes.py [--src DIR] > OUT.json
     python3 tools/report_bytes.py [--src DIR] --against OUT.json
@@ -41,6 +44,8 @@ SCENARIOS = ("euclid_gaussian", "euclid_parallel", "euclid_twist", "s3_hopf",
 CONSTANTS = (("s3_hopf", {"a": 0, "c": "3/8"}),
              ("s3_hopf", {"preset": "pric"}),
              ("euclid_gaussian", {"preset": "pric"}))
+# dimensions n of the random_scenario(3, n) documents verified at 1 x 3
+RANDOM_DIMENSIONS = (2, 4, 6)
 
 
 def _canonical(doc):
@@ -51,7 +56,7 @@ def _canonical(doc):
 
 def reports():
     """{label: canonical report dict} over the whole run plan."""
-    from kropina.scenarios import load_scenario
+    from kropina.scenarios import load_scenario, random_scenario
     from kropina.workbench import run_check, run_convert, run_verify
 
     out = {}
@@ -77,6 +82,10 @@ def reports():
     sc = load_scenario("s5_hopf")
     out["check s5_hopf"] = _canonical(run_check(sc))
     out["verify s5_hopf"] = _canonical(run_verify(sc))
+    for n in RANDOM_DIMENSIONS:
+        sc = load_scenario(random_scenario(3, n))
+        out[f"verify random_scenario(3, {n})"] = _canonical(
+            run_verify(sc, points=1, dirs=3))
     return out
 
 
