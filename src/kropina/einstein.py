@@ -32,6 +32,7 @@ import numpy as np
 from .expr import ExprError
 from .forms import (
     AbFields,
+    AbInvariants,
     KropinaSpace,
     NavPoint,
     _require_unit_wind,
@@ -42,11 +43,13 @@ from .forms import (
     s_closed,
     s_dot_closed,
 )
-from .generic import curvature_sample, generic_point
+from .generic import curvature_samples, generic_point
 from .riemann import (
     MetricPoint,
     NotPositiveDefiniteError,
+    _dot,
     _extract,
+    _form,
     eval_component_jets,
 )
 
@@ -178,32 +181,33 @@ def weight_preset(name, n):
 
 # -- the curvature family ------------------------------------------------------
 #
-# These take the drift bundle of one chart point (ChartPoint.fld); the
+# These take the drift invariants of a chart point's directions
+# (ChartPoint.inv) or its generic samples, one value per direction; the
 # weight is the one of the bundle's space.
 
 
 def _generic_ric_ac(sample, cfg: WeightConfig):
-    """Ric + a*Sdot - c*S^2 from one generic curvature sample."""
+    """Ric + a*Sdot - c*S^2 from generic curvature samples."""
     a, c = float(cfg.a), float(cfg.c)
     val = sample.ricci
     if a != 0.0:
-        val += a * sample.sdot
+        val = val + a * sample.sdot
     if c != 0.0:
-        val -= c * sample.s ** 2
+        val = val - c * np.float_power(sample.s, 2)
     return val
 
 
-def ric_ac(fields, cfg: WeightConfig, y):
-    """Weighted Ricci curvature Ric + a*Sdot - c*S^2 at (x, y), from the
-    drift-invariant closed forms; _generic_ric_ac is the generic
-    pipeline's counterpart."""
+def ric_ac(inv: AbInvariants, cfg: WeightConfig):
+    """Weighted Ricci curvature Ric + a*Sdot - c*S^2 at x and the
+    directions of inv, from the drift-invariant closed forms;
+    _generic_ric_ac is the generic pipeline's counterpart."""
     a, c = float(cfg.a), float(cfg.c)
-    n = fields.n
-    val = kropina_ricci_closed(fields, y)
+    n = inv.fields.n
+    val = kropina_ricci_closed(inv)
     if a != 0.0:
-        val += a * (n + 1) * s_dot_closed(fields, y)
+        val = val + a * (n + 1) * s_dot_closed(inv)
     if c != 0.0:
-        val -= c * s_closed(fields, y) ** 2
+        val = val - c * np.float_power(s_closed(inv), 2)
     return val
 
 
@@ -234,37 +238,31 @@ class EinsteinAnsatz:
 
     def model(self, F, y):
         """The ansatz with the (n-1) prefactor split off:
-        3 theta(y) F + sigma F^2."""
-        th = float(np.dot(self.theta, np.asarray(y, dtype=float)))
+        3 theta(y) F + sigma F^2, for directions y (..., n) and their
+        F."""
+        th = _dot(np.asarray(y, dtype=float), np.array(self.theta))
         return 3.0 * th * F + self.sigma * F * F
 
 
-def fit_theta_sigma(fields, cfg: WeightConfig, directions):
+def fit_theta_sigma(inv: AbInvariants, cfg: WeightConfig):
     """Least-squares (theta_1..theta_n, sigma) minimizing the Einstein
-    residual over the given directions at the bundle's chart point.
+    residual over the directions of inv (D, n) at its chart point.
 
     Needs at least n+2 admissible directions spanning the tangent
     space; a rank-deficient direction set raises ValueError.  The
     returned ansatz carries the root-mean-square fit residual relative
     to the curvature scale.
     """
-    n = fields.n
-    directions = [np.asarray(y, dtype=float) for y in directions]
-    if len(directions) < n + 2:
+    n = inv.fields.n
+    ys = inv.y
+    if len(ys) < n + 2:
         raise ValueError(
             f"theta/sigma fit needs at least {n + 2} directions, "
-            f"got {len(directions)}"
+            f"got {len(ys)}"
         )
-    rows, target = [], []
-    for y in directions:
-        inv = fields.invariants(y)
-        rows.append(
-            [3.0 * (n - 1) * inv.F * y[i] for i in range(n)]
-            + [(n - 1) * inv.F**2]
-        )
-        target.append(ric_ac(fields, cfg, y))
-    A = np.array(rows)
-    t = np.array(target)
+    A = np.column_stack([3.0 * (n - 1) * inv.F * ys[:, i] for i in range(n)]
+                        + [(n - 1) * np.float_power(inv.F, 2)])
+    t = ric_ac(inv, cfg)
     if np.linalg.matrix_rank(A) < n + 1:
         raise ValueError("direction set is rank-deficient for the theta/sigma fit")
     sol, *_ = np.linalg.lstsq(A, t, rcond=None)
@@ -501,11 +499,13 @@ def _drift_scalars(fld):
 
 
 class ChartPoint:
-    """One sampled chart point x of a space and its directions ys, with
-    every pointwise bundle a run reads there, each built on first use:
-    the drift bundle fld, the navigation point nav, the log densities,
-    the generic point and one curvature sample per direction, and one
-    least-squares (theta, sigma) fit per weight configuration.
+    """One sampled chart point x of a space and its directions ys (D, n),
+    with every pointwise bundle a run reads there, each built on first
+    use: the drift bundle fld, the navigation point nav, the log
+    densities, the generic point, the drift invariants inv and the
+    generic curvature samples of all directions (one batched pass
+    each), and one least-squares (theta, sigma) fit per weight
+    configuration.
 
     The bundles, the densities and the weight's partials all read one
     evaluation of the space's trees over the n chart variables to order
@@ -517,9 +517,8 @@ class ChartPoint:
         self.space = space
         self.n = space.dim
         self.x = np.asarray(x, dtype=float)
-        self.ys = [np.asarray(y, dtype=float) for y in ys]
+        self.ys = np.array(ys, dtype=float).reshape(-1, self.n)
         self.evaluator = evaluator
-        self._samples = {}
         self._fits = {}
 
     @cached_property
@@ -578,20 +577,21 @@ class ChartPoint:
     def generic(self):
         return generic_point(self.evaluator, self.x, *self.log_densities)
 
-    def sample(self, y):
-        """The generic curvature sample of direction y, taken once per y."""
-        y = np.asarray(y, dtype=float)
-        key = y.tobytes()
-        cs = self._samples.get(key)
-        if cs is None:
-            cs = self._samples[key] = curvature_sample(self.generic, y)
-        return cs
+    @cached_property
+    def inv(self):
+        """The drift invariants of all directions ys."""
+        return AbInvariants(self.fld, self.ys)
+
+    @cached_property
+    def samples(self):
+        """The generic curvature samples of all directions ys."""
+        return curvature_samples(self.generic, self.ys)
 
     def fitted(self, cfg: WeightConfig) -> EinsteinAnsatz:
         """The (theta, sigma) fit of cfg over ys, fitted once per cfg."""
         fit = self._fits.get(cfg)
         if fit is None:
-            fit = self._fits[cfg] = fit_theta_sigma(self.fld, cfg, self.ys)
+            fit = self._fits[cfg] = fit_theta_sigma(self.inv, cfg)
         return fit
 
 
@@ -632,13 +632,13 @@ def _check(theorem, regime, keys, conditions, points, cfg, tol):
         scal["sigma_formula"].append(formula.sigma)
         scal["sigma_fitted"].append(fitted.sigma)
         scal["theta_fitted"].append(list(fitted.theta))
-        for y in pt.ys:
-            F = pt.fld.invariants(y).F
-            val = _generic_ric_ac(pt.sample(y), cfg)
-            for label, ansatz in (("einstein-residual-formula", formula),
-                                  ("einstein-residual-fitted", fitted)):
-                model = (cfg.n - 1) * ansatz.model(F, y)
-                res.add(label, _scaled_residual(val - model, val, model))
+        val = _generic_ric_ac(pt.samples, cfg)
+        models = [(label, (cfg.n - 1) * ansatz.model(pt.inv.F, pt.ys))
+                  for label, ansatz in (("einstein-residual-formula", formula),
+                                        ("einstein-residual-fitted", fitted))]
+        for k, v in enumerate(val):
+            for label, model in models:
+                res.add(label, _scaled_residual(v - model[k], v, model[k]))
     found = res.conditions()
     return TheoremReport(theorem, _verdict(found), found, scal, len(points),
                          sum(len(pt.ys) for pt in points))
@@ -788,42 +788,43 @@ def thm44_check(points, cfg: WeightConfig, tol=1e-6):
         scal["lambda"].append(lam)
         sigma_formula = _sigma_agreement(fld, pt.fitted(cfg).sigma, res)
 
-        for y in pt.ys:
-            inv = fld.invariants(y)
-            ric_a = float(y @ fld.mp.ricci @ y)
-            hf_y = float(y @ fld.weight_hess @ y)
-            lhs = (
-                ric_a * b2**2
-                + (n - 2) * (
-                    b2 * (inv.s0_0 + float(eta_k @ y) * inv.beta)
-                    - 2 * eta * inv.beta * inv.s_0
-                    - inv.s_0**2
-                    - eta**2 * inv.beta**2
-                )
-                - (3 * kappa - nu - a * (n + 1)) * b2**2 * inv.f_0**2
-                + (-kappa + n - 1) * b2**2 * hf_y
+        inv, ys = pt.inv, pt.ys
+        ric_a = _form(ys, fld.mp.ricci, ys)
+        hf_y = _form(ys, fld.weight_hess, ys)
+        lhs = (
+            ric_a * b2**2
+            + (n - 2) * (
+                b2 * (inv.s0_0 + _dot(eta_k, ys) * inv.beta)
+                - 2 * eta * inv.beta * inv.s_0
+                - np.float_power(inv.s_0, 2)
+                - eta**2 * np.float_power(inv.beta, 2)
             )
+            - (3 * kappa - nu - a * (n + 1)) * b2**2 * np.float_power(
+                inv.f_0, 2)
+            + (-kappa + n - 1) * b2**2 * hf_y
+        )
+        theta_y = _dot(theta, ys)
+        odd = (
+            inv.beta * (
+                (n - 2) * sksk + 3 * (n - 1) * b2 * theta_b
+                - b2 * (fld.div_s + ss)
+            )
+            + b2 * (
+                (n - 3) * eta * inv.s_0
+                + inv.s0_b
+                - b2 * inv.div_s0
+                + (n - 1) * inv.sk_sk0
+                - 3 * (n - 1) * b2 * theta_y
+            )
+        )
+        ricci_rows = (lhs - lam * inv.alpha2, ric_a * b2**2, lam * inv.alpha2)
+        odd_rows = (odd, inv.beta * b2 * (fld.div_s + ss), b2 * inv.s0_b,
+                    b2**2 * inv.div_s0, 3 * (n - 1) * b2**2 * theta_y)
+        for k in range(len(ys)):
             res.add("ricci-reduction",
-                    _scaled_residual(lhs - lam * inv.alpha2,
-                                     ric_a * b2**2, lam * inv.alpha2))
-            odd = (
-                inv.beta * (
-                    (n - 2) * sksk + 3 * (n - 1) * b2 * theta_b
-                    - b2 * (fld.div_s + ss)
-                )
-                + b2 * (
-                    (n - 3) * eta * inv.s_0
-                    + inv.s0_b
-                    - b2 * inv.div_s0
-                    + (n - 1) * inv.sk_sk0
-                    - 3 * (n - 1) * b2 * float(theta @ y)
-                )
-            )
+                    _scaled_residual(*(v[k] for v in ricci_rows)))
             res.add("one-form-reduction",
-                    _scaled_residual(
-                        odd, inv.beta * b2 * (fld.div_s + ss),
-                        b2 * inv.s0_b, b2**2 * inv.div_s0,
-                        3 * (n - 1) * b2**2 * float(theta @ y)))
+                    _scaled_residual(*(v[k] for v in odd_rows)))
         return EinsteinAnsatz(tuple(theta), sigma_formula)
 
     return _check("44", "nu!=0",

@@ -44,8 +44,15 @@ from .expr import (
     parse_expr,
 )
 from .generic import ConicDomainError, FinslerEvaluator
-from .jets import Jet, JetDomainError, _Seed, graded_solve
-from .riemann import FieldPoint, MetricPoint, RiemannianMetric
+from .jets import Jet, JetDomainError, graded_solve
+from .riemann import (
+    FieldPoint,
+    MetricPoint,
+    RiemannianMetric,
+    _apply,
+    _dot,
+    _form,
+)
 
 
 class GaugeError(ValueError):
@@ -281,16 +288,6 @@ class AbFields(FieldPoint):
         self.n = space.dim
         super().__init__(mp, *b_up)
         self.f_grad, self.f_hess = weight
-        self._invariants = {}
-
-    def invariants(self, y) -> "AbInvariants":
-        """The AbInvariants of direction y, built once per y."""
-        y = np.array(y, dtype=float)
-        key = y.tobytes()
-        inv = self._invariants.get(key)
-        if inv is None:
-            inv = self._invariants[key] = AbInvariants(self, y)
-        return inv
 
     @cached_property
     def bl(self):
@@ -376,13 +373,15 @@ class AbFields(FieldPoint):
 
 
 class AbInvariants:
-    """Scalar contractions of the drift derivatives at one (x, y).
+    """Scalar contractions of the drift derivatives at x and a block of
+    directions y (..., n).
 
-    Tensor-level data stays on .fields; everything y-contracted is a
-    plain float attribute here.  AbFields.invariants builds one per y.
-    Notation: a trailing 0 is contraction with y, a ';' in the
-    docstrings below marks the covariant derivative taken before that
-    contraction.
+    Tensor-level data stays on .fields; everything y-contracted is an
+    attribute here with y's leading axes: one value per direction, or a
+    float for a single direction y (n,), each with the bits of that
+    direction alone.  Notation: a trailing 0 is contraction with y, a
+    ';' in the comments below marks the covariant derivative taken
+    before that contraction.
     """
 
     def __init__(self, fields: AbFields, y):
@@ -391,81 +390,78 @@ class AbInvariants:
         self.fields = f
         self.y = y
         self.b2 = f.b2
-        self.alpha2 = float(y @ f.mp.g @ y)
-        self.beta = float(f.bl @ y)
-        if self.beta <= 0.0:
+        self.alpha2 = _form(y, f.mp.g, y)
+        self.beta = _dot(f.bl, y)
+        if np.any(self.beta <= 0.0):
             raise ConicDomainError(
                 "beta(x, y) must be positive for Kropina contractions"
             )
         self.F = self.alpha2 / self.beta
 
-        self.r_00 = float(y @ f.r @ y)
-        self.r_0 = float(f.r_vec @ y)
-        self.s_0 = float(f.s_vec @ y)
-        self.s_i0 = f.s_up @ y              # s^i_0
-        self.r_0i = f.r @ y                 # r_{0 i}
+        self.r_00 = _form(y, f.r, y)
+        self.r_0 = _dot(f.r_vec, y)
+        self.s_0 = _dot(f.s_vec, y)
+        self.s_i0 = _apply(f.s_up, y)        # s^i_0
+        self.r_0i = _apply(f.r, y)           # r_{0 i}
         self.r_scalar = f.r_scalar
 
-        self.r00_0 = float(np.einsum("ijk,i,j,k->", f.dr, y, y, y))
-        self.r00_b = float(np.einsum("ijk,i,j,k->", f.dr, y, y, f.bu))
-        self.s0_0 = float(y @ f.dsv @ y)    # s_{0;0}
-        self.s0_b = float(y @ f.dsv @ f.bu)  # b^k s_{0;k}
-        self.r0_0 = float(y @ f.drv @ y)    # r_{0;0}
-        self.div_s0 = float(f.div_s_up @ y)  # s^k_{0;k}
+        self.r00_0 = np.einsum("ijk,...i,...j,...k->...", f.dr, y, y, y)
+        self.r00_b = np.einsum("ijk,...i,...j,k->...", f.dr, y, y, f.bu)
+        self.s0_0 = _form(y, f.dsv, y)       # s_{0;0}
+        self.s0_b = _form(y, f.dsv, f.bu)    # b^k s_{0;k}
+        self.r0_0 = _form(y, f.drv, y)       # r_{0;0}
+        self.div_s0 = _dot(f.div_s_up, y)    # s^k_{0;k}
         self.div_s = f.div_s                 # s^k_{;k}
 
-        self.sk_sk0 = float(f.s_vec @ self.s_i0)          # s_k s^k_0
+        self.sk_sk0 = _dot(f.s_vec, self.s_i0)            # s_k s^k_0
         self.sksk = float(f.s_vec @ f.mp.ginv @ f.s_vec)  # s^k s_k
         self.ss = float(np.einsum("ij,ji->", f.s_up, f.s_up))  # s^j_k s^k_j
-        self.rk_sk0 = float(f.r_vec @ self.s_i0)          # r_k s^k_0
-        self.r0k_sk = float(self.r_0i @ (f.mp.ginv @ f.s_vec))  # r_{0k} s^k
-        self.r0k_sk0 = float(self.r_0i @ self.s_i0)       # r_{0k} s^k_0
+        self.rk_sk0 = _dot(f.r_vec, self.s_i0)            # r_k s^k_0
+        self.r0k_sk = _dot(self.r_0i, f.mp.ginv @ f.s_vec)  # r_{0k} s^k
+        self.r0k_sk0 = _dot(self.r_0i, self.s_i0)         # r_{0k} s^k_0
 
-        self.f_0 = float(f.f_grad @ y)
+        self.f_0 = _dot(f.f_grad, y)
 
 
 # -- closed forms -------------------------------------------------------------
 #
-# Each closed form reads the drift bundle of one chart point, so a caller
-# that visits many directions at x builds the bundle once.
+# Each reads the AbInvariants of a chart point's directions and gives one
+# value per direction.  np.float_power(v, 2) rounds as Python's v ** 2.
 
 
-def kropina_spray_closed(fields: AbFields, y) -> np.ndarray:
+def kropina_spray_closed(inv: AbInvariants) -> np.ndarray:
     """Geodesic coefficients G^i from the drift-derivative tensors."""
-    f = fields
-    inv = f.invariants(y)
+    f = inv.fields
     y, a2, beta, b2 = inv.y, inv.alpha2, inv.beta, f.b2
-    g_a = 0.5 * np.einsum("kij,i,j->k", f.mp.christoffel, y, y)
+    g_a = 0.5 * np.einsum("kij,...i,...j->...k", f.mp.christoffel, y, y)
     correction = (
-        -(a2 / (2.0 * beta)) * inv.s_i0
-        + ((a2 / beta) * inv.s_0 + inv.r_00) / (2.0 * b2) * f.bu
-        - (inv.s_0 + (beta / a2) * inv.r_00) / b2 * y
+        -(a2 / (2.0 * beta))[..., None] * inv.s_i0
+        + (((a2 / beta) * inv.s_0 + inv.r_00) / (2.0 * b2))[..., None] * f.bu
+        - ((inv.s_0 + (beta / a2) * inv.r_00) / b2)[..., None] * y
     )
     return g_a + correction
 
 
-def kropina_ricci_closed(fields: AbFields, y) -> float:
+def kropina_ricci_closed(inv: AbInvariants):
     """Ricci curvature as the base Ricci plus drift correction terms."""
-    f = fields
-    y = np.asarray(y, dtype=float)
-    inv = f.invariants(y)
+    f = inv.fields
     n = f.n
     F = inv.F
     b2 = f.b2
     b4 = b2 * b2
-    ric_a = float(y @ f.mp.ricci @ y)
+    ric_a = _form(inv.y, f.mp.ricci, inv.y)
     t = (
-        3.0 * (n - 1) / (b4 * F * F) * inv.r_00 ** 2
+        3.0 * (n - 1) / (b4 * F * F) * np.float_power(inv.r_00, 2)
         + (n - 1) / (F * b4) * (
             2.0 * inv.r_00 * inv.s_0
             - 4.0 * inv.r_00 * inv.r_0
             - 4.0 * F * inv.r_0 * inv.s_0
-            - F * inv.s_0 ** 2
+            - F * np.float_power(inv.s_0, 2)
         )
         + (n - 1) / (b2 * F) * (
             inv.r00_0 + F * inv.s0_0 + F * F * inv.sk_sk0
         )
-        + ((inv.r_0 + inv.s_0) ** 2
+        + (np.float_power(inv.r_0 + inv.s_0, 2)
            - inv.r_scalar * (inv.r_00 + F * inv.s_0)) / b4
         + (
             F * inv.s0_b + inv.r00_b
@@ -482,27 +478,24 @@ def kropina_ricci_closed(fields: AbFields, y) -> float:
     return ric_a + t
 
 
-def s_bh_closed(fields: AbFields, y) -> float:
+def s_bh_closed(inv: AbInvariants):
     """S-curvature for the unit-ball volume normalisation."""
-    inv = fields.invariants(y)
-    return (fields.n + 1) / fields.b2 * (inv.r_0 - inv.r_00 / inv.F)
+    f = inv.fields
+    return (f.n + 1) / f.b2 * (inv.r_0 - inv.r_00 / inv.F)
 
 
-def s_closed(fields: AbFields, y) -> float:
+def s_closed(inv: AbInvariants):
     """S-curvature for the weighted density e^{-(n+1) f} sigma."""
-    inv = fields.invariants(y)
-    return s_bh_closed(fields, y) + (fields.n + 1) * inv.f_0
+    return s_bh_closed(inv) + (inv.fields.n + 1) * inv.f_0
 
 
-def s_dot_closed(fields: AbFields, y) -> float:
+def s_dot_closed(inv: AbInvariants):
     """Horizontal derivative of the weighted S-curvature, per unit (n+1).
 
     Returns S-dot / (n+1); multiply by n+1 to compare with the generic
     pipeline's sdot value.
     """
-    f = fields
-    inv = f.invariants(y)
-    b2 = f.b2
+    b2 = inv.fields.b2
     b4 = b2 * b2
     a2 = inv.alpha2
     beta = inv.beta
@@ -516,23 +509,24 @@ def s_dot_closed(fields: AbFields, y) -> float:
         -((a2 / beta) * inv.s_0 + inv.r_00) * inv.r_scalar
         + (2.0 * beta / a2) * inv.r_00 * (3.0 * inv.r_0 - inv.s_0)
         + 2.0 * inv.r_0 * (inv.s_0 - inv.r_0)
-        - 4.0 * (beta / a2) ** 2 * inv.r_00 ** 2
+        - 4.0 * np.float_power(beta / a2, 2) * np.float_power(inv.r_00, 2)
     ) / b4
-    return first + second + hess_f_closed(f, inv.y)
+    return first + second + hess_f_closed(inv)
 
 
-def hess_form(fields: AbFields, y, G) -> float:
+def hess_form(fields: AbFields, y, G):
     """f_{x^i x^j} y^i y^j - 2 f_{x^i} G^i, the geodesic Hessian form of
-    the weight along a spray whose value at (x, y) is G."""
+    the weight along a spray whose value at (x, y) is G, for directions
+    y (..., n) and spray values G (..., n)."""
     y = np.asarray(y, dtype=float)
-    return float(y @ fields.f_hess @ y - 2.0 * fields.f_grad @ G)
+    return _form(y, fields.f_hess, y) - 2.0 * _dot(fields.f_grad, G)
 
 
-def hess_f_closed(fields: AbFields, y) -> float:
+def hess_f_closed(inv: AbInvariants):
     """Geodesic Hessian form of the weight along the closed-form spray."""
-    if fields.space.weight is None:
-        return 0.0
-    return hess_form(fields, y, kropina_spray_closed(fields, y))
+    if inv.fields.space.weight is None:
+        return np.zeros(np.shape(inv.beta))
+    return hess_form(inv.fields, inv.y, kropina_spray_closed(inv))
 
 
 # -- isotropy decision ---------------------------------------------------------
@@ -558,18 +552,13 @@ def isotropy_fit(fields: AbFields, rel_tol=1e-8) -> IsotropyFit:
     """
     f = fields
     n = f.n
-    dirs = []
-    for i in range(n):
-        d = np.zeros(n)
-        d[i] = 1.0
-        dirs.append(d)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = np.zeros(n)
-            d[i] = d[j] = 1.0
-            dirs.append(d)
-    a_vals = np.array([d @ f.mp.g @ d for d in dirs])
-    r_vals = np.array([d @ f.r @ d for d in dirs])
+    pairs = [(i, i) for i in range(n)] + [
+        (i, j) for i in range(n) for j in range(i + 1, n)]
+    dirs = np.zeros((len(pairs), n))
+    for d, pair in zip(dirs, pairs):
+        d[list(pair)] = 1.0
+    a_vals = _form(dirs, f.mp.g, dirs)
+    r_vals = _form(dirs, f.r, dirs)
     scale = float(np.sqrt(np.mean(r_vals ** 2)))
     if scale < 1e-14 * max(1.0, float(np.sqrt(np.mean(a_vals ** 2)))):
         return IsotropyFit(0.0, 0.0, scale, True)
@@ -598,13 +587,14 @@ class NavPoint(FieldPoint):
 
 
 def _nav_frame(fp: NavPoint, y):
-    """(y, W_0, F) at one direction; raises outside the conic domain."""
+    """(y, W_0, F) at the directions y (..., n); raises when one is
+    outside the conic domain."""
     y = np.asarray(y, dtype=float)
-    w0 = float(fp.w_low @ y)
-    if w0 <= 0.0:
+    w0 = _dot(fp.w_low, y)
+    if np.any(w0 <= 0.0):
         raise ConicDomainError("W_0 must be positive in the conic domain")
-    h2 = float(y @ fp.mp.g @ y)
-    if h2 <= 0.0:
+    h2 = _form(y, fp.mp.g, y)
+    if np.any(h2 <= 0.0):
         raise ValueError("y must be nonzero")
     return y, w0, h2 / (2.0 * w0)
 
@@ -614,14 +604,16 @@ def nav_spray(fp: NavPoint, y) -> np.ndarray:
 
     G^i = G^i_h - F S^i_0 - (R_00 + 2 F S_0) / (2F) (y^i - F W^i),
     with R and S the symmetrised and skew covariant derivatives of the
-    lowered wind; fp is a NavPoint (ChartPoint.nav).
+    lowered wind; fp is a NavPoint (ChartPoint.nav), y (..., n).
     """
     y, _, F = _nav_frame(fp, y)
-    g_h = 0.5 * np.einsum("kij,i,j->k", fp.mp.christoffel, y, y)
-    s_i0 = fp.s_up @ y
-    s_0 = float(fp.s_vec @ y)
-    r_00 = float(y @ fp.r @ y)
-    return g_h - F * s_i0 - (r_00 + 2.0 * F * s_0) / (2.0 * F) * (y - F * fp.w)
+    g_h = 0.5 * np.einsum("kij,...i,...j->...k", fp.mp.christoffel, y, y)
+    s_i0 = _apply(fp.s_up, y)
+    s_0 = _dot(fp.s_vec, y)
+    r_00 = _form(y, fp.r, y)
+    F1 = F[..., None]
+    return (g_h - F1 * s_i0
+            - ((r_00 + 2.0 * F * s_0) / (2.0 * F))[..., None] * (y - F1 * fp.w))
 
 
 def _nav_hypothesis(fp: NavPoint, tol: float):
@@ -643,17 +635,15 @@ def _nav_hypothesis(fp: NavPoint, tol: float):
         )
 
 
-def nav_ricci_isotropic(fp: NavPoint, y, tol=1e-8) -> float:
-    """Ricci curvature from navigation data, Killing wind only."""
+def nav_ricci_isotropic(fp: NavPoint, y, tol=1e-8):
+    """Ricci curvature from navigation data, Killing wind only, at the
+    directions y (..., n)."""
     _nav_hypothesis(fp, tol)
     y, _, F = _nav_frame(fp, y)
     ric = fp.mp.ricci
     s_up = fp.s_up
-    return float(
-        y @ ric @ y
-        - 2.0 * F * (y @ ric @ fp.w)
-        - F * F * np.einsum("ij,ji->", s_up, s_up)
-    )
+    return (_form(y, ric, y) - 2.0 * F * _form(y, ric, fp.w)
+            - F * F * np.einsum("ij,ji->", s_up, s_up))
 
 
 # -- volume densities and evaluators --------------------------------------------
@@ -709,28 +699,44 @@ def finsler_evaluator(space: KropinaSpace) -> FinslerEvaluator:
     C = 1 for floats, or the coefficient arrays of jets.  The direction
     stages combine those arrays with y in a few numpy calls, with the
     bits of the loop a_ij y^i y^j / (b_i y^i) over the same values (see
-    _quadratic).  y is floats, numpy columns or coordinate seeds
-    (JetSpace.variable) of variables the chart point's seeds are not
-    on; any other jet direction raises TypeError.  The box hint
-    brackets the unit-ball ellipsoid exactly.
+    _quadratic).  at(x)'s y is floats or numpy columns.  Jet directions
+    go through jets_at: on the order-4 seeds x of the chart variables,
+    its stage takes a (D, n) block of directions and gives the D jets
+    of F at their seeds on the variables n..2n-1, each with the bits of
+    that loop over Jet operations.  The box hint brackets the
+    unit-ball ellipsoid exactly.
     """
     n = space.dim
     quad = [e for row in space.a.exprs for e in row]
 
+    def x_stage(x):
+        coef, sp = _stacked(eval_expr(quad + list(space.b), list(x)))
+        return coef[:n * n].reshape(n, n, -1), coef[n * n:], sp
+
     def at(x):
-        coef, sp, reads = _stacked(eval_expr(quad + list(space.b), list(x)),
-                                   x)
-        a, b = coef[:n * n].reshape(n, n, -1), coef[n * n:]
+        a, b, sp = x_stage(x)
 
         def f(y):
-            dirs = _directions(y, sp, reads)
+            dirs = _directions(y, sp)
             return _quadratic(a, *dirs) / _linear(b, *dirs)
 
         return f
 
+    def jets_at(x):
+        a, b, _ = x_stage(x)
+        sp = x[0].space
+        blocks = _seed_blocks(sp, tuple(range(n, 2 * n)))
+
+        def f(ys):
+            v = np.asarray(ys, dtype=float).T
+            return (Jet(sp, _seed_quadratic(a, v, blocks))
+                    / Jet(sp, _seed_linear(b, v, blocks))).coef
+
+        return f
+
     def domain_at(x):
-        coef, sp, reads = _stacked(eval_expr(list(space.b), list(x)), x)
-        return lambda y: _linear(coef, *_directions(y, sp, reads)) > 0
+        coef, sp = _stacked(eval_expr(list(space.b), list(x)))
+        return lambda y: _linear(coef, *_directions(y, sp)) > 0
 
     def box_hint(x):
         a_val, b_val = _values(x, space.a, space.b)
@@ -746,70 +752,43 @@ def finsler_evaluator(space: KropinaSpace) -> FinslerEvaluator:
         domain_at=domain_at,
         name=f"{space.name}:ab",
         box_hint=box_hint,
+        jets_at=jets_at,
     )
 
 
 # -- the direction stage of F over stacked coefficients ----------------------
 
 
-def _stacked(values, x):
-    """(coef, space, reads): the x-stage values of coefficient trees
-    stacked as coef (len(values), C), with their jet space and the
-    variables the chart point x reads.
-
-    Floats stack with C = 1 and no space, jets as their coefficient
-    arrays, a float among jets as a constant row.  x reads the
-    variables of its seeds, and every variable of its space when an
-    entry is a jet but not a seed.
-    """
+def _stacked(values):
+    """(coef, space): the x-stage values of coefficient trees stacked as
+    coef (len(values), C), with their jet space.  Floats stack with
+    C = 1 and no space, jets as their coefficient arrays, a float among
+    jets as a constant row."""
     space = next((v.space for v in values if isinstance(v, Jet)), None)
     if space is None:
-        coef = np.array(values, dtype=float)[:, None]
-    else:
-        coef = np.zeros((len(values), space.ncoef))
-        for row, v in zip(coef, values):
-            if isinstance(v, Jet):
-                row[:] = v.coef
-            else:
-                row[0] = v
-    reads = set()
-    for v in x:
-        if isinstance(v, _Seed):
-            reads.add(v.var)
-        elif isinstance(v, Jet):
-            reads.update(range(v.space.nvars))
-    return coef, space, frozenset(reads)
+        return np.array(values, dtype=float)[:, None], None
+    coef = np.zeros((len(values), space.ncoef))
+    for row, v in zip(coef, values):
+        if isinstance(v, Jet):
+            row[:] = v.coef
+        else:
+            row[0] = v
+    return coef, space
 
 
-def _directions(y, space, reads):
-    """(v, blocks, space, shape): the directions y as values v (n, W),
-    the seed blocks when y is seeds (else None), the jet space of the
-    forms' values (None for floats) and the shape of a float value.
-
-    Floats give W = 1 and shape (), numpy columns of length m give
-    W = m and shape (m,).  Seeds give their base values (W = 1) and
-    the blocks of their variables; a jet that is not a seed, a seed of
-    a variable the chart point reads, or two seeds of one variable
-    raise TypeError.
-    """
-    if not any(isinstance(t, Jet) for t in y):
-        v = np.asarray(y, dtype=float)
-        if space is not None and v.ndim > 1:
-            raise TypeError("a jet chart point takes float or seed directions")
-        return v.reshape(len(y), -1), None, space, v.shape[1:]
-    if not all(isinstance(t, _Seed) for t in y):
-        raise TypeError("a jet direction must be coordinate seeds "
-                        "(JetSpace.variable)")
-    seed_space = y[0].space
-    if (any(t.space is not seed_space for t in y)
-            or space not in (None, seed_space)):
-        raise ValueError("jets from different spaces cannot be combined")
-    yvars = tuple(t.var for t in y)
-    if len(set(yvars)) < len(yvars) or reads.intersection(yvars):
-        raise TypeError("direction seeds must be distinct variables that "
-                        "the chart point does not read")
-    v = np.array([[t.coef[0]] for t in y])
-    return v, _seed_blocks(seed_space, yvars), seed_space, ()
+def _directions(y, space):
+    """(v, space, shape): the directions y as values v (n, W), the jet
+    space of the forms' values (None for floats) and the shape of a
+    float value.  Floats give W = 1 and shape (), numpy columns of
+    length m give W = m and shape (m,); a jet direction, or columns at
+    a jet chart point, raise TypeError."""
+    if any(isinstance(t, Jet) for t in y):
+        raise TypeError("a direction is floats or numpy columns; jet "
+                        "directions go through jets_at")
+    v = np.asarray(y, dtype=float)
+    if space is not None and v.ndim > 1:
+        raise TypeError("a jet chart point takes float directions")
+    return v.reshape(len(y), -1), space, v.shape[1:]
 
 
 def _row_sum(terms):
@@ -831,47 +810,64 @@ def _value(r, space, shape):
     return r.reshape(shape) if shape else float(r[0])
 
 
-def _quadratic(a, v, blocks, space, shape):
+def _quadratic(a, v, space, shape):
     """sum_ij a_ij y^i y^j over a (n, n, C) and the directions of
     _directions, bit for bit the loop that adds (a_ij y^i) y^j in (i, j)
-    order (with seed products as Jet rounds them), up to the sign of
-    zero coefficients.
+    order."""
+    n = len(a)
+    terms = a * v[:, None]
+    terms *= v[None, :]
+    return _value(_row_sum(terms.reshape(n * n, -1)), space, shape)
+
+
+def _linear(b, v, space, shape):
+    """sum_i b_i y^i over b (n, C), as _quadratic its quadratic form."""
+    return _value(_row_sum(b * v), space, shape)
+
+
+def _seed_quadratic(a, v, blocks):
+    """The jets of sum_ij a_ij y^i y^j at the seeds of D directions, v
+    (n, D), as (D, ncoef) coefficient arrays: bit for bit the loop that
+    adds (a_ij y^i) y^j in (i, j) order, the seed products rounding as
+    Jet's do, up to the sign of zero coefficients.
 
     Over seeds y^i = v_i + t_i, with the a_ij free of the t variables,
     the term (a_ij y^i) y^j holds (a v_i) v_j at each x-index alpha,
     a v_j at alpha + e_i, a v_i at alpha + e_j (2 a v_i when i = j) and
     a at alpha + e_i + e_j, up to the order; the blocks gather each
-    kind and scatter the sums, each in the loop's order.
+    kind and scatter the sums, each in the loop's order.  The last two
+    kinds do not depend on the direction.
     """
-    n = len(a)
-    ax = a if blocks is None else blocks.x_part(a)
-    terms = ax * v[:, None]
-    terms *= v[None, :]
-    q0 = _row_sum(terms.reshape(n * n, -1))
-    if blocks is None:
-        return _value(q0, space, shape)
+    n, D = v.shape
+    ax = blocks.x_part(a)
+    terms = ax[:, :, None, :] * v[:, None, :, None]
+    terms *= v[None, :, :, None]
+    q0 = _row_sum(terms.reshape(n * n, -1)).reshape(D, -1)
     a1 = ax[:, :, :blocks.n1].reshape(n * n, -1)
-    t1 = a1[blocks.lex_terms] * v[blocks.lex_other]
+    t1 = a1[blocks.lex_terms][:, :, None, :] * v[blocks.lex_other][..., None]
     t1[blocks.lex_diag, blocks.each] *= 2.0
+    t1 = _row_sum(t1).reshape(n, D, -1).transpose(1, 0, 2).reshape(D, -1)
     a2 = ax[:, :, :blocks.n2].reshape(n * n, -1)
-    q = np.zeros(blocks.ncoef)
-    q[blocks.q_targets] = np.concatenate((
-        q0, _row_sum(t1), (a2[blocks.pair_kl] + a2[blocks.pair_lk]).ravel(),
-        a2[blocks.diag].ravel()))
-    return Jet(space, q)
+    fixed = np.concatenate(((a2[blocks.pair_kl] + a2[blocks.pair_lk]).ravel(),
+                            a2[blocks.diag].ravel()))
+    q = np.zeros((D, blocks.ncoef))
+    q[:, blocks.q_targets] = np.concatenate(
+        (q0, t1, np.broadcast_to(fixed, (D, fixed.size))), axis=1)
+    return q
 
 
-def _linear(b, v, blocks, space, shape):
-    """sum_i b_i y^i over b (n, C), as _quadratic its quadratic form:
-    over seeds the term b_i y^i holds b v_i at alpha and b at alpha +
-    e_i."""
-    bx = b if blocks is None else blocks.x_part(b)
-    l0 = _row_sum(bx * v)
-    if blocks is None:
-        return _value(l0, space, shape)
-    out = np.zeros(blocks.ncoef)
-    out[blocks.l_targets] = np.concatenate((l0, bx[:, :blocks.n1].ravel()))
-    return Jet(space, out)
+def _seed_linear(b, v, blocks):
+    """The jets of sum_i b_i y^i at the seeds of D directions, as
+    _seed_quadratic its quadratic form: the term b_i y^i holds b v_i at
+    alpha and b at alpha + e_i."""
+    D = v.shape[1]
+    bx = blocks.x_part(b)
+    l0 = _row_sum(bx[:, None, :] * v[:, :, None]).reshape(D, -1)
+    fixed = bx[:, :blocks.n1].ravel()
+    out = np.zeros((D, blocks.ncoef))
+    out[:, blocks.l_targets] = np.concatenate(
+        (l0, np.broadcast_to(fixed, (D, fixed.size))), axis=1)
+    return out
 
 
 class _SeedBlocks:

@@ -12,16 +12,19 @@ full pipeline works with jets of total order four.  Only F and F^2 are
 Jet expressions.  Below them the pipeline works on stacked coefficient
 arrays: the metric jets and the spray's right-hand side are gathers of
 the F^2 jet, one graded_solve gives the spray and log det g, and the
-Riemann curvature and S are array expressions over those.
+Riemann curvature and S are array expressions over those, with a
+leading axis for all the directions of a chart point at once (vector
+forward mode; Griewank and Walther, Evaluating Derivatives, ch. 13).
 """
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
 from .jets import Jet, JetDomainError, graded_solve, jet_space
-from .riemann import SingularMetricError
+from .riemann import SingularMetricError, _dot
 
 
 class ConicDomainError(ValueError):
@@ -38,13 +41,16 @@ class FinslerEvaluator:
     y are sequences of scalar-like entries: plain floats, Jet instances,
     or numpy arrays for vectorized sweeps.  box_hint(x) -> (lo, hi)
     optionally bounds the unit sublevel set {y : F(x, y) < 1} for
-    Monte-Carlo volume estimation.  bh_density calls at(x) and
-    domain_at(x) once and their direction stages on numpy columns, a
-    block of rows at a time, so both stages must accept arrays.
-    generic_point runs at(x) on order-4 coordinate seeds of the chart
-    variables and curvature_sample its stage on seeds of the direction
-    variables, so a stage that takes jets must take those; forms'
-    finsler_evaluator takes no other jet direction (TypeError).
+    Monte-Carlo volume estimation.  bh_density and curvature_samples
+    call the direction stages on numpy columns (bh_density a block of
+    rows at a time), so they must accept arrays.
+
+    jets_at is the batched jet stage the generic pipeline needs:
+    generic_point runs jets_at(x) on the order-4 coordinate seeds x of
+    the chart variables, and curvature_samples its stage on a (D, n)
+    block of directions ys, which returns the (D, ncoef) coefficient
+    arrays of F's jets at the seeds of each row on the direction
+    variables.
 
     The pipeline takes a coordinate volume density, as in dV = sigma(x)
     dx, as ln sigma: an order-2 jet over the n chart variables at the
@@ -56,6 +62,7 @@ class FinslerEvaluator:
     domain_at: Callable
     name: str = "finsler"
     box_hint: Optional[Callable] = None
+    jets_at: Optional[Callable] = None
 
     def __call__(self, x, y):
         return self.at(x)(y)
@@ -63,91 +70,88 @@ class FinslerEvaluator:
 
 @dataclass(frozen=True)
 class CurvatureSample:
-    """All pointwise curvature data of a metric at one (x, y)."""
+    """All pointwise curvature data of a metric at one chart point x and
+    a block of D directions y, each field with a leading direction
+    axis: row k belongs to (x, y[k])."""
 
-    x: np.ndarray
-    y: np.ndarray
-    g: np.ndarray            # fundamental tensor g_ij
-    spray: np.ndarray        # geodesic coefficients G^i
-    connection: np.ndarray   # N^i_j = dG^i/dy^j
-    riemann: np.ndarray      # R^i_k
-    ricci: float
-    tau: float               # distortion
-    s: float                 # S-curvature
-    sdot: float              # horizontal derivative of S
-    s_bh: float              # S against the unit-ball density
-
-
-def _check_domain(domain_at_x, y, name: str):
-    """Raise ConicDomainError unless y lies in the conic domain, given
-    the domain's x-stage y -> bool."""
-    if not bool(domain_at_x(list(y))):
-        raise ConicDomainError(
-            f"(x, y) outside the conic domain of metric {name!r}"
-        )
+    x: np.ndarray            # (n,)
+    y: np.ndarray            # (D, n)
+    g: np.ndarray            # (D, n, n) fundamental tensor g_ij
+    spray: np.ndarray        # (D, n) geodesic coefficients G^i
+    connection: np.ndarray   # (D, n, n) N^i_j = dG^i/dy^j
+    riemann: np.ndarray      # (D, n, n) R^i_k
+    ricci: np.ndarray        # (D,)
+    tau: np.ndarray          # (D,) distortion
+    s: np.ndarray            # (D,) S-curvature
+    sdot: np.ndarray         # (D,) horizontal derivative of S
+    s_bh: np.ndarray         # (D,) S against the unit-ball density
 
 
 def _check_invertible(g: np.ndarray, what="fundamental tensor"):
-    """Raise SingularMetricError unless the symmetric g is finite with a
-    2-norm condition number of at most 1e13: max|lambda| / min|lambda|
-    over its eigenvalues, the singular values of a symmetric matrix."""
+    """Raise SingularMetricError unless each symmetric matrix of g
+    (..., n, n) is finite with a 2-norm condition number of at most
+    1e13: max|lambda| / min|lambda| over its eigenvalues, the singular
+    values of a symmetric matrix."""
     if not np.isfinite(g).all():
         raise SingularMetricError(f"{what} has non-finite entries")
-    mags = [abs(v) for v in np.linalg.eigvalsh(g).tolist()]
-    low = min(mags)
-    if not low > 0.0 or max(mags) / low > 1e13:
-        raise SingularMetricError(f"{what} is numerically singular")
+    mags = np.abs(np.linalg.eigvalsh(g))
+    low, high = mags.min(axis=-1), mags.max(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if not np.all(low > 0.0) or np.any(high / low > 1e13):
+            raise SingularMetricError(f"{what} is numerically singular")
 
 
-def _spray_system(f4: Jet, y, n: int):
+def _spray_system(f4: np.ndarray, ys: np.ndarray, n: int):
     """(g, rhs): the metric jets g_ij = (1/2) [F^2]_{y^i y^j} and the
     spray's right-hand side [F^2]_{x^k y^l} y^k - [F^2]_{x^l}, as
-    coefficient arrays over the 2n variables two orders below the F^2
-    jet f4, so that g (4 G) = rhs.
+    coefficient arrays over the 2n variables two orders below the
+    order-4 F^2 jets f4 (D, ncoef) at the directions ys (D, n), so
+    that g (4 G) = rhs.
 
     g, [F^2]_{x^k y^l} and [F^2]_{x^l} are each one gather from f4.  The
     products with the y seeds round as Jet's do, a value term plus a
     shift, and the sum over k runs in order, so rhs has the bits of the
     jet expression.
     """
-    space = f4.space
-    lo = jet_space(2 * n, space.order - 2)
+    space = jet_space(2 * n, 4)
+    lo = jet_space(2 * n, 2)
     src, scale1, scale2 = space.second_partials
-    d2 = f4.coef[src[:, n:]] * scale1[:, n:] * scale2[:, n:]
-    dxy = d2[:n]
+    d2 = f4[:, src[:, n:]] * scale1[:, n:] * scale2[:, n:]
+    dxy = d2[:, :n]
     c1 = lo._deriv_src.shape[1]
-    terms = dxy * np.asarray(y, dtype=float)[:, None, None] + 0.0
-    terms[np.arange(n)[:, None, None], np.arange(n)[None, :, None],
-          lo._deriv_src[n:, None, :]] += dxy[:, :, :c1]
-    dx = (f4.coef[space._deriv_src[:n, :lo.ncoef]]
-          * space._deriv_scale[:n, :lo.ncoef])
-    return d2[n:] * 0.5, np.add.reduce(terms, axis=0) - dx
+    terms = dxy * ys[:, :, None, None] + 0.0
+    terms[:, np.arange(n)[:, None, None], np.arange(n)[None, :, None],
+          lo._deriv_src[n:, None, :]] += dxy[..., :c1]
+    dx = f4[:, space._deriv_src[:n, :lo.ncoef]] * space._deriv_scale[
+        :n, :lo.ncoef]
+    return d2[:, n:] * 0.5, np.add.reduce(terms, axis=1) - dx
 
 
 def _riemann_from_spray(G: np.ndarray, y, n: int) -> np.ndarray:
     """R^i_k = 2 G^i_{x^k} - y^m G^i_{x^m y^k} + 2 G^m G^i_{y^m y^k}
-    - G^i_{y^m} G^m_{y^k}, from the spray's (n, ncoef) coefficient array
-    over the 2n variables, second partials gathered through the jet
-    space's table."""
-    Gv = G[:, 0]
-    dGx = G[:, 1:1 + n]
-    dGy = G[:, 1 + n:1 + 2 * n]
+    - G^i_{y^m} G^m_{y^k}, from the spray's (..., n, ncoef) coefficient
+    arrays over the 2n variables at the directions y (..., n), second
+    partials gathered through the jet space's table."""
+    Gv = G[..., 0]
+    dGx = G[..., 1:1 + n]
+    dGy = G[..., 1 + n:1 + 2 * n]
     sp = jet_space(2 * n, 2)
     pos = sp.hessian_positions
-    d2xy = G[:, pos[:n, n:]] * sp.factorial[pos[:n, n:]]
-    d2yy = G[:, pos[n:, n:]] * sp.factorial[pos[n:, n:]]
+    d2xy = G[..., pos[:n, n:]] * sp.factorial[pos[:n, n:]]
+    d2yy = G[..., pos[n:, n:]] * sp.factorial[pos[n:, n:]]
     yv = np.asarray(y, dtype=float)
     return (
         2.0 * dGx
-        - np.einsum("m,imk->ik", yv, d2xy)
-        + 2.0 * np.einsum("m,imk->ik", Gv, d2yy)
-        - np.einsum("im,mk->ik", dGy, dGy)
+        - np.einsum("...m,...imk->...ik", yv, d2xy)
+        + 2.0 * np.einsum("...m,...imk->...ik", Gv, d2yy)
+        - np.einsum("...im,...mk->...ik", dGy, dGy)
     )
 
 
-def _s_jet(tau: np.ndarray, G: np.ndarray, y, n: int) -> np.ndarray:
-    """S = y^m tau_{x^m} - 2 G^m tau_{y^m} as a first-order coefficient
-    array, from the order-2 arrays of tau and the spray.
+def _s_jet(tau: np.ndarray, G: np.ndarray, ys: np.ndarray, n: int):
+    """S = y^m tau_{x^m} - 2 G^m tau_{y^m} as first-order coefficient
+    arrays (D, 1 + 2n), from the order-2 arrays of tau (D, ncoef) and
+    the spray (D, n, ncoef) at the directions ys (D, n).
 
     Each product rounds as Jet's does, a seed product as a value term
     plus a shift and G^m tau_{y^m} as the triple table's bincount, and
@@ -155,42 +159,50 @@ def _s_jet(tau: np.ndarray, G: np.ndarray, y, n: int) -> np.ndarray:
     """
     sp = jet_space(2 * n, 2)
     c1 = 1 + 2 * n
-    d = tau[sp._deriv_src] * sp._deriv_scale
-    tx, ty = d[:n], d[n:]
+    d = tau[:, sp._deriv_src] * sp._deriv_scale
+    tx, ty = d[:, :n], d[:, n:]
     m = np.arange(n)
-    seeded = tx * np.asarray(y, dtype=float)[:, None] + 0.0
-    seeded[m, 1 + n + m] += tx[:, 0]
-    g1 = G[:, :c1]
-    drift = 0.0 + g1[:, :1] * ty
-    drift[:, 1:] += g1[:, 1:] * ty[:, :1]
-    terms = np.empty((2 * n, c1))
-    terms[0::2] = seeded
-    terms[1::2] = -(drift * 2.0)
-    return np.add.reduce(terms, axis=0)
+    seeded = tx * ys[:, :, None] + 0.0
+    seeded[:, m, 1 + n + m] += tx[..., 0]
+    g1 = G[..., :c1]
+    drift = 0.0 + g1[..., :1] * ty
+    drift[..., 1:] += g1[..., 1:] * ty[..., :1]
+    terms = np.empty((len(ys), 2 * n, c1))
+    terms[:, 0::2] = seeded
+    terms[:, 1::2] = -(drift * 2.0)
+    return np.add.reduce(terms, axis=1)
 
 
 @dataclass(frozen=True)
 class GenericPoint:
     """Everything the generic pipeline needs at one chart point x,
     whatever the direction: built by generic_point, read by
-    curvature_sample."""
+    curvature_samples."""
 
     F: FinslerEvaluator
     x: np.ndarray
-    f_at: Callable           # y jets -> F(x, y), F.at of the order-4 x seeds
-    domain: Callable         # float y -> in the conic domain, F.domain_at(x)
+    f_jets: Callable         # ys -> (D, ncoef) order-4 jets of F at (x, y)
+    domain: Callable         # y columns -> in the conic domain
     log_sigma: Jet           # ln sigma, order 2 over the 2n variables
     log_sigma_bh: Optional[Jet]  # likewise ln sigma_BH, None if it is ln sigma
+
+
+@lru_cache(maxsize=None)
+def _embedding(nvars: int, order: int) -> np.ndarray:
+    """Where jet_space(nvars, order)'s coefficients sit among those of
+    jet_space(2 nvars, order), the y exponents zero."""
+    position = jet_space(2 * nvars, order).position
+    return np.array([position[idx + (0,) * nvars]
+                     for idx in jet_space(nvars, order).indices])
 
 
 def _embed(jet: Jet) -> Jet:
     """A jet over the n chart variables as the jet of the same order and
     function over the 2n variables (x, y)."""
     sp = jet.space
-    pad = (0,) * sp.nvars
     space = jet_space(2 * sp.nvars, sp.order)
     coef = np.zeros(space.ncoef)
-    coef[[space.position[idx + pad] for idx in sp.indices]] = jet.coef
+    coef[_embedding(sp.nvars, sp.order)] = jet.coef
     return Jet(space, coef)
 
 
@@ -198,49 +210,54 @@ def generic_point(F: FinslerEvaluator, x, log_sigma: Jet,
                   log_sigma_bh: Optional[Jet] = None) -> GenericPoint:
     """The x-only stage of the generic pipeline at the chart point x.
 
-    Seeds the order-4 x jets and runs F's x-stage on them, and F's float
-    domain stage, once.  log_sigma is ln sigma, the log of the volume
-    density, as an order-2 jet over the n chart variables at x, and
-    log_sigma_bh likewise the log of the unit-ball density when that is
-    another density; both are embedded over the 2n variables here.
-    curvature_sample(point, y) then does only the work that depends on
-    y.
+    Seeds the order-4 x jets and runs F's jets_at x-stage on them, and
+    F's float domain stage, once.  log_sigma is ln
+    sigma, the log of the volume density, as an order-2 jet over the n
+    chart variables at x, and log_sigma_bh likewise the log of the
+    unit-ball density when that is another density; both are embedded
+    over the 2n variables here.  curvature_samples(point, ys) then does
+    only the work that depends on the directions.
     """
     n = F.dim
+    if F.jets_at is None:
+        raise TypeError(f"metric {F.name!r} has no jets_at stage")
     space = jet_space(2 * n, 4)
     seeds = [space.variable(i, x[i]) for i in range(n)]
     return GenericPoint(
         F=F,
         x=np.asarray(x, dtype=float),
-        f_at=F.at(seeds),
+        f_jets=F.jets_at(seeds),
         domain=F.domain_at(list(x)),
         log_sigma=_embed(log_sigma),
         log_sigma_bh=None if log_sigma_bh is None else _embed(log_sigma_bh),
     )
 
 
-def curvature_sample(point: GenericPoint, y) -> CurvatureSample:
-    """Full curvature bundle at (x, y): the generic pipeline's one entry.
+def curvature_samples(point: GenericPoint, ys) -> CurvatureSample:
+    """Full curvature bundles at x and each direction of the block ys
+    (D, n): the generic pipeline's one entry.
 
-    One order-4 jet of F^2 feeds everything.  One graded solve of its
-    metric jets (order 2) gives the spray and log det g, which feeds
-    the distortion; the spray gives G, N and the Riemann curvature; the
-    distortion and the same spray give S as a first-order jet, whose
-    horizontal derivative is Sdot.  S, tau and Sdot refer to the
-    point's density; s_bh is S from its own tau_BH = ln sqrt(det g) -
-    ln sigma_BH when the point carries a unit-ball density apart from
-    it, and S itself when not.
+    One order-4 jet of F^2 per direction feeds everything.  One graded
+    solve of its metric jets (order 2) gives the spray and log det g,
+    which feeds the distortion; the spray gives G, N and the Riemann
+    curvature; the distortion and the same spray give S as a
+    first-order jet, whose horizontal derivative is Sdot.  S, tau and
+    Sdot refer to the point's density; s_bh is S from its own tau_BH =
+    ln sqrt(det g) - ln sigma_BH when the point carries a unit-ball
+    density apart from it, and S itself when not.  Every stage runs
+    once over all D directions, each row with the bits of a sample of
+    its direction alone; a direction outside the conic domain or with
+    a singular g fails the whole block.
     """
     F = point.F
-    _check_domain(point.domain, y, F.name)
     n = F.dim
-    space = jet_space(2 * n, 4)
-    f = point.f_at([space.variable(n + k, y[k]) for k in range(n)])
-    if not isinstance(f, Jet):
-        f = space.constant(float(f))
-    f4 = f * f
-    gj, rhs = _spray_system(f4, y, n)
-    g = gj[:, :, 0].copy()
+    ys = np.array(ys, dtype=float).reshape(-1, n)
+    if not np.all(point.domain(list(ys.T))):
+        raise ConicDomainError(
+            f"(x, y) outside the conic domain of metric {F.name!r}")
+    f = Jet(jet_space(2 * n, 4), point.f_jets(ys))
+    gj, rhs = _spray_system((f * f).coef, ys, n)
+    g = gj[..., 0].copy()
     _check_invertible(g)
     try:
         w, log_det = graded_solve(jet_space(2 * n, 2), gj, rhs)
@@ -248,31 +265,28 @@ def curvature_sample(point: GenericPoint, y) -> CurvatureSample:
         raise SingularMetricError(
             "nonpositive fundamental determinant") from None
     G = w * 0.25
-    Gv = G[:, 0].copy()
-    N = G[:, 1 + n:1 + 2 * n].copy()
-    R = _riemann_from_spray(G, y, n)
+    Gv = G[..., 0].copy()
     half_log_det = log_det * 0.5
     tau = half_log_det - point.log_sigma.coef
-    s_jet = _s_jet(tau, G, y, n)
-    grad = s_jet[1:1 + 2 * n]
-    sdot = float(np.dot(y, grad[:n]) - 2.0 * np.dot(Gv, grad[n:]))
-    s = float(s_jet[0])
+    s_jet = _s_jet(tau, G, ys, n)
+    grad = s_jet[:, 1:1 + 2 * n]
+    s = s_jet[:, 0]
     if point.log_sigma_bh is not None:
-        s_bh = float(_s_jet(half_log_det - point.log_sigma_bh.coef,
-                            G, y, n)[0])
+        s_bh = _s_jet(half_log_det - point.log_sigma_bh.coef, G, ys, n)[:, 0]
     else:
         s_bh = s
+    R = _riemann_from_spray(G, ys, n)
     return CurvatureSample(
         x=point.x,
-        y=np.asarray(y, dtype=float),
+        y=ys,
         g=g,
         spray=Gv,
-        connection=N,
+        connection=G[..., 1 + n:1 + 2 * n].copy(),
         riemann=R,
-        ricci=float(np.trace(R)),
-        tau=float(tau[0]),
+        ricci=np.trace(R, axis1=-2, axis2=-1),
+        tau=tau[:, 0],
         s=s,
-        sdot=sdot,
+        sdot=_dot(ys, grad[:, :n]) - 2.0 * _dot(Gv, grad[:, n:]),
         s_bh=s_bh,
     )
 
@@ -305,19 +319,14 @@ def _probe_box(F: FinslerEvaluator, x, probes: int = 256):
     dirs = rng.normal(size=(probes, n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     dirs = np.vstack([dirs, np.eye(n), -np.eye(n)])
-    xs = [float(v) for v in x]
-    f_at, in_domain = F.at(xs), F.domain_at(xs)
-    r = 0.0
-    for u in dirs:
-        if not bool(in_domain(list(u))):
-            continue
-        val = f_at(list(u))
-        val = val.value if isinstance(val, Jet) else float(val)
-        if math.isfinite(val) and val > 0.0:
-            r = max(r, 1.0 / val)
-    if r == 0.0:
+    xs, cols = [float(v) for v in x], list(dirs.T)
+    with np.errstate(all="ignore"):
+        vals = np.asarray(F.at(xs)(cols), dtype=float)
+        vals = vals[np.asarray(F.domain_at(xs)(cols)) & np.isfinite(vals)
+                    & (vals > 0.0)]
+    if not vals.size:
         raise ValueError("degenerate sublevel set: no admissible probe direction")
-    r *= 2.0
+    r = 2.0 * float(np.max(1.0 / vals))
     return -r * np.ones(n), r * np.ones(n)
 
 

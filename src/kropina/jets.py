@@ -183,6 +183,10 @@ def jet_space(nvars: int, order: int) -> JetSpace:
 
 
 class Jet:
+    """A jet, coef (ncoef,), or a batch of jets, coef (..., ncoef), whose
+    sums, products, reciprocal and quotients act row by row with each
+    row's own bits; value, partial and the other series take one jet."""
+
     __slots__ = ("space", "coef")
 
     def __init__(self, space: JetSpace, coef: np.ndarray):
@@ -226,7 +230,7 @@ class Jet:
             return NotImplemented
         if o is None:
             coef = self.coef.copy()
-            coef[0] += other
+            coef[..., 0] += other
             return Jet(self.space, coef)
         return Jet(self.space, self.coef + o.coef)
 
@@ -238,7 +242,7 @@ class Jet:
             return NotImplemented
         if o is None:
             coef = self.coef.copy()
-            coef[0] -= other
+            coef[..., 0] -= other
             return Jet(self.space, coef)
         return Jet(self.space, self.coef - o.coef)
 
@@ -258,9 +262,7 @@ class Jet:
             return self._times_seed(o)
         if isinstance(self, _Seed):
             return o._times_seed(self)
-        s = self.space
-        prod = self.coef[s._mi] * o.coef[s._mj]
-        return Jet(s, np.bincount(s._mk, weights=prod, minlength=s.ncoef))
+        return Jet(self.space, _triples(self.space, self.coef, o.coef))
 
     __rmul__ = __mul__
 
@@ -311,7 +313,8 @@ class Jet:
 
     def _compose(self, dcoefs) -> "Jet":
         """Evaluate sum_k dcoefs[k] * (self - value)^k, k = 0..K, by
-        Horner, K the order of the space.
+        Horner, K the order of the space; dcoefs[k] is a float or one
+        value per jet of a batch.
 
         e = self - value has no constant term, so the Horner step that
         adds dcoefs[k] feeds only the output degrees <= K - k: each step
@@ -324,24 +327,24 @@ class Jet:
         s = self.space
         K = s.order
         if not K:
-            return s.constant(dcoefs[0])
+            return Jet(s, np.array(dcoefs[0], dtype=float)[..., None])
         e = self.coef.copy()
-        e[0] = 0.0
-        r = dcoefs[K] * e + 0.0
-        r[0] += dcoefs[K - 1]
+        e[..., 0] = 0.0
+        r = np.asarray(dcoefs[K])[..., None] * e + 0.0
+        r[..., 0] += dcoefs[K - 1]
         for k in range(K - 2, -1, -1):
             t = s._triple_ends[K - k]
-            prod = r[s._mi[:t]] * e[s._mj[:t]]
-            r = np.bincount(s._mk[:t], weights=prod, minlength=s.ncoef)
-            r[0] += dcoefs[k]
+            r = _triples(s, r, e, t)
+            r[..., 0] += dcoefs[k]
         return Jet(s, r)
 
     def reciprocal(self) -> "Jet":
-        u0 = self.value
-        if u0 == 0.0:
+        # np.float_power rounds each power as Python's float ** does
+        u0 = self.coef[..., 0]
+        if np.any(u0 == 0.0):
             raise JetDomainError("division by a jet with zero base value")
         K = self.space.order
-        dcoefs = [(-1.0) ** k / u0 ** (k + 1) for k in range(K + 1)]
+        dcoefs = [(-1.0) ** k / np.float_power(u0, k + 1) for k in range(K + 1)]
         return self._compose(dcoefs)
 
     def log(self) -> "Jet":
@@ -399,6 +402,19 @@ class _Seed(Jet):
         self.var = var
 
 
+def _triples(space: JetSpace, a: np.ndarray, b: np.ndarray, t=None):
+    """The products a * b of coefficient arrays of one shape, (ncoef,)
+    or a batch (..., ncoef), over the first t triples of the table (all
+    by default): one bincount per jet, which adds its terms in their
+    order and keeps its arrays in cache (one bincount over a whole batch
+    is no faster, and its arrays are as many times larger)."""
+    mi, mj, mk, nc = space._mi[:t], space._mj[:t], space._mk[:t], space.ncoef
+    if a.ndim == 1:
+        return np.bincount(mk, weights=a[mi] * b[mj], minlength=nc)
+    return np.array([_triples(space, u, v, t) for u, v in
+                     zip(a.reshape(-1, nc), b.reshape(-1, nc))]).reshape(a.shape)
+
+
 # -- small dense linear algebra over the jet ring -------------------------
 
 
@@ -410,13 +426,15 @@ def _scatter(space: JetSpace, prod: np.ndarray) -> np.ndarray:
 
 
 def graded_solve(space: JetSpace, A: np.ndarray, rhs=None):
-    """Solve A X = rhs over the jet ring and take log det A.
+    """Solve A X = rhs over the jet ring and take log det A, for a batch
+    of jet matrices at once.
 
-    A is an (n, n, ncoef) array of coefficient arrays of the space, rhs
-    an (n, ncoef) array or None.  With A0 the float matrix of base
-    values and E = A0^-1 (A - A0), E has no constant term, so E^k
-    vanishes for k > K, the space's order, and in truncated arithmetic
-    exactly
+    A is a (..., n, n, ncoef) array of coefficient arrays of the space,
+    rhs a (..., n, ncoef) array or None; the leading axes are a batch,
+    and each matrix gets the bits it would get alone.  With A0 the
+    float matrix of base values and E = A0^-1 (A - A0), E has no
+    constant term, so E^k vanishes for k > K, the space's order, and in
+    truncated arithmetic exactly
 
         A^-1 = sum_{k=0..K} (-E)^k A0^-1,
         log det A = log det A0 + sum_{k=1..K} (-1)^(k+1) tr(E^k) / k.
@@ -428,31 +446,34 @@ def graded_solve(space: JetSpace, A: np.ndarray, rhs=None):
     last product.  Returns (X, log det A), X None without rhs.  A base
     determinant that is not positive and finite raises JetDomainError.
     """
-    n = A.shape[0]
-    A0 = A[:, :, 0]
+    A0 = A[..., 0]
     sign, log_det0 = np.linalg.slogdet(A0)
-    if not (sign > 0.0 and math.isfinite(log_det0)):
+    if not (np.all(sign > 0.0) and np.all(np.isfinite(log_det0))):
         raise JetDomainError(
             "jet matrix whose base value has no positive finite determinant")
     inv = np.linalg.inv(A0)
-    rest = A.copy()
-    rest[:, :, 0] = 0.0
-    E = (inv @ rest.reshape(n, -1)).reshape(A.shape)
-    Ei, Ej = E[:, :, space._mi], E[:, :, space._mj]
-    log_det = np.einsum("iit->t", E)
-    log_det[0] = log_det0
+    E = A.copy()
+    E[..., 0] = 0.0
+    E = (inv @ E.reshape(A.shape[:-2] + (-1,))).reshape(A.shape)
+    Ei, Ej = E[..., space._mi], E[..., space._mj]
+    log_det = np.einsum("...iit->...t", E)
+    log_det[..., 0] = log_det0
     power_i = Ei  # E^(k-1), gathered along the triple table's first index
     for k in range(2, space.order + 1):
         # tr(E^k) = sum_ij (E^(k-1))_ij E_ji, without forming E^k
-        trace = _scatter(space, np.einsum("ijt,jit->t", power_i, Ej))
+        trace = _scatter(space, np.einsum("...ijt,...jit->...t", power_i, Ej))
         log_det += trace * ((-1.0) ** (k + 1) / k)
         if k < space.order:
-            power = _scatter(space, np.einsum("ijt,jlt->ilt", power_i, Ej))
-            power_i = power[:, :, space._mi]
+            power = _scatter(
+                space, np.einsum("...ijt,...jlt->...ilt", power_i, Ej))
+            power_i = power[..., space._mi]
     if rhs is None:
         return None, log_det
+    del Ej, power_i  # the solution's steps read Ei alone
     X0 = inv @ rhs
     X = X0
     for _ in range(space.order):
-        X = X0 - _scatter(space, np.einsum("ijt,jt->it", Ei, X[:, space._mj]))
+        X = X0 - _scatter(space, np.einsum("...ijt,...jt->...it", Ei,
+                                           X[..., space._mj]))
     return X, log_det
+

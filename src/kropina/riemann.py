@@ -52,6 +52,25 @@ class RiemannianMetric:
                     )
 
 
+# Contractions over rows (..., n), each one matmul whose core is the 1-D
+# product's: numpy makes per row the BLAS call of 1-D operands, its bits.
+
+
+def _dot(a, b):
+    """a @ b of each pair of rows."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _form(u, M, v):
+    """u @ M @ v of each pair of rows."""
+    return (u[..., None, :] @ M @ v[..., :, None])[..., 0, 0]
+
+
+def _apply(M, y):
+    """M @ y of each row."""
+    return (M @ y[..., :, None])[..., 0]
+
+
 def eval_component_jets(exprs, x, order):
     """Evaluate a nested structure of ExprAst over x-jets, in one call.
 

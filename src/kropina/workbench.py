@@ -177,20 +177,24 @@ def _table(name, tol, rows, key):
     return table
 
 
-def _pair_row(x, y, closed, generic):
-    """One closed/generic comparison; closed() is evaluated here so that
-    a formula whose hypothesis fails at x marks the row as skipped."""
-    row = {"x": _listed(x), "y": _listed(y)}
+def _pair_rows(pt, closed, generic):
+    """The closed/generic comparisons of a chart point's directions, one
+    row each, from one value per direction on both sides; closed() is
+    evaluated here so that a formula whose hypothesis fails at x marks
+    the point's rows as skipped."""
+    rows = [{"x": _listed(pt.x), "y": _listed(y)} for y in pt.ys]
     try:
-        value = closed()
+        values = closed()
     except HypothesisNotMetError as e:
-        row["skipped"] = True
-        row["reason"] = str(e)
-        return row
-    row["closed"] = _listed(value) if np.ndim(value) else float(value)
-    row["generic"] = _listed(generic) if np.ndim(generic) else float(generic)
-    row["rel_dev"] = _rel_dev(value, generic)
-    return row
+        for row in rows:
+            row["skipped"] = True
+            row["reason"] = str(e)
+        return rows
+    for row, value, gen in zip(rows, values, generic):
+        row["closed"] = _listed(value) if np.ndim(value) else float(value)
+        row["generic"] = _listed(gen) if np.ndim(gen) else float(gen)
+        row["rel_dev"] = _rel_dev(value, gen)
+    return rows
 
 
 def run_verify(scenario, points=None, dirs=None, seed=None, mc_samples=20000):
@@ -199,10 +203,10 @@ def run_verify(scenario, points=None, dirs=None, seed=None, mc_samples=20000):
     One table per formula pair, each with the worst relative deviation
     over the sample grid and its ladder tolerance.  Exit code 0 exactly
     when every pair stays within tolerance.  Each sampled x is one
-    ChartPoint, whose drift bundle, navigation point and generic point
-    serve every direction; each (x, y) gets one generic curvature
-    sample, whose S against the unit-ball density is the S-curvature
-    pair's generic side.
+    ChartPoint, whose drift invariants, navigation point and generic
+    samples cover all of its directions in one pass each; a sample's S
+    against the unit-ball density is the S-curvature pair's generic
+    side.
     """
     scenario = load_scenario(scenario)
     space = scenario.space()
@@ -229,23 +233,20 @@ def run_verify(scenario, points=None, dirs=None, seed=None, mc_samples=20000):
     chart = chart_points(space, samples)
     with doc.timed("pairs"):
         for pt in chart:
-            fld, nav, x = pt.fld, pt.nav, pt.x
-            for y in pt.ys:
-                cs = pt.sample(y)
-                pairs = {
-                    "spray": (lambda: kropina_spray_closed(fld, y), cs.spray),
-                    "nav-spray": (lambda: nav_spray(nav, y), cs.spray),
-                    "ricci": (lambda: kropina_ricci_closed(fld, y), cs.ricci),
-                    "s-curvature": (lambda: s_bh_closed(fld, y), cs.s_bh),
-                    "s-dot": (lambda: n1 * s_dot_closed(fld, y), cs.sdot),
-                    "s-weighted": (lambda: s_closed(fld, y), cs.s),
-                    "nav-ricci": (lambda: nav_ricci_isotropic(nav, y),
-                                  cs.ricci),
-                    "weight-hessian": (lambda: hess_f_closed(fld, y),
-                                       hess_form(fld, y, cs.spray)),
-                }
-                for name in names:
-                    rows[name].append(_pair_row(x, y, *pairs[name]))
+            inv, nav, ys, cs = pt.inv, pt.nav, pt.ys, pt.samples
+            pairs = {
+                "spray": (lambda: kropina_spray_closed(inv), cs.spray),
+                "nav-spray": (lambda: nav_spray(nav, ys), cs.spray),
+                "ricci": (lambda: kropina_ricci_closed(inv), cs.ricci),
+                "s-curvature": (lambda: s_bh_closed(inv), cs.s_bh),
+                "s-dot": (lambda: n1 * s_dot_closed(inv), cs.sdot),
+                "s-weighted": (lambda: s_closed(inv), cs.s),
+                "nav-ricci": (lambda: nav_ricci_isotropic(nav, ys), cs.ricci),
+                "weight-hessian": (lambda: hess_f_closed(inv),
+                                   hess_form(pt.fld, ys, cs.spray)),
+            }
+            for name in names:
+                rows[name] += _pair_rows(pt, *pairs[name])
 
     verdicts = []
     for name in names:

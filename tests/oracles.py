@@ -4,15 +4,21 @@ Each function recomputes a quantity the package computes another way, so
 a test can hold the package's route against it:
 
 - spray_generic: the order-2 spray by a dense linear solve, against
-  curvature_sample's jet-solved spray; geodesic_flow integrates it;
+  curvature_samples' jet-solved spray; geodesic_flow integrates it;
 - curvature_sample_oracle: the whole curvature bundle at one (x, y)
   computed from scratch with jets, x-only work included, with second
   partials read one Jet.partial at a time and the densities taken as
   callables over the 2n variables.  With eliminate_graded (the
   package's graded_solve on the stacked jets) the staged generic_point
-  + curvature_sample route must equal it bit for bit; with
+  + curvature_samples route must equal it bit for bit; with
   eliminate_gauss_jordan it is the Gauss-Jordan route the package's
   sample must agree with;
+- staged_sample, DirectionInvariants, closed_per_direction and
+  ric_ac_per_direction: the per-direction routes the package ran
+  before it batched a chart point's directions, one direction and one
+  float at a time, against whose bits every row of the batched
+  curvature samples (sample_row reads one), drift invariants and
+  closed forms is held;
 - volume_density and bh_volume_density: a space's weighted and
   unit-ball densities as callables x -> sigma(x) over floats and jets,
   against the log densities a ChartPoint takes from its one jet
@@ -36,7 +42,9 @@ a test can hold the package's route against it:
 - loop_evaluator: finsler_evaluator's (alpha, beta) view with the
   direction stage as a loop of Jet, float or column operations
   (linear_form and quadratic_form), against the package's stacked
-  direction stage;
+  direction stages; jets_by_direction gives it, and any evaluator whose
+  at(x) takes direction seeds, the jets_at stage of the generic
+  pipeline, one direction at a time;
 - nav_evaluator: F from the navigation view (h, W), the twin of the
   package's (alpha, beta) finsler_evaluator; validate_views checks the
   linking identities of the two views and that both give the same F;
@@ -44,7 +52,8 @@ a test can hold the package's route against it:
   around the projective Ricci curvature pric.
 
 Below them sit the helpers the tests build their cases with, each a
-thin route through the package's own objects: chart_point, ab_fields
+thin route through the package's own objects: flat_wind (a flat n-space
+with a constant unit wind, as a scenario document), chart_point, ab_fields
 and nav_point (one chart point's bundles, or the navigation point of
 any (h, W)), field_point and log_density (a FieldPoint of component
 expressions, and ln sigma of a density callable as the x-jet
@@ -68,7 +77,7 @@ error for error.
 import itertools
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields as record_fields, replace
 
 import numpy as np
 
@@ -81,8 +90,10 @@ from kropina.einstein import (
     ric_ac,
 )
 from kropina.forms import (
+    AbFields,
     AbInvariants,
     GaugeError,
+    HypothesisNotMetError,
     KropinaSpace,
     NavPoint,
     _coerce_scalar,
@@ -119,6 +130,7 @@ from kropina.generic import (
     ConicDomainError,
     CurvatureSample,
     FinslerEvaluator,
+    GenericPoint,
     _check_invertible,
 )
 from kropina.jets import (
@@ -136,6 +148,26 @@ from kropina.riemann import (
     _extract,
     eval_component_jets,
 )
+
+
+def jets_by_direction(at):
+    """A FinslerEvaluator's jets_at from its stage at(x) on jets: at(x)
+    called on the seeds of one direction at a time."""
+
+    def jets_at(x):
+        f_at, space, n = at(x), x[0].space, len(x)
+
+        def jets(ys):
+            out = np.empty((len(ys), space.ncoef))
+            for row, y in zip(out, ys):
+                f = f_at([space.variable(n + k, v) for k, v in enumerate(y)])
+                row[:] = f.coef if isinstance(f, Jet) else space.constant(
+                    float(f)).coef
+            return out
+
+        return jets
+
+    return jets_at
 
 
 def _check_domain(F: FinslerEvaluator, x, y):
@@ -668,7 +700,8 @@ def loop_evaluator(space: KropinaSpace) -> FinslerEvaluator:
         return lambda y: linear_form(bv, y) > 0
 
     return FinslerEvaluator(dim=n, at=at, domain_at=domain_at,
-                            name=f"{space.name}:ab-loop")
+                            name=f"{space.name}:ab-loop",
+                            jets_at=jets_by_direction(at))
 
 
 def nav_evaluator(space: KropinaSpace) -> FinslerEvaluator:
@@ -701,6 +734,7 @@ def nav_evaluator(space: KropinaSpace) -> FinslerEvaluator:
         domain_at=domain_at,
         name=f"{space.name}:nav",
         box_hint=finsler_evaluator(space).box_hint,
+        jets_at=jets_by_direction(at),
     )
 
 
@@ -746,6 +780,25 @@ def validate_views(space: KropinaSpace, xs, ys=None, tol_view=1e-10):
                     f"F disagrees between views at point {k}: "
                     f"{f_ab!r} vs {f_nav!r}"
                 )
+
+
+def flat_wind(n):
+    """Flat n-space with a constant unit wind, as a scenario document."""
+    vector = ["0.6", "0.8"] + ["0"] * (n - 2)
+    return {
+        "schema": "scenario/1",
+        "name": f"flat{n}_wind",
+        "dimension": n,
+        "representation": "nav",
+        "metric": [["1" if i == j else "0" for j in range(n)]
+                   for i in range(n)],
+        "vector": vector,
+        "constants": {"a": 0, "c": 0},
+        "box": [[-0.5, 0.5]] * n,
+        "points": 2,
+        "directions": 3,
+        "seed": 5,
+    }
 
 
 def chart_point(space: KropinaSpace, x, ys=()) -> ChartPoint:
@@ -798,7 +851,7 @@ def pric(fields, y):
     """Projective Ricci curvature: ric_ac at the constants where both
     derived constants vanish."""
     a, c = pric_constants(fields.n)
-    return ric_ac(fields, WeightConfig(a, c, fields.n), y)
+    return ric_ac(AbInvariants(fields, y), WeightConfig(a, c, fields.n))
 
 
 def ric_ac_via_projective(fields, cfg: WeightConfig, y):
@@ -811,8 +864,9 @@ def ric_ac_via_projective(fields, cfg: WeightConfig, y):
     """
     n = fields.n
     kappa, nu = cfg.kappa, cfg.nu
-    sdot = (n + 1) * s_dot_closed(fields, y)
-    s = s_closed(fields, y)
+    inv = AbInvariants(fields, y)
+    sdot = (n + 1) * s_dot_closed(inv)
+    s = s_closed(inv)
     return (pric(fields, y) - kappa / (n + 1) * (sdot + 4 * s**2 / (n + 1))
             + nu * s**2 / (n + 1) ** 2)
 
@@ -896,7 +950,7 @@ def weight_constants(a, c, n):
 def einstein_residual(fields, cfg: WeightConfig, ansatz: EinsteinAnsatz, y):
     """ric_ac(y) - (n-1) (3 theta(y) F + sigma F^2) at one (x, y)."""
     inv = AbInvariants(fields, y)
-    return ric_ac(fields, cfg, y) - (fields.n - 1) * ansatz.model(inv.F, y)
+    return ric_ac(inv, cfg) - (fields.n - 1) * ansatz.model(inv.F, y)
 
 
 def weighted_ricci_tensor(h: RiemannianMetric, f, cfg: WeightConfig, x):
@@ -935,6 +989,296 @@ def nav_riemann_isotropic(fp: NavPoint, y, tol=1e-8) -> np.ndarray:
     t5 = -F * F * (s_up @ s_up)
     t6 = (F / w0) * np.outer(s_up @ (s_up @ y), xi_low)
     return t1 + t2 + t3 + t4 + t5 + t6
+
+
+# -- the per-direction routes ---------------------------------------------------
+
+
+def _staged_spray_system(f4: Jet, y, n: int):
+    """(g, rhs) of one direction, as _spray_system gives each row."""
+    space = f4.space
+    lo = jet_space(2 * n, space.order - 2)
+    src, scale1, scale2 = space.second_partials
+    d2 = f4.coef[src[:, n:]] * scale1[:, n:] * scale2[:, n:]
+    dxy = d2[:n]
+    c1 = lo._deriv_src.shape[1]
+    terms = dxy * np.asarray(y, dtype=float)[:, None, None] + 0.0
+    terms[np.arange(n)[:, None, None], np.arange(n)[None, :, None],
+          lo._deriv_src[n:, None, :]] += dxy[:, :, :c1]
+    dx = (f4.coef[space._deriv_src[:n, :lo.ncoef]]
+          * space._deriv_scale[:n, :lo.ncoef])
+    return d2[n:] * 0.5, np.add.reduce(terms, axis=0) - dx
+
+
+def _staged_riemann(G: np.ndarray, y, n: int) -> np.ndarray:
+    """R^i_k of one direction from its (n, ncoef) spray array."""
+    Gv = G[:, 0]
+    dGx = G[:, 1:1 + n]
+    dGy = G[:, 1 + n:1 + 2 * n]
+    sp = jet_space(2 * n, 2)
+    pos = sp.hessian_positions
+    d2xy = G[:, pos[:n, n:]] * sp.factorial[pos[:n, n:]]
+    d2yy = G[:, pos[n:, n:]] * sp.factorial[pos[n:, n:]]
+    yv = np.asarray(y, dtype=float)
+    return (
+        2.0 * dGx
+        - np.einsum("m,imk->ik", yv, d2xy)
+        + 2.0 * np.einsum("m,imk->ik", Gv, d2yy)
+        - np.einsum("im,mk->ik", dGy, dGy)
+    )
+
+
+def _staged_s_jet(tau: np.ndarray, G: np.ndarray, y, n: int) -> np.ndarray:
+    """S of one direction as a first-order coefficient array."""
+    sp = jet_space(2 * n, 2)
+    c1 = 1 + 2 * n
+    d = tau[sp._deriv_src] * sp._deriv_scale
+    tx, ty = d[:n], d[n:]
+    m = np.arange(n)
+    seeded = tx * np.asarray(y, dtype=float)[:, None] + 0.0
+    seeded[m, 1 + n + m] += tx[:, 0]
+    g1 = G[:, :c1]
+    drift = 0.0 + g1[:, :1] * ty
+    drift[:, 1:] += g1[:, 1:] * ty[:, :1]
+    terms = np.empty((2 * n, c1))
+    terms[0::2] = seeded
+    terms[1::2] = -(drift * 2.0)
+    return np.add.reduce(terms, axis=0)
+
+
+def staged_sample(point: GenericPoint, y, F: FinslerEvaluator):
+    """The curvature bundle of the chart point at the one direction y,
+    every stage run for it alone: F's jet from F.at(x) on y's seeds (F
+    the point's metric with a stage that takes them, loop_evaluator's
+    for a space), the Jet product F * F, and the staged arrays of one
+    direction.  The fields have no direction axis (floats for the
+    scalars)."""
+    n = F.dim
+    if not bool(point.domain(list(y))):
+        raise ConicDomainError(
+            f"(x, y) outside the conic domain of metric {point.F.name!r}")
+    space = jet_space(2 * n, 4)
+    f_at = F.at([space.variable(i, v) for i, v in enumerate(point.x)])
+    f = f_at([space.variable(n + k, y[k]) for k in range(n)])
+    if not isinstance(f, Jet):
+        f = space.constant(float(f))
+    gj, rhs = _staged_spray_system(f * f, y, n)
+    g = gj[:, :, 0].copy()
+    _check_invertible(g)
+    try:
+        w, log_det = graded_solve(jet_space(2 * n, 2), gj, rhs)
+    except JetDomainError:
+        raise SingularMetricError(
+            "nonpositive fundamental determinant") from None
+    G = w * 0.25
+    Gv = G[:, 0].copy()
+    R = _staged_riemann(G, y, n)
+    half_log_det = log_det * 0.5
+    tau = half_log_det - point.log_sigma.coef
+    s_jet = _staged_s_jet(tau, G, y, n)
+    grad = s_jet[1:1 + 2 * n]
+    s = float(s_jet[0])
+    s_bh = s
+    if point.log_sigma_bh is not None:
+        s_bh = float(_staged_s_jet(half_log_det - point.log_sigma_bh.coef,
+                                   G, y, n)[0])
+    return CurvatureSample(
+        x=point.x,
+        y=np.asarray(y, dtype=float),
+        g=g,
+        spray=Gv,
+        connection=G[:, 1 + n:1 + 2 * n].copy(),
+        riemann=R,
+        ricci=float(np.trace(R)),
+        tau=float(tau[0]),
+        s=s,
+        sdot=float(np.dot(y, grad[:n]) - 2.0 * np.dot(Gv, grad[n:])),
+        s_bh=s_bh,
+    )
+
+
+def sample_row(cs: CurvatureSample, k: int) -> CurvatureSample:
+    """Row k of batched curvature samples, as staged_sample gives the
+    sample of its direction alone."""
+    return replace(cs, **{f.name: getattr(cs, f.name)[k] for f in record_fields(cs)
+                          if f.name != "x"})
+
+
+class DirectionInvariants:
+    """AbInvariants of one direction y, every contraction a float of its
+    own 1-D product."""
+
+    def __init__(self, fields: AbFields, y):
+        f = fields
+        y = np.asarray(y, dtype=float)
+        self.fields = f
+        self.y = y
+        self.b2 = f.b2
+        self.alpha2 = float(y @ f.mp.g @ y)
+        self.beta = float(f.bl @ y)
+        if self.beta <= 0.0:
+            raise ConicDomainError(
+                "beta(x, y) must be positive for Kropina contractions"
+            )
+        self.F = self.alpha2 / self.beta
+        self.r_00 = float(y @ f.r @ y)
+        self.r_0 = float(f.r_vec @ y)
+        self.s_0 = float(f.s_vec @ y)
+        self.s_i0 = f.s_up @ y
+        self.r_0i = f.r @ y
+        self.r_scalar = f.r_scalar
+        self.r00_0 = float(np.einsum("ijk,i,j,k->", f.dr, y, y, y))
+        self.r00_b = float(np.einsum("ijk,i,j,k->", f.dr, y, y, f.bu))
+        self.s0_0 = float(y @ f.dsv @ y)
+        self.s0_b = float(y @ f.dsv @ f.bu)
+        self.r0_0 = float(y @ f.drv @ y)
+        self.div_s0 = float(f.div_s_up @ y)
+        self.div_s = f.div_s
+        self.sk_sk0 = float(f.s_vec @ self.s_i0)
+        self.sksk = float(f.s_vec @ f.mp.ginv @ f.s_vec)
+        self.ss = float(np.einsum("ij,ji->", f.s_up, f.s_up))
+        self.rk_sk0 = float(f.r_vec @ self.s_i0)
+        self.r0k_sk = float(self.r_0i @ (f.mp.ginv @ f.s_vec))
+        self.r0k_sk0 = float(self.r_0i @ self.s_i0)
+        self.f_0 = float(f.f_grad @ y)
+
+
+DIRECTION_INVARIANTS = (
+    "alpha2", "beta", "F", "r_00", "r_0", "s_0", "s_i0", "r_0i", "r_scalar",
+    "r00_0", "r00_b", "s0_0", "s0_b", "r0_0", "div_s0", "div_s", "sk_sk0",
+    "sksk", "ss", "rk_sk0", "r0k_sk", "r0k_sk0", "f_0",
+)
+
+
+def _spray_1(f: AbFields, inv: DirectionInvariants) -> np.ndarray:
+    y, a2, beta, b2 = inv.y, inv.alpha2, inv.beta, f.b2
+    g_a = 0.5 * np.einsum("kij,i,j->k", f.mp.christoffel, y, y)
+    correction = (
+        -(a2 / (2.0 * beta)) * inv.s_i0
+        + ((a2 / beta) * inv.s_0 + inv.r_00) / (2.0 * b2) * f.bu
+        - (inv.s_0 + (beta / a2) * inv.r_00) / b2 * y
+    )
+    return g_a + correction
+
+
+def _ricci_1(f: AbFields, inv: DirectionInvariants) -> float:
+    n, F, b2 = f.n, inv.F, f.b2
+    b4 = b2 * b2
+    y = inv.y
+    ric_a = float(y @ f.mp.ricci @ y)
+    t = (
+        3.0 * (n - 1) / (b4 * F * F) * inv.r_00 ** 2
+        + (n - 1) / (F * b4) * (
+            2.0 * inv.r_00 * inv.s_0
+            - 4.0 * inv.r_00 * inv.r_0
+            - 4.0 * F * inv.r_0 * inv.s_0
+            - F * inv.s_0 ** 2
+        )
+        + (n - 1) / (b2 * F) * (
+            inv.r00_0 + F * inv.s0_0 + F * F * inv.sk_sk0
+        )
+        + ((inv.r_0 + inv.s_0) ** 2
+           - inv.r_scalar * (inv.r_00 + F * inv.s_0)) / b4
+        + (
+            F * inv.s0_b + inv.r00_b
+            - (inv.r0_0 + inv.s0_0)
+            + (inv.r_00 + F * inv.s_0) * f.trace_r_up
+            + 2.0 * n * inv.r0k_sk0
+            - F * inv.rk_sk0
+            - F * inv.r0k_sk
+            - 0.5 * F * F * inv.sksk
+        ) / b2
+        - F * inv.div_s0
+        - 0.25 * F * F * inv.ss
+    )
+    return ric_a + t
+
+
+def _hess_f_1(f: AbFields, inv: DirectionInvariants) -> float:
+    if f.space.weight is None:
+        return 0.0
+    y = inv.y
+    G = _spray_1(f, inv)
+    return float(y @ f.f_hess @ y - 2.0 * f.f_grad @ G)
+
+
+def _s_dot_1(f: AbFields, inv: DirectionInvariants) -> float:
+    b2 = f.b2
+    b4 = b2 * b2
+    a2, beta = inv.alpha2, inv.beta
+    first = (
+        inv.r0_0
+        - (beta / a2) * inv.r00_0
+        + (a2 / beta) * inv.rk_sk0
+        - 2.0 * inv.r0k_sk0
+    ) / b2
+    second = (
+        -((a2 / beta) * inv.s_0 + inv.r_00) * inv.r_scalar
+        + (2.0 * beta / a2) * inv.r_00 * (3.0 * inv.r_0 - inv.s_0)
+        + 2.0 * inv.r_0 * (inv.s_0 - inv.r_0)
+        - 4.0 * (beta / a2) ** 2 * inv.r_00 ** 2
+    ) / b4
+    return first + second + _hess_f_1(f, inv)
+
+
+def _nav_ricci_1(fp: NavPoint, y) -> float:
+    _nav_hypothesis(fp, 1e-8)
+    y = np.asarray(y, dtype=float)
+    w0 = float(fp.w_low @ y)
+    F = float(y @ fp.mp.g @ y) / (2.0 * w0)
+    ric, s_up = fp.mp.ricci, fp.s_up
+    return float(y @ ric @ y - 2.0 * F * (y @ ric @ fp.w)
+                 - F * F * np.einsum("ij,ji->", s_up, s_up))
+
+
+def _nav_spray_1(fp: NavPoint, y) -> np.ndarray:
+    y = np.asarray(y, dtype=float)
+    w0 = float(fp.w_low @ y)
+    if w0 <= 0.0:
+        raise ConicDomainError("W_0 must be positive in the conic domain")
+    F = float(y @ fp.mp.g @ y) / (2.0 * w0)
+    g_h = 0.5 * np.einsum("kij,i,j->k", fp.mp.christoffel, y, y)
+    s_i0 = fp.s_up @ y
+    s_0 = float(fp.s_vec @ y)
+    r_00 = float(y @ fp.r @ y)
+    return g_h - F * s_i0 - (r_00 + 2.0 * F * s_0) / (2.0 * F) * (y - F * fp.w)
+
+
+def closed_per_direction(fields: AbFields, y, nav=None) -> dict:
+    """Every closed form verify compares, at the one direction y, from
+    DirectionInvariants: {name: value}, s-dot being S-dot / (n + 1) as
+    s_dot_closed's.  With a NavPoint nav the navigation forms too,
+    nav-ricci None where its hypothesis fails."""
+    inv = DirectionInvariants(fields, y)
+    f, n = fields, fields.n
+    s_bh = (n + 1) / f.b2 * (inv.r_0 - inv.r_00 / inv.F)
+    out = {
+        "spray": _spray_1(f, inv),
+        "ricci": _ricci_1(f, inv),
+        "s-curvature": s_bh,
+        "s-weighted": s_bh + (n + 1) * inv.f_0,
+        "s-dot": _s_dot_1(f, inv),
+        "weight-hessian": _hess_f_1(f, inv),
+    }
+    if nav is not None:
+        out["nav-spray"] = _nav_spray_1(nav, y)
+        try:
+            out["nav-ricci"] = _nav_ricci_1(nav, y)
+        except HypothesisNotMetError:
+            out["nav-ricci"] = None
+    return out
+
+
+def ric_ac_per_direction(fields: AbFields, cfg: WeightConfig, y) -> float:
+    """ric_ac at the one direction y from closed_per_direction."""
+    a, c = float(cfg.a), float(cfg.c)
+    closed = closed_per_direction(fields, y)
+    val = closed["ricci"]
+    if a != 0.0:
+        val += a * (fields.n + 1) * closed["s-dot"]
+    if c != 0.0:
+        val -= c * closed["s-weighted"] ** 2
+    return val
 
 
 # -- expression text: the tree-walking printer and the eager parser ----------

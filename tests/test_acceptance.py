@@ -11,6 +11,7 @@ import pytest
 from kropina.einstein import WeightConfig, ric_ac, weight_preset
 from fd import fd_partial
 from kropina.forms import (
+    AbInvariants,
     finsler_evaluator,
     isotropy_fit,
     kropina_ricci_closed,
@@ -35,6 +36,7 @@ from oracles import (
     ab_fields,
     chart_point,
     field_point,
+    loop_evaluator,
     pric,
     second_cov_w,
     spray_generic,
@@ -85,12 +87,13 @@ def test_criterion_01_spray_cross_validation(grid):
     worst = 0.0
     count = 0
     for name, (sc, space, samples) in grid.items():
-        ev = finsler_evaluator(space)
+        ev = loop_evaluator(space)
         for x, ys in samples:
             pt = chart_point(space, x)
             for y in ys:
                 g = spray_generic(ev, x, y)
-                worst = max(worst, rel(kropina_spray_closed(pt.fld, y), g))
+                closed = kropina_spray_closed(AbInvariants(pt.fld, y))
+                worst = max(worst, rel(closed, g))
                 worst = max(worst, rel(nav_spray(pt.nav, y), g))
                 count += 1
     announce(
@@ -105,19 +108,19 @@ def test_criterion_02_ricci_cross_validation(grid):
     worst = 0.0
     for name, (sc, space, samples) in grid.items():
         for x, ys in samples:
-            pt = chart_point(space, x)
-            for y in ys:
-                worst = max(worst, rel(kropina_ricci_closed(pt.fld, y),
-                                       pt.sample(y).ricci))
+            pt = chart_point(space, x, ys)
+            for k, y in enumerate(pt.ys):
+                worst = max(worst, rel(kropina_ricci_closed(pt.inv)[k],
+                                       pt.samples.ricci[k]))
     worst_nav = 0.0
     for name in ("euclid_parallel", "s3_hopf"):
         sc, space, samples = grid[name]
         for x, ys in samples:
-            pt = chart_point(space, x)
-            for y in ys:
+            pt = chart_point(space, x, ys)
+            for k, y in enumerate(pt.ys):
                 worst_nav = max(
                     worst_nav,
-                    rel(nav_ricci_isotropic(pt.nav, y), pt.sample(y).ricci),
+                    rel(nav_ricci_isotropic(pt.nav, y), pt.samples.ricci[k]),
                 )
     announce(
         2,
@@ -132,10 +135,10 @@ def test_criterion_03_s_curvature_and_density(grid):
     worst = 0.0
     for name, (sc, space, samples) in grid.items():
         for x, ys in samples:
-            pt = chart_point(space, x)
-            for y in ys:
-                worst = max(worst, rel(s_bh_closed(pt.fld, y),
-                                       pt.sample(y).s_bh))
+            pt = chart_point(space, x, ys)
+            for k, y in enumerate(pt.ys):
+                worst = max(worst, rel(s_bh_closed(pt.inv)[k],
+                                       pt.samples.s_bh[k]))
     worst_se = 0.0
     for name, (sc, space, samples) in grid.items():
         ev = finsler_evaluator(space)
@@ -158,9 +161,10 @@ def test_criterion_04_s_dot_cross_validation(grid):
     for name, (sc, space, samples) in grid.items():
         n1 = space.dim + 1
         for x, ys in samples:
-            pt = chart_point(space, x)
-            for y in ys:
-                dev = rel(n1 * s_dot_closed(pt.fld, y), pt.sample(y).sdot)
+            pt = chart_point(space, x, ys)
+            for k, y in enumerate(pt.ys):
+                dev = rel(n1 * s_dot_closed(pt.inv)[k],
+                          pt.samples.sdot[k])
                 worst = max(worst, dev)
                 if space.weight is not None:
                     worst_weighted = max(worst_weighted, dev)
@@ -187,7 +191,7 @@ def test_criterion_05_equivalence_suite(grid):
             p_fit &= fit.residual <= tol * max(1.0, fit.scale)
 
             for y in ys:
-                p_s_zero &= abs(s_bh_closed(fld, y)) <= tol
+                p_s_zero &= abs(s_bh_closed(AbInvariants(fld, y))) <= tol
 
             inv = w_invariants(space.h, space.w, list(x))
             p_killing &= float(np.max(np.abs(inv.r_ij))) <= tol
@@ -315,9 +319,9 @@ def test_criterion_09_weighted_ricci_identity(grid):
             for x, ys in samples[:2]:
                 fld = ab_fields(space, x)
                 for y in ys[:3]:
-                    s_val = s_closed(fld, y)
-                    sdot_full = n1 * s_dot_closed(fld, y)
-                    lhs = ric_ac(fld, cfg, y)
+                    s_val = s_closed(AbInvariants(fld, y))
+                    sdot_full = n1 * s_dot_closed(AbInvariants(fld, y))
+                    lhs = ric_ac(AbInvariants(fld, y), cfg)
                     rhs = (
                         pric(fld, y)
                         - kap / n1 * (sdot_full + 4.0 * s_val**2 / n1)
@@ -372,9 +376,13 @@ def test_criterion_10_ad_integrity(grid):
             seeds = jet_space(n, deg).seed(x)
             jet_val = _jet_partial(ev(seeds, y), idx)
         elif kind == "F-y":
+            # F's jet in y comes from the batched stage, at x seeded over
+            # the 2n variables (x, y)
             fn = lambda p: float(ev(x, list(p)))
-            seeds = jet_space(n, deg).seed(y)
-            jet_val = _jet_partial(ev(x, seeds), idx)
+            sp = jet_space(2 * n, deg)
+            xs = [sp.variable(i, v) for i, v in enumerate(x)]
+            jet_val = _jet_partial(Jet(sp, ev.jets_at(xs)([y])[0]),
+                                   (0,) * n + idx)
         else:
             # ln sigma, as a chart point takes it from its one jet pass
             fn = lambda p: chart_point(space, p).log_densities[0].value

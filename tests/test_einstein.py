@@ -204,8 +204,8 @@ def test_ric_ac_plain_is_unweighted_ricci():
     x = np.array([0.2, 0.4, -0.3])
     fld = ab_fields(space, x)
     for y in admissible_directions(space, x, rng, 4):
-        assert ric_ac(fld, cfg, y) == pytest.approx(
-            kropina_ricci_closed(fld, y), rel=1e-12, abs=1e-12
+        assert ric_ac(AbInvariants(fld, y), cfg) == pytest.approx(
+            kropina_ricci_closed(AbInvariants(fld, y)), rel=1e-12, abs=1e-12
         )
 
 
@@ -217,9 +217,9 @@ def test_ric_ac_routes_agree():
             x = np.asarray(shift) + 0.1 * rng.uniform(-1, 1, 3)
             fld = ab_fields(space, x)
             for y in admissible_directions(space, x, rng, 5):
-                closed = ric_ac(fld, cfg, y)
+                closed = ric_ac(AbInvariants(fld, y), cfg)
                 generic = _generic_ric_ac(
-                    chart_points(space, [(x, [y])])[0].sample(y), cfg)
+                    chart_points(space, [(x, [y])])[0].samples, cfg)[0]
                 assert closed == pytest.approx(
                     generic, rel=1e-5, abs=1e-5 * max(1.0, abs(closed))
                 )
@@ -235,7 +235,7 @@ def test_gwric2_identity_random_constants():
         cfg = WeightConfig(float(rng.uniform(-1.5, 1.5)),
                            float(rng.uniform(-1.5, 1.5)), 3)
         for y in ys:
-            direct = ric_ac(fld, cfg, y)
+            direct = ric_ac(AbInvariants(fld, y), cfg)
             via = ric_ac_via_projective(fld, cfg, y)
             assert direct == pytest.approx(
                 via, rel=1e-8, abs=1e-8 * max(1.0, abs(direct))
@@ -249,7 +249,7 @@ def test_pric_matches_ric_ac_at_projective_constants():
         fld = ab_fields(space, x)
         for y in admissible_directions(space, x, rng, 4):
             assert pric(fld, y) == pytest.approx(
-                ric_ac(fld, CFG_PRIC, y), rel=1e-8, abs=1e-12
+                ric_ac(AbInvariants(fld, y), CFG_PRIC), rel=1e-8, abs=1e-12
             )
 
 
@@ -260,11 +260,11 @@ def test_hopf_ric_ac_weight_independent():
     x = np.array(HOPF_SHIFT)
     fld = ab_fields(space, x)
     for y in admissible_directions(space, x, rng, 3):
-        base = kropina_ricci_closed(fld, y)
+        base = kropina_ricci_closed(AbInvariants(fld, y))
         inv = AbInvariants(fld, y)
         assert base == pytest.approx(2.0 * inv.F**2, rel=1e-9)
         for cfg in (CFG_INF, CFG_51, CFG_PRIC):
-            assert ric_ac(fld, cfg, y) == pytest.approx(base, rel=1e-10)
+            assert ric_ac(AbInvariants(fld, y), cfg) == pytest.approx(base, rel=1e-10)
 
 
 # -- einstein residual and fit --------------------------------------------------
@@ -300,7 +300,7 @@ def test_fit_recovers_hopf_pair():
     rng = np.random.default_rng(15)
     x = np.array(HOPF_SHIFT)
     fld = ab_fields(space, x)
-    fit = fit_theta_sigma(fld, CFG_INF, admissible_directions(space, x, rng, 9))
+    fit = fit_theta_sigma(AbInvariants(fld, admissible_directions(space, x, rng, 9)), CFG_INF)
     assert fit.provenance == "fitted"
     assert fit.residual < 1e-9
     assert np.abs(np.array(fit.theta)).max() < 1e-7
@@ -312,7 +312,7 @@ def test_fit_recovers_gaussian_pair():
     rng = np.random.default_rng(16)
     x = np.array([0.3, -0.2, 0.5])
     fld = ab_fields(space, x)
-    fit = fit_theta_sigma(fld, CFG_INF, admissible_directions(space, x, rng, 9))
+    fit = fit_theta_sigma(AbInvariants(fld, admissible_directions(space, x, rng, 9)), CFG_INF)
     assert fit.theta[0] == pytest.approx(2 * 4 * 0.2 / (3 * 2), abs=1e-7)
     assert abs(fit.theta[1]) < 1e-7 and abs(fit.theta[2]) < 1e-7
     assert abs(fit.sigma) < 1e-7
@@ -324,7 +324,7 @@ def test_fit_flat_is_zero():
     rng = np.random.default_rng(17)
     x = np.array([0.1, 0.2, 0.3])
     fld = ab_fields(space, x)
-    fit = fit_theta_sigma(fld, CFG_INF, admissible_directions(space, x, rng, 8))
+    fit = fit_theta_sigma(AbInvariants(fld, admissible_directions(space, x, rng, 8)), CFG_INF)
     assert np.abs(np.array(fit.theta)).max() < 1e-12
     assert abs(fit.sigma) < 1e-12
 
@@ -336,10 +336,10 @@ def test_fit_errors():
     fld = ab_fields(space, x)
     ys = admissible_directions(space, x, rng, 4)
     with pytest.raises(ValueError, match="at least"):
-        fit_theta_sigma(fld, CFG_INF, ys)
+        fit_theta_sigma(AbInvariants(fld, ys), CFG_INF)
     dup = [ys[0]] * 7
     with pytest.raises(ValueError, match="rank"):
-        fit_theta_sigma(fld, CFG_INF, dup)
+        fit_theta_sigma(AbInvariants(fld, dup), CFG_INF)
 
 
 def test_ansatz_provenance_rules():
@@ -698,19 +698,20 @@ def test_chart_point_builds_each_bundle_once():
     [pt] = chart_points(space, [(x, ys)])
     assert isinstance(pt, ChartPoint)
     assert pt.fld is pt.fld and pt.nav is pt.nav and pt.generic is pt.generic
-    assert pt.sample(list(ys[0])) is pt.sample(ys[0].copy())
+    assert pt.samples is pt.samples and pt.inv is pt.inv
+    assert pt.samples.ricci.shape == pt.inv.F.shape == (len(ys),)
     assert pt.fitted(CFG_INF) is pt.fitted(weight_preset("ricInf", 3))
     assert pt.fitted(CFG_INF) is not pt.fitted(CFG_PRIC)
     assert pt.log_densities is pt.log_densities
     # with a weight, S against sigma_BH differs from the weighted S by
     # (n + 1) f_0; without one the sample's s_bh is its s
-    cs = pt.sample(ys[0])
-    f_0 = float(pt.fld.f_grad @ ys[0])
-    assert cs.s - cs.s_bh == pytest.approx(4 * f_0, rel=1e-8)
-    [plain] = chart_points(hopf_space(), [(x, ys)])
+    cs = pt.samples
+    f_0 = np.array([float(pt.fld.f_grad @ y) for y in ys])
+    assert np.allclose(cs.s - cs.s_bh, 4 * f_0, rtol=1e-8, atol=0.0)
+    [plain] = chart_points(hopf_space(), [(x, ys[:1])])
     assert plain.log_densities[1] is None
-    cs = plain.sample(ys[0])
-    assert cs.s_bh == cs.s
+    cs = plain.samples
+    assert cs.s_bh is cs.s
 
 
 # -- cross-cutting properties ---------------------------------------------------
@@ -731,8 +732,8 @@ def test_isotropy_follows_from_small_einstein_residual():
     for space, shift in cases:
         x = np.asarray(shift) + 0.1 * rng.uniform(-1, 1, 3)
         fld = ab_fields(space, x)
-        fit = fit_theta_sigma(fld, CFG_INF,
-                              admissible_directions(space, x, rng, 9))
+        fit = fit_theta_sigma(
+            AbInvariants(fld, admissible_directions(space, x, rng, 9)), CFG_INF)
         if fit.residual < 1e-6:
             iso = isotropy_fit(fld)
             assert iso.residual / max(1.0, iso.scale) < 1e-6

@@ -27,7 +27,7 @@ from kropina.forms import (
 from kropina.generic import (
     ConicDomainError,
     bh_density,
-    curvature_sample,
+    curvature_samples,
     generic_point,
 )
 from kropina.riemann import MetricPoint, _extract, eval_component_jets
@@ -38,11 +38,13 @@ from oracles import (
     chart_point,
     field_point,
     log_density,
+    loop_evaluator,
     metric_from_strings,
     nav_point,
     nav_evaluator,
     nav_riemann_isotropic,
     rs_from_RS,
+    sample_row,
     spray_generic,
     validate_views,
     volume_density,
@@ -302,24 +304,26 @@ def test_ab_fields_report_an_indefinite_metric_first():
 
 
 def test_invariants_built_once_per_direction(monkeypatch):
+    """A chart point contracts the drift invariants of all its directions
+    in one AbInvariants, which every closed form reads without building
+    another."""
     import kropina.forms as forms
 
     built = []
     real = forms.AbInvariants.__init__
 
     def init(self, fields, y):
-        built.append(tuple(y))
+        built.append(np.shape(y))
         real(self, fields, y)
 
     monkeypatch.setattr(forms.AbInvariants, "__init__", init)
-    fld = ab_fields(wavy_space(weight="0.1*x1"), [0.3, 0.2, -0.1])
-    y = np.array([1.0, 0.3, 0.2])
-    for form in (kropina_ricci_closed, s_bh_closed, s_closed, s_dot_closed):
-        form(fld, y)
-    assert fld.invariants(list(y)) is fld.invariants(y.copy())
-    assert built == [tuple(y)]
-    fld.invariants([1.0, 0.3, 0.25])
-    assert len(built) == 2
+    ys = [[1.0, 0.3, 0.2], [0.8, -0.1, 0.4], [1.1, 0.2, -0.3]]
+    pt = chart_point(wavy_space(weight="0.1*x1"), [0.3, 0.2, -0.1], ys)
+    for form in (kropina_ricci_closed, s_bh_closed, s_closed, s_dot_closed,
+                 kropina_spray_closed, hess_f_closed):
+        assert np.shape(form(pt.inv))[:1] == (3,)
+    assert pt.inv is pt.inv
+    assert built == [(3, 3)]
 
 
 def test_eta_gradient_matches_analytic():
@@ -359,7 +363,7 @@ def test_eta_gradient_matches_analytic():
 def test_spray_closed_parallel_zero():
     space = parallel_space()
     fld = ab_fields(space, [0.1, 0.2, 0.3])
-    g = kropina_spray_closed(fld, [1.0, 0.4, -0.2])
+    g = kropina_spray_closed(AbInvariants(fld, [1.0, 0.4, -0.2]))
     assert np.allclose(g, 0.0, atol=1e-14)
 
 
@@ -370,10 +374,10 @@ def test_spray_closed_parallel_zero():
 ])
 def test_spray_closed_matches_generic(builder, shift):
     space = builder()
-    fev = finsler_evaluator(space)
+    fev = loop_evaluator(space)
     rng = np.random.default_rng(16)
     for x, y in admissible_samples(space, rng, 30, shift=shift, scale=0.25):
-        closed = kropina_spray_closed(ab_fields(space, x), y)
+        closed = kropina_spray_closed(AbInvariants(ab_fields(space, x), y))
         generic = spray_generic(fev, list(x), list(y))
         scale = max(1.0, float(np.max(np.abs(generic))))
         assert np.max(np.abs(closed - generic)) < 1e-8 * scale
@@ -382,8 +386,8 @@ def test_spray_closed_matches_generic(builder, shift):
 def test_spray_closed_homogeneous():
     space = wavy_space()
     x, y = [0.3, -0.2, 0.4], np.array([1.0, 0.3, -0.2])
-    g1 = kropina_spray_closed(ab_fields(space, x), y)
-    g2 = kropina_spray_closed(ab_fields(space, x), 1.7 * y)
+    g1 = kropina_spray_closed(AbInvariants(ab_fields(space, x), y))
+    g2 = kropina_spray_closed(AbInvariants(ab_fields(space, x), 1.7 * y))
     assert np.allclose(g2, 1.7**2 * g1, rtol=1e-12)
 
 
@@ -399,16 +403,16 @@ def test_ricci_closed_matches_generic(builder, shift):
     space = builder()
     rng = np.random.default_rng(17)
     for x, y in admissible_samples(space, rng, 30, shift=shift, scale=0.25):
-        pt = chart_point(space, x)
-        closed = kropina_ricci_closed(pt.fld, y)
-        generic = pt.sample(y).ricci
+        pt = chart_point(space, x, [y])
+        closed = kropina_ricci_closed(AbInvariants(pt.fld, y))
+        generic = sample_row(pt.samples, 0).ricci
         assert closed == pytest.approx(generic, rel=1e-7, abs=1e-9)
 
 
 def test_ricci_closed_flat_wind_zero():
     space = parallel_space()
     fld = ab_fields(space, [0.4, 0.1, 0.0])
-    assert kropina_ricci_closed(fld, [1.0, 0.2, 0.3]) == (
+    assert kropina_ricci_closed(AbInvariants(fld, [1.0, 0.2, 0.3])) == (
         pytest.approx(0.0, abs=1e-12)
     )
 
@@ -421,7 +425,7 @@ def test_ricci_closed_hopf_value():
     fev = finsler_evaluator(space)
     for x, y in admissible_samples(space, rng, 10, shift=HOPF_SHIFT, scale=0.3):
         f_val = fev(list(x), list(y))
-        assert kropina_ricci_closed(ab_fields(space, x), y) == pytest.approx(
+        assert kropina_ricci_closed(AbInvariants(ab_fields(space, x), y)) == pytest.approx(
             2.0 * f_val**2, rel=1e-10
         )
 
@@ -429,8 +433,8 @@ def test_ricci_closed_hopf_value():
 def test_ricci_closed_homogeneous():
     space = wavy_space()
     x, y = [0.3, -0.2, 0.4], np.array([1.0, 0.3, -0.2])
-    r1 = kropina_ricci_closed(ab_fields(space, x), y)
-    r2 = kropina_ricci_closed(ab_fields(space, x), 2.3 * y)
+    r1 = kropina_ricci_closed(AbInvariants(ab_fields(space, x), y))
+    r2 = kropina_ricci_closed(AbInvariants(ab_fields(space, x), 2.3 * y))
     assert r2 == pytest.approx(2.3**2 * r1, rel=1e-12)
 
 
@@ -441,24 +445,24 @@ def test_s_bh_conformal_vanishes():
     space = conformal_space()
     rng = np.random.default_rng(19)
     for x, y in admissible_samples(space, rng, 20, shift=(0.5, 0.1, -0.2)):
-        assert s_bh_closed(ab_fields(space, x), y) == pytest.approx(0.0, abs=1e-12)
+        assert s_bh_closed(AbInvariants(ab_fields(space, x), y)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_s_bh_matches_generic():
     space = wavy_space()
     rng = np.random.default_rng(20)
     for x, y in admissible_samples(space, rng, 15):
-        pt = chart_point(space, x)
-        closed = s_bh_closed(pt.fld, y)
-        generic = pt.sample(y).s_bh
+        pt = chart_point(space, x, [y])
+        closed = s_bh_closed(AbInvariants(pt.fld, y))
+        generic = sample_row(pt.samples, 0).s_bh
         assert closed == pytest.approx(generic, rel=1e-8, abs=1e-10)
 
 
 def test_s_bh_positively_homogeneous():
     space = wavy_space()
     x, y = [0.3, -0.2, 0.4], np.array([1.0, 0.3, -0.2])
-    assert s_bh_closed(ab_fields(space, x), 3.0 * y) == pytest.approx(
-        3.0 * s_bh_closed(ab_fields(space, x), y), rel=1e-12
+    assert s_bh_closed(AbInvariants(ab_fields(space, x), 3.0 * y)) == pytest.approx(
+        3.0 * s_bh_closed(AbInvariants(ab_fields(space, x), y)), rel=1e-12
     )
 
 
@@ -466,9 +470,9 @@ def test_s_closed_weighted_matches_generic():
     space = wavy_space(weight="0.1*(x1^2 + x2*x3)")
     rng = np.random.default_rng(21)
     for x, y in admissible_samples(space, rng, 10):
-        pt = chart_point(space, x)
-        closed = s_closed(pt.fld, y)
-        generic = pt.sample(y).s
+        pt = chart_point(space, x, [y])
+        closed = s_closed(AbInvariants(pt.fld, y))
+        generic = sample_row(pt.samples, 0).s
         assert closed == pytest.approx(generic, rel=1e-8, abs=1e-10)
 
 
@@ -476,16 +480,16 @@ def test_s_dot_matches_generic_weighted():
     space = wavy_space(weight="0.1*(x1^2 + x2*x3)")
     rng = np.random.default_rng(22)
     for x, y in admissible_samples(space, rng, 10):
-        pt = chart_point(space, x)
-        closed = s_dot_closed(pt.fld, y)
-        generic = pt.sample(y).sdot / (space.dim + 1)
+        pt = chart_point(space, x, [y])
+        closed = s_dot_closed(AbInvariants(pt.fld, y))
+        generic = sample_row(pt.samples, 0).sdot / (space.dim + 1)
         assert closed == pytest.approx(generic, rel=1e-8, abs=1e-10)
 
 
 def test_s_dot_flat_wind_zero():
     space = parallel_space()
     fld = ab_fields(space, [0.1, 0.2, 0.3])
-    assert s_dot_closed(fld, [1.0, 0.1, 0.2]) == pytest.approx(0.0, abs=1e-14)
+    assert s_dot_closed(AbInvariants(fld, [1.0, 0.1, 0.2])) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_s_dot_quadratic_weight_is_plain_hessian():
@@ -494,7 +498,7 @@ def test_s_dot_quadratic_weight_is_plain_hessian():
     lam = 0.2
     space = with_weight(parallel_space(), "0.1*(x1^2 + x2^2 + x3^2)")
     y = np.array([1.0, 0.4, -0.3])
-    val = s_dot_closed(ab_fields(space, [0.3, -0.2, 0.5]), y)
+    val = s_dot_closed(AbInvariants(ab_fields(space, [0.3, -0.2, 0.5]), y))
     assert val == pytest.approx(lam * float(y @ y), rel=1e-12)
 
 
@@ -504,9 +508,9 @@ def test_hess_f_closed_matches_generic():
     space = wavy_space(weight="0.1*(x1^2 + x2*x3)")
     rng = np.random.default_rng(23)
     for x, y in admissible_samples(space, rng, 10):
-        pt = chart_point(space, x)
-        closed = hess_f_closed(pt.fld, y)
-        generic = hess_form(pt.fld, y, pt.sample(y).spray)
+        pt = chart_point(space, x, [y])
+        closed = hess_f_closed(AbInvariants(pt.fld, y))
+        generic = hess_form(pt.fld, y, sample_row(pt.samples, 0).spray)
         assert closed == pytest.approx(generic, rel=1e-9, abs=1e-11)
 
 
@@ -676,7 +680,7 @@ def test_nav_ricci_matches_generic_on_hopf():
     for x, y in admissible_samples(space, rng, 30, shift=HOPF_SHIFT, scale=0.3):
         closed = nav_ricci_isotropic(nav_point(SPHERE3, HOPF_W, x), y)
         point = generic_point(fev, list(x), log_density(dens, x))
-        generic = curvature_sample(point, list(y)).ricci
+        generic = sample_row(curvature_samples(point, [y]), 0).ricci
         assert closed == pytest.approx(generic, rel=1e-7)
 
 
@@ -688,7 +692,7 @@ def test_nav_riemann_matches_generic_and_trace():
     for x, y in admissible_samples(space, rng, 10, shift=HOPF_SHIFT, scale=0.3):
         closed = nav_riemann_isotropic(nav_point(SPHERE3, HOPF_W, x), y)
         point = generic_point(fev, list(x), log_density(dens, x))
-        generic = curvature_sample(point, list(y)).riemann
+        generic = sample_row(curvature_samples(point, [y]), 0).riemann
         assert np.max(np.abs(closed - generic)) < 1e-8 * max(
             1.0, float(np.max(np.abs(generic)))
         )
@@ -720,7 +724,7 @@ def test_isotropic_chain_forward():
     fit = isotropy_fit(ab_fields(space, pairs[0][0]))
     assert fit.isotropic
     for x, y in pairs:
-        assert abs(s_bh_closed(ab_fields(space, x), y)) < 1e-9
+        assert abs(s_bh_closed(AbInvariants(ab_fields(space, x), y))) < 1e-9
     h, w = space.h, space.w
     for x, _ in pairs[:5]:
         mp = MetricPoint.from_exprs(h, list(x), order=1)
@@ -736,7 +740,7 @@ def test_isotropic_chain_reverse():
     x = [0.3, -0.2, 0.4]
     fit = isotropy_fit(ab_fields(space, x))
     assert not fit.isotropic
-    assert abs(s_bh_closed(ab_fields(space, x), [1.0, 0.3, -0.2])) > 1e-6
+    assert abs(s_bh_closed(AbInvariants(ab_fields(space, x), [1.0, 0.3, -0.2]))) > 1e-6
     h, w = space.h, space.w
     mp = MetricPoint.from_exprs(h, x, order=1)
     fp = field_point(mp, w, x, order=1)

@@ -15,7 +15,7 @@ from kropina.generic import (
     FinslerEvaluator,
     _check_invertible,
     bh_density,
-    curvature_sample,
+    curvature_samples,
     generic_point,
     unit_ball_volume,
 )
@@ -36,14 +36,17 @@ from oracles import (
     deriv,
     eliminate_gauss_jordan,
     f2_jet,
+    flat_wind,
     geodesic_flow,
     gradient,
     hess_form,
     hess_h,
+    jets_by_direction,
     log_density,
     loop_evaluator,
     metric_from_strings,
     metric_jets,
+    sample_row,
     spray_generic,
     spray_jets,
     tau_jet,
@@ -58,10 +61,12 @@ SPHERE3 = metric_from_strings(
 
 def plain_evaluator(n, func, domain, name, **hints):
     """A FinslerEvaluator from func(x, y) and domain(x, y) that does no
-    work at x alone."""
+    work at x alone; its jets_at calls func one direction at a time."""
     return FinslerEvaluator(dim=n, at=lambda x: partial(func, x),
                             domain_at=lambda x: partial(domain, x),
-                            name=name, **hints)
+                            name=name, **hints,
+                            jets_at=jets_by_direction(
+                                lambda x: partial(func, x)))
 
 
 def expr_evaluator(f2_text, beta_text, n, name="expr"):
@@ -147,8 +152,10 @@ def const_density(x):
 
 
 def sample(F, x, y, sigma=const_density):
-    """curvature_sample with the constant density unless one is given."""
-    return curvature_sample(generic_point(F, x, log_density(sigma, x)), y)
+    """The curvature sample of the one direction y, with the constant
+    density unless one is given."""
+    point = generic_point(F, x, log_density(sigma, x))
+    return sample_row(curvature_samples(point, [y]), 0)
 
 
 def weighted_density(f_ast, n, base=None):
@@ -562,25 +569,6 @@ def test_curvature_sample_bundle():
     assert np.allclose(cs.connection @ np.asarray(y), 2.0 * cs.spray, atol=1e-10)
 
 
-def _flat_wind(n):
-    """Flat n-space with a constant unit wind, as a scenario document."""
-    vector = ["0.6", "0.8"] + ["0"] * (n - 2)
-    return {
-        "schema": "scenario/1",
-        "name": f"flat{n}_wind",
-        "dimension": n,
-        "representation": "nav",
-        "metric": [["1" if i == j else "0" for j in range(n)]
-                   for i in range(n)],
-        "vector": vector,
-        "constants": {"a": 0, "c": 0},
-        "box": [[-0.5, 0.5]] * n,
-        "points": 2,
-        "directions": 3,
-        "seed": 5,
-    }
-
-
 def _same_bits(a, b):
     if a is None or b is None:
         return a is b
@@ -595,7 +583,7 @@ def _assert_same_sample(staged, oracle):
 
 
 @pytest.mark.parametrize("source", [
-    _flat_wind(2), _flat_wind(4), "s3_hopf", "euclid_gaussian",
+    flat_wind(2), flat_wind(4), "s3_hopf", "euclid_gaussian",
 ])
 def test_staged_sample_equals_oracle_bit_for_bit(source):
     """A chart point's samples, whose log densities come from its one jet
@@ -604,15 +592,15 @@ def test_staged_sample_equals_oracle_bit_for_bit(source):
     bit for bit, weighted and unit-ball S included."""
     sc = load_scenario(source)
     space = sc.space()
-    ev = finsler_evaluator(space)
+    ev = loop_evaluator(space)
     dens = volume_density(space)
     bh = bh_volume_density(space) if space.weight is not None else None
     checked = 0
     for x, ys in scenario_samples(sc, cutoff=COMPARISON_CUTOFF)[:2]:
-        point = chart_point(space, x)
-        for y in ys[:3]:
+        point = chart_point(space, x, ys[:3])
+        for k, y in enumerate(point.ys):
             _assert_same_sample(
-                point.sample(y),
+                sample_row(point.samples, k),
                 curvature_sample_oracle(ev, dens, x, y, bh=bh),
             )
             checked += 1
@@ -629,9 +617,10 @@ def test_staged_sample_equals_oracle_without_a_stage():
     x = [0.2, 0.1, -0.3]
     point = generic_point(F, x, log_density(sig, x),
                           log_density(const_density, x))
-    for y in ([1.2, 0.4, -0.1], [0.9, -0.3, 0.2]):
+    ys = [[1.2, 0.4, -0.1], [0.9, -0.3, 0.2]]
+    for k, y in enumerate(ys):
         _assert_same_sample(
-            curvature_sample(point, y),
+            sample_row(curvature_samples(point, ys), k),
             curvature_sample_oracle(F, sig, x, y, bh=const_density),
         )
 
@@ -653,17 +642,17 @@ def test_sample_agrees_with_the_gauss_jordan_route():
     """curvature_sample against the oracle with Gauss-Jordan
     elimination, quantity by quantity, within ROUTE_BOUNDS."""
     worst = dict.fromkeys(ROUTE_BOUNDS, 0.0)
-    for source in (_flat_wind(2), _flat_wind(4), "s3_hopf",
+    for source in (flat_wind(2), flat_wind(4), "s3_hopf",
                    "euclid_gaussian"):
         sc = load_scenario(source)
         space = sc.space()
-        ev = finsler_evaluator(space)
+        ev = loop_evaluator(space)
         dens = volume_density(space)
         bh = bh_volume_density(space) if space.weight is not None else None
         for x, ys in scenario_samples(sc, cutoff=COMPARISON_CUTOFF)[:2]:
-            point = chart_point(space, x)
-            for y in ys[:3]:
-                got = point.sample(y)
+            point = chart_point(space, x, ys[:3])
+            for k, y in enumerate(point.ys):
+                got = sample_row(point.samples, k)
                 want = curvature_sample_oracle(
                     ev, dens, x, y, bh=bh, eliminate=eliminate_gauss_jordan)
                 for name in ROUTE_BOUNDS:
@@ -693,12 +682,12 @@ def test_gauss_jordan_deviation_per_dimension():
         for seed in (1, 2, 3):
             sc = load_scenario(random_scenario(seed, n))
             space = sc.space()
-            ev = finsler_evaluator(space)
+            ev = loop_evaluator(space)
             dens = volume_density(space)
             x, ys = scenario_samples(sc, cutoff=COMPARISON_CUTOFF)[0]
-            point = chart_point(space, x)
-            for y in ys[:2]:
-                got = point.sample(y)
+            point = chart_point(space, x, ys[:2])
+            for k, y in enumerate(point.ys):
+                got = sample_row(point.samples, k)
                 want = curvature_sample_oracle(
                     ev, dens, x, y, eliminate=eliminate_gauss_jordan)
                 for name in names:
@@ -733,16 +722,17 @@ def _bits(v):
 
 
 @pytest.mark.parametrize("source", [
-    "s3_hopf", "torus_wind", _flat_wind(4), "s5_hopf",
+    "s3_hopf", "torus_wind", flat_wind(4), "s5_hopf",
     *(random_scenario(3, n) for n in range(2, 7)),
 ], ids=lambda s: s if isinstance(s, str) else s["name"]
        + f"_{s['dimension']}")
 def test_direction_stage_equals_the_jet_loop_bit_for_bit(source):
-    """finsler_evaluator's stacked direction stage gives the bits of the
+    """finsler_evaluator's stacked direction stages give the bits of the
     loop of Jet, float and column operations (oracles.loop_evaluator):
-    F over seed directions at the seeded x of the generic pipeline and
-    at a float x, over float directions at both, over numpy columns,
-    and the domain stage over floats and columns."""
+    jets_at's block of seed directions at the seeded x of the generic
+    pipeline, row by row, F over float directions at that x and at a
+    float x, over numpy columns, and the domain stage over floats and
+    columns."""
     sc = load_scenario(source)
     space = sc.space()
     n = space.dim
@@ -753,64 +743,70 @@ def test_direction_stage_equals_the_jet_loop_bit_for_bit(source):
         xf = [float(v) for v in x]
         xj = [sp.variable(i, v) for i, v in enumerate(xf)]
         cols = [np.array([y[i] for y in ys]) for i in range(n)]
+        rows, g = ev.jets_at(xj)(ys), ref.at(xj)
+        for row, y in zip(rows, ys):
+            seeds = [sp.variable(n + k, v) for k, v in enumerate(y)]
+            assert _bits(Jet(sp, row.copy())) == _bits(g(seeds))
+            compared += 1
         for at in (xf, xj):
             f, g = ev.at(at), ref.at(at)
             for y in ys:
-                seeds = [sp.variable(n + k, v) for k, v in enumerate(y)]
-                for d in (seeds, [float(v) for v in y]):
-                    assert _bits(f(d)) == _bits(g(d))
-                    compared += 1
+                d = [float(v) for v in y]
+                assert _bits(f(d)) == _bits(g(d))
+                compared += 1
         assert _bits(ev.at(xf)(cols)) == _bits(ref.at(xf)(cols))
         dom, dom_ref = ev.domain_at(xf), ref.domain_at(xf)
         assert _bits(dom(cols)) == _bits(dom_ref(cols))
         for y in ys:
             assert dom(list(y)) == dom_ref(list(y))
-    assert compared == 2 * 3 * 4
+    assert compared == 2 * 3 * 3
 
 
 def test_direction_stage_refuses_jets_it_cannot_stack():
-    """A jet direction must be coordinate seeds of distinct variables
-    that the chart point's seeds are not on."""
+    """at(x)'s stage takes float directions and numpy columns: a jet
+    direction, seeds included, raises TypeError, since jet directions
+    are stacked by jets_at, a block of seeds at a time, as are numpy
+    columns at a jet chart point."""
     space = load_scenario("s3_hopf").space()
     ev = finsler_evaluator(space)
     sp = jet_space(6, 2)
     x = [0.1, -0.2, 0.3]
     f = ev.at([sp.variable(i, v) for i, v in enumerate(x)])
     y = [1.0, 0.5, -0.2]
+    assert isinstance(f(y), Jet)
     seeds = [sp.variable(3 + k, v) for k, v in enumerate(y)]
-    assert isinstance(f(seeds), Jet)
     refused = (
+        seeds,
         [seeds[0] * 2.0, seeds[1], seeds[2]],            # not a seed
-        [sp.variable(0, y[0]), seeds[1], seeds[2]],      # x reads x1
-        [seeds[0], seeds[0], seeds[2]],                  # one variable twice
         [seeds[0], y[1], seeds[2]],                      # a float among seeds
+        [np.array([v, v]) for v in y],                   # columns
     )
     for d in refused:
         with pytest.raises(TypeError):
             f(d)
-    other = jet_space(6, 4)
-    with pytest.raises(ValueError):
-        f([other.variable(3 + k, v) for k, v in enumerate(y)])
+    with pytest.raises(TypeError):
+        ev.at(x)(seeds)
 
 
 def test_curvature_sample_makes_two_jet_products(monkeypatch):
-    """One curvature sample multiplies two pairs of jets, Q times 1/L
-    and F times F, and takes no product with a seed: the direction
-    stage works on stacked arrays and the series of 1/L on coefficient
-    arrays.  (The Jet loop made 27 products, 13 of them with a seed, on
-    s3_hopf.)"""
+    """One curvature pass over a chart point's directions multiplies two
+    pairs of jets, Q times 1/L and F times F, each a batch of all the
+    directions, and takes no product with a seed: the direction stage
+    works on stacked arrays and the series of 1/L on coefficient arrays.
+    (The Jet loop made 27 products per direction, 13 of them with a
+    seed, on s3_hopf.)"""
     counts = Counter()
     real_mul, real_seed = Jet.__mul__, Jet._times_seed
 
     def mul(a, b):
-        counts["mul"] += 1
+        counts["mul", a.coef.shape] += 1
         return real_mul(a, b)
 
     def times_seed(a, seed):
         counts["seed"] += 1
         return real_seed(a, seed)
 
-    for source in ("s3_hopf", _flat_wind(4)):
+    for source in ("s3_hopf", flat_wind(4)):
         sc = load_scenario(source)
         x, ys = scenario_samples(sc)[0]
         point = chart_point(sc.space(), x).generic
@@ -818,8 +814,9 @@ def test_curvature_sample_makes_two_jet_products(monkeypatch):
         monkeypatch.setattr(Jet, "__rmul__", mul)
         monkeypatch.setattr(Jet, "_times_seed", times_seed)
         counts.clear()
-        curvature_sample(point, ys[0])
-        assert counts == {"mul": 2}
+        curvature_samples(point, ys)
+        ncoef = jet_space(2 * sc.space().dim, 4).ncoef
+        assert counts == {("mul", (len(ys), ncoef)): 2}
         monkeypatch.undo()
 
 

@@ -134,7 +134,7 @@ def test_check_s5_hopf_passes():
     ]
 
 
-@pytest.mark.parametrize("seed", [6, 7, 8])
+@pytest.mark.parametrize("seed", range(1, 9))
 def test_verify_s5_hopf_within_ladder(seed):
     """The round 5-sphere with its unit Hopf wind: det g and the spray
     come from one elimination, so S and Sdot keep their accuracy at
@@ -402,17 +402,20 @@ def _reject_constant(name):
 
 
 def _every_third_non_finite(monkeypatch, module, name, period=1):
-    """Patch module.name so that calls come in blocks of `period`: the
-    first block keeps the real value, the next returns NaN, the next
-    Inf, and the cycle repeats."""
+    """Patch module.name, which gives one value per direction, so that
+    its values, in direction order across calls, come in blocks of
+    `period`: the first block keeps the real values, the next holds
+    NaN, the next Inf, and the cycle repeats."""
     real = getattr(module, name)
     calls = []
 
     def patched(*args):
-        value = real(*args)
-        block = (len(calls) // period) % 3
-        calls.append(block)
-        return (value, float("nan"), float("inf"))[block]
+        values = np.array(real(*args), dtype=float)
+        for k in range(len(values)):
+            block = (len(calls) // period) % 3
+            calls.append(block)
+            values[k] = (values[k], float("nan"), float("inf"))[block]
+        return values
 
     monkeypatch.setattr(module, name, patched)
 
@@ -483,8 +486,8 @@ def test_report_json_is_strict():
 
 def _count_work(monkeypatch):
     """Record every drift-bundle build and every (theta, sigma) fit (its
-    chart point) and every generic curvature sample (its point,
-    direction and whether its S against the unit-ball density has a
+    chart point) and every generic curvature pass (its point, its
+    directions and whether its S against the unit-ball density has a
     density of its own, not the sample's)."""
     import kropina.einstein as einstein
     import kropina.forms as forms
@@ -498,51 +501,60 @@ def _count_work(monkeypatch):
 
     real_fit = einstein.fit_theta_sigma
 
-    def fit(fields, cfg, directions):
-        fits.append(tuple(float(v) for v in fields.x))
-        return real_fit(fields, cfg, directions)
+    def fit(inv, cfg):
+        fits.append(tuple(float(v) for v in inv.fields.x))
+        return real_fit(inv, cfg)
 
-    real_sample = einstein.curvature_sample
+    real_samples = einstein.curvature_samples
 
-    def sample(point, y):
-        cs = real_sample(point, y)
-        samples.append((tuple(float(v) for v in point.x),
-                        tuple(float(v) for v in y),
-                        point.log_sigma_bh is not None))
+    def samples(point, ys):
+        cs = real_samples(point, ys)
+        passes.append((tuple(float(v) for v in point.x),
+                       tuple(tuple(float(v) for v in y) for y in ys),
+                       point.log_sigma_bh is not None))
         return cs
 
+    passes = []
     monkeypatch.setattr(forms.AbFields, "__init__", init)
     monkeypatch.setattr(einstein, "fit_theta_sigma", fit)
-    monkeypatch.setattr(einstein, "curvature_sample", sample)
-    return bundles, fits, samples
+    monkeypatch.setattr(einstein, "curvature_samples", samples)
+    return bundles, fits, passes
+
+
+def _one_pass_per_point(passes, sc):
+    """One curvature pass per chart point, over all of its directions."""
+    assert len(passes) == sc.points == len({x for x, _, _ in passes})
+    pairs = {(x, y) for x, ys, _ in passes for y in ys}
+    assert len(pairs) == sc.points * sc.directions
 
 
 def test_verify_builds_once_per_point(monkeypatch):
-    bundles, fits, samples = _count_work(monkeypatch)
+    bundles, fits, passes = _count_work(monkeypatch)
     sc = load_scenario("s3_hopf")
     run_verify(sc)
     assert len(bundles) == sc.points == len(set(bundles))
-    assert len(samples) == sc.points * sc.directions == len(set(samples))
-    assert not any(has_bh for *_, has_bh in samples)
+    _one_pass_per_point(passes, sc)
+    assert not any(has_bh for *_, has_bh in passes)
     assert fits == []
 
-    # with a weight, the same sample also takes S against the unit-ball
+    # with a weight, the same pass also takes S against the unit-ball
     # density, apart from the weighted one, for the S-curvature pair
     bundles.clear()
-    samples.clear()
+    passes.clear()
     sc = load_scenario("euclid_gaussian")
     run_verify(sc)
     assert len(bundles) == sc.points == len(set(bundles))
-    assert len(samples) == sc.points * sc.directions == len(set(samples))
-    assert all(has_bh for *_, has_bh in samples)
+    _one_pass_per_point(passes, sc)
+    assert all(has_bh for *_, has_bh in passes)
 
 
 def test_check_builds_once_per_point_per_run(monkeypatch):
     """Checkers 41 and 44 share each chart point's drift bundle, its
-    (theta, sigma) fit and one generic sample per (x, y)."""
-    bundles, fits, samples = _count_work(monkeypatch)
+    (theta, sigma) fit and one generic curvature pass over its
+    directions."""
+    bundles, fits, passes = _count_work(monkeypatch)
     for name in ("s3_hopf", "torus_wind"):
-        for work in (bundles, fits, samples):
+        for work in (bundles, fits, passes):
             work.clear()
         sc = load_scenario(name)
         doc = run_check(sc)
@@ -550,9 +562,7 @@ def test_check_builds_once_per_point_per_run(monkeypatch):
         assert len(bundles) == sc.points == len(set(bundles))
         assert len(fits) == sc.points == len(set(fits))
         assert set(fits) == set(bundles)
-        pairs = {(x, y) for x, y, _ in samples}
-        assert len(pairs) == sc.points * sc.directions
-        assert len(samples) == len(pairs)
+        _one_pass_per_point(passes, sc)
 
 
 def test_f_x_stage_runs_once_per_point_per_run(monkeypatch):
@@ -568,12 +578,14 @@ def test_f_x_stage_runs_once_per_point_per_run(monkeypatch):
     def counted(space):
         ev = real(space)
 
-        def at(x):
-            if isinstance(x[0], Jet):
-                staged.append(tuple(v.value for v in x))
-            return ev.at(x)
+        def stage(x_stage):
+            def run(x):
+                if isinstance(x[0], Jet):
+                    staged.append(tuple(v.value for v in x))
+                return x_stage(x)
+            return run
 
-        return replace(ev, at=at)
+        return replace(ev, at=stage(ev.at), jets_at=stage(ev.jets_at))
 
     monkeypatch.setattr(einstein, "finsler_evaluator", counted)
     monkeypatch.setattr(workbench, "finsler_evaluator", counted)

@@ -7,7 +7,9 @@ and runs check and verify on that round-tripped document: 42 reports.
 Then check with the constants of CONSTANTS, which reach checkers 51 and
 61, check and verify on s5_hopf, and verify at 1 x 3 on the
 random_scenario(3, n) documents of RANDOM_DIMENSIONS, so that every
-dimension the scenario schema accepts (2..6) is covered: 50 reports.
+dimension the scenario schema accepts (2..6) is covered, and verify on
+s5_hopf at 4 x 10 on each of S5_SEEDS, where a chart point batches ten
+directions in five dimensions: 58 reports.
 Every report is serialised as ``to_json(timings=False)`` would, with
 ``tool.version`` dropped, so two checkouts that behave the same write
 the same bytes.
@@ -46,6 +48,8 @@ CONSTANTS = (("s3_hopf", {"a": 0, "c": "3/8"}),
              ("euclid_gaussian", {"preset": "pric"}))
 # dimensions n of the random_scenario(3, n) documents verified at 1 x 3
 RANDOM_DIMENSIONS = (2, 4, 6)
+# sampling seeds of the s5_hopf runs verified at 4 points x 10 directions
+S5_SEEDS = range(1, 9)
 
 
 def _canonical(doc):
@@ -82,6 +86,9 @@ def reports():
     sc = load_scenario("s5_hopf")
     out["check s5_hopf"] = _canonical(run_check(sc))
     out["verify s5_hopf"] = _canonical(run_verify(sc))
+    for seed in S5_SEEDS:
+        out[f"verify s5_hopf at 4 x 10, seed {seed}"] = _canonical(
+            run_verify(sc, points=4, dirs=10, seed=seed))
     for n in RANDOM_DIMENSIONS:
         sc = load_scenario(random_scenario(3, n))
         out[f"verify random_scenario(3, {n})"] = _canonical(
