@@ -43,7 +43,7 @@ from .forms import (
     s_closed,
     s_dot_closed,
 )
-from .generic import curvature_samples, generic_point
+from .generic import curvature_samples
 from .riemann import (
     MetricPoint,
     NotPositiveDefiniteError,
@@ -398,24 +398,10 @@ class TheoremReport:
             "theorem": self.theorem,
             "verdict": self.verdict,
             "conditions": [c.as_dict() for c in self.conditions],
-            "scalars": _jsonable(self.scalars),
+            "scalars": self.scalars,
             "points": self.points,
             "directions": self.directions,
         }
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
 
 
 class _Residuals:
@@ -502,23 +488,21 @@ class ChartPoint:
     """One sampled chart point x of a space and its directions ys (D, n),
     with every pointwise bundle a run reads there, each built on first
     use: the drift bundle fld, the navigation point nav, the log
-    densities, the generic point, the drift invariants inv and the
-    generic curvature samples of all directions (one batched pass
-    each), and one least-squares (theta, sigma) fit per weight
+    densities, the space's Finsler evaluator, the drift invariants inv
+    and the generic curvature samples of all directions (one batched
+    pass each), and one least-squares (theta, sigma) fit per weight
     configuration.
 
     The bundles, the densities and the weight's partials all read one
     evaluation of the space's trees over the n chart variables to order
-    2.  The points of one run share the space's Finsler evaluator
-    (chart_points builds it).
+    2.
     """
 
-    def __init__(self, space: KropinaSpace, x, ys, evaluator):
+    def __init__(self, space: KropinaSpace, x, ys):
         self.space = space
         self.n = space.dim
         self.x = np.asarray(x, dtype=float)
         self.ys = np.array(ys, dtype=float).reshape(-1, self.n)
-        self.evaluator = evaluator
         self._fits = {}
 
     @cached_property
@@ -574,8 +558,8 @@ class ChartPoint:
         return log_densities(a, *jets[at:])
 
     @cached_property
-    def generic(self):
-        return generic_point(self.evaluator, self.x, *self.log_densities)
+    def evaluator(self):
+        return finsler_evaluator(self.space)
 
     @cached_property
     def inv(self):
@@ -585,7 +569,8 @@ class ChartPoint:
     @cached_property
     def samples(self):
         """The generic curvature samples of all directions ys."""
-        return curvature_samples(self.generic, self.ys)
+        return curvature_samples(self.evaluator, self.x, self.ys,
+                                 *self.log_densities)
 
     def fitted(self, cfg: WeightConfig) -> EinsteinAnsatz:
         """The (theta, sigma) fit of cfg over ys, fitted once per cfg."""
@@ -596,10 +581,8 @@ class ChartPoint:
 
 
 def chart_points(space: KropinaSpace, samples):
-    """One ChartPoint per (x, directions) pair of samples, all sharing
-    the space's Finsler evaluator."""
-    ev = finsler_evaluator(space)
-    return [ChartPoint(space, x, ys, ev) for x, ys in samples]
+    """One ChartPoint per (x, directions) pair of samples."""
+    return [ChartPoint(space, x, ys) for x, ys in samples]
 
 
 def _check(theorem, regime, keys, conditions, points, cfg, tol):
@@ -647,7 +630,7 @@ def _check(theorem, regime, keys, conditions, points, cfg, tol):
 def _isotropy(pt, name, res, scal):
     """The precondition r_00 = eta alpha^2, under the given condition
     name; returns eta."""
-    fit = isotropy_fit(pt.fld, rel_tol=res.tol)
+    fit = isotropy_fit(pt.fld)
     iso = fit.residual / max(1.0, fit.scale)
     res.add(name, iso, kind="precondition")
     scal["eta"].append(fit.eta)

@@ -353,16 +353,10 @@ class AbFields(FieldPoint):
         return float(np.trace(self.r_up))
 
     @cached_property
-    def eta(self):
-        """Trace proxy tr(a^{-1} r)/n; equals the conformal factor when
-        r_ij is proportional to a_ij, which is the only regime where the
-        downstream formulas consume it."""
-        return self.trace_r_up / self.n
-
-    @cached_property
     def eta_grad(self):
-        """eta_{;k} = a^{ij} r_{ij;k} / n, exact because eta is a scalar
-        and a_ij is covariantly constant."""
+        """eta_{;k} = a^{ij} r_{ij;k} / n for the trace proxy eta =
+        tr(a^{-1} r) / n, exact because eta is a scalar and a_ij is
+        covariantly constant."""
         return np.einsum("ij,ijk->k", self.mp.ginv, self.dr) / self.n
 
     @cached_property
@@ -539,16 +533,14 @@ class IsotropyFit:
     eta: float
     residual: float     # rms of r_00(d) - eta alpha^2(d) over directions
     scale: float        # rms of r_00(d), the comparison magnitude
-    isotropic: bool
 
 
-def isotropy_fit(fields: AbFields, rel_tol=1e-8) -> IsotropyFit:
-    """Decide numerically whether r_ij is proportional to a_ij at the
-    bundle's chart point.
+def isotropy_fit(fields: AbFields) -> IsotropyFit:
+    """Fit r_ij as a multiple of a_ij at the bundle's chart point.
 
     Solves for the proportionality factor over n(n+1)/2 independent
-    directions and reports the fit residual; isotropy holds when the
-    residual is below rel_tol times the size of r itself.
+    directions and reports the fit residual and the size of r itself,
+    for the caller to judge.
     """
     f = fields
     n = f.n
@@ -561,11 +553,11 @@ def isotropy_fit(fields: AbFields, rel_tol=1e-8) -> IsotropyFit:
     r_vals = _form(dirs, f.r, dirs)
     scale = float(np.sqrt(np.mean(r_vals ** 2)))
     if scale < 1e-14 * max(1.0, float(np.sqrt(np.mean(a_vals ** 2)))):
-        return IsotropyFit(0.0, 0.0, scale, True)
+        return IsotropyFit(0.0, 0.0, scale)
     eta, *_ = np.linalg.lstsq(a_vals[:, None], r_vals, rcond=None)
     eta = float(eta[0])
     residual = float(np.sqrt(np.mean((r_vals - eta * a_vals) ** 2)))
-    return IsotropyFit(eta, residual, scale, residual <= rel_tol * scale)
+    return IsotropyFit(eta, residual, scale)
 
 
 # -- navigation-side curvature --------------------------------------------------
@@ -696,35 +688,33 @@ def finsler_evaluator(space: KropinaSpace) -> FinslerEvaluator:
 
     The x-stages evaluate each coefficient tree once per chart point
     and stack the values, a_ij as an (n, n, C) array and b_i as (n, C):
-    C = 1 for floats, or the coefficient arrays of jets.  The direction
-    stages combine those arrays with y in a few numpy calls, with the
-    bits of the loop a_ij y^i y^j / (b_i y^i) over the same values (see
-    _quadratic).  at(x)'s y is floats or numpy columns.  Jet directions
-    go through jets_at: on the order-4 seeds x of the chart variables,
-    its stage takes a (D, n) block of directions and gives the D jets
-    of F at their seeds on the variables n..2n-1, each with the bits of
-    that loop over Jet operations.  The box hint brackets the
-    unit-ball ellipsoid exactly.
+    C = 1 at a float chart point, for at(x) and domain_at(x), and the
+    jets' coefficient arrays for jets_at(x) on the order-4 seeds x of
+    the chart variables.  The direction stages combine those arrays
+    with y in a few numpy calls, with the bits of the loop a_ij y^i y^j
+    / (b_i y^i) over the same values (see _quadratic).  at(x)'s y is
+    floats or numpy columns; jets_at(x)'s stage takes a (D, n) block of
+    directions and gives the D jets of F at their seeds on the
+    variables n..2n-1, each with the bits of that loop over Jet
+    operations.  The box hint brackets the unit-ball ellipsoid exactly.
     """
     n = space.dim
     quad = [e for row in space.a.exprs for e in row]
 
-    def x_stage(x):
-        coef, sp = _stacked(eval_expr(quad + list(space.b), list(x)))
-        return coef[:n * n].reshape(n, n, -1), coef[n * n:], sp
-
     def at(x):
-        a, b, sp = x_stage(x)
+        a, b = _values(x, space.a, space.b)
+        a, b = a[..., None], b[:, None]
 
         def f(y):
-            dirs = _directions(y, sp)
+            dirs = _directions(y)
             return _quadratic(a, *dirs) / _linear(b, *dirs)
 
         return f
 
     def jets_at(x):
-        a, b, _ = x_stage(x)
         sp = x[0].space
+        coef = _stacked(eval_expr(quad + list(space.b), list(x)), sp)
+        a, b = coef[:n * n].reshape(n, n, -1), coef[n * n:]
         blocks = _seed_blocks(sp, tuple(range(n, 2 * n)))
 
         def f(ys):
@@ -735,8 +725,8 @@ def finsler_evaluator(space: KropinaSpace) -> FinslerEvaluator:
         return f
 
     def domain_at(x):
-        coef, sp = _stacked(eval_expr(list(space.b), list(x)))
-        return lambda y: _linear(coef, *_directions(y, sp)) > 0
+        b = _values(x, space.b)[0][:, None]
+        return lambda y: _linear(b, *_directions(y)) > 0
 
     def box_hint(x):
         a_val, b_val = _values(x, space.a, space.b)
@@ -759,36 +749,27 @@ def finsler_evaluator(space: KropinaSpace) -> FinslerEvaluator:
 # -- the direction stage of F over stacked coefficients ----------------------
 
 
-def _stacked(values):
-    """(coef, space): the x-stage values of coefficient trees stacked as
-    coef (len(values), C), with their jet space.  Floats stack with
-    C = 1 and no space, jets as their coefficient arrays, a float among
-    jets as a constant row."""
-    space = next((v.space for v in values if isinstance(v, Jet)), None)
-    if space is None:
-        return np.array(values, dtype=float)[:, None], None
+def _stacked(values, space):
+    """The jet values of coefficient trees stacked as coefficient arrays
+    (len(values), space.ncoef), a float among them as a constant row."""
     coef = np.zeros((len(values), space.ncoef))
     for row, v in zip(coef, values):
         if isinstance(v, Jet):
             row[:] = v.coef
         else:
             row[0] = v
-    return coef, space
+    return coef
 
 
-def _directions(y, space):
-    """(v, space, shape): the directions y as values v (n, W), the jet
-    space of the forms' values (None for floats) and the shape of a
-    float value.  Floats give W = 1 and shape (), numpy columns of
-    length m give W = m and shape (m,); a jet direction, or columns at
-    a jet chart point, raise TypeError."""
+def _directions(y):
+    """(v, shape): the directions y as values v (n, W) and the shape of
+    a value.  Floats give W = 1 and shape (), numpy columns of length m
+    give W = m and shape (m,); a jet direction raises TypeError."""
     if any(isinstance(t, Jet) for t in y):
         raise TypeError("a direction is floats or numpy columns; jet "
                         "directions go through jets_at")
     v = np.asarray(y, dtype=float)
-    if space is not None and v.ndim > 1:
-        raise TypeError("a jet chart point takes float directions")
-    return v.reshape(len(y), -1), space, v.shape[1:]
+    return v.reshape(len(y), -1), v.shape[1:]
 
 
 def _row_sum(terms):
@@ -802,27 +783,25 @@ def _row_sum(terms):
     return np.add.reduce(rows, axis=0)
 
 
-def _value(r, space, shape):
-    """A form's value from its flat array r: a jet over space, a numpy
-    column of the given shape, or a float."""
-    if space is not None:
-        return Jet(space, r)
+def _value(r, shape):
+    """A form's value from its flat array r: a numpy column of the given
+    shape, or a float."""
     return r.reshape(shape) if shape else float(r[0])
 
 
-def _quadratic(a, v, space, shape):
+def _quadratic(a, v, shape):
     """sum_ij a_ij y^i y^j over a (n, n, C) and the directions of
     _directions, bit for bit the loop that adds (a_ij y^i) y^j in (i, j)
     order."""
     n = len(a)
     terms = a * v[:, None]
     terms *= v[None, :]
-    return _value(_row_sum(terms.reshape(n * n, -1)), space, shape)
+    return _value(_row_sum(terms.reshape(n * n, -1)), shape)
 
 
-def _linear(b, v, space, shape):
+def _linear(b, v, shape):
     """sum_i b_i y^i over b (n, C), as _quadratic its quadratic form."""
-    return _value(_row_sum(b * v), space, shape)
+    return _value(_row_sum(b * v), shape)
 
 
 def _seed_quadratic(a, v, blocks):
@@ -839,7 +818,7 @@ def _seed_quadratic(a, v, blocks):
     kinds do not depend on the direction.
     """
     n, D = v.shape
-    ax = blocks.x_part(a)
+    ax = a[..., blocks.x]
     terms = ax[:, :, None, :] * v[:, None, :, None]
     terms *= v[None, :, :, None]
     q0 = _row_sum(terms.reshape(n * n, -1)).reshape(D, -1)
@@ -861,7 +840,7 @@ def _seed_linear(b, v, blocks):
     _seed_quadratic its quadratic form: the term b_i y^i holds b v_i at
     alpha and b at alpha + e_i."""
     D = v.shape[1]
-    bx = blocks.x_part(b)
+    bx = b[..., blocks.x]
     l0 = _row_sum(bx[:, None, :] * v[:, :, None]).reshape(D, -1)
     fixed = bx[:, :blocks.n1].ravel()
     out = np.zeros((D, blocks.ncoef))
@@ -912,16 +891,6 @@ class _SeedBlocks:
             (self.x, shifted)
             + tuple(src[l][src[k][x2]] for k, l in pairs)
             + tuple(src[k][src[k][x2]] for k in range(n)))
-
-    def x_part(self, coef):
-        """The coefficients of coef (..., C) at x: gathered from
-        coefficient arrays of the space, or, for floats (C = 1), the
-        constant rows they stand for."""
-        if coef.shape[-1] == self.ncoef:
-            return coef[..., self.x]
-        out = np.zeros(coef.shape[:-1] + self.x.shape)
-        out[..., 0] = coef[..., 0]
-        return out
 
 
 @lru_cache(maxsize=None)

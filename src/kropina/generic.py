@@ -33,28 +33,28 @@ class ConicDomainError(ValueError):
 
 @dataclass(frozen=True)
 class FinslerEvaluator:
-    """A Finsler metric F(x, y) usable over floats, jets and numpy arrays.
+    """A Finsler metric F(x, y) usable over floats and numpy arrays, with
+    a batched jet stage.
 
     at(x) returns y -> F(x, y) and domain_at(x) returns y -> True (or a
     boolean mask) exactly where F(x, y) is defined and positive, each
-    with the work that depends on x alone done when it is called.  x and
-    y are sequences of scalar-like entries: plain floats, Jet instances,
-    or numpy arrays for vectorized sweeps.  box_hint(x) -> (lo, hi)
-    optionally bounds the unit sublevel set {y : F(x, y) < 1} for
-    Monte-Carlo volume estimation.  bh_density and curvature_samples
-    call the direction stages on numpy columns (bh_density a block of
-    rows at a time), so they must accept arrays.
+    with the work that depends on x alone done when it is called.  x is
+    a sequence of floats, y one of floats or of numpy columns for
+    vectorized sweeps.  box_hint(x) -> (lo, hi) optionally bounds the
+    unit sublevel set {y : F(x, y) < 1} for Monte-Carlo volume
+    estimation.  bh_density calls both direction stages on numpy
+    columns, a block of rows at a time, and curvature_samples the
+    domain's, so they must accept arrays.
 
     jets_at is the batched jet stage the generic pipeline needs:
-    generic_point runs jets_at(x) on the order-4 coordinate seeds x of
-    the chart variables, and curvature_samples its stage on a (D, n)
-    block of directions ys, which returns the (D, ncoef) coefficient
-    arrays of F's jets at the seeds of each row on the direction
-    variables.
+    curvature_samples runs jets_at(x) on the order-4 coordinate seeds x
+    of the chart variables, and its stage on a (D, n) block of
+    directions ys, which returns the (D, ncoef) coefficient arrays of
+    F's jets at the seeds of each row on the direction variables.
 
     The pipeline takes a coordinate volume density, as in dV = sigma(x)
     dx, as ln sigma: an order-2 jet over the n chart variables at the
-    chart point (see generic_point).
+    chart point (see curvature_samples).
     """
 
     dim: int
@@ -173,20 +173,6 @@ def _s_jet(tau: np.ndarray, G: np.ndarray, ys: np.ndarray, n: int):
     return np.add.reduce(terms, axis=1)
 
 
-@dataclass(frozen=True)
-class GenericPoint:
-    """Everything the generic pipeline needs at one chart point x,
-    whatever the direction: built by generic_point, read by
-    curvature_samples."""
-
-    F: FinslerEvaluator
-    x: np.ndarray
-    f_jets: Callable         # ys -> (D, ncoef) order-4 jets of F at (x, y)
-    domain: Callable         # y columns -> in the conic domain
-    log_sigma: Jet           # ln sigma, order 2 over the 2n variables
-    log_sigma_bh: Optional[Jet]  # likewise ln sigma_BH, None if it is ln sigma
-
-
 @lru_cache(maxsize=None)
 def _embedding(nvars: int, order: int) -> np.ndarray:
     """Where jet_space(nvars, order)'s coefficients sit among those of
@@ -196,66 +182,49 @@ def _embedding(nvars: int, order: int) -> np.ndarray:
                      for idx in jet_space(nvars, order).indices])
 
 
-def _embed(jet: Jet) -> Jet:
-    """A jet over the n chart variables as the jet of the same order and
-    function over the 2n variables (x, y)."""
-    sp = jet.space
-    space = jet_space(2 * sp.nvars, sp.order)
-    coef = np.zeros(space.ncoef)
-    coef[_embedding(sp.nvars, sp.order)] = jet.coef
-    return Jet(space, coef)
+def _minus(coef: np.ndarray, log_density: Jet) -> np.ndarray:
+    """coef (D, ncoef), arrays over the 2n variables (x, y), minus the
+    jet log_density over the n chart variables of the same order, at
+    the positions where it sits among them."""
+    sp = log_density.space
+    out = coef.copy()
+    out[:, _embedding(sp.nvars, sp.order)] -= log_density.coef
+    return out
 
 
-def generic_point(F: FinslerEvaluator, x, log_sigma: Jet,
-                  log_sigma_bh: Optional[Jet] = None) -> GenericPoint:
-    """The x-only stage of the generic pipeline at the chart point x.
+def curvature_samples(F: FinslerEvaluator, x, ys, log_sigma: Jet,
+                      log_sigma_bh: Optional[Jet] = None) -> CurvatureSample:
+    """Full curvature bundles of F at the chart point x and each
+    direction of the block ys (D, n): the generic pipeline's one entry.
 
-    Seeds the order-4 x jets and runs F's jets_at x-stage on them, and
-    F's float domain stage, once.  log_sigma is ln
-    sigma, the log of the volume density, as an order-2 jet over the n
-    chart variables at x, and log_sigma_bh likewise the log of the
-    unit-ball density when that is another density; both are embedded
-    over the 2n variables here.  curvature_samples(point, ys) then does
-    only the work that depends on the directions.
+    log_sigma is ln sigma, the log of the volume density, as an order-2
+    jet over the n chart variables at x, and log_sigma_bh likewise the
+    log of the unit-ball density when that is another density.
+
+    F's jets_at stage runs once on the order-4 seeds of x and then on
+    the whole block.  One order-4 jet of F^2 per direction feeds
+    everything.  One graded solve of its metric jets (order 2) gives
+    the spray and log det g, which feeds the distortion; the spray
+    gives G, N and the Riemann curvature; the distortion and the same
+    spray give S as a first-order jet, whose horizontal derivative is
+    Sdot.  S, tau and Sdot refer to sigma; s_bh is S from its own
+    tau_BH = ln sqrt(det g) - ln sigma_BH when log_sigma_bh is given,
+    and S itself when not.  Every stage runs once over all D
+    directions, each row with the bits of a sample of its direction
+    alone; a direction outside the conic domain or with a singular g
+    fails the whole block.
     """
     n = F.dim
     if F.jets_at is None:
         raise TypeError(f"metric {F.name!r} has no jets_at stage")
-    space = jet_space(2 * n, 4)
-    seeds = [space.variable(i, x[i]) for i in range(n)]
-    return GenericPoint(
-        F=F,
-        x=np.asarray(x, dtype=float),
-        f_jets=F.jets_at(seeds),
-        domain=F.domain_at(list(x)),
-        log_sigma=_embed(log_sigma),
-        log_sigma_bh=None if log_sigma_bh is None else _embed(log_sigma_bh),
-    )
-
-
-def curvature_samples(point: GenericPoint, ys) -> CurvatureSample:
-    """Full curvature bundles at x and each direction of the block ys
-    (D, n): the generic pipeline's one entry.
-
-    One order-4 jet of F^2 per direction feeds everything.  One graded
-    solve of its metric jets (order 2) gives the spray and log det g,
-    which feeds the distortion; the spray gives G, N and the Riemann
-    curvature; the distortion and the same spray give S as a
-    first-order jet, whose horizontal derivative is Sdot.  S, tau and
-    Sdot refer to the point's density; s_bh is S from its own tau_BH =
-    ln sqrt(det g) - ln sigma_BH when the point carries a unit-ball
-    density apart from it, and S itself when not.  Every stage runs
-    once over all D directions, each row with the bits of a sample of
-    its direction alone; a direction outside the conic domain or with
-    a singular g fails the whole block.
-    """
-    F = point.F
-    n = F.dim
+    x = np.asarray(x, dtype=float)
     ys = np.array(ys, dtype=float).reshape(-1, n)
-    if not np.all(point.domain(list(ys.T))):
+    if not np.all(F.domain_at(list(x))(list(ys.T))):
         raise ConicDomainError(
             f"(x, y) outside the conic domain of metric {F.name!r}")
-    f = Jet(jet_space(2 * n, 4), point.f_jets(ys))
+    space = jet_space(2 * n, 4)
+    seeds = [space.variable(i, v) for i, v in enumerate(x)]
+    f = Jet(space, F.jets_at(seeds)(ys))
     gj, rhs = _spray_system((f * f).coef, ys, n)
     g = gj[..., 0].copy()
     _check_invertible(g)
@@ -267,17 +236,17 @@ def curvature_samples(point: GenericPoint, ys) -> CurvatureSample:
     G = w * 0.25
     Gv = G[..., 0].copy()
     half_log_det = log_det * 0.5
-    tau = half_log_det - point.log_sigma.coef
+    tau = _minus(half_log_det, log_sigma)
     s_jet = _s_jet(tau, G, ys, n)
     grad = s_jet[:, 1:1 + 2 * n]
     s = s_jet[:, 0]
-    if point.log_sigma_bh is not None:
-        s_bh = _s_jet(half_log_det - point.log_sigma_bh.coef, G, ys, n)[:, 0]
+    if log_sigma_bh is not None:
+        s_bh = _s_jet(_minus(half_log_det, log_sigma_bh), G, ys, n)[:, 0]
     else:
         s_bh = s
     R = _riemann_from_spray(G, ys, n)
     return CurvatureSample(
-        x=point.x,
+        x=x,
         y=ys,
         g=g,
         spray=Gv,

@@ -39,7 +39,7 @@ def _strict(obj):
     if isinstance(obj, (list, tuple)):
         return [_strict(v) for v in obj]
     if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
+        return repr(float(obj))
     return obj
 
 

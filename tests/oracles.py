@@ -9,8 +9,8 @@ a test can hold the package's route against it:
   computed from scratch with jets, x-only work included, with second
   partials read one Jet.partial at a time and the densities taken as
   callables over the 2n variables.  With eliminate_graded (the
-  package's graded_solve on the stacked jets) the staged generic_point
-  + curvature_samples route must equal it bit for bit; with
+  package's graded_solve on the stacked jets) curvature_samples must
+  equal it bit for bit; with
   eliminate_gauss_jordan it is the Gauss-Jordan route the package's
   sample must agree with;
 - staged_sample, DirectionInvariants, closed_per_direction and
@@ -57,7 +57,7 @@ with a constant unit wind, as a scenario document), chart_point, ab_fields
 and nav_point (one chart point's bundles, or the navigation point of
 any (h, W)), field_point and log_density (a FieldPoint of component
 expressions, and ln sigma of a density callable as the x-jet
-generic_point takes); with_gauge and
+curvature_samples takes); with_gauge and
 with_weight (a space re-expressed in another gauge, or carrying another
 weight); metric_from_strings, christoffel, lowered_riemann, riemann_h,
 ricci_h, hess_h, w_invariants (with WInvariants and
@@ -130,7 +130,6 @@ from kropina.generic import (
     ConicDomainError,
     CurvatureSample,
     FinslerEvaluator,
-    GenericPoint,
     _check_invertible,
 )
 from kropina.jets import (
@@ -802,8 +801,8 @@ def flat_wind(n):
 
 
 def chart_point(space: KropinaSpace, x, ys=()) -> ChartPoint:
-    """The ChartPoint of x (and directions ys) over its own evaluator."""
-    return ChartPoint(space, x, ys, finsler_evaluator(space))
+    """The ChartPoint of x (and directions ys)."""
+    return ChartPoint(space, x, ys)
 
 
 def ab_fields(space: KropinaSpace, x):
@@ -828,7 +827,8 @@ def nav_point(h: RiemannianMetric, w, x) -> NavPoint:
 
 def log_density(sigma, x) -> Jet:
     """ln sigma as the order-2 jet over the n chart variables at x that
-    generic_point takes, from the density callable sigma on the seeds."""
+    curvature_samples takes, from the density callable sigma on the
+    seeds."""
     space = jet_space(len(x), 2)
     s = sigma(space.seed([float(v) for v in x]))
     if not isinstance(s, Jet):
@@ -994,6 +994,17 @@ def nav_riemann_isotropic(fp: NavPoint, y, tol=1e-8) -> np.ndarray:
 # -- the per-direction routes ---------------------------------------------------
 
 
+def _embed(jet: Jet) -> np.ndarray:
+    """The coefficients of a jet over the n chart variables as those of
+    the same function over the 2n variables (x, y)."""
+    sp = jet.space
+    space = jet_space(2 * sp.nvars, sp.order)
+    coef = np.zeros(space.ncoef)
+    for idx, c in zip(sp.indices, jet.coef):
+        coef[space.position[idx + (0,) * sp.nvars]] = c
+    return coef
+
+
 def _staged_spray_system(f4: Jet, y, n: int):
     """(g, rhs) of one direction, as _spray_system gives each row."""
     space = f4.space
@@ -1046,19 +1057,21 @@ def _staged_s_jet(tau: np.ndarray, G: np.ndarray, y, n: int) -> np.ndarray:
     return np.add.reduce(terms, axis=0)
 
 
-def staged_sample(point: GenericPoint, y, F: FinslerEvaluator):
-    """The curvature bundle of the chart point at the one direction y,
-    every stage run for it alone: F's jet from F.at(x) on y's seeds (F
-    the point's metric with a stage that takes them, loop_evaluator's
-    for a space), the Jet product F * F, and the staged arrays of one
-    direction.  The fields have no direction axis (floats for the
-    scalars)."""
+def staged_sample(F: FinslerEvaluator, x, y, log_sigma: Jet,
+                  log_sigma_bh=None):
+    """The curvature bundle of F at (x, y) against the log densities
+    curvature_samples takes, every stage run for the one direction y:
+    F's jet from F.at(x) on the seeds of x and y (F a metric whose stage
+    takes them, loop_evaluator's for a space), the Jet product F * F,
+    and the staged arrays of one direction.  The fields have no
+    direction axis (floats for the scalars)."""
     n = F.dim
-    if not bool(point.domain(list(y))):
+    x = np.asarray(x, dtype=float)
+    if not bool(F.domain_at(list(x))(list(y))):
         raise ConicDomainError(
-            f"(x, y) outside the conic domain of metric {point.F.name!r}")
+            f"(x, y) outside the conic domain of metric {F.name!r}")
     space = jet_space(2 * n, 4)
-    f_at = F.at([space.variable(i, v) for i, v in enumerate(point.x)])
+    f_at = F.at([space.variable(i, v) for i, v in enumerate(x)])
     f = f_at([space.variable(n + k, y[k]) for k in range(n)])
     if not isinstance(f, Jet):
         f = space.constant(float(f))
@@ -1074,16 +1087,16 @@ def staged_sample(point: GenericPoint, y, F: FinslerEvaluator):
     Gv = G[:, 0].copy()
     R = _staged_riemann(G, y, n)
     half_log_det = log_det * 0.5
-    tau = half_log_det - point.log_sigma.coef
+    tau = half_log_det - _embed(log_sigma)
     s_jet = _staged_s_jet(tau, G, y, n)
     grad = s_jet[1:1 + 2 * n]
     s = float(s_jet[0])
     s_bh = s
-    if point.log_sigma_bh is not None:
-        s_bh = float(_staged_s_jet(half_log_det - point.log_sigma_bh.coef,
+    if log_sigma_bh is not None:
+        s_bh = float(_staged_s_jet(half_log_det - _embed(log_sigma_bh),
                                    G, y, n)[0])
     return CurvatureSample(
-        x=point.x,
+        x=x,
         y=np.asarray(y, dtype=float),
         g=g,
         spray=Gv,

@@ -196,7 +196,7 @@ def test_criterion_05_equivalence_suite(grid):
             inv = w_invariants(space.h, space.w, list(x))
             p_killing &= float(np.max(np.abs(inv.r_ij))) <= tol
 
-            dev = fld.r - fld.eta * fld.mp.g
+            dev = fld.r - fld.trace_r_up / fld.n * fld.mp.g
             scale = max(1.0, float(np.max(np.abs(fld.r))))
             p_conformal &= float(np.max(np.abs(dev))) <= tol * scale
         verdicts[name] = (p_fit, p_s_zero, p_killing, p_conformal)
@@ -371,18 +371,18 @@ def test_criterion_10_ad_integrity(grid):
             idx[int(rng.integers(n))] += 1
         idx = tuple(idx)
 
-        if kind == "F-x":
-            fn = lambda p: float(ev(list(p), y))
-            seeds = jet_space(n, deg).seed(x)
-            jet_val = _jet_partial(ev(seeds, y), idx)
-        elif kind == "F-y":
-            # F's jet in y comes from the batched stage, at x seeded over
+        if kind in ("F-x", "F-y"):
+            # F's jets come from the batched stage, at x and y seeded over
             # the 2n variables (x, y)
-            fn = lambda p: float(ev(x, list(p)))
+            if kind == "F-x":
+                fn = lambda p: float(ev(list(p), y))
+                at = idx + (0,) * n
+            else:
+                fn = lambda p: float(ev(x, list(p)))
+                at = (0,) * n + idx
             sp = jet_space(2 * n, deg)
             xs = [sp.variable(i, v) for i, v in enumerate(x)]
-            jet_val = _jet_partial(Jet(sp, ev.jets_at(xs)([y])[0]),
-                                   (0,) * n + idx)
+            jet_val = _jet_partial(Jet(sp, ev.jets_at(xs)([y])[0]), at)
         else:
             # ln sigma, as a chart point takes it from its one jet pass
             fn = lambda p: chart_point(space, p).log_densities[0].value

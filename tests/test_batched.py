@@ -27,7 +27,6 @@ from kropina.generic import (
     ConicDomainError,
     FinslerEvaluator,
     curvature_samples,
-    generic_point,
 )
 from kropina.jets import Jet
 from kropina.riemann import SingularMetricError
@@ -89,7 +88,7 @@ def test_batched_samples_equal_the_per_direction_route(source):
         ref = loop_evaluator(space)
         for k, y in enumerate(pt.ys):
             got = sample_row(pt.samples, k)
-            want = staged_sample(pt.generic, y, ref)
+            want = staged_sample(ref, pt.x, y, *pt.log_densities)
             for name in SAMPLE_FIELDS:
                 assert _bits(getattr(got, name)) == _bits(
                     getattr(want, name)), (k, name)
@@ -173,8 +172,10 @@ def test_one_failing_direction_fails_the_block_as_it_fails_alone():
                                  cutoff=COMPARISON_CUTOFF)
     out = -ys[1]
     pt = chart_point(space, x, [ys[0], out, ys[2]])
-    alone = _error(lambda: staged_sample(pt.generic, out,
-                                         loop_evaluator(space)))
+    # the route refuses the direction before any jet work, so it runs on
+    # the point's own evaluator, whose name the message carries
+    alone = _error(lambda: staged_sample(pt.evaluator, x, out,
+                                         *pt.log_densities))
     assert alone[0] is ConicDomainError
     assert _error(lambda: pt.samples) == alone
     assert _error(lambda: pt.inv) == _error(
@@ -184,11 +185,11 @@ def test_one_failing_direction_fails_the_block_as_it_fails_alone():
 
     F = quartic_evaluator()
     x = [0.1, -0.2]
-    point = generic_point(F, x, log_density(lambda p: 1.0, x))
+    log_sigma = log_density(lambda p: 1.0, x)
     flat = [1.0, 0.0]
-    alone = _error(lambda: staged_sample(point, flat, F))
+    alone = _error(lambda: staged_sample(F, x, flat, log_sigma))
     assert alone == (SingularMetricError,
                      "fundamental tensor is numerically singular")
     assert _error(lambda: curvature_samples(
-        point, [[1.0, 0.5], flat, [0.3, 0.9]])) == alone
-    curvature_samples(point, [[1.0, 0.5], [0.3, 0.9]])
+        F, x, [[1.0, 0.5], flat, [0.3, 0.9]], log_sigma)) == alone
+    curvature_samples(F, x, [[1.0, 0.5], [0.3, 0.9]], log_sigma)

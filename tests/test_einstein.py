@@ -697,7 +697,8 @@ def test_chart_point_builds_each_bundle_once():
     [(x, ys)] = checker_samples(space, rng, points=1, shift=(0.2, -0.1, 0.3))
     [pt] = chart_points(space, [(x, ys)])
     assert isinstance(pt, ChartPoint)
-    assert pt.fld is pt.fld and pt.nav is pt.nav and pt.generic is pt.generic
+    assert pt.fld is pt.fld and pt.nav is pt.nav
+    assert pt.evaluator is pt.evaluator
     assert pt.samples is pt.samples and pt.inv is pt.inv
     assert pt.samples.ricci.shape == pt.inv.F.shape == (len(ys),)
     assert pt.fitted(CFG_INF) is pt.fitted(weight_preset("ricInf", 3))

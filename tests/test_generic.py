@@ -16,7 +16,6 @@ from kropina.generic import (
     _check_invertible,
     bh_density,
     curvature_samples,
-    generic_point,
     unit_ball_volume,
 )
 from kropina.forms import finsler_evaluator
@@ -154,8 +153,7 @@ def const_density(x):
 def sample(F, x, y, sigma=const_density):
     """The curvature sample of the one direction y, with the constant
     density unless one is given."""
-    point = generic_point(F, x, log_density(sigma, x))
-    return sample_row(curvature_samples(point, [y]), 0)
+    return sample_row(curvature_samples(F, x, [y], log_density(sigma, x)), 0)
 
 
 def weighted_density(f_ast, n, base=None):
@@ -615,12 +613,12 @@ def test_staged_sample_equals_oracle_without_a_stage():
     sig = weighted_density(parse_expr("0.3*x1 + 0.1*x2^2", 3), 3)
     f = parse_expr("x1^2 + 0.5*x2*x3", 3)
     x = [0.2, 0.1, -0.3]
-    point = generic_point(F, x, log_density(sig, x),
-                          log_density(const_density, x))
-    ys = [[1.2, 0.4, -0.1], [0.9, -0.3, 0.2]]
-    for k, y in enumerate(ys):
+    samples = curvature_samples(F, x, [[1.2, 0.4, -0.1], [0.9, -0.3, 0.2]],
+                                log_density(sig, x),
+                                log_density(const_density, x))
+    for k, y in enumerate(samples.y):
         _assert_same_sample(
-            sample_row(curvature_samples(point, ys), k),
+            sample_row(samples, k),
             curvature_sample_oracle(F, sig, x, y, bh=const_density),
         )
 
@@ -730,9 +728,8 @@ def test_direction_stage_equals_the_jet_loop_bit_for_bit(source):
     """finsler_evaluator's stacked direction stages give the bits of the
     loop of Jet, float and column operations (oracles.loop_evaluator):
     jets_at's block of seed directions at the seeded x of the generic
-    pipeline, row by row, F over float directions at that x and at a
-    float x, over numpy columns, and the domain stage over floats and
-    columns."""
+    pipeline, row by row, F over float directions and numpy columns at
+    a float x, and the domain stage over floats and columns."""
     sc = load_scenario(source)
     space = sc.space()
     n = space.dim
@@ -748,44 +745,44 @@ def test_direction_stage_equals_the_jet_loop_bit_for_bit(source):
             seeds = [sp.variable(n + k, v) for k, v in enumerate(y)]
             assert _bits(Jet(sp, row.copy())) == _bits(g(seeds))
             compared += 1
-        for at in (xf, xj):
-            f, g = ev.at(at), ref.at(at)
-            for y in ys:
-                d = [float(v) for v in y]
-                assert _bits(f(d)) == _bits(g(d))
-                compared += 1
-        assert _bits(ev.at(xf)(cols)) == _bits(ref.at(xf)(cols))
+        f, g = ev.at(xf), ref.at(xf)
+        for y in ys:
+            d = [float(v) for v in y]
+            assert _bits(f(d)) == _bits(g(d))
+            compared += 1
+        assert _bits(f(cols)) == _bits(g(cols))
         dom, dom_ref = ev.domain_at(xf), ref.domain_at(xf)
         assert _bits(dom(cols)) == _bits(dom_ref(cols))
         for y in ys:
             assert dom(list(y)) == dom_ref(list(y))
-    assert compared == 2 * 3 * 3
+    assert compared == 2 * 3 * 2
 
 
 def test_direction_stage_refuses_jets_it_cannot_stack():
-    """at(x)'s stage takes float directions and numpy columns: a jet
-    direction, seeds included, raises TypeError, since jet directions
-    are stacked by jets_at, a block of seeds at a time, as are numpy
-    columns at a jet chart point."""
+    """at(x) and domain_at(x) take a float chart point, and at(x)'s stage
+    float directions and numpy columns: a jet chart point or a jet
+    direction, seeds included, raises TypeError, since F's jets come
+    from jets_at, a block of seeds at a time."""
     space = load_scenario("s3_hopf").space()
     ev = finsler_evaluator(space)
     sp = jet_space(6, 2)
     x = [0.1, -0.2, 0.3]
-    f = ev.at([sp.variable(i, v) for i, v in enumerate(x)])
+    xj = [sp.variable(i, v) for i, v in enumerate(x)]
+    for stage in (ev.at, ev.domain_at):
+        with pytest.raises(TypeError):
+            stage(xj)
+    f = ev.at(x)
     y = [1.0, 0.5, -0.2]
-    assert isinstance(f(y), Jet)
+    assert isinstance(f(y), float)
     seeds = [sp.variable(3 + k, v) for k, v in enumerate(y)]
     refused = (
         seeds,
         [seeds[0] * 2.0, seeds[1], seeds[2]],            # not a seed
         [seeds[0], y[1], seeds[2]],                      # a float among seeds
-        [np.array([v, v]) for v in y],                   # columns
     )
     for d in refused:
         with pytest.raises(TypeError):
             f(d)
-    with pytest.raises(TypeError):
-        ev.at(x)(seeds)
 
 
 def test_curvature_sample_makes_two_jet_products(monkeypatch):
@@ -793,8 +790,10 @@ def test_curvature_sample_makes_two_jet_products(monkeypatch):
     pairs of jets, Q times 1/L and F times F, each a batch of all the
     directions, and takes no product with a seed: the direction stage
     works on stacked arrays and the series of 1/L on coefficient arrays.
-    (The Jet loop made 27 products per direction, 13 of them with a
-    seed, on s3_hopf.)"""
+    The only other products are those of F's x-stage over the seeds of
+    x, one jet at a time, as many for one direction as for the whole
+    block.  (The Jet loop made 27 products per direction, 13 of them
+    with a seed, on s3_hopf.)"""
     counts = Counter()
     real_mul, real_seed = Jet.__mul__, Jet._times_seed
 
@@ -809,15 +808,21 @@ def test_curvature_sample_makes_two_jet_products(monkeypatch):
     for source in ("s3_hopf", flat_wind(4)):
         sc = load_scenario(source)
         x, ys = scenario_samples(sc)[0]
-        point = chart_point(sc.space(), x).generic
-        monkeypatch.setattr(Jet, "__mul__", mul)
-        monkeypatch.setattr(Jet, "__rmul__", mul)
-        monkeypatch.setattr(Jet, "_times_seed", times_seed)
-        counts.clear()
-        curvature_samples(point, ys)
+        pt = chart_point(sc.space(), x)
+        F, log_densities = pt.evaluator, pt.log_densities
         ncoef = jet_space(2 * sc.space().dim, 4).ncoef
-        assert counts == {("mul", (len(ys), ncoef)): 2}
-        monkeypatch.undo()
+        x_stage = []
+        for block in (ys[:1], ys):
+            monkeypatch.setattr(Jet, "__mul__", mul)
+            monkeypatch.setattr(Jet, "__rmul__", mul)
+            monkeypatch.setattr(Jet, "_times_seed", times_seed)
+            counts.clear()
+            curvature_samples(F, pt.x, block, *log_densities)
+            monkeypatch.undo()
+            assert counts.pop(("mul", (len(block), ncoef))) == 2
+            assert set(counts) <= {("mul", (ncoef,))}
+            x_stage.append(counts.copy())
+        assert x_stage[0] == x_stage[1]
 
 
 def test_check_invertible_decides_as_the_condition_number():

@@ -472,12 +472,13 @@ def test_check_non_finite_residuals_fail(monkeypatch):
 def test_report_json_is_strict():
     doc = ReportDocument(kind="verify", scenario={"name": "x"})
     doc.tables.append({"name": "t", "rows": [
-        {"rel_dev": float("nan"), "closed": [1.0, float("-inf")]},
+        {"rel_dev": float("nan"), "closed": [1.0, float("-inf")],
+         "sigma": [np.float64(0.5), np.float64("inf")]},
     ]})
     text = doc.to_json(timings=False)
     parsed = json.loads(text, parse_constant=_reject_constant)
     assert parsed["tables"][0]["rows"][0] == {
-        "rel_dev": "nan", "closed": [1.0, "-inf"],
+        "rel_dev": "nan", "closed": [1.0, "-inf"], "sigma": [0.5, "inf"],
     }
 
 
@@ -507,11 +508,11 @@ def _count_work(monkeypatch):
 
     real_samples = einstein.curvature_samples
 
-    def samples(point, ys):
-        cs = real_samples(point, ys)
-        passes.append((tuple(float(v) for v in point.x),
+    def samples(F, x, ys, log_sigma, log_sigma_bh=None):
+        cs = real_samples(F, x, ys, log_sigma, log_sigma_bh)
+        passes.append((tuple(float(v) for v in x),
                        tuple(tuple(float(v) for v in y) for y in ys),
-                       point.log_sigma_bh is not None))
+                       log_sigma_bh is not None))
         return cs
 
     passes = []
@@ -568,33 +569,40 @@ def test_check_builds_once_per_point_per_run(monkeypatch):
 def test_f_x_stage_runs_once_per_point_per_run(monkeypatch):
     """The jet x-stage of F (a_ij(x), b_i(x) over order-4 seeds) runs
     once per chart point in a run, however many directions and
-    checkers use it."""
+    checkers use it, and inside that point's one curvature_samples
+    call: the x work of the generic route is not staged apart."""
     import kropina.einstein as einstein
     import kropina.workbench as workbench
 
-    staged = []
+    calls = []
     real = workbench.finsler_evaluator
+    real_samples = einstein.curvature_samples
 
     def counted(space):
         ev = real(space)
 
-        def stage(x_stage):
-            def run(x):
-                if isinstance(x[0], Jet):
-                    staged.append(tuple(v.value for v in x))
-                return x_stage(x)
-            return run
+        def jets_at(x):
+            calls.append(("jets_at", tuple(v.value for v in x)))
+            return ev.jets_at(x)
 
-        return replace(ev, at=stage(ev.at), jets_at=stage(ev.jets_at))
+        return replace(ev, jets_at=jets_at)
+
+    def samples(F, x, *args):
+        calls.append(("samples", tuple(float(v) for v in x)))
+        return real_samples(F, x, *args)
 
     monkeypatch.setattr(einstein, "finsler_evaluator", counted)
     monkeypatch.setattr(workbench, "finsler_evaluator", counted)
+    monkeypatch.setattr(einstein, "curvature_samples", samples)
     for name in ("s3_hopf", "euclid_gaussian"):
         sc = load_scenario(name)
         for run in (lambda: run_check(sc), lambda: run_verify(sc, mc_samples=500)):
-            staged.clear()
+            calls.clear()
             run()
-            assert len(staged) == len(set(staged)) == sc.points
+            xs = [x for kind, x in calls if kind == "samples"]
+            assert len(xs) == len(set(xs)) == sc.points
+            assert calls == [(kind, x) for x in xs
+                             for kind in ("samples", "jets_at")]
 
 
 def test_one_jet_evaluation_per_signature_per_point(monkeypatch):
