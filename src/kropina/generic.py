@@ -299,23 +299,25 @@ def _probe_box(F: FinslerEvaluator, x, probes: int = 256):
     return -r * np.ones(n), r * np.ones(n)
 
 
-# rows per call of an evaluator's direction stages in _indicator: a
-# stage may stack n^2 terms per row (forms' quadratic form does), and
-# 4096 rows keep those arrays at n^2 x 32 KB
+# rows per block in _hits: an evaluator's direction stage may stack n^2
+# terms per row (forms' quadratic form does), and 4096 rows keep those
+# arrays at n^2 x 32 KB
 _INDICATOR_ROWS = 4096
 
 
-def _indicator(F: FinslerEvaluator, xs, samples: np.ndarray) -> np.ndarray:
-    """Boolean mask of rows with F(x, row) < 1, from one call of each of
-    F's x-stages and calls of their direction stages on the sample
-    columns, _INDICATOR_ROWS rows at a time."""
+def _hits(F: FinslerEvaluator, xs, lo, hi, rng, count: int) -> int:
+    """How many of count uniform draws y from the box [lo, hi] have
+    F(x, y) < 1.  The draws are made and judged _INDICATOR_ROWS rows at
+    a time, by one call of each of F's x-stages and one call of their
+    direction stages per block on its columns; the generator fills rows
+    in stream order, so the draws do not depend on the block size."""
     f_at, in_domain = F.at(xs), F.domain_at(xs)
     refusal = (f"metric {F.name!r}: bh_density needs domain and F stages "
                "that take numpy columns and return one value per row")
-    masks = []
-    for start in range(0, samples.shape[0], _INDICATOR_ROWS):
-        block = samples[start:start + _INDICATOR_ROWS]
-        m = block.shape[0]
+    hits = 0
+    for start in range(0, count, _INDICATOR_ROWS):
+        m = min(_INDICATOR_ROWS, count - start)
+        block = lo + rng.random(size=(m, F.dim)) * (hi - lo)
         cols = [block[:, i] for i in range(F.dim)]
         try:
             with np.errstate(all="ignore"):
@@ -325,8 +327,9 @@ def _indicator(F: FinslerEvaluator, xs, samples: np.ndarray) -> np.ndarray:
             raise TypeError(refusal) from e
         if mask.shape != (m,) or vals.shape != (m,):
             raise TypeError(refusal)
-        masks.append(mask & np.isfinite(vals) & (vals > 0.0) & (vals < 1.0))
-    return np.concatenate(masks)
+        inside = mask & np.isfinite(vals) & (vals > 0.0) & (vals < 1.0)
+        hits += int(np.count_nonzero(inside))
+    return hits
 
 
 def bh_density(
@@ -344,10 +347,8 @@ def bh_density(
         lo, hi = _probe_box(F, x)
     box_volume = float(np.prod(hi - lo))
     rng = np.random.Generator(np.random.Philox(key=seed))
-    samples = lo + rng.random(size=(mc_samples, n)) * (hi - lo)
     xs = [float(v) for v in x]
-    inside = _indicator(F, xs, samples)
-    hits = int(inside.sum())
+    hits = _hits(F, xs, lo, hi, rng, mc_samples)
     if hits == 0:
         raise ValueError("degenerate sublevel set: no Monte-Carlo hits")
     p = hits / mc_samples

@@ -5,15 +5,21 @@ and carries the per-operation tables and checker verdicts.  For a fixed
 (scenario, seed) two runs serialize byte-identically once timings are
 excluded; timings are the only nondeterministic field and live in their
 own block so callers can strip them.
+
+A report's JSON text is written in one walk by _json: sorted keys, a
+two-space indent, ASCII-escaped strings, numbers as their repr, and each
+non-finite float as the string "nan", "inf" or "-inf", so the JSON
+stays strict.  These are the bytes json.dumps(as_dict(), sort_keys=True,
+indent=2) writes.
 """
 
 import csv
 import io
-import json
 import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from . import __version__
@@ -41,6 +47,46 @@ def _strict(obj):
     if isinstance(obj, float) and not math.isfinite(obj):
         return repr(float(obj))
     return obj
+
+
+def _json(obj, nl="\n"):
+    """obj as strict JSON text at the indentation nl opens, with _strict's
+    rule folded in.  TypeError on what json.dumps refuses (a numpy int or
+    bool, a set) and on a dict key that is not a str."""
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        # a finite float's text holds no "n"; "nan" and "inf" are quoted
+        return '"' + text + '"' if "n" in text else text
+    inner = nl + "  "
+    sep = "," + inner
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        try:
+            text = sep.join(map(float.__repr__, obj))
+        except TypeError:  # an entry that is not a float
+            text = None
+        if text is None or "n" in text:
+            text = sep.join([_json(v, inner) for v in obj])
+        return "[" + inner + text + nl + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return "{" + inner + sep.join(
+            [encode_basestring_ascii(k) + ": " + _json(v, inner)
+             for k, v in sorted(obj.items())]) + nl + "}"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(
+        f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def merge_verdicts(*verdicts):
@@ -86,6 +132,13 @@ class ReportDocument:
 
     def as_dict(self, timings=True):
         """The report as plain data; non-finite floats become strings."""
+        return _strict(self._tree(timings))
+
+    def to_json(self, timings=True):
+        """The report as strict JSON text, written by _json in one walk."""
+        return _json(self._tree(timings)) + "\n"
+
+    def _tree(self, timings):
         doc = {
             "schema": REPORT_SCHEMA_ID,
             "kind": self.kind,
@@ -101,11 +154,7 @@ class ReportDocument:
             doc["emitted"] = self.emitted
         if timings:
             doc["timings_ms"] = self.timings_ms
-        return _strict(doc)
-
-    def to_json(self, timings=True):
-        return json.dumps(self.as_dict(timings), sort_keys=True, indent=2,
-                          allow_nan=False) + "\n"
+        return doc
 
     def to_csv(self):
         """Flatten every table row into one CSV (a `table` column keys them)."""

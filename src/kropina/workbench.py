@@ -60,19 +60,24 @@ VERIFY_TOLS = {
 }
 
 
-def _rel_dev(a, b):
-    """Largest absolute difference of a and b over max(1, |a|, |b|)."""
-    if isinstance(a, float) and isinstance(b, float):
-        a, b = float(a), float(b)
-        return abs(a - b) / max(1.0, abs(a), abs(b))
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
-    return float(np.max(np.abs(a - b))) / scale
+def _rel_devs(a, b):
+    """Row k's largest absolute difference of a[k] and b[k] over
+    max(1, |a[k]|, |b[k]|), for blocks of scalars (D,) or of vectors
+    (D, n); NaN wherever a row holds a non-finite entry."""
+    a, b = a.reshape(len(a), -1), b.reshape(len(b), -1)
+    with np.errstate(all="ignore"):
+        scale = np.maximum(np.abs(a).max(axis=1), np.abs(b).max(axis=1))
+        return np.abs(a - b).max(axis=1) / np.maximum(1.0, scale)
 
 
-def _listed(v):
-    return np.atleast_1d(np.asarray(v, dtype=float)).tolist()
+def _rows(**columns):
+    """One row {name: column[k]} per k from whole columns, each turned
+    into Python values by one tolist(): a float block (D,) gives floats,
+    a block (D, n) lists, and row order and key order follow the
+    arguments."""
+    names = tuple(columns)
+    values = [np.asarray(c).tolist() for c in columns.values()]
+    return [dict(zip(names, row)) for row in zip(*values)]
 
 
 # -- check ------------------------------------------------------------------
@@ -147,7 +152,8 @@ def run_check(scenario, theorem="auto", seed=None, tol=None):
 
 def _table(name, tol, rows, key):
     """A judged table: the worst deviation (rows[k][key]) over its rows
-    against tol.
+    against tol.  The rows are built by _rows, so they hold Python
+    floats, lists and strs, which the report writes as they are.
 
     Skipped rows do not count, and a table whose rows were all skipped
     compared nothing: its passed is None, with the reason.  A non-finite
@@ -179,22 +185,21 @@ def _table(name, tol, rows, key):
 
 def _pair_rows(pt, closed, generic):
     """The closed/generic comparisons of a chart point's directions, one
-    row each, from one value per direction on both sides; closed() is
-    evaluated here so that a formula whose hypothesis fails at x marks
-    the point's rows as skipped."""
-    rows = [{"x": _listed(pt.x), "y": _listed(y)} for y in pt.ys]
+    row each, from one block of values per side: (D,) for a scalar
+    formula, whose rows hold floats, or (D, n), whose rows hold lists.
+    Each block becomes Python values in one tolist() and each row's
+    rel_dev comes from _rel_devs; closed() is evaluated here so that a
+    formula whose hypothesis fails at x marks the point's rows as
+    skipped."""
+    x = np.broadcast_to(pt.x, pt.ys.shape)
     try:
-        values = closed()
+        values = np.asarray(closed(), dtype=float)
     except HypothesisNotMetError as e:
-        for row in rows:
-            row["skipped"] = True
-            row["reason"] = str(e)
-        return rows
-    for row, value, gen in zip(rows, values, generic):
-        row["closed"] = _listed(value) if np.ndim(value) else float(value)
-        row["generic"] = _listed(gen) if np.ndim(gen) else float(gen)
-        row["rel_dev"] = _rel_dev(value, gen)
-    return rows
+        return _rows(x=x, y=pt.ys, skipped=[True] * len(pt.ys),
+                     reason=[str(e)] * len(pt.ys))
+    generic = np.asarray(generic, dtype=float)
+    return _rows(x=x, y=pt.ys, closed=values, generic=generic,
+                 rel_dev=_rel_devs(values, generic))
 
 
 def run_verify(scenario, points=None, dirs=None, seed=None, mc_samples=20000):
@@ -259,20 +264,17 @@ def run_verify(scenario, points=None, dirs=None, seed=None, mc_samples=20000):
     # volume density: Monte-Carlo estimate against the closed form, one
     # row per chart point, judged in standard-error units
     tol_se = scenario.tolerance("bh-density", VERIFY_TOLS["bh-density"])
-    rows = []
     with doc.timed("bh-density"):
-        for k, pt in enumerate(chart):
-            est = bh_density(pt.evaluator, pt.x, mc_samples=mc_samples,
-                             seed=scenario.seed + 7919 * k)
-            closed = sigma_bh(space, pt.x)
-            rows.append({
-                "x": _listed(pt.x),
-                "closed": closed,
-                "estimate": est.value,
-                "stderr": est.stderr,
-                "dev_se": abs(est.value - closed) / est.stderr,
-                "mc_samples": est.samples,
-            })
+        ests = [bh_density(pt.evaluator, pt.x, mc_samples=mc_samples,
+                           seed=scenario.seed + 7919 * k)
+                for k, pt in enumerate(chart)]
+        closed = np.array([sigma_bh(space, pt.x) for pt in chart])
+        value = np.array([est.value for est in ests])
+        stderr = np.array([est.stderr for est in ests])
+        rows = _rows(x=[pt.x for pt in chart], closed=closed,
+                     estimate=value, stderr=stderr,
+                     dev_se=np.abs(value - closed) / stderr,
+                     mc_samples=[est.samples for est in ests])
     table = _table("bh-density", tol_se, rows, "dev_se")
     doc.tables.append(table)
     verdicts.append("PASS" if table["passed"] else "FAIL")
@@ -368,17 +370,13 @@ def run_convert(scenario, to, gauge=None, seed=None):
     rows = []
     with doc.timed("evidence"):
         for x, ys in scenario_samples(scenario, seed=seed):
-            cols = list(np.transpose(ys))
-            f_src = src_f(list(x), cols)
-            f_dst = dst_f(list(x), cols)
-            for k, y in enumerate(ys):
-                rows.append({
-                    "x": _listed(x),
-                    "y": _listed(y),
-                    "f_source": float(f_src[k]),
-                    "f_converted": float(f_dst[k]),
-                    "rel_dev": _rel_dev(f_src[k], f_dst[k]),
-                })
+            ys = np.array(ys)
+            cols = list(ys.T)
+            f_src = np.asarray(src_f(list(x), cols), dtype=float)
+            f_dst = np.asarray(dst_f(list(x), cols), dtype=float)
+            rows += _rows(x=np.broadcast_to(x, ys.shape), y=ys,
+                          f_source=f_src, f_converted=f_dst,
+                          rel_dev=_rel_devs(f_src, f_dst))
     table = _table("f-agreement", tol, rows, "rel_dev")
     doc.tables.append(table)
     doc.emitted = emitted

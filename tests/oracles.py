@@ -68,13 +68,20 @@ weighted_ricci_tensor (the Einstein side); and nav_riemann_isotropic,
 the navigation closed form of the Riemann curvature, held against the
 generic pipeline.
 
-Last come the expression-text routes: parse_expr_oracle tokenizes a
+Then come the expression-text routes: parse_expr_oracle tokenizes a
 whole text one character at a time and parses it by a recursive descent
 of its own, and print_node_oracle prints every occurrence of a shared
 node anew.  parse_expr and print_node must match them byte for byte,
 error for error.
+
+Last come the report routes: report_json writes a report as json.dumps
+does over the tree _strict makes, against ReportDocument.to_json's
+one-walk encoder; pair_rows_per_row builds a chart point's verify rows
+one direction at a time with listed and rel_dev, against
+workbench._pair_rows' whole blocks.
 """
 import itertools
+import json
 import math
 import re
 from dataclasses import dataclass, fields as record_fields, replace
@@ -147,6 +154,7 @@ from kropina.riemann import (
     _extract,
     eval_component_jets,
 )
+from kropina.reports import ReportDocument
 
 
 def jets_by_direction(at):
@@ -1530,3 +1538,45 @@ def print_node_oracle(node) -> str:
             right = f"({right})"
         return f"{left} {op} {right}"
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def report_json(doc: ReportDocument, timings=True) -> str:
+    """doc.to_json(timings) as json.dumps writes the tree as_dict makes
+    with _strict."""
+    return json.dumps(doc.as_dict(timings), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
+
+
+def rel_dev(a, b):
+    """Largest absolute difference of a and b over max(1, |a|, |b|)."""
+    if isinstance(a, float) and isinstance(b, float):
+        a, b = float(a), float(b)
+        return abs(a - b) / max(1.0, abs(a), abs(b))
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+    return float(np.max(np.abs(a - b))) / scale
+
+
+def listed(v):
+    return np.atleast_1d(np.asarray(v, dtype=float)).tolist()
+
+
+def pair_rows_per_row(pt, closed, generic):
+    """workbench._pair_rows one direction at a time: a row per direction
+    of pt (with x and ys), its closed and generic values and rel_dev, or
+    the point's rows marked skipped where closed() raises
+    HypothesisNotMetError."""
+    rows = [{"x": listed(pt.x), "y": listed(y)} for y in pt.ys]
+    try:
+        values = closed()
+    except HypothesisNotMetError as e:
+        for row in rows:
+            row["skipped"] = True
+            row["reason"] = str(e)
+        return rows
+    for row, value, gen in zip(rows, values, generic):
+        row["closed"] = listed(value) if np.ndim(value) else float(value)
+        row["generic"] = listed(gen) if np.ndim(gen) else float(gen)
+        row["rel_dev"] = rel_dev(value, gen)
+    return rows

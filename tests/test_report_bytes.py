@@ -1,5 +1,6 @@
 """tools/report_bytes.py's comparison: what moved between two report sets."""
 import importlib.util
+import json
 from pathlib import Path
 
 _spec = importlib.util.spec_from_file_location(
@@ -7,6 +8,11 @@ _spec = importlib.util.spec_from_file_location(
     Path(__file__).resolve().parent.parent / "tools" / "report_bytes.py")
 report_bytes = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(report_bytes)
+
+
+def _texts(reports):
+    return {label: json.dumps(doc, sort_keys=True, indent=2) + "\n"
+            for label, doc in reports.items()}
 
 
 def test_compare_counts_moved_leaves_and_names_non_floats():
@@ -24,7 +30,7 @@ def test_compare_counts_moved_leaves_and_names_non_floats():
                   "max": 1.0, "rows": [0.5], "new": 0.0},
         "added": {},
     }
-    lines, same = report_bytes.compare(current, reference)
+    lines, same = report_bytes.compare(_texts(current), _texts(reference))
     assert not same
     assert lines == [
         "added: missing from reference",
@@ -40,4 +46,22 @@ def test_compare_counts_moved_leaves_and_names_non_floats():
         '  not a float: /verdict: "PASS" -> "FAIL"',
         "same: identical",
     ]
-    assert report_bytes.compare(reference, reference)[1]
+    assert report_bytes.compare(_texts(reference), _texts(reference))[1]
+
+
+def test_compare_names_texts_that_differ_with_equal_values():
+    doc = {"verdict": "PASS", "rows": [1.0, 2.0]}
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    current = {"indent": json.dumps(doc, sort_keys=True, indent=1) + "\n",
+               "float": text.replace("1.0", "1.00"),
+               "newline": text[:-1],
+               "same": text}
+    reference = dict.fromkeys(current, text)
+    lines, same = report_bytes.compare(current, reference)
+    assert not same
+    assert lines == [
+        "float: text differs at line 3",
+        "indent: text differs at line 2",
+        "newline: text differs at line 7",
+        "same: identical",
+    ]

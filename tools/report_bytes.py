@@ -10,22 +10,26 @@ random_scenario(3, n) documents of RANDOM_DIMENSIONS, so that every
 dimension the scenario schema accepts (2..6) is covered, and verify on
 s5_hopf at 4 x 10 on each of S5_SEEDS, where a chart point batches ten
 directions in five dimensions: 58 reports.
-Every report is serialised as ``to_json(timings=False)`` would, with
-``tool.version`` dropped, so two checkouts that behave the same write
-the same bytes.
+Every report is recorded as the text ``to_json(timings=False)`` writes,
+with ``tool.version`` dropped, so two checkouts that behave the same
+write the same bytes.  The text comes from the package's report encoder
+(reports._json); a source tree older than that encoder wrote its
+reports with json.dumps(sort_keys=True, indent=2), which is used there.
 
     python3 tools/report_bytes.py [--src DIR] > OUT.json
     python3 tools/report_bytes.py [--src DIR] --against OUT.json
 
 --src names the source tree to import kropina from (default: this
 checkout's src/), so an older checkout without this script can be
-measured too.  The JSON goes to stdout.  With --against FILE the reports
-are compared with FILE's instead: one line per label, "identical" or
-"differs at" its first differing JSON pointer with the number of moved
-leaves and the largest relative move among moved floats, then one
-indented line per moved leaf that is not a float.  The exit status is 1
-when any label differs or is missing on either side.  The byte gate
-between two checkouts is then:
+measured too.  The JSON, {label: report text}, goes to stdout.  With
+--against FILE the reports are compared with FILE's instead: one line
+per label, "identical", or "differs at" the first differing JSON
+pointer of the parsed reports with the number of moved leaves and the
+largest relative move among moved floats, then one indented line per
+moved leaf that is not a float, or "text differs at line" the first
+differing line where the parsed reports agree but their bytes do not.
+The exit status is 1 when any label differs or is missing on either
+side.  The byte gate between two checkouts is then:
 
     python3 tools/report_bytes.py --src ../other/src > before.json
     python3 tools/report_bytes.py --against before.json
@@ -53,13 +57,17 @@ S5_SEEDS = range(1, 9)
 
 
 def _canonical(doc):
+    from kropina import reports as report_module
+
     data = doc.as_dict(timings=False)
     data["tool"] = {k: v for k, v in data["tool"].items() if k != "version"}
-    return data
+    if hasattr(report_module, "_json"):
+        return report_module._json(data) + "\n"
+    return json.dumps(data, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def reports():
-    """{label: canonical report dict} over the whole run plan."""
+    """{label: canonical report text} over the whole run plan."""
     from kropina.scenarios import load_scenario, random_scenario
     from kropina.workbench import run_check, run_convert, run_verify
 
@@ -125,14 +133,24 @@ def _relative_move(old, new):
     return abs(new - old) / scale if scale else 0.0
 
 
-def compare(current, reference):
-    """Lines per label and whether every label is identical.
+def _first_differing_line(a, b):
+    for k, (u, v) in enumerate(zip(a.splitlines(), b.splitlines()), 1):
+        if u != v:
+            return k
+    return min(a.count("\n"), b.count("\n")) + 1
 
-    A differing label names its first moved leaf, counts its moved
-    leaves, gives the largest relative move |new - old| / max(|old|,
-    |new|) among moved floats, and lists every moved leaf that is not
-    a float on both sides (a verdict, a flag, a count, a string, a
-    key or entry present on one side only).
+
+def compare(current, reference):
+    """Lines per label and whether every label is identical, from two
+    {label: report text} maps.
+
+    A label whose parsed reports differ names its first moved leaf,
+    counts its moved leaves, gives the largest relative move |new - old|
+    / max(|old|, |new|) among moved floats, and lists every moved leaf
+    that is not a float on both sides (a verdict, a flag, a count, a
+    string, a key or entry present on one side only).  A label whose
+    parsed reports agree but whose texts do not names the first line
+    where the texts differ.
     """
     lines, same = [], True
     for label in sorted(set(current) | set(reference)):
@@ -141,9 +159,15 @@ def compare(current, reference):
             lines.append(f"{label}: missing from {side}")
             same = False
             continue
-        moved = list(moved_leaves(reference[label], current[label]))
+        old_text, new_text = reference[label], current[label]
+        moved = list(moved_leaves(json.loads(old_text), json.loads(new_text)))
         if not moved:
-            lines.append(f"{label}: identical")
+            if old_text == new_text:
+                lines.append(f"{label}: identical")
+            else:
+                lines.append(f"{label}: text differs at line "
+                             f"{_first_differing_line(old_text, new_text)}")
+                same = False
             continue
         same = False
         floats, others = [], []
@@ -174,12 +198,9 @@ def main(argv=None):
                              "to FILE; exit 1 on any difference")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(Path(args.src).resolve()))
-    # a round trip through JSON, so both sides compare as parsed text
-    current = json.loads(json.dumps(reports(), sort_keys=True,
-                                    allow_nan=False))
+    current = reports()
     if args.against is None:
-        sys.stdout.write(json.dumps(current, sort_keys=True, indent=1,
-                                    allow_nan=False) + "\n")
+        sys.stdout.write(json.dumps(current, sort_keys=True, indent=1) + "\n")
         return 0
     with open(args.against) as fh:
         reference = json.load(fh)
