@@ -16,16 +16,16 @@ characterization; thm41_check/thm44_check cover nu != 0 (navigation and
 metric-form views), thm51_check covers nu = 0, kappa != 0, and
 thm61_check covers kappa = nu = 0.  Every "there exists a scalar /
 1-form" clause in those characterizations is resolved by a least-squares
-fit whose residual is reported; verdicts derive from residuals and the
+fit, and the einstein-residual-fitted condition judges the fitted pair
+through the generic pipeline; verdicts derive from residuals and the
 configured tolerance only.
 """
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -125,18 +125,10 @@ class WeightConfig:
         return abs(float(exact)) <= _REGIME_TOL * max(1.0, scale)
 
     @property
-    def nu_is_zero(self):
-        return self._is_zero(self.nu_exact)
-
-    @property
-    def kappa_is_zero(self):
-        return self._is_zero(self.kappa_exact)
-
-    @property
     def regime(self):
-        if not self.nu_is_zero:
+        if not self._is_zero(self.nu_exact):
             return "nu!=0"
-        if not self.kappa_is_zero:
+        if not self._is_zero(self.kappa_exact):
             return "nu=0,kappa!=0"
         return "nu=0,kappa=0"
 
@@ -216,25 +208,14 @@ def ric_ac(inv: AbInvariants, cfg: WeightConfig):
 
 @dataclass(frozen=True)
 class EinsteinAnsatz:
-    """A candidate (theta, sigma) pair at one chart point.
-
-    provenance records whether the values were supplied ("given") or
-    least-squares fitted ("fitted"); a fitted pair carries the residual
-    of its fit.
-    """
+    """A candidate (theta, sigma) pair at one chart point."""
 
     theta: tuple
     sigma: float
-    provenance: str = "given"
-    residual: Optional[float] = None
 
     def __post_init__(self):
         object.__setattr__(self, "theta", tuple(float(t) for t in self.theta))
         object.__setattr__(self, "sigma", float(self.sigma))
-        if self.provenance not in ("given", "fitted"):
-            raise ValueError("provenance must be 'given' or 'fitted'")
-        if self.provenance == "fitted" and self.residual is None:
-            raise ValueError("fitted ansatz must carry its fit residual")
 
     def model(self, F, y):
         """The ansatz with the (n-1) prefactor split off:
@@ -249,9 +230,9 @@ def fit_theta_sigma(inv: AbInvariants, cfg: WeightConfig):
     residual over the directions of inv (D, n) at its chart point.
 
     Needs at least n+2 admissible directions spanning the tangent
-    space; a rank-deficient direction set raises ValueError.  The
-    returned ansatz carries the root-mean-square fit residual relative
-    to the curvature scale.
+    space; a rank-deficient direction set raises ValueError.  The fit
+    reports no residual of its own: the einstein-residual-fitted
+    condition of each checker judges the fitted pair end to end.
     """
     n = inv.fields.n
     ys = inv.y
@@ -266,9 +247,7 @@ def fit_theta_sigma(inv: AbInvariants, cfg: WeightConfig):
     if np.linalg.matrix_rank(A) < n + 1:
         raise ValueError("direction set is rank-deficient for the theta/sigma fit")
     sol, *_ = np.linalg.lstsq(A, t, rcond=None)
-    scale = max(1.0, float(np.sqrt(np.mean(t * t))))
-    resid = float(np.sqrt(np.mean((A @ sol - t) ** 2))) / scale
-    return EinsteinAnsatz(tuple(sol[:n]), float(sol[n]), "fitted", resid)
+    return EinsteinAnsatz(tuple(sol[:n]), float(sol[n]))
 
 
 # -- pointwise tensor test ------------------------------------------------------
@@ -363,16 +342,6 @@ class ConditionResult:
     kind: str = "condition"  # "condition" | "precondition"
     note: str = ""
 
-    def as_dict(self):
-        return {
-            "name": self.name,
-            "residual": self.residual,
-            "tol": self.tol,
-            "passed": self.passed,
-            "kind": self.kind,
-            "note": self.note,
-        }
-
 
 @dataclass(frozen=True)
 class TheoremReport:
@@ -394,56 +363,41 @@ class TheoremReport:
         raise KeyError(name)
 
     def as_dict(self):
-        return {
-            "theorem": self.theorem,
-            "verdict": self.verdict,
-            "conditions": [c.as_dict() for c in self.conditions],
-            "scalars": self.scalars,
-            "points": self.points,
-            "directions": self.directions,
-        }
+        # asdict(self) would deep-copy every scalar one leaf at a time
+        return dict(vars(self), conditions=[asdict(c) for c in self.conditions])
 
 
 class _Residuals:
-    """Accumulates the worst residual per condition name.
+    """The residuals of each condition name, added as a float or a (D,)
+    block at a time, judged once per name by conditions().
 
-    A non-finite residual fails its condition: it stays the worst value
-    and the note names its row.  Rows count the residuals added under
-    one name in sampling order, one per chart point or one per (point,
-    direction) pair, from 0.
+    A non-finite residual fails its condition: the first one is the
+    worst value and the note names its row.  Rows count a name's
+    residuals across its blocks in sampling order, one per chart point
+    or one per (point, direction) pair, from 0.  The kind is the one of
+    the name's first block.
     """
 
     def __init__(self, tol):
         self.tol = tol
-        self._worst = {}
-        self._kind = {}
-        self._rows = {}
-        self._bad_row = {}
+        self._blocks = {}
 
-    def add(self, name, residual, kind="condition"):
-        residual = abs(float(residual))
-        row = self._rows.get(name, 0)
-        self._rows[name] = row + 1
-        if row == 0:
-            self._kind[name] = kind
-        if name in self._bad_row:
-            return
-        if not math.isfinite(residual):
-            self._bad_row[name] = row
-            self._worst[name] = residual
-        elif row == 0 or residual > self._worst[name]:
-            self._worst[name] = residual
+    def add(self, name, residuals, kind="condition"):
+        self._blocks.setdefault(name, (kind, []))[1].append(residuals)
 
     def conditions(self):
         out = []
-        for name, kind in self._kind.items():
-            r = self._worst[name]
-            bad = self._bad_row.get(name)
+        for name, (kind, blocks) in self._blocks.items():
+            r = np.abs(np.hstack(blocks))
+            worst, bad = float(r.max()), None
+            if not math.isfinite(worst):  # the max of |r| is NaN or inf
+                bad = np.flatnonzero(~np.isfinite(r))[0]
+                worst = float(r[bad])
             out.append(ConditionResult(
                 name=name,
-                residual=r,
+                residual=worst,
                 tol=self.tol,
-                passed=bool(bad is None and r <= self.tol),
+                passed=bool(bad is None and worst <= self.tol),
                 kind=kind,
                 note="" if bad is None else f"non-finite residual at row {bad}",
             ))
@@ -460,9 +414,12 @@ def _verdict(conditions):
 
 
 def _scaled_residual(value, *scales):
-    """|value| over max(1, |scale|, ...)."""
-    s = max([1.0] + [abs(float(v)) for v in scales])
-    return abs(float(value)) / s
+    """|value| over max(1, |scale|, ...), element by element; like
+    Python's max from 1.0 on, np.fmax passes over a NaN scale."""
+    s = 1.0
+    for v in scales:
+        s = np.fmax(s, np.abs(v))
+    return np.abs(value) / s
 
 
 def _drift_scalars(fld):
@@ -616,12 +573,10 @@ def _check(theorem, regime, keys, conditions, points, cfg, tol):
         scal["sigma_fitted"].append(fitted.sigma)
         scal["theta_fitted"].append(list(fitted.theta))
         val = _generic_ric_ac(pt.samples, cfg)
-        models = [(label, (cfg.n - 1) * ansatz.model(pt.inv.F, pt.ys))
-                  for label, ansatz in (("einstein-residual-formula", formula),
-                                        ("einstein-residual-fitted", fitted))]
-        for k, v in enumerate(val):
-            for label, model in models:
-                res.add(label, _scaled_residual(v - model[k], v, model[k]))
+        for label, ansatz in (("einstein-residual-formula", formula),
+                              ("einstein-residual-fitted", fitted)):
+            model = (cfg.n - 1) * ansatz.model(pt.inv.F, pt.ys)
+            res.add(label, _scaled_residual(val - model, val, model))
     found = res.conditions()
     return TheoremReport(theorem, _verdict(found), found, scal, len(points),
                          sum(len(pt.ys) for pt in points))
@@ -695,7 +650,7 @@ def thm41_check(points, cfg: WeightConfig, tol=1e-6):
         mp = fp.mp
         norm2 = float(fp.w_low @ fp.w)
         scal["wind_norm_dev"].append(abs(norm2 - 1.0))
-        _require_unit_wind(norm2, f"at {list(pt.x)}")
+        _require_unit_wind(norm2, f"at {pt.x.tolist()}")
         cov_scale = max(1.0, float(np.abs(fp.cov1).max()))
         res.add("wind-killing", float(np.abs(fp.r).max()) / cov_scale)
 
@@ -800,14 +755,11 @@ def thm44_check(points, cfg: WeightConfig, tol=1e-6):
                 - 3 * (n - 1) * b2 * theta_y
             )
         )
-        ricci_rows = (lhs - lam * inv.alpha2, ric_a * b2**2, lam * inv.alpha2)
-        odd_rows = (odd, inv.beta * b2 * (fld.div_s + ss), b2 * inv.s0_b,
-                    b2**2 * inv.div_s0, 3 * (n - 1) * b2**2 * theta_y)
-        for k in range(len(ys)):
-            res.add("ricci-reduction",
-                    _scaled_residual(*(v[k] for v in ricci_rows)))
-            res.add("one-form-reduction",
-                    _scaled_residual(*(v[k] for v in odd_rows)))
+        res.add("ricci-reduction", _scaled_residual(
+            lhs - lam * inv.alpha2, ric_a * b2**2, lam * inv.alpha2))
+        res.add("one-form-reduction", _scaled_residual(
+            odd, inv.beta * b2 * (fld.div_s + ss), b2 * inv.s0_b,
+            b2**2 * inv.div_s0, 3 * (n - 1) * b2**2 * theta_y))
         return EinsteinAnsatz(tuple(theta), sigma_formula)
 
     return _check("44", "nu!=0",

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Optional
 
 import numpy as np
@@ -71,18 +71,17 @@ def _det_node(rows):
     n = len(rows)
     if n == 1:
         return rows[0][0]
-    acc = None
-    for j in range(n):
+
+    def term(j):
         minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = e_mul(rows[0][j], _det_node(minor))
-        if j % 2 == 1:
-            term = e_neg(term)
-        acc = term if acc is None else e_add(acc, term)
-    return acc
+        t = e_mul(rows[0][j], _det_node(minor))
+        return e_neg(t) if j % 2 == 1 else t
+
+    return reduce(e_add, (term(j) for j in range(n)))
 
 
 def _inverse_nodes(rows):
-    """Adjugate inverse of a grid of AST nodes; returns (inv, det)."""
+    """Adjugate inverse of a grid of AST nodes."""
     n = len(rows)
     det = _det_node(rows)
     inv = [[None] * n for _ in range(n)]
@@ -97,7 +96,7 @@ def _inverse_nodes(rows):
             if (i + j) % 2 == 1:
                 cof = e_neg(cof)
             inv[j][i] = e_div(cof, det)
-    return inv, det
+    return inv
 
 
 def _coerce_scalar(expr, dim, what):
@@ -164,23 +163,16 @@ class KropinaSpace:
         g = _coerce_scalar(2.0 if gauge is None else gauge, n, "gauge")
         quarter = e_div(e_pow(g.root, 2), e_const(4.0))
         half = e_div(e_pow(g.root, 2), e_const(2.0))
-        a_rows = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                node = e_mul(quarter, h.exprs[i][j].root)
-                a_rows[i][j] = a_rows[j][i] = as_ast(node, n)
-        b_low = []
-        for i in range(n):
-            acc = None
-            for j in range(n):
-                t = e_mul(h.exprs[i][j].root, w[j].root)
-                acc = t if acc is None else e_add(acc, t)
-            b_low.append(as_ast(e_mul(half, acc), n))
+        a_rows = tuple(tuple(as_ast(e_mul(quarter, e.root), n) for e in row)
+                       for row in h.exprs)
+        b_low = [as_ast(e_mul(half, reduce(e_add, (
+            e_mul(h.exprs[i][j].root, w[j].root) for j in range(n)))), n)
+            for i in range(n)]
         b_up = tuple(as_ast(e_mul(e_const(2.0), wi.root), n) for wi in w)
         rho = as_ast(e_call("ln", e_div(e_const(2.0), g.root)), n)
         return cls(
             dim=n,
-            a=RiemannianMetric(n, tuple(tuple(row) for row in a_rows)),
+            a=RiemannianMetric(n, a_rows),
             b=tuple(b_low),
             b_up=b_up,
             h=h,
@@ -197,33 +189,22 @@ class KropinaSpace:
         n = a.dim
         b = _coerce_vector(b, n, "drift form")
         rows = [[a.exprs[i][j].root for j in range(n)] for i in range(n)]
-        inv, _ = _inverse_nodes(rows)
-        b_up = []
-        for i in range(n):
-            acc = None
-            for j in range(n):
-                t = e_mul(inv[i][j], b[j].root)
-                acc = t if acc is None else e_add(acc, t)
-            b_up.append(acc)
-        b2 = None
-        for i in range(n):
-            t = e_mul(b[i].root, b_up[i])
-            b2 = t if b2 is None else e_add(b2, t)
+        inv = _inverse_nodes(rows)
+        b_up = [reduce(e_add, (e_mul(inv[i][j], b[j].root) for j in range(n)))
+                for i in range(n)]
+        b2 = reduce(e_add, (e_mul(b[i].root, b_up[i]) for i in range(n)))
         gauge = e_call("sqrt", b2)
         rho = e_call("ln", e_div(e_const(2.0), gauge))
         scale = e_div(e_const(4.0), b2)
-        h_rows = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                node = e_mul(scale, a.exprs[i][j].root)
-                h_rows[i][j] = h_rows[j][i] = as_ast(node, n)
+        h_rows = tuple(tuple(as_ast(e_mul(scale, e.root), n) for e in row)
+                       for row in a.exprs)
         w = tuple(as_ast(e_mul(e_const(0.5), bu), n) for bu in b_up)
         return cls(
             dim=n,
             a=a,
             b=b,
             b_up=tuple(as_ast(bu, n) for bu in b_up),
-            h=RiemannianMetric(n, tuple(tuple(row) for row in h_rows)),
+            h=RiemannianMetric(n, h_rows),
             w=w,
             gauge=as_ast(gauge, n),
             rho=as_ast(rho, n),
@@ -383,7 +364,6 @@ class AbInvariants:
         y = np.asarray(y, dtype=float)
         self.fields = f
         self.y = y
-        self.b2 = f.b2
         self.alpha2 = _form(y, f.mp.g, y)
         self.beta = _dot(f.bl, y)
         if np.any(self.beta <= 0.0):

@@ -399,7 +399,7 @@ def sample_directions(space, x, count, rng, cutoff=DEFAULT_CUTOFF):
         tries += 1
         if tries > limit:
             raise ScenarioError(
-                f"admissible directions too rare at {list(x)}: "
+                f"admissible directions too rare at {np.asarray(x).tolist()}: "
                 f"{len(out)}/{count} after {tries} draws"
             )
         y = rng.standard_normal(space.dim)

@@ -64,9 +64,12 @@ ricci_h, hess_h, w_invariants (with WInvariants and
 w_invariants_from_point, the field invariants computed from scratch, as
 a frozen record, against FieldPoint's cached ones) and second_cov_w
 (over MetricPoint and FieldPoint); weight_constants, einstein_residual and
-weighted_ricci_tensor (the Einstein side); and nav_riemann_isotropic,
-the navigation closed form of the Riemann curvature, held against the
-generic pipeline.
+weighted_ricci_tensor (the Einstein side); fit_residual (the rms
+residual of a (theta, sigma) fit, which fit_theta_sigma does not report) and
+residuals_per_row (the checkers' condition judging one residual at a
+time, against the blocks einstein._Residuals judges at once); and
+nav_riemann_isotropic, the navigation closed form of the Riemann
+curvature, held against the generic pipeline.
 
 Then come the expression-text routes: parse_expr_oracle tokenizes a
 whole text one character at a time and parses it by a recursive descent
@@ -90,6 +93,7 @@ import numpy as np
 
 from kropina.einstein import (
     ChartPoint,
+    ConditionResult,
     EinsteinAnsatz,
     WeightConfig,
     _weighted_ricci,
@@ -959,6 +963,49 @@ def einstein_residual(fields, cfg: WeightConfig, ansatz: EinsteinAnsatz, y):
     """ric_ac(y) - (n-1) (3 theta(y) F + sigma F^2) at one (x, y)."""
     inv = AbInvariants(fields, y)
     return ric_ac(inv, cfg) - (fields.n - 1) * ansatz.model(inv.F, y)
+
+
+def fit_residual(inv: AbInvariants, cfg: WeightConfig, fit: EinsteinAnsatz):
+    """The root-mean-square Einstein residual of fit over the directions
+    of inv, relative to the curvature scale max(1, rms ric_ac)."""
+    t = ric_ac(inv, cfg)
+    model = (inv.fields.n - 1) * fit.model(inv.F, inv.y)
+    scale = max(1.0, float(np.sqrt(np.mean(t * t))))
+    return float(np.sqrt(np.mean((model - t) ** 2))) / scale
+
+
+def residuals_per_row(tol, adds):
+    """einstein._Residuals one residual at a time: the conditions judged
+    from adds, (name, residual, kind) triples of one float each in
+    sampling order.  Each name keeps its worst residual as it goes; a
+    non-finite one fails its name, stays the worst value and is named
+    by its row in the note."""
+    worst, kinds, rows, bad_row = {}, {}, {}, {}
+    for name, residual, kind in adds:
+        residual = abs(float(residual))
+        row = rows.get(name, 0)
+        rows[name] = row + 1
+        if row == 0:
+            kinds[name] = kind
+        if name in bad_row:
+            continue
+        if not math.isfinite(residual):
+            bad_row[name] = row
+            worst[name] = residual
+        elif row == 0 or residual > worst[name]:
+            worst[name] = residual
+    return tuple(
+        ConditionResult(
+            name=name,
+            residual=worst[name],
+            tol=tol,
+            passed=bool(name not in bad_row and worst[name] <= tol),
+            kind=kind,
+            note=("" if name not in bad_row
+                  else f"non-finite residual at row {bad_row[name]}"),
+        )
+        for name, kind in kinds.items()
+    )
 
 
 def weighted_ricci_tensor(h: RiemannianMetric, f, cfg: WeightConfig, x):

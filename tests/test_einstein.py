@@ -1,6 +1,7 @@
 """Weighted Ricci family, the (theta, sigma) fit, and the four checkers."""
 import json
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from kropina.einstein import (
     EinsteinAnsatz,
     TheoremReport,
     WeightConfig,
+    _Residuals,
     _generic_ric_ac,
     chart_points,
     fit_theta_sigma,
@@ -35,8 +37,10 @@ from kropina.riemann import MetricPoint, NotPositiveDefiniteError
 from oracles import (
     ab_fields,
     einstein_residual,
+    fit_residual,
     metric_from_strings,
     pric,
+    residuals_per_row,
     ric_ac_via_projective,
     ricci_h,
     weight_constants,
@@ -299,10 +303,9 @@ def test_fit_recovers_hopf_pair():
     space = hopf_space()
     rng = np.random.default_rng(15)
     x = np.array(HOPF_SHIFT)
-    fld = ab_fields(space, x)
-    fit = fit_theta_sigma(AbInvariants(fld, admissible_directions(space, x, rng, 9)), CFG_INF)
-    assert fit.provenance == "fitted"
-    assert fit.residual < 1e-9
+    inv = AbInvariants(ab_fields(space, x), admissible_directions(space, x, rng, 9))
+    fit = fit_theta_sigma(inv, CFG_INF)
+    assert fit_residual(inv, CFG_INF, fit) < 1e-9
     assert np.abs(np.array(fit.theta)).max() < 1e-7
     assert fit.sigma == pytest.approx(1.0, abs=1e-7)
 
@@ -311,12 +314,12 @@ def test_fit_recovers_gaussian_pair():
     space = gauss_space()
     rng = np.random.default_rng(16)
     x = np.array([0.3, -0.2, 0.5])
-    fld = ab_fields(space, x)
-    fit = fit_theta_sigma(AbInvariants(fld, admissible_directions(space, x, rng, 9)), CFG_INF)
+    inv = AbInvariants(ab_fields(space, x), admissible_directions(space, x, rng, 9))
+    fit = fit_theta_sigma(inv, CFG_INF)
     assert fit.theta[0] == pytest.approx(2 * 4 * 0.2 / (3 * 2), abs=1e-7)
     assert abs(fit.theta[1]) < 1e-7 and abs(fit.theta[2]) < 1e-7
     assert abs(fit.sigma) < 1e-7
-    assert fit.residual < 1e-9
+    assert fit_residual(inv, CFG_INF, fit) < 1e-9
 
 
 def test_fit_flat_is_zero():
@@ -340,13 +343,6 @@ def test_fit_errors():
     dup = [ys[0]] * 7
     with pytest.raises(ValueError, match="rank"):
         fit_theta_sigma(AbInvariants(fld, dup), CFG_INF)
-
-
-def test_ansatz_provenance_rules():
-    with pytest.raises(ValueError):
-        EinsteinAnsatz((0, 0, 0), 1.0, provenance="guessed")
-    with pytest.raises(ValueError):
-        EinsteinAnsatz((0, 0, 0), 1.0, provenance="fitted")  # no residual
 
 
 # -- pointwise tensor test ------------------------------------------------------
@@ -506,6 +502,16 @@ def test_thm41_rejects_non_unit_wind():
     with pytest.raises(ValueError, match="h-unit"):
         check(thm41_check, KropinaSpace.from_nav(EUCLID3, ("2", "0", "0")),
               CFG_INF, samples)
+
+
+def test_thm41_names_the_non_unit_wind_point_in_plain_floats():
+    space = KropinaSpace.from_nav(EUCLID3, ("1 + 0.5*x1", "0", "0"))
+    pt = ChartPoint(space, np.array([0.2, 0.0, 0.0]), [[1.0, 0.0, 0.0]])
+    with pytest.raises(ValueError) as err:
+        thm41_check([pt], CFG_INF)
+    message = str(err.value)
+    assert "h-unit at [0.2, 0.0, 0.0]: " in message
+    assert "np.float64" not in message
 
 
 def test_thm41_unchanged_by_rebuilding_the_space_from_nav_data():
@@ -733,9 +739,8 @@ def test_isotropy_follows_from_small_einstein_residual():
     for space, shift in cases:
         x = np.asarray(shift) + 0.1 * rng.uniform(-1, 1, 3)
         fld = ab_fields(space, x)
-        fit = fit_theta_sigma(
-            AbInvariants(fld, admissible_directions(space, x, rng, 9)), CFG_INF)
-        if fit.residual < 1e-6:
+        inv = AbInvariants(fld, admissible_directions(space, x, rng, 9))
+        if fit_residual(inv, CFG_INF, fit_theta_sigma(inv, CFG_INF)) < 1e-6:
             iso = isotropy_fit(fld)
             assert iso.residual / max(1.0, iso.scale) < 1e-6
             checked += 1
@@ -747,6 +752,7 @@ def test_report_round_trips_through_json():
     space = hopf_space()
     samples = checker_samples(space, rng, points=1, shift=HOPF_SHIFT)
     rep = check(thm44_check, space, CFG_INF, samples)
+    assert isinstance(rep.as_dict()["conditions"], list)
     doc = json.loads(json.dumps(rep.as_dict()))
     assert doc["theorem"] == "44"
     assert doc["verdict"] == "PASS"
@@ -754,6 +760,51 @@ def test_report_round_trips_through_json():
     assert "isotropy" in names and "ricci-reduction" in names
     assert doc["points"] == 1
     assert doc["directions"] == 7
+
+
+def _bits(v):
+    return struct.pack("<d", v)
+
+
+@pytest.mark.parametrize("special", [math.nan, -math.nan, math.inf,
+                                     -math.inf, -0.0, 1e308])
+@pytest.mark.parametrize("row", [0, 4, 5, 11])
+def test_residual_blocks_judge_as_rows_one_at_a_time(special, row):
+    """_Residuals over scalar and block adds judges each condition as
+    the per-row route does over the same residuals one at a time."""
+    tol = 1e-6
+    rng = np.random.default_rng(44)
+    # each name's kind and its four adds, a block of that size or (0) a
+    # scalar; "reduction" and "einstein" have 12 rows, row 4 of
+    # "reduction" is a block of one and its row 5 a scalar.  "einstein"
+    # also holds a NaN at row 8, so the first non-finite row is judged.
+    layout = {"fit": ("precondition", (0, 0, 0, 0)),
+              "reduction": ("condition", (4, 1, 0, 6)),
+              "einstein": ("condition", (3, 3, 1, 5))}
+    values = {name: 0.5e-6 * rng.random(sum(max(k, 1) for k in sizes))
+              for name, (_, sizes) in layout.items()}
+    values["einstein"][8] = math.nan
+    values["reduction"][row] = values["einstein"][row] = special
+    adds = []
+    for step in range(4):
+        for name, (kind, sizes) in layout.items():
+            at = sum(max(k, 1) for k in sizes[:step])
+            block = values[name][at:at + max(sizes[step], 1)]
+            adds.append((name, block if sizes[step] else float(block[0]), kind))
+
+    res = _Residuals(tol)
+    for name, block, kind in adds:
+        res.add(name, block, kind)
+    rows = [(name, float(v), kind) for name, block, kind in adds
+            for v in np.atleast_1d(block)]
+    got, want = res.conditions(), residuals_per_row(tol, rows)
+    assert [c.name for c in got] == [c.name for c in want] == list(layout)
+    for mine, theirs in zip(got, want):
+        assert type(mine.residual) is float
+        assert _bits(mine.residual) == _bits(theirs.residual), mine.name
+        assert (mine.kind, mine.passed, mine.note, mine.tol) == (
+            theirs.kind, theirs.passed, theirs.note, theirs.tol)
+    assert got[1].passed == (abs(special) <= tol)
 
 
 # (checker, cfg, preconditions, condition names, scalar keys), in report order

@@ -415,6 +415,17 @@ def test_sampler_gives_up_on_starved_cone():
         sample_directions(space, [0.0, 0.0, 0.0], 5, rng, cutoff=2.0)
 
 
+def test_sampler_names_the_starved_point_in_plain_floats():
+    space = load_scenario("euclid_parallel").space()
+    rng = np.random.default_rng(3)
+    with pytest.raises(ScenarioError) as err:
+        sample_directions(space, np.array([0.2, 0.0, 0.0]), 1, rng,
+                          cutoff=0.9999)
+    message = str(err.value)
+    assert "too rare at [0.2, 0.0, 0.0]: " in message
+    assert "np.float64" not in message
+
+
 def test_probe_points_stay_in_box_and_repeat():
     sc = load_scenario("s3_hopf")
     pts = sc.probe_points()

@@ -469,6 +469,34 @@ def test_check_non_finite_residuals_fail(monkeypatch):
     assert residuals["theta-sigma-fit-agreement"] == "nan"
 
 
+@pytest.mark.parametrize("name", ["s3_hopf", "euclid_gaussian"])
+@pytest.mark.parametrize("directions", [None, 13])
+def test_checkers_add_each_condition_once_per_chart_point(monkeypatch, name,
+                                                          directions):
+    """Every condition gets one residual add per chart point, a float or
+    a block of all its directions, whatever the number of directions."""
+    import kropina.einstein as einstein
+
+    adds = {}
+    real_add = einstein._Residuals.add
+
+    def add(self, cond, residuals, kind="condition"):
+        adds.setdefault(self, Counter())[cond] += 1
+        real_add(self, cond, residuals, kind)
+
+    monkeypatch.setattr(einstein._Residuals, "add", add)
+    doc = load_scenario(name).as_dict()
+    if directions is not None:
+        doc["directions"] = directions
+    report = run_check(doc)
+    assert report.verdict == "PASS"
+    assert len(adds) == len(report.checks)
+    for counts, check in zip(adds.values(), report.checks):
+        assert list(counts) == [c["name"] for c in check["conditions"]]
+        assert set(counts.values()) == {check["points"]}
+        assert check["directions"] == check["points"] * (directions or 10)
+
+
 def test_report_json_is_strict():
     doc = ReportDocument(kind="verify", scenario={"name": "x"})
     doc.tables.append({"name": "t", "rows": [
