@@ -243,10 +243,10 @@ def fit_theta_sigma(inv: AbInvariants, cfg: WeightConfig):
         )
     A = np.column_stack([3.0 * (n - 1) * inv.F * ys[:, i] for i in range(n)]
                         + [(n - 1) * np.float_power(inv.F, 2)])
-    t = ric_ac(inv, cfg)
-    if np.linalg.matrix_rank(A) < n + 1:
+    # lstsq's rank is matrix_rank's: the same SVD threshold, one SVD
+    sol, _, rank, _ = np.linalg.lstsq(A, ric_ac(inv, cfg), rcond=None)
+    if rank < n + 1:
         raise ValueError("direction set is rank-deficient for the theta/sigma fit")
-    sol, *_ = np.linalg.lstsq(A, t, rcond=None)
     return EinsteinAnsatz(tuple(sol[:n]), float(sol[n]))
 
 

@@ -2,9 +2,17 @@
 
 A scenario pins down one Kropina space together with a sampling plan:
 chart box, point and direction counts, seed, weight constants, and
-optional tolerance overrides.  Scenarios are plain JSON documents
-validated against the packaged ``scenario/1`` schema, so a run is
-reproducible from the file and the tool version alone.
+optional tolerance overrides.  Scenarios are plain JSON documents that
+hold to the packaged ``scenario/1`` schema, so a run is reproducible
+from the file and the tool version alone.
+
+Documents from outside the package are validated against that schema
+when they load: files and dicts.  So are the sampling overrides of a
+run (``--seed``, ``--points`` and ``--dirs`` on the command line).  The
+documents the package writes itself, the builtins and ``random:<seed>``,
+are trusted and load without it; the tests hold every one of them to
+the schema.  jsonschema is imported on the first validation only, so a
+run on a builtin without overrides never imports it.
 
 Loading is strict on purpose.  Schema violations carry a JSON-pointer
 path, expression problems keep the parser's offset message, and a
@@ -21,8 +29,6 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft202012Validator
-from jsonschema.exceptions import best_match
 
 from .einstein import WeightConfig, weight_preset
 from .expr import ExprError, _children, parse_expr
@@ -66,6 +72,8 @@ _SCENARIO_VALIDATOR = None
 def _scenario_validator():
     global _SCENARIO_VALIDATOR
     if _SCENARIO_VALIDATOR is None:
+        from jsonschema import Draft202012Validator
+
         _SCENARIO_VALIDATOR = Draft202012Validator(
             _load_schema("scenario-1.schema.json")
         )
@@ -85,6 +93,8 @@ def _error_pointer(err):
 
 
 def _schema_check(doc):
+    from jsonschema.exceptions import best_match
+
     err = best_match(_scenario_validator().iter_errors(doc))
     if err is not None:
         raise ScenarioError(err.message, _error_pointer(err))
@@ -245,7 +255,7 @@ def _probe_plan(box, seed, count):
 
 
 def _from_dict(doc, origin):
-    _schema_check(doc)
+    """The scenario of doc, a document that holds to the schema."""
     n = int(doc["dimension"])
 
     metric = doc["metric"]
@@ -328,10 +338,15 @@ def _from_dict(doc, origin):
 
 
 def load_scenario(source):
-    """Scenario from a builtin name, 'random:<seed>', a path, or a dict."""
+    """Scenario from a builtin name, 'random:<seed>', a path, or a dict.
+
+    A file's or a dict's document is validated against the schema first;
+    a builtin or random document is written by this module and is not.
+    """
     if isinstance(source, Scenario):
         return source
     if isinstance(source, dict):
+        _schema_check(source)
         return _from_dict(source, origin="<dict>")
     text = str(source)
     if text in _BUILTINS:
@@ -360,6 +375,7 @@ def load_scenario(source):
         raise ScenarioError(f"invalid JSON in {path}: {e}") from None
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path} does not hold a scenario object")
+    _schema_check(doc)
     return _from_dict(doc, origin=str(path))
 
 
@@ -422,6 +438,8 @@ def _sampling(scenario, key, override):
     to the schema's own subschema for that key."""
     if override is None:
         return getattr(scenario, key)
+    from jsonschema.exceptions import best_match
+
     override = int(override)
     validator = _scenario_validator()
     sub = validator.evolve(schema=validator.schema["properties"][key])

@@ -133,7 +133,6 @@ from kropina.expr import (
     Pow,
     Sub,
     Var,
-    _node,
     eval_expr,
     parse_expr,
 )
@@ -1442,7 +1441,7 @@ class _EagerParser:
             if tok[0] == "OP" and tok[1] in "+-":
                 self.advance()
                 rhs = self.term()
-                node = _node(Add if tok[1] == "+" else Sub, node, rhs)
+                node = (Add if tok[1] == "+" else Sub)(node, rhs)
             else:
                 return node
 
@@ -1453,7 +1452,7 @@ class _EagerParser:
             if tok[0] == "OP" and tok[1] in "*/":
                 self.advance()
                 rhs = self.unary()
-                node = _node(Mul if tok[1] == "*" else Div, node, rhs)
+                node = (Mul if tok[1] == "*" else Div)(node, rhs)
             else:
                 return node
 
@@ -1461,14 +1460,14 @@ class _EagerParser:
         tok = self.peek()
         if tok[0] == "OP" and tok[1] == "-":
             self.advance()
-            return _node(Neg, self.unary())
+            return Neg(self.unary())
         return self.power()
 
     def power(self):
         base = self.atom()
         if self.peek()[0] == "OP" and self.peek()[1] == "^":
             self.advance()
-            return _node(Pow, base, self.exponent_chain())
+            return Pow(base, self.exponent_chain())
         return base
 
     def exponent_chain(self) -> int:
@@ -1507,7 +1506,7 @@ class _EagerParser:
     def atom(self):
         tok = self.advance()
         if tok[0] == "NUM":
-            return _node(Const, float(tok[1]))
+            return Const(float(tok[1]))
         if tok[0] == "REF":
             k = int(tok[1][1:])
             if k < len(self.refs):
@@ -1522,12 +1521,12 @@ class _EagerParser:
                 index = int(m.group(1))
                 if not 1 <= index <= self.dim:
                     raise ExprIndexError(index, self.dim, off)
-                return _node(Var, index)
+                return Var(index)
             if name in FUNCTIONS:
                 self.expect("LPAREN", f"'(' after {name}")
                 arg = self.expression()
                 self.expect("RPAREN", "')'")
-                return _node(Call, name, arg)
+                return Call(name, arg)
             raise ExprNameError(name, off)
         if tok[0] == "LPAREN":
             node = self.expression()

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from kropina import einstein as einstein_mod
 from kropina.forms import (
     AbInvariants,
     KropinaSpace,
@@ -343,6 +344,29 @@ def test_fit_errors():
     dup = [ys[0]] * 7
     with pytest.raises(ValueError, match="rank"):
         fit_theta_sigma(AbInvariants(fld, dup), CFG_INF)
+
+
+@pytest.mark.parametrize("block", ["repeated", "scaled"])
+def test_rank_deficient_direction_block_raises_before_solving(block,
+                                                              monkeypatch):
+    """A block of three directions repeated (rank 3) or of one direction
+    scaled (rank 2) cannot fix the four unknowns of a 3-D fit; the fit
+    raises its ValueError and no solution reaches an EinsteinAnsatz."""
+    space = hopf_space()
+    x = np.array(HOPF_SHIFT)
+    fld = ab_fields(space, x)
+    ys = admissible_directions(space, x, np.random.default_rng(18), 3)
+    if block == "repeated":
+        dirs = list(ys) * 3
+    else:
+        dirs = [c * ys[0] for c in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)]
+    built = []
+    monkeypatch.setattr(einstein_mod, "EinsteinAnsatz",
+                        lambda *a: built.append(a))
+    with pytest.raises(ValueError, match="direction set is rank-deficient "
+                                         "for the theta/sigma fit"):
+        fit_theta_sigma(AbInvariants(fld, dirs), CFG_INF)
+    assert built == []
 
 
 # -- pointwise tensor test ------------------------------------------------------

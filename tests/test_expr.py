@@ -1,11 +1,14 @@
 """Parser, printer, and evaluator behaviour for the expression DSL."""
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kropina import expr
 from kropina.expr import (
     FUNCTIONS,
     Add,
@@ -21,7 +24,6 @@ from kropina.expr import (
     Pow,
     Sub,
     Var,
-    _node as intern,
     as_ast,
     e_add,
     e_call,
@@ -217,6 +219,55 @@ def test_equal_nodes_are_one_object():
     assert parse_expr("cos(x1 + x2) * 3", 2).root.lhs.arg is a
 
 
+_X1, _X2 = Var(1), Var(2)
+_EACH_CLASS = [
+    (Const(2.5), []),
+    (_X1, []),
+    (Add(_X1, _X2), [_X1, _X2]),
+    (Sub(_X2, _X1), [_X2, _X1]),
+    (Mul(_X2, _X1), [_X2, _X1]),
+    (Div(_X1, _X2), [_X1, _X2]),
+    (Pow(_X2, 3), [_X2]),
+    (Neg(_X2), [_X2]),
+    (Call("sin", _X1), [_X1]),
+]
+
+
+@pytest.mark.parametrize("node, children", _EACH_CLASS,
+                         ids=[type(n).__name__ for n, _ in _EACH_CLASS])
+def test_children_follow_the_fields_in_order(node, children):
+    """_children reads a node's fields in declared order, the operands
+    only; _fields is the order dataclasses.fields reports."""
+    from dataclasses import fields
+
+    assert node._fields == tuple(f.name for f in fields(node))
+    assert expr._children(node) == children
+
+
+def test_building_equal_structures_gives_one_object():
+    """A node built from its class with the fields of a live node is
+    that node, parsed or built; equality and hashing are identity."""
+    root = parse_expr("sin(x1)*x2 - 2.5/(x1 + 1)^-3", 2).root
+    built = Sub(Mul(Call("sin", Var(1)), Var(2)),
+                Div(Const(2.5), Pow(Add(Var(1), Const(1.0)), -3)))
+    assert built is root
+    classes = expr._Node.__subclasses__()
+    assert len(classes) == 9
+    assert all(cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+               for cls in classes)
+    assert Add(Var(1), Var(2)) != Add(Var(2), Var(1))
+    assert Const(0.0) is not Const(-0.0) and Const(0.0) != Const(-0.0)
+    assert repr(Pow(Var(1), 2)) == "Pow(base=Var(index=1), exponent=2)"
+    with pytest.raises(AttributeError, match="immutable"):
+        root.lhs = Var(1)
+    with pytest.raises(AttributeError, match="immutable"):
+        del root.rhs
+    with pytest.raises(TypeError, match="fields"):
+        Add(Var(1))
+    assert copy.deepcopy(root) is root
+    assert pickle.loads(pickle.dumps(root)) is root
+
+
 def test_signed_zero_constants_stay_distinct():
     pos, neg = e_const(0.0), e_const(-0.0)
     assert pos is e_const(0) and neg is e_const(-0.0)
@@ -328,22 +379,22 @@ def _build(recipe, fold):
     through raw interning."""
     kind = recipe[0]
     if kind == "var":
-        return intern(Var, recipe[1])
+        return Var(recipe[1])
     if kind == "const":
         return e_const(recipe[1])
     if kind == "neg":
         operand = _build(recipe[1], fold)
-        return e_neg(operand) if fold else intern(Neg, operand)
+        return e_neg(operand) if fold else Neg(operand)
     if kind == "pow":
         base = _build(recipe[1], fold)
-        return e_pow(base, recipe[2]) if fold else intern(Pow, base, recipe[2])
+        return e_pow(base, recipe[2]) if fold else Pow(base, recipe[2])
     if kind == "call":
         return e_call(recipe[1], _build(recipe[2], fold))
     lhs, rhs = _build(recipe[1], fold), _build(recipe[2], fold)
     if kind == "sub":
-        return intern(Sub, lhs, rhs)
+        return Sub(lhs, rhs)
     make, cls = _BINARY[kind]
-    return make(lhs, rhs) if fold else intern(cls, lhs, rhs)
+    return make(lhs, rhs) if fold else cls(lhs, rhs)
 
 
 def _coefs(value, like):

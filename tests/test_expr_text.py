@@ -26,7 +26,6 @@ from kropina.expr import (
     Pow,
     Sub,
     Var,
-    _node,
     as_ast,
     parse_expr,
     print_expr,
@@ -205,18 +204,18 @@ def test_repeated_conversion_reaches_a_plateau():
 
 # -- documents with defs ------------------------------------------------------
 
-_X1, _X2 = _node(Var, 1), _node(Var, 2)
+_X1, _X2 = Var(1), Var(2)
 # sin(x1) + cos(x2) over two shared calls prints "$0 + $1": a text that
 # starts with "$" but is no reference, so a parent must parenthesize it
-_SIN, _COS = _node(Call, "sin", _X1), _node(Call, "cos", _X2)
-_SUM = _node(Add, _SIN, _COS)
+_SIN, _COS = Call("sin", _X1), Call("cos", _X2)
+_SUM = Add(_SIN, _COS)
 
 
 @st.composite
 def dags(draw):
     """Roots over a DAG built by combining earlier nodes, so nodes are
     shared; constants are non-negative, as the parser builds them."""
-    pool = [_X1, _X2, _node(Const, 0.5), _node(Const, 2.0)]
+    pool = [_X1, _X2, Const(0.5), Const(2.0)]
 
     def pick():
         return pool[draw(st.integers(0, len(pool) - 1))]
@@ -224,22 +223,22 @@ def dags(draw):
     for _ in range(draw(st.integers(1, 14))):
         cls = draw(st.sampled_from([Add, Sub, Mul, Div, Neg, Pow, Call]))
         if cls is Neg:
-            node = _node(Neg, pick())
+            node = Neg(pick())
         elif cls is Pow:
-            node = _node(Pow, pick(), draw(st.sampled_from([-2, 2, 3])))
+            node = Pow(pick(), draw(st.sampled_from([-2, 2, 3])))
         elif cls is Call:
-            node = _node(Call, draw(st.sampled_from(FUNCTIONS)), pick())
+            node = Call(draw(st.sampled_from(FUNCTIONS)), pick())
         else:
-            node = _node(cls, pick(), pick())
+            node = cls(pick(), pick())
         pool.append(node)
     return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
 
 
 @settings(max_examples=300, deadline=None)
 @given(dags())
-@example([_node(Mul, _SUM, _X1), _SIN, _COS])
-@example([_node(Mul, _SUM, _X1), _node(Pow, _SUM, 2), _SIN, _COS])
-@example([_node(Sub, _X1, _SUM), _node(Div, _X2, _SUM), _SIN, _COS])
+@example([Mul(_SUM, _X1), _SIN, _COS])
+@example([Mul(_SUM, _X1), Pow(_SUM, 2), _SIN, _COS])
+@example([Sub(_X1, _SUM), Div(_X2, _SUM), _SIN, _COS])
 def test_defs_load_back_to_the_printed_roots(roots):
     texts, defs = print_expr([as_ast(r, 2) for r in roots])
     refs = []
@@ -252,11 +251,11 @@ def test_defs_load_back_to_the_printed_roots(roots):
 
 def test_a_text_opening_with_a_reference_is_parenthesized():
     texts, defs = print_expr([as_ast(r, 2)
-                              for r in (_node(Mul, _SUM, _X1), _SIN, _COS)])
+                              for r in (Mul(_SUM, _X1), _SIN, _COS)])
     assert defs == ["sin(x1)", "cos(x2)"]
     assert texts == ["($0 + $1) * x1", "$0", "$1"]
     texts, defs = print_expr([as_ast(r, 2) for r in
-                              (_node(Mul, _SUM, _X1), _SUM, _SIN, _COS)])
+                              (Mul(_SUM, _X1), _SUM, _SIN, _COS)])
     assert defs == ["sin(x1)", "cos(x2)", "$0 + $1"]
     assert texts == ["$2 * x1", "$2", "$0", "$1"]
 
@@ -264,11 +263,11 @@ def test_a_text_opening_with_a_reference_is_parenthesized():
 def test_short_and_leaf_nodes_stay_inline():
     # ten shared calls take $0..$9, so "-x1" is no longer than its "$10";
     # a node used only as a root, however often, is no def either
-    calls = [_node(Call, fn, x) for x in (_X1, _X2) for fn in FUNCTIONS]
-    neg, c = _node(Neg, _X1), _node(Const, 2.5)
-    roots = [_node(cls, f, _X1) for f in calls for cls in (Add, Sub)]
-    twice = _node(Mul, _X1, _X2)
-    roots += [_node(Add, neg, c), _node(Mul, neg, _X1), _node(Mul, _X2, c),
+    calls = [Call(fn, x) for x in (_X1, _X2) for fn in FUNCTIONS]
+    neg, c = Neg(_X1), Const(2.5)
+    roots = [cls(f, _X1) for f in calls for cls in (Add, Sub)]
+    twice = Mul(_X1, _X2)
+    roots += [Add(neg, c), Mul(neg, _X1), Mul(_X2, c),
               neg, twice, twice]
     texts, defs = print_expr([as_ast(r, 2) for r in roots])
     assert defs == [print_node(r) for r in calls]

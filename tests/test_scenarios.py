@@ -1,9 +1,15 @@
 """Scenario documents: schema, builtins, sampling, load-time guards."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kropina
+from kropina import scenarios
 from kropina.expr import eval_expr
 from kropina.scenarios import (
     COMPARISON_CUTOFF,
@@ -472,6 +478,83 @@ def test_random_prefix_rejects_a_negative_seed():
     assert str(err.value) == (
         "random scenario wants a non-negative integer seed, got '-1'"
     )
+
+
+# -- which documents are validated -----------------------------------------
+
+
+def _schema_errors(doc):
+    from importlib import resources
+
+    from jsonschema import Draft202012Validator
+
+    schema = resources.files("kropina").joinpath(
+        "schemas/scenario-1.schema.json").read_text()
+    return [e.message for e in
+            Draft202012Validator(json.loads(schema)).iter_errors(doc)]
+
+
+_TRUSTED = {name: scenarios._BUILTINS[name] for name in builtin_names()}
+_TRUSTED.update({f"random({seed}, {n})": random_scenario(seed, n)
+                 for seed in (0, 3, 17) for n in (2, 3, 4, 5, 6)})
+
+
+@pytest.mark.parametrize("label", list(_TRUSTED))
+def test_trusted_documents_hold_to_the_schema(label):
+    """The builtins and the random documents load without the schema,
+    so every one of them is held to it here."""
+    assert _schema_errors(_TRUSTED[label]) == []
+
+
+def test_only_files_and_dicts_are_validated_at_load(monkeypatch, tmp_path):
+    checked = []
+    real = scenarios._schema_check
+    monkeypatch.setattr(scenarios, "_schema_check",
+                        lambda doc: checked.append(doc["name"]) or real(doc))
+    for name in builtin_names():
+        load_scenario(name)
+    load_scenario("random:3")
+    assert checked == []
+    load_scenario(random_scenario(5))
+    path = tmp_path / "hopf.json"
+    path.write_text(json.dumps(doc_for("s3_hopf")))
+    load_scenario(str(path))
+    assert checked == ["random_5", "s3_hopf"]
+
+
+_IMPORT_PROBE = """
+import sys
+
+import kropina.cli
+from kropina.scenarios import load_scenario, random_scenario
+from kropina.workbench import run_check
+
+load_scenario("s3_hopf")
+run_check("s3_hopf")
+before = "jsonschema" in sys.modules
+if sys.argv[1] == "dict":
+    load_scenario(random_scenario(3))
+elif sys.argv[1] == "seed":
+    run_check("s3_hopf", seed=5)
+print(before, "jsonschema" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("then, imported", [
+    ("nothing", "False False"),
+    ("dict", "False True"),
+    ("seed", "False True"),
+])
+def test_jsonschema_is_imported_only_to_validate(then, imported):
+    """A fresh interpreter imports the CLI, loads and checks a builtin
+    without jsonschema; a dict document or a seed override brings it in."""
+    src = str(Path(kropina.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, then],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == imported
 
 
 # -- load once -----------------------------------------------------------------

@@ -812,7 +812,8 @@ def test_round_tripped_document_evaluates_each_cos_node_once(monkeypatch):
     def key(node):
         if id(node) not in canon:
             parts = [type(node).__name__]
-            for value in vars(node).values():
+            for name in node._fields:
+                value = getattr(node, name)
                 parts.append(key(value) if is_dataclass(value) else value)
             canon[id(node)] = k = tuple(parts)
             if isinstance(node, Call) and node.fn == "cos":
