@@ -23,7 +23,8 @@ configured tolerance only.
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from collections import defaultdict
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
@@ -333,43 +334,10 @@ def poly_divisible_by_alpha2(coeffs, alpha):
 # -- reports --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConditionResult:
-    name: str
-    residual: float
-    tol: float
-    passed: bool
-    kind: str = "condition"  # "condition" | "precondition"
-    note: str = ""
-
-
-@dataclass(frozen=True)
-class TheoremReport:
-    theorem: str
-    verdict: str  # "PASS" | "FAIL" | "PRECONDITION"
-    conditions: tuple
-    scalars: dict
-    points: int
-    directions: int
-
-    @property
-    def passed(self):
-        return self.verdict == "PASS"
-
-    def condition(self, name):
-        for c in self.conditions:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def as_dict(self):
-        # asdict(self) would deep-copy every scalar one leaf at a time
-        return dict(vars(self), conditions=[asdict(c) for c in self.conditions])
-
-
 class _Residuals:
     """The residuals of each condition name, added as a float or a (D,)
-    block at a time, judged once per name by conditions().
+    block at a time, judged once per name by conditions(), which gives
+    each name's report entry {name, residual, tol, passed, kind, note}.
 
     A non-finite residual fails its condition: the first one is the
     worst value and the note names its row.  Rows count a name's
@@ -393,24 +361,22 @@ class _Residuals:
             if not math.isfinite(worst):  # the max of |r| is NaN or inf
                 bad = np.flatnonzero(~np.isfinite(r))[0]
                 worst = float(r[bad])
-            out.append(ConditionResult(
-                name=name,
-                residual=worst,
-                tol=self.tol,
-                passed=bool(bad is None and worst <= self.tol),
-                kind=kind,
-                note="" if bad is None else f"non-finite residual at row {bad}",
-            ))
-        return tuple(out)
+            out.append({
+                "name": name,
+                "residual": worst,
+                "tol": self.tol,
+                "passed": bool(bad is None and worst <= self.tol),
+                "kind": kind,
+                "note": "" if bad is None else f"non-finite residual at row {bad}",
+            })
+        return out
 
 
 def _verdict(conditions):
-    for c in conditions:
-        if c.kind == "precondition" and not c.passed:
-            return "PRECONDITION"
-    if all(c.passed for c in conditions):
-        return "PASS"
-    return "FAIL"
+    if any(c["kind"] == "precondition" and not c["passed"]
+           for c in conditions):
+        return "PRECONDITION"
+    return "PASS" if all(c["passed"] for c in conditions) else "FAIL"
 
 
 def _scaled_residual(value, *scales):
@@ -420,14 +386,6 @@ def _scaled_residual(value, *scales):
     for v in scales:
         s = np.fmax(s, np.abs(v))
     return np.abs(value) / s
-
-
-def _drift_scalars(fld):
-    """(s^i s_i, s^j_k s^k_j, s^j_k r^k_j) contractions of the drift."""
-    sksk = float(fld.s_vec @ fld.mp.ginv @ fld.s_vec)
-    ss = float(np.einsum("ij,ji->", fld.s_up, fld.s_up))
-    sr = float(np.einsum("ij,ji->", fld.s_up, fld.r_up))
-    return sksk, ss, sr
 
 
 # -- checkers -------------------------------------------------------------------
@@ -542,14 +500,16 @@ def chart_points(space: KropinaSpace, samples):
     return [ChartPoint(space, x, ys) for x, ys in samples]
 
 
-def _check(theorem, regime, keys, conditions, points, cfg, tol):
-    """Run one regime theorem over the chart points.
+def _check(theorem, regime, conditions, points, cfg, tol):
+    """Run one regime theorem over the chart points and return its
+    report/1 check entry: {theorem, verdict, conditions, scalars,
+    points, directions}.
 
     conditions(point, res, scal) adds the theorem's own conditions at
-    one ChartPoint to res and its scalars to scal, whose lists keys
-    names in report order, and returns the closed-form EinsteinAnsatz.
-    The generic pipeline then judges that ansatz and the fitted one: the
-    report's bottom line never reuses the closed formulas.
+    one ChartPoint to res and appends its scalars to the lists of scal
+    by name, and returns the closed-form EinsteinAnsatz.  The generic
+    pipeline then judges that ansatz and the fitted one: the report's
+    bottom line never reuses the closed formulas.
     """
     dims = sorted({pt.n for pt in points} - {cfg.n})
     if dims:
@@ -565,7 +525,7 @@ def _check(theorem, regime, keys, conditions, points, cfg, tol):
     if not points:
         raise ValueError("checker needs at least one sample point")
     res = _Residuals(tol)
-    scal = {key: [] for key in keys}
+    scal = defaultdict(list)
     for pt in points:
         formula = conditions(pt, res, scal)
         fitted = pt.fitted(cfg)
@@ -578,8 +538,10 @@ def _check(theorem, regime, keys, conditions, points, cfg, tol):
             model = (cfg.n - 1) * ansatz.model(pt.inv.F, pt.ys)
             res.add(label, _scaled_residual(val - model, val, model))
     found = res.conditions()
-    return TheoremReport(theorem, _verdict(found), found, scal, len(points),
-                         sum(len(pt.ys) for pt in points))
+    return {"theorem": theorem, "verdict": _verdict(found),
+            "conditions": found, "scalars": dict(scal),
+            "points": len(points),
+            "directions": sum(len(pt.ys) for pt in points)}
 
 
 def _isotropy(pt, name, res, scal):
@@ -597,8 +559,7 @@ def _sigma_agreement(fld, fitted, res):
     """The sigma forced by the drift data alone,
     -(s^k s_k / 2 + b^2 s^j_k s^k_j / 4) / ((n - 1) b^2), against the
     fitted sigma; returns it."""
-    sksk, ss, _ = _drift_scalars(fld)
-    sigma = -(0.5 * sksk + 0.25 * fld.b2 * ss) / ((fld.n - 1) * fld.b2)
+    sigma = -(0.5 * fld.sksk + 0.25 * fld.b2 * fld.ss) / ((fld.n - 1) * fld.b2)
     res.add("sigma-agreement", abs(sigma - fitted) / max(1.0, abs(fitted)))
     return sigma
 
@@ -662,11 +623,10 @@ def thm41_check(points, cfg: WeightConfig, tol=1e-6):
         scal["mu"].append(mu)
 
         ric_ww = float(fp.w @ mp.ricci @ fp.w)
-        ss = float(np.einsum("ij,ji->", fp.s_up, fp.s_up))
         hess_ww = float(fp.w @ hf @ fp.w)
         f_w = float(fg @ fp.w)
         sigma_formula = mu - (
-            ric_ww + ss + a * (n + 1) * hess_ww - c * (n + 1) ** 2 * f_w**2
+            ric_ww + fp.ss + a * (n + 1) * hess_ww - c * (n + 1) ** 2 * f_w**2
         ) / (n - 1)
         theta_formula = (
             2 * a * (n + 1) * (hf @ fp.w + np.einsum("p,pi->i", fg, fp.s_up))
@@ -674,7 +634,7 @@ def thm41_check(points, cfg: WeightConfig, tol=1e-6):
         ) / (3 * (n - 1))
         theta_w = float(theta_formula @ fp.w)
         sigma_proof = mu - 3 * theta_w - (
-            ric_ww + ss - a * (n + 1) * hess_ww + c * (n + 1) ** 2 * f_w**2
+            ric_ww + fp.ss - a * (n + 1) * hess_ww + c * (n + 1) ** 2 * f_w**2
         ) / (n - 1)
         scal["sigma_proof"].append(sigma_proof)
         scal["theta_formula"].append(list(theta_formula))
@@ -689,10 +649,7 @@ def thm41_check(points, cfg: WeightConfig, tol=1e-6):
         res.add("theta-sigma-fit-agreement", agree / max(1.0, abs(fitted.sigma)))
         return EinsteinAnsatz(tuple(theta_formula), sigma_formula)
 
-    return _check("41", "nu!=0",
-                  ("mu", "sigma_formula", "sigma_proof", "sigma_fitted",
-                   "theta_formula", "theta_fitted", "wind_norm_dev"),
-                  conditions, points, cfg, tol)
+    return _check("41", "nu!=0", conditions, points, cfg, tol)
 
 
 def thm44_check(points, cfg: WeightConfig, tol=1e-6):
@@ -716,12 +673,11 @@ def thm44_check(points, cfg: WeightConfig, tol=1e-6):
         eta_k = fld.eta_grad
         theta = np.array(pt.fitted(cfg).theta)
         theta_b = float(theta @ fld.bu)
-        sksk, ss, _ = _drift_scalars(fld)
         lam = (
             -((n - 2) * eta**2 + float(fld.bu @ eta_k)) * b2
             + 3 * (n - 1) * b2 * theta_b
-            + (n - 2) * sksk
-            - b2 * (fld.div_s + ss)
+            + (n - 2) * fld.sksk
+            - b2 * (fld.div_s + fld.ss)
         )
         scal["lambda"].append(lam)
         sigma_formula = _sigma_agreement(fld, pt.fitted(cfg).sigma, res)
@@ -744,8 +700,8 @@ def thm44_check(points, cfg: WeightConfig, tol=1e-6):
         theta_y = _dot(theta, ys)
         odd = (
             inv.beta * (
-                (n - 2) * sksk + 3 * (n - 1) * b2 * theta_b
-                - b2 * (fld.div_s + ss)
+                (n - 2) * fld.sksk + 3 * (n - 1) * b2 * theta_b
+                - b2 * (fld.div_s + fld.ss)
             )
             + b2 * (
                 (n - 3) * eta * inv.s_0
@@ -758,14 +714,11 @@ def thm44_check(points, cfg: WeightConfig, tol=1e-6):
         res.add("ricci-reduction", _scaled_residual(
             lhs - lam * inv.alpha2, ric_a * b2**2, lam * inv.alpha2))
         res.add("one-form-reduction", _scaled_residual(
-            odd, inv.beta * b2 * (fld.div_s + ss), b2 * inv.s0_b,
+            odd, inv.beta * b2 * (fld.div_s + fld.ss), b2 * inv.s0_b,
             b2**2 * inv.div_s0, 3 * (n - 1) * b2**2 * theta_y))
         return EinsteinAnsatz(tuple(theta), sigma_formula)
 
-    return _check("44", "nu!=0",
-                  ("eta", "isotropy_residual", "lambda", "sigma_formula",
-                   "sigma_fitted", "theta_fitted"),
-                  conditions, points, cfg, tol)
+    return _check("44", "nu!=0", conditions, points, cfg, tol)
 
 
 def _cubic_drift_tensor(fld, cfg):
@@ -833,13 +786,12 @@ def thm51_check(points, cfg: WeightConfig, tol=1e-6):
 
         theta = np.array(pt.fitted(cfg).theta)
         theta_b = float(theta @ fld.bu)
-        sksk, ss, sr = _drift_scalars(fld)
         s_up_vec = fld.mp.ginv @ fld.s_vec
         u = (
             (n - kappa) * float(fld.r_vec @ s_up_vec)
-            + (n - 2) * sksk
+            + (n - 2) * fld.sksk
             + 3 * (n - 1) * b2 * theta_b
-            - b2 * (fld.div_s + ss + sr)
+            - b2 * (fld.div_s + fld.ss + fld.sr)
         )
         scal["u"].append(u)
         sigma_formula = _sigma_agreement(fld, pt.fitted(cfg).sigma, res)
@@ -854,10 +806,7 @@ def thm51_check(points, cfg: WeightConfig, tol=1e-6):
         ))
         return EinsteinAnsatz(tuple(theta), sigma_formula)
 
-    return _check("51", "nu=0,kappa!=0",
-                  ("zeta", "u", "sigma_formula", "sigma_fitted",
-                   "theta_fitted", "divisibility_residual"),
-                  conditions, points, cfg, tol)
+    return _check("51", "nu=0,kappa!=0", conditions, points, cfg, tol)
 
 
 def thm61_check(points, cfg: WeightConfig, tol=1e-6):
@@ -887,8 +836,8 @@ def thm61_check(points, cfg: WeightConfig, tol=1e-6):
 
         theta = np.array(pt.fitted(cfg).theta)
         theta_b = float(theta @ fld.bu)
-        sksk, ss, _ = _drift_scalars(fld)
-        u = (n - 2) * sksk + 3 * (n - 1) * b2 * theta_b - b2 * (fld.div_s + ss)
+        u = ((n - 2) * fld.sksk + 3 * (n - 1) * b2 * theta_b
+             - b2 * (fld.div_s + fld.ss))
         scal["u"].append(u)
         sigma_formula = _sigma_agreement(fld, pt.fitted(cfg).sigma, res)
 
@@ -906,7 +855,4 @@ def thm61_check(points, cfg: WeightConfig, tol=1e-6):
         _reductions(pt, res, quad, u, theta, (n - 3) * b2 * eta * fld.s_vec)
         return EinsteinAnsatz(tuple(theta), sigma_formula)
 
-    return _check("61", "nu=0,kappa=0",
-                  ("eta", "isotropy_residual", "zeta", "u", "sigma_formula",
-                   "sigma_fitted", "theta_fitted"),
-                  conditions, points, cfg, tol)
+    return _check("61", "nu=0,kappa=0", conditions, points, cfg, tol)

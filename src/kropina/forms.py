@@ -330,6 +330,11 @@ class AbFields(FieldPoint):
         return float(np.einsum("kj,jk->", self.mp.ginv, self.dsv))
 
     @cached_property
+    def sr(self):
+        """s^j_k r^k_j."""
+        return float(np.einsum("ij,ji->", self.s_up, self.r_up))
+
+    @cached_property
     def trace_r_up(self):
         return float(np.trace(self.r_up))
 
@@ -351,10 +356,11 @@ class AbInvariants:
     """Scalar contractions of the drift derivatives at x and a block of
     directions y (..., n).
 
-    Tensor-level data stays on .fields; everything y-contracted is an
-    attribute here with y's leading axes: one value per direction, or a
-    float for a single direction y (n,), each with the bits of that
-    direction alone.  Notation: a trailing 0 is contraction with y, a
+    Tensor-level data and the direction-free scalars (r_scalar, div_s,
+    sksk, ss) stay on .fields; everything y-contracted is an attribute
+    here with y's leading axes: one value per direction, or a float for
+    a single direction y (n,), each with the bits of that direction
+    alone.  Notation: a trailing 0 is contraction with y, a
     ';' in the comments below marks the covariant derivative taken
     before that contraction.
     """
@@ -377,7 +383,6 @@ class AbInvariants:
         self.s_0 = _dot(f.s_vec, y)
         self.s_i0 = _apply(f.s_up, y)        # s^i_0
         self.r_0i = _apply(f.r, y)           # r_{0 i}
-        self.r_scalar = f.r_scalar
 
         self.r00_0 = np.einsum("ijk,...i,...j,...k->...", f.dr, y, y, y)
         self.r00_b = np.einsum("ijk,...i,...j,k->...", f.dr, y, y, f.bu)
@@ -385,11 +390,8 @@ class AbInvariants:
         self.s0_b = _form(y, f.dsv, f.bu)    # b^k s_{0;k}
         self.r0_0 = _form(y, f.drv, y)       # r_{0;0}
         self.div_s0 = _dot(f.div_s_up, y)    # s^k_{0;k}
-        self.div_s = f.div_s                 # s^k_{;k}
 
         self.sk_sk0 = _dot(f.s_vec, self.s_i0)            # s_k s^k_0
-        self.sksk = float(f.s_vec @ f.mp.ginv @ f.s_vec)  # s^k s_k
-        self.ss = float(np.einsum("ij,ji->", f.s_up, f.s_up))  # s^j_k s^k_j
         self.rk_sk0 = _dot(f.r_vec, self.s_i0)            # r_k s^k_0
         self.r0k_sk = _dot(self.r_0i, f.mp.ginv @ f.s_vec)  # r_{0k} s^k
         self.r0k_sk0 = _dot(self.r_0i, self.s_i0)         # r_{0k} s^k_0
@@ -436,7 +438,7 @@ def kropina_ricci_closed(inv: AbInvariants):
             inv.r00_0 + F * inv.s0_0 + F * F * inv.sk_sk0
         )
         + (np.float_power(inv.r_0 + inv.s_0, 2)
-           - inv.r_scalar * (inv.r_00 + F * inv.s_0)) / b4
+           - f.r_scalar * (inv.r_00 + F * inv.s_0)) / b4
         + (
             F * inv.s0_b + inv.r00_b
             - (inv.r0_0 + inv.s0_0)
@@ -444,10 +446,10 @@ def kropina_ricci_closed(inv: AbInvariants):
             + 2.0 * n * inv.r0k_sk0
             - F * inv.rk_sk0
             - F * inv.r0k_sk
-            - 0.5 * F * F * inv.sksk
+            - 0.5 * F * F * f.sksk
         ) / b2
         - F * inv.div_s0
-        - 0.25 * F * F * inv.ss
+        - 0.25 * F * F * f.ss
     )
     return ric_a + t
 
@@ -480,7 +482,7 @@ def s_dot_closed(inv: AbInvariants):
         - 2.0 * inv.r0k_sk0
     ) / b2
     second = (
-        -((a2 / beta) * inv.s_0 + inv.r_00) * inv.r_scalar
+        -((a2 / beta) * inv.s_0 + inv.r_00) * inv.fields.r_scalar
         + (2.0 * beta / a2) * inv.r_00 * (3.0 * inv.r_0 - inv.s_0)
         + 2.0 * inv.r_0 * (inv.s_0 - inv.r_0)
         - 4.0 * np.float_power(beta / a2, 2) * np.float_power(inv.r_00, 2)
@@ -613,9 +615,7 @@ def nav_ricci_isotropic(fp: NavPoint, y, tol=1e-8):
     _nav_hypothesis(fp, tol)
     y, _, F = _nav_frame(fp, y)
     ric = fp.mp.ricci
-    s_up = fp.s_up
-    return (_form(y, ric, y) - 2.0 * F * _form(y, ric, fp.w)
-            - F * F * np.einsum("ij,ji->", s_up, s_up))
+    return _form(y, ric, y) - 2.0 * F * _form(y, ric, fp.w) - F * F * fp.ss
 
 
 # -- volume densities and evaluators --------------------------------------------

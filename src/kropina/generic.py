@@ -264,9 +264,7 @@ def curvature_samples(F: FinslerEvaluator, x, ys, log_sigma: Jet,
 class BHDensityEstimate:
     value: float            # Vol(B^n) / Vol{F < 1}
     stderr: float
-    sublevel_volume: float
     samples: int
-    hits: int
 
 
 def unit_ball_volume(n: int) -> float:
@@ -352,13 +350,7 @@ def bh_density(
     if hits == 0:
         raise ValueError("degenerate sublevel set: no Monte-Carlo hits")
     p = hits / mc_samples
-    sublevel = p * box_volume
-    value = unit_ball_volume(n) / sublevel
+    value = unit_ball_volume(n) / (p * box_volume)
     rel = math.sqrt(p * (1.0 - p) / mc_samples) / p
-    return BHDensityEstimate(
-        value=value,
-        stderr=value * rel,
-        sublevel_volume=sublevel,
-        samples=mc_samples,
-        hits=hits,
-    )
+    return BHDensityEstimate(value=value, stderr=value * rel,
+                             samples=mc_samples)

@@ -9,13 +9,13 @@ own block so callers can strip them.
 A report's JSON text is written in one walk by _json: sorted keys, a
 two-space indent, ASCII-escaped strings, numbers as their repr, and each
 non-finite float as the string "nan", "inf" or "-inf", so the JSON
-stays strict.  These are the bytes json.dumps(as_dict(), sort_keys=True,
-indent=2) writes.
+stays strict.  These are the bytes json.dumps(sort_keys=True, indent=2)
+writes over the test oracle's _strict tree (tests/oracles.py,
+report_json).
 """
 
 import csv
 import io
-import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -37,22 +37,11 @@ def tool_version():
     return __version__
 
 
-def _strict(obj):
-    """The report tree with each non-finite float written as the string
-    "nan", "inf" or "-inf", so the JSON stays strict."""
-    if isinstance(obj, dict):
-        return {k: _strict(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_strict(v) for v in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(float(obj))
-    return obj
-
-
 def _json(obj, nl="\n"):
-    """obj as strict JSON text at the indentation nl opens, with _strict's
-    rule folded in.  TypeError on what json.dumps refuses (a numpy int or
-    bool, a set) and on a dict key that is not a str."""
+    """obj as strict JSON text at the indentation nl opens, each
+    non-finite float as a quoted string.  TypeError on what json.dumps
+    refuses (a numpy int or bool, a set) and on a dict key that is not a
+    str."""
     if isinstance(obj, float):
         text = float.__repr__(obj)
         # a finite float's text holds no "n"; "nan" and "inf" are quoted
@@ -89,18 +78,6 @@ def _json(obj, nl="\n"):
         f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def merge_verdicts(*verdicts):
-    worst = "PASS"
-    for v in verdicts:
-        if _RANK[v] > _RANK[worst]:
-            worst = v
-    return worst
-
-
-def exit_code_for(verdict):
-    return _EXIT_FOR[verdict]
-
-
 @dataclass
 class ReportDocument:
     """One run's result: verdict, tables, checker output, timings."""
@@ -126,13 +103,11 @@ class ReportDocument:
             )
 
     def settle(self, *verdicts):
-        """Fold component verdicts into the document's overall state."""
-        self.verdict = merge_verdicts(self.verdict, *verdicts)
-        self.exit_code = exit_code_for(self.verdict)
-
-    def as_dict(self, timings=True):
-        """The report as plain data; non-finite floats become strings."""
-        return _strict(self._tree(timings))
+        """Fold component verdicts into the document's overall state:
+        the most severe one wins, the first of equally severe ones."""
+        # a tuple, since max of one string would iterate its characters
+        self.verdict = max((self.verdict, *verdicts), key=_RANK.__getitem__)
+        self.exit_code = _EXIT_FOR[self.verdict]
 
     def to_json(self, timings=True):
         """The report as strict JSON text, written by _json in one walk."""

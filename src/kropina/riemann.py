@@ -270,3 +270,13 @@ class FieldPoint:
     def r_scalar(self):
         """r_j W^j."""
         return float(self.r_vec @ self.w)
+
+    @cached_property
+    def sksk(self):
+        """s^k s_k."""
+        return float(self.s_vec @ self.mp.ginv @ self.s_vec)
+
+    @cached_property
+    def ss(self):
+        """s^j_k s^k_j."""
+        return float(np.einsum("ij,ji->", self.s_up, self.s_up))

@@ -42,6 +42,7 @@ from .reports import ReportDocument
 from .scenarios import (
     COMPARISON_CUTOFF,
     ScenarioError,
+    _from_dict,
     load_scenario,
     scenario_samples,
 )
@@ -89,7 +90,9 @@ def run_check(scenario, theorem="auto", seed=None, tol=None):
     theorem 'auto' dispatches on the weight-constant regime; an explicit
     id runs that checker alone (a regime mismatch is reported as a
     precondition failure, since the theorem's hypotheses exclude the
-    configuration before any geometry is computed).  The checkers share
+    configuration before any geometry is computed).  Each checker's
+    report entry goes into the report as it is, and its conditions are
+    also the rows of its thm<id> table.  The checkers share
     one ChartPoint per sampled x, so each chart point's bundles and
     (theta, sigma) fit are built, and each (x, y) sampled, once per run.
     """
@@ -137,13 +140,9 @@ def run_check(scenario, theorem="auto", seed=None, tol=None):
                 doc.errors.append({"kind": type(e).__name__, "message": str(e)})
                 doc.settle("ERROR")
                 continue
-        doc.checks.append(report.as_dict())
-        doc.settle(report.verdict)
-
-    for check in doc.checks:
-        rows = [dict(cond) for cond in check.get("conditions", [])]
-        if rows:
-            doc.tables.append({"name": f"thm{check['theorem']}", "rows": rows})
+        doc.checks.append(report)
+        doc.tables.append({"name": f"thm{t}", "rows": report["conditions"]})
+        doc.settle(report["verdict"])
     return doc
 
 
@@ -303,7 +302,7 @@ def _check_gauge_positive(gauge, scenario):
 def run_convert(scenario, to, gauge=None, seed=None):
     """Rewrite a scenario in the other representation.
 
-    The emitted document is validated through the ordinary loader, and
+    The emitted document is validated by loading it back, and
     the report carries numeric evidence: F evaluated through source and
     converted expressions at the scenario's own sample plan, all
     directions of a chart point in one evaluation over numpy columns.
@@ -354,7 +353,9 @@ def run_convert(scenario, to, gauge=None, seed=None):
 
     with doc.timed("validate"):
         try:
-            conv_space = load_scenario(emitted).space()
+            # a document the package wrote: loaded as trusted, with no
+            # schema check, as the builtins are
+            conv_space = _from_dict(emitted, origin="<dict>").space()
         except ScenarioError as e:
             # the pointer is into the emitted document, which the caller
             # has not seen: say so instead of passing it on as theirs

@@ -78,10 +78,11 @@ node anew.  parse_expr and print_node must match them byte for byte,
 error for error.
 
 Last come the report routes: report_json writes a report as json.dumps
-does over the tree _strict makes, against ReportDocument.to_json's
-one-walk encoder; pair_rows_per_row builds a chart point's verify rows
-one direction at a time with listed and rel_dev, against
-workbench._pair_rows' whole blocks.
+does over the tree _strict makes of it (each non-finite float as a
+string), against ReportDocument.to_json's one-walk encoder;
+pair_rows_per_row builds a chart point's verify rows one direction at a
+time with listed and rel_dev, against workbench._pair_rows' whole
+blocks.
 """
 import itertools
 import json
@@ -93,7 +94,6 @@ import numpy as np
 
 from kropina.einstein import (
     ChartPoint,
-    ConditionResult,
     EinsteinAnsatz,
     WeightConfig,
     _weighted_ricci,
@@ -978,7 +978,7 @@ def residuals_per_row(tol, adds):
     from adds, (name, residual, kind) triples of one float each in
     sampling order.  Each name keeps its worst residual as it goes; a
     non-finite one fails its name, stays the worst value and is named
-    by its row in the note."""
+    by its row in the note.  Returns the entries conditions() gives."""
     worst, kinds, rows, bad_row = {}, {}, {}, {}
     for name, residual, kind in adds:
         residual = abs(float(residual))
@@ -993,18 +993,14 @@ def residuals_per_row(tol, adds):
             worst[name] = residual
         elif row == 0 or residual > worst[name]:
             worst[name] = residual
-    return tuple(
-        ConditionResult(
-            name=name,
-            residual=worst[name],
-            tol=tol,
-            passed=bool(name not in bad_row and worst[name] <= tol),
-            kind=kind,
-            note=("" if name not in bad_row
-                  else f"non-finite residual at row {bad_row[name]}"),
-        )
+    return [
+        {"name": name, "residual": worst[name], "tol": tol,
+         "passed": bool(name not in bad_row and worst[name] <= tol),
+         "kind": kind,
+         "note": ("" if name not in bad_row
+                  else f"non-finite residual at row {bad_row[name]}")}
         for name, kind in kinds.items()
-    )
+    ]
 
 
 def weighted_ricci_tensor(h: RiemannianMetric, f, cfg: WeightConfig, x):
@@ -1586,10 +1582,22 @@ def print_node_oracle(node) -> str:
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def _strict(obj):
+    """The report tree with each non-finite float written as the string
+    "nan", "inf" or "-inf", so the JSON stays strict."""
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(float(obj))
+    return obj
+
+
 def report_json(doc: ReportDocument, timings=True) -> str:
-    """doc.to_json(timings) as json.dumps writes the tree as_dict makes
-    with _strict."""
-    return json.dumps(doc.as_dict(timings), sort_keys=True, indent=2,
+    """doc.to_json(timings) as json.dumps writes the document's tree
+    once _strict has made it strict."""
+    return json.dumps(_strict(doc._tree(timings)), sort_keys=True, indent=2,
                       allow_nan=False) + "\n"
 
 

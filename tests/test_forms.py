@@ -217,9 +217,11 @@ def test_parallel_drift_all_zero():
     inv = AbInvariants(fld, [1.0, 0.3, 0.2])
     assert np.allclose(fld.r, 0.0, atol=1e-15)
     assert np.allclose(fld.s, 0.0, atol=1e-15)
-    for name in ("r_00", "r_0", "s_0", "r00_0", "s0_0", "div_s0", "div_s",
-                 "r0_0", "sk_sk0", "sksk", "ss", "rk_sk0", "r0k_sk0"):
+    for name in ("r_00", "r_0", "s_0", "r00_0", "s0_0", "div_s0", "r0_0",
+                 "sk_sk0", "rk_sk0", "r0k_sk0"):
         assert getattr(inv, name) == pytest.approx(0.0, abs=1e-15), name
+    for name in ("div_s", "sksk", "ss", "sr"):
+        assert getattr(fld, name) == pytest.approx(0.0, abs=1e-15), name
     assert np.allclose(inv.s_i0, 0.0, atol=1e-15)
 
 

@@ -18,7 +18,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "kropina"
 ALLOWED = {
     "cli._Parser.error": "argparse calls it on a usage error",
     "jets.Jet.partial": "read accessor for one Taylor coefficient",
-    "einstein.TheoremReport.condition": "read accessor for one condition",
 }
 
 

@@ -25,6 +25,7 @@ from kropina.scenarios import (
     sample_directions,
     scenario_samples,
 )
+from kropina.workbench import run_convert
 
 
 def doc_for(name):
@@ -506,6 +507,15 @@ def test_trusted_documents_hold_to_the_schema(label):
     assert _schema_errors(_TRUSTED[label]) == []
 
 
+@pytest.mark.parametrize("to, gauge", [("nav", None), ("ab", None),
+                                       ("ab", "1 + x1^2")])
+@pytest.mark.parametrize("name", [*builtin_names(), "random:3"])
+def test_emitted_documents_hold_to_the_schema(name, to, gauge):
+    """convert loads the document it emits as trusted, without the
+    schema, so the emitted documents are held to it here."""
+    assert _schema_errors(run_convert(name, to, gauge=gauge).emitted) == []
+
+
 def test_only_files_and_dicts_are_validated_at_load(monkeypatch, tmp_path):
     checked = []
     real = scenarios._schema_check
@@ -527,7 +537,7 @@ import sys
 
 import kropina.cli
 from kropina.scenarios import load_scenario, random_scenario
-from kropina.workbench import run_check
+from kropina.workbench import run_check, run_convert
 
 load_scenario("s3_hopf")
 run_check("s3_hopf")
@@ -536,6 +546,8 @@ if sys.argv[1] == "dict":
     load_scenario(random_scenario(3))
 elif sys.argv[1] == "seed":
     run_check("s3_hopf", seed=5)
+elif sys.argv[1] == "convert":
+    run_convert("s3_hopf", "ab")
 print(before, "jsonschema" in sys.modules)
 """
 
@@ -544,10 +556,12 @@ print(before, "jsonschema" in sys.modules)
     ("nothing", "False False"),
     ("dict", "False True"),
     ("seed", "False True"),
+    ("convert", "False False"),
 ])
 def test_jsonschema_is_imported_only_to_validate(then, imported):
     """A fresh interpreter imports the CLI, loads and checks a builtin
-    without jsonschema; a dict document or a seed override brings it in."""
+    without jsonschema, and converts it without it too; a dict document
+    or a seed override brings it in."""
     src = str(Path(kropina.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, then],

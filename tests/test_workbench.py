@@ -11,12 +11,7 @@ from jsonschema import Draft202012Validator
 
 from kropina.forms import GaugeError, finsler_evaluator
 from kropina.jets import Jet
-from kropina.reports import (
-    ReportDocument,
-    exit_code_for,
-    merge_verdicts,
-    tool_version,
-)
+from kropina.reports import ReportDocument, tool_version
 from kropina.scenarios import ScenarioError, load_scenario, random_scenario
 from kropina.workbench import VERIFY_TOLS, run_check, run_convert, run_verify
 
@@ -46,15 +41,25 @@ def report_validator():
 # -- reports -------------------------------------------------------------------
 
 
+def _settled(*verdicts):
+    """(verdict, exit code) of a fresh document settled on verdicts."""
+    doc = ReportDocument(kind="check", scenario={"name": "x"})
+    doc.settle(*verdicts)
+    return doc.verdict, doc.exit_code
+
+
 def test_merge_verdicts_severity():
-    assert merge_verdicts("PASS", "PASS") == "PASS"
-    assert merge_verdicts("PASS", "FAIL") == "FAIL"
-    assert merge_verdicts("FAIL", "PRECONDITION") == "PRECONDITION"
-    assert merge_verdicts("PRECONDITION", "ERROR") == "PRECONDITION"
-    assert exit_code_for("PASS") == 0
-    assert exit_code_for("FAIL") == 2
-    assert exit_code_for("ERROR") == 2
-    assert exit_code_for("PRECONDITION") == 3
+    """settle keeps the most severe verdict, the first of equally severe
+    ones, and its exit code."""
+    assert _settled("PASS", "PASS") == ("PASS", 0)
+    assert _settled("PASS", "FAIL") == ("FAIL", 2)
+    assert _settled("FAIL", "PRECONDITION") == ("PRECONDITION", 3)
+    assert _settled("PRECONDITION", "ERROR") == ("PRECONDITION", 3)
+    assert _settled("ERROR") == ("ERROR", 2)
+    assert _settled("FAIL", "ERROR") == ("FAIL", 2)
+    # no verdict, or one, leaves the document's own in the race
+    assert _settled() == ("PASS", 0)
+    assert _settled("PRECONDITION") == ("PRECONDITION", 3)
 
 
 def test_tool_version_stable_and_nonempty():
@@ -78,8 +83,8 @@ def test_report_document_strips_timings():
     with doc.timed("stage"):
         pass
     assert "stage" in doc.timings_ms
-    assert "timings_ms" not in doc.as_dict(timings=False)
-    assert "timings_ms" in doc.as_dict(timings=True)
+    assert "timings_ms" not in json.loads(doc.to_json(timings=False))
+    assert "timings_ms" in json.loads(doc.to_json(timings=True))
 
 
 def test_report_csv_unions_columns():
@@ -184,7 +189,7 @@ def test_check_report_is_schema_valid_and_deterministic():
     validator = report_validator()
     a = run_check("s3_hopf", seed=5)
     b = run_check("s3_hopf", seed=5)
-    validator.validate(a.as_dict())
+    validator.validate(json.loads(a.to_json()))
     assert a.to_json(timings=False) == b.to_json(timings=False)
 
 
@@ -279,7 +284,7 @@ def test_verify_report_deterministic_and_schema_valid():
     validator = report_validator()
     a = run_verify("torus_wind", points=1, dirs=4, seed=2)
     b = run_verify("torus_wind", points=1, dirs=4, seed=2)
-    validator.validate(a.as_dict())
+    validator.validate(json.loads(a.to_json()))
     assert a.to_json(timings=False) == b.to_json(timings=False)
 
 
@@ -391,7 +396,7 @@ def test_convert_report_deterministic():
     a = run_convert("s3_hopf", to="ab", seed=4)
     b = run_convert("s3_hopf", to="ab", seed=4)
     assert a.to_json(timings=False) == b.to_json(timings=False)
-    report_validator().validate(a.as_dict())
+    report_validator().validate(json.loads(a.to_json()))
 
 
 # -- non-finite values ---------------------------------------------------------
@@ -725,7 +730,7 @@ def test_convert_to_own_representation_emits_the_source_view():
     doc = run_convert(sc, "ab")
     assert doc.verdict == "PASS"
     # compact JSON; the parent's re-derived trees made it 157 KB
-    assert len(json.dumps(doc.as_dict(timings=False))) < 10_000
+    assert len(json.dumps(json.loads(doc.to_json(timings=False)))) < 10_000
     assert doc.tables[0]["name"] == "f-agreement"
     assert doc.tables[0]["max_rel_dev"] == 0.0
     again = run_convert(doc.emitted, "ab")
