@@ -11,8 +11,9 @@ when they load: files and dicts.  So are the sampling overrides of a
 run (``--seed``, ``--points`` and ``--dirs`` on the command line).  The
 documents the package writes itself, the builtins, ``random:<seed>``
 and the document convert emits, are trusted and load without it
-(through _from_dict); the tests hold every one of them to the schema.  jsonschema is imported on the first validation only, so a
-run on a builtin without overrides never imports it.
+(through _from_dict); the tests hold every one of them to the schema.
+jsonschema is imported on the first validation only, so a run on a
+builtin without overrides never imports it.
 
 Loading is strict on purpose.  Schema violations carry a JSON-pointer
 path, expression problems keep the parser's offset message, and a

@@ -59,10 +59,7 @@ S5_SEEDS = range(1, 9)
 def _canonical(doc):
     from kropina import reports as report_module
 
-    if hasattr(doc, "as_dict"):  # older source trees
-        data = doc.as_dict(timings=False)
-    else:
-        data = json.loads(doc.to_json(timings=False))
+    data = json.loads(doc.to_json(timings=False))
     data["tool"] = {k: v for k, v in data["tool"].items() if k != "version"}
     if hasattr(report_module, "_json"):
         return report_module._json(data) + "\n"
