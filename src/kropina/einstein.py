@@ -45,13 +45,14 @@ from .forms import (
     s_dot_closed,
 )
 from .generic import curvature_samples
+from .jets import Jet, jet_space
 from .riemann import (
     MetricPoint,
     NotPositiveDefiniteError,
     _dot,
-    _extract,
     _form,
-    eval_component_jets,
+    evaluate,
+    partials,
 )
 
 
@@ -409,8 +410,8 @@ class ChartPoint:
     configuration.
 
     The bundles, the densities and the weight's partials all read one
-    evaluation of the space's trees over the n chart variables to order
-    2.
+    riemann.evaluate of the space's trees over the n chart variables to
+    order 2, each tree's partials taken from its own array.
     """
 
     def __init__(self, space: KropinaSpace, x, ys):
@@ -418,59 +419,49 @@ class ChartPoint:
         self.n = space.dim
         self.x = np.asarray(x, dtype=float)
         self.ys = np.array(ys, dtype=float).reshape(-1, self.n)
+        self._jet_space = jet_space(self.n, 2)
         self._fits = {}
 
     @cached_property
-    def _jets(self):
-        """The order-2 x-jets of every tree the point reads, from one
-        evaluation: a_ij, b^i, h_ij, W^i, the gauge and the weight, row by
-        row and in that order, so each node the trees share runs once."""
+    def _trees(self):
+        """The order-2 x-jets of every tree the point reads, as the
+        coefficient arrays of one evaluation: a_ij, b^i, h_ij, W^i, the
+        gauge and the weight (when the space has one), so each node the
+        trees share runs once."""
         sp = self.space
-        trees = [e for row in sp.a.exprs for e in row] + list(sp.b_up)
-        trees += [e for row in sp.h.exprs for e in row] + list(sp.w)
-        trees += [sp.gauge] + ([] if sp.weight is None else [sp.weight])
-        x = list(self.x)
+        parts = (sp.a, sp.b_up, sp.h, sp.w, sp.gauge) + (
+            () if sp.weight is None else (sp.weight,))
         try:
-            return eval_component_jets(trees, x, 2)
+            return evaluate(self._jet_space.seed(self.x), *parts)
         except ExprError:
             # a metric that is not positive definite is reported first
-            MetricPoint.from_exprs(sp.a, x, order=2)
+            MetricPoint.from_exprs(sp.a, self.x, order=2)
             raise
 
     @cached_property
-    def _partials(self):
-        return _extract(self._jets, self.n, 2)
-
-    def _take(self, at, shape):
-        """Value, first and second partials of the trees from position
-        at on, shaped like one tree of the given shape."""
-        end = at + math.prod(shape)
-        return [p[at:end].reshape(shape + p.shape[1:]) for p in self._partials]
-
-    @cached_property
     def fld(self):
-        n = self.n
-        if self.space.weight is None:
-            weight = np.zeros(n), np.zeros((n, n))
+        a, b_up, h, w, gauge, *weight = self._trees
+        sp = self._jet_space
+        if weight:
+            f = partials(weight[0], sp)[1:]
         else:
-            weight = self._take(2 * n * n + 2 * n + 1, ())[1:]
-        return AbFields(self.space, self.x, MetricPoint(*self._take(0, (n, n))),
-                        self._take(n * n, (n,)), weight)
+            f = np.zeros(self.n), np.zeros((self.n, self.n))
+        return AbFields(self.space, self.x, MetricPoint(*partials(a, sp)),
+                        partials(b_up, sp), f)
 
     @cached_property
     def nav(self):
-        n = self.n
-        return NavPoint(MetricPoint(*self._take(n * n + n, (n, n))),
-                        *self._take(2 * n * n + n, (n,)))
+        a, b_up, h, w, gauge, *weight = self._trees
+        sp = self._jet_space
+        return NavPoint(MetricPoint(*partials(h, sp)), *partials(w, sp))
 
     @cached_property
     def log_densities(self):
         """(ln sigma, ln sigma_BH or None) as order-2 x-jets, as
         forms.log_densities gives them."""
-        n, jets = self.n, self._jets
-        a = np.array([j.coef for j in jets[:n * n]]).reshape(n, n, -1)
-        at = 2 * n * n + 2 * n
-        return log_densities(a, *jets[at:])
+        a, b_up, h, w, gauge, *weight = self._trees
+        sp = self._jet_space
+        return log_densities(a, *(Jet(sp, c) for c in (gauge, *weight)))
 
     @cached_property
     def evaluator(self):

@@ -23,9 +23,11 @@ constructors): equal subtrees are one object, so an expression is a DAG
 whose size is its count of distinct subexpressions, however long its
 printed text.  Evaluation works over three scalar kinds through one walk
 of that DAG, each distinct node once per call: plain floats, Jet values
-(exact truncated derivatives), and numpy arrays (used for vectorised
-Monte Carlo; array evaluation skips domain checks and lets non-finite
-values flow, callers mask them).
+(exact truncated derivatives), and numpy arrays (for a Finsler
+metric written as one expression in x and y, such as the tests' ones,
+at many directions at once; array evaluation skips domain checks and
+lets non-finite values flow, callers mask them).  The package's own
+trees go through riemann.evaluate, over floats and jets only.
 
 The e_* constructors, which build the trees conversions derive, also
 fold trivial identities: an operation on two constants becomes its

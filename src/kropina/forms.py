@@ -40,7 +40,6 @@ from .expr import (
     e_mul,
     e_neg,
     e_pow,
-    eval_expr,
     parse_expr,
 )
 from .generic import ConicDomainError, FinslerEvaluator
@@ -52,6 +51,7 @@ from .riemann import (
     _apply,
     _dot,
     _form,
+    evaluate,
 )
 
 
@@ -157,7 +157,7 @@ class KropinaSpace:
         n = h.dim
         w = _coerce_vector(w, n, "wind")
         for k, x in enumerate(check_at or ()):
-            h_val, w_val = _values(x, h, w)
+            h_val, w_val = evaluate(x, h, w)
             _require_unit_wind(float(w_val @ h_val @ w_val),
                                f"at sample point {k}")
         g = _coerce_scalar(2.0 if gauge is None else gauge, n, "gauge")
@@ -211,27 +211,6 @@ class KropinaSpace:
             weight=_coerce_scalar(weight, n, "weight"),
             name=name,
         )
-
-
-def _values(x, *parts):
-    """Float values at the chart point x of each part, from one
-    evaluation: a metric gives its component matrix, a sequence of
-    expressions its vector."""
-    flat, shapes = [], []
-    for part in parts:
-        if isinstance(part, RiemannianMetric):
-            flat += [e for row in part.exprs for e in row]
-            shapes.append((part.dim, part.dim))
-        else:
-            flat += part
-            shapes.append((len(part),))
-    vals = np.array(eval_expr(flat, [float(v) for v in x]), dtype=float)
-    out, at = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        out.append(vals[at:at + size].reshape(shape))
-        at += size
-    return out
 
 
 def _require_unit_wind(norm2, where):
@@ -609,10 +588,14 @@ def _nav_hypothesis(fp: NavPoint, tol: float):
         )
 
 
-def nav_ricci_isotropic(fp: NavPoint, y, tol=1e-8):
+# relative tolerance of the Killing and S_j gate of nav_ricci_isotropic
+_KILLING_TOL = 1e-8
+
+
+def nav_ricci_isotropic(fp: NavPoint, y):
     """Ricci curvature from navigation data, Killing wind only, at the
     directions y (..., n)."""
-    _nav_hypothesis(fp, tol)
+    _nav_hypothesis(fp, _KILLING_TOL)
     y, _, F = _nav_frame(fp, y)
     ric = fp.mp.ricci
     return _form(y, ric, y) - 2.0 * F * _form(y, ric, fp.w) - F * F * fp.ss
@@ -629,13 +612,11 @@ def sigma_bh(space: KropinaSpace, x) -> float:
     form (2/b)^n sqrt(det a); validated against Monte-Carlo estimates
     in the test suite.
     """
-    n = space.dim
-    *vals, b = eval_expr([e for row in space.a.exprs for e in row]
-                         + [space.gauge], [float(v) for v in x])
-    det = float(np.linalg.det(np.asarray(vals, dtype=float).reshape(n, n)))
-    if det <= 0.0 or float(b) <= 0.0:
+    a, b = evaluate(x, space.a, space.gauge)
+    det, b = float(np.linalg.det(a)), float(b)
+    if det <= 0.0 or b <= 0.0:
         raise GaugeError("degenerate view metric or gauge")
-    return math.sqrt(det) * (2.0 / float(b)) ** n
+    return math.sqrt(det) * (2.0 / b) ** space.dim
 
 
 def log_densities(a, b: Jet, f: Optional[Jet] = None):
@@ -666,11 +647,11 @@ def finsler_evaluator(space: KropinaSpace) -> FinslerEvaluator:
     """Package the (alpha, beta) view of the space for the generic
     pipeline, F = a_ij y^i y^j / (b_i y^i).
 
-    The x-stages evaluate each coefficient tree once per chart point
-    and stack the values, a_ij as an (n, n, C) array and b_i as (n, C):
-    C = 1 at a float chart point, for at(x) and domain_at(x), and the
-    jets' coefficient arrays for jets_at(x) on the order-4 seeds x of
-    the chart variables.  The direction stages combine those arrays
+    The x-stages evaluate a_ij and b_i once per chart point (through
+    riemann.evaluate): at(x) and domain_at(x) take a float chart point
+    and hold values, (n, n) and (n,), and jets_at(x) takes the order-4
+    seeds x of the chart variables and holds their coefficient arrays,
+    (n, n, C) and (n, C).  The direction stages combine those arrays
     with y in a few numpy calls, with the bits of the loop a_ij y^i y^j
     / (b_i y^i) over the same values (see _quadratic).  at(x)'s y is
     floats or numpy columns; jets_at(x)'s stage takes a (D, n) block of
@@ -679,10 +660,10 @@ def finsler_evaluator(space: KropinaSpace) -> FinslerEvaluator:
     operations.  The box hint brackets the unit-ball ellipsoid exactly.
     """
     n = space.dim
-    quad = [e for row in space.a.exprs for e in row]
 
     def at(x):
-        a, b = _values(x, space.a, space.b)
+        # floats first: a jet chart point raises TypeError here
+        a, b = evaluate([float(v) for v in x], space.a, space.b)
         a, b = a[..., None], b[:, None]
 
         def f(y):
@@ -693,8 +674,7 @@ def finsler_evaluator(space: KropinaSpace) -> FinslerEvaluator:
 
     def jets_at(x):
         sp = x[0].space
-        coef = _stacked(eval_expr(quad + list(space.b), list(x)), sp)
-        a, b = coef[:n * n].reshape(n, n, -1), coef[n * n:]
+        a, b = evaluate(x, space.a, space.b)
         blocks = _seed_blocks(sp, tuple(range(n, 2 * n)))
 
         def f(ys):
@@ -705,11 +685,11 @@ def finsler_evaluator(space: KropinaSpace) -> FinslerEvaluator:
         return f
 
     def domain_at(x):
-        b = _values(x, space.b)[0][:, None]
+        b = evaluate([float(v) for v in x], space.b)[0][:, None]
         return lambda y: _linear(b, *_directions(y)) > 0
 
     def box_hint(x):
-        a_val, b_val = _values(x, space.a, space.b)
+        a_val, b_val = evaluate(x, space.a, space.b)
         ainv = np.linalg.inv(a_val)
         centre = ainv @ b_val / 2.0
         b_norm = math.sqrt(float(b_val @ ainv @ b_val))
@@ -727,18 +707,6 @@ def finsler_evaluator(space: KropinaSpace) -> FinslerEvaluator:
 
 
 # -- the direction stage of F over stacked coefficients ----------------------
-
-
-def _stacked(values, space):
-    """The jet values of coefficient trees stacked as coefficient arrays
-    (len(values), space.ncoef), a float among them as a constant row."""
-    coef = np.zeros((len(values), space.ncoef))
-    for row, v in zip(coef, values):
-        if isinstance(v, Jet):
-            row[:] = v.coef
-        else:
-            row[0] = v
-    return coef
 
 
 def _directions(y):

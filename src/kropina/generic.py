@@ -271,7 +271,11 @@ def unit_ball_volume(n: int) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
-def _probe_box(F: FinslerEvaluator, x, probes: int = 256):
+# random probe directions of _probe_box, besides the 2n axis directions
+_BOX_PROBES = 256
+
+
+def _probe_box(F: FinslerEvaluator, x):
     """Axis-aligned box containing {F(x, .) < 1}, found by radial probing.
 
     By 1-homogeneity the sublevel set is the radial graph t < 1/F(x, u),
@@ -283,7 +287,7 @@ def _probe_box(F: FinslerEvaluator, x, probes: int = 256):
     """
     n = F.dim
     rng = np.random.Generator(np.random.Philox(key=0x9E3779B9))
-    dirs = rng.normal(size=(probes, n))
+    dirs = rng.normal(size=(_BOX_PROBES, n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     dirs = np.vstack([dirs, np.eye(n), -np.eye(n)])
     xs, cols = [float(v) for v in x], list(dirs.T)

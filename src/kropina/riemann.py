@@ -1,9 +1,9 @@
 """Riemannian metric calculus on chart expressions.
 
 Everything at a chart point is driven by jets of the component
-expressions: the metric and any field are evaluated once as jets over x,
-the raw partials are extracted into numpy arrays, and the tensor algebra
-proceeds by einsum.
+expressions: evaluate turns the trees of a metric and any fields into
+arrays in one evaluation over the x-jets, partials reads their value and
+partials off those arrays, and the tensor algebra proceeds by einsum.
 
 Index conventions of MetricPoint, fixed operationally by the convention
 self-test in the test suite:
@@ -15,6 +15,7 @@ self-test in the test suite:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -71,43 +72,58 @@ def _apply(M, y):
     return (M @ y[..., :, None])[..., 0]
 
 
-def eval_component_jets(exprs, x, order):
-    """Evaluate a nested structure of ExprAst over x-jets, in one call.
+def evaluate(env, *parts):
+    """The arrays of each part over env, from one eval_expr call, so the
+    nodes the parts share run once: a RiemannianMetric gives an (n, n)
+    array, a sequence of trees an (m,) array and one ExprAst a () array.
 
-    Returns a matching nested list of jets.  Constant expressions come
-    back as floats from eval_expr and are lifted to constant jets here.
+    Over a chart point of floats the arrays hold values.  Over jets (the
+    seeds of one jet space) they hold each tree's coefficient array on a
+    trailing axis, a constant tree's as a constant row.
     """
-    space = jet_space(len(x), order)
-    if isinstance(exprs, ExprAst):
-        return eval_component_jets([exprs], x, order)[0]
-    nested = isinstance(exprs[0], (list, tuple))
-    flat = [e for row in exprs for e in row] if nested else exprs
-    jets = [v if isinstance(v, Jet) else space.constant(v)
-            for v in eval_expr(flat, space.seed(x))]
-    if not nested:
-        return jets
-    m = len(exprs[0])
-    return [jets[i:i + m] for i in range(0, len(jets), m)]
+    flat, shapes = [], []
+    for part in parts:
+        if isinstance(part, RiemannianMetric):
+            flat += [e for row in part.exprs for e in row]
+            shapes.append((part.dim, part.dim))
+        elif isinstance(part, ExprAst):
+            flat.append(part)
+            shapes.append(())
+        else:
+            flat += part
+            shapes.append((len(part),))
+    if isinstance(env[0], Jet):
+        space = env[0].space
+        vals = np.zeros((len(flat), space.ncoef))
+        for row, v in zip(vals, eval_expr(flat, env)):
+            if isinstance(v, Jet):
+                row[:] = v.coef
+            else:
+                row[0] = v
+        tail = (space.ncoef,)
+    else:
+        vals = np.array(eval_expr(flat, [float(v) for v in env]), dtype=float)
+        tail = ()
+    out, at = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        out.append(vals[at:at + size].reshape(shape + tail))
+        at += size
+    return out
 
 
-def _extract(jets, n, order):
-    """Value, first and (order >= 2) second partial arrays of a jet, a
-    list of jets or a matrix of jets over n variables, each shaped like
-    the structure with the derivative axes last.  One gather of the
-    stacked coefficients fills each array; all three are C-contiguous."""
-    shape, flat = (), [jets]
-    while not isinstance(flat[0], Jet):
-        shape += (len(flat[0]),)
-        flat = [j for part in flat for j in part]
-    coef = np.array([j.coef for j in flat])
-    res = [coef[:, 0].copy().reshape(shape)]
-    if order >= 1:
-        res.append(coef[:, 1:1 + n].copy().reshape(shape + (n,)))
-    if order >= 2:
-        sp = flat[0].space
-        pos = sp.hessian_positions
-        d2 = coef[:, pos] * sp.factorial[pos]
-        res.append(np.ascontiguousarray(d2.reshape(shape + (n, n))))
+def partials(coef, space):
+    """Value, first and (order >= 2) second partials of the coefficient
+    arrays coef over space, each shaped like coef without its trailing
+    axis and with the derivative axes last.  All three are C-contiguous:
+    the einsums over them round differently on strided arrays."""
+    n = space.nvars
+    res = [coef[..., 0].copy()]
+    if space.order >= 1:
+        res.append(coef[..., 1:1 + n].copy())
+    if space.order >= 2:
+        pos = space.hessian_positions
+        res.append(np.ascontiguousarray(coef[..., pos] * space.factorial[pos]))
     return res
 
 
@@ -128,9 +144,9 @@ class MetricPoint:
 
     @classmethod
     def from_exprs(cls, metric: RiemannianMetric, x, order=2):
-        jets = eval_component_jets(metric.exprs, x, order)
-        parts = _extract(jets, len(x), order)
-        return cls(*parts)
+        space = jet_space(len(x), order)
+        (g,) = evaluate(space.seed(x), metric)
+        return cls(*partials(g, space))
 
     @cached_property
     def ginv(self):

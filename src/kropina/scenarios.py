@@ -11,9 +11,9 @@ when they load: files and dicts.  So are the sampling overrides of a
 run (``--seed``, ``--points`` and ``--dirs`` on the command line).  The
 documents the package writes itself, the builtins, ``random:<seed>``
 and the document convert emits, are trusted and load without it
-(through _from_dict); the tests hold every one of them to the schema.
-jsonschema is imported on the first validation only, so a run on a
-builtin without overrides never imports it.
+(through load_trusted); the tests hold every one of them to the
+schema.  jsonschema is imported on the first validation only, so a run
+on a builtin without overrides never imports it.
 
 Loading is strict on purpose.  Schema violations carry a JSON-pointer
 path, expression problems keep the parser's offset message, and a
@@ -33,8 +33,8 @@ import numpy as np
 
 from .einstein import WeightConfig, weight_preset
 from .expr import ExprError, _children, parse_expr
-from .forms import KropinaSpace, _values
-from .riemann import RiemannianMetric
+from .forms import KropinaSpace
+from .riemann import RiemannianMetric, evaluate
 
 SCENARIO_SCHEMA_ID = "scenario/1"
 
@@ -46,6 +46,10 @@ DEFAULT_CUTOFF = 1e-3
 COMPARISON_CUTOFF = 0.05
 
 _ADMISSIBILITY_FLOOR = 0.10
+# load-time probe points of a scenario, and the random directions the
+# admissibility rate draws at each
+_PROBE_POINTS = 3
+_PROBE_DRAWS = 64
 
 # Deepest expression DAG a scenario may hold: evaluation, printing and
 # the spaces derived from a scenario recurse once per level.
@@ -203,9 +207,9 @@ class Scenario:
     def tolerance(self, key, default):
         return float(self.tolerances.get(key, default))
 
-    def probe_points(self, count=3):
+    def probe_points(self):
         """Deterministic chart points used for load-time validation."""
-        return _probe_plan(self.box, self.seed, count)[0]
+        return _probe_plan(self.box, self.seed)[0]
 
     def as_dict(self):
         doc = {
@@ -244,19 +248,21 @@ def _depth(node, memo):
     return depth
 
 
-def _probe_plan(box, seed, count):
+def _probe_plan(box, seed):
     """The load-time probe points (the box centre, then seeded uniform
     draws) and the generator that drew them."""
     box = np.asarray(box, dtype=float)
     rng = np.random.default_rng([int(seed), 0xAD0B17])
     pts = [0.5 * (box[:, 0] + box[:, 1])]
-    for _ in range(max(0, count - 1)):
+    for _ in range(_PROBE_POINTS - 1):
         pts.append(rng.uniform(box[:, 0], box[:, 1]))
     return [list(map(float, p)) for p in pts], rng
 
 
-def _from_dict(doc, origin):
-    """The scenario of doc, a document that holds to the schema."""
+def load_trusted(doc, origin):
+    """The scenario of doc, a document that holds to the schema: one the
+    package wrote itself, which loads with no schema check, or one
+    validated already; origin names it in error messages."""
     n = int(doc["dimension"])
 
     metric = doc["metric"]
@@ -348,10 +354,11 @@ def load_scenario(source):
         return source
     if isinstance(source, dict):
         _schema_check(source)
-        return _from_dict(source, origin="<dict>")
+        return load_trusted(source, origin="<dict>")
     text = str(source)
     if text in _BUILTINS:
-        return _from_dict(json.loads(json.dumps(_BUILTINS[text])), origin=text)
+        doc = json.loads(json.dumps(_BUILTINS[text]))
+        return load_trusted(doc, origin=text)
     if text.startswith("random:"):
         tail = text[len("random:"):]
         try:
@@ -363,7 +370,7 @@ def load_scenario(source):
                 f"random scenario wants a non-negative integer seed, "
                 f"got {tail!r}"
             ) from None
-        return _from_dict(random_scenario(seed), origin=text)
+        return load_trusted(random_scenario(seed), origin=text)
     path = Path(text)
     if not path.exists():
         raise ScenarioError(
@@ -377,13 +384,13 @@ def load_scenario(source):
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path} does not hold a scenario object")
     _schema_check(doc)
-    return _from_dict(doc, origin=str(path))
+    return load_trusted(doc, origin=str(path))
 
 
 # -- sampling -------------------------------------------------------------
 
 
-def admissibility_rate(space, box, seed, points=3, draws=64):
+def admissibility_rate(space, box, seed):
     """Fraction of isotropic random directions with beta = b_i y^i > 0.
 
     beta > 0 is the conic domain in both views (b_i = 2 e^{-2 rho} W_i),
@@ -392,22 +399,22 @@ def admissibility_rate(space, box, seed, points=3, draws=64):
     point as inadmissible; a metric that cannot be evaluated on its own
     box is as unusable as an empty cone.
     """
-    pts, rng = _probe_plan(box, seed, points)
+    pts, rng = _probe_plan(box, seed)
     hits = 0
     for x in pts:
         try:
-            _, b_low = _values(x, space.a, space.b)
+            _, b_low = evaluate(x, space.a, space.b)
         except (ExprError, ArithmeticError):
             continue
-        ys = rng.standard_normal((draws, space.dim))
+        ys = rng.standard_normal((_PROBE_DRAWS, space.dim))
         hits += int(np.sum(ys @ b_low > 0.0))
-    return hits / (draws * len(pts))
+    return hits / (_PROBE_DRAWS * len(pts))
 
 
 def sample_directions(space, x, count, rng, cutoff=DEFAULT_CUTOFF):
     """Admissible directions at x: uniform on the h-unit sphere with the
     degenerate cone boundary rejected (W_0 above the cutoff)."""
-    h, w = _values(x, space.h, space.w)
+    h, w = evaluate(x, space.h, space.w)
     w_low = h @ w
     out = []
     tries = 0

@@ -20,7 +20,7 @@ from .einstein import (
     thm51_check,
     thm61_check,
 )
-from .expr import ExprError, eval_expr, parse_expr, print_expr
+from .expr import ExprError, parse_expr, print_expr
 from .forms import (
     GaugeError,
     HypothesisNotMetError,
@@ -39,11 +39,12 @@ from .forms import (
 )
 from .generic import ConicDomainError, bh_density
 from .reports import ReportDocument
+from .riemann import evaluate
 from .scenarios import (
     COMPARISON_CUTOFF,
     ScenarioError,
-    _from_dict,
     load_scenario,
+    load_trusted,
     scenario_samples,
 )
 
@@ -288,7 +289,7 @@ def run_verify(scenario, points=None, dirs=None, seed=None, mc_samples=20000):
 def _check_gauge_positive(gauge, scenario):
     for x in scenario.probe_points():
         try:
-            value = float(eval_expr(gauge, list(x)))
+            value = float(evaluate(x, gauge)[0])
         except (ExprError, ArithmeticError) as e:
             raise GaugeError(
                 f"gauge cannot be evaluated at {x}: {e}"
@@ -353,9 +354,7 @@ def run_convert(scenario, to, gauge=None, seed=None):
 
     with doc.timed("validate"):
         try:
-            # a document the package wrote: loaded as trusted, with no
-            # schema check, as the builtins are
-            conv_space = _from_dict(emitted, origin="<dict>").space()
+            conv_space = load_trusted(emitted, origin="<dict>").space()
         except ScenarioError as e:
             # the pointer is into the emitted document, which the caller
             # has not seen: say so instead of passing it on as theirs

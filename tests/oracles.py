@@ -112,7 +112,6 @@ from kropina.forms import (
     _nav_frame,
     _nav_hypothesis,
     _require_unit_wind,
-    _values,
     finsler_evaluator,
     s_closed,
     s_dot_closed,
@@ -154,8 +153,8 @@ from kropina.riemann import (
     MetricPoint,
     RiemannianMetric,
     SingularMetricError,
-    _extract,
-    eval_component_jets,
+    evaluate,
+    partials,
 )
 from kropina.reports import ReportDocument
 
@@ -653,9 +652,8 @@ def rs_from_RS(space: KropinaSpace, x, y):
     mp = MetricPoint.from_exprs(space.h, xs, order=1)
     fp = field_point(mp, space.w, xs, order=1)
     wi = w_invariants_from_point(mp, fp)
-    rj = eval_component_jets(space.rho, xs, 1)
-    rho_grad = np.asarray(gradient(rj))
-    e2 = math.exp(-2.0 * rj.value)
+    rho, rho_grad = jet_partials(space.rho, xs, 1)
+    e2 = math.exp(-2.0 * float(rho))
     y = np.asarray(y, dtype=float)
     h2 = float(y @ mp.g @ y)
     w0 = float(fp.w_low @ y)
@@ -759,7 +757,7 @@ def validate_views(space: KropinaSpace, xs, ys=None, tol_view=1e-10):
     views = [finsler_evaluator(space), nav_evaluator(space)]
     for k, x in enumerate(xs):
         env = [float(v) for v in x]
-        h_val, w_val, a_val, b_val, (rho_v, g_val) = _values(
+        h_val, w_val, a_val, b_val, (rho_v, g_val) = evaluate(
             env, space.h, space.w, space.a, space.b, (space.rho, space.gauge))
         _require_unit_wind(float(w_val @ h_val @ w_val), f"at point {k}")
         e2 = math.exp(-2.0 * rho_v)
@@ -821,19 +819,25 @@ def ab_fields(space: KropinaSpace, x):
     return chart_point(space, x).fld
 
 
+def jet_partials(part, x, order):
+    """Value and partials to the given order of a part (a metric, a
+    sequence of trees or one tree, as riemann.evaluate takes it) at x,
+    from one evaluation over the x-jets."""
+    space = jet_space(len(x), order)
+    return partials(evaluate(space.seed(x), part)[0], space)
+
+
 def field_point(mp: MetricPoint, w_exprs, x, order=2) -> FieldPoint:
     """The FieldPoint of component expressions over mp at x."""
-    jets = eval_component_jets(list(w_exprs), list(x), order)
-    return FieldPoint(mp, *_extract(jets, len(x), order))
+    return FieldPoint(mp, *jet_partials(w_exprs, x, order))
 
 
 def nav_point(h: RiemannianMetric, w, x) -> NavPoint:
     """The NavPoint of any wind W over any metric h at x."""
     w = _coerce_vector(w, h.dim, "wind")
     xs = [float(v) for v in x]
-    jets = eval_component_jets(list(w), xs, 1)
     return NavPoint(MetricPoint.from_exprs(h, xs, order=2),
-                    *_extract(jets, len(xs), 1))
+                    *jet_partials(w, xs, 1))
 
 
 def log_density(sigma, x) -> Jet:
@@ -910,8 +914,7 @@ def ricci_h(metric: RiemannianMetric, x):
 def hess_h(f: ExprAst, metric: RiemannianMetric, x):
     """Covariant Hessian f_{i|j} = d_i d_j f - Gamma^m_ij d_m f."""
     mp = MetricPoint.from_exprs(metric, x, order=1)
-    fj = eval_component_jets(f, x, 2)
-    _, df, d2f = _extract(fj, len(x), 2)
+    _, df, d2f = jet_partials(f, x, 2)
     return mp.covariant_hessian(df, d2f)
 
 
@@ -1012,7 +1015,7 @@ def weighted_ricci_tensor(h: RiemannianMetric, f, cfg: WeightConfig, x):
     mp = MetricPoint.from_exprs(h, list(x), order=2)
     if f is None:
         return _weighted_ricci(mp, f, cfg, None, None)
-    _, df, d2f = _extract(eval_component_jets(f, list(x), 2), h.dim, 2)
+    _, df, d2f = jet_partials(f, list(x), 2)
     return _weighted_ricci(mp, f, cfg, df, mp.covariant_hessian(df, d2f))
 
 

@@ -9,12 +9,15 @@ import math
 import numpy as np
 import pytest
 
-from kropina.expr import parse_expr
+from kropina.expr import ExprAst, eval_expr, parse_expr
 from fd import fd_partial
+from kropina.jets import Jet, jet_space
 from kropina.riemann import (
     MetricPoint,
     NotPositiveDefiniteError,
     RiemannianMetric,
+    evaluate,
+    partials,
 )
 from oracles import (
     christoffel,
@@ -321,3 +324,76 @@ def test_not_positive_definite_raises():
 def test_asymmetric_expressions_rejected():
     with pytest.raises(ValueError):
         metric_from_strings([["1", "x1"], ["x2", "1"]])
+
+
+# -- evaluate and partials: the one path from trees to arrays -----------------
+
+_TREE = parse_expr("exp(x1)*cos(x2) + x3^3", 3)
+_CONST = parse_expr("2.5", 3)
+# a metric, a vector, one tree, a tuple of trees and a constant tree
+_PARTS = (SPHERE3, [parse_expr(e, 3) for e in ("x1*x2", "sin(x3)", "0.5")],
+          _TREE, (_TREE, _CONST), _CONST)
+_X = [0.7, -0.2, 0.4]
+
+
+def _shape_and_trees(part):
+    """The array shape evaluate gives a part and its trees in row order."""
+    if isinstance(part, RiemannianMetric):
+        return (part.dim, part.dim), [e for row in part.exprs for e in row]
+    if isinstance(part, ExprAst):
+        return (), [part]
+    return (len(part),), list(part)
+
+
+def _evaluate_once(monkeypatch, env):
+    """evaluate(env, *_PARTS), asserting that it made one eval_expr call."""
+    import kropina.riemann as riemann
+
+    calls = []
+    real = riemann.eval_expr
+    monkeypatch.setattr(riemann, "eval_expr",
+                        lambda exprs, env: calls.append(1) or real(exprs, env))
+    got = evaluate(env, *_PARTS)
+    monkeypatch.undo()
+    assert len(calls) == 1
+    return got
+
+
+def test_evaluate_over_floats_gives_each_trees_value(monkeypatch):
+    got = _evaluate_once(monkeypatch, _X)
+    assert len(got) == len(_PARTS)
+    for arr, part in zip(got, _PARTS):
+        shape, trees = _shape_and_trees(part)
+        want = np.array([eval_expr(t, _X) for t in trees]).reshape(shape)
+        assert arr.shape == shape
+        assert arr.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_evaluate_over_jets_gives_coefficient_rows_and_partials(
+        monkeypatch, order):
+    """Each tree's row is its jet's coefficient array, a constant tree's
+    a constant row, and partials reads Jet.partial of each tree."""
+    sp = jet_space(3, order)
+    got = _evaluate_once(monkeypatch, sp.seed(_X))
+    unit = np.eye(3, dtype=int)
+    for arr, part in zip(got, _PARTS):
+        shape, trees = _shape_and_trees(part)
+        assert arr.shape == shape + (sp.ncoef,)
+        jets = [eval_expr(t, sp.seed(_X)) for t in trees]
+        jets = [j if isinstance(j, Jet) else sp.constant(j) for j in jets]
+        want = np.array([j.coef for j in jets]).reshape(arr.shape)
+        assert arr.tobytes() == want.tobytes()
+        value, first, second = partials(arr, sp)
+        want = (
+            [j.partial((0, 0, 0)) for j in jets],
+            [[j.partial(unit[v]) for v in range(3)] for j in jets],
+            [[[j.partial(unit[v] + unit[w]) for w in range(3)]
+              for v in range(3)] for j in jets],
+        )
+        for got_partial, listed, axes in zip((value, first, second), want,
+                                             ((), (3,), (3, 3))):
+            assert got_partial.shape == shape + axes
+            assert got_partial.flags["C_CONTIGUOUS"]
+            listed = np.array(listed).reshape(got_partial.shape)
+            assert got_partial.tobytes() == listed.tobytes()

@@ -612,18 +612,18 @@ def test_space_is_built_once_and_replaced_scenarios_build_their_own():
 def test_admissibility_reads_the_ab_view_only(monkeypatch):
     """On an ab document the rate evaluates a_ij and b_i, never the
     adjugate-derived h_ij or W^i."""
-    import kropina.forms as forms
+    import kropina.riemann as riemann
 
     sc = load_scenario("torus_wind")
     space = sc.space()
     seen = []
-    real = forms.eval_expr
+    real = riemann.eval_expr
 
     def recording(asts, env):
         seen.extend(id(e) for e in asts)
         return real(asts, env)
 
-    monkeypatch.setattr(forms, "eval_expr", recording)
+    monkeypatch.setattr(riemann, "eval_expr", recording)
     rate = admissibility_rate(space, sc.box, sc.seed)
     assert 0.3 < rate < 0.7
     derived = {id(e) for row in space.h.exprs for e in row}

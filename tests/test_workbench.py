@@ -643,7 +643,6 @@ def test_one_jet_evaluation_per_signature_per_point(monkeypatch):
     variables to order 2, and F's x-stage once, over the 2n variables
     to order 4: check and verify on torus_wind make exactly these jet
     evaluations per point, and none at (n, 1) or (2n, 2)."""
-    import kropina.forms as forms
     import kropina.riemann as riemann
 
     counts = Counter()
@@ -654,8 +653,7 @@ def test_one_jet_evaluation_per_signature_per_point(monkeypatch):
             counts[(env[0].space.nvars, env[0].space.order)] += 1
         return real(exprs, env)
 
-    for module in (forms, riemann):
-        monkeypatch.setattr(module, "eval_expr", counted)
+    monkeypatch.setattr(riemann, "eval_expr", counted)
     sc = load_scenario("torus_wind")
     n = sc.dimension
     for run in (lambda: run_check(sc), lambda: run_verify(sc, mc_samples=500)):
