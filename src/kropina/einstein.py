@@ -404,10 +404,10 @@ class ChartPoint:
     """One sampled chart point x of a space and its directions ys (D, n),
     with every pointwise bundle a run reads there, each built on first
     use: the drift bundle fld, the navigation point nav, the log
-    densities, the space's Finsler evaluator, the drift invariants inv
-    and the generic curvature samples of all directions (one batched
-    pass each), and one least-squares (theta, sigma) fit per weight
-    configuration.
+    densities, the space's Finsler evaluator and its float x-stage
+    (stage), the drift invariants inv and the generic curvature samples
+    of all directions (one batched pass each), and one least-squares
+    (theta, sigma) fit per weight configuration.
 
     The bundles, the densities and the weight's partials all read one
     riemann.evaluate of the space's trees over the n chart variables to
@@ -446,7 +446,7 @@ class ChartPoint:
             f = partials(weight[0], sp)[1:]
         else:
             f = np.zeros(self.n), np.zeros((self.n, self.n))
-        return AbFields(self.space, self.x, MetricPoint(*partials(a, sp)),
+        return AbFields(self.space, MetricPoint(*partials(a, sp)),
                         partials(b_up, sp), f)
 
     @cached_property
@@ -468,6 +468,11 @@ class ChartPoint:
         return finsler_evaluator(self.space)
 
     @cached_property
+    def stage(self):
+        """F's float x-stage at x: its values, domain and box."""
+        return self.evaluator.at(self.x)
+
+    @cached_property
     def inv(self):
         """The drift invariants of all directions ys."""
         return AbInvariants(self.fld, self.ys)
@@ -475,7 +480,7 @@ class ChartPoint:
     @cached_property
     def samples(self):
         """The generic curvature samples of all directions ys."""
-        return curvature_samples(self.evaluator, self.x, self.ys,
+        return curvature_samples(self.evaluator, self.stage, self.ys,
                                  *self.log_densities)
 
     def fitted(self, cfg: WeightConfig) -> EinsteinAnsatz:

@@ -42,7 +42,7 @@ from .expr import (
     e_pow,
     parse_expr,
 )
-from .generic import ConicDomainError, FinslerEvaluator
+from .generic import ConicDomainError, FinslerEvaluator, XStage
 from .jets import Jet, JetDomainError, graded_solve
 from .riemann import (
     FieldPoint,
@@ -238,13 +238,11 @@ class AbFields(FieldPoint):
     second partials, not covariant ones (zero without a weight).
     """
 
-    def __init__(self, space: KropinaSpace, x, mp: MetricPoint, b_up,
-                 weight):
-        """The bundle at x from a chart point's arrays: mp holds a_ij to
+    def __init__(self, space: KropinaSpace, mp: MetricPoint, b_up, weight):
+        """The bundle from a chart point's arrays: mp holds a_ij to
         second order, b_up is the value, first and second partials of
         b^i, and weight the pair (f_grad, f_hess)."""
         self.space = space
-        self.x = np.asarray(x, dtype=float)
         self.n = space.dim
         super().__init__(mp, *b_up)
         self.f_grad, self.f_hess = weight
@@ -647,30 +645,36 @@ def finsler_evaluator(space: KropinaSpace) -> FinslerEvaluator:
     """Package the (alpha, beta) view of the space for the generic
     pipeline, F = a_ij y^i y^j / (b_i y^i).
 
-    The x-stages evaluate a_ij and b_i once per chart point (through
-    riemann.evaluate): at(x) and domain_at(x) take a float chart point
-    and hold values, (n, n) and (n,), and jets_at(x) takes the order-4
-    seeds x of the chart variables and holds their coefficient arrays,
-    (n, n, C) and (n, C).  The direction stages combine those arrays
-    with y in a few numpy calls, with the bits of the loop a_ij y^i y^j
-    / (b_i y^i) over the same values (see _quadratic).  at(x)'s y is
-    floats or numpy columns; jets_at(x)'s stage takes a (D, n) block of
-    directions and gives the D jets of F at their seeds on the
-    variables n..2n-1, each with the bits of that loop over Jet
-    operations.  The box hint brackets the unit-ball ellipsoid exactly.
+    Each x-stage evaluates a_ij and b_i once (riemann.evaluate): at(x)
+    over a float chart point, as values, which also give the box stage
+    of the unit-ball ellipsoid; jets_at(x) over the order-4 seeds of
+    the chart variables, as coefficient arrays (n, n, C) and (n, C),
+    its stage taking a (D, n) block of directions to the D jets of F
+    at their seeds.  The direction stages combine the arrays with y in a few
+    numpy calls, each with the bits of the loop a_ij y^i y^j / (b_i y^i)
+    over the same values and Jet operations (see _quadratic).
     """
     n = space.dim
 
     def at(x):
         # floats first: a jet chart point raises TypeError here
-        a, b = evaluate([float(v) for v in x], space.a, space.b)
-        a, b = a[..., None], b[:, None]
+        x = [float(v) for v in x]
+        a, b = evaluate(x, space.a, space.b)
 
         def f(y):
             dirs = _directions(y)
-            return _quadratic(a, *dirs) / _linear(b, *dirs)
+            return _quadratic(a[..., None], *dirs) / _linear(b[:, None], *dirs)
 
-        return f
+        def domain(y):
+            return _linear(b[:, None], *_directions(y)) > 0
+
+        def box():
+            ainv = np.linalg.inv(a)
+            centre = ainv @ b / 2.0
+            half = 0.5 * math.sqrt(b @ ainv @ b) * np.sqrt(np.diag(ainv))
+            return centre - half, centre + half
+
+        return XStage(np.array(x), f, domain, box)
 
     def jets_at(x):
         sp = x[0].space
@@ -684,26 +688,8 @@ def finsler_evaluator(space: KropinaSpace) -> FinslerEvaluator:
 
         return f
 
-    def domain_at(x):
-        b = evaluate([float(v) for v in x], space.b)[0][:, None]
-        return lambda y: _linear(b, *_directions(y)) > 0
-
-    def box_hint(x):
-        a_val, b_val = evaluate(x, space.a, space.b)
-        ainv = np.linalg.inv(a_val)
-        centre = ainv @ b_val / 2.0
-        b_norm = math.sqrt(float(b_val @ ainv @ b_val))
-        half = 0.5 * b_norm * np.sqrt(np.diag(ainv))
-        return centre - half, centre + half
-
-    return FinslerEvaluator(
-        dim=n,
-        at=at,
-        domain_at=domain_at,
-        name=f"{space.name}:ab",
-        box_hint=box_hint,
-        jets_at=jets_at,
-    )
+    return FinslerEvaluator(dim=n, at=at, name=f"{space.name}:ab",
+                            jets_at=jets_at)
 
 
 # -- the direction stage of F over stacked coefficients ----------------------

@@ -15,11 +15,14 @@ the F^2 jet, one graded_solve gives the spray and log det g, and the
 Riemann curvature and S are array expressions over those, with a
 leading axis for all the directions of a chart point at once (vector
 forward mode; Griewank and Walther, Evaluating Derivatives, ch. 13).
+
+A metric is a FinslerEvaluator with one float x-stage (at: F, its
+domain and its unit-ball box at x) and one jet x-stage (jets_at).
 """
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -31,20 +34,24 @@ class ConicDomainError(ValueError):
     """Raised when (x, y) lies outside the conic domain of the metric."""
 
 
+class XStage(NamedTuple):
+    """F at one chart point x, the work on x alone done once: f(y) is
+    F(x, y) and domain(y) True (or a boolean mask) exactly where F is
+    defined and positive, y floats or numpy columns; box() is (lo, hi)
+    bounding {y : F(x, y) < 1}, and box None when the metric gives none.
+    curvature_samples calls domain, and bh_density both stages, on
+    columns, a block of rows at a time, so they must accept arrays."""
+
+    x: np.ndarray            # (n,)
+    f: Callable
+    domain: Callable
+    box: Optional[Callable] = None
+
+
 @dataclass(frozen=True)
 class FinslerEvaluator:
-    """A Finsler metric F(x, y) usable over floats and numpy arrays, with
-    a batched jet stage.
-
-    at(x) returns y -> F(x, y) and domain_at(x) returns y -> True (or a
-    boolean mask) exactly where F(x, y) is defined and positive, each
-    with the work that depends on x alone done when it is called.  x is
-    a sequence of floats, y one of floats or of numpy columns for
-    vectorized sweeps.  box_hint(x) -> (lo, hi) optionally bounds the
-    unit sublevel set {y : F(x, y) < 1} for Monte-Carlo volume
-    estimation.  bh_density calls both direction stages on numpy
-    columns, a block of rows at a time, and curvature_samples the
-    domain's, so they must accept arrays.
+    """A Finsler metric F(x, y) with a float x-stage, at(x) -> XStage
+    over a sequence of floats x, and a batched jet stage.
 
     jets_at is the batched jet stage the generic pipeline needs:
     curvature_samples runs jets_at(x) on the order-4 coordinate seeds x
@@ -59,13 +66,11 @@ class FinslerEvaluator:
 
     dim: int
     at: Callable
-    domain_at: Callable
     name: str = "finsler"
-    box_hint: Optional[Callable] = None
     jets_at: Optional[Callable] = None
 
     def __call__(self, x, y):
-        return self.at(x)(y)
+        return self.at(x).f(y)
 
 
 @dataclass(frozen=True)
@@ -192,9 +197,10 @@ def _minus(coef: np.ndarray, log_density: Jet) -> np.ndarray:
     return out
 
 
-def curvature_samples(F: FinslerEvaluator, x, ys, log_sigma: Jet,
-                      log_sigma_bh: Optional[Jet] = None) -> CurvatureSample:
-    """Full curvature bundles of F at the chart point x and each
+def curvature_samples(F: FinslerEvaluator, stage: XStage, ys,
+                      log_sigma: Jet, log_sigma_bh: Optional[Jet] = None
+                      ) -> CurvatureSample:
+    """Full curvature bundles of F at the x of stage = F.at(x) and each
     direction of the block ys (D, n): the generic pipeline's one entry.
 
     log_sigma is ln sigma, the log of the volume density, as an order-2
@@ -217,9 +223,9 @@ def curvature_samples(F: FinslerEvaluator, x, ys, log_sigma: Jet,
     n = F.dim
     if F.jets_at is None:
         raise TypeError(f"metric {F.name!r} has no jets_at stage")
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(stage.x, dtype=float)
     ys = np.array(ys, dtype=float).reshape(-1, n)
-    if not np.all(F.domain_at(list(x))(list(ys.T))):
+    if not np.all(stage.domain(list(ys.T))):
         raise ConicDomainError(
             f"(x, y) outside the conic domain of metric {F.name!r}")
     space = jet_space(2 * n, 4)
@@ -275,8 +281,8 @@ def unit_ball_volume(n: int) -> float:
 _BOX_PROBES = 256
 
 
-def _probe_box(F: FinslerEvaluator, x):
-    """Axis-aligned box containing {F(x, .) < 1}, found by radial probing.
+def _probe_box(F: FinslerEvaluator, stage: XStage):
+    """Axis-aligned box containing {F(x, .) < 1}, by radial probing.
 
     By 1-homogeneity the sublevel set is the radial graph t < 1/F(x, u),
     so its extent along any probed direction is exact; doubling the
@@ -290,10 +296,10 @@ def _probe_box(F: FinslerEvaluator, x):
     dirs = rng.normal(size=(_BOX_PROBES, n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     dirs = np.vstack([dirs, np.eye(n), -np.eye(n)])
-    xs, cols = [float(v) for v in x], list(dirs.T)
+    cols = list(dirs.T)
     with np.errstate(all="ignore"):
-        vals = np.asarray(F.at(xs)(cols), dtype=float)
-        vals = vals[np.asarray(F.domain_at(xs)(cols)) & np.isfinite(vals)
+        vals = np.asarray(stage.f(cols), dtype=float)
+        vals = vals[np.asarray(stage.domain(cols)) & np.isfinite(vals)
                     & (vals > 0.0)]
     if not vals.size:
         raise ValueError("degenerate sublevel set: no admissible probe direction")
@@ -307,13 +313,12 @@ def _probe_box(F: FinslerEvaluator, x):
 _INDICATOR_ROWS = 4096
 
 
-def _hits(F: FinslerEvaluator, xs, lo, hi, rng, count: int) -> int:
+def _hits(F: FinslerEvaluator, stage: XStage, lo, hi, rng, count: int):
     """How many of count uniform draws y from the box [lo, hi] have
-    F(x, y) < 1.  The draws are made and judged _INDICATOR_ROWS rows at
-    a time, by one call of each of F's x-stages and one call of their
-    direction stages per block on its columns; the generator fills rows
-    in stream order, so the draws do not depend on the block size."""
-    f_at, in_domain = F.at(xs), F.domain_at(xs)
+    F(x, y) < 1, x the stage's.  The draws are made and judged
+    _INDICATOR_ROWS rows at a time, by one call of each direction stage
+    per block on its columns; the generator fills rows in stream order,
+    so the draws do not depend on the block size."""
     refusal = (f"metric {F.name!r}: bh_density needs domain and F stages "
                "that take numpy columns and return one value per row")
     hits = 0
@@ -323,8 +328,8 @@ def _hits(F: FinslerEvaluator, xs, lo, hi, rng, count: int) -> int:
         cols = [block[:, i] for i in range(F.dim)]
         try:
             with np.errstate(all="ignore"):
-                mask = np.asarray(in_domain(cols))
-                vals = np.asarray(f_at(cols), dtype=float)
+                mask = np.asarray(stage.domain(cols))
+                vals = np.asarray(stage.f(cols), dtype=float)
         except (TypeError, ValueError) as e:
             raise TypeError(refusal) from e
         if mask.shape != (m,) or vals.shape != (m,):
@@ -334,27 +339,21 @@ def _hits(F: FinslerEvaluator, xs, lo, hi, rng, count: int) -> int:
     return hits
 
 
-def bh_density(
-    F: FinslerEvaluator, x, mc_samples: int = 200_000, seed: int = 0
-) -> BHDensityEstimate:
-    """Unit-ball volume density Vol(B^n)/Vol{y : F(x, y) < 1} by Monte Carlo."""
+def bh_density(F: FinslerEvaluator, stage: XStage, mc_samples: int = 200_000,
+               seed: int = 0) -> BHDensityEstimate:
+    """Unit-ball volume density Vol(B^n)/Vol{y : F(x, y) < 1} by Monte
+    Carlo, over the box of F's x-stage F.at(x) or a probed one."""
     if mc_samples < 1:
         raise ValueError("mc_samples must be positive")
-    n = F.dim
-    if F.box_hint is not None:
-        lo, hi = F.box_hint(x)
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-    else:
-        lo, hi = _probe_box(F, x)
+    box = _probe_box(F, stage) if stage.box is None else stage.box()
+    lo, hi = (np.asarray(v, dtype=float) for v in box)
     box_volume = float(np.prod(hi - lo))
     rng = np.random.Generator(np.random.Philox(key=seed))
-    xs = [float(v) for v in x]
-    hits = _hits(F, xs, lo, hi, rng, mc_samples)
+    hits = _hits(F, stage, lo, hi, rng, mc_samples)
     if hits == 0:
         raise ValueError("degenerate sublevel set: no Monte-Carlo hits")
     p = hits / mc_samples
-    value = unit_ball_volume(n) / (p * box_volume)
+    value = unit_ball_volume(F.dim) / (p * box_volume)
     rel = math.sqrt(p * (1.0 - p) / mc_samples) / p
     return BHDensityEstimate(value=value, stderr=value * rel,
                              samples=mc_samples)

@@ -292,10 +292,14 @@ def load_trusted(doc, origin):
     if len(box) != n:
         raise ScenarioError(f"box needs {n} intervals", "/box")
     for i, (lo, hi) in enumerate(box):
-        if not (float(lo) < float(hi)):
+        if not -np.inf < float(lo) < float(hi) < np.inf:
             raise ScenarioError(
-                "box interval needs positive volume", f"/box/{i}"
-            )
+                "box interval needs finite bounds and positive volume",
+                f"/box/{i}")
+    tolerances = dict(doc.get("tolerances", {}))
+    for key, tol in tolerances.items():
+        if not np.isfinite(tol):
+            raise ScenarioError("tolerance not finite", f"/tolerances/{key}")
 
     scenario = Scenario(
         name=doc["name"],
@@ -310,7 +314,7 @@ def load_trusted(doc, origin):
         points=int(doc.get("points", 4)),
         directions=int(doc.get("directions", 12)),
         seed=int(doc.get("seed", 0)),
-        tolerances=dict(doc.get("tolerances", {})),
+        tolerances=tolerances,
         description=doc.get("description", ""),
         defs=tuple(doc.get("defs", ())),
     )
@@ -342,6 +346,10 @@ def load_trusted(doc, origin):
             "or the metric fails to evaluate on the chart"
         )
     return scenario
+
+
+def _not_json(constant):
+    raise ValueError(f"{constant} is not a JSON number")
 
 
 def load_scenario(source):
@@ -378,8 +386,8 @@ def load_scenario(source):
             f"builtins: {', '.join(builtin_names())}"
         )
     try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
+        doc = json.loads(path.read_text(), parse_constant=_not_json)
+    except ValueError as e:  # a JSONDecodeError or _not_json's refusal
         raise ScenarioError(f"invalid JSON in {path}: {e}") from None
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path} does not hold a scenario object")

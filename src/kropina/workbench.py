@@ -101,6 +101,8 @@ def run_check(scenario, theorem="auto", seed=None, tol=None):
     space = scenario.space()
     cfg = scenario.config()
     tol = scenario.tolerance("check", 1e-6) if tol is None else float(tol)
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"check tolerance must be finite and > 0, got {tol}")
 
     checkers = {"41": thm41_check, "44": thm44_check, "51": thm51_check,
                 "61": thm61_check}
@@ -265,7 +267,7 @@ def run_verify(scenario, points=None, dirs=None, seed=None, mc_samples=20000):
     # row per chart point, judged in standard-error units
     tol_se = scenario.tolerance("bh-density", VERIFY_TOLS["bh-density"])
     with doc.timed("bh-density"):
-        ests = [bh_density(pt.evaluator, pt.x, mc_samples=mc_samples,
+        ests = [bh_density(pt.evaluator, pt.stage, mc_samples=mc_samples,
                            seed=scenario.seed + 7919 * k)
                 for k, pt in enumerate(chart)]
         closed = np.array([sigma_bh(space, pt.x) for pt in chart])

@@ -139,6 +139,7 @@ from kropina.generic import (
     ConicDomainError,
     CurvatureSample,
     FinslerEvaluator,
+    XStage,
     _check_invertible,
 )
 from kropina.jets import (
@@ -160,11 +161,12 @@ from kropina.reports import ReportDocument
 
 
 def jets_by_direction(at):
-    """A FinslerEvaluator's jets_at from its stage at(x) on jets: at(x)
-    called on the seeds of one direction at a time."""
+    """A FinslerEvaluator's jets_at from its x-stage at(x) on jets: the
+    direction stage at(x).f called on the seeds of one direction at a
+    time."""
 
     def jets_at(x):
-        f_at, space, n = at(x), x[0].space, len(x)
+        f_at, space, n = at(x).f, x[0].space, len(x)
 
         def jets(ys):
             out = np.empty((len(ys), space.ncoef))
@@ -180,7 +182,7 @@ def jets_by_direction(at):
 
 
 def _check_domain(F: FinslerEvaluator, x, y):
-    if not bool(F.domain_at(list(x))(list(y))):
+    if not bool(F.at(list(x)).domain(list(y))):
         raise ConicDomainError(
             f"(x, y) outside the conic domain of metric {F.name!r}"
         )
@@ -701,14 +703,10 @@ def loop_evaluator(space: KropinaSpace) -> FinslerEvaluator:
         vals = eval_expr(quad + list(space.b), list(x))
         qv = [vals[i * n:(i + 1) * n] for i in range(n)]
         bv = vals[n * n:]
-        return lambda y: quadratic_form(qv, y) / linear_form(bv, y)
+        return XStage(x, lambda y: quadratic_form(qv, y) / linear_form(bv, y),
+                      lambda y: linear_form(bv, y) > 0)
 
-    def domain_at(x):
-        bv = eval_expr(list(space.b), list(x))
-        return lambda y: linear_form(bv, y) > 0
-
-    return FinslerEvaluator(dim=n, at=at, domain_at=domain_at,
-                            name=f"{space.name}:ab-loop",
+    return FinslerEvaluator(dim=n, at=at, name=f"{space.name}:ab-loop",
                             jets_at=jets_by_direction(at))
 
 
@@ -716,7 +714,7 @@ def nav_evaluator(space: KropinaSpace) -> FinslerEvaluator:
     """The navigation view F = h_ij y^i y^j / (2 W_0) as an evaluator:
     the independent twin of finsler_evaluator's (alpha, beta) view,
     which it must match everywhere.  h_ij and W^i are evaluated once
-    per chart point; the box hint is the (alpha, beta) view's."""
+    per chart point, and its x-stage gives no box."""
     n = space.dim
     h_and_w = [e for row in space.h.exprs for e in row] + list(space.w)
 
@@ -730,20 +728,11 @@ def nav_evaluator(space: KropinaSpace) -> FinslerEvaluator:
         vals = eval_expr(h_and_w, list(x))
         qv = [vals[i * n:(i + 1) * n] for i in range(n)]
         den = den_stage(vals)
-        return lambda y: quadratic_form(qv, y) / den(y)
+        return XStage(x, lambda y: quadratic_form(qv, y) / den(y),
+                      lambda y: den(y) > 0)
 
-    def domain_at(x):
-        den = den_stage(eval_expr(h_and_w, list(x)))
-        return lambda y: den(y) > 0
-
-    return FinslerEvaluator(
-        dim=n,
-        at=at,
-        domain_at=domain_at,
-        name=f"{space.name}:nav",
-        box_hint=finsler_evaluator(space).box_hint,
-        jets_at=jets_by_direction(at),
-    )
+    return FinslerEvaluator(dim=n, at=at, name=f"{space.name}:nav",
+                            jets_at=jets_by_direction(at))
 
 
 def validate_views(space: KropinaSpace, xs, ys=None, tol_view=1e-10):
@@ -1114,17 +1103,17 @@ def staged_sample(F: FinslerEvaluator, x, y, log_sigma: Jet,
                   log_sigma_bh=None):
     """The curvature bundle of F at (x, y) against the log densities
     curvature_samples takes, every stage run for the one direction y:
-    F's jet from F.at(x) on the seeds of x and y (F a metric whose stage
-    takes them, loop_evaluator's for a space), the Jet product F * F,
+    F's jet from F.at(x).f on the seeds of x and y (F a metric whose
+    stage takes them, loop_evaluator's for a space), the Jet product F * F,
     and the staged arrays of one direction.  The fields have no
     direction axis (floats for the scalars)."""
     n = F.dim
     x = np.asarray(x, dtype=float)
-    if not bool(F.domain_at(list(x))(list(y))):
+    if not bool(F.at(list(x)).domain(list(y))):
         raise ConicDomainError(
             f"(x, y) outside the conic domain of metric {F.name!r}")
     space = jet_space(2 * n, 4)
-    f_at = F.at([space.variable(i, v) for i, v in enumerate(x)])
+    f_at = F.at([space.variable(i, v) for i, v in enumerate(x)]).f
     f = f_at([space.variable(n + k, y[k]) for k in range(n)])
     if not isinstance(f, Jet):
         f = space.constant(float(f))

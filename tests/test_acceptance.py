@@ -143,7 +143,7 @@ def test_criterion_03_s_curvature_and_density(grid):
     for name, (sc, space, samples) in grid.items():
         ev = finsler_evaluator(space)
         for k, (x, _) in enumerate(samples[:2]):
-            est = bh_density(ev, x, mc_samples=100_000, seed=1000 + k)
+            est = bh_density(ev, ev.at(x), mc_samples=100_000, seed=1000 + k)
             dev = abs(est.value - sigma_bh(space, x)) / est.stderr
             worst_se = max(worst_se, dev)
     announce(

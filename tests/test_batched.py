@@ -26,6 +26,7 @@ from kropina.forms import (
 from kropina.generic import (
     ConicDomainError,
     FinslerEvaluator,
+    XStage,
     curvature_samples,
 )
 from kropina.jets import Jet
@@ -149,13 +150,10 @@ def quartic_evaluator():
             q = y[0] * y[0] * y[0] * y[0] + y[1] * y[1] * y[1] * y[1]
             return q.sqrt().sqrt() if isinstance(q, Jet) else np.sqrt(
                 np.sqrt(q))
-        return f
+        return XStage(x, f, lambda y: np.ones(np.shape(y[0]), dtype=bool))
 
-    def domain_at(x):
-        return lambda y: np.ones(np.shape(y[0]), dtype=bool)
-
-    return FinslerEvaluator(dim=2, at=at, domain_at=domain_at,
-                            name="quartic", jets_at=jets_by_direction(at))
+    return FinslerEvaluator(dim=2, at=at, name="quartic",
+                            jets_at=jets_by_direction(at))
 
 
 def _error(call):
@@ -194,5 +192,5 @@ def test_one_failing_direction_fails_the_block_as_it_fails_alone():
     assert alone == (SingularMetricError,
                      "fundamental tensor is numerically singular")
     assert _error(lambda: curvature_samples(
-        F, x, [[1.0, 0.5], flat, [0.3, 0.9]], log_sigma)) == alone
-    curvature_samples(F, x, [[1.0, 0.5], [0.3, 0.9]], log_sigma)
+        F, F.at(x), [[1.0, 0.5], flat, [0.3, 0.9]], log_sigma)) == alone
+    curvature_samples(F, F.at(x), [[1.0, 0.5], [0.3, 0.9]], log_sigma)

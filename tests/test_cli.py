@@ -194,6 +194,24 @@ def test_check_tol_flag(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_check_tol_must_be_finite_and_positive(tol, capsys):
+    """--tol takes what the schema's tolerance takes, a finite number
+    above 0; anything else is an input problem (exit 1)."""
+    assert main(["check", "--scenario", "s3_hopf", "--tol", tol]) == 1
+    assert "check tolerance must be finite and > 0" in capsys.readouterr().err
+
+
+def test_non_finite_box_in_a_file_is_an_input_problem(tmp_path, capsys):
+    """A box bound of -Infinity is refused when the file is parsed, not
+    met later by the sampler."""
+    text = json.dumps(CONFORMAL).replace("0.5, 1.0", "-Infinity, 1.0")
+    path = tmp_path / "scen.json"
+    path.write_text(text)
+    assert main(["check", "--scenario", str(path)]) == 1
+    assert "-Infinity is not a JSON number" in capsys.readouterr().err
+
+
 # -- verify and convert ----------------------------------------------------------
 
 

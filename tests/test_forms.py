@@ -524,7 +524,7 @@ def test_sigma_bh_matches_monte_carlo():
     space = wavy_space()
     fev = finsler_evaluator(space)
     x = [0.3, -0.2, 0.4]
-    est = bh_density(fev, x, mc_samples=150_000, seed=5)
+    est = bh_density(fev, fev.at(x), mc_samples=150_000, seed=5)
     closed = sigma_bh(space, x)
     assert abs(est.value - closed) < 3.0 * est.stderr
 
@@ -560,7 +560,7 @@ def test_box_hint_brackets_unit_ball():
     space = wavy_space()
     fev = finsler_evaluator(space)
     x = [0.3, -0.2, 0.4]
-    lo, hi = fev.box_hint(x)
+    lo, hi = fev.at(x).box()
     rng = np.random.default_rng(24)
     ys = rng.uniform(lo - 0.3, hi + 0.3, size=(4000, 3))
     vals = np.array([
@@ -683,7 +683,7 @@ def test_nav_ricci_matches_generic_on_hopf():
     for x, y in admissible_samples(space, rng, 30, shift=HOPF_SHIFT, scale=0.3):
         closed = nav_ricci_isotropic(nav_point(SPHERE3, HOPF_W, x), y)
         generic = sample_row(curvature_samples(
-            fev, x, [y], log_density(dens, x)), 0).ricci
+            fev, fev.at(x), [y], log_density(dens, x)), 0).ricci
         assert closed == pytest.approx(generic, rel=1e-7)
 
 
@@ -695,7 +695,7 @@ def test_nav_riemann_matches_generic_and_trace():
     for x, y in admissible_samples(space, rng, 10, shift=HOPF_SHIFT, scale=0.3):
         closed = nav_riemann_isotropic(nav_point(SPHERE3, HOPF_W, x), y)
         generic = sample_row(curvature_samples(
-            fev, x, [y], log_density(dens, x)), 0).riemann
+            fev, fev.at(x), [y], log_density(dens, x)), 0).riemann
         assert np.max(np.abs(closed - generic)) < 1e-8 * max(
             1.0, float(np.max(np.abs(generic)))
         )

@@ -13,6 +13,7 @@ from kropina.generic import (
     BHDensityEstimate,
     ConicDomainError,
     FinslerEvaluator,
+    XStage,
     _check_invertible,
     bh_density,
     curvature_samples,
@@ -58,14 +59,17 @@ SPHERE3 = metric_from_strings(
 )
 
 
-def plain_evaluator(n, func, domain, name, **hints):
-    """A FinslerEvaluator from func(x, y) and domain(x, y) that does no
-    work at x alone; its jets_at calls func one direction at a time."""
-    return FinslerEvaluator(dim=n, at=lambda x: partial(func, x),
-                            domain_at=lambda x: partial(domain, x),
-                            name=name, **hints,
-                            jets_at=jets_by_direction(
-                                lambda x: partial(func, x)))
+def plain_evaluator(n, func, domain, name, box=None):
+    """A FinslerEvaluator from func(x, y), domain(x, y) and optionally
+    box(x) -> (lo, hi) that does no work at x alone; its jets_at calls
+    func one direction at a time."""
+
+    def at(x):
+        return XStage(x, partial(func, x), partial(domain, x),
+                      None if box is None else partial(box, x))
+
+    return FinslerEvaluator(dim=n, at=at, name=name,
+                            jets_at=jets_by_direction(at))
 
 
 def expr_evaluator(f2_text, beta_text, n, name="expr"):
@@ -120,8 +124,7 @@ def flat_kropina(n=3):
         hi[0] = 2.0
         return lo, hi
 
-    return plain_evaluator(n, func, domain, "flat-kropina",
-                           box_hint=box_hint)
+    return plain_evaluator(n, func, domain, "flat-kropina", box=box_hint)
 
 
 def wavy_kropina():
@@ -153,7 +156,8 @@ def const_density(x):
 def sample(F, x, y, sigma=const_density):
     """The curvature sample of the one direction y, with the constant
     density unless one is given."""
-    return sample_row(curvature_samples(F, x, [y], log_density(sigma, x)), 0)
+    return sample_row(curvature_samples(F, F.at(x), [y],
+                                        log_density(sigma, x)), 0)
 
 
 def weighted_density(f_ast, n, base=None):
@@ -422,7 +426,8 @@ def test_geodesic_step_validation():
 
 
 def test_bh_euclid_n2():
-    est = bh_density(euclid_evaluator(2), [0.0, 0.0], mc_samples=40_000, seed=7)
+    F = euclid_evaluator(2)
+    est = bh_density(F, F.at([0.0, 0.0]), mc_samples=40_000, seed=7)
     assert isinstance(est, BHDensityEstimate)
     assert abs(est.value - 1.0) < 3.0 * est.stderr
     assert est.stderr < 0.02
@@ -431,7 +436,7 @@ def test_bh_euclid_n2():
 def test_bh_kropina_closed_vs_mc():
     """MC volume of {quadratic < linear} confirms the ellipsoid closed form."""
     F = flat_kropina()
-    est = bh_density(F, XS, mc_samples=150_000, seed=11)
+    est = bh_density(F, F.at(XS), mc_samples=150_000, seed=11)
     # the unit ball of the flat Kropina metric has density 1
     assert abs(est.value - 1.0) < 3.0 * est.stderr
     # ball of radius 1 inside the hint box of volume 8
@@ -441,11 +446,11 @@ def test_bh_kropina_closed_vs_mc():
 def test_bh_scaling():
     F = flat_kropina()
 
-    F2 = FinslerEvaluator(dim=3, at=lambda x: lambda y: 2.0 * F(x, y),
-                          domain_at=F.domain_at, name="scaled",
-                          box_hint=F.box_hint)
-    e1 = bh_density(F, XS, mc_samples=100_000, seed=3)
-    e2 = bh_density(F2, XS, mc_samples=100_000, seed=3)
+    F2 = FinslerEvaluator(
+        dim=3, name="scaled",
+        at=lambda x: F.at(x)._replace(f=lambda y: 2.0 * F(x, y)))
+    e1 = bh_density(F, F.at(XS), mc_samples=100_000, seed=3)
+    e2 = bh_density(F2, F2.at(XS), mc_samples=100_000, seed=3)
     # each sublevel volume is unit_ball_volume(3) / value
     assert abs(e1.value / e2.value - 0.125) < 0.01
 
@@ -462,14 +467,17 @@ def test_bh_density_refuses_stages_that_take_no_arrays():
         return bool(y[0] > 0)
 
     stages = [
-        replace(F, name="scalar-F", at=lambda x: partial(scalar_f, x)),
+        replace(F, name="scalar-F",
+                at=lambda x: F.at(x)._replace(f=partial(scalar_f, x))),
         replace(F, name="scalar-domain",
-                domain_at=lambda x: partial(scalar_domain, x)),
-        replace(F, name="constant-F", at=lambda x: lambda y: 0.5),
+                at=lambda x: F.at(x)._replace(
+                    domain=partial(scalar_domain, x))),
+        replace(F, name="constant-F",
+                at=lambda x: F.at(x)._replace(f=lambda y: 0.5)),
     ]
     for bad in stages:
         with pytest.raises(TypeError, match=bad.name):
-            bh_density(bad, XS, mc_samples=100, seed=1)
+            bh_density(bad, bad.at(XS), mc_samples=100, seed=1)
 
 
 def test_unit_ball_volume_values():
@@ -614,7 +622,7 @@ def test_staged_sample_equals_oracle_without_a_stage():
     sig = weighted_density(parse_expr("0.3*x1 + 0.1*x2^2", 3), 3)
     f = parse_expr("x1^2 + 0.5*x2*x3", 3)
     x = [0.2, 0.1, -0.3]
-    samples = curvature_samples(F, x, [[1.2, 0.4, -0.1], [0.9, -0.3, 0.2]],
+    samples = curvature_samples(F, F.at(x), [[1.2, 0.4, -0.1], [0.9, -0.3, 0.2]],
                                 log_density(sig, x),
                                 log_density(const_density, x))
     for k, y in enumerate(samples.y):
@@ -741,18 +749,19 @@ def test_direction_stage_equals_the_jet_loop_bit_for_bit(source):
         xf = [float(v) for v in x]
         xj = [sp.variable(i, v) for i, v in enumerate(xf)]
         cols = [np.array([y[i] for y in ys]) for i in range(n)]
-        rows, g = ev.jets_at(xj)(ys), ref.at(xj)
+        rows, g = ev.jets_at(xj)(ys), ref.at(xj).f
         for row, y in zip(rows, ys):
             seeds = [sp.variable(n + k, v) for k, v in enumerate(y)]
             assert _bits(Jet(sp, row.copy())) == _bits(g(seeds))
             compared += 1
-        f, g = ev.at(xf), ref.at(xf)
+        stage, stage_ref = ev.at(xf), ref.at(xf)
+        f, g = stage.f, stage_ref.f
         for y in ys:
             d = [float(v) for v in y]
             assert _bits(f(d)) == _bits(g(d))
             compared += 1
         assert _bits(f(cols)) == _bits(g(cols))
-        dom, dom_ref = ev.domain_at(xf), ref.domain_at(xf)
+        dom, dom_ref = stage.domain, stage_ref.domain
         assert _bits(dom(cols)) == _bits(dom_ref(cols))
         for y in ys:
             assert dom(list(y)) == dom_ref(list(y))
@@ -760,8 +769,8 @@ def test_direction_stage_equals_the_jet_loop_bit_for_bit(source):
 
 
 def test_direction_stage_refuses_jets_it_cannot_stack():
-    """at(x) and domain_at(x) take a float chart point, and at(x)'s stage
-    float directions and numpy columns: a jet chart point or a jet
+    """at(x) takes a float chart point, and its direction stage float
+    directions and numpy columns: a jet chart point or a jet
     direction, seeds included, raises TypeError, since F's jets come
     from jets_at, a block of seeds at a time."""
     space = load_scenario("s3_hopf").space()
@@ -769,10 +778,9 @@ def test_direction_stage_refuses_jets_it_cannot_stack():
     sp = jet_space(6, 2)
     x = [0.1, -0.2, 0.3]
     xj = [sp.variable(i, v) for i, v in enumerate(x)]
-    for stage in (ev.at, ev.domain_at):
-        with pytest.raises(TypeError):
-            stage(xj)
-    f = ev.at(x)
+    with pytest.raises(TypeError):
+        ev.at(xj)
+    f = ev.at(x).f
     y = [1.0, 0.5, -0.2]
     assert isinstance(f(y), float)
     seeds = [sp.variable(3 + k, v) for k, v in enumerate(y)]
@@ -818,7 +826,7 @@ def test_curvature_sample_makes_two_jet_products(monkeypatch):
             monkeypatch.setattr(Jet, "__rmul__", mul)
             monkeypatch.setattr(Jet, "_times_seed", times_seed)
             counts.clear()
-            curvature_samples(F, pt.x, block, *log_densities)
+            curvature_samples(F, pt.stage, block, *log_densities)
             monkeypatch.undo()
             assert counts.pop(("mul", (len(block), ncoef))) == 2
             assert set(counts) <= {("mul", (ncoef,))}

@@ -334,6 +334,37 @@ def test_misspelled_tolerance_key_rejected():
     assert err.value.pointer == "/tolerances"
 
 
+@pytest.mark.parametrize("field, value, pointer", [
+    ("box", [[float("-inf"), 0.5]] + [[-0.5, 0.5]] * 2, "/box/0"),
+    ("box", [[-0.5, 0.5], [-0.5, float("inf")], [-0.5, 0.5]], "/box/1"),
+    ("tolerances", {"spray": float("inf")}, "/tolerances/spray"),
+    ("tolerances", {"check": float("nan")}, "/tolerances/check"),
+])
+def test_non_finite_box_or_tolerance_rejected(field, value, pointer):
+    """A dict document may hold floats JSON cannot: a non-finite box
+    bound or tolerance is refused at load, with its pointer."""
+    doc = doc_for("s3_hopf")
+    doc[field] = value
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(doc)
+    assert err.value.pointer == pointer
+
+
+@pytest.mark.parametrize("text", [
+    '"box": [[-Infinity, 0.5], [-0.5, 0.5], [-0.5, 0.5]]',
+    '"tolerances": {"spray": Infinity}',
+    '"tolerances": {"ricci": NaN}',
+])
+def test_scenario_file_refuses_non_json_constants(tmp_path, text):
+    """NaN, Infinity and -Infinity are not JSON: a scenario file that
+    holds one is refused when it is parsed."""
+    doc = json.dumps(doc_for("s3_hopf"))
+    path = tmp_path / "scen.json"
+    path.write_text(doc[:-1] + ", " + text + "}")
+    with pytest.raises(ScenarioError, match="is not a JSON number"):
+        load_scenario(str(path))
+
+
 def test_sampling_overrides_take_the_schema_bounds_inclusive():
     sc = load_scenario("euclid_parallel")
     plan = scenario_samples(sc, points=200, directions=1, seed=0)

@@ -1,5 +1,6 @@
 """Run drivers: check/verify/convert reports, verdict folding, round trips."""
 import json
+import sys
 from collections import Counter
 from dataclasses import replace
 from importlib import resources
@@ -12,7 +13,12 @@ from jsonschema import Draft202012Validator
 from kropina.forms import GaugeError, finsler_evaluator
 from kropina.jets import Jet
 from kropina.reports import ReportDocument, tool_version
-from kropina.scenarios import ScenarioError, load_scenario, random_scenario
+from kropina.scenarios import (
+    ScenarioError,
+    load_scenario,
+    random_scenario,
+    scenario_samples,
+)
 from kropina.workbench import VERIFY_TOLS, run_check, run_convert, run_verify
 
 CONFORMAL = {
@@ -529,21 +535,26 @@ def _count_work(monkeypatch):
     bundles, fits, samples = [], [], []
     real_init = forms.AbFields.__init__
 
-    def init(self, space, x, *arrays):
-        bundles.append(tuple(float(v) for v in x))
-        real_init(self, space, x, *arrays)
+    def point_x():
+        # the x of the ChartPoint whose method (fld or fitted) made the
+        # recorded call
+        return tuple(float(v) for v in sys._getframe(2).f_locals["self"].x)
+
+    def init(self, *arrays):
+        bundles.append(point_x())
+        real_init(self, *arrays)
 
     real_fit = einstein.fit_theta_sigma
 
     def fit(inv, cfg):
-        fits.append(tuple(float(v) for v in inv.fields.x))
+        fits.append(point_x())
         return real_fit(inv, cfg)
 
     real_samples = einstein.curvature_samples
 
-    def samples(F, x, ys, log_sigma, log_sigma_bh=None):
-        cs = real_samples(F, x, ys, log_sigma, log_sigma_bh)
-        passes.append((tuple(float(v) for v in x),
+    def samples(F, at, ys, log_sigma, log_sigma_bh=None):
+        cs = real_samples(F, at, ys, log_sigma, log_sigma_bh)
+        passes.append((tuple(float(v) for v in at.x),
                        tuple(tuple(float(v) for v in y) for y in ys),
                        log_sigma_bh is not None))
         return cs
@@ -620,9 +631,9 @@ def test_f_x_stage_runs_once_per_point_per_run(monkeypatch):
 
         return replace(ev, jets_at=jets_at)
 
-    def samples(F, x, *args):
-        calls.append(("samples", tuple(float(v) for v in x)))
-        return real_samples(F, x, *args)
+    def samples(F, at, *args):
+        calls.append(("samples", tuple(float(v) for v in at.x)))
+        return real_samples(F, at, *args)
 
     monkeypatch.setattr(einstein, "finsler_evaluator", counted)
     monkeypatch.setattr(workbench, "finsler_evaluator", counted)
@@ -660,6 +671,39 @@ def test_one_jet_evaluation_per_signature_per_point(monkeypatch):
         counts.clear()
         run()
         assert counts == {(n, 2): sc.points, (2 * n, 4): sc.points}
+
+
+def test_one_float_x_stage_per_point(monkeypatch):
+    """Over floats a chart point walks the space's trees once to sample
+    its directions and once for F's x-stage, whose values, domain and
+    box serve the domain check and the Monte-Carlo BH density; verify
+    adds the closed sigma_BH.  convert's evidence evaluates F of each
+    view once per point, beside the sampling's own evaluation.  (verify
+    made 6 per point while the domain and the box were stages apart.)"""
+    import kropina.riemann as riemann
+
+    counts = Counter()
+    real = riemann.eval_expr
+
+    def counted(exprs, env):
+        if len(env) and not isinstance(env[0], Jet):
+            counts[tuple(env)] += 1
+        return real(exprs, env)
+
+    for name in ("torus_wind", "s3_hopf"):
+        sc = load_scenario(name)
+        xs = [tuple(float(v) for v in x) for x, _ in scenario_samples(sc)]
+        monkeypatch.setattr(riemann, "eval_expr", counted)
+        for run, per_point in ((lambda: run_check(sc), 2),
+                               (lambda: run_verify(sc, mc_samples=500), 3)):
+            counts.clear()
+            run()
+            assert Counter(counts.values()) == {per_point: sc.points}
+        for to in ("nav", "ab"):
+            counts.clear()
+            run_convert(sc, to)
+            assert [counts[x] for x in xs] == [1 + 2] * sc.points
+        monkeypatch.undo()
 
 
 # -- load once: the scenario's space serves every driver ------------------------
@@ -748,13 +792,13 @@ def test_convert_evidence_evaluates_f_once_per_point(monkeypatch):
         ev = real(space)
 
         def at(x):
-            f_at = ev.at(x)
+            stage = ev.at(x)
 
             def f(y):
                 calls.append(len(y[0]))
-                return f_at(y)
+                return stage.f(y)
 
-            return f
+            return stage._replace(f=f)
 
         return replace(ev, at=at)
 
