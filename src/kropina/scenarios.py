@@ -6,14 +6,14 @@ optional tolerance overrides.  Scenarios are plain JSON documents that
 hold to the packaged ``scenario/1`` schema, so a run is reproducible
 from the file and the tool version alone.
 
-Documents from outside the package are validated against that schema
-when they load: files and dicts.  So are the sampling overrides of a
-run (``--seed``, ``--points`` and ``--dirs`` on the command line).  The
-documents the package writes itself, the builtins, ``random:<seed>``
-and the document convert emits, are trusted and load without it
-(through load_trusted); the tests hold every one of them to the
-schema.  jsonschema is imported on the first validation only, so a run
-on a builtin without overrides never imports it.
+Documents from outside the package, files and dicts, are validated
+against that schema when they load, by this module's own validator
+(_schema_fault).  So are the sampling overrides of a run (``--seed``,
+``--points`` and ``--dirs``), as given: a bool or a fractional count is
+refused, not truncated.  The documents the package writes itself, the
+builtins, ``random:<seed>`` and the document convert emits, are trusted
+and load without it (through load_trusted); the tests hold every one of
+them to the schema.
 
 Loading is strict on purpose.  Schema violations carry a JSON-pointer
 path, expression problems keep the parser's offset message, and a
@@ -22,10 +22,12 @@ front rather than failing deep inside a curvature routine.
 """
 
 import json
+import math
+import numbers
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property, reduce
 from importlib import resources
 from pathlib import Path
 
@@ -66,54 +68,128 @@ class ScenarioError(ValueError):
         self.pointer = pointer
 
 
+@cache
 def _load_schema(name):
+    """The packaged schema, parsed once and shared: callers read it only."""
     text = resources.files("kropina").joinpath(f"schemas/{name}").read_text()
     return json.loads(text)
 
 
-_SCENARIO_VALIDATOR = None
+def _is_type(value, name):
+    """JSON Schema's types: true and false are neither integers nor
+    numbers, and an integral float such as 3.0 is an integer."""
+    if name in ("integer", "number"):
+        return not isinstance(value, bool) and (
+            isinstance(value, int) or isinstance(value, float)
+            and value.is_integer()
+            or name == "number" and isinstance(value, numbers.Number))
+    kind = {"string": str, "array": list, "object": dict}.get(name)
+    if kind is None:
+        raise NotImplementedError(f"schema type {name!r}")
+    return isinstance(value, kind)
 
 
-def _scenario_validator():
-    global _SCENARIO_VALIDATOR
-    if _SCENARIO_VALIDATOR is None:
-        from jsonschema import Draft202012Validator
-
-        _SCENARIO_VALIDATOR = Draft202012Validator(
-            _load_schema("scenario-1.schema.json")
-        )
-    return _SCENARIO_VALIDATOR
-
-
-def _error_pointer(err):
-    parts = [str(p) for p in err.absolute_path]
-    if err.validator == "required":
-        # jsonschema reports missing properties at the parent object;
-        # pull the property name out of the message so the pointer
-        # names the absent field itself.
-        m = re.search(r"'([^']+)'", err.message)
-        if m:
-            parts.append(m.group(1))
-    return "/" + "/".join(parts) if parts else "/"
+def _schema_fault(schema, value, path=(), root=None):
+    """The first fault of value under schema, as (depth, pointer,
+    message), or None; path is value's place in the document.  Keywords
+    go in the schema's order, items and properties in order; a oneOf
+    that no branch holds reports its deepest branch fault if no other
+    lies as deep, else itself.  Messages and types are those of the
+    Draft 2020-12 reference validator.  A keyword, or a keyword form,
+    that scenario-1.schema.json does not use raises NotImplementedError.
+    """
+    root = schema if root is None else root
+    for key, arg in schema.items():
+        fault = message = name = None
+        if key == "type":
+            types = [arg] if isinstance(arg, str) else arg
+            if not any(_is_type(value, t) for t in types):
+                message = (f"{value!r} is not of type "
+                           f"{', '.join(map(repr, types))}")
+        elif key in ("const", "enum"):
+            if not any(value == o and isinstance(o, bool) == isinstance(
+                    value, bool) for o in ([arg] if key == "const" else arg)):
+                message = (f"{arg!r} was expected" if key == "const"
+                           else f"{value!r} is not one of {arg!r}")
+        elif key in ("minLength", "minItems"):
+            if (isinstance(value, str if key == "minLength" else list)
+                    and len(value) < arg):
+                message = f"{value!r} " + (
+                    "should be non-empty" if arg == 1 else "is too short")
+        elif key == "maxItems":
+            if isinstance(value, list) and len(value) > arg:
+                message = f"{value!r} is too long"
+        elif key == "pattern":
+            if isinstance(value, str) and not re.search(arg, value):
+                message = f"{value!r} does not match {arg!r}"
+        elif key in ("minimum", "exclusiveMinimum", "maximum"):
+            if _is_type(value, "number") and (
+                    value > arg if key == "maximum" else value <= arg
+                    if key == "exclusiveMinimum" else value < arg):
+                message = f"{value!r} is " + {
+                    "minimum": "less than the minimum",
+                    "exclusiveMinimum": "less than or equal to the minimum",
+                    "maximum": "greater than the maximum"}[key] + f" of {arg!r}"
+        elif key in ("items", "properties"):
+            if isinstance(value, list if key == "items" else dict):
+                subs = (enumerate([arg] * len(value)) if key == "items" else
+                        [(k, sub) for k, sub in arg.items() if k in value])
+                fault = next(filter(None, (
+                    _schema_fault(sub, value[k], (*path, k), root)
+                    for k, sub in subs)), None)
+        elif key == "required":
+            if isinstance(value, dict):
+                name = next((k for k in arg if k not in value), None)
+            if name is not None:
+                message = f"{name!r} is a required property"
+        elif key == "additionalProperties" and arg is False:
+            extras = isinstance(value, dict) and sorted(
+                set(value) - set(schema.get("properties", ())), key=str)
+            if extras:
+                message = ("Additional properties are not allowed ("
+                           f"{', '.join(map(repr, extras))} "
+                           f"{'was' if len(extras) == 1 else 'were'} "
+                           "unexpected)")
+        elif key == "oneOf":
+            faults = [_schema_fault(sub, value, path, root) for sub in arg]
+            held = [sub for sub, f in zip(arg, faults) if f is None]
+            faults = sorted(filter(None, faults), key=lambda f: -f[0])
+            if len(held) > 1:
+                message = (f"{value!r} is valid under each of "
+                           + ", ".join(map(repr, held[1:] + held[:1])))
+            elif not held and len(faults) > 1 and faults[1][0] == faults[0][0]:
+                message = (f"{value!r} is not valid under any of the given "
+                           "schemas")
+            elif not held:
+                fault = faults[0]
+        elif key == "$ref" and arg.startswith("#/"):
+            target = reduce(dict.__getitem__, arg[2:].split("/"), root)
+            fault = _schema_fault(target, value, path, root)
+        elif key not in ("$schema", "$id", "title", "$defs"):
+            raise NotImplementedError(f"schema keyword {key!r}: {arg!r}")
+        if message:
+            parts = path if name is None else (*path, name)
+            return len(path), "/" + "/".join(map(str, parts)), message
+        if fault:
+            return fault
+    return None
 
 
 def _schema_check(doc):
-    from jsonschema.exceptions import best_match
-
-    err = best_match(_scenario_validator().iter_errors(doc))
-    if err is not None:
-        raise ScenarioError(err.message, _error_pointer(err))
+    fault = _schema_fault(_load_schema("scenario-1.schema.json"), doc)
+    if fault is not None:
+        raise ScenarioError(fault[2], fault[1])
 
 
 def _coeff(value, pointer):
     """Weight constant from JSON: int stays exact, strings go through
     Fraction so '3/8' and '0.375' both mean the exact rational."""
-    if isinstance(value, bool):
-        raise ScenarioError("weight constants must be numbers", pointer)
+    if isinstance(value, float) and math.isfinite(value):
+        return value
+    if isinstance(value, (bool, float)):
+        raise ScenarioError("weight constants must be finite numbers", pointer)
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, float):
-        return value
     try:
         return Fraction(str(value))
     except (ValueError, ZeroDivisionError):
@@ -454,15 +530,13 @@ def _sampling(scenario, key, override):
     to the schema's own subschema for that key."""
     if override is None:
         return getattr(scenario, key)
-    from jsonschema.exceptions import best_match
-
-    override = int(override)
-    validator = _scenario_validator()
-    sub = validator.evolve(schema=validator.schema["properties"][key])
-    err = best_match(sub.iter_errors(override))
-    if err is not None:
-        raise ScenarioError(f"{key} override: {err.message}", f"/{key}")
-    return override
+    # numpy integers are integers too, though JSON Schema knows only int
+    override = int(override) if isinstance(override, np.integer) else override
+    schema = _load_schema("scenario-1.schema.json")
+    fault = _schema_fault(schema["properties"][key], override)
+    if fault is not None:
+        raise ScenarioError(f"{key} override: {fault[2]}", f"/{key}")
+    return int(override)
 
 
 def scenario_samples(

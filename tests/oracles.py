@@ -83,6 +83,11 @@ string), against ReportDocument.to_json's one-walk encoder;
 pair_rows_per_row builds a chart point's verify rows one direction at a
 time with listed and rel_dev, against workbench._pair_rows' whole
 blocks.
+
+And the scenario schema route: schema_fault_oracle judges a document
+with jsonschema's Draft202012Validator and picks its fault with
+best_match, against scenarios._schema_fault; schema_pointer maps that
+fault to a JSON pointer, naming a missing property itself.
 """
 import itertools
 import json
@@ -91,6 +96,8 @@ import re
 from dataclasses import dataclass, fields as record_fields, replace
 
 import numpy as np
+from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
 
 from kropina.einstein import (
     ChartPoint,
@@ -1626,3 +1633,25 @@ def pair_rows_per_row(pt, closed, generic):
         row["generic"] = listed(gen) if np.ndim(gen) else float(gen)
         row["rel_dev"] = rel_dev(value, gen)
     return rows
+
+
+# -- the scenario schema ---------------------------------------------------
+
+
+def schema_pointer(err):
+    """The JSON pointer of a jsonschema error; a missing property is
+    reported at its parent object, so its name is read off the message
+    and appended."""
+    parts = [str(p) for p in err.absolute_path]
+    if err.validator == "required":
+        m = re.search(r"'([^']+)'", err.message)
+        if m:
+            parts.append(m.group(1))
+    return "/" + "/".join(parts) if parts else "/"
+
+
+def schema_fault_oracle(schema, doc):
+    """(pointer, message) of the fault best_match picks among the errors
+    Draft202012Validator finds in doc under schema, or None."""
+    err = best_match(Draft202012Validator(schema).iter_errors(doc))
+    return None if err is None else (schema_pointer(err), err.message)

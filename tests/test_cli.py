@@ -82,6 +82,21 @@ def test_exit_1_on_a_sampling_override_outside_the_schema(
     assert list(tmp_path.iterdir()) == []
 
 
+def test_weight_constant_overflowing_to_inf_is_an_input_problem(tmp_path,
+                                                                capsys):
+    """1e999 is valid JSON that overflows to inf: the CLI exits 1 with
+    the constant's pointer, not with an OverflowError."""
+    doc = json.dumps(load_scenario("s3_hopf").as_dict())
+    path = tmp_path / "scen.json"
+    path.write_text(doc.replace('"constants": {"a": 1, "c": 0}',
+                                '"constants": {"a": 1e999, "c": 0}'))
+    assert '1e999' in path.read_text()
+    assert main(["check", "--scenario", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "kropina: weight constants must be finite numbers "
+        "(at /constants/a)\n")
+
+
 def test_exit_2_on_verdict_failure(tmp_path, capsys):
     path = write_scenario(tmp_path, CONFORMAL)
     assert main(["check", "--scenario", path]) == 2

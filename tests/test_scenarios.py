@@ -339,10 +339,14 @@ def test_misspelled_tolerance_key_rejected():
     ("box", [[-0.5, 0.5], [-0.5, float("inf")], [-0.5, 0.5]], "/box/1"),
     ("tolerances", {"spray": float("inf")}, "/tolerances/spray"),
     ("tolerances", {"check": float("nan")}, "/tolerances/check"),
+    ("constants", {"a": float("inf"), "c": 0}, "/constants/a"),
+    ("constants", {"a": 1, "c": float("nan")}, "/constants/c"),
+    ("constants", {"a": 1, "c": float("-inf")}, "/constants/c"),
 ])
 def test_non_finite_box_or_tolerance_rejected(field, value, pointer):
     """A dict document may hold floats JSON cannot: a non-finite box
-    bound or tolerance is refused at load, with its pointer."""
+    bound, tolerance or weight constant is refused at load, with its
+    pointer."""
     doc = doc_for("s3_hopf")
     doc[field] = value
     with pytest.raises(ScenarioError) as err:
@@ -363,6 +367,19 @@ def test_scenario_file_refuses_non_json_constants(tmp_path, text):
     path.write_text(doc[:-1] + ", " + text + "}")
     with pytest.raises(ScenarioError, match="is not a JSON number"):
         load_scenario(str(path))
+
+
+def test_integer_sampling_overrides_of_any_integer_type_are_accepted():
+    """numpy integers, and floats the schema counts as integers, give
+    the plan of the plain ints."""
+    sc = load_scenario("euclid_parallel")
+    plain = scenario_samples(sc, points=2, directions=3, seed=5)
+    for ints in ((np.int64(2), np.int32(3), np.uint8(5)), (2.0, 3.0, 5.0)):
+        plan = scenario_samples(sc, points=ints[0], directions=ints[1],
+                                seed=ints[2])
+        assert len(plan) == 2 and all(len(ys) == 3 for _, ys in plan)
+        for (x, ys), (x0, ys0) in zip(plan, plain):
+            assert np.array_equal(x, x0) and np.array_equal(ys, ys0)
 
 
 def test_sampling_overrides_take_the_schema_bounds_inclusive():
@@ -516,14 +533,17 @@ def test_random_prefix_rejects_a_negative_seed():
 
 
 def _schema_errors(doc):
+    """The faults of doc under the scenario schema: every error of
+    jsonschema's Draft202012Validator, then the package's own fault."""
     from importlib import resources
 
     from jsonschema import Draft202012Validator
 
-    schema = resources.files("kropina").joinpath(
-        "schemas/scenario-1.schema.json").read_text()
-    return [e.message for e in
-            Draft202012Validator(json.loads(schema)).iter_errors(doc)]
+    schema = json.loads(resources.files("kropina").joinpath(
+        "schemas/scenario-1.schema.json").read_text())
+    errors = [e.message for e in Draft202012Validator(schema).iter_errors(doc)]
+    fault = scenarios._schema_fault(schema, doc)
+    return errors if fault is None else [*errors, fault[2]]
 
 
 _TRUSTED = {name: scenarios._BUILTINS[name] for name in builtin_names()}
@@ -585,14 +605,14 @@ print(before, "jsonschema" in sys.modules)
 
 @pytest.mark.parametrize("then, imported", [
     ("nothing", "False False"),
-    ("dict", "False True"),
-    ("seed", "False True"),
+    ("dict", "False False"),
+    ("seed", "False False"),
     ("convert", "False False"),
 ])
 def test_jsonschema_is_imported_only_to_validate(then, imported):
-    """A fresh interpreter imports the CLI, loads and checks a builtin
-    without jsonschema, and converts it without it too; a dict document
-    or a seed override brings it in."""
+    """A fresh interpreter imports the CLI, loads and checks a builtin,
+    validates a dict document and a seed override, and converts, all
+    without importing jsonschema: the package validates by itself."""
     src = str(Path(kropina.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, then],
@@ -600,6 +620,43 @@ def test_jsonschema_is_imported_only_to_validate(then, imported):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == imported
+
+
+_NO_JSONSCHEMA_PROBE = """
+import json
+import sys
+
+sys.modules["jsonschema"] = None  # any import of jsonschema now fails
+
+import kropina.cli
+from kropina.scenarios import ScenarioError, load_scenario
+
+doc = load_scenario("s3_hopf").as_dict()
+with open(sys.argv[1], "w") as out:
+    json.dump(dict(doc, points=0), out)
+for source in (dict(doc, dimension=9), sys.argv[1]):
+    try:
+        load_scenario(source)
+    except ScenarioError as e:
+        print(e.pointer)
+print(kropina.cli.main(["check", "--scenario", "s3_hopf", "--seed", "-1"]))
+"""
+
+
+def test_validation_runs_where_jsonschema_cannot_be_imported(tmp_path):
+    """With jsonschema unimportable, a faulty dict and a faulty file
+    still raise ScenarioError, and an out-of-range --seed exits 1."""
+    src = str(Path(kropina.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_JSONSCHEMA_PROBE,
+         str(tmp_path / "scen.json")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["/dimension", "/points", "1"]
+    assert proc.stderr == (
+        "kropina: seed override: -1 is less than the minimum of 0 "
+        "(at /seed)\n")
 
 
 # -- load once -----------------------------------------------------------------

@@ -310,6 +310,13 @@ def test_verify_tolerance_override_fails_run():
     (lambda: run_verify("euclid_parallel", seed=-1), "/seed"),
     (lambda: run_check("euclid_parallel", seed=-1), "/seed"),
     (lambda: run_convert("euclid_parallel", to="ab", seed=-1), "/seed"),
+    # held to the schema as given: not truncated to an int first
+    (lambda: run_verify("euclid_parallel", points=2.5), "/points"),
+    (lambda: run_verify("euclid_parallel", points=True), "/points"),
+    (lambda: run_verify("euclid_parallel", dirs=True), "/directions"),
+    (lambda: run_verify("euclid_parallel", dirs=1.5), "/directions"),
+    (lambda: run_check("euclid_parallel", seed=False), "/seed"),
+    (lambda: run_convert("euclid_parallel", to="ab", seed=0.5), "/seed"),
 ])
 def test_sampling_overrides_outside_the_schema_bounds_raise(run, pointer):
     with pytest.raises(ScenarioError) as err:
