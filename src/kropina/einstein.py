@@ -469,7 +469,7 @@ class ChartPoint:
 
     @cached_property
     def stage(self):
-        """F's float x-stage at x: its values, domain and box."""
+        """F's float x-stage at x: its values and domain."""
         return self.evaluator.at(self.x)
 
     @cached_property

@@ -607,8 +607,8 @@ def sigma_bh(space: KropinaSpace, x) -> float:
 
     The unit sublevel set {F < 1} is the ellipsoid |y - v|_a < b/2
     centred at v = a^{-1} b_low / 2, which integrates to the closed
-    form (2/b)^n sqrt(det a); validated against Monte-Carlo estimates
-    in the test suite.
+    form (2/b)^n sqrt(det a); verify holds it against
+    generic.bh_density's sphere quadrature of F's unit ball.
     """
     a, b = evaluate(x, space.a, space.gauge)
     det, b = float(np.linalg.det(a)), float(b)
@@ -646,13 +646,13 @@ def finsler_evaluator(space: KropinaSpace) -> FinslerEvaluator:
     pipeline, F = a_ij y^i y^j / (b_i y^i).
 
     Each x-stage evaluates a_ij and b_i once (riemann.evaluate): at(x)
-    over a float chart point, as values, which also give the box stage
-    of the unit-ball ellipsoid; jets_at(x) over the order-4 seeds of
-    the chart variables, as coefficient arrays (n, n, C) and (n, C),
-    its stage taking a (D, n) block of directions to the D jets of F
-    at their seeds.  The direction stages combine the arrays with y in a few
-    numpy calls, each with the bits of the loop a_ij y^i y^j / (b_i y^i)
-    over the same values and Jet operations (see _quadratic).
+    over a float chart point, as values; jets_at(x) over the order-4
+    seeds of the chart variables, as coefficient arrays (n, n, C) and
+    (n, C), its stage taking a (D, n) block of directions to the D jets
+    of F at their seeds.  The direction stages combine the arrays with
+    y in a few numpy calls, each with the bits of the loop
+    a_ij y^i y^j / (b_i y^i) over the same values and Jet operations
+    (see _quadratic).
     """
     n = space.dim
 
@@ -668,13 +668,7 @@ def finsler_evaluator(space: KropinaSpace) -> FinslerEvaluator:
         def domain(y):
             return _linear(b[:, None], *_directions(y)) > 0
 
-        def box():
-            ainv = np.linalg.inv(a)
-            centre = ainv @ b / 2.0
-            half = 0.5 * math.sqrt(b @ ainv @ b) * np.sqrt(np.diag(ainv))
-            return centre - half, centre + half
-
-        return XStage(np.array(x), f, domain, box)
+        return XStage(np.array(x), f, domain)
 
     def jets_at(x):
         sp = x[0].space

@@ -16,8 +16,11 @@ Riemann curvature and S are array expressions over those, with a
 leading axis for all the directions of a chart point at once (vector
 forward mode; Griewank and Walther, Evaluating Derivatives, ch. 13).
 
-A metric is a FinslerEvaluator with one float x-stage (at: F, its
-domain and its unit-ball box at x) and one jet x-stage (jets_at).
+A metric is a FinslerEvaluator with one float x-stage (at: F and its
+domain at x) and one jet x-stage (jets_at).  bh_density reads the float
+stage alone: the unit-ball density Vol(B^n) / Vol{F < 1} by a product
+Gauss rule on the sphere, after a change of variables fitted to F's own
+boundary points.
 """
 import math
 from dataclasses import dataclass
@@ -37,15 +40,13 @@ class ConicDomainError(ValueError):
 class XStage(NamedTuple):
     """F at one chart point x, the work on x alone done once: f(y) is
     F(x, y) and domain(y) True (or a boolean mask) exactly where F is
-    defined and positive, y floats or numpy columns; box() is (lo, hi)
-    bounding {y : F(x, y) < 1}, and box None when the metric gives none.
-    curvature_samples calls domain, and bh_density both stages, on
-    columns, a block of rows at a time, so they must accept arrays."""
+    defined and positive, y floats or numpy columns.  curvature_samples
+    calls domain, and bh_density both stages, on columns, a block of
+    rows at a time, so they must accept arrays."""
 
     x: np.ndarray            # (n,)
     f: Callable
     domain: Callable
-    box: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
@@ -266,94 +267,182 @@ def curvature_samples(F: FinslerEvaluator, stage: XStage, ys,
     )
 
 
-@dataclass(frozen=True)
-class BHDensityEstimate:
-    value: float            # Vol(B^n) / Vol{F < 1}
-    stderr: float
-    samples: int
-
-
 def unit_ball_volume(n: int) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
-# random probe directions of _probe_box, besides the 2n axis directions
-_BOX_PROBES = 256
+# random probe directions of _probe_directions, besides the 2n axis ones
+_PROBES = 256
 
 
-def _probe_box(F: FinslerEvaluator, stage: XStage):
-    """Axis-aligned box containing {F(x, .) < 1}, by radial probing.
-
-    By 1-homogeneity the sublevel set is the radial graph t < 1/F(x, u),
-    so its extent along any probed direction is exact; doubling the
-    largest extent covers directions between probes for the smooth
-    convex sublevel sets handled here.  The probe directions come from
-    a fixed-key generator so the box does not depend on the caller's
-    Monte-Carlo seed.
-    """
-    n = F.dim
+@lru_cache(maxsize=None)
+def _probe_directions(n: int) -> np.ndarray:
+    """(_PROBES + 2n, n) unit directions: normal draws of a fixed-key
+    generator, normalised, then the 2n axis directions."""
     rng = np.random.Generator(np.random.Philox(key=0x9E3779B9))
-    dirs = rng.normal(size=(_BOX_PROBES, n))
+    dirs = rng.normal(size=(_PROBES, n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     dirs = np.vstack([dirs, np.eye(n), -np.eye(n)])
-    cols = list(dirs.T)
-    with np.errstate(all="ignore"):
-        vals = np.asarray(stage.f(cols), dtype=float)
-        vals = vals[np.asarray(stage.domain(cols)) & np.isfinite(vals)
-                    & (vals > 0.0)]
-    if not vals.size:
+    dirs.flags.writeable = False   # shared by every caller
+    return dirs
+
+
+def _values(F: FinslerEvaluator, stage: XStage, ys: np.ndarray):
+    """(vals, ok): F(x, y) at each row of ys (N, n), x the stage's, by
+    one call of each direction stage on the columns of ys, and the mask
+    of the rows where F is defined, finite and positive."""
+    cols = list(ys.T)
+    try:
+        with np.errstate(all="ignore"):
+            mask = np.asarray(stage.domain(cols))
+            vals = np.asarray(stage.f(cols), dtype=float)
+        if mask.shape != (len(ys),) or vals.shape != (len(ys),):
+            raise ValueError("not one value per row")
+    except (TypeError, ValueError) as e:
+        raise TypeError(f"metric {F.name!r}: bh_density needs domain and F "
+                        "stages that take numpy columns and return one "
+                        "value per row") from e
+    return vals, mask & np.isfinite(vals) & (vals > 0.0)
+
+
+def _gauss_jacobi(m: int, alpha: float, beta: float):
+    """The m-node Gauss rule (nodes, weights) on [-1, 1] for the weight
+    (1 - t)^alpha (1 + t)^beta, by Golub-Welsch: the nodes are the
+    eigenvalues of the Jacobi matrix of the three-term recurrence, the
+    weights mu_0 times the squared first components of its unit
+    eigenvectors (the k = 0 and k = 1 entries in cancelled form)."""
+    ab = alpha + beta
+    k = np.arange(1, m, dtype=float)
+    s = 2.0 * k + ab
+    diag = np.empty(m)
+    diag[0] = (beta - alpha) / (ab + 2.0)
+    diag[1:] = (beta * beta - alpha * alpha) / (s * (s + 2.0))
+    cancel = np.ones(m - 1)   # (k + ab) / (s - 1), which is 1 at k = 1
+    cancel[1:] = (k[1:] + ab) / (s[1:] - 1.0)
+    off = np.sqrt(4.0 * k * (k + alpha) * (k + beta) * cancel
+                  / (s * s * (s + 1.0)))
+    nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1)
+                                 + np.diag(off, -1))
+    mu0 = (2.0 ** (ab + 1.0) * math.gamma(alpha + 1.0) * math.gamma(beta + 1.0)
+           / math.gamma(ab + 2.0))
+    return nodes, mu0 * vecs[0] ** 2
+
+
+# Gauss nodes per half of the polar coordinate of _sphere_rule, per n,
+# from bh_density's worst relative error against the closed form on
+# every builtin and on random_scenario(seed, n).  For odd n the polar
+# integrand of a Kropina unit ball is a polynomial that 2 and 4 nodes
+# integrate exactly; for even n it carries (1 + t)^((n - 3)/2), and 9
+# nodes bring the error below 1e-14 (8: 2e-13 at n = 2), so 10 are used.
+_POLAR_NODES = {2: 10, 3: 2, 4: 10, 5: 4, 6: 10}
+# Gauss nodes of every other angle: after _polar_frame, F^(-n) of a unit
+# ball that is an ellipsoid depends on the polar coordinate alone
+_INNER_NODES = 2
+
+
+@lru_cache(maxsize=None)
+def _sphere_rule(n: int, m: int):
+    """(u, w): a product Gauss rule on the unit sphere S^(n-1), nodes u
+    (N, n) and weights w (N,) summing to its area (Stroud, Approximate
+    Calculation of Multiple Integrals, 1971).
+
+    Over u = (t, sqrt(1 - t^2) v), v on S^(n-2), the area element is
+    (1 - t^2)^((n-3)/2) dt dv.  The polar coordinate t = u^1 takes m
+    Gauss-Jacobi nodes on each of [0, 1] and [-1, 0], so that a kink of
+    the integrand on the equator u^1 = 0 falls on a panel edge; each
+    lower sphere takes _INNER_NODES Gauss-Gegenbauer nodes on [-1, 1]
+    the same way, down to S^0 = {1, -1}.
+    """
+    u, w = np.array([[1.0], [-1.0]]), np.ones(2)
+    for d in range(2, n + 1):
+        alpha = (d - 3) / 2.0
+        if d == n:
+            x, wx = _gauss_jacobi(m, alpha, 0.0)
+            t = (1.0 + x) / 2.0
+            wt = wx * (1.0 + t) ** alpha / 2.0 ** (alpha + 1.0)
+            t, wt = np.concatenate([t, -t]), np.concatenate([wt, wt])
+        else:
+            t, wt = _gauss_jacobi(_INNER_NODES, alpha, alpha)
+        r = np.sqrt(1.0 - t * t)
+        u = np.hstack([np.repeat(t, len(u))[:, None],
+                       np.kron(r[:, None], u)])
+        w = np.kron(wt, w)
+    u.flags.writeable = w.flags.writeable = False   # shared by every caller
+    return u, w
+
+
+def _polar_frame(bdry: np.ndarray, probes: np.ndarray):
+    """(M, |det M|) of the change of variables y = M u under which the
+    quadric through the boundary points bdry (K, n) of {F(x, .) < 1} is
+    a sphere whose centre lies on the polar axis u^1.
+
+    The quadric y Q y + l.y + c = 0 is the least-squares null vector of
+    the points' monomials (the last right singular vector); M is
+    Q^(-1/2) times a reflection taking e_1 to the centre's direction.
+    For a Kropina metric the unit ball is that ellipsoid, with the
+    origin on its boundary, and F(x, M u)^(-n) is then a function of
+    u^1 alone, zero for u^1 < 0.  When the points lie on no ellipsoid,
+    M only puts the polar axis on the probe direction of largest 1/F
+    (probes, the directions of bdry).  Any invertible M gives the same
+    volume; the frame only makes the rule converge fast.
+    """
+    n = bdry.shape[1]
+    i, j = np.triu_indices(n)
+    scale = np.abs(bdry).max()
+    z = bdry / scale
+    coef = np.linalg.svd(np.hstack([z[:, i] * z[:, j], z,
+                                    np.ones((len(z), 1))]),
+                         full_matrices=False)[2][-1]
+    Q = np.zeros((n, n))
+    Q[i, j] = Q[j, i] = coef[:len(i)] * np.where(i == j, 1.0, 0.5)
+    l, c = coef[len(i):-1], coef[-1]
+    if np.trace(Q) < 0.0:
+        Q, l, c = -Q, -l, -c
+    lam, V = np.linalg.eigh(Q)
+    # the centre v = -Q^(-1) l / 2 in Q's eigenbasis, and the quadric is
+    # (y - v) Q (y - v) = v Q v - c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = (V.T @ l) / lam * -0.5
+    if lam[0] > 0.0 and lam @ (v * v) > c:
+        root = np.sqrt(lam)
+        A = (V / root) @ V.T * scale
+        det = scale ** n / float(np.prod(root))
+        axis = V @ (root * v)
+    else:
+        A, det = np.eye(n), 1.0
+        axis = probes[np.argmax(np.linalg.norm(bdry, axis=1))]
+    # the reflection along h = e_1 - axis / |axis|, when that is not 0
+    h = -axis / max(np.linalg.norm(axis), np.finfo(float).tiny)
+    h[0] += 1.0
+    hh = h @ h
+    if hh > 1e-24:
+        A = A - np.outer(A @ h, h) * (2.0 / hh)
+    return A, det
+
+
+def bh_density(F: FinslerEvaluator, stage: XStage) -> float:
+    """Unit-ball volume density Vol(B^n) / Vol{y : F(x, y) < 1} at the
+    x of F's x-stage, by a sphere quadrature that reads F alone.
+
+    By F's positive homogeneity Vol{F < 1} = (1/n) int_(S^(n-1))
+    F(x, u)^(-n) du over the directions where F is defined (Shen,
+    Lectures on Finsler Geometry, 2001), which holds after any linear
+    change of variables y = M u.  M comes from F's boundary points
+    1/F(x, p) p along the fixed probe directions p (_polar_frame), and
+    the integral from the product rule _sphere_rule(n, m) with m from
+    _POLAR_NODES.  Both stages run on numpy columns, once on the probes
+    and once on the rule's nodes, so they must accept arrays (a stage
+    that does not is refused with a TypeError).
+    """
+    n = F.dim
+    probes = _probe_directions(n)
+    vals, ok = _values(F, stage, probes)
+    if not ok.any():
         raise ValueError("degenerate sublevel set: no admissible probe direction")
-    r = 2.0 * float(np.max(1.0 / vals))
-    return -r * np.ones(n), r * np.ones(n)
-
-
-# rows per block in _hits: an evaluator's direction stage may stack n^2
-# terms per row (forms' quadratic form does), and 4096 rows keep those
-# arrays at n^2 x 32 KB
-_INDICATOR_ROWS = 4096
-
-
-def _hits(F: FinslerEvaluator, stage: XStage, lo, hi, rng, count: int):
-    """How many of count uniform draws y from the box [lo, hi] have
-    F(x, y) < 1, x the stage's.  The draws are made and judged
-    _INDICATOR_ROWS rows at a time, by one call of each direction stage
-    per block on its columns; the generator fills rows in stream order,
-    so the draws do not depend on the block size."""
-    refusal = (f"metric {F.name!r}: bh_density needs domain and F stages "
-               "that take numpy columns and return one value per row")
-    hits = 0
-    for start in range(0, count, _INDICATOR_ROWS):
-        m = min(_INDICATOR_ROWS, count - start)
-        block = lo + rng.random(size=(m, F.dim)) * (hi - lo)
-        cols = [block[:, i] for i in range(F.dim)]
-        try:
-            with np.errstate(all="ignore"):
-                mask = np.asarray(stage.domain(cols))
-                vals = np.asarray(stage.f(cols), dtype=float)
-        except (TypeError, ValueError) as e:
-            raise TypeError(refusal) from e
-        if mask.shape != (m,) or vals.shape != (m,):
-            raise TypeError(refusal)
-        inside = mask & np.isfinite(vals) & (vals > 0.0) & (vals < 1.0)
-        hits += int(np.count_nonzero(inside))
-    return hits
-
-
-def bh_density(F: FinslerEvaluator, stage: XStage, mc_samples: int = 200_000,
-               seed: int = 0) -> BHDensityEstimate:
-    """Unit-ball volume density Vol(B^n)/Vol{y : F(x, y) < 1} by Monte
-    Carlo, over the box of F's x-stage F.at(x) or a probed one."""
-    if mc_samples < 1:
-        raise ValueError("mc_samples must be positive")
-    box = _probe_box(F, stage) if stage.box is None else stage.box()
-    lo, hi = (np.asarray(v, dtype=float) for v in box)
-    box_volume = float(np.prod(hi - lo))
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    hits = _hits(F, stage, lo, hi, rng, mc_samples)
-    if hits == 0:
-        raise ValueError("degenerate sublevel set: no Monte-Carlo hits")
-    p = hits / mc_samples
-    value = unit_ball_volume(F.dim) / (p * box_volume)
-    rel = math.sqrt(p * (1.0 - p) / mc_samples) / p
-    return BHDensityEstimate(value=value, stderr=value * rel,
-                             samples=mc_samples)
+    M, det = _polar_frame(probes[ok] / vals[ok, None], probes[ok])
+    u, w = _sphere_rule(n, _POLAR_NODES.get(n, 10))
+    vals, ok = _values(F, stage, u @ M.T)
+    volume = det / n * float(w[ok] @ vals[ok] ** -float(n))
+    if not volume > 0.0:
+        raise ValueError("degenerate sublevel set: zero volume")
+    return unit_ball_volume(n) / volume

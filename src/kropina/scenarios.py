@@ -376,6 +376,10 @@ def load_trusted(doc, origin):
     for key, tol in tolerances.items():
         if not np.isfinite(tol):
             raise ScenarioError("tolerance not finite", f"/tolerances/{key}")
+    if tolerances.get("bh-density", 0.0) >= 1.0:
+        # a relative bound: 1 would pass a density off by 100%
+        raise ScenarioError("the bh-density tolerance is a relative bound "
+                            "and must be below 1", "/tolerances/bh-density")
 
     scenario = Scenario(
         name=doc["name"],
@@ -730,7 +734,7 @@ def random_scenario(seed, dimension=3):
         "vector": vector,
         "weight": weight,
         "constants": {"a": 1, "c": 0},
-        "box": [[-0.35, 0.35]] * n,
+        "box": [[-0.35, 0.35] for _ in range(n)],
         "points": 3,
         "directions": 8,
         "seed": int(seed),

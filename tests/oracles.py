@@ -23,6 +23,10 @@ a test can hold the package's route against it:
   unit-ball densities as callables x -> sigma(x) over floats and jets,
   against the log densities a ChartPoint takes from its one jet
   evaluation;
+- bh_density_mc: the unit-ball density Vol(B^n) / Vol{F < 1} by Monte
+  Carlo over a box (ellipsoid_box, the Kropina unit ball's own, or
+  probe_box, one found by probing F), with its standard error, against
+  generic.bh_density's sphere quadrature;
 - jet_solve: Gauss-Jordan elimination over the jet ring, returning the
   determinant as the signed pivot product, against graded_solve;
 - jet_det: a jet matrix determinant by the n!-term Leibniz sum;
@@ -148,6 +152,7 @@ from kropina.generic import (
     FinslerEvaluator,
     XStage,
     _check_invertible,
+    unit_ball_volume,
 )
 from kropina.jets import (
     Jet,
@@ -648,6 +653,68 @@ def volume_density(space: KropinaSpace):
         return damp * base
 
     return sigma
+
+
+@dataclass(frozen=True)
+class BHDensityEstimate:
+    value: float            # Vol(B^n) / Vol{F < 1}
+    stderr: float
+    samples: int
+
+
+def ellipsoid_box(space: KropinaSpace, x):
+    """(lo, hi): the axis-aligned box of the Kropina unit ball at x, the
+    ellipsoid |y - v|_a < b/2 centred at v = a^{-1} b_low / 2, read
+    from a_ij and b_i."""
+    a, b = evaluate([float(v) for v in x], space.a, space.b)
+    ainv = np.linalg.inv(a)
+    centre = ainv @ b / 2.0
+    half = 0.5 * math.sqrt(b @ ainv @ b) * np.sqrt(np.diag(ainv))
+    return centre - half, centre + half
+
+
+def probe_box(F: FinslerEvaluator, stage: XStage, probes=256):
+    """A cube containing {F(x, .) < 1}: by 1-homogeneity its extent
+    along a direction u is 1/F(x, u), and twice the largest extent over
+    fixed-key random probes and the 2n axis directions covers the
+    directions between them for the smooth convex sublevel sets here."""
+    n = F.dim
+    rng = np.random.Generator(np.random.Philox(key=0x9E3779B9))
+    dirs = rng.normal(size=(probes, n))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    cols = list(np.vstack([dirs, np.eye(n), -np.eye(n)]).T)
+    with np.errstate(all="ignore"):
+        vals = np.asarray(stage.f(cols), dtype=float)
+        vals = vals[np.asarray(stage.domain(cols)) & np.isfinite(vals)
+                    & (vals > 0.0)]
+    r = 2.0 * float(np.max(1.0 / vals))
+    return -r * np.ones(n), r * np.ones(n)
+
+
+def bh_density_mc(F: FinslerEvaluator, stage: XStage, mc_samples: int,
+                  seed: int = 0, box=None) -> BHDensityEstimate:
+    """Unit-ball volume density Vol(B^n) / Vol{y : F(x, y) < 1} by Monte
+    Carlo: the share of uniform draws from box (lo, hi), or from
+    probe_box, with F(x, y) < 1, against generic.bh_density's sphere
+    quadrature.  The draws are made and judged 4096 rows at a time,
+    Philox-keyed by seed."""
+    lo, hi = (np.asarray(v, dtype=float)
+              for v in (probe_box(F, stage) if box is None else box))
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    hits = 0
+    for start in range(0, mc_samples, 4096):
+        m = min(4096, mc_samples - start)
+        cols = list((lo + rng.random(size=(m, F.dim)) * (hi - lo)).T)
+        with np.errstate(all="ignore"):
+            vals = np.asarray(stage.f(cols), dtype=float)
+            inside = (np.asarray(stage.domain(cols)) & np.isfinite(vals)
+                      & (vals > 0.0) & (vals < 1.0))
+        hits += int(np.count_nonzero(inside))
+    p = hits / mc_samples
+    value = unit_ball_volume(F.dim) / (p * float(np.prod(hi - lo)))
+    rel = math.sqrt(p * (1.0 - p) / mc_samples) / p
+    return BHDensityEstimate(value=value, stderr=value * rel,
+                             samples=mc_samples)
 
 
 def rs_from_RS(space: KropinaSpace, x, y):

@@ -31,7 +31,7 @@ from kropina.scenarios import (
     load_scenario,
     scenario_samples,
 )
-from kropina.workbench import run_check
+from kropina.workbench import VERIFY_TOLS, run_check
 from oracles import (
     ab_fields,
     chart_point,
@@ -139,19 +139,20 @@ def test_criterion_03_s_curvature_and_density(grid):
             for k, y in enumerate(pt.ys):
                 worst = max(worst, rel(s_bh_closed(pt.inv)[k],
                                        pt.samples.s_bh[k]))
-    worst_se = 0.0
+    worst_bh = 0.0
     for name, (sc, space, samples) in grid.items():
         ev = finsler_evaluator(space)
-        for k, (x, _) in enumerate(samples[:2]):
-            est = bh_density(ev, ev.at(x), mc_samples=100_000, seed=1000 + k)
-            dev = abs(est.value - sigma_bh(space, x)) / est.stderr
-            worst_se = max(worst_se, dev)
+        for x, _ in samples:
+            closed = sigma_bh(space, x)
+            worst_bh = max(worst_bh,
+                           abs(bh_density(ev, ev.at(x)) - closed) / closed)
     announce(
         3,
         f"closed S-curvature matches the generic route to 1e-5 "
-        f"(worst {worst:.2e}); Monte-Carlo density within 3 standard "
-        f"errors of the closed form at 1e5 samples (worst {worst_se:.2f} se)",
-        worst < 1e-5 and worst_se < 3.0,
+        f"(worst {worst:.2e}); the sphere-quadrature BH density matches "
+        f"the closed form to {VERIFY_TOLS['bh-density']:g} at every chart "
+        f"point (worst {worst_bh:.2e})",
+        worst < 1e-5 and worst_bh < VERIFY_TOLS["bh-density"],
     )
 
 

@@ -11,7 +11,7 @@ under perfbench/.
 import types
 from pathlib import Path
 
-from kropina.workbench import run_check
+from kropina.workbench import run_check, run_verify
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -34,5 +34,21 @@ def test_tracer_installs_with_no_bypass():
         metrics = tracer.metrics()
         assert metrics["forms.ab_fields.builds"] == 3
         assert metrics["einstein.thm41.calls"] == 1
+    finally:
+        tracer.uninstall()
+
+
+def test_traced_verify_times_one_bh_density_call_per_chart_point():
+    """verify-nav's generic.bh_density group times the density route:
+    a traced verify at 1 x 2 reads one call per chart point."""
+    tracer = _tracer_module().Tracer()
+    try:
+        tracer.install()
+        assert tracer.bypasses() == []
+        doc = run_verify("s3_hopf", points=1, dirs=2)
+        assert doc.verdict == "PASS"
+        metrics = tracer.metrics()
+        assert metrics["generic.bh_density.calls"] == 1
+        assert metrics["generic.bh_density.s"] > 0.0
     finally:
         tracer.uninstall()

@@ -227,6 +227,19 @@ def test_non_finite_box_in_a_file_is_an_input_problem(tmp_path, capsys):
     assert "-Infinity is not a JSON number" in capsys.readouterr().err
 
 
+def test_standard_error_bh_density_tolerance_in_a_file_is_an_input_problem(
+        tmp_path, capsys):
+    """A file holding the old bh-density tolerance of 3 standard errors
+    exits 1 and names the tolerance, instead of judging a relative
+    deviation against 300%."""
+    doc = dict(load_scenario("s3_hopf").as_dict(),
+               tolerances={"bh-density": 3.0})
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--scenario", str(path)]) == 1
+    assert "/tolerances/bh-density" in capsys.readouterr().err
+
+
 # -- verify and convert ----------------------------------------------------------
 
 

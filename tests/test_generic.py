@@ -1,4 +1,5 @@
-"""Generic pipeline: homogeneity, Riemannian reduction, ODE and MC oracles."""
+"""Generic pipeline: homogeneity, Riemannian reduction, the ODE oracle,
+and the BH density quadrature against the Monte-Carlo oracle."""
 import math
 from collections import Counter
 from dataclasses import replace
@@ -10,16 +11,20 @@ import pytest
 from kropina.expr import eval_expr, parse_expr
 from fd import fd_partial
 from kropina.generic import (
-    BHDensityEstimate,
+    _POLAR_NODES,
     ConicDomainError,
     FinslerEvaluator,
     XStage,
     _check_invertible,
+    _gauss_jacobi,
+    _polar_frame,
+    _sphere_rule,
     bh_density,
     curvature_samples,
     unit_ball_volume,
 )
-from kropina.forms import finsler_evaluator
+from kropina.forms import finsler_evaluator, sigma_bh
+from kropina.workbench import VERIFY_TOLS
 from kropina.jets import Jet, jet_space
 from kropina.riemann import MetricPoint, SingularMetricError
 from kropina.scenarios import (
@@ -29,12 +34,15 @@ from kropina.scenarios import (
     scenario_samples,
 )
 from oracles import (
+    BHDensityEstimate,
+    bh_density_mc,
     bh_volume_density,
     chart_point,
     christoffel,
     curvature_sample_oracle,
     deriv,
     eliminate_gauss_jordan,
+    ellipsoid_box,
     f2_jet,
     flat_wind,
     geodesic_flow,
@@ -59,14 +67,12 @@ SPHERE3 = metric_from_strings(
 )
 
 
-def plain_evaluator(n, func, domain, name, box=None):
-    """A FinslerEvaluator from func(x, y), domain(x, y) and optionally
-    box(x) -> (lo, hi) that does no work at x alone; its jets_at calls
-    func one direction at a time."""
+def plain_evaluator(n, func, domain, name):
+    """A FinslerEvaluator from func(x, y) and domain(x, y) that does no
+    work at x alone; its jets_at calls func one direction at a time."""
 
     def at(x):
-        return XStage(x, partial(func, x), partial(domain, x),
-                      None if box is None else partial(box, x))
+        return XStage(x, partial(func, x), partial(domain, x))
 
     return FinslerEvaluator(dim=n, at=at, name=name,
                             jets_at=jets_by_direction(at))
@@ -117,14 +123,14 @@ def flat_kropina(n=3):
     def domain(x, y):
         return np.asarray(y[0]) > 0
 
-    def box_hint(x):
-        lo = -np.ones(n)
-        hi = np.ones(n)
-        lo[0] = 0.0
-        hi[0] = 2.0
-        return lo, hi
+    return plain_evaluator(n, func, domain, "flat-kropina")
 
-    return plain_evaluator(n, func, domain, "flat-kropina", box=box_hint)
+
+def flat_kropina_box(n=3):
+    """The box of flat_kropina(n)'s unit ball, |y - e_1| < 1."""
+    lo, hi = -np.ones(n), np.ones(n)
+    lo[0], hi[0] = 0.0, 2.0
+    return lo, hi
 
 
 def wavy_kropina():
@@ -426,20 +432,30 @@ def test_geodesic_step_validation():
 
 
 def test_bh_euclid_n2():
+    """The Euclidean unit ball has density 1: the quadrature gives it to
+    round-off in every dimension, the Monte-Carlo oracle within 3 of its
+    standard errors over a probed box."""
+    for n in range(2, 7):
+        F = euclid_evaluator(n)
+        assert bh_density(F, F.at([0.0] * n)) == pytest.approx(1.0, rel=1e-13)
     F = euclid_evaluator(2)
-    est = bh_density(F, F.at([0.0, 0.0]), mc_samples=40_000, seed=7)
+    est = bh_density_mc(F, F.at([0.0, 0.0]), mc_samples=40_000, seed=7)
     assert isinstance(est, BHDensityEstimate)
     assert abs(est.value - 1.0) < 3.0 * est.stderr
     assert est.stderr < 0.02
 
 
 def test_bh_kropina_closed_vs_mc():
-    """MC volume of {quadratic < linear} confirms the ellipsoid closed form."""
+    """The unit ball {|y|^2 < 2 y^1} of the flat Kropina metric is the
+    unit ball about e_1, with the origin on its boundary: density 1."""
+    for n in range(2, 7):
+        F = flat_kropina(n)
+        assert bh_density(F, F.at([0.0] * n)) == pytest.approx(1.0, rel=1e-13)
     F = flat_kropina()
-    est = bh_density(F, F.at(XS), mc_samples=150_000, seed=11)
-    # the unit ball of the flat Kropina metric has density 1
+    est = bh_density_mc(F, F.at(XS), mc_samples=150_000, seed=11,
+                        box=flat_kropina_box())
     assert abs(est.value - 1.0) < 3.0 * est.stderr
-    # ball of radius 1 inside the hint box of volume 8
+    # ball of radius 1 inside the box of volume 8
     assert abs(unit_ball_volume(3) / est.value - 4.0 * math.pi / 3.0) < 0.05
 
 
@@ -449,15 +465,97 @@ def test_bh_scaling():
     F2 = FinslerEvaluator(
         dim=3, name="scaled",
         at=lambda x: F.at(x)._replace(f=lambda y: 2.0 * F(x, y)))
-    e1 = bh_density(F, F.at(XS), mc_samples=100_000, seed=3)
-    e2 = bh_density(F2, F2.at(XS), mc_samples=100_000, seed=3)
+    e1 = bh_density(F, F.at(XS))
+    e2 = bh_density(F2, F2.at(XS))
     # each sublevel volume is unit_ball_volume(3) / value
-    assert abs(e1.value / e2.value - 0.125) < 0.01
+    assert e1 / e2 == pytest.approx(0.125, rel=1e-13)
+
+
+def test_bh_density_of_a_unit_ball_that_is_no_ellipsoid():
+    """The quadrature reads F alone: the l^4 unit ball of the plane has
+    area 4 Gamma(5/4)^2 / Gamma(3/2), and after the change of variables
+    fitted to its boundary points the rule still integrates F^-2."""
+
+    def func(x, y):
+        return (y[0] ** 4 + y[1] ** 4) ** 0.25
+
+    def domain(x, y):
+        return np.asarray(y[0]) ** 2 + np.asarray(y[1]) ** 2 > 0
+
+    F = plain_evaluator(2, func, domain, "l4")
+    area = 4.0 * math.gamma(1.25) ** 2 / math.gamma(1.5)
+    assert bh_density(F, F.at([0.0, 0.0])) == pytest.approx(math.pi / area,
+                                                            rel=1e-6)
+
+
+def test_polar_frame_of_points_on_no_ellipsoid_keeps_the_probe_axis():
+    """Boundary points on a hyperbola fit no ellipsoid: the frame is
+    then a reflection, det 1, taking the polar axis to the direction of
+    the farthest point."""
+    probes = np.array([[1.0, 0.0], [-1.0, 0.0], [0.6, 0.8], [-0.6, 0.8],
+                       [0.6, -0.8], [-0.6, -0.8]])
+    # x^2 - y^2 = 1 along each direction: r = 1 / sqrt(c^2 - s^2)
+    r = 1.0 / np.sqrt(np.abs(probes[:, 0] ** 2 - probes[:, 1] ** 2))
+    r[2:] *= np.array([1.0, 2.0, 1.5, 1.2])
+    M, det = _polar_frame(probes * r[:, None], probes)
+    assert det == 1.0
+    assert np.allclose(M @ M.T, np.eye(2))
+    assert np.allclose(M[:, 0], probes[3])
+
+
+def test_sphere_rule_integrates_the_sphere():
+    """Each rule's nodes lie on S^(n-1), its weights sum to the area,
+    and it integrates (u^1)^2 and the kinked max(u^1, 0)^n exactly."""
+    for n in range(2, 7):
+        u, w = _sphere_rule(n, _POLAR_NODES[n])
+        area = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+        assert np.allclose(np.linalg.norm(u, axis=1), 1.0, atol=1e-15)
+        assert w.sum() == pytest.approx(area, rel=1e-13)
+        assert w @ u[:, 0] ** 2 == pytest.approx(area / n, rel=1e-13)
+        # the volume of the unit ball about e_1, by its radial function
+        # 2 max(u^1, 0)
+        half = w @ (2.0 * np.maximum(u[:, 0], 0.0)) ** n / n
+        assert half == pytest.approx(unit_ball_volume(n), rel=1e-13)
+
+
+def test_gauss_jacobi_matches_the_classical_rules():
+    """Golub-Welsch gives the Gauss-Legendre rule at alpha = beta = 0
+    and the Gauss-Chebyshev one at alpha = beta = -1/2."""
+    for m in (1, 2, 5, 10):
+        t, w = _gauss_jacobi(m, 0.0, 0.0)
+        lt, lw = np.polynomial.legendre.leggauss(m)
+        assert np.allclose(t, lt, atol=1e-14) and np.allclose(w, lw, atol=1e-14)
+        t, w = _gauss_jacobi(m, -0.5, -0.5)
+        k = np.arange(m, 0, -1)
+        assert np.allclose(t, np.cos((2 * k - 1) * math.pi / (2 * m)),
+                           atol=1e-14)
+        assert np.allclose(w, math.pi / m, atol=1e-14)
+
+
+@pytest.mark.parametrize("doc", [
+    "s3_hopf", "s5_hopf", random_scenario(1, 2), random_scenario(1, 4),
+    random_scenario(1, 6)], ids=["s3_hopf", "s5_hopf", "random-1-2",
+                                 "random-1-4", "random-1-6"])
+def test_quadrature_within_three_standard_errors_of_monte_carlo(doc):
+    """At each chart point the quadrature lies within 3 Monte-Carlo
+    standard errors of the oracle's estimate over the unit ball's own
+    box, and agrees with the closed form to the verify tolerance."""
+    sc = load_scenario(doc)
+    space = sc.space()
+    F = finsler_evaluator(space)
+    for k, (x, _) in enumerate(scenario_samples(sc, points=2, directions=1)):
+        stage = F.at(x)
+        value = bh_density(F, stage)
+        est = bh_density_mc(F, stage, mc_samples=50_000, seed=100 + k,
+                            box=ellipsoid_box(space, x))
+        assert abs(value - est.value) < 3.0 * est.stderr
+        closed = sigma_bh(space, x)
+        assert abs(value - closed) / closed < VERIFY_TOLS["bh-density"]
 
 
 def test_bh_density_refuses_stages_that_take_no_arrays():
-    """The Monte-Carlo indicator calls each stage once on numpy columns;
-    a stage written for one float direction is refused by name."""
+    """The quadrature calls each stage once on numpy columns; a stage
+    written for one float direction is refused by name."""
     F = flat_kropina()
 
     def scalar_f(x, y):
@@ -477,7 +575,7 @@ def test_bh_density_refuses_stages_that_take_no_arrays():
     ]
     for bad in stages:
         with pytest.raises(TypeError, match=bad.name):
-            bh_density(bad, bad.at(XS), mc_samples=100, seed=1)
+            bh_density(bad, bad.at(XS))
 
 
 def test_unit_ball_volume_values():

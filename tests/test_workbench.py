@@ -15,10 +15,12 @@ from kropina.jets import Jet
 from kropina.reports import ReportDocument, tool_version
 from kropina.scenarios import (
     ScenarioError,
+    builtin_names,
     load_scenario,
     random_scenario,
     scenario_samples,
 )
+from kropina import workbench
 from kropina.workbench import VERIFY_TOLS, run_check, run_convert, run_verify
 
 CONFORMAL = {
@@ -224,6 +226,37 @@ def test_verify_parallel_tight():
         assert name in by_name
     for name in ("spray", "nav-spray", "ricci"):
         assert by_name[name]["max_rel_dev"] < 1e-10
+
+
+def test_verify_bh_density_rows_hold_closed_quadrature_and_rel_dev():
+    """One bh-density row per chart point, the closed density against
+    the sphere quadrature, judged as a relative deviation."""
+    sc = load_scenario("s3_hopf")
+    doc = run_verify(sc, points=3, dirs=2)
+    table = next(t for t in doc.tables if t["name"] == "bh-density")
+    assert table["tol"] == VERIFY_TOLS["bh-density"] < 1e-3
+    assert table["passed"] is True and table["samples"] == 3
+    for row, (x, _) in zip(table["rows"],
+                           scenario_samples(sc, points=3, directions=2)):
+        assert list(row) == ["x", "closed", "quadrature", "rel_dev"]
+        assert row["x"] == list(x)
+        assert row["rel_dev"] == pytest.approx(
+            abs(row["closed"] - row["quadrature"])
+            / max(1.0, row["closed"], row["quadrature"]), rel=1e-12)
+
+
+@pytest.mark.parametrize("doc", [*builtin_names(), random_scenario(3, 4)],
+                         ids=lambda d: d if isinstance(d, str) else "random-3-4")
+def test_sigma_bh_off_by_a_thousandth_fails_verify(monkeypatch, doc):
+    """A closed density scaled by 1.001 fails the bh-density table, and
+    with it verify, at 1 x 2 on every builtin and a 4-D random one."""
+    closed = workbench.sigma_bh
+    monkeypatch.setattr(workbench, "sigma_bh",
+                        lambda space, x: 1.001 * closed(space, x))
+    report = run_verify(doc, points=1, dirs=2)
+    table = next(t for t in report.tables if t["name"] == "bh-density")
+    assert table["passed"] is False
+    assert report.verdict == "FAIL" and report.exit_code == 2
 
 
 def test_verify_hopf_within_ladder():
@@ -647,7 +680,7 @@ def test_f_x_stage_runs_once_per_point_per_run(monkeypatch):
     monkeypatch.setattr(einstein, "curvature_samples", samples)
     for name in ("s3_hopf", "euclid_gaussian"):
         sc = load_scenario(name)
-        for run in (lambda: run_check(sc), lambda: run_verify(sc, mc_samples=500)):
+        for run in (lambda: run_check(sc), lambda: run_verify(sc)):
             calls.clear()
             run()
             xs = [x for kind, x in calls if kind == "samples"]
@@ -674,7 +707,7 @@ def test_one_jet_evaluation_per_signature_per_point(monkeypatch):
     monkeypatch.setattr(riemann, "eval_expr", counted)
     sc = load_scenario("torus_wind")
     n = sc.dimension
-    for run in (lambda: run_check(sc), lambda: run_verify(sc, mc_samples=500)):
+    for run in (lambda: run_check(sc), lambda: run_verify(sc)):
         counts.clear()
         run()
         assert counts == {(n, 2): sc.points, (2 * n, 4): sc.points}
@@ -702,7 +735,7 @@ def test_one_float_x_stage_per_point(monkeypatch):
         xs = [tuple(float(v) for v in x) for x, _ in scenario_samples(sc)]
         monkeypatch.setattr(riemann, "eval_expr", counted)
         for run, per_point in ((lambda: run_check(sc), 2),
-                               (lambda: run_verify(sc, mc_samples=500), 3)):
+                               (lambda: run_verify(sc), 3)):
             counts.clear()
             run()
             assert Counter(counts.values()) == {per_point: sc.points}
@@ -757,7 +790,7 @@ def test_check_and_verify_reuse_the_loaded_space(monkeypatch):
         built = _record_space_builds(monkeypatch)
         parsed = _record_parses(monkeypatch)
         run_check(sc)
-        run_verify(sc, points=1, dirs=2, mc_samples=500)
+        run_verify(sc, points=1, dirs=2)
         assert built == [] and parsed == []
         monkeypatch.undo()
 
@@ -840,7 +873,7 @@ def test_verify_builds_one_w_invariants_per_point(monkeypatch):
     for name in ("s3_hopf", "torus_wind"):
         points.clear()
         sc = load_scenario(name)
-        doc = run_verify(sc, mc_samples=500)
+        doc = run_verify(sc)
         assert len(points) == len(set(points)) == sc.points
     nav_ricci = next(t for t in doc.tables if t["name"] == "nav-ricci")
     assert nav_ricci["skipped"] == sc.points * sc.directions
