@@ -37,7 +37,7 @@ from .forms import (
     KropinaSpace,
     NavPoint,
     _require_unit_wind,
-    finsler_evaluator,
+    finsler_stage,
     isotropy_fit,
     kropina_ricci_closed,
     log_densities,
@@ -404,10 +404,10 @@ class ChartPoint:
     """One sampled chart point x of a space and its directions ys (D, n),
     with every pointwise bundle a run reads there, each built on first
     use: the drift bundle fld, the navigation point nav, the log
-    densities, the space's Finsler evaluator and its float x-stage
-    (stage), the drift invariants inv and the generic curvature samples
-    of all directions (one batched pass each), and one least-squares
-    (theta, sigma) fit per weight configuration.
+    densities, the space's Finsler stage at x (stage), the drift
+    invariants inv and the generic curvature samples of all directions
+    (one batched pass each), and one least-squares (theta, sigma) fit
+    per weight configuration.
 
     The bundles, the densities and the weight's partials all read one
     riemann.evaluate of the space's trees over the n chart variables to
@@ -464,13 +464,9 @@ class ChartPoint:
         return log_densities(a, *(Jet(sp, c) for c in (gauge, *weight)))
 
     @cached_property
-    def evaluator(self):
-        return finsler_evaluator(self.space)
-
-    @cached_property
     def stage(self):
-        """F's float x-stage at x: its values and domain."""
-        return self.evaluator.at(self.x)
+        """The space's Finsler stage at x: F, its domain and its jets."""
+        return finsler_stage(self.space, self.x)
 
     @cached_property
     def inv(self):
@@ -480,8 +476,7 @@ class ChartPoint:
     @cached_property
     def samples(self):
         """The generic curvature samples of all directions ys."""
-        return curvature_samples(self.evaluator, self.stage, self.ys,
-                                 *self.log_densities)
+        return curvature_samples(self.stage, self.ys, *self.log_densities)
 
     def fitted(self, cfg: WeightConfig) -> EinsteinAnsatz:
         """The (theta, sigma) fit of cfg over ys, fitted once per cfg."""

@@ -596,14 +596,14 @@ def _ev(node, env, memo):
                 raise ExprDomainError(
                     "zero base with negative exponent", node) from None
     elif isinstance(node, Call):
-        value = _call(node, _ev(node.arg, env, memo))
+        value = _call(node, _ev(node.arg, env, memo), env)
     else:
         raise TypeError(f"not an expression node: {node!r}")
     memo[id(node)] = value
     return value
 
 
-def _call(node, v):
+def _call(node, v, env):
     if isinstance(v, Jet):
         try:
             if node.fn == "ln":
@@ -611,9 +611,13 @@ def _call(node, v):
             return getattr(v, node.fn)()
         except JetDomainError as exc:
             raise ExprDomainError(str(exc), node) from None
-    if isinstance(v, np.ndarray):
+    if isinstance(v, np.ndarray) or any(
+            isinstance(e, np.ndarray) for e in env):
+        # a constant argument (a folded subtree) under an array
+        # environment takes the array route too, as its unfolded tree
+        # would, and gives a 0-d array
         with np.errstate(divide="ignore", invalid="ignore"):
-            return _ARRAY_FUNCS[node.fn](v)
+            return np.asarray(_ARRAY_FUNCS[node.fn](v))
     return _call_float(node.fn, v, node)
 
 

@@ -18,7 +18,8 @@ KropinaSpace stores both views as expression trees so that curvature
 formulas can draw exact derivatives from the jet evaluator.  The
 closed forms live alongside generic.py's pipeline on purpose: every
 formula here is validated against that independent route in the test
-suite, never trusted on its own.
+suite, never trusted on its own.  finsler_stage hands that route F
+alone: the (alpha, beta) view at one chart point, as a generic.XStage.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from .expr import (
     e_pow,
     parse_expr,
 )
-from .generic import ConicDomainError, FinslerEvaluator, XStage
-from .jets import Jet, JetDomainError, graded_solve
+from .generic import ConicDomainError, XStage
+from .jets import Jet, JetDomainError, graded_solve, jet_space
 from .riemann import (
     FieldPoint,
     MetricPoint,
@@ -599,7 +600,7 @@ def nav_ricci_isotropic(fp: NavPoint, y):
     return _form(y, ric, y) - 2.0 * F * _form(y, ric, fp.w) - F * F * fp.ss
 
 
-# -- volume densities and evaluators --------------------------------------------
+# -- volume densities and the Finsler stage ------------------------------------
 
 
 def sigma_bh(space: KropinaSpace, x) -> float:
@@ -641,63 +642,44 @@ def log_densities(a, b: Jet, f: Optional[Jet] = None):
     return ((-float(n + 1) * f).exp() * bh).log(), bh.log()
 
 
-def finsler_evaluator(space: KropinaSpace) -> FinslerEvaluator:
-    """Package the (alpha, beta) view of the space for the generic
-    pipeline, F = a_ij y^i y^j / (b_i y^i).
+def finsler_stage(space: KropinaSpace, x) -> XStage:
+    """The (alpha, beta) view of the space at the chart point x, F =
+    a_ij y^i y^j / (b_i y^i), as the generic pipeline's stage.
 
-    Each x-stage evaluates a_ij and b_i once (riemann.evaluate): at(x)
-    over a float chart point, as values; jets_at(x) over the order-4
-    seeds of the chart variables, as coefficient arrays (n, n, C) and
-    (n, C), its stage taking a (D, n) block of directions to the D jets
-    of F at their seeds.  The direction stages combine the arrays with
-    y in a few numpy calls, each with the bits of the loop
+    a_ij and b_i are evaluated once over the float x (riemann.evaluate),
+    as values, for f and domain; jets evaluates them over the order-4
+    seeds of x when it is called, as coefficient arrays (n, n, C) and
+    (n, C).  Each function combines the arrays with a (D, n) block of
+    directions in a few numpy calls, each row with the bits of the loop
     a_ij y^i y^j / (b_i y^i) over the same values and Jet operations
-    (see _quadratic).
+    (see _seed_quadratic).
     """
     n = space.dim
+    # floats first: a jet chart point raises TypeError here
+    x = [float(v) for v in x]
+    a, b = evaluate(x, space.a, space.b)
+    a, b = a[..., None], b[:, None]
 
-    def at(x):
-        # floats first: a jet chart point raises TypeError here
-        x = [float(v) for v in x]
-        a, b = evaluate(x, space.a, space.b)
+    def f(ys):
+        v = np.asarray(ys, dtype=float).T
+        return (_quad0(a, v) / _lin0(b, v))[:, 0]
 
-        def f(y):
-            dirs = _directions(y)
-            return _quadratic(a[..., None], *dirs) / _linear(b[:, None], *dirs)
+    def domain(ys):
+        return _lin0(b, np.asarray(ys, dtype=float).T)[:, 0] > 0
 
-        def domain(y):
-            return _linear(b[:, None], *_directions(y)) > 0
-
-        return XStage(np.array(x), f, domain)
-
-    def jets_at(x):
-        sp = x[0].space
-        a, b = evaluate(x, space.a, space.b)
+    def jets(ys):
+        sp = jet_space(2 * n, 4)
+        a4, b4 = evaluate([sp.variable(i, v) for i, v in enumerate(x)],
+                          space.a, space.b)
         blocks = _seed_blocks(sp, tuple(range(n, 2 * n)))
+        v = np.asarray(ys, dtype=float).T
+        return (Jet(sp, _seed_quadratic(a4, v, blocks))
+                / Jet(sp, _seed_linear(b4, v, blocks))).coef
 
-        def f(ys):
-            v = np.asarray(ys, dtype=float).T
-            return (Jet(sp, _seed_quadratic(a, v, blocks))
-                    / Jet(sp, _seed_linear(b, v, blocks))).coef
-
-        return f
-
-    return FinslerEvaluator(dim=n, at=at, name=f"{space.name}:ab",
-                            jets_at=jets_at)
+    return XStage(np.array(x), f, domain, jets, f"{space.name}:ab")
 
 
 # -- the direction stage of F over stacked coefficients ----------------------
-
-
-def _directions(y):
-    """(v, shape): the directions y as values v (n, W) and the shape of
-    a value.  Floats give W = 1 and shape (), numpy columns of length m
-    give W = m and shape (m,); a jet direction raises TypeError."""
-    if any(isinstance(t, Jet) for t in y):
-        raise TypeError("a direction is floats or numpy columns; jet "
-                        "directions go through jets_at")
-    v = np.asarray(y, dtype=float)
-    return v.reshape(len(y), -1), v.shape[1:]
 
 
 def _row_sum(terms):
@@ -711,25 +693,20 @@ def _row_sum(terms):
     return np.add.reduce(rows, axis=0)
 
 
-def _value(r, shape):
-    """A form's value from its flat array r: a numpy column of the given
-    shape, or a float."""
-    return r.reshape(shape) if shape else float(r[0])
+def _quad0(a, v):
+    """sum_ij a_ij y^i y^j over the arrays a (n, n, C) and the
+    directions v (n, D), as (D, C): bit for bit the loop that adds
+    (a_ij y^i) y^j in (i, j) order."""
+    n, D = v.shape
+    terms = a[:, :, None, :] * v[:, None, :, None]
+    terms *= v[None, :, :, None]
+    return _row_sum(terms.reshape(n * n, -1)).reshape(D, -1)
 
 
-def _quadratic(a, v, shape):
-    """sum_ij a_ij y^i y^j over a (n, n, C) and the directions of
-    _directions, bit for bit the loop that adds (a_ij y^i) y^j in (i, j)
-    order."""
-    n = len(a)
-    terms = a * v[:, None]
-    terms *= v[None, :]
-    return _value(_row_sum(terms.reshape(n * n, -1)), shape)
-
-
-def _linear(b, v, shape):
-    """sum_i b_i y^i over b (n, C), as _quadratic its quadratic form."""
-    return _value(_row_sum(b * v), shape)
+def _lin0(b, v):
+    """sum_i b_i y^i over b (n, C) and v (n, D), as _quad0 its quadratic
+    form."""
+    return _row_sum(b[:, None, :] * v[:, :, None]).reshape(v.shape[1], -1)
 
 
 def _seed_quadratic(a, v, blocks):
@@ -747,9 +724,7 @@ def _seed_quadratic(a, v, blocks):
     """
     n, D = v.shape
     ax = a[..., blocks.x]
-    terms = ax[:, :, None, :] * v[:, None, :, None]
-    terms *= v[None, :, :, None]
-    q0 = _row_sum(terms.reshape(n * n, -1)).reshape(D, -1)
+    q0 = _quad0(ax, v)
     a1 = ax[:, :, :blocks.n1].reshape(n * n, -1)
     t1 = a1[blocks.lex_terms][:, :, None, :] * v[blocks.lex_other][..., None]
     t1[blocks.lex_diag, blocks.each] *= 2.0
@@ -769,7 +744,7 @@ def _seed_linear(b, v, blocks):
     alpha and b at alpha + e_i."""
     D = v.shape[1]
     bx = b[..., blocks.x]
-    l0 = _row_sum(bx[:, None, :] * v[:, :, None]).reshape(D, -1)
+    l0 = _lin0(bx, v)
     fixed = bx[:, :blocks.n1].ravel()
     out = np.zeros((D, blocks.ncoef))
     out[:, blocks.l_targets] = np.concatenate(

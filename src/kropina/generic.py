@@ -16,10 +16,11 @@ Riemann curvature and S are array expressions over those, with a
 leading axis for all the directions of a chart point at once (vector
 forward mode; Griewank and Walther, Evaluating Derivatives, ch. 13).
 
-A metric is a FinslerEvaluator with one float x-stage (at: F and its
-domain at x) and one jet x-stage (jets_at).  bh_density reads the float
-stage alone: the unit-ball density Vol(B^n) / Vol{F < 1} by a product
-Gauss rule on the sphere, after a change of variables fitted to F's own
+A metric enters at one chart point x as an XStage: F, its domain and
+its order-4 jets at x, each a function of a (D, n) block of directions.
+curvature_samples reads all three; bh_density reads F and its domain
+alone: the unit-ball density Vol(B^n) / Vol{F < 1} by a product Gauss
+rule on the sphere, after a change of variables fitted to F's own
 boundary points.
 """
 import math
@@ -38,40 +39,23 @@ class ConicDomainError(ValueError):
 
 
 class XStage(NamedTuple):
-    """F at one chart point x, the work on x alone done once: f(y) is
-    F(x, y) and domain(y) True (or a boolean mask) exactly where F is
-    defined and positive, y floats or numpy columns.  curvature_samples
-    calls domain, and bh_density both stages, on columns, a block of
-    rows at a time, so they must accept arrays."""
+    """A Finsler metric F at one chart point x, the work on x alone done
+    once.  Each function takes a (D, n) block of directions ys and gives
+    one row per direction: f(ys) the values F(x, y_k), domain(ys) the
+    mask of the rows where F is defined and positive, and jets(ys) the
+    (D, ncoef) coefficient arrays of F's order-4 jets over the 2n
+    variables (x, y) at (x, y_k).  name names the metric in errors.
+
+    The pipeline takes a coordinate volume density, as in dV = sigma(x)
+    dx, as ln sigma: an order-2 jet over the n chart variables at x (see
+    curvature_samples).
+    """
 
     x: np.ndarray            # (n,)
     f: Callable
     domain: Callable
-
-
-@dataclass(frozen=True)
-class FinslerEvaluator:
-    """A Finsler metric F(x, y) with a float x-stage, at(x) -> XStage
-    over a sequence of floats x, and a batched jet stage.
-
-    jets_at is the batched jet stage the generic pipeline needs:
-    curvature_samples runs jets_at(x) on the order-4 coordinate seeds x
-    of the chart variables, and its stage on a (D, n) block of
-    directions ys, which returns the (D, ncoef) coefficient arrays of
-    F's jets at the seeds of each row on the direction variables.
-
-    The pipeline takes a coordinate volume density, as in dV = sigma(x)
-    dx, as ln sigma: an order-2 jet over the n chart variables at the
-    chart point (see curvature_samples).
-    """
-
-    dim: int
-    at: Callable
-    name: str = "finsler"
-    jets_at: Optional[Callable] = None
-
-    def __call__(self, x, y):
-        return self.at(x).f(y)
+    jets: Callable
+    name: str
 
 
 @dataclass(frozen=True)
@@ -198,40 +182,35 @@ def _minus(coef: np.ndarray, log_density: Jet) -> np.ndarray:
     return out
 
 
-def curvature_samples(F: FinslerEvaluator, stage: XStage, ys,
-                      log_sigma: Jet, log_sigma_bh: Optional[Jet] = None
-                      ) -> CurvatureSample:
-    """Full curvature bundles of F at the x of stage = F.at(x) and each
+def curvature_samples(stage: XStage, ys, log_sigma: Jet,
+                      log_sigma_bh: Optional[Jet] = None) -> CurvatureSample:
+    """Full curvature bundles of the metric of stage at its x and each
     direction of the block ys (D, n): the generic pipeline's one entry.
 
     log_sigma is ln sigma, the log of the volume density, as an order-2
     jet over the n chart variables at x, and log_sigma_bh likewise the
     log of the unit-ball density when that is another density.
 
-    F's jets_at stage runs once on the order-4 seeds of x and then on
-    the whole block.  One order-4 jet of F^2 per direction feeds
-    everything.  One graded solve of its metric jets (order 2) gives
-    the spray and log det g, which feeds the distortion; the spray
-    gives G, N and the Riemann curvature; the distortion and the same
-    spray give S as a first-order jet, whose horizontal derivative is
-    Sdot.  S, tau and Sdot refer to sigma; s_bh is S from its own
+    The stage's domain and jets run once each, on the whole block.  One
+    order-4 jet of F^2 per direction feeds everything.  One graded
+    solve of its metric jets (order 2) gives the spray and log det g,
+    which feeds the distortion; the spray gives G, N and the Riemann
+    curvature; the distortion and the same spray give S as a
+    first-order jet, whose horizontal derivative is Sdot.  S, tau and
+    Sdot refer to sigma; s_bh is S from its own
     tau_BH = ln sqrt(det g) - ln sigma_BH when log_sigma_bh is given,
     and S itself when not.  Every stage runs once over all D
     directions, each row with the bits of a sample of its direction
     alone; a direction outside the conic domain or with a singular g
     fails the whole block.
     """
-    n = F.dim
-    if F.jets_at is None:
-        raise TypeError(f"metric {F.name!r} has no jets_at stage")
     x = np.asarray(stage.x, dtype=float)
+    n = len(x)
     ys = np.array(ys, dtype=float).reshape(-1, n)
-    if not np.all(stage.domain(list(ys.T))):
+    if not np.all(stage.domain(ys)):
         raise ConicDomainError(
-            f"(x, y) outside the conic domain of metric {F.name!r}")
-    space = jet_space(2 * n, 4)
-    seeds = [space.variable(i, v) for i, v in enumerate(x)]
-    f = Jet(space, F.jets_at(seeds)(ys))
+            f"(x, y) outside the conic domain of metric {stage.name!r}")
+    f = Jet(jet_space(2 * n, 4), stage.jets(ys))
     gj, rhs = _spray_system((f * f).coef, ys, n)
     g = gj[..., 0].copy()
     _check_invertible(g)
@@ -287,21 +266,20 @@ def _probe_directions(n: int) -> np.ndarray:
     return dirs
 
 
-def _values(F: FinslerEvaluator, stage: XStage, ys: np.ndarray):
+def _values(stage: XStage, ys: np.ndarray):
     """(vals, ok): F(x, y) at each row of ys (N, n), x the stage's, by
-    one call of each direction stage on the columns of ys, and the mask
-    of the rows where F is defined, finite and positive."""
-    cols = list(ys.T)
+    one call of f and of domain on the block, and the mask of the rows
+    where F is defined, finite and positive."""
     try:
         with np.errstate(all="ignore"):
-            mask = np.asarray(stage.domain(cols))
-            vals = np.asarray(stage.f(cols), dtype=float)
+            mask = np.asarray(stage.domain(ys))
+            vals = np.asarray(stage.f(ys), dtype=float)
         if mask.shape != (len(ys),) or vals.shape != (len(ys),):
             raise ValueError("not one value per row")
     except (TypeError, ValueError) as e:
-        raise TypeError(f"metric {F.name!r}: bh_density needs domain and F "
-                        "stages that take numpy columns and return one "
-                        "value per row") from e
+        raise TypeError(f"metric {stage.name!r}: bh_density needs f and "
+                        "domain that take a block of directions and return "
+                        "one value per row") from e
     return vals, mask & np.isfinite(vals) & (vals > 0.0)
 
 
@@ -420,9 +398,9 @@ def _polar_frame(bdry: np.ndarray, probes: np.ndarray):
     return A, det
 
 
-def bh_density(F: FinslerEvaluator, stage: XStage) -> float:
+def bh_density(stage: XStage) -> float:
     """Unit-ball volume density Vol(B^n) / Vol{y : F(x, y) < 1} at the
-    x of F's x-stage, by a sphere quadrature that reads F alone.
+    x of the stage, by a sphere quadrature that reads F alone.
 
     By F's positive homogeneity Vol{F < 1} = (1/n) int_(S^(n-1))
     F(x, u)^(-n) du over the directions where F is defined (Shen,
@@ -430,18 +408,18 @@ def bh_density(F: FinslerEvaluator, stage: XStage) -> float:
     change of variables y = M u.  M comes from F's boundary points
     1/F(x, p) p along the fixed probe directions p (_polar_frame), and
     the integral from the product rule _sphere_rule(n, m) with m from
-    _POLAR_NODES.  Both stages run on numpy columns, once on the probes
-    and once on the rule's nodes, so they must accept arrays (a stage
-    that does not is refused with a TypeError).
+    _POLAR_NODES.  f and domain run once on the block of probes and
+    once on the rule's nodes (a stage that does not give one value per
+    row is refused with a TypeError).
     """
-    n = F.dim
+    n = len(stage.x)
     probes = _probe_directions(n)
-    vals, ok = _values(F, stage, probes)
+    vals, ok = _values(stage, probes)
     if not ok.any():
         raise ValueError("degenerate sublevel set: no admissible probe direction")
     M, det = _polar_frame(probes[ok] / vals[ok, None], probes[ok])
     u, w = _sphere_rule(n, _POLAR_NODES.get(n, 10))
-    vals, ok = _values(F, stage, u @ M.T)
+    vals, ok = _values(stage, u @ M.T)
     volume = det / n * float(w[ok] @ vals[ok] ** -float(n))
     if not volume > 0.0:
         raise ValueError("degenerate sublevel set: zero volume")

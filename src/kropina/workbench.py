@@ -25,7 +25,7 @@ from .forms import (
     GaugeError,
     HypothesisNotMetError,
     KropinaSpace,
-    finsler_evaluator,
+    finsler_stage,
     hess_f_closed,
     hess_form,
     kropina_ricci_closed,
@@ -272,8 +272,7 @@ def run_verify(scenario, points=None, dirs=None, seed=None):
     tol = scenario.tolerance("bh-density", VERIFY_TOLS["bh-density"])
     with doc.timed("bh-density"):
         closed = np.array([sigma_bh(space, pt.x) for pt in chart])
-        quadrature = np.array([bh_density(pt.evaluator, pt.stage)
-                               for pt in chart])
+        quadrature = np.array([bh_density(pt.stage) for pt in chart])
         rows = _rows(x=[pt.x for pt in chart], closed=closed,
                      quadrature=quadrature,
                      rel_dev=_rel_devs(closed, quadrature))
@@ -308,7 +307,7 @@ def run_convert(scenario, to, gauge=None, seed=None):
     The emitted document is validated by loading it back, and
     the report carries numeric evidence: F evaluated through source and
     converted expressions at the scenario's own sample plan, all
-    directions of a chart point in one evaluation over numpy columns.
+    directions of a chart point in one call of each space's stage.
     Without a gauge text the space's own gauge is used.
     """
     scenario = load_scenario(scenario)
@@ -367,15 +366,12 @@ def run_convert(scenario, to, gauge=None, seed=None):
                 f"{e.reason}{where}") from None
 
     tol = scenario.tolerance("convert", 1e-10)
-    src_f = finsler_evaluator(space)
-    dst_f = finsler_evaluator(conv_space)
     rows = []
     with doc.timed("evidence"):
         for x, ys in scenario_samples(scenario, seed=seed):
             ys = np.array(ys)
-            cols = list(ys.T)
-            f_src = np.asarray(src_f(list(x), cols), dtype=float)
-            f_dst = np.asarray(dst_f(list(x), cols), dtype=float)
+            f_src = finsler_stage(space, x).f(ys)
+            f_dst = finsler_stage(conv_space, x).f(ys)
             rows += _rows(x=np.broadcast_to(x, ys.shape), y=ys,
                           f_source=f_src, f_converted=f_dst,
                           rel_dev=_rel_devs(f_src, f_dst))

@@ -43,14 +43,15 @@ a test can hold the package's route against it:
   jet routes above are built from;
 - rs_from_RS: drift contractions from navigation data, against the
   drift bundle of the (alpha, beta) view;
-- loop_evaluator: finsler_evaluator's (alpha, beta) view with the
-  direction stage as a loop of Jet, float or column operations
-  (linear_form and quadratic_form), against the package's stacked
-  direction stages; jets_by_direction gives it, and any evaluator whose
-  at(x) takes direction seeds, the jets_at stage of the generic
-  pipeline, one direction at a time;
-- nav_evaluator: F from the navigation view (h, W), the twin of the
-  package's (alpha, beta) finsler_evaluator; validate_views checks the
+- LoopMetric: a metric written as a loop over one direction at a
+  time, on floats, numpy columns or jets (its at(x) gives a LoopStage),
+  whose stage(x) is the package's XStage for the generic pipeline, its
+  jets one direction at a time (jets_by_direction);
+- loop_metric: finsler_stage's (alpha, beta) view as a LoopMetric, the
+  forms a loop of Jet, float or column operations (linear_form and
+  quadratic_form), against the package's stacked stage;
+- nav_metric: F from the navigation view (h, W), the twin of the
+  package's (alpha, beta) finsler_stage; validate_views checks the
   linking identities of the two views and that both give the same F;
 - ric_ac_via_projective: the weighted Ricci curvature reassembled
   around the projective Ricci curvature pric.
@@ -98,6 +99,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, fields as record_fields, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 from jsonschema import Draft202012Validator
@@ -123,7 +125,7 @@ from kropina.forms import (
     _nav_frame,
     _nav_hypothesis,
     _require_unit_wind,
-    finsler_evaluator,
+    finsler_stage,
     s_closed,
     s_dot_closed,
 )
@@ -149,7 +151,6 @@ from kropina.expr import (
 from kropina.generic import (
     ConicDomainError,
     CurvatureSample,
-    FinslerEvaluator,
     XStage,
     _check_invertible,
     unit_ball_volume,
@@ -172,28 +173,63 @@ from kropina.riemann import (
 from kropina.reports import ReportDocument
 
 
-def jets_by_direction(at):
-    """A FinslerEvaluator's jets_at from its x-stage at(x) on jets: the
-    direction stage at(x).f called on the seeds of one direction at a
-    time."""
+class LoopStage(NamedTuple):
+    """A LoopMetric at one chart point x: f(y) is F(x, y) and domain(y)
+    whether y is in F's domain there, for one direction y of floats or
+    jets, or numpy columns of many."""
 
-    def jets_at(x):
-        f_at, space, n = at(x).f, x[0].space, len(x)
-
-        def jets(ys):
-            out = np.empty((len(ys), space.ncoef))
-            for row, y in zip(out, ys):
-                f = f_at([space.variable(n + k, v) for k, v in enumerate(y)])
-                row[:] = f.coef if isinstance(f, Jet) else space.constant(
-                    float(f)).coef
-            return out
-
-        return jets
-
-    return jets_at
+    f: Callable
+    domain: Callable
 
 
-def _check_domain(F: FinslerEvaluator, x, y):
+@dataclass(frozen=True)
+class LoopMetric:
+    """A Finsler metric written as a loop over one direction at a time:
+    at(x) gives its LoopStage at x, floats or jets, and F(x, y) is
+    at(x).f(y).  The oracles seed it with jets; stage(x) is the
+    package's XStage at a float chart point, f and domain one loop over
+    the columns of a block, jets one direction at a time
+    (jets_by_direction)."""
+
+    dim: int
+    at: Callable
+    name: str
+
+    def __call__(self, x, y):
+        return self.at(x).f(y)
+
+    def stage(self, x) -> XStage:
+        x = np.asarray(x, dtype=float)
+        loop = self.at(list(x))
+
+        def columns(ys):
+            return list(np.asarray(ys, dtype=float).T)
+
+        return XStage(x, lambda ys: loop.f(columns(ys)),
+                      lambda ys: loop.domain(columns(ys)),
+                      jets_by_direction(self.at, x), self.name)
+
+
+def jets_by_direction(at, x):
+    """The jets of an XStage at the float chart point x from a
+    LoopMetric's at: at(x).f on the order-4 seeds of x and of one
+    direction of the block at a time."""
+
+    def jets(ys):
+        n = len(x)
+        space = jet_space(2 * n, 4)
+        f_at = at([space.variable(i, v) for i, v in enumerate(x)]).f
+        out = np.empty((len(ys), space.ncoef))
+        for row, y in zip(out, ys):
+            f = f_at([space.variable(n + k, v) for k, v in enumerate(y)])
+            row[:] = f.coef if isinstance(f, Jet) else space.constant(
+                float(f)).coef
+        return out
+
+    return jets
+
+
+def _check_domain(F: LoopMetric, x, y):
     if not bool(F.at(list(x)).domain(list(y))):
         raise ConicDomainError(
             f"(x, y) outside the conic domain of metric {F.name!r}"
@@ -234,7 +270,7 @@ def truncate(jet: Jet, order: int) -> Jet:
     return Jet(lower, jet.coef[:lower.ncoef].copy())
 
 
-def f2_jet(F: FinslerEvaluator, x, y, order: int) -> Jet:
+def f2_jet(F: LoopMetric, x, y, order: int) -> Jet:
     """F^2 as a jet in the 2n variables (x, y), seeded at the base point."""
     n = F.dim
     space = jet_space(2 * n, order)
@@ -282,7 +318,7 @@ def eliminate_gauss_jordan(A, rhs):
     return u, det.log()
 
 
-def spray_jets(F: FinslerEvaluator, y, f2: Jet, eliminate=eliminate_graded):
+def spray_jets(F: LoopMetric, y, f2: Jet, eliminate=eliminate_graded):
     """G^i as jets over the 2n variables, two orders below f2."""
     n = F.dim
     order = f2.space.order - 2
@@ -367,7 +403,7 @@ def hess_form(f, x, y, G, n: int) -> float:
 
 
 def curvature_sample_oracle(
-    F: FinslerEvaluator, sigma, x, y, bh=None, eliminate=eliminate_graded,
+    F: LoopMetric, sigma, x, y, bh=None, eliminate=eliminate_graded,
 ) -> CurvatureSample:
     """The curvature bundle at (x, y), every stage computed for this
     direction alone, with jets; s_bh is the S of a second sample against
@@ -413,7 +449,7 @@ def curvature_sample_oracle(
     )
 
 
-def spray_generic(F: FinslerEvaluator, x, y) -> np.ndarray:
+def spray_generic(F: LoopMetric, x, y) -> np.ndarray:
     """Geodesic coefficients G^i = (1/4) g^{il} ([F^2]_{x^k y^l} y^k - [F^2]_{x^l})."""
     _check_domain(F, x, y)
     n = F.dim
@@ -441,7 +477,7 @@ class GeodesicPath:
     vel: np.ndarray  # (steps + 1, n)
 
 
-def geodesic_flow(F: FinslerEvaluator, x, y, t_end: float, steps: int) -> GeodesicPath:
+def geodesic_flow(F: LoopMetric, x, y, t_end: float, steps: int) -> GeodesicPath:
     """Integrate the geodesic equation xddot = -2 G(x, xdot) with classical RK4."""
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -673,45 +709,46 @@ def ellipsoid_box(space: KropinaSpace, x):
     return centre - half, centre + half
 
 
-def probe_box(F: FinslerEvaluator, stage: XStage, probes=256):
+def probe_box(stage: XStage, probes=256):
     """A cube containing {F(x, .) < 1}: by 1-homogeneity its extent
     along a direction u is 1/F(x, u), and twice the largest extent over
     fixed-key random probes and the 2n axis directions covers the
     directions between them for the smooth convex sublevel sets here."""
-    n = F.dim
+    n = len(stage.x)
     rng = np.random.Generator(np.random.Philox(key=0x9E3779B9))
     dirs = rng.normal(size=(probes, n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    cols = list(np.vstack([dirs, np.eye(n), -np.eye(n)]).T)
+    block = np.vstack([dirs, np.eye(n), -np.eye(n)])
     with np.errstate(all="ignore"):
-        vals = np.asarray(stage.f(cols), dtype=float)
-        vals = vals[np.asarray(stage.domain(cols)) & np.isfinite(vals)
+        vals = np.asarray(stage.f(block), dtype=float)
+        vals = vals[np.asarray(stage.domain(block)) & np.isfinite(vals)
                     & (vals > 0.0)]
     r = 2.0 * float(np.max(1.0 / vals))
     return -r * np.ones(n), r * np.ones(n)
 
 
-def bh_density_mc(F: FinslerEvaluator, stage: XStage, mc_samples: int,
-                  seed: int = 0, box=None) -> BHDensityEstimate:
+def bh_density_mc(stage: XStage, mc_samples: int, seed: int = 0,
+                  box=None) -> BHDensityEstimate:
     """Unit-ball volume density Vol(B^n) / Vol{y : F(x, y) < 1} by Monte
     Carlo: the share of uniform draws from box (lo, hi), or from
     probe_box, with F(x, y) < 1, against generic.bh_density's sphere
     quadrature.  The draws are made and judged 4096 rows at a time,
     Philox-keyed by seed."""
+    n = len(stage.x)
     lo, hi = (np.asarray(v, dtype=float)
-              for v in (probe_box(F, stage) if box is None else box))
+              for v in (probe_box(stage) if box is None else box))
     rng = np.random.Generator(np.random.Philox(key=seed))
     hits = 0
     for start in range(0, mc_samples, 4096):
         m = min(4096, mc_samples - start)
-        cols = list((lo + rng.random(size=(m, F.dim)) * (hi - lo)).T)
+        block = lo + rng.random(size=(m, n)) * (hi - lo)
         with np.errstate(all="ignore"):
-            vals = np.asarray(stage.f(cols), dtype=float)
-            inside = (np.asarray(stage.domain(cols)) & np.isfinite(vals)
+            vals = np.asarray(stage.f(block), dtype=float)
+            inside = (np.asarray(stage.domain(block)) & np.isfinite(vals)
                       & (vals > 0.0) & (vals < 1.0))
         hits += int(np.count_nonzero(inside))
     p = hits / mc_samples
-    value = unit_ball_volume(F.dim) / (p * float(np.prod(hi - lo)))
+    value = unit_ball_volume(n) / (p * float(np.prod(hi - lo)))
     rel = math.sqrt(p * (1.0 - p) / mc_samples) / p
     return BHDensityEstimate(value=value, stderr=value * rel,
                              samples=mc_samples)
@@ -765,11 +802,11 @@ def quadratic_form(values, y):
     return acc
 
 
-def loop_evaluator(space: KropinaSpace) -> FinslerEvaluator:
-    """finsler_evaluator's (alpha, beta) view with its direction stages
-    as loops of Jet (or float, or column) operations over the values of
-    a_ij and b_i: the reference whose bits the package's stacked
-    direction stages must reproduce."""
+def loop_metric(space: KropinaSpace) -> LoopMetric:
+    """finsler_stage's (alpha, beta) view with its forms as loops of Jet
+    (or float, or column) operations over the values of a_ij and b_i:
+    the reference whose bits the package's stacked stage must
+    reproduce."""
     n = space.dim
     quad = [e for row in space.a.exprs for e in row]
 
@@ -777,18 +814,17 @@ def loop_evaluator(space: KropinaSpace) -> FinslerEvaluator:
         vals = eval_expr(quad + list(space.b), list(x))
         qv = [vals[i * n:(i + 1) * n] for i in range(n)]
         bv = vals[n * n:]
-        return XStage(x, lambda y: quadratic_form(qv, y) / linear_form(bv, y),
-                      lambda y: linear_form(bv, y) > 0)
+        return LoopStage(lambda y: quadratic_form(qv, y) / linear_form(bv, y),
+                         lambda y: linear_form(bv, y) > 0)
 
-    return FinslerEvaluator(dim=n, at=at, name=f"{space.name}:ab-loop",
-                            jets_at=jets_by_direction(at))
+    return LoopMetric(dim=n, at=at, name=f"{space.name}:ab-loop")
 
 
-def nav_evaluator(space: KropinaSpace) -> FinslerEvaluator:
-    """The navigation view F = h_ij y^i y^j / (2 W_0) as an evaluator:
-    the independent twin of finsler_evaluator's (alpha, beta) view,
-    which it must match everywhere.  h_ij and W^i are evaluated once
-    per chart point, and its x-stage gives no box."""
+def nav_metric(space: KropinaSpace) -> LoopMetric:
+    """The navigation view F = h_ij y^i y^j / (2 W_0) as a LoopMetric:
+    the independent twin of finsler_stage's (alpha, beta) view, which
+    it must match everywhere.  h_ij and W^i are evaluated once per
+    chart point."""
     n = space.dim
     h_and_w = [e for row in space.h.exprs for e in row] + list(space.w)
 
@@ -802,11 +838,10 @@ def nav_evaluator(space: KropinaSpace) -> FinslerEvaluator:
         vals = eval_expr(h_and_w, list(x))
         qv = [vals[i * n:(i + 1) * n] for i in range(n)]
         den = den_stage(vals)
-        return XStage(x, lambda y: quadratic_form(qv, y) / den(y),
-                      lambda y: den(y) > 0)
+        return LoopStage(lambda y: quadratic_form(qv, y) / den(y),
+                         lambda y: den(y) > 0)
 
-    return FinslerEvaluator(dim=n, at=at, name=f"{space.name}:nav",
-                            jets_at=jets_by_direction(at))
+    return LoopMetric(dim=n, at=at, name=f"{space.name}:nav")
 
 
 def validate_views(space: KropinaSpace, xs, ys=None, tol_view=1e-10):
@@ -817,7 +852,7 @@ def validate_views(space: KropinaSpace, xs, ys=None, tol_view=1e-10):
     and additionally checks that both views produce the same F; a
     direction outside the conic domain raises ConicDomainError.
     """
-    views = [finsler_evaluator(space), nav_evaluator(space)]
+    nav = nav_metric(space)
     for k, x in enumerate(xs):
         env = [float(v) for v in x]
         h_val, w_val, a_val, b_val, (rho_v, g_val) = evaluate(
@@ -842,10 +877,15 @@ def validate_views(space: KropinaSpace, xs, ys=None, tol_view=1e-10):
                     f"max error {err:.3e}"
                 )
         if ys is not None:
-            y = [float(v) for v in ys[k]]
-            for ev in views:
-                _check_domain(ev, env, y)
-            f_ab, f_nav = (float(ev(env, y)) for ev in views)
+            y = np.array([ys[k]], dtype=float)
+            values = []
+            for stage in (finsler_stage(space, env), nav.stage(env)):
+                if not stage.domain(y)[0]:
+                    raise ConicDomainError(
+                        f"(x, y) outside the conic domain of metric "
+                        f"{stage.name!r}")
+                values.append(float(stage.f(y)[0]))
+            f_ab, f_nav = values
             if abs(f_ab - f_nav) > tol_view * max(1.0, abs(f_ab)):
                 raise ValueError(
                     f"F disagrees between views at point {k}: "
@@ -1173,12 +1213,12 @@ def _staged_s_jet(tau: np.ndarray, G: np.ndarray, y, n: int) -> np.ndarray:
     return np.add.reduce(terms, axis=0)
 
 
-def staged_sample(F: FinslerEvaluator, x, y, log_sigma: Jet,
+def staged_sample(F: LoopMetric, x, y, log_sigma: Jet,
                   log_sigma_bh=None):
     """The curvature bundle of F at (x, y) against the log densities
     curvature_samples takes, every stage run for the one direction y:
-    F's jet from F.at(x).f on the seeds of x and y (F a metric whose
-    stage takes them, loop_evaluator's for a space), the Jet product F * F,
+    F's jet from F.at(x).f on the seeds of x and y (loop_metric's for
+    a space), the Jet product F * F,
     and the staged arrays of one direction.  The fields have no
     direction axis (floats for the scalars)."""
     n = F.dim

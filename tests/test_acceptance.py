@@ -12,7 +12,7 @@ from kropina.einstein import WeightConfig, ric_ac, weight_preset
 from fd import fd_partial
 from kropina.forms import (
     AbInvariants,
-    finsler_evaluator,
+    finsler_stage,
     isotropy_fit,
     kropina_ricci_closed,
     kropina_spray_closed,
@@ -36,7 +36,7 @@ from oracles import (
     ab_fields,
     chart_point,
     field_point,
-    loop_evaluator,
+    loop_metric,
     pric,
     second_cov_w,
     spray_generic,
@@ -87,7 +87,7 @@ def test_criterion_01_spray_cross_validation(grid):
     worst = 0.0
     count = 0
     for name, (sc, space, samples) in grid.items():
-        ev = loop_evaluator(space)
+        ev = loop_metric(space)
         for x, ys in samples:
             pt = chart_point(space, x)
             for y in ys:
@@ -141,11 +141,10 @@ def test_criterion_03_s_curvature_and_density(grid):
                                        pt.samples.s_bh[k]))
     worst_bh = 0.0
     for name, (sc, space, samples) in grid.items():
-        ev = finsler_evaluator(space)
         for x, _ in samples:
             closed = sigma_bh(space, x)
-            worst_bh = max(worst_bh,
-                           abs(bh_density(ev, ev.at(x)) - closed) / closed)
+            worst_bh = max(worst_bh, abs(bh_density(finsler_stage(space, x))
+                                         - closed) / closed)
     announce(
         3,
         f"closed S-curvature matches the generic route to 1e-5 "
@@ -363,7 +362,7 @@ def test_criterion_10_ad_integrity(grid):
         x = [float(v) for v in x]
         y = [float(v) for v in y]
         n = space.dim
-        ev = finsler_evaluator(space)
+        stage = finsler_stage(space, x)
 
         kind = ("F-x", "F-y", "density-x")[int(rng.integers(3))]
         deg = int(rng.integers(1, 3))
@@ -373,17 +372,16 @@ def test_criterion_10_ad_integrity(grid):
         idx = tuple(idx)
 
         if kind in ("F-x", "F-y"):
-            # F's jets come from the batched stage, at x and y seeded over
-            # the 2n variables (x, y)
+            # F's jets come from the stage, its order-4 jets at x and y
+            # over the 2n variables (x, y)
             if kind == "F-x":
-                fn = lambda p: float(ev(list(p), y))
+                fn = lambda p: float(finsler_stage(space, p).f([y])[0])
                 at = idx + (0,) * n
             else:
-                fn = lambda p: float(ev(x, list(p)))
+                fn = lambda p: float(stage.f([p])[0])
                 at = (0,) * n + idx
-            sp = jet_space(2 * n, deg)
-            xs = [sp.variable(i, v) for i, v in enumerate(x)]
-            jet_val = _jet_partial(Jet(sp, ev.jets_at(xs)([y])[0]), at)
+            sp = jet_space(2 * n, 4)
+            jet_val = _jet_partial(Jet(sp, stage.jets([y])[0]), at)
         else:
             # ln sigma, as a chart point takes it from its one jet pass
             fn = lambda p: chart_point(space, p).log_densities[0].value

@@ -8,6 +8,8 @@ closed_per_direction), whatever the batch: one direction, two, ten, and
 one that holds a direction twice.  A direction that fails fails the
 whole block with the per-direction route's error, and caches nothing.
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,12 +25,7 @@ from kropina.forms import (
     s_closed,
     s_dot_closed,
 )
-from kropina.generic import (
-    ConicDomainError,
-    FinslerEvaluator,
-    XStage,
-    curvature_samples,
-)
+from kropina.generic import ConicDomainError, curvature_samples
 from kropina.jets import Jet
 from kropina.riemann import SingularMetricError
 from kropina.scenarios import (
@@ -41,12 +38,13 @@ from kropina.scenarios import (
 from oracles import (
     DIRECTION_INVARIANTS,
     DirectionInvariants,
+    LoopMetric,
+    LoopStage,
     chart_point,
     closed_per_direction,
     flat_wind,
-    jets_by_direction,
     log_density,
-    loop_evaluator,
+    loop_metric,
     ric_ac_per_direction,
     sample_row,
     staged_sample,
@@ -88,7 +86,7 @@ def test_batched_samples_equal_the_per_direction_route(source):
     rows = 0
     for space, x, batch in _batches(source):
         pt = chart_point(space, x, batch)
-        ref = loop_evaluator(space)
+        ref = loop_metric(space)
         for k, y in enumerate(pt.ys):
             got = sample_row(pt.samples, k)
             want = staged_sample(ref, pt.x, y, *pt.log_densities)
@@ -140,20 +138,17 @@ def test_batched_invariants_and_closed_forms_equal_the_per_direction_route(
                     ric_ac_per_direction(pt.fld, cfg, y)), (k, cfg)
 
 
-def quartic_evaluator():
+def quartic_metric():
     """F = (y1^4 + y2^4)^(1/4) on the plane: g is singular along the
     axes, where the unit circle is flat to third order, and regular
     elsewhere."""
 
-    def at(x):
-        def f(y):
-            q = y[0] * y[0] * y[0] * y[0] + y[1] * y[1] * y[1] * y[1]
-            return q.sqrt().sqrt() if isinstance(q, Jet) else np.sqrt(
-                np.sqrt(q))
-        return XStage(x, f, lambda y: np.ones(np.shape(y[0]), dtype=bool))
+    def f(y):
+        q = y[0] * y[0] * y[0] * y[0] + y[1] * y[1] * y[1] * y[1]
+        return q.sqrt().sqrt() if isinstance(q, Jet) else np.sqrt(np.sqrt(q))
 
-    return FinslerEvaluator(dim=2, at=at, name="quartic",
-                            jets_at=jets_by_direction(at))
+    stage = LoopStage(f, lambda y: np.ones(np.shape(y[0]), dtype=bool))
+    return LoopMetric(dim=2, at=lambda x: stage, name="quartic")
 
 
 def _error(call):
@@ -173,10 +168,11 @@ def test_one_failing_direction_fails_the_block_as_it_fails_alone():
                                  cutoff=COMPARISON_CUTOFF)
     out = -ys[1]
     pt = chart_point(space, x, [ys[0], out, ys[2]])
-    # the route refuses the direction before any jet work, so it runs on
-    # the point's own evaluator, whose name the message carries
-    alone = _error(lambda: staged_sample(pt.evaluator, x, out,
-                                         *pt.log_densities))
+    # the route refuses the direction before any jet work; it runs on
+    # the loop metric named as the point's stage, whose name the message
+    # carries
+    ref = replace(loop_metric(space), name=pt.stage.name)
+    alone = _error(lambda: staged_sample(ref, x, out, *pt.log_densities))
     assert alone[0] is ConicDomainError
     assert _error(lambda: pt.samples) == alone
     assert _error(lambda: pt.inv) == _error(
@@ -184,7 +180,7 @@ def test_one_failing_direction_fails_the_block_as_it_fails_alone():
     assert "samples" not in vars(pt) and "inv" not in vars(pt)
     assert _error(lambda: pt.samples) == alone
 
-    F = quartic_evaluator()
+    F = quartic_metric()
     x = [0.1, -0.2]
     log_sigma = log_density(lambda p: 1.0, x)
     flat = [1.0, 0.0]
@@ -192,5 +188,5 @@ def test_one_failing_direction_fails_the_block_as_it_fails_alone():
     assert alone == (SingularMetricError,
                      "fundamental tensor is numerically singular")
     assert _error(lambda: curvature_samples(
-        F, F.at(x), [[1.0, 0.5], flat, [0.3, 0.9]], log_sigma)) == alone
-    curvature_samples(F, F.at(x), [[1.0, 0.5], [0.3, 0.9]], log_sigma)
+        F.stage(x), [[1.0, 0.5], flat, [0.3, 0.9]], log_sigma)) == alone
+    curvature_samples(F.stage(x), [[1.0, 0.5], [0.3, 0.9]], log_sigma)

@@ -426,6 +426,7 @@ X1, X2, LN_X1 = ("var", 1), ("var", 2), ("call", "ln", ("var", 1))
 @example(("neg", ("neg", X1)), 0.5, 0.3)
 @example(("neg", ("const", 1.0)), 0.5, 0.3)
 @example(("pow", ("const", 0.5), -2), 0.5, 0.3)
+@example(("div", X1, ("call", "ln", ("mul", ("const", 0.0), X1))), 0.0, 0.0)
 def test_folded_trees_evaluate_as_unfolded(recipe, x1, x2):
     raw, folded = _build(recipe, False), _build(recipe, True)
     envs = [

@@ -11,7 +11,7 @@ from kropina.forms import (
     GaugeError,
     HypothesisNotMetError,
     KropinaSpace,
-    finsler_evaluator,
+    finsler_stage,
     hess_f_closed,
     hess_form,
     isotropy_fit,
@@ -40,10 +40,10 @@ from oracles import (
     field_point,
     jet_partials,
     log_density,
-    loop_evaluator,
+    loop_metric,
     metric_from_strings,
     nav_point,
-    nav_evaluator,
+    nav_metric,
     nav_riemann_isotropic,
     rs_from_RS,
     sample_row,
@@ -184,14 +184,12 @@ def test_gauge_change_preserves_f():
     base = hopf_space()
     alt = with_gauge(base, "2 + 0.3*x2")
     alt2 = with_gauge(base, "1.5 + 0.1*x1^2")
-    f0 = finsler_evaluator(base)
-    f1 = finsler_evaluator(alt)
-    f2 = finsler_evaluator(alt2)
     rng = np.random.default_rng(14)
     for x, y in admissible_samples(base, rng, 50, shift=HOPF_SHIFT, scale=0.3):
-        v0 = f0(list(x), list(y))
-        assert f1(list(x), list(y)) == pytest.approx(v0, rel=1e-10)
-        assert f2(list(x), list(y)) == pytest.approx(v0, rel=1e-10)
+        v0 = finsler_stage(base, x).f([y])[0]
+        assert finsler_stage(alt, x).f([y])[0] == pytest.approx(v0, rel=1e-10)
+        assert finsler_stage(alt2, x).f([y])[0] == pytest.approx(v0,
+                                                               rel=1e-10)
 
 
 def test_non_unit_wind_rejected():
@@ -379,7 +377,7 @@ def test_spray_closed_parallel_zero():
 ])
 def test_spray_closed_matches_generic(builder, shift):
     space = builder()
-    fev = loop_evaluator(space)
+    fev = loop_metric(space)
     rng = np.random.default_rng(16)
     for x, y in admissible_samples(space, rng, 30, shift=shift, scale=0.25):
         closed = kropina_spray_closed(AbInvariants(ab_fields(space, x), y))
@@ -427,9 +425,8 @@ def test_ricci_closed_hopf_value():
     # Ric = 2 F^2 everywhere on the cone.
     space = hopf_space()
     rng = np.random.default_rng(18)
-    fev = finsler_evaluator(space)
     for x, y in admissible_samples(space, rng, 10, shift=HOPF_SHIFT, scale=0.3):
-        f_val = fev(list(x), list(y))
+        f_val = finsler_stage(space, x).f([y])[0]
         assert kropina_ricci_closed(AbInvariants(ab_fields(space, x), y)) == pytest.approx(
             2.0 * f_val**2, rel=1e-10
         )
@@ -526,13 +523,13 @@ def test_sigma_bh_matches_monte_carlo():
     """The closed density against the Monte-Carlo oracle over the unit
     ball's box, and against the sphere quadrature to round-off."""
     space = wavy_space()
-    fev = finsler_evaluator(space)
     x = [0.3, -0.2, 0.4]
+    stage = finsler_stage(space, x)
     closed = sigma_bh(space, x)
-    est = bh_density_mc(fev, fev.at(x), mc_samples=150_000, seed=5,
+    est = bh_density_mc(stage, mc_samples=150_000, seed=5,
                         box=ellipsoid_box(space, x))
     assert abs(est.value - closed) < 3.0 * est.stderr
-    assert bh_density(fev, fev.at(x)) == pytest.approx(closed, rel=1e-13)
+    assert bh_density(stage) == pytest.approx(closed, rel=1e-13)
 
 
 def test_volume_density_kinds_and_weighting():
@@ -565,13 +562,13 @@ def test_sigma_bh_degenerate_drift_raises():
 def test_box_hint_brackets_unit_ball():
     """The Monte-Carlo oracle's box of a Kropina unit ball holds it."""
     space = wavy_space()
-    fev = finsler_evaluator(space)
     x = [0.3, -0.2, 0.4]
+    f = finsler_stage(space, x).f
     lo, hi = ellipsoid_box(space, x)
     rng = np.random.default_rng(24)
     ys = rng.uniform(lo - 0.3, hi + 0.3, size=(4000, 3))
     vals = np.array([
-        fev(x, list(y)) if float(y[0]) != 0.0 else np.inf for y in ys
+        f([y])[0] if float(y[0]) != 0.0 else np.inf for y in ys
     ])
     with np.errstate(invalid="ignore"):
         inside = np.isfinite(vals) & (vals > 0) & (vals < 1)
@@ -639,7 +636,7 @@ def test_rs_constant_gauge_collapse():
 
 def test_nav_spray_matches_generic():
     space = twisted_space()
-    fev = nav_evaluator(space)
+    fev = nav_metric(space)
     rng = np.random.default_rng(26)
     for x, y in admissible_samples(space, rng, 30, shift=HOPF_SHIFT, scale=0.25):
         closed = nav_spray(nav_point(SPHERE3, TORUS_W, x), y)
@@ -684,25 +681,25 @@ def test_nav_curvature_flat_zero():
 
 def test_nav_ricci_matches_generic_on_hopf():
     space = hopf_space()
-    fev = nav_evaluator(space)
+    fev = nav_metric(space)
     dens = volume_density(space)
     rng = np.random.default_rng(27)
     for x, y in admissible_samples(space, rng, 30, shift=HOPF_SHIFT, scale=0.3):
         closed = nav_ricci_isotropic(nav_point(SPHERE3, HOPF_W, x), y)
         generic = sample_row(curvature_samples(
-            fev, fev.at(x), [y], log_density(dens, x)), 0).ricci
+            fev.stage(x), [y], log_density(dens, x)), 0).ricci
         assert closed == pytest.approx(generic, rel=1e-7)
 
 
 def test_nav_riemann_matches_generic_and_trace():
     space = hopf_space()
-    fev = nav_evaluator(space)
+    fev = nav_metric(space)
     dens = volume_density(space)
     rng = np.random.default_rng(28)
     for x, y in admissible_samples(space, rng, 10, shift=HOPF_SHIFT, scale=0.3):
         closed = nav_riemann_isotropic(nav_point(SPHERE3, HOPF_W, x), y)
         generic = sample_row(curvature_samples(
-            fev, fev.at(x), [y], log_density(dens, x)), 0).riemann
+            fev.stage(x), [y], log_density(dens, x)), 0).riemann
         assert np.max(np.abs(closed - generic)) < 1e-8 * max(
             1.0, float(np.max(np.abs(generic)))
         )
@@ -818,10 +815,9 @@ def test_killing_square_identity():
 
 def test_evaluator_views_agree():
     space = twisted_space()
-    fa = finsler_evaluator(space)
-    fn = nav_evaluator(space)
+    fn = nav_metric(space)
     rng = np.random.default_rng(30)
     for x, y in admissible_samples(space, rng, 20, shift=HOPF_SHIFT, scale=0.25):
-        assert fa(list(x), list(y)) == pytest.approx(
+        assert finsler_stage(space, x).f([y])[0] == pytest.approx(
             fn(list(x), list(y)), rel=1e-10
         )

@@ -2,7 +2,6 @@
 and the BH density quadrature against the Monte-Carlo oracle."""
 import math
 from collections import Counter
-from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -13,8 +12,6 @@ from fd import fd_partial
 from kropina.generic import (
     _POLAR_NODES,
     ConicDomainError,
-    FinslerEvaluator,
-    XStage,
     _check_invertible,
     _gauss_jacobi,
     _polar_frame,
@@ -23,7 +20,7 @@ from kropina.generic import (
     curvature_samples,
     unit_ball_volume,
 )
-from kropina.forms import finsler_evaluator, sigma_bh
+from kropina.forms import finsler_stage, sigma_bh
 from kropina.workbench import VERIFY_TOLS
 from kropina.jets import Jet, jet_space
 from kropina.riemann import MetricPoint, SingularMetricError
@@ -35,6 +32,8 @@ from kropina.scenarios import (
 )
 from oracles import (
     BHDensityEstimate,
+    LoopMetric,
+    LoopStage,
     bh_density_mc,
     bh_volume_density,
     chart_point,
@@ -49,9 +48,8 @@ from oracles import (
     gradient,
     hess_form,
     hess_h,
-    jets_by_direction,
     log_density,
-    loop_evaluator,
+    loop_metric,
     metric_from_strings,
     metric_jets,
     sample_row,
@@ -67,18 +65,17 @@ SPHERE3 = metric_from_strings(
 )
 
 
-def plain_evaluator(n, func, domain, name):
-    """A FinslerEvaluator from func(x, y) and domain(x, y) that does no
-    work at x alone; its jets_at calls func one direction at a time."""
+def plain_metric(n, func, domain, name):
+    """A LoopMetric from func(x, y) and domain(x, y) that does no work
+    at x alone."""
 
     def at(x):
-        return XStage(x, partial(func, x), partial(domain, x))
+        return LoopStage(partial(func, x), partial(domain, x))
 
-    return FinslerEvaluator(dim=n, at=at, name=name,
-                            jets_at=jets_by_direction(at))
+    return LoopMetric(dim=n, at=at, name=name)
 
 
-def expr_evaluator(f2_text, beta_text, n, name="expr"):
+def expr_metric(f2_text, beta_text, n, name="expr"):
     """Finsler metric whose square and cone inequality are expressions.
 
     Variables x1..xn are position, x(n+1)..x(2n) the tangent vector.
@@ -93,10 +90,10 @@ def expr_evaluator(f2_text, beta_text, n, name="expr"):
     def domain(x, y):
         return eval_expr(b_ast, list(x) + list(y)) > 0
 
-    return plain_evaluator(n, func, domain, name)
+    return plain_metric(n, func, domain, name)
 
 
-def euclid_evaluator(n):
+def euclid_metric(n):
     def func(x, y):
         q = sum(yi * yi for yi in y)
         return q.sqrt() if isinstance(q, Jet) else np.sqrt(q)
@@ -104,11 +101,11 @@ def euclid_evaluator(n):
     def domain(x, y):
         return sum(np.asarray(yi) ** 2 for yi in y) > 0
 
-    return plain_evaluator(n, func, domain, "euclid")
+    return plain_metric(n, func, domain, "euclid")
 
 
-def sphere3_evaluator():
-    return expr_evaluator(
+def sphere3_metric():
+    return expr_metric(
         "x4^2 + sin(x1)^2*x5^2 + cos(x1)^2*x6^2", "x4^2 + x5^2 + x6^2", 3, "s3"
     )
 
@@ -123,7 +120,7 @@ def flat_kropina(n=3):
     def domain(x, y):
         return np.asarray(y[0]) > 0
 
-    return plain_evaluator(n, func, domain, "flat-kropina")
+    return plain_metric(n, func, domain, "flat-kropina")
 
 
 def flat_kropina_box(n=3):
@@ -152,7 +149,7 @@ def wavy_kropina():
     def domain(x, y):
         return eval_expr(b_ast, list(x) + list(y)) > 0
 
-    return plain_evaluator(3, func, domain, "wavy-kropina")
+    return plain_metric(3, func, domain, "wavy-kropina")
 
 
 def const_density(x):
@@ -162,7 +159,7 @@ def const_density(x):
 def sample(F, x, y, sigma=const_density):
     """The curvature sample of the one direction y, with the constant
     density unless one is given."""
-    return sample_row(curvature_samples(F, F.at(x), [y],
+    return sample_row(curvature_samples(F.stage(x), [y],
                                         log_density(sigma, x)), 0)
 
 
@@ -184,9 +181,9 @@ YS = [1.0, 0.3, -0.2]
 
 
 def test_fundamental_tensor_riemannian():
-    g = sample(euclid_evaluator(3), XS, YS).g
+    g = sample(euclid_metric(3), XS, YS).g
     assert np.allclose(g, np.eye(3), atol=1e-10)
-    g3 = sample(sphere3_evaluator(), [0.7, 0.1, 0.2], YS).g
+    g3 = sample(sphere3_metric(), [0.7, 0.1, 0.2], YS).g
     mp = MetricPoint.from_exprs(SPHERE3, [0.7, 0.1, 0.2])
     assert np.allclose(g3, mp.g, atol=1e-10)
 
@@ -212,14 +209,14 @@ def test_conic_domain_error():
 
 
 def test_spray_euclidean_zero():
-    G = spray_generic(euclid_evaluator(3), XS, YS)
+    G = spray_generic(euclid_metric(3), XS, YS)
     assert np.allclose(G, 0.0, atol=1e-12)
 
 
 def test_spray_riemannian_equals_christoffel():
     x = [0.7, 0.1, 0.2]
     y = [0.4, 1.1, -0.3]
-    G = spray_generic(sphere3_evaluator(), x, y)
+    G = spray_generic(sphere3_metric(), x, y)
     Gam = christoffel(SPHERE3, x)
     want = 0.5 * np.einsum("kij,i,j->k", Gam, y, y)
     assert np.allclose(G, want, atol=1e-9)
@@ -248,7 +245,7 @@ def test_riemann_matches_riemannian_curvature():
     x = [0.7, 0.1, 0.2]
     y = [0.4, 1.1, -0.3]
     mp = MetricPoint.from_exprs(SPHERE3, x)
-    cs = sample(sphere3_evaluator(), x, y)
+    cs = sample(sphere3_metric(), x, y)
     want = np.einsum("pikq,p,q->ik", mp.riemann, y, y)
     assert np.allclose(cs.riemann, want, atol=1e-8)
     hyy = float(np.asarray(y) @ mp.g @ np.asarray(y))
@@ -276,7 +273,7 @@ def test_distortion_riemannian_zero():
         return eval_expr(parse_expr("sin(x1)*cos(x1)", 3), list(x))
 
     x = [0.7, 0.1, 0.2]
-    tau = sample(sphere3_evaluator(), x, YS, sigma=sig).tau
+    tau = sample(sphere3_metric(), x, YS, sigma=sig).tau
     assert abs(tau) < 1e-12
 
 
@@ -358,7 +355,7 @@ def test_hess_riemannian_reduction():
     f = parse_expr("x1^2 + 0.5*x2*x3", 3)
     x = [0.7, 0.1, 0.2]
     y = [0.4, 1.1, -0.3]
-    got = hess_form(f, x, y, sample(sphere3_evaluator(), x, y).spray, 3)
+    got = hess_form(f, x, y, sample(sphere3_metric(), x, y).spray, 3)
     H = hess_h(f, SPHERE3, x)
     assert abs(got - float(np.asarray(y) @ H @ np.asarray(y))) < 1e-9
 
@@ -378,7 +375,7 @@ def test_hess_matches_geodesic_oracle():
 
 
 def test_geodesic_straight_line_euclidean():
-    F = euclid_evaluator(3)
+    F = euclid_metric(3)
     path = geodesic_flow(F, XS, YS, t_end=1.0, steps=50)
     want = np.asarray(XS) + path.t[:, None] * np.asarray(YS)
     assert np.allclose(path.pos, want, atol=1e-12)
@@ -418,13 +415,13 @@ def test_geodesic_exits_domain():
         q = sum(yi * yi for yi in y)
         return q.sqrt() if isinstance(q, Jet) else np.sqrt(q)
 
-    F = plain_evaluator(3, func, lambda x, y: x[0] < 0.5, "bounded-chart")
+    F = plain_metric(3, func, lambda x, y: x[0] < 0.5, "bounded-chart")
     with pytest.raises(ConicDomainError):
         geodesic_flow(F, [0.4, 0.0, 0.0], [1.0, 0.0, 0.0], t_end=0.5, steps=50)
 
 
 def test_geodesic_step_validation():
-    F = euclid_evaluator(2)
+    F = euclid_metric(2)
     with pytest.raises(ValueError):
         geodesic_flow(F, [0.0, 0.0], [1.0, 0.0], t_end=1.0, steps=0)
     with pytest.raises(ValueError):
@@ -436,10 +433,10 @@ def test_bh_euclid_n2():
     round-off in every dimension, the Monte-Carlo oracle within 3 of its
     standard errors over a probed box."""
     for n in range(2, 7):
-        F = euclid_evaluator(n)
-        assert bh_density(F, F.at([0.0] * n)) == pytest.approx(1.0, rel=1e-13)
-    F = euclid_evaluator(2)
-    est = bh_density_mc(F, F.at([0.0, 0.0]), mc_samples=40_000, seed=7)
+        F = euclid_metric(n)
+        assert bh_density(F.stage([0.0] * n)) == pytest.approx(1.0, rel=1e-13)
+    F = euclid_metric(2)
+    est = bh_density_mc(F.stage([0.0, 0.0]), mc_samples=40_000, seed=7)
     assert isinstance(est, BHDensityEstimate)
     assert abs(est.value - 1.0) < 3.0 * est.stderr
     assert est.stderr < 0.02
@@ -450,9 +447,9 @@ def test_bh_kropina_closed_vs_mc():
     unit ball about e_1, with the origin on its boundary: density 1."""
     for n in range(2, 7):
         F = flat_kropina(n)
-        assert bh_density(F, F.at([0.0] * n)) == pytest.approx(1.0, rel=1e-13)
+        assert bh_density(F.stage([0.0] * n)) == pytest.approx(1.0, rel=1e-13)
     F = flat_kropina()
-    est = bh_density_mc(F, F.at(XS), mc_samples=150_000, seed=11,
+    est = bh_density_mc(F.stage(XS), mc_samples=150_000, seed=11,
                         box=flat_kropina_box())
     assert abs(est.value - 1.0) < 3.0 * est.stderr
     # ball of radius 1 inside the box of volume 8
@@ -462,11 +459,9 @@ def test_bh_kropina_closed_vs_mc():
 def test_bh_scaling():
     F = flat_kropina()
 
-    F2 = FinslerEvaluator(
-        dim=3, name="scaled",
-        at=lambda x: F.at(x)._replace(f=lambda y: 2.0 * F(x, y)))
-    e1 = bh_density(F, F.at(XS))
-    e2 = bh_density(F2, F2.at(XS))
+    stage = F.stage(XS)
+    e1 = bh_density(stage)
+    e2 = bh_density(stage._replace(f=lambda ys: 2.0 * stage.f(ys)))
     # each sublevel volume is unit_ball_volume(3) / value
     assert e1 / e2 == pytest.approx(0.125, rel=1e-13)
 
@@ -482,9 +477,9 @@ def test_bh_density_of_a_unit_ball_that_is_no_ellipsoid():
     def domain(x, y):
         return np.asarray(y[0]) ** 2 + np.asarray(y[1]) ** 2 > 0
 
-    F = plain_evaluator(2, func, domain, "l4")
+    F = plain_metric(2, func, domain, "l4")
     area = 4.0 * math.gamma(1.25) ** 2 / math.gamma(1.5)
-    assert bh_density(F, F.at([0.0, 0.0])) == pytest.approx(math.pi / area,
+    assert bh_density(F.stage([0.0, 0.0])) == pytest.approx(math.pi / area,
                                                             rel=1e-6)
 
 
@@ -542,11 +537,10 @@ def test_quadrature_within_three_standard_errors_of_monte_carlo(doc):
     box, and agrees with the closed form to the verify tolerance."""
     sc = load_scenario(doc)
     space = sc.space()
-    F = finsler_evaluator(space)
     for k, (x, _) in enumerate(scenario_samples(sc, points=2, directions=1)):
-        stage = F.at(x)
-        value = bh_density(F, stage)
-        est = bh_density_mc(F, stage, mc_samples=50_000, seed=100 + k,
+        stage = finsler_stage(space, x)
+        value = bh_density(stage)
+        est = bh_density_mc(stage, mc_samples=50_000, seed=100 + k,
                             box=ellipsoid_box(space, x))
         assert abs(value - est.value) < 3.0 * est.stderr
         closed = sigma_bh(space, x)
@@ -554,28 +548,25 @@ def test_quadrature_within_three_standard_errors_of_monte_carlo(doc):
 
 
 def test_bh_density_refuses_stages_that_take_no_arrays():
-    """The quadrature calls each stage once on numpy columns; a stage
-    written for one float direction is refused by name."""
-    F = flat_kropina()
+    """The quadrature calls f and domain once on a block of directions;
+    a function written for one float direction, or one that does not
+    give one value per row, is refused by the stage's name."""
+    stage = flat_kropina().stage(XS)
 
-    def scalar_f(x, y):
+    def scalar_f(y):
         return math.fsum(v * v for v in y) / (2.0 * float(y[0]))
 
-    def scalar_domain(x, y):
+    def scalar_domain(y):
         return bool(y[0] > 0)
 
     stages = [
-        replace(F, name="scalar-F",
-                at=lambda x: F.at(x)._replace(f=partial(scalar_f, x))),
-        replace(F, name="scalar-domain",
-                at=lambda x: F.at(x)._replace(
-                    domain=partial(scalar_domain, x))),
-        replace(F, name="constant-F",
-                at=lambda x: F.at(x)._replace(f=lambda y: 0.5)),
+        stage._replace(name="scalar-F", f=scalar_f),
+        stage._replace(name="scalar-domain", domain=scalar_domain),
+        stage._replace(name="constant-F", f=lambda ys: 0.5),
     ]
     for bad in stages:
         with pytest.raises(TypeError, match=bad.name):
-            bh_density(bad, bad.at(XS))
+            bh_density(bad)
 
 
 def test_unit_ball_volume_values():
@@ -697,7 +688,7 @@ def test_staged_sample_equals_oracle_bit_for_bit(source):
     bit for bit, weighted and unit-ball S included."""
     sc = load_scenario(source)
     space = sc.space()
-    ev = loop_evaluator(space)
+    ev = loop_metric(space)
     dens = volume_density(space)
     bh = bh_volume_density(space) if space.weight is not None else None
     checked = 0
@@ -714,13 +705,13 @@ def test_staged_sample_equals_oracle_bit_for_bit(source):
 
 
 def test_staged_sample_equals_oracle_without_a_stage():
-    """An evaluator whose at(x) does no work at x alone gives the
-    oracle's sample too."""
+    """A metric whose at(x) does no work at x alone gives the oracle's
+    sample too."""
     F = wavy_kropina()
     sig = weighted_density(parse_expr("0.3*x1 + 0.1*x2^2", 3), 3)
     f = parse_expr("x1^2 + 0.5*x2*x3", 3)
     x = [0.2, 0.1, -0.3]
-    samples = curvature_samples(F, F.at(x), [[1.2, 0.4, -0.1], [0.9, -0.3, 0.2]],
+    samples = curvature_samples(F.stage(x), [[1.2, 0.4, -0.1], [0.9, -0.3, 0.2]],
                                 log_density(sig, x),
                                 log_density(const_density, x))
     for k, y in enumerate(samples.y):
@@ -751,7 +742,7 @@ def test_sample_agrees_with_the_gauss_jordan_route():
                    "euclid_gaussian"):
         sc = load_scenario(source)
         space = sc.space()
-        ev = loop_evaluator(space)
+        ev = loop_metric(space)
         dens = volume_density(space)
         bh = bh_volume_density(space) if space.weight is not None else None
         for x, ys in scenario_samples(sc, cutoff=COMPARISON_CUTOFF)[:2]:
@@ -787,7 +778,7 @@ def test_gauss_jordan_deviation_per_dimension():
         for seed in (1, 2, 3):
             sc = load_scenario(random_scenario(seed, n))
             space = sc.space()
-            ev = loop_evaluator(space)
+            ev = loop_metric(space)
             dens = volume_density(space)
             x, ys = scenario_samples(sc, cutoff=COMPARISON_CUTOFF)[0]
             point = chart_point(space, x, ys[:2])
@@ -808,7 +799,7 @@ def test_degenerate_metric_reported():
         q = y[0] * y[0]
         return q.sqrt() if isinstance(q, Jet) else np.sqrt(q)
 
-    F = plain_evaluator(2, func, lambda x, y: np.asarray(y[0]) > 0, "rank1")
+    F = plain_metric(2, func, lambda x, y: np.asarray(y[0]) > 0, "rank1")
     with pytest.raises(SingularMetricError):
         sample(F, [0.0, 0.0], [1.0, 0.3])
 
@@ -826,70 +817,74 @@ def _bits(v):
     return type(v), v.shape, v.tobytes()
 
 
-@pytest.mark.parametrize("source", [
-    "s3_hopf", "torus_wind", flat_wind(4), "s5_hopf",
-    *(random_scenario(3, n) for n in range(2, 7)),
-], ids=lambda s: s if isinstance(s, str) else s["name"]
-       + f"_{s['dimension']}")
-def test_direction_stage_equals_the_jet_loop_bit_for_bit(source):
-    """finsler_evaluator's stacked direction stages give the bits of the
-    loop of Jet, float and column operations (oracles.loop_evaluator):
-    jets_at's block of seed directions at the seeded x of the generic
-    pipeline, row by row, F over float directions and numpy columns at
-    a float x, and the domain stage over floats and columns."""
+STAGE_SOURCES = ["s3_hopf", "torus_wind", flat_wind(4), "s5_hopf",
+                 *(random_scenario(3, n) for n in range(2, 7))]
+
+
+def _stage_case(source, directions):
+    """A case of the stage's bit test: the blocks of ten directions keep
+    the bare source id, those of one direction add "-D1"."""
+    name = source if isinstance(source, str) else (
+        f"{source['name']}_{source['dimension']}")
+    return pytest.param(source, directions, id=name + (
+        "" if directions == 10 else f"-D{directions}"))
+
+
+@pytest.mark.parametrize("source, directions", [
+    _stage_case(s, d) for d in (10, 1) for s in STAGE_SOURCES])
+def test_direction_stage_equals_the_jet_loop_bit_for_bit(source, directions):
+    """finsler_stage's f, domain and jets, each called on a block of
+    one direction (where _row_sum sums a single column) or of ten, give
+    row by row the bits of the loop of Jet and float operations
+    (oracles.loop_metric): F and its domain at each float direction,
+    and F's jet at the order-4 seeds of x and of each direction."""
     sc = load_scenario(source)
     space = sc.space()
     n = space.dim
-    ev, ref = finsler_evaluator(space), loop_evaluator(space)
+    ref = loop_metric(space)
     sp = jet_space(2 * n, 4)
     compared = 0
-    for x, ys in scenario_samples(sc, points=2, directions=3, seed=4):
+    for x, ys in scenario_samples(sc, points=2, directions=directions,
+                                  seed=4):
+        stage = finsler_stage(space, x)
+        f, dom, rows = stage.f(ys), stage.domain(ys), stage.jets(ys)
+        assert f.shape == dom.shape == (directions,)
         xf = [float(v) for v in x]
-        xj = [sp.variable(i, v) for i, v in enumerate(xf)]
-        cols = [np.array([y[i] for y in ys]) for i in range(n)]
-        rows, g = ev.jets_at(xj)(ys), ref.at(xj).f
-        for row, y in zip(rows, ys):
-            seeds = [sp.variable(n + k, v) for k, v in enumerate(y)]
-            assert _bits(Jet(sp, row.copy())) == _bits(g(seeds))
-            compared += 1
-        stage, stage_ref = ev.at(xf), ref.at(xf)
-        f, g = stage.f, stage_ref.f
-        for y in ys:
+        loop = ref.at(xf)
+        g = ref.at([sp.variable(i, v) for i, v in enumerate(xf)]).f
+        for k, y in enumerate(ys):
             d = [float(v) for v in y]
-            assert _bits(f(d)) == _bits(g(d))
+            assert _bits(float(f[k])) == _bits(loop.f(d))
+            assert bool(dom[k]) is bool(loop.domain(d))
+            seeds = [sp.variable(n + i, v) for i, v in enumerate(d)]
+            assert _bits(Jet(sp, rows[k].copy())) == _bits(g(seeds))
             compared += 1
-        assert _bits(f(cols)) == _bits(g(cols))
-        dom, dom_ref = stage.domain, stage_ref.domain
-        assert _bits(dom(cols)) == _bits(dom_ref(cols))
-        for y in ys:
-            assert dom(list(y)) == dom_ref(list(y))
-    assert compared == 2 * 3 * 2
+    assert compared == 2 * directions
 
 
 def test_direction_stage_refuses_jets_it_cannot_stack():
-    """at(x) takes a float chart point, and its direction stage float
-    directions and numpy columns: a jet chart point or a jet
-    direction, seeds included, raises TypeError, since F's jets come
-    from jets_at, a block of seeds at a time."""
+    """finsler_stage takes a float chart point, and its f, domain and
+    jets a block of float directions: a jet chart point, or a block
+    holding a jet, seeds included, raises TypeError."""
     space = load_scenario("s3_hopf").space()
-    ev = finsler_evaluator(space)
     sp = jet_space(6, 2)
     x = [0.1, -0.2, 0.3]
     xj = [sp.variable(i, v) for i, v in enumerate(x)]
     with pytest.raises(TypeError):
-        ev.at(xj)
-    f = ev.at(x).f
+        finsler_stage(space, xj)
+    stage = finsler_stage(space, x)
     y = [1.0, 0.5, -0.2]
-    assert isinstance(f(y), float)
+    assert stage.f([y]).shape == (1,)
     seeds = [sp.variable(3 + k, v) for k, v in enumerate(y)]
     refused = (
-        seeds,
-        [seeds[0] * 2.0, seeds[1], seeds[2]],            # not a seed
-        [seeds[0], y[1], seeds[2]],                      # a float among seeds
+        [seeds],
+        [[seeds[0] * 2.0, seeds[1], seeds[2]]],          # not a seed
+        [[seeds[0], y[1], seeds[2]]],                    # a float among seeds
     )
-    for d in refused:
-        with pytest.raises(TypeError):
-            f(d)
+    for block in refused:
+        for fn in (stage.f, stage.domain, stage.jets):
+            with pytest.raises(TypeError):
+                fn(block)
 
 
 def test_curvature_sample_makes_two_jet_products(monkeypatch):
@@ -897,9 +892,9 @@ def test_curvature_sample_makes_two_jet_products(monkeypatch):
     pairs of jets, Q times 1/L and F times F, each a batch of all the
     directions, and takes no product with a seed: the direction stage
     works on stacked arrays and the series of 1/L on coefficient arrays.
-    The only other products are those of F's x-stage over the seeds of
-    x, one jet at a time, as many for one direction as for the whole
-    block.  (The Jet loop made 27 products per direction, 13 of them
+    The only other products are those of the stage's evaluation of
+    a_ij and b_i over the seeds of x, one jet at a time, as many for one
+    direction as for the whole block.  (The Jet loop made 27 products per direction, 13 of them
     with a seed, on s3_hopf.)"""
     counts = Counter()
     real_mul, real_seed = Jet.__mul__, Jet._times_seed
@@ -916,7 +911,7 @@ def test_curvature_sample_makes_two_jet_products(monkeypatch):
         sc = load_scenario(source)
         x, ys = scenario_samples(sc)[0]
         pt = chart_point(sc.space(), x)
-        F, log_densities = pt.evaluator, pt.log_densities
+        log_densities = pt.log_densities
         ncoef = jet_space(2 * sc.space().dim, 4).ncoef
         x_stage = []
         for block in (ys[:1], ys):
@@ -924,7 +919,7 @@ def test_curvature_sample_makes_two_jet_products(monkeypatch):
             monkeypatch.setattr(Jet, "__rmul__", mul)
             monkeypatch.setattr(Jet, "_times_seed", times_seed)
             counts.clear()
-            curvature_samples(F, pt.stage, block, *log_densities)
+            curvature_samples(pt.stage, block, *log_densities)
             monkeypatch.undo()
             assert counts.pop(("mul", (len(block), ncoef))) == 2
             assert set(counts) <= {("mul", (ncoef,))}

@@ -6,10 +6,13 @@ attribute, somewhere in src/ outside its own body.  An import alone is
 not a use.  Dunder methods run through Python's protocols and are not
 scanned.  Oracles that only the tests call belong in tests/oracles.py.
 A second scan holds every module (but __init__.py) to using each name it
-imports.
+imports.  A method whose name is also a field, a `self.<name> =`
+attribute or another method elsewhere in src/ passes the first scan on
+any use of that name, so a third scan lists every such method, and each
+must be named in SHARED_NAMES with its real caller.
 """
 import ast
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "kropina"
@@ -18,6 +21,23 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "kropina"
 ALLOWED = {
     "cli._Parser.error": "argparse calls it on a usage error",
     "jets.Jet.partial": "read accessor for one Taylor coefficient",
+}
+
+
+# methods whose name something else in src/ also has, each with the
+# caller that really uses the method
+SHARED_NAMES = {
+    "jets.JetSpace.seed": "einstein.ChartPoint._trees, "
+                          "riemann.MetricPoint.from_exprs",
+    "jets.Jet.value": "jets.Jet's series (log, exp, sqrt, sin, cos), "
+                      "forms.log_densities",
+    "riemann.MetricPoint.riemann": "riemann.MetricPoint.ricci",
+    "riemann.MetricPoint.ricci": "forms.kropina_ricci_closed, "
+                                 "forms.nav_ricci_isotropic",
+    "riemann.FieldPoint.s": "riemann.FieldPoint.s_up and s_vec, "
+                            "forms.AbFields.dsv",
+    "scenarios.Scenario.space": "workbench.run_check, run_verify and "
+                                "run_convert",
 }
 
 
@@ -68,6 +88,46 @@ def unreferenced(src=SRC):
 
 def test_every_definition_in_the_package_has_a_caller_in_the_package():
     assert unreferenced() == sorted(ALLOWED)
+
+
+def _self_attributes(tree):
+    """Every name assigned as self.<name> under tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for sub in ast.walk(target):
+                if (isinstance(sub, ast.Attribute)
+                        and isinstance(sub.value, ast.Name)
+                        and sub.value.id == "self"):
+                    yield sub.attr
+
+
+def shared_names(src=SRC):
+    """Qualified names of the methods under src whose name is also a
+    field (an annotated name in a class body), a self.<name> attribute
+    or another method somewhere in src."""
+    methods, others = defaultdict(set), Counter()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for qualname, name, node, is_method in _definitions(tree, path.stem):
+            if is_method:
+                methods[name].add(qualname)
+            elif isinstance(node, ast.ClassDef):
+                others.update(m.target.id for m in node.body
+                              if isinstance(m, ast.AnnAssign)
+                              and isinstance(m.target, ast.Name))
+        others.update(_self_attributes(tree))
+    return sorted(q for name, quals in methods.items() for q in quals
+                  if len(quals) > 1 or others[name])
+
+
+def test_every_method_with_a_shared_name_is_listed_with_its_caller():
+    assert shared_names() == sorted(SHARED_NAMES)
 
 
 def unused_imports(src=SRC):

@@ -2,7 +2,6 @@
 import json
 import sys
 from collections import Counter
-from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -10,7 +9,7 @@ import numpy as np
 import pytest
 from jsonschema import Draft202012Validator
 
-from kropina.forms import GaugeError, finsler_evaluator
+from kropina.forms import GaugeError, finsler_stage
 from kropina.jets import Jet
 from kropina.reports import ReportDocument, tool_version
 from kropina.scenarios import (
@@ -410,10 +409,9 @@ def test_convert_with_custom_gauge_agrees():
     # same F through different gauges at a shared sample
     sa = load_scenario(a.emitted).space()
     sb = load_scenario(b.emitted).space()
-    fa = finsler_evaluator(sa)
-    fb = finsler_evaluator(sb)
     x, y = [0.2, -0.1, 0.3], [1.0, 0.4, -0.2]
-    assert abs(fa(x, y) - fb(x, y)) < 1e-10
+    assert abs(finsler_stage(sa, x).f([y])[0]
+               - finsler_stage(sb, x).f([y])[0]) < 1e-10
 
 
 def test_convert_emitted_scenario_loads_clean():
@@ -592,9 +590,9 @@ def _count_work(monkeypatch):
 
     real_samples = einstein.curvature_samples
 
-    def samples(F, at, ys, log_sigma, log_sigma_bh=None):
-        cs = real_samples(F, at, ys, log_sigma, log_sigma_bh)
-        passes.append((tuple(float(v) for v in at.x),
+    def samples(stage, ys, log_sigma, log_sigma_bh=None):
+        cs = real_samples(stage, ys, log_sigma, log_sigma_bh)
+        passes.append((tuple(float(v) for v in stage.x),
                        tuple(tuple(float(v) for v in y) for y in ys),
                        log_sigma_bh is not None))
         return cs
@@ -651,32 +649,32 @@ def test_check_builds_once_per_point_per_run(monkeypatch):
 
 
 def test_f_x_stage_runs_once_per_point_per_run(monkeypatch):
-    """The jet x-stage of F (a_ij(x), b_i(x) over order-4 seeds) runs
+    """The jets of F's stage (a_ij(x), b_i(x) over order-4 seeds) run
     once per chart point in a run, however many directions and
-    checkers use it, and inside that point's one curvature_samples
+    checkers use them, and inside that point's one curvature_samples
     call: the x work of the generic route is not staged apart."""
     import kropina.einstein as einstein
     import kropina.workbench as workbench
 
     calls = []
-    real = workbench.finsler_evaluator
+    real = workbench.finsler_stage
     real_samples = einstein.curvature_samples
 
-    def counted(space):
-        ev = real(space)
+    def counted(space, x):
+        stage = real(space, x)
 
-        def jets_at(x):
-            calls.append(("jets_at", tuple(v.value for v in x)))
-            return ev.jets_at(x)
+        def jets(ys):
+            calls.append(("jets", tuple(float(v) for v in stage.x)))
+            return stage.jets(ys)
 
-        return replace(ev, jets_at=jets_at)
+        return stage._replace(jets=jets)
 
-    def samples(F, at, *args):
-        calls.append(("samples", tuple(float(v) for v in at.x)))
-        return real_samples(F, at, *args)
+    def samples(stage, *args):
+        calls.append(("samples", tuple(float(v) for v in stage.x)))
+        return real_samples(stage, *args)
 
-    monkeypatch.setattr(einstein, "finsler_evaluator", counted)
-    monkeypatch.setattr(workbench, "finsler_evaluator", counted)
+    monkeypatch.setattr(einstein, "finsler_stage", counted)
+    monkeypatch.setattr(workbench, "finsler_stage", counted)
     monkeypatch.setattr(einstein, "curvature_samples", samples)
     for name in ("s3_hopf", "euclid_gaussian"):
         sc = load_scenario(name)
@@ -686,13 +684,13 @@ def test_f_x_stage_runs_once_per_point_per_run(monkeypatch):
             xs = [x for kind, x in calls if kind == "samples"]
             assert len(xs) == len(set(xs)) == sc.points
             assert calls == [(kind, x) for x in xs
-                             for kind in ("samples", "jets_at")]
+                             for kind in ("samples", "jets")]
 
 
 def test_one_jet_evaluation_per_signature_per_point(monkeypatch):
     """A chart point walks the space's trees once, over its n chart
-    variables to order 2, and F's x-stage once, over the 2n variables
-    to order 4: check and verify on torus_wind make exactly these jet
+    variables to order 2, and F's stage once, over the 2n variables
+    to order 4 when its jets run: check and verify on torus_wind make exactly these jet
     evaluations per point, and none at (n, 1) or (2n, 2)."""
     import kropina.riemann as riemann
 
@@ -715,9 +713,9 @@ def test_one_jet_evaluation_per_signature_per_point(monkeypatch):
 
 def test_one_float_x_stage_per_point(monkeypatch):
     """Over floats a chart point walks the space's trees once to sample
-    its directions and once for F's x-stage, whose values, domain and
-    box serve the domain check and the Monte-Carlo BH density; verify
-    adds the closed sigma_BH.  convert's evidence evaluates F of each
+    its directions and once for F's stage, whose values and domain
+    serve the domain check and the BH density quadrature; verify adds
+    the closed sigma_BH.  convert's evidence evaluates F of each
     view once per point, beside the sampling's own evaluation.  (verify
     made 6 per point while the domain and the box were stages apart.)"""
     import kropina.riemann as riemann
@@ -821,28 +819,23 @@ def test_convert_to_own_representation_emits_the_source_view():
 
 
 def test_convert_evidence_evaluates_f_once_per_point(monkeypatch):
-    """F is evaluated once per chart point and view, over numpy columns
-    holding every sampled direction of that point."""
+    """F is evaluated once per chart point and view, over the block of
+    every sampled direction of that point."""
     import kropina.workbench as workbench
 
     calls = []
-    real = workbench.finsler_evaluator
+    real = workbench.finsler_stage
 
-    def counted(space):
-        ev = real(space)
+    def counted(space, x):
+        stage = real(space, x)
 
-        def at(x):
-            stage = ev.at(x)
+        def f(ys):
+            calls.append(len(ys))
+            return stage.f(ys)
 
-            def f(y):
-                calls.append(len(y[0]))
-                return stage.f(y)
+        return stage._replace(f=f)
 
-            return stage._replace(f=f)
-
-        return replace(ev, at=at)
-
-    monkeypatch.setattr(workbench, "finsler_evaluator", counted)
+    monkeypatch.setattr(workbench, "finsler_stage", counted)
     sc = load_scenario("torus_wind")
     doc = run_convert(sc, "nav")
     assert doc.verdict == "PASS"

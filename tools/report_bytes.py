@@ -9,7 +9,8 @@ Then check with the constants of CONSTANTS, which reach checkers 51 and
 random_scenario(3, n) documents of RANDOM_DIMENSIONS, so that every
 dimension the scenario schema accepts (2..6) is covered, and verify on
 s5_hopf at 4 x 10 on each of S5_SEEDS, where a chart point batches ten
-directions in five dimensions: 58 reports.
+directions in five dimensions, and convert each scenario of GAUGES to ab
+in the gauge given there and that document back to nav: 60 reports.
 Every report is recorded as the text ``to_json(timings=False)`` writes,
 with ``tool.version`` dropped, so two checkouts that behave the same
 write the same bytes.  The text comes from the package's report encoder
@@ -54,6 +55,8 @@ CONSTANTS = (("s3_hopf", {"a": 0, "c": "3/8"}),
 RANDOM_DIMENSIONS = (2, 4, 6)
 # sampling seeds of the s5_hopf runs verified at 4 points x 10 directions
 S5_SEEDS = range(1, 9)
+# (scenario, gauge text) converted to ab in that gauge, and back to nav
+GAUGES = (("s3_hopf", "1 + 0.1*x1"),)
 
 
 def _canonical(doc):
@@ -101,6 +104,12 @@ def reports():
         sc = load_scenario(random_scenario(3, n))
         out[f"verify random_scenario(3, {n})"] = _canonical(
             run_verify(sc, points=1, dirs=3))
+    for name, gauge in GAUGES:
+        there = run_convert(load_scenario(name), "ab", gauge=gauge)
+        label = f"convert {name} to ab in gauge {gauge}"
+        out[label] = _canonical(there)
+        out[f"{label} and back"] = _canonical(
+            run_convert(there.emitted, "nav"))
     return out
 
 
