@@ -493,7 +493,7 @@ def chart_points(space: KropinaSpace, samples):
 
 def _check(theorem, regime, conditions, points, cfg, tol):
     """Run one regime theorem over the chart points and return its
-    report/1 check entry: {theorem, verdict, conditions, scalars,
+    report/2 check entry: {theorem, verdict, conditions, scalars,
     points, directions}.
 
     conditions(point, res, scal) adds the theorem's own conditions at

@@ -1,7 +1,11 @@
 """Run reports: schema-versioned documents with deterministic output.
 
 A report echoes its scenario, names the tool version that produced it,
-and carries the per-operation tables and checker verdicts.  For a fixed
+and carries the per-operation tables and checker verdicts.  verify and
+convert reports list their sampled chart points once, in samples, each
+with its directions ys: a table row names its (x, y) by a sample index,
+counted over the points in order and over each point's directions
+within it, or its chart point alone by a point index.  For a fixed
 (scenario, seed) two runs serialize byte-identically once timings are
 excluded; timings are the only nondeterministic field and live in their
 own block so callers can strip them.
@@ -24,7 +28,7 @@ from typing import Optional
 
 from . import __version__
 
-REPORT_SCHEMA_ID = "report/1"
+REPORT_SCHEMA_ID = "report/2"
 
 _EXIT_FOR = {"PASS": 0, "FAIL": 2, "ERROR": 2, "PRECONDITION": 3}
 # severity order when merging verdicts: a precondition failure outranks
@@ -78,9 +82,22 @@ def _json(obj, nl="\n"):
         f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
+def _resolved(row, points, pairs):
+    """row's (key, value) items, a sample index replaced in place by the
+    x and y of that sample and a point index by the x of that point."""
+    for key, value in row.items():
+        if key == "sample":
+            yield from pairs[value].items()
+        elif key == "point":
+            yield "x", points[value]["x"]
+        else:
+            yield key, value
+
+
 @dataclass
 class ReportDocument:
-    """One run's result: verdict, tables, checker output, timings."""
+    """One run's result: verdict, samples, tables, checker output,
+    timings."""
 
     kind: str
     scenario: dict
@@ -90,6 +107,7 @@ class ReportDocument:
     tables: list = field(default_factory=list)
     errors: list = field(default_factory=list)
     emitted: Optional[dict] = None
+    samples: Optional[list] = None
     timings_ms: dict = field(default_factory=dict)
 
     @contextmanager
@@ -127,18 +145,24 @@ class ReportDocument:
         }
         if self.emitted is not None:
             doc["emitted"] = self.emitted
+        if self.samples is not None:
+            doc["samples"] = self.samples
         if timings:
             doc["timings_ms"] = self.timings_ms
         return doc
 
     def to_csv(self):
-        """Flatten every table row into one CSV (a `table` column keys them)."""
+        """Flatten every table row into one CSV (a `table` column keys
+        them).  A row's sample index becomes the x and y columns of that
+        sample, and its point index the x column of that point."""
+        points = self.samples or []
+        pairs = [{"x": p["x"], "y": y} for p in points for y in p["ys"]]
         rows = []
         columns = ["table"]
         for table in self.tables:
             for row in table.get("rows", []):
                 flat = {"table": table["name"]}
-                for key, value in row.items():
+                for key, value in _resolved(row, points, pairs):
                     if isinstance(value, (list, tuple)):
                         value = " ".join(repr(float(v)) for v in value)
                     flat[key] = value
@@ -176,8 +200,10 @@ class ReportDocument:
                         else "pass" if passed else "FAIL")
                 skipped = table.get("skipped", 0)
                 note = f"  ({skipped} skipped)" if skipped else ""
+                worst = table["max_rel_dev"]
+                dev = "-" if worst is None else f"{worst:.3e}"
                 lines.append(
-                    f"  {table['name']:<24} max dev {table['max_rel_dev']:>12.3e}"
+                    f"  {table['name']:<24} max dev {dev:>12}"
                     f"  tol {table['tol']:.0e}  {mark}{note}"
                 )
         for err in self.errors:

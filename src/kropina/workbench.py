@@ -9,6 +9,7 @@ maps those to exit 1.
 """
 
 import math
+from operator import itemgetter
 
 import numpy as np
 
@@ -156,25 +157,32 @@ def run_check(scenario, theorem="auto", seed=None, tol=None):
 
 def _table(name, tol, rows, key):
     """A judged table: the worst deviation (rows[k][key]) over its rows
-    against tol.  The rows are built by _rows, so they hold Python
-    floats, lists and strs, which the report writes as they are.
+    against tol, the index of its row (worst_at) and its margin, the
+    worst over tol.  The rows are built by _rows, so they hold Python
+    floats, ints, lists and strs, which the report writes as they are.
 
     Skipped rows do not count, and a table whose rows were all skipped
-    compared nothing: its passed is None, with the reason.  A non-finite
-    deviation fails the table; the first one becomes max_rel_dev and
-    non_finite_rows lists the indices of every such row.
+    compared nothing: its passed, max_rel_dev, worst_at and margin are
+    None, with the reason.  A non-finite deviation fails the table; the
+    first one becomes max_rel_dev and non_finite_rows lists the indices
+    of every such row.
     """
     devs = [(k, row[key]) for k, row in enumerate(rows)
             if not row.get("skipped")]
     bad = [k for k, d in devs if not math.isfinite(d)]
     if bad:
-        worst = rows[bad[0]][key]
+        worst_at = bad[0]
+    elif devs:
+        worst_at = max(devs, key=itemgetter(1))[0]
     else:
-        worst = max((d for _, d in devs), default=0.0)
+        worst_at = None
+    worst = None if worst_at is None else rows[worst_at][key]
     table = {
         "name": name,
         "tol": tol,
         "max_rel_dev": worst,
+        "worst_at": worst_at,
+        "margin": None if worst is None else worst / tol,
         "samples": len(devs),
         "skipped": len(rows) - len(devs),
         "passed": (not bad and worst <= tol) if devs else None,
@@ -187,22 +195,22 @@ def _table(name, tol, rows, key):
     return table
 
 
-def _pair_rows(pt, closed, generic):
+def _pair_rows(first, closed, generic):
     """The closed/generic comparisons of a chart point's directions, one
-    row each, from one block of values per side: (D,) for a scalar
-    formula, whose rows hold floats, or (D, n), whose rows hold lists.
-    Each block becomes Python values in one tolist() and each row's
-    rel_dev comes from _rel_devs; closed() is evaluated here so that a
-    formula whose hypothesis fails at x marks the point's rows as
-    skipped."""
-    x = np.broadcast_to(pt.x, pt.ys.shape)
+    row each, numbered by the report's sample index from first on, from
+    one block of values per side: (D,) for a scalar formula, whose rows
+    hold floats, or (D, n), whose rows hold lists.  Each block becomes
+    Python values in one tolist() and each row's rel_dev comes from
+    _rel_devs; closed() is evaluated here so that a formula whose
+    hypothesis fails at x marks the point's rows as skipped."""
+    generic = np.asarray(generic, dtype=float)
+    sample = range(first, first + len(generic))
     try:
         values = np.asarray(closed(), dtype=float)
     except HypothesisNotMetError as e:
-        return _rows(x=x, y=pt.ys, skipped=[True] * len(pt.ys),
-                     reason=[str(e)] * len(pt.ys))
-    generic = np.asarray(generic, dtype=float)
-    return _rows(x=x, y=pt.ys, closed=values, generic=generic,
+        return _rows(sample=sample, skipped=[True] * len(sample),
+                     reason=[str(e)] * len(sample))
+    return _rows(sample=sample, closed=values, generic=generic,
                  rel_dev=_rel_devs(values, generic))
 
 
@@ -218,13 +226,20 @@ def run_verify(scenario, points=None, dirs=None, seed=None):
     side.  The bh-density pair holds the closed unit-ball density
     sigma_bh against generic.bh_density, a deterministic sphere
     quadrature of F's unit ball, with one row per chart point.
+
+    The report's samples list each chart point once, with its
+    directions ys and their beta = b_i y^i; a pair row names its (x, y)
+    by its sample index, counted over the points in order and over each
+    point's directions within it, and a bh-density row its point's
+    index.
     """
     scenario = load_scenario(scenario)
     space = scenario.space()
     n1 = space.dim + 1
     weighted = space.weight is not None
 
-    doc = ReportDocument(kind="verify", scenario=scenario.as_dict())
+    doc = ReportDocument(kind="verify", scenario=scenario.as_dict(),
+                         samples=[])
     with doc.timed("sampling"):
         samples = scenario_samples(
             scenario,
@@ -243,8 +258,11 @@ def run_verify(scenario, points=None, dirs=None, seed=None):
     rows = {name: [] for name in names}
     chart = chart_points(space, samples)
     with doc.timed("pairs"):
+        first = 0
         for pt in chart:
             inv, nav, ys, cs = pt.inv, pt.nav, pt.ys, pt.samples
+            doc.samples.append({"x": pt.x.tolist(), "ys": ys.tolist(),
+                                "beta": inv.beta.tolist()})
             pairs = {
                 "spray": (lambda: kropina_spray_closed(inv), cs.spray),
                 "nav-spray": (lambda: nav_spray(nav, ys), cs.spray),
@@ -257,7 +275,8 @@ def run_verify(scenario, points=None, dirs=None, seed=None):
                                    hess_form(pt.fld, ys, cs.spray)),
             }
             for name in names:
-                rows[name] += _pair_rows(pt, *pairs[name])
+                rows[name] += _pair_rows(first, *pairs[name])
+            first += len(ys)
 
     verdicts = []
     for name in names:
@@ -273,7 +292,7 @@ def run_verify(scenario, points=None, dirs=None, seed=None):
     with doc.timed("bh-density"):
         closed = np.array([sigma_bh(space, pt.x) for pt in chart])
         quadrature = np.array([bh_density(pt.stage) for pt in chart])
-        rows = _rows(x=[pt.x for pt in chart], closed=closed,
+        rows = _rows(point=range(len(chart)), closed=closed,
                      quadrature=quadrature,
                      rel_dev=_rel_devs(closed, quadrature))
     table = _table("bh-density", tol, rows, "rel_dev")
@@ -307,8 +326,9 @@ def run_convert(scenario, to, gauge=None, seed=None):
     The emitted document is validated by loading it back, and
     the report carries numeric evidence: F evaluated through source and
     converted expressions at the scenario's own sample plan, all
-    directions of a chart point in one call of each space's stage.
-    Without a gauge text the space's own gauge is used.
+    directions of a chart point in one call of each space's stage, one
+    row per sample of the report's samples list, named by its index as
+    in run_verify.  Without a gauge text the space's own gauge is used.
     """
     scenario = load_scenario(scenario)
     if to not in ("nav", "ab"):
@@ -324,7 +344,8 @@ def run_convert(scenario, to, gauge=None, seed=None):
             raise GaugeError(f"gauge does not parse: {e}") from None
     _check_gauge_positive(gauge_ast, scenario)
 
-    doc = ReportDocument(kind="convert", scenario=scenario.as_dict())
+    doc = ReportDocument(kind="convert", scenario=scenario.as_dict(),
+                         samples=[])
     emitted = scenario.as_dict()
     emitted["name"] = f"{scenario.name}_{to}"
     emitted["representation"] = to
@@ -372,7 +393,9 @@ def run_convert(scenario, to, gauge=None, seed=None):
             ys = np.array(ys)
             f_src = finsler_stage(space, x).f(ys)
             f_dst = finsler_stage(conv_space, x).f(ys)
-            rows += _rows(x=np.broadcast_to(x, ys.shape), y=ys,
+            doc.samples.append({"x": np.asarray(x).tolist(),
+                                "ys": ys.tolist()})
+            rows += _rows(sample=range(len(rows), len(rows) + len(ys)),
                           f_source=f_src, f_converted=f_dst,
                           rel_dev=_rel_devs(f_src, f_dst))
     table = _table("f-agreement", tol, rows, "rel_dev")

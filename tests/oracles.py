@@ -1722,12 +1722,12 @@ def listed(v):
     return np.atleast_1d(np.asarray(v, dtype=float)).tolist()
 
 
-def pair_rows_per_row(pt, closed, generic):
-    """workbench._pair_rows one direction at a time: a row per direction
-    of pt (with x and ys), its closed and generic values and rel_dev, or
-    the point's rows marked skipped where closed() raises
-    HypothesisNotMetError."""
-    rows = [{"x": listed(pt.x), "y": listed(y)} for y in pt.ys]
+def pair_rows_per_row(first, closed, generic):
+    """workbench._pair_rows one direction at a time: a row per direction,
+    holding its sample index (first, first + 1, ...), its closed and
+    generic values and rel_dev, or the point's rows marked skipped where
+    closed() raises HypothesisNotMetError."""
+    rows = [{"sample": first + k} for k in range(len(generic))]
     try:
         values = closed()
     except HypothesisNotMetError as e:

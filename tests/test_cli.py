@@ -173,7 +173,7 @@ def test_check_json_out_deterministic(tmp_path, capsys):
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
     doc = json.loads(a.read_text())
-    assert doc["schema"] == "report/1"
+    assert doc["schema"] == "report/2"
     assert doc["verdict"] == "PASS"
     assert "timings_ms" not in doc
 

@@ -27,6 +27,7 @@ ALLOWED = {
 # methods whose name something else in src/ also has, each with the
 # caller that really uses the method
 SHARED_NAMES = {
+    "einstein.ChartPoint.samples": "einstein._check, workbench.run_verify",
     "jets.JetSpace.seed": "einstein.ChartPoint._trees, "
                           "riemann.MetricPoint.from_exprs",
     "jets.Jet.value": "jets.Jet's series (log, exp, sqrt, sin, cos), "

@@ -4,10 +4,9 @@ ReportDocument.to_json writes a report in one walk; tests/oracles.py
 writes it as json.dumps does over _strict's tree, and the two must give
 the same bytes.  workbench._pair_rows builds a chart point's verify rows
 from whole blocks; oracles.pair_rows_per_row builds them one direction
-at a time, and the two must give the same rows, bit for bit.
+at a time, and the two must give the same rows, bit for bit, each
+naming its (x, y) by the same sample index.
 """
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -84,9 +83,9 @@ def _block(rng, shape):
     return values
 
 
-def _point(rng, d, n=3):
-    return SimpleNamespace(x=rng.uniform(-2, 2, size=n),
-                           ys=rng.uniform(-1, 1, size=(d, n)))
+def _first(rng):
+    """A chart point's first sample index, as a Python int."""
+    return int(rng.integers(0, 1000))
 
 
 @pytest.mark.parametrize("d", [1, 10])
@@ -94,44 +93,53 @@ def _point(rng, d, n=3):
 def test_pair_rows_equal_the_per_row_route(d, vector):
     rng = np.random.default_rng(2022)
     for _ in range(40):
-        pt = _point(rng, d)
-        shape = pt.ys.shape if vector else (d,)
+        first = _first(rng)
+        shape = (d, 3) if vector else (d,)
         closed, generic = _block(rng, shape), _block(rng, shape)
-        got = _pair_rows(pt, lambda: closed, generic)
+        got = _pair_rows(first, lambda: closed, generic)
         with np.errstate(all="ignore"):
-            want = pair_rows_per_row(pt, lambda: closed, generic)
+            want = pair_rows_per_row(first, lambda: closed, generic)
         # repr tells NaN, -0.0, int from float and list from tuple apart
         assert repr(got) == repr(want)
         table = _table("t", 1e-7, got, "rel_dev")
-        bad = [k for k, row in enumerate(want)
-               if not np.isfinite(row["rel_dev"])]
+        devs = [row["rel_dev"] for row in want]
+        bad = [k for k, dev in enumerate(devs) if not np.isfinite(dev)]
         assert table.get("non_finite_rows", []) == bad
+        # the worst row: the first non-finite one, else the first largest
+        worst_at = bad[0] if bad else devs.index(max(devs))
+        assert table["worst_at"] == worst_at
+        assert repr(table["max_rel_dev"]) == repr(devs[worst_at])
+        assert repr(table["margin"]) == repr(devs[worst_at] / 1e-7)
         if bad:
-            assert repr(table["max_rel_dev"]) == repr(want[bad[0]]["rel_dev"])
             assert table["passed"] is False
 
 
 def test_pair_rows_at_a_one_row_special_block():
-    pt = _point(np.random.default_rng(7), 1)
+    first = _first(np.random.default_rng(7))
     for a in SPECIALS:
         for b in SPECIALS + (1.5,):
             closed, generic = np.array([a]), np.array([b])
-            got = _pair_rows(pt, lambda: closed, generic)
+            got = _pair_rows(first, lambda: closed, generic)
             with np.errstate(all="ignore"):
-                want = pair_rows_per_row(pt, lambda: closed, generic)
+                want = pair_rows_per_row(first, lambda: closed, generic)
             assert repr(got) == repr(want)
 
 
 def test_pair_rows_skipped_where_the_hypothesis_fails():
-    pt = _point(np.random.default_rng(3), 4)
+    first = _first(np.random.default_rng(3))
 
     def closed():
         raise HypothesisNotMetError("W is not of unit length at x")
 
-    got = _pair_rows(pt, closed, np.zeros(4))
-    assert repr(got) == repr(pair_rows_per_row(pt, closed, np.zeros(4)))
-    assert [sorted(row) for row in got] == [["reason", "skipped", "x", "y"]] * 4
+    got = _pair_rows(first, closed, np.zeros(4))
+    assert repr(got) == repr(pair_rows_per_row(first, closed, np.zeros(4)))
+    assert [sorted(row) for row in got] == [
+        ["reason", "sample", "skipped"]] * 4
+    assert [row["sample"] for row in got] == list(range(first, first + 4))
     table = _table("t", 1e-7, got, "rel_dev")
     assert table["passed"] is None and table["samples"] == 0
     assert table["skipped"] == 4 and "non_finite_rows" not in table
     assert table["reason"] == "no row compared: all 4 rows were skipped"
+    # nothing was measured, so no deviation, row or margin is reported
+    assert table["max_rel_dev"] is None
+    assert table["worst_at"] is None and table["margin"] is None

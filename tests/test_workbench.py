@@ -13,6 +13,7 @@ from kropina.forms import GaugeError, finsler_stage
 from kropina.jets import Jet
 from kropina.reports import ReportDocument, tool_version
 from kropina.scenarios import (
+    COMPARISON_CUTOFF,
     ScenarioError,
     builtin_names,
     load_scenario,
@@ -40,7 +41,7 @@ CONFORMAL = {
 
 def report_validator():
     text = resources.files("kropina").joinpath(
-        "schemas/report-1.schema.json"
+        "schemas/report-2.schema.json"
     ).read_text()
     return Draft202012Validator(json.loads(text))
 
@@ -235,10 +236,10 @@ def test_verify_bh_density_rows_hold_closed_quadrature_and_rel_dev():
     table = next(t for t in doc.tables if t["name"] == "bh-density")
     assert table["tol"] == VERIFY_TOLS["bh-density"] < 1e-3
     assert table["passed"] is True and table["samples"] == 3
-    for row, (x, _) in zip(table["rows"],
-                           scenario_samples(sc, points=3, directions=2)):
-        assert list(row) == ["x", "closed", "quadrature", "rel_dev"]
-        assert row["x"] == list(x)
+    for k, (row, (x, _)) in enumerate(
+            zip(table["rows"], scenario_samples(sc, points=3, directions=2))):
+        assert list(row) == ["point", "closed", "quadrature", "rel_dev"]
+        assert row["point"] == k and doc.samples[k]["x"] == list(x)
         assert row["rel_dev"] == pytest.approx(
             abs(row["closed"] - row["quadrature"])
             / max(1.0, row["closed"], row["quadrature"]), rel=1e-12)
@@ -255,6 +256,10 @@ def test_sigma_bh_off_by_a_thousandth_fails_verify(monkeypatch, doc):
     report = run_verify(doc, points=1, dirs=2)
     table = next(t for t in report.tables if t["name"] == "bh-density")
     assert table["passed"] is False
+    # the report names the failing row and how far it missed
+    worst = table["rows"][table["worst_at"]]
+    assert worst["rel_dev"] == table["max_rel_dev"] > table["tol"]
+    assert table["margin"] == table["max_rel_dev"] / table["tol"] > 1
     assert report.verdict == "FAIL" and report.exit_code == 2
 
 
@@ -302,8 +307,13 @@ def test_verify_skips_nav_ricci_off_hypothesis():
     assert by_name["nav-ricci"]["passed"] is None
     assert by_name["nav-ricci"]["reason"] == (
         "no row compared: all 10 rows were skipped")
+    # nor is it a measured deviation of 0.0
+    assert by_name["nav-ricci"]["max_rel_dev"] is None
+    assert by_name["nav-ricci"]["worst_at"] is None
+    assert by_name["nav-ricci"]["margin"] is None
     line = next(ln for ln in doc.summary().splitlines() if "nav-ricci" in ln)
     assert "pass" not in line and "FAIL" not in line
+    assert "skipped" in line and "None" not in line
     rows = by_name["nav-ricci"]["rows"]
     assert all(r.get("skipped") for r in rows)
     assert doc.verdict == "PASS"
@@ -313,9 +323,12 @@ def test_verify_rows_carry_samples_and_values():
     doc = run_verify("s3_hopf", points=1, dirs=3)
     spray = next(t for t in doc.tables if t["name"] == "spray")
     row = spray["rows"][0]
-    assert len(row["x"]) == 3 and len(row["y"]) == 3
+    assert "x" not in row and "y" not in row
+    x, y = doc.samples[0]["x"], doc.samples[0]["ys"][row["sample"]]
+    assert len(x) == 3 and len(y) == 3
     assert len(row["closed"]) == 3
     assert row["rel_dev"] <= spray["max_rel_dev"]
+    assert spray["rows"][spray["worst_at"]]["rel_dev"] == spray["max_rel_dev"]
 
 
 def test_verify_report_deterministic_and_schema_valid():
@@ -324,6 +337,60 @@ def test_verify_report_deterministic_and_schema_valid():
     b = run_verify("torus_wind", points=1, dirs=4, seed=2)
     validator.validate(json.loads(a.to_json()))
     assert a.to_json(timings=False) == b.to_json(timings=False)
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_reports_of_every_builtin_are_schema_valid(name):
+    """check, verify and convert reports of every builtin hold report/2:
+    check reports list no samples; a verify or convert report lists
+    each sampled chart point once, with its directions (verify: and
+    their beta), and its rows name them by in-range indices."""
+    validator = report_validator()
+    sc = load_scenario(name)
+    check = run_check(sc)
+    validator.validate(json.loads(check.to_json()))
+    assert check.samples is None
+    verify_plan = scenario_samples(sc, points=2, directions=3,
+                                   cutoff=COMPARISON_CUTOFF)
+    for doc, plan in ((run_verify(sc, points=2, dirs=3), verify_plan),
+                      (run_convert(sc, "nav"), scenario_samples(sc)),
+                      (run_convert(sc, "ab"), scenario_samples(sc))):
+        validator.validate(json.loads(doc.to_json()))
+        assert [(s["x"], s["ys"]) for s in doc.samples] == [
+            (list(x), [list(y) for y in ys]) for x, ys in plan]
+        for s in doc.samples:
+            if doc.kind == "verify":
+                assert len(s["beta"]) == len(s["ys"])
+                assert all(b > 0 for b in s["beta"])
+            else:
+                assert "beta" not in s
+        count = sum(len(s["ys"]) for s in doc.samples)
+        for table in doc.tables:
+            if table["name"] == "bh-density":
+                index, size = "point", len(doc.samples)
+            else:
+                index, size = "sample", count
+            assert [row[index] for row in table["rows"]] == list(range(size))
+
+
+def test_report_schema_refuses_repeated_or_missing_samples():
+    """report/2 holds each sample in samples alone: a row carrying its
+    own x, a verify report without samples and a check report with them
+    are refused, as is a judged table without worst_at."""
+    validator = report_validator()
+    doc = json.loads(run_verify("s3_hopf", points=1, dirs=2).to_json())
+    assert validator.is_valid(doc)
+    bad = json.loads(json.dumps(doc))
+    bad["tables"][0]["rows"][0]["x"] = doc["samples"][0]["x"]
+    assert not validator.is_valid(bad)
+    assert not validator.is_valid({k: v for k, v in doc.items()
+                                   if k != "samples"})
+    bad = json.loads(json.dumps(doc))
+    del bad["tables"][0]["worst_at"]
+    assert not validator.is_valid(bad)
+    check = json.loads(run_check("euclid_parallel").to_json())
+    assert validator.is_valid(check)
+    assert not validator.is_valid(dict(check, samples=doc["samples"]))
 
 
 def test_verify_tolerance_override_fails_run():
