@@ -263,19 +263,22 @@ def run_verify(scenario, points=None, dirs=None, seed=None):
             inv, nav, ys, cs = pt.inv, pt.nav, pt.ys, pt.samples
             doc.samples.append({"x": pt.x.tolist(), "ys": ys.tolist(),
                                 "beta": inv.beta.tolist()})
+            # both sides are thunks, so a pair no table holds costs nothing
             pairs = {
-                "spray": (lambda: kropina_spray_closed(inv), cs.spray),
-                "nav-spray": (lambda: nav_spray(nav, ys), cs.spray),
-                "ricci": (lambda: kropina_ricci_closed(inv), cs.ricci),
-                "s-curvature": (lambda: s_bh_closed(inv), cs.s_bh),
-                "s-dot": (lambda: n1 * s_dot_closed(inv), cs.sdot),
-                "s-weighted": (lambda: s_closed(inv), cs.s),
-                "nav-ricci": (lambda: nav_ricci_isotropic(nav, ys), cs.ricci),
+                "spray": (lambda: kropina_spray_closed(inv), lambda: cs.spray),
+                "nav-spray": (lambda: nav_spray(nav, ys), lambda: cs.spray),
+                "ricci": (lambda: kropina_ricci_closed(inv), lambda: cs.ricci),
+                "s-curvature": (lambda: s_bh_closed(inv), lambda: cs.s_bh),
+                "s-dot": (lambda: n1 * s_dot_closed(inv), lambda: cs.sdot),
+                "s-weighted": (lambda: s_closed(inv), lambda: cs.s),
+                "nav-ricci": (lambda: nav_ricci_isotropic(nav, ys),
+                              lambda: cs.ricci),
                 "weight-hessian": (lambda: hess_f_closed(inv),
-                                   hess_form(pt.fld, ys, cs.spray)),
+                                   lambda: hess_form(pt.fld, ys, cs.spray)),
             }
             for name in names:
-                rows[name] += _pair_rows(first, *pairs[name])
+                closed, generic = pairs[name]
+                rows[name] += _pair_rows(first, closed, generic())
             first += len(ys)
 
     verdicts = []

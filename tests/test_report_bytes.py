@@ -1,12 +1,13 @@
 """tools/report_bytes.py's comparison (what moved between two report
-sets) and its expansion of a report/2 document into report/1."""
+sets), run on the whole report/2 text it records."""
+import copy
+import csv
 import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
-from kropina.reports import ReportDocument
 from kropina.scenarios import builtin_names
 from kropina.workbench import run_convert, run_verify
 
@@ -74,67 +75,97 @@ def test_compare_names_texts_that_differ_with_equal_values():
     ]
 
 
-# -- report/2 expanded into report/1 -----------------------------------------
+# -- the whole report/2 text -------------------------------------------------
 
 
-def _report2(doc):
-    return json.loads(doc.to_json(timings=False))
+def _table(doc, name):
+    return next(k for k, t in enumerate(doc.tables) if t["name"] == name)
 
 
 def test_a_wrong_sample_index_shows_as_moved_x_and_y_leaves():
-    """A row whose sample index names another direction of its point
-    moves that row's y leaves, and one whose point index names another
-    point moves that row's x leaves; nothing else moves."""
-    data = _report2(run_verify("s3_hopf", points=2, dirs=3))
-    reference = {"verify": json.dumps(report_bytes.as_report1(data))}
-    spray = next(k for k, t in enumerate(data["tables"])
-                 if t["name"] == "spray")
-    bh = next(k for k, t in enumerate(data["tables"])
-              if t["name"] == "bh-density")
-    wrong = json.loads(json.dumps(data))
-    wrong["tables"][spray]["rows"][0]["sample"] = 1
-    wrong["tables"][bh]["rows"][1]["point"] = 0
-    current = {"verify": json.dumps(report_bytes.as_report1(wrong))}
+    """A row whose sample index names another direction of its point,
+    or whose point index names another point, moves that index leaf;
+    nothing else moves."""
+    doc = run_verify("s3_hopf", points=2, dirs=3)
+    spray, bh = _table(doc, "spray"), _table(doc, "bh-density")
+    wrong = copy.deepcopy(doc)
+    wrong.tables[spray]["rows"][0]["sample"] = 1
+    wrong.tables[bh]["rows"][1]["point"] = 0
+    reference = {"verify": report_bytes._canonical(doc)}
+    current = {"verify": report_bytes._canonical(wrong)}
 
-    moved = list(report_bytes.moved_leaves(
-        json.loads(reference["verify"]), json.loads(current["verify"])))
-    assert moved
-    assert {where.rsplit("/", 1)[0] for where, *_ in moved} == {
-        f"/tables/{spray}/rows/0/y", f"/tables/{bh}/rows/1/x"}
+    moved = report_bytes.moved_leaves(json.loads(reference["verify"]),
+                                      json.loads(current["verify"]))
+    assert [where for where, *_ in moved] == [
+        f"/tables/{spray}/rows/0/sample", f"/tables/{bh}/rows/1/point"]
     lines, same = report_bytes.compare(current, reference)
     assert not same
-    assert lines[0].startswith(
-        f"verify: differs at /tables/{spray}/rows/0/y/")
+    assert lines[0] == (f"verify: differs at /tables/{spray}/rows/0/sample; "
+                        f"2 leaves moved")
 
 
-def test_as_report1_restores_the_report1_tree():
-    """Rows get their x and y back in place of the index, the samples
-    list, worst_at and margin go, an all-skipped table reads 0.0 again
-    and the schema id is report/1; a report/1 tree is left as it is."""
-    data = report_bytes.as_report1(_report2(run_verify(
-        "torus_wind", points=2, dirs=2)))
-    assert data["schema"] == "report/1" and "samples" not in data
-    for table in data["tables"]:
-        assert "worst_at" not in table and "margin" not in table
-        for row in table["rows"]:
-            assert "sample" not in row and "point" not in row
-            assert ("y" in row) == (table["name"] != "bh-density")
-            assert len(row["x"]) == 3
-    nav_ricci = next(t for t in data["tables"] if t["name"] == "nav-ricci")
-    assert nav_ricci["passed"] is None and nav_ricci["max_rel_dev"] == 0.0
-    assert report_bytes.as_report1(data) is data
+def _double_beta(doc):
+    doc.samples[1]["beta"][0] *= 2
+    return "/samples/1/beta/0"
+
+
+def _shift_worst_at(doc):
+    k = _table(doc, "spray")
+    doc.tables[k]["worst_at"] += 1
+    return f"/tables/{k}/worst_at"
+
+
+def _double_margin(doc):
+    k = _table(doc, "ricci")
+    doc.tables[k]["margin"] *= 2
+    return f"/tables/{k}/margin"
+
+
+def _measure_a_skipped_table(doc):
+    k = _table(doc, "nav-ricci")
+    assert doc.tables[k]["max_rel_dev"] is None
+    doc.tables[k]["max_rel_dev"] = 0.0
+    return f"/tables/{k}/max_rel_dev"
+
+
+@pytest.mark.parametrize("mutate", [_double_beta, _shift_worst_at,
+                                    _double_margin, _measure_a_skipped_table])
+def test_the_gate_sees_every_report2_field(mutate):
+    """A verify report of torus_wind (whose nav-ricci rows are all
+    skipped) differs from itself with one beta, worst_at, margin or
+    skipped table's null changed, at that field's pointer."""
+    doc = run_verify("torus_wind", points=2, dirs=2)
+    moved = copy.deepcopy(doc)
+    where = mutate(moved)
+    lines, same = report_bytes.compare(
+        {"verify": report_bytes._canonical(moved)},
+        {"verify": report_bytes._canonical(doc)})
+    assert not same
+    assert lines[0].startswith(f"verify: differs at {where}; 1 leaves moved")
+
+
+def _csv_cell(value):
+    return " ".join(repr(float(v)) for v in value)
 
 
 @pytest.mark.parametrize("name", builtin_names())
 def test_csv_keeps_the_report1_columns(name):
-    """--csv-out of every builtin's verify and convert report: each
-    row's sample (or point) index resolves back to its x and y columns,
-    so the CSV is the one of the report expanded to report/1."""
+    """--csv-out of every builtin's verify and convert report: the row
+    of sample k gets the x of point k // D and direction k % D of that
+    point as its y (D directions per point), a point row that point's x
+    alone."""
     for doc in (run_verify(name), run_convert(name, "nav"),
                 run_convert(name, "ab")):
-        # the document's own tree, whose rows keep their key order
-        old = report_bytes.as_report1(doc._tree(timings=False))
-        expanded = ReportDocument(kind=doc.kind, scenario=doc.scenario,
-                                  tables=old["tables"])
-        assert doc.to_csv() == expanded.to_csv()
-        assert doc.to_csv().splitlines()[0].startswith("table,x,")
+        text = doc.to_csv()
+        assert text.startswith("table,x,")
+        d = len(doc.samples[0]["ys"])
+        rows = [row for table in doc.tables for row in table["rows"]]
+        lines = list(csv.DictReader(text.splitlines()))
+        assert len(lines) == len(rows)
+        for row, line in zip(rows, lines):
+            if "sample" in row:
+                point = doc.samples[row["sample"] // d]
+                y = _csv_cell(point["ys"][row["sample"] % d])
+            else:
+                point, y = doc.samples[row["point"]], ""
+            assert (line["x"], line["y"]) == (_csv_cell(point["x"]), y)

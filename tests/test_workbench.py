@@ -698,6 +698,25 @@ def test_verify_builds_once_per_point(monkeypatch):
     assert all(has_bh for *_, has_bh in passes)
 
 
+def test_verify_runs_hess_form_only_for_a_weight_hessian_table(monkeypatch):
+    """The generic side of the weight-hessian pair is computed once per
+    chart point on a weighted scenario and never on an unweighted one,
+    which writes no weight-hessian table."""
+    calls = []
+    real = workbench.hess_form
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(workbench, "hess_form", counted)
+    run_verify("s3_hopf")
+    assert calls == []
+    sc = load_scenario("euclid_gaussian")
+    doc = run_verify(sc)
+    assert len(calls) == sc.points == len(doc.samples)
+
+
 def test_check_builds_once_per_point_per_run(monkeypatch):
     """Checkers 41 and 44 share each chart point's drift bundle, its
     (theta, sigma) fit and one generic curvature pass over its

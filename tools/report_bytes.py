@@ -11,27 +11,26 @@ dimension the scenario schema accepts (2..6) is covered, and verify on
 s5_hopf at 4 x 10 on each of S5_SEEDS, where a chart point batches ten
 directions in five dimensions, and convert each scenario of GAUGES to ab
 in the gauge given there and that document back to nav: 60 reports.
-Every report is recorded as the text ``to_json(timings=False)`` writes,
-with ``tool.version`` dropped, so two checkouts that behave the same
-write the same bytes.  A report/2 document is first expanded into the
-report/1 tree it stands for (as_report1), so a checkout that writes
-report/1 and one that writes report/2 compare value for value.  The
-text comes from the package's report encoder (reports._json); a source
-tree older than that encoder wrote its reports with
-json.dumps(sort_keys=True, indent=2), which is used there.
+Every report is recorded as the whole report/2 text
+``to_json(timings=False)`` writes, re-encoded by the package's report
+encoder (reports._json) with ``tool.version`` dropped, so two checkouts
+that behave the same write the same bytes.  Every other field is
+compared: the samples with their x, ys and beta, each table's worst_at
+and margin, and an all-skipped table's nulls.
 
     python3 tools/report_bytes.py [--src DIR] > OUT.json
     python3 tools/report_bytes.py [--src DIR] --against OUT.json
 
 --src names the source tree to import kropina from (default: this
 checkout's src/), so an older checkout without this script can be
-measured too.  The JSON, {label: report text}, goes to stdout.  With
---against FILE the reports are compared with FILE's instead: one line
-per label, "identical", or "differs at" the first differing JSON
-pointer of the parsed reports with the number of moved leaves and the
-largest relative move among moved floats, then one indented line per
-moved leaf that is not a float, or "text differs at line" the first
-differing line where the parsed reports agree but their bytes do not.
+measured too, as long as it writes report/2 through reports._json.  The
+JSON, {label: report text}, goes to stdout.  With --against FILE the
+reports are compared with FILE's instead: one line per label,
+"identical", or "differs at" the first differing JSON pointer of the
+parsed reports with the number of moved leaves and the largest relative
+move among moved floats, then one indented line per moved leaf that is
+not a float, or "text differs at line" the first differing line where
+the parsed reports agree but their bytes do not.
 The exit status is 1 when any label differs or is missing on either
 side.  The byte gate between two checkouts is then:
 
@@ -62,48 +61,12 @@ S5_SEEDS = range(1, 9)
 GAUGES = (("s3_hopf", "1 + 0.1*x1"),)
 
 
-def as_report1(data):
-    """A parsed report/2 document as the report/1 tree it stands for:
-    each row's sample index goes back into the row, in its place, as the
-    x and y of that sample, and a point index as the x of that point;
-    the samples list and each table's worst_at and margin are dropped,
-    an all-skipped table's null max_rel_dev reads 0.0 again, and the
-    schema id is report/1.  Any other document is returned as it is."""
-    if data.get("schema") != "report/2":
-        return data
-    data = dict(data, schema="report/1")
-    points = data.pop("samples", [])
-    pairs = [(p["x"], y) for p in points for y in p["ys"]]
-    tables = []
-    for table in data.get("tables", []):
-        table = {k: v for k, v in table.items()
-                 if k not in ("worst_at", "margin")}
-        if "max_rel_dev" in table and table["max_rel_dev"] is None:
-            table["max_rel_dev"] = 0.0
-        rows = []
-        for row in table["rows"]:
-            expanded = {}
-            for key, value in row.items():
-                if key == "sample":
-                    expanded["x"], expanded["y"] = pairs[value]
-                elif key == "point":
-                    expanded["x"] = points[value]["x"]
-                else:
-                    expanded[key] = value
-            rows.append(expanded)
-        tables.append(dict(table, rows=rows))
-    data["tables"] = tables
-    return data
-
-
 def _canonical(doc):
-    from kropina import reports as report_module
+    from kropina.reports import _json
 
-    data = as_report1(json.loads(doc.to_json(timings=False)))
+    data = json.loads(doc.to_json(timings=False))
     data["tool"] = {k: v for k, v in data["tool"].items() if k != "version"}
-    if hasattr(report_module, "_json"):
-        return report_module._json(data) + "\n"
-    return json.dumps(data, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return _json(data) + "\n"
 
 
 def reports():
