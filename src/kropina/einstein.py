@@ -18,11 +18,14 @@ thm61_check covers kappa = nu = 0.  Every "there exists a scalar /
 1-form" clause in those characterizations is resolved by a least-squares
 fit, and the einstein-residual-fitted condition judges the fitted pair
 through the generic pipeline; verdicts derive from residuals and the
-configured tolerance only.
+configured tolerance only.  The checkers read each sampled x through a
+ChartPoint, and the chart points of one run share one pass of the
+generic pipeline, whose errors stay per point.
 """
 
 import itertools
 import math
+import weakref
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -393,11 +396,12 @@ def _scaled_residual(value, *scales):
 #
 # A run samples its space at chart points; each ChartPoint builds the
 # pointwise bundles read there once, so the checkers of one run, and
-# verify, share them.  One driver, _check, runs the loop the four regime
-# theorems share: the dimension and regime gates, the closed-form and
-# fitted (theta, sigma) pairs of each chart point, and the end-to-end
-# Einstein residuals through the point's generic samples.  Each checker
-# adds only its theorem's own conditions.
+# verify, share them, and the points of a run share one generic pass.
+# One function, _check, runs the loop the four regime theorems share: the
+# dimension and regime gates, the closed-form and fitted (theta, sigma)
+# pairs of each chart point, and the end-to-end Einstein residuals
+# through the point's generic samples.  Each checker adds only its
+# theorem's own conditions.
 
 
 class ChartPoint:
@@ -405,13 +409,21 @@ class ChartPoint:
     with every pointwise bundle a run reads there, each built on first
     use: the drift bundle fld, the navigation point nav, the log
     densities, the space's Finsler stage at x (stage), the drift
-    invariants inv and the generic curvature samples of all directions
-    (one batched pass each), and one least-squares (theta, sigma) fit
+    invariants inv (one batched pass over ys), the generic curvature
+    samples of all directions, and one least-squares (theta, sigma) fit
     per weight configuration.
 
     The bundles, the densities and the weight's partials all read one
     riemann.evaluate of the space's trees over the n chart variables to
     order 2, each tree's partials taken from its own array.
+
+    The points of one run (chart_points) share one generic pass: the
+    first read of any point's samples fills every point of the run from
+    one curvature_samples call.  A point built alone is a run of one.
+    Errors stay per point: a point whose stage, densities or pass fails
+    raises that error on each read of its samples and caches none,
+    while the other points of its run keep theirs.  A point holds its
+    run weakly, so that the points of a run form no reference cycle.
     """
 
     def __init__(self, space: KropinaSpace, x, ys):
@@ -421,6 +433,7 @@ class ChartPoint:
         self.ys = np.array(ys, dtype=float).reshape(-1, self.n)
         self._jet_space = jet_space(self.n, 2)
         self._fits = {}
+        self._run = ()   # weak references to the points of its run
 
     @cached_property
     def _trees(self):
@@ -475,8 +488,32 @@ class ChartPoint:
 
     @cached_property
     def samples(self):
-        """The generic curvature samples of all directions ys."""
-        return curvature_samples(self.stage, self.ys, *self.log_densities)
+        """The generic curvature samples of all directions ys.  The first
+        read fills every point of the run that has none yet, from one
+        curvature_samples call; a point whose stage, densities or pass
+        fails caches nothing and leaves the run, so each later read of
+        it raises that error again from a pass of its own."""
+        run = [self] + [pt for pt in (ref() for ref in self._run)
+                        if pt is not None and pt is not self
+                        and "samples" not in vars(pt)]
+        points, entries, failure = [], [], None
+        for pt in run:
+            pt._run = ()
+            try:
+                entries.append((pt.stage, pt.ys, *pt.log_densities))
+            except Exception as e:   # any error: it is this point's alone
+                if pt is self:
+                    failure = e
+                continue
+            points.append(pt)
+        for pt, cs in zip(points, curvature_samples(entries)):
+            if not isinstance(cs, Exception):
+                vars(pt)["samples"] = cs
+            elif pt is self:
+                failure = cs
+        if failure is not None:
+            raise failure
+        return vars(self)["samples"]
 
     def fitted(self, cfg: WeightConfig) -> EinsteinAnsatz:
         """The (theta, sigma) fit of cfg over ys, fitted once per cfg."""
@@ -487,8 +524,13 @@ class ChartPoint:
 
 
 def chart_points(space: KropinaSpace, samples):
-    """One ChartPoint per (x, directions) pair of samples."""
-    return [ChartPoint(space, x, ys) for x, ys in samples]
+    """One ChartPoint per (x, directions) pair of samples, all of them
+    one run."""
+    points = [ChartPoint(space, x, ys) for x, ys in samples]
+    run = [weakref.ref(pt) for pt in points]
+    for pt in points:
+        pt._run = run
+    return points
 
 
 def _check(theorem, regime, conditions, points, cfg, tol):

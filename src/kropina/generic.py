@@ -13,15 +13,17 @@ Jet expressions.  Below them the pipeline works on stacked coefficient
 arrays: the metric jets and the spray's right-hand side are gathers of
 the F^2 jet, one graded_solve gives the spray and log det g, and the
 Riemann curvature and S are array expressions over those, with a
-leading axis for all the directions of a chart point at once (vector
-forward mode; Griewank and Walther, Evaluating Derivatives, ch. 13).
+leading axis for the directions of every chart point of a run at once
+(vector forward mode; Griewank and Walther, Evaluating Derivatives,
+ch. 13).
 
 A metric enters at one chart point x as an XStage: F, its domain and
 its order-4 jets at x, each a function of a (D, n) block of directions.
-curvature_samples reads all three; bh_density reads F and its domain
-alone: the unit-ball density Vol(B^n) / Vol{F < 1} by a product Gauss
-rule on the sphere, after a change of variables fitted to F's own
-boundary points.
+curvature_samples takes the stages and blocks of all the chart points
+of a run in one call and keeps errors per point; bh_density reads F and
+its domain alone: the unit-ball density Vol(B^n) / Vol{F < 1} by a
+product Gauss rule on the sphere, after a change of variables fitted to
+F's own boundary points.
 """
 import math
 from dataclasses import dataclass
@@ -48,7 +50,7 @@ class XStage(NamedTuple):
 
     The pipeline takes a coordinate volume density, as in dV = sigma(x)
     dx, as ln sigma: an order-2 jet over the n chart variables at x (see
-    curvature_samples).
+    curvature_samples, which takes one stage per chart point of a run).
     """
 
     x: np.ndarray            # (n,)
@@ -172,69 +174,122 @@ def _embedding(nvars: int, order: int) -> np.ndarray:
                      for idx in jet_space(nvars, order).indices])
 
 
-def _minus(coef: np.ndarray, log_density: Jet) -> np.ndarray:
-    """coef (D, ncoef), arrays over the 2n variables (x, y), minus the
-    jet log_density over the n chart variables of the same order, at
-    the positions where it sits among them."""
-    sp = log_density.space
-    out = coef.copy()
-    out[:, _embedding(sp.nvars, sp.order)] -= log_density.coef
-    return out
+def _stack(blocks):
+    """The blocks concatenated along their first axis; one block is
+    returned as it is, so a run of one point copies nothing."""
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
-def curvature_samples(stage: XStage, ys, log_sigma: Jet,
-                      log_sigma_bh: Optional[Jet] = None) -> CurvatureSample:
-    """Full curvature bundles of the metric of stage at its x and each
-    direction of the block ys (D, n): the generic pipeline's one entry.
+class _Block(NamedTuple):
+    """One chart point's entry while its pass has not failed."""
 
-    log_sigma is ln sigma, the log of the volume density, as an order-2
-    jet over the n chart variables at x, and log_sigma_bh likewise the
-    log of the unit-ball density when that is another density.
+    index: int                  # the entry's place in the run
+    x: np.ndarray               # (n,)
+    ys: np.ndarray              # (D, n)
+    log_sigma: Jet
+    log_sigma_bh: Optional[Jet]
 
-    The stage's domain and jets run once each, on the whole block.  One
-    order-4 jet of F^2 per direction feeds everything.  One graded
-    solve of its metric jets (order 2) gives the spray and log det g,
-    which feeds the distortion; the spray gives G, N and the Riemann
-    curvature; the distortion and the same spray give S as a
+
+def curvature_samples(points) -> list:
+    """Full curvature bundles of a metric at the chart points of one run:
+    the generic pipeline's one entry.
+
+    points holds one (stage, ys, log_sigma, log_sigma_bh) per chart
+    point, all of one n: the metric's stage at its x, its (D, n) block
+    of directions, of any D, and the log of the volume density as an
+    order-2 jet over the n chart variables at x, and likewise of the
+    unit-ball density when that is another density, or None.  Every
+    entry of a run has a log_sigma_bh or none does, as the points of one
+    space share their densities' kinds.
+
+    Each stage's domain and jets run once, on its own block.  From the
+    order-4 jets of F^2 on, the rows of all the points go through one
+    stacked batch, but for the spray system, the invertibility check of
+    g and the graded solve, which run per point: the system's and the
+    solve's triple-table gathers set the heap peak, and stacking them
+    gains no time.  The solve gives the spray and log
+    det g, which feeds the distortion; the spray gives G, N and the
+    Riemann curvature; the distortion and the spray give S as a
     first-order jet, whose horizontal derivative is Sdot.  S, tau and
-    Sdot refer to sigma; s_bh is S from its own
-    tau_BH = ln sqrt(det g) - ln sigma_BH when log_sigma_bh is given,
-    and S itself when not.  Every stage runs once over all D
-    directions, each row with the bits of a sample of its direction
-    alone; a direction outside the conic domain or with a singular g
-    fails the whole block.
+    Sdot refer to sigma; s_bh is S from its own tau_BH = ln sqrt(det g)
+    - ln sigma_BH when log_sigma_bh is given, and S itself when not.
+
+    Returns one entry per point: its CurvatureSample, each row with the
+    bits of a sample of its direction alone, or the error its pass
+    raises alone.  A direction outside the conic domain or with a
+    singular g fails its point's block, and that point only.
     """
-    x = np.asarray(stage.x, dtype=float)
-    n = len(x)
-    ys = np.array(ys, dtype=float).reshape(-1, n)
-    if not np.all(stage.domain(ys)):
-        raise ConicDomainError(
-            f"(x, y) outside the conic domain of metric {stage.name!r}")
-    f = Jet(jet_space(2 * n, 4), stage.jets(ys))
-    gj, rhs = _spray_system((f * f).coef, ys, n)
-    g = gj[..., 0].copy()
-    _check_invertible(g)
-    try:
-        w, log_det = graded_solve(jet_space(2 * n, 2), gj, rhs)
-    except JetDomainError:
-        raise SingularMetricError(
-            "nonpositive fundamental determinant") from None
-    G = w * 0.25
+    out = [None] * len(points)
+    blocks, jets = [], []
+    for i, (stage, ys, log_sigma, log_sigma_bh) in enumerate(points):
+        try:
+            x = np.asarray(stage.x, dtype=float)
+            ys = np.array(ys, dtype=float).reshape(-1, len(x))
+            if not np.all(stage.domain(ys)):
+                raise ConicDomainError(
+                    f"(x, y) outside the conic domain of metric "
+                    f"{stage.name!r}")
+            jets.append(stage.jets(ys))
+        except Exception as e:   # any error: it is this point's alone
+            out[i] = e
+            continue
+        blocks.append(_Block(i, x, ys, log_sigma, log_sigma_bh))
+    if not blocks:
+        return out
+    n = len(blocks[0].x)
+    f = Jet(jet_space(2 * n, 4), _stack(jets))
+    del jets
+    f4 = (f * f).coef
+    del f
+    solved = []   # (block, g, spray jets 4 G, log det g)
+    for b, rows in zip(blocks, _row_slices(blocks)):
+        gj, rhs = _spray_system(f4[rows], b.ys, n)
+        g = gj[..., 0].copy()
+        try:
+            _check_invertible(g)
+            try:
+                w, log_det = graded_solve(jet_space(2 * n, 2), gj, rhs)
+            except JetDomainError:
+                raise SingularMetricError(
+                    "nonpositive fundamental determinant") from None
+        except SingularMetricError as e:
+            out[b.index] = e
+            continue
+        solved.append((b, g, w, log_det))
+    del f4
+    if not solved:
+        return out
+
+    blocks = [b for b, *_ in solved]
+    slices = _row_slices(blocks)
+    ys = _stack([b.ys for b in blocks])
+    G = _stack([w for _, _, w, _ in solved]) * 0.25
     Gv = G[..., 0].copy()
-    half_log_det = log_det * 0.5
-    tau = _minus(half_log_det, log_sigma)
+    half_log_det = _stack([log_det for *_, log_det in solved]) * 0.5
+    embedding = _embedding(n, 2)
+
+    def tau_rows(densities):
+        """The distortion's order-2 arrays (N, ncoef) against the given
+        log densities: each point's jet over the n chart variables
+        subtracted from ln sqrt(det g) on its rows, where its
+        coefficients sit among those over the 2n variables."""
+        tau = half_log_det.copy()
+        for rows, d in zip(slices, densities):
+            tau[rows, embedding] -= d.coef
+        return tau
+
+    tau = tau_rows([b.log_sigma for b in blocks])
     s_jet = _s_jet(tau, G, ys, n)
     grad = s_jet[:, 1:1 + 2 * n]
     s = s_jet[:, 0]
-    if log_sigma_bh is not None:
-        s_bh = _s_jet(_minus(half_log_det, log_sigma_bh), G, ys, n)[:, 0]
-    else:
+    if blocks[0].log_sigma_bh is None:
         s_bh = s
+    else:
+        tau_bh = tau_rows([b.log_sigma_bh for b in blocks])
+        s_bh = _s_jet(tau_bh, G, ys, n)[:, 0]
     R = _riemann_from_spray(G, ys, n)
-    return CurvatureSample(
-        x=x,
-        y=ys,
-        g=g,
+    fields = dict(
+        g=_stack([g for _, g, _, _ in solved]),
         spray=Gv,
         connection=G[..., 1 + n:1 + 2 * n].copy(),
         riemann=R,
@@ -242,8 +297,21 @@ def curvature_samples(stage: XStage, ys, log_sigma: Jet,
         tau=tau[:, 0],
         s=s,
         sdot=_dot(ys, grad[:, :n]) - 2.0 * _dot(Gv, grad[:, n:]),
-        s_bh=s_bh,
     )
+    for b, rows in zip(blocks, slices):
+        block = {name: v[rows] for name, v in fields.items()}
+        block["s_bh"] = block["s"] if s_bh is s else s_bh[rows]
+        out[b.index] = CurvatureSample(x=b.x, y=b.ys, **block)
+    return out
+
+
+def _row_slices(blocks):
+    """The rows of each block in the stack of their directions."""
+    slices, start = [], 0
+    for b in blocks:
+        slices.append(slice(start, start + len(b.ys)))
+        start += len(b.ys)
+    return slices
 
 
 def unit_ball_volume(n: int) -> float:

@@ -1,5 +1,6 @@
-"""One pass per chart point: the batched curvature samples, drift
-invariants and closed forms against the per-direction routes.
+"""One pass per chart point and one generic pass per run: the batched
+curvature samples, drift invariants and closed forms against the
+per-direction routes, and a run's samples against each point's alone.
 
 A ChartPoint runs every direction of its block through the generic and
 the closed routes at once.  Each row must carry the bits that the route
@@ -7,13 +8,26 @@ of its direction alone gives (oracles.staged_sample, DirectionInvariants,
 closed_per_direction), whatever the batch: one direction, two, ten, and
 one that holds a direction twice.  A direction that fails fails the
 whole block with the per-direction route's error, and caches nothing.
+
+The chart points of one run (einstein.chart_points) share one
+curvature_samples call over all of their blocks.  Each point must get
+the bits of its run of one, whatever the sizes of the other blocks, and
+a point whose pass fails must fail as it fails alone while the others
+keep their samples.
 """
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from kropina.einstein import WeightConfig, ric_ac, weight_preset
+from kropina.einstein import (
+    ChartPoint,
+    WeightConfig,
+    chart_points,
+    ric_ac,
+    thm41_check,
+    weight_preset,
+)
 from kropina.forms import (
     HypothesisNotMetError,
     hess_f_closed,
@@ -25,7 +39,7 @@ from kropina.forms import (
     s_closed,
     s_dot_closed,
 )
-from kropina.generic import ConicDomainError, curvature_samples
+from kropina.generic import ConicDomainError, CurvatureSample, curvature_samples
 from kropina.jets import Jet
 from kropina.riemann import SingularMetricError
 from kropina.scenarios import (
@@ -45,6 +59,7 @@ from oracles import (
     flat_wind,
     log_density,
     loop_metric,
+    point_samples,
     ric_ac_per_direction,
     sample_row,
     staged_sample,
@@ -187,6 +202,114 @@ def test_one_failing_direction_fails_the_block_as_it_fails_alone():
     alone = _error(lambda: staged_sample(F, x, flat, log_sigma))
     assert alone == (SingularMetricError,
                      "fundamental tensor is numerically singular")
-    assert _error(lambda: curvature_samples(
+    assert _error(lambda: point_samples(
         F.stage(x), [[1.0, 0.5], flat, [0.3, 0.9]], log_sigma)) == alone
-    curvature_samples(F.stage(x), [[1.0, 0.5], [0.3, 0.9]], log_sigma)
+    point_samples(F.stage(x), [[1.0, 0.5], [0.3, 0.9]], log_sigma)
+
+
+# -- one generic pass per run ---------------------------------------------------
+
+RUN_SOURCES = [*builtin_names(), *(random_scenario(3, n) for n in range(2, 7))]
+# ragged blocks: the directions of the run's three points
+RUN_BLOCKS = (1, 3, 10)
+
+
+def _run_plan(source, blocks=RUN_BLOCKS):
+    """(space, plan): sampled chart points of the source, one per entry
+    of blocks, each with that many of its directions."""
+    sc = load_scenario(source)
+    samples = scenario_samples(sc, points=len(blocks), directions=10,
+                               seed=3, cutoff=COMPARISON_CUTOFF)
+    return sc.space(), [(x, ys[:size])
+                        for (x, ys), size in zip(samples, blocks)]
+
+
+def _same_bits(got: CurvatureSample, want: CurvatureSample):
+    for f in fields(CurvatureSample):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert a.dtype == b.dtype and a.shape == b.shape, f.name
+        assert np.array_equal(a.view(np.int64), b.view(np.int64)), f.name
+
+
+@pytest.mark.parametrize("source", RUN_SOURCES, ids=_source_id)
+def test_a_run_gives_each_point_the_bits_of_its_run_of_one(source):
+    """The first read of a point's samples fills every point of its run,
+    and each point's samples have, in every field, the bits of the same
+    point built alone; s_bh is s itself where there is no unit-ball
+    density of its own."""
+    space, plan = _run_plan(source)
+    run = chart_points(space, plan)
+    run[1].samples
+    assert all("samples" in vars(pt) for pt in run)
+    for pt, (x, ys) in zip(run, plan):
+        got = pt.samples
+        _same_bits(got, ChartPoint(space, x, ys).samples)
+        assert len(got.y) == len(ys)
+        if pt.log_densities[1] is None:
+            assert got.s_bh is got.s
+        else:
+            assert got.s_bh is not got.s
+
+
+def test_a_failing_point_fails_alone_and_its_run_keeps_the_others():
+    """In a run of three s3_hopf points whose middle point has a
+    direction outside the cone, and in a run of three quartic_metric
+    blocks whose middle one has a singular g, the outer points keep the
+    bits of their runs of one, and the middle one raises its own error
+    on every read and caches nothing."""
+    space, plan = _run_plan("s3_hopf")
+    x, ys = plan[1]
+    plan[1] = (x, [ys[0], -ys[1], ys[2]])
+    run = chart_points(space, plan)
+    alone = [ChartPoint(space, x, ys) for x, ys in plan]
+    error = _error(lambda: alone[1].samples)
+    assert error[0] is ConicDomainError
+    for _ in range(2):
+        assert _error(lambda: run[1].samples) == error
+        assert "samples" not in vars(run[1])
+    # the failing point's read filled the others of its run
+    assert "samples" in vars(run[0]) and "samples" in vars(run[2])
+    for k in (0, 2):
+        _same_bits(run[k].samples, alone[k].samples)
+
+    F = quartic_metric()
+    x = [0.1, -0.2]
+    log_sigma = log_density(lambda p: 1.0, x)
+    blocks = [[[1.0, 0.5]], [[1.0, 0.5], [1.0, 0.0], [0.3, 0.9]],
+              [[0.3, 0.9], [-0.7, 0.2]]]
+    out = curvature_samples([(F.stage(x), ys, log_sigma, None)
+                             for ys in blocks])
+    assert isinstance(out[1], SingularMetricError)
+    assert _error(lambda: point_samples(F.stage(x), blocks[1], log_sigma)
+                  ) == (SingularMetricError, str(out[1]))
+    for k in (0, 2):
+        _same_bits(out[k], point_samples(F.stage(x), blocks[k], log_sigma))
+
+
+def test_a_checker_over_a_failing_run_raises_as_over_points_alone(
+        monkeypatch):
+    """thm41 over three s3_hopf points whose middle one has a direction
+    outside the cone raises the error it raises over three runs of one
+    (its fits need five directions a point), and run_check writes the
+    same report, ERROR entry and all, from a run as from runs of one."""
+    import kropina.workbench as workbench
+
+    space, plan = _run_plan("s3_hopf", (5, 7, 10))
+    x, ys = plan[1]
+    plan[1] = (x, [ys[0], -ys[1], *ys[2:]])
+    cfg = weight_preset("ricInf", space.dim)
+    error = _error(lambda: thm41_check(
+        [ChartPoint(space, x, ys) for x, ys in plan], cfg))
+    assert error[0] is ConicDomainError
+    assert _error(lambda: thm41_check(chart_points(space, plan), cfg)
+                  ) == error
+
+    monkeypatch.setattr(workbench, "scenario_samples",
+                        lambda *args, **kwargs: plan)
+    batched = workbench.run_check("s3_hopf").to_json(timings=False)
+    monkeypatch.setattr(workbench, "chart_points", lambda space, samples: [
+        ChartPoint(space, x, ys) for x, ys in samples])
+    doc = workbench.run_check("s3_hopf")
+    assert [c["verdict"] for c in doc.checks] == ["ERROR", "ERROR"]
+    assert doc.checks[0]["error"] == error[1]
+    assert batched == doc.to_json(timings=False)

@@ -52,3 +52,21 @@ def test_traced_verify_times_one_bh_density_call_per_chart_point():
         assert metrics["generic.bh_density.s"] > 0.0
     finally:
         tracer.uninstall()
+
+
+def test_traced_verify_makes_one_generic_pass_per_run():
+    """The chart points of a verify run share one curvature_samples
+    call: a traced verify at 3 x 2 reads one call, and writes the report
+    an untraced run writes."""
+    plain = run_verify("s3_hopf", points=3, dirs=2).to_json(timings=False)
+    tracer = _tracer_module().Tracer()
+    try:
+        tracer.install()
+        assert tracer.bypasses() == []
+        doc = run_verify("s3_hopf", points=3, dirs=2)
+        assert doc.verdict == "PASS"
+        assert tracer.metrics()["generic.curvature_samples.calls"] == 1
+        traced = doc.to_json(timings=False)
+    finally:
+        tracer.uninstall()
+    assert traced == plain

@@ -725,7 +725,15 @@ def test_checkers_reject_a_config_of_another_dimension(checker):
             checker(points, cfg)
 
 
-def test_chart_point_builds_each_bundle_once():
+def test_chart_point_builds_each_bundle_once(monkeypatch):
+    passes = []
+    real_samples = einstein_mod.curvature_samples
+
+    def samples(points):
+        passes.append([np.array(ys) for _, ys, *_ in points])
+        return real_samples(points)
+
+    monkeypatch.setattr(einstein_mod, "curvature_samples", samples)
     rng = np.random.default_rng(45)
     space = gauss_space()
     [(x, ys)] = checker_samples(space, rng, points=1, shift=(0.2, -0.1, 0.3))
@@ -747,6 +755,9 @@ def test_chart_point_builds_each_bundle_once():
     assert plain.log_densities[1] is None
     cs = plain.samples
     assert cs.s_bh is cs.s
+    # one generic pass per run, over each point's directions once
+    [[first], [second]] = passes
+    assert np.array_equal(first, ys) and np.array_equal(second, ys[:1])
 
 
 # -- cross-cutting properties ---------------------------------------------------

@@ -27,7 +27,6 @@ from kropina.forms import (
 from kropina.generic import (
     ConicDomainError,
     bh_density,
-    curvature_samples,
 )
 from kropina.riemann import MetricPoint
 from kropina.scenarios import load_scenario
@@ -46,6 +45,7 @@ from oracles import (
     nav_metric,
     nav_riemann_isotropic,
     rs_from_RS,
+    point_samples,
     sample_row,
     spray_generic,
     validate_views,
@@ -686,7 +686,7 @@ def test_nav_ricci_matches_generic_on_hopf():
     rng = np.random.default_rng(27)
     for x, y in admissible_samples(space, rng, 30, shift=HOPF_SHIFT, scale=0.3):
         closed = nav_ricci_isotropic(nav_point(SPHERE3, HOPF_W, x), y)
-        generic = sample_row(curvature_samples(
+        generic = sample_row(point_samples(
             fev.stage(x), [y], log_density(dens, x)), 0).ricci
         assert closed == pytest.approx(generic, rel=1e-7)
 
@@ -698,7 +698,7 @@ def test_nav_riemann_matches_generic_and_trace():
     rng = np.random.default_rng(28)
     for x, y in admissible_samples(space, rng, 10, shift=HOPF_SHIFT, scale=0.3):
         closed = nav_riemann_isotropic(nav_point(SPHERE3, HOPF_W, x), y)
-        generic = sample_row(curvature_samples(
+        generic = sample_row(point_samples(
             fev.stage(x), [y], log_density(dens, x)), 0).riemann
         assert np.max(np.abs(closed - generic)) < 1e-8 * max(
             1.0, float(np.max(np.abs(generic)))

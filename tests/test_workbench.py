@@ -631,13 +631,13 @@ def test_report_json_is_strict():
 
 def _count_work(monkeypatch):
     """Record every drift-bundle build and every (theta, sigma) fit (its
-    chart point) and every generic curvature pass (its point, its
-    directions and whether its S against the unit-ball density has a
-    density of its own, not the sample's)."""
+    chart point) and every generic curvature pass: one list per call,
+    with each chart point's x, its directions and whether its S against
+    the unit-ball density has a density of its own, not the sample's."""
     import kropina.einstein as einstein
     import kropina.forms as forms
 
-    bundles, fits, samples = [], [], []
+    bundles, fits, passes = [], [], []
     real_init = forms.AbFields.__init__
 
     def point_x():
@@ -657,25 +657,28 @@ def _count_work(monkeypatch):
 
     real_samples = einstein.curvature_samples
 
-    def samples(stage, ys, log_sigma, log_sigma_bh=None):
-        cs = real_samples(stage, ys, log_sigma, log_sigma_bh)
-        passes.append((tuple(float(v) for v in stage.x),
-                       tuple(tuple(float(v) for v in y) for y in ys),
-                       log_sigma_bh is not None))
-        return cs
+    def samples(points):
+        out = real_samples(points)
+        passes.append([(tuple(float(v) for v in stage.x),
+                        tuple(tuple(float(v) for v in y) for y in ys),
+                        log_sigma_bh is not None)
+                       for stage, ys, _, log_sigma_bh in points])
+        return out
 
-    passes = []
     monkeypatch.setattr(forms.AbFields, "__init__", init)
     monkeypatch.setattr(einstein, "fit_theta_sigma", fit)
     monkeypatch.setattr(einstein, "curvature_samples", samples)
     return bundles, fits, passes
 
 
-def _one_pass_per_point(passes, sc):
-    """One curvature pass per chart point, over all of its directions."""
-    assert len(passes) == sc.points == len({x for x, _, _ in passes})
-    pairs = {(x, y) for x, ys, _ in passes for y in ys}
-    assert len(pairs) == sc.points * sc.directions
+def _one_pass_per_run(passes, sc):
+    """One curvature pass in the run, over every chart point and each of
+    its directions exactly once."""
+    [points] = passes
+    assert len(points) == sc.points == len({x for x, _, _ in points})
+    pairs = [(x, y) for x, ys, _ in points for y in ys]
+    assert len(pairs) == len(set(pairs)) == sc.points * sc.directions
+    return points
 
 
 def test_verify_builds_once_per_point(monkeypatch):
@@ -683,8 +686,8 @@ def test_verify_builds_once_per_point(monkeypatch):
     sc = load_scenario("s3_hopf")
     run_verify(sc)
     assert len(bundles) == sc.points == len(set(bundles))
-    _one_pass_per_point(passes, sc)
-    assert not any(has_bh for *_, has_bh in passes)
+    points = _one_pass_per_run(passes, sc)
+    assert not any(has_bh for *_, has_bh in points)
     assert fits == []
 
     # with a weight, the same pass also takes S against the unit-ball
@@ -694,8 +697,8 @@ def test_verify_builds_once_per_point(monkeypatch):
     sc = load_scenario("euclid_gaussian")
     run_verify(sc)
     assert len(bundles) == sc.points == len(set(bundles))
-    _one_pass_per_point(passes, sc)
-    assert all(has_bh for *_, has_bh in passes)
+    points = _one_pass_per_run(passes, sc)
+    assert all(has_bh for *_, has_bh in points)
 
 
 def test_verify_runs_hess_form_only_for_a_weight_hessian_table(monkeypatch):
@@ -718,9 +721,9 @@ def test_verify_runs_hess_form_only_for_a_weight_hessian_table(monkeypatch):
 
 
 def test_check_builds_once_per_point_per_run(monkeypatch):
-    """Checkers 41 and 44 share each chart point's drift bundle, its
-    (theta, sigma) fit and one generic curvature pass over its
-    directions."""
+    """Checkers 41 and 44 share each chart point's drift bundle and its
+    (theta, sigma) fit, and the run's one generic curvature pass over
+    every point's directions."""
     bundles, fits, passes = _count_work(monkeypatch)
     for name in ("s3_hopf", "torus_wind"):
         for work in (bundles, fits, passes):
@@ -731,13 +734,13 @@ def test_check_builds_once_per_point_per_run(monkeypatch):
         assert len(bundles) == sc.points == len(set(bundles))
         assert len(fits) == sc.points == len(set(fits))
         assert set(fits) == set(bundles)
-        _one_pass_per_point(passes, sc)
+        _one_pass_per_run(passes, sc)
 
 
 def test_f_x_stage_runs_once_per_point_per_run(monkeypatch):
     """The jets of F's stage (a_ij(x), b_i(x) over order-4 seeds) run
     once per chart point in a run, however many directions and
-    checkers use them, and inside that point's one curvature_samples
+    checkers use them, and inside the run's one curvature_samples
     call: the x work of the generic route is not staged apart."""
     import kropina.einstein as einstein
     import kropina.workbench as workbench
@@ -755,9 +758,10 @@ def test_f_x_stage_runs_once_per_point_per_run(monkeypatch):
 
         return stage._replace(jets=jets)
 
-    def samples(stage, *args):
-        calls.append(("samples", tuple(float(v) for v in stage.x)))
-        return real_samples(stage, *args)
+    def samples(points):
+        calls.append(("samples", [tuple(float(v) for v in stage.x)
+                                  for stage, *_ in points]))
+        return real_samples(points)
 
     monkeypatch.setattr(einstein, "finsler_stage", counted)
     monkeypatch.setattr(workbench, "finsler_stage", counted)
@@ -767,10 +771,10 @@ def test_f_x_stage_runs_once_per_point_per_run(monkeypatch):
         for run in (lambda: run_check(sc), lambda: run_verify(sc)):
             calls.clear()
             run()
-            xs = [x for kind, x in calls if kind == "samples"]
+            [(kind, xs), *rest] = calls
+            assert kind == "samples"
             assert len(xs) == len(set(xs)) == sc.points
-            assert calls == [(kind, x) for x in xs
-                             for kind in ("samples", "jets")]
+            assert rest == [("jets", x) for x in xs]
 
 
 def test_one_jet_evaluation_per_signature_per_point(monkeypatch):
