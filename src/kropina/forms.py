@@ -648,11 +648,11 @@ def finsler_stage(space: KropinaSpace, x) -> XStage:
 
     a_ij and b_i are evaluated once over the float x (riemann.evaluate),
     as values, for f and domain; jets evaluates them over the order-4
-    seeds of x when it is called, as coefficient arrays (n, n, C) and
-    (n, C).  Each function combines the arrays with a (D, n) block of
-    directions in a few numpy calls, each row with the bits of the loop
-    a_ij y^i y^j / (b_i y^i) over the same values and Jet operations
-    (see _seed_quadratic).
+    seeds of x, jets of the n chart variables, when it is called, as
+    coefficient arrays (n, n, C) and (n, C).  Each function combines the
+    arrays with a (D, n) block of directions in a few numpy calls, each
+    row with the bits of the loop a_ij y^i y^j / (b_i y^i) over the same
+    values and Jet operations (see _seed_quadratic).
     """
     n = space.dim
     # floats first: a jet chart point raises TypeError here
@@ -668,10 +668,9 @@ def finsler_stage(space: KropinaSpace, x) -> XStage:
         return _lin0(b, np.asarray(ys, dtype=float).T)[:, 0] > 0
 
     def jets(ys):
-        sp = jet_space(2 * n, 4)
-        a4, b4 = evaluate([sp.variable(i, v) for i, v in enumerate(x)],
-                          space.a, space.b)
-        blocks = _seed_blocks(sp, tuple(range(n, 2 * n)))
+        a4, b4 = evaluate(jet_space(n, 4).seed(x), space.a, space.b)
+        blocks = _seed_blocks(n)
+        sp = blocks.space
         v = np.asarray(ys, dtype=float).T
         return (Jet(sp, _seed_quadratic(a4, v, blocks))
                 / Jet(sp, _seed_linear(b4, v, blocks))).coef
@@ -711,9 +710,11 @@ def _lin0(b, v):
 
 def _seed_quadratic(a, v, blocks):
     """The jets of sum_ij a_ij y^i y^j at the seeds of D directions, v
-    (n, D), as (D, ncoef) coefficient arrays: bit for bit the loop that
-    adds (a_ij y^i) y^j in (i, j) order, the seed products rounding as
-    Jet's do, up to the sign of zero coefficients.
+    (n, D), as (D, ncoef) coefficient arrays of blocks.space, from a
+    (n, n, C), the a_ij as jets of the n chart variables: bit for bit
+    the loop in blocks.space that adds (a_ij y^i) y^j in (i, j) order,
+    the seed products rounding as Jet's do, up to the sign of zero
+    coefficients.
 
     Over seeds y^i = v_i + t_i, with the a_ij free of the t variables,
     the term (a_ij y^i) y^j holds (a v_i) v_j at each x-index alpha,
@@ -723,16 +724,15 @@ def _seed_quadratic(a, v, blocks):
     kinds do not depend on the direction.
     """
     n, D = v.shape
-    ax = a[..., blocks.x]
-    q0 = _quad0(ax, v)
-    a1 = ax[:, :, :blocks.n1].reshape(n * n, -1)
+    q0 = _quad0(a, v)
+    a1 = a[:, :, :blocks.n1].reshape(n * n, -1)
     t1 = a1[blocks.lex_terms][:, :, None, :] * v[blocks.lex_other][..., None]
     t1[blocks.lex_diag, blocks.each] *= 2.0
     t1 = _row_sum(t1).reshape(n, D, -1).transpose(1, 0, 2).reshape(D, -1)
-    a2 = ax[:, :, :blocks.n2].reshape(n * n, -1)
+    a2 = a[:, :, :blocks.n2].reshape(n * n, -1)
     fixed = np.concatenate(((a2[blocks.pair_kl] + a2[blocks.pair_lk]).ravel(),
                             a2[blocks.diag].ravel()))
-    q = np.zeros((D, blocks.ncoef))
+    q = np.zeros((D, blocks.space.ncoef))
     q[:, blocks.q_targets] = np.concatenate(
         (q0, t1, np.broadcast_to(fixed, (D, fixed.size))), axis=1)
     return q
@@ -743,10 +743,9 @@ def _seed_linear(b, v, blocks):
     _seed_quadratic its quadratic form: the term b_i y^i holds b v_i at
     alpha and b at alpha + e_i."""
     D = v.shape[1]
-    bx = b[..., blocks.x]
-    l0 = _lin0(bx, v)
-    fixed = bx[:, :blocks.n1].ravel()
-    out = np.zeros((D, blocks.ncoef))
+    l0 = _lin0(b, v)
+    fixed = b[:, :blocks.n1].ravel()
+    out = np.zeros((D, blocks.space.ncoef))
     out[:, blocks.l_targets] = np.concatenate(
         (l0, np.broadcast_to(fixed, (D, fixed.size))), axis=1)
     return out
@@ -754,11 +753,12 @@ def _seed_linear(b, v, blocks):
 
 class _SeedBlocks:
     """Gather and scatter tables of the forms for direction seeds on the
-    variables yvars of a jet space.
+    last n variables of space, jet_space(2 n, 4).
 
-    x: the positions free of the seed variables, in graded order, so
-    that those of degree below the order (n1 of them) and below the
-    order minus one (n2) are prefixes.  lex_terms[r, k] is the flat
+    The jets of the n chart variables sit at the positions x of space
+    free of the seed variables, in the same graded order, so that those
+    of degree below the order (n1 of them) and below the order minus
+    one (n2) are prefixes.  lex_terms[r, k] is the flat
     index i n + j of the r-th term (i, j) holding k in (i, j) order,
     lex_other[r, k] the index of its v factor, lex_diag[k] the row of
     (k, k); pair_kl, pair_lk and diag index the terms of e_k + e_l, k
@@ -766,15 +766,14 @@ class _SeedBlocks:
     quadratic and the linear form put their gathered sums.
     """
 
-    def __init__(self, space, yvars):
-        n, order = len(yvars), space.order
+    def __init__(self, n):
+        self.space = space = jet_space(2 * n, 4)
         idx = np.array(space.indices).reshape(space.ncoef, -1)
-        self.ncoef = space.ncoef
-        self.x = np.flatnonzero(idx[:, list(yvars)].sum(axis=1) == 0)
-        deg = idx[self.x].sum(axis=1)
-        self.n1 = int(np.count_nonzero(deg < order))
-        self.n2 = int(np.count_nonzero(deg < order - 1))
-        src = space._deriv_src[list(yvars)]
+        x = np.flatnonzero(idx[:, n:].sum(axis=1) == 0)
+        deg = idx[x].sum(axis=1)
+        self.n1 = int(np.count_nonzero(deg < space.order))
+        self.n2 = int(np.count_nonzero(deg < space.order - 1))
+        src = space._deriv_src[n:]
         terms = [[(i, k) for i in range(k)] + [(k, j) for j in range(n)]
                  + [(i, k) for i in range(k + 1, n)] for k in range(n)]
         self.lex_terms = np.array([[i * n + j for i, j in col]
@@ -787,15 +786,15 @@ class _SeedBlocks:
         self.pair_kl = np.array([k * n + l for k, l in pairs], dtype=np.intp)
         self.pair_lk = np.array([l * n + k for k, l in pairs], dtype=np.intp)
         self.diag = self.each * (n + 1)
-        x1, x2 = self.x[:self.n1], self.x[:self.n2]
+        x1, x2 = x[:self.n1], x[:self.n2]
         shifted = src[:, x1].ravel()
-        self.l_targets = np.concatenate((self.x, shifted))
+        self.l_targets = np.concatenate((x, shifted))
         self.q_targets = np.concatenate(
-            (self.x, shifted)
+            (x, shifted)
             + tuple(src[l][src[k][x2]] for k, l in pairs)
             + tuple(src[k][src[k][x2]] for k in range(n)))
 
 
 @lru_cache(maxsize=None)
-def _seed_blocks(space, yvars) -> _SeedBlocks:
-    return _SeedBlocks(space, yvars)
+def _seed_blocks(n) -> _SeedBlocks:
+    return _SeedBlocks(n)

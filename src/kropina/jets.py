@@ -8,10 +8,13 @@ any derivative extracted from a jet is floating-point roundoff, never a
 truncation-order error.
 
 Multiplication uses a precomputed triple table (i, j, k) with
-idx[i] + idx[j] = idx[k] and a single ``np.bincount`` per product, which
-keeps the n = 4, K = 4 case (495 coefficients) in the tens of
-microseconds.  A product with a coordinate seed (``JetSpace.variable``)
-is a scaled copy plus a shift instead, with the same bits.  The analytic
+idx[i] + idx[j] = idx[k].  A product of one jet is one ``np.bincount``
+over it, which keeps the n = 4, K = 4 case (495 coefficients) in the
+tens of microseconds; a batch of jets goes rank by rank, per block of
+rows one gather-multiply of all products and one slice add per rank of
+the table, and keeps each row's bincount bits (see ``_triples``).  A
+product with a coordinate seed (``JetSpace.variable``) is a scaled copy
+plus a shift instead, with the same bits.  The analytic
 functions (reciprocal, log, exp, sqrt, sin, cos) sum their power series
 in the jet's non-constant part by Horner, each step multiplying only up
 to the degree that the remaining steps keep (truncated Taylor
@@ -30,10 +33,15 @@ from __future__ import annotations
 import itertools
 import math
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 MAX_ORDER = 4
+# a batched product gathers at most this many bytes of products per
+# block of rows: order-4 blocks over 8 variables hold 6 rows and stay
+# in cache, over 12 variables a block is one row
+_PRODUCT_BYTES = 1 << 18
 
 
 class JetOrderError(ValueError):
@@ -79,6 +87,7 @@ class JetSpace:
         )
         self._build_mul_table()
         self._build_deriv_maps()
+        self._rank_plans = {}
 
     def _build_mul_table(self):
         # every pair (i, j) with deg mu_i + deg mu_j <= order, in the
@@ -125,6 +134,20 @@ class JetSpace:
                 )
                 self._deriv_src[v, t] = self.position[bumped]
                 self._deriv_scale[v, t] = gamma[v] + 1.0
+
+    def rank_plan(self, t: int) -> "_RankPlan":
+        """The _RankPlan of the first t triples, built on first use: only
+        products whose blocks hold two rows or more need one."""
+        if t not in self._rank_plans:
+            size = np.bincount(self._mk[:t], minlength=self.ncoef)
+            by_size = np.argsort(-size, kind="stable")
+            counts = [np.count_nonzero(size > g) for g in range(size.max())]
+            src = np.concatenate([self._k_starts[by_size[:c]] + g
+                                  for g, c in enumerate(counts)])
+            self._rank_plans[t] = _RankPlan(
+                self._mi[src], self._mj[src], np.cumsum(counts).tolist(),
+                np.argsort(by_size))
+        return self._rank_plans[t]
 
     @cached_property
     def hessian_positions(self) -> np.ndarray:
@@ -402,17 +425,62 @@ class _Seed(Jet):
         self.var = var
 
 
+class _RankPlan(NamedTuple):
+    """A prefix of the triple table, rank by rank: the rank g triples
+    are the g-th (i, j) of each k-group, and within a rank the outputs
+    go by group size, largest first, so that each rank's outputs are a
+    prefix of that order."""
+
+    i: np.ndarray       # the triples' first factors, rank after rank
+    j: np.ndarray       # their second factors
+    ends: list          # where each rank's triples end in i and j
+    back: np.ndarray    # output k sits at back[k] of the size order
+
+
+def _bincount(space: JetSpace, a: np.ndarray, b: np.ndarray, t: int):
+    mi, mj, mk = space._mi[:t], space._mj[:t], space._mk[:t]
+    return np.bincount(mk, weights=a[mi] * b[mj], minlength=space.ncoef)
+
+
 def _triples(space: JetSpace, a: np.ndarray, b: np.ndarray, t=None):
     """The products a * b of coefficient arrays of one shape, (ncoef,)
     or a batch (..., ncoef), over the first t triples of the table (all
-    by default): one bincount per jet, which adds its terms in their
-    order and keeps its arrays in cache (one bincount over a whole batch
-    is no faster, and its arrays are as many times larger)."""
-    mi, mj, mk, nc = space._mi[:t], space._mj[:t], space._mk[:t], space.ncoef
+    by default, else an entry of _triple_ends).
+
+    One jet is one bincount, which adds each coefficient's terms in
+    their (i, j) order, starting from +0.0.  A batch goes in blocks of
+    rows whose products fit _PRODUCT_BYTES: per block, one gather-
+    multiply of a_i b_j, coefficients first, in the order of the
+    table's _RankPlan, then one slice add per rank into zeros (16 at
+    order 4), then the outputs back in place.  Every coefficient adds
+    the bincount's products in the bincount's order from +0.0, so each
+    row has its bits, signed zeros, infinities and NaN included (but
+    for the sign of a NaN met by a NaN of the other sign, which numpy's
+    loops take from either operand by lane).  A block of one row is a
+    bincount.
+    """
+    nc = space.ncoef
+    t = len(space._mk) if t is None else t
     if a.ndim == 1:
-        return np.bincount(mk, weights=a[mi] * b[mj], minlength=nc)
-    return np.array([_triples(space, u, v, t) for u, v in
-                     zip(a.reshape(-1, nc), b.reshape(-1, nc))]).reshape(a.shape)
+        return _bincount(space, a, b, t)
+    a, b, shape = a.reshape(-1, nc), b.reshape(-1, nc), a.shape
+    out = np.empty(a.shape)
+    step = max(1, _PRODUCT_BYTES // (8 * t))
+    for r in range(0, len(a), step):
+        u, v = a[r:r + step], b[r:r + step]
+        if len(u) == 1:
+            out[r] = _bincount(space, u[0], v[0], t)
+            continue
+        plan = space.rank_plan(t)
+        prod = np.take(u.T, plan.i, axis=0)
+        prod *= np.take(v.T, plan.j, axis=0)
+        acc = np.zeros((nc, len(u)))
+        lo = 0
+        for hi in plan.ends:
+            acc[:hi - lo] += prod[lo:hi]
+            lo = hi
+        out[r:r + step] = np.take(acc, plan.back, axis=0).T
+    return out.reshape(shape)
 
 
 # -- small dense linear algebra over the jet ring -------------------------

@@ -33,6 +33,8 @@ a test can hold the package's route against it:
 - jet_det: a jet matrix determinant by the n!-term Leibniz sum;
 - mul_table: a jet space's multiplication triples by a double loop
   over its multi-indices, against the table JetSpace builds in numpy;
+- triples_by_row: a batch of jet products as one bincount per row,
+  against the rank-stepped batched product;
 - horner_compose: a power series of a jet by Horner over full jet
   products, against Jet._compose's degree-truncated steps;
 - jet_inverse: a jet matrix inverse through jet_solve;
@@ -613,6 +615,17 @@ def mul_table(space):
             kk.append(space.position[gamma])
     by_k = np.argsort(kk, kind="stable")
     return tuple(np.array(t, dtype=np.intp)[by_k] for t in (ii, jj, kk))
+
+
+def triples_by_row(space, a, b, t=None):
+    """The products a * b of coefficient arrays of one shape over the
+    first t triples of the table, one bincount per jet, as jets' batched
+    products were made before they went rank by rank."""
+    mi, mj, mk, nc = space._mi[:t], space._mj[:t], space._mk[:t], space.ncoef
+    if a.ndim == 1:
+        return np.bincount(mk, weights=a[mi] * b[mj], minlength=nc)
+    return np.array([triples_by_row(space, u, v, t) for u, v in
+                     zip(a.reshape(-1, nc), b.reshape(-1, nc))]).reshape(a.shape)
 
 
 def horner_compose(jet, dcoefs):

@@ -894,9 +894,10 @@ def test_curvature_sample_makes_two_jet_products(monkeypatch):
     directions, and takes no product with a seed: the direction stage
     works on stacked arrays and the series of 1/L on coefficient arrays.
     The only other products are those of the stage's evaluation of
-    a_ij and b_i over the seeds of x, one jet at a time, as many for one
-    direction as for the whole block.  (The Jet loop made 27 products per direction, 13 of them
-    with a seed, on s3_hopf.)"""
+    a_ij and b_i over the seeds of x, one jet of the n chart variables
+    at a time, as many for one direction as for the whole block.  (The
+    Jet loop made 27 products per direction, 13 of them with a seed, on
+    s3_hopf.)"""
     counts = Counter()
     real_mul, real_seed = Jet.__mul__, Jet._times_seed
 
@@ -914,6 +915,7 @@ def test_curvature_sample_makes_two_jet_products(monkeypatch):
         pt = chart_point(sc.space(), x)
         log_densities = pt.log_densities
         ncoef = jet_space(2 * sc.space().dim, 4).ncoef
+        x_ncoef = jet_space(sc.space().dim, 4).ncoef
         x_stage = []
         for block in (ys[:1], ys):
             monkeypatch.setattr(Jet, "__mul__", mul)
@@ -923,7 +925,7 @@ def test_curvature_sample_makes_two_jet_products(monkeypatch):
             curvature_samples([(pt.stage, block, *log_densities)])
             monkeypatch.undo()
             assert counts.pop(("mul", (len(block), ncoef))) == 2
-            assert set(counts) <= {("mul", (ncoef,))}
+            assert set(counts) <= {("mul", (x_ncoef,))}
             x_stage.append(counts.copy())
         assert x_stage[0] == x_stage[1]
 

@@ -1,5 +1,6 @@
 """Jet arithmetic: frozen values, ring laws, and the fd cross-check."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,11 +9,13 @@ from hypothesis import strategies as st
 
 from kropina.expr import eval_expr, parse_expr
 from fd import fd_partial
+from kropina import jets
 from kropina.jets import (
     MAX_ORDER,
     Jet,
     JetDomainError,
     JetOrderError,
+    _triples,
     graded_solve,
     jet_space,
 )
@@ -24,6 +27,7 @@ from oracles import (
     jet_solve,
     jet_solve_reference,
     mul_table,
+    triples_by_row,
     truncate,
 )
 
@@ -197,6 +201,73 @@ def test_mul_table_matches_the_double_loop(nvars, order):
     for got, want in zip((sp._mi, sp._mj, sp._mk), mul_table(sp)):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+
+def _special_coefficients(rng, shape):
+    """Normal coefficients over seven decades, with 0.0, -0.0, +-inf and
+    NaN entries.  The NaN is the one the machine's arithmetic makes
+    (inf * 0), so every NaN in play has the same bits: numpy's SIMD
+    loops return the first operand's NaN in some lanes and the second's
+    in others, so the sign of a NaN met by a NaN of the other sign is
+    not a function of the values, in either route."""
+    coef = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, shape)
+    u = rng.random(shape)
+    coef[u < 0.1] = 0.0
+    coef[(u >= 0.1) & (u < 0.15)] = -0.0
+    coef[(u >= 0.15) & (u < 0.17)] = np.inf
+    coef[(u >= 0.17) & (u < 0.18)] = -np.inf
+    coef[(u >= 0.18) & (u < 0.19)] = np.array(np.inf) * 0.0
+    return coef
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_batched_product_equals_the_row_bincount_bit_for_bit(monkeypatch):
+    """The rank-stepped batched product gives each row the bits of its
+    own bincount, at every signature from 1 to 12 variables and order 0
+    to 4 and every degree prefix of the triple table: one jet, a batch
+    of one, a batch of two axes, and a row count that crosses a block
+    boundary, at the module's budget and at a budget of three rows a
+    block (blocks of three and a last block of one)."""
+    rng = np.random.default_rng(30)
+    for nvars in range(1, 13):
+        for order in range(MAX_ORDER + 1):
+            sp = jet_space(nvars, order)
+            for t in sp._triple_ends:
+                cases = [(None, ()), (None, (1,)), (None, (2, 3)),
+                         (3 * 8 * t, (7,))]
+                step = jets._PRODUCT_BYTES // (8 * t)
+                if step < 64:
+                    cases.append((None, (step + 1,)))
+                for budget, shape in cases:
+                    if budget:
+                        monkeypatch.setattr(jets, "_PRODUCT_BYTES", budget)
+                    a, b = (_special_coefficients(rng, shape + (sp.ncoef,))
+                            for _ in range(2))
+                    got = _triples(sp, a, b, t)
+                    want = triples_by_row(sp, a, b, t)
+                    monkeypatch.undo()
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), (
+                        nvars, order, t, shape, budget)
+
+
+def test_batched_product_heap_peak_is_no_higher_than_the_row_loop():
+    """A 350-row product at (8, 4) goes in blocks of the module's
+    budget, so its heap peak stays under the row loop's (2.8 MB); the
+    products of all rows gathered at once would take 28 MB."""
+    sp = jet_space(8, 4)
+    a, b = np.random.default_rng(8).normal(size=(2, 350, sp.ncoef))
+    sp.rank_plan(sp._triple_ends[-1])   # cached on the space
+
+    def peak(product):
+        tracemalloc.start()
+        try:
+            product(sp, a, b)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(_triples) <= peak(triples_by_row)
 
 
 def test_jet_solve_and_det_against_numpy():
