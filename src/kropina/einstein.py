@@ -19,13 +19,12 @@ thm61_check covers kappa = nu = 0.  Every "there exists a scalar /
 fit, and the einstein-residual-fitted condition judges the fitted pair
 through the generic pipeline; verdicts derive from residuals and the
 configured tolerance only.  The checkers read each sampled x through a
-ChartPoint, and the chart points of one run share one pass of the
-generic pipeline, whose errors stay per point.
+ChartPoint, and the chart points of one run share each pass of their
+x-stage, whose errors stay per point.
 """
 
 import itertools
 import math
-import weakref
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -41,6 +40,7 @@ from .forms import (
     NavPoint,
     _require_unit_wind,
     finsler_stage,
+    finsler_stages,
     isotropy_fit,
     kropina_ricci_closed,
     log_densities,
@@ -404,26 +404,50 @@ def _scaled_residual(value, *scales):
 # theorem's own conditions.
 
 
+class _staged:
+    """A cached property of a ChartPoint that a run fills, value or
+    error: the point's own computation runs when its run has not filled
+    it, and an error is kept like a value (in the point's _failed), so
+    that each read re-raises it."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, pt, owner=None):
+        if pt is None:
+            return self
+        failed = pt._failed.get(self.name)
+        if failed is not None:
+            raise failed
+        try:
+            value = self.fn(pt)
+        except Exception as e:   # any error: it is this point's alone
+            pt._failed[self.name] = e
+            raise
+        vars(pt)[self.name] = value
+        return value
+
+
 class ChartPoint:
     """One sampled chart point x of a space and its directions ys (D, n),
-    with every pointwise bundle a run reads there, each built on first
-    use: the drift bundle fld, the navigation point nav, the log
-    densities, the space's Finsler stage at x (stage), the drift
-    invariants inv (one batched pass over ys), the generic curvature
-    samples of all directions, and one least-squares (theta, sigma) fit
-    per weight configuration.
+    with every pointwise bundle a run reads there: the drift bundle fld,
+    the navigation point nav, the log densities, the space's Finsler
+    stage at x (stage), the drift invariants inv (one batched pass over
+    ys), the generic curvature samples of all directions, and one
+    least-squares (theta, sigma) fit per weight configuration.
 
     The bundles, the densities and the weight's partials all read one
     riemann.evaluate of the space's trees over the n chart variables to
-    order 2, each tree's partials taken from its own array.
+    order 2 (_trees), each tree's partials taken from its own array.
 
-    The points of one run (chart_points) share one generic pass: the
-    first read of any point's samples fills every point of the run from
-    one curvature_samples call.  A point built alone is a run of one.
-    Errors stay per point: a point whose stage, densities or pass fails
-    raises that error on each read of its samples and caches none,
-    while the other points of its run keep theirs.  A point holds its
-    run weakly, so that the points of a run form no reference cycle.
+    The x-stage of a point (_trees, log_densities, stage and samples)
+    holds its value or its own error, and a read re-raises the error.
+    chart_points fills it for every point of a run, stage by stage, each
+    stage one pass over the stacked points; a point built alone is a run
+    of one and computes each on first read.  fld, nav, inv and the fits
+    are each built on first read.
     """
 
     def __init__(self, space: KropinaSpace, x, ys):
@@ -433,23 +457,14 @@ class ChartPoint:
         self.ys = np.array(ys, dtype=float).reshape(-1, self.n)
         self._jet_space = jet_space(self.n, 2)
         self._fits = {}
-        self._run = ()   # weak references to the points of its run
+        self._failed = {}   # the error of each x-stage that raised
 
-    @cached_property
+    @_staged
     def _trees(self):
         """The order-2 x-jets of every tree the point reads, as the
-        coefficient arrays of one evaluation: a_ij, b^i, h_ij, W^i, the
-        gauge and the weight (when the space has one), so each node the
-        trees share runs once."""
-        sp = self.space
-        parts = (sp.a, sp.b_up, sp.h, sp.w, sp.gauge) + (
-            () if sp.weight is None else (sp.weight,))
-        try:
-            return evaluate(self._jet_space.seed(self.x), *parts)
-        except ExprError:
-            # a metric that is not positive definite is reported first
-            MetricPoint.from_exprs(sp.a, self.x, order=2)
-            raise
+        coefficient arrays of one evaluation (_tree_pass), so each node
+        the trees share runs once."""
+        return _tree_pass(self.space, self.x)
 
     @cached_property
     def fld(self):
@@ -468,15 +483,13 @@ class ChartPoint:
         sp = self._jet_space
         return NavPoint(MetricPoint(*partials(h, sp)), *partials(w, sp))
 
-    @cached_property
+    @_staged
     def log_densities(self):
         """(ln sigma, ln sigma_BH or None) as order-2 x-jets, as
         forms.log_densities gives them."""
-        a, b_up, h, w, gauge, *weight = self._trees
-        sp = self._jet_space
-        return log_densities(a, *(Jet(sp, c) for c in (gauge, *weight)))
+        return _density_pass([self._trees])[0]
 
-    @cached_property
+    @_staged
     def stage(self):
         """The space's Finsler stage at x: F, its domain and its jets."""
         return finsler_stage(self.space, self.x)
@@ -486,34 +499,13 @@ class ChartPoint:
         """The drift invariants of all directions ys."""
         return AbInvariants(self.fld, self.ys)
 
-    @cached_property
+    @_staged
     def samples(self):
-        """The generic curvature samples of all directions ys.  The first
-        read fills every point of the run that has none yet, from one
-        curvature_samples call; a point whose stage, densities or pass
-        fails caches nothing and leaves the run, so each later read of
-        it raises that error again from a pass of its own."""
-        run = [self] + [pt for pt in (ref() for ref in self._run)
-                        if pt is not None and pt is not self
-                        and "samples" not in vars(pt)]
-        points, entries, failure = [], [], None
-        for pt in run:
-            pt._run = ()
-            try:
-                entries.append((pt.stage, pt.ys, *pt.log_densities))
-            except Exception as e:   # any error: it is this point's alone
-                if pt is self:
-                    failure = e
-                continue
-            points.append(pt)
-        for pt, cs in zip(points, curvature_samples(entries)):
-            if not isinstance(cs, Exception):
-                vars(pt)["samples"] = cs
-            elif pt is self:
-                failure = cs
-        if failure is not None:
-            raise failure
-        return vars(self)["samples"]
+        """The generic curvature samples of all directions ys."""
+        [cs] = _generic_pass([self])
+        if isinstance(cs, Exception):
+            raise cs
+        return cs
 
     def fitted(self, cfg: WeightConfig) -> EinsteinAnsatz:
         """The (theta, sigma) fit of cfg over ys, fitted once per cfg."""
@@ -523,13 +515,87 @@ class ChartPoint:
         return fit
 
 
+def _tree_pass(space, x):
+    """The arrays of a_ij, b^i, h_ij, W^i, the gauge and the weight (when
+    the space has one) over the order-2 seeds of x, (n,), or of a block
+    of chart points, (P, n), then each with a leading point axis."""
+    parts = (space.a, space.b_up, space.h, space.w, space.gauge) + (
+        () if space.weight is None else (space.weight,))
+    try:
+        return evaluate(jet_space(space.dim, 2).seed(x), *parts)
+    except ExprError:
+        if np.ndim(x) == 1:
+            # a metric that is not positive definite is reported first
+            MetricPoint.from_exprs(space.a, x, order=2)
+        raise
+
+
+def _density_pass(trees):
+    """forms.log_densities of the chart points whose trees are given,
+    in one pass: (ln sigma, ln sigma_BH or None) per point."""
+    parts = [(a, *gauge_and_weight) for a, _, _, _, *gauge_and_weight in trees]
+    if len(parts) == 1:   # a run of one stacks nothing
+        [(a, *scalars)] = parts
+    else:
+        a, *scalars = map(np.stack, zip(*parts))
+    sp = jet_space(a.shape[-2], 2)
+    log_sigma, log_bh = log_densities(a, *(Jet(sp, c) for c in scalars))
+    if len(parts) == 1:
+        return [(log_sigma, log_bh)]
+    return [(Jet(sp, log_sigma.coef[k]),
+             None if log_bh is None else Jet(sp, log_bh.coef[k]))
+            for k in range(len(trees))]
+
+
+def _generic_pass(points):
+    """curvature_samples over the stages, directions and log densities
+    of the points: one CurvatureSample or error per point."""
+    return curvature_samples([(pt.stage, pt.ys, *pt.log_densities)
+                              for pt in points])
+
+
+def _run_stage(points, name, batched):
+    """Fill the x-stage name of each point from one batched(points)
+    call, which gives one value or error per point, and return the
+    points it holds a value for.  A run of one, and a run whose batched
+    call raises, computes the stage point by point instead, each point
+    alone, so that every point gets its own value or error."""
+    out = None
+    if len(points) > 1:
+        try:
+            out = batched(points)
+        except Exception:   # some point fails: each runs the stage alone
+            pass
+    for k, pt in enumerate(points):
+        if out is None:
+            try:
+                getattr(pt, name)
+            except Exception:   # kept in pt._failed
+                pass
+        elif isinstance(out[k], Exception):
+            pt._failed[name] = out[k]
+        else:
+            vars(pt)[name] = out[k]
+    return [pt for pt in points if name in vars(pt)]
+
+
 def chart_points(space: KropinaSpace, samples):
     """One ChartPoint per (x, directions) pair of samples, all of them
-    one run."""
+    one run, built stage by stage: one order-2 tree pass over the block
+    of their chart points, one log_densities pass, the Finsler stages,
+    whose jets share one order-4 pass, and one curvature_samples call,
+    each pass over the points whose earlier stages hold values.  Each
+    point gets the bits of its run of one, or its own error; building
+    the run raises none."""
     points = [ChartPoint(space, x, ys) for x, ys in samples]
-    run = [weakref.ref(pt) for pt in points]
-    for pt in points:
-        pt._run = run
+    with_trees = _run_stage(points, "_trees", lambda pts: [
+        list(trees) for trees in zip(*_tree_pass(space, [pt.x for pt in pts]))])
+    with_densities = _run_stage(with_trees, "log_densities", lambda pts: (
+        _density_pass([pt._trees for pt in pts])))
+    staged = _run_stage(points, "stage", lambda pts: finsler_stages(
+        space, [pt.x for pt in pts]))
+    _run_stage([pt for pt in staged if pt in with_densities], "samples",
+               _generic_pass)
     return points
 
 

@@ -621,20 +621,22 @@ def sigma_bh(space: KropinaSpace, x) -> float:
 def log_densities(a, b: Jet, f: Optional[Jet] = None):
     """(ln sigma, ln sigma_BH) as jets, from the jets of the view metric
     a_ij (stacked coefficient arrays, n x n x ncoef), the gauge b and
-    the weight f.
+    the weight f; or, row by row, of a batch of chart points, a
+    (P, n, n, ncoef) and b and f batches of P jets, each row with the
+    bits of its point alone.
 
     sigma_BH = (2/b)^n sqrt(det a) is the unit-ball density, whose log
     det a comes from one graded solve, and sigma = e^{-(n+1) f} sigma_BH
     the density the S-curvature formulas refer to.  Without a weight
     the two are one density, and ln sigma_BH is None.
     """
-    n = a.shape[0]
+    n = a.shape[-2]
     sp = b.space
     try:
         _, log_det = graded_solve(sp, a)
     except JetDomainError:
         raise GaugeError("degenerate view metric or gauge") from None
-    if b.value <= 0.0:
+    if np.any(b.coef[..., 0] <= 0.0):
         raise GaugeError("degenerate view metric or gauge")
     bh = Jet(sp, log_det * 0.5).exp() * (b.reciprocal() * 2.0) ** n
     if f is None:
@@ -642,17 +644,21 @@ def log_densities(a, b: Jet, f: Optional[Jet] = None):
     return ((-float(n + 1) * f).exp() * bh).log(), bh.log()
 
 
-def finsler_stage(space: KropinaSpace, x) -> XStage:
+def finsler_stage(space: KropinaSpace, x, seeds=None) -> XStage:
     """The (alpha, beta) view of the space at the chart point x, F =
     a_ij y^i y^j / (b_i y^i), as the generic pipeline's stage.
 
     a_ij and b_i are evaluated once over the float x (riemann.evaluate),
-    as values, for f and domain; jets evaluates them over the order-4
-    seeds of x, jets of the n chart variables, when it is called, as
-    coefficient arrays (n, n, C) and (n, C).  Each function combines the
-    arrays with a (D, n) block of directions in a few numpy calls, each
-    row with the bits of the loop a_ij y^i y^j / (b_i y^i) over the same
-    values and Jet operations (see _seed_quadratic).
+    as values, for f and domain; jets takes them over the order-4 seeds
+    of x, jets of the n chart variables, as coefficient arrays (n, n, C)
+    and (n, C): from seeds() when given (finsler_stages shares one
+    evaluation among the stages of a run), else from an evaluation of
+    its own when it is called.  Each function combines the arrays with a
+    (D, n) block of directions in a few numpy calls, each row with the
+    bits of the loop a_ij y^i y^j and b_i y^i over the same values and
+    Jet operations (see _seed_quadratic); jets hands the two forms to
+    the generic route, whose one division makes F over every row of a
+    run.
     """
     n = space.dim
     # floats first: a jet chart point raises TypeError here
@@ -668,14 +674,50 @@ def finsler_stage(space: KropinaSpace, x) -> XStage:
         return _lin0(b, np.asarray(ys, dtype=float).T)[:, 0] > 0
 
     def jets(ys):
-        a4, b4 = evaluate(jet_space(n, 4).seed(x), space.a, space.b)
+        if seeds is None:
+            a4, b4 = evaluate(jet_space(n, 4).seed(x), space.a, space.b)
+        else:
+            a4, b4 = seeds()
         blocks = _seed_blocks(n)
-        sp = blocks.space
         v = np.asarray(ys, dtype=float).T
-        return (Jet(sp, _seed_quadratic(a4, v, blocks))
-                / Jet(sp, _seed_linear(b4, v, blocks))).coef
+        return (_seed_quadratic(a4, v, blocks),
+                _seed_linear(b4, v, blocks))
 
     return XStage(np.array(x), f, domain, jets, f"{space.name}:ab")
+
+
+def finsler_stages(space: KropinaSpace, xs) -> list:
+    """finsler_stage at each chart point of xs, or the error it raises
+    there.  The jets of the stages share one evaluation of a_ij and b_i
+    over the order-4 seeds of the block of their points, made when the
+    first of them runs; each stage reads its point's arrays, with the
+    bits of its own evaluation.  When that evaluation raises, each
+    stage evaluates its own x, so that an error stays with its point.
+    """
+    n = space.dim
+    block, shared = [], []
+
+    def seeds(k):
+        if not shared:
+            try:
+                shared.append(evaluate(jet_space(n, 4).seed(block),
+                                       space.a, space.b))
+            except Exception:   # each stage then evaluates its own x
+                shared.append(None)
+        if shared[0] is None:
+            return evaluate(jet_space(n, 4).seed(block[k]), space.a, space.b)
+        return [arrays[k] for arrays in shared[0]]
+
+    out = []
+    for x in xs:
+        try:
+            stage = finsler_stage(space, x, lambda k=len(block): seeds(k))
+        except Exception as e:   # any error: it is this point's alone
+            out.append(e)
+            continue
+        block.append(stage.x)
+        out.append(stage)
+    return out
 
 
 # -- the direction stage of F over stacked coefficients ----------------------

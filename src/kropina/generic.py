@@ -9,13 +9,15 @@ cross-check for closed-form implementations.
 The curvature of the spray needs second derivatives of the geodesic
 coefficients, which themselves hold second derivatives of F^2, so the
 full pipeline works with jets of total order four.  Only F and F^2 are
-Jet expressions.  Below them the pipeline works on stacked coefficient
-arrays: the metric jets and the spray's right-hand side are gathers of
-the F^2 jet, one graded_solve gives the spray and log det g, and the
-Riemann curvature and S are array expressions over those, with a
-leading axis for the directions of every chart point of a run at once
-(vector forward mode; Griewank and Walther, Evaluating Derivatives,
-ch. 13).
+Jet expressions, each formed once over the stacked rows of every chart
+point of a run: F as one quotient when the metric's stages hand a
+numerator and a denominator, F^2 as one product.  Below them the
+pipeline works on stacked coefficient arrays: the metric jets and the
+spray's right-hand side are gathers of the F^2 jet, one graded_solve
+gives the spray and log det g, and the Riemann curvature and S are
+array expressions over those, with a leading axis for the directions of
+every chart point of a run at once (vector forward mode; Griewank and
+Walther, Evaluating Derivatives, ch. 13).
 
 A metric enters at one chart point x as an XStage: F, its domain and
 its order-4 jets at x, each a function of a (D, n) block of directions.
@@ -36,6 +38,12 @@ from .jets import Jet, JetDomainError, graded_solve, jet_space
 from .riemann import SingularMetricError, _dot
 
 
+# F's quotient over the stacked rows of a run goes in blocks of rows of
+# at most this many bytes of coefficients each, so that its temporaries
+# stay near those of one chart point's block
+_QUOTIENT_BYTES = 1 << 16
+
+
 class ConicDomainError(ValueError):
     """Raised when (x, y) lies outside the conic domain of the metric."""
 
@@ -44,9 +52,13 @@ class XStage(NamedTuple):
     """A Finsler metric F at one chart point x, the work on x alone done
     once.  Each function takes a (D, n) block of directions ys and gives
     one row per direction: f(ys) the values F(x, y_k), domain(ys) the
-    mask of the rows where F is defined and positive, and jets(ys) the
-    (D, ncoef) coefficient arrays of F's order-4 jets over the 2n
-    variables (x, y) at (x, y_k).  name names the metric in errors.
+    mask of the rows where F is defined and positive, and jets(ys) a
+    pair (num, den) of (D, ncoef) coefficient arrays of order-4 jets
+    over the 2n variables (x, y) at (x, y_k): F = num / den, whose
+    division curvature_samples makes once over the rows of every point
+    of a run, or, for a metric that is not a quotient, F's own jets and
+    None.  The arrays are the pass's to overwrite, and the stages of one
+    run all hand a den or none does.  name names the metric in errors.
 
     The pipeline takes a coordinate volume density, as in dV = sigma(x)
     dx, as ln sigma: an order-2 jet over the n chart variables at x (see
@@ -202,12 +214,13 @@ def curvature_samples(points) -> list:
     entry of a run has a log_sigma_bh or none does, as the points of one
     space share their densities' kinds.
 
-    Each stage's domain and jets run once, on its own block.  From the
-    order-4 jets of F^2 on, the rows of all the points go through one
-    stacked batch, but for the spray system, the invertibility check of
-    g and the graded solve, which run per point: the system's and the
-    solve's triple-table gathers set the heap peak, and stacking them
-    gains no time.  The solve gives the spray and log
+    Each stage's domain and jets run once, on its own block.  From F on,
+    the rows of all the points go through one stacked batch (one
+    division num / den, when the stages are quotients, and one product
+    F * F), but for the spray system, the invertibility check of g and
+    the graded solve, which run per point: the system's and the solve's
+    triple-table gathers set the heap peak, and stacking them gains no
+    time.  The solve gives the spray and log
     det g, which feeds the distortion; the spray gives G, N and the
     Riemann curvature; the distortion and the spray give S as a
     first-order jet, whose horizontal derivative is Sdot.  S, tau and
@@ -217,10 +230,11 @@ def curvature_samples(points) -> list:
     Returns one entry per point: its CurvatureSample, each row with the
     bits of a sample of its direction alone, or the error its pass
     raises alone.  A direction outside the conic domain or with a
-    singular g fails its point's block, and that point only.
+    singular g, or a den whose value is zero, fails its point's block,
+    and that point only.
     """
     out = [None] * len(points)
-    blocks, jets = [], []
+    blocks, nums, dens = [], [], []
     for i, (stage, ys, log_sigma, log_sigma_bh) in enumerate(points):
         try:
             x = np.asarray(stage.x, dtype=float)
@@ -229,16 +243,32 @@ def curvature_samples(points) -> list:
                 raise ConicDomainError(
                     f"(x, y) outside the conic domain of metric "
                     f"{stage.name!r}")
-            jets.append(stage.jets(ys))
+            num, den = stage.jets(ys)
+            if den is not None and np.any(den[:, 0] == 0.0):
+                raise JetDomainError("division by a jet with zero base value")
         except Exception as e:   # any error: it is this point's alone
             out[i] = e
             continue
         blocks.append(_Block(i, x, ys, log_sigma, log_sigma_bh))
+        nums.append(num)
+        dens.append(den)
     if not blocks:
         return out
     n = len(blocks[0].x)
-    f = Jet(jet_space(2 * n, 4), _stack(jets))
-    del jets
+    space = jet_space(2 * n, 4)
+    f = _stack(nums)
+    del nums
+    if any(den is not None for den in dens):   # then every stage's is
+        # one division over the stacked rows, in place, a block of rows
+        # at a time: the temporaries stay a block's
+        den = _stack(dens)
+        del dens
+        step = max(1, _QUOTIENT_BYTES // (8 * space.ncoef))
+        for r in range(0, len(den), step):
+            rows = slice(r, r + step)
+            f[rows] = (Jet(space, f[rows]) / Jet(space, den[rows])).coef
+        del den
+    f = Jet(space, f)
     f4 = (f * f).coef
     del f
     solved = []   # (block, g, spray jets 4 G, log det g)

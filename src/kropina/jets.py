@@ -186,18 +186,25 @@ class JetSpace:
         coef[0] = float(value)
         return Jet(self, coef)
 
-    def variable(self, v: int, value: float) -> "Jet":
-        """Coordinate function x_v seeded at the given value."""
+    def variable(self, v: int, value) -> "Jet":
+        """Coordinate function x_v seeded at the given value, a float, or
+        at each value of an array, a batch of seeds."""
         if not 0 <= v < self.nvars:
             raise ValueError(f"variable index {v} out of range")
-        coef = np.zeros(self.ncoef)
-        coef[0] = float(value)
+        value = np.asarray(value, dtype=float)
+        coef = np.zeros(value.shape + (self.ncoef,))
+        coef[..., 0] = value
         if self.order >= 1:
-            coef[1 + v] = 1.0  # the degree-1 block is e_0, e_1, ... in order
+            # the degree-1 block is e_0, e_1, ... in order
+            coef[..., 1 + v] = 1.0
         return _Seed(self, coef, v)
 
     def seed(self, values) -> list["Jet"]:
-        return [self.variable(v, val) for v, val in enumerate(values)]
+        """The seeds of the variables at a point, values (nvars,), or of
+        a block of points, values (P, nvars), each seed then a batch of
+        P jets."""
+        values = np.asarray(values, dtype=float)
+        return [self.variable(v, values[..., v]) for v in range(values.shape[-1])]
 
 
 @lru_cache(maxsize=None)
@@ -206,9 +213,11 @@ def jet_space(nvars: int, order: int) -> JetSpace:
 
 
 class Jet:
-    """A jet, coef (ncoef,), or a batch of jets, coef (..., ncoef), whose
-    sums, products, reciprocal and quotients act row by row with each
-    row's own bits; value, partial and the other series take one jet."""
+    """A jet, coef (ncoef,), or a batch of jets, coef (..., ncoef).
+    Sums, products (seed products included), powers, quotients and the
+    analytic functions act row by row, each row with the bits it gets as
+    a jet alone; a product of a jet with a batch gives a batch only
+    through a seed or a scalar.  value and partial read one jet."""
 
     __slots__ = ("space", "coef")
 
@@ -291,15 +300,16 @@ class Jet:
 
     def _times_seed(self, seed: "_Seed") -> "Jet":
         """self * seed: self scaled by the seed's value, plus self shifted
-        up by the seed's variable.  Bit for bit the bincount product of
-        finite jets: a coefficient is a sum of at most two nonzero terms,
-        which rounds the same in either order, and the + 0.0 turns a -0.0
-        into the +0.0 that bincount's sum starts from."""
+        up by the seed's variable, row by row when either is a batch.
+        Bit for bit the bincount product of finite jets: a coefficient is
+        a sum of at most two nonzero terms, which rounds the same in
+        either order, and the + 0.0 turns a -0.0 into the +0.0 that
+        bincount's sum starts from."""
         s = self.space
-        coef = self.coef * seed.coef[0] + 0.0
+        coef = self.coef * seed.coef[..., :1] + 0.0
         if s.order:
             src = s._deriv_src[seed.var]
-            coef[src] += self.coef[: len(src)]
+            coef[..., src] += self.coef[..., : len(src)]
         return Jet(s, coef)
 
     def __truediv__(self, other):
@@ -323,7 +333,9 @@ class Jet:
         p = int(p)
         if p < 0:
             return self.reciprocal() ** (-p)
-        result = self.space.constant(1.0)
+        # the constant 1, one row per jet of a batch
+        one = np.broadcast_to(self.space.constant(1.0).coef, self.coef.shape)
+        result = Jet(self.space, one.copy())
         base = self
         while p:
             if p & 1:
@@ -370,48 +382,70 @@ class Jet:
         dcoefs = [(-1.0) ** k / np.float_power(u0, k + 1) for k in range(K + 1)]
         return self._compose(dcoefs)
 
-    def log(self) -> "Jet":
-        u0 = self.value
-        if u0 <= 0.0:
-            raise JetDomainError(f"log of nonpositive base value {u0}")
+    def _series(self, taylor, *args) -> "Jet":
+        """The function whose Taylor coefficients at a value u0 are
+        taylor(u0, K, *args), K + 1 floats (K the order), composed with
+        the jet.  taylor runs with math on each row's value as a Python
+        float, one row at a time, so that a row of a batch has the
+        coefficients it has alone: numpy's vector loops may round a libm
+        function differently."""
         K = self.space.order
-        dcoefs = [math.log(u0)]
-        dcoefs += [(-1.0) ** (k + 1) / (k * u0**k) for k in range(1, K + 1)]
-        return self._compose(dcoefs)
+        u0 = self.coef[..., 0]
+        if u0.ndim == 0:
+            return self._compose(taylor(float(u0), K, *args))
+        rows = [taylor(v, K, *args) for v in u0.ravel().tolist()]
+        return self._compose([np.reshape(c, u0.shape) for c in zip(*rows)])
+
+    def log(self) -> "Jet":
+        return self._series(_log_series)
 
     def sqrt(self) -> "Jet":
-        u0 = self.value
-        if u0 <= 0.0:
-            raise JetDomainError(f"sqrt of nonpositive base value {u0}")
-        K = self.space.order
-        dcoefs, binom = [], 1.0
-        for k in range(K + 1):
-            dcoefs.append(binom * u0 ** (0.5 - k))
-            binom *= (0.5 - k) / (k + 1)
-        return self._compose(dcoefs)
+        return self._series(_sqrt_series)
 
     def exp(self) -> "Jet":
-        e0 = math.exp(self.value)
-        K = self.space.order
-        dcoefs = [e0 / math.factorial(k) for k in range(K + 1)]
-        return self._compose(dcoefs)
+        return self._series(_exp_series)
 
     def sin(self) -> "Jet":
-        u0 = self.value
-        cycle = [math.sin(u0), math.cos(u0), -math.sin(u0), -math.cos(u0)]
-        K = self.space.order
-        dcoefs = [cycle[k % 4] / math.factorial(k) for k in range(K + 1)]
-        return self._compose(dcoefs)
+        return self._series(_trig_series, 0)
 
     def cos(self) -> "Jet":
-        u0 = self.value
-        cycle = [math.cos(u0), -math.sin(u0), -math.cos(u0), math.sin(u0)]
-        K = self.space.order
-        dcoefs = [cycle[k % 4] / math.factorial(k) for k in range(K + 1)]
-        return self._compose(dcoefs)
+        return self._series(_trig_series, 1)
 
     def __repr__(self):
-        return f"Jet(nvars={self.space.nvars}, order={self.space.order}, value={self.value})"
+        lead = self.coef.shape[:-1]
+        what = f"batch={lead}" if lead else f"value={self.value}"
+        return f"Jet(nvars={self.space.nvars}, order={self.space.order}, {what})"
+
+
+# The Taylor coefficients (u0, K) -> [f(u0), f'(u0), f''(u0) / 2, ...] of
+# the analytic functions, to order K, for Jet._series
+
+def _log_series(u0, K):
+    if u0 <= 0.0:
+        raise JetDomainError(f"log of nonpositive base value {u0}")
+    return [math.log(u0)] + [(-1.0) ** (k + 1) / (k * u0**k)
+                             for k in range(1, K + 1)]
+
+
+def _sqrt_series(u0, K):
+    if u0 <= 0.0:
+        raise JetDomainError(f"sqrt of nonpositive base value {u0}")
+    dcoefs, binom = [], 1.0
+    for k in range(K + 1):
+        dcoefs.append(binom * u0 ** (0.5 - k))
+        binom *= (0.5 - k) / (k + 1)
+    return dcoefs
+
+
+def _exp_series(u0, K):
+    e0 = math.exp(u0)
+    return [e0 / math.factorial(k) for k in range(K + 1)]
+
+
+def _trig_series(u0, K, shift):
+    """sin's coefficients, or with shift 1 cos's, its derivative's."""
+    cycle = [math.sin(u0), math.cos(u0), -math.sin(u0), -math.cos(u0)]
+    return [cycle[(k + shift) % 4] / math.factorial(k) for k in range(K + 1)]
 
 
 class _Seed(Jet):

@@ -79,7 +79,10 @@ def evaluate(env, *parts):
 
     Over a chart point of floats the arrays hold values.  Over jets (the
     seeds of one jet space) they hold each tree's coefficient array on a
-    trailing axis, a constant tree's as a constant row.
+    trailing axis, a constant tree's as a constant row.  Over the seeds
+    of a block of P chart points (JetSpace.seed) they gain a leading
+    axis of the points, and each point's arrays are contiguous, with the
+    bits of its own evaluation: the jet arithmetic goes row by row.
     """
     flat, shapes = [], []
     for part in parts:
@@ -92,14 +95,16 @@ def evaluate(env, *parts):
         else:
             flat += part
             shapes.append((len(part),))
+    lead = ()
     if isinstance(env[0], Jet):
         space = env[0].space
-        vals = np.zeros((len(flat), space.ncoef))
-        for row, v in zip(vals, eval_expr(flat, env)):
+        lead = env[0].coef.shape[:-1]
+        vals = np.zeros(lead + (len(flat), space.ncoef))
+        for k, v in enumerate(eval_expr(flat, env)):
             if isinstance(v, Jet):
-                row[:] = v.coef
+                vals[..., k, :] = v.coef
             else:
-                row[0] = v
+                vals[..., k, 0] = v
         tail = (space.ncoef,)
     else:
         vals = np.array(eval_expr(flat, [float(v) for v in env]), dtype=float)
@@ -107,7 +112,8 @@ def evaluate(env, *parts):
     out, at = [], 0
     for shape in shapes:
         size = math.prod(shape)
-        out.append(vals[at:at + size].reshape(shape + tail))
+        part = vals[..., at:at + size, :] if tail else vals[at:at + size]
+        out.append(part.reshape(lead + shape + tail))
         at += size
     return out
 

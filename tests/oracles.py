@@ -49,7 +49,9 @@ a test can hold the package's route against it:
 - LoopMetric: a metric written as a loop over one direction at a
   time, on floats, numpy columns or jets (its at(x) gives a LoopStage),
   whose stage(x) is the package's XStage for the generic pipeline, its
-  jets one direction at a time (jets_by_direction);
+  jets one direction at a time and with no denominator
+  (jets_by_direction); f_jets reads F's jets off any stage, dividing a
+  quotient stage's numerator by its denominator;
 - loop_metric: finsler_stage's (alpha, beta) view as a LoopMetric, the
   forms a loop of Jet, float or column operations (linear_form and
   quadratic_form), against the package's stacked stage;
@@ -217,7 +219,8 @@ class LoopMetric:
 def jets_by_direction(at, x):
     """The jets of an XStage at the float chart point x from a
     LoopMetric's at: at(x).f on the order-4 seeds of x and of one
-    direction of the block at a time."""
+    direction of the block at a time, F's own jets with no
+    denominator."""
 
     def jets(ys):
         n = len(x)
@@ -228,9 +231,19 @@ def jets_by_direction(at, x):
             f = f_at([space.variable(n + k, v) for k, v in enumerate(y)])
             row[:] = f.coef if isinstance(f, Jet) else space.constant(
                 float(f)).coef
-        return out
+        return out, None
 
     return jets
+
+
+def f_jets(stage: XStage, ys) -> np.ndarray:
+    """F's order-4 jets at the directions ys from the stage's jets: its
+    num / den, as curvature_samples divides them, or num alone."""
+    num, den = stage.jets(ys)
+    if den is None:
+        return num
+    space = jet_space(2 * len(stage.x), 4)
+    return (Jet(space, num) / Jet(space, den)).coef
 
 
 def _check_domain(F: LoopMetric, x, y):

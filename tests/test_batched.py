@@ -14,6 +14,13 @@ curvature_samples call over all of their blocks.  Each point must get
 the bits of its run of one, whatever the sizes of the other blocks, and
 a point whose pass fails must fail as it fails alone while the others
 keep their samples.
+
+The rest of a run's x-stage is stacked too: one order-2 tree pass and
+one order-4 pass of a_ij and b_i over the seeds of a block of chart
+points, and one log_densities pass over their stacked trees.  Each
+point's slice must have the bits of its own pass, and a point that
+fails a stacked pass must fail as it fails alone, the others keeping
+their values.
 """
 from dataclasses import fields, replace
 
@@ -28,11 +35,13 @@ from kropina.einstein import (
     thm41_check,
     weight_preset,
 )
+from kropina.expr import ExprDomainError
 from kropina.forms import (
     HypothesisNotMetError,
     hess_f_closed,
     kropina_ricci_closed,
     kropina_spray_closed,
+    log_densities,
     nav_ricci_isotropic,
     nav_spray,
     s_bh_closed,
@@ -40,8 +49,8 @@ from kropina.forms import (
     s_dot_closed,
 )
 from kropina.generic import ConicDomainError, CurvatureSample, curvature_samples
-from kropina.jets import Jet
-from kropina.riemann import SingularMetricError
+from kropina.jets import Jet, jet_space
+from kropina.riemann import SingularMetricError, evaluate
 from kropina.scenarios import (
     COMPARISON_CUTOFF,
     builtin_names,
@@ -233,17 +242,27 @@ def _same_bits(got: CurvatureSample, want: CurvatureSample):
 
 @pytest.mark.parametrize("source", RUN_SOURCES, ids=_source_id)
 def test_a_run_gives_each_point_the_bits_of_its_run_of_one(source):
-    """The first read of a point's samples fills every point of its run,
-    and each point's samples have, in every field, the bits of the same
-    point built alone; s_bh is s itself where there is no unit-ball
+    """chart_points fills the trees, log densities, stage and samples of
+    every point of its run, and each has the bits of the same point
+    built alone: the trees and densities array for array, the stage's
+    jets (from the run's one order-4 pass) num and den, and the samples
+    field for field; s_bh is s itself where there is no unit-ball
     density of its own."""
     space, plan = _run_plan(source)
     run = chart_points(space, plan)
-    run[1].samples
-    assert all("samples" in vars(pt) for pt in run)
     for pt, (x, ys) in zip(run, plan):
+        assert {"_trees", "log_densities", "stage", "samples"} <= set(vars(pt))
+        alone = ChartPoint(space, x, ys)
+        for got, want in zip(pt._trees, alone._trees):
+            assert _bits(got) == _bits(want)
+        for got, want in zip(pt.log_densities, alone.log_densities):
+            assert (got is None) is (want is None)
+            if want is not None:
+                assert _bits(got.coef) == _bits(want.coef)
+        for got, want in zip(pt.stage.jets(pt.ys), alone.stage.jets(ys)):
+            assert _bits(got) == _bits(want)
         got = pt.samples
-        _same_bits(got, ChartPoint(space, x, ys).samples)
+        _same_bits(got, alone.samples)
         assert len(got.y) == len(ys)
         if pt.log_densities[1] is None:
             assert got.s_bh is got.s
@@ -313,3 +332,121 @@ def test_a_checker_over_a_failing_run_raises_as_over_points_alone(
     assert [c["verdict"] for c in doc.checks] == ["ERROR", "ERROR"]
     assert doc.checks[0]["error"] == error[1]
     assert batched == doc.to_json(timings=False)
+
+
+# -- one x-stage per run ---------------------------------------------------------
+
+STACK_SOURCES = [*builtin_names(), *(random_scenario(s, n) for s in (1, 2)
+                                     for n in range(2, 7))]
+
+
+def _tree_parts(space):
+    """Every tree a chart point reads, as its order-2 pass takes them."""
+    return (space.a, space.b_up, space.h, space.w, space.gauge) + (
+        () if space.weight is None else (space.weight,))
+
+
+def _block(source):
+    """(space, xs): three sampled chart points of the source, (3, n)."""
+    sc = load_scenario(source)
+    samples = scenario_samples(sc, points=3, directions=1, seed=5)
+    return sc.space(), np.array([x for x, _ in samples])
+
+
+@pytest.mark.parametrize("source", STACK_SOURCES, ids=_source_id)
+def test_tree_passes_over_a_block_give_each_point_its_bits(source):
+    """riemann.evaluate over the seeds of a (P, n) block of chart
+    points, to order 2 of every tree a chart point reads and to order 4
+    of a_ij and b_i, gives each point a C-contiguous slice with the bits
+    of the same evaluation at its x alone."""
+    space, xs = _block(source)
+    for order, parts in ((2, _tree_parts(space)), (4, (space.a, space.b))):
+        sp = jet_space(space.dim, order)
+        block = evaluate(sp.seed(xs), *parts)
+        for k, x in enumerate(xs):
+            alone = evaluate(sp.seed(x), *parts)
+            assert len(block) == len(alone)
+            for got, want in zip(block, alone):
+                assert got[k].flags.c_contiguous
+                assert _bits(got[k]) == _bits(want), (order, k)
+
+
+@pytest.mark.parametrize("source", STACK_SOURCES, ids=_source_id)
+def test_log_densities_of_a_block_give_each_point_its_bits(source):
+    """forms.log_densities over the stacked trees of three chart points,
+    a batch of metrics a_ij with batches of gauges and weights, gives
+    each point the bits of its own call (a ChartPoint's
+    log_densities)."""
+    space, xs = _block(source)
+    points = [ChartPoint(space, x, ()) for x in xs]
+    trees = [pt._trees for pt in points]
+    sp = jet_space(space.dim, 2)
+    log_sigma, log_bh = log_densities(
+        np.stack([t[0] for t in trees]),
+        *(Jet(sp, np.stack(parts)) for parts in zip(*(t[4:] for t in trees))))
+    for k, pt in enumerate(points):
+        want_sigma, want_bh = pt.log_densities
+        assert _bits(log_sigma.coef[k]) == _bits(want_sigma.coef)
+        assert (log_bh is None) is (want_bh is None)
+        if want_bh is not None:
+            assert _bits(log_bh.coef[k]) == _bits(want_bh.coef)
+
+
+def _ab_document(a11, weight=None):
+    """An (alpha, beta) space on the 3-box whose a_11 is the text a11,
+    with b = dx1 and the given weight."""
+    doc = {
+        "schema": "scenario/1", "name": "stack_fault", "dimension": 3,
+        "representation": "ab",
+        "metric": [[a11, "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+        "vector": ["1", "0", "0"],
+        "constants": {"a": 1, "c": 0},
+        "box": [[-0.5, 0.5]] * 3, "points": 3, "directions": 3, "seed": 1,
+    }
+    if weight is not None:
+        doc["weight"] = weight
+    return doc
+
+
+def _outcome(read):
+    """None when read() returns, else the type and message it raises."""
+    try:
+        read()
+    except ValueError as e:
+        return type(e), str(e)
+    return None
+
+
+@pytest.mark.parametrize("a11, weight, bad_x1", [
+    ("1", "ln(x1 + 1)", -1.2),         # the weight's ln at -0.2
+    ("1 + sqrt(x1^2)", None, 0.0),     # sqrt of a zero jet value; F is
+                                       # defined there over floats
+    ("1 + ln(x1 + 1)", None, -1.1),    # the float stage fails too
+], ids=["ln-weight", "sqrt-metric", "ln-metric"])
+def test_a_point_failing_a_stacked_pass_fails_alone(a11, weight, bad_x1):
+    """In a run of three chart points whose middle one fails the
+    stacked tree pass, by a ln or a sqrt whose argument has a value out
+    of the jet's domain there, every read of that point (its trees,
+    bundle, densities, stage and samples) returns or raises what the
+    same point built alone does, on every read, and the outer points
+    keep every bit of their runs of one.  The stacked passes fall back
+    to a pass per point: the tree pass always, and the stages' shared
+    order-4 pass where the middle point's float stage is defined."""
+    space = load_scenario(_ab_document(a11, weight)).space()
+    ys = [[1.0, 0.2, -0.1], [0.8, -0.3, 0.5], [1.2, 0.4, 0.3]]
+    plan = [([0.3, 0.1, -0.2], ys), ([bad_x1, 0.2, 0.1], ys),
+            ([0.25, -0.1, 0.3], ys)]
+    run = chart_points(space, plan)
+    alone = [ChartPoint(space, x, ys) for x, ys in plan]
+    error = _outcome(lambda: alone[1]._trees)
+    assert error is not None and error[0] is ExprDomainError
+    for name in ("_trees", "fld", "log_densities", "stage", "samples"):
+        want = _outcome(lambda: getattr(alone[1], name))
+        for _ in range(2):
+            assert _outcome(lambda: getattr(run[1], name)) == want, name
+    assert _outcome(lambda: run[1].samples) is not None
+    assert "samples" not in vars(run[1])
+    for k in (0, 2):
+        _same_bits(run[k].samples, alone[k].samples)
+        for got, want in zip(run[k]._trees, alone[k]._trees):
+            assert _bits(got) == _bits(want)

@@ -43,6 +43,7 @@ from oracles import (
     eliminate_gauss_jordan,
     ellipsoid_box,
     f2_jet,
+    f_jets,
     flat_wind,
     geodesic_flow,
     gradient,
@@ -838,7 +839,8 @@ def test_direction_stage_equals_the_jet_loop_bit_for_bit(source, directions):
     one direction (where _row_sum sums a single column) or of ten, give
     row by row the bits of the loop of Jet and float operations
     (oracles.loop_metric): F and its domain at each float direction,
-    and F's jet at the order-4 seeds of x and of each direction."""
+    and F's jet at the order-4 seeds of x and of each direction, the
+    quotient of the jets' two forms over the whole block."""
     sc = load_scenario(source)
     space = sc.space()
     n = space.dim
@@ -848,7 +850,7 @@ def test_direction_stage_equals_the_jet_loop_bit_for_bit(source, directions):
     for x, ys in scenario_samples(sc, points=2, directions=directions,
                                   seed=4):
         stage = finsler_stage(space, x)
-        f, dom, rows = stage.f(ys), stage.domain(ys), stage.jets(ys)
+        f, dom, rows = stage.f(ys), stage.domain(ys), f_jets(stage, ys)
         assert f.shape == dom.shape == (directions,)
         xf = [float(v) for v in x]
         loop = ref.at(xf)

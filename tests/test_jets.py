@@ -502,3 +502,63 @@ def test_truncated_series_equal_full_horner_bit_for_bit(fn, monkeypatch):
     got = [getattr(j, fn)().coef.tobytes() for j in jets]
     monkeypatch.setattr(Jet, "_compose", horner_compose)
     assert got == [getattr(j, fn)().coef.tobytes() for j in jets]
+
+
+def _alone(batch, op):
+    """op of each jet of a batch taken alone, stacked into the batch's
+    shape."""
+    sp, lead = batch.space, batch.coef.shape[:-1]
+    rows = [op(Jet(sp, c.copy())).coef
+            for c in batch.coef.reshape(-1, sp.ncoef)]
+    return np.array(rows).reshape(lead + (sp.ncoef,))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_batched_powers_and_series_equal_each_jet_alone():
+    """A batch of jets, one axis or two, gives each row the bits of its
+    jet alone under ** p for p = -3..4 (which once raised IndexError
+    on a batch: it started from a single constant jet), reciprocal,
+    log, exp, sqrt, sin and cos, at every order 0 to 4 over 1 to 6
+    variables; the coefficients past the value include signed zeros,
+    infinities and NaN, the NaN made as inf * 0."""
+    rng = np.random.default_rng(31)
+    ops = [lambda j, p=p: j ** p for p in range(-3, 5)] + [
+        lambda j, fn=fn: getattr(j, fn)()
+        for fn in ("reciprocal", "log", "exp", "sqrt", "sin", "cos")]
+    cases = [(3, 2, (4,))] + [(nvars, order, shape)
+                              for nvars in range(1, 7)
+                              for order in range(MAX_ORDER + 1)
+                              for shape in ((3,), (2, 2))]
+    for nvars, order, shape in cases:
+        sp = jet_space(nvars, order)
+        coef = _special_coefficients(rng, shape + (sp.ncoef,))
+        coef[..., 0] = 0.25 + rng.random(shape)
+        batch = Jet(sp, coef)
+        for k, op in enumerate(ops):
+            got = op(batch).coef
+            assert got.tobytes() == _alone(batch, op).tobytes(), (
+                nvars, order, shape, k)
+
+
+def test_seeds_of_a_block_are_each_points_seeds():
+    """JetSpace.seed over a (P, n) block gives batches whose rows are
+    the seeds of each point, and a product with such a seed, of a batch
+    or of one jet, gives each row the bits of the product with its
+    point's seed alone."""
+    rng = np.random.default_rng(32)
+    for nvars, order in ((1, 2), (3, 2), (4, 4), (6, 1)):
+        sp = jet_space(nvars, order)
+        block = rng.normal(size=(5, nvars))
+        seeds = sp.seed(block)
+        batch = Jet(sp, rng.normal(size=(5, sp.ncoef)))
+        one = Jet(sp, rng.normal(size=sp.ncoef))
+        for v, seed in enumerate(seeds):
+            assert seed.var == v and seed.coef.shape == (5, sp.ncoef)
+            for k, x in enumerate(block):
+                alone = sp.seed(x)[v]
+                assert seed.coef[k].tobytes() == alone.coef.tobytes()
+                for got, want in (
+                        (batch * seed, Jet(sp, batch.coef[k]) * alone),
+                        (seed * one, alone * one),
+                        (seed * seeds[0], alone * sp.seed(x)[0])):
+                    assert got.coef[k].tobytes() == want.coef.tobytes()

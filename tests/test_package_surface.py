@@ -28,10 +28,9 @@ ALLOWED = {
 # caller that really uses the method
 SHARED_NAMES = {
     "einstein.ChartPoint.samples": "einstein._check, workbench.run_verify",
-    "jets.JetSpace.seed": "einstein.ChartPoint._trees, "
-                          "riemann.MetricPoint.from_exprs",
-    "jets.Jet.value": "jets.Jet's series (log, exp, sqrt, sin, cos), "
-                      "forms.log_densities",
+    "jets.JetSpace.seed": "einstein._tree_pass, forms.finsler_stage and "
+                          "finsler_stages, riemann.MetricPoint.from_exprs",
+    "jets.Jet.value": "jets.Jet.__repr__",
     "riemann.MetricPoint.riemann": "riemann.MetricPoint.ricci",
     "riemann.MetricPoint.ricci": "forms.kropina_ricci_closed, "
                                  "forms.nav_ricci_isotropic",

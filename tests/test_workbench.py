@@ -738,51 +738,51 @@ def test_check_builds_once_per_point_per_run(monkeypatch):
 
 
 def test_f_x_stage_runs_once_per_point_per_run(monkeypatch):
-    """The jets of F's stage (a_ij(x), b_i(x) over order-4 seeds) run
-    once per chart point in a run, however many directions and
-    checkers use them, and inside the run's one curvature_samples
-    call: the x work of the generic route is not staged apart."""
+    """The jets of F's stages, a_ij(x) and b_i(x) over the order-4
+    seeds of x, come from one evaluation per run over the block of all
+    its chart points, however many directions and checkers use them,
+    and inside the run's one curvature_samples call: the x work of the
+    generic route is not staged apart."""
     import kropina.einstein as einstein
-    import kropina.workbench as workbench
+    import kropina.forms as forms
 
     calls = []
-    real = workbench.finsler_stage
+    real = forms.evaluate
     real_samples = einstein.curvature_samples
 
-    def counted(space, x):
-        stage = real(space, x)
-
-        def jets(ys):
-            calls.append(("jets", tuple(float(v) for v in stage.x)))
-            return stage.jets(ys)
-
-        return stage._replace(jets=jets)
+    def evaluate(env, *parts):
+        if isinstance(env[0], Jet) and env[0].space.order == 4:
+            xs = np.stack([seed.coef[..., 0] for seed in env], axis=-1)
+            calls.append(("order 4", [tuple(x) for x in xs.tolist()]))
+        return real(env, *parts)
 
     def samples(points):
-        calls.append(("samples", [tuple(float(v) for v in stage.x)
+        calls.append(("samples", [tuple(stage.x.tolist())
                                   for stage, *_ in points]))
-        return real_samples(points)
+        out = real_samples(points)
+        calls.append(("done", None))
+        return out
 
-    monkeypatch.setattr(einstein, "finsler_stage", counted)
-    monkeypatch.setattr(workbench, "finsler_stage", counted)
+    monkeypatch.setattr(forms, "evaluate", evaluate)
     monkeypatch.setattr(einstein, "curvature_samples", samples)
     for name in ("s3_hopf", "euclid_gaussian"):
         sc = load_scenario(name)
         for run in (lambda: run_check(sc), lambda: run_verify(sc)):
             calls.clear()
             run()
-            [(kind, xs), *rest] = calls
-            assert kind == "samples"
-            assert len(xs) == len(set(xs)) == sc.points
-            assert rest == [("jets", x) for x in xs]
+            [(kind, xs), (order4, block), (done, _)] = calls
+            assert (kind, order4, done) == ("samples", "order 4", "done")
+            assert len(xs) == len(set(xs)) == sc.points > 1
+            assert block == xs
 
 
 def test_one_jet_evaluation_per_signature_per_point(monkeypatch):
-    """A chart point walks the space's trees once, over its n chart
-    variables to order 2, and F's stage once, over the same n variables
-    to order 4 when its jets run: check and verify on torus_wind make
-    exactly these jet evaluations per point, and none at (n, 1) or over
-    the 2n variables."""
+    """The chart points of a run walk the space's trees in one
+    evaluation over their n chart variables to order 2, and F's stages
+    in one over the same n variables to order 4 when their jets run,
+    each over the block of every point: check and verify on torus_wind
+    make exactly these jet evaluations per run, and none at (n, 1) or
+    over the 2n variables."""
     import kropina.riemann as riemann
 
     counts = Counter()
@@ -790,16 +790,17 @@ def test_one_jet_evaluation_per_signature_per_point(monkeypatch):
 
     def counted(exprs, env):
         if len(env) and isinstance(env[0], Jet):
-            counts[(env[0].space.nvars, env[0].space.order)] += 1
+            sp = env[0].space
+            counts[(sp.nvars, sp.order, env[0].coef.shape[:-1])] += 1
         return real(exprs, env)
 
     monkeypatch.setattr(riemann, "eval_expr", counted)
     sc = load_scenario("torus_wind")
-    n = sc.dimension
+    n, block = sc.dimension, (sc.points,)
     for run in (lambda: run_check(sc), lambda: run_verify(sc)):
         counts.clear()
         run()
-        assert counts == {(n, 2): sc.points, (n, 4): sc.points}
+        assert counts == {(n, 2, block): 1, (n, 4, block): 1}
 
 
 def test_one_float_x_stage_per_point(monkeypatch):
