@@ -21,13 +21,26 @@ time.
 Nodes are interned where they are built (the parser and the e_*
 constructors): equal subtrees are one object, so an expression is a DAG
 whose size is its count of distinct subexpressions, however long its
-printed text.  Evaluation works over three scalar kinds through one walk
-of that DAG, each distinct node once per call: plain floats, Jet values
-(exact truncated derivatives), and numpy arrays (for a Finsler
-metric written as one expression in x and y, such as the tests' ones,
-at many directions at once; array evaluation skips domain checks and
-lets non-finite values flow, callers mask them).  The package's own
-trees go through riemann.evaluate, over floats and jets only.
+printed text.  Evaluation works over three scalar kinds, each distinct
+node once per call: plain floats, Jet values (exact truncated
+derivatives), and numpy arrays (for a Finsler metric written as one
+expression in x and y, such as the tests' ones, at many directions at
+once; array evaluation skips domain checks and lets non-finite values
+flow, callers mask them).  The package's own trees go through
+riemann.evaluate, over floats and jets only.
+
+The first evaluation of a tree set (the roots of one eval_expr call)
+walks its DAG and records the walk as a tape: a flat list of steps, one
+per operator node, in the walk's post-order (lhs before rhs, roots in
+sequence order), each naming the slots of its operands and of its
+result.  A later evaluation of the same roots replays the tape, a loop
+over its steps with no recursion and no memo, running the walk's
+operations on the same operands in the same order, so every value has
+the bits the walk gives it, for floats, jets and arrays alike.  A walk
+that raises records nothing, and a replay that raises walks again, so
+an error is the walk's ExprDomainError with its message and node.  A
+cache of fixed size keeps the tapes, keyed by the tuple of roots (nodes
+hash by identity); the oldest tape goes first.
 
 The e_* constructors, which build the trees conversions derive, also
 fold trivial identities: an operation on two constants becomes its
@@ -556,54 +569,9 @@ def _call_float(fn, v, node):
         raise ExprDomainError("range overflow", node) from None
 
 
-def _ev(node, env, memo):
-    """node's value at env.  memo maps id(n) to the value of each operator
-    node n this call has evaluated, so a shared node runs once."""
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return env[node.index - 1]
-    if id(node) in memo:
-        return memo[id(node)]
-    if isinstance(node, Neg):
-        value = -_ev(node.operand, env, memo)
-    elif isinstance(node, Add):
-        value = _ev(node.lhs, env, memo) + _ev(node.rhs, env, memo)
-    elif isinstance(node, Sub):
-        value = _ev(node.lhs, env, memo) - _ev(node.rhs, env, memo)
-    elif isinstance(node, Mul):
-        value = _ev(node.lhs, env, memo) * _ev(node.rhs, env, memo)
-    elif isinstance(node, Div):
-        num = _ev(node.lhs, env, memo)
-        den = _ev(node.rhs, env, memo)
-        if isinstance(den, np.ndarray):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                value = num / den
-        else:
-            try:
-                value = num / den
-            except (ZeroDivisionError, JetDomainError):
-                raise ExprDomainError("division by zero", node) from None
-    elif isinstance(node, Pow):
-        base = _ev(node.base, env, memo)
-        if isinstance(base, np.ndarray):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                value = np.power(base, float(node.exponent))
-        else:
-            try:
-                value = base**node.exponent
-            except (ZeroDivisionError, JetDomainError):
-                raise ExprDomainError(
-                    "zero base with negative exponent", node) from None
-    elif isinstance(node, Call):
-        value = _call(node, _ev(node.arg, env, memo), env)
-    else:
-        raise TypeError(f"not an expression node: {node!r}")
-    memo[id(node)] = value
-    return value
-
-
-def _call(node, v, env):
+def _call(node, v, arrays):
+    """fn(v) for a Call node; arrays says whether the environment holds
+    a numpy array."""
     if isinstance(v, Jet):
         try:
             if node.fn == "ln":
@@ -611,14 +579,151 @@ def _call(node, v, env):
             return getattr(v, node.fn)()
         except JetDomainError as exc:
             raise ExprDomainError(str(exc), node) from None
-    if isinstance(v, np.ndarray) or any(
-            isinstance(e, np.ndarray) for e in env):
+    if arrays or isinstance(v, np.ndarray):
         # a constant argument (a folded subtree) under an array
         # environment takes the array route too, as its unfolded tree
         # would, and gives a 0-d array
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.asarray(_ARRAY_FUNCS[node.fn](v))
     return _call_float(node.fn, v, node)
+
+
+def _div(num, den, node):
+    if isinstance(den, np.ndarray):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return num / den
+    try:
+        return num / den
+    except (ZeroDivisionError, JetDomainError):
+        raise ExprDomainError("division by zero", node) from None
+
+
+def _pow(base, p, node):
+    if isinstance(base, np.ndarray):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.power(base, float(p))
+    try:
+        return base**p
+    except (ZeroDivisionError, JetDomainError):
+        raise ExprDomainError(
+            "zero base with negative exponent", node) from None
+    except OverflowError:
+        raise ExprDomainError("range overflow", node) from None
+
+
+# A tape is the walk of one tree set written down: (n, template, steps,
+# outs).  A replay copies the template, which holds each constant of the
+# set at its slot, puts the n values of the environment in the first n
+# slots, and runs the steps (code, i, j, out, node) in order: slot out
+# gets code's operation on the values in slots i and j (a Pow step holds
+# its exponent in j).  The roots' values are then in the slots outs.
+_ADD, _SUB, _MUL, _DIV, _POW, _NEG, _CALL = range(7)
+_BINARY_CODES = {Add: _ADD, Sub: _SUB, Mul: _MUL, Div: _DIV}
+
+# tree sets whose tapes are kept; the oldest goes first
+_TAPE_LIMIT = 64
+_TAPES = {}
+
+
+def _record(node, slots, vals, steps, consts, index, arrays):
+    """node's slot in vals, which starts as the environment: evaluates
+    the nodes under node that slots does not hold yet, in post-order
+    (lhs before rhs), appending each value to vals and each operator
+    node's step to steps, and each constant's slot to consts.  index is
+    range(len(env))."""
+    slot = slots.get(node)
+    if slot is not None:
+        return slot
+    cls = node.__class__
+    if cls is Var:
+        # the slot of env[index - 1], so an index past env raises
+        slots[node] = slot = index[node.index - 1]
+        return slot
+    if cls is Const:
+        slots[node] = slot = len(vals)
+        vals.append(node.value)
+        consts.append(slot)
+        return slot
+    b = 0
+    if cls is Pow:
+        a = _record(node.base, slots, vals, steps, consts, index, arrays)
+        code, b = _POW, node.exponent
+        value = _pow(vals[a], b, node)
+    elif cls is Neg:
+        a = _record(node.operand, slots, vals, steps, consts, index, arrays)
+        code, value = _NEG, -vals[a]
+    elif cls is Call:
+        a = _record(node.arg, slots, vals, steps, consts, index, arrays)
+        code, value = _CALL, _call(node, vals[a], arrays)
+    else:
+        code = _BINARY_CODES.get(cls)
+        if code is None:
+            raise TypeError(f"not an expression node: {node!r}")
+        a = _record(node.lhs, slots, vals, steps, consts, index, arrays)
+        b = _record(node.rhs, slots, vals, steps, consts, index, arrays)
+        if code == _ADD:
+            value = vals[a] + vals[b]
+        elif code == _SUB:
+            value = vals[a] - vals[b]
+        elif code == _MUL:
+            value = vals[a] * vals[b]
+        else:
+            value = _div(vals[a], vals[b], node)
+    slots[node] = slot = len(vals)
+    vals.append(value)
+    steps.append((code, a, b, slot, node))
+    return slot
+
+
+def _walk(roots, env, arrays):
+    """The values of roots at env, evaluated node by node, and their
+    tape."""
+    slots, vals, steps, consts = {}, list(env), [], []
+    index = range(len(env))
+    outs = [_record(root, slots, vals, steps, consts, index, arrays)
+            for root in roots]
+    template = [None] * len(vals)
+    for slot in consts:
+        template[slot] = vals[slot]
+    # a tape is tuples: a list would keep the spare room it grew with
+    return [vals[k] for k in outs], (
+        len(env), tuple(template), tuple(steps), tuple(outs))
+
+
+def _replay(tape, env, arrays):
+    """The values the tape's walk gives at env: its operations on the
+    same operands, in the same order.  A domain fault raises what the
+    operation raises (an ArithmeticError or a ValueError), not
+    ExprDomainError."""
+    n, template, steps, outs = tape
+    vals = list(template)
+    vals[:n] = env
+    for code, i, j, out, node in steps:
+        if code == _MUL:
+            vals[out] = vals[i] * vals[j]
+        elif code == _ADD:
+            vals[out] = vals[i] + vals[j]
+        elif code == _NEG:
+            vals[out] = -vals[i]
+        elif code == _SUB:
+            vals[out] = vals[i] - vals[j]
+        elif arrays:
+            # the walk's own helpers, which mute numpy's warnings
+            if code == _DIV:
+                vals[out] = _div(vals[i], vals[j], node)
+            elif code == _POW:
+                vals[out] = _pow(vals[i], j, node)
+            else:
+                vals[out] = _call(node, vals[i], arrays)
+        elif code == _DIV:
+            vals[out] = vals[i] / vals[j]
+        elif code == _POW:
+            vals[out] = vals[i] ** j
+        elif vals[i].__class__ is float:
+            vals[out] = _FLOAT_FUNCS[node.fn](vals[i])
+        else:
+            vals[out] = _call(node, vals[i], arrays)
+    return [vals[k] for k in outs]
 
 
 def eval_expr(exprs, env):
@@ -631,14 +736,33 @@ def eval_expr(exprs, env):
     Each distinct node is evaluated once per call, so expressions that
     share a subtree share its value object: never change a result in
     place.
+
+    The first call on a tree set walks it and keeps its tape; later
+    calls on the same roots replay the tape.  A replay that raises walks
+    again, so an error names the node the walk fails at.
     """
     asts = [exprs] if isinstance(exprs, ExprAst) else exprs
     for ast in asts:
         if len(env) != ast.dim:
             raise ValueError(f"environment length {len(env)} does not "
                              f"match dimension {ast.dim}")
-    memo = {}
-    values = [_ev(ast.root, env, memo) for ast in asts]
+    roots = tuple([ast.root for ast in asts])
+    arrays = any(isinstance(e, np.ndarray) for e in env)
+    tape = _TAPES.get(roots)
+    if tape is None or tape[0] != len(env):
+        values, tape = _walk(roots, env, arrays)
+        if roots not in _TAPES and len(_TAPES) >= _TAPE_LIMIT:
+            del _TAPES[next(iter(_TAPES))]
+        _TAPES[roots] = tape
+    else:
+        try:
+            values = _replay(tape, env, arrays)
+        except (ArithmeticError, ValueError):
+            values = None
+        if values is None:
+            # a domain fault: the walk meets the same fault and raises
+            # its own error, an ExprDomainError naming the node
+            values = _walk(roots, env, arrays)[0]
     return values[0] if isinstance(exprs, ExprAst) else values
 
 

@@ -97,6 +97,19 @@ def test_weight_constant_overflowing_to_inf_is_an_input_problem(tmp_path,
         "(at /constants/a)\n")
 
 
+def test_float_power_overflow_in_a_metric_is_an_input_problem(tmp_path,
+                                                             capsys):
+    """A power past the float range exits 1 with one line naming the
+    power and the metric's pointer, as an exp overflow does, not with
+    an OverflowError traceback."""
+    doc = load_scenario("s3_hopf").as_dict()
+    doc["metric"][0][0] = "1 + 0*(1e200*x1)^2"
+    path = write_scenario(tmp_path, doc)
+    assert main(["check", "--scenario", path]) == 1
+    assert capsys.readouterr().err == (
+        "kropina: range overflow in '(1e+200 * x1)^2' (at /metric)\n")
+
+
 def test_exit_2_on_verdict_failure(tmp_path, capsys):
     path = write_scenario(tmp_path, CONFORMAL)
     assert main(["check", "--scenario", path]) == 2

@@ -135,6 +135,17 @@ def test_eval_ln_domain():
     assert eval_expr(ast, [math.e]) == pytest.approx(1.0)
 
 
+def test_float_power_overflow_is_a_domain_error():
+    """A float power past the float range raises ExprDomainError, as an
+    exp that overflows does, not a bare OverflowError."""
+    for text, x in (("x1^2", 1e200), ("x1^-2", 1e-200)):
+        ast = parse_expr(text, 1)
+        with pytest.raises(ExprDomainError) as err:
+            eval_expr(ast, [x])
+        assert str(err.value) == f"range overflow in '{text}'"
+        assert err.value.node is ast.root
+
+
 def test_eval_env_length_checked():
     ast = parse_expr("x1", 1)
     with pytest.raises(ValueError):
@@ -285,10 +296,13 @@ def test_sequence_evaluates_each_shared_node_once(monkeypatch):
     monkeypatch.setattr(Jet, "sin", lambda j: calls.append(1) or real(j))
     exprs = [parse_expr("sin(x1*x2) + 1", 2), parse_expr("2*sin(x1*x2)", 2)]
     env = jet_space(2, 2).seed([0.3, 0.7])
-    first, second = eval_expr(exprs, env)
-    assert len(calls) == 1
-    assert first.value == math.sin(0.21) + 1
-    assert second.value == 2 * math.sin(0.21)
+    # the second call replays the first one's tape
+    for call in (1, 2):
+        first, second = eval_expr(exprs, env)
+        assert len(calls) == call
+        assert first.value == math.sin(0.21) + 1
+        assert second.value == 2 * math.sin(0.21)
+    assert tuple(e.root for e in exprs) in expr._TAPES
     assert eval_expr(exprs, [0.3, 0.7]) == [eval_expr(e, [0.3, 0.7]) for e in exprs]
 
 
