@@ -20,7 +20,7 @@ fit, and the einstein-residual-fitted condition judges the fitted pair
 through the generic pipeline; verdicts derive from residuals and the
 configured tolerance only.  The checkers read each sampled x through a
 ChartPoint, and the chart points of one run share each pass of their
-x-stage, whose errors stay per point.
+x-stage, or, when a pass raises, each computes its own.
 """
 
 import itertools
@@ -404,32 +404,6 @@ def _scaled_residual(value, *scales):
 # theorem's own conditions.
 
 
-class _staged:
-    """A cached property of a ChartPoint that a run fills, value or
-    error: the point's own computation runs when its run has not filled
-    it, and an error is kept like a value (in the point's _failed), so
-    that each read re-raises it."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.name = fn.__name__
-        self.__doc__ = fn.__doc__
-
-    def __get__(self, pt, owner=None):
-        if pt is None:
-            return self
-        failed = pt._failed.get(self.name)
-        if failed is not None:
-            raise failed
-        try:
-            value = self.fn(pt)
-        except Exception as e:   # any error: it is this point's alone
-            pt._failed[self.name] = e
-            raise
-        vars(pt)[self.name] = value
-        return value
-
-
 class ChartPoint:
     """One sampled chart point x of a space and its directions ys (D, n),
     with every pointwise bundle a run reads there: the drift bundle fld,
@@ -442,12 +416,12 @@ class ChartPoint:
     riemann.evaluate of the space's trees over the n chart variables to
     order 2 (_trees), each tree's partials taken from its own array.
 
-    The x-stage of a point (_trees, log_densities, stage and samples)
-    holds its value or its own error, and a read re-raises the error.
-    chart_points fills it for every point of a run, stage by stage, each
-    stage one pass over the stacked points; a point built alone is a run
-    of one and computes each on first read.  fld, nav, inv and the fits
-    are each built on first read.
+    Every bundle is a cached property: chart_points fills the x-stage
+    of all the points of a run (_trees, log_densities, stage and
+    samples) from its stacked passes, or none of it, and a point built
+    alone is a run of one, which computes each on first read.  An error
+    is not cached, so each read of a point at fault raises it again.
+    fld, nav, inv and the fits are each built on first read.
     """
 
     def __init__(self, space: KropinaSpace, x, ys):
@@ -457,9 +431,8 @@ class ChartPoint:
         self.ys = np.array(ys, dtype=float).reshape(-1, self.n)
         self._jet_space = jet_space(self.n, 2)
         self._fits = {}
-        self._failed = {}   # the error of each x-stage that raised
 
-    @_staged
+    @cached_property
     def _trees(self):
         """The order-2 x-jets of every tree the point reads, as the
         coefficient arrays of one evaluation (_tree_pass), so each node
@@ -483,13 +456,13 @@ class ChartPoint:
         sp = self._jet_space
         return NavPoint(MetricPoint(*partials(h, sp)), *partials(w, sp))
 
-    @_staged
+    @cached_property
     def log_densities(self):
         """(ln sigma, ln sigma_BH or None) as order-2 x-jets, as
         forms.log_densities gives them."""
         return _density_pass([self._trees])[0]
 
-    @_staged
+    @cached_property
     def stage(self):
         """The space's Finsler stage at x: F, its domain and its jets."""
         return finsler_stage(self.space, self.x)
@@ -499,12 +472,11 @@ class ChartPoint:
         """The drift invariants of all directions ys."""
         return AbInvariants(self.fld, self.ys)
 
-    @_staged
+    @cached_property
     def samples(self):
         """The generic curvature samples of all directions ys."""
-        [cs] = _generic_pass([self])
-        if isinstance(cs, Exception):
-            raise cs
+        [cs] = curvature_samples([(self.stage, self.ys,
+                                   *self.log_densities)])
         return cs
 
     def fitted(self, cfg: WeightConfig) -> EinsteinAnsatz:
@@ -547,55 +519,32 @@ def _density_pass(trees):
             for k in range(len(trees))]
 
 
-def _generic_pass(points):
-    """curvature_samples over the stages, directions and log densities
-    of the points: one CurvatureSample or error per point."""
-    return curvature_samples([(pt.stage, pt.ys, *pt.log_densities)
-                              for pt in points])
-
-
-def _run_stage(points, name, batched):
-    """Fill the x-stage name of each point from one batched(points)
-    call, which gives one value or error per point, and return the
-    points it holds a value for.  A run of one, and a run whose batched
-    call raises, computes the stage point by point instead, each point
-    alone, so that every point gets its own value or error."""
-    out = None
-    if len(points) > 1:
-        try:
-            out = batched(points)
-        except Exception:   # some point fails: each runs the stage alone
-            pass
-    for k, pt in enumerate(points):
-        if out is None:
-            try:
-                getattr(pt, name)
-            except Exception:   # kept in pt._failed
-                pass
-        elif isinstance(out[k], Exception):
-            pt._failed[name] = out[k]
-        else:
-            vars(pt)[name] = out[k]
-    return [pt for pt in points if name in vars(pt)]
-
-
 def chart_points(space: KropinaSpace, samples):
     """One ChartPoint per (x, directions) pair of samples, all of them
-    one run, built stage by stage: one order-2 tree pass over the block
-    of their chart points, one log_densities pass, the Finsler stages,
-    whose jets share one order-4 pass, and one curvature_samples call,
-    each pass over the points whose earlier stages hold values.  Each
-    point gets the bits of its run of one, or its own error; building
-    the run raises none."""
+    one run.  A run of two or more points makes its x-stage in four
+    stacked passes: one order-2 tree pass over the block of their chart
+    points, one log_densities pass, the Finsler stages, whose jets share
+    one order-4 pass, and one curvature_samples call.  Each point then
+    holds the bits of its run of one.  When any pass raises, the run
+    stores nothing and each point computes alone on first read, so the
+    point at fault raises its own error there; building the run raises
+    none."""
     points = [ChartPoint(space, x, ys) for x, ys in samples]
-    with_trees = _run_stage(points, "_trees", lambda pts: [
-        list(trees) for trees in zip(*_tree_pass(space, [pt.x for pt in pts]))])
-    with_densities = _run_stage(with_trees, "log_densities", lambda pts: (
-        _density_pass([pt._trees for pt in pts])))
-    staged = _run_stage(points, "stage", lambda pts: finsler_stages(
-        space, [pt.x for pt in pts]))
-    _run_stage([pt for pt in staged if pt in with_densities], "samples",
-               _generic_pass)
+    if len(points) < 2:   # a run of one stacks nothing
+        return points
+    try:
+        xs = [pt.x for pt in points]
+        trees = [list(arrays) for arrays in zip(*_tree_pass(space, xs))]
+        densities = _density_pass(trees)
+        stages = finsler_stages(space, xs)
+        curvature = curvature_samples([
+            (stage, pt.ys, *dens)
+            for stage, pt, dens in zip(stages, points, densities)])
+    except Exception:   # a point at fault: every point computes alone
+        return points
+    for pt, *values in zip(points, trees, densities, stages, curvature):
+        vars(pt).update(zip(("_trees", "log_densities", "stage", "samples"),
+                            values))
     return points
 
 

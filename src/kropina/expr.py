@@ -567,6 +567,8 @@ def _call_float(fn, v, node):
         return _FLOAT_FUNCS[fn](v)
     except OverflowError:
         raise ExprDomainError("range overflow", node) from None
+    except ValueError:   # sin or cos of an infinite value
+        raise ExprDomainError("domain error", node) from None
 
 
 def _call(node, v, arrays):

@@ -687,37 +687,23 @@ def finsler_stage(space: KropinaSpace, x, seeds=None) -> XStage:
 
 
 def finsler_stages(space: KropinaSpace, xs) -> list:
-    """finsler_stage at each chart point of xs, or the error it raises
-    there.  The jets of the stages share one evaluation of a_ij and b_i
-    over the order-4 seeds of the block of their points, made when the
-    first of them runs; each stage reads its point's arrays, with the
-    bits of its own evaluation.  When that evaluation raises, each
-    stage evaluates its own x, so that an error stays with its point.
+    """finsler_stage at each chart point of xs.  The jets of the stages
+    share one evaluation of a_ij and b_i over the order-4 seeds of the
+    block of their points, made when the first of them runs; each stage
+    reads its point's arrays, with the bits of its own evaluation.  An
+    error at any point raises.
     """
-    n = space.dim
-    block, shared = [], []
+    shared = []
 
     def seeds(k):
         if not shared:
-            try:
-                shared.append(evaluate(jet_space(n, 4).seed(block),
-                                       space.a, space.b))
-            except Exception:   # each stage then evaluates its own x
-                shared.append(None)
-        if shared[0] is None:
-            return evaluate(jet_space(n, 4).seed(block[k]), space.a, space.b)
-        return [arrays[k] for arrays in shared[0]]
+            shared.extend(evaluate(jet_space(space.dim, 4).seed(
+                [stage.x for stage in stages]), space.a, space.b))
+        return [arrays[k] for arrays in shared]
 
-    out = []
-    for x in xs:
-        try:
-            stage = finsler_stage(space, x, lambda k=len(block): seeds(k))
-        except Exception as e:   # any error: it is this point's alone
-            out.append(e)
-            continue
-        block.append(stage.x)
-        out.append(stage)
-    return out
+    stages = [finsler_stage(space, x, lambda k=k: seeds(k))
+              for k, x in enumerate(xs)]
+    return stages
 
 
 # -- the direction stage of F over stacked coefficients ----------------------

@@ -22,10 +22,10 @@ Walther, Evaluating Derivatives, ch. 13).
 A metric enters at one chart point x as an XStage: F, its domain and
 its order-4 jets at x, each a function of a (D, n) block of directions.
 curvature_samples takes the stages and blocks of all the chart points
-of a run in one call and keeps errors per point; bh_density reads F and
-its domain alone: the unit-ball density Vol(B^n) / Vol{F < 1} by a
-product Gauss rule on the sphere, after a change of variables fitted to
-F's own boundary points.
+of a run in one call, and a point at fault raises for the whole call;
+bh_density reads F and its domain alone: the unit-ball density
+Vol(B^n) / Vol{F < 1} by a product Gauss rule on the sphere, after a
+change of variables fitted to F's own boundary points.
 """
 import math
 from dataclasses import dataclass
@@ -193,9 +193,8 @@ def _stack(blocks):
 
 
 class _Block(NamedTuple):
-    """One chart point's entry while its pass has not failed."""
+    """One chart point's entry of a run."""
 
-    index: int                  # the entry's place in the run
     x: np.ndarray               # (n,)
     ys: np.ndarray              # (D, n)
     log_sigma: Jet
@@ -227,33 +226,24 @@ def curvature_samples(points) -> list:
     Sdot refer to sigma; s_bh is S from its own tau_BH = ln sqrt(det g)
     - ln sigma_BH when log_sigma_bh is given, and S itself when not.
 
-    Returns one entry per point: its CurvatureSample, each row with the
-    bits of a sample of its direction alone, or the error its pass
-    raises alone.  A direction outside the conic domain or with a
-    singular g, or a den whose value is zero, fails its point's block,
-    and that point only.
+    Returns one CurvatureSample per point, each row with the bits of a
+    sample of its direction alone, or raises.  A direction outside the
+    conic domain or with a singular g, or a den whose value is zero,
+    raises the error that its point's block raises alone.
     """
-    out = [None] * len(points)
     blocks, nums, dens = [], [], []
-    for i, (stage, ys, log_sigma, log_sigma_bh) in enumerate(points):
-        try:
-            x = np.asarray(stage.x, dtype=float)
-            ys = np.array(ys, dtype=float).reshape(-1, len(x))
-            if not np.all(stage.domain(ys)):
-                raise ConicDomainError(
-                    f"(x, y) outside the conic domain of metric "
-                    f"{stage.name!r}")
-            num, den = stage.jets(ys)
-            if den is not None and np.any(den[:, 0] == 0.0):
-                raise JetDomainError("division by a jet with zero base value")
-        except Exception as e:   # any error: it is this point's alone
-            out[i] = e
-            continue
-        blocks.append(_Block(i, x, ys, log_sigma, log_sigma_bh))
+    for stage, ys, log_sigma, log_sigma_bh in points:
+        x = np.asarray(stage.x, dtype=float)
+        ys = np.array(ys, dtype=float).reshape(-1, len(x))
+        if not np.all(stage.domain(ys)):
+            raise ConicDomainError(
+                f"(x, y) outside the conic domain of metric {stage.name!r}")
+        num, den = stage.jets(ys)
+        if den is not None and np.any(den[:, 0] == 0.0):
+            raise JetDomainError("division by a jet with zero base value")
+        blocks.append(_Block(x, ys, log_sigma, log_sigma_bh))
         nums.append(num)
         dens.append(den)
-    if not blocks:
-        return out
     n = len(blocks[0].x)
     space = jet_space(2 * n, 4)
     f = _stack(nums)
@@ -271,29 +261,22 @@ def curvature_samples(points) -> list:
     f = Jet(space, f)
     f4 = (f * f).coef
     del f
-    solved = []   # (block, g, spray jets 4 G, log det g)
+    solved = []   # (g, spray jets 4 G, log det g) per block
     for b, rows in zip(blocks, _row_slices(blocks)):
         gj, rhs = _spray_system(f4[rows], b.ys, n)
         g = gj[..., 0].copy()
+        _check_invertible(g)
         try:
-            _check_invertible(g)
-            try:
-                w, log_det = graded_solve(jet_space(2 * n, 2), gj, rhs)
-            except JetDomainError:
-                raise SingularMetricError(
-                    "nonpositive fundamental determinant") from None
-        except SingularMetricError as e:
-            out[b.index] = e
-            continue
-        solved.append((b, g, w, log_det))
+            w, log_det = graded_solve(jet_space(2 * n, 2), gj, rhs)
+        except JetDomainError:
+            raise SingularMetricError(
+                "nonpositive fundamental determinant") from None
+        solved.append((g, w, log_det))
     del f4
-    if not solved:
-        return out
 
-    blocks = [b for b, *_ in solved]
     slices = _row_slices(blocks)
     ys = _stack([b.ys for b in blocks])
-    G = _stack([w for _, _, w, _ in solved]) * 0.25
+    G = _stack([w for _, w, _ in solved]) * 0.25
     Gv = G[..., 0].copy()
     half_log_det = _stack([log_det for *_, log_det in solved]) * 0.5
     embedding = _embedding(n, 2)
@@ -319,7 +302,7 @@ def curvature_samples(points) -> list:
         s_bh = _s_jet(tau_bh, G, ys, n)[:, 0]
     R = _riemann_from_spray(G, ys, n)
     fields = dict(
-        g=_stack([g for _, g, _, _ in solved]),
+        g=_stack([g for g, _, _ in solved]),
         spray=Gv,
         connection=G[..., 1 + n:1 + 2 * n].copy(),
         riemann=R,
@@ -328,10 +311,11 @@ def curvature_samples(points) -> list:
         s=s,
         sdot=_dot(ys, grad[:, :n]) - 2.0 * _dot(Gv, grad[:, n:]),
     )
+    out = []
     for b, rows in zip(blocks, slices):
         block = {name: v[rows] for name, v in fields.items()}
         block["s_bh"] = block["s"] if s_bh is s else s_bh[rows]
-        out[b.index] = CurvatureSample(x=b.x, y=b.ys, **block)
+        out.append(CurvatureSample(x=b.x, y=b.ys, **block))
     return out
 
 

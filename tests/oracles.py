@@ -1297,10 +1297,8 @@ def staged_sample(F: LoopMetric, x, y, log_sigma: Jet,
 def point_samples(stage: XStage, ys, log_sigma: Jet,
                   log_sigma_bh=None) -> CurvatureSample:
     """The curvature samples of one chart point, a run of one through
-    curvature_samples, whose error for the point is raised."""
+    curvature_samples, which raises the point's error."""
     [cs] = curvature_samples([(stage, ys, log_sigma, log_sigma_bh)])
-    if isinstance(cs, Exception):
-        raise cs
     return cs
 
 

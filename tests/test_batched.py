@@ -11,16 +11,15 @@ whole block with the per-direction route's error, and caches nothing.
 
 The chart points of one run (einstein.chart_points) share one
 curvature_samples call over all of their blocks.  Each point must get
-the bits of its run of one, whatever the sizes of the other blocks, and
-a point whose pass fails must fail as it fails alone while the others
-keep their samples.
+the bits of its run of one, whatever the sizes of the other blocks.
 
 The rest of a run's x-stage is stacked too: one order-2 tree pass and
 one order-4 pass of a_ij and b_i over the seeds of a block of chart
 points, and one log_densities pass over their stacked trees.  Each
-point's slice must have the bits of its own pass, and a point that
-fails a stacked pass must fail as it fails alone, the others keeping
-their values.
+point's slice must have the bits of its own pass.  A run that has a
+point at fault stores no stage, and every point computes alone: the one
+at fault must fail as it fails alone, the others keeping the bits of
+their runs of one.
 """
 from dataclasses import fields, replace
 
@@ -270,15 +269,31 @@ def test_a_run_gives_each_point_the_bits_of_its_run_of_one(source):
             assert got.s_bh is not got.s
 
 
-def test_a_failing_point_fails_alone_and_its_run_keeps_the_others():
-    """In a run of three s3_hopf points whose middle point has a
-    direction outside the cone, and in a run of three quartic_metric
-    blocks whose middle one has a singular g, the outer points keep the
-    bits of their runs of one, and the middle one raises its own error
-    on every read and caches nothing."""
+X_STAGE = {"_trees", "log_densities", "stage", "samples"}
+
+
+def _x_stage(pt):
+    """The names of the x-stage bundles the point holds."""
+    return X_STAGE & set(vars(pt))
+
+
+def _cone_fault_plan():
+    """Three s3_hopf chart points whose middle one has a direction
+    outside the cone."""
     space, plan = _run_plan("s3_hopf")
     x, ys = plan[1]
     plan[1] = (x, [ys[0], -ys[1], ys[2]])
+    return space, plan
+
+
+def test_a_failing_point_fails_alone_and_its_run_keeps_the_others():
+    """In a run of three s3_hopf points whose middle point has a
+    direction outside the cone, the outer points keep the bits of their
+    runs of one, and the middle one raises its own error on every read
+    and caches nothing.  A curvature_samples call over three
+    quartic_metric blocks whose middle one has a singular g raises the
+    error that block raises alone."""
+    space, plan = _cone_fault_plan()
     run = chart_points(space, plan)
     alone = [ChartPoint(space, x, ys) for x, ys in plan]
     error = _error(lambda: alone[1].samples)
@@ -286,8 +301,6 @@ def test_a_failing_point_fails_alone_and_its_run_keeps_the_others():
     for _ in range(2):
         assert _error(lambda: run[1].samples) == error
         assert "samples" not in vars(run[1])
-    # the failing point's read filled the others of its run
-    assert "samples" in vars(run[0]) and "samples" in vars(run[2])
     for k in (0, 2):
         _same_bits(run[k].samples, alone[k].samples)
 
@@ -296,13 +309,23 @@ def test_a_failing_point_fails_alone_and_its_run_keeps_the_others():
     log_sigma = log_density(lambda p: 1.0, x)
     blocks = [[[1.0, 0.5]], [[1.0, 0.5], [1.0, 0.0], [0.3, 0.9]],
               [[0.3, 0.9], [-0.7, 0.2]]]
-    out = curvature_samples([(F.stage(x), ys, log_sigma, None)
-                             for ys in blocks])
-    assert isinstance(out[1], SingularMetricError)
-    assert _error(lambda: point_samples(F.stage(x), blocks[1], log_sigma)
-                  ) == (SingularMetricError, str(out[1]))
-    for k in (0, 2):
-        _same_bits(out[k], point_samples(F.stage(x), blocks[k], log_sigma))
+    error = _error(lambda: point_samples(F.stage(x), blocks[1], log_sigma))
+    assert error[0] is SingularMetricError
+    assert _error(lambda: curvature_samples(
+        [(F.stage(x), ys, log_sigma, None) for ys in blocks])) == error
+
+
+def test_a_run_with_a_point_at_fault_fills_no_point_partly():
+    """A run whose stacked passes raise stores no x-stage bundle on any
+    of its points, so each computes alone on first read; a healthy run
+    of three stores all four on every point."""
+    space, plan = _cone_fault_plan()
+    for pt in chart_points(space, plan):
+        assert _x_stage(pt) == set()
+    healthy = chart_points(*_run_plan("s3_hopf"))
+    assert len(healthy) == 3
+    for pt in healthy:
+        assert _x_stage(pt) == X_STAGE
 
 
 def test_a_checker_over_a_failing_run_raises_as_over_points_alone(
@@ -429,9 +452,8 @@ def test_a_point_failing_a_stacked_pass_fails_alone(a11, weight, bad_x1):
     of the jet's domain there, every read of that point (its trees,
     bundle, densities, stage and samples) returns or raises what the
     same point built alone does, on every read, and the outer points
-    keep every bit of their runs of one.  The stacked passes fall back
-    to a pass per point: the tree pass always, and the stages' shared
-    order-4 pass where the middle point's float stage is defined."""
+    keep every bit of their runs of one.  The stacked tree pass raises,
+    so the run stores nothing and every point computes alone."""
     space = load_scenario(_ab_document(a11, weight)).space()
     ys = [[1.0, 0.2, -0.1], [0.8, -0.3, 0.5], [1.2, 0.4, 0.3]]
     plan = [([0.3, 0.1, -0.2], ys), ([bad_x1, 0.2, 0.1], ys),

@@ -110,6 +110,18 @@ def test_float_power_overflow_in_a_metric_is_an_input_problem(tmp_path,
         "kropina: range overflow in '(1e+200 * x1)^2' (at /metric)\n")
 
 
+def test_float_sin_of_inf_in_a_metric_is_an_input_problem(tmp_path, capsys):
+    """A sin of a float past the float range exits 1 with one line
+    naming the call and the metric's pointer, not math's bare domain
+    error under another field's pointer."""
+    doc = load_scenario("s3_hopf").as_dict()
+    doc["metric"][0][0] = "1 + 0*sin(1e200*x1*1e200)"
+    path = write_scenario(tmp_path, doc)
+    assert main(["check", "--scenario", path]) == 1
+    assert capsys.readouterr().err == (
+        "kropina: domain error in 'sin(1e+200 * x1 * 1e+200)' (at /metric)\n")
+
+
 def test_exit_2_on_verdict_failure(tmp_path, capsys):
     path = write_scenario(tmp_path, CONFORMAL)
     assert main(["check", "--scenario", path]) == 2

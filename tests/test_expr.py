@@ -146,6 +146,20 @@ def test_float_power_overflow_is_a_domain_error():
         assert err.value.node is ast.root
 
 
+def test_float_sin_of_an_infinite_value_is_a_domain_error():
+    """sin or cos of a float that overflowed to inf raises
+    ExprDomainError naming the call, on the first evaluation and on the
+    replay of a recorded tree, not math's bare ValueError."""
+    for text in ("sin(1e200*x1*1e200)", "cos(x1*1e300*1e300)"):
+        ast = parse_expr(text, 1)
+        assert math.isfinite(eval_expr(ast, [0.0]))
+        for _ in range(2):
+            with pytest.raises(ExprDomainError) as err:
+                eval_expr(ast, [1.0])
+            assert str(err.value) == f"domain error in '{ast}'"
+            assert err.value.node is ast.root
+
+
 def test_eval_env_length_checked():
     ast = parse_expr("x1", 1)
     with pytest.raises(ValueError):
