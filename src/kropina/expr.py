@@ -21,26 +21,21 @@ time.
 Nodes are interned where they are built (the parser and the e_*
 constructors): equal subtrees are one object, so an expression is a DAG
 whose size is its count of distinct subexpressions, however long its
-printed text.  Evaluation works over three scalar kinds, each distinct
-node once per call: plain floats, Jet values (exact truncated
-derivatives), and numpy arrays (for a Finsler metric written as one
-expression in x and y, such as the tests' ones, at many directions at
-once; array evaluation skips domain checks and lets non-finite values
-flow, callers mask them).  The package's own trees go through
-riemann.evaluate, over floats and jets only.
+printed text.  Evaluation works over real numbers and Jet values (exact
+truncated derivatives), each distinct node once per call.  The
+package's own trees go through riemann.evaluate.
 
 The first evaluation of a tree set (the roots of one eval_expr call)
-walks its DAG and records the walk as a tape: a flat list of steps, one
-per operator node, in the walk's post-order (lhs before rhs, roots in
-sequence order), each naming the slots of its operands and of its
-result.  A later evaluation of the same roots replays the tape, a loop
-over its steps with no recursion and no memo, running the walk's
-operations on the same operands in the same order, so every value has
-the bits the walk gives it, for floats, jets and arrays alike.  A walk
-that raises records nothing, and a replay that raises walks again, so
-an error is the walk's ExprDomainError with its message and node.  A
-cache of fixed size keeps the tapes, keyed by the tuple of roots (nodes
-hash by identity); the oldest tape goes first.
+compiles it to a tape: a flat list of steps, one per operator node, in
+post-order (lhs before rhs, roots in sequence order), each naming the
+slots of its operands and of its result.  Every evaluation of the set,
+the first one too, runs its tape: one loop over the steps, with no
+recursion and no memo.  A step that raises runs again through its
+checked helper, which raises an ExprDomainError naming the step's node,
+so an error names the first failing node in post-order.  A cache
+bounded by the steps it holds keeps the tapes, also one whose run
+raised, keyed by the tuple of roots (nodes hash by identity); the
+oldest tape goes first.
 
 The e_* constructors, which build the trees conversions derive, also
 fold trivial identities: an operation on two constants becomes its
@@ -67,8 +62,7 @@ import operator
 import re
 import weakref
 from dataclasses import dataclass
-
-import numpy as np
+from numbers import Real
 
 from .jets import Jet, JetDomainError
 
@@ -549,13 +543,6 @@ _FLOAT_FUNCS = {
     "ln": math.log,
     "sqrt": math.sqrt,
 }
-_ARRAY_FUNCS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "exp": np.exp,
-    "ln": np.log,
-    "sqrt": np.sqrt,
-}
 
 
 def _call_float(fn, v, node):
@@ -571,9 +558,8 @@ def _call_float(fn, v, node):
         raise ExprDomainError("domain error", node) from None
 
 
-def _call(node, v, arrays):
-    """fn(v) for a Call node; arrays says whether the environment holds
-    a numpy array."""
+def _call(node, v):
+    """fn(v) for a Call node."""
     if isinstance(v, Jet):
         try:
             if node.fn == "ln":
@@ -581,19 +567,10 @@ def _call(node, v, arrays):
             return getattr(v, node.fn)()
         except JetDomainError as exc:
             raise ExprDomainError(str(exc), node) from None
-    if arrays or isinstance(v, np.ndarray):
-        # a constant argument (a folded subtree) under an array
-        # environment takes the array route too, as its unfolded tree
-        # would, and gives a 0-d array
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.asarray(_ARRAY_FUNCS[node.fn](v))
     return _call_float(node.fn, v, node)
 
 
 def _div(num, den, node):
-    if isinstance(den, np.ndarray):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return num / den
     try:
         return num / den
     except (ZeroDivisionError, JetDomainError):
@@ -601,9 +578,6 @@ def _div(num, den, node):
 
 
 def _pow(base, p, node):
-    if isinstance(base, np.ndarray):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.power(base, float(p))
     try:
         return base**p
     except (ZeroDivisionError, JetDomainError):
@@ -613,124 +587,108 @@ def _pow(base, p, node):
         raise ExprDomainError("range overflow", node) from None
 
 
-# A tape is the walk of one tree set written down: (n, template, steps,
-# outs).  A replay copies the template, which holds each constant of the
-# set at its slot, puts the n values of the environment in the first n
-# slots, and runs the steps (code, i, j, out, node) in order: slot out
-# gets code's operation on the values in slots i and j (a Pow step holds
-# its exponent in j).  The roots' values are then in the slots outs.
+# A tape is one tree set compiled: (n, template, steps, outs).  A run
+# copies the template, which holds each constant of the set at its slot,
+# puts the n values of the environment in the first n slots, and runs
+# the steps (code, i, j, out, node) in order: slot out gets code's
+# operation on the values in slots i and j (a Pow step holds its
+# exponent in j).  The roots' values are then in the slots outs.
 _ADD, _SUB, _MUL, _DIV, _POW, _NEG, _CALL = range(7)
 _BINARY_CODES = {Add: _ADD, Sub: _SUB, Mul: _MUL, Div: _DIV}
 
-# tree sets whose tapes are kept; the oldest goes first
-_TAPE_LIMIT = 64
+# the tapes kept, and the bound on the steps they hold together; the
+# oldest tape goes first
+_TAPE_STEPS = 8192
 _TAPES = {}
 
 
-def _record(node, slots, vals, steps, consts, index, arrays):
-    """node's slot in vals, which starts as the environment: evaluates
-    the nodes under node that slots does not hold yet, in post-order
-    (lhs before rhs), appending each value to vals and each operator
-    node's step to steps, and each constant's slot to consts.  index is
-    range(len(env))."""
+def _compile_node(node, slots, template, steps, n):
+    """node's slot.  Each node under node that slots does not hold yet
+    takes the next slot of template, in post-order (lhs before rhs): a
+    constant's slot holds its value, an operator node's holds None and
+    its step goes to steps."""
     slot = slots.get(node)
     if slot is not None:
         return slot
     cls = node.__class__
     if cls is Var:
         # the slot of env[index - 1], so an index past env raises
-        slots[node] = slot = index[node.index - 1]
+        slots[node] = slot = range(n)[node.index - 1]
         return slot
     if cls is Const:
-        slots[node] = slot = len(vals)
-        vals.append(node.value)
-        consts.append(slot)
+        slots[node] = slot = len(template)
+        template.append(node.value)
         return slot
     b = 0
     if cls is Pow:
-        a = _record(node.base, slots, vals, steps, consts, index, arrays)
+        a = _compile_node(node.base, slots, template, steps, n)
         code, b = _POW, node.exponent
-        value = _pow(vals[a], b, node)
     elif cls is Neg:
-        a = _record(node.operand, slots, vals, steps, consts, index, arrays)
-        code, value = _NEG, -vals[a]
+        a = _compile_node(node.operand, slots, template, steps, n)
+        code = _NEG
     elif cls is Call:
-        a = _record(node.arg, slots, vals, steps, consts, index, arrays)
-        code, value = _CALL, _call(node, vals[a], arrays)
+        a = _compile_node(node.arg, slots, template, steps, n)
+        code = _CALL
     else:
         code = _BINARY_CODES.get(cls)
         if code is None:
             raise TypeError(f"not an expression node: {node!r}")
-        a = _record(node.lhs, slots, vals, steps, consts, index, arrays)
-        b = _record(node.rhs, slots, vals, steps, consts, index, arrays)
-        if code == _ADD:
-            value = vals[a] + vals[b]
-        elif code == _SUB:
-            value = vals[a] - vals[b]
-        elif code == _MUL:
-            value = vals[a] * vals[b]
-        else:
-            value = _div(vals[a], vals[b], node)
-    slots[node] = slot = len(vals)
-    vals.append(value)
+        a = _compile_node(node.lhs, slots, template, steps, n)
+        b = _compile_node(node.rhs, slots, template, steps, n)
+    slots[node] = slot = len(template)
+    template.append(None)
     steps.append((code, a, b, slot, node))
     return slot
 
 
-def _walk(roots, env, arrays):
-    """The values of roots at env, evaluated node by node, and their
-    tape."""
-    slots, vals, steps, consts = {}, list(env), [], []
-    index = range(len(env))
-    outs = [_record(root, slots, vals, steps, consts, index, arrays)
-            for root in roots]
-    template = [None] * len(vals)
-    for slot in consts:
-        template[slot] = vals[slot]
+def _compile(roots, n):
+    """The tape of the tree set roots over environments of n values."""
+    slots, template, steps = {}, [None] * n, []
+    outs = [_compile_node(root, slots, template, steps, n) for root in roots]
     # a tape is tuples: a list would keep the spare room it grew with
-    return [vals[k] for k in outs], (
-        len(env), tuple(template), tuple(steps), tuple(outs))
+    return n, tuple(template), tuple(steps), tuple(outs)
 
 
-def _replay(tape, env, arrays):
-    """The values the tape's walk gives at env: its operations on the
-    same operands, in the same order.  A domain fault raises what the
-    operation raises (an ArithmeticError or a ValueError), not
-    ExprDomainError."""
+def _run(tape, env):
+    """The values of the tape's roots at env.  A step that raises an
+    ArithmeticError or a ValueError runs again through its checked
+    helper, which raises the ExprDomainError naming its node."""
     n, template, steps, outs = tape
     vals = list(template)
     vals[:n] = env
     for code, i, j, out, node in steps:
-        if code == _MUL:
-            vals[out] = vals[i] * vals[j]
-        elif code == _ADD:
-            vals[out] = vals[i] + vals[j]
-        elif code == _NEG:
-            vals[out] = -vals[i]
-        elif code == _SUB:
-            vals[out] = vals[i] - vals[j]
-        elif arrays:
-            # the walk's own helpers, which mute numpy's warnings
+        try:
+            if code == _MUL:
+                vals[out] = vals[i] * vals[j]
+            elif code == _ADD:
+                vals[out] = vals[i] + vals[j]
+            elif code == _NEG:
+                vals[out] = -vals[i]
+            elif code == _SUB:
+                vals[out] = vals[i] - vals[j]
+            elif code == _DIV:
+                vals[out] = vals[i] / vals[j]
+            elif code == _POW:
+                vals[out] = vals[i] ** j
+            elif vals[i].__class__ is float:
+                vals[out] = _FLOAT_FUNCS[node.fn](vals[i])
+            else:
+                vals[out] = _call(node, vals[i])
+        except (ArithmeticError, ValueError):
             if code == _DIV:
                 vals[out] = _div(vals[i], vals[j], node)
             elif code == _POW:
                 vals[out] = _pow(vals[i], j, node)
+            elif code == _CALL:
+                vals[out] = _call(node, vals[i])
             else:
-                vals[out] = _call(node, vals[i], arrays)
-        elif code == _DIV:
-            vals[out] = vals[i] / vals[j]
-        elif code == _POW:
-            vals[out] = vals[i] ** j
-        elif vals[i].__class__ is float:
-            vals[out] = _FLOAT_FUNCS[node.fn](vals[i])
-        else:
-            vals[out] = _call(node, vals[i], arrays)
+                raise
     return [vals[k] for k in outs]
 
 
 def eval_expr(exprs, env):
     """Evaluate one ExprAst, or a flat sequence of them (giving a list),
-    over an environment of floats, jets, or numpy arrays.
+    over an environment of real numbers or jets.
 
     env[i] supplies the value for x(i+1).  Its length must equal the
     declared dimension.  Constant expressions return plain floats even
@@ -739,32 +697,30 @@ def eval_expr(exprs, env):
     share a subtree share its value object: never change a result in
     place.
 
-    The first call on a tree set walks it and keeps its tape; later
-    calls on the same roots replay the tape.  A replay that raises walks
-    again, so an error names the node the walk fails at.
+    The first call on a tree set compiles it to a tape, which every call
+    on the same roots runs.  A domain fault raises the ExprDomainError
+    of the first failing node in post-order.
     """
     asts = [exprs] if isinstance(exprs, ExprAst) else exprs
     for ast in asts:
         if len(env) != ast.dim:
             raise ValueError(f"environment length {len(env)} does not "
                              f"match dimension {ast.dim}")
+    for v in env:
+        # the ABC check is slow, so floats and jets skip it
+        if not isinstance(v, (float, Jet)) and not isinstance(v, Real):
+            raise TypeError(f"environment entry {v!r} is neither a real "
+                            f"number nor a Jet")
     roots = tuple([ast.root for ast in asts])
-    arrays = any(isinstance(e, np.ndarray) for e in env)
     tape = _TAPES.get(roots)
     if tape is None or tape[0] != len(env):
-        values, tape = _walk(roots, env, arrays)
-        if roots not in _TAPES and len(_TAPES) >= _TAPE_LIMIT:
-            del _TAPES[next(iter(_TAPES))]
+        tape = _compile(roots, len(env))
+        _TAPES.pop(roots, None)
+        held = sum(len(kept[2]) for kept in _TAPES.values())
+        while _TAPES and held + len(tape[2]) > _TAPE_STEPS:
+            held -= len(_TAPES.pop(next(iter(_TAPES)))[2])
         _TAPES[roots] = tape
-    else:
-        try:
-            values = _replay(tape, env, arrays)
-        except (ArithmeticError, ValueError):
-            values = None
-        if values is None:
-            # a domain fault: the walk meets the same fault and raises
-            # its own error, an ExprDomainError naming the node
-            values = _walk(roots, env, arrays)[0]
+    values = _run(tape, env)
     return values[0] if isinstance(exprs, ExprAst) else values
 
 

@@ -81,11 +81,13 @@ time, against the blocks einstein._Residuals judges at once); and
 nav_riemann_isotropic, the navigation closed form of the Riemann
 curvature, held against the generic pipeline.
 
-Then come the expression-text routes: parse_expr_oracle tokenizes a
-whole text one character at a time and parses it by a recursive descent
-of its own, and print_node_oracle prints every occurrence of a shared
-node anew.  parse_expr and print_node must match them byte for byte,
-error for error.
+Then come the expression routes: eval_tree_oracle evaluates a tree set
+by a recursive walk over its DAG, against the tape eval_expr compiles
+and runs, value for value and error for error; parse_expr_oracle
+tokenizes a whole text one character at a time and parses it by a
+recursive descent of its own, and print_node_oracle prints every
+occurrence of a shared node anew.  parse_expr and print_node must match
+them byte for byte, error for error.
 
 Last come the report routes: report_json writes a report as json.dumps
 does over the tree _strict makes of it (each non-finite float as a
@@ -142,6 +144,7 @@ from kropina.expr import (
     Const,
     Div,
     ExprAst,
+    ExprDomainError,
     ExprIndexError,
     ExprNameError,
     ExprSyntaxError,
@@ -1486,7 +1489,76 @@ def ric_ac_per_direction(fields: AbFields, cfg: WeightConfig, y) -> float:
     return val
 
 
-# -- expression text: the tree-walking printer and the eager parser ----------
+# -- expressions: the tree walk, the tree-walking printer, the eager parser ---
+
+_MATH = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "ln": math.log,
+         "sqrt": math.sqrt}
+
+
+def _call_oracle(node, v):
+    """fn(v) for a Call node, with eval_expr's domain errors."""
+    if isinstance(v, Jet):
+        try:
+            return v.log() if node.fn == "ln" else getattr(v, node.fn)()
+        except JetDomainError as exc:
+            raise ExprDomainError(str(exc), node) from None
+    if node.fn == "ln" and v <= 0.0:
+        raise ExprDomainError(f"ln of nonpositive value {v}", node)
+    if node.fn == "sqrt" and v < 0.0:
+        raise ExprDomainError(f"sqrt of negative value {v}", node)
+    try:
+        return _MATH[node.fn](v)
+    except OverflowError:
+        raise ExprDomainError("range overflow", node) from None
+    except ValueError:
+        raise ExprDomainError("domain error", node) from None
+
+
+def eval_tree_oracle(asts, env):
+    """The values of the ExprAsts asts at env, a list of floats or jets,
+    by a recursive walk: post-order, lhs before rhs and roots in order,
+    each distinct node once per call.  A domain fault raises eval_expr's
+    ExprDomainError at the first node that fails."""
+    memo = {}
+
+    def value(node):
+        if node in memo:
+            return memo[node]
+        if isinstance(node, Const):
+            v = node.value
+        elif isinstance(node, Var):
+            v = env[node.index - 1]
+        elif isinstance(node, Neg):
+            v = -value(node.operand)
+        elif isinstance(node, Pow):
+            base = value(node.base)
+            try:
+                v = base**node.exponent
+            except (ZeroDivisionError, JetDomainError):
+                raise ExprDomainError(
+                    "zero base with negative exponent", node) from None
+            except OverflowError:
+                raise ExprDomainError("range overflow", node) from None
+        elif isinstance(node, Call):
+            v = _call_oracle(node, value(node.arg))
+        else:
+            lhs, rhs = value(node.lhs), value(node.rhs)
+            if isinstance(node, Add):
+                v = lhs + rhs
+            elif isinstance(node, Sub):
+                v = lhs - rhs
+            elif isinstance(node, Mul):
+                v = lhs * rhs
+            else:
+                try:
+                    v = lhs / rhs
+                except (ZeroDivisionError, JetDomainError):
+                    raise ExprDomainError("division by zero", node) from None
+        memo[node] = v
+        return v
+
+    return [value(ast.root) for ast in asts]
+
 
 _NUM_RE = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")

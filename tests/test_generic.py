@@ -77,6 +77,18 @@ def plain_metric(n, func, domain, name):
     return LoopMetric(dim=n, at=at, name=name)
 
 
+def eval_xy(ast, x, y):
+    """ast at the position x and the direction y over x(n+1)..x(2n).
+    Where y is numpy columns (a block of directions), each direction is
+    evaluated over floats on its own: eval_expr takes real numbers and
+    jets only."""
+    env = list(x) + list(y)
+    if any(isinstance(v, np.ndarray) for v in env):
+        return np.vectorize(lambda *v: eval_expr(ast, list(v)),
+                            otypes=[float])(*env)
+    return eval_expr(ast, env)
+
+
 def expr_metric(f2_text, beta_text, n, name="expr"):
     """Finsler metric whose square and cone inequality are expressions.
 
@@ -86,11 +98,11 @@ def expr_metric(f2_text, beta_text, n, name="expr"):
     b_ast = parse_expr(beta_text, 2 * n)
 
     def func(x, y):
-        val = eval_expr(f2_ast, list(x) + list(y))
+        val = eval_xy(f2_ast, x, y)
         return val.sqrt() if isinstance(val, Jet) else np.sqrt(val)
 
     def domain(x, y):
-        return eval_expr(b_ast, list(x) + list(y)) > 0
+        return eval_xy(b_ast, x, y) > 0
 
     return plain_metric(n, func, domain, name)
 
@@ -145,11 +157,11 @@ def wavy_kropina():
     def func(x, y):
         # f2_ast is F^2; the domain predicate guarantees beta > 0, so the
         # square root is safe
-        num = eval_expr(f2_ast, list(x) + list(y))
+        num = eval_xy(f2_ast, x, y)
         return num.sqrt() if isinstance(num, Jet) else np.sqrt(num)
 
     def domain(x, y):
-        return eval_expr(b_ast, list(x) + list(y)) > 0
+        return eval_xy(b_ast, x, y) > 0
 
     return plain_metric(3, func, domain, "wavy-kropina")
 
