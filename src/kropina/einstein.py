@@ -40,7 +40,6 @@ from .forms import (
     NavPoint,
     _require_unit_wind,
     finsler_stage,
-    finsler_stages,
     isotropy_fit,
     kropina_ricci_closed,
     log_densities,
@@ -69,12 +68,6 @@ class DispatchError(ValueError):
 _REGIME_TOL = 1e-12
 
 
-def _frac(v):
-    if isinstance(v, Fraction):
-        return v
-    return Fraction(v)
-
-
 def pric_constants(n):
     """The (a, c) pair that collapses ric_ac to the projective Ricci
     curvature; kappa and nu both vanish exactly for it."""
@@ -101,14 +94,14 @@ class WeightConfig:
 
     @property
     def kappa_exact(self):
-        return (self.n - 1) - _frac(self.a) * (self.n + 1)
+        return (self.n - 1) - Fraction(self.a) * (self.n + 1)
 
     @property
     def nu_exact(self):
         return (
             3 * (self.n - 1)
-            - 4 * _frac(self.a) * (self.n + 1)
-            - _frac(self.c) * (self.n + 1) ** 2
+            - 4 * Fraction(self.a) * (self.n + 1)
+            - Fraction(self.c) * (self.n + 1) ** 2
         )
 
     @property
@@ -418,10 +411,13 @@ class ChartPoint:
 
     Every bundle is a cached property: chart_points fills the x-stage
     of all the points of a run (_trees, log_densities, stage and
-    samples) from its stacked passes, or none of it, and a point built
-    alone is a run of one, which computes each on first read.  An error
-    is not cached, so each read of a point at fault raises it again.
-    fld, nav, inv and the fits are each built on first read.
+    samples) from its stacked passes, each point's value a slice of
+    their arrays, or none of it.  A point built alone is a run of one,
+    which computes each on first read: log_densities calls
+    forms.log_densities on its own trees, and stage evaluates its own
+    order-4 arrays when its jets run.  An error is not cached, so each
+    read of a point at fault raises it again.  fld, nav, inv and the
+    fits are each built on first read.
     """
 
     def __init__(self, space: KropinaSpace, x, ys):
@@ -460,7 +456,8 @@ class ChartPoint:
     def log_densities(self):
         """(ln sigma, ln sigma_BH or None) as order-2 x-jets, as
         forms.log_densities gives them."""
-        return _density_pass([self._trees])[0]
+        a, _, _, _, *scalars = self._trees
+        return log_densities(a, *(Jet(self._jet_space, c) for c in scalars))
 
     @cached_property
     def stage(self):
@@ -502,47 +499,39 @@ def _tree_pass(space, x):
         raise
 
 
-def _density_pass(trees):
-    """forms.log_densities of the chart points whose trees are given,
-    in one pass: (ln sigma, ln sigma_BH or None) per point."""
-    parts = [(a, *gauge_and_weight) for a, _, _, _, *gauge_and_weight in trees]
-    if len(parts) == 1:   # a run of one stacks nothing
-        [(a, *scalars)] = parts
-    else:
-        a, *scalars = map(np.stack, zip(*parts))
-    sp = jet_space(a.shape[-2], 2)
-    log_sigma, log_bh = log_densities(a, *(Jet(sp, c) for c in scalars))
-    if len(parts) == 1:
-        return [(log_sigma, log_bh)]
-    return [(Jet(sp, log_sigma.coef[k]),
-             None if log_bh is None else Jet(sp, log_bh.coef[k]))
-            for k in range(len(trees))]
-
-
 def chart_points(space: KropinaSpace, samples):
     """One ChartPoint per (x, directions) pair of samples, all of them
     one run.  A run of two or more points makes its x-stage in four
-    stacked passes: one order-2 tree pass over the block of their chart
-    points, one log_densities pass, the Finsler stages, whose jets share
-    one order-4 pass, and one curvature_samples call.  Each point then
-    holds the bits of its run of one.  When any pass raises, the run
-    stores nothing and each point computes alone on first read, so the
-    point at fault raises its own error there; building the run raises
-    none."""
+    passes over the block of their chart points: one order-2 tree pass,
+    one forms.log_densities call on its stacked arrays as they are, one
+    order-4 evaluation of a_ij and b_i, whose slices each point's
+    finsler_stage takes, and one curvature_samples call.  Each point
+    then holds the bits of its run of one.  When any pass raises, the
+    run stores nothing and each point computes alone on first read, so
+    the point at fault raises its own error there; building the run
+    raises none."""
     points = [ChartPoint(space, x, ys) for x, ys in samples]
     if len(points) < 2:   # a run of one stacks nothing
         return points
     try:
         xs = [pt.x for pt in points]
-        trees = [list(arrays) for arrays in zip(*_tree_pass(space, xs))]
-        densities = _density_pass(trees)
-        stages = finsler_stages(space, xs)
+        stacked = _tree_pass(space, xs)
+        a, _, _, _, *scalars = stacked
+        sp = jet_space(space.dim, 2)
+        log_sigma, log_bh = log_densities(a, *(Jet(sp, c) for c in scalars))
+        densities = [(Jet(sp, c), None if log_bh is None else
+                      Jet(sp, log_bh.coef[k]))
+                     for k, c in enumerate(log_sigma.coef)]
+        a4, b4 = evaluate(jet_space(space.dim, 4).seed(xs), space.a, space.b)
+        stages = [finsler_stage(space, x, order4)
+                  for x, order4 in zip(xs, zip(a4, b4))]
         curvature = curvature_samples([
             (stage, pt.ys, *dens)
             for stage, pt, dens in zip(stages, points, densities)])
     except Exception:   # a point at fault: every point computes alone
         return points
-    for pt, *values in zip(points, trees, densities, stages, curvature):
+    for pt, *values in zip(points, zip(*stacked), densities, stages,
+                           curvature):
         vars(pt).update(zip(("_trees", "log_densities", "stage", "samples"),
                             values))
     return points

@@ -644,21 +644,21 @@ def log_densities(a, b: Jet, f: Optional[Jet] = None):
     return ((-float(n + 1) * f).exp() * bh).log(), bh.log()
 
 
-def finsler_stage(space: KropinaSpace, x, seeds=None) -> XStage:
+def finsler_stage(space: KropinaSpace, x, order4=None) -> XStage:
     """The (alpha, beta) view of the space at the chart point x, F =
     a_ij y^i y^j / (b_i y^i), as the generic pipeline's stage.
 
     a_ij and b_i are evaluated once over the float x (riemann.evaluate),
     as values, for f and domain; jets takes them over the order-4 seeds
     of x, jets of the n chart variables, as coefficient arrays (n, n, C)
-    and (n, C): from seeds() when given (finsler_stages shares one
-    evaluation among the stages of a run), else from an evaluation of
-    its own when it is called.  Each function combines the arrays with a
-    (D, n) block of directions in a few numpy calls, each row with the
-    bits of the loop a_ij y^i y^j and b_i y^i over the same values and
-    Jet operations (see _seed_quadratic); jets hands the two forms to
-    the generic route, whose one division makes F over every row of a
-    run.
+    and (n, C): order4 when given (chart_points hands each point of a
+    run its slices of one evaluation over the block of their points),
+    else from an evaluation of its own when it is called.  Each function
+    combines the arrays with a (D, n) block of directions in a few numpy
+    calls, each row with the bits of the loop a_ij y^i y^j and b_i y^i
+    over the same values and Jet operations (see _seed_quadratic); jets
+    hands the two forms to the generic route, whose one division makes
+    F over every row of a run.
     """
     n = space.dim
     # floats first: a jet chart point raises TypeError here
@@ -674,36 +674,14 @@ def finsler_stage(space: KropinaSpace, x, seeds=None) -> XStage:
         return _lin0(b, np.asarray(ys, dtype=float).T)[:, 0] > 0
 
     def jets(ys):
-        if seeds is None:
-            a4, b4 = evaluate(jet_space(n, 4).seed(x), space.a, space.b)
-        else:
-            a4, b4 = seeds()
+        a4, b4 = order4 if order4 is not None else evaluate(
+            jet_space(n, 4).seed(x), space.a, space.b)
         blocks = _seed_blocks(n)
         v = np.asarray(ys, dtype=float).T
         return (_seed_quadratic(a4, v, blocks),
                 _seed_linear(b4, v, blocks))
 
     return XStage(np.array(x), f, domain, jets, f"{space.name}:ab")
-
-
-def finsler_stages(space: KropinaSpace, xs) -> list:
-    """finsler_stage at each chart point of xs.  The jets of the stages
-    share one evaluation of a_ij and b_i over the order-4 seeds of the
-    block of their points, made when the first of them runs; each stage
-    reads its point's arrays, with the bits of its own evaluation.  An
-    error at any point raises.
-    """
-    shared = []
-
-    def seeds(k):
-        if not shared:
-            shared.extend(evaluate(jet_space(space.dim, 4).seed(
-                [stage.x for stage in stages]), space.a, space.b))
-        return [arrays[k] for arrays in shared]
-
-    stages = [finsler_stage(space, x, lambda k=k: seeds(k))
-              for k, x in enumerate(xs)]
-    return stages
 
 
 # -- the direction stage of F over stacked coefficients ----------------------

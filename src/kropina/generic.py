@@ -30,7 +30,7 @@ change of variables fitted to F's own boundary points.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -192,15 +192,6 @@ def _stack(blocks):
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
-class _Block(NamedTuple):
-    """One chart point's entry of a run."""
-
-    x: np.ndarray               # (n,)
-    ys: np.ndarray              # (D, n)
-    log_sigma: Jet
-    log_sigma_bh: Optional[Jet]
-
-
 def curvature_samples(points) -> list:
     """Full curvature bundles of a metric at the chart points of one run:
     the generic pipeline's one entry.
@@ -213,14 +204,15 @@ def curvature_samples(points) -> list:
     entry of a run has a log_sigma_bh or none does, as the points of one
     space share their densities' kinds.
 
-    Each stage's domain and jets run once, on its own block.  From F on,
-    the rows of all the points go through one stacked batch (one
-    division num / den, when the stages are quotients, and one product
-    F * F), but for the spray system, the invertibility check of g and
-    the graded solve, which run per point: the system's and the solve's
-    triple-table gathers set the heap peak, and stacking them gains no
-    time.  The solve gives the spray and log
-    det g, which feeds the distortion; the spray gives G, N and the
+    points is read once, in order: each stage's domain and jets run
+    once, on its own block, whose rows follow the previous block's in
+    the stack.  From F on, the rows of all the points go through one
+    stacked batch (one division num / den, when the stages are
+    quotients, and one product F * F), but for the spray system, the
+    invertibility check of g and the graded solve, which run per point:
+    the system's and the solve's triple-table gathers set the heap
+    peak, and stacking them gains no time.  The solve gives the spray
+    and log det g, which feeds the distortion; the spray gives G, N and the
     Riemann curvature; the distortion and the spray give S as a
     first-order jet, whose horizontal derivative is Sdot.  S, tau and
     Sdot refer to sigma; s_bh is S from its own tau_BH = ln sqrt(det g)
@@ -231,7 +223,7 @@ def curvature_samples(points) -> list:
     conic domain or with a singular g, or a den whose value is zero,
     raises the error that its point's block raises alone.
     """
-    blocks, nums, dens = [], [], []
+    entries, start = [], 0
     for stage, ys, log_sigma, log_sigma_bh in points:
         x = np.asarray(stage.x, dtype=float)
         ys = np.array(ys, dtype=float).reshape(-1, len(x))
@@ -241,10 +233,12 @@ def curvature_samples(points) -> list:
         num, den = stage.jets(ys)
         if den is not None and np.any(den[:, 0] == 0.0):
             raise JetDomainError("division by a jet with zero base value")
-        blocks.append(_Block(x, ys, log_sigma, log_sigma_bh))
-        nums.append(num)
-        dens.append(den)
-    n = len(blocks[0].x)
+        entries.append((x, ys, slice(start, start + len(ys)), num, den,
+                        log_sigma, log_sigma_bh))
+        start += len(ys)
+    xs, yss, slices, nums, dens, log_sigmas, log_bhs = zip(*entries)
+    del entries
+    n = len(xs[0])
     space = jet_space(2 * n, 4)
     f = _stack(nums)
     del nums
@@ -262,8 +256,8 @@ def curvature_samples(points) -> list:
     f4 = (f * f).coef
     del f
     solved = []   # (g, spray jets 4 G, log det g) per block
-    for b, rows in zip(blocks, _row_slices(blocks)):
-        gj, rhs = _spray_system(f4[rows], b.ys, n)
+    for ys, rows in zip(yss, slices):
+        gj, rhs = _spray_system(f4[rows], ys, n)
         g = gj[..., 0].copy()
         _check_invertible(g)
         try:
@@ -274,8 +268,7 @@ def curvature_samples(points) -> list:
         solved.append((g, w, log_det))
     del f4
 
-    slices = _row_slices(blocks)
-    ys = _stack([b.ys for b in blocks])
+    ys = _stack(yss)
     G = _stack([w for _, w, _ in solved]) * 0.25
     Gv = G[..., 0].copy()
     half_log_det = _stack([log_det for *_, log_det in solved]) * 0.5
@@ -291,14 +284,14 @@ def curvature_samples(points) -> list:
             tau[rows, embedding] -= d.coef
         return tau
 
-    tau = tau_rows([b.log_sigma for b in blocks])
+    tau = tau_rows(log_sigmas)
     s_jet = _s_jet(tau, G, ys, n)
     grad = s_jet[:, 1:1 + 2 * n]
     s = s_jet[:, 0]
-    if blocks[0].log_sigma_bh is None:
+    if log_bhs[0] is None:
         s_bh = s
     else:
-        tau_bh = tau_rows([b.log_sigma_bh for b in blocks])
+        tau_bh = tau_rows(log_bhs)
         s_bh = _s_jet(tau_bh, G, ys, n)[:, 0]
     R = _riemann_from_spray(G, ys, n)
     fields = dict(
@@ -312,20 +305,11 @@ def curvature_samples(points) -> list:
         sdot=_dot(ys, grad[:, :n]) - 2.0 * _dot(Gv, grad[:, n:]),
     )
     out = []
-    for b, rows in zip(blocks, slices):
+    for x, block_ys, rows in zip(xs, yss, slices):
         block = {name: v[rows] for name, v in fields.items()}
         block["s_bh"] = block["s"] if s_bh is s else s_bh[rows]
-        out.append(CurvatureSample(x=b.x, y=b.ys, **block))
+        out.append(CurvatureSample(x=x, y=block_ys, **block))
     return out
-
-
-def _row_slices(blocks):
-    """The rows of each block in the stack of their directions."""
-    slices, start = [], 0
-    for b in blocks:
-        slices.append(slice(start, start + len(b.ys)))
-        start += len(b.ys)
-    return slices
 
 
 def unit_ball_volume(n: int) -> float:

@@ -15,11 +15,11 @@ the bits of its run of one, whatever the sizes of the other blocks.
 
 The rest of a run's x-stage is stacked too: one order-2 tree pass and
 one order-4 pass of a_ij and b_i over the seeds of a block of chart
-points, and one log_densities pass over their stacked trees.  Each
-point's slice must have the bits of its own pass.  A run that has a
-point at fault stores no stage, and every point computes alone: the one
-at fault must fail as it fails alone, the others keeping the bits of
-their runs of one.
+points, and one log_densities call on the tree pass's arrays as they
+are, strided views with a leading point axis.  Each point's slice must
+have the bits of its own pass.  A run that has a point at fault stores
+no stage, and every point computes alone: the one at fault must fail as
+it fails alone, the others keeping the bits of their runs of one.
 """
 from dataclasses import fields, replace
 
@@ -29,6 +29,7 @@ import pytest
 from kropina.einstein import (
     ChartPoint,
     WeightConfig,
+    _tree_pass,
     chart_points,
     ric_ac,
     thm41_check,
@@ -398,21 +399,27 @@ def test_tree_passes_over_a_block_give_each_point_its_bits(source):
 def test_log_densities_of_a_block_give_each_point_its_bits(source):
     """forms.log_densities over the stacked trees of three chart points,
     a batch of metrics a_ij with batches of gauges and weights, gives
-    each point the bits of its own call (a ChartPoint's
-    log_densities)."""
+    each point the bits of its own call (a ChartPoint's log_densities):
+    both over the arrays np.stack makes of the points' trees and over
+    the strided views one tree pass over their block gives, which
+    chart_points hands it as they are."""
     space, xs = _block(source)
     points = [ChartPoint(space, x, ()) for x in xs]
     trees = [pt._trees for pt in points]
     sp = jet_space(space.dim, 2)
-    log_sigma, log_bh = log_densities(
-        np.stack([t[0] for t in trees]),
-        *(Jet(sp, np.stack(parts)) for parts in zip(*(t[4:] for t in trees))))
-    for k, pt in enumerate(points):
-        want_sigma, want_bh = pt.log_densities
-        assert _bits(log_sigma.coef[k]) == _bits(want_sigma.coef)
-        assert (log_bh is None) is (want_bh is None)
-        if want_bh is not None:
-            assert _bits(log_bh.coef[k]) == _bits(want_bh.coef)
+    stacked = _tree_pass(space, xs)
+    assert not stacked[0].flags.c_contiguous
+    for a, scalars in (
+            (np.stack([t[0] for t in trees]),
+             [np.stack(parts) for parts in zip(*(t[4:] for t in trees))]),
+            (stacked[0], stacked[4:])):
+        log_sigma, log_bh = log_densities(a, *(Jet(sp, c) for c in scalars))
+        for k, pt in enumerate(points):
+            want_sigma, want_bh = pt.log_densities
+            assert _bits(log_sigma.coef[k]) == _bits(want_sigma.coef)
+            assert (log_bh is None) is (want_bh is None)
+            if want_bh is not None:
+                assert _bits(log_bh.coef[k]) == _bits(want_bh.coef)
 
 
 def _ab_document(a11, weight=None):

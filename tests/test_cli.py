@@ -1,10 +1,13 @@
 """Command-line behaviour: subcommands, outputs, and the exit-code contract."""
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import kropina
 from kropina.cli import main
 from kropina.scenarios import load_scenario
 
@@ -320,12 +323,17 @@ def test_scenarios_list(capsys):
 
 
 def test_module_entry_point_subprocess():
-    """End-to-end through the interpreter, exactly as a shell would run it."""
+    """End-to-end through the interpreter, exactly as a shell would run it,
+    with the kropina this suite imported first on the child's path."""
+    src = str(Path(kropina.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
         [sys.executable, "-m", "kropina", "check",
          "--scenario", "euclid_parallel", "--no-timings"],
         capture_output=True,
         text=True,
+        env=env,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -336,6 +344,7 @@ def test_module_entry_point_subprocess():
          "euclid_twist"],
         capture_output=True,
         text=True,
+        env=env,
         timeout=120,
     )
     assert proc.returncode == 3

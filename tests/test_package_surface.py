@@ -28,8 +28,9 @@ ALLOWED = {
 # caller that really uses the method
 SHARED_NAMES = {
     "einstein.ChartPoint.samples": "einstein._check, workbench.run_verify",
-    "jets.JetSpace.seed": "einstein._tree_pass, forms.finsler_stage and "
-                          "finsler_stages, riemann.MetricPoint.from_exprs",
+    "jets.JetSpace.seed": "einstein._tree_pass and chart_points, "
+                          "forms.finsler_stage, "
+                          "riemann.MetricPoint.from_exprs",
     "jets.Jet.value": "jets.Jet.__repr__",
     "riemann.MetricPoint.riemann": "riemann.MetricPoint.ricci",
     "riemann.MetricPoint.ricci": "forms.kropina_ricci_closed, "

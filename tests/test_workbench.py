@@ -740,14 +740,15 @@ def test_check_builds_once_per_point_per_run(monkeypatch):
 def test_f_x_stage_runs_once_per_point_per_run(monkeypatch):
     """The jets of F's stages, a_ij(x) and b_i(x) over the order-4
     seeds of x, come from one evaluation per run over the block of all
-    its chart points, however many directions and checkers use them,
-    and inside the run's one curvature_samples call: the x work of the
-    generic route is not staged apart."""
+    its chart points, however many directions and checkers use them.
+    chart_points makes it before the run's one curvature_samples call,
+    and none runs inside that call, where a stage would evaluate its
+    own."""
     import kropina.einstein as einstein
     import kropina.forms as forms
 
     calls = []
-    real = forms.evaluate
+    real = einstein.evaluate
     real_samples = einstein.curvature_samples
 
     def evaluate(env, *parts):
@@ -763,6 +764,7 @@ def test_f_x_stage_runs_once_per_point_per_run(monkeypatch):
         calls.append(("done", None))
         return out
 
+    monkeypatch.setattr(einstein, "evaluate", evaluate)
     monkeypatch.setattr(forms, "evaluate", evaluate)
     monkeypatch.setattr(einstein, "curvature_samples", samples)
     for name in ("s3_hopf", "euclid_gaussian"):
@@ -770,8 +772,8 @@ def test_f_x_stage_runs_once_per_point_per_run(monkeypatch):
         for run in (lambda: run_check(sc), lambda: run_verify(sc)):
             calls.clear()
             run()
-            [(kind, xs), (order4, block), (done, _)] = calls
-            assert (kind, order4, done) == ("samples", "order 4", "done")
+            [(order4, block), (kind, xs), (done, _)] = calls
+            assert (order4, kind, done) == ("order 4", "samples", "done")
             assert len(xs) == len(set(xs)) == sc.points > 1
             assert block == xs
 
