@@ -19,8 +19,8 @@ thm61_check covers kappa = nu = 0.  Every "there exists a scalar /
 fit, and the einstein-residual-fitted condition judges the fitted pair
 through the generic pipeline; verdicts derive from residuals and the
 configured tolerance only.  The checkers read each sampled x through a
-ChartPoint, and the chart points of one run share each pass of their
-x-stage, or, when a pass raises, each computes its own.
+ChartPoint, and the chart points of one run, however many, share each
+pass of their x-stage, or, when a pass raises, each computes its own.
 """
 
 import itertools
@@ -410,14 +410,15 @@ class ChartPoint:
     order 2 (_trees), each tree's partials taken from its own array.
 
     Every bundle is a cached property: chart_points fills the x-stage
-    of all the points of a run (_trees, log_densities, stage and
-    samples) from its stacked passes, each point's value a slice of
-    their arrays, or none of it.  A point built alone is a run of one,
-    which computes each on first read: log_densities calls
-    forms.log_densities on its own trees, and stage evaluates its own
-    order-4 arrays when its jets run.  An error is not cached, so each
-    read of a point at fault raises it again.  fld, nav, inv and the
-    fits are each built on first read.
+    of every point of a run, of one point or many (_trees,
+    log_densities, stage and samples), from its stacked passes, each
+    point's value a slice of their arrays, or, when a pass raises, none
+    of it.  A point of a run that stored nothing, or one built on its
+    own, computes each on first read: log_densities calls forms.log_densities on its
+    own trees, and stage evaluates its own order-4 arrays when its jets
+    run.  An error is not cached, so each read of a point at fault
+    raises it again.  fld, nav, inv and the fits are each built on
+    first read.
     """
 
     def __init__(self, space: KropinaSpace, x, ys):
@@ -425,7 +426,6 @@ class ChartPoint:
         self.n = space.dim
         self.x = np.asarray(x, dtype=float)
         self.ys = np.array(ys, dtype=float).reshape(-1, self.n)
-        self._jet_space = jet_space(self.n, 2)
         self._fits = {}
 
     @cached_property
@@ -438,7 +438,7 @@ class ChartPoint:
     @cached_property
     def fld(self):
         a, b_up, h, w, gauge, *weight = self._trees
-        sp = self._jet_space
+        sp = jet_space(self.n, 2)
         if weight:
             f = partials(weight[0], sp)[1:]
         else:
@@ -449,7 +449,7 @@ class ChartPoint:
     @cached_property
     def nav(self):
         a, b_up, h, w, gauge, *weight = self._trees
-        sp = self._jet_space
+        sp = jet_space(self.n, 2)
         return NavPoint(MetricPoint(*partials(h, sp)), *partials(w, sp))
 
     @cached_property
@@ -457,7 +457,8 @@ class ChartPoint:
         """(ln sigma, ln sigma_BH or None) as order-2 x-jets, as
         forms.log_densities gives them."""
         a, _, _, _, *scalars = self._trees
-        return log_densities(a, *(Jet(self._jet_space, c) for c in scalars))
+        sp = jet_space(self.n, 2)
+        return log_densities(a, *(Jet(sp, c) for c in scalars))
 
     @cached_property
     def stage(self):
@@ -501,18 +502,16 @@ def _tree_pass(space, x):
 
 def chart_points(space: KropinaSpace, samples):
     """One ChartPoint per (x, directions) pair of samples, all of them
-    one run.  A run of two or more points makes its x-stage in four
-    passes over the block of their chart points: one order-2 tree pass,
+    one run.  A run, of one point or many, makes its x-stage in four
+    passes over the block of its chart points: one order-2 tree pass,
     one forms.log_densities call on its stacked arrays as they are, one
     order-4 evaluation of a_ij and b_i, whose slices each point's
     finsler_stage takes, and one curvature_samples call.  Each point
-    then holds the bits of its run of one.  When any pass raises, the
-    run stores nothing and each point computes alone on first read, so
-    the point at fault raises its own error there; building the run
-    raises none."""
+    then holds the bits of the same point built on its own.  When any
+    pass raises, the run stores nothing and each point computes alone on
+    first read, so the point at fault raises its own error there;
+    building the run raises none."""
     points = [ChartPoint(space, x, ys) for x, ys in samples]
-    if len(points) < 2:   # a run of one stacks nothing
-        return points
     try:
         xs = [pt.x for pt in points]
         stacked = _tree_pass(space, xs)

@@ -57,8 +57,9 @@ class XStage(NamedTuple):
     over the 2n variables (x, y) at (x, y_k): F = num / den, whose
     division curvature_samples makes once over the rows of every point
     of a run, or, for a metric that is not a quotient, F's own jets and
-    None.  The arrays are the pass's to overwrite, and the stages of one
-    run all hand a den or none does.  name names the metric in errors.
+    None.  The pass copies the arrays into its stack and writes none of
+    them, and the stages of one run all hand a den or none does.  name
+    names the metric in errors.
 
     The pipeline takes a coordinate volume density, as in dV = sigma(x)
     dx, as ln sigma: an order-2 jet over the n chart variables at x (see
@@ -186,12 +187,6 @@ def _embedding(nvars: int, order: int) -> np.ndarray:
                      for idx in jet_space(nvars, order).indices])
 
 
-def _stack(blocks):
-    """The blocks concatenated along their first axis; one block is
-    returned as it is, so a run of one point copies nothing."""
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-
-
 def curvature_samples(points) -> list:
     """Full curvature bundles of a metric at the chart points of one run:
     the generic pipeline's one entry.
@@ -240,12 +235,12 @@ def curvature_samples(points) -> list:
     del entries
     n = len(xs[0])
     space = jet_space(2 * n, 4)
-    f = _stack(nums)
+    f = np.concatenate(nums)
     del nums
     if any(den is not None for den in dens):   # then every stage's is
         # one division over the stacked rows, in place, a block of rows
         # at a time: the temporaries stay a block's
-        den = _stack(dens)
+        den = np.concatenate(dens)
         del dens
         step = max(1, _QUOTIENT_BYTES // (8 * space.ncoef))
         for r in range(0, len(den), step):
@@ -268,10 +263,10 @@ def curvature_samples(points) -> list:
         solved.append((g, w, log_det))
     del f4
 
-    ys = _stack(yss)
-    G = _stack([w for _, w, _ in solved]) * 0.25
+    ys = np.concatenate(yss)
+    G = np.concatenate([w for _, w, _ in solved]) * 0.25
     Gv = G[..., 0].copy()
-    half_log_det = _stack([log_det for *_, log_det in solved]) * 0.5
+    half_log_det = np.concatenate([log_det for *_, log_det in solved]) * 0.5
     embedding = _embedding(n, 2)
 
     def tau_rows(densities):
@@ -295,7 +290,7 @@ def curvature_samples(points) -> list:
         s_bh = _s_jet(tau_bh, G, ys, n)[:, 0]
     R = _riemann_from_spray(G, ys, n)
     fields = dict(
-        g=_stack([g for g, _, _ in solved]),
+        g=np.concatenate([g for g, _, _ in solved]),
         spray=Gv,
         connection=G[..., 1 + n:1 + 2 * n].copy(),
         riemann=R,

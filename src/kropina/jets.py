@@ -10,15 +10,16 @@ truncation-order error.
 Multiplication uses a precomputed triple table (i, j, k) with
 idx[i] + idx[j] = idx[k].  A product of one jet is one ``np.bincount``
 over it, which keeps the n = 4, K = 4 case (495 coefficients) in the
-tens of microseconds; a batch of jets goes rank by rank, per block of
-rows one gather-multiply of all products and one slice add per rank of
-the table, and keeps each row's bincount bits (see ``_triples``).  A
-product with a coordinate seed (``JetSpace.variable``) is a scaled copy
-plus a shift instead, with the same bits.  The analytic
-functions (reciprocal, log, exp, sqrt, sin, cos) sum their power series
-in the jet's non-constant part by Horner, each step multiplying only up
-to the degree that the remaining steps keep (truncated Taylor
-arithmetic; Griewank and Walther, Evaluating Derivatives, 2008, ch. 13).
+tens of microseconds; a batch of one row is one jet, and a longer batch
+goes rank by rank, per block of rows one gather-multiply of all products
+and one slice add per rank of the table, and keeps each row's bincount
+bits (see ``_triples``).  A product with a coordinate seed
+(``JetSpace.variable``) is a scaled copy plus a shift instead, with the
+same bits.  The analytic functions (reciprocal, log, exp, sqrt, sin,
+cos) sum their power series in the jet's non-constant part by Horner,
+each step multiplying only up to the degree that the remaining steps
+keep (truncated Taylor arithmetic; Griewank and Walther, Evaluating
+Derivatives, 2008, ch. 13).
 
 Jet matrices are eliminated in one place, ``graded_solve``, on stacked
 coefficient arrays rather than entry by entry: one inverse of the
@@ -114,10 +115,12 @@ class JetSpace:
         self._mi, self._mj, self._mk = ii[by_k], jj[by_k], kk[by_k]
         self._k_starts = np.searchsorted(self._mk, np.arange(self.ncoef))
         # the outputs of degree <= d are a prefix of the graded basis, so
-        # their triples are a prefix of the k-sorted table
+        # their triples are a prefix of the k-sorted table, sliced once
         degree_ends = np.searchsorted(deg, np.arange(self.order + 1),
                                       side="right")
         self._triple_ends = np.searchsorted(self._mk, degree_ends).tolist()
+        self._prefixes = {t: (self._mi[:t], self._mj[:t], self._mk[:t])
+                          for t in self._triple_ends}
 
     def _build_deriv_maps(self):
         # deriv along v maps this space onto jet_space(nvars, order - 1):
@@ -216,8 +219,9 @@ class Jet:
     """A jet, coef (ncoef,), or a batch of jets, coef (..., ncoef).
     Sums, products (seed products included), powers, quotients and the
     analytic functions act row by row, each row with the bits it gets as
-    a jet alone; a product of a jet with a batch gives a batch only
-    through a seed or a scalar.  value and partial read one jet."""
+    a jet alone; a batch of one row takes one jet's path, at one jet's
+    cost.  A product of a jet with a batch gives a batch only through a
+    seed or a scalar.  value and partial read one jet."""
 
     __slots__ = ("space", "coef")
 
@@ -362,7 +366,7 @@ class Jet:
         s = self.space
         K = s.order
         if not K:
-            return Jet(s, np.array(dcoefs[0], dtype=float)[..., None])
+            return Jet(s, np.full(self.coef.shape, np.asarray(dcoefs[0])[..., None]))
         e = self.coef.copy()
         e[..., 0] = 0.0
         r = np.asarray(dcoefs[K])[..., None] * e + 0.0
@@ -388,11 +392,12 @@ class Jet:
         the jet.  taylor runs with math on each row's value as a Python
         float, one row at a time, so that a row of a batch has the
         coefficients it has alone: numpy's vector loops may round a libm
-        function differently."""
+        function differently.  One jet, or a batch of one row, makes one
+        call and composes with its floats."""
         K = self.space.order
         u0 = self.coef[..., 0]
-        if u0.ndim == 0:
-            return self._compose(taylor(float(u0), K, *args))
+        if u0.size == 1:
+            return self._compose(taylor(u0.item(), K, *args))
         rows = [taylor(v, K, *args) for v in u0.ravel().tolist()]
         return self._compose([np.reshape(c, u0.shape) for c in zip(*rows)])
 
@@ -472,7 +477,7 @@ class _RankPlan(NamedTuple):
 
 
 def _bincount(space: JetSpace, a: np.ndarray, b: np.ndarray, t: int):
-    mi, mj, mk = space._mi[:t], space._mj[:t], space._mk[:t]
+    mi, mj, mk = space._prefixes[t]
     return np.bincount(mk, weights=a[mi] * b[mj], minlength=space.ncoef)
 
 
@@ -481,22 +486,22 @@ def _triples(space: JetSpace, a: np.ndarray, b: np.ndarray, t=None):
     or a batch (..., ncoef), over the first t triples of the table (all
     by default, else an entry of _triple_ends).
 
-    One jet is one bincount, which adds each coefficient's terms in
-    their (i, j) order, starting from +0.0.  A batch goes in blocks of
-    rows whose products fit _PRODUCT_BYTES: per block, one gather-
-    multiply of a_i b_j, coefficients first, in the order of the
-    table's _RankPlan, then one slice add per rank into zeros (16 at
-    order 4), then the outputs back in place.  Every coefficient adds
-    the bincount's products in the bincount's order from +0.0, so each
-    row has its bits, signed zeros, infinities and NaN included (but
-    for the sign of a NaN met by a NaN of the other sign, which numpy's
-    loops take from either operand by lane).  A block of one row is a
-    bincount.
+    One jet, or a batch of one row, is one bincount, which adds each
+    coefficient's terms in their (i, j) order, starting from +0.0.  A
+    longer batch goes in blocks of rows whose products fit
+    _PRODUCT_BYTES: per block, one gather-multiply of a_i b_j,
+    coefficients first, in the order of the table's _RankPlan, then one
+    slice add per rank into zeros (16 at order 4), then the outputs back
+    in place.  Every coefficient adds the bincount's products in the
+    bincount's order from +0.0, so each row has its bits, signed zeros,
+    infinities and NaN included (but for the sign of a NaN met by a NaN
+    of the other sign, which numpy's loops take from either operand by
+    lane).  A block of one row is a bincount.
     """
     nc = space.ncoef
     t = len(space._mk) if t is None else t
-    if a.ndim == 1:
-        return _bincount(space, a, b, t)
+    if a.size == nc:
+        return _bincount(space, a.reshape(nc), b.reshape(nc), t).reshape(a.shape)
     a, b, shape = a.reshape(-1, nc), b.reshape(-1, nc), a.shape
     out = np.empty(a.shape)
     step = max(1, _PRODUCT_BYTES // (8 * t))

@@ -240,37 +240,40 @@ def _same_bits(got: CurvatureSample, want: CurvatureSample):
         assert np.array_equal(a.view(np.int64), b.view(np.int64)), f.name
 
 
+X_STAGE = {"_trees", "log_densities", "stage", "samples"}
+
+
 @pytest.mark.parametrize("source", RUN_SOURCES, ids=_source_id)
 def test_a_run_gives_each_point_the_bits_of_its_run_of_one(source):
     """chart_points fills the trees, log densities, stage and samples of
-    every point of its run, and each has the bits of the same point
-    built alone: the trees and densities array for array, the stage's
+    every point of its run, a run of three or a run of one, and each
+    has the bits of the same point built alone, which computes them on
+    first read: the trees and densities array for array, the stage's
     jets (from the run's one order-4 pass) num and den, and the samples
     field for field; s_bh is s itself where there is no unit-ball
     density of its own."""
-    space, plan = _run_plan(source)
-    run = chart_points(space, plan)
-    for pt, (x, ys) in zip(run, plan):
-        assert {"_trees", "log_densities", "stage", "samples"} <= set(vars(pt))
-        alone = ChartPoint(space, x, ys)
-        for got, want in zip(pt._trees, alone._trees):
-            assert _bits(got) == _bits(want)
-        for got, want in zip(pt.log_densities, alone.log_densities):
-            assert (got is None) is (want is None)
-            if want is not None:
-                assert _bits(got.coef) == _bits(want.coef)
-        for got, want in zip(pt.stage.jets(pt.ys), alone.stage.jets(ys)):
-            assert _bits(got) == _bits(want)
-        got = pt.samples
-        _same_bits(got, alone.samples)
-        assert len(got.y) == len(ys)
-        if pt.log_densities[1] is None:
-            assert got.s_bh is got.s
-        else:
-            assert got.s_bh is not got.s
-
-
-X_STAGE = {"_trees", "log_densities", "stage", "samples"}
+    for blocks in (RUN_BLOCKS, (3,)):
+        space, plan = _run_plan(source, blocks)
+        run = chart_points(space, plan)
+        assert len(run) == len(blocks)
+        for pt, (x, ys) in zip(run, plan):
+            assert X_STAGE <= set(vars(pt))
+            alone = ChartPoint(space, x, ys)
+            for got, want in zip(pt._trees, alone._trees):
+                assert _bits(got) == _bits(want)
+            for got, want in zip(pt.log_densities, alone.log_densities):
+                assert (got is None) is (want is None)
+                if want is not None:
+                    assert _bits(got.coef) == _bits(want.coef)
+            for got, want in zip(pt.stage.jets(pt.ys), alone.stage.jets(ys)):
+                assert _bits(got) == _bits(want)
+            got = pt.samples
+            _same_bits(got, alone.samples)
+            assert len(got.y) == len(ys)
+            if pt.log_densities[1] is None:
+                assert got.s_bh is got.s
+            else:
+                assert got.s_bh is not got.s
 
 
 def _x_stage(pt):
@@ -318,15 +321,18 @@ def test_a_failing_point_fails_alone_and_its_run_keeps_the_others():
 
 def test_a_run_with_a_point_at_fault_fills_no_point_partly():
     """A run whose stacked passes raise stores no x-stage bundle on any
-    of its points, so each computes alone on first read; a healthy run
-    of three stores all four on every point."""
+    of its points, so each computes alone on first read, a run of one
+    as a run of three; a healthy run of three, or of one, stores all
+    four on every point."""
     space, plan = _cone_fault_plan()
-    for pt in chart_points(space, plan):
-        assert _x_stage(pt) == set()
-    healthy = chart_points(*_run_plan("s3_hopf"))
-    assert len(healthy) == 3
-    for pt in healthy:
-        assert _x_stage(pt) == X_STAGE
+    for run in (plan, plan[1:2]):
+        for pt in chart_points(space, run):
+            assert _x_stage(pt) == set()
+    for blocks in (RUN_BLOCKS, (3,)):
+        healthy = chart_points(*_run_plan("s3_hopf", blocks))
+        assert len(healthy) == len(blocks)
+        for pt in healthy:
+            assert _x_stage(pt) == X_STAGE
 
 
 def test_a_checker_over_a_failing_run_raises_as_over_points_alone(

@@ -515,12 +515,13 @@ def _alone(batch, op):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_batched_powers_and_series_equal_each_jet_alone():
-    """A batch of jets, one axis or two, gives each row the bits of its
-    jet alone under ** p for p = -3..4 (which once raised IndexError
-    on a batch: it started from a single constant jet), reciprocal,
-    log, exp, sqrt, sin and cos, at every order 0 to 4 over 1 to 6
-    variables; the coefficients past the value include signed zeros,
-    infinities and NaN, the NaN made as inf * 0."""
+    """A batch of jets, of one row, of three or on two axes, gives each
+    row the bits of its jet alone, in the batch's shape, under ** p for
+    p = -3..4 (which once raised IndexError on a batch: it started from
+    a single constant jet), reciprocal, log, exp, sqrt, sin and cos, at
+    every order 0 to 4 over 1 to 6 variables; the coefficients past the
+    value include signed zeros, infinities and NaN, the NaN made as
+    inf * 0."""
     rng = np.random.default_rng(31)
     ops = [lambda j, p=p: j ** p for p in range(-3, 5)] + [
         lambda j, fn=fn: getattr(j, fn)()
@@ -528,7 +529,7 @@ def test_batched_powers_and_series_equal_each_jet_alone():
     cases = [(3, 2, (4,))] + [(nvars, order, shape)
                               for nvars in range(1, 7)
                               for order in range(MAX_ORDER + 1)
-                              for shape in ((3,), (2, 2))]
+                              for shape in ((1,), (3,), (2, 2))]
     for nvars, order, shape in cases:
         sp = jet_space(nvars, order)
         coef = _special_coefficients(rng, shape + (sp.ncoef,))
@@ -536,8 +537,50 @@ def test_batched_powers_and_series_equal_each_jet_alone():
         batch = Jet(sp, coef)
         for k, op in enumerate(ops):
             got = op(batch).coef
+            assert got.shape == coef.shape, (nvars, order, shape, k)
             assert got.tobytes() == _alone(batch, op).tobytes(), (
                 nvars, order, shape, k)
+
+
+# the (nvars, order) signatures of the package's jets: the n chart
+# variables of a space of dimension 2..6 and the 2n variables (x, y) of
+# the generic pipeline, each to order 2 and to order 4
+PACKAGE_SIGNATURES = sorted({(m, order) for n in range(2, 7)
+                             for m in (n, 2 * n) for order in (2, 4)})
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("nvars, order", PACKAGE_SIGNATURES)
+def test_a_batch_of_one_has_the_bits_of_its_jet(nvars, order):
+    """A (1, ncoef) batch, as a run of one chart point makes, gives the
+    bits of the same jet unbatched: products over the whole triple
+    table and over each degree prefix of it, products with a seed
+    (either side, and of two seeds), quotients, ** p for p = -3..4 and
+    each series (log, sqrt, exp, sin, cos).  The coefficients past the
+    value include signed zeros, infinities and NaN, the NaN made as
+    inf * 0; every result is compared by its bytes."""
+    rng = np.random.default_rng(33 + 16 * nvars + order)
+    sp = jet_space(nvars, order)
+    a, b = _special_coefficients(rng, (2, sp.ncoef))
+    a[0], b[0] = 0.25 + rng.random(2)
+    for t in sp._triple_ends:
+        got = _triples(sp, a[None], b[None], t)
+        assert got.shape == (1, sp.ncoef)
+        assert got[0].tobytes() == _triples(sp, a, b, t).tobytes(), t
+    x = rng.normal(size=2)
+    ops = [lambda u, v, s, w: u * v, lambda u, v, s, w: u / v,
+           lambda u, v, s, w: u * s, lambda u, v, s, w: s * u,
+           lambda u, v, s, w: s * w]
+    ops += [lambda u, v, s, w, p=p: u ** p for p in range(-3, 5)]
+    ops += [lambda u, v, s, w, fn=fn: getattr(u, fn)()
+            for fn in ("log", "sqrt", "exp", "sin", "cos")]
+    for k, op in enumerate(ops):
+        want = op(Jet(sp, a.copy()), Jet(sp, b.copy()),
+                  sp.variable(0, x[0]), sp.variable(nvars - 1, x[1]))
+        got = op(Jet(sp, a[None].copy()), Jet(sp, b[None].copy()),
+                 sp.variable(0, x[:1]), sp.variable(nvars - 1, x[1:]))
+        assert got.coef.shape == (1, sp.ncoef), k
+        assert got.coef[0].tobytes() == want.coef.tobytes(), k
 
 
 def test_seeds_of_a_block_are_each_points_seeds():

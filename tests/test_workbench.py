@@ -740,10 +740,11 @@ def test_check_builds_once_per_point_per_run(monkeypatch):
 def test_f_x_stage_runs_once_per_point_per_run(monkeypatch):
     """The jets of F's stages, a_ij(x) and b_i(x) over the order-4
     seeds of x, come from one evaluation per run over the block of all
-    its chart points, however many directions and checkers use them.
-    chart_points makes it before the run's one curvature_samples call,
-    and none runs inside that call, where a stage would evaluate its
-    own."""
+    its chart points, however many directions and checkers use them,
+    and a run of one point (verify at one point) makes it over a block
+    of one.  chart_points makes it before the run's one
+    curvature_samples call, and none runs inside that call, where a
+    stage would evaluate its own."""
     import kropina.einstein as einstein
     import kropina.forms as forms
 
@@ -769,12 +770,15 @@ def test_f_x_stage_runs_once_per_point_per_run(monkeypatch):
     monkeypatch.setattr(einstein, "curvature_samples", samples)
     for name in ("s3_hopf", "euclid_gaussian"):
         sc = load_scenario(name)
-        for run in (lambda: run_check(sc), lambda: run_verify(sc)):
+        assert sc.points > 1
+        for run, points in ((lambda: run_check(sc), sc.points),
+                            (lambda: run_verify(sc), sc.points),
+                            (lambda: run_verify(sc, points=1), 1)):
             calls.clear()
             run()
             [(order4, block), (kind, xs), (done, _)] = calls
             assert (order4, kind, done) == ("order 4", "samples", "done")
-            assert len(xs) == len(set(xs)) == sc.points > 1
+            assert len(xs) == len(set(xs)) == points
             assert block == xs
 
 
@@ -782,9 +786,9 @@ def test_one_jet_evaluation_per_signature_per_point(monkeypatch):
     """The chart points of a run walk the space's trees in one
     evaluation over their n chart variables to order 2, and F's stages
     in one over the same n variables to order 4 when their jets run,
-    each over the block of every point: check and verify on torus_wind
-    make exactly these jet evaluations per run, and none at (n, 1) or
-    over the 2n variables."""
+    each over the block of every point: check and verify on torus_wind,
+    and verify at one point over a block of one, make exactly these jet
+    evaluations per run, and none at (n, 1) or over the 2n variables."""
     import kropina.riemann as riemann
 
     counts = Counter()
@@ -798,8 +802,10 @@ def test_one_jet_evaluation_per_signature_per_point(monkeypatch):
 
     monkeypatch.setattr(riemann, "eval_expr", counted)
     sc = load_scenario("torus_wind")
-    n, block = sc.dimension, (sc.points,)
-    for run in (lambda: run_check(sc), lambda: run_verify(sc)):
+    n = sc.dimension
+    for run, block in ((lambda: run_check(sc), (sc.points,)),
+                       (lambda: run_verify(sc), (sc.points,)),
+                       (lambda: run_verify(sc, points=1), (1,))):
         counts.clear()
         run()
         assert counts == {(n, 2, block): 1, (n, 4, block): 1}

@@ -13,7 +13,9 @@ where a chart point batches ten directions in five dimensions, and
 convert each scenario of GAUGES to ab in the gauge given there and that
 document back to nav.  Last, verify at 3 x 3 on the random_scenario(3,
 n) documents of STACKED_DIMENSIONS, runs of three chart points whose
-x-stage passes stack, in every dimension: 68 reports.
+x-stage passes stack, in every dimension, and check random_scenario(3,
+3) with the fields of FAULT_CHANGES, a run whose middle point fails the
+stacked tree pass, so that every point computes alone: 69 reports.
 Every report is recorded as the whole report/2 text
 ``to_json(timings=False)`` writes, re-encoded by the package's report
 encoder (reports._json) with ``tool.version`` dropped, so two checkouts
@@ -69,6 +71,10 @@ STACKED_DIMENSIONS = (2, 3, 4, 5, 6)
 S5_SEEDS = range(1, 9)
 # (scenario, gauge text) converted to ab in that gauge, and back to nav
 GAUGES = (("s3_hopf", "1 + 0.1*x1"),)
+# the fields set on random_scenario(3, 3) for a check whose middle
+# sampled point has x1 + 0.2 <= 0, so the order-2 tree pass over its
+# run raises and every point computes alone: the fault path
+FAULT_CHANGES = {"weight": "ln(x1 + 0.2)", "seed": 0}
 
 
 def _canonical(doc):
@@ -124,6 +130,9 @@ def reports():
         sc = load_scenario(random_scenario(3, n))
         out[f"verify random_scenario(3, {n}) at 3 x 3"] = _canonical(
             run_verify(sc, points=3, dirs=3))
+    doc = dict(random_scenario(3, 3), **FAULT_CHANGES)
+    out[f"check random_scenario(3, 3) with {FAULT_CHANGES['weight']}"] = (
+        _canonical(run_check(load_scenario(doc))))
     return out
 
 
