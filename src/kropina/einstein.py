@@ -19,8 +19,8 @@ thm61_check covers kappa = nu = 0.  Every "there exists a scalar /
 fit, and the einstein-residual-fitted condition judges the fitted pair
 through the generic pipeline; verdicts derive from residuals and the
 configured tolerance only.  The checkers read each sampled x through a
-ChartPoint, and the chart points of one run, however many, share each
-pass of their x-stage, or, when a pass raises, each computes its own.
+ChartPoint, and the chart points of one run share each pass of their
+x-stage (_x_stage), or, when a pass raises, each makes its own.
 """
 
 import itertools
@@ -145,7 +145,7 @@ def weight_preset(name, n):
 
     plain      a = 0, c = 0 (unweighted Ricci curvature)
     ricInf     a = 1, c = 0
-    ricN:N     a = 1, c = 1/(N - n), N != n
+    ricN:N     a = 1, c = 1/(N - n), for an integer N != n
     pric       the projective constants from pric_constants(n)
     """
     if name == "plain":
@@ -157,11 +157,11 @@ def weight_preset(name, n):
         try:
             big_n = int(raw)
         except ValueError:
-            big_n = float(raw)
+            raise ValueError(
+                f"ricN preset needs an integer N, got {raw!r}") from None
         if big_n == n:
             raise ValueError(f"ricN preset needs N != n, got N = n = {n}")
-        c = Fraction(1, big_n - n) if isinstance(big_n, int) else 1.0 / (big_n - n)
-        a = Fraction(1)
+        a, c = Fraction(1), Fraction(1, big_n - n)
     elif name == "pric":
         a, c = pric_constants(n)
     else:
@@ -405,20 +405,11 @@ class ChartPoint:
     ys), the generic curvature samples of all directions, and one
     least-squares (theta, sigma) fit per weight configuration.
 
-    The bundles, the densities and the weight's partials all read one
-    riemann.evaluate of the space's trees over the n chart variables to
-    order 2 (_trees), each tree's partials taken from its own array.
-
-    Every bundle is a cached property: chart_points fills the x-stage
-    of every point of a run, of one point or many (_trees,
-    log_densities, stage and samples), from its stacked passes, each
-    point's value a slice of their arrays, or, when a pass raises, none
-    of it.  A point of a run that stored nothing, or one built on its
-    own, computes each on first read: log_densities calls forms.log_densities on its
-    own trees, and stage evaluates its own order-4 arrays when its jets
-    run.  An error is not cached, so each read of a point at fault
-    raises it again.  fld, nav, inv and the fits are each built on
-    first read.
+    The x-level (_level: the trees, which fld and nav read, the log
+    densities and the stage) is the point's share of one _x_stage call,
+    over its run's block when chart_points stored it, else over the
+    block of x alone on first read.  Every bundle is cached on first
+    read; an error is not, so each read of a point at fault raises it.
     """
 
     def __init__(self, space: KropinaSpace, x, ys):
@@ -429,15 +420,13 @@ class ChartPoint:
         self._fits = {}
 
     @cached_property
-    def _trees(self):
-        """The order-2 x-jets of every tree the point reads, as the
-        coefficient arrays of one evaluation (_tree_pass), so each node
-        the trees share runs once."""
-        return _tree_pass(self.space, self.x)
+    def _level(self):
+        [level] = _x_stage(self.space, [self.x])
+        return level
 
     @cached_property
     def fld(self):
-        a, b_up, h, w, gauge, *weight = self._trees
+        a, b_up, h, w, gauge, *weight = self._level[0]
         sp = jet_space(self.n, 2)
         if weight:
             f = partials(weight[0], sp)[1:]
@@ -448,22 +437,19 @@ class ChartPoint:
 
     @cached_property
     def nav(self):
-        a, b_up, h, w, gauge, *weight = self._trees
+        a, b_up, h, w, gauge, *weight = self._level[0]
         sp = jet_space(self.n, 2)
         return NavPoint(MetricPoint(*partials(h, sp)), *partials(w, sp))
 
-    @cached_property
+    @property
     def log_densities(self):
-        """(ln sigma, ln sigma_BH or None) as order-2 x-jets, as
-        forms.log_densities gives them."""
-        a, _, _, _, *scalars = self._trees
-        sp = jet_space(self.n, 2)
-        return log_densities(a, *(Jet(sp, c) for c in scalars))
+        """(ln sigma, ln sigma_BH or None) as order-2 x-jets."""
+        return self._level[1]
 
-    @cached_property
+    @property
     def stage(self):
         """The space's Finsler stage at x: F, its domain and its jets."""
-        return finsler_stage(self.space, self.x)
+        return self._level[2]
 
     @cached_property
     def inv(self):
@@ -485,54 +471,58 @@ class ChartPoint:
         return fit
 
 
-def _tree_pass(space, x):
-    """The arrays of a_ij, b^i, h_ij, W^i, the gauge and the weight (when
-    the space has one) over the order-2 seeds of x, (n,), or of a block
-    of chart points, (P, n), then each with a leading point axis."""
+def _tree_pass(space, xs):
+    """The arrays of a_ij, b^i, h_ij, W^i, the gauge and the weight (if
+    any) over the order-2 seeds of a block of chart points xs, (P, n),
+    each with a leading point axis.  Where a tree fails over a block of
+    one, an indefinite metric there is reported first."""
     parts = (space.a, space.b_up, space.h, space.w, space.gauge) + (
         () if space.weight is None else (space.weight,))
     try:
-        return evaluate(jet_space(space.dim, 2).seed(x), *parts)
+        return evaluate(jet_space(space.dim, 2).seed(xs), *parts)
     except ExprError:
-        if np.ndim(x) == 1:
-            # a metric that is not positive definite is reported first
-            MetricPoint.from_exprs(space.a, x, order=2)
+        if len(xs) == 1:
+            MetricPoint.from_exprs(space.a, xs[0], order=2)
         raise
+
+
+def _x_stage(space: KropinaSpace, xs):
+    """One (trees, log densities, stage) per chart point of the block
+    xs, (P, n), each with the bits of its block of one, from three
+    passes: the order-2 tree pass, one forms.log_densities call on its
+    stacked arrays as they are, and one order-4 evaluation of a_ij and
+    b_i, whose slices each point's finsler_stage takes for its jets."""
+    trees = _tree_pass(space, xs)
+    a, _, _, _, *scalars = trees
+    sp = jet_space(space.dim, 2)
+    log_sigma, log_bh = log_densities(a, *(Jet(sp, c) for c in scalars))
+    a4, b4 = evaluate(jet_space(space.dim, 4).seed(xs), space.a, space.b)
+    return [(point_trees,
+             (Jet(sp, log_sigma.coef[k]),
+              None if log_bh is None else Jet(sp, log_bh.coef[k])),
+             finsler_stage(space, x, order4))
+            for k, (x, point_trees, order4)
+            in enumerate(zip(xs, zip(*trees), zip(a4, b4)))]
 
 
 def chart_points(space: KropinaSpace, samples):
     """One ChartPoint per (x, directions) pair of samples, all of them
-    one run.  A run, of one point or many, makes its x-stage in four
-    passes over the block of its chart points: one order-2 tree pass,
-    one forms.log_densities call on its stacked arrays as they are, one
-    order-4 evaluation of a_ij and b_i, whose slices each point's
-    finsler_stage takes, and one curvature_samples call.  Each point
-    then holds the bits of the same point built on its own.  When any
-    pass raises, the run stores nothing and each point computes alone on
-    first read, so the point at fault raises its own error there;
-    building the run raises none."""
+    one run: one _x_stage call over the block of its chart points, then
+    one curvature_samples call, whose shares give each point the bits
+    of the same point built alone.  When either raises a ValueError (the
+    checkers' fault family), the run stores nothing, so each point,
+    the one at fault too, makes its x-level alone on first read; any
+    other error propagates."""
     points = [ChartPoint(space, x, ys) for x, ys in samples]
     try:
-        xs = [pt.x for pt in points]
-        stacked = _tree_pass(space, xs)
-        a, _, _, _, *scalars = stacked
-        sp = jet_space(space.dim, 2)
-        log_sigma, log_bh = log_densities(a, *(Jet(sp, c) for c in scalars))
-        densities = [(Jet(sp, c), None if log_bh is None else
-                      Jet(sp, log_bh.coef[k]))
-                     for k, c in enumerate(log_sigma.coef)]
-        a4, b4 = evaluate(jet_space(space.dim, 4).seed(xs), space.a, space.b)
-        stages = [finsler_stage(space, x, order4)
-                  for x, order4 in zip(xs, zip(a4, b4))]
+        levels = _x_stage(space, [pt.x for pt in points])
         curvature = curvature_samples([
             (stage, pt.ys, *dens)
-            for stage, pt, dens in zip(stages, points, densities)])
-    except Exception:   # a point at fault: every point computes alone
+            for pt, (_, dens, stage) in zip(points, levels)])
+    except ValueError:   # a point at fault: every point computes alone
         return points
-    for pt, *values in zip(points, zip(*stacked), densities, stages,
-                           curvature):
-        vars(pt).update(zip(("_trees", "log_densities", "stage", "samples"),
-                            values))
+    for pt, level, cs in zip(points, levels, curvature):
+        vars(pt).update(_level=level, samples=cs)
     return points
 
 

@@ -53,6 +53,7 @@ from .riemann import (
     _dot,
     _form,
     evaluate,
+    require_positive_definite,
 )
 
 
@@ -619,11 +620,9 @@ def sigma_bh(space: KropinaSpace, x) -> float:
 
 
 def log_densities(a, b: Jet, f: Optional[Jet] = None):
-    """(ln sigma, ln sigma_BH) as jets, from the jets of the view metric
-    a_ij (stacked coefficient arrays, n x n x ncoef), the gauge b and
-    the weight f; or, row by row, of a batch of chart points, a
-    (P, n, n, ncoef) and b and f batches of P jets, each row with the
-    bits of its point alone.
+    """(ln sigma, ln sigma_BH) as jets, row by row over a block of P
+    chart points, from the coefficient arrays of the view metrics a_ij,
+    (P, n, n, ncoef), and batches of P jets of the gauge b and weight f.
 
     sigma_BH = (2/b)^n sqrt(det a) is the unit-ball density, whose log
     det a comes from one graded solve, and sigma = e^{-(n+1) f} sigma_BH
@@ -635,6 +634,8 @@ def log_densities(a, b: Jet, f: Optional[Jet] = None):
     try:
         _, log_det = graded_solve(sp, a)
     except JetDomainError:
+        # an indefinite metric is reported as such, not as degenerate
+        require_positive_definite(a[..., 0])
         raise GaugeError("degenerate view metric or gauge") from None
     if np.any(b.coef[..., 0] <= 0.0):
         raise GaugeError("degenerate view metric or gauge")
@@ -648,17 +649,15 @@ def finsler_stage(space: KropinaSpace, x, order4=None) -> XStage:
     """The (alpha, beta) view of the space at the chart point x, F =
     a_ij y^i y^j / (b_i y^i), as the generic pipeline's stage.
 
-    a_ij and b_i are evaluated once over the float x (riemann.evaluate),
-    as values, for f and domain; jets takes them over the order-4 seeds
-    of x, jets of the n chart variables, as coefficient arrays (n, n, C)
-    and (n, C): order4 when given (chart_points hands each point of a
-    run its slices of one evaluation over the block of their points),
-    else from an evaluation of its own when it is called.  Each function
-    combines the arrays with a (D, n) block of directions in a few numpy
-    calls, each row with the bits of the loop a_ij y^i y^j and b_i y^i
-    over the same values and Jet operations (see _seed_quadratic); jets
-    hands the two forms to the generic route, whose one division makes
-    F over every row of a run.
+    a_ij and b_i are evaluated once over the float x, as values, for f
+    and domain; jets reads order4, their coefficient arrays (n, n, C)
+    and (n, C) over the order-4 seeds of x, as the caller evaluated them
+    (einstein._x_stage), so a stage made without them serves f and
+    domain only.  Each function combines the arrays with a (D, n) block
+    of directions in a few numpy calls, each row with the bits of the
+    loop a_ij y^i y^j and b_i y^i over the same values and Jet
+    operations (see _seed_quadratic); jets hands the two forms to the
+    generic route, whose one division makes F over every row of a run.
     """
     n = space.dim
     # floats first: a jet chart point raises TypeError here
@@ -674,12 +673,10 @@ def finsler_stage(space: KropinaSpace, x, order4=None) -> XStage:
         return _lin0(b, np.asarray(ys, dtype=float).T)[:, 0] > 0
 
     def jets(ys):
-        a4, b4 = order4 if order4 is not None else evaluate(
-            jet_space(n, 4).seed(x), space.a, space.b)
         blocks = _seed_blocks(n)
         v = np.asarray(ys, dtype=float).T
-        return (_seed_quadratic(a4, v, blocks),
-                _seed_linear(b4, v, blocks))
+        return (_seed_quadratic(order4[0], v, blocks),
+                _seed_linear(order4[1], v, blocks))
 
     return XStage(np.array(x), f, domain, jets, f"{space.name}:ab")
 

@@ -443,13 +443,19 @@ def _sqrt_series(u0, K):
 
 
 def _exp_series(u0, K):
-    e0 = math.exp(u0)
+    try:
+        e0 = math.exp(u0)
+    except OverflowError:
+        raise JetDomainError(f"exp of base value {u0} overflows") from None
     return [e0 / math.factorial(k) for k in range(K + 1)]
 
 
 def _trig_series(u0, K, shift):
     """sin's coefficients, or with shift 1 cos's, its derivative's."""
-    cycle = [math.sin(u0), math.cos(u0), -math.sin(u0), -math.cos(u0)]
+    try:
+        cycle = [math.sin(u0), math.cos(u0), -math.sin(u0), -math.cos(u0)]
+    except ValueError:   # an infinite value
+        raise JetDomainError(f"sin or cos of infinite base value {u0}") from None
     return [cycle[(k + shift) % 4] / math.factorial(k) for k in range(K + 1)]
 
 

@@ -133,6 +133,17 @@ def partials(coef, space):
     return res
 
 
+def require_positive_definite(g):
+    """Raise unless each metric value of g, (..., n, n), is positive
+    definite, by one batched Cholesky factoring."""
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefiniteError(
+            "metric is not positive definite at this point"
+        ) from None
+
+
 class MetricPoint:
     """Metric data at one chart point: values, derivatives, curvature."""
 
@@ -141,12 +152,7 @@ class MetricPoint:
         self.g = g
         self.dg = dg
         self.d2g = d2g
-        try:
-            np.linalg.cholesky(g)
-        except np.linalg.LinAlgError:
-            raise NotPositiveDefiniteError(
-                "metric is not positive definite at this point"
-            ) from None
+        require_positive_definite(g)
 
     @classmethod
     def from_exprs(cls, metric: RiemannianMetric, x, order=2):

@@ -363,7 +363,8 @@ def test_criterion_10_ad_integrity(grid):
         x = [float(v) for v in x]
         y = [float(v) for v in y]
         n = space.dim
-        stage = finsler_stage(space, x)
+        # F's stage at x, its jets from the point's order-4 pass
+        stage = chart_point(space, x).stage
 
         kind = ("F-x", "F-y", "density-x")[int(rng.integers(3))]
         deg = int(rng.integers(1, 3))

@@ -17,9 +17,11 @@ The rest of a run's x-stage is stacked too: one order-2 tree pass and
 one order-4 pass of a_ij and b_i over the seeds of a block of chart
 points, and one log_densities call on the tree pass's arrays as they
 are, strided views with a leading point axis.  Each point's slice must
-have the bits of its own pass.  A run that has a point at fault stores
-no stage, and every point computes alone: the one at fault must fail as
-it fails alone, the others keeping the bits of their runs of one.
+have the bits of its own pass, and a point built alone makes the same
+passes over the block of its own x.  A run that has a point at fault
+stores no stage, and every point computes alone: the one at fault must
+fail as it fails alone, the others keeping the bits of their runs of
+one.
 """
 from dataclasses import fields, replace
 
@@ -50,7 +52,11 @@ from kropina.forms import (
 )
 from kropina.generic import ConicDomainError, CurvatureSample, curvature_samples
 from kropina.jets import Jet, jet_space
-from kropina.riemann import SingularMetricError, evaluate
+from kropina.riemann import (
+    NotPositiveDefiniteError,
+    SingularMetricError,
+    evaluate,
+)
 from kropina.scenarios import (
     COMPARISON_CUTOFF,
     builtin_names,
@@ -240,18 +246,18 @@ def _same_bits(got: CurvatureSample, want: CurvatureSample):
         assert np.array_equal(a.view(np.int64), b.view(np.int64)), f.name
 
 
-X_STAGE = {"_trees", "log_densities", "stage", "samples"}
+X_STAGE = {"_level", "samples"}
 
 
 @pytest.mark.parametrize("source", RUN_SOURCES, ids=_source_id)
 def test_a_run_gives_each_point_the_bits_of_its_run_of_one(source):
-    """chart_points fills the trees, log densities, stage and samples of
-    every point of its run, a run of three or a run of one, and each
-    has the bits of the same point built alone, which computes them on
-    first read: the trees and densities array for array, the stage's
-    jets (from the run's one order-4 pass) num and den, and the samples
-    field for field; s_bh is s itself where there is no unit-ball
-    density of its own."""
+    """chart_points fills the x-level (trees, log densities and stage)
+    and the samples of every point of its run, a run of three or a run
+    of one, and each has the bits of the same point built alone, which
+    computes them on first read: the trees and densities array for
+    array, the stage's jets (from the run's one order-4 pass) num and
+    den, and the samples field for field; s_bh is s itself where there
+    is no unit-ball density of its own."""
     for blocks in (RUN_BLOCKS, (3,)):
         space, plan = _run_plan(source, blocks)
         run = chart_points(space, plan)
@@ -259,7 +265,7 @@ def test_a_run_gives_each_point_the_bits_of_its_run_of_one(source):
         for pt, (x, ys) in zip(run, plan):
             assert X_STAGE <= set(vars(pt))
             alone = ChartPoint(space, x, ys)
-            for got, want in zip(pt._trees, alone._trees):
+            for got, want in zip(pt._level[0], alone._level[0]):
                 assert _bits(got) == _bits(want)
             for got, want in zip(pt.log_densities, alone.log_densities):
                 assert (got is None) is (want is None)
@@ -405,27 +411,34 @@ def test_tree_passes_over_a_block_give_each_point_its_bits(source):
 def test_log_densities_of_a_block_give_each_point_its_bits(source):
     """forms.log_densities over the stacked trees of three chart points,
     a batch of metrics a_ij with batches of gauges and weights, gives
-    each point the bits of its own call (a ChartPoint's log_densities):
+    each point the bits of its own call over the trees of its x alone:
     both over the arrays np.stack makes of the points' trees and over
     the strided views one tree pass over their block gives, which
-    chart_points hands it as they are."""
+    _x_stage hands it as they are.  A ChartPoint's log_densities, its
+    share of a block of one, has them too."""
     space, xs = _block(source)
-    points = [ChartPoint(space, x, ()) for x in xs]
-    trees = [pt._trees for pt in points]
     sp = jet_space(space.dim, 2)
+    trees = [evaluate(sp.seed(x), *_tree_parts(space)) for x in xs]
+    wants = [log_densities(t[0], *(Jet(sp, c) for c in t[4:]))
+             for t in trees]
     stacked = _tree_pass(space, xs)
     assert not stacked[0].flags.c_contiguous
+    got = []
     for a, scalars in (
             (np.stack([t[0] for t in trees]),
              [np.stack(parts) for parts in zip(*(t[4:] for t in trees))]),
             (stacked[0], stacked[4:])):
         log_sigma, log_bh = log_densities(a, *(Jet(sp, c) for c in scalars))
-        for k, pt in enumerate(points):
-            want_sigma, want_bh = pt.log_densities
-            assert _bits(log_sigma.coef[k]) == _bits(want_sigma.coef)
-            assert (log_bh is None) is (want_bh is None)
-            if want_bh is not None:
-                assert _bits(log_bh.coef[k]) == _bits(want_bh.coef)
+        got += [[log_sigma.coef[k], None if log_bh is None else
+                 log_bh.coef[k]] for k in range(len(xs))]
+    got += [[None if d is None else d.coef for d in
+             ChartPoint(space, x, ()).log_densities] for x in xs]
+    for k, (sigma, bh) in enumerate(got):
+        want_sigma, want_bh = wants[k % len(xs)]
+        assert _bits(sigma) == _bits(want_sigma.coef)
+        assert (bh is None) is (want_bh is None)
+        if want_bh is not None:
+            assert _bits(bh) == _bits(want_bh.coef)
 
 
 def _ab_document(a11, weight=None):
@@ -466,16 +479,17 @@ def test_a_point_failing_a_stacked_pass_fails_alone(a11, weight, bad_x1):
     bundle, densities, stage and samples) returns or raises what the
     same point built alone does, on every read, and the outer points
     keep every bit of their runs of one.  The stacked tree pass raises,
-    so the run stores nothing and every point computes alone."""
+    so the run stores nothing and every point makes its x-level over
+    the block of its own x, where the tree pass raises again."""
     space = load_scenario(_ab_document(a11, weight)).space()
     ys = [[1.0, 0.2, -0.1], [0.8, -0.3, 0.5], [1.2, 0.4, 0.3]]
     plan = [([0.3, 0.1, -0.2], ys), ([bad_x1, 0.2, 0.1], ys),
             ([0.25, -0.1, 0.3], ys)]
     run = chart_points(space, plan)
     alone = [ChartPoint(space, x, ys) for x, ys in plan]
-    error = _outcome(lambda: alone[1]._trees)
+    error = _outcome(lambda: alone[1]._level)
     assert error is not None and error[0] is ExprDomainError
-    for name in ("_trees", "fld", "log_densities", "stage", "samples"):
+    for name in ("_level", "fld", "log_densities", "stage", "samples"):
         want = _outcome(lambda: getattr(alone[1], name))
         for _ in range(2):
             assert _outcome(lambda: getattr(run[1], name)) == want, name
@@ -483,5 +497,71 @@ def test_a_point_failing_a_stacked_pass_fails_alone(a11, weight, bad_x1):
     assert "samples" not in vars(run[1])
     for k in (0, 2):
         _same_bits(run[k].samples, alone[k].samples)
-        for got, want in zip(run[k]._trees, alone[k]._trees):
+        for got, want in zip(run[k]._level[0], alone[k]._level[0]):
             assert _bits(got) == _bits(want)
+
+
+def test_an_indefinite_metric_raises_from_fld_alone_and_in_a_run():
+    """A point whose a_ij is not positive definite raises
+    NotPositiveDefiniteError from fld on every read, built alone and as
+    the middle point of a run of three, before forms.log_densities can
+    call its metric degenerate; the outer points keep their bits."""
+    doc = _ab_document("1")
+    doc["metric"][1][1] = "1 + x1"
+    doc["vector"] = ["1", "0.2", "0"]
+    doc["box"] = [[-1.3, 0.5], [-0.5, 0.5], [-0.5, 0.5]]
+    space = load_scenario(doc).space()
+    ys = [[1.0, 0.2, -0.1], [0.8, -0.3, 0.5], [1.2, 0.4, 0.3]]
+    plan = [([0.3, 0.1, -0.2], ys), ([-1.2, 0.2, 0.1], ys),
+            ([-0.5, -0.1, 0.3], ys)]
+    run = chart_points(space, plan)
+    for pt in (ChartPoint(space, *plan[1]), run[1]):
+        for _ in range(2):
+            with pytest.raises(NotPositiveDefiniteError):
+                pt.fld
+    for k in (0, 2):
+        _same_bits(run[k].samples, ChartPoint(space, *plan[k]).samples)
+
+
+def test_a_point_alone_makes_the_passes_of_a_run_of_one(monkeypatch):
+    """A point built alone and the point of a run of one make the same
+    x-level passes: one order-2 and one order-4 riemann.evaluate over
+    the seeds of a (1, n) block, and no other jet evaluation."""
+    import kropina.riemann as riemann
+
+    calls = []
+    real = riemann.eval_expr
+
+    def counted(exprs, env):
+        if isinstance(env[0], Jet):
+            sp = env[0].space
+            calls.append((sp.nvars, sp.order, env[0].coef.shape[:-1]))
+        return real(exprs, env)
+
+    monkeypatch.setattr(riemann, "eval_expr", counted)
+    for source in ("s3_hopf", "euclid_gaussian", random_scenario(3, 5)):
+        space, [(x, ys)] = _run_plan(source, (3,))
+        n = space.dim
+        for build in (lambda: ChartPoint(space, x, ys),
+                      lambda: chart_points(space, [(x, ys)])[0]):
+            calls.clear()
+            pt = build()
+            pt.fld, pt.nav, pt.samples
+            assert calls == [(n, 2, (1,)), (n, 4, (1,))]
+
+
+@pytest.mark.parametrize("name",
+                         ["_tree_pass", "log_densities", "curvature_samples"])
+def test_a_stacked_pass_raising_a_bug_propagates(monkeypatch, name):
+    """chart_points lets its points compute alone only on a ValueError,
+    the fault family the drivers report: a TypeError out of a stacked
+    pass is a bug, and propagates out of chart_points."""
+    import kropina.einstein as einstein
+
+    def broken(*args):
+        raise TypeError("a bug in a stacked pass")
+
+    monkeypatch.setattr(einstein, name, broken)
+    space, plan = _run_plan("s3_hopf")
+    with pytest.raises(TypeError, match="a bug in a stacked pass"):
+        chart_points(space, plan)

@@ -125,6 +125,21 @@ def test_float_sin_of_inf_in_a_metric_is_an_input_problem(tmp_path, capsys):
         "kropina: domain error in 'sin(1e+200 * x1 * 1e+200)' (at /metric)\n")
 
 
+def test_jet_exp_overflow_in_a_weight_is_an_input_problem(tmp_path, capsys):
+    """An exp whose order-2 jets overflow in verify's x-stage exits 1
+    with one line naming the call, as the float route's range overflow
+    does, not with an OverflowError traceback."""
+    doc = load_scenario("euclid_gaussian").as_dict()
+    doc["weight"] = "exp(1000*x1)"
+    doc["box"][0] = [0.8, 0.9]
+    path = write_scenario(tmp_path, doc)
+    assert main(["verify", "--scenario", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("kropina: exp of base value ")
+    assert err.endswith(" overflows in 'exp(1000.0 * x1)'\n")
+    assert err.count("\n") == 1
+
+
 def test_exit_2_on_verdict_failure(tmp_path, capsys):
     path = write_scenario(tmp_path, CONFORMAL)
     assert main(["check", "--scenario", path]) == 2

@@ -156,6 +156,10 @@ def test_ricn_preset():
         weight_preset("ricN:3", 3)
     with pytest.raises(ValueError):
         weight_preset("nonsense", 3)
+    # N is an integer: no float c, and "inf" is not ricInf
+    for raw in ("2.5", "inf"):
+        with pytest.raises(ValueError, match="needs an integer N"):
+            weight_preset(f"ricN:{raw}", 3)
 
 
 def test_ricinf_nu_value():

@@ -265,21 +265,30 @@ def test_invariants_require_positive_beta():
 
 def test_ab_fields_evaluate_both_views_in_one_call(monkeypatch):
     """a_ij, b^i, h_ij, W^i, the gauge and the weight of a chart point go
-    through one eval_expr call, so the a_ij nodes inside b^i's adjugate
-    trees are evaluated once per point; the drift bundle, the
-    navigation point and the weight's partials are those of each
-    view's own evaluation, bit for bit."""
+    through one eval_expr call over the order-2 jets of x, so the a_ij
+    nodes inside b^i's adjugate trees are evaluated once per point; the
+    x-stage's only other evaluations are F's stage, a_ij and b_i to
+    order 4 and over floats.  The drift bundle, the navigation point
+    and the weight's partials are those of each view's own evaluation,
+    bit for bit."""
     import kropina.riemann as riemann
+    from kropina.jets import Jet
 
     calls = []
     real = riemann.eval_expr
-    monkeypatch.setattr(riemann, "eval_expr",
-                        lambda exprs, env: calls.append(1) or real(exprs, env))
+
+    def counted(exprs, env):
+        jets = isinstance(env[0], Jet)
+        calls.append((env[0].space.order if jets else "float", len(exprs)))
+        return real(exprs, env)
+
+    monkeypatch.setattr(riemann, "eval_expr", counted)
     x = [0.3, 0.2, -0.1]
     space = wavy_space(weight="0.1*(x1^2 + x2*x3)")
     pt = chart_point(space, x)
     fld, nav, _ = pt.fld, pt.nav, pt.log_densities
-    assert len(calls) == 1
+    assert calls == [(2, 9 + 3 + 9 + 3 + 1 + 1), (4, 9 + 3),
+                     ("float", 9 + 3)]
     monkeypatch.undo()
     for got, metric, field in ((fld, space.a, space.b_up),
                                (nav, space.h, space.w)):

@@ -87,6 +87,33 @@ def test_log_sqrt_domain_errors():
         z.reciprocal()
 
 
+def test_exp_overflow_and_trig_of_inf_are_domain_errors():
+    """An exp whose value overflows the float range, and a sin or cos of
+    an infinite value, raise JetDomainError, for one jet or a batch,
+    where math raises a bare OverflowError or ValueError, and an
+    expression names the call that raised; exp short of the range and
+    sin of a NaN go on as math gives them."""
+    from kropina.expr import ExprDomainError
+
+    s = jet_space(2, 2)
+    for u0 in (800.0, np.array([0.0, 800.0])):
+        with pytest.raises(JetDomainError,
+                           match="^exp of base value 800.0 overflows$"):
+            s.variable(0, u0).exp()
+    for u0 in (math.inf, np.array([0.0, -math.inf])):
+        x = s.variable(1, u0)
+        for fn in (x.sin, x.cos):
+            with pytest.raises(JetDomainError, match="infinite base value"):
+                fn()
+    assert s.variable(0, 709.0).exp().value == math.exp(709.0)
+    assert math.isnan(s.variable(0, math.nan).sin().value)
+    for text, call in (("exp(1000*x1)", "exp(1000.0 * x1)"),
+                       ("1 + cos(x2)", "cos(x2)")):
+        with pytest.raises(ExprDomainError) as info:
+            eval_expr(parse_expr(text, 2), s.seed([0.85, math.inf]))
+        assert str(info.value).endswith(f" in '{call}'")
+
+
 def test_sin_cos_consistency():
     s = jet_space(1, 4)
     x = s.variable(0, 0.4)

@@ -28,8 +28,7 @@ ALLOWED = {
 # caller that really uses the method
 SHARED_NAMES = {
     "einstein.ChartPoint.samples": "einstein._check, workbench.run_verify",
-    "jets.JetSpace.seed": "einstein._tree_pass and chart_points, "
-                          "forms.finsler_stage, "
+    "jets.JetSpace.seed": "einstein._tree_pass and _x_stage, "
                           "riemann.MetricPoint.from_exprs",
     "jets.Jet.value": "jets.Jet.__repr__",
     "riemann.MetricPoint.riemann": "riemann.MetricPoint.ricci",

@@ -279,6 +279,14 @@ def test_unknown_preset_fails_at_load():
     assert err.value.pointer == "/constants/preset"
 
 
+def test_a_non_integer_ricn_preset_fails_at_load():
+    doc = doc_for("euclid_parallel")
+    doc["constants"] = {"preset": "ricN:2.5"}
+    with pytest.raises(ScenarioError, match="integer N") as err:
+        load_scenario(doc)
+    assert err.value.pointer == "/constants/preset"
+
+
 def test_rational_constants_parse_exactly():
     from fractions import Fraction
 

@@ -188,6 +188,29 @@ def test_check_explicit_regime_mismatch_is_precondition():
     assert doc.checks[0]["error"]
 
 
+def test_a_jet_overflow_in_the_x_stage_is_an_error_not_a_crash():
+    """A weight near -200, whose density e^{-(n+1) f} overflows exp's
+    range in the x-stage's jets, makes each checker an ERROR entry that
+    names the overflow, not an OverflowError out of run_check; an
+    exp(1000*x1) weight, whose own jets overflow, fails verify with an
+    ExprDomainError that names the call."""
+    from kropina.expr import ExprDomainError
+
+    doc = load_scenario("euclid_gaussian").as_dict()
+    doc["weight"] = "-200 + 0.1*x1"
+    report = run_check(load_scenario(doc))
+    assert [c["verdict"] for c in report.checks] == ["ERROR", "ERROR"]
+    for c in report.checks:
+        assert c["error"].startswith("exp of base value 79")
+        assert c["error"].endswith(" overflows")
+    doc = load_scenario("euclid_gaussian").as_dict()
+    doc["weight"] = "exp(1000*x1)"
+    doc["box"][0] = [0.8, 0.9]
+    with pytest.raises(ExprDomainError,
+                       match=r" overflows in 'exp\(1000\.0 \* x1\)'$"):
+        run_verify(load_scenario(doc))
+
+
 def test_check_unknown_theorem_id():
     with pytest.raises(ValueError, match="theorem id"):
         run_check("euclid_parallel", theorem="62")

@@ -15,7 +15,9 @@ document back to nav.  Last, verify at 3 x 3 on the random_scenario(3,
 n) documents of STACKED_DIMENSIONS, runs of three chart points whose
 x-stage passes stack, in every dimension, and check random_scenario(3,
 3) with the fields of FAULT_CHANGES, a run whose middle point fails the
-stacked tree pass, so that every point computes alone: 69 reports.
+stacked tree pass, so that every point makes its x-stage over the block
+of its own x, and check INDEFINITE, a run with a point whose metric is
+not positive definite: 70 reports.
 Every report is recorded as the whole report/2 text
 ``to_json(timings=False)`` writes, re-encoded by the package's report
 encoder (reports._json) with ``tool.version`` dropped, so two checkouts
@@ -75,6 +77,16 @@ GAUGES = (("s3_hopf", "1 + 0.1*x1"),)
 # sampled point has x1 + 0.2 <= 0, so the order-2 tree pass over its
 # run raises and every point computes alone: the fault path
 FAULT_CHANGES = {"weight": "ln(x1 + 0.2)", "seed": 0}
+# an (alpha, beta) document whose a_22 = 1 + x1 is negative on part of
+# its box, so a run of its sampled points holds an indefinite metric
+INDEFINITE = {
+    "schema": "scenario/1", "name": "indefinite_ab", "dimension": 3,
+    "representation": "ab",
+    "metric": [["1", "0", "0"], ["0", "1 + x1", "0"], ["0", "0", "1"]],
+    "vector": ["1", "0.2", "0"], "constants": {"a": 1, "c": 0},
+    "box": [[-1.3, 0.5], [-0.5, 0.5], [-0.5, 0.5]],
+    "points": 3, "directions": 6, "seed": 2,
+}
 
 
 def _canonical(doc):
@@ -133,6 +145,8 @@ def reports():
     doc = dict(random_scenario(3, 3), **FAULT_CHANGES)
     out[f"check random_scenario(3, 3) with {FAULT_CHANGES['weight']}"] = (
         _canonical(run_check(load_scenario(doc))))
+    out["check indefinite_ab"] = _canonical(
+        run_check(load_scenario(INDEFINITE)))
     return out
 
 
