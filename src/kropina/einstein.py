@@ -512,8 +512,10 @@ def chart_points(space: KropinaSpace, samples):
     of the same point built alone.  When either raises a ValueError (the
     checkers' fault family), the run stores nothing, so each point,
     the one at fault too, makes its x-level alone on first read; any
-    other error propagates."""
+    other error propagates.  An empty plan is an empty run."""
     points = [ChartPoint(space, x, ys) for x, ys in samples]
+    if not points:
+        return points
     try:
         levels = _x_stage(space, [pt.x for pt in points])
         curvature = curvature_samples([

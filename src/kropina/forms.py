@@ -657,7 +657,7 @@ def finsler_stage(space: KropinaSpace, x, order4=None) -> XStage:
     of directions in a few numpy calls, each row with the bits of the
     loop a_ij y^i y^j and b_i y^i over the same values and Jet
     operations (see _seed_quadratic); jets hands the two forms to the
-    generic route, whose one division makes F over every row of a run.
+    generic route, which divides them once per row block.
     """
     n = space.dim
     # floats first: a jet chart point raises TypeError here

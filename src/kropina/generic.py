@@ -9,15 +9,15 @@ cross-check for closed-form implementations.
 The curvature of the spray needs second derivatives of the geodesic
 coefficients, which themselves hold second derivatives of F^2, so the
 full pipeline works with jets of total order four.  Only F and F^2 are
-Jet expressions, each formed once over the stacked rows of every chart
-point of a run: F as one quotient when the metric's stages hand a
-numerator and a denominator, F^2 as one product.  Below them the
-pipeline works on stacked coefficient arrays: the metric jets and the
-spray's right-hand side are gathers of the F^2 jet, one graded_solve
-gives the spray and log det g, and the Riemann curvature and S are
-array expressions over those, with a leading axis for the directions of
-every chart point of a run at once (vector forward mode; Griewank and
-Walther, Evaluating Derivatives, ch. 13).
+Jet expressions, each formed once per row block of a chart point's
+directions: F as a quotient when the metric's stage hands a numerator
+and a denominator, F^2 as a product.  Below them the pipeline works on
+coefficient arrays with a leading axis for the directions (vector
+forward mode; Griewank and Walther, Evaluating Derivatives, ch. 13):
+the metric jets and the spray's right-hand side are gathers of the F^2
+jet and one graded_solve per block gives the spray and log det g; the
+Riemann curvature and S are array expressions over those, over the
+stacked rows of every chart point of a run at once.
 
 A metric enters at one chart point x as an XStage: F, its domain and
 its order-4 jets at x, each a function of a (D, n) block of directions.
@@ -38,10 +38,10 @@ from .jets import Jet, JetDomainError, graded_solve, jet_space
 from .riemann import SingularMetricError, _dot
 
 
-# F's quotient over the stacked rows of a run goes in blocks of rows of
-# at most this many bytes of coefficients each, so that its temporaries
-# stay near those of one chart point's block
-_QUOTIENT_BYTES = 1 << 16
+# a chart point's directions go from F's jets to the spray in row blocks
+# of at most this many bytes of F's coefficients each, so that the
+# pass's temporaries stay those of one block, whatever the point's D
+_BLOCK_BYTES = 1 << 18
 
 
 class ConicDomainError(ValueError):
@@ -54,12 +54,11 @@ class XStage(NamedTuple):
     one row per direction: f(ys) the values F(x, y_k), domain(ys) the
     mask of the rows where F is defined and positive, and jets(ys) a
     pair (num, den) of (D, ncoef) coefficient arrays of order-4 jets
-    over the 2n variables (x, y) at (x, y_k): F = num / den, whose
-    division curvature_samples makes once over the rows of every point
-    of a run, or, for a metric that is not a quotient, F's own jets and
-    None.  The pass copies the arrays into its stack and writes none of
-    them, and the stages of one run all hand a den or none does.  name
-    names the metric in errors.
+    over the 2n variables (x, y) at (x, y_k): F = num / den, or, for a
+    metric that is not a quotient, F's own jets and None.
+    curvature_samples calls jets once per row block of the point's
+    directions and writes none of the arrays.  name names the metric
+    in errors.
 
     The pipeline takes a coordinate volume density, as in dV = sigma(x)
     dx, as ln sigma: an order-2 jet over the n chart variables at x (see
@@ -199,98 +198,75 @@ def curvature_samples(points) -> list:
     entry of a run has a log_sigma_bh or none does, as the points of one
     space share their densities' kinds.
 
-    points is read once, in order: each stage's domain and jets run
-    once, on its own block, whose rows follow the previous block's in
-    the stack.  From F on, the rows of all the points go through one
-    stacked batch (one division num / den, when the stages are
-    quotients, and one product F * F), but for the spray system, the
-    invertibility check of g and the graded solve, which run per point:
-    the system's and the solve's triple-table gathers set the heap
-    peak, and stacking them gains no time.  The solve gives the spray
-    and log det g, which feeds the distortion; the spray gives G, N and the
-    Riemann curvature; the distortion and the spray give S as a
-    first-order jet, whose horizontal derivative is Sdot.  S, tau and
-    Sdot refer to sigma; s_bh is S from its own tau_BH = ln sqrt(det g)
-    - ln sigma_BH when log_sigma_bh is given, and S itself when not.
+    points is read once, in order, one chart point at a time.  A
+    point's stage checks its domain on all its directions, which then go
+    from F to the spray in row blocks of at most _BLOCK_BYTES of F's
+    coefficients: per block, the stage's jets, F (num / den when the
+    stage is a quotient), F * F, the spray system, the invertibility
+    check of g and one graded solve, which gives the spray and log det
+    g, and so the distortion.  Every row op keeps the bits of its row,
+    so no block boundary moves one.  The closing stages run once over
+    the stacked rows of the run: the spray gives G, N and the Riemann
+    curvature; the distortion and the spray give S as a first-order
+    jet, whose horizontal derivative is Sdot.  S, tau and Sdot refer to
+    sigma; s_bh is S from its own tau_BH = ln sqrt(det g) - ln sigma_BH
+    when log_sigma_bh is given, and S itself when not.
 
     Returns one CurvatureSample per point, each row with the bits of a
-    sample of its direction alone, or raises.  A direction outside the
-    conic domain or with a singular g, or a den whose value is zero,
-    raises the error that its point's block raises alone.
+    sample of its direction alone, or raises; no points give [].  A
+    direction outside the conic domain or with a singular g, or a den
+    whose value is zero, raises the error of the first block at fault.
     """
-    entries, start = [], 0
+    xs, yss, gs, Gs, taus, bh_taus = [], [], [], [], [], []
     for stage, ys, log_sigma, log_sigma_bh in points:
         x = np.asarray(stage.x, dtype=float)
-        ys = np.array(ys, dtype=float).reshape(-1, len(x))
+        n = len(x)
+        ys = np.array(ys, dtype=float).reshape(-1, n)
         if not np.all(stage.domain(ys)):
             raise ConicDomainError(
                 f"(x, y) outside the conic domain of metric {stage.name!r}")
-        num, den = stage.jets(ys)
-        if den is not None and np.any(den[:, 0] == 0.0):
-            raise JetDomainError("division by a jet with zero base value")
-        entries.append((x, ys, slice(start, start + len(ys)), num, den,
-                        log_sigma, log_sigma_bh))
-        start += len(ys)
-    xs, yss, slices, nums, dens, log_sigmas, log_bhs = zip(*entries)
-    del entries
-    n = len(xs[0])
-    space = jet_space(2 * n, 4)
-    f = np.concatenate(nums)
-    del nums
-    if any(den is not None for den in dens):   # then every stage's is
-        # one division over the stacked rows, in place, a block of rows
-        # at a time: the temporaries stay a block's
-        den = np.concatenate(dens)
-        del dens
-        step = max(1, _QUOTIENT_BYTES // (8 * space.ncoef))
-        for r in range(0, len(den), step):
-            rows = slice(r, r + step)
-            f[rows] = (Jet(space, f[rows]) / Jet(space, den[rows])).coef
-        del den
-    f = Jet(space, f)
-    f4 = (f * f).coef
-    del f
-    solved = []   # (g, spray jets 4 G, log det g) per block
-    for ys, rows in zip(yss, slices):
-        gj, rhs = _spray_system(f4[rows], ys, n)
-        g = gj[..., 0].copy()
-        _check_invertible(g)
-        try:
-            w, log_det = graded_solve(jet_space(2 * n, 2), gj, rhs)
-        except JetDomainError:
-            raise SingularMetricError(
-                "nonpositive fundamental determinant") from None
-        solved.append((g, w, log_det))
-    del f4
+        xs.append(x)
+        yss.append(ys)
+        space = jet_space(2 * n, 4)
+        step = max(1, _BLOCK_BYTES // (8 * space.ncoef))
+        for r in range(0, len(ys), step):
+            block = ys[r:r + step]
+            num, den = stage.jets(block)
+            f = Jet(space, num)
+            if den is not None:
+                f = f / Jet(space, den)
+            gj, rhs = _spray_system((f * f).coef, block, n)
+            g = gj[..., 0].copy()
+            _check_invertible(g)
+            try:
+                w, log_det = graded_solve(jet_space(2 * n, 2), gj, rhs)
+            except JetDomainError:
+                raise SingularMetricError(
+                    "nonpositive fundamental determinant") from None
+            gs.append(g)
+            Gs.append(w * 0.25)
+            half_log_det = log_det * 0.5
+            # the distortion: each log density subtracted where its
+            # coefficients sit among those over the 2n variables
+            for density, out in ((log_sigma, taus), (log_sigma_bh, bh_taus)):
+                if density is not None:
+                    tau = half_log_det.copy()
+                    tau[:, _embedding(n, 2)] -= density.coef
+                    out.append(tau)
+    if not xs:
+        return []
 
     ys = np.concatenate(yss)
-    G = np.concatenate([w for _, w, _ in solved]) * 0.25
+    G = np.concatenate(Gs)
     Gv = G[..., 0].copy()
-    half_log_det = np.concatenate([log_det for *_, log_det in solved]) * 0.5
-    embedding = _embedding(n, 2)
-
-    def tau_rows(densities):
-        """The distortion's order-2 arrays (N, ncoef) against the given
-        log densities: each point's jet over the n chart variables
-        subtracted from ln sqrt(det g) on its rows, where its
-        coefficients sit among those over the 2n variables."""
-        tau = half_log_det.copy()
-        for rows, d in zip(slices, densities):
-            tau[rows, embedding] -= d.coef
-        return tau
-
-    tau = tau_rows(log_sigmas)
+    tau = np.concatenate(taus)
     s_jet = _s_jet(tau, G, ys, n)
     grad = s_jet[:, 1:1 + 2 * n]
     s = s_jet[:, 0]
-    if log_bhs[0] is None:
-        s_bh = s
-    else:
-        tau_bh = tau_rows(log_bhs)
-        s_bh = _s_jet(tau_bh, G, ys, n)[:, 0]
+    s_bh = _s_jet(np.concatenate(bh_taus), G, ys, n)[:, 0] if bh_taus else s
     R = _riemann_from_spray(G, ys, n)
     fields = dict(
-        g=np.concatenate([g for g, _, _ in solved]),
+        g=np.concatenate(gs),
         spray=Gv,
         connection=G[..., 1 + n:1 + 2 * n].copy(),
         riemann=R,
@@ -299,8 +275,10 @@ def curvature_samples(points) -> list:
         s=s,
         sdot=_dot(ys, grad[:, :n]) - 2.0 * _dot(Gv, grad[:, n:]),
     )
-    out = []
-    for x, block_ys, rows in zip(xs, yss, slices):
+    out, start = [], 0
+    for x, block_ys in zip(xs, yss):
+        rows = slice(start, start + len(block_ys))
+        start = rows.stop
         block = {name: v[rows] for name, v in fields.items()}
         block["s_bh"] = block["s"] if s_bh is s else s_bh[rows]
         out.append(CurvatureSample(x=x, y=block_ys, **block))

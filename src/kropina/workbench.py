@@ -126,7 +126,8 @@ def run_check(scenario, theorem="auto", seed=None, tol=None):
         samples = scenario_samples(scenario, seed=seed,
                                    cutoff=COMPARISON_CUTOFF)
 
-    points = chart_points(space, samples)
+    with doc.timed("chart points"):
+        points = chart_points(space, samples)
     for t in ids:
         with doc.timed(f"thm{t}"):
             try:
@@ -255,7 +256,8 @@ def run_verify(scenario, points=None, dirs=None, seed=None):
     if weighted:
         names.append("weight-hessian")
     rows = {name: [] for name in names}
-    chart = chart_points(space, samples)
+    with doc.timed("chart points"):
+        chart = chart_points(space, samples)
     with doc.timed("pairs"):
         first = 0
         for pt in chart:

@@ -12,6 +12,10 @@ whole block with the per-direction route's error, and caches nothing.
 The chart points of one run (einstein.chart_points) share one
 curvature_samples call over all of their blocks.  Each point must get
 the bits of its run of one, whatever the sizes of the other blocks.
+Within the call, a point's directions go from F's jets to the spray in
+row blocks under a byte budget, each block on its own: no budget may
+move a bit, and a run may mix quotient stages with stages that hand
+F's own jets.
 
 The rest of a run's x-stage is stacked too: one order-2 tree pass and
 one order-4 pass of a_ij and b_i over the seeds of a block of chart
@@ -28,6 +32,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+import kropina.generic as generic
 from kropina.einstein import (
     ChartPoint,
     WeightConfig,
@@ -368,6 +373,84 @@ def test_a_checker_over_a_failing_run_raises_as_over_points_alone(
     assert [c["verdict"] for c in doc.checks] == ["ERROR", "ERROR"]
     assert doc.checks[0]["error"] == error[1]
     assert batched == doc.to_json(timings=False)
+
+
+def test_an_empty_plan_is_an_empty_run():
+    """chart_points and curvature_samples of no points give no points,
+    and a checker over them raises its own error."""
+    space = load_scenario("s3_hopf").space()
+    assert chart_points(space, []) == []
+    assert curvature_samples([]) == []
+    assert _error(lambda: thm41_check(
+        chart_points(space, []), weight_preset("ricInf", space.dim))) == (
+        ValueError, "checker needs at least one sample point")
+
+
+# -- row blocks of a chart point -------------------------------------------------
+
+# the directions of the two points of a run whose rows go in blocks
+SPLIT_BLOCKS = (7, 10)
+
+
+def _rows_budget(n, rows):
+    """The block budget that holds rows directions of F's order-4
+    coefficients at dimension n."""
+    return rows * 8 * jet_space(2 * n, 4).ncoef
+
+
+def _solved_blocks(monkeypatch):
+    """The row counts of graded_solve's batches, one per call, recorded
+    from then on."""
+    sizes = []
+    real = generic.graded_solve
+
+    def counted(space, a, b):
+        sizes.append(len(a))
+        return real(space, a, b)
+
+    monkeypatch.setattr(generic, "graded_solve", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_row_blocks_give_each_direction_its_bits(monkeypatch, n):
+    """With a budget of three rows a block, or of less than one row, the
+    directions of each of a run's points go from F's jets to the spray
+    in blocks of that many rows (7 = 3 + 3 + 1), and every field of the
+    run's samples keeps the bits of the run at the module's budget, in
+    which each point is one block."""
+    space, plan = _run_plan(random_scenario(3, n), SPLIT_BLOCKS)
+    sizes = _solved_blocks(monkeypatch)
+    want = [pt.samples for pt in chart_points(space, plan)]
+    assert sizes == list(SPLIT_BLOCKS)
+    for budget, split in ((_rows_budget(n, 3), [3, 3, 1, 3, 3, 3, 1]),
+                          (1, [1] * sum(SPLIT_BLOCKS))):
+        monkeypatch.setattr(generic, "_BLOCK_BYTES", budget)
+        sizes.clear()
+        for pt, cs in zip(chart_points(space, plan), want):
+            _same_bits(pt.samples, cs)
+        assert sizes == split
+
+
+def test_row_blocks_of_loop_and_quotient_stages_keep_their_bits(
+        monkeypatch):
+    """A LoopMetric stage, which hands F's own jets, keeps its bits in
+    blocks of three rows, and a run that mixes it with a quotient stage
+    gives each point the bits it has alone, at the module's budget and
+    in blocks of three rows."""
+    space, plan = _run_plan(random_scenario(3, 3), SPLIT_BLOCKS)
+    pts = [ChartPoint(space, x, ys) for x, ys in plan]
+    ref = loop_metric(space)
+    entries = [(pts[0].stage, pts[0].ys, *pts[0].log_densities),
+               (ref.stage(pts[1].x), pts[1].ys, *pts[1].log_densities)]
+    alone = [curvature_samples([entry]) for entry in entries]
+    for budget in (None, _rows_budget(3, 3)):
+        if budget:
+            monkeypatch.setattr(generic, "_BLOCK_BYTES", budget)
+        for entry, [want] in zip(entries, alone):
+            _same_bits(curvature_samples([entry])[0], want)
+        for got, [want] in zip(curvature_samples(entries), alone):
+            _same_bits(got, want)
 
 
 # -- one x-stage per run ---------------------------------------------------------

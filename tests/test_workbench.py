@@ -95,6 +95,13 @@ def test_report_document_strips_timings():
     assert "timings_ms" in json.loads(doc.to_json(timings=True))
 
 
+def test_check_and_verify_time_their_chart_points():
+    """Building the run, the x-stage and generic pass of every chart
+    point, is timed under its own label in both drivers."""
+    for run in (run_check, run_verify):
+        assert "chart points" in run("s3_hopf").timings_ms
+
+
 def test_report_csv_unions_columns():
     doc = ReportDocument(kind="verify", scenario={"name": "x"})
     doc.tables.append({"name": "t1", "rows": [{"a": 1.0, "b": 2.0}]})
