@@ -19,8 +19,9 @@ thm61_check covers kappa = nu = 0.  Every "there exists a scalar /
 fit, and the einstein-residual-fitted condition judges the fitted pair
 through the generic pipeline; verdicts derive from residuals and the
 configured tolerance only.  The checkers read each sampled x through a
-ChartPoint, and the chart points of one run share each pass of their
-x-stage (_x_stage), or, when a pass raises, each makes its own.
+ChartPoint, and only chart_points builds them: the chart points of one
+run share each pass of their x-stage (_x_stage) and one generic pass,
+and a run whose pass raises builds no point.
 """
 
 import itertools
@@ -399,34 +400,33 @@ def _scaled_residual(value, *scales):
 
 class ChartPoint:
     """One sampled chart point x of a space and its directions ys (D, n),
-    with every pointwise bundle a run reads there: the drift bundle fld,
-    the navigation point nav, the log densities, the space's Finsler
-    stage at x (stage), the drift invariants inv (one batched pass over
-    ys), the generic curvature samples of all directions, and one
-    least-squares (theta, sigma) fit per weight configuration.
-
-    The x-level (_level: the trees, which fld and nav read, the log
-    densities and the stage) is the point's share of one _x_stage call,
-    over its run's block when chart_points stored it, else over the
-    block of x alone on first read.  Every bundle is cached on first
-    read; an error is not, so each read of a point at fault raises it.
+    with every pointwise bundle a run reads there.  chart_points hands
+    each point its share of the run's passes: the trees of the order-2
+    tree pass, which fld and nav read, the log densities (ln sigma,
+    ln sigma_BH or None) as order-2 x-jets, the space's Finsler stage at
+    x (stage: F, its domain and its jets) and the generic curvature
+    samples of all directions ys.  The drift bundle fld, the navigation
+    point nav, the drift invariants inv (one batched pass over ys) and
+    one least-squares (theta, sigma) fit per weight configuration are
+    built on first read and cached; an error is not, so each read of a
+    bundle at fault raises it.
     """
 
-    def __init__(self, space: KropinaSpace, x, ys):
+    def __init__(self, space: KropinaSpace, x, ys, trees, log_densities,
+                 stage, samples):
         self.space = space
         self.n = space.dim
-        self.x = np.asarray(x, dtype=float)
-        self.ys = np.array(ys, dtype=float).reshape(-1, self.n)
+        self.x = x
+        self.ys = ys
+        self.trees = trees
+        self.log_densities = log_densities
+        self.stage = stage
+        self.samples = samples
         self._fits = {}
 
     @cached_property
-    def _level(self):
-        [level] = _x_stage(self.space, [self.x])
-        return level
-
-    @cached_property
     def fld(self):
-        a, b_up, h, w, gauge, *weight = self._level[0]
+        a, b_up, h, w, gauge, *weight = self.trees
         sp = jet_space(self.n, 2)
         if weight:
             f = partials(weight[0], sp)[1:]
@@ -437,31 +437,14 @@ class ChartPoint:
 
     @cached_property
     def nav(self):
-        a, b_up, h, w, gauge, *weight = self._level[0]
+        a, b_up, h, w, gauge, *weight = self.trees
         sp = jet_space(self.n, 2)
         return NavPoint(MetricPoint(*partials(h, sp)), *partials(w, sp))
-
-    @property
-    def log_densities(self):
-        """(ln sigma, ln sigma_BH or None) as order-2 x-jets."""
-        return self._level[1]
-
-    @property
-    def stage(self):
-        """The space's Finsler stage at x: F, its domain and its jets."""
-        return self._level[2]
 
     @cached_property
     def inv(self):
         """The drift invariants of all directions ys."""
         return AbInvariants(self.fld, self.ys)
-
-    @cached_property
-    def samples(self):
-        """The generic curvature samples of all directions ys."""
-        [cs] = curvature_samples([(self.stage, self.ys,
-                                   *self.log_densities)])
-        return cs
 
     def fitted(self, cfg: WeightConfig) -> EinsteinAnsatz:
         """The (theta, sigma) fit of cfg over ys, fitted once per cfg."""
@@ -474,15 +457,15 @@ class ChartPoint:
 def _tree_pass(space, xs):
     """The arrays of a_ij, b^i, h_ij, W^i, the gauge and the weight (if
     any) over the order-2 seeds of a block of chart points xs, (P, n),
-    each with a leading point axis.  Where a tree fails over a block of
-    one, an indefinite metric there is reported first."""
+    each with a leading point axis.  Where a tree fails over the block,
+    an indefinite metric at any of its points is reported first."""
     parts = (space.a, space.b_up, space.h, space.w, space.gauge) + (
         () if space.weight is None else (space.weight,))
     try:
         return evaluate(jet_space(space.dim, 2).seed(xs), *parts)
     except ExprError:
-        if len(xs) == 1:
-            MetricPoint.from_exprs(space.a, xs[0], order=2)
+        for x in xs:
+            MetricPoint.from_exprs(space.a, x, order=2)
         raise
 
 
@@ -507,25 +490,22 @@ def _x_stage(space: KropinaSpace, xs):
 
 def chart_points(space: KropinaSpace, samples):
     """One ChartPoint per (x, directions) pair of samples, all of them
-    one run: one _x_stage call over the block of its chart points, then
-    one curvature_samples call, whose shares give each point the bits
-    of the same point built alone.  When either raises a ValueError (the
-    checkers' fault family), the run stores nothing, so each point,
-    the one at fault too, makes its x-level alone on first read; any
-    other error propagates.  An empty plan is an empty run."""
-    points = [ChartPoint(space, x, ys) for x, ys in samples]
-    if not points:
-        return points
-    try:
-        levels = _x_stage(space, [pt.x for pt in points])
-        curvature = curvature_samples([
-            (stage, pt.ys, *dens)
-            for pt, (_, dens, stage) in zip(points, levels)])
-    except ValueError:   # a point at fault: every point computes alone
-        return points
-    for pt, level, cs in zip(points, levels, curvature):
-        vars(pt).update(_level=level, samples=cs)
-    return points
+    one run, and the only builder of a ChartPoint: one _x_stage call
+    over the block of its chart points, then one curvature_samples
+    call, whose shares give each point the bits of its run of one.  An
+    error of either pass is the run's and propagates, so a run with a
+    point at fault builds no point.  An empty plan is an empty run."""
+    plan = [(np.asarray(x, dtype=float),
+             np.array(ys, dtype=float).reshape(-1, space.dim))
+            for x, ys in samples]
+    if not plan:
+        return []
+    levels = _x_stage(space, [x for x, _ in plan])
+    curvature = curvature_samples([
+        (stage, ys, *dens) for (_, ys), (_, dens, stage) in zip(plan, levels)])
+    return [ChartPoint(space, x, ys, trees, dens, stage, cs)
+            for (x, ys), (trees, dens, stage), cs
+            in zip(plan, levels, curvature)]
 
 
 def _check(theorem, regime, conditions, points, cfg, tol):

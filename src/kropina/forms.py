@@ -627,7 +627,8 @@ def log_densities(a, b: Jet, f: Optional[Jet] = None):
     sigma_BH = (2/b)^n sqrt(det a) is the unit-ball density, whose log
     det a comes from one graded solve, and sigma = e^{-(n+1) f} sigma_BH
     the density the S-curvature formulas refer to.  Without a weight
-    the two are one density, and ln sigma_BH is None.
+    the two are one density, and ln sigma_BH is None.  An overflow of
+    e^{-(n+1) f} raises the JetDomainError of exp, naming that density.
     """
     n = a.shape[-2]
     sp = b.space
@@ -642,7 +643,12 @@ def log_densities(a, b: Jet, f: Optional[Jet] = None):
     bh = Jet(sp, log_det * 0.5).exp() * (b.reciprocal() * 2.0) ** n
     if f is None:
         return bh.log(), None
-    return ((-float(n + 1) * f).exp() * bh).log(), bh.log()
+    try:
+        density = (-float(n + 1) * f).exp()
+    except JetDomainError as e:
+        raise JetDomainError(
+            f"{e} in the weight density e^{{-(n+1) f}}") from None
+    return (density * bh).log(), bh.log()
 
 
 def finsler_stage(space: KropinaSpace, x, order4=None) -> XStage:
@@ -656,8 +662,8 @@ def finsler_stage(space: KropinaSpace, x, order4=None) -> XStage:
     domain only.  Each function combines the arrays with a (D, n) block
     of directions in a few numpy calls, each row with the bits of the
     loop a_ij y^i y^j and b_i y^i over the same values and Jet
-    operations (see _seed_quadratic); jets hands the two forms to the
-    generic route, which divides them once per row block.
+    operations (see _seed_quadratic); jets divides the two forms' jets
+    once per call, F's jets for the generic route's row block.
     """
     n = space.dim
     # floats first: a jet chart point raises TypeError here
@@ -675,8 +681,8 @@ def finsler_stage(space: KropinaSpace, x, order4=None) -> XStage:
     def jets(ys):
         blocks = _seed_blocks(n)
         v = np.asarray(ys, dtype=float).T
-        return (_seed_quadratic(order4[0], v, blocks),
-                _seed_linear(order4[1], v, blocks))
+        return (Jet(blocks.space, _seed_quadratic(order4[0], v, blocks))
+                / Jet(blocks.space, _seed_linear(order4[1], v, blocks))).coef
 
     return XStage(np.array(x), f, domain, jets, f"{space.name}:ab")
 
@@ -702,13 +708,14 @@ def _quad0(a, v):
     n, D = v.shape
     terms = a[:, :, None, :] * v[:, None, :, None]
     terms *= v[None, :, :, None]
-    return _row_sum(terms.reshape(n * n, -1)).reshape(D, -1)
+    return _row_sum(terms.reshape(n * n, -1)).reshape(D, a.shape[-1])
 
 
 def _lin0(b, v):
     """sum_i b_i y^i over b (n, C) and v (n, D), as _quad0 its quadratic
     form."""
-    return _row_sum(b[:, None, :] * v[:, :, None]).reshape(v.shape[1], -1)
+    return _row_sum(b[:, None, :] * v[:, :, None]).reshape(v.shape[1],
+                                                            b.shape[-1])
 
 
 def _seed_quadratic(a, v, blocks):

@@ -8,10 +8,9 @@ cross-check for closed-form implementations.
 
 The curvature of the spray needs second derivatives of the geodesic
 coefficients, which themselves hold second derivatives of F^2, so the
-full pipeline works with jets of total order four.  Only F and F^2 are
-Jet expressions, each formed once per row block of a chart point's
-directions: F as a quotient when the metric's stage hands a numerator
-and a denominator, F^2 as a product.  Below them the pipeline works on
+full pipeline works with jets of total order four.  Only F^2 is a Jet
+expression: one product, per row block of a chart point's directions,
+of the F jets its stage hands.  Below it the pipeline works on
 coefficient arrays with a leading axis for the directions (vector
 forward mode; Griewank and Walther, Evaluating Derivatives, ch. 13):
 the metric jets and the spray's right-hand side are gathers of the F^2
@@ -52,13 +51,11 @@ class XStage(NamedTuple):
     """A Finsler metric F at one chart point x, the work on x alone done
     once.  Each function takes a (D, n) block of directions ys and gives
     one row per direction: f(ys) the values F(x, y_k), domain(ys) the
-    mask of the rows where F is defined and positive, and jets(ys) a
-    pair (num, den) of (D, ncoef) coefficient arrays of order-4 jets
-    over the 2n variables (x, y) at (x, y_k): F = num / den, or, for a
-    metric that is not a quotient, F's own jets and None.
-    curvature_samples calls jets once per row block of the point's
-    directions and writes none of the arrays.  name names the metric
-    in errors.
+    mask of the rows where F is defined and positive, and jets(ys) F's
+    (D, ncoef) coefficient array of order-4 jets over the 2n variables
+    (x, y) at (x, y_k).  curvature_samples calls jets once per row block
+    of the point's directions and writes none of its arrays.  name names
+    the metric in errors.
 
     The pipeline takes a coordinate volume density, as in dV = sigma(x)
     dx, as ln sigma: an order-2 jet over the n chart variables at x (see
@@ -201,21 +198,22 @@ def curvature_samples(points) -> list:
     points is read once, in order, one chart point at a time.  A
     point's stage checks its domain on all its directions, which then go
     from F to the spray in row blocks of at most _BLOCK_BYTES of F's
-    coefficients: per block, the stage's jets, F (num / den when the
-    stage is a quotient), F * F, the spray system, the invertibility
-    check of g and one graded solve, which gives the spray and log det
-    g, and so the distortion.  Every row op keeps the bits of its row,
-    so no block boundary moves one.  The closing stages run once over
-    the stacked rows of the run: the spray gives G, N and the Riemann
-    curvature; the distortion and the spray give S as a first-order
-    jet, whose horizontal derivative is Sdot.  S, tau and Sdot refer to
-    sigma; s_bh is S from its own tau_BH = ln sqrt(det g) - ln sigma_BH
-    when log_sigma_bh is given, and S itself when not.
+    coefficients: per block, the stage's jets of F, F * F, the spray
+    system, the invertibility check of g and one graded solve, which
+    gives the spray and log det g, and so the distortion.  Every row op
+    keeps the bits of its row, so no block boundary moves one.  The
+    closing stages run once over the stacked rows of the run: the spray
+    gives G, N and the Riemann curvature; the distortion and the spray
+    give S as a first-order jet, whose horizontal derivative is Sdot.
+    S, tau and Sdot refer to sigma; s_bh is S from its own tau_BH =
+    ln sqrt(det g) - ln sigma_BH when log_sigma_bh is given, and S
+    itself when not.
 
     Returns one CurvatureSample per point, each row with the bits of a
-    sample of its direction alone, or raises; no points give [].  A
-    direction outside the conic domain or with a singular g, or a den
-    whose value is zero, raises the error of the first block at fault.
+    sample of its direction alone, or raises; no points give [], and a
+    point without directions a sample of no rows.  A direction outside
+    the conic domain or with a singular g raises the error of the first
+    block at fault.
     """
     xs, yss, gs, Gs, taus, bh_taus = [], [], [], [], [], []
     for stage, ys, log_sigma, log_sigma_bh in points:
@@ -231,10 +229,7 @@ def curvature_samples(points) -> list:
         step = max(1, _BLOCK_BYTES // (8 * space.ncoef))
         for r in range(0, len(ys), step):
             block = ys[r:r + step]
-            num, den = stage.jets(block)
-            f = Jet(space, num)
-            if den is not None:
-                f = f / Jet(space, den)
+            f = Jet(space, stage.jets(block))
             gj, rhs = _spray_system((f * f).coef, block, n)
             g = gj[..., 0].copy()
             _check_invertible(g)
@@ -255,6 +250,10 @@ def curvature_samples(points) -> list:
                     out.append(tau)
     if not xs:
         return []
+    if not gs:   # no point of the run has a direction
+        c2 = jet_space(2 * n, 2).ncoef
+        gs, Gs = [np.empty((0, n, n))], [np.empty((0, n, c2))]
+        taus = [np.empty((0, c2))]
 
     ys = np.concatenate(yss)
     G = np.concatenate(Gs)

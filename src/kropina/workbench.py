@@ -99,6 +99,8 @@ def run_check(scenario, theorem="auto", seed=None, tol=None):
     also the rows of its thm<id> table.  The checkers share
     one ChartPoint per sampled x, so each chart point's bundles and
     (theta, sigma) fit are built, and each (x, y) sampled, once per run.
+    A run whose chart points raise a ValueError is reported once per
+    checker of the regime, as the ERROR that checker's own fault gives.
     """
     scenario = load_scenario(scenario)
     space = scenario.space()
@@ -127,10 +129,15 @@ def run_check(scenario, theorem="auto", seed=None, tol=None):
                                    cutoff=COMPARISON_CUTOFF)
 
     with doc.timed("chart points"):
-        points = chart_points(space, samples)
+        try:
+            points, fault = chart_points(space, samples), None
+        except ValueError as e:
+            points, fault = [], e
     for t in ids:
         with doc.timed(f"thm{t}"):
             try:
+                if fault is not None and t in cfg.checkers:
+                    raise fault
                 report = checkers[t](points, cfg, tol=tol)
             except DispatchError as e:
                 doc.checks.append(

@@ -35,7 +35,6 @@ from kropina.workbench import VERIFY_TOLS, run_check
 from oracles import (
     ab_fields,
     chart_point,
-    f_jets,
     field_point,
     loop_metric,
     pric,
@@ -383,7 +382,7 @@ def test_criterion_10_ad_integrity(grid):
                 fn = lambda p: float(stage.f([p])[0])
                 at = (0,) * n + idx
             sp = jet_space(2 * n, 4)
-            jet_val = _jet_partial(Jet(sp, f_jets(stage, [y])[0]), at)
+            jet_val = _jet_partial(Jet(sp, stage.jets([y])[0]), at)
         else:
             # ln sigma, as a chart point takes it from its one jet pass
             fn = lambda p: chart_point(space, p).log_densities[0].value

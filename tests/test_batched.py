@@ -7,25 +7,24 @@ the closed routes at once.  Each row must carry the bits that the route
 of its direction alone gives (oracles.staged_sample, DirectionInvariants,
 closed_per_direction), whatever the batch: one direction, two, ten, and
 one that holds a direction twice.  A direction that fails fails the
-whole block with the per-direction route's error, and caches nothing.
+whole block with the per-direction route's error.
 
-The chart points of one run (einstein.chart_points) share one
-curvature_samples call over all of their blocks.  Each point must get
-the bits of its run of one, whatever the sizes of the other blocks.
-Within the call, a point's directions go from F's jets to the spray in
-row blocks under a byte budget, each block on its own: no budget may
-move a bit, and a run may mix quotient stages with stages that hand
-F's own jets.
+The chart points of one run (einstein.chart_points, the only builder
+of a ChartPoint) share one curvature_samples call over all of their
+blocks.  Each point must get the bits of its run of one, whatever the
+sizes of the other blocks, a block of no directions included.  Within
+the call, a point's directions go from F's jets to the spray in row
+blocks under a byte budget, each block on its own: no budget may move
+a bit, whatever the metric's stage.
 
 The rest of a run's x-stage is stacked too: one order-2 tree pass and
 one order-4 pass of a_ij and b_i over the seeds of a block of chart
 points, and one log_densities call on the tree pass's arrays as they
 are, strided views with a leading point axis.  Each point's slice must
-have the bits of its own pass, and a point built alone makes the same
-passes over the block of its own x.  A run that has a point at fault
-stores no stage, and every point computes alone: the one at fault must
-fail as it fails alone, the others keeping the bits of their runs of
-one.
+have the bits of its own pass, and a run of one makes the same passes
+over the block of its own x.  A run that has a point at fault raises
+the error of that point's run of one and builds no point; run_check
+reports it as runs of one would.
 """
 from dataclasses import fields, replace
 
@@ -34,7 +33,6 @@ import pytest
 
 import kropina.generic as generic
 from kropina.einstein import (
-    ChartPoint,
     WeightConfig,
     _tree_pass,
     chart_points,
@@ -44,6 +42,7 @@ from kropina.einstein import (
 )
 from kropina.expr import ExprDomainError
 from kropina.forms import (
+    AbInvariants,
     HypothesisNotMetError,
     hess_f_closed,
     kropina_ricci_closed,
@@ -194,26 +193,26 @@ def _error(call):
 
 def test_one_failing_direction_fails_the_block_as_it_fails_alone():
     """A block with one direction outside the cone raises the
-    per-direction route's ConicDomainError, in the generic and the
-    closed route, and one with a numerically singular g its
-    SingularMetricError; the point caches no partial result."""
+    per-direction route's ConicDomainError, in the generic route (the
+    run of its chart point) and the closed one, and one with a
+    numerically singular g its SingularMetricError, also as the middle
+    block of a curvature_samples call over three."""
     sc = load_scenario("s3_hopf")
     space = sc.space()
     [(x, ys)] = scenario_samples(sc, points=1, directions=3,
                                  cutoff=COMPARISON_CUTOFF)
     out = -ys[1]
-    pt = chart_point(space, x, [ys[0], out, ys[2]])
+    block = [ys[0], out, ys[2]]
+    pt = chart_point(space, x)
     # the route refuses the direction before any jet work; it runs on
     # the loop metric named as the point's stage, whose name the message
     # carries
     ref = replace(loop_metric(space), name=pt.stage.name)
     alone = _error(lambda: staged_sample(ref, x, out, *pt.log_densities))
     assert alone[0] is ConicDomainError
-    assert _error(lambda: pt.samples) == alone
-    assert _error(lambda: pt.inv) == _error(
+    assert _error(lambda: chart_point(space, x, block)) == alone
+    assert _error(lambda: AbInvariants(pt.fld, block)) == _error(
         lambda: DirectionInvariants(pt.fld, out))
-    assert "samples" not in vars(pt) and "inv" not in vars(pt)
-    assert _error(lambda: pt.samples) == alone
 
     F = quartic_metric()
     x = [0.1, -0.2]
@@ -225,6 +224,10 @@ def test_one_failing_direction_fails_the_block_as_it_fails_alone():
     assert _error(lambda: point_samples(
         F.stage(x), [[1.0, 0.5], flat, [0.3, 0.9]], log_sigma)) == alone
     point_samples(F.stage(x), [[1.0, 0.5], [0.3, 0.9]], log_sigma)
+    blocks = [[[1.0, 0.5]], [[1.0, 0.5], flat, [0.3, 0.9]],
+              [[0.3, 0.9], [-0.7, 0.2]]]
+    assert _error(lambda: curvature_samples(
+        [(F.stage(x), ys, log_sigma, None) for ys in blocks])) == alone
 
 
 # -- one generic pass per run ---------------------------------------------------
@@ -251,128 +254,176 @@ def _same_bits(got: CurvatureSample, want: CurvatureSample):
         assert np.array_equal(a.view(np.int64), b.view(np.int64)), f.name
 
 
-X_STAGE = {"_level", "samples"}
+@pytest.mark.parametrize("source", RUN_SOURCES, ids=_source_id)
+def test_a_run_gives_each_point_the_bits_of_its_run_of_one(source):
+    """chart_points hands every point of a run of three its share of the
+    x-level (trees, log densities and stage) and of the samples, and
+    each has the bits of the same point's run of one: the trees and
+    densities array for array, the stage's jets (from the run's one
+    order-4 pass) and the samples field for field; s_bh is s itself
+    where there is no unit-ball density of its own."""
+    space, plan = _run_plan(source)
+    run = chart_points(space, plan)
+    assert len(run) == len(plan)
+    for pt, (x, ys) in zip(run, plan):
+        alone = chart_point(space, x, ys)
+        for got, want in zip(pt.trees, alone.trees):
+            assert _bits(got) == _bits(want)
+        for got, want in zip(pt.log_densities, alone.log_densities):
+            assert (got is None) is (want is None)
+            if want is not None:
+                assert _bits(got.coef) == _bits(want.coef)
+        assert _bits(pt.stage.jets(pt.ys)) == _bits(alone.stage.jets(ys))
+        got = pt.samples
+        _same_bits(got, alone.samples)
+        assert len(got.y) == len(ys)
+        if pt.log_densities[1] is None:
+            assert got.s_bh is got.s
+        else:
+            assert got.s_bh is not got.s
 
 
 @pytest.mark.parametrize("source", RUN_SOURCES, ids=_source_id)
-def test_a_run_gives_each_point_the_bits_of_its_run_of_one(source):
-    """chart_points fills the x-level (trees, log densities and stage)
-    and the samples of every point of its run, a run of three or a run
-    of one, and each has the bits of the same point built alone, which
-    computes them on first read: the trees and densities array for
-    array, the stage's jets (from the run's one order-4 pass) num and
-    den, and the samples field for field; s_bh is s itself where there
-    is no unit-ball density of its own."""
-    for blocks in (RUN_BLOCKS, (3,)):
-        space, plan = _run_plan(source, blocks)
-        run = chart_points(space, plan)
-        assert len(run) == len(blocks)
-        for pt, (x, ys) in zip(run, plan):
-            assert X_STAGE <= set(vars(pt))
-            alone = ChartPoint(space, x, ys)
-            for got, want in zip(pt._level[0], alone._level[0]):
-                assert _bits(got) == _bits(want)
-            for got, want in zip(pt.log_densities, alone.log_densities):
-                assert (got is None) is (want is None)
-                if want is not None:
-                    assert _bits(got.coef) == _bits(want.coef)
-            for got, want in zip(pt.stage.jets(pt.ys), alone.stage.jets(ys)):
-                assert _bits(got) == _bits(want)
-            got = pt.samples
-            _same_bits(got, alone.samples)
-            assert len(got.y) == len(ys)
-            if pt.log_densities[1] is None:
-                assert got.s_bh is got.s
-            else:
-                assert got.s_bh is not got.s
-
-
-def _x_stage(pt):
-    """The names of the x-stage bundles the point holds."""
-    return X_STAGE & set(vars(pt))
-
-
-def _cone_fault_plan():
-    """Three s3_hopf chart points whose middle one has a direction
-    outside the cone."""
-    space, plan = _run_plan("s3_hopf")
-    x, ys = plan[1]
-    plan[1] = (x, [ys[0], -ys[1], ys[2]])
-    return space, plan
-
-
-def test_a_failing_point_fails_alone_and_its_run_keeps_the_others():
-    """In a run of three s3_hopf points whose middle point has a
-    direction outside the cone, the outer points keep the bits of their
-    runs of one, and the middle one raises its own error on every read
-    and caches nothing.  A curvature_samples call over three
-    quartic_metric blocks whose middle one has a singular g raises the
-    error that block raises alone."""
-    space, plan = _cone_fault_plan()
-    run = chart_points(space, plan)
-    alone = [ChartPoint(space, x, ys) for x, ys in plan]
-    error = _error(lambda: alone[1].samples)
-    assert error[0] is ConicDomainError
-    for _ in range(2):
-        assert _error(lambda: run[1].samples) == error
-        assert "samples" not in vars(run[1])
+def test_a_point_with_no_directions_builds(source):
+    """A chart point with no directions builds, alone and as the middle
+    point of a run of three: its stage gives no rows, its samples have
+    no rows in every field, and the outer points of the run keep the
+    bits of their runs of one."""
+    space, plan = _run_plan(source)
+    n = space.dim
+    x = plan[1][0]
+    [empty] = chart_points(space, [(x, [])])
+    none = np.empty((0, n))
+    assert empty.stage.f(none).shape == empty.stage.domain(none).shape == (0,)
+    shapes = {"g": (0, n, n), "spray": (0, n), "connection": (0, n, n),
+              "riemann": (0, n, n), "ricci": (0,), "tau": (0,), "s": (0,),
+              "sdot": (0,), "s_bh": (0,)}
+    for name, shape in shapes.items():
+        assert getattr(empty.samples, name).shape == shape, name
+    run = chart_points(space, [plan[0], (x, []), plan[2]])
+    _same_bits(run[1].samples, empty.samples)
+    for got, want in zip(run[1].trees, empty.trees):
+        assert _bits(got) == _bits(want)
     for k in (0, 2):
-        _same_bits(run[k].samples, alone[k].samples)
-
-    F = quartic_metric()
-    x = [0.1, -0.2]
-    log_sigma = log_density(lambda p: 1.0, x)
-    blocks = [[[1.0, 0.5]], [[1.0, 0.5], [1.0, 0.0], [0.3, 0.9]],
-              [[0.3, 0.9], [-0.7, 0.2]]]
-    error = _error(lambda: point_samples(F.stage(x), blocks[1], log_sigma))
-    assert error[0] is SingularMetricError
-    assert _error(lambda: curvature_samples(
-        [(F.stage(x), ys, log_sigma, None) for ys in blocks])) == error
+        _same_bits(run[k].samples, chart_point(space, *plan[k]).samples)
 
 
-def test_a_run_with_a_point_at_fault_fills_no_point_partly():
-    """A run whose stacked passes raise stores no x-stage bundle on any
-    of its points, so each computes alone on first read, a run of one
-    as a run of three; a healthy run of three, or of one, stores all
-    four on every point."""
-    space, plan = _cone_fault_plan()
-    for run in (plan, plan[1:2]):
-        for pt in chart_points(space, run):
-            assert _x_stage(pt) == set()
-    for blocks in (RUN_BLOCKS, (3,)):
-        healthy = chart_points(*_run_plan("s3_hopf", blocks))
-        assert len(healthy) == len(blocks)
-        for pt in healthy:
-            assert _x_stage(pt) == X_STAGE
+def _ab_document(a11, weight=None):
+    """An (alpha, beta) space on the 3-box whose a_11 is the text a11,
+    with b = dx1 and the given weight."""
+    doc = {
+        "schema": "scenario/1", "name": "stack_fault", "dimension": 3,
+        "representation": "ab",
+        "metric": [[a11, "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+        "vector": ["1", "0", "0"],
+        "constants": {"a": 1, "c": 0},
+        "box": [[-0.5, 0.5]] * 3, "points": 3, "directions": 3, "seed": 1,
+    }
+    if weight is not None:
+        doc["weight"] = weight
+    return doc
 
 
-def test_a_checker_over_a_failing_run_raises_as_over_points_alone(
-        monkeypatch):
-    """thm41 over three s3_hopf points whose middle one has a direction
-    outside the cone raises the error it raises over three runs of one
-    (its fits need five directions a point), and run_check writes the
-    same report, ERROR entry and all, from a run as from runs of one."""
+def _indefinite_document():
+    """An (alpha, beta) space whose a_22 = 1 + x1 is negative for x1 <
+    -1."""
+    doc = _ab_document("1")
+    doc["metric"][1][1] = "1 + x1"
+    doc["vector"] = ["1", "0.2", "0"]
+    doc["box"] = [[-1.3, 0.5], [-0.5, 0.5], [-0.5, 0.5]]
+    return doc
+
+
+# (scenario, x1 of the point at fault, its error) per fault case
+FAULTS = {
+    # a direction outside the cone
+    "cone": ("s3_hopf", None, ConicDomainError),
+    # the weight's ln at -0.2
+    "ln-weight": (_ab_document("1", "ln(x1 + 1)"), -1.2, ExprDomainError),
+    # sqrt of a zero jet value; F is defined there over floats
+    "sqrt-metric": (_ab_document("1 + sqrt(x1^2)"), 0.0, ExprDomainError),
+    # the float stage fails too
+    "ln-metric": (_ab_document("1 + ln(x1 + 1)"), -1.1, ExprDomainError),
+    # a_ij is not positive definite, reported before the tree pass or
+    # forms.log_densities can call the metric degenerate
+    "indefinite": (_indefinite_document(), -1.2, NotPositiveDefiniteError),
+}
+
+
+def _fault_run(case):
+    """(scenario, plan, error type): a run of three chart points whose
+    middle one is at fault."""
+    source, bad_x1, kind = FAULTS[case]
+    sc = load_scenario(source)
+    if bad_x1 is None:
+        _, plan = _run_plan(source, (5, 7, 10))
+        x, ys = plan[1]
+        plan[1] = (x, [ys[0], -ys[1], *ys[2:]])
+    else:
+        ys = [[1.0, 0.2, -0.1], [0.8, -0.3, 0.5], [1.2, 0.4, 0.3]]
+        plan = [([0.3, 0.1, -0.2], ys), ([bad_x1, 0.2, 0.1], ys),
+                ([-0.5, -0.1, 0.3], ys)]
+    return sc, plan, kind
+
+
+@pytest.mark.parametrize("case", FAULTS)
+def test_a_run_with_a_point_at_fault_raises_as_its_run_of_one(case):
+    """chart_points over a run of three chart points whose middle one
+    is at fault (a direction outside the cone, a ln or a sqrt whose
+    argument leaves the jet's domain, an indefinite metric) raises the
+    type and message that the point's run of one raises, and the outer
+    points build as a run of two."""
+    sc, plan, kind = _fault_run(case)
+    space = sc.space()
+    alone = _error(lambda: chart_points(space, plan[1:2]))
+    assert alone[0] is kind
+    assert _error(lambda: chart_points(space, plan)) == alone
+    assert len(chart_points(space, plan[::2])) == 2
+
+
+def test_an_indefinite_metric_is_reported_before_a_failing_tree_of_its_run():
+    """Where a tree fails over a run's block, an indefinite metric at any
+    point of the block is the run's error, even at a point after the
+    one whose tree fails: the run raises as that point's run of one."""
+    doc = _indefinite_document()
+    doc["weight"] = "ln(x2 + 1)"
+    space = load_scenario(doc).space()
+    ys = [[1.0, 0.2, -0.1], [0.8, -0.3, 0.5], [1.2, 0.4, 0.3]]
+    plan = [([0.3, 0.1, -0.2], ys), ([0.2, -1.2, 0.1], ys),
+            ([-1.2, 0.2, 0.1], ys)]
+    assert _error(lambda: chart_points(space, plan[1:2]))[0] is (
+        ExprDomainError)
+    alone = _error(lambda: chart_points(space, plan[2:]))
+    assert alone[0] is NotPositiveDefiniteError
+    assert _error(lambda: chart_points(space, plan)) == alone
+
+
+@pytest.mark.parametrize("case", FAULTS)
+def test_run_check_reports_a_run_at_fault_as_its_runs_of_one(
+        monkeypatch, case):
+    """run_check over a run of three chart points whose middle one is at
+    fault gives each checker of the regime an ERROR entry with the
+    run's error, the same report as runs of one give, and an explicit
+    theorem outside the regime stays a PRECONDITION."""
     import kropina.workbench as workbench
 
-    space, plan = _run_plan("s3_hopf", (5, 7, 10))
-    x, ys = plan[1]
-    plan[1] = (x, [ys[0], -ys[1], *ys[2:]])
-    cfg = weight_preset("ricInf", space.dim)
-    error = _error(lambda: thm41_check(
-        [ChartPoint(space, x, ys) for x, ys in plan], cfg))
-    assert error[0] is ConicDomainError
-    assert _error(lambda: thm41_check(chart_points(space, plan), cfg)
-                  ) == error
-
+    sc, plan, _ = _fault_run(case)
+    error = _error(lambda: chart_points(sc.space(), plan))
     monkeypatch.setattr(workbench, "scenario_samples",
                         lambda *args, **kwargs: plan)
-    batched = workbench.run_check("s3_hopf").to_json(timings=False)
-    monkeypatch.setattr(workbench, "chart_points", lambda space, samples: [
-        ChartPoint(space, x, ys) for x, ys in samples])
-    doc = workbench.run_check("s3_hopf")
+    doc = workbench.run_check(sc)
     assert [c["verdict"] for c in doc.checks] == ["ERROR", "ERROR"]
-    assert doc.checks[0]["error"] == error[1]
-    assert batched == doc.to_json(timings=False)
+    for check in doc.checks:
+        assert check["error"] == error[1]
+    assert [e["kind"] for e in doc.errors] == [error[0].__name__] * 2
+    assert doc.verdict == "ERROR"
+    stacked = doc.to_json(timings=False)
+    monkeypatch.setattr(workbench, "chart_points", lambda space, samples: [
+        chart_point(space, x, ys) for x, ys in samples])
+    assert workbench.run_check(sc).to_json(timings=False) == stacked
+    doc = workbench.run_check(sc, theorem="51")
+    assert [c["verdict"] for c in doc.checks] == ["PRECONDITION"]
+    assert doc.errors[0]["kind"] == "dispatch"
 
 
 def test_an_empty_plan_is_an_empty_run():
@@ -434,12 +485,12 @@ def test_row_blocks_give_each_direction_its_bits(monkeypatch, n):
 
 def test_row_blocks_of_loop_and_quotient_stages_keep_their_bits(
         monkeypatch):
-    """A LoopMetric stage, which hands F's own jets, keeps its bits in
-    blocks of three rows, and a run that mixes it with a quotient stage
-    gives each point the bits it has alone, at the module's budget and
-    in blocks of three rows."""
+    """A LoopMetric stage, whose jets go one direction at a time, keeps
+    its bits in blocks of three rows, and a run that holds it and the
+    quotient stage of a Kropina space gives each point the bits it has
+    alone, at the module's budget and in blocks of three rows."""
     space, plan = _run_plan(random_scenario(3, 3), SPLIT_BLOCKS)
-    pts = [ChartPoint(space, x, ys) for x, ys in plan]
+    pts = chart_points(space, plan)
     ref = loop_metric(space)
     entries = [(pts[0].stage, pts[0].ys, *pts[0].log_densities),
                (ref.stage(pts[1].x), pts[1].ys, *pts[1].log_densities)]
@@ -497,8 +548,8 @@ def test_log_densities_of_a_block_give_each_point_its_bits(source):
     each point the bits of its own call over the trees of its x alone:
     both over the arrays np.stack makes of the points' trees and over
     the strided views one tree pass over their block gives, which
-    _x_stage hands it as they are.  A ChartPoint's log_densities, its
-    share of a block of one, has them too."""
+    _x_stage hands it as they are.  The log_densities of a chart
+    point's run of one have them too."""
     space, xs = _block(source)
     sp = jet_space(space.dim, 2)
     trees = [evaluate(sp.seed(x), *_tree_parts(space)) for x in xs]
@@ -515,7 +566,7 @@ def test_log_densities_of_a_block_give_each_point_its_bits(source):
         got += [[log_sigma.coef[k], None if log_bh is None else
                  log_bh.coef[k]] for k in range(len(xs))]
     got += [[None if d is None else d.coef for d in
-             ChartPoint(space, x, ()).log_densities] for x in xs]
+             chart_point(space, x).log_densities] for x in xs]
     for k, (sigma, bh) in enumerate(got):
         want_sigma, want_bh = wants[k % len(xs)]
         assert _bits(sigma) == _bits(want_sigma.coef)
@@ -524,92 +575,11 @@ def test_log_densities_of_a_block_give_each_point_its_bits(source):
             assert _bits(bh) == _bits(want_bh.coef)
 
 
-def _ab_document(a11, weight=None):
-    """An (alpha, beta) space on the 3-box whose a_11 is the text a11,
-    with b = dx1 and the given weight."""
-    doc = {
-        "schema": "scenario/1", "name": "stack_fault", "dimension": 3,
-        "representation": "ab",
-        "metric": [[a11, "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
-        "vector": ["1", "0", "0"],
-        "constants": {"a": 1, "c": 0},
-        "box": [[-0.5, 0.5]] * 3, "points": 3, "directions": 3, "seed": 1,
-    }
-    if weight is not None:
-        doc["weight"] = weight
-    return doc
-
-
-def _outcome(read):
-    """None when read() returns, else the type and message it raises."""
-    try:
-        read()
-    except ValueError as e:
-        return type(e), str(e)
-    return None
-
-
-@pytest.mark.parametrize("a11, weight, bad_x1", [
-    ("1", "ln(x1 + 1)", -1.2),         # the weight's ln at -0.2
-    ("1 + sqrt(x1^2)", None, 0.0),     # sqrt of a zero jet value; F is
-                                       # defined there over floats
-    ("1 + ln(x1 + 1)", None, -1.1),    # the float stage fails too
-], ids=["ln-weight", "sqrt-metric", "ln-metric"])
-def test_a_point_failing_a_stacked_pass_fails_alone(a11, weight, bad_x1):
-    """In a run of three chart points whose middle one fails the
-    stacked tree pass, by a ln or a sqrt whose argument has a value out
-    of the jet's domain there, every read of that point (its trees,
-    bundle, densities, stage and samples) returns or raises what the
-    same point built alone does, on every read, and the outer points
-    keep every bit of their runs of one.  The stacked tree pass raises,
-    so the run stores nothing and every point makes its x-level over
-    the block of its own x, where the tree pass raises again."""
-    space = load_scenario(_ab_document(a11, weight)).space()
-    ys = [[1.0, 0.2, -0.1], [0.8, -0.3, 0.5], [1.2, 0.4, 0.3]]
-    plan = [([0.3, 0.1, -0.2], ys), ([bad_x1, 0.2, 0.1], ys),
-            ([0.25, -0.1, 0.3], ys)]
-    run = chart_points(space, plan)
-    alone = [ChartPoint(space, x, ys) for x, ys in plan]
-    error = _outcome(lambda: alone[1]._level)
-    assert error is not None and error[0] is ExprDomainError
-    for name in ("_level", "fld", "log_densities", "stage", "samples"):
-        want = _outcome(lambda: getattr(alone[1], name))
-        for _ in range(2):
-            assert _outcome(lambda: getattr(run[1], name)) == want, name
-    assert _outcome(lambda: run[1].samples) is not None
-    assert "samples" not in vars(run[1])
-    for k in (0, 2):
-        _same_bits(run[k].samples, alone[k].samples)
-        for got, want in zip(run[k]._level[0], alone[k]._level[0]):
-            assert _bits(got) == _bits(want)
-
-
-def test_an_indefinite_metric_raises_from_fld_alone_and_in_a_run():
-    """A point whose a_ij is not positive definite raises
-    NotPositiveDefiniteError from fld on every read, built alone and as
-    the middle point of a run of three, before forms.log_densities can
-    call its metric degenerate; the outer points keep their bits."""
-    doc = _ab_document("1")
-    doc["metric"][1][1] = "1 + x1"
-    doc["vector"] = ["1", "0.2", "0"]
-    doc["box"] = [[-1.3, 0.5], [-0.5, 0.5], [-0.5, 0.5]]
-    space = load_scenario(doc).space()
-    ys = [[1.0, 0.2, -0.1], [0.8, -0.3, 0.5], [1.2, 0.4, 0.3]]
-    plan = [([0.3, 0.1, -0.2], ys), ([-1.2, 0.2, 0.1], ys),
-            ([-0.5, -0.1, 0.3], ys)]
-    run = chart_points(space, plan)
-    for pt in (ChartPoint(space, *plan[1]), run[1]):
-        for _ in range(2):
-            with pytest.raises(NotPositiveDefiniteError):
-                pt.fld
-    for k in (0, 2):
-        _same_bits(run[k].samples, ChartPoint(space, *plan[k]).samples)
-
-
 def test_a_point_alone_makes_the_passes_of_a_run_of_one(monkeypatch):
-    """A point built alone and the point of a run of one make the same
-    x-level passes: one order-2 and one order-4 riemann.evaluate over
-    the seeds of a (1, n) block, and no other jet evaluation."""
+    """A point alone, the point of a run of one, makes its x-level
+    passes once: one order-2 and one order-4 riemann.evaluate over the
+    seeds of a (1, n) block, and no other jet evaluation, however its
+    bundles are read."""
     import kropina.riemann as riemann
 
     calls = []
@@ -625,20 +595,18 @@ def test_a_point_alone_makes_the_passes_of_a_run_of_one(monkeypatch):
     for source in ("s3_hopf", "euclid_gaussian", random_scenario(3, 5)):
         space, [(x, ys)] = _run_plan(source, (3,))
         n = space.dim
-        for build in (lambda: ChartPoint(space, x, ys),
-                      lambda: chart_points(space, [(x, ys)])[0]):
-            calls.clear()
-            pt = build()
-            pt.fld, pt.nav, pt.samples
-            assert calls == [(n, 2, (1,)), (n, 4, (1,))]
+        calls.clear()
+        pt = chart_point(space, x, ys)
+        pt.fld, pt.nav, pt.inv
+        assert calls == [(n, 2, (1,)), (n, 4, (1,))]
 
 
 @pytest.mark.parametrize("name",
                          ["_tree_pass", "log_densities", "curvature_samples"])
 def test_a_stacked_pass_raising_a_bug_propagates(monkeypatch, name):
-    """chart_points lets its points compute alone only on a ValueError,
-    the fault family the drivers report: a TypeError out of a stacked
-    pass is a bug, and propagates out of chart_points."""
+    """A TypeError out of a stacked pass is a bug, not one of the
+    ValueErrors the drivers report, and propagates out of chart_points
+    as any error of a run does."""
     import kropina.einstein as einstein
 
     def broken(*args):

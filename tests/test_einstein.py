@@ -538,7 +538,7 @@ def test_thm41_rejects_non_unit_wind():
 
 def test_thm41_names_the_non_unit_wind_point_in_plain_floats():
     space = KropinaSpace.from_nav(EUCLID3, ("1 + 0.5*x1", "0", "0"))
-    pt = ChartPoint(space, np.array([0.2, 0.0, 0.0]), [[1.0, 0.0, 0.0]])
+    [pt] = chart_points(space, [([0.2, 0.0, 0.0], [[1.0, 0.0, 0.0]])])
     with pytest.raises(ValueError) as err:
         thm41_check([pt], CFG_INF)
     message = str(err.value)
@@ -737,10 +737,10 @@ def test_chart_point_builds_each_bundle_once(monkeypatch):
         passes.append([np.array(ys) for _, ys, *_ in points])
         return real_samples(points)
 
-    monkeypatch.setattr(einstein_mod, "curvature_samples", samples)
     rng = np.random.default_rng(45)
     space = gauss_space()
     [(x, ys)] = checker_samples(space, rng, points=1, shift=(0.2, -0.1, 0.3))
+    monkeypatch.setattr(einstein_mod, "curvature_samples", samples)
     [pt] = chart_points(space, [(x, ys)])
     assert isinstance(pt, ChartPoint)
     assert pt.fld is pt.fld and pt.nav is pt.nav

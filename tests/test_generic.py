@@ -43,7 +43,6 @@ from oracles import (
     eliminate_gauss_jordan,
     ellipsoid_box,
     f2_jet,
-    f_jets,
     flat_wind,
     geodesic_flow,
     gradient,
@@ -863,7 +862,7 @@ def test_direction_stage_equals_the_jet_loop_bit_for_bit(source, directions):
     for x, ys in scenario_samples(sc, points=2, directions=directions,
                                   seed=4):
         stage = chart_point(space, x).stage
-        f, dom, rows = stage.f(ys), stage.domain(ys), f_jets(stage, ys)
+        f, dom, rows = stage.f(ys), stage.domain(ys), stage.jets(ys)
         assert f.shape == dom.shape == (directions,)
         xf = [float(v) for v in x]
         loop = ref.at(xf)

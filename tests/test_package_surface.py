@@ -27,7 +27,6 @@ ALLOWED = {
 # methods whose name something else in src/ also has, each with the
 # caller that really uses the method
 SHARED_NAMES = {
-    "einstein.ChartPoint.samples": "einstein._check, workbench.run_verify",
     "jets.JetSpace.seed": "einstein._tree_pass and _x_stage, "
                           "riemann.MetricPoint.from_exprs",
     "jets.Jet.value": "jets.Jet.__repr__",

@@ -198,7 +198,8 @@ def test_check_explicit_regime_mismatch_is_precondition():
 def test_a_jet_overflow_in_the_x_stage_is_an_error_not_a_crash():
     """A weight near -200, whose density e^{-(n+1) f} overflows exp's
     range in the x-stage's jets, makes each checker an ERROR entry that
-    names the overflow, not an OverflowError out of run_check; an
+    names the overflow and that density, not an OverflowError out of
+    run_check; an
     exp(1000*x1) weight, whose own jets overflow, fails verify with an
     ExprDomainError that names the call."""
     from kropina.expr import ExprDomainError
@@ -209,7 +210,8 @@ def test_a_jet_overflow_in_the_x_stage_is_an_error_not_a_crash():
     assert [c["verdict"] for c in report.checks] == ["ERROR", "ERROR"]
     for c in report.checks:
         assert c["error"].startswith("exp of base value 79")
-        assert c["error"].endswith(" overflows")
+        assert c["error"].endswith(
+            " overflows in the weight density e^{-(n+1) f}")
     doc = load_scenario("euclid_gaussian").as_dict()
     doc["weight"] = "exp(1000*x1)"
     doc["box"][0] = [0.8, 0.9]

@@ -75,7 +75,7 @@ S5_SEEDS = range(1, 9)
 GAUGES = (("s3_hopf", "1 + 0.1*x1"),)
 # the fields set on random_scenario(3, 3) for a check whose middle
 # sampled point has x1 + 0.2 <= 0, so the order-2 tree pass over its
-# run raises and every point computes alone: the fault path
+# run raises, and run_check reports that error for each checker
 FAULT_CHANGES = {"weight": "ln(x1 + 0.2)", "seed": 0}
 # an (alpha, beta) document whose a_22 = 1 + x1 is negative on part of
 # its box, so a run of its sampled points holds an indefinite metric
