@@ -20,8 +20,8 @@ fit, and the einstein-residual-fitted condition judges the fitted pair
 through the generic pipeline; verdicts derive from residuals and the
 configured tolerance only.  The checkers read each sampled x through a
 ChartPoint, and only chart_points builds them: the chart points of one
-run share each pass of their x-stage (_x_stage) and one generic pass,
-and a run whose pass raises builds no point.
+run share each pass of their x-stage (_x_stage), each makes its own
+generic pass, and a run whose pass raises builds no point.
 """
 
 import itertools
@@ -390,7 +390,7 @@ def _scaled_residual(value, *scales):
 #
 # A run samples its space at chart points; each ChartPoint builds the
 # pointwise bundles read there once, so the checkers of one run, and
-# verify, share them, and the points of a run share one generic pass.
+# verify, share them, and the points of a run share one x-stage.
 # One function, _check, runs the loop the four regime theorems share: the
 # dimension and regime gates, the closed-form and fitted (theta, sigma)
 # pairs of each chart point, and the end-to-end Einstein residuals
@@ -401,15 +401,16 @@ def _scaled_residual(value, *scales):
 class ChartPoint:
     """One sampled chart point x of a space and its directions ys (D, n),
     with every pointwise bundle a run reads there.  chart_points hands
-    each point its share of the run's passes: the trees of the order-2
+    each point its share of the run's x-stage: the trees of the order-2
     tree pass, which fld and nav read, the log densities (ln sigma,
-    ln sigma_BH or None) as order-2 x-jets, the space's Finsler stage at
-    x (stage: F, its domain and its jets) and the generic curvature
-    samples of all directions ys.  The drift bundle fld, the navigation
-    point nav, the drift invariants inv (one batched pass over ys) and
-    one least-squares (theta, sigma) fit per weight configuration are
-    built on first read and cached; an error is not, so each read of a
-    bundle at fault raises it.
+    ln sigma_BH or None) as order-2 x-jets and the space's Finsler stage
+    at x (stage: F, its domain and its jets); and the generic curvature
+    samples of all directions ys, from the point's own pass.  The drift
+    bundle fld, the navigation point nav (on fld's MetricPoint when a_ij
+    is h_ij itself), the drift invariants inv (one batched pass over ys)
+    and one least-squares (theta, sigma) fit per weight configuration
+    are built on first read and cached; an error is not, so each read of
+    a bundle at fault raises it.
     """
 
     def __init__(self, space: KropinaSpace, x, ys, trees, log_densities,
@@ -439,7 +440,9 @@ class ChartPoint:
     def nav(self):
         a, b_up, h, w, gauge, *weight = self.trees
         sp = jet_space(self.n, 2)
-        return NavPoint(MetricPoint(*partials(h, sp)), *partials(w, sp))
+        mp = (self.fld.mp if self.space.h is self.space.a
+              else MetricPoint(*partials(h, sp)))
+        return NavPoint(mp, *partials(w, sp))
 
     @cached_property
     def inv(self):
@@ -491,21 +494,20 @@ def _x_stage(space: KropinaSpace, xs):
 def chart_points(space: KropinaSpace, samples):
     """One ChartPoint per (x, directions) pair of samples, all of them
     one run, and the only builder of a ChartPoint: one _x_stage call
-    over the block of its chart points, then one curvature_samples
-    call, whose shares give each point the bits of its run of one.  An
-    error of either pass is the run's and propagates, so a run with a
-    point at fault builds no point.  An empty plan is an empty run."""
+    over the block of its chart points, whose shares give each point the
+    bits of its run of one, then one curvature_samples call per point,
+    in plan order.  An error of any pass is the run's and propagates, so
+    a run with a point at fault builds no point.  An empty plan is an
+    empty run."""
     plan = [(np.asarray(x, dtype=float),
              np.array(ys, dtype=float).reshape(-1, space.dim))
             for x, ys in samples]
     if not plan:
         return []
     levels = _x_stage(space, [x for x, _ in plan])
-    curvature = curvature_samples([
-        (stage, ys, *dens) for (_, ys), (_, dens, stage) in zip(plan, levels)])
-    return [ChartPoint(space, x, ys, trees, dens, stage, cs)
-            for (x, ys), (trees, dens, stage), cs
-            in zip(plan, levels, curvature)]
+    return [ChartPoint(space, x, ys, trees, dens, stage,
+                       curvature_samples(stage, ys, *dens))
+            for (x, ys), (trees, dens, stage) in zip(plan, levels)]
 
 
 def _check(theorem, regime, conditions, points, cfg, tol):

@@ -165,8 +165,10 @@ class KropinaSpace:
         g = _coerce_scalar(2.0 if gauge is None else gauge, n, "gauge")
         quarter = e_div(e_pow(g.root, 2), e_const(4.0))
         half = e_div(e_pow(g.root, 2), e_const(2.0))
-        a_rows = tuple(tuple(as_ast(e_mul(quarter, e.root), n) for e in row)
-                       for row in h.exprs)
+        # the default gauge folds quarter to 1, and a_ij is h_ij itself
+        a = h if quarter == e_const(1.0) else RiemannianMetric(n, tuple(
+            tuple(as_ast(e_mul(quarter, e.root), n) for e in row)
+            for row in h.exprs))
         b_low = [as_ast(e_mul(half, reduce(e_add, (
             e_mul(h.exprs[i][j].root, w[j].root) for j in range(n)))), n)
             for i in range(n)]
@@ -174,7 +176,7 @@ class KropinaSpace:
         rho = as_ast(e_call("ln", e_div(e_const(2.0), g.root)), n)
         return cls(
             dim=n,
-            a=RiemannianMetric(n, a_rows),
+            a=a,
             b=tuple(b_low),
             b_up=b_up,
             h=h,
@@ -738,7 +740,8 @@ def _seed_quadratic(a, v, blocks):
     a1 = a[:, :, :blocks.n1].reshape(n * n, -1)
     t1 = a1[blocks.lex_terms][:, :, None, :] * v[blocks.lex_other][..., None]
     t1[blocks.lex_diag, blocks.each] *= 2.0
-    t1 = _row_sum(t1).reshape(n, D, -1).transpose(1, 0, 2).reshape(D, -1)
+    t1 = _row_sum(t1).reshape(n, D, blocks.n1).transpose(1, 0, 2).reshape(
+        D, n * blocks.n1)
     a2 = a[:, :, :blocks.n2].reshape(n * n, -1)
     fixed = np.concatenate(((a2[blocks.pair_kl] + a2[blocks.pair_lk]).ravel(),
                             a2[blocks.diag].ravel()))

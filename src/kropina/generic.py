@@ -16,12 +16,11 @@ forward mode; Griewank and Walther, Evaluating Derivatives, ch. 13):
 the metric jets and the spray's right-hand side are gathers of the F^2
 jet and one graded_solve per block gives the spray and log det g; the
 Riemann curvature and S are array expressions over those, over the
-stacked rows of every chart point of a run at once.
+same block.
 
 A metric enters at one chart point x as an XStage: F, its domain and
 its order-4 jets at x, each a function of a (D, n) block of directions.
-curvature_samples takes the stages and blocks of all the chart points
-of a run in one call, and a point at fault raises for the whole call;
+curvature_samples takes the stage and directions of one chart point;
 bh_density reads F and its domain alone: the unit-ball density
 Vol(B^n) / Vol{F < 1} by a product Gauss rule on the sphere, after a
 change of variables fitted to F's own boundary points.
@@ -37,9 +36,9 @@ from .jets import Jet, JetDomainError, graded_solve, jet_space
 from .riemann import SingularMetricError, _dot
 
 
-# a chart point's directions go from F's jets to the spray in row blocks
-# of at most this many bytes of F's coefficients each, so that the
-# pass's temporaries stay those of one block, whatever the point's D
+# a chart point's directions go from F's jets to every curvature field in
+# row blocks of at most this many bytes of F's coefficients each, so that
+# the pass's temporaries stay those of one block, whatever the point's D
 _BLOCK_BYTES = 1 << 18
 
 
@@ -59,7 +58,7 @@ class XStage(NamedTuple):
 
     The pipeline takes a coordinate volume density, as in dV = sigma(x)
     dx, as ln sigma: an order-2 jet over the n chart variables at x (see
-    curvature_samples, which takes one stage per chart point of a run).
+    curvature_samples).
     """
 
     x: np.ndarray            # (n,)
@@ -183,105 +182,91 @@ def _embedding(nvars: int, order: int) -> np.ndarray:
                      for idx in jet_space(nvars, order).indices])
 
 
-def curvature_samples(points) -> list:
-    """Full curvature bundles of a metric at the chart points of one run:
-    the generic pipeline's one entry.
+def curvature_samples(stage: XStage, ys, log_sigma: Jet,
+                      log_sigma_bh=None) -> CurvatureSample:
+    """Full curvature bundles of a metric at one chart point: the generic
+    pipeline's one entry.
 
-    points holds one (stage, ys, log_sigma, log_sigma_bh) per chart
-    point, all of one n: the metric's stage at its x, its (D, n) block
-    of directions, of any D, and the log of the volume density as an
-    order-2 jet over the n chart variables at x, and likewise of the
-    unit-ball density when that is another density, or None.  Every
-    entry of a run has a log_sigma_bh or none does, as the points of one
-    space share their densities' kinds.
+    stage is the metric's stage at x, ys its (D, n) block of directions,
+    of any D, log_sigma the log of the volume density as an order-2 jet
+    over the n chart variables at x, and log_sigma_bh likewise of the
+    unit-ball density when that is another density, or None.
 
-    points is read once, in order, one chart point at a time.  A
-    point's stage checks its domain on all its directions, which then go
-    from F to the spray in row blocks of at most _BLOCK_BYTES of F's
-    coefficients: per block, the stage's jets of F, F * F, the spray
-    system, the invertibility check of g and one graded solve, which
-    gives the spray and log det g, and so the distortion.  Every row op
-    keeps the bits of its row, so no block boundary moves one.  The
-    closing stages run once over the stacked rows of the run: the spray
-    gives G, N and the Riemann curvature; the distortion and the spray
-    give S as a first-order jet, whose horizontal derivative is Sdot.
-    S, tau and Sdot refer to sigma; s_bh is S from its own tau_BH =
-    ln sqrt(det g) - ln sigma_BH when log_sigma_bh is given, and S
+    The stage checks its domain on all of ys, which then go end to end
+    in row blocks of at most _BLOCK_BYTES of F's coefficients: per
+    block, the stage's jets of F, F * F, the spray system, the
+    invertibility check of g and one graded solve, which gives the spray
+    and log det g; then the distortion, S as a first-order jet, whose
+    horizontal derivative is Sdot, the Riemann curvature, Ric and N.
+    Every row op keeps the bits of its row, so no block boundary moves
+    one.  S, tau and Sdot refer to sigma; s_bh is S from its own tau_BH
+    = ln sqrt(det g) - ln sigma_BH when log_sigma_bh is given, and S
     itself when not.
 
-    Returns one CurvatureSample per point, each row with the bits of a
-    sample of its direction alone, or raises; no points give [], and a
-    point without directions a sample of no rows.  A direction outside
-    the conic domain or with a singular g raises the error of the first
-    block at fault.
+    Returns one CurvatureSample, each row with the bits of a sample of
+    its direction alone, or raises; no directions give a sample of no
+    rows, through one empty block.  A direction outside the conic
+    domain or with a singular g raises the error of the first block at
+    fault.
     """
-    xs, yss, gs, Gs, taus, bh_taus = [], [], [], [], [], []
-    for stage, ys, log_sigma, log_sigma_bh in points:
-        x = np.asarray(stage.x, dtype=float)
-        n = len(x)
-        ys = np.array(ys, dtype=float).reshape(-1, n)
-        if not np.all(stage.domain(ys)):
-            raise ConicDomainError(
-                f"(x, y) outside the conic domain of metric {stage.name!r}")
-        xs.append(x)
-        yss.append(ys)
-        space = jet_space(2 * n, 4)
-        step = max(1, _BLOCK_BYTES // (8 * space.ncoef))
-        for r in range(0, len(ys), step):
-            block = ys[r:r + step]
-            f = Jet(space, stage.jets(block))
-            gj, rhs = _spray_system((f * f).coef, block, n)
-            g = gj[..., 0].copy()
-            _check_invertible(g)
-            try:
-                w, log_det = graded_solve(jet_space(2 * n, 2), gj, rhs)
-            except JetDomainError:
-                raise SingularMetricError(
-                    "nonpositive fundamental determinant") from None
-            gs.append(g)
-            Gs.append(w * 0.25)
-            half_log_det = log_det * 0.5
-            # the distortion: each log density subtracted where its
-            # coefficients sit among those over the 2n variables
-            for density, out in ((log_sigma, taus), (log_sigma_bh, bh_taus)):
-                if density is not None:
-                    tau = half_log_det.copy()
-                    tau[:, _embedding(n, 2)] -= density.coef
-                    out.append(tau)
-    if not xs:
-        return []
-    if not gs:   # no point of the run has a direction
-        c2 = jet_space(2 * n, 2).ncoef
-        gs, Gs = [np.empty((0, n, n))], [np.empty((0, n, c2))]
-        taus = [np.empty((0, c2))]
+    x = np.asarray(stage.x, dtype=float)
+    n = len(x)
+    ys = np.array(ys, dtype=float).reshape(-1, n)
+    if not np.all(stage.domain(ys)):
+        raise ConicDomainError(
+            f"(x, y) outside the conic domain of metric {stage.name!r}")
+    step = max(1, _BLOCK_BYTES // (8 * jet_space(2 * n, 4).ncoef))
+    blocks = [_block_fields(stage, ys[r:r + step], log_sigma, log_sigma_bh)
+              for r in range(0, len(ys) or 1, step)]
+    fields = blocks[0] if len(blocks) == 1 else {
+        name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]}
+    if log_sigma_bh is None:
+        fields["s_bh"] = fields["s"]
+    return CurvatureSample(x=x, y=ys, **fields)
 
-    ys = np.concatenate(yss)
-    G = np.concatenate(Gs)
+
+def _block_fields(stage: XStage, ys: np.ndarray, log_sigma, log_sigma_bh):
+    """The CurvatureSample fields of one row block ys (D, n), but x and
+    y, and s_bh only when log_sigma_bh is given."""
+    n = ys.shape[1]
+    space = jet_space(2 * n, 4)
+    f = Jet(space, stage.jets(ys))
+    gj, rhs = _spray_system((f * f).coef, ys, n)
+    g = gj[..., 0].copy()
+    _check_invertible(g)
+    try:
+        w, log_det = graded_solve(jet_space(2 * n, 2), gj, rhs)
+    except JetDomainError:
+        raise SingularMetricError(
+            "nonpositive fundamental determinant") from None
+    G = w * 0.25
     Gv = G[..., 0].copy()
-    tau = np.concatenate(taus)
+    half_log_det = log_det * 0.5
+
+    def distortion(density):
+        # ln sqrt(det g) minus the log density, where its coefficients
+        # sit among those over the 2n variables
+        tau = half_log_det.copy()
+        tau[:, _embedding(n, 2)] -= density.coef
+        return tau
+
+    tau = distortion(log_sigma)
     s_jet = _s_jet(tau, G, ys, n)
     grad = s_jet[:, 1:1 + 2 * n]
-    s = s_jet[:, 0]
-    s_bh = _s_jet(np.concatenate(bh_taus), G, ys, n)[:, 0] if bh_taus else s
     R = _riemann_from_spray(G, ys, n)
     fields = dict(
-        g=np.concatenate(gs),
+        g=g,
         spray=Gv,
         connection=G[..., 1 + n:1 + 2 * n].copy(),
         riemann=R,
         ricci=np.trace(R, axis1=-2, axis2=-1),
         tau=tau[:, 0],
-        s=s,
+        s=s_jet[:, 0],
         sdot=_dot(ys, grad[:, :n]) - 2.0 * _dot(Gv, grad[:, n:]),
     )
-    out, start = [], 0
-    for x, block_ys in zip(xs, yss):
-        rows = slice(start, start + len(block_ys))
-        start = rows.stop
-        block = {name: v[rows] for name, v in fields.items()}
-        block["s_bh"] = block["s"] if s_bh is s else s_bh[rows]
-        out.append(CurvatureSample(x=x, y=block_ys, **block))
-    return out
+    if log_sigma_bh is not None:
+        fields["s_bh"] = _s_jet(distortion(log_sigma_bh), G, ys, n)[:, 0]
+    return fields
 
 
 def unit_ball_volume(n: int) -> float:

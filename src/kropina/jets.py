@@ -567,7 +567,8 @@ def graded_solve(space: JetSpace, A: np.ndarray, rhs=None):
     inv = np.linalg.inv(A0)
     E = A.copy()
     E[..., 0] = 0.0
-    E = (inv @ E.reshape(A.shape[:-2] + (-1,))).reshape(A.shape)
+    E = (inv @ E.reshape(A.shape[:-2] + (A.shape[-2] * A.shape[-1],))
+         ).reshape(A.shape)
     Ei, Ej = E[..., space._mi], E[..., space._mj]
     log_det = np.einsum("...iit->...t", E)
     log_det[..., 0] = log_det0

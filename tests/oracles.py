@@ -18,8 +18,7 @@ a test can hold the package's route against it:
   before it batched a chart point's directions, one direction and one
   float at a time, against whose bits every row of the batched
   curvature samples (sample_row reads one), drift invariants and
-  closed forms is held; point_samples is one chart point's samples
-  through the package's run entry, its error raised;
+  closed forms is held;
 - volume_density and bh_volume_density: a space's weighted and
   unit-ball densities as callables x -> sigma(x) over floats and jets,
   against the log densities a ChartPoint takes from its one jet
@@ -160,7 +159,6 @@ from kropina.generic import (
     CurvatureSample,
     XStage,
     _check_invertible,
-    curvature_samples,
     unit_ball_volume,
 )
 from kropina.jets import (
@@ -1283,14 +1281,6 @@ def staged_sample(F: LoopMetric, x, y, log_sigma: Jet,
         sdot=float(np.dot(y, grad[:n]) - 2.0 * np.dot(Gv, grad[n:])),
         s_bh=s_bh,
     )
-
-
-def point_samples(stage: XStage, ys, log_sigma: Jet,
-                  log_sigma_bh=None) -> CurvatureSample:
-    """The curvature samples of one chart point, a run of one through
-    curvature_samples, which raises the point's error."""
-    [cs] = curvature_samples([(stage, ys, log_sigma, log_sigma_bh)])
-    return cs
 
 
 def sample_row(cs: CurvatureSample, k: int) -> CurvatureSample:

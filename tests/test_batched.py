@@ -10,12 +10,12 @@ one that holds a direction twice.  A direction that fails fails the
 whole block with the per-direction route's error.
 
 The chart points of one run (einstein.chart_points, the only builder
-of a ChartPoint) share one curvature_samples call over all of their
-blocks.  Each point must get the bits of its run of one, whatever the
-sizes of the other blocks, a block of no directions included.  Within
-the call, a point's directions go from F's jets to the spray in row
-blocks under a byte budget, each block on its own: no budget may move
-a bit, whatever the metric's stage.
+of a ChartPoint) each make one curvature_samples call.  Each point must
+get the bits of its run of one, whatever the sizes of the other blocks,
+a block of no directions included.  Within the call, a point's
+directions go from F's jets to every curvature field in row blocks
+under a byte budget, each block on its own: no budget may move a bit,
+whatever the metric's stage.
 
 The rest of a run's x-stage is stacked too: one order-2 tree pass and
 one order-4 pass of a_ij and b_i over the seeds of a block of chart
@@ -78,7 +78,6 @@ from oracles import (
     flat_wind,
     log_density,
     loop_metric,
-    point_samples,
     ric_ac_per_direction,
     sample_row,
     staged_sample,
@@ -191,12 +190,13 @@ def _error(call):
     return type(info.value), str(info.value)
 
 
-def test_one_failing_direction_fails_the_block_as_it_fails_alone():
+def test_one_failing_direction_fails_the_block_as_it_fails_alone(
+        monkeypatch):
     """A block with one direction outside the cone raises the
     per-direction route's ConicDomainError, in the generic route (the
     run of its chart point) and the closed one, and one with a
     numerically singular g its SingularMetricError, also as the middle
-    block of a curvature_samples call over three."""
+    row block of three."""
     sc = load_scenario("s3_hopf")
     space = sc.space()
     [(x, ys)] = scenario_samples(sc, points=1, directions=3,
@@ -221,16 +221,15 @@ def test_one_failing_direction_fails_the_block_as_it_fails_alone():
     alone = _error(lambda: staged_sample(F, x, flat, log_sigma))
     assert alone == (SingularMetricError,
                      "fundamental tensor is numerically singular")
-    assert _error(lambda: point_samples(
-        F.stage(x), [[1.0, 0.5], flat, [0.3, 0.9]], log_sigma)) == alone
-    point_samples(F.stage(x), [[1.0, 0.5], [0.3, 0.9]], log_sigma)
-    blocks = [[[1.0, 0.5]], [[1.0, 0.5], flat, [0.3, 0.9]],
-              [[0.3, 0.9], [-0.7, 0.2]]]
     assert _error(lambda: curvature_samples(
-        [(F.stage(x), ys, log_sigma, None) for ys in blocks])) == alone
+        F.stage(x), [[1.0, 0.5], flat, [0.3, 0.9]], log_sigma)) == alone
+    curvature_samples(F.stage(x), [[1.0, 0.5], [0.3, 0.9]], log_sigma)
+    monkeypatch.setattr(generic, "_BLOCK_BYTES", 1)
+    assert _error(lambda: curvature_samples(
+        F.stage(x), [[1.0, 0.5], flat, [0.3, 0.9]], log_sigma)) == alone
 
 
-# -- one generic pass per run ---------------------------------------------------
+# -- one generic pass per point -------------------------------------------------
 
 RUN_SOURCES = [*builtin_names(), *(random_scenario(3, n) for n in range(2, 7))]
 # ragged blocks: the directions of the run's three points
@@ -257,8 +256,8 @@ def _same_bits(got: CurvatureSample, want: CurvatureSample):
 @pytest.mark.parametrize("source", RUN_SOURCES, ids=_source_id)
 def test_a_run_gives_each_point_the_bits_of_its_run_of_one(source):
     """chart_points hands every point of a run of three its share of the
-    x-level (trees, log densities and stage) and of the samples, and
-    each has the bits of the same point's run of one: the trees and
+    x-level (trees, log densities and stage) and its samples, and each
+    has the bits of the same point's run of one: the trees and
     densities array for array, the stage's jets (from the run's one
     order-4 pass) and the samples field for field; s_bh is s itself
     where there is no unit-ball density of its own."""
@@ -427,11 +426,10 @@ def test_run_check_reports_a_run_at_fault_as_its_runs_of_one(
 
 
 def test_an_empty_plan_is_an_empty_run():
-    """chart_points and curvature_samples of no points give no points,
-    and a checker over them raises its own error."""
+    """chart_points of no points gives no points, and a checker over
+    them raises its own error."""
     space = load_scenario("s3_hopf").space()
     assert chart_points(space, []) == []
-    assert curvature_samples([]) == []
     assert _error(lambda: thm41_check(
         chart_points(space, []), weight_preset("ricInf", space.dim))) == (
         ValueError, "checker needs at least one sample point")
@@ -449,59 +447,66 @@ def _rows_budget(n, rows):
     return rows * 8 * jet_space(2 * n, 4).ncoef
 
 
-def _solved_blocks(monkeypatch):
-    """The row counts of graded_solve's batches, one per call, recorded
-    from then on."""
-    sizes = []
-    real = generic.graded_solve
+def _block_rows(monkeypatch):
+    """The row counts of the batches of graded_solve, _s_jet and
+    _riemann_from_spray, one list per function with one entry per call,
+    recorded from then on."""
+    sizes = {}
+    for name, rows in (("graded_solve", 1), ("_s_jet", 2),
+                       ("_riemann_from_spray", 1)):
+        def counted(*args, real=getattr(generic, name),
+                    calls=sizes.setdefault(name, []), rows=rows):
+            calls.append(len(args[rows]))
+            return real(*args)
 
-    def counted(space, a, b):
-        sizes.append(len(a))
-        return real(space, a, b)
-
-    monkeypatch.setattr(generic, "graded_solve", counted)
+        monkeypatch.setattr(generic, name, counted)
     return sizes
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_row_blocks_give_each_direction_its_bits(monkeypatch, n):
     """With a budget of three rows a block, or of less than one row, the
-    directions of each of a run's points go from F's jets to the spray
-    in blocks of that many rows (7 = 3 + 3 + 1), and every field of the
-    run's samples keeps the bits of the run at the module's budget, in
-    which each point is one block."""
+    directions of each of a run's points go from F's jets to every
+    field in blocks of that many rows (7 = 3 + 3 + 1): the spray, S (and
+    S_BH, where there is a unit-ball density of its own) and the Riemann
+    curvature are made per block, and every field of the run's samples
+    keeps the bits of the run at the module's budget, in which each
+    point is one block."""
     space, plan = _run_plan(random_scenario(3, n), SPLIT_BLOCKS)
-    sizes = _solved_blocks(monkeypatch)
-    want = [pt.samples for pt in chart_points(space, plan)]
-    assert sizes == list(SPLIT_BLOCKS)
+    sizes = _block_rows(monkeypatch)
+    pts = chart_points(space, plan)
+    want = [pt.samples for pt in pts]
+    kinds = 1 if pts[0].log_densities[1] is None else 2
+
+    def per_block(split):
+        return {"graded_solve": split, "_riemann_from_spray": split,
+                "_s_jet": [rows for rows in split for _ in range(kinds)]}
+
+    assert sizes == per_block(list(SPLIT_BLOCKS))
     for budget, split in ((_rows_budget(n, 3), [3, 3, 1, 3, 3, 3, 1]),
                           (1, [1] * sum(SPLIT_BLOCKS))):
         monkeypatch.setattr(generic, "_BLOCK_BYTES", budget)
-        sizes.clear()
+        for calls in sizes.values():
+            calls.clear()
         for pt, cs in zip(chart_points(space, plan), want):
             _same_bits(pt.samples, cs)
-        assert sizes == split
+        assert sizes == per_block(split)
 
 
 def test_row_blocks_of_loop_and_quotient_stages_keep_their_bits(
         monkeypatch):
-    """A LoopMetric stage, whose jets go one direction at a time, keeps
-    its bits in blocks of three rows, and a run that holds it and the
-    quotient stage of a Kropina space gives each point the bits it has
-    alone, at the module's budget and in blocks of three rows."""
+    """A LoopMetric stage, whose jets go one direction at a time, and
+    the quotient stage of a Kropina space keep the bits of their samples
+    at the module's budget in blocks of three rows."""
     space, plan = _run_plan(random_scenario(3, 3), SPLIT_BLOCKS)
     pts = chart_points(space, plan)
     ref = loop_metric(space)
     entries = [(pts[0].stage, pts[0].ys, *pts[0].log_densities),
                (ref.stage(pts[1].x), pts[1].ys, *pts[1].log_densities)]
-    alone = [curvature_samples([entry]) for entry in entries]
-    for budget in (None, _rows_budget(3, 3)):
-        if budget:
-            monkeypatch.setattr(generic, "_BLOCK_BYTES", budget)
-        for entry, [want] in zip(entries, alone):
-            _same_bits(curvature_samples([entry])[0], want)
-        for got, [want] in zip(curvature_samples(entries), alone):
-            _same_bits(got, want)
+    alone = [curvature_samples(*entry) for entry in entries]
+    monkeypatch.setattr(generic, "_BLOCK_BYTES", _rows_budget(3, 3))
+    for entry, want in zip(entries, alone):
+        _same_bits(curvature_samples(*entry), want)
 
 
 # -- one x-stage per run ---------------------------------------------------------
@@ -604,9 +609,9 @@ def test_a_point_alone_makes_the_passes_of_a_run_of_one(monkeypatch):
 @pytest.mark.parametrize("name",
                          ["_tree_pass", "log_densities", "curvature_samples"])
 def test_a_stacked_pass_raising_a_bug_propagates(monkeypatch, name):
-    """A TypeError out of a stacked pass is a bug, not one of the
-    ValueErrors the drivers report, and propagates out of chart_points
-    as any error of a run does."""
+    """A TypeError out of a pass of the run, stacked or one chart
+    point's, is a bug, not one of the ValueErrors the drivers report,
+    and propagates out of chart_points as any error of a run does."""
     import kropina.einstein as einstein
 
     def broken(*args):

@@ -11,6 +11,7 @@ from kropina.forms import (
     GaugeError,
     HypothesisNotMetError,
     KropinaSpace,
+    NavPoint,
     finsler_stage,
     hess_f_closed,
     hess_form,
@@ -27,9 +28,11 @@ from kropina.forms import (
 from kropina.generic import (
     ConicDomainError,
     bh_density,
+    curvature_samples,
 )
-from kropina.riemann import MetricPoint
-from kropina.scenarios import load_scenario
+from kropina.jets import jet_space
+from kropina.riemann import MetricPoint, partials
+from kropina.scenarios import load_scenario, scenario_samples
 from oracles import (
     ab_fields,
     bh_density_mc,
@@ -45,7 +48,6 @@ from oracles import (
     nav_metric,
     nav_riemann_isotropic,
     rs_from_RS,
-    point_samples,
     sample_row,
     spray_generic,
     validate_views,
@@ -160,6 +162,40 @@ def test_canonical_gauge_collapses_views():
     w_low = np.array([1.0, 0.0, 0.0])
     b_val = np.array([eval_expr(e, env) for e in space.b])
     assert np.allclose(b_val, 2.0 * w_low, atol=1e-15)
+
+
+def test_default_gauge_shares_the_metric_and_its_point():
+    """With the default gauge a_ij is h_ij itself, and a chart point's
+    navigation point reads the drift bundle's MetricPoint, whose nav
+    spray and nav Ricci have the bits of one built from h's own trees;
+    a space with another gauge builds both."""
+    for name, shared in (("s3_hopf", True), ("torus_wind", False)):
+        sc = load_scenario(name)
+        space = sc.space()
+        assert (space.a is space.h) is shared
+        [(x, ys)] = scenario_samples(sc, points=1, directions=4)
+        pt = chart_point(space, x, ys)
+        assert (pt.nav.mp is pt.fld.mp) is shared
+        sp = jet_space(space.dim, 2)
+        own = NavPoint(MetricPoint(*partials(pt.trees[2], sp)),
+                       *partials(pt.trees[3], sp))
+        assert nav_spray(pt.nav, ys).tobytes() == nav_spray(own, ys).tobytes()
+        if shared:
+            assert nav_ricci_isotropic(pt.nav, ys).tobytes() == (
+                nav_ricci_isotropic(own, ys).tobytes())
+
+
+def test_stage_of_no_directions_gives_no_rows():
+    """A chart point's stage over a block of no directions gives no
+    values, no mask rows and no rows of F's order-4 jets."""
+    for name in ("s3_hopf", "torus_wind", "euclid_gaussian"):
+        sc = load_scenario(name)
+        [(x, _)] = scenario_samples(sc, points=1, directions=1)
+        stage = chart_point(sc.space(), x).stage
+        n = len(x)
+        none = np.empty((0, n))
+        assert stage.f(none).shape == stage.domain(none).shape == (0,)
+        assert stage.jets(none).shape == (0, jet_space(2 * n, 4).ncoef)
 
 
 def test_roundtrip_ab_nav_ab():
@@ -695,7 +731,7 @@ def test_nav_ricci_matches_generic_on_hopf():
     rng = np.random.default_rng(27)
     for x, y in admissible_samples(space, rng, 30, shift=HOPF_SHIFT, scale=0.3):
         closed = nav_ricci_isotropic(nav_point(SPHERE3, HOPF_W, x), y)
-        generic = sample_row(point_samples(
+        generic = sample_row(curvature_samples(
             fev.stage(x), [y], log_density(dens, x)), 0).ricci
         assert closed == pytest.approx(generic, rel=1e-7)
 
@@ -707,7 +743,7 @@ def test_nav_riemann_matches_generic_and_trace():
     rng = np.random.default_rng(28)
     for x, y in admissible_samples(space, rng, 10, shift=HOPF_SHIFT, scale=0.3):
         closed = nav_riemann_isotropic(nav_point(SPHERE3, HOPF_W, x), y)
-        generic = sample_row(point_samples(
+        generic = sample_row(curvature_samples(
             fev.stage(x), [y], log_density(dens, x)), 0).riemann
         assert np.max(np.abs(closed - generic)) < 1e-8 * max(
             1.0, float(np.max(np.abs(generic)))

@@ -52,7 +52,6 @@ from oracles import (
     loop_metric,
     metric_from_strings,
     metric_jets,
-    point_samples,
     sample_row,
     spray_generic,
     spray_jets,
@@ -172,8 +171,8 @@ def const_density(x):
 def sample(F, x, y, sigma=const_density):
     """The curvature sample of the one direction y, with the constant
     density unless one is given."""
-    return sample_row(point_samples(F.stage(x), [y],
-                                    log_density(sigma, x)), 0)
+    return sample_row(curvature_samples(F.stage(x), [y],
+                                        log_density(sigma, x)), 0)
 
 
 def weighted_density(f_ast, n, base=None):
@@ -724,9 +723,10 @@ def test_staged_sample_equals_oracle_without_a_stage():
     sig = weighted_density(parse_expr("0.3*x1 + 0.1*x2^2", 3), 3)
     f = parse_expr("x1^2 + 0.5*x2*x3", 3)
     x = [0.2, 0.1, -0.3]
-    samples = point_samples(F.stage(x), [[1.2, 0.4, -0.1], [0.9, -0.3, 0.2]],
-                            log_density(sig, x),
-                            log_density(const_density, x))
+    samples = curvature_samples(F.stage(x),
+                                [[1.2, 0.4, -0.1], [0.9, -0.3, 0.2]],
+                                log_density(sig, x),
+                                log_density(const_density, x))
     for k, y in enumerate(samples.y):
         _assert_same_sample(
             sample_row(samples, k),
@@ -934,7 +934,7 @@ def test_curvature_sample_makes_two_jet_products(monkeypatch):
             monkeypatch.setattr(Jet, "__rmul__", mul)
             monkeypatch.setattr(Jet, "_times_seed", times_seed)
             counts.clear()
-            curvature_samples([(pt.stage, block, *log_densities)])
+            curvature_samples(pt.stage, block, *log_densities)
             monkeypatch.undo()
             assert counts == {("mul", (len(block), ncoef)): 2}
 

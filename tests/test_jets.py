@@ -446,6 +446,19 @@ def test_graded_solve_matches_gauss_jordan_and_leibniz(nvars, order):
             assert abs(log_det[1 + v] - np.trace(inv @ dA)) <= 1e-12
 
 
+def test_graded_solve_of_an_empty_batch():
+    """A batch of no jet matrices solves to no rows, with and without a
+    right-hand side, in the shapes a batch of some rows has."""
+    for nvars, order, n in ((2, 2, 3), (6, 2, 6)):
+        s = jet_space(nvars, order)
+        A = np.empty((0, n, n, s.ncoef))
+        X, log_det = graded_solve(s, A, np.empty((0, n, s.ncoef)))
+        assert X.shape == (0, n, s.ncoef)
+        assert log_det.shape == (0, s.ncoef)
+        none, log_det = graded_solve(s, A)
+        assert none is None and log_det.shape == (0, s.ncoef)
+
+
 def test_graded_solve_refuses_a_base_value_without_positive_det():
     """A singular base value, a negative determinant and a NaN entry all
     raise, with and without a right-hand side."""

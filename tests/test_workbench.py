@@ -663,8 +663,8 @@ def test_report_json_is_strict():
 
 def _count_work(monkeypatch):
     """Record every drift-bundle build and every (theta, sigma) fit (its
-    chart point) and every generic curvature pass: one list per call,
-    with each chart point's x, its directions and whether its S against
+    chart point) and every generic curvature pass: one entry per call,
+    with its chart point's x, its directions and whether its S against
     the unit-ball density has a density of its own, not the sample's."""
     import kropina.einstein as einstein
     import kropina.forms as forms
@@ -689,12 +689,11 @@ def _count_work(monkeypatch):
 
     real_samples = einstein.curvature_samples
 
-    def samples(points):
-        out = real_samples(points)
-        passes.append([(tuple(float(v) for v in stage.x),
-                        tuple(tuple(float(v) for v in y) for y in ys),
-                        log_sigma_bh is not None)
-                       for stage, ys, _, log_sigma_bh in points])
+    def samples(stage, ys, log_sigma, log_sigma_bh=None):
+        out = real_samples(stage, ys, log_sigma, log_sigma_bh)
+        passes.append((tuple(float(v) for v in stage.x),
+                       tuple(tuple(float(v) for v in y) for y in ys),
+                       log_sigma_bh is not None))
         return out
 
     monkeypatch.setattr(forms.AbFields, "__init__", init)
@@ -703,14 +702,13 @@ def _count_work(monkeypatch):
     return bundles, fits, passes
 
 
-def _one_pass_per_run(passes, sc):
-    """One curvature pass in the run, over every chart point and each of
-    its directions exactly once."""
-    [points] = passes
-    assert len(points) == sc.points == len({x for x, _, _ in points})
-    pairs = [(x, y) for x, ys, _ in points for y in ys]
+def _one_pass_per_point(passes, sc):
+    """One curvature pass per chart point of the run, over each of its
+    directions exactly once."""
+    assert len(passes) == sc.points == len({x for x, _, _ in passes})
+    pairs = [(x, y) for x, ys, _ in passes for y in ys]
     assert len(pairs) == len(set(pairs)) == sc.points * sc.directions
-    return points
+    return passes
 
 
 def test_verify_builds_once_per_point(monkeypatch):
@@ -718,18 +716,18 @@ def test_verify_builds_once_per_point(monkeypatch):
     sc = load_scenario("s3_hopf")
     run_verify(sc)
     assert len(bundles) == sc.points == len(set(bundles))
-    points = _one_pass_per_run(passes, sc)
+    points = _one_pass_per_point(passes, sc)
     assert not any(has_bh for *_, has_bh in points)
     assert fits == []
 
-    # with a weight, the same pass also takes S against the unit-ball
+    # with a weight, each pass also takes S against the unit-ball
     # density, apart from the weighted one, for the S-curvature pair
     bundles.clear()
     passes.clear()
     sc = load_scenario("euclid_gaussian")
     run_verify(sc)
     assert len(bundles) == sc.points == len(set(bundles))
-    points = _one_pass_per_run(passes, sc)
+    points = _one_pass_per_point(passes, sc)
     assert all(has_bh for *_, has_bh in points)
 
 
@@ -753,9 +751,9 @@ def test_verify_runs_hess_form_only_for_a_weight_hessian_table(monkeypatch):
 
 
 def test_check_builds_once_per_point_per_run(monkeypatch):
-    """Checkers 41 and 44 share each chart point's drift bundle and its
-    (theta, sigma) fit, and the run's one generic curvature pass over
-    every point's directions."""
+    """Checkers 41 and 44 share each chart point's drift bundle, its
+    (theta, sigma) fit and its one generic curvature pass over its
+    directions."""
     bundles, fits, passes = _count_work(monkeypatch)
     for name in ("s3_hopf", "torus_wind"):
         for work in (bundles, fits, passes):
@@ -766,7 +764,7 @@ def test_check_builds_once_per_point_per_run(monkeypatch):
         assert len(bundles) == sc.points == len(set(bundles))
         assert len(fits) == sc.points == len(set(fits))
         assert set(fits) == set(bundles)
-        _one_pass_per_run(passes, sc)
+        _one_pass_per_point(passes, sc)
 
 
 def test_f_x_stage_runs_once_per_point_per_run(monkeypatch):
@@ -774,9 +772,9 @@ def test_f_x_stage_runs_once_per_point_per_run(monkeypatch):
     seeds of x, come from one evaluation per run over the block of all
     its chart points, however many directions and checkers use them,
     and a run of one point (verify at one point) makes it over a block
-    of one.  chart_points makes it before the run's one
-    curvature_samples call, and none runs inside that call, where a
-    stage would evaluate its own."""
+    of one.  chart_points makes it before the points' curvature_samples
+    calls, one per point in the block's order, and none runs inside a
+    call, where a stage would evaluate its own."""
     import kropina.einstein as einstein
     import kropina.forms as forms
 
@@ -790,10 +788,9 @@ def test_f_x_stage_runs_once_per_point_per_run(monkeypatch):
             calls.append(("order 4", [tuple(x) for x in xs.tolist()]))
         return real(env, *parts)
 
-    def samples(points):
-        calls.append(("samples", [tuple(stage.x.tolist())
-                                  for stage, *_ in points]))
-        out = real_samples(points)
+    def samples(stage, *args):
+        calls.append(("samples", tuple(stage.x.tolist())))
+        out = real_samples(stage, *args)
         calls.append(("done", None))
         return out
 
@@ -808,10 +805,11 @@ def test_f_x_stage_runs_once_per_point_per_run(monkeypatch):
                             (lambda: run_verify(sc, points=1), 1)):
             calls.clear()
             run()
-            [(order4, block), (kind, xs), (done, _)] = calls
-            assert (order4, kind, done) == ("order 4", "samples", "done")
-            assert len(xs) == len(set(xs)) == points
-            assert block == xs
+            [(order4, block), *passes] = calls
+            assert order4 == "order 4"
+            assert len(block) == len(set(block)) == points
+            assert passes == [call for x in block
+                              for call in (("samples", x), ("done", None))]
 
 
 def test_one_jet_evaluation_per_signature_per_point(monkeypatch):
